@@ -1,9 +1,8 @@
 // Command sagbench regenerates every table and figure of the paper plus the
 // ablations, writing the full experiment report (the source material for
-// EXPERIMENTS.md). The runtime table compares the sequential solver against
-// the parallel candidate fan-out and the quantized decision cache, reporting
-// the cache hit rate and per-arm speedup alongside the paper's ≈20 ms/alert
-// latency claim.
+// EXPERIMENTS.md). The runtime table times the per-alert decision with and
+// without the quantized decision cache, reporting the cache hit rate and
+// speedup alongside the paper's ≈20 ms/alert latency claim.
 //
 // Usage:
 //

@@ -76,9 +76,8 @@ func run() error {
 		follow   = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, mutations answer 503 until POST /v1/admin/promote")
 		readyLag = flag.Int("ready-lag", 0, "with -follow: /v1/readyz reports ready once every tenant's replication lag is at or below this many records")
 
-		tenants      = flag.Int("tenants", 0, "pre-create tenant-1..tenant-N at startup (others are created on first use)")
-		maxTenants   = flag.Int("max-tenants", 0, "resident tenant cap; requests for new tenants beyond it answer 429 (0 = default)")
-		shardWorkers = flag.Int("shard-workers", 0, "box-wide candidate-LP fan-out bound shared by every tenant's solves (0 = GOMAXPROCS)")
+		tenants    = flag.Int("tenants", 0, "pre-create tenant-1..tenant-N at startup (others are created on first use)")
+		maxTenants = flag.Int("max-tenants", 0, "resident tenant cap; requests for new tenants beyond it answer 429 (0 = default)")
 
 		rate        = flag.Float64("rate", 0, "per-tenant admission rate in req/s; over-rate requests answer 503 with a computed Retry-After (0 disables rate limiting)")
 		burst       = flag.Float64("burst", 0, "per-tenant token-bucket depth with -rate (0 = max(1, rate))")
@@ -138,9 +137,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The instance (and therefore the candidate-LP worker bound) is shared
-	// by every tenant's engine: the flag caps the whole box, not one tenant.
-	inst.SetWorkers(*shardWorkers)
 	cfg := server.Config{
 		World:     world,
 		Taxonomy:  taxonomy,

@@ -202,7 +202,7 @@ type Decision struct {
 //
 // Concurrency contract: every exported method is safe for concurrent use,
 // and — unlike earlier revisions, which held one mutex across the whole
-// decision — the expensive pipeline (estimation, the SSE multiple-LP solve,
+// decision — the decision pipeline (estimation, the SSE solve,
 // the signaling program) runs OUTSIDE the engine's budget lock. Process is
 // optimistic: it snapshots the remaining budget, solves at that snapshot
 // concurrently with other decisions, and commits under the lock only if the

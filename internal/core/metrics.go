@@ -23,11 +23,13 @@ const (
 	MetricTheorem3FallbackTotal = "sag_engine_theorem3_fallback_total"
 	// MetricBudgetRemaining is a gauge of the cycle's remaining budget.
 	MetricBudgetRemaining = "sag_engine_budget_remaining"
-	// MetricLPSolvesTotal counts candidate LPs solved by the SSE stage.
+	// MetricLPSolvesTotal counts candidate best-response problems of LP (2)
+	// solved by the SSE stage (one per attackable type per solve).
 	MetricLPSolvesTotal = "sag_engine_lp_solves_total"
-	// MetricSimplexIterationsTotal counts simplex iterations across those
-	// LPs; MetricSimplexPivotsTotal counts tableau pivots (iterations plus
-	// phase-transition drive-out pivots).
+	// MetricSimplexIterationsTotal and MetricSimplexPivotsTotal count
+	// simplex effort reported by the SSE stage. The closed-form solver runs
+	// no simplex, so they stay at zero unless an injected SSESolve reports
+	// some; they remain registered for dashboards that already scrape them.
 	MetricSimplexIterationsTotal = "sag_engine_simplex_iterations_total"
 	MetricSimplexPivotsTotal     = "sag_engine_simplex_pivots_total"
 	// MetricCacheHitsTotal / MetricCacheMissesTotal count decision-cache
@@ -140,9 +142,9 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 		vacuous:        reg.Counter(MetricVacuousTotal, "Decisions where no alert type was attackable.", with()...),
 		fallback:       reg.Counter(MetricTheorem3FallbackTotal, "Alerts solved via LP (3) because the Theorem 3 closed form did not apply.", with()...),
 		budget:         reg.Gauge(MetricBudgetRemaining, "Remaining audit budget for the current cycle.", with()...),
-		lpSolves:       reg.Counter(MetricLPSolvesTotal, "Candidate LPs solved by the online SSE stage.", with()...),
-		simplexIters:   reg.Counter(MetricSimplexIterationsTotal, "Simplex iterations across all candidate LPs.", with()...),
-		simplexPivots:  reg.Counter(MetricSimplexPivotsTotal, "Simplex tableau pivots across all candidate LPs.", with()...),
+		lpSolves:       reg.Counter(MetricLPSolvesTotal, "Candidate best-response problems of LP (2) solved by the online SSE stage.", with()...),
+		simplexIters:   reg.Counter(MetricSimplexIterationsTotal, "Simplex iterations reported by the online SSE stage (0 with the closed-form solver).", with()...),
+		simplexPivots:  reg.Counter(MetricSimplexPivotsTotal, "Simplex tableau pivots reported by the online SSE stage (0 with the closed-form solver).", with()...),
 		cacheHits:      reg.Counter(MetricCacheHitsTotal, "Decision-cache lookups served from the cache.", with()...),
 		cacheMisses:    reg.Counter(MetricCacheMissesTotal, "Decision-cache lookups that missed and re-solved.", with()...),
 		cacheEvictions: reg.Counter(MetricCacheEvictionsTotal, "Decision-cache LRU evictions at capacity.", with()...),
@@ -163,7 +165,7 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 
 const fallbackHelp = "Degraded decisions by fallback ladder rung."
 
-// recordSSE charges one SSE solve's LP effort to the counters.
+// recordSSE charges one SSE solve's effort to the counters.
 func (m *engineMetrics) recordSSE(stats game.SolveStats) {
 	if !m.enabled {
 		return

@@ -129,10 +129,14 @@ func (p Poisson) Sample(rng *rand.Rand) int {
 // D is θ = E[B/(V·D)] ≈ (B/V)·E[1/max(D,1)]. The D = 0 term is kept at
 // weight 1 — with no future alerts a unit of budget fully covers a single
 // hypothetical alert — which also makes the coefficient continuous as
-// Lambda → 0. The series is summed until the Poisson tail is below 1e-12.
+// Lambda → 0. The series is summed from d = 0 until the Poisson tail is below
+// 1e-12, or outward from the mode when the rate is too large for that.
 func (p Poisson) InverseMeanCoefficient() float64 {
 	if p.Lambda == 0 {
 		return 1
+	}
+	if p.Lambda > inverseMeanFromZeroMax {
+		return inverseMeanFromMode(p.Lambda)
 	}
 	term := math.Exp(-p.Lambda) // P(D = 0)
 	sum := term                 // d = 0 contributes weight 1
@@ -147,6 +151,37 @@ func (p Poisson) InverseMeanCoefficient() float64 {
 	}
 	// Remaining tail mass contributes ≈ tail/d; bounded by 1e-12, ignore.
 	return sum
+}
+
+// inverseMeanFromZeroMax is the largest rate InverseMeanCoefficient sums up
+// from d = 0. The leading term e^−λ goes subnormal past λ ≈ 708 and is zero
+// from λ ≈ 745, where that series would return 0 instead of ≈ 1/λ.
+const inverseMeanFromZeroMax = 700
+
+// inverseMeanFromMode computes E[1/max(D,1)] for a large rate by summing
+// outward from the mode with weights relative to the mode's own (so nothing
+// underflows) and normalizing by their total. P(D = 0) < 1e-300 here and is
+// dropped.
+func inverseMeanFromMode(lambda float64) float64 {
+	mode := math.Floor(lambda)
+	mass, sum := 1.0, 1/mode
+	for d, w := mode+1, 1.0; ; d++ {
+		w *= lambda / d
+		if w < 1e-18 {
+			break
+		}
+		mass += w
+		sum += w / d
+	}
+	for d, w := mode, 1.0; d > 1; d-- {
+		w *= d / lambda
+		if w < 1e-18 {
+			break
+		}
+		mass += w
+		sum += w / (d - 1)
+	}
+	return sum / mass
 }
 
 // FitPoisson estimates the rate from observed counts by maximum likelihood

@@ -159,6 +159,36 @@ func TestInverseMeanCoefficientMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestInverseMeanCoefficientLargeRates: e^−λ underflows from λ ≈ 745, where
+// the from-zero series used to return 0. The coefficient must follow
+// E[1/D] = 1/λ·(1 + 1/λ + 2/λ² + 6/λ³ + …) on both sides of the switch to the
+// from-the-mode sum, and be continuous across it.
+func TestInverseMeanCoefficientLargeRates(t *testing.T) {
+	for _, lambda := range []float64{700, 700.5, 746, 2000, 1e5} {
+		got := Poisson{Lambda: lambda}.InverseMeanCoefficient()
+		lo := (1 + 1/lambda + 2/(lambda*lambda)) / lambda
+		hi := (1 + 1/lambda + 3/(lambda*lambda)) / lambda
+		if !(got > lo && got < hi) {
+			t.Errorf("lambda=%g: coefficient %g outside (%g, %g)", lambda, got, lo, hi)
+		}
+	}
+	if got := (Poisson{Lambda: 2000}).InverseMeanCoefficient(); math.Abs(got*2000-1) > 0.01 {
+		t.Errorf("lambda=2000: coefficient %g not within 1%% of 1/2000", got)
+	}
+	// Both sums at the same rate agree far below what the LP can see.
+	for _, lambda := range []float64{50, 300, inverseMeanFromZeroMax} {
+		zero, mode := Poisson{Lambda: lambda}.InverseMeanCoefficient(), inverseMeanFromMode(lambda)
+		if math.Abs(zero-mode) > 1e-10*zero {
+			t.Errorf("lambda=%g: from zero %g, from the mode %g", lambda, zero, mode)
+		}
+	}
+	below := Poisson{Lambda: inverseMeanFromZeroMax}.InverseMeanCoefficient()
+	above := Poisson{Lambda: math.Nextafter(inverseMeanFromZeroMax, math.Inf(1))}.InverseMeanCoefficient()
+	if math.Abs(below-above) > 1e-10*below {
+		t.Errorf("jump across the switch: %g → %g", below, above)
+	}
+}
+
 func TestFitPoisson(t *testing.T) {
 	p, err := FitPoisson([]float64{1, 2, 3, 4})
 	if err != nil || p.Lambda != 2.5 {

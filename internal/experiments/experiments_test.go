@@ -109,8 +109,8 @@ func TestRuntimeWellUnderPaperBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 4 {
-		t.Fatalf("settings = %d, want 4 (single + sequential/parallel/cached 7-type arms)", len(reps))
+	if len(reps) != 3 {
+		t.Fatalf("settings = %d, want 3 (single + uncached/cached 7-type arms)", len(reps))
 	}
 	for _, r := range reps {
 		if r.Alerts == 0 {
@@ -121,33 +121,24 @@ func TestRuntimeWellUnderPaperBudget(t *testing.T) {
 		if r.Mean > 20*time.Millisecond {
 			t.Errorf("%s: mean %v exceeds the paper's 20ms", r.Setting, r.Mean)
 		}
-		if r.LPSolves == 0 || r.SimplexIterations == 0 {
-			t.Errorf("%s: solver stats empty (LPs=%d iters=%d)", r.Setting, r.LPSolves, r.SimplexIterations)
-		}
-		if r.SimplexPivots < r.SimplexIterations {
-			t.Errorf("%s: pivots %d < iterations %d", r.Setting, r.SimplexPivots, r.SimplexIterations)
+		if r.LPSolves == 0 {
+			t.Errorf("%s: solver stats empty", r.Setting)
 		}
 	}
-	// Sequential and parallel arms must report identical solver effort —
-	// that is the determinism guarantee of the fan-out — while the cached
-	// arm may only do less work, never more.
-	seq, par, cac := reps[1], reps[2], reps[3]
-	if seq.LPSolves != par.LPSolves || seq.SimplexPivots != par.SimplexPivots {
-		t.Errorf("parallel arm effort (%d LPs, %d pivots) differs from sequential (%d, %d)",
-			par.LPSolves, par.SimplexPivots, seq.LPSolves, seq.SimplexPivots)
-	}
-	if cac.LPSolves > seq.LPSolves {
-		t.Errorf("cached arm solved more LPs (%d) than sequential (%d)", cac.LPSolves, seq.LPSolves)
+	// The cached arm may only do less work than the uncached one, never more.
+	unc, cac := reps[1], reps[2]
+	if cac.LPSolves > unc.LPSolves {
+		t.Errorf("cached arm solved more candidates (%d) than uncached (%d)", cac.LPSolves, unc.LPSolves)
 	}
 	if cac.CacheHits+cac.CacheMisses == 0 {
 		t.Errorf("cached arm recorded no cache traffic: %+v", cac)
 	}
-	if par.SpeedupVsSeq <= 0 || cac.SpeedupVsSeq <= 0 {
-		t.Errorf("speedup ratios not populated: parallel %g, cached %g", par.SpeedupVsSeq, cac.SpeedupVsSeq)
+	if cac.SpeedupVsUncached <= 0 {
+		t.Errorf("speedup ratio not populated: cached %g", cac.SpeedupVsUncached)
 	}
 	var buf bytes.Buffer
 	RenderRuntime(&buf, reps)
-	for _, col := range []string{"mean", "LPs", "simplex", "pivots", "hit%", "speedup"} {
+	for _, col := range []string{"mean", "candidates", "hit%", "speedup"} {
 		if !strings.Contains(buf.String(), col) {
 			t.Errorf("runtime render missing %q column", col)
 		}

@@ -22,44 +22,35 @@ type RuntimeReport struct {
 	Mean        time.Duration
 	Max         time.Duration
 	PaperMeanMS float64
-	// Solver effort accumulated across all alerts: the number of candidate
-	// LPs solved by the multiple-LP Stackelberg method, and the simplex
-	// iterations/pivots spent inside them. These explain where the latency
-	// above goes.
-	LPSolves          int
-	SimplexIterations int
-	SimplexPivots     int
+	// LPSolves is the number of candidate best-response problems of LP (2)
+	// solved across all alerts (one per attackable type per fresh decision).
+	LPSolves int
 	// Decision-cache effectiveness (zero when the arm runs uncached).
 	CacheHits    uint64
 	CacheMisses  uint64
 	CacheHitRate float64
-	// SpeedupVsSeq is this arm's mean-latency speedup relative to the
-	// sequential 7-type arm (0 for arms without a baseline). Values below 1
-	// on few-core machines are expected for the parallel arm: the fan-out
-	// only pays for itself when candidate solves can actually overlap.
-	SpeedupVsSeq float64
+	// SpeedupVsUncached is the cached arm's mean-latency speedup relative
+	// to the uncached 7-type arm (0 for arms without a baseline).
+	SpeedupVsUncached float64
 }
 
 // Runtime measures the mean and worst per-alert decision latency of the
 // full pipeline (future estimation + online SSE + OSSP) on a test day. The
-// single-type setting has one arm; the 7-type setting runs three — the
-// sequential solver, the parallel candidate fan-out, and the fan-out with a
-// warm quantized decision cache — so the report shows what each optimization
-// layer buys at the paper's scale.
+// single-type setting has one arm; the 7-type setting runs two — the exact
+// solve on every alert, and the same behind a warm quantized decision cache —
+// so the report shows what the cache still buys at the paper's scale.
 func Runtime(scale Scale) ([]RuntimeReport, error) {
 	var out []RuntimeReport
 	settings := []struct {
 		name     string
 		typeIDs  []int
 		budget   float64
-		workers  int // game.Instance workers: 1 = sequential, 0 = shared pool
 		cache    core.CacheConfig
-		baseline int // index of the sequential arm this arm is compared to
+		baseline int // index of the uncached arm this arm is compared to
 	}{
-		{"single type (Same Last Name), B=20", []int{1}, 20, 1, core.CacheConfig{}, -1},
-		{"7 alert types, B=50 (sequential)", sim.AllTable1TypeIDs(), 50, 1, core.CacheConfig{}, -1},
-		{"7 alert types, B=50 (parallel)", sim.AllTable1TypeIDs(), 50, 0, core.CacheConfig{}, 1},
-		{"7 alert types, B=50 (parallel+cache)", sim.AllTable1TypeIDs(), 50, 0,
+		{"single type (Same Last Name), B=20", []int{1}, 20, core.CacheConfig{}, -1},
+		{"7 alert types, B=50", sim.AllTable1TypeIDs(), 50, core.CacheConfig{}, -1},
+		{"7 alert types, B=50 (cache)", sim.AllTable1TypeIDs(), 50,
 			core.CacheConfig{Size: 512, BudgetQuantum: 1, RateQuantum: 5}, 1},
 	}
 	for _, s := range settings {
@@ -71,7 +62,6 @@ func Runtime(scale Scale) ([]RuntimeReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst.SetWorkers(s.workers)
 		curves, err := history.NewCurves(ds.Records(0, scale.HistoryDays), ds.NumTypes, scale.HistoryDays)
 		if err != nil {
 			return nil, err
@@ -103,7 +93,7 @@ func Runtime(scale Scale) ([]RuntimeReport, error) {
 			}
 			el := time.Since(start)
 			// A cache hit replays the memoized Result, Stats included; count
-			// solver effort only for decisions that actually ran the LPs.
+			// solver effort only for decisions that actually solved.
 			fresh := true
 			if cached {
 				m := eng.CacheStats().Misses
@@ -112,8 +102,6 @@ func Runtime(scale Scale) ([]RuntimeReport, error) {
 			}
 			if d.SSE != nil && fresh {
 				rep.LPSolves += d.SSE.Stats.LPSolves
-				rep.SimplexIterations += d.SSE.Stats.Simplex.Iterations()
-				rep.SimplexPivots += d.SSE.Stats.Simplex.Pivots
 			}
 			rep.Total += el
 			if el > rep.Max {
@@ -127,7 +115,7 @@ func Runtime(scale Scale) ([]RuntimeReport, error) {
 		cs := eng.CacheStats()
 		rep.CacheHits, rep.CacheMisses, rep.CacheHitRate = cs.Hits, cs.Misses, cs.HitRate()
 		if s.baseline >= 0 && rep.Mean > 0 {
-			rep.SpeedupVsSeq = float64(out[s.baseline].Mean) / float64(rep.Mean)
+			rep.SpeedupVsUncached = float64(out[s.baseline].Mean) / float64(rep.Mean)
 		}
 		out = append(out, rep)
 	}
@@ -137,17 +125,17 @@ func Runtime(scale Scale) ([]RuntimeReport, error) {
 // RenderRuntime writes the latency table.
 func RenderRuntime(w io.Writer, reps []RuntimeReport) {
 	fmt.Fprintln(w, "Runtime — per-alert SAG optimization latency (paper: ≈20 ms/alert)")
-	fmt.Fprintf(w, "%-40s %8s %12s %12s %9s %10s %8s %7s %9s\n",
-		"setting", "alerts", "mean", "max", "LPs", "simplex", "pivots", "hit%", "speedup")
+	fmt.Fprintf(w, "%-40s %8s %12s %12s %11s %7s %9s\n",
+		"setting", "alerts", "mean", "max", "candidates", "hit%", "speedup")
 	for _, r := range reps {
 		hit, speed := "-", "-"
 		if r.CacheHits+r.CacheMisses > 0 {
 			hit = fmt.Sprintf("%.0f%%", 100*r.CacheHitRate)
 		}
-		if r.SpeedupVsSeq > 0 {
-			speed = fmt.Sprintf("%.2fx", r.SpeedupVsSeq)
+		if r.SpeedupVsUncached > 0 {
+			speed = fmt.Sprintf("%.2fx", r.SpeedupVsUncached)
 		}
-		fmt.Fprintf(w, "%-40s %8d %12s %12s %9d %10d %8d %7s %9s\n",
-			r.Setting, r.Alerts, r.Mean, r.Max, r.LPSolves, r.SimplexIterations, r.SimplexPivots, hit, speed)
+		fmt.Fprintf(w, "%-40s %8d %12s %12s %11d %7s %9s\n",
+			r.Setting, r.Alerts, r.Mean, r.Max, r.LPSolves, hit, speed)
 	}
 }

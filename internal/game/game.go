@@ -3,8 +3,8 @@
 // types; the attacker (follower) observes the commitment and picks the alert
 // type that maximizes his expected utility.
 //
-// Two solvers are provided, both using the classic multiple-LP method (one
-// LP per candidate attacker best response; the paper's LP (2)):
+// Two entry points share one exact closed-form solver for the paper's LP (2)
+// (see solveSSE):
 //
 //   - SolveOnlineSSE — the online equilibrium used at each alert arrival,
 //     where future alert volumes are Poisson random variables and coverage is
@@ -19,14 +19,14 @@
 package game
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/auditgames/sag/internal/dist"
-	"github.com/auditgames/sag/internal/lp"
 	"github.com/auditgames/sag/internal/payoff"
-	"github.com/auditgames/sag/internal/pool"
 )
 
 // Instance describes the static part of an audit game: the alert-type
@@ -35,30 +35,16 @@ import (
 type Instance struct {
 	Payoffs    []payoff.Payoff
 	AuditCosts []float64
-
-	// workers bounds the candidate-LP fan-out of solveSSE; see SetWorkers.
-	workers int
 }
 
-// SetWorkers bounds the per-candidate LP fan-out for SSE solves on this
-// instance: 0 (the default) uses the shared GOMAXPROCS-sized worker pool,
-// 1 forces the sequential reference path, and n > 1 caps the number of
-// concurrent candidate solves at n. Parallel and sequential solves return
-// bit-identical Results: candidate LPs are independent and deterministic,
-// results are reduced in ascending type order with ties broken toward the
-// lowest type index, and solver-effort counters are integer sums (exact and
-// order-independent). Configure before solving begins — the setting is read
-// by every solve and must not be changed concurrently with solves.
-func (in *Instance) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	in.workers = n
-}
+// SetWorkers is a no-op: solves run on the calling goroutine and have no
+// fan-out to bound. It and Workers remain only because benchmark/ — which a
+// solver change may not edit — calls SetWorkers(1); remove both with the
+// next change to benchmark/.
+func (in *Instance) SetWorkers(int) {}
 
-// Workers returns the configured candidate-solve fan-out bound (0 = shared
-// pool default).
-func (in *Instance) Workers() int { return in.workers }
+// Workers always reports 1.
+func (in *Instance) Workers() int { return 1 }
 
 // NewInstance validates and builds an Instance. Payoffs and costs must have
 // equal nonzero length, every payoff must satisfy the paper's sign
@@ -109,7 +95,8 @@ type Result struct {
 	// Coverage is the equilibrium marginal audit probability θ^{t'} per
 	// type under the winning commitment.
 	Coverage []float64
-	// Allocation is the budget split B^{t'} per type chosen by the LP.
+	// Allocation is the budget split B^{t'} per type behind Coverage: the
+	// cheapest one that keeps BestType the attacker's best response.
 	Allocation []float64
 	// DefenderUtility is the auditor's expected utility against the
 	// victim alert of the best-response type.
@@ -118,30 +105,16 @@ type Result struct {
 	// response.
 	AttackerUtility float64
 	// CandidateFeasible records, per type, whether the "force t to be the
-	// best response" LP was feasible — useful for diagnostics and tests.
+	// best response" problem was feasible — useful for diagnostics and tests.
 	CandidateFeasible []bool
 	// BudgetShadowPrice is the dual value of the shared budget constraint
-	// in the winning LP: the marginal auditor utility of one more unit of
-	// audit budget at this game state (0 when budget is not binding).
+	// in the winning candidate problem: the marginal auditor utility of one
+	// more unit of audit budget at this game state (0 when budget is not
+	// binding).
 	BudgetShadowPrice float64
-	// Stats aggregates simplex effort across every candidate LP of this
-	// multiple-LP solve (feasible and infeasible alike) — the per-decision
-	// solver cost the engine exports as counters.
+	// Stats counts the candidate problems behind this solve — the
+	// per-decision solver cost the engine exports as counters.
 	Stats SolveStats
-}
-
-// SolveStats itemizes the LP work behind one SSE solve.
-type SolveStats struct {
-	// LPSolves counts candidate LPs solved (one per attackable type).
-	LPSolves int
-	// Simplex accumulates iteration and pivot counts across those LPs.
-	Simplex lp.Stats
-}
-
-// Accumulate adds o into s, for callers aggregating across many solves.
-func (s *SolveStats) Accumulate(o SolveStats) {
-	s.LPSolves += o.LPSolves
-	s.Simplex.Accumulate(o.Simplex)
 }
 
 // SolveOnlineSSE computes the online SSE given the remaining audit budget
@@ -150,10 +123,9 @@ func SolveOnlineSSE(inst *Instance, budget float64, futures []dist.Poisson) (*Re
 	return SolveOnlineSSECtx(context.Background(), inst, budget, futures)
 }
 
-// SolveOnlineSSECtx is SolveOnlineSSE with cooperative cancellation:
-// candidate LPs not yet started are skipped once ctx is done, in-flight
-// simplex solves abort at their next iteration check, and the ctx error is
-// returned. A context that can never be canceled costs nothing extra.
+// SolveOnlineSSECtx is SolveOnlineSSE behind a context check: a ctx that is
+// already done returns its error instead of solving. The solve itself takes
+// microseconds and is not interruptible.
 func SolveOnlineSSECtx(ctx context.Context, inst *Instance, budget float64, futures []dist.Poisson) (*Result, error) {
 	if len(futures) != inst.NumTypes() {
 		return nil, fmt.Errorf("game: %d future distributions for %d types", len(futures), inst.NumTypes())
@@ -199,198 +171,124 @@ func SolveOfflineSSE(inst *Instance, budget float64, counts []float64) (*Result,
 	return solveSSE(context.Background(), inst, budget, coeffs, attackable)
 }
 
-// solveSSE runs the multiple-LP method. coeffs[t] is the linear coverage
-// coefficient: θ^t = coeffs[t]·B^t/V^t. attackable[t] gates both the
-// candidate set and the best-response constraints.
+// solveSSE solves LP (2) exactly, without an LP solver. coeffs[t] is the
+// linear coverage coefficient: θ^t = slope_t·B^t with slope_t = coeffs[t]/V^t.
+// attackable[t] gates both the candidate set and the best-response rows.
 //
-// The k candidate LPs are independent, so they fan out across the shared
-// worker pool (bounded by Instance.SetWorkers). Each candidate writes into
-// its own index slot; the reduction below runs sequentially in ascending
-// type order with the strong-SSE tie-break (lowest type index at equal
-// defender utility, within the 1e-12 comparison tolerance), so the parallel
-// and sequential paths produce bit-identical Results.
+// LP (2) is the multiple-LP method: for each candidate best response t,
+// maximize θ^t subject to "the attacker prefers t", θ ≤ 1 and Σ B ≤ budget.
+// With g_j = U_au^j − U_ac^j > 0, the attacker attacking t earns
+// u = U_au^t − g_t·θ^t, and preferring t means every other attackable type j
+// is covered down to that level: θ^j ≥ (U_au^j − u)/g_j. The cheapest such
+// commitment costs
 //
-// Cancellation is cooperative at two grains: between candidates (a canceled
-// ctx stops new candidate solves from starting, via pool.ForEachCtx and the
-// per-candidate check below) and inside a candidate (lp.SolveCtx polls ctx
-// every few simplex iterations). Either way the reduction surfaces the ctx
-// error deterministically.
+//	C(u) = Σ_j max(0, U_au^j − u) / (g_j·slope_j),
+//
+// a convex, piecewise-linear, decreasing curve with a kink at each U_au^j —
+// and the same curve for every candidate, because t's own term has the same
+// form. Coverage ≤ 1 puts a floor under u: U_ac^j for a type that can be
+// covered, U_au^j for one whose slope is zero. So all candidates share one
+// water level u*: the lowest u at or above the floor with C(u) ≤ budget,
+// found by sorting the kinks and walking down segment by segment. Candidate
+// t is feasible iff U_au^t ≥ u*, its optimum is θ^t = (U_au^t − u*)/g_t, and
+// the other types sit at exactly (U_au^j − u*)/g_j — the minimal allocation,
+// which is also the vertex the simplex returns. When the budget stops the
+// walk, one more unit of it lowers u* by 1/|C'(u*)|, which is the budget
+// row's dual up to the winner's (U_dc − U_du)/g_t.
+//
+// Candidates are compared in ascending type order, a later one replacing the
+// incumbent only if it beats it by more than 1e-12, so exact defender-utility
+// ties go to the lowest type index.
 func solveSSE(ctx context.Context, inst *Instance, budget float64, coeffs []float64, attackable []bool) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("game: SSE solve canceled: %w", err)
+	}
 	k := inst.NumTypes()
-	cands := make([]int, 0, k)
-	for t, a := range attackable {
-		if a {
-			cands = append(cands, t)
-		}
-	}
-	if len(cands) == 0 {
-		return &Result{
-			BestType:          -1,
-			Coverage:          make([]float64, k),
-			Allocation:        make([]float64, k),
-			CandidateFeasible: make([]bool, k),
-		}, nil
+	res := &Result{
+		BestType:          -1,
+		Coverage:          make([]float64, k),
+		Allocation:        make([]float64, k),
+		CandidateFeasible: make([]bool, k),
 	}
 
-	results := make([]*Result, k)
-	feasible := make([]bool, k)
-	ran := make([]bool, k)
-	errs := make([]error, k)
-	var simplex lp.AtomicStats
-	solve := func(i int) {
-		t := cands[i]
-		// Cooperative cancellation between candidates: a candidate that has
-		// not started when the deadline fires is never solved.
-		if ctx.Err() != nil {
-			return
-		}
-		res, lpStats, ok, err := solveCandidate(ctx, inst, budget, coeffs, attackable, t)
-		ran[t] = true
-		if err != nil {
-			errs[t] = err
-			return
-		}
-		simplex.Add(lpStats)
-		feasible[t] = ok
-		if ok {
-			results[t] = res
-		}
-	}
-	if w := inst.workers; w == 1 || len(cands) == 1 {
-		for i := range cands {
-			solve(i)
-		}
-	} else {
-		// ForEachCtx additionally skips scheduling once ctx is done; the
-		// ran[] bookkeeping below distinguishes skipped from infeasible.
-		_ = pool.Shared().ForEachCtx(ctx, len(cands), w, solve)
-	}
-
-	// Deterministic reduction: errors and candidates are examined in
-	// ascending type order regardless of solve scheduling. A candidate that
-	// never ran means the context fired mid-solve — a partial reduction
-	// could silently crown the wrong best response, so cancellation is
-	// surfaced as an error and the caller decides how to degrade.
-	var stats SolveStats
-	best := (*Result)(nil)
-	for _, t := range cands {
-		if !ran[t] {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, fmt.Errorf("game: online SSE canceled before candidate %d: %w", t, err)
-		}
-		if errs[t] != nil {
-			return nil, errs[t]
-		}
-		stats.LPSolves++
-		res := results[t]
-		if res == nil {
+	// One kink per attackable type: C's slope grows by weight as u drops
+	// below level. A zero-slope type can never be covered, so it costs
+	// nothing and instead holds the floor at its U_au.
+	kinks := make([]kink, 0, k)
+	floor := math.Inf(-1)
+	for t, p := range inst.Payoffs {
+		if !attackable[t] {
 			continue
 		}
-		if best == nil || res.DefenderUtility > best.DefenderUtility+1e-12 {
-			best = res
+		kn := kink{level: p.AttackerUncovered}
+		if slope := coeffs[t] / inst.AuditCosts[t]; slope > 0 {
+			kn.weight = 1 / ((p.AttackerUncovered - p.AttackerCovered) * slope)
+			floor = max(floor, p.AttackerCovered)
+		} else {
+			floor = max(floor, p.AttackerUncovered)
+		}
+		kinks = append(kinks, kn)
+	}
+	if len(kinks) == 0 {
+		return res, nil
+	}
+	res.Stats.LPSolves = len(kinks)
+	slices.SortFunc(kinks, func(a, b kink) int { return cmp.Compare(b.level, a.level) })
+	level, marginal := waterLevel(kinks, floor, budget)
+
+	for t, p := range inst.Payoffs {
+		if !attackable[t] || p.AttackerUncovered < level {
+			continue
+		}
+		res.CandidateFeasible[t] = true
+		gap := p.AttackerUncovered - p.AttackerCovered
+		theta := (p.AttackerUncovered - level) / gap
+		res.Coverage[t] = theta
+		if theta > 0 {
+			res.Allocation[t] = theta * inst.AuditCosts[t] / coeffs[t]
+		}
+		if u := p.DefenderExpected(theta); res.BestType < 0 || u > res.DefenderUtility+1e-12 {
+			res.BestType = t
+			res.DefenderUtility = u
+			res.AttackerUtility = p.AttackerExpected(theta)
+			res.BudgetShadowPrice = marginal * (p.DefenderCovered - p.DefenderUncovered) / gap
 		}
 	}
-	if best == nil {
-		// Cannot happen for valid inputs: the unconstrained-attacker
-		// candidate argmax U_au is always feasible with zero allocation.
-		return nil, fmt.Errorf("game: no feasible best-response candidate (internal invariant violated)")
-	}
-	stats.Simplex = simplex.Load()
-	best.CandidateFeasible = feasible
-	best.Stats = stats
-	return best, nil
+	return res, nil
 }
 
-// solveCandidate solves LP (2) assuming alert type t is the attacker's best
-// response. Variables are the budget allocations B^0..B^{k-1}.
-func solveCandidate(ctx context.Context, inst *Instance, budget float64, coeffs []float64, attackable []bool, t int) (*Result, lp.Stats, bool, error) {
-	k := inst.NumTypes()
-	prob := lp.New(lp.Maximize, k)
+// kink is one breakpoint of the cost curve C(u): below level, C's slope
+// steepens by weight.
+type kink struct {
+	level, weight float64
+}
 
-	// slope[j] dθ^j/dB^j = coeffs[j]/V^j.
-	slope := make([]float64, k)
-	for j := 0; j < k; j++ {
-		slope[j] = coeffs[j] / inst.AuditCosts[j]
-	}
-
-	// Objective: θ^t·U_dc + (1−θ^t)·U_du = slope[t]·(U_dc−U_du)·B^t + U_du.
-	pt := inst.Payoffs[t]
-	obj := make([]float64, k)
-	obj[t] = slope[t] * (pt.DefenderCovered - pt.DefenderUncovered)
-	if err := prob.SetObjective(obj); err != nil {
-		return nil, lp.Stats{}, false, err
-	}
-
-	// Bounds: B^j ∈ [0, V^j/coeffs[j]] keeps θ^j ≤ 1 (and ≤ budget
-	// implicitly via the shared budget row). A zero coefficient means
-	// coverage never accrues for type j (zero expected future alerts), so
-	// the θ^j ≤ 1 cap is vacuous and only the budget bounds B^j — dividing
-	// by it would inject ±Inf into the variable bounds.
-	for j := 0; j < k; j++ {
-		hi := budget
-		if coeffs[j] > 0 {
-			if c := inst.AuditCosts[j] / coeffs[j]; c < hi {
-				hi = c
-			}
+// waterLevel walks C(u) down from its highest kink and returns the lowest
+// attacker utility level the budget can enforce, no lower than floor, and
+// the rate −du/dbudget at which more budget would lower it (0 when the
+// floor, not the budget, stopped the walk). kinks are sorted by descending
+// level; floor is at most the first level.
+//
+// A budget that falls short of the next kink by rounding alone (1e-12 of
+// itself) reaches it: whether a type sitting exactly on the water level is a
+// feasible candidate must not hang on the last bit of a sum.
+func waterLevel(kinks []kink, floor, budget float64) (level, marginal float64) {
+	level = kinks[0].level
+	spent, rate := 0.0, 0.0
+	for i, kn := range kinks {
+		rate += kn.weight
+		next := floor
+		if i+1 < len(kinks) {
+			next = max(next, kinks[i+1].level)
 		}
-		if err := prob.SetBounds(j, 0, hi); err != nil {
-			return nil, lp.Stats{}, false, err
+		step := rate * (level - next)
+		if spent+step > budget*(1+1e-12) {
+			return max(next, level-(budget-spent)/rate), 1 / rate
 		}
+		spent = min(spent+step, budget)
+		level = next
 	}
-
-	// Best-response rows: for every attackable j ≠ t,
-	// θ^t·U_ac^t + (1−θ^t)·U_au^t ≥ θ^j·U_ac^j + (1−θ^j)·U_au^j
-	// ⇔ slope[t]·(U_ac^t−U_au^t)·B^t − slope[j]·(U_ac^j−U_au^j)·B^j ≥ U_au^j − U_au^t.
-	for j := 0; j < k; j++ {
-		if j == t || !attackable[j] {
-			continue
-		}
-		pj := inst.Payoffs[j]
-		row := make([]float64, k)
-		row[t] = slope[t] * (pt.AttackerCovered - pt.AttackerUncovered)
-		row[j] = -slope[j] * (pj.AttackerCovered - pj.AttackerUncovered)
-		rhs := pj.AttackerUncovered - pt.AttackerUncovered
-		if err := prob.AddConstraint(row, lp.GE, rhs); err != nil {
-			return nil, lp.Stats{}, false, err
-		}
-	}
-
-	// Shared budget: Σ B^j ≤ budget.
-	ones := make([]float64, k)
-	for j := range ones {
-		ones[j] = 1
-	}
-	if err := prob.AddConstraint(ones, lp.LE, budget); err != nil {
-		return nil, lp.Stats{}, false, err
-	}
-
-	sol, err := lp.SolveCtx(ctx, prob)
-	if err != nil {
-		return nil, lp.Stats{}, false, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, sol.Stats, false, nil
-	}
-
-	cov := make([]float64, k)
-	for j := 0; j < k; j++ {
-		cov[j] = clamp01(slope[j] * sol.X[j])
-	}
-	res := &Result{
-		BestType:        t,
-		Coverage:        cov,
-		Allocation:      sol.X,
-		DefenderUtility: pt.DefenderExpected(cov[t]),
-		AttackerUtility: pt.AttackerExpected(cov[t]),
-	}
-	// The shared budget row is the last constraint added above.
-	if n := len(sol.Duals); n > 0 {
-		res.BudgetShadowPrice = sol.Duals[n-1]
-	}
-	return res, sol.Stats, true, nil
+	return level, 0
 }
 
 func clamp01(x float64) float64 {

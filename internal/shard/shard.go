@@ -2,15 +2,11 @@
 // one per tenant — behind a single process. Each tenant (a hospital, in the
 // paper's deployment story) runs its own audit cycle, budget, and OSSP
 // state; the router owns the map from tenant ID to engine and keeps the
-// box-wide resource envelope bounded:
-//
-//   - Solve parallelism is bounded because every tenant engine shares one
-//     game.Instance whose worker bound feeds the shared internal/pool — the
-//     pool's width caps concurrent simplex work no matter how many tenants
-//     are resident.
-//   - The decision-cache footprint is bounded by Config.CacheBudget: on
-//     every tenant create/remove the router rebalances the per-engine cache
-//     capacity to budget/n, evicting LRU entries down to the new share.
+// box-wide resource envelope bounded: the decision-cache footprint is capped
+// by Config.CacheBudget — on every tenant create/remove the router
+// rebalances the per-engine cache capacity to budget/n, evicting LRU entries
+// down to the new share. (Solves need no bound of their own: each runs in
+// microseconds on the request's goroutine.)
 //
 // Routing is by explicit tenant ID. IDs are mapped to lock-striped buckets
 // with an FNV hash, so tenant lookup — on the decision hot path — takes one

@@ -12,10 +12,7 @@ import (
 // engines, RNG streams, and rollback state are per-group — so the output is
 // identical to RunGroups for the same configuration.
 //
-// The fan-out runs on the process-wide worker pool shared with the
-// parallel candidate solves in internal/game: when the replication layer
-// saturates the pool, nested per-decision solves degrade to inline
-// execution instead of oversubscribing the CPU.
+// The fan-out runs on the process-wide worker pool (internal/pool).
 func (r *Runner) RunGroupsParallel(gs []Group, workers int) ([]*DayResult, error) {
 	if len(gs) == 0 {
 		return nil, nil

@@ -213,25 +213,20 @@ func ReadFrames(dir string, cur, limit Cursor, fn func(Frame) error) (Cursor, er
 // ErrCursorInvalid when the position or checksum does not match — either way
 // the holder's history has diverged and it must re-seed.
 func ValidateCursor(dir string, cur Cursor, lastCRC uint32) error {
-	seqs, err := retainedSegments(dir)
-	if err != nil {
-		return err
-	}
-	found := false
-	for _, n := range seqs {
-		if n == cur.Seg {
-			found = true
-			break
+	// Read first, classify a missing segment afterwards: listing before
+	// reading would let a prune in between surface a raw ENOENT.
+	path := filepath.Join(dir, segmentName(cur.Seg))
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		seqs, lerr := retainedSegments(dir)
+		if lerr != nil {
+			return lerr
 		}
-	}
-	if !found {
 		if len(seqs) > 0 && cur.Seg < seqs[0] {
 			return fmt.Errorf("%w: segment %d pruned (oldest retained %d)", ErrCursorGone, cur.Seg, seqs[0])
 		}
 		return fmt.Errorf("%w: segment %d not in journal", ErrCursorInvalid, cur.Seg)
 	}
-	path := filepath.Join(dir, segmentName(cur.Seg))
-	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("wal: reading segment: %w", err)
 	}

@@ -164,6 +164,44 @@ func TestValidateCursorPrunedSegment(t *testing.T) {
 	}
 }
 
+// TestValidateCursorSegmentVanishes is the deterministic form of the
+// prune-vs-validate race: the directory listing still names the cursor's
+// segment but reading it finds nothing (here a dangling symlink stands in for
+// the file a concurrent prune unlinked). The holder must get a cursor error —
+// a 409 and a re-seed — never the raw ENOENT that used to surface as a 500.
+func TestValidateCursorSegmentVanishes(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 24; i++ {
+		appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
+	}
+	cur, ok, err := OldestCursor(dir)
+	if err != nil || !ok {
+		t.Fatalf("OldestCursor: %v ok=%v", err, ok)
+	}
+	if err := ValidateCursor(dir, cur, 0); err != nil {
+		t.Fatalf("cursor rejected before the prune: %v", err)
+	}
+	path := filepath.Join(dir, segmentName(cur.Seg))
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateCursor(dir, cur, 0); !errors.Is(err, ErrCursorGone) {
+		t.Fatalf("pruned cursor: %v, want ErrCursorGone", err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "unlinked"), path); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	err = ValidateCursor(dir, cur, 0)
+	if !errors.Is(err, ErrCursorGone) && !errors.Is(err, ErrCursorInvalid) {
+		t.Fatalf("listed-but-missing segment: %v, want a cursor error", err)
+	}
+}
+
 // TestMirrorRoundTrip ships every frame of a source journal into a mirror and
 // requires the mirrored directory to be byte-identical, with the same
 // recovery result — the invariant the hot standby rests on.

@@ -175,7 +175,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return core.NewEngine(cfg) }
 
 // SolveOnlineSSE computes the online Strong Stackelberg Equilibrium given
 // the remaining budget and per-type Poisson future-alert distributions
-// (the paper's LP (2) solved by the multiple-LP method).
+// (the paper's LP (2), solved in closed form).
 func SolveOnlineSSE(inst *Instance, budget float64, futures []Poisson) (*SSEResult, error) {
 	return game.SolveOnlineSSE(inst, budget, futures)
 }
