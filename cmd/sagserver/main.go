@@ -62,7 +62,7 @@ func run() error {
 		cacheRateQ   = flag.Float64("cache-rate-quantum", 0, "future-rate bucket width for cache keys (0 = exact)")
 
 		decisionDeadline = flag.Duration("decision-deadline", 0, "per-decision solve deadline; slower decisions degrade down the fallback ladder (0 disables)")
-		requestTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request HTTP timeout (0 disables)")
+		requestTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline: a request still waiting when it passes answers 503 having changed nothing (0 = none)")
 		shutdownGrace    = flag.Duration("shutdown-grace", 10*time.Second, "time in-flight requests get to finish on SIGINT/SIGTERM")
 
 		dataDir         = flag.String("data-dir", "", "enable durability: per-tenant write-ahead journals and snapshots live under this directory, and restarts recover the exact engine state")

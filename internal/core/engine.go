@@ -277,6 +277,11 @@ type Engine struct {
 // a conflict; the alert can be resubmitted against the new cycle.
 var ErrCycleRolledOver = errors.New("core: audit cycle rolled over during decision")
 
+// ErrAbandoned reports that the caller's context ended before the decision
+// reached its commit: nothing was sampled, charged, recorded or journaled.
+// DecisionDeadline expiring is not this — with Fallback that degrades.
+var ErrAbandoned = errors.New("core: decision abandoned before commit")
+
 // maxCommitRetries bounds how many times a decision re-solves because
 // concurrent commits moved the budget out of the solved bucket. Past the
 // bound the near-state solve is committed anyway (counted in
@@ -407,9 +412,11 @@ func (e *Engine) Process(a Alert) (*Decision, error) {
 // enabled (Config.Fallback), any pipeline failure — estimator error, solver
 // error or panic, expired deadline — is converted into a degraded decision
 // via the internal/fallback ladder, so the only errors ProcessContext can
-// return are structurally invalid alerts (type out of range) and
-// ErrCycleRolledOver (a NewCycle raced the decision). Without Fallback,
-// pipeline errors propagate exactly as before.
+// return are structurally invalid alerts (type out of range),
+// ErrCycleRolledOver (a NewCycle raced the decision) and ErrAbandoned (ctx
+// itself ended before the commit — checked under the budget lock, so an
+// abandoned decision leaves no trace). Without Fallback, pipeline errors
+// propagate exactly as before.
 //
 // Budget accounting is identical on every path: the budget is charged
 // exactly once, at commit, from the decision's signal-conditional audit
@@ -426,6 +433,7 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 	if a.Type < 0 || a.Type >= e.inst.NumTypes() {
 		return nil, fmt.Errorf("core: alert type %d out of range [0,%d)", a.Type, e.inst.NumTypes())
 	}
+	caller := ctx
 	if e.deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.deadline)
@@ -444,6 +452,13 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 			// answers the previous cycle's game and must not charge this one.
 			e.mu.Unlock()
 			return nil, fmt.Errorf("%w (alert type %d)", ErrCycleRolledOver, a.Type)
+		}
+		if cerr := caller.Err(); cerr != nil {
+			// The last point a decision can be dropped without a trace: the
+			// caller has stopped waiting (request deadline, client gone), so
+			// neither a solved nor a degraded decision is committed for it.
+			e.mu.Unlock()
+			return nil, fmt.Errorf("%w: %w", ErrAbandoned, cerr)
 		}
 		if err != nil {
 			if !e.degrade {

@@ -378,7 +378,10 @@ func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.
 // caught up, syncs the mirror so the replicated tail is crash-durable.
 // Caught-up is judged by cursor, not record count: the primary's lifetime
 // record count includes pruned history the follower never receives, so the
-// count difference is only an approximation of the remaining backlog.
+// count difference is only an approximation of the remaining backlog. The
+// one gap no frame ever closes is a bare segment header — a journal nobody
+// has written to since it was opened sits at {seg, header} — so a durable
+// cursor at a segment start with equal record counts is caught up too.
 func (c *Client) readHeartbeat(br *bufio.Reader, mirror *wal.Mirror) error {
 	durSeg, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -397,7 +400,7 @@ func (c *Client) readHeartbeat(br *bufio.Reader, mirror *wal.Mirror) error {
 	c.primaryRecords = int64(nrecs)
 	c.heartbeats++
 	var lag int64
-	if c.cur.Less(durable) {
+	if c.cur.Less(durable) && !(durable.AtSegmentStart() && c.primaryRecords == c.records) {
 		lag = c.primaryRecords - c.records
 		if lag < 1 {
 			lag = 1 // behind by cursor; the count basis is off by pruning

@@ -54,7 +54,13 @@ func newPrimary(t *testing.T) *primary {
 func (p *primary) append(recs ...wal.Record) {
 	p.t.Helper()
 	for _, r := range recs {
-		if _, err := p.j.Append(r); err != nil {
+		// Under FsyncAlways the wait IS the commit: nothing else syncs the
+		// record, so a dropped wait would leave it unshipped.
+		wait, err := p.j.Append(r)
+		if err == nil {
+			err = wait()
+		}
+		if err != nil {
 			p.t.Fatalf("append: %v", err)
 		}
 	}

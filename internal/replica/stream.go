@@ -51,7 +51,7 @@ type StreamConfig struct {
 // frames and heartbeats until the client disconnects. It never returns an
 // error to the caller — protocol errors become HTTP statuses, transport
 // errors just end the stream. The handler must be mounted outside any
-// buffering middleware (http.TimeoutHandler): the response is unbounded.
+// buffering or deadline-setting middleware: the response is unbounded.
 func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	src := cfg.Source
 	logf := cfg.Logf

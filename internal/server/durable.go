@@ -500,7 +500,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// The body is optional (operators curl this with none); malformed JSON
 	// is tolerated but an oversized body is a hard 413.
 	var req SnapshotRequest
-	if !s.decodeJSONLenient(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, true) {
 		return
 	}
 	id := req.Tenant
@@ -546,7 +546,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // of the current cycle — the same summary the drain path logs — so restart
 // drills can compare recovered state against a golden run byte for byte.
 func (s *Server) handleCycleSummary(w http.ResponseWriter, r *http.Request) {
-	t := s.resolveTenantLocked(w, s.tenantID(r, r.URL.Query().Get("tenant")), false, false)
+	t := s.resolveTenantLocked(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, false)
 	if t == nil {
 		return
 	}

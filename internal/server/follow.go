@@ -388,8 +388,9 @@ func (s *Server) durableTenantIDs() []string {
 
 // handleReplicate is GET /v1/replicate: without a tenant parameter, the JSON
 // listing a follower's discovery loop polls; with one, the unbounded
-// log-shipping stream (see internal/replica). Mounted outside the timeout
-// and recovery middleware — the response must not be buffered.
+// log-shipping stream (see internal/replica). Mounted without a request
+// deadline: the stream is unbounded and manages its own per-write deadlines
+// through the wrapper's Unwrap.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if !s.durable() {
 		writeJSON(w, http.StatusBadRequest,

@@ -9,27 +9,9 @@ import (
 	"time"
 )
 
-// MetricHTTPPanicsTotal counts handler panics contained by the recovery
-// middleware. A nonzero value means a bug was survived, not absent.
+// MetricHTTPPanicsTotal counts handler panics contained by the route
+// wrapper. A nonzero value means a bug was survived, not absent.
 const MetricHTTPPanicsTotal = "sag_http_panics_total"
-
-// recovery wraps h so a panicking handler answers 500 instead of killing
-// the connection (and, under http.Server's default behavior, leaking a
-// goroutine's worth of stack into the log with the request half-written).
-// The panic is counted and logged; the server keeps serving.
-func (s *Server) recovery(h http.Handler) http.Handler {
-	panics := s.met.reg.Counter(MetricHTTPPanicsTotal, "Handler panics contained by the recovery middleware.")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				panics.Inc()
-				log.Printf("server: panic in %s %s: %v", r.Method, r.URL.Path, rec)
-				writeJSON(w, http.StatusInternalServerError, apiError{Error: "internal error"})
-			}
-		}()
-		h.ServeHTTP(w, r)
-	})
-}
 
 // RunConfig configures the hardened serving lifecycle (see Run).
 type RunConfig struct {

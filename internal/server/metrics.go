@@ -1,8 +1,8 @@
 package server
 
 import (
-	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"github.com/auditgames/sag/internal/obs"
@@ -50,6 +50,7 @@ type serverMetrics struct {
 	lockWaitRead  *obs.Histogram
 	lockWaitWrite *obs.Histogram
 	inflight      *obs.Gauge
+	panics        *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -62,6 +63,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		lockWaitRead:  reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "read")),
 		lockWaitWrite: reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "write")),
 		inflight:      reg.Gauge(MetricHTTPInflightRequests, "Requests currently inside an instrumented handler."),
+		panics:        reg.Counter(MetricHTTPPanicsTotal, "Handler panics contained by the route wrapper."),
 	}
 }
 
@@ -89,34 +91,36 @@ func newTenantMetrics(reg *obs.Registry, tenant string) tenantMetrics {
 	}
 }
 
-// statusRecorder captures the response code written by a handler (200 when
-// the handler never calls WriteHeader explicitly).
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
+// routeMetrics is one instrumented route's pre-resolved instruments: the
+// latency histogram and a requests counter per status code, resolved on a
+// code's first use, so serving a request never formats labels or takes the
+// registry lock. The route label is the mount pattern's path, so
+// cardinality stays bounded by the route table.
+type routeMetrics struct {
+	reg     *obs.Registry
+	route   string
+	latency *obs.Histogram
+	codes   [600]atomic.Pointer[obs.Counter] // indexed by status code
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
+func (s *Server) newRouteMetrics(route string) *routeMetrics {
+	return &routeMetrics{reg: s.met.reg, route: route, latency: s.met.reg.Histogram(MetricHTTPRequestSeconds,
+		"HTTP request latency in seconds by route.", obs.DefTimeBuckets, obs.L("route", route))}
 }
 
-// instrument wraps a route handler with request counting and latency
-// observation. The route label is the mount pattern's path, so cardinality
-// stays bounded by the route table.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
-	lat := s.met.reg.Histogram(MetricHTTPRequestSeconds,
-		"HTTP request latency in seconds by route.", obs.DefTimeBuckets, obs.L("route", route))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		s.met.inflight.Add(1)
-		defer s.met.inflight.Add(-1)
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		lat.ObserveSince(t0)
-		s.met.reg.Counter(MetricHTTPRequestsTotal, "HTTP requests by route and status code.",
-			obs.L("route", route), obs.L("code", strconv.Itoa(rec.code))).Inc()
-	})
+// observe records one finished request.
+func (m *routeMetrics) observe(t0 time.Time, code int) {
+	m.latency.ObserveSince(t0)
+	if uint(code) >= uint(len(m.codes)) {
+		code = 0 // net/http admits up to 999; no handler writes one
+	}
+	c := m.codes[code].Load()
+	if c == nil {
+		c = m.reg.Counter(MetricHTTPRequestsTotal, "HTTP requests by route and status code.",
+			obs.L("route", m.route), obs.L("code", strconv.Itoa(code)))
+		m.codes[code].Store(c)
+	}
+	c.Inc()
 }
 
 // Metrics returns the server's registry — the one /v1/metrics serves —

@@ -274,6 +274,41 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 	}
 }
 
+// TestFollowerOfUntouchedTenantBecomesReady: a resident tenant nobody has
+// written to holds a journal that is one segment header, so the primary's
+// durable cursor for it is {seg, header} — a position no frame ever carries
+// the follower past. That bare header used to read as "behind by cursor",
+// pinning lag at 1 and /v1/readyz at 503 until someone touched the tenant.
+func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	// Traffic goes to another tenant only; "default" stays resident and empty.
+	for i := 0; i < 3; i++ {
+		if code := postTenant(t, prim, "ward-a", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("primary access status %d", code)
+		}
+	}
+	_, fol := startFollower(t, folDir, prim.URL, nil, 0)
+	waitFollowerReady(t, fol) // asserts {"status":"following","lag_records":0} + 200
+
+	// The first write to the untouched tenant is still replicated.
+	if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		t.Fatalf("primary access status %d", code)
+	}
+	_, want := getRaw(t, prim, "/v1/cycle/summary")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, got := getRaw(t, fol, "/v1/cycle/summary"); got == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never applied the first write to the untouched tenant")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFollowerReady(t, fol)
+}
+
 // TestFollowerReseedAfterGappedCursor deliberately invalidates a follower's
 // resume cursor — the primary snapshots and prunes past it while the
 // follower is offline — and requires the restarted follower to re-seed from

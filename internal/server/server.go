@@ -36,17 +36,27 @@
 // DESIGN.md.
 //
 // The serving path is hardened for production shapes: request bodies are
-// capped (Config.MaxBodyBytes), the API is wrapped in panic recovery and an
-// optional per-request timeout, each engine decision can carry a deadline
+// capped (Config.MaxBodyBytes), each engine decision can carry a deadline
 // with graceful degradation (the fallback ladder in internal/fallback), and
 // Run provides the full listener lifecycle — server timeouts, health-gated
 // draining, and coordinated shutdown of the main and debug listeners.
+//
+// A request is served start to finish on its connection's goroutine, behind
+// one mux and one wrapper (Server.wrap): context deadline, panic containment,
+// Retry-After stamping, status/latency metrics. Config.RequestTimeout is
+// honoured where a request can wait — admission queue, lifecycle lock, solve
+// — and last by the engine immediately before it commits; after that the
+// request is answered however late. So 503 "request timed out" means NOT
+// applied (no counter, charge, signal draw or journal record): safe to retry.
+// Code that ignores its context is bounded only by http.Server.WriteTimeout.
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -130,8 +140,10 @@ type Config struct {
 	// graceful degradation, so an expired deadline yields a degraded
 	// decision, never a 5xx. Zero means no per-decision deadline.
 	DecisionDeadline time.Duration
-	// RequestTimeout bounds each request end to end; requests that exceed it
-	// are answered 503. Zero disables the per-request timeout.
+	// RequestTimeout is each API request's context deadline: a request still
+	// waiting (admission, lifecycle lock, solve) when it passes is answered
+	// 503 "request timed out" having changed nothing; one that has committed
+	// is answered normally. Zero installs no deadline.
 	RequestTimeout time.Duration
 	// Admission configures overload protection for the mutation hot path
 	// (/v1/access and /v1/quit): per-tenant token-bucket rate limits, a
@@ -616,41 +628,60 @@ type Status struct {
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 }
 
-// Handler returns the HTTP handler with all routes mounted. Every route is
-// wrapped in the metrics middleware (request count by status, latency
-// histogram); /v1/metrics serves the shared registry. The whole API is
-// wrapped in the panic-recovery middleware and, when Config.RequestTimeout
-// is set, the per-request timeout — except the health probes, which must
-// answer even when the API is saturated.
+// Handler returns the HTTP handler: one mux, every route behind one wrap.
+// API routes carry the Config.RequestTimeout deadline and, bar /v1/metrics,
+// are counted and timed; the probes, promote and the unbounded replication
+// stream take no deadline and no admission gate: a saturated API cannot
+// starve them.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/access", s.instrument("/v1/access", s.handleAccess))
-	mux.Handle("POST /v1/quit", s.instrument("/v1/quit", s.handleQuit))
-	mux.Handle("POST /v1/cycle/close", s.instrument("/v1/cycle/close", s.handleClose))
-	mux.Handle("POST /v1/cycle/new", s.instrument("/v1/cycle/new", s.handleNewCycle))
-	mux.Handle("GET /v1/status", s.instrument("/v1/status", s.handleStatus))
-	mux.Handle("GET /v1/cycle/summary", s.instrument("/v1/cycle/summary", s.handleCycleSummary))
-	mux.Handle("POST /v1/admin/snapshot", s.instrument("/v1/admin/snapshot", s.handleSnapshot))
-	mux.Handle("GET /v1/metrics", s.met.reg.Handler())
-
-	var api http.Handler = mux
-	if s.cfg.RequestTimeout > 0 {
-		api = http.TimeoutHandler(api, s.cfg.RequestTimeout,
-			`{"error":"request timed out"}`)
+	api := func(method, route string, h http.HandlerFunc) {
+		mux.Handle(method+" "+route, s.wrap(s.newRouteMetrics(route), s.cfg.RequestTimeout, h))
 	}
-	api = s.recovery(api)
+	api("POST", "/v1/access", s.handleAccess)
+	api("POST", "/v1/quit", s.handleQuit)
+	api("POST", "/v1/cycle/close", s.handleClose)
+	api("POST", "/v1/cycle/new", s.handleNewCycle)
+	api("GET", "/v1/status", s.handleStatus)
+	api("GET", "/v1/cycle/summary", s.handleCycleSummary)
+	api("POST", "/v1/admin/snapshot", s.handleSnapshot)
+	mux.Handle("GET /v1/metrics", s.wrap(nil, s.cfg.RequestTimeout, s.met.reg.Handler().ServeHTTP))
+	mux.Handle("GET /v1/healthz", s.wrap(nil, 0, s.handleHealthz))
+	mux.Handle("GET /v1/readyz", s.wrap(nil, 0, s.handleReadyz))
+	mux.Handle("GET /v1/replicate", s.wrap(nil, 0, s.handleReplicate))
+	mux.Handle("POST /v1/admin/promote", s.wrap(nil, 0, s.handlePromote))
+	return mux
+}
 
-	root := http.NewServeMux()
-	root.Handle("GET /v1/healthz", http.HandlerFunc(s.handleHealthz))
-	root.Handle("GET /v1/readyz", http.HandlerFunc(s.handleReadyz))
-	// The replication stream is unbounded and must not pass through
-	// http.TimeoutHandler (which buffers the whole response) or the panic
-	// middleware's deferred write; promote rides alongside it so a follower
-	// can be promoted even when the API wrapper is saturated.
-	root.Handle("GET /v1/replicate", http.HandlerFunc(s.handleReplicate))
-	root.Handle("POST /v1/admin/promote", http.HandlerFunc(s.handlePromote))
-	root.Handle("/", api)
-	return s.retryAfter(root)
+// wrap is the only layer between the mux and a handler, on the connection's
+// own goroutine: it installs the deadline (timeout > 0), hands the handler
+// the one responseWriter a request ever gets, answers a panic with 500, and
+// records the outcome in met (nil: uninstrumented).
+func (s *Server) wrap(met *routeMetrics, timeout time.Duration, h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		rw := &responseWriter{ResponseWriter: w, s: s, code: http.StatusOK}
+		if timeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
+		if met != nil {
+			s.met.inflight.Add(1)
+		}
+		defer func() {
+			if rec := recover(); rec != nil {
+				s.met.panics.Inc()
+				log.Printf("server: panic in %s %s: %v", r.Method, r.URL.Path, rec)
+				writeJSON(rw, http.StatusInternalServerError, apiError{Error: "internal error"})
+			}
+			if met != nil {
+				s.met.inflight.Add(-1)
+				met.observe(t0, rw.code)
+			}
+		}()
+		h(rw, r)
+	})
 }
 
 // RetryAfterMsHeader carries the backoff hint in integral milliseconds.
@@ -666,45 +697,37 @@ func setRetryHeaders(h http.Header, d time.Duration) {
 	h.Set(RetryAfterMsHeader, admit.FormatRetryAfterMs(d))
 }
 
-// retryAfterWriter stamps backpressure responses (429 tenant limit, 503
+// responseWriter records the status (200 when the handler never calls
+// WriteHeader) and stamps backpressure responses (429 tenant limit, 503
 // draining / request timeout / standby, 507 disk pressure) with Retry-After
-// and X-SAG-Retry-After-Ms hints so well-behaved clients back off instead of
-// hammering. Responses that already carry Retry-After — admission sheds and
-// the disk-pressure gate compute per-request hints — keep theirs; the rest
-// get this writer's fallback hint, which the admission controller derives
-// from the observed queue drain rate (a constant 1s only when admission
-// control is disabled and the server has no drain measurements to compute
-// from).
-type retryAfterWriter struct {
+// and X-SAG-Retry-After-Ms so clients back off. Responses that already carry
+// a per-request hint — admission sheds, the disk-pressure gate — keep it; the
+// rest get the one the admission controller derives from the observed queue
+// drain rate (1s when admission control is off).
+type responseWriter struct {
 	http.ResponseWriter
-	hint func() time.Duration
+	s    *Server
+	code int
 }
 
-func (w *retryAfterWriter) WriteHeader(code int) {
+func (w *responseWriter) WriteHeader(code int) {
+	w.code = code
 	switch code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusInsufficientStorage:
 		if w.Header().Get("Retry-After") == "" {
-			setRetryHeaders(w.Header(), w.hint())
+			hint := time.Second
+			if w.s.admit != nil {
+				hint = w.s.admit.RetryHint()
+			}
+			setRetryHeaders(w.Header(), hint)
 		}
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Unwrap lets http.ResponseController reach the underlying writer, so the
-// replication stream's per-write deadlines and flushes work through the wrap.
-func (w *retryAfterWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (s *Server) retryAfter(h http.Handler) http.Handler {
-	hint := func() time.Duration {
-		if s.admit != nil {
-			return s.admit.RetryHint()
-		}
-		return time.Second
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(&retryAfterWriter{ResponseWriter: w, hint: hint}, r)
-	})
-}
+// Unwrap lets http.ResponseController reach the underlying writer: the
+// replication stream's per-write deadlines and flushes ride on it.
+func (w *responseWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // handleHealthz is the liveness probe: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -785,37 +808,23 @@ type apiError struct {
 }
 
 // decodeJSON decodes a capped request body into v, answering the error
-// response (400 for malformed JSON, 413 for an oversized body) itself.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// response itself: 413 for an oversized body and — unless lenient — 400 for
+// malformed JSON. Lenient is for endpoints whose body is optional and
+// historically junk-tolerant (cycle close, admin snapshot): v keeps its
+// zero value, but an over-limit body is still a hard 413, not an empty
+// request.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, lenient bool) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+		return false
+	case err != nil && !lenient:
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid JSON: " + err.Error()})
 		return false
-	}
-	return true
-}
-
-// decodeJSONLenient decodes a capped request body into v, tolerating a
-// malformed (or absent) body — v keeps its zero value — but still answering
-// 413 for an oversized one. For endpoints whose body is optional and
-// historically junk-tolerant (cycle close, admin snapshot): before this
-// helper their raw Decode swallowed the MaxBytesReader error too, silently
-// treating an over-limit body as an empty request.
-func (s *Server) decodeJSONLenient(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
 	}
 	return true
 }
@@ -920,7 +929,10 @@ func (s *Server) resolveTenant(w http.ResponseWriter, id string, create bool) *t
 // success the caller owns the lock (RUnlock/Unlock to release); nil means
 // the error response was already written. The bound exists only to turn a
 // pathological eviction storm into a retryable 503 instead of a spin.
-func (s *Server) resolveTenantLocked(w http.ResponseWriter, id string, create, write bool) *tenantState {
+//
+// Admission and this lock are where a handler can wait before it touches
+// tenant state, so the request deadline is checked here, lock in hand.
+func (s *Server) resolveTenantLocked(w http.ResponseWriter, r *http.Request, id string, create, write bool) *tenantState {
 	for attempt := 0; attempt < 16; attempt++ {
 		t := s.resolveTenant(w, id, create)
 		if t == nil {
@@ -931,13 +943,18 @@ func (s *Server) resolveTenantLocked(w http.ResponseWriter, id string, create, w
 		} else {
 			s.lockLifecycleR(t)
 		}
-		if !t.sealed {
+		timedOut := r.Context().Err() != nil
+		if !t.sealed && !timedOut {
 			return t
 		}
 		if write {
 			t.lifecycle.Unlock()
 		} else {
 			t.lifecycle.RUnlock()
+		}
+		if timedOut {
+			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
+			return nil
 		}
 	}
 	writeJSON(w, http.StatusServiceUnavailable,
@@ -965,7 +982,7 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AccessRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
 	id := s.tenantID(r, req.Tenant)
@@ -984,7 +1001,7 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 	// Read side only: any number of access decisions overlap; the solve
 	// itself runs under the engine's optimistic-commit protocol, not under
 	// any server lock.
-	t := s.resolveTenantLocked(w, id, true, false)
+	t := s.resolveTenantLocked(w, r, id, true, false)
 	if t == nil {
 		return
 	}
@@ -1061,14 +1078,17 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 		// journaling failure), so the request is not acknowledged and the
 		// counters must forget it too.
 		t.rollbackAccess(true, false)
-		// ErrCycleRolledOver cannot fire while we hold the lifecycle read
-		// lock, but embedders drive the engine directly too — map it to the
-		// same conflict the closed-cycle guard answers.
-		if errors.Is(err, core.ErrCycleRolledOver) {
+		switch {
+		case errors.Is(err, core.ErrAbandoned):
+			// The request deadline passed during the solve.
+			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
+		case errors.Is(err, core.ErrCycleRolledOver):
+			// Cannot fire under the lifecycle read lock, but embedders drive
+			// the engine directly too: the closed-cycle guard's conflict.
 			writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
-			return
+		default:
+			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		}
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
 	resp.Warn = d.Warned
@@ -1103,7 +1123,7 @@ func (s *Server) handleQuit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QuitRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
 	id := s.tenantID(r, req.Tenant)
@@ -1117,7 +1137,7 @@ func (s *Server) handleQuit(w http.ResponseWriter, r *http.Request) {
 	if release != nil {
 		defer release()
 	}
-	t := s.resolveTenantLocked(w, id, true, false)
+	t := s.resolveTenantLocked(w, r, id, true, false)
 	if t == nil {
 		return
 	}
@@ -1169,7 +1189,7 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	// tolerated (callers historically POST empty or junk bodies here) —
 	// but an oversized body is still a hard 413, not an empty request.
 	var req CloseRequest
-	if !s.decodeJSONLenient(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, true) {
 		return
 	}
 	// Closing must not create: an unknown tenant has no cycle to close.
@@ -1177,7 +1197,7 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	// the cycle. A second close is a conflict — re-sampling would draw a
 	// fresh audit plan (and re-charge its total) for a cycle that already
 	// has one.
-	t := s.resolveTenantLocked(w, s.tenantID(r, req.Tenant), false, true)
+	t := s.resolveTenantLocked(w, r, s.tenantID(r, req.Tenant), false, true)
 	if t == nil {
 		return
 	}
@@ -1204,10 +1224,10 @@ func (s *Server) handleNewCycle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req NewCycleRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
-	t := s.resolveTenantLocked(w, s.tenantID(r, req.Tenant), true, true)
+	t := s.resolveTenantLocked(w, r, s.tenantID(r, req.Tenant), true, true)
 	if t == nil {
 		return
 	}
@@ -1246,7 +1266,7 @@ func (s *Server) handleNewCycle(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// GET carries no body; the query parameter stands in for it.
-	t := s.resolveTenantLocked(w, s.tenantID(r, r.URL.Query().Get("tenant")), false, false)
+	t := s.resolveTenantLocked(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, false)
 	if t == nil {
 		return
 	}

@@ -28,6 +28,10 @@ func (c Cursor) Less(o Cursor) bool {
 // IsZero reports whether c is the "no position" cursor.
 func (c Cursor) IsZero() bool { return c.Seg == 0 && c.Off == 0 }
 
+// AtSegmentStart reports whether c sits at (or before) its segment's first
+// frame: between it and the end of the previous segment lies only a header.
+func (c Cursor) AtSegmentStart() bool { return c.Off <= headerSize }
+
 // String renders the cursor as "seg/off" — the wire spelling the replication
 // protocol uses in headers and query parameters.
 func (c Cursor) String() string { return fmt.Sprintf("%d/%d", c.Seg, c.Off) }

@@ -22,11 +22,20 @@
 //
 // # Durability
 //
-// Appends go through a buffered group-commit writer: callers enqueue under
-// a short lock and, under FsyncAlways, block on the returned wait until a
-// shared fsync covers their record — concurrent committers amortize one
-// fsync. FsyncInterval trades the tail of durability for throughput by
-// syncing on a timer; FsyncNone leaves persistence to the OS page cache.
+// Appends go through a buffered writer under a short lock (mu). Under
+// FsyncAlways the wait Append returns is the group commit, run by the
+// goroutine that needs it: it takes syncMu and either finds its record
+// covered by a completed fsync or leads a round — flush under mu, fsync with
+// mu dropped so appends keep flowing, advance the durable cursor. Waiters
+// arriving meanwhile queue on syncMu; the first leads the next round, which
+// covers everything appended so far, and the rest return without touching
+// the disk. Lock order is syncMu → mu. Every record of a failed round sees
+// that round's error. A roll and Close seal the active file under mu alone,
+// never behind an fsync; a round whose file is sealed under it succeeds when
+// the seal's fsync covered its records. Snapshot and Sync are rounds too.
+// FsyncInterval runs a round on a timer; FsyncNone's timer only flushes, so
+// buffered records still become readable (and replicable) on a bounded
+// delay. That ticker is a journal's only goroutine; FsyncAlways starts none.
 package wal
 
 import (
@@ -35,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,7 +81,7 @@ const (
 type FsyncPolicy int
 
 const (
-	// FsyncAlways group-commits: every Append's wait blocks until an fsync
+	// FsyncAlways group-commits: every Append's wait returns once an fsync
 	// covers the record. A kill -9 loses at most responses, never
 	// acknowledged state.
 	FsyncAlways FsyncPolicy = iota
@@ -138,22 +148,28 @@ func (o *Options) fillDefaults() {
 var ErrClosed = errors.New("wal: journal is closed")
 
 // Journal appends records to a journal directory. All methods are safe for
-// concurrent use. Lock hierarchy: mu is a leaf — no callback runs under it.
+// concurrent use. Lock hierarchy: syncMu → mu; mu is a leaf — no callback
+// runs under it.
 type Journal struct {
 	dir  string
 	opts Options
+
+	// syncMu serializes commit rounds and is held across the fsync: a waiter
+	// blocked on it is queued for the next round.
+	syncMu sync.Mutex
 
 	mu      sync.Mutex
 	f       *os.File
 	bw      *bufio.Writer
 	seq     int   // sequence number of the active segment
 	written int64 // bytes in the active segment
-	dirty   bool  // records buffered/written since the last fsync
 	closed  bool
-	pending []chan error // FsyncAlways waiters for the next sync
 	encBuf  []byte
 
 	records        int64  // total valid records (recovered + appended)
+	synced         int64  // records covered by a completed fsync
+	failed         int64  // records covered by the latest failed round or seal...
+	failedErr      error  // ...and its error, which every one of them sees
 	durable        Cursor // position up to which the journal is safely readable
 	durableRecords int64  // records within the durable prefix
 	subs           map[int]chan struct{}
@@ -168,9 +184,12 @@ type Journal struct {
 	nextLeaseID int
 	pruneMu     sync.Mutex // serializes Prune (deletion + accounting)
 
-	syncReq chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
+	done chan struct{} // stops the interval/none ticker
+	wg   sync.WaitGroup
+
+	// beforeSync (tests only) runs between a round's flush and its fsync —
+	// the window in which an Append can roll the segment under the round.
+	beforeSync func()
 
 	appends   *obs.Counter
 	fsyncSec  *obs.Histogram
@@ -195,8 +214,8 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 		opts:      opts,
 		seq:       rec.nextSeq,
 		records:   int64(rec.Records),
+		synced:    int64(rec.Records),
 		subs:      make(map[int]chan struct{}),
-		syncReq:   make(chan struct{}, 1),
 		done:      make(chan struct{}),
 		appends:   opts.Metrics.Counter(MetricAppendsTotal, "Journal records appended.", opts.Labels...),
 		fsyncSec:  opts.Metrics.Histogram(MetricFsyncSeconds, "Journal fsync latency in seconds.", obs.DefTimeBuckets, opts.Labels...),
@@ -215,8 +234,10 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	// streams) may start from the very first retained frame.
 	j.durable = Cursor{Seg: j.seq, Off: headerSize}
 	j.durableRecords = j.records
-	j.wg.Add(1)
-	go j.syncer()
+	if opts.Fsync != FsyncAlways {
+		j.wg.Add(1)
+		go j.ticker()
+	}
 	return j, rec, nil
 }
 
@@ -273,12 +294,11 @@ func (j *Journal) openSegmentLocked() error {
 	}
 	// Flush the header so the file is immediately parsable by direct
 	// readers (cursor validation, replication streams); the fsync that
-	// makes it durable rides on the next group commit.
+	// makes it durable rides on the next commit round.
 	if err := j.bw.Flush(); err != nil {
 		return err
 	}
 	j.written = headerSize
-	j.dirty = true
 	return syncDir(j.dir)
 }
 
@@ -295,17 +315,11 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// rollLocked seals the active segment — flush, fsync, close, releasing any
-// group-commit waiters (their records are in the sealed file) — and opens
-// the next one. The caller holds mu.
+// rollLocked seals the active segment — flush, fsync, close; every record
+// in it is thereby covered, so its waiters return without a round of their
+// own — and opens the next one. The caller holds mu.
 func (j *Journal) rollLocked() error {
-	waiters := j.pending
-	j.pending = nil
-	err := j.sealLocked()
-	for _, ch := range waiters {
-		ch <- err
-	}
-	if err != nil {
+	if err := j.sealLocked(); err != nil {
 		return err
 	}
 	if j.sealedBytes == nil {
@@ -316,23 +330,26 @@ func (j *Journal) rollLocked() error {
 	return j.openSegmentLocked()
 }
 
-// sealLocked flushes, fsyncs, and closes the active segment.
+// sealLocked flushes, fsyncs, and closes the active segment. A failure is
+// the failed round of every record not yet synced. The caller holds mu.
 func (j *Journal) sealLocked() error {
-	if err := j.bw.Flush(); err != nil {
+	err := j.bw.Flush()
+	if err == nil {
+		t0 := time.Now()
+		err = j.f.Sync()
+		j.fsyncSec.ObserveSince(t0)
+	}
+	if err != nil {
+		j.failed, j.failedErr = j.records, err
 		return err
 	}
-	t0 := time.Now()
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.fsyncSec.ObserveSince(t0)
-	j.dirty = false
+	j.synced = j.records
 	j.advanceDurableLocked(Cursor{Seg: j.seq, Off: j.written}, j.records)
 	return j.f.Close()
 }
 
 // advanceDurableLocked moves the durable cursor forward (never backward —
-// a group commit that raced a segment roll may report a stale position) and
+// a commit round that raced a segment roll may report a stale position) and
 // wakes every subscriber. The caller holds mu.
 func (j *Journal) advanceDurableLocked(end Cursor, nrecs int64) {
 	if !j.durable.Less(end) {
@@ -414,7 +431,6 @@ func (j *Journal) appendLocked(r Record) error {
 		return err
 	}
 	j.written += int64(n + len(payload) + 4)
-	j.dirty = true
 	j.records++
 	j.appends.Inc()
 	return nil
@@ -423,98 +439,105 @@ func (j *Journal) appendLocked(r Record) error {
 // Append enqueues one record in arrival order. The returned wait is nil
 // when the record is already as durable as the policy promises (interval /
 // none policies, or an immediate error); otherwise the caller must invoke
-// it — outside any lock ordered before Append — and it blocks until a
-// group fsync covers the record, returning the sync error if any.
+// it — outside any lock ordered before Append — and it returns once an
+// fsync covers the record (see commit). Nothing else syncs the record: one
+// nobody waits for becomes durable only with the next waiter's round.
 //
 // Append itself holds only the journal's short buffer lock, so callers may
 // enqueue while holding their own commit lock to preserve commit order,
 // then wait after releasing it.
 func (j *Journal) Append(r Record) (wait func() error, err error) {
 	j.mu.Lock()
-	if err := j.appendLocked(r); err != nil {
-		j.mu.Unlock()
+	err = j.appendLocked(r)
+	n := j.records
+	j.mu.Unlock()
+	if err != nil || j.opts.Fsync != FsyncAlways {
 		return nil, err
 	}
-	if j.opts.Fsync != FsyncAlways {
-		j.mu.Unlock()
-		return nil, nil
-	}
-	ch := make(chan error, 1)
-	j.pending = append(j.pending, ch)
-	j.mu.Unlock()
-	j.kick()
-	return func() error { return <-ch }, nil
+	return func() error { return j.commit(n, true) }, nil
 }
 
-// kick wakes the syncer without blocking (coalescing redundant wakes).
-func (j *Journal) kick() {
-	select {
-	case j.syncReq <- struct{}{}:
-	default:
-	}
-}
-
-// syncer is the group-commit goroutine: it flushes the buffered writer,
-// fsyncs once, and releases every waiter that enqueued before the flush.
-// Under FsyncInterval it also ticks on the configured period.
-func (j *Journal) syncer() {
+// ticker runs a commit round per Options.Interval under the interval and
+// none policies. Under FsyncNone the round only flushes (no fsync), so
+// buffered records still become readable — and therefore replicable — on a
+// bounded delay.
+func (j *Journal) ticker() {
 	defer j.wg.Done()
-	var tick *time.Ticker
-	var tickC <-chan time.Time
-	if j.opts.Fsync == FsyncInterval || j.opts.Fsync == FsyncNone {
-		// FsyncNone ticks too: syncOnce then only flushes (no fsync), so
-		// buffered records still become readable — and therefore
-		// replicable — on a bounded delay.
-		tick = time.NewTicker(j.opts.Interval)
-		tickC = tick.C
-		defer tick.Stop()
-	}
+	tick := time.NewTicker(j.opts.Interval)
+	defer tick.Stop()
 	for {
 		select {
 		case <-j.done:
 			return
-		case <-j.syncReq:
-		case <-tickC:
+		case <-tick.C:
+			// Nobody waits on a timed round, so its error has no taker: these
+			// policies never promised the tail.
+			_ = j.commit(math.MaxInt64, j.opts.Fsync == FsyncInterval)
 		}
-		j.syncOnce()
 	}
 }
 
-// syncOnce performs one group commit: flush under mu, fsync outside it so
-// new appends keep flowing, then release the batch's waiters.
-func (j *Journal) syncOnce() {
+// commit returns once records 1..n (math.MaxInt64: all there are) are
+// flushed and, when fsync is set, covered by a completed fsync — running one
+// round if they are not yet: flush under mu, fsync outside it so appends
+// keep flowing, advance the durable cursor. Rounds are serialized by syncMu
+// and cover every record appended before their flush, so the callers queued
+// behind one usually find their record covered and return at once.
+func (j *Journal) commit(n int64, fsync bool) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
-	if j.closed || !j.dirty {
-		waiters := j.pending
-		j.pending = nil
-		j.mu.Unlock()
-		for _, ch := range waiters {
-			ch <- nil
-		}
-		return
-	}
-	waiters := j.pending
-	j.pending = nil
-	err := j.bw.Flush()
-	f := j.f
 	end := Cursor{Seg: j.seq, Off: j.written}
-	nrecs := j.records
-	j.dirty = false
+	if done, err := j.settledLocked(n, end, fsync); done {
+		j.mu.Unlock()
+		return err
+	}
+	err := j.bw.Flush()
+	f, nrecs := j.f, j.records
 	j.mu.Unlock()
 
-	if err == nil && j.opts.Fsync != FsyncNone {
+	if j.beforeSync != nil {
+		j.beforeSync()
+	}
+	if err == nil && fsync {
 		t0 := time.Now()
 		err = f.Sync()
 		j.fsyncSec.ObserveSince(t0)
 	}
-	if err == nil {
-		j.mu.Lock()
-		j.advanceDurableLocked(end, nrecs)
-		j.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
+		if nrecs <= j.synced {
+			// A segment roll (or Close) sealed f under this round: the late
+			// Sync hit a closed file, but the seal's own fsync covered it.
+			return nil
+		}
+		j.failed, j.failedErr = nrecs, err
+		return err
 	}
-	for _, ch := range waiters {
-		ch <- err
+	if fsync && nrecs > j.synced {
+		j.synced = nrecs
 	}
+	j.advanceDurableLocked(end, nrecs)
+	return nil
+}
+
+// settledLocked reports whether commit(n, fsync) needs no round, and what it
+// then returns. The caller holds mu.
+func (j *Journal) settledLocked(n int64, end Cursor, fsync bool) (bool, error) {
+	switch {
+	case n <= j.failed:
+		// Checked first: a later successful fsync cannot vouch for pages
+		// the kernel may have dropped when this record's round failed.
+		return true, j.failedErr
+	case n <= j.synced:
+		return true, nil // an earlier round or a seal (roll, Close) covered it
+	case j.closed:
+		// Only Sync and the ticker get here: Close's seal left every
+		// appended record either synced or failed.
+		return true, ErrClosed
+	}
+	return !j.durable.Less(end) && (!fsync || j.synced == j.records), nil
 }
 
 // Snapshot appends an owner-encoded full-state snapshot record, forces it
@@ -523,29 +546,18 @@ func (j *Journal) syncOnce() {
 // restore from this snapshot (plus any records appended after it).
 func (j *Journal) Snapshot(blob []byte) error {
 	j.mu.Lock()
-	if err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob}); err != nil {
-		j.mu.Unlock()
-		return err
-	}
+	err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob})
 	// The segment that holds the snapshot: everything strictly older is
 	// re-derivable from it and safe to delete once the snapshot is synced.
-	snapSeg := j.seq
-	err := j.bw.Flush()
-	f := j.f
-	end := Cursor{Seg: j.seq, Off: j.written}
-	nrecs := j.records
-	j.dirty = false
+	snapSeg, n := j.seq, j.records
 	j.mu.Unlock()
+	if err == nil {
+		err = j.commit(n, true)
+	}
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	j.fsyncSec.ObserveSince(t0)
 	j.mu.Lock()
-	j.advanceDurableLocked(end, nrecs)
 	if snapSeg > j.snapSeg {
 		j.snapSeg = snapSeg
 	}
@@ -560,32 +572,11 @@ func (j *Journal) Snapshot(blob []byte) error {
 
 // Sync forces buffered records to stable storage (used by tests and by
 // explicit flush points under the interval/none policies).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	err := j.bw.Flush()
-	f := j.f
-	end := Cursor{Seg: j.seq, Off: j.written}
-	nrecs := j.records
-	j.dirty = false
-	j.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.advanceDurableLocked(end, nrecs)
-	j.mu.Unlock()
-	return nil
-}
+func (j *Journal) Sync() error { return j.commit(math.MaxInt64, true) }
 
-// Close seals the active segment and stops the syncer. Further appends
-// return ErrClosed. Close is idempotent.
+// Close seals the active segment and stops the ticker. Further appends
+// return ErrClosed; waits of records appended before it return the seal's
+// result. Close is idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -593,8 +584,6 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	waiters := j.pending
-	j.pending = nil
 	err := j.sealLocked()
 	// The sealed active segment stays on disk: fold it into the sealed-byte
 	// accounting so RetainStats keeps describing the directory truthfully.
@@ -604,9 +593,6 @@ func (j *Journal) Close() error {
 	j.sealedBytes[j.seq] = j.written
 	j.written = 0
 	j.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- err
-	}
 	close(j.done)
 	j.wg.Wait()
 	return err

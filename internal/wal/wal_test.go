@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,6 +348,215 @@ func TestConcurrentGroupCommit(t *testing.T) {
 		}
 		seen[r.Employee] = true
 	}
+}
+
+// TestAppendWaitAcrossRolls is the regression test for the fsync-vs-roll
+// race: a commit round captures the active file, drops mu, and fsyncs; a
+// concurrent Append that rolls the segment in that window has already
+// flushed, fsynced and closed that file. The late Sync then fails with
+// "file already closed" although the record is durable in the sealed
+// segment, and the waiter must succeed. Tiny segments make nearly every
+// round race a roll.
+func TestAppendWaitAcrossRolls(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The durable cursor must never move backward, rolls or not.
+	sub, cancel := j.Subscribe()
+	defer cancel()
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		var last Cursor
+		for {
+			select {
+			case <-stop:
+				return
+			case <-sub:
+				if cur := j.DurableCursor(); cur.Less(last) {
+					t.Errorf("durable cursor moved backward: %v after %v", cur, last)
+				} else {
+					last = cur
+				}
+			}
+		}
+	}()
+
+	const workers, per = 8, 500
+	var wg sync.WaitGroup
+	var acked atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				wait, err := j.Append(Record{Kind: KindQuit, Employee: w*per + i})
+				if err == nil {
+					err = wait()
+				}
+				if err != nil {
+					t.Errorf("worker %d append %d: %v", w, i, err)
+					return
+				}
+				acked.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-watched
+	if got := j.DurableRecords(); got != acked.Load() {
+		t.Fatalf("durable records %d, acknowledged %d", got, acked.Load())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(rec.Records) != acked.Load() || acked.Load() != workers*per {
+		t.Fatalf("recovered %d records, acknowledged %d, want %d", rec.Records, acked.Load(), workers*per)
+	}
+	if rec.Segments < 10 {
+		t.Fatalf("only %d segments: the test never exercised a roll", rec.Segments)
+	}
+}
+
+// TestRollUnderARound drives the same race deterministically: the round
+// has flushed and captured the active file when an Append rolls the
+// segment — flush, fsync, close — under it. The round's own Sync then hits
+// a closed file; the seal already covered the record, so the wait succeeds
+// and the stale position it captured never moves the durable cursor back.
+func TestRollUnderARound(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait, err := j.Append(Record{Kind: KindSnapshot, Snapshot: make([]byte, 64)}) // fills the segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wait2 func() error
+	j.beforeSync = func() {
+		j.beforeSync = nil
+		if wait2, err = j.Append(Record{Kind: KindCycleClose}); err != nil { // rolls first
+			t.Errorf("append during the round: %v", err)
+		}
+	}
+	if err := wait(); err != nil {
+		t.Fatalf("wait of a record sealed under its round: %v", err)
+	}
+	sealed := j.DurableCursor()
+	if sealed.Seg != 0 || j.DurableRecords() != 1 {
+		t.Fatalf("after the roll: durable %v with %d records, want the sealed end of segment 0 with 1", sealed, j.DurableRecords())
+	}
+	if err := wait2(); err != nil {
+		t.Fatal(err)
+	}
+	if cur := j.DurableCursor(); !sealed.Less(cur) || cur.Seg != 1 || j.DurableRecords() != 2 {
+		t.Fatalf("after the next round: durable %v with %d records, want segment 1 with 2", cur, j.DurableRecords())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Recover(dir); err != nil || rec.Records != 2 {
+		t.Fatalf("recovered %+v, %v; want 2 records", rec, err)
+	}
+}
+
+// fsyncs reads the journal's fsync count off its histogram.
+func fsyncs(reg *obs.Registry) uint64 {
+	return reg.Histogram(MetricFsyncSeconds, "", nil).Count()
+}
+
+// TestQueuedWaitersShareOneRound pins the group commit's shape: a leader's
+// round plus N waiters that queued behind it cost at most two fsyncs — the
+// first queued waiter leads a round covering all of them, the rest return
+// without touching the disk. Holding syncMu stands in for "a round is in
+// flight": everything appended meanwhile belongs to the next round.
+func TestQueuedWaitersShareOneRound(t *testing.T) {
+	reg := obs.NewRegistry()
+	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	before := fsyncs(reg)
+
+	appendAll(t, j, []Record{{Kind: KindCycleClose}}) // the leader: one round of its own
+
+	const n = 16
+	j.syncMu.Lock()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wait, err := j.Append(Record{Kind: KindQuit, Employee: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { errs <- wait() }()
+	}
+	j.syncMu.Unlock()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued waiter: %v", err)
+		}
+	}
+	if got := fsyncs(reg) - before; got > 2 {
+		t.Fatalf("1 leader + %d queued waiters cost %d fsyncs, want <= 2", n, got)
+	}
+	if got := j.DurableRecords(); got != n+1 {
+		t.Fatalf("durable records %d, want %d", got, n+1)
+	}
+}
+
+// TestFailedRoundFailsEveryWaiter: when a round's fsync fails, every record
+// it covered sees that error — including waiters that reach syncMu only
+// after the round is over, and even after a later round has succeeded.
+func TestFailedRoundFailsEveryWaiter(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	waits := make([]func() error, n)
+	for i := range waits {
+		if waits[i], err = j.Append(Record{Kind: KindQuit, Employee: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Break the active file under the journal: the round's flush/fsync fails.
+	j.mu.Lock()
+	broken := j.f
+	_ = broken.Close()
+	j.mu.Unlock()
+
+	first := waits[0]()
+	if first == nil {
+		t.Fatal("round over a closed file succeeded")
+	}
+	// Heal the journal and let a later round succeed.
+	j.mu.Lock()
+	f, err := os.OpenFile(filepath.Join(j.dir, segmentName(j.seq)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		j.mu.Unlock()
+		t.Fatal(err)
+	}
+	j.f = f
+	j.bw.Reset(f)
+	j.mu.Unlock()
+	appendAll(t, j, []Record{{Kind: KindCycleClose}})
+
+	for i, wait := range waits[1:] {
+		if err := wait(); err != first {
+			t.Fatalf("waiter %d of the failed round saw %v, want the round's error %v", i+1, err, first)
+		}
+	}
+	_ = j.Close()
 }
 
 func TestParseFsyncPolicy(t *testing.T) {
