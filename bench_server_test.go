@@ -43,8 +43,7 @@ const benchSolveLatency = 2 * time.Millisecond
 // slowVacuousSolver sleeps benchSolveLatency and returns a vacuous
 // equilibrium. Vacuous decisions charge nothing, so the budget never moves,
 // every request sees an identical engine state, and throughput differences
-// come purely from whether solves overlap — no optimistic-commit retries,
-// no cache interplay.
+// come purely from whether solves overlap — no optimistic-commit retries.
 func slowVacuousSolver(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
 	select {
 	case <-time.After(benchSolveLatency):
@@ -63,13 +62,13 @@ func instantVacuousSolver(ctx context.Context, inst *game.Instance, budget float
 // newBenchServerHandler builds the serving stack over the small planted
 // world. solve overrides the SSE solver (nil = the real LP pipeline);
 // estimate overrides the estimator (nil = instant fixed Table 1 rates).
-func newBenchServerHandler(b *testing.B, cache sag.CacheConfig, solve sag.SSESolveFunc, estimate func(time.Duration) ([]float64, error)) (http.Handler, int, int) {
-	return newBenchServerHandlerMod(b, cache, solve, estimate, nil)
+func newBenchServerHandler(b *testing.B, solve sag.SSESolveFunc, estimate func(time.Duration) ([]float64, error)) (http.Handler, int, int) {
+	return newBenchServerHandlerMod(b, solve, estimate, nil)
 }
 
 // newBenchServerHandlerMod is newBenchServerHandler with a Config hook, for
 // benchmarks that need non-default serving knobs (admission control).
-func newBenchServerHandlerMod(b *testing.B, cache sag.CacheConfig, solve sag.SSESolveFunc, estimate func(time.Duration) ([]float64, error), mod func(*server.Config)) (http.Handler, int, int) {
+func newBenchServerHandlerMod(b *testing.B, solve sag.SSESolveFunc, estimate func(time.Duration) ([]float64, error), mod func(*server.Config)) (http.Handler, int, int) {
 	b.Helper()
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
 	if err != nil {
@@ -99,7 +98,6 @@ func newBenchServerHandlerMod(b *testing.B, cache sag.CacheConfig, solve sag.SSE
 		Budget:    1e9,
 		Estimator: sag.EstimatorFunc(estimate),
 		Seed:      1,
-		Cache:     cache,
 		Clock:     func() time.Duration { return 9 * time.Hour },
 		SSESolve:  solve,
 	}
@@ -114,8 +112,8 @@ func newBenchServerHandlerMod(b *testing.B, cache sag.CacheConfig, solve sag.SSE
 }
 
 // accessBodies pre-encodes one request per planted relation kind so the
-// benchmark exercises all seven alert types (distinct decision states — no
-// single-flight coalescing) without JSON encoding on the hot path.
+// benchmark exercises all seven alert types without JSON encoding on the
+// hot path.
 func accessBodies(bgE, bgP int) [][]byte {
 	bodies := make([][]byte, 7)
 	for k := 0; k < 7; k++ {
@@ -209,7 +207,7 @@ func BenchmarkServerMultiTenant(b *testing.B) {
 	}
 	for _, tenants := range []int{1, 8} {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
-			h, bgE, bgP := newBenchServerHandler(b, sag.CacheConfig{}, instantVacuousSolver, slowEstimate)
+			h, bgE, bgP := newBenchServerHandler(b, instantVacuousSolver, slowEstimate)
 			body := accessBodies(bgE, bgP)[0]
 			runTenantAccess(b, h, body, tenants)
 		})
@@ -229,11 +227,11 @@ func serialized(h http.Handler) http.Handler {
 	})
 }
 
-// BenchmarkServerAccess is the single-client baseline on the real pipeline
-// (quantized decision cache on, steady state all hits): the latency a lone
-// caller sees. Unserializing the hot path must keep this within noise.
+// BenchmarkServerAccess is the single-client baseline on the real pipeline:
+// the latency a lone caller sees. Unserializing the hot path must keep this
+// within noise.
 func BenchmarkServerAccess(b *testing.B) {
-	h, bgE, bgP := newBenchServerHandler(b, sag.CacheConfig{Size: 64, BudgetQuantum: 1e6, RateQuantum: 1}, nil, nil)
+	h, bgE, bgP := newBenchServerHandler(b, nil, nil)
 	bodies := accessBodies(bgE, bgP)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -247,7 +245,7 @@ func BenchmarkServerAccess(b *testing.B) {
 // fixed-latency pair: ns/op ≈ benchSolveLatency plus the serving path. The
 // concurrent arm must beat this by ≈ benchServerClients×.
 func BenchmarkServerSlowSolveAccess(b *testing.B) {
-	h, bgE, bgP := newBenchServerHandler(b, sag.CacheConfig{}, slowVacuousSolver, nil)
+	h, bgE, bgP := newBenchServerHandler(b, slowVacuousSolver, nil)
 	bodies := accessBodies(bgE, bgP)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -262,7 +260,7 @@ func BenchmarkServerSlowSolveAccess(b *testing.B) {
 // ≈ benchSolveLatency/8; a re-serialized hot path puts it back at
 // ≈ benchSolveLatency. The CI benchgate watches this benchmark.
 func BenchmarkServerConcurrentAccess(b *testing.B) {
-	h, bgE, bgP := newBenchServerHandler(b, sag.CacheConfig{}, slowVacuousSolver, nil)
+	h, bgE, bgP := newBenchServerHandler(b, slowVacuousSolver, nil)
 	bodies := accessBodies(bgE, bgP)
 	runConcurrentAccess(b, h, bodies)
 }
@@ -271,7 +269,7 @@ func BenchmarkServerConcurrentAccess(b *testing.B) {
 // global handler lock — the pre-PR-4 serving discipline. The ratio of this
 // benchmark to BenchmarkServerConcurrentAccess is the unserialization win.
 func BenchmarkServerConcurrentAccessSerialized(b *testing.B) {
-	h, bgE, bgP := newBenchServerHandler(b, sag.CacheConfig{}, slowVacuousSolver, nil)
+	h, bgE, bgP := newBenchServerHandler(b, slowVacuousSolver, nil)
 	bodies := accessBodies(bgE, bgP)
 	runConcurrentAccess(b, serialized(h), bodies)
 }
@@ -295,7 +293,7 @@ func benchTenantAccess(h http.Handler, tenant string, body []byte) (code int, re
 // greedy tenant is never shed: either way the fairness property the admit
 // layer exists for is gone. Watched by the CI benchgate.
 func BenchmarkServerOverload(b *testing.B) {
-	h, bgE, bgP := newBenchServerHandlerMod(b, sag.CacheConfig{}, slowVacuousSolver, nil,
+	h, bgE, bgP := newBenchServerHandlerMod(b, slowVacuousSolver, nil,
 		func(cfg *server.Config) {
 			cfg.Admission = admit.Config{
 				// Rate 600/s with a 2ms solve admits well under the greedy

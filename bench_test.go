@@ -76,8 +76,8 @@ func BenchmarkFigure3MultiType(b *testing.B) {
 }
 
 // newBenchEngine builds a 7-type OSSP engine against a fixed estimator for
-// per-decision latency measurements; cache is the engine's decision cache.
-func newBenchEngine(b *testing.B, useLP bool, cache sag.CacheConfig) *sag.Engine {
+// per-decision latency measurements.
+func newBenchEngine(b *testing.B, useLP bool) *sag.Engine {
 	b.Helper()
 	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
 	if err != nil {
@@ -95,7 +95,6 @@ func newBenchEngine(b *testing.B, useLP bool, cache sag.CacheConfig) *sag.Engine
 		Policy:         sag.PolicyOSSP,
 		Rand:           rand.New(rand.NewSource(1)),
 		UseLPSignaling: useLP,
-		Cache:          cache,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -107,28 +106,13 @@ func newBenchEngine(b *testing.B, useLP bool, cache sag.CacheConfig) *sag.Engine
 // online SSE + closed-form OSSP) — the paper's runtime claim (≈20 ms on
 // their laptop). This is the benchmark the CI regression gate watches.
 func BenchmarkOSSPDecision(b *testing.B) {
-	eng := newBenchEngine(b, false, sag.CacheConfig{})
+	eng := newBenchEngine(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkOSSPDecisionCached adds the quantized decision cache: the fixed
-// estimator and coarse budget quantum keep the game state in one bucket per
-// type, so steady state is all hits — the upper bound of what caching buys.
-func BenchmarkOSSPDecisionCached(b *testing.B) {
-	eng := newBenchEngine(b, false, sag.CacheConfig{Size: 64, BudgetQuantum: 1e6})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(100*eng.CacheStats().HitRate(), "hit%")
 }
 
 // BenchmarkOSSPDecisionWithDeadline measures the hardened decision path:
@@ -176,7 +160,7 @@ func BenchmarkOSSPDecisionWithDeadline(b *testing.B) {
 // BenchmarkOSSPDecisionLP is the same decision with LP (3) instead of the
 // Theorem 3 closed form (ablation A3's runtime arm).
 func BenchmarkOSSPDecisionLP(b *testing.B) {
-	eng := newBenchEngine(b, true, sag.CacheConfig{})
+	eng := newBenchEngine(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {

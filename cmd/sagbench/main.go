@@ -1,8 +1,7 @@
 // Command sagbench regenerates every table and figure of the paper plus the
 // ablations, writing the full experiment report (the source material for
-// EXPERIMENTS.md). The runtime table times the per-alert decision with and
-// without the quantized decision cache, reporting the cache hit rate and
-// speedup alongside the paper's ≈20 ms/alert latency claim.
+// EXPERIMENTS.md). The runtime table times the per-alert decision against
+// the paper's ≈20 ms/alert latency claim.
 //
 // Usage:
 //

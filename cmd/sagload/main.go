@@ -480,8 +480,8 @@ func maxTenants(tenants int) int {
 	return 0
 }
 
-// selfServer builds a small in-process SAG server (fixed-rate estimator,
-// quantized decision cache) so sagload can run without a sagserver target.
+// selfServer builds a small in-process SAG server (fixed-rate estimator) so
+// sagload can run without a sagserver target.
 // tenants raises the resident-tenant cap when the fan-out needs more than
 // the shard default; adm wires the admission-control knobs through.
 func selfServer(budget float64, tenants int, adm admit.Config) (*httptest.Server, int, int, error) {
@@ -510,7 +510,6 @@ func selfServer(budget float64, tenants int, adm admit.Config) (*httptest.Server
 			return out, nil
 		}),
 		Seed:       1,
-		Cache:      core.CacheConfig{Size: 64, BudgetQuantum: 1e6, RateQuantum: 1},
 		Clock:      func() time.Duration { return 9 * time.Hour },
 		MaxTenants: maxTenants(tenants),
 		Admission:  adm,

@@ -33,7 +33,6 @@ import (
 
 	"github.com/auditgames/sag/internal/admit"
 	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/history"
 	"github.com/auditgames/sag/internal/server"
@@ -57,9 +56,10 @@ func run() error {
 		employees = flag.Int("employees", 400, "background employees in the synthetic world")
 		patients  = flag.Int("patients", 2000, "background patients in the synthetic world")
 
-		cacheSize    = flag.Int("cache-size", 0, "decision-cache capacity (0 disables caching)")
-		cacheBudgetQ = flag.Float64("cache-budget-quantum", 0, "budget bucket width for cache keys (0 = exact)")
-		cacheRateQ   = flag.Float64("cache-rate-quantum", 0, "future-rate bucket width for cache keys (0 = exact)")
+		// There is no decision cache. -cache-size is accepted and ignored only
+		// because benchmark/ starts every server with "-cache-size 0"; remove
+		// it with the next change to benchmark/.
+		_ = flag.Int("cache-size", 0, "ignored: there is no decision cache (kept so old command lines still start)")
 
 		decisionDeadline = flag.Duration("decision-deadline", 0, "per-decision solve deadline; slower decisions degrade down the fallback ladder (0 disables)")
 		requestTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline: a request still waiting when it passes answers 503 having changed nothing (0 = none)")
@@ -138,18 +138,13 @@ func run() error {
 		return err
 	}
 	cfg := server.Config{
-		World:     world,
-		Taxonomy:  taxonomy,
-		TypeIDs:   typeIDs,
-		Instance:  inst,
-		Budget:    *budget,
-		Estimator: rollback,
-		Seed:      *seed,
-		Cache: core.CacheConfig{
-			Size:          *cacheSize,
-			BudgetQuantum: *cacheBudgetQ,
-			RateQuantum:   *cacheRateQ,
-		},
+		World:            world,
+		Taxonomy:         taxonomy,
+		TypeIDs:          typeIDs,
+		Instance:         inst,
+		Budget:           *budget,
+		Estimator:        rollback,
+		Seed:             *seed,
 		DecisionDeadline: *decisionDeadline,
 		RequestTimeout:   *requestTimeout,
 		MaxTenants:       *maxTenants,

@@ -11,6 +11,7 @@ import (
 
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/game"
+	"github.com/auditgames/sag/internal/obs"
 )
 
 // gatedSolver wraps the real solver so tests can hold solves inside the
@@ -40,14 +41,11 @@ func (b *gatedSolver) solve(ctx context.Context, inst *game.Instance, budget flo
 	return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
 }
 
-// TestProcessConcurrentKeepsBudgetChain drives many goroutines through
-// Process and checks the commit-side invariants that must survive the
-// unserialized pipeline: every decision committed, the budget chain
-// contiguous (each decision starts where the previous one ended), and the
-// budget never negative.
-func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
-	e := newOSSPEngine(t, multiInstance(t), 1e6, constEstimator(196, 29, 140, 10, 25, 15, 43))
-	const workers, perWorker = 8, 20
+// processConcurrently drives workers goroutines through Process, perWorker
+// alerts each with the seven types interleaved, and fails the test on the
+// first error.
+func processConcurrently(t *testing.T, e *Engine, workers, perWorker int) {
+	t.Helper()
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for g := 0; g < workers; g++ {
@@ -67,6 +65,17 @@ func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestProcessConcurrentKeepsBudgetChain drives many goroutines through
+// Process and checks the commit-side invariants that must survive the
+// unserialized pipeline: every decision committed, the budget chain
+// contiguous (each decision starts where the previous one ended), and the
+// budget never negative.
+func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
+	e := newOSSPEngine(t, multiInstance(t), 1e6, constEstimator(196, 29, 140, 10, 25, 15, 43))
+	const workers, perWorker = 8, 20
+	processConcurrently(t, e, workers, perWorker)
 	ds := e.Decisions()
 	if len(ds) != workers*perWorker {
 		t.Fatalf("committed %d decisions, want %d", len(ds), workers*perWorker)
@@ -105,7 +114,7 @@ func TestProcessConcurrentSolvesOverlap(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	for _, typ := range []int{0, 1} { // different types → different state keys, no coalescing
+	for _, typ := range []int{0, 1} {
 		wg.Add(1)
 		go func(typ int) {
 			defer wg.Done()
@@ -130,59 +139,57 @@ func TestProcessConcurrentSolvesOverlap(t *testing.T) {
 	}
 }
 
-// TestProcessCoalescesIdenticalStates: a follower that arrives while an
-// identical state (same type, same quantized budget and rates) is being
-// solved waits for the leader's solve instead of running its own.
-func TestProcessCoalescesIdenticalStates(t *testing.T) {
-	bs := newGatedSolver()
+// TestConcurrentDecisionsAreExact: every decision is solved at the state it
+// commits against. Under 8-way contention each committed θ must equal, bit
+// for bit, the SSE coverage at that decision's own BudgetBefore — except the
+// decisions that exhausted their commit retries, which the engine counts.
+func TestConcurrentDecisionsAreExact(t *testing.T) {
+	inst := multiInstance(t)
+	rates := []float64{196, 29, 140, 10, 25, 15, 43}
+	reg := obs.NewRegistry()
 	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    1e6,
-		Estimator: constEstimator(196, 29, 140, 10, 25, 15, 43),
+		Instance:  inst,
+		Budget:    200,
+		Estimator: constEstimator(rates...),
 		Policy:    PolicyOSSP,
 		Rand:      rand.New(rand.NewSource(42)),
-		SSESolve:  bs.solve,
-		// Coarse quanta: the leader's commit moves the budget within one
-		// bucket, so the follower's optimistic commit needs no re-solve.
-		Cache: CacheConfig{Size: 8, BudgetQuantum: 1e5, RateQuantum: 1},
+		Fallback:  true,
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := e.Process(Alert{Type: 2})
-			errs <- err
-		}()
-	}
-	launch()
-	select {
-	case <-bs.entered: // leader is inside the solver
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never reached the solver")
-	}
-	launch()
-	// Give the follower time to pass the cache miss and join the in-flight
-	// solve. It must not enter the solver itself.
-	time.Sleep(100 * time.Millisecond)
-	close(bs.release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
+	const workers, perWorker = 8, 200
+	processConcurrently(t, e, workers, perWorker)
+
+	futures := make([]dist.Poisson, len(rates))
+	for i, r := range rates {
+		if futures[i], err = dist.NewPoisson(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := bs.calls.Load(); got != 1 {
-		t.Fatalf("solver ran %d times for two identical concurrent states, want 1", got)
+	ds := e.Decisions()
+	if len(ds) != workers*perWorker {
+		t.Fatalf("committed %d decisions, want %d", len(ds), workers*perWorker)
 	}
-	if ds := e.Decisions(); len(ds) != 2 {
-		t.Fatalf("committed %d decisions, want 2", len(ds))
+	inexact := uint64(0)
+	for i, d := range ds {
+		if d.Fallback.Degraded() {
+			t.Fatalf("decision %d degraded to %v with a healthy solver", i, d.Fallback)
+		}
+		want, err := game.SolveOnlineSSE(inst, d.BudgetBefore, futures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Theta != want.Coverage[d.Alert.Type] {
+			inexact++
+		}
 	}
+	stale := reg.Snapshot().Counters[MetricStaleCommitsTotal]
+	if inexact > stale {
+		t.Fatalf("%d decisions carry a θ solved at another budget, but only %d stale commits were counted", inexact, stale)
+	}
+	t.Logf("%d decisions, %d stale commits, %d inexact θ", len(ds), stale, inexact)
 }
 
 // TestNewCycleRejectsInflightDecision: a decision whose solve spans a
@@ -227,9 +234,9 @@ func TestNewCycleRejectsInflightDecision(t *testing.T) {
 	}
 }
 
-// TestProcessRetriesStaleBudget: with exact (zero) quanta, a decision whose
-// snapshot went stale re-solves at the fresh budget rather than committing
-// the stale solve on the first try.
+// TestProcessRetriesStaleBudget: a decision whose snapshot went stale
+// re-solves at the fresh budget rather than committing the stale solve on
+// the first try.
 func TestProcessRetriesStaleBudget(t *testing.T) {
 	bs := newGatedSolver()
 	e, err := NewEngine(Config{
@@ -261,7 +268,7 @@ func TestProcessRetriesStaleBudget(t *testing.T) {
 		}
 	}
 	// Both solved at budget 1e6; whichever commits second sees a stale
-	// snapshot and re-solves (exact quanta make any budget movement stale).
+	// snapshot and re-solves (any budget movement makes it stale).
 	close(bs.release)
 	wg.Wait()
 	close(errs)

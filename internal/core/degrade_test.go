@@ -97,6 +97,35 @@ func TestDeadlineWithFallbackDegrades(t *testing.T) {
 	}
 }
 
+// TestDeadlineNoticedBetweenStages: a solve that ignores its context and
+// returns after the deadline is caught at the boundary between the SSE and
+// signaling stages. Its equilibrium is still a good one, so the decision
+// lands on the last-good rung, not the static one.
+func TestDeadlineNoticedBetweenStages(t *testing.T) {
+	e, err := NewEngine(Config{
+		Instance:         singleInstance(t),
+		Budget:           5,
+		Estimator:        constEstimator(10),
+		Rand:             rand.New(rand.NewSource(1)),
+		DecisionDeadline: 5 * time.Millisecond,
+		SSESolve: func(_ context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+			time.Sleep(20 * time.Millisecond)
+			return game.SolveOnlineSSE(inst, budget, futures)
+		},
+		Fallback: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.Process(Alert{Type: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Fallback != fallback.LastGood {
+		t.Fatalf("late solve committed at level %v, want last-good", d.Fallback)
+	}
+}
+
 func TestCanceledContextPropagates(t *testing.T) {
 	e := newOSSPEngine(t, singleInstance(t), 5, constEstimator(10))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -174,7 +203,6 @@ func TestEngineConcurrentAccess(t *testing.T) {
 		Budget:    50,
 		Estimator: constEstimator(4, 3, 5, 2, 6, 1, 3),
 		Rand:      rand.New(rand.NewSource(7)),
-		Cache:     CacheConfig{Size: 32},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +220,6 @@ func TestEngineConcurrentAccess(t *testing.T) {
 				}
 				_ = e.RemainingBudget()
 				_ = e.Summary()
-				_ = e.CacheStats()
 				_, _ = e.Preview(Alert{Type: i % 7})
 			}
 		}(w)

@@ -104,7 +104,7 @@ type Config struct {
 	UseLPSignaling bool
 	// Metrics, when non-nil, receives the engine's instrumentation:
 	// per-stage solve latencies, vacuous-game and Theorem-3-fallback
-	// counters, simplex effort, and the remaining-budget gauge (see the
+	// counters, solver effort, and the remaining-budget gauge (see the
 	// Metric* constants). A nil registry disables collection with
 	// near-zero overhead.
 	Metrics *obs.Registry
@@ -113,12 +113,6 @@ type Config struct {
 	// exports its own series in the shared registry. Empty (the default)
 	// keeps the unlabeled series names of a single-tenant deployment.
 	MetricLabels []obs.Label
-	// Cache enables the per-cycle decision cache: decide() results are
-	// memoized on (alert type, quantized remaining budget, quantized
-	// future-rate vector) so repeated game states skip the LP pipeline.
-	// The zero value disables caching. See CacheConfig for the exactness
-	// trade-off of the quanta.
-	Cache CacheConfig
 	// AttackerTypes, when non-empty, switches the signaling stage to the
 	// Bayesian SAG: the attacker's covered/uncovered utilities are private,
 	// drawn from this prior (see signaling.SolveBayesian). The Stackelberg
@@ -134,9 +128,9 @@ type Config struct {
 	DecisionDeadline time.Duration
 	// Fallback enables graceful degradation: when the decision pipeline
 	// fails (estimator error, solver error or panic, deadline exceeded),
-	// Process descends the ladder in internal/fallback — cached decision →
-	// last-good θ → static conservative policy — instead of returning an
-	// error. Every degraded decision is tagged with its fallback.Level and
+	// Process descends the ladder in internal/fallback — last-good θ →
+	// static conservative policy — instead of returning an error. Every
+	// degraded decision is tagged with its fallback.Level and
 	// counted in sag_engine_fallback_total. Alerts that are invalid per se
 	// (type out of range) still error: no ladder rung can define a payoff
 	// for a type the game does not have.
@@ -193,7 +187,7 @@ type Decision struct {
 	// rates zero), making the game degenerate for this alert.
 	Vacuous bool
 	// Fallback records how this decision was produced: fallback.None for
-	// the primary pipeline, or the ladder rung (Cache, LastGood, Static)
+	// the primary pipeline, or the ladder rung (LastGood, Static)
 	// that answered after the pipeline failed. See Config.Fallback.
 	Fallback fallback.Level
 }
@@ -206,13 +200,12 @@ type Decision struct {
 // the signaling program) runs OUTSIDE the engine's budget lock. Process is
 // optimistic: it snapshots the remaining budget, solves at that snapshot
 // concurrently with other decisions, and commits under the lock only if the
-// budget is still in the same (cache-quantized) bucket; otherwise it
-// re-solves, accepting a near-state solve after a bounded number of retries
-// (the same staleness the decision cache's quantization and the last-good
-// fallback rung already embrace). Identical in-flight states are coalesced
-// so a burst of same-type alerts pays for one solve. A NewCycle racing a
-// decision bumps the cycle epoch and the decision fails with
-// ErrCycleRolledOver instead of charging the new cycle's budget.
+// budget is still exactly the snapshot; otherwise it re-solves, accepting a
+// near-state solve after a bounded number of retries (the same staleness
+// the last-good fallback rung already embraces). So every decision is
+// solved at the state it commits against, except the counted stale commits.
+// A NewCycle racing a decision bumps the cycle epoch and the decision fails
+// with ErrCycleRolledOver instead of charging the new cycle's budget.
 //
 // Single-threaded callers observe exactly the sequential semantics: with no
 // concurrent Process call the snapshot always matches the commit state, so
@@ -225,12 +218,9 @@ type Decision struct {
 //
 // Lock hierarchy (acquire top to bottom, never upward):
 //
-//	mu     — budget chain: budget, initial, cycle, decisions, rng,
-//	         lastSSE/lastRates, and every commit
-//	cache  — the decision cache's own mutex (self-locking; reached both
-//	         with and without mu held)
-//	estMu  — serializes the (possibly stateful) estimator
-//	flight — the in-flight solve registry (never held during a solve)
+//	mu    — budget chain: budget, initial, cycle, decisions, rng,
+//	        lastSSE/lastRates, and every commit
+//	estMu — serializes the (possibly stateful) estimator
 type Engine struct {
 	mu       sync.Mutex
 	estMu    sync.Mutex
@@ -257,8 +247,6 @@ type Engine struct {
 	pendingDraw float64
 	hasPending  bool
 	decisions   []Decision
-	cache       *decisionCache
-	flight      flightGroup
 	// lastSSE / lastRates feed the degraded rungs: the most recent
 	// successfully solved equilibrium (for the last-good-θ rung) and the
 	// most recent successful future-rate estimate (for the static rung's
@@ -283,7 +271,7 @@ var ErrCycleRolledOver = errors.New("core: audit cycle rolled over during decisi
 var ErrAbandoned = errors.New("core: decision abandoned before commit")
 
 // maxCommitRetries bounds how many times a decision re-solves because
-// concurrent commits moved the budget out of the solved bucket. Past the
+// concurrent commits moved the budget off the solved snapshot. Past the
 // bound the near-state solve is committed anyway (counted in
 // sag_engine_stale_commits_total) so sustained contention degrades to
 // bounded staleness instead of livelock.
@@ -306,9 +294,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Policy == PolicyOSSP && cfg.Rand == nil {
 		return nil, errors.New("core: Config.Rand is required for PolicyOSSP (signal sampling)")
 	}
-	if err := cfg.Cache.validate(); err != nil {
-		return nil, err
-	}
 	if cfg.DecisionDeadline < 0 {
 		return nil, fmt.Errorf("core: negative decision deadline %v", cfg.DecisionDeadline)
 	}
@@ -330,9 +315,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		budget:   cfg.Budget,
 		initial:  cfg.Budget,
 		met:      newEngineMetrics(cfg.Metrics, cfg.Policy, cfg.MetricLabels...),
-	}
-	if cfg.Cache.Size > 0 {
-		e.cache = newDecisionCache(cfg.Cache)
 	}
 	e.met.budget.Set(e.budget)
 	return e, nil
@@ -373,10 +355,6 @@ func (e *Engine) NewCycle(budget float64) error {
 	e.decisions = e.decisions[:0]
 	e.lastSSE = nil
 	e.lastRates = nil
-	if e.cache != nil {
-		e.cache.clear()
-		e.met.cacheEntries.Set(0)
-	}
 	e.met.budget.Set(budget)
 	if r, ok := e.est.(interface{ Reset() }); ok {
 		r.Reset()
@@ -470,12 +448,12 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 			}
 			d = e.degraded(a)
 			e.met.fallbackCounter(d.Fallback).Inc()
-		} else if !e.sameBudgetBucket(budget) {
-			// Concurrent commits moved the budget out of the snapshot's
-			// bucket, so the solve answers a state the engine has left.
-			// Re-solve at the fresh budget a bounded number of times, then
-			// accept the near-state solve — the same staleness the cache's
-			// quantization and the last-good rung already embrace.
+		} else if e.budget != budget {
+			// Concurrent commits moved the budget off the snapshot, so the
+			// solve answers a state the engine has left. Re-solve at the
+			// fresh budget a bounded number of times, then accept the
+			// near-state solve — the same staleness the last-good rung
+			// already embraces.
 			if attempt < maxCommitRetries {
 				e.mu.Unlock()
 				e.met.commitRetries.Inc()
@@ -541,19 +519,6 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 	}
 }
 
-// sameBudgetBucket reports whether the current budget still falls in the
-// same quantization bucket as the snapshot a solve ran at. The bucket width
-// is the decision cache's budget quantum — the identity the cache and the
-// single-flight group already use — or exact bit equality when caching is
-// disabled. The caller holds e.mu.
-func (e *Engine) sameBudgetBucket(snapshot float64) bool {
-	q := 0.0
-	if e.cache != nil {
-		q = e.cache.cfg.BudgetQuantum
-	}
-	return quantize(e.budget, q) == quantize(snapshot, q)
-}
-
 // Preview computes the decision the engine would take for a hypothetical
 // alert without sampling a signal or mutating the budget chain. Used by the
 // adaptive-attacker example and by tests. Preview never degrades and
@@ -569,58 +534,17 @@ func (e *Engine) Preview(a Alert) (*Decision, error) {
 }
 
 // decideAt runs the decision pipeline for a at the given budget snapshot,
-// holding no engine-wide lock: estimate, cache lookup, then the solve —
-// coalesced with any identical in-flight solve. The caller has validated
-// a.Type and commits (or discards) the result.
+// holding no engine-wide lock: estimate, deadline check, solve. The caller
+// has validated a.Type and commits (or discards) the result.
 func (e *Engine) decideAt(ctx context.Context, a Alert, budget float64) (*Decision, error) {
-	rates, futures, err := e.estimate(a.Time)
+	futures, err := e.estimate(a.Time)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: decision deadline: %w", err)
 	}
-
-	// The whole remaining pipeline is a pure function of (type, budget,
-	// rates) — alert time enters only through the rates — so a cached
-	// decision at the same (quantized) state stands in for a fresh solve,
-	// and an identical state already being solved is worth waiting for
-	// instead of solving again.
-	var budgetQ, rateQ float64
-	if e.cache != nil {
-		budgetQ, rateQ = e.cache.cfg.BudgetQuantum, e.cache.cfg.RateQuantum
-	}
-	key := stateKey(a.Type, budget, rates, budgetQ, rateQ)
-	if e.cache != nil {
-		if hit, ok := e.cache.get(key); ok {
-			e.met.cacheHits.Inc()
-			hit.Alert = a
-			hit.BudgetBefore = budget
-			hit.BudgetAfter = budget
-			return &hit, nil
-		}
-		e.met.cacheMisses.Inc()
-	}
-
-	d, shared, err := e.flight.do(ctx, key, func() (*Decision, error) {
-		return e.solveAt(ctx, a, budget, futures)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		// Another caller's solve answered this state. The scheme transfers
-		// — same type, same quantization bucket — but the alert identity is
-		// this caller's own, and each caller samples its own signal at
-		// commit.
-		e.met.coalescedSolves.Inc()
-		d.Alert = a
-		d.BudgetBefore = budget
-		d.BudgetAfter = budget
-		return &d, nil
-	}
-	e.memoize(key, &d)
-	return &d, nil
+	return e.solveAt(ctx, a, budget, futures)
 }
 
 // estimate queries the estimator for the expected future alert volumes at
@@ -628,7 +552,7 @@ func (e *Engine) decideAt(ctx context.Context, a Alert, budget float64) (*Decisi
 // Estimators may be stateful (the paper's knowledge rollback), so calls
 // serialize on their own mutex — estimation is microseconds, and keeping it
 // off the budget lock lets it overlap with commits and solves.
-func (e *Engine) estimate(at time.Duration) ([]float64, []dist.Poisson, error) {
+func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
 	var t0 time.Time
 	if e.met.enabled {
 		t0 = time.Now()
@@ -637,16 +561,16 @@ func (e *Engine) estimate(at time.Duration) ([]float64, []dist.Poisson, error) {
 	rates, err := e.est.FutureRates(at)
 	e.estMu.Unlock()
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: estimating future alerts: %w", err)
+		return nil, fmt.Errorf("core: estimating future alerts: %w", err)
 	}
 	if len(rates) != e.inst.NumTypes() {
-		return nil, nil, fmt.Errorf("core: estimator returned %d rates for %d types", len(rates), e.inst.NumTypes())
+		return nil, fmt.Errorf("core: estimator returned %d rates for %d types", len(rates), e.inst.NumTypes())
 	}
 	futures := make([]dist.Poisson, len(rates))
 	for i, r := range rates {
 		p, err := dist.NewPoisson(r)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: type %d: %w", i, err)
+			return nil, fmt.Errorf("core: type %d: %w", i, err)
 		}
 		futures[i] = p
 	}
@@ -656,7 +580,7 @@ func (e *Engine) estimate(at time.Duration) ([]float64, []dist.Poisson, error) {
 	if e.met.enabled {
 		e.met.stageEstimate.ObserveSince(t0)
 	}
-	return rates, futures, nil
+	return futures, nil
 }
 
 // solveAt runs the SSE + OSSP pipeline for one alert at the given budget
@@ -679,7 +603,14 @@ func (e *Engine) solveAt(ctx context.Context, a Alert, budget float64, futures [
 	e.mu.Unlock()
 	if e.met.enabled {
 		e.met.stageSSE.ObserveSince(t0)
-		e.met.recordSSE(sse.Stats)
+		e.met.lpSolves.Add(uint64(sse.Stats.LPSolves))
+	}
+	// The one deadline check inside the solve: neither stage is cancellable
+	// mid-flight (each runs for microseconds), so the boundary between them
+	// is where an expired deadline is noticed. The equilibrium just solved
+	// stays in lastSSE for the last-good rung.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: decision deadline: %w", err)
 	}
 
 	d := &Decision{
@@ -707,7 +638,7 @@ func (e *Engine) solveAt(ctx context.Context, a Alert, budget float64, futures [
 	if e.met.enabled {
 		t0 = time.Now()
 	}
-	scheme, err := e.signalScheme(ctx, a.Type, d.Theta)
+	scheme, err := e.signalScheme(a.Type, d.Theta)
 	if err != nil {
 		return nil, err
 	}
@@ -730,7 +661,7 @@ func (e *Engine) solveAt(ctx context.Context, a Alert, budget float64, futures [
 // audit probability θ: the Bayesian program when attacker types are private,
 // LP (3) when forced or when Theorem 3's preconditions fail, and the closed
 // form otherwise.
-func (e *Engine) signalScheme(ctx context.Context, typ int, theta float64) (signaling.Scheme, error) {
+func (e *Engine) signalScheme(typ int, theta float64) (signaling.Scheme, error) {
 	pf := e.inst.Payoffs[typ]
 	var scheme signaling.Scheme
 	var err error
@@ -748,7 +679,7 @@ func (e *Engine) signalScheme(ctx context.Context, typ int, theta float64) (sign
 		if !pf.SatisfiesTheorem3() {
 			e.met.fallback.Inc()
 		}
-		scheme, err = signaling.SolveLPCtx(ctx, pf, theta)
+		scheme, err = signaling.SolveLP(pf, theta)
 	default:
 		scheme, err = signaling.Solve(pf, theta)
 	}
@@ -763,13 +694,10 @@ func (e *Engine) signalScheme(ctx context.Context, typ int, theta float64) (sign
 // always returns a usable decision. The caller holds e.mu.
 //
 // Degraded rungs deliberately run without the (already expired) decision
-// deadline: the cache rung is a map lookup and the last-good / static rungs
-// at most re-solve one small signaling LP, so they complete in microseconds.
+// deadline: they at most re-solve one small signaling LP, so they complete
+// in microseconds.
 func (e *Engine) degraded(a Alert) *Decision {
 	d, lvl, err := fallback.Run(
-		fallback.Step[*Decision]{Level: fallback.Cache, Try: func() (*Decision, error) {
-			return e.cachedForType(a)
-		}},
 		fallback.Step[*Decision]{Level: fallback.LastGood, Try: func() (*Decision, error) {
 			return e.lastGoodDecision(a)
 		}},
@@ -786,25 +714,7 @@ func (e *Engine) degraded(a Alert) *Decision {
 	return d
 }
 
-// cachedForType is the first degraded rung: reuse the most recently cached
-// decision for the alert's type, even though the budget or rates may have
-// drifted from the cached key. The scheme is near-optimal for a nearby game
-// state, which beats the static policy's type-blind coverage.
-func (e *Engine) cachedForType(a Alert) (*Decision, error) {
-	if e.cache == nil {
-		return nil, errors.New("core: decision cache disabled")
-	}
-	hit, ok := e.cache.latestForType(a.Type)
-	if !ok {
-		return nil, fmt.Errorf("core: no cached decision for type %d", a.Type)
-	}
-	hit.Alert = a
-	hit.BudgetBefore = e.budget
-	hit.BudgetAfter = e.budget
-	return &hit, nil
-}
-
-// lastGoodDecision is the second degraded rung: reuse the θ vector of the
+// lastGoodDecision is the first degraded rung: reuse the θ vector of the
 // most recent successfully solved online SSE and re-run only the (cheap)
 // signaling stage for the current alert's type. The equilibrium is stale —
 // it was solved for an earlier budget — but its coverage remains a feasible
@@ -831,7 +741,7 @@ func (e *Engine) lastGoodDecision(a Alert) (*Decision, error) {
 		d.OSSPUtility = d.SSEUtility
 		return d, nil
 	}
-	scheme, err := e.signalScheme(context.Background(), a.Type, d.Theta)
+	scheme, err := e.signalScheme(a.Type, d.Theta)
 	if err != nil {
 		return nil, err
 	}
@@ -881,50 +791,6 @@ func (e *Engine) staticDecision(a Alert) *Decision {
 		},
 	}
 	return d
-}
-
-// memoize stores a value copy of d under key. The copy is taken before
-// Process commits the sampled fields (Warned, AuditCharge, BudgetAfter), so
-// a later hit re-samples the signal against the same Scheme instead of
-// replaying one draw. The *game.Result pointer is shared between the cached
-// copy and live decisions; it is treated as immutable everywhere.
-func (e *Engine) memoize(key string, d *Decision) {
-	if e.cache == nil {
-		return
-	}
-	if e.cache.put(key, *d) {
-		e.met.cacheEvictions.Inc()
-	}
-	e.met.cacheEntries.Set(float64(e.cache.len()))
-}
-
-// SetCacheCapacity rebalances the decision cache's entry limit, evicting
-// least-recently-used entries down to the new limit. It is a no-op when
-// caching is disabled and returns the number of entries evicted. The
-// multi-tenant shard router calls this as tenants come and go so the total
-// cached-decision footprint across all tenant engines stays bounded by one
-// box-wide budget.
-func (e *Engine) SetCacheCapacity(n int) int {
-	if e.cache == nil {
-		return 0
-	}
-	evicted := e.cache.setCapacity(n)
-	if evicted > 0 && e.met.enabled {
-		e.met.cacheEvictions.Add(uint64(evicted))
-		e.met.cacheEntries.Set(float64(e.cache.len()))
-	}
-	return evicted
-}
-
-// CacheStats returns a snapshot of the decision cache's counters; the zero
-// value when caching is disabled.
-func (e *Engine) CacheStats() CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.stats()
 }
 
 // bayesianToScheme reduces a BayesianScheme to the engine's Scheme record:
@@ -1013,15 +879,8 @@ type CycleSummary struct {
 	BudgetSpent     float64 // initial − remaining
 	MeanSSEUtility  float64
 	MeanOSSPUtility float64
-	// MeanOSSPUtilty mirrors MeanOSSPUtility under the misspelled name the
-	// field was first exported with, so JSON consumers keyed on the old
-	// spelling keep working for one release.
-	//
-	// Deprecated: use MeanOSSPUtility. This alias will be removed in the
-	// next release.
-	MeanOSSPUtilty float64
-	FinalSSE       float64 // utility at the last alert (end-of-day health)
-	FinalOSSP      float64
+	FinalSSE        float64 // utility at the last alert (end-of-day health)
+	FinalOSSP       float64
 }
 
 // Summary aggregates the decisions recorded so far.
@@ -1049,7 +908,6 @@ func (e *Engine) Summary() CycleSummary {
 	last := e.decisions[len(e.decisions)-1]
 	s.MeanSSEUtility = sse.Mean()
 	s.MeanOSSPUtility = ossp.Mean()
-	s.MeanOSSPUtilty = s.MeanOSSPUtility // deprecated alias, kept in sync
 	s.FinalSSE = last.SSEUtility
 	s.FinalOSSP = last.OSSPUtility
 	return s

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/auditgames/sag/internal/fallback"
-	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/obs"
 )
 
@@ -26,36 +25,18 @@ const (
 	// MetricLPSolvesTotal counts candidate best-response problems of LP (2)
 	// solved by the SSE stage (one per attackable type per solve).
 	MetricLPSolvesTotal = "sag_engine_lp_solves_total"
-	// MetricSimplexIterationsTotal and MetricSimplexPivotsTotal count
-	// simplex effort reported by the SSE stage. The closed-form solver runs
-	// no simplex, so they stay at zero unless an injected SSESolve reports
-	// some; they remain registered for dashboards that already scrape them.
-	MetricSimplexIterationsTotal = "sag_engine_simplex_iterations_total"
-	MetricSimplexPivotsTotal     = "sag_engine_simplex_pivots_total"
-	// MetricCacheHitsTotal / MetricCacheMissesTotal count decision-cache
-	// lookups that were served from / missed the cache;
-	// MetricCacheEvictionsTotal counts LRU evictions at capacity.
-	MetricCacheHitsTotal      = "sag_engine_cache_hits_total"
-	MetricCacheMissesTotal    = "sag_engine_cache_misses_total"
-	MetricCacheEvictionsTotal = "sag_engine_cache_evictions_total"
-	// MetricCacheEntries is a gauge of the decision cache's current size.
-	MetricCacheEntries = "sag_engine_cache_entries"
 	// MetricFallbackTotal counts degraded decisions, labeled by the ladder
-	// rung that produced them (level=cache|last_good|static).
+	// rung that produced them (level=last_good|static).
 	MetricFallbackTotal = "sag_engine_fallback_total"
 	// MetricDeadlineExceededTotal counts decisions whose primary pipeline
 	// was cut off by the per-decision deadline.
 	MetricDeadlineExceededTotal = "sag_engine_deadline_exceeded_total"
 	// MetricCommitRetriesTotal counts optimistic commits that re-solved
-	// because concurrent decisions moved the budget out of the snapshot's
-	// quantization bucket.
+	// because concurrent decisions moved the budget off the snapshot.
 	MetricCommitRetriesTotal = "sag_engine_commit_retries_total"
 	// MetricStaleCommitsTotal counts decisions committed from a stale
 	// budget snapshot after exhausting the commit-retry bound.
 	MetricStaleCommitsTotal = "sag_engine_stale_commits_total"
-	// MetricCoalescedSolvesTotal counts decisions answered by another
-	// caller's identical in-flight solve (single-flight coalescing).
-	MetricCoalescedSolvesTotal = "sag_engine_coalesced_solves_total"
 	// MetricJournalRollbacksTotal counts committed decisions that were
 	// rolled back because their journal record could not be enqueued: the
 	// budget charge is reversed, the decision is popped, and the sampled
@@ -63,7 +44,7 @@ const (
 	// what crash recovery would replay.
 	MetricJournalRollbacksTotal = "sag_engine_journal_rollbacks_total"
 	// MetricInflightSolves is a gauge of decision pipelines currently inside
-	// the SSE/signaling solve (past the cache and coalescing layers).
+	// the SSE/signaling solve.
 	MetricInflightSolves = "sag_engine_inflight_solves"
 )
 
@@ -71,31 +52,23 @@ const (
 // (enabled=false, all instruments nil) disables collection: every record
 // call is a nil-receiver no-op and the hot path skips its time.Now() calls.
 type engineMetrics struct {
-	enabled        bool
-	stageEstimate  *obs.Histogram
-	stageSSE       *obs.Histogram
-	stageSignal    *obs.Histogram
-	decision       *obs.Histogram
-	decisions      *obs.Counter
-	vacuous        *obs.Counter
-	fallback       *obs.Counter
-	budget         *obs.Gauge
-	lpSolves       *obs.Counter
-	simplexIters   *obs.Counter
-	simplexPivots  *obs.Counter
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
-	cacheEntries   *obs.Gauge
+	enabled       bool
+	stageEstimate *obs.Histogram
+	stageSSE      *obs.Histogram
+	stageSignal   *obs.Histogram
+	decision      *obs.Histogram
+	decisions     *obs.Counter
+	vacuous       *obs.Counter
+	fallback      *obs.Counter
+	budget        *obs.Gauge
+	lpSolves      *obs.Counter
 
-	fallbackCache    *obs.Counter
 	fallbackLastGood *obs.Counter
 	fallbackStatic   *obs.Counter
 	deadlineExceeded *obs.Counter
 
 	commitRetries    *obs.Counter
 	staleCommits     *obs.Counter
-	coalescedSolves  *obs.Counter
 	inflightSolves   *obs.Gauge
 	journalRollbacks *obs.Counter
 }
@@ -104,8 +77,6 @@ type engineMetrics struct {
 // no-op, for fallback.None or when metrics are disabled).
 func (m *engineMetrics) fallbackCounter(lvl fallback.Level) *obs.Counter {
 	switch lvl {
-	case fallback.Cache:
-		return m.fallbackCache
 	case fallback.LastGood:
 		return m.fallbackLastGood
 	case fallback.Static:
@@ -133,44 +104,26 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 	}
 	const stageHelp = "Per-stage SAG decision latency in seconds."
 	return engineMetrics{
-		enabled:        true,
-		stageEstimate:  reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "estimate"))...),
-		stageSSE:       reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "sse"))...),
-		stageSignal:    reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "signal"))...),
-		decision:       reg.Histogram(MetricDecisionSeconds, "Whole-decision SAG latency in seconds.", obs.DefTimeBuckets, with()...),
-		decisions:      reg.Counter(MetricDecisionsTotal, "Committed engine decisions.", with(obs.L("policy", policy.String()))...),
-		vacuous:        reg.Counter(MetricVacuousTotal, "Decisions where no alert type was attackable.", with()...),
-		fallback:       reg.Counter(MetricTheorem3FallbackTotal, "Alerts solved via LP (3) because the Theorem 3 closed form did not apply.", with()...),
-		budget:         reg.Gauge(MetricBudgetRemaining, "Remaining audit budget for the current cycle.", with()...),
-		lpSolves:       reg.Counter(MetricLPSolvesTotal, "Candidate best-response problems of LP (2) solved by the online SSE stage.", with()...),
-		simplexIters:   reg.Counter(MetricSimplexIterationsTotal, "Simplex iterations reported by the online SSE stage (0 with the closed-form solver).", with()...),
-		simplexPivots:  reg.Counter(MetricSimplexPivotsTotal, "Simplex tableau pivots reported by the online SSE stage (0 with the closed-form solver).", with()...),
-		cacheHits:      reg.Counter(MetricCacheHitsTotal, "Decision-cache lookups served from the cache.", with()...),
-		cacheMisses:    reg.Counter(MetricCacheMissesTotal, "Decision-cache lookups that missed and re-solved.", with()...),
-		cacheEvictions: reg.Counter(MetricCacheEvictionsTotal, "Decision-cache LRU evictions at capacity.", with()...),
-		cacheEntries:   reg.Gauge(MetricCacheEntries, "Current decision-cache entry count.", with()...),
+		enabled:       true,
+		stageEstimate: reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "estimate"))...),
+		stageSSE:      reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "sse"))...),
+		stageSignal:   reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "signal"))...),
+		decision:      reg.Histogram(MetricDecisionSeconds, "Whole-decision SAG latency in seconds.", obs.DefTimeBuckets, with()...),
+		decisions:     reg.Counter(MetricDecisionsTotal, "Committed engine decisions.", with(obs.L("policy", policy.String()))...),
+		vacuous:       reg.Counter(MetricVacuousTotal, "Decisions where no alert type was attackable.", with()...),
+		fallback:      reg.Counter(MetricTheorem3FallbackTotal, "Alerts solved via LP (3) because the Theorem 3 closed form did not apply.", with()...),
+		budget:        reg.Gauge(MetricBudgetRemaining, "Remaining audit budget for the current cycle.", with()...),
+		lpSolves:      reg.Counter(MetricLPSolvesTotal, "Candidate best-response problems of LP (2) solved by the online SSE stage.", with()...),
 
-		fallbackCache:    reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.Cache.String()))...),
 		fallbackLastGood: reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.LastGood.String()))...),
 		fallbackStatic:   reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.Static.String()))...),
 		deadlineExceeded: reg.Counter(MetricDeadlineExceededTotal, "Decisions cut off by the per-decision deadline.", with()...),
 
 		commitRetries:    reg.Counter(MetricCommitRetriesTotal, "Optimistic commits that re-solved at a fresh budget.", with()...),
 		staleCommits:     reg.Counter(MetricStaleCommitsTotal, "Decisions committed from a stale budget snapshot after retry exhaustion.", with()...),
-		coalescedSolves:  reg.Counter(MetricCoalescedSolvesTotal, "Decisions answered by an identical in-flight solve.", with()...),
 		inflightSolves:   reg.Gauge(MetricInflightSolves, "Decision pipelines currently inside the SSE/signaling solve.", with()...),
 		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Committed decisions rolled back because journaling failed.", with()...),
 	}
 }
 
 const fallbackHelp = "Degraded decisions by fallback ladder rung."
-
-// recordSSE charges one SSE solve's effort to the counters.
-func (m *engineMetrics) recordSSE(stats game.SolveStats) {
-	if !m.enabled {
-		return
-	}
-	m.lpSolves.Add(uint64(stats.LPSolves))
-	m.simplexIters.Add(uint64(stats.Simplex.Iterations()))
-	m.simplexPivots.Add(uint64(stats.Simplex.Pivots))
-}

@@ -185,6 +185,38 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 	}
 }
 
+// TestRestoredEngineDecidesLikeUninterruptedTwin: an engine carries nothing
+// from one decision to the next but its cycle state, so a twin restored from
+// a mid-cycle snapshot decides the next alerts exactly as the engine that
+// kept running. The alerts share one offset, so the rates never move and the
+// budget moves slowly — the near-repeat states where remembered decisions
+// would have answered for the engine that stayed up.
+func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
+	const seed, before, after = 99, 30, 50
+	live, numTypes := stateTestEngine(t, seed, nil)
+	alert := func(i int) Alert { return Alert{Type: i % numTypes, Time: 9 * time.Hour} }
+	for i := 0; i < before; i++ {
+		if _, err := live.Process(alert(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored, _ := stateTestEngine(t, seed, nil)
+	if err := restored.RestoreState(live.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	for i := before; i < before+after; i++ {
+		if _, err := live.Process(alert(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restored.Process(alert(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := decisionsEqual(live.Decisions()[before:], restored.Decisions()[before:]); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestoreStateRequiresFreshEngine pins the restore contract: restoring
 // onto an engine that has already drawn from its RNG or committed decisions
 // must fail rather than silently merge two histories.

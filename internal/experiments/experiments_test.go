@@ -109,8 +109,8 @@ func TestRuntimeWellUnderPaperBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 3 {
-		t.Fatalf("settings = %d, want 3 (single + uncached/cached 7-type arms)", len(reps))
+	if len(reps) != 2 {
+		t.Fatalf("settings = %d, want 2 (single type, 7 types)", len(reps))
 	}
 	for _, r := range reps {
 		if r.Alerts == 0 {
@@ -125,20 +125,9 @@ func TestRuntimeWellUnderPaperBudget(t *testing.T) {
 			t.Errorf("%s: solver stats empty", r.Setting)
 		}
 	}
-	// The cached arm may only do less work than the uncached one, never more.
-	unc, cac := reps[1], reps[2]
-	if cac.LPSolves > unc.LPSolves {
-		t.Errorf("cached arm solved more candidates (%d) than uncached (%d)", cac.LPSolves, unc.LPSolves)
-	}
-	if cac.CacheHits+cac.CacheMisses == 0 {
-		t.Errorf("cached arm recorded no cache traffic: %+v", cac)
-	}
-	if cac.SpeedupVsUncached <= 0 {
-		t.Errorf("speedup ratio not populated: cached %g", cac.SpeedupVsUncached)
-	}
 	var buf bytes.Buffer
 	RenderRuntime(&buf, reps)
-	for _, col := range []string{"mean", "candidates", "hit%", "speedup"} {
+	for _, col := range []string{"mean", "candidates"} {
 		if !strings.Contains(buf.String(), col) {
 			t.Errorf("runtime render missing %q column", col)
 		}

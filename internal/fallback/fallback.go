@@ -8,11 +8,14 @@
 // ladder:
 //
 //	Level 0 (None)     the primary pipeline succeeded within its deadline
-//	Level 1 (Cache)    reuse the most recent cached decision for the type
 //	Level 2 (LastGood) re-run the signaling stage on the last successfully
 //	                   solved θ vector
 //	Level 3 (Static)   a conservative static policy: audit with probability
 //	                   remaining-budget / expected-remaining-cost, never warn
+//
+// Level 1 was the decision-cache rung. The cache is gone and nothing produces
+// the level any more, but journals store a Level as a byte, so the number
+// stays reserved and the other levels keep theirs.
 //
 // The never-warn choice at the bottom rung is justified by Theorem 2
 // ("signaling never hurts" — equivalently, not signaling is the worst case
@@ -36,16 +39,16 @@ type Level int
 
 const (
 	// None is the primary pipeline: no degradation.
-	None Level = iota
-	// Cache reused the most recent per-cycle cached decision for the
-	// alert's type.
-	Cache
+	None Level = 0
+	// retiredCache is only ever read back from a journal written while the
+	// decision cache existed.
+	retiredCache Level = 1
 	// LastGood re-ran the signaling stage against the last successfully
 	// solved θ vector.
-	LastGood
+	LastGood Level = 2
 	// Static applied the conservative static policy (audit with probability
 	// budget-remaining / expected-remaining-cost, never warn).
-	Static
+	Static Level = 3
 )
 
 // String returns the metric-label spelling of the level, used as the
@@ -54,7 +57,7 @@ func (l Level) String() string {
 	switch l {
 	case None:
 		return "none"
-	case Cache:
+	case retiredCache:
 		return "cache"
 	case LastGood:
 		return "last_good"

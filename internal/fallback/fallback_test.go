@@ -9,7 +9,7 @@ import (
 func TestLevelStrings(t *testing.T) {
 	cases := map[Level]string{
 		None:      "none",
-		Cache:     "cache",
+		Level(1):  "cache", // retired, but old journals still hold it
 		LastGood:  "last_good",
 		Static:    "static",
 		Level(42): "Level(42)",
@@ -22,7 +22,10 @@ func TestLevelStrings(t *testing.T) {
 	if None.Degraded() {
 		t.Error("None should not be degraded")
 	}
-	for _, lvl := range []Level{Cache, LastGood, Static} {
+	if LastGood != 2 || Static != 3 {
+		t.Errorf("LastGood, Static = %d, %d; journals store them as 2, 3", LastGood, Static)
+	}
+	for _, lvl := range []Level{LastGood, Static} {
 		if !lvl.Degraded() {
 			t.Errorf("%v should be degraded", lvl)
 		}
@@ -32,7 +35,7 @@ func TestLevelStrings(t *testing.T) {
 func TestRunFirstSuccessWins(t *testing.T) {
 	v, lvl, err := Run(
 		Step[int]{Level: None, Try: func() (int, error) { return 7, nil }},
-		Step[int]{Level: Cache, Try: func() (int, error) { t.Fatal("later step ran"); return 0, nil }},
+		Step[int]{Level: LastGood, Try: func() (int, error) { t.Fatal("later step ran"); return 0, nil }},
 	)
 	if err != nil || v != 7 || lvl != None {
 		t.Fatalf("Run = (%d, %v, %v), want (7, none, nil)", v, lvl, err)
@@ -44,14 +47,13 @@ func TestRunDescendsInOrder(t *testing.T) {
 	boom := errors.New("boom")
 	v, lvl, err := Run(
 		Step[string]{Level: None, Try: func() (string, error) { order = append(order, None); return "", boom }},
-		Step[string]{Level: Cache, Try: func() (string, error) { order = append(order, Cache); return "", boom }},
 		Step[string]{Level: LastGood, Try: func() (string, error) { order = append(order, LastGood); panic("solver degeneracy") }},
 		Step[string]{Level: Static, Try: func() (string, error) { order = append(order, Static); return "static", nil }},
 	)
 	if err != nil || v != "static" || lvl != Static {
 		t.Fatalf("Run = (%q, %v, %v), want (static, static, nil)", v, lvl, err)
 	}
-	want := []Level{None, Cache, LastGood, Static}
+	want := []Level{None, LastGood, Static}
 	if len(order) != len(want) {
 		t.Fatalf("ran %v, want %v", order, want)
 	}
@@ -65,7 +67,7 @@ func TestRunDescendsInOrder(t *testing.T) {
 func TestRunAllFail(t *testing.T) {
 	boom := errors.New("boom")
 	_, lvl, err := Run(
-		Step[int]{Level: Cache, Try: func() (int, error) { return 0, errors.New("first") }},
+		Step[int]{Level: LastGood, Try: func() (int, error) { return 0, errors.New("first") }},
 		Step[int]{Level: Static, Try: func() (int, error) { return 0, boom }},
 	)
 	if !errors.Is(err, boom) {

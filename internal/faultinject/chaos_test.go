@@ -46,7 +46,7 @@ type chaosEngine struct {
 	inst   *game.Instance
 }
 
-func newChaosEngine(t *testing.T, budget float64, deadline time.Duration, cacheSize int) *chaosEngine {
+func newChaosEngine(t *testing.T, budget float64, deadline time.Duration) *chaosEngine {
 	t.Helper()
 	inst, err := game.NewInstance(payoff.Table2Slice(), game.UniformCost(7, 1))
 	if err != nil {
@@ -65,7 +65,6 @@ func newChaosEngine(t *testing.T, budget float64, deadline time.Duration, cacheS
 		Policy:           core.PolicyOSSP,
 		Rand:             rand.New(rand.NewSource(11)),
 		Metrics:          ce.reg,
-		Cache:            core.CacheConfig{Size: cacheSize},
 		DecisionDeadline: deadline,
 		Fallback:         true,
 		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
@@ -116,50 +115,46 @@ func checkBudgetChain(t *testing.T, ce *chaosEngine) {
 func TestFallbackLevels(t *testing.T) {
 	cases := []struct {
 		name string
-		// deadline/cacheSize configure the engine; prime runs one clean
-		// decision first; arm injects the fault before the probe alert.
-		deadline  time.Duration
-		cacheSize int
-		prime     bool
-		arm       func(ce *chaosEngine)
-		want      fallback.Level
+		// deadline configures the engine; prime runs one clean decision
+		// first; arm injects the fault before the probe alert.
+		deadline time.Duration
+		prime    bool
+		arm      func(ce *chaosEngine)
+		want     fallback.Level
 		// wantDeadline is the expected deadline-exceeded counter value.
 		wantDeadline uint64
 	}{
 		{
-			name:      "estimator error with no prior state degrades to static",
-			cacheSize: 64,
+			name: "estimator error with no prior state degrades to static",
 			arm: func(ce *chaosEngine) {
 				ce.est.set(faultinject.New("estimator", faultinject.Config{Seed: 1, ErrorRate: 1}))
 			},
 			want: fallback.Static,
 		},
 		{
-			name:      "solver error without cache degrades to last-good theta",
-			cacheSize: 0,
-			prime:     true,
+			name:  "solver error degrades to last-good",
+			prime: true,
 			arm: func(ce *chaosEngine) {
 				ce.solver.set(faultinject.New("sse", faultinject.Config{Seed: 1, ErrorRate: 1}))
 			},
 			want: fallback.LastGood,
 		},
 		{
-			name:      "solver timeout with cache degrades to cached decision",
-			deadline:  30 * time.Millisecond,
-			cacheSize: 64,
-			prime:     true,
+			name:     "timeout degrades to last-good",
+			deadline: 30 * time.Millisecond,
+			prime:    true,
 			arm: func(ce *chaosEngine) {
 				ce.solver.set(faultinject.New("sse", faultinject.Config{
 					Seed: 1, LatencyRate: 1, Latency: 10 * time.Second,
 				}))
 			},
-			want:         fallback.Cache,
+			want:         fallback.LastGood,
 			wantDeadline: 1,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ce := newChaosEngine(t, 20, c.deadline, c.cacheSize)
+			ce := newChaosEngine(t, 20, c.deadline)
 			alert := core.Alert{Type: 2, Time: time.Minute}
 			if c.prime {
 				d, err := ce.eng.Process(alert)
@@ -179,7 +174,7 @@ func TestFallbackLevels(t *testing.T) {
 				t.Fatalf("Fallback = %v, want %v", d.Fallback, c.want)
 			}
 			checkBudgetChain(t, ce)
-			for _, lvl := range []fallback.Level{fallback.Cache, fallback.LastGood, fallback.Static} {
+			for _, lvl := range []fallback.Level{fallback.LastGood, fallback.Static} {
 				want := uint64(0)
 				if lvl == c.want {
 					want = 1
@@ -200,7 +195,7 @@ func TestFallbackLevels(t *testing.T) {
 // converts it into a degraded decision instead of crashing, and stays usable
 // afterwards.
 func TestSolverPanicContained(t *testing.T) {
-	ce := newChaosEngine(t, 20, 0, 0)
+	ce := newChaosEngine(t, 20, 0)
 	ce.solver.set(faultinject.New("sse", faultinject.Config{Seed: 1, PanicRate: 1}))
 	d, err := ce.eng.Process(core.Alert{Type: 1})
 	if err != nil {
@@ -223,7 +218,7 @@ func TestSolverPanicContained(t *testing.T) {
 // error — every alert gets a budget-consistent decision at some fallback
 // level — and the degraded count matches the fallback counters.
 func TestChaosNeverErrors(t *testing.T) {
-	ce := newChaosEngine(t, 50, 40*time.Millisecond, 128)
+	ce := newChaosEngine(t, 50, 40*time.Millisecond)
 	ce.est.set(faultinject.New("estimator", faultinject.Config{Seed: 3, ErrorRate: 0.15}))
 	ce.solver.set(faultinject.New("sse", faultinject.Config{
 		Seed: 4, ErrorRate: 0.15, PanicRate: 0.1, LatencyRate: 0.1, Latency: 10 * time.Second,
@@ -252,7 +247,7 @@ func TestChaosNeverErrors(t *testing.T) {
 		t.Fatal("every decision degraded; primary pipeline never ran")
 	}
 	var counted uint64
-	for _, lvl := range []fallback.Level{fallback.Cache, fallback.LastGood, fallback.Static} {
+	for _, lvl := range []fallback.Level{fallback.LastGood, fallback.Static} {
 		counted += ce.fallbackCount(t, lvl)
 	}
 	if counted != uint64(degraded) {
@@ -269,7 +264,7 @@ func TestChaosNeverErrors(t *testing.T) {
 // is the satellite's concurrency-contract test: no errors, no races, and a
 // linearized budget chain at the end.
 func TestChaosConcurrent(t *testing.T) {
-	ce := newChaosEngine(t, 100, 40*time.Millisecond, 64)
+	ce := newChaosEngine(t, 100, 40*time.Millisecond)
 	ce.est.set(faultinject.New("estimator", faultinject.Config{Seed: 5, ErrorRate: 0.1}))
 	ce.solver.set(faultinject.New("sse", faultinject.Config{Seed: 6, ErrorRate: 0.1, PanicRate: 0.05}))
 
@@ -295,7 +290,6 @@ func TestChaosConcurrent(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			_ = ce.eng.RemainingBudget()
 			_ = ce.eng.Summary()
-			_ = ce.eng.CacheStats()
 		}
 	}()
 	wg.Wait()

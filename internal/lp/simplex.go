@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -16,42 +15,22 @@ var ErrNumerical = errors.New("lp: iteration limit exceeded (numerical trouble)"
 // never mutates p. The returned Solution has Status Optimal, Infeasible, or
 // Unbounded; X and Objective are populated only for Optimal.
 func Solve(p *Problem) (*Solution, error) {
-	return SolveCtx(context.Background(), p)
-}
-
-// ctxCheckInterval is how many simplex iterations run between cooperative
-// cancellation checks in SolveCtx. The audit-game LPs finish in tens of
-// iterations, so a deadline is noticed within a handful of microseconds
-// while the uncancellable common case pays one masked branch per iteration.
-const ctxCheckInterval = 32
-
-// SolveCtx is Solve with cooperative cancellation: the simplex iteration
-// loop polls ctx every ctxCheckInterval pivots and returns ctx.Err()
-// (wrapped) when the deadline expires or the context is canceled mid-solve.
-// A context that can never be canceled (ctx.Done() == nil) adds no work to
-// the pivot loop.
-func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 	std, err := toStandard(p)
 	if err != nil {
 		return nil, err
 	}
 	tab := newTableau(std)
-	done := ctx.Done()
 
 	// Phase 1: minimize the sum of artificial variables to find a basic
 	// feasible solution.
 	var stats Stats
 	if tab.numArt > 0 {
 		tab.loadPhase1Costs()
-		n, status := tab.iterate(done)
+		n, status := tab.iterate()
 		stats.Phase1Iterations = n
 		if status == iterLimit {
 			stats.Pivots = tab.pivots
 			return nil, ErrNumerical
-		}
-		if status == canceledIter {
-			stats.Pivots = tab.pivots
-			return nil, fmt.Errorf("lp: solve canceled: %w", ctx.Err())
 		}
 		if tab.objValue() > 1e-7 {
 			stats.Pivots = tab.pivots
@@ -62,14 +41,12 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 
 	// Phase 2: minimize the (converted) true objective.
 	tab.loadPhase2Costs(std.c)
-	n, status := tab.iterate(done)
+	n, status := tab.iterate()
 	stats.Phase2Iterations = n
 	stats.Pivots = tab.pivots
 	switch status {
 	case iterLimit:
 		return nil, ErrNumerical
-	case canceledIter:
-		return nil, fmt.Errorf("lp: solve canceled: %w", ctx.Err())
 	case unboundedIter:
 		return &Solution{Status: Unbounded, Iterations: stats.Iterations(), Stats: stats}, nil
 	}
@@ -389,23 +366,14 @@ const (
 	optimalIter iterStatus = iota
 	unboundedIter
 	iterLimit
-	canceledIter
 )
 
-// iterate runs simplex pivots until optimality, unboundedness, the
-// iteration cap, or cancellation of done (nil disables the checks). It
-// returns the pivot count and the terminal status.
-func (t *tableau) iterate(done <-chan struct{}) (int, iterStatus) {
+// iterate runs simplex pivots until optimality, unboundedness or the
+// iteration cap. It returns the pivot count and the terminal status.
+func (t *tableau) iterate() (int, iterStatus) {
 	maxIter := 2000 + 200*(t.m+t.ncols)
 	blandAfter := maxIter / 2
 	for iter := 0; iter < maxIter; iter++ {
-		if done != nil && iter%ctxCheckInterval == 0 {
-			select {
-			case <-done:
-				return iter, canceledIter
-			default:
-			}
-		}
 		bland := iter >= blandAfter
 		j := t.chooseEntering(bland)
 		if j < 0 {

@@ -19,9 +19,8 @@ import (
 )
 
 // fuzzServer builds one small multi-tenant server shared by every fuzz
-// iteration: a tight tenant cap so the fuzzer exercises the 429 path, the
-// cache enabled so rebalancing runs, and a canned instant solver so
-// iterations are microseconds, not LP solves.
+// iteration: a tight tenant cap so the fuzzer exercises the 429 path, and a
+// canned instant solver so iterations are microseconds, not LP solves.
 func fuzzServer(f *testing.F) http.Handler {
 	f.Helper()
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
@@ -42,7 +41,6 @@ func fuzzServer(f *testing.F) http.Handler {
 			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
 		}),
 		Seed:       1,
-		Cache:      core.CacheConfig{Size: 16, BudgetQuantum: 1e6, RateQuantum: 1},
 		MaxTenants: 4,
 		Clock:      func() time.Duration { return 9 * time.Hour },
 		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {

@@ -100,7 +100,6 @@ func runGoldenReplay(t *testing.T, tenants []string, goldenFile string) {
 			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
 		}),
 		Seed:       1,
-		Cache:      core.CacheConfig{},
 		MaxTenants: 8,
 		Clock:      func() time.Duration { return clock },
 	})

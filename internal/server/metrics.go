@@ -8,8 +8,8 @@ import (
 	"github.com/auditgames/sag/internal/obs"
 )
 
-// Server metric names. The engine's sag_engine_* and sag_simplex family
-// land in the same registry (see core.Metric*), so one /v1/metrics scrape
+// Server metric names. The engine's sag_engine_* family
+// lands in the same registry (see core.Metric*), so one /v1/metrics scrape
 // covers the whole decide/commit pipeline.
 const (
 	// MetricHTTPRequestsTotal counts requests by route and status code.

@@ -20,7 +20,7 @@
 // X-SAG-Tenant header, the "tenant" body field, or (for GET /v1/status) the
 // ?tenant= query parameter; requests that carry none use the default
 // tenant. Each tenant owns a dedicated core.Engine behind a shard.Router
-// (see internal/shard): its own budget chain, decision cache, fallback
+// (see internal/shard): its own budget chain, fallback
 // state, and RNG stream. Tenants are created on first use up to
 // Config.MaxTenants (429 beyond it); the world, detection rules, and game
 // instance — all immutable during serving — are shared.
@@ -113,11 +113,6 @@ type Config struct {
 	// When nil, every tenant engine shares Estimator; that is only sound
 	// for stateless estimators (fixed rate curves).
 	NewEstimator func(tenant string) (core.Estimator, error)
-	// Cache is the box-wide decision-cache budget: Cache.Size entries are
-	// divided evenly across resident tenants (rebalanced as tenants come
-	// and go), each share keyed with Cache's quanta. The zero value
-	// disables caching for every tenant.
-	Cache core.CacheConfig
 	// MaxTenants caps resident tenants; creation beyond it answers 429.
 	// Zero selects shard.DefaultMaxTenants.
 	MaxTenants int
@@ -383,12 +378,11 @@ func New(cfg Config) (*Server, error) {
 	// local mirror instead of opening a writable journal.
 	s.following.Store(cfg.FollowPrimary != "")
 	s.router, err = shard.NewRouter(shard.Config{
-		New:         s.buildTenant,
-		MaxTenants:  cfg.MaxTenants,
-		CacheBudget: cfg.Cache.Size,
-		Metrics:     s.met.reg,
-		OnEvict:     s.evictTenant,
-		Logf:        cfg.Logf,
+		New:        s.buildTenant,
+		MaxTenants: cfg.MaxTenants,
+		Metrics:    s.met.reg,
+		OnEvict:    s.evictTenant,
+		Logf:       cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
@@ -467,16 +461,14 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		Estimator: est,
 		Policy:    core.PolicyOSSP,
 		Rand:      rand.New(rand.NewSource(s.cfg.Seed ^ seedOffset)),
-		Cache:     s.cfg.Cache,
 		Metrics:   s.met.reg,
 		// Every engine series carries the tenant label so one scrape
-		// separates the tenants' budget chains, cache effectiveness, and
-		// fallback activity.
+		// separates the tenants' budget chains and fallback activity.
 		MetricLabels: []obs.Label{obs.L("tenant", id)},
 		// The serving path never trades availability for optimality: a
-		// failed or slow solve degrades down the fallback ladder (cache →
-		// last-good θ → static never-warn policy) instead of surfacing as an
-		// error to the EMR front end.
+		// failed or slow solve degrades down the fallback ladder (last-good
+		// θ → static never-warn policy) instead of surfacing as an error to
+		// the EMR front end.
 		DecisionDeadline: s.cfg.DecisionDeadline,
 		Fallback:         true,
 		SSESolve:         s.cfg.SSESolve,
@@ -571,7 +563,7 @@ type AccessResponse struct {
 	Flagged bool `json:"flagged,omitempty"`
 	// RemainingBudget is the post-decision audit budget.
 	RemainingBudget float64 `json:"remaining_budget"`
-	// Fallback names the degradation rung ("cache", "last_good", "static")
+	// Fallback names the degradation rung ("last_good", "static")
 	// when the decision pipeline could not complete in time; empty for a
 	// fully solved decision.
 	Fallback string `json:"fallback,omitempty"`
@@ -620,12 +612,6 @@ type Status struct {
 	// Closed reports that the cycle's audit plan has been drawn: further
 	// /v1/access and /v1/cycle/close calls answer 409 until /v1/cycle/new.
 	Closed bool `json:"closed"`
-	// Decision-cache effectiveness; all zero when caching is disabled.
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
-	CacheEvictions uint64  `json:"cache_evictions"`
-	CacheEntries   int     `json:"cache_entries"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
 }
 
 // Handler returns the HTTP handler: one mux, every route behind one wrap.
@@ -1238,7 +1224,7 @@ func (s *Server) handleNewCycle(w http.ResponseWriter, r *http.Request) {
 	}
 	// Journal-first: unlike a close (whose pre-state is one boolean) the
 	// rollover has no cheap rollback — NewCycle discards the old cycle's
-	// decisions, fallback state, and cache. Making the record durable
+	// decisions and fallback state. Making the record durable
 	// before mutating anything means a failed append leaves the old cycle
 	// fully intact, and with the budget pre-validated the engine call below
 	// cannot fail after the record is on disk.
@@ -1275,7 +1261,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	t.flaggedMu.RLock()
 	flagged := len(t.flagged)
 	t.flaggedMu.RUnlock()
-	cs := t.engine.CacheStats()
 	writeJSON(w, http.StatusOK, Status{
 		Tenant:          t.id,
 		ActiveTenants:   s.router.Len(),
@@ -1288,10 +1273,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		FlaggedUsers:    flagged,
 		NumTypes:        s.cfg.Instance.NumTypes(),
 		Closed:          closed,
-		CacheHits:       cs.Hits,
-		CacheMisses:     cs.Misses,
-		CacheEvictions:  cs.Evictions,
-		CacheEntries:    cs.Entries,
-		CacheHitRate:    cs.HitRate(),
 	})
 }

@@ -239,8 +239,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sag_engine_stage_seconds_count{stage="estimate",tenant="default"} 10`,
 		`sag_engine_stage_seconds_count{stage="sse",tenant="default"} 10`,
 		`sag_engine_stage_seconds_count{stage="signal",tenant="default"} 10`,
-		"sag_engine_simplex_iterations_total",
-		"sag_engine_simplex_pivots_total",
 		`sag_engine_lp_solves_total{tenant="default"} 70`, // 10 decisions × 7 attackable types
 		// Shard accounting.
 		"sag_shard_tenants_active 1",

@@ -14,7 +14,6 @@ import (
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/payoff"
-	"github.com/auditgames/sag/internal/sim"
 )
 
 // fixture builds a server over a small world with planted pairs, plus the
@@ -22,45 +21,7 @@ import (
 // traffic.
 func fixture(t *testing.T) (*Server, *httptest.Server, int, int) {
 	t.Helper()
-	return fixtureWithCache(t, core.CacheConfig{})
-}
-
-func fixtureWithCache(t *testing.T, cache core.CacheConfig) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// First planted pair is kind 0 (Same Last Name): employee bgE, patient
-	// bgP.
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clockAt := 9 * time.Hour
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:  1,
-		Cache: cache,
-		Clock: func() time.Duration { return clockAt },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, bgE, bgP
+	return fixtureWith(t, nil)
 }
 
 func post(t *testing.T, ts *httptest.Server, path string, body any, out any) int {
@@ -143,36 +104,6 @@ func TestSuspiciousAccessTriggersGame(t *testing.T) {
 	}
 	if st.RemainingBudget >= 50 {
 		t.Fatal("suspicious traffic should consume budget")
-	}
-}
-
-// TestStatusReportsCache: with a coarsely-quantized decision cache, repeated
-// alerts of one type at a near-constant budget hit the cache, and the status
-// endpoint surfaces the counters. The uncached fixture must report zeros.
-func TestStatusReportsCache(t *testing.T) {
-	_, ts, bgE, bgP := fixtureWithCache(t, core.CacheConfig{Size: 32, BudgetQuantum: 1000, RateQuantum: 1})
-	for i := 0; i < 10; i++ {
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
-			t.Fatalf("access status %d", code)
-		}
-	}
-	var st Status
-	if code := get(t, ts, "/v1/status", &st); code != http.StatusOK {
-		t.Fatalf("status code %d", code)
-	}
-	if st.CacheMisses == 0 || st.CacheHits == 0 {
-		t.Fatalf("expected cache traffic after repeated identical alerts: %+v", st)
-	}
-	if st.CacheEntries == 0 || st.CacheHitRate <= 0 {
-		t.Fatalf("cache entries/hit-rate not surfaced: %+v", st)
-	}
-
-	_, plain, bgE2, bgP2 := fixture(t)
-	post(t, plain, "/v1/access", AccessRequest{EmployeeID: bgE2, PatientID: bgP2}, nil)
-	var st2 Status
-	get(t, plain, "/v1/status", &st2)
-	if st2.CacheHits != 0 || st2.CacheMisses != 0 || st2.CacheEntries != 0 {
-		t.Fatalf("uncached server reported cache stats: %+v", st2)
 	}
 }
 

@@ -1,19 +1,16 @@
 // Package shard routes work across many independent audit-game engines —
 // one per tenant — behind a single process. Each tenant (a hospital, in the
 // paper's deployment story) runs its own audit cycle, budget, and OSSP
-// state; the router owns the map from tenant ID to engine and keeps the
-// box-wide resource envelope bounded: the decision-cache footprint is capped
-// by Config.CacheBudget — on every tenant create/remove the router
-// rebalances the per-engine cache capacity to budget/n, evicting LRU entries
-// down to the new share. (Solves need no bound of their own: each runs in
-// microseconds on the request's goroutine.)
+// state; the router owns the map from tenant ID to engine and bounds the
+// number of resident tenants. (Solves need no bound of their own: each runs
+// in microseconds on the request's goroutine, and an engine keeps nothing
+// between decisions but its cycle state.)
 //
 // Routing is by explicit tenant ID. IDs are mapped to lock-striped buckets
 // with an FNV hash, so tenant lookup — on the decision hot path — takes one
 // striped read lock and never contends with lookups for tenants in other
 // buckets. Creation is serialized on a single mutex: it is rare (once per
-// tenant lifetime), and serializing it makes the cap check and the cache
-// rebalance atomic.
+// tenant lifetime), and serializing it makes the cap check atomic.
 //
 // The router deliberately knows nothing about HTTP. The serving layer
 // (internal/server) stores its per-tenant request state in Tenant.Data and
@@ -36,9 +33,6 @@ import (
 const (
 	// MetricTenantsActive gauges the number of resident tenants.
 	MetricTenantsActive = "sag_shard_tenants_active"
-	// MetricRebalanceTotal counts cache-budget rebalances (one per tenant
-	// create or remove when a cache budget is configured).
-	MetricRebalanceTotal = "sag_shard_rebalance_total"
 	// MetricTenantsCreatedTotal counts tenants ever created, including ones
 	// since removed.
 	MetricTenantsCreatedTotal = "sag_shard_tenants_created_total"
@@ -113,11 +107,6 @@ type Config struct {
 	// Buckets is the number of lock stripes for tenant lookup. Zero or
 	// negative selects DefaultBuckets.
 	Buckets int
-	// CacheBudget is the total decision-cache entry budget shared by all
-	// tenant engines: each resident tenant's cache capacity is rebalanced
-	// to CacheBudget/n (at least 1) on every create/remove. Zero disables
-	// rebalancing (each engine keeps the capacity it was built with).
-	CacheBudget int
 	// Metrics receives the sag_shard_* instruments; nil uses a private
 	// registry so the router's accounting always works.
 	Metrics *obs.Registry
@@ -140,8 +129,7 @@ type bucket struct {
 
 // Router owns the tenant map. Lock hierarchy (acquire top to bottom):
 //
-//	createMu  — serializes tenant creation, removal, and the cache-budget
-//	            rebalance that accompanies them.
+//	createMu  — serializes tenant creation and removal.
 //	bucket.mu — striped RWMutex over one bucket's tenant map; the lookup
 //	            hot path takes only this, in read mode.
 //
@@ -153,11 +141,10 @@ type Router struct {
 	createMu sync.Mutex
 	count    atomic.Int64
 
-	active    *obs.Gauge
-	rebalance *obs.Counter
-	created   *obs.Counter
-	limited   *obs.Counter
-	evicted   *obs.Counter
+	active  *obs.Gauge
+	created *obs.Counter
+	limited *obs.Counter
+	evicted *obs.Counter
 }
 
 // NewRouter validates cfg and returns an empty router.
@@ -176,13 +163,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		reg = obs.NewRegistry()
 	}
 	r := &Router{
-		cfg:       cfg,
-		buckets:   make([]bucket, cfg.Buckets),
-		active:    reg.Gauge(MetricTenantsActive, "Resident tenants."),
-		rebalance: reg.Counter(MetricRebalanceTotal, "Cache-budget rebalances across tenant engines."),
-		created:   reg.Counter(MetricTenantsCreatedTotal, "Tenants ever created."),
-		limited:   reg.Counter(MetricTenantLimitTotal, "Tenant creations refused by the cap."),
-		evicted:   reg.Counter(MetricEvictionsTotal, "Tenants evicted (state snapshotted first when durable)."),
+		cfg:     cfg,
+		buckets: make([]bucket, cfg.Buckets),
+		active:  reg.Gauge(MetricTenantsActive, "Resident tenants."),
+		created: reg.Counter(MetricTenantsCreatedTotal, "Tenants ever created."),
+		limited: reg.Counter(MetricTenantLimitTotal, "Tenant creations refused by the cap."),
+		evicted: reg.Counter(MetricEvictionsTotal, "Tenants evicted (state snapshotted first when durable)."),
 	}
 	for i := range r.buckets {
 		r.buckets[i].tenants = make(map[string]*Tenant)
@@ -209,8 +195,7 @@ func (r *Router) Get(id string) (*Tenant, bool) {
 
 // GetOrCreate returns the tenant for id, building it via Config.New on
 // first use. The boolean reports whether this call created the tenant.
-// Creation respects MaxTenants (ErrTenantLimit beyond it) and rebalances
-// the shared cache budget across all resident engines.
+// Creation respects MaxTenants (ErrTenantLimit beyond it).
 func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 	if t, ok := r.Get(id); ok {
 		return t, false, nil
@@ -236,16 +221,14 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 	n := r.count.Add(1)
 	r.active.Set(float64(n))
 	r.created.Inc()
-	r.rebalanceLocked(int(n))
 	return t, true, nil
 }
 
-// Remove evicts a tenant, rebalancing the cache budget across the
-// remainder. It reports whether the tenant was resident. The eviction is
-// never silent: it is counted in sag_shard_evictions_total and logged with
-// the tenant ID via Config.Logf, and Config.OnEvict runs after the tenant
-// is unlinked (so the embedder can drain it, snapshot its state, and seal
-// its journal) but before Remove returns.
+// Remove evicts a tenant. It reports whether the tenant was resident. The
+// eviction is never silent: it is counted in sag_shard_evictions_total and
+// logged with the tenant ID via Config.Logf, and Config.OnEvict runs after
+// the tenant is unlinked (so the embedder can drain it, snapshot its state,
+// and seal its journal) but before Remove returns.
 func (r *Router) Remove(id string) bool {
 	r.createMu.Lock()
 	defer r.createMu.Unlock()
@@ -262,44 +245,11 @@ func (r *Router) Remove(id string) bool {
 	if r.cfg.OnEvict != nil {
 		r.cfg.OnEvict(t)
 	}
-	r.rebalanceLocked(int(n))
 	r.evicted.Inc()
 	if r.cfg.Logf != nil {
 		r.cfg.Logf("shard: evicted tenant %s (%d resident)", t.ID, n)
 	}
 	return true
-}
-
-// rebalanceLocked divides the cache budget evenly across the n resident
-// engines, evicting LRU entries from any engine above its new share. The
-// caller holds createMu.
-func (r *Router) rebalanceLocked(n int) {
-	if r.cfg.CacheBudget <= 0 || n <= 0 {
-		return
-	}
-	share := r.cfg.CacheBudget / n
-	if share < 1 {
-		share = 1
-	}
-	r.Range(func(t *Tenant) bool {
-		t.Engine.SetCacheCapacity(share)
-		return true
-	})
-	r.rebalance.Inc()
-}
-
-// CacheShare returns the per-tenant cache capacity the router last
-// rebalanced to (0 when no budget is configured or no tenant is resident).
-func (r *Router) CacheShare() int {
-	n := r.Len()
-	if r.cfg.CacheBudget <= 0 || n == 0 {
-		return 0
-	}
-	share := r.cfg.CacheBudget / n
-	if share < 1 {
-		share = 1
-	}
-	return share
 }
 
 // Len returns the number of resident tenants.

@@ -14,8 +14,8 @@ import (
 )
 
 // newTestEngine builds a real OSSP engine over the paper's Table 1/2
-// instance with a fixed-rate estimator and the given cache capacity.
-func newTestEngine(t *testing.T, seed int64, cacheSize int) *core.Engine {
+// instance with a fixed-rate estimator.
+func newTestEngine(t *testing.T, seed int64) *core.Engine {
 	t.Helper()
 	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
 	if err != nil {
@@ -29,7 +29,6 @@ func newTestEngine(t *testing.T, seed int64, cacheSize int) *core.Engine {
 		}),
 		Policy: core.PolicyOSSP,
 		Rand:   rand.New(rand.NewSource(seed)),
-		Cache:  core.CacheConfig{Size: cacheSize},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +40,7 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
 	if cfg.New == nil {
 		cfg.New = func(id string) (*core.Engine, any, error) {
-			return newTestEngine(t, int64(Seed(id)), 8), id, nil
+			return newTestEngine(t, int64(Seed(id))), id, nil
 		}
 	}
 	r, err := NewRouter(cfg)
@@ -126,7 +125,7 @@ func TestGetOrCreateRace(t *testing.T) {
 		builtMu.Lock()
 		built++
 		builtMu.Unlock()
-		return newTestEngine(t, 1, 8), nil, nil
+		return newTestEngine(t, 1), nil, nil
 	}})
 	var wg sync.WaitGroup
 	tenants := make([]*Tenant, 32)
@@ -149,45 +148,5 @@ func TestGetOrCreateRace(t *testing.T) {
 		if tt != tenants[0] {
 			t.Fatal("racing GetOrCreate returned distinct tenants")
 		}
-	}
-}
-
-// TestCacheBudgetRebalance: the box-wide cache budget is divided across
-// resident tenants, and adding a tenant shrinks — and evicts down — the
-// caches of the existing ones.
-func TestCacheBudgetRebalance(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := newTestRouter(t, Config{CacheBudget: 8, Metrics: reg})
-
-	ta, _, err := r.GetOrCreate("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share := r.CacheShare(); share != 8 {
-		t.Fatalf("CacheShare with one tenant = %d, want 8", share)
-	}
-	// Fill tenant a's cache: each decision spends budget, so every alert is
-	// a fresh exact-match state and a fresh entry.
-	for i := 0; i < 6; i++ {
-		if _, err := ta.Engine.Process(core.Alert{Type: i % 7, Time: time.Duration(i) * time.Minute}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ta.Engine.CacheStats().Entries; got != 6 {
-		t.Fatalf("tenant a cache entries = %d, want 6", got)
-	}
-
-	if _, _, err := r.GetOrCreate("b"); err != nil {
-		t.Fatal(err)
-	}
-	if share := r.CacheShare(); share != 4 {
-		t.Fatalf("CacheShare with two tenants = %d, want 4", share)
-	}
-	if got := ta.Engine.CacheStats().Entries; got > 4 {
-		t.Fatalf("tenant a holds %d cached decisions after rebalance, want <= 4", got)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[obs.Key(MetricRebalanceTotal)]; got != 2 {
-		t.Fatalf("%s = %v, want 2 (one per create)", MetricRebalanceTotal, got)
 	}
 }

@@ -1,7 +1,6 @@
 package signaling
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -116,7 +115,7 @@ func SolveRobustLP(pf payoff.Payoff, theta, epsilon float64) (Scheme, error) {
 	// SolveLP's persuasion row uses the payoff's attacker utilities; feed
 	// it the shifted ones but keep the true utilities for the objective
 	// and participation by rebuilding the pieces here.
-	s, err := solveSignalingLP(context.Background(), pf, shifted, theta)
+	s, err := solveSignalingLP(pf, shifted, theta)
 	if err != nil {
 		return Scheme{}, err
 	}

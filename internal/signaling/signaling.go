@@ -22,7 +22,6 @@
 package signaling
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -147,27 +146,20 @@ func Solve(pf payoff.Payoff, theta float64) (Scheme, error) {
 // argument: if the silent branch gives the attacker a non-positive expected
 // utility, the rational attacker stays out and both utilities are 0.
 func SolveLP(pf payoff.Payoff, theta float64) (Scheme, error) {
-	return SolveLPCtx(context.Background(), pf, theta)
-}
-
-// SolveLPCtx is SolveLP with cooperative cancellation: both LP (3) solves
-// poll ctx between simplex iterations (see lp.SolveCtx), so a decision
-// deadline bounds the signaling stage as well as the SSE stage.
-func SolveLPCtx(ctx context.Context, pf payoff.Payoff, theta float64) (Scheme, error) {
 	if err := pf.Validate(); err != nil {
 		return Scheme{}, err
 	}
 	if theta < 0 || theta > 1 || math.IsNaN(theta) {
 		return Scheme{}, fmt.Errorf("signaling: theta %g out of [0,1]", theta)
 	}
-	return solveSignalingLP(ctx, pf, pf, theta)
+	return solveSignalingLP(pf, pf, theta)
 }
 
 // solveSignalingLP is the LP core shared by SolveLP and SolveRobustLP: the
 // persuasion constraint is built from persuade's attacker utilities (which
 // robust callers shift by their margin) while the objective, participation
 // constraint, and reported utilities use the true payoffs pf.
-func solveSignalingLP(ctx context.Context, pf, persuade payoff.Payoff, theta float64) (Scheme, error) {
+func solveSignalingLP(pf, persuade payoff.Payoff, theta float64) (Scheme, error) {
 	// Variables: p1, q1, p0, q0.
 	prob := lp.New(lp.Maximize, 4)
 	if err := prob.SetObjective([]float64{0, 0, pf.DefenderCovered, pf.DefenderUncovered}); err != nil {
@@ -198,7 +190,7 @@ func solveSignalingLP(ctx context.Context, pf, persuade payoff.Payoff, theta flo
 	if err := prob.AddConstraint([]float64{0, 1, 0, 1}, lp.EQ, 1-theta); err != nil {
 		return Scheme{}, err
 	}
-	sol, err := lp.SolveCtx(ctx, prob)
+	sol, err := lp.Solve(prob)
 	if err != nil {
 		return Scheme{}, err
 	}
@@ -234,7 +226,7 @@ func solveSignalingLP(ctx context.Context, pf, persuade payoff.Payoff, theta flo
 	if err := second.AddConstraint([]float64{0, 0, pf.DefenderCovered, pf.DefenderUncovered}, lp.GE, sol.Objective-optTol); err != nil {
 		return Scheme{}, err
 	}
-	if sol2, err := lp.SolveCtx(ctx, second); err == nil && sol2.Status == lp.Optimal {
+	if sol2, err := lp.Solve(second); err == nil && sol2.Status == lp.Optimal {
 		sol = &lp.Solution{Status: lp.Optimal, X: sol2.X, Objective: prob.ObjectiveAt(sol2.X)}
 	}
 	s := Scheme{P1: sol.X[0], Q1: sol.X[1], P0: sol.X[2], Q0: sol.X[3]}

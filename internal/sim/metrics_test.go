@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/auditgames/sag/internal/obs"
 )
 
-// TestRunnerMetrics: parallel replications share one registry and report
-// per-replication throughput.
+// TestRunnerMetrics: replications running on concurrent goroutines share one
+// registry and report per-replication throughput.
 func TestRunnerMetrics(t *testing.T) {
 	ds, err := BuildTable1Pipeline(PipelineConfig{
 		Seed: 11, Days: 8, BackgroundPerDay: 40, PairsPerKind: 2,
@@ -26,9 +27,21 @@ func TestRunnerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := Groups(8, 6) // 2 replications
-	results, err := r.RunGroupsParallel(groups, 2)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*DayResult, len(groups))
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	for i := range groups {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = r.RunGroup(groups[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("group %d: %v", i, err)
+		}
 	}
 
 	snap := reg.Snapshot()

@@ -160,7 +160,7 @@ type Config struct {
 	UseLPSignaling bool
 	// Metrics, when non-nil, receives per-replication throughput
 	// instrumentation (see the Metric* constants). Instruments are
-	// atomic, so RunGroupsParallel replications share them safely.
+	// atomic, so concurrent RunGroup calls share them safely.
 	Metrics *obs.Registry
 }
 

@@ -93,14 +93,6 @@ type (
 	// CycleSummary aggregates one finished audit cycle.
 	CycleSummary = core.CycleSummary
 
-	// CacheConfig configures the engine's per-cycle decision cache (entry
-	// capacity plus budget/rate quantization of the cache key).
-	CacheConfig = core.CacheConfig
-
-	// CacheStats is a snapshot of the decision cache's hit/miss/eviction
-	// counters and current size.
-	CacheStats = core.CacheStats
-
 	// Poisson is the future-alert-count distribution used by the solvers.
 	Poisson = dist.Poisson
 
@@ -122,9 +114,9 @@ type (
 
 	// FallbackLevel records how a Decision was produced when the engine's
 	// graceful degradation is enabled (EngineConfig.Fallback): FallbackNone
-	// for the primary pipeline, or the ladder rung — cached decision,
-	// last-good equilibrium, static never-warn policy — that answered after
-	// the pipeline failed or exceeded EngineConfig.DecisionDeadline.
+	// for the primary pipeline, or the ladder rung — last-good equilibrium,
+	// static never-warn policy — that answered after the pipeline failed or
+	// exceeded EngineConfig.DecisionDeadline.
 	FallbackLevel = fallback.Level
 
 	// SSESolveFunc is the engine's injectable online-SSE solver signature
@@ -145,8 +137,6 @@ const (
 const (
 	// FallbackNone marks a fully solved decision.
 	FallbackNone = fallback.None
-	// FallbackCache reused the freshest cached decision for the alert type.
-	FallbackCache = fallback.Cache
 	// FallbackLastGood reused the last successfully solved equilibrium's
 	// coverage and re-ran only the signaling stage.
 	FallbackLastGood = fallback.LastGood
