@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -102,19 +103,49 @@ func checkHeader(path string, data []byte) error {
 	return nil
 }
 
-// frameAt parses the frame starting at data[off:] (file offsets) and returns
-// its total length. A torn or corrupt frame yields an ErrCorrupt error.
-func frameAt(data []byte, off int64) (int64, error) {
-	buf := data[off:]
+// errEndOfLog is frameLen's answer to a zero length prefix.
+var errEndOfLog = fmt.Errorf("%w: zero length prefix (end of log)", ErrCorrupt)
+
+// frameLen returns the total length of the frame starting at buf[0]. A torn
+// or corrupt frame yields an ErrCorrupt error. No record has an empty
+// payload, so a zero length prefix is never a frame: it is errEndOfLog, the
+// first byte of an active segment's preallocated tail. Readers bounded by
+// the durable cursor never reach one; Recover decides whether what follows
+// is that tail or a torn write.
+func frameLen(buf []byte) (int64, error) {
 	plen, n := binary.Uvarint(buf)
-	if n <= 0 || plen > maxRecordBytes {
-		return 0, fmt.Errorf("%w: bad length prefix @%d", ErrCorrupt, off)
+	switch {
+	case n <= 0 || plen > maxRecordBytes:
+		return 0, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+	case plen == 0:
+		return 0, errEndOfLog
 	}
 	total := int64(n) + int64(plen) + 4
 	if int64(len(buf)) < total {
-		return 0, fmt.Errorf("%w: torn frame @%d", ErrCorrupt, off)
+		return 0, fmt.Errorf("%w: torn frame", ErrCorrupt)
 	}
 	return total, nil
+}
+
+// readSegment returns bytes [from, to) of the segment file at path, clamped
+// to the file's size.
+func readSegment(path string, from, to int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	to = min(to, info.Size())
+	if to <= from {
+		return nil, nil
+	}
+	data := make([]byte, to-from)
+	_, err = f.ReadAt(data, from)
+	return data, err
 }
 
 // retainedSegments returns the journal's segment sequence numbers, sorted.
@@ -152,38 +183,44 @@ func OldestCursor(dir string) (Cursor, bool, error) {
 // aliases a per-call buffer; it must not be retained across calls.
 func ReadFrames(dir string, cur, limit Cursor, fn func(Frame) error) (Cursor, error) {
 	for cur.Less(limit) {
+		if cur.Off < headerSize {
+			cur.Off = headerSize
+		}
+		// Read only the window asked for: a tailing stream calls this once
+		// per commit round, and the active segment is a preallocation step
+		// long at least. The header rides along (and is checked) when the
+		// window starts the segment.
+		from, to := cur.Off, int64(math.MaxInt64)
+		if from == headerSize {
+			from = 0
+		}
+		if cur.Seg == limit.Seg {
+			to = limit.Off
+		}
 		path := filepath.Join(dir, segmentName(cur.Seg))
-		data, err := os.ReadFile(path)
+		data, err := readSegment(path, from, to)
 		if err != nil {
 			if os.IsNotExist(err) {
 				return cur, fmt.Errorf("%w: segment %d missing", ErrCursorGone, cur.Seg)
 			}
 			return cur, fmt.Errorf("wal: reading segment: %w", err)
 		}
-		if err := checkHeader(path, data); err != nil {
-			return cur, err
-		}
-		if cur.Off < headerSize {
-			cur.Off = headerSize
-		}
-		end := int64(len(data))
-		if cur.Seg == limit.Seg && limit.Off < end {
-			end = limit.Off
-		}
-		for cur.Off < end {
-			total, err := frameAt(data, cur.Off)
-			if err != nil {
+		if from == 0 {
+			if err := checkHeader(path, data); err != nil {
 				return cur, err
 			}
-			if cur.Off+total > end {
-				// A frame flushed past the captured limit: stop at the
-				// boundary; the next call picks it up once durable.
-				break
+			data = data[headerSize:]
+		}
+		for len(data) > 0 {
+			total, err := frameLen(data)
+			if err != nil {
+				return cur, fmt.Errorf("%w @%v", err, cur)
 			}
-			if err := fn(Frame{Seg: cur.Seg, Off: cur.Off, Raw: data[cur.Off : cur.Off+total]}); err != nil {
+			if err := fn(Frame{Seg: cur.Seg, Off: cur.Off, Raw: data[:total]}); err != nil {
 				return cur, err
 			}
 			cur.Off += total
+			data = data[total:]
 		}
 		if cur.Seg >= limit.Seg {
 			return cur, nil
@@ -220,7 +257,7 @@ func ValidateCursor(dir string, cur Cursor, lastCRC uint32) error {
 	// Read first, classify a missing segment afterwards: listing before
 	// reading would let a prune in between surface a raw ENOENT.
 	path := filepath.Join(dir, segmentName(cur.Seg))
-	data, err := os.ReadFile(path)
+	data, err := readSegment(path, 0, max(cur.Off, headerSize))
 	if os.IsNotExist(err) {
 		seqs, lerr := retainedSegments(dir)
 		if lerr != nil {
@@ -242,9 +279,9 @@ func ValidateCursor(dir string, cur Cursor, lastCRC uint32) error {
 	}
 	off := int64(headerSize)
 	for off < cur.Off {
-		total, err := frameAt(data, off)
+		total, err := frameLen(data[off:])
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCursorInvalid, err)
+			return fmt.Errorf("%w: %v @%d", ErrCursorInvalid, err, off)
 		}
 		if off+total == cur.Off {
 			_, crc, perr := ParseFrame(data[off : off+total])
@@ -283,9 +320,9 @@ func LatestSnapshotCursor(dir string) (Cursor, bool, error) {
 		}
 		off := int64(headerSize)
 		for off < int64(len(data)) {
-			total, ferr := frameAt(data, off)
+			total, ferr := frameLen(data[off:])
 			if ferr != nil {
-				break // torn active tail; frames past it are not yet durable
+				break // end of log or torn active tail; nothing past it is durable yet
 			}
 			payload, _, perr := ParseFrame(data[off : off+total])
 			if perr == nil && len(payload) > 0 && Kind(payload[0]) == KindSnapshot {

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestCursorStringParseRoundTrip(t *testing.T) {
@@ -90,6 +92,72 @@ func TestReadFramesWalksDurableRecords(t *testing.T) {
 	}
 	if rest[0].Seg != frames[3].Seg || rest[0].Off != frames[3].Off {
 		t.Fatalf("resume started at %d/%d, want %d/%d", rest[0].Seg, rest[0].Off, frames[3].Seg, frames[3].Off)
+	}
+}
+
+// tailWindow builds a journal whose active segment holds about 1 MiB and
+// returns the last ~100 bytes of it as a (cur, limit) window — what a
+// replication stream reads when one commit round wakes it.
+func tailWindow(tb testing.TB) (dir string, cur, limit Cursor) {
+	tb.Helper()
+	dir = tb.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { j.Close() })
+	blob := Record{Kind: KindSnapshot, Snapshot: make([]byte, 4096)}
+	for i := 0; i < 256; i++ {
+		if _, err := j.Append(blob); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	cur = j.DurableCursor()
+	for i := 0; i < 14; i++ { // 14 × 7 bytes
+		if _, err := j.Append(Record{Kind: KindQuit, Employee: i}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir, cur, j.DurableCursor()
+}
+
+// TestReadFramesReadsOnlyTheWindow: tailing a busy tenant must cost the
+// bytes asked for, not the segment — reading the whole file on every wake-up
+// is quadratic per segment.
+func TestReadFramesReadsOnlyTheWindow(t *testing.T) {
+	dir, cur, limit := tailWindow(t)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	frames := 0
+	next, err := ReadFrames(dir, cur, limit, func(Frame) error { frames++; return nil })
+	runtime.ReadMemStats(&ms)
+	if err != nil || next != limit || frames != 14 {
+		t.Fatalf("read %d frames up to %v (%v), want 14 up to %v", frames, next, err, limit)
+	}
+	if got := ms.TotalAlloc - before; got > 16<<10 {
+		t.Fatalf("a %d-byte window of a %d-byte segment allocated %d bytes", limit.Off-cur.Off, limit.Off, got)
+	}
+	// The resume handshake reads no further than its cursor either.
+	if err := ValidateCursor(dir, Cursor{Seg: 0, Off: headerSize}, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkReadFramesTail(b *testing.B) {
+	dir, cur, limit := tailWindow(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFrames(dir, cur, limit, func(Frame) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -252,6 +320,11 @@ func TestMirrorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Seal the source: only its live active segment carries a preallocated
+	// tail, which is never shipped.
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srcRec, err := Recover(src)
 	if err != nil {
 		t.Fatal(err)

@@ -92,6 +92,8 @@ func FuzzRecoverSegment(f *testing.F) {
 	f.Add([]byte(magic + "\x01"))
 	f.Add([]byte(magic))
 	f.Add([]byte{})
+	f.Add(append(raw[:len(raw):len(raw)], make([]byte, 64)...))                  // preallocated zero tail
+	f.Add(append(raw[:len(raw):len(raw)], "\x00\x00\x00\x07garbage\x00\x00"...)) // zeros, then not zeros
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tmp := t.TempDir()

@@ -1,11 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -49,7 +47,10 @@ type Recovery struct {
 // header — does not fail recovery: the affected segment is truncated to
 // its last valid record, every later segment is deleted (records after a
 // tear are not trustworthy even if individually well-formed), and the scan
-// result reflects only the valid prefix. Open calls this before appending.
+// result reflects only the valid prefix. The zero tail of a segment that was
+// active at a crash is not corruption: it is trimmed at the frame boundary it
+// starts on, unreported, and later segments stand. Open calls this before
+// appending.
 func Recover(dir string) (*Recovery, error) {
 	segs, err := segments(dir)
 	if err != nil {
@@ -70,6 +71,12 @@ func Recover(dir string) (*Recovery, error) {
 		validEnd, scanErr := scanSegment(seg, rec)
 		if validEnd > headerSize {
 			rec.End = Cursor{Seg: n, Off: validEnd}
+		}
+		if errors.Is(scanErr, errEndOfLog) {
+			if err := os.Truncate(seg, validEnd); err != nil {
+				return nil, fmt.Errorf("wal: trimming preallocated tail: %w", err)
+			}
+			continue
 		}
 		if scanErr == nil {
 			continue
@@ -107,45 +114,36 @@ func Recover(dir string) (*Recovery, error) {
 // scanSegment reads one segment, folding each valid record into rec, and
 // returns the byte offset just past the last valid record. A corrupt or
 // torn record yields an error wrapping ErrCorrupt; the offset then marks
-// where the caller should truncate.
+// where the caller should truncate. That error is errEndOfLog exactly when
+// nothing but preallocated zeros follows the offset.
 func scanSegment(path string, rec *Recovery) (validEnd int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: opening segment: %w", err)
-	}
-	defer f.Close()
-
-	data, err := io.ReadAll(f)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: reading segment: %w", err)
 	}
-	if len(data) < headerSize || string(data[:4]) != magic || data[4] != version {
-		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
+	if err := checkHeader(path, data); err != nil {
+		return 0, err
 	}
 	off := int64(headerSize)
-	buf := data[headerSize:]
-	for len(buf) > 0 {
-		plen, n := binary.Uvarint(buf)
-		if n <= 0 || plen > maxRecordBytes {
-			return off, fmt.Errorf("%w: bad length prefix in %s@%d", ErrCorrupt, path, off)
+	for off < int64(len(data)) {
+		total, err := frameLen(data[off:])
+		if err == errEndOfLog && len(bytes.TrimLeft(data[off:], "\x00")) > 0 {
+			err = fmt.Errorf("%w: data after a zero length prefix", ErrCorrupt)
 		}
-		total := int64(n) + int64(plen) + 4
-		if int64(len(buf)) < total {
-			return off, fmt.Errorf("%w: torn record in %s@%d", ErrCorrupt, path, off)
+		if err != nil {
+			return off, fmt.Errorf("%w in %s@%d", err, path, off)
 		}
-		payload := buf[n : int64(n)+int64(plen)]
-		want := binary.LittleEndian.Uint32(buf[int64(n)+int64(plen) : total])
-		if crc32.ChecksumIEEE(payload) != want {
-			return off, fmt.Errorf("%w: crc mismatch in %s@%d", ErrCorrupt, path, off)
+		payload, crc, err := ParseFrame(data[off : off+total])
+		if err != nil {
+			return off, fmt.Errorf("%w in %s@%d", err, path, off)
 		}
-		r, derr := DecodeRecord(payload)
-		if derr != nil {
-			return off, fmt.Errorf("%w: %v in %s@%d", ErrCorrupt, derr, path, off)
+		r, err := DecodeRecord(payload)
+		if err != nil {
+			return off, fmt.Errorf("%w: %v in %s@%d", ErrCorrupt, err, path, off)
 		}
 		rec.fold(r)
-		rec.LastCRC = want
+		rec.LastCRC = crc
 		off += total
-		buf = buf[total:]
 	}
 	return off, nil
 }

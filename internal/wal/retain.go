@@ -119,7 +119,7 @@ func (j *Journal) RetainStats() RetainStats {
 	defer j.mu.Unlock()
 	st := RetainStats{
 		Segments:      len(j.sealedBytes) + 1,
-		TotalBytes:    j.written,
+		TotalBytes:    max(j.written, j.alloc), // the active file's size on disk
 		SnapshotSeg:   j.snapSeg,
 		LeaseFloorSeg: -1,
 	}

@@ -20,6 +20,15 @@
 // recovery by truncating to the last valid record (see Open); segments
 // wholly superseded by a later snapshot are pruned.
 //
+// The active segment is preallocated: its file size runs ahead of its last
+// frame in steps of allocStep, and the bytes in between are zeros. No record
+// has an empty payload, so a zero length prefix is the end of the log, never
+// a record (frameLen). Sealing a segment — a roll, Close — truncates it to
+// its last frame first, so a sealed file holds frames and nothing else;
+// only a segment that was active at a crash keeps its zero tail, and Recover
+// trims zeros that run to the end of the file without calling it corruption.
+// Zeros followed by anything else are a torn write like any other.
+//
 // # Durability
 //
 // Appends go through a buffered writer under a short lock (mu). Under
@@ -36,6 +45,16 @@
 // FsyncInterval runs a round on a timer; FsyncNone's timer only flushes, so
 // buffered records still become readable (and replicable) on a bounded
 // delay. That ticker is a journal's only goroutine; FsyncAlways starts none.
+//
+// A round's "fsync" is fdatasync(2). Appends land inside the preallocated
+// size, so between two rounds only data pages change and the file system has
+// no size to journal: the round costs a data write, not a metadata commit
+// that every tenant syncing at that moment would queue behind. fdatasync
+// still covers whatever metadata reading the data back needs — the new size
+// after a preallocation step included. A seal is truncate-then-fsync: the
+// full fsync makes the exact size durable before the next segment exists.
+// Where fallocate(2) is unsupported (or off Linux) appends grow the file as
+// they used to; ENOSPC from it is the append's error.
 package wal
 
 import (
@@ -50,6 +69,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/auditgames/sag/internal/obs"
@@ -62,7 +82,15 @@ const (
 	// maxRecordBytes guards against corrupt length prefixes on read.
 	// Snapshot records carry whole-cycle state, so the cap is generous.
 	maxRecordBytes = 64 << 20
+	// allocStep is the unit the active segment is preallocated in (a whole
+	// segment when segments are smaller). Anything from 16 KiB to 1 MiB
+	// measured the same; this keeps an idle tenant's floor small.
+	allocStep = 64 << 10
 )
+
+// preallocate is fallocate behind a variable so tests can refuse it and
+// exercise the growing-append fallback.
+var preallocate = fallocate
 
 // DefaultSegmentBytes is the default segment roll size.
 const DefaultSegmentBytes = 16 << 20
@@ -163,6 +191,7 @@ type Journal struct {
 	bw      *bufio.Writer
 	seq     int   // sequence number of the active segment
 	written int64 // bytes in the active segment
+	alloc   int64 // its preallocated file size; 0 when appends grow the file
 	closed  bool
 	encBuf  []byte
 
@@ -298,20 +327,41 @@ func (j *Journal) openSegmentLocked() error {
 	if err := j.bw.Flush(); err != nil {
 		return err
 	}
-	j.written = headerSize
+	j.written, j.alloc = headerSize, 0
+	if err := j.extendLocked(headerSize); err != nil {
+		return err
+	}
 	return syncDir(j.dir)
 }
 
+// extendLocked preallocates the active segment, in whole steps, to cover
+// offset end. A file system without fallocate leaves alloc at 0 and the
+// segment grows append by append; any other failure (ENOSPC) is the caller's
+// error. The caller holds mu.
+func (j *Journal) extendLocked(end int64) error {
+	step := min(j.opts.SegmentBytes, allocStep)
+	size := (end + step - 1) / step * step
+	switch err := preallocate(j.f, size); {
+	case err == nil:
+		j.alloc = size
+	case !errors.Is(err, errors.ErrUnsupported):
+		return fmt.Errorf("wal: preallocating segment: %w", err)
+	}
+	return nil
+}
+
 // syncDir fsyncs a directory so freshly created/removed files survive a
-// crash of the file system metadata. Failures are reported, not fatal —
-// some file systems refuse directory fsync.
+// crash of the file system metadata. A file system that refuses directory
+// fsync (EINVAL, ENOTSUP) is tolerated; any other failure is the caller's.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("wal: opening journal dir to fsync it: %w", err)
 	}
 	defer d.Close()
-	_ = d.Sync()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, errors.ErrUnsupported) {
+		return fmt.Errorf("wal: fsync of journal dir: %w", err)
+	}
 	return nil
 }
 
@@ -330,10 +380,15 @@ func (j *Journal) rollLocked() error {
 	return j.openSegmentLocked()
 }
 
-// sealLocked flushes, fsyncs, and closes the active segment. A failure is
-// the failed round of every record not yet synced. The caller holds mu.
+// sealLocked flushes, cuts the preallocated tail, fsyncs, and closes the
+// active segment: the full fsync makes the exact size durable, so a sealed
+// file never carries zeros. A failure is the failed round of every record
+// not yet synced. The caller holds mu.
 func (j *Journal) sealLocked() error {
 	err := j.bw.Flush()
+	if err == nil && j.alloc > j.written {
+		err = j.f.Truncate(j.written)
+	}
 	if err == nil {
 		t0 := time.Now()
 		err = j.f.Sync()
@@ -419,6 +474,11 @@ func (j *Journal) appendLocked(r Record) error {
 	j.encBuf = payload[:0]
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
+	if end := j.written + int64(n+len(payload)+4); j.alloc > 0 && end > j.alloc {
+		if err := j.extendLocked(end); err != nil {
+			return err
+		}
+	}
 	if _, err := j.bw.Write(lenBuf[:n]); err != nil {
 		return err
 	}
@@ -501,7 +561,7 @@ func (j *Journal) commit(n int64, fsync bool) error {
 	}
 	if err == nil && fsync {
 		t0 := time.Now()
-		err = f.Sync()
+		err = fdatasync(f)
 		j.fsyncSec.ObserveSince(t0)
 	}
 	j.mu.Lock()
@@ -509,7 +569,7 @@ func (j *Journal) commit(n int64, fsync bool) error {
 	if err != nil {
 		if nrecs <= j.synced {
 			// A segment roll (or Close) sealed f under this round: the late
-			// Sync hit a closed file, but the seal's own fsync covered it.
+			// sync hit a closed file, but the seal's own fsync covered it.
 			return nil
 		}
 		j.failed, j.failedErr = nrecs, err
@@ -591,7 +651,7 @@ func (j *Journal) Close() error {
 		j.sealedBytes = make(map[int]int64)
 	}
 	j.sealedBytes[j.seq] = j.written
-	j.written = 0
+	j.written, j.alloc = 0, 0
 	j.mu.Unlock()
 	close(j.done)
 	j.wg.Wait()

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -466,6 +469,173 @@ func TestRollUnderARound(t *testing.T) {
 	}
 	if rec, err := Recover(dir); err != nil || rec.Records != 2 {
 		t.Fatalf("recovered %+v, %v; want 2 records", rec, err)
+	}
+}
+
+// refusePreallocation makes fallocate answer err for the rest of the test.
+func refusePreallocation(t *testing.T, err error) {
+	t.Helper()
+	prev := preallocate
+	preallocate = func(*os.File, int64) error { return err }
+	t.Cleanup(func() { preallocate = prev })
+}
+
+// TestGrowingAppendFallback: on a file system without fallocate the journal
+// is what it was before preallocation — the active file ends at its last
+// flushed frame — and the roll races come out the same.
+func TestGrowingAppendFallback(t *testing.T) {
+	refusePreallocation(t, errors.ErrUnsupported)
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, sampleRecords())
+	end := j.DurableCursor()
+	if size := fileSize(t, filepath.Join(dir, segmentName(end.Seg))); size != end.Off {
+		t.Fatalf("active segment holds %d bytes, want it to end at the last frame (%d)", size, end.Off)
+	}
+	if st := j.RetainStats(); st.TotalBytes != end.Off {
+		t.Fatalf("TotalBytes = %d, disk holds %d", st.TotalBytes, end.Off)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("AppendWaitAcrossRolls", TestAppendWaitAcrossRolls)
+	t.Run("RollUnderARound", TestRollUnderARound)
+}
+
+// TestPreallocationFailureFailsTheAppend: a full disk is not "unsupported".
+// The append that needed the space fails and nothing of it is journaled.
+func TestPreallocationFailureFailsTheAppend(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, []Record{{Kind: KindCycleClose}})
+	refusePreallocation(t, syscall.ENOSPC)
+	if _, err := j.Append(Record{Kind: KindSnapshot, Snapshot: make([]byte, allocStep)}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("append past a full disk: %v, want ENOSPC", err)
+	}
+	if _, _, err := Open(t.TempDir(), Options{}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("open on a full disk: %v, want ENOSPC", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Recover(dir); err != nil || rec.Records != 1 || rec.Truncated {
+		t.Fatalf("recovered %+v, %v; want the 1 record appended before the disk filled", rec, err)
+	}
+}
+
+// TestAppendsDoNotMoveTheFileSize pins what makes a commit round a pure data
+// write: the active file's size is constant across the appends inside one
+// preallocation step and moves by exactly one step at the boundary.
+func TestAppendsDoNotMoveTheFileSize(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	active := filepath.Join(dir, segmentName(0))
+	blob := Record{Kind: KindSnapshot, Snapshot: make([]byte, 1000)}
+	const frame = 2 + 1 + 1000 + 4 // length prefix, kind, blob, CRC
+	for j.DurableCursor().Off+frame <= allocStep {
+		appendAll(t, j, []Record{blob})
+		if size := fileSize(t, active); size != allocStep {
+			t.Fatalf("file size %d after an append inside the first step, want %d", size, allocStep)
+		}
+	}
+	appendAll(t, j, []Record{blob}) // crosses the allocated end
+	if size := fileSize(t, active); size != 2*allocStep {
+		t.Fatalf("file size %d after crossing the boundary, want %d", size, 2*allocStep)
+	}
+	if st := j.RetainStats(); st.TotalBytes != 2*allocStep {
+		t.Fatalf("TotalBytes = %d, disk holds %d", st.TotalBytes, 2*allocStep)
+	}
+
+	// Segments smaller than a step are preallocated whole.
+	small := t.TempDir()
+	j2, _, err := Open(small, Options{Fsync: FsyncNone, SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if size := fileSize(t, filepath.Join(small, segmentName(0))); size != 4096 {
+		t.Fatalf("4 KiB segment preallocated to %d bytes", size)
+	}
+}
+
+// TestRecordLargerThanAStep: a snapshot blob bigger than the preallocation
+// step extends the allocation to cover it, in whole steps, and survives a
+// crash with the zero tail behind it.
+func TestRecordLargerThanAStep(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, 3*allocStep+123)
+	for i := range blob {
+		blob[i] = byte(i)
+	}
+	appendAll(t, j, []Record{{Kind: KindSnapshot, Snapshot: blob}, {Kind: KindQuit, Employee: 9}})
+	if size := fileSize(t, filepath.Join(dir, segmentName(0))); size != 4*allocStep {
+		t.Fatalf("file size %d, want the %d covering the blob", size, 4*allocStep)
+	}
+	abandon(j)
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Truncated || string(rec.Snapshot) != string(blob) || len(rec.Tail) != 1 {
+		t.Fatalf("recovered truncated=%v snapshot=%dB tail=%d, want the whole blob + 1 record", rec.Truncated, len(rec.Snapshot), len(rec.Tail))
+	}
+}
+
+// TestSealedSegmentsAreExact: a roll and Close cut the preallocated tail, so
+// a sealed file is byte for byte what the format has always been — here the
+// file the build before preallocation wrote for the same records.
+func TestSealedSegmentsAreExact(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, sampleRecords())
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "sealed-sample-records.sagw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sealed segment differs from the pre-preallocation build's:\n got %x\nwant %x", got, want)
+	}
+
+	rolled := t.TempDir()
+	j, _, err = Open(rolled, Options{Fsync: FsyncAlways, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSegments(t, j, 3)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seq, n := range j.sealedBytes {
+		if size := fileSize(t, filepath.Join(rolled, segmentName(seq))); size != n {
+			t.Fatalf("sealed segment %d holds %d bytes, accounted %d", seq, size, n)
+		}
+	}
+	if rec, err := Recover(rolled); err != nil || rec.Truncated {
+		t.Fatalf("recovery after a clean close: %+v, %v", rec, err)
 	}
 }
 
