@@ -21,6 +21,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/auditgames/sag/internal/obs"
@@ -107,8 +108,9 @@ type Compactor struct {
 	stopped  bool
 	pressure bool
 	blocked  map[string]bool
-	lastKick time.Time
 	rr       int // rotation offset across pressure rounds
+
+	lastScan atomic.Int64 // unix nanos of the last RunOnce start
 
 	bytesG    func(tenant string) *obs.Gauge
 	leaseG    func(tenant string) *obs.Gauge
@@ -185,13 +187,22 @@ func (c *Compactor) Stop() {
 }
 
 // Kick requests a prompt scan — the append path calls it so a write burst
-// is met with compaction now, not at the next tick. Coalesced; debounced in
-// the loop.
+// is met with compaction now, not at the next tick. Coalesced, and debounced
+// here on the caller's side: inside the window a kick costs one clock read,
+// not a wake of the loop goroutine for it to discard.
 func (c *Compactor) Kick() {
+	if c.debounced() {
+		return
+	}
 	select {
 	case c.kickCh <- struct{}{}:
 	default:
 	}
+}
+
+// debounced reports whether the last scan started under kickDebounce ago.
+func (c *Compactor) debounced() bool {
+	return c.now().UnixNano()-c.lastScan.Load() < int64(kickDebounce)
 }
 
 // Pressure reports whether the box was over budget at the last scan even
@@ -240,14 +251,10 @@ func (c *Compactor) loop() {
 		case <-tick.C:
 			c.RunOnce()
 		case <-c.kickCh:
-			c.mu.Lock()
-			since := c.now().Sub(c.lastKick)
-			c.mu.Unlock()
-			if since < kickDebounce {
-				// Too soon; the pending tick (or next kick) covers it.
-				continue
+			// A tick may have scanned since the kick was queued.
+			if !c.debounced() {
+				c.RunOnce()
 			}
-			c.RunOnce()
 		}
 	}
 }
@@ -266,8 +273,8 @@ type candidate struct {
 // or nothing more can be freed. Exposed for drills and tests; the
 // background loop calls it on every tick and kick.
 func (c *Compactor) RunOnce() {
+	c.lastScan.Store(c.now().UnixNano())
 	c.mu.Lock()
-	c.lastKick = c.now()
 	rr := c.rr
 	c.mu.Unlock()
 

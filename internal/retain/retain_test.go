@@ -278,27 +278,26 @@ func TestKickDebounce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RunOnce() // stamps lastKick at the fake clock
+	c.RunOnce() // stamps the scan time at the fake clock
 	base := scans
 
-	// Within the debounce window a kick must be dropped by the loop's check:
-	// replicate the loop's arithmetic directly (the loop itself is driven by
-	// real channels; the decision under test is pure clock math).
-	c.mu.Lock()
-	since := now().Sub(c.lastKick)
-	c.mu.Unlock()
-	if since >= kickDebounce {
-		t.Fatalf("fake clock did not hold still: since = %v", since)
+	// Inside the debounce window a kick is dropped on the caller's side: it
+	// must not reach the channel, where it would wake the loop goroutine only
+	// to be discarded.
+	for i := 0; i < 3; i++ {
+		c.Kick()
+	}
+	if n := len(c.kickCh); n != 0 {
+		t.Fatalf("kicks inside the window: %d queued, want them dropped by Kick", n)
 	}
 
 	clock.Lock()
 	clock.t = clock.t.Add(time.Second)
 	clock.Unlock()
-	c.mu.Lock()
-	since = now().Sub(c.lastKick)
-	c.mu.Unlock()
-	if since < kickDebounce {
-		t.Fatalf("advanced clock still inside debounce window: %v", since)
+	c.Kick()
+	c.Kick() // coalesced
+	if n := len(c.kickCh); n != 1 {
+		t.Fatalf("kicks after the window: %d queued, want exactly one", n)
 	}
 	c.RunOnce()
 	smu.Lock()

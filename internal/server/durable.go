@@ -154,9 +154,10 @@ func (s *Server) restoreSnapshot(t *tenantState, blob []byte) error {
 	return nil
 }
 
-// applyRecord replays one non-snapshot journal record onto t — shared by
-// boot recovery and live follower apply, so both walk the identical state
-// machine. Counter semantics mirror the handlers that wrote each record.
+// applyRecord applies one non-snapshot journal record to t. It is the tenant
+// state machine: boot recovery, live follower apply and the live pipeline
+// (commit, once the record is durable) all change per-cycle state here and
+// nowhere else, so the three cannot drift apart.
 func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 	switch r.Kind {
 	case wal.KindDecision:
@@ -166,20 +167,10 @@ func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 		if err := t.engine.ApplyDecision(r.Decision); err != nil {
 			return err
 		}
-		t.accesses.Add(1)
-		t.alerts.Add(1)
-		if r.Decision.Warned {
-			t.warned.Add(1)
-		}
+		t.countAccess(true, r.Decision.Warned)
 	case wal.KindMeta:
 		// One acknowledged request that bypassed the engine.
-		t.accesses.Add(1)
-		if r.Meta.Alerted {
-			t.alerts.Add(1)
-		}
-		if r.Meta.Warned {
-			t.warned.Add(1)
-		}
+		t.countAccess(r.Meta.Alerted, r.Meta.Warned)
 	case wal.KindQuit:
 		t.flaggedMu.Lock()
 		first := !t.flagged[r.Employee]
@@ -195,6 +186,8 @@ func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 		if err := t.engine.NewCycle(r.Budget); err != nil {
 			return err
 		}
+		// Flagged users deliberately survive the rollover: a quit reveals
+		// the requester for good (paper §4).
 		t.closed = false
 		t.accesses.Store(0)
 		t.alerts.Store(0)
@@ -208,6 +201,19 @@ func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 	return nil
 }
 
+// countAccess applies one acknowledged access's per-cycle counter delta:
+// applyRecord for a decision or meta record, and the live alert path once the
+// engine has committed (and journaled) the decision.
+func (t *tenantState) countAccess(alerted, warned bool) {
+	t.accesses.Add(1)
+	if alerted {
+		t.alerts.Add(1)
+	}
+	if warned {
+		t.warned.Add(1)
+	}
+}
+
 // noteAppend accounts one journaled record toward the automatic snapshot
 // cadence, kicking a background snapshot when the cadence is reached. Safe
 // to call from the engine's journal hook (it only touches atomics and at
@@ -216,7 +222,7 @@ func (s *Server) noteAppend(t *tenantState) {
 	t.lastAppend.Store(time.Now().UnixNano())
 	if s.retain != nil {
 		// Snapshot-now under pressure: a write burst meets compaction at the
-		// kick (coalesced, debounced in the compactor), not at the next tick.
+		// kick (coalesced; inside the debounce window it is one clock read).
 		s.retain.Kick()
 	}
 	every := s.cfg.SnapshotEvery
@@ -237,29 +243,27 @@ func (s *Server) noteAppend(t *tenantState) {
 	}()
 }
 
-// journalRecord appends one record for an acknowledged request and waits
-// for it to reach the journal's durability level, answering the 500 itself
-// on failure. Handlers call it on every state-changing path that bypasses
-// the engine (the engine's own commits journal through the hook). Returns
-// false when the response has already been written.
-func (s *Server) journalRecord(w http.ResponseWriter, t *tenantState, r wal.Record) bool {
-	if t.journal == nil {
-		return true
+// appendRecord enqueues one record on t's journal and returns the wait that
+// makes it as durable as the fsync policy promises. It is the only way a
+// record enters a live journal: commit (which waits at once) and the engine's
+// decision hook (under its budget lock, so journal order is commit order; the
+// engine waits after unlocking). A follower's journal stays nil until Promote
+// opens it; the standby gate keeps mutations out until then.
+func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, err error) {
+	j := t.journal
+	if j == nil {
+		return nil, errors.New("server: tenant journal not open (standby not promoted)")
 	}
-	err := s.fireJournalFault()
-	var wait func() error
-	if err == nil {
-		wait, err = t.journal.Append(r)
+	if p := s.journalFault.Load(); p != nil {
+		if err := p.Fire(); err != nil {
+			return nil, err
+		}
 	}
-	if err == nil && wait != nil {
-		err = wait()
-	}
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "journal: " + err.Error()})
-		return false
+	if wait, err = j.Append(r); err != nil {
+		return nil, err
 	}
 	s.noteAppend(t)
-	return true
+	return wait, nil
 }
 
 // retainTarget adapts one tenant to the retention compactor's Tenant view.
@@ -356,7 +360,7 @@ func (s *Server) snapshotTenant(t *tenantState) error {
 	if t.journal == nil {
 		return errors.New("server: tenant has no journal")
 	}
-	s.lockLifecycleW(t)
+	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
 	if t.sealed {
 		// Eviction won the race: the tenant's final state is already
@@ -463,7 +467,7 @@ func (s *Server) evictTenant(tn *shard.Tenant) {
 	if t.journal == nil {
 		return
 	}
-	s.lockLifecycleW(t)
+	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
 	if err := s.snapshotTenantLocked(t); err != nil {
 		s.logf("server: tenant %s: eviction snapshot: %v", t.id, err)
@@ -531,7 +535,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, SnapshotResponse{Tenants: n})
 		return
 	}
-	t := s.resolveTenant(w, id, false)
+	t := s.resolveTenant(w, r, id, false, noLock)
 	if t == nil {
 		return
 	}
@@ -546,7 +550,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // of the current cycle — the same summary the drain path logs — so restart
 // drills can compare recovered state against a golden run byte for byte.
 func (s *Server) handleCycleSummary(w http.ResponseWriter, r *http.Request) {
-	t := s.resolveTenantLocked(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, false)
+	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, readSide)
 	if t == nil {
 		return
 	}

@@ -265,20 +265,17 @@ func (s *Server) recoverTenantLocal(t *tenantState) error {
 // seed, cycle open/close) take the write side, everything else the read side
 // — so status reads on the follower never observe a half-applied rollover.
 func (s *Server) applyReplicated(t *tenantState, rec wal.Record) error {
+	side := readSide
 	switch rec.Kind {
-	case wal.KindSnapshot:
-		s.lockLifecycleW(t)
-		defer t.lifecycle.Unlock()
-		return s.restoreSnapshot(t, rec.Snapshot)
-	case wal.KindCycleOpen, wal.KindCycleClose:
-		s.lockLifecycleW(t)
-		defer t.lifecycle.Unlock()
-		return s.applyRecord(t, rec)
-	default:
-		s.lockLifecycleR(t)
-		defer t.lifecycle.RUnlock()
-		return s.applyRecord(t, rec)
+	case wal.KindSnapshot, wal.KindCycleOpen, wal.KindCycleClose:
+		side = writeSide
 	}
+	s.lockLifecycle(t, side)
+	defer t.unlockLifecycle(side)
+	if rec.Kind == wal.KindSnapshot {
+		return s.restoreSnapshot(t, rec.Snapshot)
+	}
+	return s.applyRecord(t, rec)
 }
 
 // reseedTenant discards a follower tenant's local state — engine and
@@ -407,7 +404,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, tenantListing{Tenants: s.durableTenantIDs()})
 		return
 	}
-	t := s.resolveTenant(w, id, false)
+	t := s.resolveTenant(w, r, id, false, noLock)
 	if t == nil {
 		return
 	}

@@ -120,3 +120,40 @@ func FuzzNewCycleHandler(f *testing.F) {
 		fuzzRoundTrip(t, h, http.MethodPost, "/v1/cycle/new", tenant, body)
 	})
 }
+
+// FuzzQuitHandler fuzzes POST /v1/quit: out-of-range and non-integer
+// employees (refused before a tenant can be created), repeats, tenant storms.
+func FuzzQuitHandler(f *testing.F) {
+	h := fuzzServer(f)
+	f.Add("", []byte(`{"employee_id":3}`))
+	f.Add("t1", []byte(`{"employee_id":3}`))
+	f.Add("", []byte(`{"employee_id":-1}`))
+	f.Add("ghost", []byte(`{"employee_id":1048576}`))
+	f.Add("", []byte(`{"employee_id":"seven"}`))
+	f.Add("", []byte(`{"employee_id":3,"tenant":"t2"}`))
+	f.Add("bad tenant!", []byte(`{"employee_id":3}`))
+	f.Add("t5-over-cap", []byte(`{"employee_id":0}`))
+	f.Add("", []byte(`][`))
+	f.Add("", append([]byte(`{"tenant":"`), bytes.Repeat([]byte("c"), 1<<21)...))
+	f.Fuzz(func(t *testing.T, tenant string, body []byte) {
+		fuzzRoundTrip(t, h, http.MethodPost, "/v1/quit", tenant, body)
+	})
+}
+
+// FuzzCloseHandler fuzzes POST /v1/cycle/close, the one lenient route: junk
+// bodies are tolerated, oversized ones are not, unknown tenants are 404, and
+// the shared server is mostly already closed (409).
+func FuzzCloseHandler(f *testing.F) {
+	h := fuzzServer(f)
+	f.Add("", []byte(``))
+	f.Add("", []byte(`{}`))
+	f.Add("", []byte(`{garbage`))
+	f.Add("", []byte(`{"tenant":"t1"}`))
+	f.Add("ghost", []byte(`{}`))
+	f.Add("..", []byte(`null`))
+	f.Add("bad tenant!", []byte(`{}`))
+	f.Add("", append([]byte(`{"tenant":"`), bytes.Repeat([]byte("d"), 1<<21)...))
+	f.Fuzz(func(t *testing.T, tenant string, body []byte) {
+		fuzzRoundTrip(t, h, http.MethodPost, "/v1/cycle/close", tenant, body)
+	})
+}

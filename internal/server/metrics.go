@@ -46,11 +46,10 @@ const (
 // own when the caller supplied none) so that GET /v1/metrics is always
 // live. Per-tenant series live in tenantMetrics.
 type serverMetrics struct {
-	reg           *obs.Registry
-	lockWaitRead  *obs.Histogram
-	lockWaitWrite *obs.Histogram
-	inflight      *obs.Gauge
-	panics        *obs.Counter
+	reg      *obs.Registry
+	lockWait [2]*obs.Histogram // indexed by lockSide
+	inflight *obs.Gauge
+	panics   *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -59,11 +58,13 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	}
 	const lockHelp = "Time waiting to acquire a tenant lifecycle lock, by side."
 	return serverMetrics{
-		reg:           reg,
-		lockWaitRead:  reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "read")),
-		lockWaitWrite: reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "write")),
-		inflight:      reg.Gauge(MetricHTTPInflightRequests, "Requests currently inside an instrumented handler."),
-		panics:        reg.Counter(MetricHTTPPanicsTotal, "Handler panics contained by the route wrapper."),
+		reg: reg,
+		lockWait: [2]*obs.Histogram{
+			readSide:  reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "read")),
+			writeSide: reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "write")),
+		},
+		inflight: reg.Gauge(MetricHTTPInflightRequests, "Requests currently inside an instrumented handler."),
+		panics:   reg.Counter(MetricHTTPPanicsTotal, "Handler panics contained by the route wrapper."),
 	}
 }
 

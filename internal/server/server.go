@@ -49,6 +49,14 @@
 // request is answered however late. So 503 "request timed out" means NOT
 // applied (no counter, charge, signal draw or journal record): safe to retry.
 // Code that ignores its context is bounded only by http.Server.WriteTimeout.
+//
+// The four mutation routes are rows of one table run by one pipeline
+// (mutate.go): gates → validate → resolve and lock → decide → journal and
+// wait → applyRecord → answer. Per-cycle state changes only in applyRecord —
+// the function boot replay and followers run — and only after the record is
+// durable, so live state equals replay of the journal by construction, a
+// refused or failed request leaves nothing to undo, and a request invalid on
+// its face is refused before it can create a tenant.
 package server
 
 import (
@@ -204,17 +212,18 @@ type Config struct {
 //
 // Locking hierarchy (acquire top to bottom, never upward):
 //
-//	lifecycle — RWMutex over this tenant's cycle transitions. Decision
-//	            handlers hold the read side for their whole request, so any
-//	            number overlap; /v1/cycle/close and /v1/cycle/new hold the
-//	            write side, so a rollover waits for in-flight decisions and
-//	            no decision ever spans a cycle boundary. Also guards closed.
-//	flaggedMu — RWMutex over this tenant's flagged-quitter set only.
+//	lifecycle — RWMutex over this tenant's cycle transitions. /v1/access
+//	            and /v1/quit hold the read side from resolve to answer, so
+//	            any number overlap; /v1/cycle/close and /v1/cycle/new hold
+//	            the write side, so a rollover waits for in-flight decisions
+//	            and no decision ever spans a cycle boundary. Guards closed.
+//	flaggedMu — RWMutex over this tenant's flagged-quitter set only; never
+//	            held across a journal wait.
 //	engine    — core.Engine's own internal locks (optimistic commit).
 //
-// Per-cycle counters (accesses, alerts, warned, quits) are atomics: they
-// are written on the hot path and read only by /v1/status and the close
-// handler's seed derivation.
+// Per-cycle counters (accesses, alerts, warned, quits) are atomics written
+// only by applyRecord, countAccess and restoreSnapshot, and read by
+// /v1/status, snapshots and the close's seed derivation.
 type tenantState struct {
 	id         string
 	seedOffset int64 // folded into RNG seeds; 0 for the default tenant
@@ -228,7 +237,7 @@ type tenantState struct {
 	// sealed is set (under lifecycle) when eviction has snapshotted the
 	// tenant and closed its journal. A request that resolved this holder
 	// before the router unlinked it must not use it — re-resolving rebuilds
-	// the tenant from the sealed journal (see resolveTenantLocked).
+	// the tenant from the sealed journal (see resolveTenant).
 	sealed bool
 
 	flaggedMu sync.RWMutex
@@ -284,9 +293,9 @@ type Server struct {
 	following atomic.Bool
 	follow    atomic.Pointer[followController] // set by StartFollowing
 
-	// journalFault, when set, is fired before every WAL append — the
-	// handlers' journalRecord and the engine's decision hook. Testing seam
-	// for the journal-failure consistency suite (SetJournalFault).
+	// journalFault, when set, is fired before every WAL append (see
+	// appendRecord). Testing seam for the journal-failure consistency suite
+	// (SetJournalFault).
 	journalFault atomic.Pointer[faultinject.Point]
 }
 
@@ -440,19 +449,7 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	var journalFn core.JournalFunc
 	if s.durable() {
 		journalFn = func(rec core.DecisionRecord) (func() error, error) {
-			j := t.journal
-			if j == nil {
-				return nil, errors.New("server: tenant journal not open (standby not promoted)")
-			}
-			if err := s.fireJournalFault(); err != nil {
-				return nil, err
-			}
-			wait, err := j.Append(wal.Record{Kind: wal.KindDecision, Decision: rec})
-			if err != nil {
-				return nil, err
-			}
-			s.noteAppend(t)
-			return wait, nil
+			return s.appendRecord(t, wal.Record{Kind: wal.KindDecision, Decision: rec})
 		}
 	}
 	engine, err := core.NewEngine(core.Config{
@@ -624,10 +621,9 @@ func (s *Server) Handler() http.Handler {
 	api := func(method, route string, h http.HandlerFunc) {
 		mux.Handle(method+" "+route, s.wrap(s.newRouteMetrics(route), s.cfg.RequestTimeout, h))
 	}
-	api("POST", "/v1/access", s.handleAccess)
-	api("POST", "/v1/quit", s.handleQuit)
-	api("POST", "/v1/cycle/close", s.handleClose)
-	api("POST", "/v1/cycle/new", s.handleNewCycle)
+	for _, rt := range mutationRoutes {
+		api("POST", rt.path, s.mutate(rt))
+	}
 	api("GET", "/v1/status", s.handleStatus)
 	api("GET", "/v1/cycle/summary", s.handleCycleSummary)
 	api("POST", "/v1/admin/snapshot", s.handleSnapshot)
@@ -751,27 +747,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}{Status: "ready"})
 }
 
-// rejectIfDiskPressure answers 507 + Retry-After for hot-path mutations of a
-// tenant the retention compactor has blocked: the box is over its disk
-// budget and this tenant's journal is all live tail, so its writes are pure
-// growth. Deliberately NOT applied to /v1/cycle/close, /v1/cycle/new, or
-// /v1/admin/snapshot — those are exactly how a blocked tenant's bytes become
-// reclaimable again. Runs before admission control so a doomed request
-// cannot consume a token or a queue slot.
-func (s *Server) rejectIfDiskPressure(w http.ResponseWriter, tenant string) bool {
-	if s.retain == nil {
-		return false
-	}
-	ra, blocked := s.retain.Blocked(tenant)
-	if !blocked {
-		return false
-	}
-	setRetryHeaders(w.Header(), ra)
-	writeJSON(w, http.StatusInsufficientStorage, apiError{
-		Error: fmt.Sprintf("disk budget exhausted: tenant %q has no reclaimable journal bytes; close the cycle or retry later", tenant)})
-	return true
-}
-
 // rejectIfFollowing answers 503 for mutations while the server is a standby;
 // reads stay available so operators can inspect catch-up state.
 func (s *Server) rejectIfFollowing(w http.ResponseWriter) bool {
@@ -815,46 +790,12 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, lenie
 	return true
 }
 
-// admitRequest passes one mutation request through admission control,
-// answering the 503 (with the computed Retry-After) itself on a shed.
-// Returns ok=false when the response has been written; otherwise release is
-// the slot-return hook to defer (nil when admission control is off or the
-// tenant ID is malformed — those requests die in resolveTenant with a 400
-// and must not occupy admission state).
-func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, tenant string) (release func(), ok bool) {
-	if s.admit == nil || !shard.ValidID(tenant) {
-		return nil, true
-	}
-	release, err := s.admit.Admit(r.Context(), tenant)
-	if err != nil {
-		var shed *admit.ShedError
-		if errors.As(err, &shed) {
-			setRetryHeaders(w.Header(), shed.RetryAfter)
-			writeJSON(w, http.StatusServiceUnavailable, apiError{
-				Error: fmt.Sprintf("overloaded (%s): request shed; retry after %ss",
-					shed.Reason, admit.FormatRetryAfter(shed.RetryAfter))})
-		} else {
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		}
-		return nil, false
-	}
-	return release, true
-}
-
 // SetJournalFault installs (or, with nil, removes) a fault-injection point
-// fired before every WAL append — both the handlers' journalRecord and the
-// engine's decision hook. It exists for the journal-failure consistency
-// suite, which proves a failed append leaves in-memory state identical to
-// a crash-recovery replay.
+// fired before every WAL append — the pipeline's commit and the engine's
+// decision hook alike. It exists for the journal-failure consistency suite,
+// which proves a failed append leaves in-memory state identical to a
+// crash-recovery replay.
 func (s *Server) SetJournalFault(p *faultinject.Point) { s.journalFault.Store(p) }
-
-// fireJournalFault triggers the installed fault point, if any.
-func (s *Server) fireJournalFault() error {
-	if p := s.journalFault.Load(); p != nil {
-		return p.Fire()
-	}
-	return nil
-}
 
 // tenantID resolves the tenant a request addresses: the X-SAG-Tenant header
 // wins, then the body's tenant field, then the default tenant.
@@ -868,76 +809,65 @@ func (s *Server) tenantID(r *http.Request, bodyTenant string) string {
 	return s.defaultID
 }
 
-// resolveTenant returns the serving state for id, answering the error
-// response itself when it cannot: 400 for a malformed ID, 429 when
-// create-on-first-use would exceed the tenant cap, 404 for an unknown
+// lockSide says which side of a tenant's lifecycle lock a caller takes;
+// readSide and writeSide index serverMetrics.lockWait.
+type lockSide int
+
+const (
+	noLock lockSide = iota - 1
+	readSide
+	writeSide
+)
+
+// resolveTenant returns the serving state for id with its lifecycle lock
+// held on side (the caller releases it with unlockLifecycle), answering the
+// error response itself when it cannot (nil): 400 for a malformed ID, 429
+// when create-on-first-use would exceed the tenant cap, 404 for an unknown
 // tenant on endpoints that must not create one, 500 for a constructor
-// failure.
-func (s *Server) resolveTenant(w http.ResponseWriter, id string, create bool) *tenantState {
+// failure. It retries when the tenant was evicted between resolution and the
+// lock: the sealed holder is already unlinked from the router, so the retry
+// rebuilds the tenant from its journal; the bound only turns a pathological
+// eviction storm into a retryable 503 instead of a spin.
+//
+// Admission and this lock are where a request can wait before it touches
+// tenant state, so the request deadline is checked here, lock in hand.
+func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string, create bool, side lockSide) *tenantState {
 	if !shard.ValidID(id) {
 		writeJSON(w, http.StatusBadRequest,
 			apiError{Error: fmt.Sprintf("invalid tenant ID %q: want 1-%d chars of [A-Za-z0-9._-]", id, shard.MaxIDLength)})
 		return nil
 	}
-	tn, ok := s.router.Get(id)
-	if !ok && !create && s.durable() && s.tenantOnDisk(id) {
+	for attempt := 0; attempt < 16; attempt++ {
+		tn, ok := s.router.Get(id)
 		// A durable tenant that was evicted (or predates this boot) is
 		// unloaded, not unknown: restore it from its journal on first use,
 		// even on endpoints that never create fresh tenants.
-		create = true
-	}
-	if !ok && !create {
-		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
-		return nil
-	}
-	if !ok {
-		var err error
-		tn, _, err = s.router.GetOrCreate(id)
-		if err != nil {
-			if errors.Is(err, shard.ErrTenantLimit) {
+		if !ok && !create && !(s.durable() && s.tenantOnDisk(id)) {
+			writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
+			return nil
+		}
+		if !ok {
+			var err error
+			if tn, _, err = s.router.GetOrCreate(id); errors.Is(err, shard.ErrTenantLimit) {
 				writeJSON(w, http.StatusTooManyRequests,
 					apiError{Error: fmt.Sprintf("tenant limit reached (%d resident); tenant %q not created", s.router.Len(), id)})
 				return nil
+			} else if err != nil {
+				writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+				return nil
 			}
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return nil
 		}
-	}
-	t := tn.Data.(*tenantState)
-	t.met.requests.Inc()
-	return t
-}
-
-// resolveTenantLocked resolves id and acquires its lifecycle lock (write
-// when write is set, read otherwise), retrying when the tenant was evicted
-// between resolution and the lock: the sealed holder is already unlinked
-// from the router, so the retry rebuilds the tenant from its journal. On
-// success the caller owns the lock (RUnlock/Unlock to release); nil means
-// the error response was already written. The bound exists only to turn a
-// pathological eviction storm into a retryable 503 instead of a spin.
-//
-// Admission and this lock are where a handler can wait before it touches
-// tenant state, so the request deadline is checked here, lock in hand.
-func (s *Server) resolveTenantLocked(w http.ResponseWriter, r *http.Request, id string, create, write bool) *tenantState {
-	for attempt := 0; attempt < 16; attempt++ {
-		t := s.resolveTenant(w, id, create)
-		if t == nil {
-			return nil
+		t := tn.Data.(*tenantState)
+		t.met.requests.Inc()
+		if side == noLock {
+			return t
 		}
-		if write {
-			s.lockLifecycleW(t)
-		} else {
-			s.lockLifecycleR(t)
-		}
+		s.lockLifecycle(t, side)
 		timedOut := r.Context().Err() != nil
 		if !t.sealed && !timedOut {
 			return t
 		}
-		if write {
-			t.lifecycle.Unlock()
-		} else {
-			t.lifecycle.RUnlock()
-		}
+		t.unlockLifecycle(side)
 		if timedOut {
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
 			return nil
@@ -948,311 +878,30 @@ func (s *Server) resolveTenantLocked(w http.ResponseWriter, r *http.Request, id 
 	return nil
 }
 
-// lockLifecycleR / lockLifecycleW acquire one tenant's lifecycle lock,
-// observing the wait in sag_http_lock_wait_seconds so re-serialization
-// regressions show up on dashboards before they show up as latency.
-func (s *Server) lockLifecycleR(t *tenantState) {
+// lockLifecycle acquires one side of a tenant's lifecycle lock, observing
+// the wait in sag_http_lock_wait_seconds so re-serialization regressions
+// show up on dashboards before they show up as latency.
+func (s *Server) lockLifecycle(t *tenantState, side lockSide) {
 	t0 := time.Now()
-	t.lifecycle.RLock()
-	s.met.lockWaitRead.ObserveSince(t0)
+	if side == writeSide {
+		t.lifecycle.Lock()
+	} else {
+		t.lifecycle.RLock()
+	}
+	s.met.lockWait[side].ObserveSince(t0)
 }
 
-func (s *Server) lockLifecycleW(t *tenantState) {
-	t0 := time.Now()
-	t.lifecycle.Lock()
-	s.met.lockWaitWrite.ObserveSince(t0)
-}
-
-func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfFollowing(w) {
-		return
+func (t *tenantState) unlockLifecycle(side lockSide) {
+	if side == writeSide {
+		t.lifecycle.Unlock()
+	} else {
+		t.lifecycle.RUnlock()
 	}
-	var req AccessRequest
-	if !s.decodeJSON(w, r, &req, false) {
-		return
-	}
-	id := s.tenantID(r, req.Tenant)
-	if s.rejectIfDiskPressure(w, id) {
-		return
-	}
-	// Admission control runs before any tenant state is touched: a shed
-	// request costs the box one token-bucket check, not a solve.
-	release, ok := s.admitRequest(w, r, id)
-	if !ok {
-		return
-	}
-	if release != nil {
-		defer release()
-	}
-	// Read side only: any number of access decisions overlap; the solve
-	// itself runs under the engine's optimistic-commit protocol, not under
-	// any server lock.
-	t := s.resolveTenantLocked(w, r, id, true, false)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.RUnlock()
-	if t.closed {
-		writeJSON(w, http.StatusConflict, apiError{Error: "audit cycle is closed; POST /v1/cycle/new to start the next one"})
-		return
-	}
-	t.accesses.Add(1)
-	t.met.accesses.Inc()
-
-	now := s.cfg.Clock()
-	alert, fired, err := s.detector.Evaluate(emr.AccessEvent{
-		Time:       now,
-		EmployeeID: req.EmployeeID,
-		PatientID:  req.PatientID,
-	})
-	if err != nil {
-		// The access was counted before it turned out malformed; journal the
-		// bare access so a recovered tenant reproduces the same counters.
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta}) {
-			t.rollbackAccess(false, false)
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	resp := AccessResponse{RemainingBudget: t.engine.RemainingBudget()}
-	if !fired {
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta}) {
-			t.rollbackAccess(false, false)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	t.alerts.Add(1)
-	t.met.alerts.Inc()
-	resp.Alert = true
-	resp.TypeID = alert.Type
-	resp.Rules = alert.Rules.String()
-
-	t.flaggedMu.RLock()
-	isFlagged := t.flagged[req.EmployeeID]
-	t.flaggedMu.RUnlock()
-	if isFlagged {
-		// Known quitter: always warn (and the access is investigated out
-		// of band — the paper notes this is cheap because quits are rare).
-		resp.Warn = true
-		resp.Flagged = true
-		t.warned.Add(1)
-		t.met.warned.Inc()
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: true, Warned: true}}) {
-			t.rollbackAccess(true, true)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	idx, gamed := s.typeIdx[alert.Type]
-	if !gamed {
-		// Unmodeled type: logged, never warned (no payoff structure).
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: true}}) {
-			t.rollbackAccess(true, false)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	d, err := t.engine.ProcessContext(r.Context(), core.Alert{Type: idx, Time: now})
-	if err != nil {
-		// No decision committed (the engine rolls its own state back on a
-		// journaling failure), so the request is not acknowledged and the
-		// counters must forget it too.
-		t.rollbackAccess(true, false)
-		switch {
-		case errors.Is(err, core.ErrAbandoned):
-			// The request deadline passed during the solve.
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
-		case errors.Is(err, core.ErrCycleRolledOver):
-			// Cannot fire under the lifecycle read lock, but embedders drive
-			// the engine directly too: the closed-cycle guard's conflict.
-			writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		}
-		return
-	}
-	resp.Warn = d.Warned
-	resp.RemainingBudget = d.BudgetAfter
-	if d.Fallback.Degraded() {
-		resp.Fallback = d.Fallback.String()
-	}
-	if d.Warned {
-		t.warned.Add(1)
-		t.met.warned.Inc()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// rollbackAccess undoes the per-cycle counter increments of an access whose
-// journal record could not be written: the request was answered 5xx, not
-// acknowledged, so the atomics — which recovery rebuilds from the journal —
-// must not remember it. The cumulative t.met counters deliberately keep
-// counting attempts; only recovered state is rolled back.
-func (t *tenantState) rollbackAccess(alerted, warned bool) {
-	t.accesses.Add(-1)
-	if alerted {
-		t.alerts.Add(-1)
-	}
-	if warned {
-		t.warned.Add(-1)
-	}
-}
-
-func (s *Server) handleQuit(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfFollowing(w) {
-		return
-	}
-	var req QuitRequest
-	if !s.decodeJSON(w, r, &req, false) {
-		return
-	}
-	id := s.tenantID(r, req.Tenant)
-	if s.rejectIfDiskPressure(w, id) {
-		return
-	}
-	release, ok := s.admitRequest(w, r, id)
-	if !ok {
-		return
-	}
-	if release != nil {
-		defer release()
-	}
-	t := s.resolveTenantLocked(w, r, id, true, false)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.RUnlock()
-	if req.EmployeeID < 0 || req.EmployeeID >= len(s.cfg.World.Employees) {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("unknown employee %d", req.EmployeeID)})
-		return
-	}
-	// Idempotent: a quit reveals the requester once. Repeating the report
-	// re-confirms the flag but must not inflate the quit counter (or the
-	// flagged gauge) — front ends retry.
-	t.flaggedMu.Lock()
-	first := !t.flagged[req.EmployeeID]
-	if first {
-		t.flagged[req.EmployeeID] = true
-		t.met.flagged.Set(float64(len(t.flagged)))
-	}
-	t.flaggedMu.Unlock()
-	if first {
-		t.quits.Add(1)
-		t.met.quits.Inc()
-		// Only the first report changes state; repeats are idempotent on
-		// replay too (the flag check above) so they need no record.
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindQuit, Employee: req.EmployeeID}) {
-			// The quit never became durable: the live server answered 500,
-			// so memory must forget the flag exactly as a crash-recovered
-			// replay would never learn it. (A concurrent access may have
-			// observed the flag in its transient window — the same exposure
-			// an acknowledged-then-crashed quit already has.)
-			t.flaggedMu.Lock()
-			delete(t.flagged, req.EmployeeID)
-			t.met.flagged.Set(float64(len(t.flagged)))
-			t.flaggedMu.Unlock()
-			t.quits.Add(-1)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Flagged bool `json:"flagged"`
-	}{Flagged: true})
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfFollowing(w) {
-		return
-	}
-	// The close itself takes no parameters; the body is decoded only for
-	// its optional tenant field and malformed bodies are deliberately
-	// tolerated (callers historically POST empty or junk bodies here) —
-	// but an oversized body is still a hard 413, not an empty request.
-	var req CloseRequest
-	if !s.decodeJSON(w, r, &req, true) {
-		return
-	}
-	// Closing must not create: an unknown tenant has no cycle to close.
-	// Write side: wait for this tenant's in-flight decisions, then freeze
-	// the cycle. A second close is a conflict — re-sampling would draw a
-	// fresh audit plan (and re-charge its total) for a cycle that already
-	// has one.
-	t := s.resolveTenantLocked(w, r, s.tenantID(r, req.Tenant), false, true)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.Unlock()
-	if t.closed {
-		writeJSON(w, http.StatusConflict, apiError{Error: "audit cycle already closed; POST /v1/cycle/new to start the next one"})
-		return
-	}
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ t.seedOffset ^ t.accesses.Load()))
-	audits, total := t.engine.CloseCycle(rng)
-	t.closed = true
-	// Durable before acknowledged: if the record is lost to a crash the
-	// client never saw the plan, recovery reopens the cycle, and a retried
-	// close re-derives the identical plan (same access count → same seed).
-	if !s.journalRecord(w, t, wal.Record{Kind: wal.KindCycleClose}) {
-		t.closed = false
-		return
-	}
-	writeJSON(w, http.StatusOK, CloseResponse{Audits: audits, TotalCost: total})
-}
-
-func (s *Server) handleNewCycle(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfFollowing(w) {
-		return
-	}
-	var req NewCycleRequest
-	if !s.decodeJSON(w, r, &req, false) {
-		return
-	}
-	t := s.resolveTenantLocked(w, r, s.tenantID(r, req.Tenant), true, true)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.Unlock()
-	if err := core.ValidateBudget(req.Budget); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	// Journal-first: unlike a close (whose pre-state is one boolean) the
-	// rollover has no cheap rollback — NewCycle discards the old cycle's
-	// decisions and fallback state. Making the record durable
-	// before mutating anything means a failed append leaves the old cycle
-	// fully intact, and with the budget pre-validated the engine call below
-	// cannot fail after the record is on disk.
-	if !s.journalRecord(w, t, wal.Record{Kind: wal.KindCycleOpen, Budget: req.Budget}) {
-		return
-	}
-	if err := t.engine.NewCycle(req.Budget); err != nil {
-		// Unreachable for a validated budget; if it ever fires the journal
-		// holds a cycle-open that memory does not, so say so loudly.
-		s.logf("server: tenant %s: cycle open journaled but engine rollover failed: %v", t.id, err)
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
-	// Reset every per-cycle counter. Flagged users deliberately survive the
-	// rollover: a quit reveals the requester for good (paper §4).
-	t.closed = false
-	t.accesses.Store(0)
-	t.alerts.Store(0)
-	t.warned.Store(0)
-	t.quits.Store(0)
-	writeJSON(w, http.StatusOK, struct {
-		Budget float64 `json:"budget"`
-	}{Budget: req.Budget})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// GET carries no body; the query parameter stands in for it.
-	t := s.resolveTenantLocked(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, false)
+	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, readSide)
 	if t == nil {
 		return
 	}
