@@ -104,7 +104,7 @@ func newBenchEngine(b *testing.B, useLP bool) *sag.Engine {
 
 // BenchmarkOSSPDecision measures one full per-alert decision (closed-form
 // online SSE + closed-form OSSP) — the paper's runtime claim (≈20 ms on
-// their laptop). This is the benchmark the CI regression gate watches.
+// their laptop).
 func BenchmarkOSSPDecision(b *testing.B) {
 	eng := newBenchEngine(b, false)
 	b.ResetTimer()

@@ -11,12 +11,11 @@ import (
 
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/obs"
 )
 
-// gatedSolver wraps the real solver so tests can hold solves inside the
-// pipeline and observe/force overlap. Each entry signals entered; the solve
-// proceeds once release is closed.
+// gatedSolver wraps the real solver so tests can hold a solve inside the
+// pipeline. Each entry signals entered; the solve proceeds once release is
+// closed.
 type gatedSolver struct {
 	entered chan struct{}
 	release chan struct{}
@@ -68,8 +67,8 @@ func processConcurrently(t *testing.T, e *Engine, workers, perWorker int) {
 }
 
 // TestProcessConcurrentKeepsBudgetChain drives many goroutines through
-// Process and checks the commit-side invariants that must survive the
-// unserialized pipeline: every decision committed, the budget chain
+// Process and checks the commit-side invariants: every decision committed,
+// the budget chain
 // contiguous (each decision starts where the previous one ended), and the
 // budget never negative.
 func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
@@ -94,59 +93,12 @@ func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
 	}
 }
 
-// TestProcessConcurrentSolvesOverlap proves the tentpole claim at the engine
-// layer: two Process calls of different types are simultaneously inside the
-// SSE solver. If the pipeline were still serialized under the engine mutex
-// the second solve could never start before the first finished, and the
-// barrier below would time out.
-func TestProcessConcurrentSolvesOverlap(t *testing.T) {
-	bs := newGatedSolver()
-	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    1e6,
-		Estimator: constEstimator(196, 29, 140, 10, 25, 15, 43),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-		SSESolve:  bs.solve,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, typ := range []int{0, 1} {
-		wg.Add(1)
-		go func(typ int) {
-			defer wg.Done()
-			_, err := e.Process(Alert{Type: typ})
-			errs <- err
-		}(typ)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-bs.entered:
-		case <-time.After(5 * time.Second):
-			t.Fatal("second solve never started: Process calls are serialized")
-		}
-	}
-	close(bs.release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestConcurrentDecisionsAreExact: every decision is solved at the state it
 // commits against. Under 8-way contention each committed θ must equal, bit
-// for bit, the SSE coverage at that decision's own BudgetBefore — except the
-// decisions that exhausted their commit retries, which the engine counts.
+// for bit, the SSE coverage at that decision's own BudgetBefore.
 func TestConcurrentDecisionsAreExact(t *testing.T) {
 	inst := multiInstance(t)
 	rates := []float64{196, 29, 140, 10, 25, 15, 43}
-	reg := obs.NewRegistry()
 	e, err := NewEngine(Config{
 		Instance:  inst,
 		Budget:    200,
@@ -154,7 +106,6 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 		Policy:    PolicyOSSP,
 		Rand:      rand.New(rand.NewSource(42)),
 		Fallback:  true,
-		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +123,6 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 	if len(ds) != workers*perWorker {
 		t.Fatalf("committed %d decisions, want %d", len(ds), workers*perWorker)
 	}
-	inexact := uint64(0)
 	for i, d := range ds {
 		if d.Fallback.Degraded() {
 			t.Fatalf("decision %d degraded to %v with a healthy solver", i, d.Fallback)
@@ -182,20 +132,135 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d.Theta != want.Coverage[d.Alert.Type] {
-			inexact++
+			t.Fatalf("decision %d: θ %g was solved at another budget than its BudgetBefore %g (want %g)",
+				i, d.Theta, d.BudgetBefore, want.Coverage[d.Alert.Type])
 		}
 	}
-	stale := reg.Snapshot().Counters[MetricStaleCommitsTotal]
-	if inexact > stale {
-		t.Fatalf("%d decisions carry a θ solved at another budget, but only %d stale commits were counted", inexact, stale)
-	}
-	t.Logf("%d decisions, %d stale commits, %d inexact θ", len(ds), stale, inexact)
 }
 
-// TestNewCycleRejectsInflightDecision: a decision whose solve spans a
-// NewCycle must fail with ErrCycleRolledOver instead of charging the new
-// cycle's budget for the old cycle's game.
-func TestNewCycleRejectsInflightDecision(t *testing.T) {
+// rollbackEstimator is a stateful estimator in the style of
+// history.Rollback: rates decay over the day, and once the total drops
+// below the threshold the answer freezes at the last healthy query time —
+// so what it returns depends on the order it was asked in. It records that
+// order. No lock: the engine promises to serialize its estimator.
+type rollbackEstimator struct {
+	base      []float64
+	day       time.Duration
+	threshold float64
+	lastGood  time.Duration
+	queries   []time.Duration
+}
+
+func (r *rollbackEstimator) FutureRates(at time.Duration) ([]float64, error) {
+	r.queries = append(r.queries, at)
+	total := 0.0
+	for _, b := range r.base {
+		total += b * (1 - float64(at)/float64(r.day))
+	}
+	if total >= r.threshold {
+		r.lastGood = at
+	} else {
+		at = r.lastGood
+	}
+	out := make([]float64, len(r.base))
+	for i, b := range r.base {
+		out[i] = b * (1 - float64(at)/float64(r.day))
+	}
+	return out, nil
+}
+
+// TestConcurrentJournalReplaysSequentially is the live == replay oracle in
+// miniature: 8 goroutines drive one engine whose estimator is stateful and
+// whose solver is slow enough for calls to pile up. The journal must list
+// the decisions in the order the estimator was queried, and feeding the
+// journaled alerts in journal order to a fresh single-threaded engine must
+// reproduce every decision — θ, scheme, signal, budget chain — bit for bit.
+func TestConcurrentJournalReplaysSequentially(t *testing.T) {
+	const workers, perWorker = 8, 200
+	const day = workers * perWorker * time.Second
+	inst := multiInstance(t)
+	var journal []DecisionRecord
+	build := func(solve SSESolveFunc, hook JournalFunc) (*Engine, *rollbackEstimator) {
+		est := &rollbackEstimator{
+			base:      []float64{196, 29, 140, 10, 25, 15, 43},
+			day:       day,
+			threshold: 150, // the last third of the day answers from frozen knowledge
+		}
+		e, err := NewEngine(Config{
+			Instance:  inst,
+			Budget:    200,
+			Estimator: est,
+			Policy:    PolicyOSSP,
+			Rand:      rand.New(rand.NewSource(42)),
+			SSESolve:  solve,
+			Journal:   hook,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, est
+	}
+	live, est := build(
+		func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+			time.Sleep(20 * time.Microsecond)
+			return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
+		},
+		func(rec DecisionRecord) (func() error, error) {
+			journal = append(journal, rec)
+			return nil, nil
+		})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				// Every alert has its own offset, so a query names its alert.
+				at := time.Duration(i*workers+g) * time.Second
+				if _, err := live.Process(Alert{Type: (g + i) % 7, Time: at}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if len(journal) != workers*perWorker || len(est.queries) != len(journal) {
+		t.Fatalf("%d journal records and %d estimator queries for %d alerts", len(journal), len(est.queries), workers*perWorker)
+	}
+	for i, rec := range journal {
+		if rec.Seq != uint64(i) || rec.Time != est.queries[i] {
+			t.Fatalf("journal record %d (seq %d) is the alert at %v, but the estimator's query %d was for %v",
+				i, rec.Seq, rec.Time, i, est.queries[i])
+		}
+	}
+
+	replay, _ := build(nil, nil)
+	differ := 0
+	for i, got := range live.Decisions() {
+		want, err := replay.Process(Alert{Type: journal[i].Type, Time: journal[i].Time})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The record carries θ, the signal and both ends of the budget link.
+		rec := want.record(uint64(i))
+		if got.Scheme != want.Scheme || got.record(uint64(i)) != rec || journal[i] != rec {
+			if differ++; differ == 1 {
+				t.Errorf("decision %d differs from its sequential re-solve:\nlive   %+v\nreplay %+v", i, got, *want)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d decisions differ from their sequential re-solve", differ, len(journal))
+	}
+}
+
+// TestNewCycleWaitsForInflightDecision: a decision in flight when NewCycle is
+// called commits to the old cycle; NewCycle then proceeds from a clean slate.
+func TestNewCycleWaitsForInflightDecision(t *testing.T) {
 	bs := newGatedSolver()
 	e, err := NewEngine(Config{
 		Instance:  multiInstance(t),
@@ -204,87 +269,103 @@ func TestNewCycleRejectsInflightDecision(t *testing.T) {
 		Policy:    PolicyOSSP,
 		Rand:      rand.New(rand.NewSource(42)),
 		SSESolve:  bs.solve,
-		Fallback:  true, // rollover must reject even when degradation is on
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
+	type result struct {
+		d   *Decision
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
-		_, err := e.Process(Alert{Type: 0})
-		done <- err
+		d, err := e.Process(Alert{Type: 0})
+		done <- result{d, err}
 	}()
 	select {
 	case <-bs.entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("solve never started")
 	}
-	if err := e.NewCycle(500); err != nil {
-		t.Fatal(err)
+	rolled := make(chan error, 1)
+	go func() { rolled <- e.NewCycle(500) }()
+	select {
+	case err := <-rolled:
+		t.Fatalf("NewCycle returned (%v) while a decision was in flight", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(bs.release)
-	if err := <-done; !errors.Is(err, ErrCycleRolledOver) {
-		t.Fatalf("got %v, want ErrCycleRolledOver", err)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.d.BudgetBefore != 1e6 {
+		t.Fatalf("in-flight decision charged budget %g, want the old cycle's 1e6", r.d.BudgetBefore)
+	}
+	if err := <-rolled; err != nil {
+		t.Fatal(err)
 	}
 	if got := e.RemainingBudget(); got != 500 {
-		t.Fatalf("rolled-over decision charged the new cycle: budget %g, want 500", got)
+		t.Fatalf("budget after NewCycle %g, want 500", got)
 	}
 	if ds := e.Decisions(); len(ds) != 0 {
-		t.Fatalf("rolled-over decision was committed: %d decisions", len(ds))
+		t.Fatalf("new cycle starts with %d decisions", len(ds))
 	}
 }
 
-// TestProcessRetriesStaleBudget: a decision whose snapshot went stale
-// re-solves at the fresh budget rather than committing the stale solve on
-// the first try.
-func TestProcessRetriesStaleBudget(t *testing.T) {
+// TestAbandonedInQueueSkipsEstimator: a caller whose context ends while it
+// queues behind another decision returns ErrAbandoned without a single
+// estimator call, so a stateful estimator never sees the abandoned alert.
+func TestAbandonedInQueueSkipsEstimator(t *testing.T) {
 	bs := newGatedSolver()
+	var queries atomic.Int32
 	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    1e6,
-		Estimator: constEstimator(196, 29, 140, 10, 25, 15, 43),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-		SSESolve:  bs.solve,
+		Instance: multiInstance(t),
+		Budget:   1e6,
+		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) {
+			queries.Add(1)
+			return []float64{196, 29, 140, 10, 25, 15, 43}, nil
+		}),
+		Policy:   PolicyOSSP,
+		Rand:     rand.New(rand.NewSource(42)),
+		SSESolve: bs.solve,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, typ := range []int{0, 1} {
-		wg.Add(1)
-		go func(typ int) {
-			defer wg.Done()
-			_, err := e.Process(Alert{Type: typ})
-			errs <- err
-		}(typ)
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.Process(Alert{Type: 0})
+		first <- err
+	}()
+	select {
+	case <-bs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("solve never started")
 	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-bs.entered:
-		case <-time.After(5 * time.Second):
-			t.Fatal("solves did not overlap")
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan error, 1)
+	go func() {
+		_, err := e.ProcessContext(ctx, Alert{Type: 1})
+		queued <- err
+	}()
+	select {
+	case err := <-queued:
+		t.Fatalf("second decision returned (%v) while the first held the engine", err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	// Both solved at budget 1e6; whichever commits second sees a stale
-	// snapshot and re-solves (any budget movement makes it stale).
+	cancel()
 	close(bs.release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
-	if got := bs.calls.Load(); got < 3 {
-		t.Fatalf("solver ran %d times, want ≥3 (two initial + at least one stale-commit retry)", got)
+	if err := <-queued; !errors.Is(err, ErrAbandoned) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrAbandoned wrapping context.Canceled", err)
 	}
-	ds := e.Decisions()
-	if len(ds) != 2 {
-		t.Fatalf("committed %d decisions, want 2", len(ds))
+	if got := queries.Load(); got != 1 {
+		t.Fatalf("estimator was queried %d times, want 1 (the abandoned waiter must not reach it)", got)
 	}
-	if ds[1].BudgetBefore != ds[0].BudgetAfter {
-		t.Fatalf("budget chain broken: %g then %g", ds[0].BudgetAfter, ds[1].BudgetBefore)
+	if ds := e.Decisions(); len(ds) != 1 || bs.calls.Load() != 1 {
+		t.Fatalf("%d decisions and %d solves, want 1 and 1", len(ds), bs.calls.Load())
 	}
 }

@@ -46,6 +46,10 @@ type Alert struct {
 // expected number of alerts of each type arriving strictly after the given
 // cycle offset. Implementations may incorporate the paper's knowledge
 // rollback; the engine treats the returned rates as Poisson means (§3.1).
+//
+// The engine queries the estimator under its budget lock, once per decision
+// in commit order, so a stateful estimator needs no locking of its own — and
+// must not call back into the Engine, which would deadlock.
 type Estimator interface {
 	FutureRates(at time.Duration) ([]float64, error)
 }
@@ -59,7 +63,8 @@ func (f EstimatorFunc) FutureRates(at time.Duration) ([]float64, error) { return
 // SSESolveFunc is the signature of the online SSE solver the engine invokes
 // once per decision. It exists as an injection seam: internal/faultinject
 // wraps it to inject solver errors, latency, and panics, and tests can
-// substitute canned results. The default is game.SolveOnlineSSECtx.
+// substitute canned results. The default is game.SolveOnlineSSECtx. It runs
+// under the engine's budget lock and must not call back into the Engine.
 type SSESolveFunc func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error)
 
 // Policy selects the engine's auditing policy.
@@ -137,11 +142,14 @@ type Config struct {
 	Fallback bool
 	// SSESolve overrides the online SSE solver (nil means
 	// game.SolveOnlineSSECtx). This is the injection seam used by
-	// internal/faultinject and by solver-substitution tests.
+	// internal/faultinject and by solver-substitution tests. Like the
+	// Estimator it runs under the engine's budget lock: it must not call
+	// back into the Engine, and one that ignores its context holds up every
+	// other caller of this engine until it returns.
 	SSESolve SSESolveFunc
-	// Journal, when non-nil, receives the durable form of every committed
-	// decision, invoked under the budget lock in commit order; the returned
-	// wait (if any) is awaited before ProcessContext returns. See
+	// Journal, when non-nil, receives the durable form of every decision
+	// about to commit, invoked under the budget lock in commit order; the
+	// returned wait (if any) is awaited before ProcessContext returns. See
 	// JournalFunc for the contract. Nil disables journaling.
 	Journal JournalFunc
 }
@@ -195,35 +203,23 @@ type Decision struct {
 // Engine executes one audit cycle online.
 //
 // Concurrency contract: every exported method is safe for concurrent use,
-// and — unlike earlier revisions, which held one mutex across the whole
-// decision — the decision pipeline (estimation, the SSE solve,
-// the signaling program) runs OUTSIDE the engine's budget lock. Process is
-// optimistic: it snapshots the remaining budget, solves at that snapshot
-// concurrently with other decisions, and commits under the lock only if the
-// budget is still exactly the snapshot; otherwise it re-solves, accepting a
-// near-state solve after a bounded number of retries (the same staleness
-// the last-good fallback rung already embraces). So every decision is
-// solved at the state it commits against, except the counted stale commits.
-// A NewCycle racing a decision bumps the cycle epoch and the decision fails
-// with ErrCycleRolledOver instead of charging the new cycle's budget.
+// and a decision is one critical section. The paper's online game is
+// sequential — alert τ+1 is solved at exactly the budget alert τ left behind
+// — so Process holds the budget lock mu from the estimator query through
+// the solve, the signal draw, the journal enqueue and the commit; only the
+// journal's durability wait runs after the unlock. Estimator query order,
+// commit order and journal order are therefore one order, and replaying a
+// journal on a fresh engine reproduces every decision bit for bit. A solve
+// is microseconds; the plug-ins it calls (Estimator, SSESolve, Journal) run
+// under mu and must not call back into the Engine.
 //
-// Single-threaded callers observe exactly the sequential semantics: with no
-// concurrent Process call the snapshot always matches the commit state, so
-// results (including the RNG stream) are bit-identical to the serialized
-// engine. Decisions remain order-dependent through the remaining budget, so
-// callers that need a *specific* interleaving (the simulation harness
-// replaying a recorded day, for example) must still serialize externally.
-// The slice returned by Decisions is owned by the engine and must not be
-// read concurrently with Process/NewCycle calls.
-//
-// Lock hierarchy (acquire top to bottom, never upward):
-//
-//	mu    — budget chain: budget, initial, cycle, decisions, rng,
-//	        lastSSE/lastRates, and every commit
-//	estMu — serializes the (possibly stateful) estimator
+// Decisions remain order-dependent through the remaining budget, so callers
+// that need a *specific* interleaving (the simulation harness replaying a
+// recorded day, for example) must still serialize externally. The slice
+// returned by Decisions is owned by the engine and must not be read
+// concurrently with Process/NewCycle calls.
 type Engine struct {
-	mu       sync.Mutex
-	estMu    sync.Mutex
+	mu       sync.Mutex // guards everything below and the estimator
 	inst     *game.Instance
 	est      Estimator
 	policy   Policy
@@ -236,14 +232,13 @@ type Engine struct {
 	journal  JournalFunc
 	budget   float64
 	initial  float64
-	cycle    uint64 // epoch, bumped by NewCycle; guarded by mu
-	rngDraws uint64 // signal-sampling draws consumed; guarded by mu
+	rngDraws uint64 // signal-sampling draws consumed
 	// pendingDraw buffers one value pulled from rng but not yet consumed
 	// (counted in rngDraws). The commit path peeks the draw to sample the
 	// signal and consumes it only once the journal record is enqueued; a
-	// journal failure rolls the decision back but cannot rewind rng, so
-	// the buffered value is what keeps the live stream aligned with the
-	// stream a crash-recovered engine would fast-forward to. Guarded by mu.
+	// refused enqueue commits nothing but cannot rewind rng, so the
+	// buffered value is what keeps the live stream aligned with the stream
+	// a crash-recovered engine would fast-forward to.
 	pendingDraw float64
 	hasPending  bool
 	decisions   []Decision
@@ -258,24 +253,11 @@ type Engine struct {
 	met       engineMetrics
 }
 
-// ErrCycleRolledOver reports that NewCycle reset the engine between a
-// decision's budget snapshot and its commit: the solve answered the previous
-// cycle's game, so committing it would charge the new cycle's budget for an
-// alert that belongs to the old one. Callers (the HTTP server) surface it as
-// a conflict; the alert can be resubmitted against the new cycle.
-var ErrCycleRolledOver = errors.New("core: audit cycle rolled over during decision")
-
 // ErrAbandoned reports that the caller's context ended before the decision
-// reached its commit: nothing was sampled, charged, recorded or journaled.
+// reached its commit — while it queued for the budget lock or during the
+// solve: nothing was sampled, charged, recorded or journaled.
 // DecisionDeadline expiring is not this — with Fallback that degrades.
 var ErrAbandoned = errors.New("core: decision abandoned before commit")
-
-// maxCommitRetries bounds how many times a decision re-solves because
-// concurrent commits moved the budget off the solved snapshot. Past the
-// bound the near-state solve is committed anyway (counted in
-// sag_engine_stale_commits_total) so sustained contention degrades to
-// bounded staleness instead of livelock.
-const maxCommitRetries = 2
 
 // NewEngine validates cfg and returns a ready Engine.
 func NewEngine(cfg Config) (*Engine, error) {
@@ -342,14 +324,14 @@ func ValidateBudget(b float64) error {
 // restored to the given value, recorded decisions are cleared, and any
 // rollback state in the estimator is reset (when the estimator exposes a
 // Reset method). The game instance, estimator, policy, and RNG stream are
-// kept, so one Engine can process a whole sequence of audit days.
+// kept, so one Engine can process a whole sequence of audit days. A decision
+// in flight commits to the old cycle first; NewCycle waits its turn.
 func (e *Engine) NewCycle(budget float64) error {
 	if err := ValidateBudget(budget); err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cycle++ // invalidate in-flight decisions: they solved the old cycle's game
 	e.budget = budget
 	e.initial = budget
 	e.decisions = e.decisions[:0]
@@ -390,19 +372,13 @@ func (e *Engine) Process(a Alert) (*Decision, error) {
 // enabled (Config.Fallback), any pipeline failure — estimator error, solver
 // error or panic, expired deadline — is converted into a degraded decision
 // via the internal/fallback ladder, so the only errors ProcessContext can
-// return are structurally invalid alerts (type out of range),
-// ErrCycleRolledOver (a NewCycle raced the decision) and ErrAbandoned (ctx
-// itself ended before the commit — checked under the budget lock, so an
-// abandoned decision leaves no trace). Without Fallback, pipeline errors
-// propagate exactly as before.
+// return are structurally invalid alerts (type out of range), a journal
+// failure, and ErrAbandoned (ctx itself ended before the commit, leaving no
+// trace). Without Fallback, pipeline errors propagate.
 //
 // Budget accounting is identical on every path: the budget is charged
 // exactly once, at commit, from the decision's signal-conditional audit
 // probability — a degraded decision can never double-charge.
-//
-// The solve runs outside e.mu (see the Engine doc comment for the
-// optimistic snapshot/commit protocol); only the commit — signal sampling,
-// budget charge, decision append — is serialized.
 func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error) {
 	var t0 time.Time
 	if e.met.enabled {
@@ -417,149 +393,110 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 		ctx, cancel = context.WithTimeout(ctx, e.deadline)
 		defer cancel()
 	}
-	for attempt := 0; ; attempt++ {
-		e.mu.Lock()
-		budget, cycle := e.budget, e.cycle
-		e.mu.Unlock()
-
-		d, err := fallback.Attempt(func() (*Decision, error) { return e.decideAt(ctx, a, budget) })
-
-		e.mu.Lock()
-		if e.cycle != cycle {
-			// NewCycle reset the engine while we were solving: the decision
-			// answers the previous cycle's game and must not charge this one.
-			e.mu.Unlock()
-			return nil, fmt.Errorf("%w (alert type %d)", ErrCycleRolledOver, a.Type)
-		}
-		if cerr := caller.Err(); cerr != nil {
-			// The last point a decision can be dropped without a trace: the
-			// caller has stopped waiting (request deadline, client gone), so
-			// neither a solved nor a degraded decision is committed for it.
-			e.mu.Unlock()
-			return nil, fmt.Errorf("%w: %w", ErrAbandoned, cerr)
-		}
-		if err != nil {
-			if !e.degrade {
-				e.mu.Unlock()
-				return nil, err
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				e.met.deadlineExceeded.Inc()
-			}
-			d = e.degraded(a)
-			e.met.fallbackCounter(d.Fallback).Inc()
-		} else if e.budget != budget {
-			// Concurrent commits moved the budget off the snapshot, so the
-			// solve answers a state the engine has left. Re-solve at the
-			// fresh budget a bounded number of times, then accept the
-			// near-state solve — the same staleness the last-good rung
-			// already embraces.
-			if attempt < maxCommitRetries {
-				e.mu.Unlock()
-				e.met.commitRetries.Inc()
-				continue
-			}
-			e.met.staleCommits.Inc()
-		}
-		// Commit: sample the signal and charge the budget. The signal draw
-		// is peeked, not consumed — if journaling fails below, the decision
-		// rolls back and the buffered draw is re-used by the next commit,
-		// exactly as a crash-recovered engine would sample it.
-		d.BudgetBefore = e.budget
-		V := e.inst.AuditCosts[a.Type]
-		switch e.policy {
-		case PolicyOSSP:
-			warnProb := d.Scheme.WarnProbability()
-			d.Warned = e.peekDrawLocked() < warnProb
-			if d.Warned {
-				d.AuditCharge = d.Scheme.AuditGivenWarn()
-			} else {
-				d.AuditCharge = d.Scheme.AuditGivenSilent()
-			}
-		case PolicySSE:
-			d.AuditCharge = d.Theta
-		}
-		d.BudgetAfter = math.Max(0, e.budget-d.AuditCharge*V)
-		e.budget = d.BudgetAfter
-		e.decisions = append(e.decisions, *d)
-		// Enqueue the journal record while still holding mu, so journal
-		// order is commit order; the group-commit wait runs after unlock.
-		var wait func() error
-		var journalErr error
-		if e.journal != nil {
-			wait, journalErr = e.journal(e.recordLocked(d))
-		}
-		if journalErr != nil {
-			// The record never entered the journal, so recovery will never
-			// replay it: un-commit. The request is not acknowledged, the
-			// budget chain and decision list match what is durable, and the
-			// peeked draw stays buffered for the next commit.
-			e.decisions = e.decisions[:len(e.decisions)-1]
-			e.budget = d.BudgetBefore
-			e.met.journalRollbacks.Inc()
-			e.met.budget.Set(e.budget)
-			e.mu.Unlock()
-			return nil, fmt.Errorf("core: journaling decision: %w", journalErr)
-		}
-		if e.policy == PolicyOSSP {
-			e.consumeDrawLocked()
-		}
-		if e.met.enabled {
-			e.met.decision.ObserveSince(t0)
-			e.met.decisions.Inc()
-			e.met.budget.Set(e.budget)
-		}
-		e.mu.Unlock()
-		if wait != nil {
-			if err := wait(); err != nil {
-				return nil, fmt.Errorf("core: journal fsync: %w", err)
-			}
-		}
-		return d, nil
+	d, wait, err := e.commit(caller, ctx, a, t0)
+	if err != nil {
+		return nil, err
 	}
+	if wait != nil {
+		if err := wait(); err != nil {
+			return nil, fmt.Errorf("core: journal fsync: %w", err)
+		}
+	}
+	return d, nil
+}
+
+// commit is the decision's critical section: decide at the current budget,
+// sample the signal, journal, then charge and record. caller is the context
+// the request arrived with (its end abandons the decision); ctx adds the
+// DecisionDeadline (its end degrades). The returned wait is the journal's.
+func (e *Engine) commit(caller, ctx context.Context, a Alert, t0 time.Time) (*Decision, func() error, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := caller.Err(); err != nil {
+		// Gave up while queued: leave the estimator and rng untouched.
+		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, err)
+	}
+	d, err := fallback.Attempt(func() (*Decision, error) { return e.decide(ctx, a) })
+	if cerr := caller.Err(); cerr != nil {
+		// The last point a decision can be dropped without a trace: the
+		// caller has stopped waiting (request deadline, client gone), so
+		// neither a solved nor a degraded decision is committed for it.
+		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, cerr)
+	}
+	if err != nil {
+		if !e.degrade {
+			return nil, nil, err
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			e.met.deadlineExceeded.Inc()
+		}
+		d = e.degraded(a)
+		e.met.fallbackCounter(d.Fallback).Inc()
+	}
+	// Sample the signal. The draw is peeked, not consumed — if the journal
+	// refuses the record below, nothing commits and the buffered draw is
+	// re-used by the next decision, exactly as a crash-recovered engine
+	// would sample it.
+	switch e.policy {
+	case PolicyOSSP:
+		d.Warned = e.peekDrawLocked() < d.Scheme.WarnProbability()
+		if d.Warned {
+			d.AuditCharge = d.Scheme.AuditGivenWarn()
+		} else {
+			d.AuditCharge = d.Scheme.AuditGivenSilent()
+		}
+	case PolicySSE:
+		d.AuditCharge = d.Theta
+	}
+	d.BudgetAfter = math.Max(0, e.budget-d.AuditCharge*e.inst.AuditCosts[a.Type])
+	// Journal before mutating anything, still under mu so journal order is
+	// commit order: a record that never entered the journal is one recovery
+	// will never replay, so there must be nothing to undo.
+	var wait func() error
+	if e.journal != nil {
+		if wait, err = e.journal(d.record(uint64(len(e.decisions)))); err != nil {
+			e.met.journalRollbacks.Inc()
+			return nil, nil, fmt.Errorf("core: journaling decision: %w", err)
+		}
+	}
+	e.budget = d.BudgetAfter
+	e.decisions = append(e.decisions, *d)
+	if e.policy == PolicyOSSP {
+		e.consumeDrawLocked()
+	}
+	if e.met.enabled {
+		e.met.decision.ObserveSince(t0)
+		e.met.decisions.Inc()
+		e.met.budget.Set(e.budget)
+	}
+	return d, wait, nil
 }
 
 // Preview computes the decision the engine would take for a hypothetical
-// alert without sampling a signal or mutating the budget chain. Used by the
-// adaptive-attacker example and by tests. Preview never degrades and
-// applies no deadline: it reports what the primary pipeline would do.
+// alert without sampling a signal, charging the budget or recording
+// anything. It does run the primary pipeline, so a stateful estimator
+// advances and the last-good state the degraded rungs consult is refreshed,
+// exactly as for a real alert. Used by the adaptive-attacker example and by
+// tests. Preview never degrades and applies no deadline.
 func (e *Engine) Preview(a Alert) (*Decision, error) {
 	if a.Type < 0 || a.Type >= e.inst.NumTypes() {
 		return nil, fmt.Errorf("core: alert type %d out of range [0,%d)", a.Type, e.inst.NumTypes())
 	}
 	e.mu.Lock()
-	budget := e.budget
-	e.mu.Unlock()
-	return e.decideAt(context.Background(), a, budget)
-}
-
-// decideAt runs the decision pipeline for a at the given budget snapshot,
-// holding no engine-wide lock: estimate, deadline check, solve. The caller
-// has validated a.Type and commits (or discards) the result.
-func (e *Engine) decideAt(ctx context.Context, a Alert, budget float64) (*Decision, error) {
-	futures, err := e.estimate(a.Time)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: decision deadline: %w", err)
-	}
-	return e.solveAt(ctx, a, budget, futures)
+	defer e.mu.Unlock()
+	return e.decide(context.Background(), a)
 }
 
 // estimate queries the estimator for the expected future alert volumes at
-// the given cycle offset and validates them into Poisson futures.
-// Estimators may be stateful (the paper's knowledge rollback), so calls
-// serialize on their own mutex — estimation is microseconds, and keeping it
-// off the budget lock lets it overlap with commits and solves.
+// the given cycle offset and validates them into Poisson futures. The
+// caller holds e.mu, which is what serializes a stateful estimator (the
+// paper's knowledge rollback) in commit order.
 func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
 	var t0 time.Time
 	if e.met.enabled {
 		t0 = time.Now()
 	}
-	e.estMu.Lock()
 	rates, err := e.est.FutureRates(at)
-	e.estMu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("core: estimating future alerts: %w", err)
 	}
@@ -574,33 +511,33 @@ func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
 		}
 		futures[i] = p
 	}
-	e.mu.Lock()
 	e.lastRates = append(e.lastRates[:0], rates...)
-	e.mu.Unlock()
 	if e.met.enabled {
 		e.met.stageEstimate.ObserveSince(t0)
 	}
 	return futures, nil
 }
 
-// solveAt runs the SSE + OSSP pipeline for one alert at the given budget
-// snapshot, producing a pre-commit decision. It holds no engine-wide lock:
-// the solve is a pure function of (type, budget, futures), and the shared
-// last-good state is updated under short critical sections.
-func (e *Engine) solveAt(ctx context.Context, a Alert, budget float64, futures []dist.Poisson) (*Decision, error) {
-	e.met.inflightSolves.Add(1)
-	defer e.met.inflightSolves.Add(-1)
+// decide runs the primary pipeline for a at the current budget — estimate,
+// online SSE, signaling — producing a pre-commit decision. The caller holds
+// e.mu and has validated a.Type.
+func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
+	futures, err := e.estimate(a.Time)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: decision deadline: %w", err)
+	}
 	var t0 time.Time
 	if e.met.enabled {
 		t0 = time.Now()
 	}
-	sse, err := e.sseSolve(ctx, e.inst, budget, futures)
+	sse, err := e.sseSolve(ctx, e.inst, e.budget, futures)
 	if err != nil {
 		return nil, fmt.Errorf("core: online SSE: %w", err)
 	}
-	e.mu.Lock()
 	e.lastSSE = sse
-	e.mu.Unlock()
 	if e.met.enabled {
 		e.met.stageSSE.ObserveSince(t0)
 		e.met.lpSolves.Add(uint64(sse.Stats.LPSolves))
@@ -615,8 +552,8 @@ func (e *Engine) solveAt(ctx context.Context, a Alert, budget float64, futures [
 
 	d := &Decision{
 		Alert:        a,
-		BudgetBefore: budget,
-		BudgetAfter:  budget,
+		BudgetBefore: e.budget,
+		BudgetAfter:  e.budget,
 		SSE:          sse,
 	}
 	if sse.BestType == -1 {

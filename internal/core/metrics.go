@@ -31,21 +31,11 @@ const (
 	// MetricDeadlineExceededTotal counts decisions whose primary pipeline
 	// was cut off by the per-decision deadline.
 	MetricDeadlineExceededTotal = "sag_engine_deadline_exceeded_total"
-	// MetricCommitRetriesTotal counts optimistic commits that re-solved
-	// because concurrent decisions moved the budget off the snapshot.
-	MetricCommitRetriesTotal = "sag_engine_commit_retries_total"
-	// MetricStaleCommitsTotal counts decisions committed from a stale
-	// budget snapshot after exhausting the commit-retry bound.
-	MetricStaleCommitsTotal = "sag_engine_stale_commits_total"
-	// MetricJournalRollbacksTotal counts committed decisions that were
-	// rolled back because their journal record could not be enqueued: the
-	// budget charge is reversed, the decision is popped, and the sampled
-	// signal draw is kept buffered so the RNG stream stays aligned with
-	// what crash recovery would replay.
+	// MetricJournalRollbacksTotal counts decisions that did not commit
+	// because their journal record could not be enqueued: nothing is
+	// charged or recorded, and the sampled signal draw is kept buffered so
+	// the RNG stream stays aligned with what crash recovery would replay.
 	MetricJournalRollbacksTotal = "sag_engine_journal_rollbacks_total"
-	// MetricInflightSolves is a gauge of decision pipelines currently inside
-	// the SSE/signaling solve.
-	MetricInflightSolves = "sag_engine_inflight_solves"
 )
 
 // engineMetrics holds the engine's pre-resolved instruments. The zero value
@@ -67,9 +57,6 @@ type engineMetrics struct {
 	fallbackStatic   *obs.Counter
 	deadlineExceeded *obs.Counter
 
-	commitRetries    *obs.Counter
-	staleCommits     *obs.Counter
-	inflightSolves   *obs.Gauge
 	journalRollbacks *obs.Counter
 }
 
@@ -119,10 +106,7 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 		fallbackStatic:   reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.Static.String()))...),
 		deadlineExceeded: reg.Counter(MetricDeadlineExceededTotal, "Decisions cut off by the per-decision deadline.", with()...),
 
-		commitRetries:    reg.Counter(MetricCommitRetriesTotal, "Optimistic commits that re-solved at a fresh budget.", with()...),
-		staleCommits:     reg.Counter(MetricStaleCommitsTotal, "Decisions committed from a stale budget snapshot after retry exhaustion.", with()...),
-		inflightSolves:   reg.Gauge(MetricInflightSolves, "Decision pipelines currently inside the SSE/signaling solve.", with()...),
-		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Committed decisions rolled back because journaling failed.", with()...),
+		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Decisions refused because their journal record could not be enqueued.", with()...),
 	}
 }
 

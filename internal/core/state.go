@@ -38,7 +38,7 @@ type DecisionRecord struct {
 }
 
 // JournalFunc is the engine's durability hook. When configured, it is
-// invoked under the engine's budget lock immediately after each decision
+// invoked under the engine's budget lock immediately before each decision
 // commits — so invocation order is exactly commit order, which is exactly
 // budget-chain order. The hook must only enqueue (no I/O waits, no locks
 // ordered before the engine's): group-commit journals buffer the record and
@@ -46,17 +46,16 @@ type DecisionRecord struct {
 // after releasing the lock and before returning, so the response is not
 // produced until the record is as durable as the journal's policy promises.
 //
-// An enqueue error is returned to the Process caller. The in-memory commit
-// has already happened at that point — the engine and the journal have
-// diverged — so callers should treat journal errors as fatal for the
-// engine's durability and stop serving from it.
+// An enqueue error is returned to the Process caller and the decision does
+// not commit: budget, decisions and the consumed-draw count are untouched,
+// so the engine still matches what the journal holds.
 type JournalFunc func(rec DecisionRecord) (wait func() error, err error)
 
-// record converts a committed decision to its durable form. The caller
-// holds e.mu and has already appended d to e.decisions.
-func (e *Engine) recordLocked(d *Decision) DecisionRecord {
+// record converts a decision to its durable form at position seq of the
+// cycle's commit order.
+func (d *Decision) record(seq uint64) DecisionRecord {
 	return DecisionRecord{
-		Seq:          uint64(len(e.decisions) - 1),
+		Seq:          seq,
 		Type:         d.Alert.Type,
 		Time:         d.Alert.Time,
 		Warned:       d.Warned,
@@ -109,7 +108,6 @@ type SSEState struct {
 type EngineState struct {
 	Budget  float64 `json:"budget"`
 	Initial float64 `json:"initial"`
-	Cycle   uint64  `json:"cycle"`
 	// RNGDraws counts the Float64 draws consumed from the engine's RNG
 	// stream; restore fast-forwards a freshly seeded RNG past them so the
 	// next sampled signal lands on the same draw it would have uninterrupted.
@@ -130,27 +128,11 @@ func (e *Engine) ExportState() EngineState {
 	st := EngineState{
 		Budget:    e.budget,
 		Initial:   e.initial,
-		Cycle:     e.cycle,
 		RNGDraws:  e.rngDraws,
 		Decisions: make([]DecisionRecord, len(e.decisions)),
 	}
 	for i := range e.decisions {
-		d := &e.decisions[i]
-		st.Decisions[i] = DecisionRecord{
-			Seq:          uint64(i),
-			Type:         d.Alert.Type,
-			Time:         d.Alert.Time,
-			Warned:       d.Warned,
-			Vacuous:      d.Vacuous,
-			AppliedSAG:   d.AppliedSAG,
-			Fallback:     d.Fallback,
-			Theta:        d.Theta,
-			AuditCharge:  d.AuditCharge,
-			BudgetBefore: d.BudgetBefore,
-			BudgetAfter:  d.BudgetAfter,
-			SSEUtility:   d.SSEUtility,
-			OSSPUtility:  d.OSSPUtility,
-		}
+		st.Decisions[i] = e.decisions[i].record(uint64(i))
 	}
 	if e.lastRates != nil {
 		st.LastRates = append([]float64(nil), e.lastRates...)
@@ -190,7 +172,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 	}
 	e.budget = st.Budget
 	e.initial = st.Initial
-	e.cycle = st.Cycle
 	e.decisions = make([]Decision, len(st.Decisions))
 	for i, r := range st.Decisions {
 		e.decisions[i] = r.restore()
@@ -224,36 +205,33 @@ func (e *Engine) RestoreState(st EngineState) error {
 // draw is burned (the draw the original commit consumed) so the stream
 // stays aligned, and the estimator is advanced to the alert's offset so
 // stateful estimators (knowledge rollback) observe the same query sequence
-// as the uninterrupted run. Records must be applied in journal order.
+// as the uninterrupted run — journal order is the order the live engine
+// queried it in. Records must be applied in journal order.
 func (e *Engine) ApplyDecision(r DecisionRecord) error {
 	if r.Type < 0 || r.Type >= e.inst.NumTypes() {
 		return fmt.Errorf("core: replaying decision: type %d out of range [0,%d)", r.Type, e.inst.NumTypes())
-	}
-	// Advance the estimator exactly as the live estimate() did. The live run
-	// succeeded (a decision committed), so an error here means the estimator
-	// itself lost state — surface it rather than silently diverging. The
-	// degraded rungs never reached the estimator, so skip it for them.
-	if r.Fallback == fallback.None {
-		e.estMu.Lock()
-		rates, err := e.est.FutureRates(r.Time)
-		e.estMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("core: replaying decision %d: estimator: %w", r.Seq, err)
-		}
-		e.mu.Lock()
-		e.lastRates = append(e.lastRates[:0], rates...)
-		e.mu.Unlock()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if want := uint64(len(e.decisions)); r.Seq != want {
 		return fmt.Errorf("core: replaying decision out of order: seq %d, want %d", r.Seq, want)
 	}
+	// Advance the estimator exactly as the live estimate() did. The live run
+	// succeeded (a decision committed), so an error here means the estimator
+	// itself lost state — surface it rather than silently diverging. The
+	// degraded rungs never reached the estimator, so skip it for them.
+	if r.Fallback == fallback.None {
+		rates, err := e.est.FutureRates(r.Time)
+		if err != nil {
+			return fmt.Errorf("core: replaying decision %d: estimator: %w", r.Seq, err)
+		}
+		e.lastRates = append(e.lastRates[:0], rates...)
+	}
 	if e.policy == PolicyOSSP {
 		// The original commit consumed one draw to sample the signal. Going
 		// through peek/consume (rather than rng.Float64 directly) keeps a
 		// follower or restarted engine aligned even when the live engine is
-		// holding a buffered draw from a rolled-back commit.
+		// holding a buffered draw from a refused journal enqueue.
 		e.peekDrawLocked()
 		e.consumeDrawLocked()
 	}

@@ -20,8 +20,7 @@ import (
 
 // gatedSolver is an SSESolveFunc wrapper that parks every solve until
 // release is closed, signaling each entry on entered. It lets tests prove
-// that two HTTP decisions are inside the solver at the same time — the
-// tentpole property the old global server lock made impossible.
+// that two tenants' HTTP decisions are inside the solver at the same time.
 type gatedSolver struct {
 	entered chan struct{}
 	release chan struct{}
@@ -89,11 +88,13 @@ func fixtureWith(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server,
 	return srv, ts, bgE, bgP
 }
 
-// TestConcurrentAccessSolvesOverlap is the regression test for the global
-// server lock: two slow /v1/access solves of different alert types must be
-// inside the SSE solver simultaneously. Under the old handler — which held
-// s.mu across the whole decision — the second request could not reach the
-// solver until the first returned, and this test times out at the barrier.
+// TestConcurrentAccessSolvesOverlap is the regression test against a
+// box-wide lock: two slow /v1/access solves for different tenants must be
+// inside the SSE solver simultaneously. One tenant's decisions are
+// sequential by design (the engine decides under its budget lock); if
+// anything shared between tenants were held across a decision, the second
+// request could not reach the solver until the first returned, and this
+// test would time out at the barrier.
 func TestConcurrentAccessSolvesOverlap(t *testing.T) {
 	bs := newGatedSolver()
 	_, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) { cfg.SSESolve = bs.solve })
@@ -104,20 +105,20 @@ func TestConcurrentAccessSolvesOverlap(t *testing.T) {
 		code int
 	}
 	results := make(chan result, 2)
-	for _, pair := range [][2]int{{bgE, bgP}, {bgE + 3, bgP + 3}} { // type 1 and type 2: distinct state keys
+	for _, tenant := range []string{"icu", "oncology"} {
 		wg.Add(1)
-		go func(emp, pat int) {
+		go func(tenant string) {
 			defer wg.Done()
 			var resp AccessResponse
-			code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: emp, PatientID: pat}, &resp)
+			code := post(t, ts, "/v1/access", AccessRequest{Tenant: tenant, EmployeeID: bgE, PatientID: bgP}, &resp)
 			results <- result{resp, code}
-		}(pair[0], pair[1])
+		}(tenant)
 	}
 	for i := 0; i < 2; i++ {
 		select {
 		case <-bs.entered:
 		case <-time.After(5 * time.Second):
-			t.Fatal("second /v1/access never reached the solver: the serving path is serialized")
+			t.Fatal("second /v1/access never reached the solver: tenants are serialized on something shared")
 		}
 	}
 	close(bs.release)

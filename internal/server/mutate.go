@@ -190,14 +190,11 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 	d, err := t.engine.ProcessContext(ctx, core.Alert{Type: idx, Time: now})
 	switch {
 	case errors.Is(err, core.ErrAbandoned):
-		// The request deadline passed during the solve: nothing committed.
+		// The request deadline passed in the engine's queue or during the
+		// solve: nothing committed.
 		return refuse(http.StatusServiceUnavailable, "request timed out")
-	case errors.Is(err, core.ErrCycleRolledOver):
-		// Cannot fire under the lifecycle read lock, but embedders drive
-		// the engine directly too: the closed-cycle guard's conflict.
-		return refuse(http.StatusConflict, err.Error())
 	case err != nil:
-		// No decision committed: the engine un-commits on a journal failure.
+		// No decision committed: the engine journals before it commits.
 		return refuse(http.StatusInternalServerError, err.Error())
 	}
 	t.countAccess(true, d.Warned)

@@ -21,8 +21,7 @@ import (
 )
 
 // The overload smoke test: a capped admission queue, one greedy tenant
-// flooding it, and paced polite tenants whose goodput must survive. This is
-// the test-matrix twin of the BenchmarkServerOverload regression gate.
+// flooding it, and paced polite tenants whose goodput must survive.
 
 // overloadFixture builds a server whose every decision costs solveDelay in
 // the solver, behind the given admission config.

@@ -25,15 +25,16 @@
 // Config.MaxTenants (429 beyond it); the world, detection rules, and game
 // instance — all immutable during serving — are shared.
 //
-// Concurrency: the serving hot path is not globally serialized. Decisions
-// run concurrently through each engine's optimistic snapshot/commit
-// protocol (see core.Engine); the server takes only a per-tenant read lock
-// on the cycle lifecycle, so /v1/access requests overlap freely — across
-// tenants and within one — while /v1/cycle/close and /v1/cycle/new take
-// that tenant's write side and drain its in-flight decisions before the
-// rollover. Per-cycle counters are atomics and each tenant's flagged-user
-// set has its own small mutex. The full locking hierarchy is documented in
-// DESIGN.md.
+// Concurrency: the serving hot path is not globally serialized. Tenants
+// share no lock across a decision; within one tenant /v1/access requests
+// take only the read side of the cycle lifecycle lock and overlap
+// everywhere except the gamed decision itself, which the engine estimates,
+// solves, journals and commits under its budget lock (see core.Engine) —
+// the durability wait runs outside it, so one hot tenant still shares
+// fsyncs. /v1/cycle/close and /v1/cycle/new take that tenant's write side
+// and drain its in-flight decisions before the rollover. Per-cycle counters
+// are atomics and each tenant's flagged-user set has its own small mutex.
+// The full locking hierarchy is documented in DESIGN.md.
 //
 // The serving path is hardened for production shapes: request bodies are
 // capped (Config.MaxBodyBytes), each engine decision can carry a deadline
@@ -87,6 +88,10 @@ import (
 // It wins over the "tenant" body field; absent both, the request routes to
 // Config.DefaultTenant.
 const TenantHeader = "X-SAG-Tenant"
+
+// tenantHeaderKey is TenantHeader as http.Header stores it. Header.Get
+// would canonicalise the constant again, allocating, on every request.
+var tenantHeaderKey = http.CanonicalHeaderKey(TenantHeader)
 
 // DefaultTenantID is the tenant used when Config.DefaultTenant is empty and
 // a request names no tenant.
@@ -219,7 +224,7 @@ type Config struct {
 //	            and no decision ever spans a cycle boundary. Guards closed.
 //	flaggedMu — RWMutex over this tenant's flagged-quitter set only; never
 //	            held across a journal wait.
-//	engine    — core.Engine's own internal locks (optimistic commit).
+//	engine    — core.Engine's budget lock, then the journal's.
 //
 // Per-cycle counters (accesses, alerts, warned, quits) are atomics written
 // only by applyRecord, countAccess and restoreSnapshot, and read by
@@ -800,8 +805,8 @@ func (s *Server) SetJournalFault(p *faultinject.Point) { s.journalFault.Store(p)
 // tenantID resolves the tenant a request addresses: the X-SAG-Tenant header
 // wins, then the body's tenant field, then the default tenant.
 func (s *Server) tenantID(r *http.Request, bodyTenant string) string {
-	if h := r.Header.Get(TenantHeader); h != "" {
-		return h
+	if h := r.Header[tenantHeaderKey]; len(h) > 0 && h[0] != "" {
+		return h[0]
 	}
 	if bodyTenant != "" {
 		return bodyTenant

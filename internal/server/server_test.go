@@ -218,10 +218,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccessesKeepInvariants hammers the (now unserialized)
-// access path and checks that the shared counters and the budget survive:
-// no lost updates, no negative budget. The overlap proof itself lives in
-// TestConcurrentAccessSolvesOverlap.
+// TestConcurrentAccessesKeepInvariants hammers one tenant's access path
+// from 8 goroutines and checks that the shared counters and the budget
+// survive: no lost updates, no negative budget.
 func TestConcurrentAccessesKeepInvariants(t *testing.T) {
 	_, ts, bgE, bgP := fixture(t)
 	done := make(chan error, 8)

@@ -75,13 +75,18 @@ type (
 	// Decision is the engine's full record for one processed alert.
 	Decision = core.Decision
 
-	// Engine is the online SAG loop (one instance per audit cycle).
+	// Engine is the online SAG loop (one instance per audit cycle). It is
+	// safe for concurrent use; decisions on one Engine are sequential, as
+	// in the paper — each is estimated, solved and committed under the
+	// engine's budget lock.
 	Engine = core.Engine
 
 	// EngineConfig assembles an Engine.
 	EngineConfig = core.Config
 
-	// Estimator supplies expected future alert volumes to the engine.
+	// Estimator supplies expected future alert volumes to the engine. It
+	// is queried under the engine's budget lock, in commit order: it needs
+	// no locking of its own and must not call back into the Engine.
 	Estimator = core.Estimator
 
 	// EstimatorFunc adapts a function to the Estimator interface.
@@ -121,7 +126,8 @@ type (
 
 	// SSESolveFunc is the engine's injectable online-SSE solver signature
 	// (EngineConfig.SSESolve); used for fault injection and solver
-	// substitution.
+	// substitution. Like the Estimator it runs under the engine's budget
+	// lock and must not call back into the Engine.
 	SSESolveFunc = core.SSESolveFunc
 )
 
