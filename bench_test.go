@@ -19,7 +19,6 @@ import (
 	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/experiments"
-	"github.com/auditgames/sag/internal/logstore"
 	"github.com/auditgames/sag/internal/lp"
 	"github.com/auditgames/sag/internal/sim"
 )
@@ -311,59 +310,6 @@ func BenchmarkNSignalOSSP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkLogstoreWrite measures access-event append throughput of the
-// binary retention store (the paper's volume is ≈192k events/day).
-func BenchmarkLogstoreWrite(b *testing.B) {
-	dir := b.TempDir()
-	w, err := logstore.NewWriter(dir, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	ev := emr.AccessEvent{Day: 3, Time: 9 * time.Hour, EmployeeID: 123, PatientID: 4567}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.PatientID = i
-		if err := w.Append(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkLogstoreScan measures full-store scan throughput.
-func BenchmarkLogstoreScan(b *testing.B) {
-	dir := b.TempDir()
-	w, err := logstore.NewWriter(dir, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 100_000
-	ev := emr.AccessEvent{Day: 1, Time: 8 * time.Hour}
-	for i := 0; i < n; i++ {
-		ev.EmployeeID = i % 4000
-		ev.PatientID = i % 30000
-		if err := w.Append(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	store, err := logstore.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count, err := store.Count()
-		if err != nil || count != n {
-			b.Fatalf("count=%d err=%v", count, err)
-		}
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkDetectionScan measures the rules engine's event throughput — the

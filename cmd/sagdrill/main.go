@@ -1,35 +1,41 @@
-// Command sagdrill is the crash and failover drill for sagserver's
-// durability layer: it proves that kill -9 at an arbitrary point loses
-// nothing the server ever acknowledged, and that the surviving state is
+// Command sagdrill is the crash, failover and retention drill for
+// sagserver's durability layer: it proves that kill -9 at an arbitrary point
+// loses nothing the server ever acknowledged, and that the surviving state is
 // bit-identical to a run that was never interrupted.
 //
-// Every mode first executes a deterministic request script uninterrupted
-// against its own sagserver (the golden run), then repeats it under fire:
+// A drill is a list of steps that one interpreter (scenario.run) executes
+// against real sagserver processes, named by role, and a deterministic
+// request script; script, kill point and kill timing all derive from -seed.
 //
-//   - -mode crash: the server is SIGKILLed mid-script (with one request in
-//     flight), restarted on the same data dir, and the script resumes from
-//     exactly the point the recovered /v1/status proves was applied.
+//	start        boot the role on its own data dir and port; starting it
+//	             again restarts the same node (dir, port, flags)
+//	kill         SIGKILL the role (inFlight: with the next script op
+//	             mid-request) and remember its highest WAL segment
+//	traffic      apply script ops, each acknowledged, up to a position: half
+//	             way to the kill point, the kill point, or the end
+//	compaction   traffic, watching the role's compactor: ≥ 3 prune rounds,
+//	             journal ≤ 4× the disk budget throughout, ≤ 2× once settled
+//	caughtUp     /v1/readyz reports replication lag 0; the first time since
+//	             its start, remember the role's oldest WAL segment
+//	gapCursor    snapshot the role until it has pruned every segment its
+//	             killed peer held (within 100 snapshots)
+//	reseeded     the role's oldest segment is past the highest it held when
+//	             killed: it wiped its mirror and re-seeded from a snapshot
+//	notReseeded  the role's oldest segment has not moved since caughtUp
+//	promote      POST /v1/admin/promote
+//	resume       /v1/status shows acked ≤ applied ≤ acked+1 (+1 only if an op
+//	             was in flight at the kill); finish the script from `applied`
+//	fingerprint  capture /v1/status, /v1/cycle/summary and /v1/cycle/close
 //
-//   - -mode failover: a primary ships its WAL to a -follow standby. The
-//     drill first kills the standby, advances the primary past snapshot
-//     pruning so the standby's resume cursor is gapped, restarts it, and
-//     requires a snapshot re-seed (not divergence). Then, caught up again,
-//     the primary is SIGKILLed with a request in flight, the standby is
-//     promoted via /v1/admin/promote, and the script resumes against it.
+// Every mode runs the golden list (start, traffic to the end, fingerprint)
+// and then its own over the same script; the two fingerprints must match byte
+// for byte. -artifacts writes a diverging pair to files for CI upload.
 //
-//   - -mode retention: the primary runs under a tiny -disk-budget with a
-//     fast compactor while a standby tails it live. The script (padded with
-//     cheap benign writes) forces at least three snapshot-then-prune rounds
-//     under the connected follower; retention leases must keep the stream
-//     intact — the standby reaches lag 0 with zero re-seeds (its mirror is
-//     never wiped), box-wide journal bytes stay bounded, and the promoted
-//     standby byte-compares against the golden run.
-//
-// Both runs then answer /v1/status, /v1/cycle/summary, and /v1/cycle/close.
-// The drill fails unless all three responses match byte for byte, and
-// unless the surviving state accounts for every acknowledged request (the
-// kill may cost at most the single un-acknowledged in-flight request).
-// -artifacts writes the diverging responses to files for CI upload.
+//	crash      kill the server in flight, restart it on its data dir, resume
+//	failover   kill the standby, gapCursor, restart it: reseeded; then kill
+//	           the primary in flight, promote the standby, resume
+//	retention  compaction under a caughtUp standby: notReseeded; then kill
+//	           the primary, promote the standby, resume
 //
 // Usage:
 //
@@ -51,7 +57,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 )
@@ -64,14 +70,8 @@ func main() {
 
 // op is one scripted request: an access pair or an employee quitting.
 type op struct {
-	quit     bool
-	employee int
-	patient  int
-}
-
-type status struct {
-	Accesses int64 `json:"accesses"`
-	Quits    int64 `json:"quits"`
+	quit              bool
+	employee, patient int
 }
 
 // config is the drill's parameter set; main fills it from flags, tests fill
@@ -103,84 +103,147 @@ func run() error {
 	return drillRun(cfg)
 }
 
+// step is one instruction of a drill: do (the package comment is the
+// vocabulary), applied to the server named by role.
+type step struct {
+	do       func(s *scenario, p *server, st step) error
+	role     string
+	peer     string   // start: boot as a standby following peer; gapCursor: the killed follower
+	flags    []string // start: sagserver flags after the common set (first boot only)
+	upTo     pos      // traffic, compaction
+	inFlight bool     // kill
+}
+
+// pos is a script position that traffic is driven up to.
+type pos int
+
+const (
+	toHalf pos = iota // half of the ops before the kill point, at least one
+	toKill            // every op before the kill point
+	toEnd             // the whole script
+)
+
+const primary, standby = "primary", "standby"
+
+// Retention drill parameters. The budget must sit above one tenant snapshot
+// (so the tenant can always reclaim) yet far below the filler's total write
+// volume (so the compactor is forced through several rounds).
+const (
+	retentionDiskBudget = 8 << 10
+	retentionFillerOps  = 5000
+)
+
+// smallSegments: a handful of snapshots prunes past a follower's cursor.
+var smallSegments = []string{"-wal-segment-bytes", "512"}
+
+var goldenSteps = []step{
+	{do: start, role: primary},
+	{do: traffic, role: primary, upTo: toEnd},
+	{do: fingerprint, role: primary},
+}
+
+// mode is one -mode value: how its script is shaped and the steps it runs.
+type mode struct {
+	what        string // the PASS line's name for what survived
+	banner      string // log format; args: kill index, script length, disk budget
+	maxRequests int    // cap on -requests, 0 for none
+	filler      int    // benign accesses appended to the script
+	steps       []step
+}
+
+var modes = map[string]mode{
+	"crash": {
+		what:   "kill -9 recovery",
+		banner: "crash run: SIGKILL with op %[1]d/%[2]d in flight",
+		steps: []step{
+			{do: start, role: primary},
+			{do: traffic, role: primary, upTo: toKill},
+			{do: kill, role: primary, inFlight: true},
+			{do: start, role: primary},
+			{do: resume, role: primary},
+			{do: fingerprint, role: primary},
+		},
+	},
+	// A standby that comes back with a pruned (gapped) resume cursor must
+	// re-seed from the primary's snapshot instead of diverging; and promoting
+	// it after the primary dies mid-request must lose nothing acknowledged.
+	"failover": {
+		what:   "standby promotion",
+		banner: "failover run: SIGKILL the primary with op %[1]d/%[2]d in flight, promote the standby",
+		steps: []step{
+			{do: start, role: primary, flags: smallSegments},
+			{do: start, role: standby, peer: primary},
+			{do: traffic, role: primary, upTo: toHalf},
+			{do: caughtUp, role: standby},
+			{do: kill, role: standby},
+			{do: gapCursor, role: primary, peer: standby},
+			{do: start, role: standby},
+			{do: caughtUp, role: standby},
+			{do: reseeded, role: standby},
+			{do: traffic, role: primary, upTo: toKill},
+			{do: caughtUp, role: standby},
+			{do: kill, role: primary, inFlight: true},
+			{do: promote, role: standby},
+			{do: resume, role: standby},
+			{do: fingerprint, role: standby},
+		},
+	},
+	// Retention leases must pin the stream's cursor so that pruning never
+	// gaps a connected follower. The budget must stay above one tenant
+	// snapshot, which carries the cycle's alert list, so the alert prefix is
+	// short and the disk pressure comes from benign filler: a few bytes an op.
+	"retention": {
+		what:        "retention under a live follower",
+		banner:      "retention run: %[2]d ops against a %[3]d-byte disk budget with a live follower",
+		maxRequests: 12,
+		filler:      retentionFillerOps,
+		steps: []step{
+			{do: start, role: primary, flags: slices.Concat(smallSegments, []string{
+				"-disk-budget", fmt.Sprint(retentionDiskBudget), "-compact-interval", "100ms"})},
+			{do: start, role: standby, peer: primary},
+			{do: caughtUp, role: standby},
+			{do: compaction, role: primary, upTo: toEnd},
+			{do: caughtUp, role: standby},
+			{do: notReseeded, role: standby},
+			{do: kill, role: primary},
+			{do: promote, role: standby},
+			{do: resume, role: standby},
+			{do: fingerprint, role: standby},
+		},
+	},
+}
+
 func drillRun(cfg config) error {
 	if cfg.mode == "" {
 		cfg.mode = "crash"
 	}
+	m, ok := modes[cfg.mode]
+	if !ok {
+		return fmt.Errorf("unknown -mode %q (want crash, failover, or retention)", cfg.mode)
+	}
 	log.Printf("drill seed %d (mode %s)", cfg.seed, cfg.mode)
 
-	if cfg.mode == "retention" && cfg.requests > 12 {
-		// Alert-heavy ops grow the tenant snapshot (the cycle's alert list
-		// rides in it), and the retention budget must stay above one
-		// snapshot for the tenant to keep reclaiming. Keep the alert prefix
-		// short; the disk pressure comes from the benign filler instead.
-		log.Printf("retention mode: capping -requests %d to 12 (snapshot must fit the disk budget)", cfg.requests)
-		cfg.requests = 12
+	if m.maxRequests > 0 && cfg.requests > m.maxRequests {
+		log.Printf("%s mode: capping -requests %d to %d (snapshot must fit the disk budget)", cfg.mode, cfg.requests, m.maxRequests)
+		cfg.requests = m.maxRequests
 	}
 	script := buildScript(cfg.seed, cfg.requests, cfg.employees, cfg.patients)
-	if cfg.mode == "retention" {
-		// Benign accesses journal a handful of bytes each and leave the
-		// snapshot alone: sustained cheap writes against a tiny budget is
-		// exactly the workload that forces repeated compaction rounds.
-		for i := 0; i < retentionFillerOps; i++ {
-			script = append(script, op{employee: 0, patient: 0})
-		}
+	for i := 0; i < m.filler; i++ {
+		script = append(script, op{employee: 0, patient: 0})
 	}
 	rng := rand.New(rand.NewSource(cfg.seed ^ 0x9d1))
-	kill := 1 + rng.Intn(len(script)-1)
-
-	goldenDir, err := os.MkdirTemp("", "sagdrill-golden-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(goldenDir)
-
-	d := &drill{
-		bin:       cfg.serverBin,
-		employees: cfg.employees,
-		patients:  cfg.patients,
-		history:   cfg.history,
-		startWait: cfg.startWait,
-		client:    &http.Client{Timeout: 30 * time.Second},
-	}
+	killAt := 1 + rng.Intn(len(script)-1)
+	jitter := time.Duration(rng.Intn(8)) * time.Millisecond
 
 	log.Printf("golden run: %d ops, uninterrupted", len(script))
-	golden, err := d.goldenRun(goldenDir, script)
+	golden, err := newScenario(cfg, script, killAt, jitter).run(goldenSteps)
 	if err != nil {
 		return fmt.Errorf("golden run: %w", err)
 	}
-
-	var survived capture
-	var what string
-	switch cfg.mode {
-	case "crash":
-		crashDir, err := os.MkdirTemp("", "sagdrill-crash-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(crashDir)
-		log.Printf("crash run: SIGKILL with op %d/%d in flight", kill, len(script))
-		survived, err = d.crashRun(crashDir, script, kill, rng.Intn(8))
-		if err != nil {
-			return fmt.Errorf("crash run: %w", err)
-		}
-		what = "kill -9 recovery"
-	case "failover":
-		log.Printf("failover run: SIGKILL the primary with op %d/%d in flight, promote the standby", kill, len(script))
-		survived, err = d.failoverRun(script, kill, rng.Intn(8))
-		if err != nil {
-			return fmt.Errorf("failover run: %w", err)
-		}
-		what = "standby promotion"
-	case "retention":
-		log.Printf("retention run: %d ops against a %d-byte disk budget with a live follower", len(script), retentionDiskBudget)
-		survived, err = d.retentionRun(script)
-		if err != nil {
-			return fmt.Errorf("retention run: %w", err)
-		}
-		what = "retention under a live follower"
-	default:
-		return fmt.Errorf("unknown -mode %q (want crash, failover, or retention)", cfg.mode)
+	log.Printf(m.banner, killAt, len(script), retentionDiskBudget)
+	survived, err := newScenario(cfg, script, killAt, jitter).run(m.steps)
+	if err != nil {
+		return fmt.Errorf("%s run: %w", cfg.mode, err)
 	}
 
 	for _, c := range []struct{ name, file, want, got string }{
@@ -190,11 +253,11 @@ func drillRun(cfg config) error {
 	} {
 		if c.want != c.got {
 			dumpDivergence(cfg.artifacts, cfg.mode, c.file, c.want, c.got)
-			return fmt.Errorf("%s diverged after %s:\n golden: %s\n actual: %s", c.name, what, c.want, c.got)
+			return fmt.Errorf("%s diverged after %s:\n golden: %s\n actual: %s", c.name, m.what, c.want, c.got)
 		}
 		log.Printf("%s: surviving run matches golden run byte for byte", c.name)
 	}
-	fmt.Printf("sagdrill: PASS — %s is bit-identical to the uninterrupted run\n", what)
+	fmt.Printf("sagdrill: PASS — %s is bit-identical to the uninterrupted run\n", m.what)
 	return nil
 }
 
@@ -204,15 +267,14 @@ func dumpDivergence(dir, mode, name, golden, actual string) {
 	if dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Printf("artifacts: %v", err)
-		return
-	}
+	err := os.MkdirAll(dir, 0o755)
 	for suffix, body := range map[string]string{"golden": golden, "actual": actual} {
-		path := filepath.Join(dir, fmt.Sprintf("%s-%s-%s.json", mode, name, suffix))
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			log.Printf("artifacts: %v", err)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, fmt.Sprintf("%s-%s-%s.json", mode, name, suffix)), []byte(body), 0o644)
 		}
+	}
+	if err != nil {
+		log.Printf("artifacts: %v", err)
 	}
 }
 
@@ -240,59 +302,136 @@ func buildScript(seed int64, n, employees, patients int) []op {
 	return script
 }
 
-type drill struct {
-	bin       string
-	employees int
-	patients  int
-	history   int
-	startWait time.Duration
-	client    *http.Client
+// server is one sagserver role of a scenario. Its dir, port and flags
+// outlive the process, so a restart comes back as the same node.
+type server struct {
+	dir      string        // "" until the role's first start
+	args     []string      // flags after the common set
+	peer     *server       // the primary it follows, if it was started as a standby
+	base     string        // http://127.0.0.1:<its port>
+	cmd      *exec.Cmd     // its latest process, nil before the first start
+	exited   chan struct{} // closed once cmd has been reaped
+	lo, hi   int           // remembered WAL segments: oldest at caughtUp (-1 until then), highest at kill
+	promoted bool
 }
 
 // capture is the durable-state fingerprint of a run.
-type capture struct {
-	status  string
-	summary string
-	close_  string
+type capture struct{ status, summary, close_ string }
+
+// scenario is the state a step list runs against.
+type scenario struct {
+	cfg     config
+	client  *http.Client
+	script  []op
+	stops   [3]int        // the script index each pos stands for
+	jitter  time.Duration // how long an in-flight op runs before the SIGKILL
+	servers map[string]*server
+	// next is the script cursor: ops [0, next) were acknowledged. After an
+	// in-flight kill inFlight is 1: op next may have landed; resume finds out.
+	next     int
+	inFlight int
+	got      capture
 }
 
-// start launches one sagserver over dir and waits until it serves; extra
-// flags (replication roles, segment sizing) append after the common set.
-func (d *drill) start(dir string, port int, extra ...string) (*exec.Cmd, string, error) {
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	args := []string{
-		"-addr", addr,
-		"-data-dir", dir,
-		"-fsync", "always",
-		"-fixed-clock", "9h",
-		"-seed", "2017",
-		"-employees", fmt.Sprint(d.employees),
-		"-patients", fmt.Sprint(d.patients),
-		"-history", fmt.Sprint(d.history),
+func newScenario(cfg config, script []op, killAt int, jitter time.Duration) *scenario {
+	return &scenario{
+		cfg:     cfg,
+		client:  &http.Client{Timeout: 30 * time.Second},
+		script:  script,
+		stops:   [3]int{toHalf: max(1, killAt/2), toKill: killAt, toEnd: len(script)},
+		jitter:  jitter,
+		servers: map[string]*server{},
 	}
-	args = append(args, extra...)
-	cmd := exec.Command(d.bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
+}
+
+// run executes the steps in order and returns what fingerprint captured;
+// every server is killed and every data dir removed on the way out.
+func (s *scenario) run(steps []step) (capture, error) {
+	defer func() {
+		for _, p := range s.servers {
+			p.stop()
+			os.RemoveAll(p.dir)
+		}
+	}()
+	for i, st := range steps {
+		p := s.servers[st.role]
+		if p == nil {
+			p = &server{}
+			s.servers[st.role] = p
+		}
+		if err := st.do(s, p, st); err != nil {
+			return capture{}, fmt.Errorf("step %d of %d (%s): %w", i+1, len(steps), st.role, err)
+		}
 	}
-	base := "http://" + addr
-	deadline := time.Now().Add(d.startWait)
+	return s.got, nil
+}
+
+// start boots a role (first on a fresh data dir and a free port with the
+// step's flags, afterwards as the same node) and waits until it serves or its
+// process exits: a bad flag, or freePort's close-then-bind race lost the port.
+func start(s *scenario, p *server, st step) (err error) {
+	if p.dir == "" {
+		if p.dir, err = os.MkdirTemp("", "sagdrill-"+st.role+"-*"); err != nil {
+			return err
+		}
+		var port int
+		if port, err = freePort(); err != nil {
+			return err
+		}
+		p.base = fmt.Sprintf("http://127.0.0.1:%d", port)
+		p.args = st.flags
+		if st.peer != "" {
+			p.peer = s.servers[st.peer]
+			p.args = slices.Concat(p.args, []string{"-follow", p.peer.base, "-ready-lag", "0"})
+		}
+	}
+	p.lo = -1
+	args := append([]string{
+		"-addr", strings.TrimPrefix(p.base, "http://"), "-data-dir", p.dir,
+		"-fsync", "always", "-fixed-clock", "9h", "-seed", "2017", "-history", fmt.Sprint(s.cfg.history),
+		"-employees", fmt.Sprint(s.cfg.employees), "-patients", fmt.Sprint(s.cfg.patients),
+	}, p.args...)
+	cmd := exec.Command(s.cfg.serverBin, args...)
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err = cmd.Start(); err != nil {
+		return err
+	}
+	p.cmd, p.exited = cmd, make(chan struct{})
+	go func(exited chan struct{}) {
+		_ = cmd.Wait()
+		close(exited)
+	}(p.exited)
+	if err = s.await(p, "/v1/healthz"); err != nil {
+		p.stop()
+	}
+	return err
+}
+
+// await polls path on p until it answers 200, p's process exits, or
+// -start-wait runs out.
+func (s *scenario) await(p *server, path string) error {
+	deadline := time.Now().Add(s.cfg.startWait)
 	for {
-		resp, err := d.client.Get(base + "/v1/healthz")
+		_, err := s.get(p.base, path)
 		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return cmd, base, nil
-			}
+			return nil
+		}
+		select {
+		case <-p.exited:
+			return fmt.Errorf("server at %s exited (%v) before %s answered 200", p.base, p.cmd.ProcessState, path)
+		case <-time.After(25 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-			return nil, "", fmt.Errorf("server at %s not ready within %v", addr, d.startWait)
+			return fmt.Errorf("server at %s: %s not 200 within %v (last: %v)", p.base, path, s.cfg.startWait, err)
 		}
-		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// stop SIGKILLs p's process, if it has one, and waits for it to be reaped.
+func (p *server) stop() {
+	if p.cmd != nil {
+		_ = p.cmd.Process.Kill()
+		<-p.exited
 	}
 }
 
@@ -305,27 +444,219 @@ func freePort() (int, error) {
 	return l.Addr().(*net.TCPAddr).Port, nil
 }
 
+// kill SIGKILLs p. With inFlight it first fires the next script op and kills
+// the server while it is (maybe) mid-request: the op lands iff its journal
+// record hit disk before the kill.
+func kill(s *scenario, p *server, st step) (err error) {
+	done := make(chan struct{})
+	if st.inFlight {
+		go func() {
+			defer close(done)
+			_ = s.apply(p.base, s.script[s.next])
+		}()
+		time.Sleep(s.jitter)
+		s.inFlight = 1
+	} else {
+		close(done)
+	}
+	p.stop()
+	<-done
+	_, p.hi, err = segRange(p.dir)
+	return err
+}
+
+func traffic(s *scenario, p *server, st step) error { return s.drive(p, s.stops[st.upTo], nil) }
+
+// drive applies script ops to p, each one acknowledged, until the cursor
+// reaches upTo; after every 100th op it calls watch, if there is one.
+func (s *scenario) drive(p *server, upTo int, watch func() error) error {
+	for ; s.next < upTo; s.next++ {
+		if err := s.apply(p.base, s.script[s.next]); err != nil {
+			return fmt.Errorf("op %d: %w", s.next, err)
+		}
+		if watch != nil && s.next%100 == 99 {
+			if err := watch(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// compaction drives traffic while p's compactor churns underneath, counting
+// a round each time p's oldest segment advances. 4× the budget allows the
+// transient of a fresh snapshot landing before its round's prune; 2× is the
+// steady state the budget promises once the compactor has settled.
+func compaction(s *scenario, p *server, st step) error {
+	rounds := 0
+	lastLo, _, err := segRange(p.dir)
+	if err != nil {
+		return err
+	}
+	sample := func() error {
+		lo, _, err := segRange(p.dir)
+		if lo > lastLo {
+			rounds++
+			lastLo = lo
+		}
+		return err
+	}
+	err = s.drive(p, s.stops[st.upTo], func() error {
+		if got := journalBytes(p.dir); got > 4*retentionDiskBudget {
+			return fmt.Errorf("journal grew to %d bytes against a %d-byte budget: compaction not keeping up", got, retentionDiskBudget)
+		}
+		return sample()
+	})
+	if err != nil {
+		return err
+	}
+	time.Sleep(time.Second)
+	_ = sample()
+	if rounds < 3 {
+		return fmt.Errorf("only %d compaction rounds ran; the drill requires at least 3 (oldest segment now %d)", rounds, lastLo)
+	}
+	steady := journalBytes(p.dir)
+	if steady > 2*retentionDiskBudget {
+		return fmt.Errorf("steady-state journal holds %d bytes, want <= 2x budget (%d)", steady, 2*retentionDiskBudget)
+	}
+	log.Printf("compaction: %d rounds, steady-state journal %d bytes (budget %d)", rounds, steady, retentionDiskBudget)
+	return nil
+}
+
+// caughtUp waits until p's /v1/readyz reports ready, which with -ready-lag 0
+// means replication lag is exactly zero records.
+func caughtUp(s *scenario, p *server, st step) (err error) {
+	if err = s.await(p, "/v1/readyz"); err != nil || p.lo != -1 {
+		return err
+	}
+	if p.lo, _, err = segRange(p.dir); err != nil && p.peer != nil {
+		// Nothing mirrored yet: the mirror's first segment will be the one
+		// the primary is writing now.
+		_, p.lo, err = segRange(p.peer.dir)
+	}
+	return err
+}
+
+// gapCursor snapshots (and so prunes) p until its oldest segment is past all
+// its dead follower holds: the follower's cursor then points at deleted ones.
+func gapCursor(s *scenario, p *server, st step) error {
+	follower := s.servers[st.peer]
+	for i := 0; i < 100; i++ {
+		if _, err := s.post(p.base, "/v1/admin/snapshot", "{}"); err != nil {
+			return fmt.Errorf("snapshot %d: %w", i, err)
+		}
+		lo, _, err := segRange(p.dir)
+		if err != nil {
+			return err
+		}
+		if lo > follower.hi {
+			return nil
+		}
+	}
+	return fmt.Errorf("never pruned past the %s's cursor (its max segment is %d)", st.peer, follower.hi)
+}
+
+// reseeded: the only legal recovery from a gapped cursor is to wipe the mirror
+// and re-seed from the primary's snapshot, which fresh segment numbers prove.
+func reseeded(s *scenario, p *server, st step) error {
+	lo, _, err := segRange(p.dir)
+	if err != nil {
+		return err
+	}
+	if lo <= p.hi {
+		return fmt.Errorf("%s min segment %d did not advance past its pre-gap max %d: re-seed did not happen", st.role, lo, p.hi)
+	}
+	log.Printf("%s re-seeded from snapshot (segments now start at %d, were ≤ %d)", st.role, lo, p.hi)
+	return nil
+}
+
+// notReseeded: a re-seed wipes the mirror and restarts it at the primary's
+// snapshot segment, so the oldest segment moving is disqualifying.
+func notReseeded(s *scenario, p *server, st step) error {
+	lo, _, err := segRange(p.dir)
+	if err != nil {
+		return err
+	}
+	if lo != p.lo {
+		return fmt.Errorf("%s's oldest segment moved %d -> %d: the stream was re-seeded under compaction (lease failed)", st.role, p.lo, lo)
+	}
+	log.Printf("%s at lag 0 with zero re-seeds (mirror still starts at segment %d)", st.role, lo)
+	return nil
+}
+
+func promote(s *scenario, p *server, st step) error {
+	raw, err := s.post(p.base, "/v1/admin/promote", "")
+	if err != nil {
+		return err
+	}
+	p.promoted = true
+	log.Printf("promoted %s: %s", st.role, strings.TrimSpace(raw))
+	return nil
+}
+
+// resume asks the survivor how far the script got and finishes it from
+// there. Every acknowledged op is durable (FsyncAlways; for a promoted
+// standby, lag 0 before the kill): fewer applied ops is data loss, more than
+// the one in-flight op on top is corruption. That op may go either way.
+func resume(s *scenario, p *server, st step) error {
+	raw, err := s.get(p.base, "/v1/status")
+	if err != nil {
+		return err
+	}
+	var status struct{ Accesses, Quits int }
+	if err := json.Unmarshal([]byte(raw), &status); err != nil {
+		return err
+	}
+	applied := status.Accesses + status.Quits
+	if applied < s.next || applied > s.next+s.inFlight {
+		return fmt.Errorf("%s holds %d applied ops; %d were acknowledged before the kill and %d in flight (durability violated)", st.role, applied, s.next, s.inFlight)
+	}
+	if s.inFlight == 1 {
+		found, then := "recovered", "resuming"
+		if p.promoted {
+			found, then = "promoted standby holds", "resuming against it"
+		}
+		log.Printf("%s %d/%d ops (in-flight op %s); %s", found, applied, len(s.script),
+			map[bool]string{true: "survived", false: "lost"}[applied == s.next+1], then)
+	}
+	s.next, s.inFlight = applied, 0
+	return s.drive(p, len(s.script), nil)
+}
+
+// fingerprint captures status, summary, and the cycle-close plan.
+func fingerprint(s *scenario, p *server, st step) (err error) {
+	if s.got.status, err = s.get(p.base, "/v1/status"); err != nil {
+		return err
+	}
+	if s.got.summary, err = s.get(p.base, "/v1/cycle/summary"); err != nil {
+		return err
+	}
+	s.got.close_, err = s.post(p.base, "/v1/cycle/close", "{}")
+	return err
+}
+
 // apply sends one op and requires acknowledgement.
-func (d *drill) apply(base string, o op) error {
+func (s *scenario) apply(base string, o op) error {
 	path, body := "/v1/access", fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, o.employee, o.patient)
 	if o.quit {
 		path, body = "/v1/quit", fmt.Sprintf(`{"employee_id":%d}`, o.employee)
 	}
-	resp, err := d.client.Post(base+path, "application/json", bytes.NewBufferString(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, raw)
-	}
-	_, err = io.Copy(io.Discard, resp.Body)
+	_, err := s.post(base, path, body)
 	return err
 }
 
-func (d *drill) get(base, path string) (string, error) {
-	resp, err := d.client.Get(base + path)
+func (s *scenario) post(base, path, body string) (string, error) {
+	resp, err := s.client.Post(base+path, "application/json", strings.NewReader(body))
+	return readOK(path, resp, err)
+}
+
+func (s *scenario) get(base, path string) (string, error) {
+	resp, err := s.client.Get(base + path)
+	return readOK(path, resp, err)
+}
+
+// readOK returns a 200 response's body; anything else is an error.
+func readOK(path string, resp *http.Response, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
@@ -335,443 +666,14 @@ func (d *drill) get(base, path string) (string, error) {
 		return "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, raw)
+		return "", fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(raw))
 	}
 	return string(raw), nil
 }
 
-// fingerprint captures status, summary, and the cycle-close plan.
-func (d *drill) fingerprint(base string) (capture, error) {
-	var c capture
-	var err error
-	if c.status, err = d.get(base, "/v1/status"); err != nil {
-		return c, err
-	}
-	if c.summary, err = d.get(base, "/v1/cycle/summary"); err != nil {
-		return c, err
-	}
-	resp, err := d.client.Post(base+"/v1/cycle/close", "application/json", bytes.NewBufferString("{}"))
-	if err != nil {
-		return c, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return c, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return c, fmt.Errorf("/v1/cycle/close: status %d: %s", resp.StatusCode, raw)
-	}
-	c.close_ = string(raw)
-	return c, nil
-}
-
-func (d *drill) goldenRun(dir string, script []op) (capture, error) {
-	port, err := freePort()
-	if err != nil {
-		return capture{}, err
-	}
-	cmd, base, err := d.start(dir, port)
-	if err != nil {
-		return capture{}, err
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
-	for i, o := range script {
-		if err := d.apply(base, o); err != nil {
-			return capture{}, fmt.Errorf("op %d: %w", i, err)
-		}
-	}
-	return d.fingerprint(base)
-}
-
-func (d *drill) crashRun(dir string, script []op, kill, jitterMS int) (capture, error) {
-	port, err := freePort()
-	if err != nil {
-		return capture{}, err
-	}
-	cmd, base, err := d.start(dir, port)
-	if err != nil {
-		return capture{}, err
-	}
-	for i := 0; i < kill; i++ {
-		if err := d.apply(base, script[i]); err != nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-			return capture{}, fmt.Errorf("op %d before kill: %w", i, err)
-		}
-	}
-	// Fire op `kill` and SIGKILL the server while it is (maybe) mid-request:
-	// the op lands iff its journal record hit disk before the kill.
-	inflight := make(chan struct{})
-	go func() {
-		defer close(inflight)
-		_ = d.apply(base, script[kill])
-	}()
-	time.Sleep(time.Duration(jitterMS) * time.Millisecond)
-	if err := cmd.Process.Kill(); err != nil {
-		return capture{}, err
-	}
-	_ = cmd.Wait()
-	<-inflight
-
-	// Restart over the same data dir and ask the recovered state how far
-	// the script got. FsyncAlways means every acknowledged op is durable:
-	// fewer than `kill` applied ops is data loss, more than kill+1 is
-	// corruption. The in-flight op alone may go either way.
-	cmd2, base2, err := d.start(dir, port)
-	if err != nil {
-		return capture{}, fmt.Errorf("restart: %w", err)
-	}
-	defer func() {
-		_ = cmd2.Process.Kill()
-		_ = cmd2.Wait()
-	}()
-	raw, err := d.get(base2, "/v1/status")
-	if err != nil {
-		return capture{}, fmt.Errorf("recovered status: %w", err)
-	}
-	var st status
-	if err := json.Unmarshal([]byte(raw), &st); err != nil {
-		return capture{}, err
-	}
-	applied := int(st.Accesses + st.Quits)
-	if applied < kill || applied > kill+1 {
-		return capture{}, fmt.Errorf("recovered %d applied ops; %d were acknowledged before the kill (durability violated)", applied, kill)
-	}
-	log.Printf("recovered %d/%d ops (in-flight op %s); resuming", applied, len(script),
-		map[bool]string{true: "survived", false: "lost"}[applied == kill+1])
-	for i := applied; i < len(script); i++ {
-		if err := d.apply(base2, script[i]); err != nil {
-			return capture{}, fmt.Errorf("op %d after restart: %w", i, err)
-		}
-	}
-	return d.fingerprint(base2)
-}
-
-// failoverRun drives the script at a primary that ships its WAL to a hot
-// standby, and proves two things on the way to promotion:
-//
-//  1. a standby that comes back with a pruned (gapped) resume cursor
-//     re-seeds itself from the primary's snapshot instead of diverging;
-//  2. SIGKILLing the primary with one request in flight and promoting the
-//     standby loses nothing the primary ever acknowledged and replicated.
-//
-// The primary runs with tiny WAL segments so a handful of admin snapshots
-// is enough to prune the segments the dead standby's cursor points into.
-func (d *drill) failoverRun(script []op, kill, jitterMS int) (capture, error) {
-	primDir, err := os.MkdirTemp("", "sagdrill-primary-*")
-	if err != nil {
-		return capture{}, err
-	}
-	defer os.RemoveAll(primDir)
-	standbyDir, err := os.MkdirTemp("", "sagdrill-standby-*")
-	if err != nil {
-		return capture{}, err
-	}
-	defer os.RemoveAll(standbyDir)
-
-	primPort, err := freePort()
-	if err != nil {
-		return capture{}, err
-	}
-	standbyPort, err := freePort()
-	if err != nil {
-		return capture{}, err
-	}
-
-	prim, primBase, err := d.start(primDir, primPort, "-wal-segment-bytes", "512")
-	if err != nil {
-		return capture{}, fmt.Errorf("primary: %w", err)
-	}
-	defer func() {
-		_ = prim.Process.Kill()
-		_ = prim.Wait()
-	}()
-	standbyFlags := []string{"-follow", primBase, "-ready-lag", "0"}
-	standby, standbyBase, err := d.start(standbyDir, standbyPort, standbyFlags...)
-	if err != nil {
-		return capture{}, fmt.Errorf("standby: %w", err)
-	}
-	defer func() {
-		_ = standby.Process.Kill()
-		_ = standby.Wait()
-	}()
-
-	// Phase 1: tail live for the first half of the pre-kill script, then
-	// kill the standby and advance the primary past snapshot pruning so
-	// the standby's resume cursor points into deleted segments.
-	firstHalf := max(1, kill/2)
-	for i := 0; i < firstHalf; i++ {
-		if err := d.apply(primBase, script[i]); err != nil {
-			return capture{}, fmt.Errorf("op %d at primary: %w", i, err)
-		}
-	}
-	if err := d.waitCaughtUp(standbyBase, d.startWait); err != nil {
-		return capture{}, fmt.Errorf("standby catch-up (live tail): %w", err)
-	}
-	if err := standby.Process.Kill(); err != nil {
-		return capture{}, err
-	}
-	_ = standby.Wait()
-	_, standbyMax, err := segRange(standbyDir)
-	if err != nil {
-		return capture{}, fmt.Errorf("dead standby segments: %w", err)
-	}
-	pruned := false
-	for i := 0; i < 100; i++ {
-		if err := d.snapshot(primBase); err != nil {
-			return capture{}, fmt.Errorf("snapshot %d at primary: %w", i, err)
-		}
-		primMin, _, err := segRange(primDir)
-		if err != nil {
-			return capture{}, fmt.Errorf("primary segments: %w", err)
-		}
-		if primMin > standbyMax {
-			pruned = true
-			break
-		}
-	}
-	if !pruned {
-		return capture{}, fmt.Errorf("primary never pruned past the standby's cursor (standby max segment %d)", standbyMax)
-	}
-
-	// Phase 2: the standby comes back with a gapped cursor; the only legal
-	// recovery is wiping its mirror and re-seeding from the primary's
-	// snapshot, which its fresh segment numbers prove happened.
-	standby, standbyBase, err = d.start(standbyDir, standbyPort, standbyFlags...)
-	if err != nil {
-		return capture{}, fmt.Errorf("standby restart: %w", err)
-	}
-	defer func() {
-		_ = standby.Process.Kill()
-		_ = standby.Wait()
-	}()
-	if err := d.waitCaughtUp(standbyBase, d.startWait); err != nil {
-		return capture{}, fmt.Errorf("standby catch-up (after re-seed): %w", err)
-	}
-	reseedMin, _, err := segRange(standbyDir)
-	if err != nil {
-		return capture{}, fmt.Errorf("re-seeded standby segments: %w", err)
-	}
-	if reseedMin <= standbyMax {
-		return capture{}, fmt.Errorf("standby min segment %d did not advance past its pre-gap max %d: re-seed did not happen", reseedMin, standbyMax)
-	}
-	log.Printf("standby re-seeded from snapshot (segments now start at %d, were ≤ %d)", reseedMin, standbyMax)
-
-	// Phase 3: finish the acknowledged prefix, confirm zero lag, then kill
-	// the primary with op `kill` in flight and promote the standby.
-	for i := firstHalf; i < kill; i++ {
-		if err := d.apply(primBase, script[i]); err != nil {
-			return capture{}, fmt.Errorf("op %d at primary: %w", i, err)
-		}
-	}
-	if err := d.waitCaughtUp(standbyBase, d.startWait); err != nil {
-		return capture{}, fmt.Errorf("standby catch-up (pre-kill): %w", err)
-	}
-	inflight := make(chan struct{})
-	go func() {
-		defer close(inflight)
-		_ = d.apply(primBase, script[kill])
-	}()
-	time.Sleep(time.Duration(jitterMS) * time.Millisecond)
-	if err := prim.Process.Kill(); err != nil {
-		return capture{}, err
-	}
-	_ = prim.Wait()
-	<-inflight
-
-	if err := d.promote(standbyBase); err != nil {
-		return capture{}, fmt.Errorf("promote: %w", err)
-	}
-	raw, err := d.get(standbyBase, "/v1/status")
-	if err != nil {
-		return capture{}, fmt.Errorf("promoted status: %w", err)
-	}
-	var st status
-	if err := json.Unmarshal([]byte(raw), &st); err != nil {
-		return capture{}, err
-	}
-	applied := int(st.Accesses + st.Quits)
-	if applied < kill || applied > kill+1 {
-		return capture{}, fmt.Errorf("promoted standby holds %d applied ops; %d were acknowledged and replicated before the kill (durability violated)", applied, kill)
-	}
-	log.Printf("promoted standby holds %d/%d ops (in-flight op %s); resuming against it", applied, len(script),
-		map[bool]string{true: "survived", false: "lost"}[applied == kill+1])
-	for i := applied; i < len(script); i++ {
-		if err := d.apply(standbyBase, script[i]); err != nil {
-			return capture{}, fmt.Errorf("op %d after promotion: %w", i, err)
-		}
-	}
-	return d.fingerprint(standbyBase)
-}
-
-// Retention drill parameters. The budget must sit above one tenant snapshot
-// (so the tenant can always reclaim) yet far below the filler's total write
-// volume (so the compactor is forced through several rounds).
-const (
-	retentionDiskBudget = 8 << 10
-	retentionFillerOps  = 5000
-)
-
-// retentionRun drives the whole script at a primary running under a tiny
-// disk budget with a fast background compactor, while a standby tails the
-// stream live the entire time. It fails unless:
-//
-//   - the compactor completes at least 3 snapshot-then-prune rounds (the
-//     primary's oldest WAL segment advances at least 3 times);
-//   - box-wide journal bytes stay bounded throughout and settle under twice
-//     the budget;
-//   - the standby reaches lag 0 with ZERO re-seeds — its mirror is never
-//     wiped, proven by its oldest segment never moving (retention leases
-//     must pin the stream's cursor so pruning never gaps a connected
-//     follower);
-//   - after killing the primary and promoting the standby, the surviving
-//     state byte-compares against the golden run (checked by the caller).
-func (d *drill) retentionRun(script []op) (capture, error) {
-	primDir, err := os.MkdirTemp("", "sagdrill-retain-primary-*")
-	if err != nil {
-		return capture{}, err
-	}
-	defer os.RemoveAll(primDir)
-	standbyDir, err := os.MkdirTemp("", "sagdrill-retain-standby-*")
-	if err != nil {
-		return capture{}, err
-	}
-	defer os.RemoveAll(standbyDir)
-
-	primPort, err := freePort()
-	if err != nil {
-		return capture{}, err
-	}
-	standbyPort, err := freePort()
-	if err != nil {
-		return capture{}, err
-	}
-
-	prim, primBase, err := d.start(primDir, primPort,
-		"-wal-segment-bytes", "512",
-		"-disk-budget", fmt.Sprint(retentionDiskBudget),
-		"-compact-interval", "100ms")
-	if err != nil {
-		return capture{}, fmt.Errorf("primary: %w", err)
-	}
-	defer func() {
-		_ = prim.Process.Kill()
-		_ = prim.Wait()
-	}()
-	standby, standbyBase, err := d.start(standbyDir, standbyPort, "-follow", primBase, "-ready-lag", "0")
-	if err != nil {
-		return capture{}, fmt.Errorf("standby: %w", err)
-	}
-	defer func() {
-		_ = standby.Process.Kill()
-		_ = standby.Wait()
-	}()
-	// Apply a small prefix before the first catch-up check: a follower of a
-	// zero-record journal reports lag 1 until the first record ships.
-	prefix := min(8, len(script))
-	for i := 0; i < prefix; i++ {
-		if err := d.apply(primBase, script[i]); err != nil {
-			return capture{}, fmt.Errorf("op %d at primary: %w", i, err)
-		}
-	}
-	if err := d.waitCaughtUp(standbyBase, d.startWait); err != nil {
-		return capture{}, fmt.Errorf("standby initial catch-up: %w", err)
-	}
-	standbyLo, _, err := segRange(standbyDir)
-	if err != nil {
-		return capture{}, fmt.Errorf("standby segments: %w", err)
-	}
-
-	// Drive the script while the compactor churns underneath; count rounds
-	// by watching the primary's oldest segment advance, and bound the
-	// journal throughout (4× allows the transient of a fresh snapshot
-	// landing before the round's prune).
-	rounds := 0
-	lastLo, _, err := segRange(primDir)
-	if err != nil {
-		return capture{}, fmt.Errorf("primary segments: %w", err)
-	}
-	for i := prefix; i < len(script); i++ {
-		if err := d.apply(primBase, script[i]); err != nil {
-			return capture{}, fmt.Errorf("op %d at primary: %w", i, err)
-		}
-		if i%100 == 99 {
-			lo, _, err := segRange(primDir)
-			if err != nil {
-				return capture{}, fmt.Errorf("primary segments: %w", err)
-			}
-			if lo > lastLo {
-				rounds++
-				lastLo = lo
-			}
-			if got := journalBytes(primDir); got > 4*retentionDiskBudget {
-				return capture{}, fmt.Errorf("journal grew to %d bytes against a %d-byte budget: compaction not keeping up", got, retentionDiskBudget)
-			}
-		}
-	}
-	// Let the compactor settle, then require the steady state the budget
-	// promises and the rounds the drill is meant to force.
-	time.Sleep(time.Second)
-	if lo, _, err := segRange(primDir); err == nil && lo > lastLo {
-		rounds++
-		lastLo = lo
-	}
-	if rounds < 3 {
-		return capture{}, fmt.Errorf("only %d compaction rounds ran; the drill requires at least 3 (oldest segment now %d)", rounds, lastLo)
-	}
-	if got := journalBytes(primDir); got > 2*retentionDiskBudget {
-		return capture{}, fmt.Errorf("steady-state journal holds %d bytes, want <= 2x budget (%d)", got, 2*retentionDiskBudget)
-	}
-	log.Printf("compaction: %d rounds, steady-state journal %d bytes (budget %d)", rounds, journalBytes(primDir), retentionDiskBudget)
-
-	if err := d.waitCaughtUp(standbyBase, d.startWait); err != nil {
-		return capture{}, fmt.Errorf("standby catch-up through compaction: %w", err)
-	}
-	// Zero re-seeds: a re-seed wipes the mirror and restarts it at the
-	// primary's snapshot segment, so the standby's oldest segment moving is
-	// disqualifying.
-	lo, _, err := segRange(standbyDir)
-	if err != nil {
-		return capture{}, fmt.Errorf("standby segments: %w", err)
-	}
-	if lo != standbyLo {
-		return capture{}, fmt.Errorf("standby's oldest segment moved %d -> %d: the stream was re-seeded under compaction (lease failed)", standbyLo, lo)
-	}
-	log.Printf("standby at lag 0 with zero re-seeds (mirror still starts at segment %d)", lo)
-
-	if err := prim.Process.Kill(); err != nil {
-		return capture{}, err
-	}
-	_ = prim.Wait()
-	if err := d.promote(standbyBase); err != nil {
-		return capture{}, fmt.Errorf("promote: %w", err)
-	}
-	raw, err := d.get(standbyBase, "/v1/status")
-	if err != nil {
-		return capture{}, fmt.Errorf("promoted status: %w", err)
-	}
-	var st status
-	if err := json.Unmarshal([]byte(raw), &st); err != nil {
-		return capture{}, err
-	}
-	if applied := int(st.Accesses + st.Quits); applied != len(script) {
-		return capture{}, fmt.Errorf("promoted standby holds %d applied ops, want all %d (every op was acknowledged at lag 0)", applied, len(script))
-	}
-	return d.fingerprint(standbyBase)
-}
-
 // journalBytes sums the default tenant's journal directory under a data dir.
-func journalBytes(dataDir string) int64 {
-	dir := filepath.Join(dataDir, "tenants", "t-default")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
+func journalBytes(dataDir string) (total int64) {
+	entries, _ := os.ReadDir(filepath.Join(dataDir, "tenants", "t-default"))
 	for _, e := range entries {
 		if info, err := e.Info(); err == nil && !info.IsDir() {
 			total += info.Size()
@@ -780,90 +682,17 @@ func journalBytes(dataDir string) int64 {
 	return total
 }
 
-// waitCaughtUp polls the standby's /v1/readyz until it reports ready, which
-// with -ready-lag 0 means replication lag is exactly zero records.
-func (d *drill) waitCaughtUp(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var last string
-	for {
-		resp, err := d.client.Get(base + "/v1/readyz")
-		if err == nil {
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			last = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		} else {
-			last = err.Error()
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("standby not caught up within %v (last readyz: %s)", timeout, last)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// snapshot asks a server to snapshot (and so prune) the default tenant.
-func (d *drill) snapshot(base string) error {
-	resp, err := d.client.Post(base+"/v1/admin/snapshot", "application/json", bytes.NewBufferString("{}"))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-	}
-	return nil
-}
-
-// promote flips a standby into a primary.
-func (d *drill) promote(base string) error {
-	resp, err := d.client.Post(base+"/v1/admin/promote", "application/json", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-	}
-	log.Printf("promoted standby: %s", bytes.TrimSpace(raw))
-	return nil
-}
-
 // segRange reports the lowest and highest WAL segment numbers present in a
-// data dir's default-tenant journal directory.
+// data dir's default-tenant journal directory. Segment names are zero-padded
+// to one width, so Glob's lexical order is numeric order.
 func segRange(dataDir string) (lo, hi int, err error) {
 	dir := filepath.Join(dataDir, "tenants", "t-default")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	lo = -1
-	for _, e := range entries {
-		name, ok := strings.CutPrefix(e.Name(), "wal-")
-		if !ok {
-			continue
-		}
-		name, ok = strings.CutSuffix(name, ".sagw")
-		if !ok {
-			continue
-		}
-		n, err := strconv.Atoi(name)
-		if err != nil {
-			continue
-		}
-		if lo == -1 || n < lo {
-			lo = n
-		}
-		if n > hi {
-			hi = n
-		}
-	}
-	if lo == -1 {
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.sagw"))
+	if len(segs) == 0 {
 		return 0, 0, fmt.Errorf("no WAL segments under %s", dir)
 	}
-	return lo, hi, nil
+	if _, err = fmt.Sscanf(filepath.Base(segs[0]), "wal-%d.sagw", &lo); err == nil {
+		_, err = fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "wal-%d.sagw", &hi)
+	}
+	return lo, hi, err
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -52,7 +54,21 @@ func TestBuildScriptDeterministic(t *testing.T) {
 	}
 }
 
-// buildServer compiles sagserver into a test temp dir, or skips the test
+// serverBuild is the one sagserver binary every subprocess test of a package
+// run shares; TestMain removes it.
+var serverBuild struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	os.RemoveAll(serverBuild.dir)
+	os.Exit(code)
+}
+
+// buildServer compiles sagserver once per package run, or skips the test
 // when the toolchain (or -short mode) rules the subprocess drill out.
 func buildServer(t *testing.T) string {
 	t.Helper()
@@ -63,13 +79,38 @@ func buildServer(t *testing.T) string {
 	if err != nil {
 		t.Skip("go toolchain not in PATH")
 	}
-	bin := filepath.Join(t.TempDir(), "sagserver")
-	build := exec.Command(goBin, "build", "-o", bin, "github.com/auditgames/sag/cmd/sagserver")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building sagserver: %v", err)
+	b := &serverBuild
+	b.once.Do(func() {
+		if b.dir, b.err = os.MkdirTemp("", "sagdrill-test-*"); b.err != nil {
+			return
+		}
+		build := exec.Command(goBin, "build", "-o", filepath.Join(b.dir, "sagserver"), "github.com/auditgames/sag/cmd/sagserver")
+		build.Stderr = os.Stderr
+		b.err = build.Run()
+	})
+	if b.err != nil {
+		t.Fatalf("building sagserver: %v", b.err)
 	}
-	return bin
+	return filepath.Join(b.dir, "sagserver")
+}
+
+// TestStartNoticesDeadChild: a server binary that exits during boot (a bad
+// flag, a lost port) must fail the start step at once with its exit status,
+// not after polling /v1/healthz for the whole -start-wait.
+func TestStartNoticesDeadChild(t *testing.T) {
+	bin, err := exec.LookPath("false")
+	if err != nil {
+		t.Skip("no false(1) in PATH")
+	}
+	s := newScenario(config{serverBin: bin, startWait: time.Minute}, nil, 0, 0)
+	t0 := time.Now()
+	_, err = s.run([]step{{do: start, role: primary}})
+	if err == nil || !strings.Contains(err.Error(), "exit status 1") {
+		t.Fatalf("start of a binary that exits at once: err = %v, want its exit status", err)
+	}
+	if took := time.Since(t0); took > 2*time.Second {
+		t.Fatalf("start took %v to notice the dead child, want < 2s", took)
+	}
 }
 
 // TestDrillEndToEnd runs the full drill machinery — golden run, mid-request

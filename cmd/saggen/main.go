@@ -21,46 +21,8 @@ import (
 	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/dataio"
 	"github.com/auditgames/sag/internal/emr"
-	"github.com/auditgames/sag/internal/logstore"
 	"github.com/auditgames/sag/internal/sim"
 )
-
-// writeBinaryLog streams raw access events into a logstore directory — the
-// compact retention format for full-scale (≈192k accesses/day) workloads.
-func writeBinaryLog(seed int64, days, background, pairs, employees, patients int, out string) error {
-	if out == "-" {
-		return fmt.Errorf("binlog format writes a directory; pass -out <dir>")
-	}
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: seed, Employees: employees, Patients: patients})
-	if err != nil {
-		return err
-	}
-	gen, err := emr.NewGenerator(world, emr.GeneratorConfig{
-		Seed:             seed,
-		BackgroundPerDay: background,
-		PairsPerKind:     pairs,
-	})
-	if err != nil {
-		return err
-	}
-	w, err := logstore.NewWriter(out, 0)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	for d := 0; d < days; d++ {
-		if err := w.AppendAll(gen.Day(d)); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "saggen: wrote %d access events to %s in %v\n",
-		w.Count(), out, time.Since(start).Round(time.Millisecond))
-	return nil
-}
 
 // writeGameDataset emits the replayable game-level dataset (dataio schema).
 func writeGameDataset(seed int64, days, background, pairs, employees, patients int, out string) error {
@@ -138,12 +100,10 @@ func run() error {
 	switch *format {
 	case "game":
 		return writeGameDataset(*seed, *days, *background, *pairs, *employees, *patients, *out)
-	case "binlog":
-		return writeBinaryLog(*seed, *days, *background, *pairs, *employees, *patients, *out)
 	case "raw":
 		// handled below
 	default:
-		return fmt.Errorf("unknown format %q (want raw, game, or binlog)", *format)
+		return fmt.Errorf("unknown format %q (want raw or game)", *format)
 	}
 
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: *seed, Employees: *employees, Patients: *patients})

@@ -1,8 +1,8 @@
 // Command sagload drives concurrent /v1/access traffic at a SAG server and
 // reports decision throughput and latency percentiles. It exists to measure
 // the serving path under the load shape the paper's deployment implies —
-// many EMR front ends posting accesses at once — and to verify that slow
-// LP solves overlap instead of queueing behind a global lock.
+// many EMR front ends posting accesses at once: one tenant's decisions run
+// one at a time, different tenants' overlap.
 //
 // Usage:
 //

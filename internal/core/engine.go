@@ -549,7 +549,14 @@ func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: decision deadline: %w", err)
 	}
+	return e.decisionFrom(a, sse)
+}
 
+// decisionFrom builds the pre-commit decision for a from a solved online
+// SSE: θ, the participation-aware utility, whether the SAG engages, and
+// under PolicyOSSP the signaling scheme on top. decide passes the
+// equilibrium it just solved, lastGoodDecision the cycle's previous one.
+func (e *Engine) decisionFrom(a Alert, sse *game.Result) (*Decision, error) {
 	d := &Decision{
 		Alert:        a,
 		BudgetBefore: e.budget,
@@ -566,12 +573,14 @@ func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
 	d.Theta = sse.Coverage[a.Type]
 	d.SSEUtility = participationAwareUtility(sse)
 	d.AppliedSAG = a.Type == sse.BestType
-
+	// The paper's multi-type protocol: the SAG engages only alerts of the
+	// attacker's best-response type; others are handled (and scored) by the
+	// online SSE.
+	d.OSSPUtility = d.SSEUtility
 	if e.policy == PolicySSE {
-		d.OSSPUtility = d.SSEUtility
 		return d, nil
 	}
-
+	var t0 time.Time
 	if e.met.enabled {
 		t0 = time.Now()
 	}
@@ -585,11 +594,6 @@ func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
 	d.Scheme = scheme
 	if d.AppliedSAG {
 		d.OSSPUtility = scheme.DefenderUtility
-	} else {
-		// The paper's multi-type protocol: the SAG engages only alerts of
-		// the attacker's best-response type; others are handled (and
-		// scored) by the online SSE.
-		d.OSSPUtility = d.SSEUtility
 	}
 	return d, nil
 }
@@ -626,25 +630,17 @@ func (e *Engine) signalScheme(typ int, theta float64) (signaling.Scheme, error) 
 	return scheme, nil
 }
 
-// degraded produces a decision for a after the primary pipeline failed,
-// descending the fallback ladder. The final rung is infallible, so degraded
-// always returns a usable decision. The caller holds e.mu.
+// degraded produces a decision for a after the primary pipeline failed:
+// the last-good rung if it succeeds, else the static rung, which cannot
+// fail. The caller holds e.mu.
 //
 // Degraded rungs deliberately run without the (already expired) decision
 // deadline: they at most re-solve one small signaling LP, so they complete
 // in microseconds.
 func (e *Engine) degraded(a Alert) *Decision {
-	d, lvl, err := fallback.Run(
-		fallback.Step[*Decision]{Level: fallback.LastGood, Try: func() (*Decision, error) {
-			return e.lastGoodDecision(a)
-		}},
-		fallback.Step[*Decision]{Level: fallback.Static, Try: func() (*Decision, error) {
-			return e.staticDecision(a), nil
-		}},
-	)
+	d, err := fallback.Attempt(func() (*Decision, error) { return e.lastGoodDecision(a) })
+	lvl := fallback.LastGood
 	if err != nil {
-		// Unreachable: the static rung cannot fail. Guard anyway so a future
-		// refactor cannot turn a degraded decision into a nil dereference.
 		d, lvl = e.staticDecision(a), fallback.Static
 	}
 	d.Fallback = lvl
@@ -657,38 +653,10 @@ func (e *Engine) degraded(a Alert) *Decision {
 // it was solved for an earlier budget — but its coverage remains a feasible
 // commitment, and by Theorem 2 signaling on top of it never hurts.
 func (e *Engine) lastGoodDecision(a Alert) (*Decision, error) {
-	sse := e.lastSSE
-	if sse == nil {
+	if e.lastSSE == nil {
 		return nil, errors.New("core: no previously solved equilibrium this cycle")
 	}
-	d := &Decision{
-		Alert:        a,
-		BudgetBefore: e.budget,
-		BudgetAfter:  e.budget,
-		SSE:          sse,
-	}
-	if sse.BestType == -1 {
-		d.Vacuous = true
-		return d, nil
-	}
-	d.Theta = sse.Coverage[a.Type]
-	d.SSEUtility = participationAwareUtility(sse)
-	d.AppliedSAG = a.Type == sse.BestType
-	if e.policy == PolicySSE {
-		d.OSSPUtility = d.SSEUtility
-		return d, nil
-	}
-	scheme, err := e.signalScheme(a.Type, d.Theta)
-	if err != nil {
-		return nil, err
-	}
-	d.Scheme = scheme
-	if d.AppliedSAG {
-		d.OSSPUtility = scheme.DefenderUtility
-	} else {
-		d.OSSPUtility = d.SSEUtility
-	}
-	return d, nil
+	return e.decisionFrom(a, e.lastSSE)
 }
 
 // staticDecision is the terminal, infallible rung: audit with probability

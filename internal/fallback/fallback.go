@@ -23,9 +23,10 @@
 // exactly the no-signaling SSE posture, so the static rung degrades to the
 // paper's baseline game rather than to undefined behavior.
 //
-// The ladder itself is generic (Run); the engine in internal/core supplies
-// the rungs. Every rung is panic-contained, so an LP degeneracy or injected
-// fault (internal/faultinject) can never escape a Step.
+// The engine in internal/core walks the two rungs itself; this package holds
+// what they share: the Level, panic containment (Attempt) — so an LP
+// degeneracy or injected fault (internal/faultinject) can never escape a
+// rung — and the static rung's audit probability.
 package fallback
 
 import (
@@ -70,38 +71,6 @@ func (l Level) String() string {
 
 // Degraded reports whether the level is anything but the primary pipeline.
 func (l Level) Degraded() bool { return l != None }
-
-// Step is one rung of a degradation ladder: the level it produces and the
-// attempt that may fail (by error or panic).
-type Step[T any] struct {
-	Level Level
-	Try   func() (T, error)
-}
-
-// Run descends the ladder: each step is attempted in order with panic
-// containment, and the first success wins. When every step fails, the zero
-// value, the last step's level, and the last error are returned — callers
-// that end their ladder with an infallible step (the engine's static policy)
-// therefore always receive a usable value.
-func Run[T any](steps ...Step[T]) (T, Level, error) {
-	var (
-		zero T
-		last error
-		lvl  Level
-	)
-	for _, s := range steps {
-		lvl = s.Level
-		v, err := Attempt(s.Try)
-		if err == nil {
-			return v, s.Level, nil
-		}
-		last = err
-	}
-	if last == nil {
-		last = fmt.Errorf("fallback: empty ladder")
-	}
-	return zero, lvl, last
-}
 
 // Attempt runs try, converting a panic into an error so callers can treat
 // "the solver blew up" and "the solver returned an error" identically.

@@ -1,7 +1,6 @@
 package fallback
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -29,58 +28,6 @@ func TestLevelStrings(t *testing.T) {
 		if !lvl.Degraded() {
 			t.Errorf("%v should be degraded", lvl)
 		}
-	}
-}
-
-func TestRunFirstSuccessWins(t *testing.T) {
-	v, lvl, err := Run(
-		Step[int]{Level: None, Try: func() (int, error) { return 7, nil }},
-		Step[int]{Level: LastGood, Try: func() (int, error) { t.Fatal("later step ran"); return 0, nil }},
-	)
-	if err != nil || v != 7 || lvl != None {
-		t.Fatalf("Run = (%d, %v, %v), want (7, none, nil)", v, lvl, err)
-	}
-}
-
-func TestRunDescendsInOrder(t *testing.T) {
-	var order []Level
-	boom := errors.New("boom")
-	v, lvl, err := Run(
-		Step[string]{Level: None, Try: func() (string, error) { order = append(order, None); return "", boom }},
-		Step[string]{Level: LastGood, Try: func() (string, error) { order = append(order, LastGood); panic("solver degeneracy") }},
-		Step[string]{Level: Static, Try: func() (string, error) { order = append(order, Static); return "static", nil }},
-	)
-	if err != nil || v != "static" || lvl != Static {
-		t.Fatalf("Run = (%q, %v, %v), want (static, static, nil)", v, lvl, err)
-	}
-	want := []Level{None, LastGood, Static}
-	if len(order) != len(want) {
-		t.Fatalf("ran %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("ran %v, want %v", order, want)
-		}
-	}
-}
-
-func TestRunAllFail(t *testing.T) {
-	boom := errors.New("boom")
-	_, lvl, err := Run(
-		Step[int]{Level: LastGood, Try: func() (int, error) { return 0, errors.New("first") }},
-		Step[int]{Level: Static, Try: func() (int, error) { return 0, boom }},
-	)
-	if !errors.Is(err, boom) {
-		t.Fatalf("want last error, got %v", err)
-	}
-	if lvl != Static {
-		t.Fatalf("want last level static, got %v", lvl)
-	}
-}
-
-func TestRunEmptyLadder(t *testing.T) {
-	if _, _, err := Run[int](); err == nil {
-		t.Fatal("empty ladder should error")
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // # Format
 //
-// A journal is a directory of segment files named wal-NNNNNN.sagw, reusing
-// the logstore segment idiom: a 5-byte header (magic "SAGW" + format
-// version) followed by length-prefixed records
+// A journal is a directory of segment files named wal-NNNNNN.sagw, each a
+// 5-byte header (magic "SAGW" + format version) followed by length-prefixed
+// records
 //
 //	uvarint  payloadLen
 //	payload  byte kind · kind-specific encoding (see record.go)
