@@ -76,7 +76,7 @@ func BenchmarkFigure3MultiType(b *testing.B) {
 
 // newBenchEngine builds a 7-type OSSP engine against a fixed estimator for
 // per-decision latency measurements.
-func newBenchEngine(b *testing.B, useLP bool) *sag.Engine {
+func newBenchEngine(b *testing.B) *sag.Engine {
 	b.Helper()
 	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
 	if err != nil {
@@ -91,9 +91,8 @@ func newBenchEngine(b *testing.B, useLP bool) *sag.Engine {
 			copy(out, rates)
 			return out, nil
 		}),
-		Policy:         sag.PolicyOSSP,
-		Rand:           rand.New(rand.NewSource(1)),
-		UseLPSignaling: useLP,
+		Policy: sag.PolicyOSSP,
+		Rand:   rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -105,7 +104,7 @@ func newBenchEngine(b *testing.B, useLP bool) *sag.Engine {
 // online SSE + closed-form OSSP) — the paper's runtime claim (≈20 ms on
 // their laptop).
 func BenchmarkOSSPDecision(b *testing.B) {
-	eng := newBenchEngine(b, false)
+	eng := newBenchEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
@@ -154,18 +153,6 @@ func BenchmarkOSSPDecisionWithDeadline(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(100*float64(degraded)/float64(b.N), "degraded%")
-}
-
-// BenchmarkOSSPDecisionLP is the same decision with LP (3) instead of the
-// Theorem 3 closed form (ablation A3's runtime arm).
-func BenchmarkOSSPDecisionLP(b *testing.B) {
-	eng := newBenchEngine(b, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkOSSPClosedFormVsLP measures just the signaling stage both ways

@@ -33,6 +33,7 @@ import (
 
 	"github.com/auditgames/sag/internal/admit"
 	"github.com/auditgames/sag/internal/alerts"
+	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/history"
 	"github.com/auditgames/sag/internal/server"
@@ -91,79 +92,28 @@ func run() error {
 		return err
 	}
 
-	log.Printf("building synthetic world (%d employees, %d patients)...", *employees, *patients)
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: *seed, Employees: *employees, Patients: *patients})
+	cfg, err := gameConfig(*seed, *employees, *patients, *histDays, *budget)
 	if err != nil {
 		return err
 	}
-	gen, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: *seed, BackgroundPerDay: 500, PairsPerKind: 120})
-	if err != nil {
-		return err
+	cfg.DecisionDeadline = *decisionDeadline
+	cfg.RequestTimeout = *requestTimeout
+	cfg.MaxTenants = *maxTenants
+	cfg.Admission = admit.Config{
+		Rate:        *rate,
+		Burst:       *burst,
+		MaxInflight: *maxInflight,
+		QueueDepth:  *queueDepth,
 	}
-	taxonomy := alerts.NewTable1Taxonomy()
-	detector, err := alerts.NewEngine(world, taxonomy)
-	if err != nil {
-		return err
-	}
-
-	log.Printf("fitting arrival curves on %d days of simulated history...", *histDays)
-	typeIDs := sim.AllTable1TypeIDs()
-	index := make(map[int]int, len(typeIDs))
-	for i, id := range typeIDs {
-		index[id] = i
-	}
-	var recs []history.Record
-	for d := 0; d < *histDays; d++ {
-		scanned, err := detector.Scan(gen.Day(d))
-		if err != nil {
-			return err
-		}
-		for _, a := range scanned {
-			if idx, ok := index[a.Type]; ok {
-				recs = append(recs, history.Record{Day: d, Type: idx, Time: a.Time})
-			}
-		}
-	}
-	curves, err := history.NewCurves(recs, len(typeIDs), *histDays)
-	if err != nil {
-		return err
-	}
-	rollback, err := history.NewRollback(curves, history.DefaultRollbackThreshold)
-	if err != nil {
-		return err
-	}
-
-	inst, err := sim.Table1Instance(typeIDs)
-	if err != nil {
-		return err
-	}
-	cfg := server.Config{
-		World:            world,
-		Taxonomy:         taxonomy,
-		TypeIDs:          typeIDs,
-		Instance:         inst,
-		Budget:           *budget,
-		Estimator:        rollback,
-		Seed:             *seed,
-		DecisionDeadline: *decisionDeadline,
-		RequestTimeout:   *requestTimeout,
-		MaxTenants:       *maxTenants,
-		Admission: admit.Config{
-			Rate:        *rate,
-			Burst:       *burst,
-			MaxInflight: *maxInflight,
-			QueueDepth:  *queueDepth,
-		},
-		DataDir:          *dataDir,
-		Fsync:            fsync,
-		SnapshotEvery:    *snapshotEvery,
-		SegmentBytes:     *walSegmentBytes,
-		DiskBudgetBytes:  *diskBudget,
-		CompactInterval:  *compactInterval,
-		FollowPrimary:    *follow,
-		FollowerReadyLag: *readyLag,
-		Logf:             log.Printf,
-	}
+	cfg.DataDir = *dataDir
+	cfg.Fsync = fsync
+	cfg.SnapshotEvery = *snapshotEvery
+	cfg.SegmentBytes = *walSegmentBytes
+	cfg.DiskBudgetBytes = *diskBudget
+	cfg.CompactInterval = *compactInterval
+	cfg.FollowPrimary = *follow
+	cfg.FollowerReadyLag = *readyLag
+	cfg.Logf = log.Printf
 	if *fixedClock >= 0 {
 		at := *fixedClock
 		cfg.Clock = func() time.Duration { return at }
@@ -208,7 +158,7 @@ func run() error {
 		dbg = mux
 	}
 
-	fmt.Printf("sagserver listening on %s (budget %g, %d alert types)\n", *addr, *budget, len(typeIDs))
+	fmt.Printf("sagserver listening on %s (budget %g, %d alert types)\n", *addr, *budget, len(cfg.TypeIDs))
 	fmt.Println("  POST /v1/access {employee_id, patient_id} → {alert, warn, ...}")
 	fmt.Println("  POST /v1/quit {employee_id}")
 	fmt.Println("  POST /v1/cycle/close {} · POST /v1/cycle/new {budget} · GET /v1/cycle/summary")
@@ -246,4 +196,65 @@ func run() error {
 			}
 		},
 	})
+}
+
+// gameConfig builds the part of the configuration that defines the served
+// game rather than how the process is operated: the synthetic world, the
+// Table 1 taxonomy and instance, and arrival curves fitted on histDays of
+// simulated history. The knowledge-rollback estimator remembers where in the
+// day its cycle stands, so every tenant gets its own over the shared,
+// immutable curves.
+func gameConfig(seed int64, employees, patients, histDays int, budget float64) (server.Config, error) {
+	log.Printf("building synthetic world (%d employees, %d patients)...", employees, patients)
+	world, err := emr.NewWorld(emr.WorldConfig{Seed: seed, Employees: employees, Patients: patients})
+	if err != nil {
+		return server.Config{}, err
+	}
+	gen, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: seed, BackgroundPerDay: 500, PairsPerKind: 120})
+	if err != nil {
+		return server.Config{}, err
+	}
+	taxonomy := alerts.NewTable1Taxonomy()
+	detector, err := alerts.NewEngine(world, taxonomy)
+	if err != nil {
+		return server.Config{}, err
+	}
+
+	log.Printf("fitting arrival curves on %d days of simulated history...", histDays)
+	typeIDs := sim.AllTable1TypeIDs()
+	index := make(map[int]int, len(typeIDs))
+	for i, id := range typeIDs {
+		index[id] = i
+	}
+	var recs []history.Record
+	for d := 0; d < histDays; d++ {
+		scanned, err := detector.Scan(gen.Day(d))
+		if err != nil {
+			return server.Config{}, err
+		}
+		for _, a := range scanned {
+			if idx, ok := index[a.Type]; ok {
+				recs = append(recs, history.Record{Day: d, Type: idx, Time: a.Time})
+			}
+		}
+	}
+	curves, err := history.NewCurves(recs, len(typeIDs), histDays)
+	if err != nil {
+		return server.Config{}, err
+	}
+	inst, err := sim.Table1Instance(typeIDs)
+	if err != nil {
+		return server.Config{}, err
+	}
+	return server.Config{
+		World:    world,
+		Taxonomy: taxonomy,
+		TypeIDs:  typeIDs,
+		Instance: inst,
+		Budget:   budget,
+		NewEstimator: func(string) (core.Estimator, error) {
+			return history.NewRollback(curves, history.DefaultRollbackThreshold)
+		},
+		Seed: seed,
+	}, nil
 }

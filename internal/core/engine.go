@@ -10,7 +10,8 @@
 //  2. solve the online SSE (LP (2), internal/game) for the remaining budget
 //     to obtain the marginal audit probabilities θ,
 //  3. plug θ of the alert's type into the optimal signaling program (LP (3),
-//     internal/signaling) to obtain the OSSP joint warn/audit scheme,
+//     which internal/signaling solves in closed form for every valid payoff)
+//     to obtain the OSSP joint warn/audit scheme,
 //  4. sample the signal (warn or stay silent) and charge the remaining
 //     budget with the signal-conditional audit probability × audit cost,
 //
@@ -104,27 +105,16 @@ type Config struct {
 	// Rand drives signal sampling. Required for PolicyOSSP so runs are
 	// reproducible; the engine never falls back to global randomness.
 	Rand *rand.Rand
-	// UseLPSignaling forces the general LP (3) solver even when the closed
-	// form applies; used by the ablation benches and as a cross-check.
-	UseLPSignaling bool
 	// Metrics, when non-nil, receives the engine's instrumentation:
-	// per-stage solve latencies, vacuous-game and Theorem-3-fallback
-	// counters, solver effort, and the remaining-budget gauge (see the
-	// Metric* constants). A nil registry disables collection with
-	// near-zero overhead.
+	// per-stage solve latencies, the vacuous-game counter, solver effort,
+	// and the remaining-budget gauge (see the Metric* constants). A nil
+	// registry disables collection with near-zero overhead.
 	Metrics *obs.Registry
 	// MetricLabels are extra labels stamped on every engine instrument —
 	// the multi-tenant server passes tenant="<id>" so each tenant's engine
 	// exports its own series in the shared registry. Empty (the default)
 	// keeps the unlabeled series names of a single-tenant deployment.
 	MetricLabels []obs.Label
-	// AttackerTypes, when non-empty, switches the signaling stage to the
-	// Bayesian SAG: the attacker's covered/uncovered utilities are private,
-	// drawn from this prior (see signaling.SolveBayesian). The Stackelberg
-	// marginals θ are still computed from the instance's nominal payoffs —
-	// the commitment the paper's LP (2) produces — with the Bayesian layer
-	// optimizing the warn/audit split per alert against the prior.
-	AttackerTypes []signaling.AttackerType
 	// DecisionDeadline bounds each Process call: the context handed to the
 	// estimator check, the SSE solve, and the signaling solve expires after
 	// this duration. Zero means no per-decision deadline. A deadline
@@ -224,8 +214,6 @@ type Engine struct {
 	est      Estimator
 	policy   Policy
 	rng      *rand.Rand
-	useLP    bool
-	bayes    []signaling.AttackerType
 	deadline time.Duration
 	degrade  bool
 	sseSolve SSESolveFunc
@@ -288,8 +276,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		est:      cfg.Estimator,
 		policy:   cfg.Policy,
 		rng:      cfg.Rand,
-		useLP:    cfg.UseLPSignaling,
-		bayes:    append([]signaling.AttackerType(nil), cfg.AttackerTypes...),
 		deadline: cfg.DecisionDeadline,
 		degrade:  cfg.Fallback,
 		sseSolve: solve,
@@ -584,9 +570,9 @@ func (e *Engine) decisionFrom(a Alert, sse *game.Result) (*Decision, error) {
 	if e.met.enabled {
 		t0 = time.Now()
 	}
-	scheme, err := e.signalScheme(a.Type, d.Theta)
+	scheme, err := signaling.Solve(e.inst.Payoffs[a.Type], d.Theta)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: OSSP: %w", err)
 	}
 	if e.met.enabled {
 		e.met.stageSignal.ObserveSince(t0)
@@ -598,45 +584,12 @@ func (e *Engine) decisionFrom(a Alert, sse *game.Result) (*Decision, error) {
 	return d, nil
 }
 
-// signalScheme runs the OSSP signaling stage for one alert type and marginal
-// audit probability θ: the Bayesian program when attacker types are private,
-// LP (3) when forced or when Theorem 3's preconditions fail, and the closed
-// form otherwise.
-func (e *Engine) signalScheme(typ int, theta float64) (signaling.Scheme, error) {
-	pf := e.inst.Payoffs[typ]
-	var scheme signaling.Scheme
-	var err error
-	switch {
-	case len(e.bayes) > 0:
-		b, berr := signaling.SolveBayesian(signaling.DefenderSide{
-			Covered:   pf.DefenderCovered,
-			Uncovered: pf.DefenderUncovered,
-		}, e.bayes, theta)
-		if berr != nil {
-			return signaling.Scheme{}, fmt.Errorf("core: Bayesian OSSP: %w", berr)
-		}
-		scheme = bayesianToScheme(b, e.bayes)
-	case e.useLP || !pf.SatisfiesTheorem3():
-		if !pf.SatisfiesTheorem3() {
-			e.met.fallback.Inc()
-		}
-		scheme, err = signaling.SolveLP(pf, theta)
-	default:
-		scheme, err = signaling.Solve(pf, theta)
-	}
-	if err != nil {
-		return signaling.Scheme{}, fmt.Errorf("core: OSSP: %w", err)
-	}
-	return scheme, nil
-}
-
 // degraded produces a decision for a after the primary pipeline failed:
 // the last-good rung if it succeeds, else the static rung, which cannot
 // fail. The caller holds e.mu.
 //
 // Degraded rungs deliberately run without the (already expired) decision
-// deadline: they at most re-solve one small signaling LP, so they complete
-// in microseconds.
+// deadline: they at most re-evaluate the signaling closed form.
 func (e *Engine) degraded(a Alert) *Decision {
 	d, err := fallback.Attempt(func() (*Decision, error) { return e.lastGoodDecision(a) })
 	lvl := fallback.LastGood
@@ -696,24 +649,6 @@ func (e *Engine) staticDecision(a Alert) *Decision {
 		},
 	}
 	return d
-}
-
-// bayesianToScheme reduces a BayesianScheme to the engine's Scheme record:
-// the joint distribution carries over; the attacker utility is the
-// prior-weighted mean; Deterred means every type stays out.
-func bayesianToScheme(b signaling.BayesianScheme, types []signaling.AttackerType) signaling.Scheme {
-	s := signaling.Scheme{
-		P1: b.P1, Q1: b.Q1, P0: b.P0, Q0: b.Q0,
-		DefenderUtility: b.DefenderUtility,
-		Deterred:        true,
-	}
-	for k, t := range types {
-		if b.Participates[k] {
-			s.Deterred = false
-			s.AttackerUtility += t.Prior * b.TypeUtilities[k]
-		}
-	}
-	return s
 }
 
 // participationAwareUtility converts the LP (2) objective into the

@@ -9,7 +9,6 @@ import (
 
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/payoff"
-	"github.com/auditgames/sag/internal/signaling"
 )
 
 // constEstimator returns fixed future rates regardless of time.
@@ -287,106 +286,6 @@ func TestWarningsHappenWithPositiveTheta(t *testing.T) {
 	sum := e.Summary()
 	if sum.Warnings != warned {
 		t.Fatalf("summary warnings %d, counted %d", sum.Warnings, warned)
-	}
-}
-
-func TestUseLPSignalingMatchesClosedForm(t *testing.T) {
-	mk := func(useLP bool) []Decision {
-		inst := multiInstance(t)
-		e, err := NewEngine(Config{
-			Instance: inst, Budget: 50, Policy: PolicyOSSP,
-			Estimator:      constEstimator(196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27),
-			Rand:           rand.New(rand.NewSource(7)),
-			UseLPSignaling: useLP,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 30; i++ {
-			if _, err := e.Process(Alert{Type: i % 7}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return append([]Decision(nil), e.Decisions()...)
-	}
-	cf, lps := mk(false), mk(true)
-	for i := range cf {
-		if math.Abs(cf[i].OSSPUtility-lps[i].OSSPUtility) > 1e-5 {
-			t.Fatalf("decision %d: closed form %g vs LP %g", i, cf[i].OSSPUtility, lps[i].OSSPUtility)
-		}
-	}
-}
-
-func TestBayesianEngineSingleTypeMatchesPlain(t *testing.T) {
-	// One attacker type with the nominal payoffs: the Bayesian engine must
-	// report the same OSSP utilities as the plain one.
-	inst := singleInstance(t)
-	pf := inst.Payoffs[0]
-	mk := func(bayes []signaling.AttackerType) *Engine {
-		e, err := NewEngine(Config{
-			Instance:  inst,
-			Budget:    10, // θ ≈ 0.1, safely below the deterrence threshold
-			Estimator: constEstimator(100),
-			Policy:    PolicyOSSP,
-			Rand:      rand.New(rand.NewSource(3)),
-			// Use the LP path on the plain engine too, so both engines run
-			// numerically identical solvers and their budget trajectories
-			// cannot drift apart.
-			UseLPSignaling: true,
-			AttackerTypes:  bayes,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	plain := mk(nil)
-	bayes := mk([]signaling.AttackerType{{Prior: 1, Covered: pf.AttackerCovered, Uncovered: pf.AttackerUncovered}})
-	for i := 0; i < 15; i++ {
-		dp, err := plain.Process(Alert{Type: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := bayes.Process(Alert{Type: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(dp.Theta-db.Theta) > 1e-9 {
-			t.Fatalf("alert %d: trajectories diverged (θ %g vs %g)", i, dp.Theta, db.Theta)
-		}
-		if math.Abs(dp.OSSPUtility-db.OSSPUtility) > 1e-6 {
-			t.Fatalf("alert %d: plain %g vs Bayesian %g", i, dp.OSSPUtility, db.OSSPUtility)
-		}
-	}
-}
-
-func TestBayesianEngineMixedTypes(t *testing.T) {
-	inst := singleInstance(t)
-	e, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    20,
-		Estimator: constEstimator(100),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(3)),
-		AttackerTypes: []signaling.AttackerType{
-			{Prior: 0.7, Covered: -2000, Uncovered: 400},
-			{Prior: 0.3, Covered: -300, Uncovered: 900},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 15; i++ {
-		d, err := e.Process(Alert{Type: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Scheme.Validate(d.Theta); err != nil {
-			t.Fatalf("alert %d: %v", i, err)
-		}
-	}
-	if e.Summary().Alerts != 15 {
-		t.Fatal("summary lost alerts")
 	}
 }
 

@@ -17,9 +17,6 @@ const (
 	MetricDecisionsTotal = "sag_engine_decisions_total"
 	// MetricVacuousTotal counts decisions where no type was attackable.
 	MetricVacuousTotal = "sag_engine_vacuous_total"
-	// MetricTheorem3FallbackTotal counts alerts whose payoffs violated the
-	// Theorem 3 condition, forcing the general LP (3) signaling solver.
-	MetricTheorem3FallbackTotal = "sag_engine_theorem3_fallback_total"
 	// MetricBudgetRemaining is a gauge of the cycle's remaining budget.
 	MetricBudgetRemaining = "sag_engine_budget_remaining"
 	// MetricLPSolvesTotal counts candidate best-response problems of LP (2)
@@ -49,7 +46,6 @@ type engineMetrics struct {
 	decision      *obs.Histogram
 	decisions     *obs.Counter
 	vacuous       *obs.Counter
-	fallback      *obs.Counter
 	budget        *obs.Gauge
 	lpSolves      *obs.Counter
 
@@ -98,7 +94,6 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 		decision:      reg.Histogram(MetricDecisionSeconds, "Whole-decision SAG latency in seconds.", obs.DefTimeBuckets, with()...),
 		decisions:     reg.Counter(MetricDecisionsTotal, "Committed engine decisions.", with(obs.L("policy", policy.String()))...),
 		vacuous:       reg.Counter(MetricVacuousTotal, "Decisions where no alert type was attackable.", with()...),
-		fallback:      reg.Counter(MetricTheorem3FallbackTotal, "Alerts solved via LP (3) because the Theorem 3 closed form did not apply.", with()...),
 		budget:        reg.Gauge(MetricBudgetRemaining, "Remaining audit budget for the current cycle.", with()...),
 		lpSolves:      reg.Counter(MetricLPSolvesTotal, "Candidate best-response problems of LP (2) solved by the online SSE stage.", with()...),
 

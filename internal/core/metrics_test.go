@@ -63,10 +63,6 @@ func TestEngineMetrics(t *testing.T) {
 	if got := snap.Counters[MetricLPSolvesTotal]; got != n*3 {
 		t.Fatalf("lp solves = %d, want %d", got, n*3)
 	}
-	// Table 2 payoffs satisfy Theorem 3: closed form, no LP fallback.
-	if got := snap.Counters[MetricTheorem3FallbackTotal]; got != 0 {
-		t.Fatalf("unexpected Theorem-3 fallbacks: %d", got)
-	}
 
 	// NewCycle resets the gauge to the fresh budget.
 	if err := eng.NewCycle(33); err != nil {
@@ -77,7 +73,7 @@ func TestEngineMetrics(t *testing.T) {
 	}
 }
 
-func TestEngineMetricsVacuousAndFallback(t *testing.T) {
+func TestEngineMetricsVacuous(t *testing.T) {
 	reg := obs.NewRegistry()
 
 	// All-zero future rates: every decision is vacuous.
@@ -89,22 +85,6 @@ func TestEngineMetricsVacuousAndFallback(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters[MetricVacuousTotal]; got != 3 {
 		t.Fatalf("vacuous counter = %d, want 3", got)
-	}
-
-	// A payoff violating the Theorem 3 condition forces the LP fallback:
-	// U_ac·U_du − U_dc·U_au = (−100)(−50) − 600·10 = −1000 ≤ 0.
-	exotic := payoff.Payoff{DefenderCovered: 600, DefenderUncovered: -50, AttackerCovered: -100, AttackerUncovered: 10}
-	if exotic.SatisfiesTheorem3() {
-		t.Fatal("fixture payoff unexpectedly satisfies Theorem 3")
-	}
-	fb := metricsFixture(t, reg, []payoff.Payoff{exotic}, []float64{20}, 10)
-	for i := 0; i < 4; i++ {
-		if _, err := fb.Process(Alert{Type: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Snapshot().Counters[MetricTheorem3FallbackTotal]; got != 4 {
-		t.Fatalf("fallback counter = %d, want 4", got)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // randomPayoff draws a payoff satisfying the paper's sign conventions.
-// Roughly a third of draws violate the Theorem 3 condition, so both the
-// closed-form and LP signaling paths are exercised.
+// Roughly a third of draws violate the Theorem 3 condition, so both branches
+// of the signaling closed form are exercised.
 func randomPayoff(rng *rand.Rand) payoff.Payoff {
 	p := payoff.Payoff{
 		DefenderCovered:   rng.Float64() * 700,
@@ -114,8 +114,8 @@ func runTheoremTrial(seed int64, reg *obs.Registry) (err error) {
 		if d.Vacuous {
 			continue
 		}
-		// Theorem 2: signaling never hurts. ε covers LP tolerance at the
-		// payoff magnitudes drawn above.
+		// Theorem 2: signaling never hurts. ε covers round-off at the payoff
+		// magnitudes drawn above.
 		eps := 1e-6 * (1 + math.Abs(d.SSEUtility))
 		if d.OSSPUtility < d.SSEUtility-eps {
 			return trialErr(seed, i, "Theorem 2 violated: OSSP %g < SSE %g", d.OSSPUtility, d.SSEUtility)
@@ -142,9 +142,9 @@ func runTheoremTrial(seed int64, reg *obs.Registry) (err error) {
 // (Theorem 4 — signaling deters without punishing).
 //
 // randomPayoff draws violate the Theorem 3 condition roughly a third of the
-// time, so decisions flow through both the closed-form and LP (3) signaling
-// paths; the test asserts both branches were actually exercised so a drift
-// in the draw distribution cannot silently hollow it out.
+// time, so decisions flow through both branches of the signaling closed
+// form; the test asserts both were actually exercised so a drift in the draw
+// distribution cannot silently hollow it out.
 func TestPropertyTheorems34(t *testing.T) {
 	const trials = 48
 	seeds := make([]int64, trials)
@@ -183,7 +183,7 @@ func TestPropertyTheorems34(t *testing.T) {
 
 // runTheorem34Trial mirrors runTheoremTrial's instance construction and
 // returns how many non-vacuous decisions had the Theorem 3 payoff condition
-// met and unmet, so the caller can assert coverage of both signaling paths.
+// met and unmet, so the caller can assert coverage of both signaling branches.
 func runTheorem34Trial(seed int64, reg *obs.Registry) (condMet, condUnmet int64, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	numTypes := 1 + rng.Intn(5)
@@ -242,8 +242,8 @@ func runTheorem34Trial(seed int64, reg *obs.Registry) (condMet, condUnmet int64,
 		}
 		// Theorem 4: the attacker is exactly indifferent between facing the
 		// OSSP and facing the no-signaling SSE at the same θ — the auditor's
-		// Theorem 2 gain is not extracted from the attacker. ε covers LP
-		// tolerance at the payoff magnitudes drawn above.
+		// Theorem 2 gain is not extracted from the attacker. ε covers
+		// round-off at the payoff magnitudes drawn above.
 		sse := math.Max(0, pf.AttackerExpected(d.Theta))
 		ossp := math.Max(0, d.Scheme.AttackerUtility)
 		eps := 1e-6 * (1 + sse)

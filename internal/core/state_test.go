@@ -291,3 +291,94 @@ func TestJournalWaitErrorSurfaces(t *testing.T) {
 		t.Fatal("Process swallowed the journal error")
 	}
 }
+
+// TestSilentAuditCycleReplaysBitIdentically commits a cycle on an instance
+// whose payoffs all miss the Theorem 3 condition — every scheme comes from
+// the closed form's silent-audit branch (p0 > 0) — and requires its journal
+// to reproduce it twice over: re-deciding the journaled alerts on a fresh
+// engine writes the same records bit for bit, and applying the records to
+// another fresh engine rebuilds the same decisions, budget and rng position.
+func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
+	pays := []payoff.Payoff{
+		{DefenderCovered: 600, DefenderUncovered: -50, AttackerCovered: -100, AttackerUncovered: 10},
+		{DefenderCovered: 900, DefenderUncovered: -30, AttackerCovered: -80, AttackerUncovered: 25},
+	}
+	for _, pf := range pays {
+		if pf.SatisfiesTheorem3() {
+			t.Fatalf("fixture payoff %+v satisfies the Theorem 3 condition", pf)
+		}
+	}
+	inst, err := game.NewInstance(pays, []float64{1, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(journal JournalFunc) *Engine {
+		e, err := NewEngine(Config{
+			Instance: inst, Budget: 30, Policy: PolicyOSSP,
+			Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+				left := 1 - float64(at)/float64(24*time.Hour)
+				return []float64{40 * left, 25 * left}, nil
+			}),
+			Rand:    rand.New(rand.NewSource(11)),
+			Journal: journal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	record := func(into *[]DecisionRecord) JournalFunc {
+		return func(rec DecisionRecord) (func() error, error) {
+			*into = append(*into, rec)
+			return nil, nil
+		}
+	}
+
+	var journal []DecisionRecord
+	live := fresh(record(&journal))
+	silentAudits, warned := 0, 0
+	for i := 0; i < 40; i++ {
+		d, err := live.Process(Alert{Type: i % 2, Time: time.Duration(i) * 20 * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Scheme.Validate(d.Theta); err != nil {
+			t.Fatalf("alert %d: %v", i, err)
+		}
+		if d.Scheme.P0 > 0 {
+			silentAudits++
+		}
+		if d.Warned {
+			warned++
+		}
+	}
+	if silentAudits == 0 || warned == 0 || warned == len(journal) {
+		t.Fatalf("cycle did not exercise the branch: %d schemes with p0 > 0, %d of %d warned", silentAudits, warned, len(journal))
+	}
+
+	var again []DecisionRecord
+	redecided := fresh(record(&again))
+	applied := fresh(nil)
+	for _, rec := range journal {
+		if _, err := redecided.Process(Alert{Type: rec.Type, Time: rec.Time}); err != nil {
+			t.Fatal(err)
+		}
+		if err := applied.ApplyDecision(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range journal {
+		if again[i] != journal[i] {
+			t.Fatalf("re-decided record %d differs:\n %+v\n %+v", i, again[i], journal[i])
+		}
+	}
+	if err := decisionsEqual(live.Decisions(), applied.Decisions()); err != nil {
+		t.Fatal(err)
+	}
+	if l, a := live.RemainingBudget(), applied.RemainingBudget(); math.Float64bits(l) != math.Float64bits(a) {
+		t.Fatalf("budgets differ: %v vs %v", l, a)
+	}
+	if l, a := live.RNGDraws(), applied.RNGDraws(); l != a {
+		t.Fatalf("rng draws differ: %d vs %d", l, a)
+	}
+}

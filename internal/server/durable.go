@@ -386,14 +386,16 @@ func (s *Server) snapshotTenantLocked(t *tenantState) error {
 }
 
 // SnapshotAll snapshots every resident tenant's state to its journal. The
-// graceful-shutdown drain and the /v1/admin/snapshot endpoint call it; a
-// no-op (nil) when durability is disabled. The first error is returned but
-// every tenant is attempted.
+// graceful-shutdown drain calls it; a no-op (nil) when durability is
+// disabled. The first error is returned but every tenant is attempted.
 func (s *Server) SnapshotAll() error {
-	if !s.durable() {
-		return nil
-	}
-	var first error
+	_, err := s.snapshotResident()
+	return err
+}
+
+// snapshotResident snapshots every resident tenant that has a journal and
+// reports how many succeeded and the first error. Every tenant is attempted.
+func (s *Server) snapshotResident() (n int, first error) {
 	s.router.Range(func(tn *shard.Tenant) bool {
 		t := tn.Data.(*tenantState)
 		if t.journal == nil {
@@ -404,10 +406,12 @@ func (s *Server) SnapshotAll() error {
 			if first == nil {
 				first = err
 			}
+			return true
 		}
+		n++
 		return true
 	})
-	return first
+	return n, first
 }
 
 // Close seals every tenant journal (snapshotting each first). Call it after
@@ -512,24 +516,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		id = h
 	}
 	if id == "" {
-		n := 0
-		var first error
-		s.router.Range(func(tn *shard.Tenant) bool {
-			t := tn.Data.(*tenantState)
-			if t.journal == nil {
-				return true
-			}
-			if err := s.snapshotTenant(t); err != nil {
-				if first == nil {
-					first = err
-				}
-				return true
-			}
-			n++
-			return true
-		})
-		if first != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: first.Error()})
+		n, err := s.snapshotResident()
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, SnapshotResponse{Tenants: n})

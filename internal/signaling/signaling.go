@@ -14,11 +14,12 @@
 // p0·U_dc + q0·U_du (only the silent branch contributes: a warned attacker
 // quits, yielding 0).
 //
-// Both an LP-based solver (SolveLP, exercising internal/lp) and the closed
-// form of the paper's Theorem 3 (Solve) are provided; they agree to solver
-// tolerance whenever the Theorem 3 payoff condition holds, and the engine
-// cross-checks them in tests. Theorems 2–4 are exposed as predicates for
-// property-based testing.
+// Solve is the closed form of that LP for every valid payoff — the paper's
+// Theorem 3 scheme when its payoff condition holds, the silent-audit vertex
+// when it does not — and is what the engine serves. SolveLP builds the same
+// program for internal/lp's simplex and is kept as the differential oracle
+// (FuzzClosedFormOSSP) and as the core of the robust extension. Theorems 2–4
+// are exposed as predicates for property-based testing.
 package signaling
 
 import (
@@ -94,10 +95,22 @@ func (s Scheme) Validate(theta float64) error {
 }
 
 // Solve computes the OSSP for one alert of a type with payoffs pf and
-// marginal audit probability theta ∈ [0,1] using the closed form proved in
-// the paper's Theorem 3. It requires the Theorem 3 condition
-// U_ac·U_du − U_dc·U_au > 0 (always true for the paper's Table 2); callers
-// with exotic payoffs should use SolveLP, which is fully general.
+// marginal audit probability theta ∈ [0,1]. It is LP (3) solved in closed
+// form, total over every payoff Validate accepts.
+//
+// Substituting p1 = θ−p0 and q1 = 1−θ−q0 turns persuasion into
+// p0·U_ac + q0·U_au ≥ β with β = θ·U_ac + (1−θ)·U_au, so together with
+// participation the LP has one row, p0·U_ac + q0·U_au ≥ max(β, 0). U_du < 0
+// makes it tight, q0 = (max(β,0) + p0·|U_ac|)/U_au, and the objective becomes
+// linear in p0 with slope (U_dc·U_au − U_ac·U_du)/U_au:
+//
+//   - slope ≤ 0 (the paper's Theorem 3 condition, or a tie, which LP (3)'s
+//     lexicographic min-p0 rule breaks the same way): p0 = 0, q0 = β/U_au;
+//   - slope > 0: p0 as large as q0 ≤ 1−θ allows, which is q0 = 1−θ and
+//     p0 = min(θ, (1−θ)·U_au/|U_ac|) — never warn without auditing.
+//
+// Either way the attacker's silent-branch utility is max(β, 0); within
+// 1e-9·(|U_ac|+U_au) of zero he stays out and both utilities are 0 (Deterred).
 func Solve(pf payoff.Payoff, theta float64) (Scheme, error) {
 	if err := pf.Validate(); err != nil {
 		return Scheme{}, err
@@ -105,13 +118,20 @@ func Solve(pf payoff.Payoff, theta float64) (Scheme, error) {
 	if theta < 0 || theta > 1 || math.IsNaN(theta) {
 		return Scheme{}, fmt.Errorf("signaling: theta %g out of [0,1]", theta)
 	}
-	if !pf.SatisfiesTheorem3() {
-		return Scheme{}, fmt.Errorf("signaling: payoff %+v violates the Theorem 3 condition; use SolveLP", pf)
-	}
 	beta := pf.AttackerExpected(theta) // θ·U_ac + (1−θ)·U_au
 	// Relative tolerance keeps the two branches consistent when θ sits
 	// exactly on the deterrence threshold up to floating-point round-off.
 	betaTol := 1e-9 * (math.Abs(pf.AttackerCovered) + pf.AttackerUncovered)
+	if pf.DefenderCovered*pf.AttackerUncovered-pf.AttackerCovered*pf.DefenderUncovered > 0 {
+		// Auditing a silent alert pays more than warning it away.
+		p0 := math.Min(theta, (1-theta)*pf.AttackerUncovered/-pf.AttackerCovered)
+		s := Scheme{P1: theta - p0, P0: p0, Q0: 1 - theta, Deterred: beta <= betaTol}
+		if !s.Deterred {
+			s.DefenderUtility = s.P0*pf.DefenderCovered + s.Q0*pf.DefenderUncovered
+			s.AttackerUtility = s.P0*pf.AttackerCovered + s.Q0*pf.AttackerUncovered
+		}
+		return s, nil
+	}
 	if beta <= betaTol {
 		// Warn with the full distribution; the attacker quits on warning and
 		// would not attack at all: both sides get 0.

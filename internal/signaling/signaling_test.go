@@ -114,17 +114,6 @@ func TestSolveRejectsInvalidInput(t *testing.T) {
 	if _, err := Solve(payoff.Payoff{}, 0.5); err == nil {
 		t.Error("invalid payoff should be rejected")
 	}
-	// A payoff violating the Theorem 3 condition must route to SolveLP.
-	weird := payoff.Payoff{DefenderCovered: 5000, DefenderUncovered: -1, AttackerCovered: -1, AttackerUncovered: 1000}
-	if weird.SatisfiesTheorem3() {
-		t.Fatal("test payoff unexpectedly satisfies the Theorem 3 condition")
-	}
-	if _, err := Solve(weird, 0.5); err == nil {
-		t.Error("closed form should refuse payoffs outside the Theorem 3 regime")
-	}
-	if _, err := SolveLP(weird, 0.5); err != nil {
-		t.Errorf("SolveLP should handle the general case: %v", err)
-	}
 }
 
 func TestSchemeAccessors(t *testing.T) {

@@ -64,12 +64,11 @@ func (r *Runner) RunSequential(historyDays int) ([]*DayResult, error) {
 	swOSSP := &switchableEstimator{}
 	swSSE := &switchableEstimator{}
 	osspEng, err := core.NewEngine(core.Config{
-		Instance:       r.cfg.Instance,
-		Budget:         r.cfg.Budget,
-		Estimator:      swOSSP,
-		Policy:         core.PolicyOSSP,
-		Rand:           rand.New(rand.NewSource(r.cfg.Seed * 7919)),
-		UseLPSignaling: r.cfg.UseLPSignaling,
+		Instance:  r.cfg.Instance,
+		Budget:    r.cfg.Budget,
+		Estimator: swOSSP,
+		Policy:    core.PolicyOSSP,
+		Rand:      rand.New(rand.NewSource(r.cfg.Seed * 7919)),
 	})
 	if err != nil {
 		return nil, err

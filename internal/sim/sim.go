@@ -156,8 +156,6 @@ type Config struct {
 	NewEstimator func(*history.Curves) (core.Estimator, error)
 	// Seed drives OSSP signal sampling.
 	Seed int64
-	// UseLPSignaling routes OSSP through LP (3) instead of the closed form.
-	UseLPSignaling bool
 	// Metrics, when non-nil, receives per-replication throughput
 	// instrumentation (see the Metric* constants). Instruments are
 	// atomic, so concurrent RunGroup calls share them safely.
@@ -264,12 +262,11 @@ func (r *Runner) RunGroup(g Group) (*DayResult, error) {
 	}
 
 	osspEng, err := core.NewEngine(core.Config{
-		Instance:       r.cfg.Instance,
-		Budget:         r.cfg.Budget,
-		Estimator:      estOSSP,
-		Policy:         core.PolicyOSSP,
-		Rand:           rand.New(rand.NewSource(r.cfg.Seed*7919 + int64(g.Start))),
-		UseLPSignaling: r.cfg.UseLPSignaling,
+		Instance:  r.cfg.Instance,
+		Budget:    r.cfg.Budget,
+		Estimator: estOSSP,
+		Policy:    core.PolicyOSSP,
+		Rand:      rand.New(rand.NewSource(r.cfg.Seed*7919 + int64(g.Start))),
 	})
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@
 //     (the paper's LP (2)); its marginal audit probabilities θ are also the
 //     OSSP marginals (Theorem 1).
 //   - SolveOSSP — the Online Stackelberg Signaling Policy for one alert at
-//     marginal θ (LP (3) / the Theorem 3 closed form): the joint
+//     marginal θ (the paper's LP (3), solved in closed form): the joint
 //     distribution over {warn, silent} × {audit, skip}.
 //   - Engine — the online loop tying both together with budget pacing and
 //     the knowledge-rollback estimator.
@@ -184,17 +184,15 @@ func SolveOfflineSSE(inst *Instance, budget float64, counts []float64) (*SSEResu
 
 // SolveOSSP computes the Online Stackelberg Signaling Policy for one alert
 // whose type has the given payoffs and marginal audit probability theta.
-// It uses the paper's Theorem 3 closed form when its payoff condition
-// holds and the general LP (3) otherwise.
+// It is LP (3) in closed form for every valid payoff: the paper's Theorem 3
+// scheme (p0 = 0) when its payoff condition holds, and otherwise the vertex
+// that audits silently as far as the attacker's participation allows.
 func SolveOSSP(pf Payoff, theta float64) (Scheme, error) {
-	if pf.SatisfiesTheorem3() {
-		return signaling.Solve(pf, theta)
-	}
-	return signaling.SolveLP(pf, theta)
+	return signaling.Solve(pf, theta)
 }
 
-// SolveOSSPLP computes the OSSP by solving LP (3) directly, regardless of
-// the payoff regime (slower; useful for cross-checking).
+// SolveOSSPLP computes the OSSP by solving LP (3) with the simplex (slower;
+// the differential oracle for SolveOSSP).
 func SolveOSSPLP(pf Payoff, theta float64) (Scheme, error) {
 	return signaling.SolveLP(pf, theta)
 }
