@@ -113,48 +113,6 @@ func BenchmarkOSSPDecision(b *testing.B) {
 	}
 }
 
-// BenchmarkOSSPDecisionWithDeadline measures the hardened decision path:
-// context plumbing, the per-decision deadline timer, and the armed fallback
-// ladder. The deadline is far above the steady-state solve time, so ns/op
-// is the bounded path's overhead over BenchmarkOSSPDecision, not the cost
-// of degrading; the degraded% metric confirms the ladder stayed cold.
-func BenchmarkOSSPDecisionWithDeadline(b *testing.B) {
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rates := []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}
-	eng, err := sag.NewEngine(sag.EngineConfig{
-		Instance: inst,
-		Budget:   1e9,
-		Estimator: sag.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			out := make([]float64, len(rates))
-			copy(out, rates)
-			return out, nil
-		}),
-		Policy:           sag.PolicyOSSP,
-		Rand:             rand.New(rand.NewSource(1)),
-		DecisionDeadline: 250 * time.Millisecond,
-		Fallback:         true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	degraded := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if d.Fallback.Degraded() {
-			degraded++
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(100*float64(degraded)/float64(b.N), "degraded%")
-}
-
 // BenchmarkOSSPClosedFormVsLP measures just the signaling stage both ways
 // (ablation A3's value-parity arm lives in the signaling tests).
 func BenchmarkOSSPClosedFormVsLP(b *testing.B) {

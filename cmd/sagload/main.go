@@ -15,8 +15,13 @@
 // admission control kept the polite tenants' goodput intact while shedding
 // the greedy one with computed Retry-After hints:
 //
-//	sagload -self -overload -workers 8 -polite-tenants 3 -polite-rate 50 \
+//	sagload -self -overload -workers 32 -polite-tenants 3 -polite-rate 50 \
 //	        -max-inflight 4 -queue-depth 8 -duration 5s
+//
+// Every client is closed-loop, so the flood must outnumber the places it can
+// occupy: with -self a shape where -workers + -polite-tenants fits inside
+// -max-inflight + -queue-depth is refused up front, and a run in which the
+// greedy tenant was never shed exits non-zero.
 //
 // Each worker is pinned to one planted alert type: worker w posts the pair
 // (employee+stride·(w mod types), patient+stride·(w mod types)). The
@@ -90,6 +95,11 @@ func run() error {
 	base := *url
 	if *self {
 		adm := admit.Config{Rate: *admitRate, Burst: *admitBurst, MaxInflight: *maxInflight, QueueDepth: *queueDepth}
+		if *overload {
+			if err := overloadCanShed(*workers, *politeTenants, adm); err != nil {
+				return err
+			}
+		}
 		ts, bgE, bgP, err := selfServer(*budget, residentTenants, adm)
 		if err != nil {
 			return err
@@ -313,11 +323,31 @@ func overloadShot(client *http.Client, base string, body []byte, st *tenantResul
 	}
 }
 
+// overloadCanShed refuses an -overload shape against the in-process server
+// that cannot shed by arithmetic. Every client is closed-loop (one request
+// outstanding), so without a rate limit at most workers+politeN requests
+// exist at once; if they all fit in the slots plus the queue nothing is ever
+// turned away and the rehearsal proves nothing.
+func overloadCanShed(workers, politeN int, adm admit.Config) error {
+	if adm.Rate > 0 {
+		return nil
+	}
+	if adm.MaxInflight <= 0 {
+		return errors.New("-self -overload has nothing to shed with: set -max-inflight (and -queue-depth) or -rate")
+	}
+	if clients, places := workers+politeN, adm.MaxInflight+adm.QueueDepth; clients <= places {
+		return fmt.Errorf("-overload cannot shed: %d closed-loop clients (-workers %d + -polite-tenants %d) fit in %d places (-max-inflight %d + -queue-depth %d); raise -workers above %d",
+			clients, workers, politeN, places, adm.MaxInflight, adm.QueueDepth, places-politeN)
+	}
+	return nil
+}
+
 // runOverload is the -overload arm: `workers` unpaced clients flood the
 // "greedy" tenant while politeN paced clients each drive their own tenant at
 // politeRate req/s. The report is per-tenant goodput — the number the
 // admission layer exists to protect — plus the greedy tenant's shed ratio
-// and the spread of computed Retry-After hints.
+// and the spread of computed Retry-After hints. A run that never shed the
+// greedy tenant is an error: it rehearsed nothing.
 func runOverload(base string, body []byte, workers, politeN int, politeRate float64, dur time.Duration) error {
 	if politeN < 1 {
 		return errors.New("-overload needs -polite-tenants >= 1")
@@ -406,7 +436,7 @@ func runOverload(base string, body []byte, workers, politeN int, politeRate floa
 		fmt.Fprintf(os.Stdout, "greedy Retry-After hints: %d distinct, e.g. %v\n", len(g.retryAfter), hints)
 	}
 	if g.shed == 0 {
-		fmt.Fprintln(os.Stdout, "note: greedy tenant was never shed — target has no admission control, or load is under capacity")
+		return errors.New("greedy tenant was never shed — target has no admission control, or load is under capacity")
 	}
 	return nil
 }

@@ -73,6 +73,29 @@ func TestSelfServerTenantFanOut(t *testing.T) {
 	}
 }
 
+// TestOverloadRefusesShapeThatCannotShed: closed-loop clients that all fit in
+// the slots plus the queue can never be turned away, so the -self -overload
+// arm refuses the shape instead of printing a 0 % shed "rehearsal".
+func TestOverloadRefusesShapeThatCannotShed(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		workers, polite int
+		adm             admit.Config
+		refused         bool
+	}{
+		{"8 workers + 3 polite in 4 slots + 8 queued", 8, 3, admit.Config{MaxInflight: 4, QueueDepth: 8}, true},
+		{"exactly as many clients as places", 9, 3, admit.Config{MaxInflight: 4, QueueDepth: 8}, true},
+		{"one client more than places", 10, 3, admit.Config{MaxInflight: 4, QueueDepth: 8}, false},
+		{"the documented shape", 32, 3, admit.Config{MaxInflight: 4, QueueDepth: 8}, false},
+		{"no admission control at all", 32, 3, admit.Config{}, true},
+		{"a rate limit sheds whatever the client count", 2, 1, admit.Config{Rate: 50, MaxInflight: 4, QueueDepth: 8}, false},
+	} {
+		if err := overloadCanShed(tc.workers, tc.polite, tc.adm); (err != nil) != tc.refused {
+			t.Errorf("%s: err = %v, want refused = %v", tc.name, err, tc.refused)
+		}
+	}
+}
+
 func TestMaxTenants(t *testing.T) {
 	if got := maxTenants(0); got != 0 {
 		t.Fatalf("maxTenants(0) = %d, want 0 (shard default)", got)

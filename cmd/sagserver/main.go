@@ -62,9 +62,8 @@ func run() error {
 		// it with the next change to benchmark/.
 		_ = flag.Int("cache-size", 0, "ignored: there is no decision cache (kept so old command lines still start)")
 
-		decisionDeadline = flag.Duration("decision-deadline", 0, "per-decision solve deadline; slower decisions degrade down the fallback ladder (0 disables)")
-		requestTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline: a request still waiting when it passes answers 503 having changed nothing (0 = none)")
-		shutdownGrace    = flag.Duration("shutdown-grace", 10*time.Second, "time in-flight requests get to finish on SIGINT/SIGTERM")
+		requestTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request deadline: a request still waiting when it passes answers 503 having changed nothing (0 = none)")
+		shutdownGrace  = flag.Duration("shutdown-grace", 10*time.Second, "time in-flight requests get to finish on SIGINT/SIGTERM")
 
 		dataDir         = flag.String("data-dir", "", "enable durability: per-tenant write-ahead journals and snapshots live under this directory, and restarts recover the exact engine state")
 		fsyncMode       = flag.String("fsync", "always", "journal durability policy with -data-dir: always (fsync before every ack), interval (group fsync on a timer), none (OS page cache only)")
@@ -96,7 +95,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg.DecisionDeadline = *decisionDeadline
 	cfg.RequestTimeout = *requestTimeout
 	cfg.MaxTenants = *maxTenants
 	cfg.Admission = admit.Config{

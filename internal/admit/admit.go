@@ -8,7 +8,7 @@
 // has a fixed solver/CPU budget, and under overload it must ration that
 // budget across tenants instead of degrading everyone equally.
 //
-// Three mechanisms compose:
+// Two mechanisms compose:
 //
 //   - Per-tenant token buckets bound each tenant's sustained admission rate
 //     (Rate req/s, Burst depth). A tenant that exceeds its rate is shed
@@ -16,28 +16,24 @@
 //     until its bucket refills one token — so the hint varies with how far
 //     over budget the tenant is, never a constant.
 //
-//   - A box-wide inflight cap (MaxInflight) with an optional per-tenant
-//     concurrency cap (TenantInflight). When all slots are busy, requests
-//     wait in a bounded FIFO queue per tenant; freed slots are granted
-//     round-robin across tenants with non-empty queues, so a greedy tenant's
-//     deep queue cannot starve a polite tenant's shallow one. The bound
-//     (QueueDepth) is shared by longest-queue drop: an arrival that finds
-//     the queue full pushes out the newest waiter of the longest queue, so
-//     the backlog a greedy tenant built absorbs the drops and a tenant
-//     asking for little always finds room.
+//   - A box-wide inflight cap (MaxInflight). When all slots are busy,
+//     requests wait in a bounded FIFO queue per tenant; freed slots are
+//     granted round-robin across tenants with non-empty queues, so a greedy
+//     tenant's deep queue cannot starve a polite tenant's shallow one. The
+//     bound (QueueDepth) is shared by longest-queue drop: an arrival that
+//     finds the queue full pushes out the newest waiter of the longest
+//     queue, so the backlog a greedy tenant built absorbs the drops and a
+//     tenant asking for little always finds room.
 //
-//   - Deadline-aware shedding: the controller tracks the observed completion
-//     rate over a short sliding window and projects how long a new arrival
-//     would wait at the back of the queue. If the box is saturated (every
-//     slot busy) and the projection exceeds MaxWait (typically the decision
-//     deadline), the request is shed up front with reason "deadline" —
-//     better an immediate 503 with an honest Retry-After than a slot wasted
-//     on a request whose deadline the queue has already eaten. The
-//     saturation guard matters: while slots are free the completion rate
-//     measures offered load, not capacity, and shedding on it would
-//     self-reinforce. Requests queued for other reasons (a tenant at its
-//     concurrency cap) are instead bounded by the same MaxWait as an actual
-//     timer.
+// Invariant: a free slot and a non-empty queue never coexist — a request
+// queues only when every slot is busy, and every freed slot goes straight to
+// a waiter. A queued request waits until it is granted, pushed out, or its
+// context ends: the request's own deadline is the only clock on the wait.
+//
+// The controller also tracks the observed completion rate over a short
+// sliding window. It sheds nothing by it; it is where the Retry-After of a
+// queue shed and RetryHint come from — the projected wait of a new arrival
+// at the back of the queue, so the hint tracks the backlog.
 //
 // All methods are safe for concurrent use.
 package admit
@@ -47,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -60,7 +57,7 @@ const (
 	// by how they got in: reason="direct" (a slot was free) or "queued".
 	MetricAdmittedTotal = "sag_admit_admitted_total"
 	// MetricShedTotal counts rejected requests, labeled by tenant and
-	// reason ("rate", "queue_full", "deadline", "canceled").
+	// reason ("rate", "queue_full", "canceled").
 	MetricShedTotal = "sag_admit_shed_total"
 	// MetricQueuedTotal counts requests that entered the admission queue.
 	MetricQueuedTotal = "sag_admit_queued_total"
@@ -78,8 +75,6 @@ const (
 	ReasonRate = "rate"
 	// ReasonQueueFull: the box-wide admission queue was at QueueDepth.
 	ReasonQueueFull = "queue_full"
-	// ReasonDeadline: the projected (or actual) queue wait exceeded MaxWait.
-	ReasonDeadline = "deadline"
 	// ReasonCanceled: the caller's context ended while queued.
 	ReasonCanceled = "canceled"
 )
@@ -118,17 +113,9 @@ type Config struct {
 	// MaxInflight bounds concurrently admitted requests box-wide.
 	// 0 disables the inflight cap and the queue.
 	MaxInflight int
-	// TenantInflight bounds one tenant's share of MaxInflight. 0 defaults
-	// to MaxInflight (no per-tenant cap below the box cap).
-	TenantInflight int
 	// QueueDepth bounds the box-wide admission queue. 0 means no queue:
 	// a request that cannot run immediately is shed.
 	QueueDepth int
-	// MaxWait bounds both the projected and the actual time a request may
-	// spend queued; beyond it the request is shed with ReasonDeadline.
-	// 0 disables deadline shedding (requests wait until granted or
-	// canceled).
-	MaxWait time.Duration
 	// MaxTenants caps the tenant-gate table. At the cap, creating a gate
 	// for a new tenant evicts the longest-idle gate with no inflight or
 	// queued requests. 0 means unlimited.
@@ -141,7 +128,7 @@ type Config struct {
 
 // Enabled reports whether this configuration imposes any admission policy.
 func (c Config) Enabled() bool {
-	return c.Rate > 0 || c.MaxInflight > 0 || c.TenantInflight > 0
+	return c.Rate > 0 || c.MaxInflight > 0
 }
 
 // ShedError is returned by Admit when a request is rejected. RetryAfter is
@@ -206,7 +193,6 @@ type gate struct {
 	refilled time.Time // last token-bucket refill
 	inflight int
 	queue    []*waiter
-	inRR     bool
 	idleAt   time.Time // last transition to fully idle (eviction order)
 
 	admittedDirect *obs.Counter
@@ -226,7 +212,7 @@ type Controller struct {
 
 	mu       sync.Mutex
 	gates    map[string]*gate
-	rr       []*gate // gates with non-empty queues, in round-robin order
+	rr       []*gate // exactly the gates with non-empty queues, in round-robin order
 	rrIdx    int
 	inflight int
 	queued   int
@@ -247,14 +233,11 @@ func New(cfg Config) (*Controller, error) {
 	if !cfg.Enabled() {
 		return nil, errors.New("admit: config enables no admission policy (set Rate or MaxInflight)")
 	}
-	if cfg.Rate < 0 || cfg.Burst < 0 || cfg.MaxInflight < 0 || cfg.TenantInflight < 0 || cfg.QueueDepth < 0 || cfg.MaxWait < 0 || cfg.MaxTenants < 0 {
+	if cfg.Rate < 0 || cfg.Burst < 0 || cfg.MaxInflight < 0 || cfg.QueueDepth < 0 || cfg.MaxTenants < 0 {
 		return nil, errors.New("admit: negative knob in config")
 	}
 	if cfg.Rate > 0 && cfg.Burst == 0 {
 		cfg.Burst = math.Max(1, cfg.Rate)
-	}
-	if cfg.MaxInflight > 0 && (cfg.TenantInflight == 0 || cfg.TenantInflight > cfg.MaxInflight) {
-		cfg.TenantInflight = cfg.MaxInflight
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -279,8 +262,8 @@ func New(cfg Config) (*Controller, error) {
 // idempotent as a safety net). On rejection it returns a *ShedError with
 // the reason and a computed Retry-After.
 //
-// Admit blocks only when the request is queued, and then only up to
-// cfg.MaxWait (if set) or until ctx is done.
+// Admit blocks only when the request is queued, and then until a slot is
+// granted, the waiter is pushed out, or ctx is done.
 func (c *Controller) Admit(ctx context.Context, tenant string) (release func(), err error) {
 	c.mu.Lock()
 	now := c.now()
@@ -299,9 +282,9 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (release func(), 
 		g.tokens--
 	}
 
-	// Stage 2: direct admission — a slot is free, nobody is queued ahead,
-	// and the tenant is under its concurrency share.
-	if c.slotFreeLocked() && c.queued == 0 && c.underCapLocked(g) {
+	// Stage 2: direct admission — a slot is free, so nobody is queued ahead
+	// (a freed slot always goes to a waiter first).
+	if c.slotFreeLocked() {
 		c.inflight++
 		g.inflight++
 		c.inflightG.Set(float64(c.inflight))
@@ -315,53 +298,22 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (release func(), 
 	// greedy tenant's backlog absorbs the drops and can never wall off the
 	// queue from tenants asking for little. Only when the arriving tenant
 	// itself owns (or ties) the longest queue is the arrival the one shed.
-	if c.cfg.QueueDepth <= 0 {
-		err := c.shedLocked(g, ReasonQueueFull, c.projectedWaitLocked(now, c.queued+1))
-		c.mu.Unlock()
-		return nil, err
-	}
+	// (With QueueDepth 0 nobody is ever queued, so there is nobody to evict.)
 	if c.queued >= c.cfg.QueueDepth && !c.pushOutLocked(g, now) {
 		err := c.shedLocked(g, ReasonQueueFull, c.projectedWaitLocked(now, c.queued+1))
 		c.mu.Unlock()
 		return nil, err
 	}
-	// Project-and-shed only when every slot is busy. Only then does the
-	// observed completion rate measure capacity, making the projection
-	// honest. With free slots the rate reflects whatever admission happens
-	// to be letting through, and shedding on it would spiral: sheds
-	// suppress completions, the lowered rate projects longer waits, which
-	// sheds more. A request blocked only by its tenant's concurrency cap
-	// queues instead — its grant arrives with the tenant's own next
-	// release, and the MaxWait timer below bounds the wait regardless.
-	if !c.slotFreeLocked() {
-		if proj := c.projectedWaitLocked(now, c.queued+1); c.cfg.MaxWait > 0 && proj > c.cfg.MaxWait {
-			err := c.shedLocked(g, ReasonDeadline, proj)
-			c.mu.Unlock()
-			return nil, err
-		}
-	}
 	w := &waiter{g: g, ready: make(chan struct{}), enq: now}
-	g.queue = append(g.queue, w)
-	if !g.inRR {
+	if len(g.queue) == 0 {
 		c.rr = append(c.rr, g)
-		g.inRR = true
 	}
+	g.queue = append(g.queue, w)
 	c.queued++
 	c.queuedG.Set(float64(c.queued))
 	g.queuedTotal.Inc()
-	// Grant immediately if a slot is actually available to some queued
-	// tenant: the direct path above refuses to jump an existing queue, but
-	// a waiter held back only by its tenant's concurrency cap must not
-	// block other tenants' arrivals from using free slots.
-	c.grantLocked()
 	c.mu.Unlock()
 
-	var timeout <-chan time.Time
-	if c.cfg.MaxWait > 0 {
-		tm := time.NewTimer(c.cfg.MaxWait)
-		defer tm.Stop()
-		timeout = tm.C
-	}
 	select {
 	case <-w.ready:
 		c.mu.Lock()
@@ -377,17 +329,15 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (release func(), 
 		c.mu.Unlock()
 		return c.releaseFunc(g), nil
 	case <-ctx.Done():
-		return nil, c.abandon(w, ReasonCanceled)
-	case <-timeout:
-		return nil, c.abandon(w, ReasonDeadline)
+		return nil, c.abandon(w)
 	}
 }
 
-// abandon removes a waiter that stopped waiting (cancellation or deadline).
-// If a grant raced the abandonment, the already-assigned slot is returned
-// and re-granted to the next waiter; if a push-out eviction raced it, the
-// eviction already settled the waiter's fate.
-func (c *Controller) abandon(w *waiter, reason string) error {
+// abandon removes a waiter whose context ended. If a grant raced the
+// abandonment, the already-assigned slot is returned and re-granted to the
+// next waiter; if a push-out eviction raced it, the eviction already settled
+// the waiter's fate.
+func (c *Controller) abandon(w *waiter) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
@@ -400,9 +350,10 @@ func (c *Controller) abandon(w *waiter, reason string) error {
 		c.noteIdleLocked(w.g, now)
 		c.grantLocked()
 	default:
-		c.removeWaiterLocked(w)
+		c.dequeueLocked(w.g, slices.Index(w.g.queue, w))
+		c.noteIdleLocked(w.g, now)
 	}
-	return c.shedLocked(w.g, reason, c.projectedWaitLocked(now, c.queued+1))
+	return c.shedLocked(w.g, ReasonCanceled, c.projectedWaitLocked(now, c.queued+1))
 }
 
 // Release-side plumbing. The returned closure is what handlers defer.
@@ -472,10 +423,6 @@ func (c *Controller) slotFreeLocked() bool {
 	return c.cfg.MaxInflight <= 0 || c.inflight < c.cfg.MaxInflight
 }
 
-func (c *Controller) underCapLocked(g *gate) bool {
-	return c.cfg.TenantInflight <= 0 || g.inflight < c.cfg.TenantInflight
-}
-
 // noteIdleLocked records the moment a gate went fully idle, for eviction
 // ordering in gateLocked.
 func (c *Controller) noteIdleLocked(g *gate, now time.Time) {
@@ -518,7 +465,6 @@ func (c *Controller) gateLocked(tenant string, now time.Time) *gate {
 		g.shed = map[string]*obs.Counter{
 			ReasonRate:      reg.Counter(MetricShedTotal, "Requests shed, by tenant and reason.", lt, obs.L("reason", ReasonRate)),
 			ReasonQueueFull: reg.Counter(MetricShedTotal, "", lt, obs.L("reason", ReasonQueueFull)),
-			ReasonDeadline:  reg.Counter(MetricShedTotal, "", lt, obs.L("reason", ReasonDeadline)),
 			ReasonCanceled:  reg.Counter(MetricShedTotal, "", lt, obs.L("reason", ReasonCanceled)),
 		}
 	}
@@ -550,41 +496,23 @@ func (c *Controller) shedLocked(g *gate, reason string, ra time.Duration) *ShedE
 }
 
 // grantLocked hands freed slots to queued waiters, round-robin across
-// tenants, skipping tenants at their concurrency cap. It stops when slots
-// run out, the queues drain, or every queued tenant is capped.
+// tenants, until slots run out or the queues drain.
 func (c *Controller) grantLocked() {
 	for c.slotFreeLocked() && len(c.rr) > 0 {
-		granted := false
-		for tries := len(c.rr); tries > 0; tries-- {
-			if c.rrIdx >= len(c.rr) {
-				c.rrIdx = 0
-			}
-			g := c.rr[c.rrIdx]
-			if !c.underCapLocked(g) {
-				c.rrIdx++
-				continue
-			}
-			w := g.queue[0]
-			g.queue = g.queue[1:]
-			c.queued--
-			if len(g.queue) == 0 {
-				c.removeFromRRLocked(c.rrIdx)
-			} else {
-				c.rrIdx++
-			}
-			c.inflight++
-			g.inflight++
-			w.granted = true
-			close(w.ready)
-			granted = true
-			break
+		if c.rrIdx >= len(c.rr) {
+			c.rrIdx = 0
 		}
-		if !granted {
-			break
+		g := c.rr[c.rrIdx]
+		w := c.dequeueLocked(g, 0)
+		if len(g.queue) > 0 {
+			c.rrIdx++ // else g left the ring and rrIdx already names its successor
 		}
+		c.inflight++
+		g.inflight++
+		w.granted = true
+		close(w.ready)
 	}
 	c.inflightG.Set(float64(c.inflight))
-	c.queuedG.Set(float64(c.queued))
 }
 
 // pushOutLocked makes room in a full queue for an arrival from gate g by
@@ -603,58 +531,29 @@ func (c *Controller) pushOutLocked(g *gate, now time.Time) bool {
 	if victim == nil || len(victim.queue) <= len(g.queue) {
 		return false
 	}
-	w := victim.queue[len(victim.queue)-1]
-	victim.queue = victim.queue[:len(victim.queue)-1]
-	c.queued--
-	if len(victim.queue) == 0 && victim.inRR {
-		for i, rg := range c.rr {
-			if rg == victim {
-				c.removeFromRRLocked(i)
-				break
-			}
-		}
-	}
+	w := c.dequeueLocked(victim, len(victim.queue)-1)
 	c.noteIdleLocked(victim, now)
 	w.err = c.shedLocked(victim, ReasonQueueFull, c.projectedWaitLocked(now, c.queued+1))
 	close(w.ready)
-	c.queuedG.Set(float64(c.queued))
 	return true
 }
 
-// removeWaiterLocked unlinks an abandoned waiter from its gate's queue.
-func (c *Controller) removeWaiterLocked(w *waiter) {
-	q := w.g.queue
-	for i, x := range q {
-		if x == w {
-			w.g.queue = append(q[:i], q[i+1:]...)
-			c.queued--
-			c.queuedG.Set(float64(c.queued))
-			break
+// dequeueLocked unlinks g.queue[i] — granted, pushed out or abandoned — and
+// drops g from the round-robin ring when that empties its queue, keeping
+// rrIdx on the gate that followed it.
+func (c *Controller) dequeueLocked(g *gate, i int) *waiter {
+	w := g.queue[i]
+	g.queue = slices.Delete(g.queue, i, i+1)
+	c.queued--
+	c.queuedG.Set(float64(c.queued))
+	if len(g.queue) == 0 {
+		r := slices.Index(c.rr, g)
+		c.rr = slices.Delete(c.rr, r, r+1)
+		if c.rrIdx > r {
+			c.rrIdx--
 		}
 	}
-	if len(w.g.queue) == 0 && w.g.inRR {
-		for i, g := range c.rr {
-			if g == w.g {
-				c.removeFromRRLocked(i)
-				break
-			}
-		}
-	}
-	c.noteIdleLocked(w.g, c.now())
-}
-
-// removeFromRRLocked drops rr[i], keeping rrIdx pointing at the element
-// that followed it.
-func (c *Controller) removeFromRRLocked(i int) {
-	g := c.rr[i]
-	g.inRR = false
-	c.rr = append(c.rr[:i], c.rr[i+1:]...)
-	if c.rrIdx > i {
-		c.rrIdx--
-	}
-	if c.rrIdx >= len(c.rr) {
-		c.rrIdx = 0
-	}
+	return w
 }
 
 // rotateLocked advances the sliding window so winCount covers at most

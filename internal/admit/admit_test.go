@@ -186,30 +186,6 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 }
 
-func TestTenantInflightCap(t *testing.T) {
-	c := mustNew(t, Config{MaxInflight: 4, TenantInflight: 2, QueueDepth: 8})
-	r1 := admitNow(t, c, "a")
-	r2 := admitNow(t, c, "a")
-	// Box has 2 free slots, but tenant a is at its cap: third request queues.
-	done := make(chan error, 1)
-	go func() {
-		r, err := c.Admit(context.Background(), "a")
-		if err == nil {
-			defer r()
-		}
-		done <- err
-	}()
-	waitQueued(t, c, 1)
-	// Another tenant still admits directly even with a's waiter queued.
-	rb := admitNow(t, c, "b")
-	rb()
-	r1()
-	if err := <-done; err != nil {
-		t.Fatalf("queued request after release: %v", err)
-	}
-	r2()
-}
-
 func TestQueueFullShed(t *testing.T) {
 	c := mustNew(t, Config{MaxInflight: 1, QueueDepth: 1})
 	hold := admitNow(t, c, "a")
@@ -309,45 +285,37 @@ func runAdmit(c *Controller, tenant string, outcome chan string, tag string) cha
 	return outcome
 }
 
-func TestDeadlineProjectionShed(t *testing.T) {
+// TestDrainRateFeedsRetryAfter: the completion-rate estimator sheds nothing;
+// it is the source of a queue shed's Retry-After.
+func TestDrainRateFeedsRetryAfter(t *testing.T) {
 	clk := newFakeClock()
-	c := mustNew(t, Config{MaxInflight: 1, QueueDepth: 10, MaxWait: 100 * time.Millisecond, Now: clk.Now})
-
-	// Cold controller: no completions observed yet, so the projection is
-	// zero and the first over-capacity request queues rather than sheds.
-	hold := admitNow(t, c, "a")
-	granted := make(chan struct{})
-	go func() {
-		r, err := c.Admit(context.Background(), "b")
-		if err == nil {
-			r()
-		}
-		close(granted)
-	}()
-	waitQueued(t, c, 1)
-	hold()
-	<-granted
+	c := mustNew(t, Config{MaxInflight: 1, Now: clk.Now})
 
 	// Two completions landed in a still-filling first window with no time
-	// elapsed: the estimator divides by the minimum observation span, reads
-	// a high rate, and keeps admitting.
-	if rate := c.Snapshot().DrainRate; rate < 100 {
+	// elapsed: the estimator divides by the minimum observation span rather
+	// than the full window and reads a high rate.
+	admitNow(t, c, "a")()
+	admitNow(t, c, "b")()
+	if rate := c.Snapshot().DrainRate; rate != 200 {
 		t.Fatalf("cold-window drain rate = %v, want the 2 completions spread over the minimum span (200/s)", rate)
 	}
 
-	// A full window later the estimator is warm: drain rate is 2 per
-	// half-second window = 4/s, so position 1 projects 250ms > MaxWait.
+	// A full window later the estimator is warm: 2 per half-second window =
+	// 4/s, so an arrival shed at position 1 is told to come back in 250ms.
 	clk.Advance(drainWindow)
-	hold2 := admitNow(t, c, "a")
+	if rate := c.Snapshot().DrainRate; rate != 4 {
+		t.Fatalf("warm-window drain rate = %v, want 4/s", rate)
+	}
+	hold := admitNow(t, c, "a")
 	_, err := c.Admit(context.Background(), "b")
 	se := shedReason(t, err)
-	if se.Reason != ReasonDeadline {
-		t.Fatalf("reason = %q, want %q", se.Reason, ReasonDeadline)
+	if se.Reason != ReasonQueueFull {
+		t.Fatalf("reason = %q, want %q", se.Reason, ReasonQueueFull)
 	}
 	if se.RetryAfter != 250*time.Millisecond {
 		t.Fatalf("RetryAfter = %v, want 250ms (1 / 4 per second)", se.RetryAfter)
 	}
-	hold2()
+	hold()
 }
 
 func TestCancelWhileQueued(t *testing.T) {
@@ -369,16 +337,6 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 	hold()
 	admitNow(t, c, "b")()
-}
-
-func TestMaxWaitTimeoutWhileQueued(t *testing.T) {
-	c := mustNew(t, Config{MaxInflight: 1, QueueDepth: 2, MaxWait: 20 * time.Millisecond})
-	hold := admitNow(t, c, "a")
-	_, err := c.Admit(context.Background(), "b")
-	if se := shedReason(t, err); se.Reason != ReasonDeadline {
-		t.Fatalf("reason = %q, want %q", se.Reason, ReasonDeadline)
-	}
-	hold()
 }
 
 func TestReleaseIdempotent(t *testing.T) {
@@ -471,14 +429,20 @@ func TestMetricsExported(t *testing.T) {
 }
 
 // TestAdmitStress hammers the controller from many goroutines with mixed
-// cancellation, timeouts, and releases; the race detector and the final
-// occupancy check are the assertions.
+// cancellation, timeouts, and releases; the race detector, the invariant
+// checked after every operation (a free slot and a non-empty queue never
+// coexist) and the final occupancy check are the assertions.
 func TestAdmitStress(t *testing.T) {
+	const maxInflight = 8
 	c := mustNew(t, Config{
 		Rate: 50000, Burst: 1000,
-		MaxInflight: 8, TenantInflight: 4,
-		QueueDepth: 32, MaxWait: 5 * time.Millisecond,
+		MaxInflight: maxInflight, QueueDepth: 32,
 	})
+	checkInvariant := func() {
+		if s := c.Snapshot(); s.Inflight < maxInflight && s.Queued != 0 {
+			t.Errorf("free slot beside a non-empty queue: %+v", s)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -493,11 +457,13 @@ func TestAdmitStress(t *testing.T) {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(3))*time.Millisecond)
 				}
 				release, err := c.Admit(ctx, tenant)
+				checkInvariant()
 				if err == nil {
 					if rng.Intn(8) == 0 {
 						time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 					}
 					release()
+					checkInvariant()
 				}
 				cancel()
 			}

@@ -6,123 +6,16 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/fallback"
 	"github.com/auditgames/sag/internal/game"
 )
 
-// blockingSolver returns an SSESolveFunc that never finishes on its own: it
-// waits for ctx and returns its error, modeling a solve that outlives any
-// deadline.
-func blockingSolver() SSESolveFunc {
-	return func(ctx context.Context, _ *game.Instance, _ float64, _ []dist.Poisson) (*game.Result, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-}
-
 // failingSolver returns an SSESolveFunc that always errors.
 func failingSolver(err error) SSESolveFunc {
 	return func(context.Context, *game.Instance, float64, []dist.Poisson) (*game.Result, error) {
 		return nil, err
-	}
-}
-
-func TestNegativeDeadlineRejected(t *testing.T) {
-	_, err := NewEngine(Config{
-		Instance:         singleInstance(t),
-		Budget:           1,
-		Estimator:        constEstimator(10),
-		Rand:             rand.New(rand.NewSource(1)),
-		DecisionDeadline: -time.Second,
-	})
-	if err == nil {
-		t.Fatal("negative deadline must be rejected")
-	}
-}
-
-func TestDeadlineWithoutFallbackErrors(t *testing.T) {
-	e, err := NewEngine(Config{
-		Instance:         singleInstance(t),
-		Budget:           5,
-		Estimator:        constEstimator(10),
-		Rand:             rand.New(rand.NewSource(1)),
-		DecisionDeadline: 10 * time.Millisecond,
-		SSESolve:         blockingSolver(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Process(Alert{Type: 0}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded without fallback, got %v", err)
-	}
-	if got := e.RemainingBudget(); got != 5 {
-		t.Fatalf("failed decision charged budget: remaining %g, want 5", got)
-	}
-	if n := len(e.Decisions()); n != 0 {
-		t.Fatalf("failed decision was recorded: %d decisions", n)
-	}
-}
-
-func TestDeadlineWithFallbackDegrades(t *testing.T) {
-	e, err := NewEngine(Config{
-		Instance:         singleInstance(t),
-		Budget:           5,
-		Estimator:        constEstimator(10),
-		Rand:             rand.New(rand.NewSource(1)),
-		DecisionDeadline: 10 * time.Millisecond,
-		SSESolve:         blockingSolver(),
-		Fallback:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Process(Alert{Type: 0})
-	if err != nil {
-		t.Fatalf("Process with fallback errored: %v", err)
-	}
-	if d.Fallback != fallback.Static {
-		t.Fatalf("first-alert timeout should land on static, got %v", d.Fallback)
-	}
-	if d.Warned {
-		t.Fatal("static fallback must never warn (Theorem 2 degradation)")
-	}
-	if d.Scheme.WarnProbability() != 0 {
-		t.Fatalf("static scheme warns with probability %g", d.Scheme.WarnProbability())
-	}
-	if d.Theta < 0 || d.Theta > 1 {
-		t.Fatalf("static audit probability %g outside [0,1]", d.Theta)
-	}
-}
-
-// TestDeadlineNoticedBetweenStages: a solve that ignores its context and
-// returns after the deadline is caught at the boundary between the SSE and
-// signaling stages. Its equilibrium is still a good one, so the decision
-// lands on the last-good rung, not the static one.
-func TestDeadlineNoticedBetweenStages(t *testing.T) {
-	e, err := NewEngine(Config{
-		Instance:         singleInstance(t),
-		Budget:           5,
-		Estimator:        constEstimator(10),
-		Rand:             rand.New(rand.NewSource(1)),
-		DecisionDeadline: 5 * time.Millisecond,
-		SSESolve: func(_ context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
-			time.Sleep(20 * time.Millisecond)
-			return game.SolveOnlineSSE(inst, budget, futures)
-		},
-		Fallback: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Process(Alert{Type: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Fallback != fallback.LastGood {
-		t.Fatalf("late solve committed at level %v, want last-good", d.Fallback)
 	}
 }
 

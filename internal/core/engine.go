@@ -115,16 +115,10 @@ type Config struct {
 	// exports its own series in the shared registry. Empty (the default)
 	// keeps the unlabeled series names of a single-tenant deployment.
 	MetricLabels []obs.Label
-	// DecisionDeadline bounds each Process call: the context handed to the
-	// estimator check, the SSE solve, and the signaling solve expires after
-	// this duration. Zero means no per-decision deadline. A deadline
-	// without Fallback turns slow solves into errors; with Fallback they
-	// become degraded decisions.
-	DecisionDeadline time.Duration
 	// Fallback enables graceful degradation: when the decision pipeline
-	// fails (estimator error, solver error or panic, deadline exceeded),
-	// Process descends the ladder in internal/fallback — last-good θ →
-	// static conservative policy — instead of returning an error. Every
+	// fails (estimator error, solver error or panic), Process descends the
+	// ladder in internal/fallback — last-good θ → static conservative
+	// policy — instead of returning an error. Every
 	// degraded decision is tagged with its fallback.Level and
 	// counted in sag_engine_fallback_total. Alerts that are invalid per se
 	// (type out of range) still error: no ladder rung can define a payoff
@@ -214,7 +208,6 @@ type Engine struct {
 	est      Estimator
 	policy   Policy
 	rng      *rand.Rand
-	deadline time.Duration
 	degrade  bool
 	sseSolve SSESolveFunc
 	journal  JournalFunc
@@ -243,8 +236,9 @@ type Engine struct {
 
 // ErrAbandoned reports that the caller's context ended before the decision
 // reached its commit — while it queued for the budget lock or during the
-// solve: nothing was sampled, charged, recorded or journaled.
-// DecisionDeadline expiring is not this — with Fallback that degrades.
+// solve: nothing was sampled, charged, recorded or journaled. The context is
+// the only clock on a decision; its end never degrades, with or without
+// Fallback.
 var ErrAbandoned = errors.New("core: decision abandoned before commit")
 
 // NewEngine validates cfg and returns a ready Engine.
@@ -264,9 +258,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Policy == PolicyOSSP && cfg.Rand == nil {
 		return nil, errors.New("core: Config.Rand is required for PolicyOSSP (signal sampling)")
 	}
-	if cfg.DecisionDeadline < 0 {
-		return nil, fmt.Errorf("core: negative decision deadline %v", cfg.DecisionDeadline)
-	}
 	solve := cfg.SSESolve
 	if solve == nil {
 		solve = game.SolveOnlineSSECtx
@@ -276,7 +267,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		est:      cfg.Estimator,
 		policy:   cfg.Policy,
 		rng:      cfg.Rand,
-		deadline: cfg.DecisionDeadline,
 		degrade:  cfg.Fallback,
 		sseSolve: solve,
 		journal:  cfg.Journal,
@@ -353,14 +343,14 @@ func (e *Engine) Process(a Alert) (*Decision, error) {
 	return e.ProcessContext(context.Background(), a)
 }
 
-// ProcessContext is Process bounded by ctx plus the engine's configured
-// DecisionDeadline (whichever expires first). When graceful degradation is
-// enabled (Config.Fallback), any pipeline failure — estimator error, solver
-// error or panic, expired deadline — is converted into a degraded decision
-// via the internal/fallback ladder, so the only errors ProcessContext can
-// return are structurally invalid alerts (type out of range), a journal
-// failure, and ErrAbandoned (ctx itself ended before the commit, leaving no
-// trace). Without Fallback, pipeline errors propagate.
+// ProcessContext is Process bounded by ctx: a context that ends before the
+// commit abandons the decision (ErrAbandoned), leaving no trace. When
+// graceful degradation is enabled (Config.Fallback), any pipeline failure —
+// estimator error, solver error or panic — is converted into a degraded
+// decision via the internal/fallback ladder, so the only errors
+// ProcessContext can return are structurally invalid alerts (type out of
+// range), a journal failure, and ErrAbandoned. Without Fallback, pipeline
+// errors propagate.
 //
 // Budget accounting is identical on every path: the budget is charged
 // exactly once, at commit, from the decision's signal-conditional audit
@@ -373,13 +363,7 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 	if a.Type < 0 || a.Type >= e.inst.NumTypes() {
 		return nil, fmt.Errorf("core: alert type %d out of range [0,%d)", a.Type, e.inst.NumTypes())
 	}
-	caller := ctx
-	if e.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.deadline)
-		defer cancel()
-	}
-	d, wait, err := e.commit(caller, ctx, a, t0)
+	d, wait, err := e.commit(ctx, a, t0)
 	if err != nil {
 		return nil, err
 	}
@@ -392,18 +376,18 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 }
 
 // commit is the decision's critical section: decide at the current budget,
-// sample the signal, journal, then charge and record. caller is the context
-// the request arrived with (its end abandons the decision); ctx adds the
-// DecisionDeadline (its end degrades). The returned wait is the journal's.
-func (e *Engine) commit(caller, ctx context.Context, a Alert, t0 time.Time) (*Decision, func() error, error) {
+// sample the signal, journal, then charge and record. ctx is the context the
+// request arrived with; its end abandons the decision. The returned wait is
+// the journal's.
+func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, func() error, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := caller.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		// Gave up while queued: leave the estimator and rng untouched.
 		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, err)
 	}
 	d, err := fallback.Attempt(func() (*Decision, error) { return e.decide(ctx, a) })
-	if cerr := caller.Err(); cerr != nil {
+	if cerr := ctx.Err(); cerr != nil {
 		// The last point a decision can be dropped without a trace: the
 		// caller has stopped waiting (request deadline, client gone), so
 		// neither a solved nor a degraded decision is committed for it.
@@ -412,9 +396,6 @@ func (e *Engine) commit(caller, ctx context.Context, a Alert, t0 time.Time) (*De
 	if err != nil {
 		if !e.degrade {
 			return nil, nil, err
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			e.met.deadlineExceeded.Inc()
 		}
 		d = e.degraded(a)
 		e.met.fallbackCounter(d.Fallback).Inc()
@@ -463,7 +444,7 @@ func (e *Engine) commit(caller, ctx context.Context, a Alert, t0 time.Time) (*De
 // anything. It does run the primary pipeline, so a stateful estimator
 // advances and the last-good state the degraded rungs consult is refreshed,
 // exactly as for a real alert. Used by the adaptive-attacker example and by
-// tests. Preview never degrades and applies no deadline.
+// tests. Preview never degrades.
 func (e *Engine) Preview(a Alert) (*Decision, error) {
 	if a.Type < 0 || a.Type >= e.inst.NumTypes() {
 		return nil, fmt.Errorf("core: alert type %d out of range [0,%d)", a.Type, e.inst.NumTypes())
@@ -512,9 +493,6 @@ func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: decision deadline: %w", err)
-	}
 	var t0 time.Time
 	if e.met.enabled {
 		t0 = time.Now()
@@ -527,13 +505,6 @@ func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
 	if e.met.enabled {
 		e.met.stageSSE.ObserveSince(t0)
 		e.met.lpSolves.Add(uint64(sse.Stats.LPSolves))
-	}
-	// The one deadline check inside the solve: neither stage is cancellable
-	// mid-flight (each runs for microseconds), so the boundary between them
-	// is where an expired deadline is noticed. The equilibrium just solved
-	// stays in lastSSE for the last-good rung.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: decision deadline: %w", err)
 	}
 	return e.decisionFrom(a, sse)
 }
@@ -587,9 +558,6 @@ func (e *Engine) decisionFrom(a Alert, sse *game.Result) (*Decision, error) {
 // degraded produces a decision for a after the primary pipeline failed:
 // the last-good rung if it succeeds, else the static rung, which cannot
 // fail. The caller holds e.mu.
-//
-// Degraded rungs deliberately run without the (already expired) decision
-// deadline: they at most re-evaluate the signaling closed form.
 func (e *Engine) degraded(a Alert) *Decision {
 	d, err := fallback.Attempt(func() (*Decision, error) { return e.lastGoodDecision(a) })
 	lvl := fallback.LastGood

@@ -25,9 +25,6 @@ const (
 	// MetricFallbackTotal counts degraded decisions, labeled by the ladder
 	// rung that produced them (level=last_good|static).
 	MetricFallbackTotal = "sag_engine_fallback_total"
-	// MetricDeadlineExceededTotal counts decisions whose primary pipeline
-	// was cut off by the per-decision deadline.
-	MetricDeadlineExceededTotal = "sag_engine_deadline_exceeded_total"
 	// MetricJournalRollbacksTotal counts decisions that did not commit
 	// because their journal record could not be enqueued: nothing is
 	// charged or recorded, and the sampled signal draw is kept buffered so
@@ -51,7 +48,6 @@ type engineMetrics struct {
 
 	fallbackLastGood *obs.Counter
 	fallbackStatic   *obs.Counter
-	deadlineExceeded *obs.Counter
 
 	journalRollbacks *obs.Counter
 }
@@ -99,7 +95,6 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 
 		fallbackLastGood: reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.LastGood.String()))...),
 		fallbackStatic:   reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.Static.String()))...),
-		deadlineExceeded: reg.Counter(MetricDeadlineExceededTotal, "Decisions cut off by the per-decision deadline.", with()...),
 
 		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Decisions refused because their journal record could not be enqueued.", with()...),
 	}

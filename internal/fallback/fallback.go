@@ -1,13 +1,13 @@
 // Package fallback implements the engine's graceful-degradation ladder.
 //
 // The paper's whole premise is that the warn/audit decision happens online,
-// while the access is in flight (§1, §6.6): a solver error or a slow solve
-// is not an inconvenience, it is "no decision at the moment of access". This
+// while the access is in flight (§1, §6.6): a solver error is not an
+// inconvenience, it is "no decision at the moment of access". This
 // package therefore turns every failure of the primary SAG pipeline into a
 // deliberately degraded — but always produced — decision, descending a fixed
 // ladder:
 //
-//	Level 0 (None)     the primary pipeline succeeded within its deadline
+//	Level 0 (None)     the primary pipeline succeeded
 //	Level 2 (LastGood) re-run the signaling stage on the last successfully
 //	                   solved θ vector
 //	Level 3 (Static)   a conservative static policy: audit with probability

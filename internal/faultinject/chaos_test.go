@@ -46,7 +46,7 @@ type chaosEngine struct {
 	inst   *game.Instance
 }
 
-func newChaosEngine(t *testing.T, budget float64, deadline time.Duration) *chaosEngine {
+func newChaosEngine(t *testing.T, budget float64) *chaosEngine {
 	t.Helper()
 	inst, err := game.NewInstance(payoff.Table2Slice(), game.UniformCost(7, 1))
 	if err != nil {
@@ -62,11 +62,10 @@ func newChaosEngine(t *testing.T, budget float64, deadline time.Duration) *chaos
 		Estimator: core.EstimatorFunc(func(at time.Duration) ([]float64, error) {
 			return faultinject.Estimator(ce.est.get(), base).FutureRates(at)
 		}),
-		Policy:           core.PolicyOSSP,
-		Rand:             rand.New(rand.NewSource(11)),
-		Metrics:          ce.reg,
-		DecisionDeadline: deadline,
-		Fallback:         true,
+		Policy:   core.PolicyOSSP,
+		Rand:     rand.New(rand.NewSource(11)),
+		Metrics:  ce.reg,
+		Fallback: true,
 		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
 			return faultinject.SSESolve(ce.solver.get(), nil)(ctx, inst, budget, futures)
 		},
@@ -115,14 +114,11 @@ func checkBudgetChain(t *testing.T, ce *chaosEngine) {
 func TestFallbackLevels(t *testing.T) {
 	cases := []struct {
 		name string
-		// deadline configures the engine; prime runs one clean decision
-		// first; arm injects the fault before the probe alert.
-		deadline time.Duration
-		prime    bool
-		arm      func(ce *chaosEngine)
-		want     fallback.Level
-		// wantDeadline is the expected deadline-exceeded counter value.
-		wantDeadline uint64
+		// prime runs one clean decision first; arm injects the fault before
+		// the probe alert.
+		prime bool
+		arm   func(ce *chaosEngine)
+		want  fallback.Level
 	}{
 		{
 			name: "estimator error with no prior state degrades to static",
@@ -139,22 +135,10 @@ func TestFallbackLevels(t *testing.T) {
 			},
 			want: fallback.LastGood,
 		},
-		{
-			name:     "timeout degrades to last-good",
-			deadline: 30 * time.Millisecond,
-			prime:    true,
-			arm: func(ce *chaosEngine) {
-				ce.solver.set(faultinject.New("sse", faultinject.Config{
-					Seed: 1, LatencyRate: 1, Latency: 10 * time.Second,
-				}))
-			},
-			want:         fallback.LastGood,
-			wantDeadline: 1,
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ce := newChaosEngine(t, 20, c.deadline)
+			ce := newChaosEngine(t, 20)
 			alert := core.Alert{Type: 2, Time: time.Minute}
 			if c.prime {
 				d, err := ce.eng.Process(alert)
@@ -173,6 +157,10 @@ func TestFallbackLevels(t *testing.T) {
 			if d.Fallback != c.want {
 				t.Fatalf("Fallback = %v, want %v", d.Fallback, c.want)
 			}
+			if d.Fallback == fallback.Static && (d.Warned || d.Scheme.WarnProbability() != 0 || d.Theta < 0 || d.Theta > 1) {
+				t.Fatalf("static rung must never warn and audit with a probability: warned %v, P(warn) %g, θ %g",
+					d.Warned, d.Scheme.WarnProbability(), d.Theta)
+			}
 			checkBudgetChain(t, ce)
 			for _, lvl := range []fallback.Level{fallback.LastGood, fallback.Static} {
 				want := uint64(0)
@@ -183,10 +171,6 @@ func TestFallbackLevels(t *testing.T) {
 					t.Errorf("fallback counter %v = %d, want %d", lvl, got, want)
 				}
 			}
-			dl := ce.reg.Counter(core.MetricDeadlineExceededTotal, "").Value()
-			if dl != c.wantDeadline {
-				t.Errorf("deadline-exceeded counter = %d, want %d", dl, c.wantDeadline)
-			}
 		})
 	}
 }
@@ -195,7 +179,7 @@ func TestFallbackLevels(t *testing.T) {
 // converts it into a degraded decision instead of crashing, and stays usable
 // afterwards.
 func TestSolverPanicContained(t *testing.T) {
-	ce := newChaosEngine(t, 20, 0)
+	ce := newChaosEngine(t, 20)
 	ce.solver.set(faultinject.New("sse", faultinject.Config{Seed: 1, PanicRate: 1}))
 	d, err := ce.eng.Process(core.Alert{Type: 1})
 	if err != nil {
@@ -213,15 +197,16 @@ func TestSolverPanicContained(t *testing.T) {
 }
 
 // TestChaosNeverErrors runs a long alert stream under randomized estimator
-// and solver faults (errors, panics, deadline-burning latency) and asserts
-// the acceptance property: once a cycle is open, Process never returns an
-// error — every alert gets a budget-consistent decision at some fallback
-// level — and the degraded count matches the fallback counters.
+// and solver faults (errors, panics, latency — which only makes a decision
+// slow, never degraded) and asserts the acceptance property: once a cycle is
+// open, Process never returns an error — every alert gets a budget-consistent
+// decision at some fallback level — and the degraded count matches the
+// fallback counters.
 func TestChaosNeverErrors(t *testing.T) {
-	ce := newChaosEngine(t, 50, 40*time.Millisecond)
+	ce := newChaosEngine(t, 50)
 	ce.est.set(faultinject.New("estimator", faultinject.Config{Seed: 3, ErrorRate: 0.15}))
 	ce.solver.set(faultinject.New("sse", faultinject.Config{
-		Seed: 4, ErrorRate: 0.15, PanicRate: 0.1, LatencyRate: 0.1, Latency: 10 * time.Second,
+		Seed: 4, ErrorRate: 0.15, PanicRate: 0.1, LatencyRate: 0.1, Latency: time.Millisecond,
 	}))
 	rng := rand.New(rand.NewSource(9))
 	const alerts = 200
@@ -264,7 +249,7 @@ func TestChaosNeverErrors(t *testing.T) {
 // is the satellite's concurrency-contract test: no errors, no races, and a
 // linearized budget chain at the end.
 func TestChaosConcurrent(t *testing.T) {
-	ce := newChaosEngine(t, 100, 40*time.Millisecond)
+	ce := newChaosEngine(t, 100)
 	ce.est.set(faultinject.New("estimator", faultinject.Config{Seed: 5, ErrorRate: 0.1}))
 	ce.solver.set(faultinject.New("sse", faultinject.Config{Seed: 6, ErrorRate: 0.1, PanicRate: 0.05}))
 

@@ -8,7 +8,8 @@
 // sequence) reproduces the same fault schedule on every run — chaos tests
 // are replayable, not flaky. Wrap the engine's dependencies with Estimator
 // and SSESolve to inject estimator failures, solver errors, solver latency
-// (which a decision deadline converts into timeouts), and solver panics.
+// (which only makes a decision slow — nothing on the decision path times
+// out except the caller's own context), and solver panics.
 package faultinject
 
 import (
@@ -29,9 +30,9 @@ type Fault int
 const (
 	// FaultError makes the wrapped call return an injected error.
 	FaultError Fault = iota
-	// FaultLatency delays the wrapped call by Config.Latency. Under a
-	// context deadline the delay observes cancellation, so a long injected
-	// latency manifests as a timeout rather than a hung test.
+	// FaultLatency delays the wrapped call by Config.Latency. Where the
+	// call site has a context the delay observes its cancellation, so a
+	// long injected latency ends with the caller rather than hanging a test.
 	FaultLatency
 	// FaultPanic makes the wrapped call panic with a *PanicValue.
 	FaultPanic
@@ -62,8 +63,7 @@ func (p *PanicValue) String() string {
 
 // Config sets a Point's fault schedule. Rates are independent probabilities
 // in [0, 1] rolled per call, in the order latency → panic → error (a single
-// call can therefore be both slow and failing, like a solve that burns its
-// deadline before erroring).
+// call can therefore be both slow and failing).
 type Config struct {
 	// Seed drives the Point's private RNG; runs with equal seeds and equal
 	// call sequences inject identical fault schedules.

@@ -27,9 +27,9 @@ func Estimator(p *Point, est core.Estimator) core.Estimator {
 
 // SSESolve wraps the engine's online SSE solver with p (nil solve means the
 // default game.SolveOnlineSSECtx). Injected latency sleeps under the
-// decision context, so with a DecisionDeadline it surfaces as a solver
-// timeout — the exact production failure the deadline exists for. A nil p
-// returns the solver unchanged.
+// decision's context, so it ends early when the caller gives up; the engine
+// then abandons the decision rather than degrading it. A nil p returns the
+// solver unchanged.
 func SSESolve(p *Point, solve core.SSESolveFunc) core.SSESolveFunc {
 	if solve == nil {
 		solve = game.SolveOnlineSSECtx

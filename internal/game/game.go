@@ -117,6 +117,11 @@ type Result struct {
 	Stats SolveStats
 }
 
+// finiteNonNegative reports whether v is usable as an audit budget or an
+// alert count. NaN, ±Inf and negatives are refused here, at the API boundary
+// — the same set core.ValidateBudget refuses — rather than deep in a solve.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // SolveOnlineSSE computes the online SSE given the remaining audit budget
 // and the Poisson-distributed future alert counts per type (paper §3.1).
 func SolveOnlineSSE(inst *Instance, budget float64, futures []dist.Poisson) (*Result, error) {
@@ -130,7 +135,7 @@ func SolveOnlineSSECtx(ctx context.Context, inst *Instance, budget float64, futu
 	if len(futures) != inst.NumTypes() {
 		return nil, fmt.Errorf("game: %d future distributions for %d types", len(futures), inst.NumTypes())
 	}
-	if budget < 0 || math.IsNaN(budget) {
+	if !finiteNonNegative(budget) {
 		return nil, fmt.Errorf("game: invalid budget %g", budget)
 	}
 	coeffs := make([]float64, inst.NumTypes())
@@ -152,13 +157,13 @@ func SolveOfflineSSE(inst *Instance, budget float64, counts []float64) (*Result,
 	if len(counts) != inst.NumTypes() {
 		return nil, fmt.Errorf("game: %d counts for %d types", len(counts), inst.NumTypes())
 	}
-	if budget < 0 || math.IsNaN(budget) {
+	if !finiteNonNegative(budget) {
 		return nil, fmt.Errorf("game: invalid budget %g", budget)
 	}
 	coeffs := make([]float64, inst.NumTypes())
 	attackable := make([]bool, inst.NumTypes())
 	for t, d := range counts {
-		if d < 0 || math.IsNaN(d) {
+		if !finiteNonNegative(d) {
 			return nil, fmt.Errorf("game: invalid count %g for type %d", d, t)
 		}
 		if d > 0 {

@@ -242,20 +242,38 @@ func TestSSEAttackerUtilityMonotoneInBudget(t *testing.T) {
 
 func TestSSEInputValidation(t *testing.T) {
 	inst := singleTypeInstance(t)
-	if _, err := SolveOnlineSSE(inst, -1, []dist.Poisson{{Lambda: 1}}); err == nil {
-		t.Error("negative budget should be rejected")
+	fut := []dist.Poisson{{Lambda: 1}}
+	for _, tc := range []struct {
+		name    string
+		budget  float64
+		futures []dist.Poisson // online solve when counts is nil
+		counts  []float64
+	}{
+		{name: "online negative budget", budget: -1, futures: fut},
+		{name: "online NaN budget", budget: math.NaN(), futures: fut},
+		{name: "online +Inf budget", budget: math.Inf(1), futures: fut},
+		{name: "online -Inf budget", budget: math.Inf(-1), futures: fut},
+		{name: "online future-count length mismatch", budget: 1},
+		{name: "offline negative count", budget: 1, counts: []float64{-3}},
+		{name: "offline NaN count", budget: 1, counts: []float64{math.NaN()}},
+		{name: "offline +Inf count", budget: 1, counts: []float64{math.Inf(1)}},
+		{name: "offline count length mismatch", budget: 1, counts: []float64{1, 2}},
+		{name: "offline NaN budget", budget: math.NaN(), counts: []float64{1}},
+		{name: "offline +Inf budget", budget: math.Inf(1), counts: []float64{1}},
+	} {
+		var err error
+		if tc.counts != nil {
+			_, err = SolveOfflineSSE(inst, tc.budget, tc.counts)
+		} else {
+			_, err = SolveOnlineSSE(inst, tc.budget, tc.futures)
+		}
+		if err == nil {
+			t.Errorf("%s should be rejected", tc.name)
+		}
 	}
-	if _, err := SolveOnlineSSE(inst, 1, nil); err == nil {
-		t.Error("future-count length mismatch should be rejected")
-	}
-	if _, err := SolveOfflineSSE(inst, 1, []float64{-3}); err == nil {
-		t.Error("negative count should be rejected")
-	}
-	if _, err := SolveOfflineSSE(inst, 1, []float64{1, 2}); err == nil {
-		t.Error("count length mismatch should be rejected")
-	}
-	if _, err := SolveOfflineSSE(inst, math.NaN(), []float64{1}); err == nil {
-		t.Error("NaN budget should be rejected")
+	// The largest finite budget is a budget: it saturates coverage.
+	if res, err := SolveOnlineSSE(inst, math.MaxFloat64, fut); err != nil || res.Coverage[0] != 1 {
+		t.Errorf("MaxFloat64 budget: coverage %v, err %v; want full coverage", res, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package game
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/lp"
@@ -54,7 +53,7 @@ func SolveMultiAttackerSSE(inst *Instance, budget float64, futures []dist.Poisso
 	if len(futures) != inst.NumTypes() {
 		return nil, fmt.Errorf("game: %d future distributions for %d types", len(futures), inst.NumTypes())
 	}
-	if budget < 0 || math.IsNaN(budget) {
+	if !finiteNonNegative(budget) {
 		return nil, fmt.Errorf("game: invalid budget %g", budget)
 	}
 	if len(capabilities) == 0 {

@@ -58,7 +58,7 @@ func SolveResourceSSE(inst *Instance, classes []ResourceClass, futures []dist.Po
 	}
 	k := inst.NumTypes()
 	for ci, c := range classes {
-		if c.Budget < 0 || math.IsNaN(c.Budget) {
+		if !finiteNonNegative(c.Budget) {
 			return nil, fmt.Errorf("game: class %d: invalid budget %g", ci, c.Budget)
 		}
 		if !(c.CostMultiplier > 0) || math.IsInf(c.CostMultiplier, 0) {

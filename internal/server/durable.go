@@ -276,8 +276,17 @@ type retainTarget struct {
 
 func (rt retainTarget) RetainID() string { return rt.t.id }
 
+// journal reads the tenant's journal under the lifecycle lock: Promote
+// installs it on a resident tenant under the write side, and a compactor
+// scan runs on its own goroutine with no request's lock in hand.
+func (rt retainTarget) journal() *wal.Journal {
+	rt.t.lifecycle.RLock()
+	defer rt.t.lifecycle.RUnlock()
+	return rt.t.journal
+}
+
 func (rt retainTarget) RetainStats() (wal.RetainStats, bool) {
-	j := rt.t.journal
+	j := rt.journal()
 	if j == nil {
 		return wal.RetainStats{}, false
 	}
@@ -285,7 +294,7 @@ func (rt retainTarget) RetainStats() (wal.RetainStats, bool) {
 }
 
 func (rt retainTarget) Prune() (int, int64, error) {
-	j := rt.t.journal
+	j := rt.journal()
 	if j == nil {
 		return 0, 0, nil
 	}

@@ -335,7 +335,11 @@ func (s *Server) Promote() (int, error) {
 			s.router.Remove(t.id)
 			continue
 		}
+		// The retention compactor may be scanning this tenant right now; it
+		// reads the field under the same lock.
+		t.lifecycle.Lock()
 		t.journal = j
+		t.lifecycle.Unlock()
 		t.walRecords.Store(int64(len(rec.Tail)))
 		n++
 	}

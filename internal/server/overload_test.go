@@ -96,17 +96,15 @@ func tenantAccess(t *testing.T, ts *httptest.Server, tenant string, bgE, bgP int
 // RFC 9110 integer floor "1" in Retry-After, so load-dependence shows in the
 // precise X-SAG-Retry-After-Ms header; the shed must show up in /v1/metrics.
 func TestOverloadGreedyTenantShedPoliteSurvives(t *testing.T) {
-	// 10ms solves and 2 greedy slots cap the greedy tenant at ~200
-	// decisions/s; 12 closed-loop greedy workers keep its queue pinned past
-	// QueueDepth, so every further greedy arrival (and every polite
-	// push-out) sheds with a projection-computed Retry-After.
+	// One tenant's decisions are sequential, so 10ms solves cap the greedy
+	// tenant at ~100 decisions/s; 12 closed-loop greedy workers against 4
+	// slots + 6 queue places keep its queue pinned at QueueDepth, so every
+	// further greedy arrival (and every polite push-out) sheds with a
+	// projection-computed Retry-After. The config is what sagserver's flags
+	// can express: round-robin grants and longest-queue push-out alone keep
+	// the polite tenant whole.
 	const solveDelay = 10 * time.Millisecond
-	_, ts, bgE, bgP := overloadFixture(t, admit.Config{
-		MaxInflight:    4,
-		TenantInflight: 2,
-		QueueDepth:     6,
-		MaxWait:        250 * time.Millisecond,
-	}, solveDelay)
+	_, ts, bgE, bgP := overloadFixture(t, admit.Config{MaxInflight: 4, QueueDepth: 6}, solveDelay)
 
 	// Warm both tenants (creates engines; also seeds the drain-rate window).
 	for _, tenant := range []string{"greedy", "polite"} {

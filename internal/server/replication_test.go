@@ -410,3 +410,37 @@ func TestFollowerRequiresDataDir(t *testing.T) {
 		t.Fatalf("New without DataDir but with FollowPrimary: err %v", err)
 	}
 }
+
+// TestPromoteWhileCompactorScans: a standby started with both a primary to
+// follow and a disk budget promotes while its retention compactor is
+// scanning. Promote installs each tenant's journal under the lifecycle write
+// lock and the compactor reads it under the same lock; the race detector is
+// the assertion.
+func TestPromoteWhileCompactorScans(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	for i := 0; i < 6; i++ {
+		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("primary access status %d", code)
+		}
+	}
+	folSrv, fol, _, _ := replicaFixture(t, folDir, nil, func(cfg *Config) {
+		cfg.FollowPrimary = prim.URL
+		cfg.DiskBudgetBytes = 1 << 20
+		cfg.CompactInterval = time.Millisecond
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := folSrv.StartFollowing(ctx); err != nil {
+		t.Fatalf("StartFollowing: %v", err)
+	}
+	waitFollowerReady(t, fol)
+	if n, err := folSrv.Promote(); err != nil || n != 1 {
+		t.Fatalf("Promote = %d, %v, want 1 tenant", n, err)
+	}
+	// Let a few scans see the installed journal before sealing it.
+	time.Sleep(10 * time.Millisecond)
+	if err := folSrv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}

@@ -37,8 +37,8 @@
 // The full locking hierarchy is documented in DESIGN.md.
 //
 // The serving path is hardened for production shapes: request bodies are
-// capped (Config.MaxBodyBytes), each engine decision can carry a deadline
-// with graceful degradation (the fallback ladder in internal/fallback), and
+// capped (Config.MaxBodyBytes), a failed solve degrades gracefully (the
+// fallback ladder in internal/fallback) instead of erroring, and
 // Run provides the full listener lifecycle — server timeouts, health-gated
 // draining, and coordinated shutdown of the main and debug listeners.
 //
@@ -143,11 +143,6 @@ type Config struct {
 	// registry, so the endpoint is always live. Engine and per-tenant
 	// server series carry a tenant="<id>" label.
 	Metrics *obs.Registry
-	// DecisionDeadline bounds each engine decision (see
-	// core.Config.DecisionDeadline). The server always enables the engine's
-	// graceful degradation, so an expired deadline yields a degraded
-	// decision, never a 5xx. Zero means no per-decision deadline.
-	DecisionDeadline time.Duration
 	// RequestTimeout is each API request's context deadline: a request still
 	// waiting (admission, lifecycle lock, solve) when it passes is answered
 	// 503 "request timed out" having changed nothing; one that has committed
@@ -156,10 +151,9 @@ type Config struct {
 	// Admission configures overload protection for the mutation hot path
 	// (/v1/access and /v1/quit): per-tenant token-bucket rate limits, a
 	// box-wide inflight cap with a bounded round-robin-fair admission
-	// queue, and deadline-aware shedding (503 + computed Retry-After). The
-	// zero value admits everything. When Admission.MaxWait is zero it
-	// defaults to DecisionDeadline — a queue wait that would eat the whole
-	// decision deadline is shed up front. See internal/admit.
+	// queue; a shed is 503 + computed Retry-After. The zero value admits
+	// everything. A queued request waits no longer than its own context
+	// (RequestTimeout). See internal/admit.
 	Admission admit.Config
 	// SSESolve overrides the engines' online SSE solver (nil means the real
 	// game.SolveOnlineSSECtx). Injection seam for fault-injection and for
@@ -235,7 +229,9 @@ type tenantState struct {
 	engine     *core.Engine
 	est        core.Estimator // this tenant's estimator (for state snapshots)
 	met        tenantMetrics
-	journal    *wal.Journal // nil when durability is disabled
+	// journal is nil when durability is disabled and on a standby until
+	// Promote installs it (under the lifecycle write lock).
+	journal *wal.Journal
 
 	lifecycle sync.RWMutex
 	closed    bool // cycle closed, awaiting /v1/cycle/new; guarded by lifecycle
@@ -364,12 +360,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Admission.Enabled() {
 		adm := cfg.Admission
-		if adm.MaxWait == 0 {
-			// A queue wait that would consume the whole decision deadline
-			// leaves the engine nothing but its static fallback rung; shed
-			// those requests at the door instead.
-			adm.MaxWait = cfg.DecisionDeadline
-		}
 		if adm.MaxTenants == 0 {
 			// Gate bookkeeping is tiny; 4× the resident-tenant cap leaves
 			// room for evicted tenants whose clients are still arriving.
@@ -468,13 +458,12 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		// separates the tenants' budget chains and fallback activity.
 		MetricLabels: []obs.Label{obs.L("tenant", id)},
 		// The serving path never trades availability for optimality: a
-		// failed or slow solve degrades down the fallback ladder (last-good
-		// θ → static never-warn policy) instead of surfacing as an error to
-		// the EMR front end.
-		DecisionDeadline: s.cfg.DecisionDeadline,
-		Fallback:         true,
-		SSESolve:         s.cfg.SSESolve,
-		Journal:          journalFn,
+		// failed solve degrades down the fallback ladder (last-good θ →
+		// static never-warn policy) instead of surfacing as an error to the
+		// EMR front end.
+		Fallback: true,
+		SSESolve: s.cfg.SSESolve,
+		Journal:  journalFn,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -6,11 +6,12 @@
 // in microseconds on the request's goroutine, and an engine keeps nothing
 // between decisions but its cycle state.)
 //
-// Routing is by explicit tenant ID. IDs are mapped to lock-striped buckets
-// with an FNV hash, so tenant lookup — on the decision hot path — takes one
-// striped read lock and never contends with lookups for tenants in other
-// buckets. Creation is serialized on a single mutex: it is rare (once per
-// tenant lifetime), and serializing it makes the cap check atomic.
+// Routing is by explicit tenant ID: one map behind one RWMutex, so tenant
+// lookup — on the decision hot path — takes a read lock for tens of
+// nanoseconds against a request of tens of microseconds. Creation is
+// serialized on its own mutex: it is rare (once per tenant lifetime),
+// serializing it makes the cap check atomic, and building a tenant (which may
+// recover a journal) never blocks lookups.
 //
 // The router deliberately knows nothing about HTTP. The serving layer
 // (internal/server) stores its per-tenant request state in Tenant.Data and
@@ -23,7 +24,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
@@ -45,11 +45,8 @@ const (
 	MetricEvictionsTotal = "sag_shard_evictions_total"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultMaxTenants = 64
-	DefaultBuckets    = 16
-)
+// DefaultMaxTenants is Config.MaxTenants when left zero.
+const DefaultMaxTenants = 64
 
 // ErrTenantLimit reports that creating one more tenant would exceed
 // Config.MaxTenants. The serving layer maps it to 429.
@@ -104,9 +101,6 @@ type Config struct {
 	// MaxTenants caps resident tenants; GetOrCreate returns ErrTenantLimit
 	// beyond it. Zero or negative selects DefaultMaxTenants.
 	MaxTenants int
-	// Buckets is the number of lock stripes for tenant lookup. Zero or
-	// negative selects DefaultBuckets.
-	Buckets int
 	// Metrics receives the sag_shard_* instruments; nil uses a private
 	// registry so the router's accounting always works.
 	Metrics *obs.Registry
@@ -122,24 +116,20 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-type bucket struct {
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-}
-
 // Router owns the tenant map. Lock hierarchy (acquire top to bottom):
 //
-//	createMu  — serializes tenant creation and removal.
-//	bucket.mu — striped RWMutex over one bucket's tenant map; the lookup
-//	            hot path takes only this, in read mode.
+//	createMu — serializes tenant creation and removal; held across
+//	           Config.New and Config.OnEvict.
+//	mu       — RWMutex over the tenant map, held only for the map operation
+//	           itself; the lookup hot path takes only this, in read mode.
 //
 // Engine-internal locks are below both and are never held while acquiring
 // either.
 type Router struct {
 	cfg      Config
-	buckets  []bucket
 	createMu sync.Mutex
-	count    atomic.Int64
+	mu       sync.RWMutex
+	tenants  map[string]*Tenant
 
 	active  *obs.Gauge
 	created *obs.Counter
@@ -155,41 +145,27 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = DefaultMaxTenants
 	}
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = DefaultBuckets
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	r := &Router{
 		cfg:     cfg,
-		buckets: make([]bucket, cfg.Buckets),
+		tenants: make(map[string]*Tenant),
 		active:  reg.Gauge(MetricTenantsActive, "Resident tenants."),
 		created: reg.Counter(MetricTenantsCreatedTotal, "Tenants ever created."),
 		limited: reg.Counter(MetricTenantLimitTotal, "Tenant creations refused by the cap."),
 		evicted: reg.Counter(MetricEvictionsTotal, "Tenants evicted (state snapshotted first when durable)."),
 	}
-	for i := range r.buckets {
-		r.buckets[i].tenants = make(map[string]*Tenant)
-	}
 	return r, nil
 }
 
-// bucketFor maps a tenant ID to its lock stripe.
-func (r *Router) bucketFor(id string) *bucket {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return &r.buckets[h.Sum32()%uint32(len(r.buckets))]
-}
-
 // Get returns the resident tenant for id, if any. This is the decision
-// hot path: one striped read lock, no allocation beyond the hash.
+// hot path: one read lock, no allocation.
 func (r *Router) Get(id string) (*Tenant, bool) {
-	b := r.bucketFor(id)
-	b.mu.RLock()
-	t, ok := b.tenants[id]
-	b.mu.RUnlock()
+	r.mu.RLock()
+	t, ok := r.tenants[id]
+	r.mu.RUnlock()
 	return t, ok
 }
 
@@ -205,20 +181,19 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 	if t, ok := r.Get(id); ok { // lost the creation race
 		return t, false, nil
 	}
-	if int(r.count.Load()) >= r.cfg.MaxTenants {
+	if n := r.Len(); n >= r.cfg.MaxTenants {
 		r.limited.Inc()
-		return nil, false, fmt.Errorf("%w (%d resident)", ErrTenantLimit, r.count.Load())
+		return nil, false, fmt.Errorf("%w (%d resident)", ErrTenantLimit, n)
 	}
 	eng, data, err := r.cfg.New(id)
 	if err != nil {
 		return nil, false, err
 	}
 	t := &Tenant{ID: id, Engine: eng, Data: data}
-	b := r.bucketFor(id)
-	b.mu.Lock()
-	b.tenants[id] = t
-	b.mu.Unlock()
-	n := r.count.Add(1)
+	r.mu.Lock()
+	r.tenants[id] = t
+	n := len(r.tenants)
+	r.mu.Unlock()
 	r.active.Set(float64(n))
 	r.created.Inc()
 	return t, true, nil
@@ -232,15 +207,14 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 func (r *Router) Remove(id string) bool {
 	r.createMu.Lock()
 	defer r.createMu.Unlock()
-	b := r.bucketFor(id)
-	b.mu.Lock()
-	t, ok := b.tenants[id]
-	delete(b.tenants, id)
-	b.mu.Unlock()
+	r.mu.Lock()
+	t, ok := r.tenants[id]
+	delete(r.tenants, id)
+	n := len(r.tenants)
+	r.mu.Unlock()
 	if !ok {
 		return false
 	}
-	n := r.count.Add(-1)
 	r.active.Set(float64(n))
 	if r.cfg.OnEvict != nil {
 		r.cfg.OnEvict(t)
@@ -253,25 +227,26 @@ func (r *Router) Remove(id string) bool {
 }
 
 // Len returns the number of resident tenants.
-func (r *Router) Len() int { return int(r.count.Load()) }
+func (r *Router) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.tenants)
+}
 
 // Range calls fn for every resident tenant until fn returns false. The
 // iteration order is unspecified. Tenants created or removed concurrently
-// may or may not be visited; fn runs without any router lock held beyond
-// the bucket snapshot, so it may call back into Get/GetOrCreate.
+// may or may not be visited; fn runs over a snapshot with no router lock
+// held, so it may call back into Get/GetOrCreate.
 func (r *Router) Range(fn func(*Tenant) bool) {
-	for i := range r.buckets {
-		b := &r.buckets[i]
-		b.mu.RLock()
-		snapshot := make([]*Tenant, 0, len(b.tenants))
-		for _, t := range b.tenants {
-			snapshot = append(snapshot, t)
-		}
-		b.mu.RUnlock()
-		for _, t := range snapshot {
-			if !fn(t) {
-				return
-			}
+	r.mu.RLock()
+	snapshot := make([]*Tenant, 0, len(r.tenants))
+	for _, t := range r.tenants {
+		snapshot = append(snapshot, t)
+	}
+	r.mu.RUnlock()
+	for _, t := range snapshot {
+		if !fn(t) {
+			return
 		}
 	}
 }

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/auditgames/sag/internal/core"
-	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/history"
 )
 
@@ -63,34 +61,9 @@ func (r *Runner) RunSequential(historyDays int) ([]*DayResult, error) {
 
 	swOSSP := &switchableEstimator{}
 	swSSE := &switchableEstimator{}
-	osspEng, err := core.NewEngine(core.Config{
-		Instance:  r.cfg.Instance,
-		Budget:    r.cfg.Budget,
-		Estimator: swOSSP,
-		Policy:    core.PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(r.cfg.Seed * 7919)),
-	})
+	osspEng, sseEng, err := r.newEngines(swOSSP, swSSE, r.cfg.Seed*7919)
 	if err != nil {
 		return nil, err
-	}
-	sseEng, err := core.NewEngine(core.Config{
-		Instance:  r.cfg.Instance,
-		Budget:    r.cfg.Budget,
-		Estimator: swSSE,
-		Policy:    core.PolicySSE,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	newEstimator := func(curves *history.Curves) (core.Estimator, error) {
-		if r.cfg.NewEstimator != nil {
-			return r.cfg.NewEstimator(curves)
-		}
-		if r.cfg.RollbackThreshold < 0 {
-			return curves, nil
-		}
-		return history.NewRollback(curves, r.cfg.RollbackThreshold)
 	}
 
 	var out []*DayResult
@@ -99,10 +72,10 @@ func (r *Runner) RunSequential(historyDays int) ([]*DayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if swOSSP.inner, err = newEstimator(curves); err != nil {
+		if swOSSP.inner, err = r.newEstimator(curves); err != nil {
 			return nil, err
 		}
-		if swSSE.inner, err = newEstimator(curves); err != nil {
+		if swSSE.inner, err = r.newEstimator(curves); err != nil {
 			return nil, err
 		}
 		if err := osspEng.NewCycle(r.cfg.Budget); err != nil {
@@ -111,32 +84,10 @@ func (r *Runner) RunSequential(historyDays int) ([]*DayResult, error) {
 		if err := sseEng.NewCycle(r.cfg.Budget); err != nil {
 			return nil, err
 		}
-
-		res := &DayResult{Group: Group{Start: day - historyDays, HistoryDays: historyDays}}
-		for _, a := range r.ds.Days[day] {
-			alert := core.Alert{Type: a.Type, Time: a.Time}
-			dOSSP, err := osspEng.Process(alert)
-			if err != nil {
-				return nil, err
-			}
-			dSSE, err := sseEng.Process(alert)
-			if err != nil {
-				return nil, err
-			}
-			res.Outcomes = append(res.Outcomes, AlertOutcome{
-				Time:      a.Time,
-				Type:      a.Type,
-				OSSP:      dOSSP.OSSPUtility,
-				OnlineSSE: dSSE.SSEUtility,
-			})
-		}
-		offline, err := game.SolveOfflineSSE(r.cfg.Instance, r.cfg.Budget, r.ds.DayCounts(day))
+		res, err := r.replayDay(Group{Start: day - historyDays, HistoryDays: historyDays}, osspEng, sseEng)
 		if err != nil {
 			return nil, err
 		}
-		res.OfflineSSE = offline.DefenderUtility
-		res.OSSPSummary = osspEng.Summary()
-		res.SSESummary = sseEng.Summary()
 		out = append(out, res)
 
 		if err := window.AddDay(dayRecords(day)); err != nil {

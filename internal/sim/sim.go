@@ -242,48 +242,79 @@ func (r *Runner) RunGroup(g Group) (*DayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	newEstimator := func() (core.Estimator, error) {
-		if r.cfg.NewEstimator != nil {
-			return r.cfg.NewEstimator(curves)
-		}
-		if r.cfg.RollbackThreshold < 0 {
-			return curves, nil
-		}
-		return history.NewRollback(curves, r.cfg.RollbackThreshold)
-	}
-	estOSSP, err := newEstimator()
+	estOSSP, err := r.newEstimator(curves)
 	if err != nil {
 		return nil, err
 	}
-	estSSE, err := newEstimator()
+	estSSE, err := r.newEstimator(curves)
 	if err != nil {
 		return nil, err
 	}
+	osspEng, sseEng, err := r.newEngines(estOSSP, estSSE, r.cfg.Seed*7919+int64(g.Start))
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.replayDay(g, osspEng, sseEng)
+	if err != nil {
+		return nil, err
+	}
+	if r.groupSeconds.Enabled() {
+		elapsed := time.Since(t0)
+		r.groupSeconds.Observe(elapsed.Seconds())
+		r.groupsTotal.Inc()
+		r.alertsTotal.Add(uint64(len(res.Outcomes)))
+		if s := elapsed.Seconds(); s > 0 {
+			r.groupRate.Observe(float64(len(res.Outcomes)) / s)
+		}
+	}
+	return res, nil
+}
 
-	osspEng, err := core.NewEngine(core.Config{
+// newEstimator builds one engine's estimator over a history window's curves:
+// Config.NewEstimator when set, else the knowledge rollback at
+// Config.RollbackThreshold (the raw curves when that is negative). Each
+// engine gets its own — a rollback is stateful.
+func (r *Runner) newEstimator(curves *history.Curves) (core.Estimator, error) {
+	if r.cfg.NewEstimator != nil {
+		return r.cfg.NewEstimator(curves)
+	}
+	if r.cfg.RollbackThreshold < 0 {
+		return curves, nil
+	}
+	return history.NewRollback(curves, r.cfg.RollbackThreshold)
+}
+
+// newEngines builds the pair every replay compares: the OSSP engine, its
+// signal sampling seeded with seed, and the online-SSE baseline.
+func (r *Runner) newEngines(estOSSP, estSSE core.Estimator, seed int64) (osspEng, sseEng *core.Engine, err error) {
+	osspEng, err = core.NewEngine(core.Config{
 		Instance:  r.cfg.Instance,
 		Budget:    r.cfg.Budget,
 		Estimator: estOSSP,
 		Policy:    core.PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(r.cfg.Seed*7919 + int64(g.Start))),
+		Rand:      rand.New(rand.NewSource(seed)),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sseEng, err := core.NewEngine(core.Config{
+	sseEng, err = core.NewEngine(core.Config{
 		Instance:  r.cfg.Instance,
 		Budget:    r.cfg.Budget,
 		Estimator: estSSE,
 		Policy:    core.PolicySSE,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return osspEng, sseEng, nil
+}
 
-	testDay := r.ds.Days[g.TestDay()]
+// replayDay replays g's test day, alert by alert, through both engines
+// (which the caller has opened on a fresh cycle) and scores it against the
+// offline SSE baseline.
+func (r *Runner) replayDay(g Group, osspEng, sseEng *core.Engine) (*DayResult, error) {
 	res := &DayResult{Group: g}
-	for _, a := range testDay {
+	for _, a := range r.ds.Days[g.TestDay()] {
 		alert := core.Alert{Type: a.Type, Time: a.Time}
 		dOSSP, err := osspEng.Process(alert)
 		if err != nil {
@@ -300,7 +331,6 @@ func (r *Runner) RunGroup(g Group) (*DayResult, error) {
 			OnlineSSE: dSSE.SSEUtility,
 		})
 	}
-
 	offline, err := game.SolveOfflineSSE(r.cfg.Instance, r.cfg.Budget, r.ds.DayCounts(g.TestDay()))
 	if err != nil {
 		return nil, fmt.Errorf("sim: offline SSE: %w", err)
@@ -308,15 +338,6 @@ func (r *Runner) RunGroup(g Group) (*DayResult, error) {
 	res.OfflineSSE = offline.DefenderUtility
 	res.OSSPSummary = osspEng.Summary()
 	res.SSESummary = sseEng.Summary()
-	if r.groupSeconds.Enabled() {
-		elapsed := time.Since(t0)
-		r.groupSeconds.Observe(elapsed.Seconds())
-		r.groupsTotal.Inc()
-		r.alertsTotal.Add(uint64(len(testDay)))
-		if s := elapsed.Seconds(); s > 0 {
-			r.groupRate.Observe(float64(len(testDay)) / s)
-		}
-	}
 	return res, nil
 }
 

@@ -120,8 +120,9 @@ type (
 	// FallbackLevel records how a Decision was produced when the engine's
 	// graceful degradation is enabled (EngineConfig.Fallback): FallbackNone
 	// for the primary pipeline, or the ladder rung — last-good equilibrium,
-	// static never-warn policy — that answered after the pipeline failed or
-	// exceeded EngineConfig.DecisionDeadline.
+	// static never-warn policy — that answered after the pipeline failed
+	// (estimator error, solver error or panic). A context that ends first
+	// abandons the decision instead; nothing on the decision path times out.
 	FallbackLevel = fallback.Level
 
 	// SSESolveFunc is the engine's injectable online-SSE solver signature
