@@ -338,7 +338,7 @@ func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.
 		return err
 	}
 	fr := wal.Frame{Seg: int(seg), Off: int64(off), Raw: raw}
-	payload, err := mirror.Append(fr)
+	payload, crc, err := mirror.Append(fr)
 	if err != nil {
 		if errors.Is(err, wal.ErrMirrorGap) || errors.Is(err, wal.ErrCorrupt) {
 			return fmt.Errorf("%w: %v", errReseed, err)
@@ -362,7 +362,6 @@ func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.
 			return fmt.Errorf("%w: apply at %v: %v", errReseed, pos, err)
 		}
 	}
-	_, crc, _ := wal.ParseFrame(raw)
 	c.mu.Lock()
 	c.cur = fr.End()
 	c.crc = crc

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func newPrimary(t *testing.T) *primary {
 	}
 	p := &primary{t: t, dir: dir, j: j}
 	p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ServeStream(w, r, StreamConfig{Source: p.j, Heartbeat: 5 * time.Millisecond, Logf: t.Logf})
+		ServeStream(w, r, StreamConfig{Journal: p.j, Heartbeat: 5 * time.Millisecond, Logf: t.Logf})
 	}))
 	t.Cleanup(func() { p.ts.Close(); p.j.Close() })
 	return p
@@ -237,10 +238,8 @@ func TestClientReseedsAfterPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.append(quit(24))
-	oldest, ok, err := wal.OldestCursor(p.dir)
-	if err != nil || !ok {
-		t.Fatalf("OldestCursor: %v ok=%v", err, ok)
-	}
+	oldest, _, lease := p.j.Seed()
+	lease.Release()
 	rec, err := wal.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +335,7 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 	ts2 := &httptest.Server{
 		Listener: ln,
 		Config: &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ServeStream(w, r, StreamConfig{Source: p.j, Heartbeat: 5 * time.Millisecond, Logf: t.Logf})
+			ServeStream(w, r, StreamConfig{Journal: p.j, Heartbeat: 5 * time.Millisecond, Logf: t.Logf})
 		})},
 	}
 	ts2.Start()
@@ -494,11 +493,31 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 	if _, _, err := p.j.Prune(); err != nil {
 		t.Fatal(err)
 	}
-	oldest, ok, err := wal.OldestCursor(p.dir)
-	if err != nil || !ok {
-		t.Fatalf("OldestCursor: %v ok=%v", err, ok)
-	}
+	oldest, _, lease := p.j.Seed()
+	lease.Release()
 	if snapSeg := p.j.RetainStats().SnapshotSeg; oldest.Seg != snapSeg {
 		t.Fatalf("post-release prune left oldest=%d, want snapshot seg %d", oldest.Seg, snapSeg)
+	}
+}
+
+// TestResumeCrcMustBeADecimalUint32: the resume crc is compared against the
+// journal, so one that is not a plain decimal uint32 answers 400 — Sscanf("%d")
+// read these as 12, 0, 1, 7, 7 and went on to validate some other number.
+func TestResumeCrcMustBeADecimalUint32(t *testing.T) {
+	p := newPrimary(t)
+	p.append(quit(0))
+	for _, crc := range []string{"12abc", "0x10", "1e3", " 7", "7 8", "", "-1", "4294967296"} {
+		q := url.Values{"tenant": {"default"}, "seg": {"0"}, "off": {"5"}, "crc": {crc}}
+		resp, err := http.Get(p.ts.URL + "/?" + q.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("crc=%q answered %d, want 400", crc, resp.StatusCode)
+		}
+	}
+	if _, held := p.j.LeaseFloor(); held {
+		t.Error("a refused handshake left a lease behind")
 	}
 }

@@ -5,41 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"github.com/auditgames/sag/internal/wal"
 )
 
-// Source is the primary-side view of one tenant's journal that a replication
-// stream reads from. *wal.Journal satisfies it.
-type Source interface {
-	// Dir is the journal directory holding the segment files.
-	Dir() string
-	// DurableCursor is the position up to which disk contents are complete
-	// and safe to ship.
-	DurableCursor() wal.Cursor
-	// DurableRecords counts records at or before DurableCursor.
-	DurableRecords() int64
-	// Subscribe returns a channel that receives (coalesced) notifications
-	// whenever the durable cursor advances, plus a cancel func.
-	Subscribe() (<-chan struct{}, func())
-}
-
-// Leaser is optionally implemented by Sources whose segments can be pruned
-// while a stream is reading them (*wal.Journal implements it). A stream
-// over such a source holds a retention lease for its lifetime: acquired at
-// the negotiated resume cursor, advanced as frames ship and on every
-// heartbeat, released when the stream ends — so compaction prunes only what
-// every connected follower is already past, and a live stream never dies
-// with ErrCursorGone under a snapshot-then-prune.
-type Leaser interface {
-	AcquireLease(cur wal.Cursor) *wal.Lease
-}
-
 // StreamConfig configures one ServeStream call.
 type StreamConfig struct {
-	// Source is the tenant journal to ship. Required.
-	Source Source
+	// Journal is the tenant journal to ship. Required.
+	Journal *wal.Journal
 	// Heartbeat is the idle heartbeat period (DefaultHeartbeat when zero).
 	Heartbeat time.Duration
 	// Logf receives diagnostics; nil discards them.
@@ -53,7 +28,7 @@ type StreamConfig struct {
 // errors just end the stream. The handler must be mounted outside any
 // buffering or deadline-setting middleware: the response is unbounded.
 func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
-	src := cfg.Source
+	src := cfg.Journal
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -63,18 +38,16 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 		hb = DefaultHeartbeat
 	}
 
-	cur, applyFrom, ok := negotiate(w, r, src, logf)
+	// The handshake pins before it answers: the stream holds a retention
+	// lease from the cursor it negotiates, advanced as frames ship and on
+	// every heartbeat, so compaction prunes only what this follower is past
+	// and a live stream never dies with ErrCursorGone under a
+	// snapshot-then-prune. The lease lives exactly as long as the stream: a
+	// disconnected follower pins nothing (its next connect renegotiates, and
+	// a prune in the gap legitimately demands a re-seed).
+	cur, applyFrom, lease, ok := negotiate(w, r, src, logf)
 	if !ok {
 		return
-	}
-
-	// Pin the journal suffix this follower still needs. The lease lives
-	// exactly as long as the stream: a disconnected follower pins nothing
-	// (its next connect renegotiates, and a prune in the gap legitimately
-	// demands a re-seed), but a connected one is never pruned under.
-	var lease *wal.Lease
-	if lr, ok := src.(Leaser); ok {
-		lease = lr.AcquireLease(cur)
 	}
 	defer lease.Release()
 
@@ -95,16 +68,15 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	defer ticker.Stop()
 
 	for {
-		durable := src.DurableCursor()
-		if cur.Less(durable) {
-			next, err := wal.ReadFrames(src.Dir(), cur, durable, st.record)
-			if err != nil {
-				// Pruned under us, torn read, or the peer went away: either
-				// way this stream is done; the client reconnects with its
-				// cursor and renegotiates (a prune then answers re-seed).
-				logf("replicate: stream ended at %v: %v", next, err)
-				return
-			}
+		next, err := src.ReadFrames(cur, st.record)
+		if err != nil {
+			// Pruned under us, torn read, or the peer went away: either
+			// way this stream is done; the client reconnects with its
+			// cursor and renegotiates (a prune then answers re-seed).
+			logf("replicate: stream ended at %v: %v", next, err)
+			return
+		}
+		if next != cur {
 			cur = next
 			lease.Advance(cur) // shipped frames no longer need pinning
 			if st.heartbeat(src) != nil {
@@ -127,71 +99,51 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	}
 }
 
-// negotiate parses and validates the client's resume cursor. It writes the
-// error response itself when the handshake fails (ok=false). For a valid
-// resume, applyFrom is the resume cursor itself; for a fresh seed it is the
-// newest snapshot position (or the journal's oldest frame when no snapshot
-// exists yet).
-func negotiate(w http.ResponseWriter, r *http.Request, src Source, logf func(string, ...any)) (cur, applyFrom wal.Cursor, ok bool) {
+// negotiate answers the handshake with the cursor to stream from, the cursor
+// to apply from and the lease pinning the former; it writes the error
+// response itself when the handshake fails (ok=false). A resume is pinned
+// first and validated second, a fresh seed gets all three from one critical
+// section (wal.Journal.Seed), so nothing is prunable between choosing a
+// cursor and holding it.
+func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal, logf func(string, ...any)) (cur, applyFrom wal.Cursor, lease *wal.Lease, ok bool) {
 	q := r.URL.Query()
-	if q.Has("seg") {
-		cur, err := parseResume(q.Get("seg"), q.Get("off"), q.Get("crc"), src)
-		if err != nil {
-			if errors.Is(err, wal.ErrCursorGone) || errors.Is(err, wal.ErrCursorInvalid) {
-				logf("replicate: cursor rejected, demanding re-seed: %v", err)
-				w.Header().Set(HeaderReseed, "1")
-				http.Error(w, err.Error(), http.StatusConflict)
-			} else {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return wal.Cursor{}, wal.Cursor{}, false
-		}
-		return cur, cur, true
+	if !q.Has("seg") {
+		cur, applyFrom, lease = src.Seed()
+		return cur, applyFrom, lease, true
 	}
-	start, has, err := wal.OldestCursor(src.Dir())
+	cur, crc, err := parseResume(q.Get("seg"), q.Get("off"), q.Get("crc"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return wal.Cursor{}, wal.Cursor{}, false
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return cur, cur, nil, false
 	}
-	if !has {
-		// Empty journal: start at the durable cursor (the active segment's
-		// header) and apply everything that arrives.
-		start = src.DurableCursor()
-		return start, start, true
+	lease = src.AcquireLease(cur)
+	if err := src.ValidateCursor(cur, crc); err != nil {
+		lease.Release()
+		if errors.Is(err, wal.ErrCursorGone) || errors.Is(err, wal.ErrCursorInvalid) {
+			logf("replicate: cursor rejected, demanding re-seed: %v", err)
+			w.Header().Set(HeaderReseed, "1")
+			http.Error(w, err.Error(), http.StatusConflict)
+		} else {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+		return cur, cur, nil, false
 	}
-	applyFrom = start
-	if snap, found, serr := wal.LatestSnapshotCursor(src.Dir()); serr == nil && found {
-		applyFrom = snap
-	}
-	return start, applyFrom, true
+	return cur, cur, lease, true
 }
 
-// parseResume decodes and validates a resume cursor's query parameters.
-func parseResume(seg, off, crc string, src Source) (wal.Cursor, error) {
+// parseResume decodes a resume cursor's query parameters. They come from
+// outside the process: anything that is not three plain decimal numbers is
+// an error (400), never some other cursor.
+func parseResume(seg, off, crc string) (wal.Cursor, uint32, error) {
 	cur, err := wal.ParseCursor(seg + "/" + off)
 	if err != nil {
-		return wal.Cursor{}, err
+		return wal.Cursor{}, 0, err
 	}
-	last, err := parseUint32(crc)
+	last, err := strconv.ParseUint(crc, 10, 32)
 	if err != nil {
-		return wal.Cursor{}, fmt.Errorf("wal: malformed cursor crc %q", crc)
+		return wal.Cursor{}, 0, fmt.Errorf("wal: malformed cursor crc %q", crc)
 	}
-	durable := src.DurableCursor()
-	if durable.Less(cur) {
-		return wal.Cursor{}, fmt.Errorf("%w: cursor %v ahead of durable %v", wal.ErrCursorInvalid, cur, durable)
-	}
-	if err := wal.ValidateCursor(src.Dir(), cur, last); err != nil {
-		return wal.Cursor{}, err
-	}
-	return cur, nil
-}
-
-func parseUint32(s string) (uint32, error) {
-	var v uint64
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil || v > 1<<32-1 {
-		return 0, fmt.Errorf("not a uint32: %q", s)
-	}
-	return uint32(v), nil
+	return cur, uint32(last), nil
 }
 
 // streamer writes wire frames with a per-write deadline and explicit flushes.
@@ -215,7 +167,7 @@ func (st *streamer) record(fr wal.Frame) error {
 
 // heartbeat emits one 'h' frame carrying the source's durable position and
 // record count, then flushes so the follower sees it promptly.
-func (st *streamer) heartbeat(src Source) error {
+func (st *streamer) heartbeat(src *wal.Journal) error {
 	durable := src.DurableCursor()
 	st.buf = st.buf[:0]
 	st.buf = append(st.buf, frameHeartbeat)

@@ -219,8 +219,9 @@ func (t *tenantState) countAccess(alerted, warned bool) {
 // to call from the engine's journal hook (it only touches atomics and at
 // most spawns one goroutine).
 func (s *Server) noteAppend(t *tenantState) {
-	t.lastAppend.Store(time.Now().UnixNano())
 	if s.retain != nil {
+		// Only the compactor's idle ordering reads the stamp.
+		t.lastAppend.Store(time.Now().UnixNano())
 		// Snapshot-now under pressure: a write burst meets compaction at the
 		// kick (coalesced; inside the debounce window it is one clock read).
 		s.retain.Kick()

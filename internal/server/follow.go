@@ -417,7 +417,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			apiError{Error: fmt.Sprintf("tenant %q has no open journal", id)})
 		return
 	}
-	replica.ServeStream(w, r, replica.StreamConfig{Source: t.journal, Logf: s.cfg.Logf})
+	replica.ServeStream(w, r, replica.StreamConfig{Journal: t.journal, Logf: s.cfg.Logf})
 }
 
 // handlePromote is POST /v1/admin/promote: turn this standby into the

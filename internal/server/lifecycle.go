@@ -28,13 +28,6 @@ type RunConfig struct {
 	// ShutdownGrace bounds draining on shutdown: in-flight requests get this
 	// long to finish before the listeners are torn down. Zero means 10s.
 	ShutdownGrace time.Duration
-	// ReadHeaderTimeout / ReadTimeout / WriteTimeout / IdleTimeout harden
-	// both http.Servers against slow-loris and stuck peers. Zeros get
-	// conservative defaults (5s / 15s / 30s / 120s).
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
 	// OnDrainStart runs when shutdown begins, before the listeners drain —
 	// the place to flip readiness (Server.SetReady(false)).
 	OnDrainStart func()
@@ -52,30 +45,28 @@ func (c *RunConfig) fillDefaults() {
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
 	}
-	if c.ReadHeaderTimeout <= 0 {
-		c.ReadHeaderTimeout = 5 * time.Second
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 15 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 120 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
 }
 
-func (c *RunConfig) newServer(h http.Handler) *http.Server {
+// Both http.Servers are hardened against slow-loris and stuck peers with
+// these. No binary, flag or test ever set other values, so they are not
+// configuration.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: c.ReadHeaderTimeout,
-		ReadTimeout:       c.ReadTimeout,
-		WriteTimeout:      c.WriteTimeout,
-		IdleTimeout:       c.IdleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -98,7 +89,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 		cfg.OnListen(mainLn.Addr())
 	}
 
-	servers := []*http.Server{cfg.newServer(cfg.Handler)}
+	servers := []*http.Server{newServer(cfg.Handler)}
 	listeners := []net.Listener{mainLn}
 	if cfg.DebugAddr != "" {
 		dbgLn, err := net.Listen("tcp", cfg.DebugAddr)
@@ -109,7 +100,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 		if cfg.OnListen != nil {
 			cfg.OnListen(dbgLn.Addr())
 		}
-		servers = append(servers, cfg.newServer(cfg.DebugHandler))
+		servers = append(servers, newServer(cfg.DebugHandler))
 		listeners = append(listeners, dbgLn)
 		cfg.Logf("debug listener (pprof, /metrics) on %s", dbgLn.Addr())
 	}

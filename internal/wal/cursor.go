@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,70 +67,79 @@ type Frame struct {
 // End returns the cursor just past the frame.
 func (f Frame) End() Cursor { return Cursor{Seg: f.Seg, Off: f.Off + int64(len(f.Raw))} }
 
+// The two ways a cursor fails a reader (see "Reading" in the package comment);
+// after either, its holder re-seeds.
 var (
-	// ErrCursorGone reports a cursor whose segment is no longer retained —
-	// pruned by a snapshot — so the reader must re-seed from a snapshot
-	// instead of resuming.
-	ErrCursorGone = errors.New("wal: cursor segment no longer retained")
-	// ErrCursorInvalid reports a cursor that does not land on a record
-	// boundary of the journal's current contents (divergent history, a
-	// reader ahead of the journal, or a CRC mismatch at the boundary).
+	ErrCursorGone    = errors.New("wal: cursor segment no longer retained")
 	ErrCursorInvalid = errors.New("wal: cursor does not match journal contents")
 )
 
-// ParseFrame splits a raw frame into its payload and stored CRC, verifying
-// the length prefix spans the frame exactly and the CRC matches the payload.
-func ParseFrame(raw []byte) (payload []byte, crc uint32, err error) {
-	plen, n := binary.Uvarint(raw)
-	if n <= 0 || plen > maxRecordBytes {
-		return nil, 0, fmt.Errorf("%w: bad frame length prefix", ErrCorrupt)
-	}
-	if int64(len(raw)) != int64(n)+int64(plen)+4 {
-		return nil, 0, fmt.Errorf("%w: frame length %d does not match prefix %d", ErrCorrupt, len(raw), plen)
-	}
-	payload = raw[n : int64(n)+int64(plen)]
-	crc = binary.LittleEndian.Uint32(raw[int64(n)+int64(plen):])
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, fmt.Errorf("%w: frame crc mismatch", ErrCorrupt)
-	}
-	return payload, crc, nil
-}
-
-// checkHeader validates a segment file's 5-byte header.
-func checkHeader(path string, data []byte) error {
-	if len(data) < headerSize || string(data[:4]) != magic || data[4] != version {
-		return fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
-	}
-	return nil
-}
-
-// errEndOfLog is frameLen's answer to a zero length prefix.
+// errEndOfLog is parseFrame's answer to the preallocated tail of a segment
+// that was active at a crash: a zero length prefix with nothing but zeros
+// behind it.
 var errEndOfLog = fmt.Errorf("%w: zero length prefix (end of log)", ErrCorrupt)
 
-// frameLen returns the total length of the frame starting at buf[0]. A torn
-// or corrupt frame yields an ErrCorrupt error. No record has an empty
-// payload, so a zero length prefix is never a frame: it is errEndOfLog, the
-// first byte of an active segment's preallocated tail. Readers bounded by
-// the durable cursor never reach one; Recover decides whether what follows
-// is that tail or a torn write.
-func frameLen(buf []byte) (int64, error) {
-	plen, n := binary.Uvarint(buf)
+// parseFrame decodes the frame at the start of buf — length prefix, payload,
+// stored CRC-32 — and returns its total length n; buf may run on past it.
+// Whatever is not a whole frame with a matching checksum is an ErrCorrupt
+// error: a prefix that is malformed or larger than a record may be, a frame
+// that runs past buf (torn), a checksum mismatch. No record has an empty
+// payload, so a zero prefix is never a frame: it is errEndOfLog when only
+// zeros follow, and corruption like any other when something else does.
+// This is the only decoder of the frame format (see walkFrames).
+func parseFrame(buf []byte) (n int64, payload []byte, crc uint32, err error) {
+	plen, k := binary.Uvarint(buf)
 	switch {
-	case n <= 0 || plen > maxRecordBytes:
-		return 0, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+	case k <= 0 || plen > maxRecordBytes:
+		return 0, nil, 0, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+	case plen == 0 && len(bytes.TrimLeft(buf, "\x00")) > 0:
+		return 0, nil, 0, fmt.Errorf("%w: data after a zero length prefix", ErrCorrupt)
 	case plen == 0:
-		return 0, errEndOfLog
+		return 0, nil, 0, errEndOfLog
 	}
-	total := int64(n) + int64(plen) + 4
-	if int64(len(buf)) < total {
-		return 0, fmt.Errorf("%w: torn frame", ErrCorrupt)
+	end := int64(k) + int64(plen)
+	if int64(len(buf)) < end+4 {
+		return 0, nil, 0, fmt.Errorf("%w: torn frame", ErrCorrupt)
 	}
-	return total, nil
+	payload = buf[k:end]
+	crc = binary.LittleEndian.Uint32(buf[end:])
+	if crc32.ChecksumIEEE(payload) != crc {
+		return 0, nil, 0, fmt.Errorf("%w: frame crc mismatch", ErrCorrupt)
+	}
+	return end + 4, payload, crc, nil
 }
+
+// walkFrames is the one loop over segment bytes: Recover, the streaming
+// reader and cursor validation all decide "what is a frame and where does the
+// log end" here. data holds frames starting at segment offset off; fn sees
+// each valid one (raw and payload alias data). It returns the offset just
+// past the last frame fn accepted and what stopped the walk: nil at the end
+// of data, parseFrame's error at the first thing that is not a frame, or
+// fn's own.
+func walkFrames(data []byte, off int64, fn func(off int64, raw, payload []byte, crc uint32) error) (int64, error) {
+	for len(data) > 0 {
+		n, payload, crc, err := parseFrame(data)
+		if err != nil {
+			return off, fmt.Errorf("%w @%d", err, off)
+		}
+		if err := fn(off, data[:n], payload, crc); err != nil {
+			return off, err
+		}
+		off += n
+		data = data[n:]
+	}
+	return off, nil
+}
+
+// segmentReads (tests only) observes every segment file read.
+var segmentReads func(path string)
 
 // readSegment returns bytes [from, to) of the segment file at path, clamped
 // to the file's size.
 func readSegment(path string, from, to int64) ([]byte, error) {
+	if segmentReads != nil {
+		segmentReads(path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -148,189 +158,139 @@ func readSegment(path string, from, to int64) ([]byte, error) {
 	return data, err
 }
 
-// retainedSegments returns the journal's segment sequence numbers, sorted.
-func retainedSegments(dir string) ([]int, error) {
-	segs, err := segments(dir)
-	if err != nil {
-		return nil, err
+// segmentFrames returns the frame bytes [from, to) of the segment file at
+// path. from is a frame boundary, or 0 for the whole segment: the header then
+// rides along, is checked (ErrCorrupt) and stripped, so the bytes returned
+// start at offset headerSize.
+func segmentFrames(path string, from, to int64) ([]byte, error) {
+	data, err := readSegment(path, from, to)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("wal: reading segment: %w", err)
+	case from > 0:
+		return data, nil
+	case len(data) < headerSize || string(data[:4]) != magic || data[4] != version:
+		return nil, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
 	}
-	var out []int
-	for _, s := range segs {
-		n, err := segmentSeq(s)
-		if err != nil {
-			continue // foreign file matching the glob
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return data[headerSize:], nil
 }
 
-// OldestCursor returns the position of the first frame in the journal's
-// oldest retained segment; ok is false when the directory holds no segments.
-func OldestCursor(dir string) (Cursor, bool, error) {
-	seqs, err := retainedSegments(dir)
-	if err != nil || len(seqs) == 0 {
-		return Cursor{}, false, err
+// read is segmentFrames for the journal's readers: a segment whose file is
+// gone — pruned, or dropped by a recovery — is ErrCursorGone.
+func (j *Journal) read(seg int, from, to int64) ([]byte, error) {
+	data, err := segmentFrames(filepath.Join(j.dir, segmentName(seg)), from, to)
+	if errors.Is(err, os.ErrNotExist) {
+		err = fmt.Errorf("%w: segment %d", ErrCursorGone, seg)
 	}
-	return Cursor{Seg: seqs[0], Off: headerSize}, true, nil
+	return data, err
 }
 
-// ReadFrames walks raw frames from cur (exclusive of anything before it) up
-// to limit — normally the journal's durable cursor — calling fn for each and
-// returning the advanced cursor. Sealed segments below limit.Seg are read to
-// EOF; the segment at limit.Seg is read only to limit.Off. A missing segment
-// below the limit yields ErrCursorGone (pruned under the reader). fn's Frame
-// aliases a per-call buffer; it must not be retained across calls.
-func ReadFrames(dir string, cur, limit Cursor, fn func(Frame) error) (Cursor, error) {
+// ReadFrames walks raw frames from cur up to the durable cursor, calling fn
+// for each and returning the advanced cursor. Sealed segments are read to
+// their end, the durable cursor's segment only up to it — a tailing stream
+// calls this once per commit round, and the active segment is a
+// preallocation step long at least. fn's Frame aliases a per-call buffer; it
+// must not be retained across calls.
+func (j *Journal) ReadFrames(cur Cursor, fn func(Frame) error) (Cursor, error) {
+	limit := j.DurableCursor()
 	for cur.Less(limit) {
-		if cur.Off < headerSize {
-			cur.Off = headerSize
-		}
-		// Read only the window asked for: a tailing stream calls this once
-		// per commit round, and the active segment is a preallocation step
-		// long at least. The header rides along (and is checked) when the
-		// window starts the segment.
-		from, to := cur.Off, int64(math.MaxInt64)
+		from, to := max(cur.Off, headerSize), int64(math.MaxInt64)
+		cur.Off = from
 		if from == headerSize {
 			from = 0
 		}
 		if cur.Seg == limit.Seg {
 			to = limit.Off
 		}
-		path := filepath.Join(dir, segmentName(cur.Seg))
-		data, err := readSegment(path, from, to)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return cur, fmt.Errorf("%w: segment %d missing", ErrCursorGone, cur.Seg)
-			}
-			return cur, fmt.Errorf("wal: reading segment: %w", err)
-		}
-		if from == 0 {
-			if err := checkHeader(path, data); err != nil {
-				return cur, err
-			}
-			data = data[headerSize:]
-		}
-		for len(data) > 0 {
-			total, err := frameLen(data)
-			if err != nil {
-				return cur, fmt.Errorf("%w @%v", err, cur)
-			}
-			if err := fn(Frame{Seg: cur.Seg, Off: cur.Off, Raw: data[:total]}); err != nil {
-				return cur, err
-			}
-			cur.Off += total
-			data = data[total:]
-		}
-		if cur.Seg >= limit.Seg {
-			return cur, nil
-		}
-		// Finished a sealed segment: advance to the next retained one.
-		// Recovery can leave numbering gaps (corrupt segments are deleted),
-		// so scan for the next sequence rather than assuming Seg+1.
-		seqs, err := retainedSegments(dir)
+		data, err := j.read(cur.Seg, from, to)
 		if err != nil {
 			return cur, err
 		}
-		next := -1
-		for _, n := range seqs {
-			if n > cur.Seg {
-				next = n
-				break
-			}
+		cur.Off, err = walkFrames(data, cur.Off, func(off int64, raw, _ []byte, _ uint32) error {
+			return fn(Frame{Seg: cur.Seg, Off: off, Raw: raw})
+		})
+		if err != nil || cur.Seg == limit.Seg {
+			return cur, err
 		}
-		if next < 0 || next > limit.Seg {
-			return cur, nil
+		// Finished a sealed segment: on to the next retained one. Numbers have
+		// gaps (a recovery deletes what follows a tear), so ask the index.
+		next, err := j.segmentAfter(cur.Seg)
+		if err != nil {
+			return cur, err
 		}
 		cur = Cursor{Seg: next, Off: headerSize}
 	}
 	return cur, nil
 }
 
-// ValidateCursor checks that cur names a frame boundary of the journal at
-// dir and that the frame ending exactly at cur carries lastCRC (lastCRC is
-// ignored when cur.Off == headerSize — the segment start has no preceding
-// frame). It returns ErrCursorGone when the segment was pruned and
-// ErrCursorInvalid when the position or checksum does not match — either way
-// the holder's history has diverged and it must re-seed.
-func ValidateCursor(dir string, cur Cursor, lastCRC uint32) error {
-	// Read first, classify a missing segment afterwards: listing before
-	// reading would let a prune in between surface a raw ENOENT.
-	path := filepath.Join(dir, segmentName(cur.Seg))
-	data, err := readSegment(path, 0, max(cur.Off, headerSize))
-	if os.IsNotExist(err) {
-		seqs, lerr := retainedSegments(dir)
-		if lerr != nil {
-			return lerr
-		}
-		if len(seqs) > 0 && cur.Seg < seqs[0] {
-			return fmt.Errorf("%w: segment %d pruned (oldest retained %d)", ErrCursorGone, cur.Seg, seqs[0])
-		}
-		return fmt.Errorf("%w: segment %d not in journal", ErrCursorInvalid, cur.Seg)
+// segmentAfter returns the retained segment that follows seg. Prune deletes
+// oldest first, so what is retained is one unbroken suffix of the journal:
+// if seg is still in it nothing after seg is missing, and if it is not the
+// reader has been pruned under and what followed seg may be gone as well.
+func (j *Journal) segmentAfter(seg int) (int, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if _, ok := j.sealedBytes[seg]; !ok {
+		return 0, fmt.Errorf("%w: segment %d", ErrCursorGone, seg)
 	}
-	if err != nil {
-		return fmt.Errorf("wal: reading segment: %w", err)
-	}
-	if err := checkHeader(path, data); err != nil {
-		return err
-	}
-	if cur.Off == headerSize {
-		return nil
-	}
-	off := int64(headerSize)
-	for off < cur.Off {
-		total, err := frameLen(data[off:])
-		if err != nil {
-			return fmt.Errorf("%w: %v @%d", ErrCursorInvalid, err, off)
-		}
-		if off+total == cur.Off {
-			_, crc, perr := ParseFrame(data[off : off+total])
-			if perr != nil {
-				return fmt.Errorf("%w: %v", ErrCursorInvalid, perr)
-			}
-			if crc != lastCRC {
-				return fmt.Errorf("%w: crc 0x%08x at %v, holder has 0x%08x", ErrCursorInvalid, crc, cur, lastCRC)
-			}
-			return nil
-		}
-		off += total
-	}
-	return fmt.Errorf("%w: offset %d is not a frame boundary of segment %d", ErrCursorInvalid, cur.Off, cur.Seg)
+	return j.nextSegmentLocked(seg), nil
 }
 
-// LatestSnapshotCursor returns the position of the newest snapshot frame in
-// the journal; ok is false when no snapshot record exists. A reader seeding
-// from scratch starts applying at this cursor (the snapshot itself) and
-// treats everything before it as history it persists but does not replay.
-func LatestSnapshotCursor(dir string) (Cursor, bool, error) {
-	seqs, err := retainedSegments(dir)
-	if err != nil {
-		return Cursor{}, false, err
-	}
-	var at Cursor
-	ok := false
-	for _, n := range seqs {
-		path := filepath.Join(dir, segmentName(n))
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return Cursor{}, false, fmt.Errorf("wal: reading segment: %w", rerr)
-		}
-		if err := checkHeader(path, data); err != nil {
-			return Cursor{}, false, err
-		}
-		off := int64(headerSize)
-		for off < int64(len(data)) {
-			total, ferr := frameLen(data[off:])
-			if ferr != nil {
-				break // end of log or torn active tail; nothing past it is durable yet
-			}
-			payload, _, perr := ParseFrame(data[off : off+total])
-			if perr == nil && len(payload) > 0 && Kind(payload[0]) == KindSnapshot {
-				at = Cursor{Seg: n, Off: off}
-				ok = true
-			}
-			off += total
+// nextSegmentLocked returns the lowest retained segment above after; the
+// active segment follows every sealed one. The caller holds mu.
+func (j *Journal) nextSegmentLocked(after int) int {
+	next := j.seq
+	for n := range j.sealedBytes {
+		if n > after && n < next {
+			next = n
 		}
 	}
-	return at, ok, nil
+	return next
+}
+
+// ValidateCursor checks that cur is a frame boundary of the durable journal
+// and that the frame ending exactly there carries lastCRC (ignored at a
+// segment start, which has no preceding frame): the proof a resuming reader
+// gives that its history is this journal's.
+func (j *Journal) ValidateCursor(cur Cursor, lastCRC uint32) error {
+	if durable := j.DurableCursor(); durable.Less(cur) {
+		return fmt.Errorf("%w: cursor %v ahead of durable %v", ErrCursorInvalid, cur, durable)
+	}
+	var end int64
+	crc := lastCRC
+	data, err := j.read(cur.Seg, 0, max(cur.Off, headerSize))
+	if err == nil {
+		end, err = walkFrames(data, headerSize, func(_ int64, _, _ []byte, c uint32) error {
+			crc = c
+			return nil
+		})
+	}
+	switch {
+	case errors.Is(err, ErrCorrupt):
+		return fmt.Errorf("%w: %v", ErrCursorInvalid, err)
+	case err != nil:
+		return err
+	case end != cur.Off:
+		return fmt.Errorf("%w: offset %d is not a frame boundary of segment %d", ErrCursorInvalid, cur.Off, cur.Seg)
+	case crc != lastCRC:
+		return fmt.Errorf("%w: crc 0x%08x at %v, holder has 0x%08x", ErrCursorInvalid, crc, cur, lastCRC)
+	}
+	return nil
+}
+
+// Seed is the handshake of a reader that starts from nothing. From one
+// critical section it returns where to start reading (the oldest retained
+// frame), where to start applying (the newest snapshot; start when there is
+// none — everything in between is history to persist, not to replay) and a
+// lease already pinning start, so no prune can slip in between picking the
+// cursor and holding it. The caller must Release the lease.
+func (j *Journal) Seed() (start, applyFrom Cursor, lease *Lease) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	start = Cursor{Seg: j.nextSegmentLocked(-1), Off: headerSize}
+	applyFrom = start
+	if !j.snapAt.IsZero() {
+		applyFrom = j.snapAt
+	}
+	return start, applyFrom, j.acquireLeaseLocked(start)
 }

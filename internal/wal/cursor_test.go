@@ -39,11 +39,12 @@ func TestCursorOrdering(t *testing.T) {
 	}
 }
 
-// shipFrames reads every durable frame of the journal at dir from cur.
-func shipFrames(t *testing.T, dir string, cur, durable Cursor) []Frame {
+// shipFrames reads every durable frame of j from cur.
+func shipFrames(t *testing.T, j *Journal, cur Cursor) []Frame {
 	t.Helper()
 	var out []Frame
-	next, err := ReadFrames(dir, cur, durable, func(fr Frame) error {
+	durable := j.DurableCursor()
+	next, err := j.ReadFrames(cur, func(fr Frame) error {
 		raw := make([]byte, len(fr.Raw))
 		copy(raw, fr.Raw)
 		out = append(out, Frame{Seg: fr.Seg, Off: fr.Off, Raw: raw})
@@ -68,12 +69,12 @@ func TestReadFramesWalksDurableRecords(t *testing.T) {
 	want := sampleRecords()
 	appendAll(t, j, want)
 
-	frames := shipFrames(t, dir, Cursor{}, j.DurableCursor())
+	frames := shipFrames(t, j, Cursor{})
 	if len(frames) != len(want) {
 		t.Fatalf("read %d frames, want %d", len(frames), len(want))
 	}
 	for i, fr := range frames {
-		payload, _, err := ParseFrame(fr.Raw)
+		_, payload, _, err := parseFrame(fr.Raw)
 		if err != nil {
 			t.Fatalf("frame %d unparseable: %v", i, err)
 		}
@@ -86,7 +87,7 @@ func TestReadFramesWalksDurableRecords(t *testing.T) {
 		}
 	}
 	// Resuming from the end of frame 2 yields exactly the remaining frames.
-	rest := shipFrames(t, dir, frames[2].End(), j.DurableCursor())
+	rest := shipFrames(t, j, frames[2].End())
 	if len(rest) != len(want)-3 {
 		t.Fatalf("resume read %d frames, want %d", len(rest), len(want)-3)
 	}
@@ -98,10 +99,9 @@ func TestReadFramesWalksDurableRecords(t *testing.T) {
 // tailWindow builds a journal whose active segment holds about 1 MiB and
 // returns the last ~100 bytes of it as a (cur, limit) window — what a
 // replication stream reads when one commit round wakes it.
-func tailWindow(tb testing.TB) (dir string, cur, limit Cursor) {
+func tailWindow(tb testing.TB) (j *Journal, cur, limit Cursor) {
 	tb.Helper()
-	dir = tb.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour})
+	j, _, err := Open(tb.TempDir(), Options{Fsync: FsyncNone, Interval: time.Hour})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -124,19 +124,19 @@ func tailWindow(tb testing.TB) (dir string, cur, limit Cursor) {
 	if err := j.Sync(); err != nil {
 		tb.Fatal(err)
 	}
-	return dir, cur, j.DurableCursor()
+	return j, cur, j.DurableCursor()
 }
 
 // TestReadFramesReadsOnlyTheWindow: tailing a busy tenant must cost the
 // bytes asked for, not the segment — reading the whole file on every wake-up
 // is quadratic per segment.
 func TestReadFramesReadsOnlyTheWindow(t *testing.T) {
-	dir, cur, limit := tailWindow(t)
+	j, cur, limit := tailWindow(t)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
 	frames := 0
-	next, err := ReadFrames(dir, cur, limit, func(Frame) error { frames++; return nil })
+	next, err := j.ReadFrames(cur, func(Frame) error { frames++; return nil })
 	runtime.ReadMemStats(&ms)
 	if err != nil || next != limit || frames != 14 {
 		t.Fatalf("read %d frames up to %v (%v), want 14 up to %v", frames, next, err, limit)
@@ -145,17 +145,17 @@ func TestReadFramesReadsOnlyTheWindow(t *testing.T) {
 		t.Fatalf("a %d-byte window of a %d-byte segment allocated %d bytes", limit.Off-cur.Off, limit.Off, got)
 	}
 	// The resume handshake reads no further than its cursor either.
-	if err := ValidateCursor(dir, Cursor{Seg: 0, Off: headerSize}, 0); err != nil {
+	if err := j.ValidateCursor(Cursor{Seg: 0, Off: headerSize}, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func BenchmarkReadFramesTail(b *testing.B) {
-	dir, cur, limit := tailWindow(b)
+	j, cur, _ := tailWindow(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadFrames(dir, cur, limit, func(Frame) error { return nil }); err != nil {
+		if _, err := j.ReadFrames(cur, func(Frame) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,20 +179,20 @@ func TestValidateCursor(t *testing.T) {
 	if rec.End != durable {
 		t.Fatalf("recovered end %v, durable was %v", rec.End, durable)
 	}
-	if err := ValidateCursor(dir, rec.End, rec.LastCRC); err != nil {
+	if err := j.ValidateCursor(rec.End, rec.LastCRC); err != nil {
 		t.Fatalf("recovered cursor rejected: %v", err)
 	}
-	if err := ValidateCursor(dir, rec.End, rec.LastCRC+1); !errors.Is(err, ErrCursorInvalid) {
+	if err := j.ValidateCursor(rec.End, rec.LastCRC+1); !errors.Is(err, ErrCursorInvalid) {
 		t.Fatalf("wrong CRC accepted: %v", err)
 	}
-	if err := ValidateCursor(dir, Cursor{Seg: rec.End.Seg, Off: rec.End.Off - 1}, 0); !errors.Is(err, ErrCursorInvalid) {
+	if err := j.ValidateCursor(Cursor{Seg: rec.End.Seg, Off: rec.End.Off - 1}, 0); !errors.Is(err, ErrCursorInvalid) {
 		t.Fatalf("non-boundary offset accepted: %v", err)
 	}
-	if err := ValidateCursor(dir, Cursor{Seg: rec.End.Seg + 7, Off: headerSize}, 0); !errors.Is(err, ErrCursorInvalid) {
+	if err := j.ValidateCursor(Cursor{Seg: rec.End.Seg + 7, Off: headerSize}, 0); !errors.Is(err, ErrCursorInvalid) {
 		t.Fatalf("future segment accepted: %v", err)
 	}
 	// The segment start needs no CRC proof (no preceding frame).
-	if err := ValidateCursor(dir, Cursor{Seg: rec.End.Seg, Off: headerSize}, 12345); err != nil {
+	if err := j.ValidateCursor(Cursor{Seg: rec.End.Seg, Off: headerSize}, 12345); err != nil {
 		t.Fatalf("segment-start cursor rejected: %v", err)
 	}
 }
@@ -210,32 +210,26 @@ func TestValidateCursorPrunedSegment(t *testing.T) {
 	if err := j.Snapshot([]byte("snap")); err != nil {
 		t.Fatal(err)
 	}
-	oldest, ok, err := OldestCursor(dir)
-	if err != nil || !ok {
-		t.Fatalf("OldestCursor: %v ok=%v", err, ok)
-	}
+	oldest, snap, lease := j.Seed()
+	lease.Release()
 	if oldest.Seg == 0 {
 		t.Fatal("snapshot should have pruned segment 0")
 	}
-	if err := ValidateCursor(dir, Cursor{Seg: 0, Off: headerSize}, 0); !errors.Is(err, ErrCursorGone) {
+	if err := j.ValidateCursor(Cursor{Seg: 0, Off: headerSize}, 0); !errors.Is(err, ErrCursorGone) {
 		t.Fatalf("pruned cursor: %v, want ErrCursorGone", err)
 	}
-	if _, err := ReadFrames(dir, Cursor{Seg: 0, Off: headerSize}, j.DurableCursor(), func(Frame) error { return nil }); !errors.Is(err, ErrCursorGone) {
+	if _, err := j.ReadFrames(Cursor{Seg: 0, Off: headerSize}, func(Frame) error { return nil }); !errors.Is(err, ErrCursorGone) {
 		t.Fatalf("ReadFrames over pruned segment: %v, want ErrCursorGone", err)
 	}
-	snap, found, err := LatestSnapshotCursor(dir)
-	if err != nil || !found {
-		t.Fatalf("LatestSnapshotCursor: %v found=%v", err, found)
-	}
-	if snap.Seg < oldest.Seg {
-		t.Fatalf("snapshot cursor %v behind oldest retained %v", snap, oldest)
+	if frames := shipFrames(t, j, snap); len(frames) != 1 || Kind(frames[0].Raw[1]) != KindSnapshot {
+		t.Fatalf("apply-from cursor %v (oldest retained %v) is not the snapshot frame ending the journal: %d frames from it", snap, oldest, len(frames))
 	}
 }
 
 // TestValidateCursorSegmentVanishes is the deterministic form of the
-// prune-vs-validate race: the directory listing still names the cursor's
-// segment but reading it finds nothing (here a dangling symlink stands in for
-// the file a concurrent prune unlinked). The holder must get a cursor error —
+// prune-vs-validate race: the index still names the cursor's segment but
+// reading it finds nothing (Prune unlinks the file before it forgets the
+// segment; a dangling symlink is the same thing seen through a listing). The holder must get a cursor error —
 // a 409 and a re-seed — never the raw ENOENT that used to surface as a 500.
 func TestValidateCursorSegmentVanishes(t *testing.T) {
 	dir := t.TempDir()
@@ -247,25 +241,21 @@ func TestValidateCursorSegmentVanishes(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
 	}
-	cur, ok, err := OldestCursor(dir)
-	if err != nil || !ok {
-		t.Fatalf("OldestCursor: %v ok=%v", err, ok)
-	}
-	if err := ValidateCursor(dir, cur, 0); err != nil {
+	cur := Cursor{Seg: 0, Off: headerSize}
+	if err := j.ValidateCursor(cur, 0); err != nil {
 		t.Fatalf("cursor rejected before the prune: %v", err)
 	}
 	path := filepath.Join(dir, segmentName(cur.Seg))
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateCursor(dir, cur, 0); !errors.Is(err, ErrCursorGone) {
+	if err := j.ValidateCursor(cur, 0); !errors.Is(err, ErrCursorGone) {
 		t.Fatalf("pruned cursor: %v, want ErrCursorGone", err)
 	}
 	if err := os.Symlink(filepath.Join(dir, "unlinked"), path); err != nil {
 		t.Skipf("no symlinks here: %v", err)
 	}
-	err = ValidateCursor(dir, cur, 0)
-	if !errors.Is(err, ErrCursorGone) && !errors.Is(err, ErrCursorInvalid) {
+	if err := j.ValidateCursor(cur, 0); !errors.Is(err, ErrCursorGone) {
 		t.Fatalf("listed-but-missing segment: %v, want a cursor error", err)
 	}
 }
@@ -287,10 +277,10 @@ func TestMirrorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := shipFrames(t, src, Cursor{}, j.DurableCursor())
+	frames := shipFrames(t, j, Cursor{})
 	half := len(frames) / 2
 	for _, fr := range frames[:half] {
-		if _, err := m.Append(fr); err != nil {
+		if _, _, err := m.Append(fr); err != nil {
 			t.Fatalf("append %d/%d: %v", fr.Seg, fr.Off, err)
 		}
 	}
@@ -312,7 +302,7 @@ func TestMirrorRoundTrip(t *testing.T) {
 		t.Fatalf("reopen mirror at %v: %v", rec.End, err)
 	}
 	for _, fr := range frames[half:] {
-		if _, err := m.Append(fr); err != nil {
+		if _, _, err := m.Append(fr); err != nil {
 			t.Fatalf("append %d/%d: %v", fr.Seg, fr.Off, err)
 		}
 	}
@@ -364,7 +354,7 @@ func TestMirrorRejectsGaps(t *testing.T) {
 	}
 	defer j.Close()
 	appendAll(t, j, sampleRecords())
-	frames := shipFrames(t, src, Cursor{}, j.DurableCursor())
+	frames := shipFrames(t, j, Cursor{})
 	if len(frames) < 3 {
 		t.Fatalf("need at least 3 frames, got %d", len(frames))
 	}
@@ -374,13 +364,13 @@ func TestMirrorRejectsGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Append(frames[0]); err != nil {
+	if _, _, err := m.Append(frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append(frames[2]); !errors.Is(err, ErrMirrorGap) {
+	if _, _, err := m.Append(frames[2]); !errors.Is(err, ErrMirrorGap) {
 		t.Fatalf("skipped frame accepted: %v", err)
 	}
-	if _, err := m.Append(frames[0]); !errors.Is(err, ErrMirrorGap) {
+	if _, _, err := m.Append(frames[0]); !errors.Is(err, ErrMirrorGap) {
 		t.Fatalf("repeated frame accepted: %v", err)
 	}
 
@@ -390,7 +380,7 @@ func TestMirrorRejectsGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Append(frames[0]); err != nil {
+	if _, _, err := m2.Append(frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Close(); err != nil {
@@ -404,8 +394,20 @@ func TestMirrorRejectsGaps(t *testing.T) {
 	}
 }
 
-func TestOldestCursorEmptyDir(t *testing.T) {
-	if _, ok, err := OldestCursor(t.TempDir()); err != nil || ok {
-		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
+// TestSeedEmptyJournal: with nothing written yet the handshake starts, and
+// applies, at the durable cursor — the active segment's first frame.
+func TestSeedEmptyJournal(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	start, applyFrom, lease := j.Seed()
+	defer lease.Release()
+	if durable := j.DurableCursor(); start != durable || applyFrom != durable {
+		t.Fatalf("seed of an empty journal = %v / %v, want the durable cursor %v twice", start, applyFrom, durable)
+	}
+	if floor, ok := j.LeaseFloor(); !ok || floor != start.Seg {
+		t.Fatalf("lease floor %d (held=%v), want %d", floor, ok, start.Seg)
 	}
 }

@@ -60,13 +60,16 @@ func OpenMirror(dir string, at Cursor) (*Mirror, error) {
 }
 
 // Append persists one replicated frame, verifying cursor continuity and the
-// frame's CRC, and returns the verified record payload. The frame must land
-// exactly at the mirrored tail, or at the start of a later segment (the
-// source rolled); anything else is ErrMirrorGap.
-func (m *Mirror) Append(fr Frame) ([]byte, error) {
-	payload, _, err := ParseFrame(fr.Raw)
+// frame's CRC, and returns the verified record payload and that CRC. The
+// frame must land exactly at the mirrored tail, or at the start of a later
+// segment (the source rolled); anything else is ErrMirrorGap.
+func (m *Mirror) Append(fr Frame) (payload []byte, crc uint32, err error) {
+	n, payload, crc, err := parseFrame(fr.Raw)
+	if err == nil && n != int64(len(fr.Raw)) {
+		err = fmt.Errorf("%w: %d bytes behind the frame", ErrCorrupt, int64(len(fr.Raw))-n)
+	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	switch {
 	case m.open && fr.Seg == m.seg && fr.Off == m.off:
@@ -75,21 +78,21 @@ func (m *Mirror) Append(fr Frame) ([]byte, error) {
 		// The source rolled (or this is the first frame): seal the old
 		// file and start the new segment with a fresh header.
 		if err := m.roll(fr.Seg); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	default:
 		have := Cursor{Seg: m.seg, Off: m.off}
 		if !m.open {
 			have = Cursor{}
 		}
-		return nil, fmt.Errorf("%w: frame at %d/%d, tail at %v", ErrMirrorGap, fr.Seg, fr.Off, have)
+		return nil, 0, fmt.Errorf("%w: frame at %d/%d, tail at %v", ErrMirrorGap, fr.Seg, fr.Off, have)
 	}
 	if _, err := m.f.Write(fr.Raw); err != nil {
-		return nil, fmt.Errorf("wal: mirror write: %w", err)
+		return nil, 0, fmt.Errorf("wal: mirror write: %w", err)
 	}
 	m.off += int64(len(fr.Raw))
 	m.dirty = true
-	return payload, nil
+	return payload, crc, nil
 }
 
 // roll seals the active mirrored segment and creates segment seg with a

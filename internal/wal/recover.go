@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -39,7 +39,15 @@ type Recovery struct {
 	// the journal is empty); the resume handshake presents it so the source
 	// can prove the histories match before streaming.
 	LastCRC uint32
+	// SnapshotAt is the position of the frame Snapshot came from; zero when
+	// the journal holds none.
+	SnapshotAt Cursor
+
 	nextSeq int
+	// segBytes is the size of every segment left on disk, by sequence
+	// number: with SnapshotAt, all that Open's retention index needs, so the
+	// journal is scanned once.
+	segBytes map[int]int64
 }
 
 // Recover scans dir's segments in order and reconstructs the journal's
@@ -52,14 +60,15 @@ type Recovery struct {
 // starts on, unreported, and later segments stand. Open calls this before
 // appending.
 func Recover(dir string) (*Recovery, error) {
+	rec := &Recovery{segBytes: make(map[int]int64)}
 	segs, err := segments(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return &Recovery{}, nil
+			return rec, nil
 		}
 		return nil, err
 	}
-	rec := &Recovery{Segments: len(segs)}
+	rec.Segments = len(segs)
 	for i, seg := range segs {
 		n, err := segmentSeq(seg)
 		if err != nil {
@@ -68,10 +77,11 @@ func Recover(dir string) (*Recovery, error) {
 		if n >= rec.nextSeq {
 			rec.nextSeq = n + 1
 		}
-		validEnd, scanErr := scanSegment(seg, rec)
+		validEnd, scanErr := scanSegment(seg, n, rec)
 		if validEnd > headerSize {
 			rec.End = Cursor{Seg: n, Off: validEnd}
 		}
+		rec.segBytes[n] = validEnd
 		if errors.Is(scanErr, errEndOfLog) {
 			if err := os.Truncate(seg, validEnd); err != nil {
 				return nil, fmt.Errorf("wal: trimming preallocated tail: %w", err)
@@ -95,6 +105,7 @@ func Recover(dir string) (*Recovery, error) {
 			if err := os.Remove(seg); err != nil {
 				return nil, fmt.Errorf("wal: removing corrupt segment: %w", err)
 			}
+			delete(rec.segBytes, n)
 		} else if err := os.Truncate(seg, validEnd); err != nil {
 			return nil, fmt.Errorf("wal: truncating corrupt segment: %w", err)
 		}
@@ -111,49 +122,34 @@ func Recover(dir string) (*Recovery, error) {
 	return rec, nil
 }
 
-// scanSegment reads one segment, folding each valid record into rec, and
-// returns the byte offset just past the last valid record. A corrupt or
+// scanSegment walks segment n at path, folding each valid record into rec,
+// and returns the byte offset just past the last valid record. A corrupt or
 // torn record yields an error wrapping ErrCorrupt; the offset then marks
 // where the caller should truncate. That error is errEndOfLog exactly when
 // nothing but preallocated zeros follows the offset.
-func scanSegment(path string, rec *Recovery) (validEnd int64, err error) {
-	data, err := os.ReadFile(path)
+func scanSegment(path string, n int, rec *Recovery) (validEnd int64, err error) {
+	data, err := segmentFrames(path, 0, math.MaxInt64)
 	if err != nil {
-		return 0, fmt.Errorf("wal: reading segment: %w", err)
-	}
-	if err := checkHeader(path, data); err != nil {
 		return 0, err
 	}
-	off := int64(headerSize)
-	for off < int64(len(data)) {
-		total, err := frameLen(data[off:])
-		if err == errEndOfLog && len(bytes.TrimLeft(data[off:], "\x00")) > 0 {
-			err = fmt.Errorf("%w: data after a zero length prefix", ErrCorrupt)
-		}
-		if err != nil {
-			return off, fmt.Errorf("%w in %s@%d", err, path, off)
-		}
-		payload, crc, err := ParseFrame(data[off : off+total])
-		if err != nil {
-			return off, fmt.Errorf("%w in %s@%d", err, path, off)
-		}
+	return walkFrames(data, headerSize, func(off int64, _, payload []byte, crc uint32) error {
 		r, err := DecodeRecord(payload)
 		if err != nil {
-			return off, fmt.Errorf("%w: %v in %s@%d", ErrCorrupt, err, path, off)
+			return fmt.Errorf("%w: %v in %s@%d", ErrCorrupt, err, path, off)
 		}
-		rec.fold(r)
+		rec.fold(r, Cursor{Seg: n, Off: off})
 		rec.LastCRC = crc
-		off += total
-	}
-	return off, nil
+		return nil
+	})
 }
 
-// fold applies one valid record to the recovery state: a snapshot resets
-// the tail (everything before it is superseded), anything else extends it.
-func (rec *Recovery) fold(r Record) {
+// fold applies the valid record at cursor at to the recovery state: a
+// snapshot resets the tail (everything before it is superseded), anything
+// else extends it.
+func (rec *Recovery) fold(r Record, at Cursor) {
 	rec.Records++
 	if r.Kind == KindSnapshot {
-		rec.Snapshot = r.Snapshot
+		rec.Snapshot, rec.SnapshotAt = r.Snapshot, at
 		rec.Tail = rec.Tail[:0]
 		return
 	}

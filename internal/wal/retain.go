@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // Retention: byte accounting, leases, and lease-aware pruning.
@@ -42,9 +43,7 @@ type RetainStats struct {
 }
 
 // Lease pins a journal suffix against pruning: no segment at or above the
-// lease's position is deleted while the lease is live. A nil *Lease is a
-// valid no-op (Advance and Release do nothing), so callers against sources
-// without lease support need no branching.
+// lease's position is deleted while the lease is live.
 type Lease struct {
 	j   *Journal
 	id  int
@@ -56,6 +55,10 @@ type Lease struct {
 func (j *Journal) AcquireLease(cur Cursor) *Lease {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.acquireLeaseLocked(cur)
+}
+
+func (j *Journal) acquireLeaseLocked(cur Cursor) *Lease {
 	id := j.nextLeaseID
 	j.nextLeaseID++
 	l := &Lease{j: j, id: id, seg: cur.Seg}
@@ -69,9 +72,6 @@ func (j *Journal) AcquireLease(cur Cursor) *Lease {
 // Advance moves the lease's pin forward to cur's segment. Moves backward
 // are ignored — a lease only ever narrows what it protects.
 func (l *Lease) Advance(cur Cursor) {
-	if l == nil {
-		return
-	}
 	l.j.mu.Lock()
 	defer l.j.mu.Unlock()
 	if cur.Seg > l.seg {
@@ -84,9 +84,6 @@ func (l *Lease) Advance(cur Cursor) {
 
 // Release drops the lease. Idempotent.
 func (l *Lease) Release() {
-	if l == nil {
-		return
-	}
 	l.j.mu.Lock()
 	defer l.j.mu.Unlock()
 	delete(l.j.leases, l.id)
@@ -120,8 +117,11 @@ func (j *Journal) RetainStats() RetainStats {
 	st := RetainStats{
 		Segments:      len(j.sealedBytes) + 1,
 		TotalBytes:    max(j.written, j.alloc), // the active file's size on disk
-		SnapshotSeg:   j.snapSeg,
+		SnapshotSeg:   -1,
 		LeaseFloorSeg: -1,
+	}
+	if !j.snapAt.IsZero() {
+		st.SnapshotSeg = j.snapAt.Seg
 	}
 	if j.closed {
 		st.Segments-- // no active segment once sealed by Close
@@ -151,10 +151,10 @@ func (j *Journal) RetainStats() RetainStats {
 // delete below: the newest snapshot segment clamped at the lease floor.
 // Zero means nothing is prunable (no snapshot yet). The caller holds mu.
 func (j *Journal) pruneFrontierLocked() int {
-	if j.snapSeg < 0 {
+	if j.snapAt.IsZero() {
 		return 0
 	}
-	frontier := j.snapSeg
+	frontier := j.snapAt.Seg
 	if floor, ok := j.leaseFloorLocked(); ok && floor < frontier {
 		frontier = floor
 	}
@@ -181,6 +181,9 @@ func (j *Journal) Prune() (segs int, bytes int64, err error) {
 	if len(victims) == 0 {
 		return 0, 0, nil
 	}
+	// Oldest first: what is retained stays one unbroken suffix of the journal
+	// at every step, which is what lets a reader trust segmentAfter.
+	sort.Ints(victims)
 	for _, seg := range victims {
 		path := filepath.Join(j.dir, segmentName(seg))
 		if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
@@ -193,32 +196,4 @@ func (j *Journal) Prune() (segs int, bytes int64, err error) {
 		segs++
 	}
 	return segs, bytes, syncDir(j.dir)
-}
-
-// initRetainLocked seeds the retention bookkeeping at Open time, before the
-// fresh active segment exists: per-segment byte sizes from the directory
-// and the newest snapshot position from a segment scan. Called with
-// exclusive access (Open).
-func (j *Journal) initRetainLocked() error {
-	j.sealedBytes = make(map[int]int64)
-	j.snapSeg = -1
-	segs, err := segments(j.dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		n, err := segmentSeq(s)
-		if err != nil {
-			continue // foreign file matching the glob
-		}
-		info, err := os.Stat(s)
-		if err != nil {
-			return err
-		}
-		j.sealedBytes[n] = info.Size()
-	}
-	if snap, ok, err := LatestSnapshotCursor(j.dir); err == nil && ok {
-		j.snapSeg = snap.Seg
-	}
-	return nil
 }

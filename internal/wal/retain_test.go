@@ -25,6 +25,20 @@ func diskFootprint(t *testing.T, dir string) (files int, bytes int64) {
 	return len(segs), bytes
 }
 
+// oldestOnDisk returns the lowest segment number the directory still holds.
+func oldestOnDisk(t *testing.T, dir string) int {
+	t.Helper()
+	segs, err := segments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s: %v", dir, err)
+	}
+	n, err := segmentSeq(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // fillSegments appends meta records until the journal has rolled past
 // wantSeq (i.e. the active segment's sequence is at least wantSeq).
 func fillSegments(t *testing.T, j *Journal, wantSeq int) {
@@ -95,12 +109,8 @@ func TestSnapshotPrunesAndAccountingFollows(t *testing.T) {
 		t.Fatal("SnapshotSeg unset after Snapshot")
 	}
 	// Only segments at or above the snapshot segment survive.
-	start, has, err := OldestCursor(dir)
-	if err != nil || !has {
-		t.Fatalf("OldestCursor: %v has=%v", err, has)
-	}
-	if start.Seg < st.SnapshotSeg {
-		t.Fatalf("oldest retained segment %d below snapshot segment %d", start.Seg, st.SnapshotSeg)
+	if oldest := oldestOnDisk(t, dir); oldest < st.SnapshotSeg {
+		t.Fatalf("oldest retained segment %d below snapshot segment %d", oldest, st.SnapshotSeg)
 	}
 }
 
@@ -126,8 +136,8 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 		t.Fatalf("lease at 0 must clamp everything: prunable=%d reclaimable=%d",
 			st.PrunableBytes, st.ReclaimableBytes)
 	}
-	if got, _, _ := OldestCursor(dir); got.Seg != 0 {
-		t.Fatalf("segment 0 pruned under a live lease (oldest now %d)", got.Seg)
+	if got := oldestOnDisk(t, dir); got != 0 {
+		t.Fatalf("segment 0 pruned under a live lease (oldest now %d)", got)
 	}
 
 	// Invariant check: lease floor ≤ prune frontier ≤ snapshot segment.
@@ -148,8 +158,8 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 	if segs == 0 || bytes <= 0 {
 		t.Fatalf("Prune freed nothing after lease advance (segs=%d bytes=%d)", segs, bytes)
 	}
-	if got, _, _ := OldestCursor(dir); got.Seg != 2 {
-		t.Fatalf("oldest retained = %d after advancing lease to 2, want 2", got.Seg)
+	if got := oldestOnDisk(t, dir); got != 2 {
+		t.Fatalf("oldest retained = %d after advancing lease to 2, want 2", got)
 	}
 
 	// Released: the frontier is the snapshot segment alone.
@@ -158,14 +168,11 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = j.RetainStats()
-	if got, _, _ := OldestCursor(dir); got.Seg != st.SnapshotSeg {
-		t.Fatalf("oldest retained = %d after release, want snapshot seg %d", got.Seg, st.SnapshotSeg)
+	if got := oldestOnDisk(t, dir); got != st.SnapshotSeg {
+		t.Fatalf("oldest retained = %d after release, want snapshot seg %d", got, st.SnapshotSeg)
 	}
 
-	// Nil lease and double release are no-ops.
-	var nilLease *Lease
-	nilLease.Advance(Cursor{Seg: 9})
-	nilLease.Release()
+	// A double release is a no-op.
 	lease.Release()
 }
 
@@ -210,11 +217,7 @@ func TestPruneVsReaderRace(t *testing.T) {
 		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		start, has, err := OldestCursor(dir)
-		if err != nil || !has {
-			t.Fatalf("OldestCursor: %v has=%v", err, has)
-		}
-		durable := j.DurableCursor()
+		start := Cursor{Seg: oldestOnDisk(t, dir), Off: headerSize}
 
 		var wg sync.WaitGroup
 		errs := make(chan error, 4)
@@ -222,8 +225,8 @@ func TestPruneVsReaderRace(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := ReadFrames(dir, start, durable, func(fr Frame) error {
-					payload, _, perr := ParseFrame(fr.Raw)
+				_, err := j.ReadFrames(start, func(fr Frame) error {
+					_, payload, _, perr := parseFrame(fr.Raw)
 					if perr != nil {
 						return fmt.Errorf("torn frame at %d/%d: %w", fr.Seg, fr.Off, perr)
 					}
@@ -240,7 +243,7 @@ func TestPruneVsReaderRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := ValidateCursor(dir, start, 0)
+			err := j.ValidateCursor(start, 0)
 			if err != nil && !errors.Is(err, ErrCursorGone) && !errors.Is(err, ErrCursorInvalid) {
 				errs <- fmt.Errorf("ValidateCursor: %w", err)
 			}
@@ -277,12 +280,7 @@ func TestPruneVsReaderLeaseHeld(t *testing.T) {
 		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		start, has, err := OldestCursor(dir)
-		if err != nil || !has {
-			t.Fatalf("OldestCursor: %v has=%v", err, has)
-		}
-		durable := j.DurableCursor()
-		lease := j.AcquireLease(start)
+		start, _, lease := j.Seed()
 
 		var wg sync.WaitGroup
 		errs := make(chan error, 2)
@@ -290,7 +288,7 @@ func TestPruneVsReaderLeaseHeld(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			n := 0
-			_, err := ReadFrames(dir, start, durable, func(Frame) error { n++; return nil })
+			_, err := j.ReadFrames(start, func(Frame) error { n++; return nil })
 			if err != nil {
 				errs <- fmt.Errorf("lease-held reader failed: %w", err)
 			} else if n == 0 {
@@ -310,9 +308,9 @@ func TestPruneVsReaderLeaseHeld(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The pinned suffix must still be on disk.
-		if got, _, _ := OldestCursor(dir); got.Seg > start.Seg {
+		if got := oldestOnDisk(t, dir); got > start.Seg {
 			t.Fatalf("round %d: prune crossed the lease floor (oldest %d > pinned %d)",
-				round, got.Seg, start.Seg)
+				round, got, start.Seg)
 		}
 		lease.Release()
 		if _, _, err := j.Prune(); err != nil {

@@ -23,7 +23,7 @@
 // The active segment is preallocated: its file size runs ahead of its last
 // frame in steps of allocStep, and the bytes in between are zeros. No record
 // has an empty payload, so a zero length prefix is the end of the log, never
-// a record (frameLen). Sealing a segment — a roll, Close — truncates it to
+// a record (parseFrame). Sealing a segment — a roll, Close — truncates it to
 // its last frame first, so a sealed file holds frames and nothing else;
 // only a segment that was active at a crash keeps its zero tail, and Recover
 // trims zeros that run to the end of the file without calling it corruption.
@@ -55,6 +55,37 @@
 // full fsync makes the exact size durable before the next segment exists.
 // Where fallocate(2) is unsupported (or off Linux) appends grow the file as
 // they used to; ENOSPC from it is the append's error.
+//
+// # Reading
+//
+// Segment files are private to this package. Every reader goes through the
+// Journal that writes them and asks its in-memory index — retained segments
+// and their sizes, the newest snapshot frame, the leases — never the
+// directory; Recover alone scans it, once, before the journal is open, and
+// hands Open that index. All of them share one frame walker (walkFrames), so
+// what is a frame and what ends the log is decided in one place:
+//
+//   - Recover reads everything. The first thing that is not a frame ends the
+//     log: the file is cut there and later segments are deleted — except a
+//     zero tail, which is trimmed without a report.
+//   - ReadFrames reads from a cursor to the durable cursor and no further;
+//     bytes past it may be half written. In front of it, anything but a frame
+//     is an ErrCorrupt error that ends the read. Nothing is stepped over.
+//   - ValidateCursor accepts exactly the frame boundaries at or in front of
+//     the durable cursor, each with the checksum of the frame ending there.
+//   - Seed gives a reader that has nothing the oldest retained frame to read
+//     from, the newest durable snapshot frame to apply from, and a lease on
+//     the former, all from one hold of mu.
+//
+// A reader that outlives one call holds a Lease at or below its cursor: Prune
+// deletes oldest first and never at or above the lowest lease, so a leased
+// reader never sees ErrCursorGone. That error means the cursor's segment is
+// no longer there (pruned, or cut off by a recovery). ErrCursorInvalid means
+// the cursor is ahead of the durable cursor, is not a frame boundary, lies
+// behind something that is not a frame, or the checksum there differs. Either
+// way the holder's history is not this journal's and it re-seeds. ErrCorrupt
+// out of ReadFrames means the journal is damaged in front of its own durable
+// cursor; the next Open cuts it there.
 package wal
 
 import (
@@ -204,11 +235,13 @@ type Journal struct {
 	subs           map[int]chan struct{}
 	nextSubID      int
 
-	// Retention bookkeeping (see retain.go): bytes per sealed segment, the
-	// segment holding the newest snapshot (-1 when none), and the live
-	// leases (id → pinned segment) that clamp the prune frontier.
+	// The in-memory index every reader and the pruner ask instead of the
+	// directory (see retain.go): bytes per sealed segment — its keys are the
+	// retained segments below the active one — the newest durable snapshot
+	// frame's position (zero when none), and the live leases (id → pinned
+	// segment) that clamp the prune frontier.
 	sealedBytes map[int]int64
-	snapSeg     int
+	snapAt      Cursor
 	leases      map[int]int
 	nextLeaseID int
 	pruneMu     sync.Mutex // serializes Prune (deletion + accounting)
@@ -249,11 +282,11 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 		appends:   opts.Metrics.Counter(MetricAppendsTotal, "Journal records appended.", opts.Labels...),
 		fsyncSec:  opts.Metrics.Histogram(MetricFsyncSeconds, "Journal fsync latency in seconds.", obs.DefTimeBuckets, opts.Labels...),
 		snapBytes: opts.Metrics.Gauge(MetricSnapshotBytes, "Size of the last snapshot record in bytes.", opts.Labels...),
-	}
-	// Seed the retention accounting before the fresh active segment exists:
-	// everything currently on disk is sealed.
-	if err := j.initRetainLocked(); err != nil {
-		return nil, nil, err
+
+		// The index is what the one recovery scan saw: everything it left on
+		// disk is sealed, the fresh active segment comes next.
+		sealedBytes: rec.segBytes,
+		snapAt:      rec.SnapshotAt,
 	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, err
@@ -269,9 +302,6 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	}
 	return j, rec, nil
 }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // segmentName renders the file name of segment n.
 func segmentName(n int) string { return fmt.Sprintf("wal-%06d.sagw", n) }
@@ -372,9 +402,6 @@ func (j *Journal) rollLocked() error {
 	if err := j.sealLocked(); err != nil {
 		return err
 	}
-	if j.sealedBytes == nil {
-		j.sealedBytes = make(map[int]int64)
-	}
 	j.sealedBytes[j.seq] = j.written
 	j.seq++
 	return j.openSegmentLocked()
@@ -457,43 +484,45 @@ func (j *Journal) Subscribe() (<-chan struct{}, func()) {
 }
 
 // appendLocked frames and writes one record payload into the active
-// segment, rolling first if the segment is full. The caller holds mu.
-func (j *Journal) appendLocked(r Record) error {
+// segment, rolling first if the segment is full, and returns where the frame
+// starts. The caller holds mu.
+func (j *Journal) appendLocked(r Record) (at Cursor, err error) {
 	if j.closed {
-		return ErrClosed
+		return at, ErrClosed
 	}
 	if j.written >= j.opts.SegmentBytes {
 		if err := j.rollLocked(); err != nil {
-			return err
+			return at, err
 		}
 	}
+	at = Cursor{Seg: j.seq, Off: j.written}
 	payload, err := encode(j.encBuf[:0], r)
 	if err != nil {
-		return err
+		return at, err
 	}
 	j.encBuf = payload[:0]
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
 	if end := j.written + int64(n+len(payload)+4); j.alloc > 0 && end > j.alloc {
 		if err := j.extendLocked(end); err != nil {
-			return err
+			return at, err
 		}
 	}
 	if _, err := j.bw.Write(lenBuf[:n]); err != nil {
-		return err
+		return at, err
 	}
 	if _, err := j.bw.Write(payload); err != nil {
-		return err
+		return at, err
 	}
 	var crcBuf [4]byte
 	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
 	if _, err := j.bw.Write(crcBuf[:]); err != nil {
-		return err
+		return at, err
 	}
 	j.written += int64(n + len(payload) + 4)
 	j.records++
 	j.appends.Inc()
-	return nil
+	return at, nil
 }
 
 // Append enqueues one record in arrival order. The returned wait is nil
@@ -508,7 +537,7 @@ func (j *Journal) appendLocked(r Record) error {
 // then wait after releasing it.
 func (j *Journal) Append(r Record) (wait func() error, err error) {
 	j.mu.Lock()
-	err = j.appendLocked(r)
+	_, err = j.appendLocked(r)
 	n := j.records
 	j.mu.Unlock()
 	if err != nil || j.opts.Fsync != FsyncAlways {
@@ -606,10 +635,11 @@ func (j *Journal) settledLocked(n int64, end Cursor, fsync bool) (bool, error) {
 // restore from this snapshot (plus any records appended after it).
 func (j *Journal) Snapshot(blob []byte) error {
 	j.mu.Lock()
-	err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob})
-	// The segment that holds the snapshot: everything strictly older is
-	// re-derivable from it and safe to delete once the snapshot is synced.
-	snapSeg, n := j.seq, j.records
+	// Where the snapshot frame sits: every segment strictly older than its
+	// own is re-derivable from it and safe to delete once it is synced, and a
+	// seeding reader starts applying exactly there.
+	at, err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob})
+	n := j.records
 	j.mu.Unlock()
 	if err == nil {
 		err = j.commit(n, true)
@@ -618,8 +648,8 @@ func (j *Journal) Snapshot(blob []byte) error {
 		return err
 	}
 	j.mu.Lock()
-	if snapSeg > j.snapSeg {
-		j.snapSeg = snapSeg
+	if j.snapAt.Less(at) {
+		j.snapAt = at
 	}
 	j.mu.Unlock()
 	j.snapBytes.Set(float64(len(blob)))
@@ -647,9 +677,6 @@ func (j *Journal) Close() error {
 	err := j.sealLocked()
 	// The sealed active segment stays on disk: fold it into the sealed-byte
 	// accounting so RetainStats keeps describing the directory truthfully.
-	if j.sealedBytes == nil {
-		j.sealedBytes = make(map[int]int64)
-	}
 	j.sealedBytes[j.seq] = j.written
 	j.written, j.alloc = 0, 0
 	j.mu.Unlock()
