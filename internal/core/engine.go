@@ -110,9 +110,10 @@ type Config struct {
 	// and the remaining-budget gauge (see the Metric* constants). A nil
 	// registry disables collection with near-zero overhead.
 	Metrics *obs.Registry
-	// MetricLabels are extra labels stamped on every engine instrument —
-	// the multi-tenant server passes tenant="<id>" so each tenant's engine
-	// exports its own series in the shared registry. Empty (the default)
+	// MetricLabels are extra labels stamped on every engine counter and
+	// gauge — the multi-tenant server passes tenant="<id>" so each tenant's
+	// engine exports its own series in the shared registry; the latency
+	// histograms are shared by every engine in it. Empty (the default)
 	// keeps the unlabeled series names of a single-tenant deployment.
 	MetricLabels []obs.Label
 	// Fallback enables graceful degradation: when the decision pipeline

@@ -66,10 +66,12 @@ func (m *engineMetrics) fallbackCounter(lvl fallback.Level) *obs.Counter {
 }
 
 // newEngineMetrics resolves the engine's instruments in reg. The variadic
-// extra labels (Config.MetricLabels) are stamped on every series — a
-// multi-tenant deployment passes tenant="<id>" so each tenant engine exports
-// its own series family in one shared registry; with no extras the series
-// names are exactly the unlabeled single-tenant ones.
+// extra labels (Config.MetricLabels) are stamped on every counter and gauge —
+// a multi-tenant deployment passes tenant="<id>" so each tenant engine exports
+// its own series in one shared registry; with no extras the series names are
+// exactly the unlabeled single-tenant ones. The latency histograms never carry
+// them: how long a solve takes is a property of the solver, not of the tenant,
+// and a histogram is 18 series where a counter is one.
 func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engineMetrics {
 	if reg == nil {
 		return engineMetrics{}
@@ -84,10 +86,10 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 	const stageHelp = "Per-stage SAG decision latency in seconds."
 	return engineMetrics{
 		enabled:       true,
-		stageEstimate: reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "estimate"))...),
-		stageSSE:      reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "sse"))...),
-		stageSignal:   reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, with(obs.L("stage", "signal"))...),
-		decision:      reg.Histogram(MetricDecisionSeconds, "Whole-decision SAG latency in seconds.", obs.DefTimeBuckets, with()...),
+		stageEstimate: reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, obs.L("stage", "estimate")),
+		stageSSE:      reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, obs.L("stage", "sse")),
+		stageSignal:   reg.Histogram(MetricStageSeconds, stageHelp, obs.DefTimeBuckets, obs.L("stage", "signal")),
+		decision:      reg.Histogram(MetricDecisionSeconds, "Whole-decision SAG latency in seconds.", obs.DefTimeBuckets),
 		decisions:     reg.Counter(MetricDecisionsTotal, "Committed engine decisions.", with(obs.L("policy", policy.String()))...),
 		vacuous:       reg.Counter(MetricVacuousTotal, "Decisions where no alert type was attackable.", with()...),
 		budget:        reg.Gauge(MetricBudgetRemaining, "Remaining audit budget for the current cycle.", with()...),

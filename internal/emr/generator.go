@@ -1,10 +1,11 @@
 package emr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/auditgames/sag/internal/dist"
@@ -312,7 +313,8 @@ func (g *Generator) Day(day int) []AccessEvent {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(g.cfg.Seed*1_000_003 + int64(day)))
-	var events []AccessEvent
+	// Room for the background, which is most of a day; the alerts grow it once.
+	events := make([]AccessEvent, 0, g.cfg.BackgroundPerDay)
 
 	// Background (alert-silent) traffic.
 	for i := 0; i < g.cfg.BackgroundPerDay; i++ {
@@ -345,14 +347,8 @@ func (g *Generator) Day(day int) []AccessEvent {
 		}
 	}
 
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Time != events[j].Time {
-			return events[i].Time < events[j].Time
-		}
-		if events[i].EmployeeID != events[j].EmployeeID {
-			return events[i].EmployeeID < events[j].EmployeeID
-		}
-		return events[i].PatientID < events[j].PatientID
+	slices.SortFunc(events, func(a, b AccessEvent) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.EmployeeID, b.EmployeeID), cmp.Compare(a.PatientID, b.PatientID))
 	})
 	return events
 }

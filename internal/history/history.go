@@ -15,6 +15,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -100,7 +101,7 @@ func NewCurves(recs []Record, numTypes, numDays int) (*Curves, error) {
 		c.times[r.Type] = append(c.times[r.Type], r.Time)
 	}
 	for t := range c.times {
-		sort.Slice(c.times[t], func(i, j int) bool { return c.times[t][i] < c.times[t][j] })
+		slices.Sort(c.times[t])
 	}
 	return c, nil
 }

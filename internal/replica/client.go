@@ -23,6 +23,11 @@ import (
 // record ceiling plus framing overhead. Anything larger is stream corruption.
 const maxWireFrame = 64<<20 + 16
 
+// streamBufBytes is each client's stream read buffer: one page, like the
+// journal's write buffer. Frames are ~70 bytes apart from snapshots, and a
+// frame larger than the buffer is read straight into its own slice.
+const streamBufBytes = 4 << 10
+
 // Default reconnect backoff bounds.
 const (
 	DefaultBackoffBase = 100 * time.Millisecond
@@ -81,7 +86,8 @@ type Client struct {
 	cfg  ClientConfig
 	http *http.Client
 	logf func(string, ...any)
-	rng  *rand.Rand // private jitter source; only Run's goroutine draws
+	rng  *rand.Rand    // private jitter source; only Run's goroutine draws
+	br   *bufio.Reader // Reset onto each stream's body; only Run's goroutine reads
 
 	lagRecords *obs.Gauge
 	lagSeconds *obs.Gauge
@@ -117,6 +123,7 @@ func NewClient(cfg ClientConfig) *Client {
 		crc:     cfg.LastCRC,
 		records: cfg.Records,
 		seeded:  cfg.Seeded,
+		br:      bufio.NewReaderSize(nil, streamBufBytes),
 	}
 	if c.http == nil {
 		c.http = &http.Client{}
@@ -255,7 +262,8 @@ func (c *Client) streamOnce(ctx context.Context) error {
 	}
 	defer mirror.Close()
 
-	return c.consume(bufio.NewReaderSize(resp.Body, 64<<10), mirror, applyFrom)
+	c.br.Reset(resp.Body)
+	return c.consume(c.br, mirror, applyFrom)
 }
 
 // connect issues the replication request, sending the resume cursor when one

@@ -235,10 +235,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sag_server_quits_total{tenant="default"} 1`,
 		`sag_server_flagged_users{tenant="default"} 1`,
 		`sag_http_tenant_requests_total{tenant="default"}`,
-		// Engine per-stage timings and solver counters, labeled by tenant.
-		`sag_engine_stage_seconds_count{stage="estimate",tenant="default"} 10`,
-		`sag_engine_stage_seconds_count{stage="sse",tenant="default"} 10`,
-		`sag_engine_stage_seconds_count{stage="signal",tenant="default"} 10`,
+		// Engine per-stage timings (shared by every tenant) and solver
+		// counters (labeled by tenant).
+		`sag_engine_stage_seconds_count{stage="estimate"} 10`,
+		`sag_engine_stage_seconds_count{stage="sse"} 10`,
+		`sag_engine_stage_seconds_count{stage="signal"} 10`,
 		`sag_engine_lp_solves_total{tenant="default"} 70`, // 10 decisions × 7 attackable types
 		// Shard accounting.
 		"sag_shard_tenants_active 1",

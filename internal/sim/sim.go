@@ -12,9 +12,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/auditgames/sag/internal/alerts"
@@ -113,7 +114,7 @@ func BuildDataset(gen *emr.Generator, eng *alerts.Engine, numDays int, typeIDs [
 				das = append(das, TimedAlert{Type: idx, Time: a.Time})
 			}
 		}
-		sort.Slice(das, func(i, j int) bool { return das[i].Time < das[j].Time })
+		slices.SortFunc(das, func(a, b TimedAlert) int { return cmp.Compare(a.Time, b.Time) })
 		ds.Days = append(ds.Days, das)
 	}
 	return ds, nil

@@ -595,6 +595,69 @@ func TestRecordLargerThanAStep(t *testing.T) {
 	}
 }
 
+// TestSnapshotSizesAroundTheWriteBuffer: blobs that fit the write buffer,
+// fill it exactly, overflow it by one byte and dwarf it all land behind a
+// buffered record and in front of another, under every fsync policy, and
+// come back from recovery byte for byte.
+func TestSnapshotSizesAroundTheWriteBuffer(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
+		for _, size := range []int{1, writeBufBytes - 1, writeBufBytes, writeBufBytes + 1, 1 << 20} {
+			dir := t.TempDir()
+			j, _, err := Open(dir, Options{Fsync: policy, Interval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob := make([]byte, size)
+			for i := range blob {
+				blob[i] = byte(i*7 + size)
+			}
+			appendAll(t, j, []Record{{Kind: KindQuit, Employee: 3}})
+			if err := j.Snapshot(blob); err != nil {
+				t.Fatalf("%v, %d bytes: %v", policy, size, err)
+			}
+			tail := []Record{{Kind: KindCycleOpen, Budget: 12.5}}
+			appendAll(t, j, tail)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Truncated || rec.Records != 3 || !bytes.Equal(rec.Snapshot, blob) || !reflect.DeepEqual(rec.Tail, tail) {
+				t.Fatalf("%v, %d bytes: recovered truncated=%v records=%d snapshot=%dB tail=%+v",
+					policy, size, rec.Truncated, rec.Records, len(rec.Snapshot), rec.Tail)
+			}
+		}
+	}
+}
+
+// TestJournalKeepsNoBufferLargerThanAPage: what a journal pins does not grow
+// with what went through it — not with the largest snapshot ever written
+// (encBuf used to keep a copy's worth of capacity for good), not with a roll
+// (the write buffer is Reset onto the next segment, not replaced).
+func TestJournalKeepsNoBufferLargerThanAPage(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	bw := j.bw
+	if err := j.Snapshot(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, sampleRecords()) // the segment is over its roll size: this rolls
+	if j.seq == 0 {
+		t.Fatal("the journal never rolled")
+	}
+	if j.bw != bw || bw.Size() != writeBufBytes {
+		t.Fatalf("write buffer replaced=%v size=%d, want the one %d-byte buffer throughout", j.bw != bw, bw.Size(), writeBufBytes)
+	}
+	if cap(j.encBuf) > writeBufBytes {
+		t.Fatalf("encBuf keeps %d bytes after a 1 MiB snapshot, want at most a page (%d)", cap(j.encBuf), writeBufBytes)
+	}
+}
+
 // TestSealedSegmentsAreExact: a roll and Close cut the preallocated tail, so
 // a sealed file is byte for byte what the format has always been — here the
 // file the build before preallocation wrote for the same records.
@@ -761,7 +824,7 @@ func TestMetricsWired(t *testing.T) {
 	if got := reg.Gauge(MetricSnapshotBytes, "", obs.L("tenant", "x")).Value(); got != 5 {
 		t.Fatalf("%s = %v, want 5", MetricSnapshotBytes, got)
 	}
-	if reg.Histogram(MetricFsyncSeconds, "", obs.DefTimeBuckets, obs.L("tenant", "x")).Count() == 0 {
+	if fsyncs(reg) == 0 {
 		t.Fatalf("%s never observed", MetricFsyncSeconds)
 	}
 }
