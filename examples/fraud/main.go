@@ -97,11 +97,13 @@ func run() error {
 	fmt.Printf("fraud audit day: %d alerts, %.0f analyst-hours of audit budget\n\n", len(stream), budget)
 	warnCount := make([]int, len(typeNames))
 	engaged := make([]int, len(typeNames))
+	var last *sag.Decision
 	for _, a := range stream {
 		d, err := engine.Process(a)
 		if err != nil {
 			return err
 		}
+		last = d
 		if d.Warned {
 			warnCount[a.Type]++
 		}
@@ -126,8 +128,7 @@ func run() error {
 
 	// Show where the equilibrium put the attacker: the last decision's SSE
 	// holds the final coverage vector.
-	if ds := engine.Decisions(); len(ds) > 0 {
-		last := ds[len(ds)-1]
+	if last != nil {
 		fmt.Printf("\nfinal equilibrium (attacker best response: %s):\n", typeNames[last.SSE.BestType])
 		for i, name := range typeNames {
 			fmt.Printf("  %-24s coverage %.3f\n", name, last.SSE.Coverage[i])

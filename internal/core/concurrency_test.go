@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,9 +132,9 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Theta != want.Coverage[d.Alert.Type] {
+		if d.Theta != want.Coverage[d.Type] {
 			t.Fatalf("decision %d: θ %g was solved at another budget than its BudgetBefore %g (want %g)",
-				i, d.Theta, d.BudgetBefore, want.Coverage[d.Alert.Type])
+				i, d.Theta, d.BudgetBefore, want.Coverage[d.Type])
 		}
 	}
 }
@@ -174,7 +175,9 @@ func (r *rollbackEstimator) FutureRates(at time.Duration) ([]float64, error) {
 // whose solver is slow enough for calls to pile up. The journal must list
 // the decisions in the order the estimator was queried, and feeding the
 // journaled alerts in journal order to a fresh single-threaded engine must
-// reproduce every decision — θ, scheme, signal, budget chain — bit for bit.
+// reproduce every record — θ, signal, budget chain — bit for bit (the scheme
+// is a pure function of the payoff and θ). The live cycle log is the journal,
+// and so is the log of an engine rebuilt from it by ApplyDecision.
 func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 	const workers, perWorker = 8, 200
 	const day = workers * perWorker * time.Second
@@ -238,23 +241,31 @@ func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 		}
 	}
 
+	if !slices.Equal(live.Decisions(), journal) {
+		t.Fatal("the live engine's cycle log is not its journal")
+	}
 	replay, _ := build(nil, nil)
+	rebuilt, _ := build(nil, nil)
 	differ := 0
-	for i, got := range live.Decisions() {
-		want, err := replay.Process(Alert{Type: journal[i].Type, Time: journal[i].Time})
+	for i, rec := range journal {
+		want, err := replay.Process(Alert{Type: rec.Type, Time: rec.Time})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The record carries θ, the signal and both ends of the budget link.
-		rec := want.record(uint64(i))
-		if got.Scheme != want.Scheme || got.record(uint64(i)) != rec || journal[i] != rec {
+		if err := rebuilt.ApplyDecision(rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec != want.record(uint64(i)) {
 			if differ++; differ == 1 {
-				t.Errorf("decision %d differs from its sequential re-solve:\nlive   %+v\nreplay %+v", i, got, *want)
+				t.Errorf("decision %d differs from its sequential re-solve:\nlive   %+v\nreplay %+v", i, rec, *want)
 			}
 		}
 	}
 	if differ > 0 {
 		t.Fatalf("%d of %d decisions differ from their sequential re-solve", differ, len(journal))
+	}
+	if !slices.Equal(rebuilt.Decisions(), journal) {
+		t.Fatal("the cycle log rebuilt by ApplyDecision is not the journal")
 	}
 }
 

@@ -15,9 +15,11 @@
 //  4. sample the signal (warn or stay silent) and charge the remaining
 //     budget with the signal-conditional audit probability × audit cost,
 //
-// and records everything in a Decision for downstream evaluation. A
-// non-signaling mode (PolicySSE) reproduces the paper's "online SSE"
-// baseline under identical budget dynamics.
+// and returns everything in a Decision for downstream evaluation. What the
+// cycle keeps of it is one DecisionRecord — the form the journal gets —
+// appended by one function, applyLocked, live and on replay. A non-signaling
+// mode (PolicySSE) reproduces the paper's "online SSE" baseline under
+// identical budget dynamics.
 package core
 
 import (
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,7 +142,9 @@ type Config struct {
 	Journal JournalFunc
 }
 
-// Decision records everything the engine did for one alert.
+// Decision is everything the engine did for one alert, solver artifacts
+// included. It belongs to the caller of Process or Preview: the engine keeps
+// only its DecisionRecord.
 type Decision struct {
 	Alert        Alert
 	BudgetBefore float64
@@ -200,9 +205,10 @@ type Decision struct {
 //
 // Decisions remain order-dependent through the remaining budget, so callers
 // that need a *specific* interleaving (the simulation harness replaying a
-// recorded day, for example) must still serialize externally. The slice
-// returned by Decisions is owned by the engine and must not be read
-// concurrently with Process/NewCycle calls.
+// recorded day, for example) must still serialize externally.
+//
+// The cycle log is the journal's records and nothing else, so a live engine
+// and one rebuilt from its snapshot and journal hold equal logs.
 type Engine struct {
 	mu       sync.Mutex // guards everything below and the estimator
 	inst     *game.Instance
@@ -223,7 +229,7 @@ type Engine struct {
 	// a crash-recovered engine would fast-forward to.
 	pendingDraw float64
 	hasPending  bool
-	decisions   []Decision
+	decisions   []DecisionRecord // the cycle log; applyLocked is its one writer
 	// lastSSE / lastRates feed the degraded rungs: the most recent
 	// successfully solved equilibrium (for the last-good-θ rung) and the
 	// most recent successful future-rate estimate (for the static rung's
@@ -328,18 +334,17 @@ func (e *Engine) InitialBudget() float64 {
 	return e.initial
 }
 
-// Decisions returns the decisions recorded so far, in arrival order. The
-// returned slice is owned by the engine; callers must not mutate it, and
-// must not read it concurrently with Process or NewCycle calls.
-func (e *Engine) Decisions() []Decision {
+// Decisions returns a copy of the cycle log: one record per committed
+// decision, in commit order.
+func (e *Engine) Decisions() []DecisionRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.decisions
+	return slices.Clone(e.decisions)
 }
 
 // Process handles one arriving alert: solves the games, samples the signal
-// (under PolicyOSSP), charges the budget, and appends + returns the
-// Decision. It is Process(context.Background(), ·); see ProcessContext.
+// (under PolicyOSSP), charges the budget, logs the decision's record and
+// returns the Decision. It is ProcessContext(context.Background(), ·).
 func (e *Engine) Process(a Alert) (*Decision, error) {
 	return e.ProcessContext(context.Background(), a)
 }
@@ -420,24 +425,35 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	// Journal before mutating anything, still under mu so journal order is
 	// commit order: a record that never entered the journal is one recovery
 	// will never replay, so there must be nothing to undo.
+	rec := d.record(uint64(len(e.decisions)))
 	var wait func() error
 	if e.journal != nil {
-		if wait, err = e.journal(d.record(uint64(len(e.decisions)))); err != nil {
+		if wait, err = e.journal(rec); err != nil {
 			e.met.journalRollbacks.Inc()
 			return nil, nil, fmt.Errorf("core: journaling decision: %w", err)
 		}
 	}
-	e.budget = d.BudgetAfter
-	e.decisions = append(e.decisions, *d)
-	if e.policy == PolicyOSSP {
-		e.consumeDrawLocked()
-	}
+	e.applyLocked(rec)
 	if e.met.enabled {
 		e.met.decision.ObserveSince(t0)
 		e.met.decisions.Inc()
-		e.met.budget.Set(e.budget)
 	}
 	return d, wait, nil
+}
+
+// applyLocked is the one writer of the cycle log: commit, ApplyDecision and
+// RestoreState all end here. It moves the budget to the record's end of the
+// link, appends the record and spends the draw that sampled its signal —
+// already buffered by commit's peek, pulled now on replay. The caller holds
+// e.mu and has checked rec.Seq and rec.Type.
+func (e *Engine) applyLocked(rec DecisionRecord) {
+	e.budget = math.Max(0, rec.BudgetAfter)
+	e.decisions = append(e.decisions, rec)
+	if e.policy == PolicyOSSP {
+		e.peekDrawLocked()
+		e.consumeDrawLocked()
+	}
+	e.met.budget.Set(e.budget)
 }
 
 // Preview computes the decision the engine would take for a hypothetical
@@ -671,7 +687,7 @@ func (e *Engine) CloseCycle(rng *rand.Rand) ([]AuditOutcome, float64) {
 			continue
 		}
 		if rng.Float64() < d.AuditCharge {
-			cost := e.inst.AuditCosts[d.Alert.Type]
+			cost := e.inst.AuditCosts[d.Type]
 			outcomes[i].Audited = true
 			outcomes[i].Cost = cost
 			total += cost

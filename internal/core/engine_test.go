@@ -154,7 +154,7 @@ func TestSSEPolicyNeverWarns(t *testing.T) {
 }
 
 func TestOSSPDeterministicWithSeed(t *testing.T) {
-	run := func() []Decision {
+	run := func() []DecisionRecord {
 		inst := multiInstance(t)
 		e := newOSSPEngine(t, inst, 50, constEstimator(196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27))
 		for i := 0; i < 40; i++ {
@@ -162,7 +162,7 @@ func TestOSSPDeterministicWithSeed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return append([]Decision(nil), e.Decisions()...)
+		return e.Decisions()
 	}
 	a, b := run(), run()
 	for i := range a {

@@ -10,11 +10,12 @@ import (
 	"github.com/auditgames/sag/internal/game"
 )
 
-// DecisionRecord is the durable form of one committed Decision: every field
-// the engine needs to reconstruct its budget chain, its RNG position, and
-// its cycle summary after a restart. It deliberately omits the solver
-// artifacts (the full SSE result, the signaling scheme) — those are pure
-// functions of the game state and are not needed to continue the cycle.
+// DecisionRecord is the one form of a committed decision: what the journal
+// gets, what a snapshot carries and what the engine's cycle log holds — every
+// field the budget chain, the RNG position, the cycle summary and the
+// end-of-cycle audit need. It deliberately omits the solver artifacts (the
+// full SSE result, the signaling scheme): those are pure functions of the
+// game state and stay on the Decision handed to Process's caller.
 type DecisionRecord struct {
 	// Seq is the decision's position in the cycle (0-based commit order).
 	Seq uint64
@@ -71,26 +72,6 @@ func (d *Decision) record(seq uint64) DecisionRecord {
 	}
 }
 
-// restore converts a durable record back into the engine's in-memory form.
-// The solver artifacts are gone: SSE is nil and Scheme is the zero value,
-// which Summary, CloseCycle, and the budget chain never consult — they need
-// only the fields the record carries.
-func (r DecisionRecord) restore() Decision {
-	return Decision{
-		Alert:        Alert{Type: r.Type, Time: r.Time},
-		BudgetBefore: r.BudgetBefore,
-		BudgetAfter:  r.BudgetAfter,
-		Theta:        r.Theta,
-		Warned:       r.Warned,
-		AuditCharge:  r.AuditCharge,
-		SSEUtility:   r.SSEUtility,
-		OSSPUtility:  r.OSSPUtility,
-		AppliedSAG:   r.AppliedSAG,
-		Vacuous:      r.Vacuous,
-		Fallback:     r.Fallback,
-	}
-}
-
 // SSEState is the durable subset of a game.Result that the degraded
 // last-good rung consults: the committed coverage vector, the attacker's
 // best response, and both equilibrium utilities.
@@ -126,13 +107,11 @@ func (e *Engine) ExportState() EngineState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineState{
-		Budget:    e.budget,
-		Initial:   e.initial,
-		RNGDraws:  e.rngDraws,
-		Decisions: make([]DecisionRecord, len(e.decisions)),
-	}
-	for i := range e.decisions {
-		st.Decisions[i] = e.decisions[i].record(uint64(i))
+		Budget:   e.budget,
+		Initial:  e.initial,
+		RNGDraws: e.rngDraws,
+		// Never nil: an empty log is "decisions":[] in the snapshot JSON.
+		Decisions: append([]DecisionRecord{}, e.decisions...),
 	}
 	if e.lastRates != nil {
 		st.LastRates = append([]float64(nil), e.lastRates...)
@@ -170,12 +149,19 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending {
 		return errors.New("core: RestoreState requires a fresh engine")
 	}
-	e.budget = st.Budget
-	e.initial = st.Initial
-	e.decisions = make([]Decision, len(st.Decisions))
-	for i, r := range st.Decisions {
-		e.decisions[i] = r.restore()
+	e.decisions = make([]DecisionRecord, 0, len(st.Decisions))
+	for _, r := range st.Decisions {
+		e.applyLocked(r)
 	}
+	// Each restored decision spent its draw in applyLocked; burn the draws of
+	// earlier cycles too, so the next decision samples the draw it would have
+	// seen uninterrupted.
+	for e.policy == PolicyOSSP && e.rngDraws < st.RNGDraws {
+		e.rng.Float64()
+		e.rngDraws++
+	}
+	e.budget, e.initial = st.Budget, st.Initial
+	e.met.budget.Set(e.budget)
 	if st.LastRates != nil {
 		e.lastRates = append([]float64(nil), st.LastRates...)
 	}
@@ -187,15 +173,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 			AttackerUtility: st.LastSSE.AttackerUtility,
 		}
 	}
-	// Fast-forward the RNG stream past the draws the exported run consumed,
-	// so the next decision samples the draw it would have seen uninterrupted.
-	if e.policy == PolicyOSSP {
-		for i := uint64(0); i < st.RNGDraws; i++ {
-			e.rng.Float64()
-		}
-	}
-	e.rngDraws = st.RNGDraws
-	e.met.budget.Set(e.budget)
 	return nil
 }
 
@@ -227,17 +204,7 @@ func (e *Engine) ApplyDecision(r DecisionRecord) error {
 		}
 		e.lastRates = append(e.lastRates[:0], rates...)
 	}
-	if e.policy == PolicyOSSP {
-		// The original commit consumed one draw to sample the signal. Going
-		// through peek/consume (rather than rng.Float64 directly) keeps a
-		// follower or restarted engine aligned even when the live engine is
-		// holding a buffered draw from a refused journal enqueue.
-		e.peekDrawLocked()
-		e.consumeDrawLocked()
-	}
-	e.budget = math.Max(0, r.BudgetAfter)
-	e.decisions = append(e.decisions, r.restore())
-	e.met.budget.Set(e.budget)
+	e.applyLocked(r)
 	return nil
 }
 

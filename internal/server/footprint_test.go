@@ -1,7 +1,7 @@
 //go:build !race
 
-// The two per-tenant multipliers — live heap and exported series — as
-// regression gates. Not under the race detector: it inflates every
+// The per-tenant multipliers — live heap idle, live heap per committed
+// decision, exported series — as regression gates. Not under the race detector: it inflates every
 // allocation, and the ceilings here are real bytes.
 
 package server
@@ -46,6 +46,39 @@ func TestTenantHeapFootprint(t *testing.T) {
 	t.Logf("per-tenant live heap: %d bytes/tenant (%d durable tenants, ceiling %d)", per, tenants, ceiling)
 	if per > ceiling {
 		t.Fatalf("a durable tenant pins %d bytes of live heap, ceiling %d: is a per-tenant buffer back?", per, ceiling)
+	}
+}
+
+// TestWorkingTenantHeapFootprint: what a tenant pins per committed decision
+// is one core.DecisionRecord in its engine's cycle log (88 B, plus the
+// slice's growth slack). 8 durable tenants take a 512-alert cycle each over
+// HTTP; the live heap they add must be ≤ 160 B per decision. An engine that
+// keeps each alert's equilibrium and scheme reads 486.
+func TestWorkingTenantHeapFootprint(t *testing.T) {
+	const tenants, alerts, ceiling = 8, 512, 160
+	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, nil)
+	defer srv.Close()
+	names := make([]string, tenants)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+		if err := srv.EnsureTenant(names[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := liveHeap()
+	for _, name := range names {
+		for i := 0; i < alerts; i++ {
+			var resp AccessResponse
+			if code := postTenant(t, ts, name, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp); code != http.StatusOK || !resp.Alert {
+				t.Fatalf("tenant %s access %d: status %d, alert %v", name, i, code, resp.Alert)
+			}
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	per := (int64(liveHeap()) - int64(before)) / (tenants * alerts)
+	t.Logf("per-decision live heap: %d bytes/decision (%d durable tenants × %d alerts, ceiling %d)", per, tenants, alerts, ceiling)
+	if per > ceiling {
+		t.Fatalf("a committed decision pins %d bytes of live heap, ceiling %d: does the engine keep more than its record?", per, ceiling)
 	}
 }
 

@@ -72,8 +72,13 @@ type (
 	// Alert is one triggered alert: its type index and time of day.
 	Alert = core.Alert
 
-	// Decision is the engine's full record for one processed alert.
+	// Decision is everything the engine did for one alert, solver artifacts
+	// included; Process hands it to its caller and does not keep it.
 	Decision = core.Decision
+
+	// DecisionRecord is what the engine keeps (and journals) of a committed
+	// decision; Engine.Decisions returns the cycle's records.
+	DecisionRecord = core.DecisionRecord
 
 	// Engine is the online SAG loop (one instance per audit cycle). It is
 	// safe for concurrent use; decisions on one Engine are sequential, as
