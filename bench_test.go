@@ -186,8 +186,8 @@ func BenchmarkAblationRobust(b *testing.B) {
 	}
 }
 
-// BenchmarkBayesianOSSP measures the Bayesian solver's 4^m enumeration for
-// a three-type prior.
+// BenchmarkBayesianOSSP measures the Bayesian solver's vertex walk for a
+// three-type prior.
 func BenchmarkBayesianOSSP(b *testing.B) {
 	def := sag.DefenderSide{Covered: 100, Uncovered: -400}
 	types := []sag.AttackerType{
@@ -241,17 +241,6 @@ func BenchmarkResourceSSE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sag.SolveResourceSSE(inst, classes, futures); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNSignalOSSP measures the n-signal enumeration at n=4.
-func BenchmarkNSignalOSSP(b *testing.B) {
-	pf := sag.Table2Payoffs()[1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sag.SolveNSignalOSSP(pf, 0.1, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -382,7 +382,7 @@ func start(s *scenario, p *server, st step) (err error) {
 		p.args = st.flags
 		if st.peer != "" {
 			p.peer = s.servers[st.peer]
-			p.args = slices.Concat(p.args, []string{"-follow", p.peer.base, "-ready-lag", "0"})
+			p.args = slices.Concat(p.args, []string{"-follow", p.peer.base})
 		}
 	}
 	p.lo = -1
@@ -523,7 +523,7 @@ func compaction(s *scenario, p *server, st step) error {
 	return nil
 }
 
-// caughtUp waits until p's /v1/readyz reports ready, which with -ready-lag 0
+// caughtUp waits until p's /v1/readyz reports ready, which on a standby
 // means replication lag is exactly zero records.
 func caughtUp(s *scenario, p *server, st step) (err error) {
 	if err = s.await(p, "/v1/readyz"); err != nil || p.lo != -1 {

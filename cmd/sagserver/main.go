@@ -73,8 +73,7 @@ func run() error {
 		compactInterval = flag.Duration("compact-interval", 0, "retention compactor scan cadence with -disk-budget (0 = default)")
 		fixedClock      = flag.Duration("fixed-clock", -1, "pin the cycle clock to a fixed offset, e.g. 9h (deterministic runs and crash drills; negative = wall clock)")
 
-		follow   = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, mutations answer 503 until POST /v1/admin/promote")
-		readyLag = flag.Int("ready-lag", 0, "with -follow: /v1/readyz reports ready once every tenant's replication lag is at or below this many records")
+		follow = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, mutations answer 503 and /v1/readyz reports ready only at zero replication lag until POST /v1/admin/promote")
 
 		tenants    = flag.Int("tenants", 0, "pre-create tenant-1..tenant-N at startup (others are created on first use)")
 		maxTenants = flag.Int("max-tenants", 0, "resident tenant cap; requests for new tenants beyond it answer 429 (0 = default)")
@@ -110,7 +109,6 @@ func run() error {
 	cfg.DiskBudgetBytes = *diskBudget
 	cfg.CompactInterval = *compactInterval
 	cfg.FollowPrimary = *follow
-	cfg.FollowerReadyLag = *readyLag
 	cfg.Logf = log.Printf
 	if *fixedClock >= 0 {
 		at := *fixedClock

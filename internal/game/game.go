@@ -16,6 +16,11 @@
 // audit probabilities of the optimal signaling scheme (paper Theorem 1), so
 // this package is the first half of every SAG decision; package signaling is
 // the second half.
+//
+// Two extension games ride along, neither served: SolveResourceSSE (several
+// defender resource classes) reuses the closed form's cost curve and water
+// level, and SolveMultiAttackerSSE is the one solver still on internal/lp's
+// simplex (multi.go says why).
 package game
 
 import (
@@ -208,21 +213,25 @@ func solveSSE(ctx context.Context, inst *Instance, budget float64, coeffs []floa
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("game: SSE solve canceled: %w", err)
 	}
-	k := inst.NumTypes()
-	res := &Result{
-		BestType:          -1,
-		Coverage:          make([]float64, k),
-		Allocation:        make([]float64, k),
-		CandidateFeasible: make([]bool, k),
+	kinks, floor := costCurve(inst, coeffs, attackable)
+	if len(kinks) == 0 {
+		return equilibriumAt(inst, coeffs, attackable, 0, 0), nil // vacuous: nothing is attackable
 	}
+	level, marginal := waterLevel(kinks, floor, budget)
+	res := equilibriumAt(inst, coeffs, attackable, level, marginal)
+	res.Stats.LPSolves = len(kinks)
+	return res, nil
+}
 
-	// One kink per attackable type: C's slope grows by weight as u drops
-	// below level. A zero-slope type can never be covered, so it costs
-	// nothing and instead holds the floor at its U_au.
-	kinks := make([]kink, 0, k)
-	floor := math.Inf(-1)
+// costCurve returns C(u) over the types in members as its kinks, sorted by
+// descending level, and the floor coverage ≤ 1 puts under u. C's slope grows
+// by a kink's weight as u drops below its level; a zero-slope type can never
+// be covered, so it costs nothing and instead holds the floor at its U_au.
+func costCurve(inst *Instance, coeffs []float64, members []bool) (kinks []kink, floor float64) {
+	kinks = make([]kink, 0, inst.NumTypes())
+	floor = math.Inf(-1)
 	for t, p := range inst.Payoffs {
-		if !attackable[t] {
+		if !members[t] {
 			continue
 		}
 		kn := kink{level: p.AttackerUncovered}
@@ -234,13 +243,21 @@ func solveSSE(ctx context.Context, inst *Instance, budget float64, coeffs []floa
 		}
 		kinks = append(kinks, kn)
 	}
-	if len(kinks) == 0 {
-		return res, nil
-	}
-	res.Stats.LPSolves = len(kinks)
 	slices.SortFunc(kinks, func(a, b kink) int { return cmp.Compare(b.level, a.level) })
-	level, marginal := waterLevel(kinks, floor, budget)
+	return kinks, floor
+}
 
+// equilibriumAt reads the SSE off the water level: every attackable type at
+// or above it is a feasible candidate covered down to it, and the winner is
+// picked in ascending type order. marginal is waterLevel's −du/dbudget.
+func equilibriumAt(inst *Instance, coeffs []float64, attackable []bool, level, marginal float64) *Result {
+	k := inst.NumTypes()
+	res := &Result{
+		BestType:          -1,
+		Coverage:          make([]float64, k),
+		Allocation:        make([]float64, k),
+		CandidateFeasible: make([]bool, k),
+	}
 	for t, p := range inst.Payoffs {
 		if !attackable[t] || p.AttackerUncovered < level {
 			continue
@@ -259,7 +276,7 @@ func solveSSE(ctx context.Context, inst *Instance, budget float64, coeffs []floa
 			res.BudgetShadowPrice = marginal * (p.DefenderCovered - p.DefenderUncovered) / gap
 		}
 	}
-	return res, nil
+	return res
 }
 
 // kink is one breakpoint of the cost curve C(u): below level, C's slope

@@ -21,6 +21,13 @@ import (
 // multiple-LP method: enumerate joint best-response profiles (t_1..t_n),
 // one LP per profile with every attacker's best-response constraint
 // enforced, keep the feasible profile with the best total auditor utility.
+//
+// Unlike the base and multi-resource games this one has no single walk:
+// each attacker has his own utility level over his menu, so disjoint
+// single-type menus make a fractional knapsack, one shared menu makes
+// solveSSE's water level, and a type on two menus is covered to the lower of
+// its attackers' levels, which couples the two through a min. It stays on
+// the simplex (DESIGN §3).
 
 // MultiResult is the Strong Stackelberg Equilibrium of the multi-attacker
 // audit game. As with Result, utilities are LP objectives that assume every

@@ -3,9 +3,9 @@ package game
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/auditgames/sag/internal/dist"
-	"github.com/auditgames/sag/internal/lp"
 )
 
 // This file generalizes the audit game to multiple defender resource
@@ -19,9 +19,18 @@ import (
 // Each ResourceClass has its own budget, a capability mask over alert
 // types, and a cost multiplier against the instance's base audit costs.
 // Coverage adds across classes: θ^t = Σ_r κ^t · A^{t,r} / (V^t·Mult_r),
-// where A^{t,r} is the budget of class r allocated to type t. The SSE is
-// computed with the same multiple-LP method as the base game, with one
-// allocation variable per (type, class) pair.
+// where A^{t,r} is the budget of class r allocated to type t.
+//
+// The slope factors as κ^t/V^t · 1/Mult_r, so in effective units — class r
+// holds B_r/Mult_r, type t is covered at κ^t/V^t per unit whoever pays — the
+// game is the base game plus a transport problem: holding the attacker to
+// utility u costs type t the same max(0, U_au^t − u)/(g_t·slope_t) as in
+// solveSSE, and the classes can ship those demands along the capability masks
+// iff (Hall) every set R of classes holds at least what the types only R can
+// audit demand. Each such condition is a single-budget cost curve, so the
+// shared water level is the largest waterLevel over the sets R that are
+// unions of types' auditor sets, the equilibrium is read off it exactly as in
+// the base game, and an augmenting-path transport recovers who pays for what.
 
 // ResourceClass is one kind of audit capacity.
 type ResourceClass struct {
@@ -53,10 +62,11 @@ func SolveResourceSSE(inst *Instance, classes []ResourceClass, futures []dist.Po
 	if len(futures) != inst.NumTypes() {
 		return nil, fmt.Errorf("game: %d future distributions for %d types", len(futures), inst.NumTypes())
 	}
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("game: need at least one resource class")
+	if len(classes) == 0 || len(classes) > 64 {
+		return nil, fmt.Errorf("game: need between 1 and 64 resource classes, got %d", len(classes))
 	}
 	k := inst.NumTypes()
+	effective := make([]float64, len(classes)) // B_r / Mult_r
 	for ci, c := range classes {
 		if !finiteNonNegative(c.Budget) {
 			return nil, fmt.Errorf("game: class %d: invalid budget %g", ci, c.Budget)
@@ -67,152 +77,138 @@ func SolveResourceSSE(inst *Instance, classes []ResourceClass, futures []dist.Po
 		if c.CanAudit != nil && len(c.CanAudit) != k {
 			return nil, fmt.Errorf("game: class %d: capability mask has %d entries for %d types", ci, len(c.CanAudit), k)
 		}
+		effective[ci] = c.Budget / c.CostMultiplier
 	}
+	// auditors[t] is the set of classes that may audit type t, one bit per
+	// class. A type nobody may audit accrues no coverage: zero coefficient.
 	coeffs := make([]float64, k)
 	attackable := make([]bool, k)
+	auditors := make([]uint64, k)
 	for t, f := range futures {
-		coeffs[t] = f.InverseMeanCoefficient()
 		attackable[t] = f.Lambda > 0
-	}
-	anyAttackable := false
-	for _, a := range attackable {
-		anyAttackable = anyAttackable || a
-	}
-	if !anyAttackable {
-		return &ResourceResult{
-			BestType:   -1,
-			Coverage:   make([]float64, k),
-			Allocation: zeroAllocation(len(classes), k),
-		}, nil
+		for ci, c := range classes {
+			if c.CanAudit == nil || c.CanAudit[t] {
+				auditors[t] |= 1 << ci
+			}
+		}
+		if auditors[t] != 0 {
+			coeffs[t] = f.InverseMeanCoefficient()
+		}
 	}
 
-	var best *ResourceResult
-	for t := 0; t < k; t++ {
+	// Every union of attackable types' auditor sets is one Hall condition.
+	var sets []uint64
+	seen := map[uint64]bool{}
+	add := func(r uint64) {
+		if !seen[r] {
+			seen[r] = true
+			sets = append(sets, r)
+		}
+	}
+	for t, a := range auditors {
 		if !attackable[t] {
 			continue
 		}
-		res, ok, err := solveResourceCandidate(inst, classes, coeffs, attackable, t)
-		if err != nil {
-			return nil, err
+		for _, r := range sets { // the sets so far; add only appends
+			add(r | a)
 		}
-		if ok && (best == nil || res.DefenderUtility > best.DefenderUtility+1e-12) {
-			best = res
-		}
+		add(a)
 	}
-	if best == nil {
-		return nil, fmt.Errorf("game: no feasible best-response candidate (internal invariant violated)")
-	}
-	return best, nil
-}
-
-func zeroAllocation(classes, types int) [][]float64 {
-	out := make([][]float64, classes)
-	for i := range out {
-		out[i] = make([]float64, types)
-	}
-	return out
-}
-
-// solveResourceCandidate solves the LP forcing type t to be the best
-// response. Variables are indexed var(t', r) = r·k + t'.
-func solveResourceCandidate(inst *Instance, classes []ResourceClass, coeffs []float64, attackable []bool, t int) (*ResourceResult, bool, error) {
-	k := inst.NumTypes()
-	nc := len(classes)
-	nv := k * nc
-	prob := lp.New(lp.Maximize, nv)
-
-	// slope(t', r): dθ^{t'} / dA^{t',r}, zero when the class cannot audit
-	// the type (enforced via a [0,0] bound).
-	slope := func(tt, r int) float64 {
-		return coeffs[tt] / (inst.AuditCosts[tt] * classes[r].CostMultiplier)
-	}
-	varIdx := func(tt, r int) int { return r*k + tt }
-	for r, c := range classes {
-		for tt := 0; tt < k; tt++ {
-			hi := c.Budget
-			if c.CanAudit != nil && !c.CanAudit[tt] {
-				hi = 0
-			}
-			if err := prob.SetBounds(varIdx(tt, r), 0, hi); err != nil {
-				return nil, false, err
+	level := math.Inf(-1)
+	members := make([]bool, k)
+	for _, r := range sets {
+		pooled := 0.0
+		for ci, e := range effective {
+			if r&(1<<ci) != 0 {
+				pooled += e
 			}
 		}
+		for t := range members {
+			members[t] = attackable[t] && auditors[t]&^r == 0
+		}
+		kinks, floor := costCurve(inst, coeffs, members)
+		l, _ := waterLevel(kinks, floor, pooled)
+		level = max(level, l)
 	}
 
-	// Objective: θ^t·(U_dc−U_du) + const.
-	pt := inst.Payoffs[t]
-	obj := make([]float64, nv)
-	for r := range classes {
-		obj[varIdx(t, r)] = slope(t, r) * (pt.DefenderCovered - pt.DefenderUncovered)
-	}
-	if err := prob.SetObjective(obj); err != nil {
-		return nil, false, err
-	}
-
-	// θ^{t'} ≤ 1 rows (coverage now sums across classes, so variable
-	// bounds alone cannot cap it).
-	for tt := 0; tt < k; tt++ {
-		row := make([]float64, nv)
-		for r := range classes {
-			row[varIdx(tt, r)] = slope(tt, r)
-		}
-		if err := prob.AddConstraint(row, lp.LE, 1); err != nil {
-			return nil, false, err
-		}
-	}
-
-	// Best-response rows.
-	for j := 0; j < k; j++ {
-		if j == t || !attackable[j] {
-			continue
-		}
-		pj := inst.Payoffs[j]
-		row := make([]float64, nv)
-		for r := range classes {
-			row[varIdx(t, r)] += slope(t, r) * (pt.AttackerCovered - pt.AttackerUncovered)
-			row[varIdx(j, r)] -= slope(j, r) * (pj.AttackerCovered - pj.AttackerUncovered)
-		}
-		if err := prob.AddConstraint(row, lp.GE, pj.AttackerUncovered-pt.AttackerUncovered); err != nil {
-			return nil, false, err
-		}
-	}
-
-	// Per-class budget rows.
+	sse := equilibriumAt(inst, coeffs, attackable, level, 0)
+	alloc := ship(sse.Allocation, effective, auditors)
 	for r, c := range classes {
-		row := make([]float64, nv)
-		for tt := 0; tt < k; tt++ {
-			row[varIdx(tt, r)] = 1
+		for t := range alloc[r] {
+			alloc[r][t] *= c.CostMultiplier // back to the class's own budget units
 		}
-		if err := prob.AddConstraint(row, lp.LE, c.Budget); err != nil {
-			return nil, false, err
-		}
-	}
-
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return nil, false, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, false, nil
-	}
-
-	cov := make([]float64, k)
-	alloc := zeroAllocation(nc, k)
-	for r := range classes {
-		for tt := 0; tt < k; tt++ {
-			a := sol.X[varIdx(tt, r)]
-			alloc[r][tt] = a
-			cov[tt] += slope(tt, r) * a
-		}
-	}
-	for tt := range cov {
-		cov[tt] = clamp01(cov[tt])
 	}
 	return &ResourceResult{
-		BestType:        t,
-		Coverage:        cov,
+		BestType:        sse.BestType,
+		Coverage:        sse.Coverage,
 		Allocation:      alloc,
-		DefenderUtility: pt.DefenderExpected(cov[t]),
-		AttackerUtility: pt.AttackerExpected(cov[t]),
-	}, true, nil
+		DefenderUtility: sse.DefenderUtility,
+		AttackerUtility: sse.AttackerUtility,
+	}, nil
+}
+
+// ship routes the per-type demands to the classes allowed to audit them
+// (auditors[t], one bit per class) without overdrawing any class's effective
+// budget, and returns flow[r][t], all in effective units. It is max-flow on
+// the class→type graph by shortest augmenting paths: a type short of budget
+// draws on a class with spare, or on one that frees some by handing another
+// of its types to a third class, and so on. Hall's condition, which the
+// water level was chosen to satisfy, says every demand is met; what round-off
+// leaves unmet is dropped rather than overdrawn.
+func ship(demand, effective []float64, auditors []uint64) [][]float64 {
+	flow := make([][]float64, len(effective))
+	spare := slices.Clone(effective)
+	for r := range flow {
+		flow[r] = make([]float64, len(demand))
+	}
+	may := func(r, t int) bool { return auditors[t]&(1<<r) != 0 }
+	from := make([]int, len(effective))
+	via := make([]int, len(effective))
+	queue := make([]int, 0, len(effective))
+	for t, want := range demand {
+		for want > 0 {
+			// Breadth-first from t's auditors: class r is reached through
+			// via[r], the type an earlier class from[r] would hand over.
+			queue = queue[:0]
+			for r := range effective {
+				from[r] = -2 // unreached
+				if may(r, t) {
+					from[r], via[r] = -1, t
+					queue = append(queue, r)
+				}
+			}
+			end := -1
+			for head := 0; head < len(queue); head++ {
+				r := queue[head]
+				if spare[r] > 0 {
+					end = r
+					break
+				}
+				for t2, f := range flow[r] {
+					for r2 := range effective {
+						if f > 0 && from[r2] == -2 && may(r2, t2) {
+							from[r2], via[r2] = r, t2
+							queue = append(queue, r2)
+						}
+					}
+				}
+			}
+			if end < 0 {
+				break
+			}
+			push := min(want, spare[end])
+			for r := end; from[r] >= 0; r = from[r] {
+				push = min(push, flow[from[r]][via[r]])
+			}
+			spare[end] -= push
+			for r := end; r >= 0; r = from[r] {
+				flow[r][via[r]] += push
+				if from[r] >= 0 {
+					flow[from[r]][via[r]] -= push
+				}
+			}
+			want -= push
+		}
+	}
+	return flow
 }

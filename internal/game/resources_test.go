@@ -1,7 +1,9 @@
 package game
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/auditgames/sag/internal/dist"
@@ -149,4 +151,144 @@ func TestResourceSSEVacuous(t *testing.T) {
 	if res.BestType != -1 || res.DefenderUtility != 0 {
 		t.Fatalf("vacuous game: %+v", res)
 	}
+}
+
+// randomResourceCase draws a multi-resource game: up to five types and three
+// classes, random capability masks (one class in four unmasked, so types
+// nobody may audit occur), zero-budget classes, zero-rate types.
+func randomResourceCase(tb testing.TB, rng *rand.Rand) (*Instance, []ResourceClass, []dist.Poisson) {
+	k := 1 + rng.Intn(5)
+	inst := randomInstance(tb, rng, k)
+	classes := make([]ResourceClass, 1+rng.Intn(3))
+	for r := range classes {
+		classes[r] = ResourceClass{Budget: rng.Float64() * 30, CostMultiplier: 0.5 + 2*rng.Float64()}
+		if rng.Intn(5) == 0 {
+			classes[r].Budget = 0
+		}
+		if rng.Intn(4) > 0 {
+			classes[r].CanAudit = make([]bool, k)
+			for t := range classes[r].CanAudit {
+				classes[r].CanAudit[t] = rng.Intn(3) > 0
+			}
+		}
+	}
+	futures := make([]dist.Poisson, k)
+	for t := range futures {
+		if rng.Intn(6) > 0 {
+			futures[t].Lambda = rng.Float64() * 60
+		}
+	}
+	return inst, classes, futures
+}
+
+// diffResource reports the first thing wrong with SolveResourceSSE on one
+// game, or "". Oracle-free first: no class overspends or pays for a type
+// outside its mask, and the allocation adds up to the coverage — Σ_r
+// slope(t,r)·A[r][t] = θ^t — with θ ≤ 1 and the reported best type a best
+// response to it. Then the differential against resourceLP: BestType (up to
+// exact defender-utility ties) and both utilities to 1e-9.
+func diffResource(inst *Instance, classes []ResourceClass, futures []dist.Poisson) string {
+	got, err := SolveResourceSSE(inst, classes, futures)
+	if err != nil {
+		return "closed form: " + err.Error()
+	}
+	for r, c := range classes {
+		spent := 0.0
+		for t, a := range got.Allocation[r] {
+			if a < 0 || (a > 0 && c.CanAudit != nil && !c.CanAudit[t]) {
+				return fmt.Sprintf("class %d pays %g for type %d (mask %v)", r, a, t, c.CanAudit)
+			}
+			spent += a
+		}
+		if spent > c.Budget*(1+1e-12) {
+			return fmt.Sprintf("class %d spends %g of %g", r, spent, c.Budget)
+		}
+	}
+	for t, theta := range got.Coverage {
+		paid := 0.0
+		for r, c := range classes {
+			paid += got.Allocation[r][t] * futures[t].InverseMeanCoefficient() / (inst.AuditCosts[t] * c.CostMultiplier)
+		}
+		if theta < 0 || theta > 1 || math.Abs(paid-theta) > 1e-9 {
+			return fmt.Sprintf("Coverage[%d] = %g, allocation pays for %g", t, theta, paid)
+		}
+		if b := got.BestType; b >= 0 && futures[t].Lambda > 0 {
+			if u := inst.Payoffs[t].AttackerExpected(theta); u > got.AttackerUtility+1e-9*math.Max(1, math.Abs(u)) {
+				return fmt.Sprintf("type %d pays the attacker %g, more than best response %d at %g", t, u, b, got.AttackerUtility)
+			}
+		}
+	}
+
+	want, err := resourceLP(inst, classes, futures)
+	if err != nil {
+		return "oracle: " + err.Error()
+	}
+	switch {
+	case !near(got.DefenderUtility, want.DefenderUtility, 1e-9):
+		return fmt.Sprintf("DefenderUtility %v, oracle %v", got.DefenderUtility, want.DefenderUtility)
+	case got.BestType != want.BestType && (got.BestType < 0 || want.BestType < 0):
+		return fmt.Sprintf("BestType %d, oracle %d", got.BestType, want.BestType)
+	case got.BestType == want.BestType && !near(got.AttackerUtility, want.AttackerUtility, 1e-9):
+		return fmt.Sprintf("AttackerUtility %v, oracle %v", got.AttackerUtility, want.AttackerUtility)
+	}
+	return ""
+}
+
+// TestResourceSSEMatchesCandidateLPs is the seeded unit form of
+// FuzzResourceSSE: 4 000 random games held to diffResource.
+func TestResourceSSEMatchesCandidateLPs(t *testing.T) {
+	rng := rand.New(rand.NewSource(20205))
+	for trial := 0; trial < 4000; trial++ {
+		inst, classes, futures := randomResourceCase(t, rng)
+		if d := diffResource(inst, classes, futures); d != "" {
+			t.Fatalf("trial %d: %s\nclasses=%+v futures=%v\npayoffs=%+v costs=%v",
+				trial, d, classes, futures, inst.Payoffs, inst.AuditCosts)
+		}
+	}
+}
+
+// TestResourceSSEOneClassIsTheBaseGame: a single unmasked class at
+// multiplier 1 walks the same kinks with the same budget as SolveOnlineSSE,
+// so coverage and utilities are equal bit for bit, and the class pays the
+// base game's allocation.
+func TestResourceSSEOneClassIsTheBaseGame(t *testing.T) {
+	rng := rand.New(rand.NewSource(20206))
+	for trial := 0; trial < 500; trial++ {
+		inst, _, futures := randomResourceCase(t, rng)
+		budget := rng.Float64() * 40
+		base, err := SolveOnlineSSE(inst, budget, futures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SolveResourceSSE(inst, []ResourceClass{{Budget: budget, CostMultiplier: 1}}, futures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BestType != base.BestType || res.DefenderUtility != base.DefenderUtility || res.AttackerUtility != base.AttackerUtility {
+			t.Fatalf("trial %d: %+v vs base %+v", trial, res, base)
+		}
+		for j := range res.Coverage {
+			if res.Coverage[j] != base.Coverage[j] {
+				t.Fatalf("trial %d: coverage[%d] %v vs base %v", trial, j, res.Coverage[j], base.Coverage[j])
+			}
+			if math.Abs(res.Allocation[0][j]-base.Allocation[j]) > 1e-9*math.Max(1, budget) {
+				t.Fatalf("trial %d: allocation[%d] %v vs base %v", trial, j, res.Allocation[0][j], base.Allocation[j])
+			}
+		}
+	}
+}
+
+// FuzzResourceSSE feeds seeds to the differential's generator, so the fuzzer
+// explores the same game space with the same assertion.
+func FuzzResourceSSE(f *testing.F) {
+	for _, seed := range []int64{0, 1, 42, 20205} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		inst, classes, futures := randomResourceCase(t, rand.New(rand.NewSource(seed)))
+		if d := diffResource(inst, classes, futures); d != "" {
+			t.Fatalf("%s\nclasses=%+v futures=%v\npayoffs=%+v costs=%v",
+				d, classes, futures, inst.Payoffs, inst.AuditCosts)
+		}
+	})
 }

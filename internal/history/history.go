@@ -188,65 +188,6 @@ func (r *Rollback) Reset() {
 	r.seenGood = false
 }
 
-// Window maintains a sliding window of the most recent days' alert
-// records, the way a production deployment runs the paper's protocol: each
-// night the finished day enters the window, the oldest falls out, and the
-// next cycle's curves are fit on what remains. Building a Window and
-// calling Curves is equivalent to NewCurves over the same records, so the
-// evaluation harness and the server share identical estimation.
-type Window struct {
-	numTypes int
-	capacity int
-	days     [][]Record // ring buffer in arrival order
-}
-
-// NewWindow creates a sliding window holding up to capacity days over
-// numTypes alert types.
-func NewWindow(numTypes, capacity int) (*Window, error) {
-	if numTypes <= 0 {
-		return nil, fmt.Errorf("history: need positive numTypes, got %d", numTypes)
-	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("history: need positive capacity, got %d", capacity)
-	}
-	return &Window{numTypes: numTypes, capacity: capacity}, nil
-}
-
-// AddDay pushes one finished day's records (their Day fields are ignored;
-// the window renumbers) and evicts the oldest day when over capacity.
-func (w *Window) AddDay(recs []Record) error {
-	day := make([]Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Type < 0 || r.Type >= w.numTypes {
-			return fmt.Errorf("history: record type %d out of [0,%d)", r.Type, w.numTypes)
-		}
-		day = append(day, r)
-	}
-	w.days = append(w.days, day)
-	if len(w.days) > w.capacity {
-		w.days = w.days[1:]
-	}
-	return nil
-}
-
-// Len returns the number of days currently in the window.
-func (w *Window) Len() int { return len(w.days) }
-
-// Curves fits arrival curves on the window's current contents.
-func (w *Window) Curves() (*Curves, error) {
-	if len(w.days) == 0 {
-		return nil, fmt.Errorf("history: window is empty")
-	}
-	var recs []Record
-	for d, day := range w.days {
-		for _, r := range day {
-			r.Day = d
-			recs = append(recs, r)
-		}
-	}
-	return NewCurves(recs, w.numTypes, len(w.days))
-}
-
 // RateRollback is the alternative reading of the paper's rollback trigger:
 // instead of freezing when the total *remaining* volume drops below the
 // threshold, it freezes when the expected arrival *rate* — the mean number

@@ -313,90 +313,6 @@ func TestRateRollbackValidation(t *testing.T) {
 	}
 }
 
-func TestWindowMatchesNewCurves(t *testing.T) {
-	w, err := NewWindow(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []Record
-	for d := 0; d < 4; d++ {
-		var day []Record
-		for i := 0; i < 6; i++ {
-			r := Record{Type: i % 2, Time: hour(float64(8 + i))}
-			day = append(day, r)
-			all = append(all, Record{Day: d, Type: r.Type, Time: r.Time})
-		}
-		if err := w.AddDay(day); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Len() != 4 {
-		t.Fatalf("Len = %d", w.Len())
-	}
-	fromWindow, err := w.Curves()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NewCurves(all, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := 0.0; h < 24; h += 2 {
-		a, _ := fromWindow.FutureRates(hour(h))
-		b, _ := direct.FutureRates(hour(h))
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("window and direct curves disagree at %gh type %d: %g vs %g", h, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestWindowEviction(t *testing.T) {
-	w, err := NewWindow(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Day A: 10 alerts; days B, C: 1 alert each. Capacity 2 evicts A.
-	mkDay := func(n int) []Record {
-		var day []Record
-		for i := 0; i < n; i++ {
-			day = append(day, Record{Type: 0, Time: hour(9)})
-		}
-		return day
-	}
-	_ = w.AddDay(mkDay(10))
-	_ = w.AddDay(mkDay(1))
-	_ = w.AddDay(mkDay(1))
-	if w.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after eviction", w.Len())
-	}
-	c, err := w.Curves()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates, _ := c.FutureRates(0)
-	if rates[0] != 1 {
-		t.Fatalf("post-eviction mean %g, want 1 (day A gone)", rates[0])
-	}
-}
-
-func TestWindowValidation(t *testing.T) {
-	if _, err := NewWindow(0, 1); err == nil {
-		t.Error("zero types should be rejected")
-	}
-	if _, err := NewWindow(1, 0); err == nil {
-		t.Error("zero capacity should be rejected")
-	}
-	w, _ := NewWindow(1, 2)
-	if err := w.AddDay([]Record{{Type: 5}}); err == nil {
-		t.Error("out-of-range type should be rejected")
-	}
-	if _, err := w.Curves(); err == nil {
-		t.Error("empty window should refuse to fit curves")
-	}
-}
-
 func TestZeroThresholdRollbackIsPassthrough(t *testing.T) {
 	c := denseCurves(t)
 	rb, err := NewRollback(c, 0)

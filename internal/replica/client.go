@@ -55,12 +55,9 @@ type ClientConfig struct {
 	// Reset wipes local tenant state — journal directory and engine — ahead
 	// of a re-seed. The client reopens its mirror from zero afterwards.
 	Reset func() error
-	// Cursor, LastCRC, Records, Seeded seed the client's position from a
-	// prior run's recovery (zero values mean "start from scratch").
-	Cursor  wal.Cursor
-	LastCRC uint32
-	Records int64
-	Seeded  bool
+	// Start is the client's position from a prior run's recovery (the zero
+	// State means "start from scratch").
+	Start State
 	// BackoffBase/BackoffCap bound the reconnect backoff
 	// (DefaultBackoffBase/Cap when zero).
 	BackoffBase time.Duration
@@ -95,17 +92,16 @@ type Client struct {
 	reseeds    *obs.Counter
 
 	mu             sync.Mutex
-	cur            wal.Cursor
-	crc            uint32
-	records        int64
-	seeded         bool
+	pos            State
 	primaryRecords int64
 	lag            int64
 	heartbeats     int64
 	behindSince    time.Time
 }
 
-// State is a snapshot of the client's replication position.
+// State is a replication position: where the mirrored journal ends, the
+// stored checksum of the record ending there, how many records it holds, and
+// whether the warm engine has been seeded with applied state.
 type State struct {
 	Cursor  wal.Cursor
 	LastCRC uint32
@@ -116,14 +112,11 @@ type State struct {
 // NewClient builds a replication client; Run starts it.
 func NewClient(cfg ClientConfig) *Client {
 	c := &Client{
-		cfg:     cfg,
-		http:    cfg.HTTP,
-		logf:    cfg.Logf,
-		cur:     cfg.Cursor,
-		crc:     cfg.LastCRC,
-		records: cfg.Records,
-		seeded:  cfg.Seeded,
-		br:      bufio.NewReaderSize(nil, streamBufBytes),
+		cfg:  cfg,
+		http: cfg.HTTP,
+		logf: cfg.Logf,
+		pos:  cfg.Start,
+		br:   bufio.NewReaderSize(nil, streamBufBytes),
 	}
 	if c.http == nil {
 		c.http = &http.Client{}
@@ -162,7 +155,7 @@ func NewClient(cfg ClientConfig) *Client {
 func (c *Client) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return State{Cursor: c.cur, LastCRC: c.crc, Records: c.records, Seeded: c.seeded}
+	return c.pos
 }
 
 // Lag returns how many durable primary records are not yet applied locally,
@@ -229,7 +222,7 @@ func (c *Client) reseed() error {
 		return err
 	}
 	c.mu.Lock()
-	c.cur, c.crc, c.records, c.seeded = wal.Cursor{}, 0, 0, false
+	c.pos = State{}
 	c.mu.Unlock()
 	return nil
 }
@@ -250,10 +243,7 @@ func (c *Client) streamOnce(ctx context.Context) error {
 		return fmt.Errorf("replica: bad %s header: %w", HeaderApplyFrom, err)
 	}
 
-	c.mu.Lock()
-	at := c.cur
-	c.mu.Unlock()
-	mirror, err := wal.OpenMirror(c.cfg.Dir, at)
+	mirror, err := wal.OpenMirror(c.cfg.Dir, c.State().Cursor)
 	if err != nil {
 		if errors.Is(err, wal.ErrMirrorGap) {
 			return fmt.Errorf("%w: %v", errReseed, err)
@@ -270,13 +260,11 @@ func (c *Client) streamOnce(ctx context.Context) error {
 // exists. A 409 with the re-seed header sets reseedDemanded.
 func (c *Client) connect(ctx context.Context) (resp *http.Response, reseedDemanded bool, err error) {
 	q := url.Values{"tenant": {c.cfg.Tenant}}
-	c.mu.Lock()
-	if !c.cur.IsZero() {
-		q.Set("seg", strconv.Itoa(c.cur.Seg))
-		q.Set("off", strconv.FormatInt(c.cur.Off, 10))
-		q.Set("crc", strconv.FormatUint(uint64(c.crc), 10))
+	if at := c.State(); !at.Cursor.IsZero() {
+		q.Set("seg", strconv.Itoa(at.Cursor.Seg))
+		q.Set("off", strconv.FormatInt(at.Cursor.Off, 10))
+		q.Set("crc", strconv.FormatUint(uint64(at.LastCRC), 10))
 	}
-	c.mu.Unlock()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.cfg.Primary+"/v1/replicate?"+q.Encode(), nil)
 	if err != nil {
@@ -359,10 +347,7 @@ func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.
 	}
 	pos := wal.Cursor{Seg: fr.Seg, Off: fr.Off}
 	apply := !pos.Less(applyFrom)
-	c.mu.Lock()
-	seeded := c.seeded
-	c.mu.Unlock()
-	if apply && rec.Kind == wal.KindSnapshot && seeded {
+	if apply && rec.Kind == wal.KindSnapshot && c.State().Seeded {
 		apply = false
 	}
 	if apply {
@@ -371,11 +356,11 @@ func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.
 		}
 	}
 	c.mu.Lock()
-	c.cur = fr.End()
-	c.crc = crc
-	c.records++
+	c.pos.Cursor = fr.End()
+	c.pos.LastCRC = crc
+	c.pos.Records++
 	if apply {
-		c.seeded = true
+		c.pos.Seeded = true
 	}
 	c.mu.Unlock()
 	return nil
@@ -407,8 +392,8 @@ func (c *Client) readHeartbeat(br *bufio.Reader, mirror *wal.Mirror) error {
 	c.primaryRecords = int64(nrecs)
 	c.heartbeats++
 	var lag int64
-	if c.cur.Less(durable) && !(durable.AtSegmentStart() && c.primaryRecords == c.records) {
-		lag = c.primaryRecords - c.records
+	if c.pos.Cursor.Less(durable) && !(durable.AtSegmentStart() && c.primaryRecords == c.pos.Records) {
+		lag = c.primaryRecords - c.pos.Records
 		if lag < 1 {
 			lag = 1 // behind by cursor; the count basis is off by pruning
 		}

@@ -168,10 +168,10 @@ func TestClientResumesFromRecoveredState(t *testing.T) {
 	run := func(st State) *Client {
 		cl := NewClient(ClientConfig{
 			Primary: p.ts.URL, Tenant: "default", Dir: dir,
-			Apply:  got.apply,
-			Reset:  func() error { t.Error("unexpected re-seed"); return nil },
-			Cursor: st.Cursor, LastCRC: st.LastCRC, Records: st.Records, Seeded: st.Seeded,
-			Logf: t.Logf,
+			Apply: got.apply,
+			Reset: func() error { t.Error("unexpected re-seed"); return nil },
+			Start: st,
+			Logf:  t.Logf,
 		})
 		return cl
 	}
@@ -257,8 +257,8 @@ func TestClientReseedsAfterPrune(t *testing.T) {
 			resets++
 			return os.RemoveAll(dir)
 		},
-		Cursor: rec.End, LastCRC: rec.LastCRC, Records: int64(rec.Records), Seeded: rec.Records > 0,
-		Logf: t.Logf,
+		Start: State{Cursor: rec.End, LastCRC: rec.LastCRC, Records: int64(rec.Records), Seeded: rec.Records > 0},
+		Logf:  t.Logf,
 	})
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	done2 := make(chan struct{})

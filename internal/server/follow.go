@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/auditgames/sag/internal/obs"
@@ -18,6 +19,10 @@ import (
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
 )
+
+// errNotStandby is Promote's answer on a server that is not (or no longer) a
+// standby; handlePromote turns it into 409.
+var errNotStandby = errors.New("server: not a standby")
 
 // discoverInterval is how often a follower polls the primary's tenant
 // listing for tenants it is not replicating yet.
@@ -156,28 +161,24 @@ func (fc *followController) runTenant(id string) {
 		fc.mu.Unlock()
 		return
 	}
-	var holder atomicTenant
-	holder.store(tn.Data.(*tenantState))
-	t := holder.load()
+	var holder atomic.Pointer[tenantState]
+	holder.Store(tn.Data.(*tenantState))
 	cl := replica.NewClient(replica.ClientConfig{
 		Primary: s.cfg.FollowPrimary,
 		Tenant:  id,
 		Dir:     s.tenantWALDir(id),
 		Apply: func(rec wal.Record, _ wal.Cursor) error {
-			return s.applyReplicated(holder.load(), rec)
+			return s.applyReplicated(holder.Load(), rec)
 		},
 		Reset: func() error {
 			fresh, err := s.reseedTenant(id)
 			if err != nil {
 				return err
 			}
-			holder.store(fresh)
+			holder.Store(fresh)
 			return nil
 		},
-		Cursor:  t.repl.cur,
-		LastCRC: t.repl.crc,
-		Records: t.repl.records,
-		Seeded:  t.repl.seeded,
+		Start:   holder.Load().repl,
 		Metrics: s.met.reg,
 		Logf:    s.cfg.Logf,
 	})
@@ -188,9 +189,7 @@ func (fc *followController) runTenant(id string) {
 	// Write the final position back so Promote (which runs after wg.Wait,
 	// so it observes this) can cross-check the reopened journal against
 	// what was actually applied.
-	st := cl.State()
-	cur := holder.load()
-	cur.repl = replState{cur: st.Cursor, crc: st.LastCRC, records: st.Records, seeded: st.Seeded}
+	holder.Load().repl = cl.State()
 }
 
 // snapshotClients returns the current client set.
@@ -247,11 +246,11 @@ func (s *Server) recoverTenantLocal(t *tenantState) error {
 	if err := s.replayTenant(t, rec); err != nil {
 		return fmt.Errorf("server: recovering follower tenant %q: %w", t.id, err)
 	}
-	t.repl = replState{
-		cur:     rec.End,
-		crc:     rec.LastCRC,
-		records: int64(rec.Records),
-		seeded:  rec.Records > 0,
+	t.repl = replica.State{
+		Cursor:  rec.End,
+		LastCRC: rec.LastCRC,
+		Records: int64(rec.Records),
+		Seeded:  rec.Records > 0,
 	}
 	if rec.Records > 0 {
 		s.logf("server: follower tenant %s: resumed mirror at %v (%d records)",
@@ -301,10 +300,14 @@ func (s *Server) reseedTenant(id string) (*tenantState, error) {
 // count does not match what was applied — is unloaded instead of served
 // with forked history; the first request after promotion rebuilds it from
 // disk through the normal recovery path. Returns the number of tenants
-// promoted with open journals.
+// promoted with open journals. Calls are serialized: one that finds the
+// promotion done — having waited for it, if it was under way — gets
+// errNotStandby and touches nothing.
 func (s *Server) Promote() (int, error) {
+	s.promoteMu.Lock()
+	defer s.promoteMu.Unlock()
 	if !s.following.Load() {
-		return 0, errors.New("server: not a standby")
+		return 0, errNotStandby
 	}
 	if fc := s.follow.Load(); fc != nil {
 		fc.stop()
@@ -323,9 +326,9 @@ func (s *Server) Promote() (int, error) {
 			Metrics:      s.met.reg,
 			Labels:       []obs.Label{obs.L("tenant", t.id)},
 		})
-		if err == nil && int64(rec.Records) != t.repl.records {
+		if err == nil && int64(rec.Records) != t.repl.Records {
 			_ = j.Close()
-			err = fmt.Errorf("journal holds %d records, %d were applied", rec.Records, t.repl.records)
+			err = fmt.Errorf("journal holds %d records, %d were applied", rec.Records, t.repl.Records)
 		}
 		if err != nil {
 			s.logf("server: promote: tenant %s unloaded: %v", t.id, err)
@@ -424,11 +427,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // primary. 409 when the server is not a standby; the body reports how many
 // tenants were promoted with open journals.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if !s.following.Load() {
+	n, err := s.Promote()
+	if errors.Is(err, errNotStandby) {
 		writeJSON(w, http.StatusConflict, apiError{Error: "server is not a standby"})
 		return
 	}
-	n, err := s.Promote()
 	if err != nil {
 		// Promotion still happened — the gate is lifted — but some tenant
 		// was unloaded; surface that to the operator.
@@ -438,23 +441,4 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Promoted int `json:"promoted"`
 	}{Promoted: n})
-}
-
-// atomicTenant is a swap-safe reference to a follower tenant's current
-// serving state (re-seed replaces the tenantState wholesale).
-type atomicTenant struct {
-	mu sync.Mutex
-	t  *tenantState
-}
-
-func (a *atomicTenant) store(t *tenantState) {
-	a.mu.Lock()
-	a.t = t
-	a.mu.Unlock()
-}
-
-func (a *atomicTenant) load() *tenantState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.t
 }

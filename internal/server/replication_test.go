@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ import (
 )
 
 // replicaFixture is durableFixture with a config hook, so replication tests
-// can set FollowPrimary, SegmentBytes, and FollowerReadyLag while keeping the
+// can set FollowPrimary and SegmentBytes while keeping the
 // exact same world and engine seeds on both sides of the stream.
 func replicaFixture(t *testing.T, dir string, logs *logBuf, mod func(*Config)) (*Server, *httptest.Server, int, int) {
 	t.Helper()
@@ -69,11 +70,10 @@ func replicaFixture(t *testing.T, dir string, logs *logBuf, mod func(*Config)) (
 
 // startFollower builds a follower over dir replicating from primaryURL and
 // starts its replication clients.
-func startFollower(t *testing.T, dir, primaryURL string, logs *logBuf, readyLag int) (*Server, *httptest.Server) {
+func startFollower(t *testing.T, dir, primaryURL string, logs *logBuf) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, ts, _, _ := replicaFixture(t, dir, logs, func(cfg *Config) {
 		cfg.FollowPrimary = primaryURL
-		cfg.FollowerReadyLag = readyLag
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -193,7 +193,7 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 		t.Fatalf("primary quit status %d", code)
 	}
 
-	folSrv, fol := startFollower(t, folDir, prim.URL, nil, 0)
+	folSrv, fol := startFollower(t, folDir, prim.URL, nil)
 	waitFollowerReady(t, fol)
 
 	// Reads serve the replicated state: the cycle summary is byte-identical.
@@ -288,7 +288,7 @@ func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	_, fol := startFollower(t, folDir, prim.URL, nil, 0)
+	_, fol := startFollower(t, folDir, prim.URL, nil)
 	waitFollowerReady(t, fol) // asserts {"status":"following","lag_records":0} + 200
 
 	// The first write to the untouched tenant is still replicated.
@@ -363,7 +363,7 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	// Second incarnation over the same dir: its recovered cursor is gapped,
 	// the primary demands a re-seed, and catch-up completes anyway.
 	logs2 := &logBuf{}
-	_, fol2 := startFollower(t, folDir, prim.URL, logs2, 0)
+	_, fol2 := startFollower(t, folDir, prim.URL, logs2)
 	waitFollowerReady(t, fol2)
 	if !logs2.contains("re-seed") {
 		t.Fatalf("follower caught up without a re-seed; logs: %v", logs2.lines)
@@ -442,5 +442,73 @@ func TestPromoteWhileCompactorScans(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if err := folSrv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestConcurrentPromoteOpensEachJournalOnce: an orchestrator that retries
+// POST /v1/admin/promote must not promote twice. Promote used to check the
+// standby flag at its top and clear it at its end, so concurrent calls all
+// passed, each reopened the tenant's journal, and the one that lost the race
+// for the new segment file ran the error path and unloaded the tenant the
+// winner had just promoted. Exactly one call promotes; the rest answer 409.
+func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	for i := 0; i < 4; i++ {
+		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("primary access status %d", code)
+		}
+	}
+	folSrv, fol := startFollower(t, folDir, prim.URL, nil)
+	waitFollowerReady(t, fol)
+	segments := func() int {
+		names, err := filepath.Glob(filepath.Join(folDir, "tenants", "t-"+DefaultTenantID, "wal-*.sagw"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+	before := segments()
+
+	const callers = 8
+	codes := make([]int, callers)
+	promoted := make([]int, callers)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var body struct {
+				Promoted int `json:"promoted"`
+			}
+			codes[i] = post(t, fol, "/v1/admin/promote", struct{}{}, &body)
+			promoted[i] = body.Promoted
+		}()
+	}
+	wg.Wait()
+	ok := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusOK:
+			ok++
+			if promoted[i] != 1 {
+				t.Errorf("caller %d promoted %d tenants, want 1", i, promoted[i])
+			}
+		case http.StatusConflict:
+		default:
+			t.Errorf("caller %d: status %d, want 200 or 409", i, code)
+		}
+	}
+	if ok != 1 {
+		t.Fatalf("%d of %d concurrent promotes succeeded (statuses %v), want exactly 1", ok, callers, codes)
+	}
+	if after := segments(); after != before+1 {
+		t.Fatalf("promotion left %d segments on disk, want %d (one new active segment)", after, before+1)
+	}
+	if got := folSrv.Tenants(); len(got) != 1 {
+		t.Fatalf("promoted server tenants %v, want the one resident tenant", got)
+	}
+	if code := post(t, fol, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		t.Fatalf("post-promotion access status %d", code)
 	}
 }

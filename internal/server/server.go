@@ -79,6 +79,7 @@ import (
 	"github.com/auditgames/sag/internal/faultinject"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/obs"
+	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
@@ -197,10 +198,6 @@ type Config struct {
 	// warm engines, and every mutation answers 503 until POST
 	// /v1/admin/promote. Requires DataDir.
 	FollowPrimary string
-	// FollowerReadyLag is the catch-up threshold for a follower's readiness
-	// probe: /v1/readyz answers 200 only once every replicated tenant's lag
-	// is at or below this many records (default 0 — fully caught up).
-	FollowerReadyLag int
 	// Logf receives server log lines (recovery banners, truncation notices,
 	// eviction traces). Nil disables logging.
 	Logf func(format string, args ...any)
@@ -257,17 +254,7 @@ type tenantState struct {
 	// tenant's mirrored journal at build time, and written back by the
 	// replication client when it stops (synchronized by the follow
 	// controller's WaitGroup; promotion reads it after the clients exit).
-	repl replState
-}
-
-// replState is a tenant's replication resume position: where its mirrored
-// journal ends, the checksum proving it, and whether the warm engine has
-// been seeded with applied state.
-type replState struct {
-	cur     wal.Cursor
-	crc     uint32
-	records int64
-	seeded  bool
+	repl replica.State
 }
 
 // Server is the HTTP facade. Create with New and mount via Handler.
@@ -293,6 +280,7 @@ type Server struct {
 	// false (permanently) by Promote. Mutation handlers gate on it.
 	following atomic.Bool
 	follow    atomic.Pointer[followController] // set by StartFollowing
+	promoteMu sync.Mutex                       // serializes Promote
 
 	// journalFault, when set, is fired before every WAL append (see
 	// appendRecord). Testing seam for the journal-failure consistency suite
@@ -715,8 +703,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReadyz is the readiness probe: 200 while accepting traffic, 503
 // once graceful shutdown has begun (see SetReady). On a follower it reports
 // replication catch-up instead: {"status":"following","lag_records":N},
-// flipping 200 only once every tenant's lag is at or below
-// Config.FollowerReadyLag.
+// flipping 200 only once every tenant has caught up (lag 0).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, struct {
@@ -727,7 +714,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.following.Load() {
 		lag, known := s.follow.Load().maxLag()
 		code := http.StatusOK
-		if !known || lag > int64(s.cfg.FollowerReadyLag) {
+		if !known || lag > 0 {
 			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, struct {

@@ -3,8 +3,6 @@ package signaling
 import (
 	"fmt"
 	"math"
-
-	"github.com/auditgames/sag/internal/lp"
 )
 
 // This file implements the Bayesian extension the paper sketches in its
@@ -16,11 +14,17 @@ import (
 // separately (quit or proceed after a warning; attack or stay out
 // overall).
 //
-// The optimal Bayesian scheme is found by enumerating the attacker types'
-// joint best-response pattern — which types a warning persuades to quit,
-// and which types participate at all — and solving one LP per pattern with
-// the pattern enforced as constraints. With m types this is 4^m small LPs;
-// the implementation caps m at 8, far beyond what the audit setting needs.
+// The scheme is a point (p1, q1) of the box [0,θ]×[0,1−θ]; p0 and q0 are the
+// remainders. Type k's warn-branch utility p1·c_k + q1·u_k and silent-branch
+// utility (θ−p1)·c_k + (1−θ−q1)·u_k each change sign across one line of that
+// plane (a type that proceeds through warnings earns β_k = θ·c_k + (1−θ)·u_k
+// whatever the scheme). The 2m lines and the four box edges cut the box into
+// cells; inside a cell every type's set of allowed responses is fixed and the
+// auditor's utility is linear, and because a tie lets the auditor pick the
+// response — every sign condition is closed — the best pattern's region is a
+// closed polygon of cells and its optimum a vertex. So the optimum over all
+// 4^m response patterns is the best of the O(m²) pairwise intersections,
+// each scored type by type.
 
 // AttackerType is one attacker type in the Bayesian SAG: its prior
 // probability and its private utilities for attacking a covered/uncovered
@@ -58,9 +62,6 @@ type BayesianScheme struct {
 	TypeUtilities []float64
 }
 
-// MaxBayesianTypes bounds the enumeration (4^m LPs).
-const MaxBayesianTypes = 8
-
 // SolveBayesian computes the optimal Bayesian OSSP for one alert with
 // marginal audit probability theta, defender payoffs def, and attacker
 // type distribution types. Priors must be positive and sum to 1 (within
@@ -68,9 +69,6 @@ const MaxBayesianTypes = 8
 func SolveBayesian(def DefenderSide, types []AttackerType, theta float64) (BayesianScheme, error) {
 	if len(types) == 0 {
 		return BayesianScheme{}, fmt.Errorf("signaling: no attacker types")
-	}
-	if len(types) > MaxBayesianTypes {
-		return BayesianScheme{}, fmt.Errorf("signaling: %d attacker types exceeds the supported %d", len(types), MaxBayesianTypes)
 	}
 	if theta < 0 || theta > 1 || math.IsNaN(theta) {
 		return BayesianScheme{}, fmt.Errorf("signaling: theta %g out of [0,1]", theta)
@@ -92,123 +90,90 @@ func SolveBayesian(def DefenderSide, types []AttackerType, theta float64) (Bayes
 		return BayesianScheme{}, fmt.Errorf("signaling: priors sum to %g, want 1", sum)
 	}
 
+	// Lines a·p1 + b·q1 = r: the box edges, then each type's two
+	// indifference lines.
+	type line struct{ a, b, r float64 }
+	lines := []line{{1, 0, 0}, {1, 0, theta}, {0, 1, 0}, {0, 1, 1 - theta}}
+	for _, t := range types {
+		lines = append(lines,
+			line{t.Covered, t.Uncovered, 0},
+			line{t.Covered, t.Uncovered, theta*t.Covered + (1-theta)*t.Uncovered})
+	}
+	const edge = 1e-12 // how far outside the box round-off may put a vertex on its edge
+	bestP1, bestQ1, best := 0.0, 0.0, math.Inf(-1)
+	for i, l := range lines {
+		for _, n := range lines[i+1:] {
+			det := l.a*n.b - n.a*l.b
+			if det == 0 {
+				continue
+			}
+			p1 := (l.r*n.b - n.r*l.b) / det
+			q1 := (l.a*n.r - n.a*l.r) / det
+			if !(p1 >= -edge && p1 <= theta+edge && q1 >= -edge && q1 <= 1-theta+edge) {
+				continue
+			}
+			p1 = math.Max(0, math.Min(theta, p1))
+			q1 = math.Max(0, math.Min(1-theta, q1))
+			total := 0.0
+			for _, t := range types {
+				_, _, v := t.respond(def, theta, p1, q1)
+				total += v
+			}
+			if total > best+1e-12 {
+				bestP1, bestQ1, best = p1, q1, total
+			}
+		}
+	}
+
 	m := len(types)
-	best := BayesianScheme{DefenderUtility: math.Inf(-1)}
-	found := false
-	for quitMask := 0; quitMask < 1<<m; quitMask++ {
-		for partMask := 0; partMask < 1<<m; partMask++ {
-			s, ok, err := solveBayesianPattern(def, types, theta, quitMask, partMask)
-			if err != nil {
-				return BayesianScheme{}, err
-			}
-			if ok && (!found || s.DefenderUtility > best.DefenderUtility+1e-12) {
-				best = s
-				found = true
-			}
-		}
-	}
-	if !found {
-		// Cannot happen: the all-quit/none-participate pattern admits
-		// p1=θ, q1=1−θ whenever every type's β ≤ 0, and the complementary
-		// patterns cover the rest; kept as a defensive error.
-		return BayesianScheme{}, fmt.Errorf("signaling: no feasible best-response pattern (internal invariant violated)")
-	}
-	return best, nil
-}
-
-// solveBayesianPattern solves the LP that enforces a fixed best-response
-// pattern: bit k of quitMask = type k quits after a warning; bit k of
-// partMask = type k participates (attacks).
-func solveBayesianPattern(def DefenderSide, types []AttackerType, theta float64, quitMask, partMask int) (BayesianScheme, bool, error) {
-	m := len(types)
-	prob := lp.New(lp.Maximize, 4) // p1, q1, p0, q0
-	for i := 0; i < 4; i++ {
-		if err := prob.SetBounds(i, 0, 1); err != nil {
-			return BayesianScheme{}, false, err
-		}
-	}
-	// Marginals.
-	if err := prob.AddConstraint([]float64{1, 0, 1, 0}, lp.EQ, theta); err != nil {
-		return BayesianScheme{}, false, err
-	}
-	if err := prob.AddConstraint([]float64{0, 1, 0, 1}, lp.EQ, 1-theta); err != nil {
-		return BayesianScheme{}, false, err
-	}
-
-	obj := make([]float64, 4)
-	for k, t := range types {
-		quits := quitMask&(1<<k) != 0
-		participates := partMask&(1<<k) != 0
-
-		// Persuasion sign: warn-branch utility p1·U_ac + q1·U_au.
-		warnRow := []float64{t.Covered, t.Uncovered, 0, 0}
-		if quits {
-			if err := prob.AddConstraint(warnRow, lp.LE, 0); err != nil {
-				return BayesianScheme{}, false, err
-			}
-		} else {
-			if err := prob.AddConstraint(warnRow, lp.GE, 0); err != nil {
-				return BayesianScheme{}, false, err
-			}
-		}
-
-		// Participation sign on the overall attack utility A_k.
-		aRow := []float64{0, 0, t.Covered, t.Uncovered}
-		if !quits {
-			aRow[0] += t.Covered
-			aRow[1] += t.Uncovered
-		}
-		if participates {
-			if err := prob.AddConstraint(aRow, lp.GE, 0); err != nil {
-				return BayesianScheme{}, false, err
-			}
-		} else {
-			if err := prob.AddConstraint(aRow, lp.LE, 0); err != nil {
-				return BayesianScheme{}, false, err
-			}
-		}
-
-		// Objective contribution: participating types expose the auditor
-		// to the silent branch always and to the warn branch only when
-		// they proceed through it.
-		if participates {
-			obj[2] += t.Prior * def.Covered
-			obj[3] += t.Prior * def.Uncovered
-			if !quits {
-				obj[0] += t.Prior * def.Covered
-				obj[1] += t.Prior * def.Uncovered
-			}
-		}
-	}
-	if err := prob.SetObjective(obj); err != nil {
-		return BayesianScheme{}, false, err
-	}
-
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return BayesianScheme{}, false, err
-	}
-	if sol.Status != lp.Optimal {
-		return BayesianScheme{}, false, nil
-	}
-
 	s := BayesianScheme{
-		P1: sol.X[0], Q1: sol.X[1], P0: sol.X[2], Q0: sol.X[3],
-		DefenderUtility: sol.Objective,
+		P1: bestP1, Q1: bestQ1, P0: theta - bestP1, Q0: 1 - theta - bestQ1,
+		DefenderUtility: best,
 		QuitsAfterWarn:  make([]bool, m),
 		Participates:    make([]bool, m),
 		TypeUtilities:   make([]float64, m),
 	}
 	for k, t := range types {
-		s.QuitsAfterWarn[k] = quitMask&(1<<k) != 0
-		s.Participates[k] = partMask&(1<<k) != 0
+		s.QuitsAfterWarn[k], s.Participates[k], _ = t.respond(def, theta, bestP1, bestQ1)
 		if s.Participates[k] {
-			u := s.P0*t.Covered + s.Q0*t.Uncovered
+			s.TypeUtilities[k] = s.P0*t.Covered + s.Q0*t.Uncovered
 			if !s.QuitsAfterWarn[k] {
-				u += s.P1*t.Covered + s.Q1*t.Uncovered
+				s.TypeUtilities[k] += s.P1*t.Covered + s.Q1*t.Uncovered
 			}
-			s.TypeUtilities[k] = u
 		}
 	}
-	return s, true, nil
+	return s, nil
+}
+
+// respond picks, among the responses type t's own incentives allow at the
+// scheme (p1, q1), the one the auditor likes best, and returns it with its
+// prior-weighted contribution to her utility. A utility within
+// 1e-9·(|U_ac|+U_au) of zero is a tie (the package's stay-out tolerance) and
+// allows both responses; ties in her utility go to proceeding and to staying
+// out, the order the 4^m enumeration visited patterns in.
+func (t AttackerType) respond(def DefenderSide, theta, p1, q1 float64) (quits, participates bool, value float64) {
+	tol := 1e-9 * (t.Uncovered - t.Covered)
+	warn := p1*t.Covered + q1*t.Uncovered
+	beta := theta*t.Covered + (1-theta)*t.Uncovered
+	silent := beta - warn
+	mayQuit, mayProceed := warn <= tol, warn >= -tol
+	// A type that attacks exposes the auditor to the silent branch, and to
+	// the warn branch too when he proceeds through it.
+	throughBoth := t.Prior * (theta*def.Covered + (1-theta)*def.Uncovered)
+	throughSilent := t.Prior * ((theta-p1)*def.Covered + (1-theta-q1)*def.Uncovered)
+	value = math.Inf(-1)
+	for _, o := range [4]struct {
+		quits, participates, allowed bool
+		value                        float64
+	}{
+		{false, false, mayProceed && beta <= tol, 0},
+		{true, false, mayQuit && silent <= tol, 0},
+		{false, true, mayProceed && beta >= -tol, throughBoth},
+		{true, true, mayQuit && silent >= -tol, throughSilent},
+	} {
+		if o.allowed && o.value > value {
+			quits, participates, value = o.quits, o.participates, o.value
+		}
+	}
+	return quits, participates, value
 }

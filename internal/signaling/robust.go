@@ -23,15 +23,32 @@ import (
 // the attacker's *conditional* utility. ε = 0 recovers the exact OSSP.
 
 // SolveRobust computes the ε-robust OSSP for one alert of a type with
-// payoffs pf and marginal audit probability theta. It requires the Theorem
-// 3 payoff condition (as Solve does) and ε ≥ 0.
+// payoffs pf and marginal audit probability theta: LP (3) with the hardened
+// persuasion row, solved in closed form for every payoff Validate accepts
+// and every finite ε ≥ 0.
 //
-// Closed form (the Theorem 3 geometry shifted by the margin): let
-// β_ε = θ·(U_ac+ε) + (1−θ)·(U_au+ε) = β + ε. If β_ε ≤ 0 the whole
-// distribution can be warned and the attack is deterred with margin. If
-// β_ε > 0 the warn branch is filled until its conditional utility is
-// exactly −ε: p1 = θ, q1 chosen with p1·U_ac + q1·U_au = −ε(p1+q1), i.e.
-// q1 = θ·(−U_ac−ε)/(U_au+ε), the rest silent with p0 = 0.
+// Substituting p1 = θ−p0 and q1 = 1−θ−q0 leaves two lower bounds on q0, both
+// rising in p0 — the margin-shifted persuasion row and the true participation
+// row:
+//
+//	q0 ≥ (β+ε + p0·|U_ac+ε|)/(U_au+ε)    q0 ≥ p0·|U_ac|/U_au
+//
+// with β = θ·U_ac + (1−θ)·U_au. U_du < 0 keeps q0 on the upper of the two, so
+// the objective p0·U_dc + q0·U_du is concave and piecewise linear in p0 on
+// [0, min(θ, (1−θ)·U_au/|U_ac|)], the stretch where both bounds fit under
+// 1−θ. The participation arm is the steeper one (equally steep at ε = 0),
+// and the persuasion arm lies above it only when β+ε > 0 and only up to
+// their crossing, so the walk from p0 = 0 climbs while the arm it is on
+// costs less than U_dc per unit of p0, and stops on a tie — the smallest
+// optimal p0, as LP (3)'s second solve picks. Theorem 3's condition makes
+// the participation arm too steep to climb, not the persuasion arm: at ε > 0
+// the optimum can sit at the crossing, where the attacker is indifferent and
+// stays out, instead of at p0 = 0.
+//
+// A margin that reaches the attacker's penalty (U_ac+ε ≥ 0) leaves no warning
+// that persuades and the scheme is the silent SSE commitment. Either way an
+// attacker utility within 1e-9·(|U_ac|+U_au) of zero means he stays out and
+// both utilities are 0 (Deterred).
 func SolveRobust(pf payoff.Payoff, theta, epsilon float64) (Scheme, error) {
 	if err := pf.Validate(); err != nil {
 		return Scheme{}, err
@@ -42,82 +59,29 @@ func SolveRobust(pf payoff.Payoff, theta, epsilon float64) (Scheme, error) {
 	if epsilon < 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
 		return Scheme{}, fmt.Errorf("signaling: robustness margin %g must be a finite nonnegative number", epsilon)
 	}
-	if !pf.SatisfiesTheorem3() {
-		return Scheme{}, fmt.Errorf("signaling: payoff %+v violates the Theorem 3 condition", pf)
-	}
-	// Margin-shifted attacker utilities.
-	ac := pf.AttackerCovered + epsilon
-	au := pf.AttackerUncovered + epsilon
-	if ac >= 0 {
-		// The margin exceeds the attacker's penalty: no warning can ever
-		// persuade with that margin, so signaling degenerates to the plain
-		// SSE commitment (everything silent).
-		s := Scheme{Q0: 1 - theta, P0: theta}
-		s.DefenderUtility = s.P0*pf.DefenderCovered + s.Q0*pf.DefenderUncovered
-		s.AttackerUtility = s.P0*pf.AttackerCovered + s.Q0*pf.AttackerUncovered
-		if s.AttackerUtility <= 0 {
-			s.Deterred = true
-			s.DefenderUtility = 0
-			s.AttackerUtility = 0
+	ac, au := -pf.AttackerCovered, pf.AttackerUncovered
+	dc, du := pf.DefenderCovered, -pf.DefenderUncovered
+	acE, auE := ac-epsilon, au+epsilon // |U_ac+ε| while a penalty is left, U_au+ε
+	p0, q0 := theta, 1-theta
+	if acE > 0 {
+		betaE := (1-theta)*auE - theta*acE
+		pmax := math.Min(theta, (1-theta)*au/ac)
+		switch {
+		case dc*au > du*ac:
+			p0 = pmax
+		case betaE > 0 && dc*auE > du*acE:
+			p0 = math.Min(pmax, betaE/auE/(ac/au-acE/auE))
+		default:
+			p0 = 0
 		}
-		return s, nil
+		q0 = math.Min(1-theta, math.Max((betaE+p0*acE)/auE, p0*ac/au))
 	}
-	betaEps := theta*ac + (1-theta)*au
-	tol := 1e-9 * (math.Abs(pf.AttackerCovered) + pf.AttackerUncovered + epsilon)
-	if betaEps <= tol {
-		// Warn everything; the attacker quits with margin and stays out.
-		return Scheme{
-			P1: theta, Q1: 1 - theta,
-			Deterred: true,
-		}, nil
-	}
-	// Fill the warn branch to its margin capacity.
-	q1 := theta * (-ac) / au
-	s := Scheme{
-		P1: theta,
-		Q1: q1,
-		P0: 0,
-		Q0: 1 - theta - q1,
-	}
-	if s.Q0 < 0 && s.Q0 > -1e-12 {
-		s.Q0 = 0
-	}
-	if s.Q0 < 0 {
-		return Scheme{}, fmt.Errorf("signaling: internal: negative q0 %g (theta=%g eps=%g)", s.Q0, theta, epsilon)
-	}
-	s.DefenderUtility = s.P0*pf.DefenderCovered + s.Q0*pf.DefenderUncovered
-	s.AttackerUtility = s.P0*pf.AttackerCovered + s.Q0*pf.AttackerUncovered
-	return s, nil
-}
-
-// SolveRobustLP computes the ε-robust OSSP by LP, mirroring SolveLP with
-// the hardened persuasion constraint p1·(U_ac+ε) + q1·(U_au+ε) ≤ 0. It is
-// the general-payoff path and the cross-check for SolveRobust's closed
-// form.
-func SolveRobustLP(pf payoff.Payoff, theta, epsilon float64) (Scheme, error) {
-	if err := pf.Validate(); err != nil {
-		return Scheme{}, err
-	}
-	if theta < 0 || theta > 1 || math.IsNaN(theta) {
-		return Scheme{}, fmt.Errorf("signaling: theta %g out of [0,1]", theta)
-	}
-	if epsilon < 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
-		return Scheme{}, fmt.Errorf("signaling: robustness margin %g must be a finite nonnegative number", epsilon)
-	}
-	shifted := pf
-	shifted.AttackerCovered += epsilon
-	shifted.AttackerUncovered += epsilon
-	if shifted.AttackerCovered >= 0 {
-		// Persuasion impossible at this margin; defer to the closed form's
-		// degenerate all-silent branch.
-		return SolveRobust(pf, theta, epsilon)
-	}
-	// SolveLP's persuasion row uses the payoff's attacker utilities; feed
-	// it the shifted ones but keep the true utilities for the objective
-	// and participation by rebuilding the pieces here.
-	s, err := solveSignalingLP(pf, shifted, theta)
-	if err != nil {
-		return Scheme{}, err
+	s := Scheme{P1: theta - p0, Q1: 1 - theta - q0, P0: p0, Q0: q0}
+	if attacker := q0*au - p0*ac; attacker > 1e-9*(ac+au) {
+		s.DefenderUtility = p0*dc - q0*du
+		s.AttackerUtility = attacker
+	} else {
+		s.Deterred = true
 	}
 	return s, nil
 }

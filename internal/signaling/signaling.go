@@ -16,10 +16,15 @@
 //
 // Solve is the closed form of that LP for every valid payoff — the paper's
 // Theorem 3 scheme when its payoff condition holds, the silent-audit vertex
-// when it does not — and is what the engine serves. SolveLP builds the same
-// program for internal/lp's simplex and is kept as the differential oracle
-// (FuzzClosedFormOSSP) and as the core of the robust extension. Theorems 2–4
-// are exposed as predicates for property-based testing.
+// when it does not — and is what the engine serves. The two extensions the
+// paper's conclusions name are closed forms too: SolveRobust (a margin on
+// the persuasion row) and SolveBayesian (a prior over attacker types). The
+// simplex is each one's test oracle and nothing else: SolveLP builds LP (3)
+// for internal/lp (FuzzClosedFormOSSP's oracle; it stays exported because
+// benchmark/ times it and the theorem predicates below run on it), and the
+// robust LP, the 4^m Bayesian pattern LPs and the n-signal check that two
+// signals suffice live in _test.go files. Theorems 2–4 are exposed as
+// predicates for property-based testing.
 package signaling
 
 import (
@@ -175,10 +180,11 @@ func SolveLP(pf payoff.Payoff, theta float64) (Scheme, error) {
 	return solveSignalingLP(pf, pf, theta)
 }
 
-// solveSignalingLP is the LP core shared by SolveLP and SolveRobustLP: the
-// persuasion constraint is built from persuade's attacker utilities (which
-// robust callers shift by their margin) while the objective, participation
-// constraint, and reported utilities use the true payoffs pf.
+// solveSignalingLP is the LP core shared by SolveLP and the robust oracle
+// (solveRobustLP in robust_test.go): the persuasion constraint is built from
+// persuade's attacker utilities (which the robust oracle shifts by its
+// margin) while the objective, participation constraint, and reported
+// utilities use the true payoffs pf.
 func solveSignalingLP(pf, persuade payoff.Payoff, theta float64) (Scheme, error) {
 	// Variables: p1, q1, p0, q0.
 	prob := lp.New(lp.Maximize, 4)

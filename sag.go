@@ -231,10 +231,6 @@ type (
 
 	// ResourceResult is the equilibrium of the multi-resource audit game.
 	ResourceResult = game.ResourceResult
-
-	// NSignalScheme is an n-signal generalization of Scheme, used to
-	// verify that the paper's binary alphabet is already optimal.
-	NSignalScheme = signaling.NSignalScheme
 )
 
 // SolveBayesianOSSP computes the optimal signaling scheme when the
@@ -247,7 +243,8 @@ func SolveBayesianOSSP(def DefenderSide, types []AttackerType, theta float64) (B
 // SolveRobustOSSP computes the ε-robust OSSP: a boundedly rational
 // attacker quits after a warning only when proceeding is worse than
 // quitting by at least margin epsilon (the robust SAG the paper's
-// conclusions call for). epsilon = 0 recovers SolveOSSP.
+// conclusions call for). It accepts every valid payoff; epsilon = 0
+// recovers SolveOSSP.
 func SolveRobustOSSP(pf Payoff, theta, epsilon float64) (Scheme, error) {
 	return signaling.SolveRobust(pf, theta, epsilon)
 }
@@ -271,13 +268,6 @@ func SolveMultiAttackerSSE(inst *Instance, budget float64, futures []Poisson, ca
 // multi-resource generalization of Blocki et al. that the paper builds on.
 func SolveResourceSSE(inst *Instance, classes []ResourceClass, futures []Poisson) (*ResourceResult, error) {
 	return game.SolveResourceSSE(inst, classes, futures)
-}
-
-// SolveNSignalOSSP computes the optimal n-signal scheme for one alert.
-// n = 2 is the paper's warn/silent OSSP; larger alphabets provably (and,
-// here, verifiably) add nothing against a single rational attacker.
-func SolveNSignalOSSP(pf Payoff, theta float64, n int) (NSignalScheme, error) {
-	return signaling.SolveNSignal(pf, theta, n)
 }
 
 // NewCurves fits per-type arrival curves from historical alert records

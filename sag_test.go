@@ -149,37 +149,46 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 }
 
-func TestFacadeResourceAndNSignal(t *testing.T) {
-	inst, err := sag.NewInstance([]sag.Payoff{sag.Table2Payoffs()[1]}, sag.UniformCost(1, 1))
+func TestFacadeResourceSSE(t *testing.T) {
+	pays := sag.Table2Payoffs()
+	inst, err := sag.NewInstance([]sag.Payoff{pays[1], pays[3]}, sag.UniformCost(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	futures := []sag.Poisson{{Lambda: 200}, {Lambda: 140}}
+	// One unmasked class is the base game.
 	res, err := sag.SolveResourceSSE(inst, []sag.ResourceClass{
 		{Name: "staff", Budget: 20, CostMultiplier: 1},
-	}, []sag.Poisson{{Lambda: 200}})
+	}, futures)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sag.SolveOnlineSSE(inst, 20, []sag.Poisson{{Lambda: 200}})
+	base, err := sag.SolveOnlineSSE(inst, 20, futures)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.DefenderUtility-base.DefenderUtility) > 1e-6 {
 		t.Fatalf("resource %g vs base %g", res.DefenderUtility, base.DefenderUtility)
 	}
-
-	pf := sag.Table2Payoffs()[1]
-	three, err := sag.SolveNSignalOSSP(pf, 0.1, 3)
+	// Two classes: budgets and masks bind the allocation behind the coverage.
+	classes := []sag.ResourceClass{
+		{Name: "junior", Budget: 15, CanAudit: []bool{true, false}, CostMultiplier: 1},
+		{Name: "senior", Budget: 5, CostMultiplier: 2},
+	}
+	res, err = sag.SolveResourceSSE(inst, classes, futures)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary, err := sag.SolveOSSP(pf, 0.1)
-	if err != nil {
-		t.Fatal(err)
+	if res.Allocation[0][1] != 0 {
+		t.Fatalf("junior class pays %g for a type outside its mask", res.Allocation[0][1])
 	}
-	if math.Abs(three.DefenderUtility-binary.DefenderUtility) > 1e-6 {
-		t.Fatalf("3-signal %g vs binary %g (two signals should suffice)",
-			three.DefenderUtility, binary.DefenderUtility)
+	for r, c := range classes {
+		if spent := res.Allocation[r][0] + res.Allocation[r][1]; spent > c.Budget+1e-9 {
+			t.Fatalf("class %s spends %g of %g", c.Name, spent, c.Budget)
+		}
+	}
+	if res.Coverage[0] <= 0 || res.Coverage[1] <= 0 {
+		t.Fatalf("both types should be covered: %+v", res)
 	}
 }
 
