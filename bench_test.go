@@ -203,26 +203,6 @@ func BenchmarkBayesianOSSP(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiAttackerSSE measures the joint best-response enumeration
-// for two capability-restricted attackers over 7 types.
-func BenchmarkMultiAttackerSSE(b *testing.B) {
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	futures := []sag.Poisson{
-		{Lambda: 196.57}, {Lambda: 29.02}, {Lambda: 140.46}, {Lambda: 10.84},
-		{Lambda: 25.43}, {Lambda: 15.14}, {Lambda: 43.27},
-	}
-	caps := [][]int{{0, 1, 2}, {3, 4, 5, 6}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sag.SolveMultiAttackerSSE(inst, 50, futures, caps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkResourceSSE measures the multi-resource equilibrium (two
 // classes over 7 types).
 func BenchmarkResourceSSE(b *testing.B) {

@@ -6,12 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/history"
 	"github.com/auditgames/sag/internal/server"
 	"github.com/auditgames/sag/internal/wal"
 )
@@ -35,7 +35,10 @@ func TestTenantsOwnTheirEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb := est.(*history.Rollback); rb.Engaged(afternoon) || !rb.Engaged(evening) {
+	am, _ := est.FutureRates(morning)
+	pm, _ := est.FutureRates(afternoon)
+	night, _ := est.FutureRates(evening)
+	if slices.Equal(am, pm) || !slices.Equal(pm, night) {
 		t.Fatal("fixture: the rollback must engage between the afternoon and the evening queries")
 	}
 	var clock atomic.Int64

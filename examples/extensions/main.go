@@ -2,8 +2,10 @@
 //
 // The paper's conclusions name three generalizations: a Bayesian SAG for
 // uncertain attacker types, a multi-attacker SAG, and a robust SAG for
-// boundedly rational attackers. This library implements all three; this
-// example exercises each on the paper's own payoff numbers.
+// boundedly rational attackers. The library solves the Bayesian and robust
+// games in closed form; the multi-attacker game, which nothing serves, is
+// solved here (multi.go, on the library's simplex). This example exercises
+// each on the paper's own payoff numbers.
 //
 // Run with:
 //
@@ -100,7 +102,7 @@ func multiAttacker() error {
 	futures := []sag.Poisson{{Lambda: 196.57}, {Lambda: 140.46}, {Lambda: 43.27}}
 	names := []string{"Same Last Name", "Neighbor", "LN+Addr+Neighbor"}
 
-	res, err := sag.SolveMultiAttackerSSE(inst, 30, futures, [][]int{
+	res, err := SolveMultiAttackerSSE(inst, 30, futures, [][]int{
 		{0, 1}, // clerk: can only trigger name/neighbor alerts
 		{1, 2}, // registrar: address-capable
 	})

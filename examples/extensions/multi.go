@@ -1,16 +1,18 @@
-package game
+package main
 
 import (
 	"fmt"
+	"math"
 
-	"github.com/auditgames/sag/internal/dist"
+	sag "github.com/auditgames/sag"
 	"github.com/auditgames/sag/internal/lp"
 )
 
-// This file implements the multi-attacker extension the paper's conclusions
-// propose ("we focus on the one attacker setting as a pilot study of SAG,
-// but it is necessary in the next step to investigate the situation of
-// multiple attackers").
+// This file is the multi-attacker extension the paper's conclusions propose
+// ("we focus on the one attacker setting as a pilot study of SAG, but it is
+// necessary in the next step to investigate the situation of multiple
+// attackers"), solver and LP together: nothing serves it, so it lives with
+// the one program that runs it.
 //
 // Model: n attackers act simultaneously and independently against the same
 // committed coverage vector. Attacker i may only attack alert types in his
@@ -22,16 +24,18 @@ import (
 // one LP per profile with every attacker's best-response constraint
 // enforced, keep the feasible profile with the best total auditor utility.
 //
-// Unlike the base and multi-resource games this one has no single walk:
-// each attacker has his own utility level over his menu, so disjoint
-// single-type menus make a fractional knapsack, one shared menu makes
-// solveSSE's water level, and a type on two menus is covered to the lower of
-// its attackers' levels, which couples the two through a min. It stays on
-// the simplex (DESIGN §3).
+// Unlike the library's base and multi-resource games (closed forms, DESIGN
+// §3) this one has no single walk. Attacker i has his own water level u_i
+// over his menu. Disjoint single-type menus make a fractional knapsack (fill
+// in order of (U_dc−U_du)·slope); one shared menu is the base game's single
+// water level; but a type on two menus is covered to the lower of its
+// attackers' levels, so mixed menus couple a knapsack order to a water level
+// through a min, and the optimum can sit where one attacker switches best
+// response inside another's segment. So it stays on the simplex.
 
 // MultiResult is the Strong Stackelberg Equilibrium of the multi-attacker
-// audit game. As with Result, utilities are LP objectives that assume every
-// attacker goes through with his attack; callers that model participation
+// audit game. As with sag.SSEResult, utilities are LP objectives that assume
+// every attacker goes through with his attack; callers that model participation
 // (an attacker with negative best-response utility stays out) should clamp
 // per-attacker contributions the way core.participationAwareUtility does
 // for the single-attacker game.
@@ -39,7 +43,7 @@ type MultiResult struct {
 	// BestTypes[i] is attacker i's equilibrium alert type (index into the
 	// instance), or -1 when attacker i has no attackable type.
 	BestTypes []int
-	// Coverage and Allocation are as in Result.
+	// Coverage and Allocation are as in sag.SSEResult.
 	Coverage   []float64
 	Allocation []float64
 	// DefenderUtility is the auditor's total expected utility across all
@@ -56,11 +60,11 @@ const MaxJointProfiles = 1 << 14
 // SolveMultiAttackerSSE computes the multi-attacker online SSE. futures
 // gives the Poisson future-count distribution per type; capabilities[i]
 // lists the types attacker i can use (nil or empty means "all types").
-func SolveMultiAttackerSSE(inst *Instance, budget float64, futures []dist.Poisson, capabilities [][]int) (*MultiResult, error) {
+func SolveMultiAttackerSSE(inst *sag.Instance, budget float64, futures []sag.Poisson, capabilities [][]int) (*MultiResult, error) {
 	if len(futures) != inst.NumTypes() {
 		return nil, fmt.Errorf("game: %d future distributions for %d types", len(futures), inst.NumTypes())
 	}
-	if !finiteNonNegative(budget) {
+	if !(budget >= 0) || math.IsInf(budget, 1) {
 		return nil, fmt.Errorf("game: invalid budget %g", budget)
 	}
 	if len(capabilities) == 0 {
@@ -159,7 +163,7 @@ func fillSlice(n, v int) []int {
 // newAllocationProblem builds the shared frame of every coverage LP: one
 // budget-allocation variable per type, bounded so θ ≤ 1, plus the shared
 // budget row.
-func newAllocationProblem(inst *Instance, budget float64, coeffs []float64) (*lp.Problem, error) {
+func newAllocationProblem(inst *sag.Instance, budget float64, coeffs []float64) (*lp.Problem, error) {
 	k := inst.NumTypes()
 	prob := lp.New(lp.Maximize, k)
 	for j := 0; j < k; j++ {
@@ -195,7 +199,7 @@ func solveAllocation(prob *lp.Problem) ([]float64, bool, error) {
 
 // solveJointProfile solves the coverage LP for one joint best-response
 // profile (profile[i] indexes menus[i]; -1 = attacker i inactive).
-func solveJointProfile(inst *Instance, budget float64, coeffs []float64, menus [][]int, profile []int) (*MultiResult, bool, error) {
+func solveJointProfile(inst *sag.Instance, budget float64, coeffs []float64, menus [][]int, profile []int) (*MultiResult, bool, error) {
 	k := inst.NumTypes()
 	prob, err := newAllocationProblem(inst, budget, coeffs)
 	if err != nil {
@@ -247,7 +251,7 @@ func solveJointProfile(inst *Instance, budget float64, coeffs []float64, menus [
 	}
 	cov := make([]float64, k)
 	for j := 0; j < k; j++ {
-		cov[j] = clamp01(slope[j] * sol[j])
+		cov[j] = min(max(slope[j]*sol[j], 0), 1)
 	}
 	res := &MultiResult{
 		BestTypes:         make([]int, len(profile)),

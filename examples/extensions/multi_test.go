@@ -1,24 +1,34 @@
-package game
+package main
 
 import (
 	"math"
 	"testing"
 
-	"github.com/auditgames/sag/internal/dist"
-	"github.com/auditgames/sag/internal/payoff"
+	sag "github.com/auditgames/sag"
 )
 
-func table1Futures() []dist.Poisson {
-	return []dist.Poisson{
+func table1Futures() []sag.Poisson {
+	return []sag.Poisson{
 		{Lambda: 196.57}, {Lambda: 29.02}, {Lambda: 140.46}, {Lambda: 10.84},
 		{Lambda: 25.43}, {Lambda: 15.14}, {Lambda: 43.27},
 	}
 }
 
+// table2Instance is the paper's seven Table 2 types at a uniform audit cost.
+func table2Instance(t testing.TB, cost float64) *sag.Instance {
+	t.Helper()
+	table2 := sag.Table2Payoffs()
+	inst, err := sag.NewInstance(table2[1:], sag.UniformCost(7, cost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
 func TestMultiAttackerSingleReducesToSSE(t *testing.T) {
 	inst := table2Instance(t, 1)
 	futures := table1Futures()
-	single, err := SolveOnlineSSE(inst, 50, futures)
+	single, err := sag.SolveOnlineSSE(inst, 50, futures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func TestMultiAttackerMoreAttackersMoreLoss(t *testing.T) {
 
 func TestMultiAttackerVacuousMenus(t *testing.T) {
 	inst := table2Instance(t, 1)
-	futures := make([]dist.Poisson, 7) // nothing attackable
+	futures := make([]sag.Poisson, 7) // nothing attackable
 	res, err := SolveMultiAttackerSSE(inst, 50, futures, [][]int{nil, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +157,8 @@ func TestMultiAttackerPartiallyVacuous(t *testing.T) {
 	// attacker 0 still plays.
 	inst := table2Instance(t, 1)
 	futures := table1Futures()
-	futures[3] = dist.Poisson{}
-	futures[4] = dist.Poisson{}
+	futures[3] = sag.Poisson{}
+	futures[4] = sag.Poisson{}
 	res, err := SolveMultiAttackerSSE(inst, 50, futures, [][]int{nil, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -165,21 +175,53 @@ func TestMultiAttackerPartiallyVacuous(t *testing.T) {
 }
 
 func TestMultiAttackerProfileExplosionGuard(t *testing.T) {
-	pays := make([]payoff.Payoff, 8)
+	pays := make([]sag.Payoff, 8)
 	for i := range pays {
-		pays[i] = payoff.Table2()[1]
+		pays[i] = sag.Table2Payoffs()[1]
 	}
-	inst, err := NewInstance(pays, UniformCost(8, 1))
+	inst, err := sag.NewInstance(pays, sag.UniformCost(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	futures := make([]dist.Poisson, 8)
+	futures := make([]sag.Poisson, 8)
 	for i := range futures {
-		futures[i] = dist.Poisson{Lambda: 10}
+		futures[i] = sag.Poisson{Lambda: 10}
 	}
 	// 8 unrestricted attackers → 8^8 ≈ 16.7M profiles, over the cap.
 	caps := make([][]int, 8)
 	if _, err := SolveMultiAttackerSSE(inst, 50, futures, caps); err == nil {
 		t.Fatal("profile explosion should be rejected")
+	}
+}
+
+// TestMultiAttackerMixedMenus is the façade's old multi-attacker case: one
+// unrestricted attacker and one confined to a single type.
+func TestMultiAttackerMixedMenus(t *testing.T) {
+	inst, err := sag.NewInstance(
+		[]sag.Payoff{sag.Table2Payoffs()[1], sag.Table2Payoffs()[3]},
+		sag.UniformCost(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := SolveMultiAttackerSSE(inst, 20, []sag.Poisson{{Lambda: 100}, {Lambda: 50}}, [][]int{nil, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.BestTypes) != 2 || m.BestTypes[1] != 1 {
+		t.Fatalf("multi result %+v", m)
+	}
+}
+
+// BenchmarkMultiAttackerSSE measures the joint best-response enumeration
+// for two capability-restricted attackers over 7 types.
+func BenchmarkMultiAttackerSSE(b *testing.B) {
+	inst := table2Instance(b, 1)
+	futures := table1Futures()
+	caps := [][]int{{0, 1, 2}, {3, 4, 5, 6}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveMultiAttackerSSE(inst, 50, futures, caps); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,9 +8,13 @@ import (
 	"github.com/auditgames/sag/internal/emr"
 )
 
+// The pipeline's background population; the generator appends planted
+// people after it.
+const bgE, bgP = 60, 300
+
 func buildPipeline(t *testing.T, pairsPerKind, background int) (*emr.Generator, *Engine) {
 	t.Helper()
-	w, err := emr.NewWorld(emr.WorldConfig{Seed: 7, Departments: 6, Employees: 60, Patients: 300})
+	w, err := emr.NewWorld(emr.WorldConfig{Seed: 7, Departments: 6, Employees: bgE, Patients: bgP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +77,14 @@ func TestTaxonomyTable1Registration(t *testing.T) {
 	}
 }
 
+// maskOf is the rule mask registered for a type ID.
+func maskOf(t *Taxonomy, id int) (Rule, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m, ok := t.byID[id]
+	return m, ok
+}
+
 func TestTaxonomyDynamicRegistration(t *testing.T) {
 	tax := NewTable1Taxonomy()
 	novel := RuleCoworker | RuleNeighbor // not in Table 1
@@ -86,8 +98,8 @@ func TestTaxonomyDynamicRegistration(t *testing.T) {
 	if tax.NumTypes() != 8 {
 		t.Fatalf("NumTypes = %d, want 8", tax.NumTypes())
 	}
-	if m, ok := tax.MaskOf(8); !ok || m != novel {
-		t.Fatal("MaskOf(8) should return the novel mask")
+	if m, ok := maskOf(tax, 8); !ok || m != novel {
+		t.Fatal("id 8 should map back to the novel mask")
 	}
 	ids := tax.IDs()
 	if len(ids) != 8 || ids[0] != 1 || ids[7] != 8 {
@@ -104,19 +116,8 @@ func TestTaxonomyPanicsOnZeroMask(t *testing.T) {
 	NewTable1Taxonomy().TypeOf(0)
 }
 
-func TestTaxonomyDescribe(t *testing.T) {
-	tax := NewTable1Taxonomy()
-	if tax.Describe(1) != "Same Last Name" {
-		t.Fatalf("Describe(1) = %q", tax.Describe(1))
-	}
-	if tax.Describe(99) != "unknown type 99" {
-		t.Fatalf("Describe(99) = %q", tax.Describe(99))
-	}
-}
-
 func TestBackgroundAccessesAreBenign(t *testing.T) {
 	g, eng := buildPipeline(t, 5, 500)
-	bgE, bgP := g.BackgroundCounts()
 	for _, ev := range g.Day(0) {
 		if ev.EmployeeID >= bgE || ev.PatientID >= bgP {
 			continue // planted traffic
@@ -133,13 +134,11 @@ func TestBackgroundAccessesAreBenign(t *testing.T) {
 
 func TestPlantedAccessesTriggerExactKind(t *testing.T) {
 	g, eng := buildPipeline(t, 8, 0)
-	bgE, _ := g.BackgroundCounts()
 	// Employee IDs are appended kind-by-kind in blocks of PairsPerKind.
 	kindOf := func(employeeID int) int { return (employeeID - bgE) / 8 }
-	days := g.Days(5)
 	seen := map[int]int{}
-	for _, day := range days {
-		for _, ev := range day {
+	for d := 0; d < 5; d++ {
+		for _, ev := range g.Day(d) {
 			if ev.EmployeeID < bgE {
 				continue // background traffic (covered by the benign test)
 			}
@@ -230,7 +229,7 @@ func TestTaxonomyConcurrentRegistration(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				m := masks[i%len(masks)]
 				id := tax.TypeOf(m)
-				got, ok := tax.MaskOf(id)
+				got, ok := maskOf(tax, id)
 				if !ok || got != m {
 					t.Errorf("mask %v mapped to id %d which maps back to %v (ok=%v)", m, id, got, ok)
 					return

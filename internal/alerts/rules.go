@@ -94,9 +94,6 @@ func NewEngine(w *emr.World, tax *Taxonomy) (*Engine, error) {
 	return &Engine{world: w, tax: tax}, nil
 }
 
-// Taxonomy returns the engine's taxonomy.
-func (e *Engine) Taxonomy() *Taxonomy { return e.tax }
-
 // EvaluateRules returns the base-rule mask for one access (0 when benign).
 func (e *Engine) EvaluateRules(ev emr.AccessEvent) (Rule, error) {
 	if ev.EmployeeID < 0 || ev.EmployeeID >= len(e.world.Employees) {

@@ -1,7 +1,6 @@
 package alerts
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -72,23 +71,6 @@ func (t *Taxonomy) TypeOf(mask Rule) int {
 	t.byMask[mask] = id
 	t.byID[id] = mask
 	return id
-}
-
-// MaskOf returns the rule mask registered for a type ID.
-func (t *Taxonomy) MaskOf(id int) (Rule, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.byID[id]
-	return m, ok
-}
-
-// Describe returns the human-readable description of a type ID, or a
-// placeholder for unknown IDs.
-func (t *Taxonomy) Describe(id int) string {
-	if m, ok := t.MaskOf(id); ok {
-		return m.String()
-	}
-	return fmt.Sprintf("unknown type %d", id)
 }
 
 // NumTypes returns the number of registered types.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,7 +32,8 @@ func singleInstance(t *testing.T) *game.Instance {
 
 func multiInstance(t *testing.T) *game.Instance {
 	t.Helper()
-	inst, err := game.NewInstance(payoff.Table2Slice(), game.UniformCost(7, 1))
+	table2 := payoff.Table2()
+	inst, err := game.NewInstance(table2[1:], game.UniformCost(7, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +317,14 @@ func TestNewCycleResetsState(t *testing.T) {
 	if len(e.Decisions()) != 1 {
 		t.Fatal("engine should keep working after NewCycle")
 	}
-	if err := e.NewCycle(-1); err == nil {
-		t.Fatal("negative budget should be rejected")
-	}
-	if err := e.NewCycle(math.NaN()); err == nil {
-		t.Fatal("NaN budget should be rejected")
+	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		want := fmt.Sprintf("core: invalid budget %g", b)
+		if err := ValidateBudget(b); err == nil || err.Error() != want {
+			t.Fatalf("ValidateBudget(%g) = %v, want %q", b, err, want)
+		}
+		if err := e.NewCycle(b); err == nil {
+			t.Fatalf("NewCycle(%g) should be rejected", b)
+		}
 	}
 }
 

@@ -32,7 +32,8 @@ func metricsFixture(t *testing.T, reg *obs.Registry, pays []payoff.Payoff, rates
 
 func TestEngineMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	pays := payoff.Table2Slice()[:3]
+	table2 := payoff.Table2()
+	pays := table2[1:4]
 	eng := metricsFixture(t, reg, pays, []float64{40, 25, 10}, 20)
 
 	const n = 8
@@ -43,11 +44,11 @@ func TestEngineMetrics(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[obs.Key(MetricDecisionsTotal, obs.L("policy", "OSSP"))]; got != n {
+	if got := snap.Counters[MetricDecisionsTotal+`{policy="OSSP"}`]; got != n {
 		t.Fatalf("decisions counter = %d, want %d", got, n)
 	}
 	for _, stage := range []string{"estimate", "sse", "signal"} {
-		hd, ok := snap.Histograms[obs.Key(MetricStageSeconds, obs.L("stage", stage))]
+		hd, ok := snap.Histograms[MetricStageSeconds+`{stage="`+stage+`"}`]
 		if !ok || hd.Count != n {
 			t.Fatalf("stage %q histogram count = %d, want %d", stage, hd.Count, n)
 		}
@@ -77,7 +78,8 @@ func TestEngineMetricsVacuous(t *testing.T) {
 	reg := obs.NewRegistry()
 
 	// All-zero future rates: every decision is vacuous.
-	vac := metricsFixture(t, reg, payoff.Table2Slice()[:2], []float64{0, 0}, 10)
+	table2 := payoff.Table2()
+	vac := metricsFixture(t, reg, table2[1:3], []float64{0, 0}, 10)
 	for i := 0; i < 3; i++ {
 		if _, err := vac.Process(Alert{Type: 0}); err != nil {
 			t.Fatal(err)
@@ -91,8 +93,9 @@ func TestEngineMetricsVacuous(t *testing.T) {
 // TestEngineNilMetrics: a nil registry must leave the engine fully
 // functional and identical in behavior.
 func TestEngineNilMetrics(t *testing.T) {
-	with := metricsFixture(t, obs.NewRegistry(), payoff.Table2Slice()[:2], []float64{30, 15}, 20)
-	without := metricsFixture(t, nil, payoff.Table2Slice()[:2], []float64{30, 15}, 20)
+	table2 := payoff.Table2()
+	with := metricsFixture(t, obs.NewRegistry(), table2[1:3], []float64{30, 15}, 20)
+	without := metricsFixture(t, nil, table2[1:3], []float64{30, 15}, 20)
 	for i := 0; i < 5; i++ {
 		a := Alert{Type: i % 2, Time: time.Duration(i) * time.Minute}
 		dw, err := with.Process(a)

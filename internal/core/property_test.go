@@ -67,7 +67,7 @@ func TestPropertyTheorems(t *testing.T) {
 
 	// The shared registry must have seen every committed decision.
 	snap := reg.Snapshot()
-	if got := snap.Counters[obs.Key(MetricDecisionsTotal, obs.L("policy", "OSSP"))]; got == 0 {
+	if got := snap.Counters[MetricDecisionsTotal+`{policy="OSSP"}`]; got == 0 {
 		t.Fatal("shared registry recorded no decisions")
 	}
 }

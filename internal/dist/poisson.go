@@ -30,69 +30,8 @@ func NewPoisson(lambda float64) (Poisson, error) {
 	return Poisson{Lambda: lambda}, nil
 }
 
-// PMF returns P(X = k). Computed in log space to stay finite for large
-// lambda and k.
-func (p Poisson) PMF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if p.Lambda == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(p.Lambda) - p.Lambda - lg)
-}
-
-// CDF returns P(X ≤ k) by direct summation with a recurrence; the audit
-// game's rates are at most a few hundred, so this is both fast and accurate.
-func (p Poisson) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if p.Lambda == 0 {
-		return 1
-	}
-	term := math.Exp(-p.Lambda)
-	sum := term
-	for i := 1; i <= k; i++ {
-		term *= p.Lambda / float64(i)
-		sum += term
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
-}
-
 // Mean returns E[X] = Lambda.
 func (p Poisson) Mean() float64 { return p.Lambda }
-
-// Var returns Var[X] = Lambda.
-func (p Poisson) Var() float64 { return p.Lambda }
-
-// Quantile returns the smallest k with CDF(k) ≥ q for q in (0,1).
-func (p Poisson) Quantile(q float64) int {
-	if q <= 0 {
-		return 0
-	}
-	if p.Lambda == 0 {
-		return 0
-	}
-	term := math.Exp(-p.Lambda)
-	sum := term
-	k := 0
-	// Walk the CDF; cap the walk at mean + 12 stddev + 32 for safety.
-	limit := int(p.Lambda+12*math.Sqrt(p.Lambda)) + 32
-	for sum < q && k < limit {
-		k++
-		term *= p.Lambda / float64(k)
-		sum += term
-	}
-	return k
-}
 
 // Sample draws one variate using rng. For small rates it uses Knuth's
 // product method; for large rates it uses the normal approximation with a
@@ -130,13 +69,15 @@ func (p Poisson) Sample(rng *rand.Rand) int {
 // weight 1 — with no future alerts a unit of budget fully covers a single
 // hypothetical alert — which also makes the coefficient continuous as
 // Lambda → 0. The series is summed from d = 0 until the Poisson tail is below
-// 1e-12, or outward from the mode when the rate is too large for that.
+// 1e-12; a rate too large for that takes the inverse-moment expansion
+// E[1/D] = (1/λ)·Σ_k k!/λ^k, whose eighth term is already below 1e-16 there.
 func (p Poisson) InverseMeanCoefficient() float64 {
 	if p.Lambda == 0 {
 		return 1
 	}
 	if p.Lambda > inverseMeanFromZeroMax {
-		return inverseMeanFromMode(p.Lambda)
+		x := 1 / p.Lambda // k = 0…6 in Horner form; P(D = 0) < 1e-300 is dropped
+		return x * (1 + x*(1+2*x*(1+3*x*(1+4*x*(1+5*x*(1+6*x))))))
 	}
 	term := math.Exp(-p.Lambda) // P(D = 0)
 	sum := term                 // d = 0 contributes weight 1
@@ -157,45 +98,3 @@ func (p Poisson) InverseMeanCoefficient() float64 {
 // from d = 0. The leading term e^−λ goes subnormal past λ ≈ 708 and is zero
 // from λ ≈ 745, where that series would return 0 instead of ≈ 1/λ.
 const inverseMeanFromZeroMax = 700
-
-// inverseMeanFromMode computes E[1/max(D,1)] for a large rate by summing
-// outward from the mode with weights relative to the mode's own (so nothing
-// underflows) and normalizing by their total. P(D = 0) < 1e-300 here and is
-// dropped.
-func inverseMeanFromMode(lambda float64) float64 {
-	mode := math.Floor(lambda)
-	mass, sum := 1.0, 1/mode
-	for d, w := mode+1, 1.0; ; d++ {
-		w *= lambda / d
-		if w < 1e-18 {
-			break
-		}
-		mass += w
-		sum += w / d
-	}
-	for d, w := mode, 1.0; d > 1; d-- {
-		w *= d / lambda
-		if w < 1e-18 {
-			break
-		}
-		mass += w
-		sum += w / (d - 1)
-	}
-	return sum / mass
-}
-
-// FitPoisson estimates the rate from observed counts by maximum likelihood
-// (the sample mean). It returns an error on empty input or negative counts.
-func FitPoisson(counts []float64) (Poisson, error) {
-	if len(counts) == 0 {
-		return Poisson{}, fmt.Errorf("dist: FitPoisson on empty sample")
-	}
-	sum := 0.0
-	for _, c := range counts {
-		if c < 0 || math.IsNaN(c) {
-			return Poisson{}, fmt.Errorf("dist: FitPoisson: invalid count %g", c)
-		}
-		sum += c
-	}
-	return Poisson{Lambda: sum / float64(len(counts))}, nil
-}

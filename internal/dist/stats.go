@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -11,15 +10,6 @@ import (
 type Normal struct {
 	Mu    float64
 	Sigma float64
-}
-
-// NewNormal returns a Normal with the given mean and standard deviation.
-// Sigma must be nonnegative and both parameters finite.
-func NewNormal(mu, sigma float64) (Normal, error) {
-	if math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0 {
-		return Normal{}, fmt.Errorf("dist: invalid normal parameters mu=%g sigma=%g", mu, sigma)
-	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
 }
 
 // Sample draws one variate.
@@ -70,9 +60,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (r *Running) Mean() float64 { return r.mean }
 
@@ -90,32 +77,3 @@ func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation (0 for an empty accumulator).
 func (r *Running) Max() float64 { return r.max }
-
-// Merge combines another accumulator into r (parallel Welford merge), so
-// per-day statistics can be aggregated across simulation shards.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	minV := math.Min(r.min, o.min)
-	maxV := math.Max(r.max, o.max)
-	*r = Running{n: n, mean: mean, m2: m2, min: minV, max: maxV}
-}
-
-// MeanStd is a convenience that returns the mean and sample standard
-// deviation of xs (0,0 for empty input).
-func MeanStd(xs []float64) (mean, std float64) {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return r.Mean(), r.Std()
-}

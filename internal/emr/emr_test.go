@@ -176,16 +176,12 @@ func TestGeneratorPlantsPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, p := g.BackgroundCounts()
-	if e != bgE || p != bgP {
-		t.Fatalf("background counts %d/%d, want %d/%d", e, p, bgE, bgP)
-	}
-	if w.NumEmployees() != bgE+10*NumKinds {
-		t.Fatalf("planted employees: have %d total", w.NumEmployees())
+	if w.NumEmployees() != bgE+10*NumKinds || w.NumPatients() != bgP+10*NumKinds {
+		t.Fatalf("planted people: have %d employees, %d patients in total", w.NumEmployees(), w.NumPatients())
 	}
 	for k := RelationKind(0); k < NumKinds; k++ {
-		if g.PlantedPairs(k) != 10 {
-			t.Fatalf("kind %v: %d pairs, want 10", k, g.PlantedPairs(k))
+		if len(g.pairs[k]) != 10 {
+			t.Fatalf("kind %v: %d pairs, want 10", k, len(g.pairs[k]))
 		}
 	}
 }
@@ -211,6 +207,11 @@ func TestGeneratorDayDeterministicAndSorted(t *testing.T) {
 	for i := 1; i < len(a); i++ {
 		if a[i].Time < a[i-1].Time {
 			t.Fatal("day log not sorted by time")
+		}
+	}
+	for _, ev := range a {
+		if ev.Day != 4 {
+			t.Fatalf("event of day 4 has Day=%d", ev.Day)
 		}
 	}
 	if got := mk(); len(got) == 0 {
@@ -242,33 +243,14 @@ func TestGeneratorDifferentDaysDiffer(t *testing.T) {
 	}
 }
 
-func TestGeneratorDaysHelper(t *testing.T) {
-	w := smallWorld(t)
-	g, err := NewGenerator(w, GeneratorConfig{Seed: 3, PairsPerKind: 5, BackgroundPerDay: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	days := g.Days(3)
-	if len(days) != 3 {
-		t.Fatalf("Days(3) returned %d slices", len(days))
-	}
-	for d, evs := range days {
-		for _, ev := range evs {
-			if ev.Day != d {
-				t.Fatalf("event in slice %d has Day=%d", d, ev.Day)
-			}
-		}
-	}
-}
-
 func TestGeneratorVolumeCalibration(t *testing.T) {
 	// Daily alert-bearing volumes must track the configured normals.
 	w := smallWorld(t)
+	bgE := w.NumEmployees()
 	g, err := NewGenerator(w, GeneratorConfig{Seed: 11, PairsPerKind: 50, BackgroundPerDay: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgE, _ := g.BackgroundCounts()
 	var perDay [NumKinds]dist.Running
 	days := 40
 	for d := 0; d < days; d++ {

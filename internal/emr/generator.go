@@ -91,10 +91,6 @@ var diurnalWeights = [24]float64{
 	1.00, 0.80, 0.50, 0.40, 0.30, 0.25, // 18–23
 }
 
-// DiurnalWeights returns a copy of the hourly intensity profile, for
-// reporting and tests.
-func DiurnalWeights() [24]float64 { return diurnalWeights }
-
 // sampleDiurnalTime draws a time-of-day from the piecewise-constant hourly
 // profile.
 func sampleDiurnalTime(rng *rand.Rand) time.Duration {
@@ -196,18 +192,6 @@ func NewGenerator(w *World, cfg GeneratorConfig) (*Generator, error) {
 	}
 	return g, nil
 }
-
-// World returns the (mutated) world the generator plants into.
-func (g *Generator) World() *World { return g.world }
-
-// BackgroundCounts returns how many employees and patients are background
-// (alert-silent); planted people have indices at or beyond these counts.
-func (g *Generator) BackgroundCounts() (employees, patients int) {
-	return g.bgEmployees, g.bgPatients
-}
-
-// PlantedPairs returns the planted pair count for a kind.
-func (g *Generator) PlantedPairs(kind RelationKind) int { return len(g.pairs[kind]) }
 
 // nextSurname hands out surnames for planted pairs; the pool is recycled
 // with numeric suffixes if exhausted, keeping surnames unique per pair so
@@ -351,13 +335,4 @@ func (g *Generator) Day(day int) []AccessEvent {
 		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.EmployeeID, b.EmployeeID), cmp.Compare(a.PatientID, b.PatientID))
 	})
 	return events
-}
-
-// Days generates a contiguous range of daily logs [0, n).
-func (g *Generator) Days(n int) [][]AccessEvent {
-	out := make([][]AccessEvent, 0, n)
-	for d := 0; d < n; d++ {
-		out = append(out, g.Day(d))
-	}
-	return out
 }

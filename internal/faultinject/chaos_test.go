@@ -48,7 +48,8 @@ type chaosEngine struct {
 
 func newChaosEngine(t *testing.T, budget float64) *chaosEngine {
 	t.Helper()
-	inst, err := game.NewInstance(payoff.Table2Slice(), game.UniformCost(7, 1))
+	table2 := payoff.Table2()
+	inst, err := game.NewInstance(table2[1:], game.UniformCost(7, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

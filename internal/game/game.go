@@ -17,10 +17,9 @@
 // this package is the first half of every SAG decision; package signaling is
 // the second half.
 //
-// Two extension games ride along, neither served: SolveResourceSSE (several
+// One extension game rides along, not served: SolveResourceSSE (several
 // defender resource classes) reuses the closed form's cost curve and water
-// level, and SolveMultiAttackerSSE is the one solver still on internal/lp's
-// simplex (multi.go says why).
+// level.
 package game
 
 import (
@@ -43,13 +42,10 @@ type Instance struct {
 }
 
 // SetWorkers is a no-op: solves run on the calling goroutine and have no
-// fan-out to bound. It and Workers remain only because benchmark/ — which a
-// solver change may not edit — calls SetWorkers(1); remove both with the
-// next change to benchmark/.
+// fan-out to bound. It remains only because benchmark/ — which a solver
+// change may not edit — calls SetWorkers(1) (benchmark/layers.go:179); remove
+// it with the next change to benchmark/.
 func (in *Instance) SetWorkers(int) {}
-
-// Workers always reports 1.
-func (in *Instance) Workers() int { return 1 }
 
 // NewInstance validates and builds an Instance. Payoffs and costs must have
 // equal nonzero length, every payoff must satisfy the paper's sign
@@ -146,6 +142,10 @@ func SolveOnlineSSECtx(ctx context.Context, inst *Instance, budget float64, futu
 	coeffs := make([]float64, inst.NumTypes())
 	attackable := make([]bool, inst.NumTypes())
 	for t, f := range futures {
+		// A Poisson literal skips NewPoisson; hold it to the same rule here.
+		if _, err := dist.NewPoisson(f.Lambda); err != nil {
+			return nil, fmt.Errorf("game: type %d: %w", t, err)
+		}
 		coeffs[t] = f.InverseMeanCoefficient()
 		// A type with zero expected future arrivals cannot host an attack;
 		// the paper's estimate d^t_τ counts alerts strictly after τ, so a
@@ -305,20 +305,17 @@ func waterLevel(kinks []kink, floor, budget float64) (level, marginal float64) {
 		}
 		step := rate * (level - next)
 		if spent+step > budget*(1+1e-12) {
-			return max(next, level-(budget-spent)/rate), 1 / rate
+			stop := max(next, level-(budget-spent)/rate)
+			// Rounding stop to a float64 is worth ulp(stop)·rate of budget:
+			// nothing at the rates a day has, more than the walk's own 1e-12
+			// once rates reach ~1e10. Step back up until the spend fits.
+			for spent+rate*(level-stop) > budget*(1+1e-12) {
+				stop = math.Nextafter(stop, level)
+			}
+			return stop, 1 / rate
 		}
 		spent = min(spent+step, budget)
 		level = next
 	}
 	return level, 0
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

@@ -11,7 +11,8 @@ import (
 
 func table2Instance(t *testing.T, cost float64) *Instance {
 	t.Helper()
-	inst, err := NewInstance(payoff.Table2Slice(), UniformCost(7, cost))
+	table2 := payoff.Table2()
+	inst, err := NewInstance(table2[1:], UniformCost(7, cost))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,8 @@ func TestNewInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(nil, nil); err == nil {
 		t.Error("empty instance should be rejected")
 	}
-	if _, err := NewInstance(payoff.Table2Slice(), []float64{1}); err == nil {
+	table2 := payoff.Table2()
+	if _, err := NewInstance(table2[1:], []float64{1}); err == nil {
 		t.Error("length mismatch should be rejected")
 	}
 	if _, err := NewInstance([]payoff.Payoff{{}}, []float64{1}); err == nil {
@@ -325,10 +327,7 @@ func TestBudgetShadowPrice(t *testing.T) {
 }
 
 func TestQuickSSEFeasibilityInvariants(t *testing.T) {
-	inst, err := NewInstance(payoff.Table2Slice(), UniformCost(7, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := table2Instance(t, 1)
 	prop := func(rawBudget float64, seeds [7]uint8) bool {
 		budget := math.Mod(math.Abs(rawBudget), 120)
 		if math.IsNaN(budget) {

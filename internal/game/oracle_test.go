@@ -21,12 +21,11 @@ func simplexSSE(inst *Instance, budget float64, coeffs []float64, attackable []b
 		if !attackable[t] {
 			continue
 		}
-		res, lpStats, ok, err := solveCandidate(inst, budget, coeffs, attackable, t)
+		res, ok, err := solveCandidate(inst, budget, coeffs, attackable, t)
 		if err != nil {
 			return nil, err
 		}
 		stats.LPSolves++
-		stats.Simplex.Accumulate(lpStats)
 		feasible[t] = ok
 		if ok && (best == nil || res.DefenderUtility > best.DefenderUtility+1e-12) {
 			best = res
@@ -50,7 +49,7 @@ func simplexSSE(inst *Instance, budget float64, coeffs []float64, attackable []b
 
 // solveCandidate solves LP (2) assuming alert type t is the attacker's best
 // response. Variables are the budget allocations B^0..B^{k-1}.
-func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable []bool, t int) (*Result, lp.Stats, bool, error) {
+func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable []bool, t int) (*Result, bool, error) {
 	k := inst.NumTypes()
 	prob := lp.New(lp.Maximize, k)
 
@@ -65,7 +64,7 @@ func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable
 	obj := make([]float64, k)
 	obj[t] = slope[t] * (pt.DefenderCovered - pt.DefenderUncovered)
 	if err := prob.SetObjective(obj); err != nil {
-		return nil, lp.Stats{}, false, err
+		return nil, false, err
 	}
 
 	// Bounds: B^j ∈ [0, V^j/coeffs[j]] keeps θ^j ≤ 1 (and ≤ budget
@@ -81,7 +80,7 @@ func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable
 			}
 		}
 		if err := prob.SetBounds(j, 0, hi); err != nil {
-			return nil, lp.Stats{}, false, err
+			return nil, false, err
 		}
 	}
 
@@ -98,7 +97,7 @@ func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable
 		row[j] = -slope[j] * (pj.AttackerCovered - pj.AttackerUncovered)
 		rhs := pj.AttackerUncovered - pt.AttackerUncovered
 		if err := prob.AddConstraint(row, lp.GE, rhs); err != nil {
-			return nil, lp.Stats{}, false, err
+			return nil, false, err
 		}
 	}
 
@@ -108,15 +107,15 @@ func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable
 		ones[j] = 1
 	}
 	if err := prob.AddConstraint(ones, lp.LE, budget); err != nil {
-		return nil, lp.Stats{}, false, err
+		return nil, false, err
 	}
 
 	sol, err := lp.Solve(prob)
 	if err != nil {
-		return nil, lp.Stats{}, false, err
+		return nil, false, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, sol.Stats, false, nil
+		return nil, false, nil
 	}
 
 	cov := make([]float64, k)
@@ -134,7 +133,7 @@ func solveCandidate(inst *Instance, budget float64, coeffs []float64, attackable
 	if n := len(sol.Duals); n > 0 {
 		res.BudgetShadowPrice = sol.Duals[n-1]
 	}
-	return res, sol.Stats, true, nil
+	return res, true, nil
 }
 
 // resourceLP is the differential oracle for SolveResourceSSE: the
@@ -278,3 +277,5 @@ func solveResourceCandidate(inst *Instance, classes []ResourceClass, coeffs []fl
 		AttackerUtility: pt.AttackerExpected(cov[t]),
 	}, true, nil
 }
+
+func clamp01(x float64) float64 { return min(max(x, 0), 1) }

@@ -9,6 +9,13 @@ import (
 	"github.com/auditgames/sag/internal/dist"
 )
 
+func table1Futures() []dist.Poisson {
+	return []dist.Poisson{
+		{Lambda: 196.57}, {Lambda: 29.02}, {Lambda: 140.46}, {Lambda: 10.84},
+		{Lambda: 25.43}, {Lambda: 15.14}, {Lambda: 43.27},
+	}
+}
+
 func TestResourceSSESingleClassReducesToBase(t *testing.T) {
 	inst := table2Instance(t, 1)
 	futures := table1Futures()

@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/auditgames/sag/internal/dist"
@@ -452,6 +453,106 @@ func FuzzStructuredSSE(f *testing.F) {
 		if d := diffSSE(c); d != "" {
 			t.Fatalf("%s\ncase: budget=%v coeffs=%v attackable=%v\npayoffs=%+v costs=%v",
 				d, c.budget, c.coeffs, c.attackable, c.inst.Payoffs, c.inst.AuditCosts)
+		}
+	})
+}
+
+// FuzzOnlineSSEScales holds SolveOnlineSSE to its contract at the scales an
+// estimator or a caller of the façade can hand it: rates from 0 and subnormals
+// to 1e18 (the coefficient's two code paths and far past both), budgets from 0
+// to 1e12, on the seven Table 2 payoffs and on random valid ones. It must not
+// fail, hang or overflow; coverage stays in [0,1], the allocation inside the
+// budget, and the reported best response is one. A NaN, infinite or negative
+// rate or budget is refused at the door, never solved.
+func FuzzOnlineSSEScales(f *testing.F) {
+	f.Add(int64(0), 196.57, 50.0)
+	f.Add(int64(1), 5e-324, 0.0)
+	f.Add(int64(2), 700.0, 1e12)
+	f.Add(int64(3), 1e18, 1e-300)
+	f.Add(int64(4), 9.1e15, 30.0)
+	f.Add(int64(5), math.NaN(), 30.0)
+	f.Add(int64(6), 30.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, seed int64, rate, budget float64) {
+		rng := rand.New(rand.NewSource(seed))
+		inst := table2Instance(t, 1)
+		if seed%2 != 0 {
+			inst = randomInstance(t, rng, 1+rng.Intn(9))
+		}
+		k := inst.NumTypes()
+		futures := make([]dist.Poisson, k)
+		for i := range futures {
+			switch rng.Intn(5) {
+			case 0: // no future arrivals: off the attacker's menu
+			case 1:
+				futures[i].Lambda = 5e-324
+			case 2:
+				futures[i].Lambda = math.Pow(10, -6+24*rng.Float64())
+			default:
+				futures[i].Lambda = 1 + 250*rng.Float64()
+			}
+		}
+		futures[rng.Intn(k)].Lambda = rate
+
+		badRate := math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0
+		badBudget := math.IsNaN(budget) || math.IsInf(budget, 0) || budget < 0
+		if badRate || badBudget {
+			_, err := SolveOnlineSSE(inst, budget, futures)
+			switch {
+			case err == nil:
+				t.Fatalf("rate %g, budget %g: solved", rate, budget)
+			case badBudget && err.Error() != fmt.Sprintf("game: invalid budget %g", budget):
+				t.Fatalf("budget %g refused with %q", budget, err)
+			case !badBudget && !strings.Contains(err.Error(), fmt.Sprintf("dist: invalid Poisson rate %g", rate)):
+				t.Fatalf("rate %g refused with %q", rate, err)
+			}
+			return
+		}
+		if rate > 1e18 || budget > 1e12 {
+			t.Skip("beyond the scales an audit cycle has")
+		}
+
+		res, err := SolveOnlineSSE(inst, budget, futures)
+		if err != nil {
+			t.Fatalf("budget %g, futures %v: %v", budget, futures, err)
+		}
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s\nbudget=%v futures=%v\npayoffs=%+v costs=%v\nresult=%+v",
+				fmt.Sprintf(format, args...), budget, futures, inst.Payoffs, inst.AuditCosts, res)
+		}
+		spent := 0.0
+		for i := range res.Coverage {
+			if c := res.Coverage[i]; !(c >= 0 && c <= 1) {
+				fail("coverage[%d] = %v", i, c)
+			}
+			if a := res.Allocation[i]; !(a >= 0) || math.IsInf(a, 0) {
+				fail("allocation[%d] = %v", i, a)
+			}
+			spent += res.Allocation[i]
+		}
+		if spent > budget*(1+1e-12) {
+			fail("allocated %v of %v", spent, budget)
+		}
+		for _, v := range []float64{res.DefenderUtility, res.AttackerUtility, res.BudgetShadowPrice} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				fail("non-finite utility or shadow price")
+			}
+		}
+		attackable := 0
+		for i, p := range futures {
+			if p.Lambda == 0 {
+				continue
+			}
+			attackable++
+			if res.BestType < 0 {
+				fail("type %d is attackable but nobody attacks", i)
+			}
+			if u := inst.Payoffs[i].AttackerExpected(res.Coverage[i]); u > res.AttackerUtility+1e-9*(1+math.Abs(u)) {
+				fail("type %d pays the attacker %v, his best response %d only %v", i, u, res.BestType, res.AttackerUtility)
+			}
+		}
+		if attackable == 0 && res.BestType != -1 {
+			fail("nothing is attackable, best response %d", res.BestType)
 		}
 	})
 }

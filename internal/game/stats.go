@@ -8,12 +8,6 @@ type SolveStats struct {
 	LPSolves int
 	// Simplex accumulates simplex iteration and pivot counts. The closed-form
 	// SSE solver runs no simplex, so it stays zero there; the field keeps its
-	// shape for the exported counters and for callers that aggregate stats.
+	// shape for the exported counters.
 	Simplex lp.Stats
-}
-
-// Accumulate adds o into s, for callers aggregating across many solves.
-func (s *SolveStats) Accumulate(o SolveStats) {
-	s.LPSolves += o.LPSolves
-	s.Simplex.Accumulate(o.Simplex)
 }

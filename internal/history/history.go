@@ -176,12 +176,6 @@ func (r *Rollback) FutureRates(at time.Duration) ([]float64, error) {
 	return r.curves.FutureRates(0)
 }
 
-// Engaged reports whether the last query was answered from a rolled-back
-// time rather than the query time.
-func (r *Rollback) Engaged(at time.Duration) bool {
-	return r.curves.TotalFutureMean(at) < r.threshold
-}
-
 // Reset clears the per-cycle rollback state.
 func (r *Rollback) Reset() {
 	r.lastGood = 0
@@ -238,11 +232,6 @@ func (r *RateRollback) FutureRates(at time.Duration) ([]float64, error) {
 		return r.curves.FutureRates(r.lastGood)
 	}
 	return r.curves.FutureRates(0)
-}
-
-// Engaged reports whether a query at this time would be rolled back.
-func (r *RateRollback) Engaged(at time.Duration) bool {
-	return r.windowRate(at) < r.threshold
 }
 
 // Reset clears the per-cycle state.

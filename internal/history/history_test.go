@@ -145,7 +145,7 @@ func TestRollbackFreezesLateDay(t *testing.T) {
 	if morning[0] != direct[0] {
 		t.Fatal("rollback should pass through while above threshold")
 	}
-	if rb.Engaged(hour(9)) {
+	if countEngaged(rb, hour(9)) {
 		t.Fatal("rollback should not be engaged in the morning")
 	}
 	// Find the last healthy time by scanning like the engine would.
@@ -155,7 +155,7 @@ func TestRollbackFreezesLateDay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rb.Engaged(hour(h)) {
+		if !countEngaged(rb, hour(h)) {
 			lastGoodRate = rates[0]
 			continue
 		}
@@ -236,10 +236,10 @@ func TestRateRollbackEngagesEarlierThanCountRollback(t *testing.T) {
 	var firstCount, firstRate time.Duration = -1, -1
 	for h := 0.0; h <= 23.75; h += 0.25 {
 		at := hour(h)
-		if firstCount < 0 && count.Engaged(at) {
+		if firstCount < 0 && countEngaged(count, at) {
 			firstCount = at
 		}
-		if firstRate < 0 && rate.Engaged(at) {
+		if firstRate < 0 && rateEngaged(rate, at) {
 			firstRate = at
 		}
 	}
@@ -273,7 +273,7 @@ func TestRateRollbackFreezeAndReset(t *testing.T) {
 	var frozenAt time.Duration = -1
 	for h := 9.25; h <= 23.5; h += 0.25 {
 		at := hour(h)
-		if rr.Engaged(at) {
+		if rateEngaged(rr, at) {
 			frozenAt = at
 			break
 		}
@@ -329,4 +329,14 @@ func TestZeroThresholdRollbackIsPassthrough(t *testing.T) {
 			t.Fatalf("threshold 0 at %gh: got %g, want %g", h, got[0], want[0])
 		}
 	}
+}
+
+// countEngaged and rateEngaged report whether a query at this time would be
+// answered from a rolled-back time.
+func countEngaged(r *Rollback, at time.Duration) bool {
+	return r.curves.TotalFutureMean(at) < r.threshold
+}
+
+func rateEngaged(r *RateRollback, at time.Duration) bool {
+	return r.windowRate(at) < r.threshold
 }

@@ -101,12 +101,12 @@ func TestDualsMatchFiniteDifference(t *testing.T) {
 		return p
 	}
 	base := []float64{10, 12, 15}
-	sol := MustSolve(build(base))
+	sol := mustSolve(t, build(base))
 	const h = 1e-4
 	for i := range base {
 		bumped := append([]float64(nil), base...)
 		bumped[i] += h
-		solUp := MustSolve(build(bumped))
+		solUp := mustSolve(t, build(bumped))
 		fd := (solUp.Objective - sol.Objective) / h
 		if math.Abs(fd-sol.Duals[i]) > 1e-5 {
 			t.Fatalf("row %d: dual %g vs finite difference %g", i, sol.Duals[i], fd)

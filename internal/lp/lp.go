@@ -140,12 +140,6 @@ func New(sense Sense, n int) *Problem {
 	return p
 }
 
-// NumVars returns the number of structural variables.
-func (p *Problem) NumVars() int { return p.n }
-
-// NumConstraints returns the number of linear constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
 // SetObjective sets the objective coefficient vector. Shorter slices are
 // zero-extended. It returns an error if more coefficients than variables are
 // provided.
@@ -232,13 +226,6 @@ type Stats struct {
 
 // Iterations returns the total simplex iterations across both phases.
 func (s Stats) Iterations() int { return s.Phase1Iterations + s.Phase2Iterations }
-
-// Accumulate adds o's effort into s (for aggregating across many solves).
-func (s *Stats) Accumulate(o Stats) {
-	s.Phase1Iterations += o.Phase1Iterations
-	s.Phase2Iterations += o.Phase2Iterations
-	s.Pivots += o.Pivots
-}
 
 // feasTol is the feasibility/optimality tolerance used throughout the
 // solver. The audit-game LPs have coefficients of magnitude 1e0–1e4, for

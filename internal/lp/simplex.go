@@ -2,7 +2,6 @@ package lp
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -506,17 +505,4 @@ func (t *tableau) extract() []float64 {
 		}
 	}
 	return y
-}
-
-// MustSolve is a convenience wrapper for callers (mainly tests and examples)
-// that consider anything but an optimal solution a programming error.
-func MustSolve(p *Problem) *Solution {
-	sol, err := Solve(p)
-	if err != nil {
-		panic(err)
-	}
-	if sol.Status != Optimal {
-		panic(fmt.Sprintf("lp: expected optimal solution, got %v", sol.Status))
-	}
-	return sol
 }

@@ -110,8 +110,9 @@ type HistogramData struct {
 }
 
 // Snapshot is a point-in-time copy of every series, keyed by the canonical
-// series identifier (see Key). Concurrent writers may land between field
-// reads; each individual value is atomically read.
+// series identifier a scrape prints ("name" or `name{k="v",...}`, labels
+// sorted by name). Concurrent writers may land between field reads; each
+// individual value is atomically read.
 type Snapshot struct {
 	Counters   map[string]uint64
 	Gauges     map[string]float64

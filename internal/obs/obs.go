@@ -73,11 +73,6 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// Key returns the canonical series identifier ("name" or `name{k="v",...}`)
-// used by Snapshot maps and the exporter. Exposed so tests can look up
-// series without re-deriving the label encoding.
-func Key(name string, labels ...Label) string { return name + seriesKey(labels) }
-
 // kind discriminates metric families.
 type kind int
 
@@ -347,15 +342,6 @@ var DefTimeBuckets = []float64{
 var DefWaitBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 	0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// LinearBuckets returns count ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // ExponentialBuckets returns count ascending bounds start, start·factor, ...

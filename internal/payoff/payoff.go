@@ -95,10 +95,3 @@ func Table2() [8]Payoff {
 		7: {DefenderCovered: 700, DefenderUncovered: -2000, AttackerCovered: -6000, AttackerUncovered: 800},
 	}
 }
-
-// Table2Slice returns the Table 2 payoffs as a 7-element slice indexed by
-// position (type 1 at index 0), the layout the game solvers use.
-func Table2Slice() []Payoff {
-	t := Table2()
-	return t[1:]
-}

@@ -44,16 +44,6 @@ func TestTable2AllValid(t *testing.T) {
 	}
 }
 
-func TestTable2Slice(t *testing.T) {
-	s := Table2Slice()
-	if len(s) != 7 {
-		t.Fatalf("len = %d, want 7", len(s))
-	}
-	if s[0] != Table2()[1] || s[6] != Table2()[7] {
-		t.Fatal("slice layout should be type 1 at index 0 .. type 7 at index 6")
-	}
-}
-
 func TestValidateRejectsEachViolation(t *testing.T) {
 	good := Payoff{DefenderCovered: 10, DefenderUncovered: -10, AttackerCovered: -10, AttackerUncovered: 10}
 	if err := good.Validate(); err != nil {

@@ -437,8 +437,7 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 		return ok
 	})
 	waitFor(t, "lease registered", func() bool {
-		_, held := p.j.LeaseFloor()
-		return held
+		return p.j.RetainStats().LeaseFloorSeg >= 0
 	})
 
 	// Three compaction rounds against the live stream: roll several segments,
@@ -487,8 +486,7 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 	// With the follower gone, the lease is released and the retained debt is
 	// reclaimable again.
 	waitFor(t, "lease released after disconnect", func() bool {
-		_, held := p.j.LeaseFloor()
-		return !held
+		return p.j.RetainStats().LeaseFloorSeg < 0
 	})
 	if _, _, err := p.j.Prune(); err != nil {
 		t.Fatal(err)
@@ -517,7 +515,7 @@ func TestResumeCrcMustBeADecimalUint32(t *testing.T) {
 			t.Errorf("crc=%q answered %d, want 400", crc, resp.StatusCode)
 		}
 	}
-	if _, held := p.j.LeaseFloor(); held {
+	if p.j.RetainStats().LeaseFloorSeg >= 0 {
 		t.Error("a refused handshake left a lease behind")
 	}
 }

@@ -205,14 +205,6 @@ func (c *Compactor) debounced() bool {
 	return c.now().UnixNano()-c.lastScan.Load() < int64(kickDebounce)
 }
 
-// Pressure reports whether the box was over budget at the last scan even
-// after compaction.
-func (c *Compactor) Pressure() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pressure
-}
-
 // Blocked reports whether tenant's mutations should be shed for disk
 // pressure: the box is over budget and this tenant has nothing left to
 // reclaim, so its writes are pure growth. retryAfter is the suggested

@@ -113,7 +113,7 @@ func TestRunOnceOpportunisticPrune(t *testing.T) {
 	if ft.st.TotalBytes != 200 {
 		t.Fatalf("TotalBytes = %d after prune, want 200", ft.st.TotalBytes)
 	}
-	if c.Pressure() {
+	if pressure(c) {
 		t.Fatal("pressure set while under budget")
 	}
 }
@@ -132,7 +132,7 @@ func TestRunOnceCompactsUntilUnderBudget(t *testing.T) {
 	if b.compacts != 0 {
 		t.Fatalf("b.compacts = %d, want 0 (box already fit)", b.compacts)
 	}
-	if c.Pressure() {
+	if pressure(c) {
 		t.Fatal("pressure set after compaction brought the box under budget")
 	}
 	if _, blocked := c.Blocked("a"); blocked {
@@ -148,7 +148,7 @@ func TestRunOncePressureAndBlocked(t *testing.T) {
 		st: wal.RetainStats{Segments: 2, TotalBytes: 300, ReclaimableBytes: 200}}
 	c := newCompactor(t, 500, a, b)
 	c.RunOnce()
-	if !c.Pressure() {
+	if !pressure(c) {
 		t.Fatal("pressure not set with box over budget and nothing left to reclaim")
 	}
 	ra, blocked := c.Blocked("a")
@@ -178,7 +178,7 @@ func TestRunOncePressureAndBlocked(t *testing.T) {
 	a.st.TotalBytes = 100
 	a.mu.Unlock()
 	c.RunOnce()
-	if c.Pressure() {
+	if pressure(c) {
 		t.Fatal("pressure still set after the box shrank under budget")
 	}
 	if _, blocked := c.Blocked("b"); blocked {
@@ -207,7 +207,7 @@ func TestRunOnceSkipsJournallessTenant(t *testing.T) {
 	if a.compacts != 0 || a.prunes != 0 {
 		t.Fatal("tenant without a journal was touched")
 	}
-	if c.Pressure() {
+	if pressure(c) {
 		t.Fatal("journalless tenant counted against the budget")
 	}
 }
@@ -306,4 +306,12 @@ func TestKickDebounce(t *testing.T) {
 	if !grew {
 		t.Fatal("RunOnce did not rescan")
 	}
+}
+
+// pressure reports whether the box was over budget at the last scan even
+// after compaction.
+func pressure(c *Compactor) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pressure
 }

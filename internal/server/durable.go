@@ -277,17 +277,17 @@ type retainTarget struct {
 
 func (rt retainTarget) RetainID() string { return rt.t.id }
 
-// journal reads the tenant's journal under the lifecycle lock: Promote
-// installs it on a resident tenant under the write side, and a compactor
-// scan runs on its own goroutine with no request's lock in hand.
-func (rt retainTarget) journal() *wal.Journal {
-	rt.t.lifecycle.RLock()
-	defer rt.t.lifecycle.RUnlock()
-	return rt.t.journal
+// lockedJournal reads the tenant's journal under the lifecycle lock: Promote
+// installs it on a resident tenant under the write side, while a compactor
+// scan, a shutdown or an admin snapshot runs with no request's lock in hand.
+func (t *tenantState) lockedJournal() *wal.Journal {
+	t.lifecycle.RLock()
+	defer t.lifecycle.RUnlock()
+	return t.journal
 }
 
 func (rt retainTarget) RetainStats() (wal.RetainStats, bool) {
-	j := rt.journal()
+	j := rt.t.lockedJournal()
 	if j == nil {
 		return wal.RetainStats{}, false
 	}
@@ -295,7 +295,7 @@ func (rt retainTarget) RetainStats() (wal.RetainStats, bool) {
 }
 
 func (rt retainTarget) Prune() (int, int64, error) {
-	j := rt.journal()
+	j := rt.t.lockedJournal()
 	if j == nil {
 		return 0, 0, nil
 	}
@@ -367,7 +367,7 @@ func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
 // lifecycle write lock, so it drains in-flight decisions first — the
 // snapshot can never miss a decision that was journaled before it.
 func (s *Server) snapshotTenant(t *tenantState) error {
-	if t.journal == nil {
+	if t.lockedJournal() == nil {
 		return errors.New("server: tenant has no journal")
 	}
 	s.lockLifecycle(t, writeSide)
@@ -408,7 +408,7 @@ func (s *Server) SnapshotAll() error {
 func (s *Server) snapshotResident() (n int, first error) {
 	s.router.Range(func(tn *shard.Tenant) bool {
 		t := tn.Data.(*tenantState)
-		if t.journal == nil {
+		if t.lockedJournal() == nil {
 			return true
 		}
 		if err := s.snapshotTenant(t); err != nil {
@@ -426,8 +426,13 @@ func (s *Server) snapshotResident() (n int, first error) {
 
 // Close seals every tenant journal (snapshotting each first). Call it after
 // the HTTP listener has stopped; it is what makes SIGTERM indistinguishable
-// from a clean restart.
+// from a clean restart. A promotion still under way (its request outlived
+// the shutdown grace) is waited for, so the journals it opened are sealed
+// too, and one that arrives later is refused.
 func (s *Server) Close() error {
+	s.promoteMu.Lock()
+	defer s.promoteMu.Unlock()
+	s.closed = true
 	if s.retain != nil {
 		// Stop the compactor before sealing journals so no compaction round
 		// races the close-time snapshots.
@@ -438,9 +443,8 @@ func (s *Server) Close() error {
 	}
 	err := s.SnapshotAll()
 	s.router.Range(func(tn *shard.Tenant) bool {
-		t := tn.Data.(*tenantState)
-		if t.journal != nil {
-			if cerr := t.journal.Close(); cerr != nil && err == nil {
+		if j := tn.Data.(*tenantState).lockedJournal(); j != nil {
+			if cerr := j.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}
@@ -478,7 +482,7 @@ func (s *Server) evictTenant(tn *shard.Tenant) {
 		// it); zero its gauges and lift any disk-pressure block.
 		s.retain.Forget(t.id)
 	}
-	if t.journal == nil {
+	if t.lockedJournal() == nil {
 		return
 	}
 	s.lockLifecycle(t, writeSide)

@@ -309,6 +309,9 @@ func (s *Server) Promote() (int, error) {
 	if !s.following.Load() {
 		return 0, errNotStandby
 	}
+	if s.closed {
+		return 0, errors.New("server: closed")
+	}
 	if fc := s.follow.Load(); fc != nil {
 		fc.stop()
 	}
@@ -373,8 +376,7 @@ func (s *Server) onDiskTenantIDs() []string {
 func (s *Server) durableTenantIDs() []string {
 	seen := make(map[string]bool)
 	s.router.Range(func(tn *shard.Tenant) bool {
-		t := tn.Data.(*tenantState)
-		if t.journal != nil {
+		if t := tn.Data.(*tenantState); t.lockedJournal() != nil {
 			seen[t.id] = true
 		}
 		return true
@@ -415,12 +417,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	if t.journal == nil {
+	j := t.lockedJournal()
+	if j == nil {
 		writeJSON(w, http.StatusInternalServerError,
 			apiError{Error: fmt.Sprintf("tenant %q has no open journal", id)})
 		return
 	}
-	replica.ServeStream(w, r, replica.StreamConfig{Journal: t.journal, Logf: s.cfg.Logf})
+	replica.ServeStream(w, r, replica.StreamConfig{Journal: j, Logf: s.cfg.Logf})
 }
 
 // handlePromote is POST /v1/admin/promote: turn this standby into the

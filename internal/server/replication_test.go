@@ -512,3 +512,53 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 		t.Fatalf("post-promotion access status %d", code)
 	}
 }
+
+// TestCloseDuringPromote: SIGTERM can land while a promotion is opening the
+// tenants' journals (a promote request outliving the shutdown grace). Promote
+// installs each journal under the tenant's lifecycle write lock; Close used to
+// read the field bare — a data race, and a journal opened just after Close
+// looked was never sealed. Whichever call wins, no journal may be left open.
+func TestCloseDuringPromote(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	const tenants = 6
+	for i := 0; i < tenants; i++ {
+		req := AccessRequest{Tenant: "t" + strconv.Itoa(i), EmployeeID: bgE, PatientID: bgP}
+		if code := post(t, prim, "/v1/access", req, nil); code != http.StatusOK {
+			t.Fatalf("primary access status %d", code)
+		}
+	}
+	folSrv, fol := startFollower(t, folDir, prim.URL, nil)
+	deadline := time.Now().Add(30 * time.Second)
+	for len(folSrv.Tenants()) < tenants+1 { // the six and the default tenant
+		if time.Now().After(deadline) {
+			t.Fatalf("follower resident tenants %v, want %d", folSrv.Tenants(), tenants+1)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFollowerReady(t, fol)
+
+	var wg sync.WaitGroup
+	var promoted int
+	var promoteErr, closeErr error
+	wg.Add(2)
+	go func() { defer wg.Done(); promoted, promoteErr = folSrv.Promote() }()
+	go func() { defer wg.Done(); closeErr = folSrv.Close() }()
+	wg.Wait()
+	if closeErr != nil {
+		t.Fatalf("Close: %v", closeErr)
+	}
+	if promoteErr == nil && promoted != tenants+1 {
+		t.Fatalf("Promote opened %d journals, want %d", promoted, tenants+1)
+	}
+	for _, id := range folSrv.Tenants() {
+		tn, _ := folSrv.router.Get(id)
+		j := tn.Data.(*tenantState).journal
+		if j == nil {
+			continue // Close won: the promotion was refused
+		}
+		if _, err := j.Append(wal.Record{Kind: wal.KindQuit}); err != wal.ErrClosed {
+			t.Errorf("tenant %s: journal left open after Close (append: %v)", id, err)
+		}
+	}
+}

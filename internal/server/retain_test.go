@@ -79,7 +79,7 @@ func TestReadPathsDoNotCreateTenants(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	createdKey := obs.Key(shard.MetricTenantsCreatedTotal)
+	createdKey := shard.MetricTenantsCreatedTotal
 	before := reg.Snapshot().Counters[createdKey]
 	if before == 0 {
 		t.Fatal("fixture created no tenants; counter wiring broken")
@@ -182,10 +182,10 @@ func TestDiskPressureAnswers507(t *testing.T) {
 
 	// The scan published its verdict to the metrics registry.
 	snap := reg.Snapshot()
-	if p := snap.Gauges[obs.Key(retain.MetricPressure)]; p <= 1 {
+	if p := snap.Gauges[retain.MetricPressure]; p <= 1 {
 		t.Fatalf("%s = %g, want > 1 while overcommitted", retain.MetricPressure, p)
 	}
-	if b := snap.Gauges[obs.Key(retain.MetricBytes, obs.L("tenant", DefaultTenantID))]; b <= 0 {
+	if b := snap.Gauges[retain.MetricBytes+`{tenant="default"}`]; b <= 0 {
 		t.Fatalf("%s = %g, want > 0", retain.MetricBytes, b)
 	}
 }
@@ -223,7 +223,7 @@ func TestCompactionBoundsJournalBytes(t *testing.T) {
 			}
 		}
 	}
-	pruned := reg.Snapshot().Counters[obs.Key(retain.MetricPrunedSegments, obs.L("tenant", DefaultTenantID))]
+	pruned := reg.Snapshot().Counters[retain.MetricPrunedSegments+`{tenant="default"}`]
 	if pruned < 3 {
 		t.Fatalf("%s = %d, want >= 3 (sustained writes must force repeated compaction)", retain.MetricPrunedSegments, pruned)
 	}

@@ -227,7 +227,8 @@ type tenantState struct {
 	est        core.Estimator // this tenant's estimator (for state snapshots)
 	met        tenantMetrics
 	// journal is nil when durability is disabled and on a standby until
-	// Promote installs it (under the lifecycle write lock).
+	// Promote installs it (under the lifecycle write lock): a reader holding
+	// neither side of lifecycle goes through lockedJournal.
 	journal *wal.Journal
 
 	lifecycle sync.RWMutex
@@ -280,7 +281,8 @@ type Server struct {
 	// false (permanently) by Promote. Mutation handlers gate on it.
 	following atomic.Bool
 	follow    atomic.Pointer[followController] // set by StartFollowing
-	promoteMu sync.Mutex                       // serializes Promote
+	promoteMu sync.Mutex                       // serializes Promote, and Close against it
+	closed    bool                             // Close has run: a later Promote opens nothing; guarded by promoteMu
 
 	// journalFault, when set, is fired before every WAL append (see
 	// appendRecord). Testing seam for the journal-failure consistency suite
@@ -494,16 +496,6 @@ func (s *Server) Tenants() []string { return s.router.IDs() }
 // shutdown path flips it false before draining so load balancers stop
 // routing new traffic while in-flight requests finish.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// CycleSummary returns the default tenant's aggregate view of the current
-// cycle.
-func (s *Server) CycleSummary() core.CycleSummary {
-	t, ok := s.router.Get(s.defaultID)
-	if !ok {
-		return core.CycleSummary{}
-	}
-	return t.Engine.Summary()
-}
 
 // CycleSummaries returns every resident tenant's aggregate view of its
 // current cycle, keyed by tenant ID — the shutdown path logs them so no

@@ -263,7 +263,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Warned split: server-level warned counter matches the status snapshot.
 	var st Status
 	get(t, ts, "/v1/status", &st)
-	if got := reg.Snapshot().Counters[obs.Key(MetricWarnedTotal, obs.L("tenant", DefaultTenantID))]; got != uint64(st.Warned) {
+	if got := reg.Snapshot().Counters[MetricWarnedTotal+`{tenant="default"}`]; got != uint64(st.Warned) {
 		t.Fatalf("warned counter %d vs status %d", got, st.Warned)
 	}
 }

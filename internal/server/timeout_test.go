@@ -17,7 +17,6 @@ import (
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/faultinject"
 	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/wal"
 )
 
@@ -43,7 +42,7 @@ func slowEstimator(slow *atomic.Bool, d time.Duration) core.Estimator {
 }
 
 func walAppends(srv *Server) uint64 {
-	return srv.Metrics().Snapshot().Counters[obs.Key(wal.MetricAppendsTotal, obs.L("tenant", DefaultTenantID))]
+	return srv.Metrics().Snapshot().Counters[wal.MetricAppendsTotal+`{tenant="default"}`]
 }
 
 // (a) An estimator that returns after the deadline has passed: the engine's
@@ -207,13 +206,13 @@ func TestWrapContainsPanics(t *testing.T) {
 		t.Fatalf("panicking handler answered %d %q, want 500 internal error", rec.Code, rec.Body)
 	}
 	snap := srv.Metrics().Snapshot()
-	if n := snap.Counters[obs.Key(MetricHTTPPanicsTotal)]; n != 1 {
+	if n := snap.Counters[MetricHTTPPanicsTotal]; n != 1 {
 		t.Fatalf("panic counter = %d, want 1", n)
 	}
-	if n := snap.Counters[obs.Key(MetricHTTPRequestsTotal, obs.L("route", "/boom"), obs.L("code", "500"))]; n != 1 {
+	if n := snap.Counters[MetricHTTPRequestsTotal+`{code="500",route="/boom"}`]; n != 1 {
 		t.Fatalf("requests_total{route=/boom,code=500} = %d, want 1", n)
 	}
-	if g := snap.Gauges[obs.Key(MetricHTTPInflightRequests)]; g != 0 {
+	if g := snap.Gauges[MetricHTTPInflightRequests]; g != 0 {
 		t.Fatalf("inflight gauge = %g after the panic, want 0", g)
 	}
 }

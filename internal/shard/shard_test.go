@@ -97,10 +97,10 @@ func TestGetOrCreateRoutesAndCaps(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", n)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Gauges[obs.Key(MetricTenantsActive)]; got != 2 {
+	if got := snap.Gauges[MetricTenantsActive]; got != 2 {
 		t.Fatalf("%s = %v, want 2", MetricTenantsActive, got)
 	}
-	if got := snap.Counters[obs.Key(MetricTenantLimitTotal)]; got != 1 {
+	if got := snap.Counters[MetricTenantLimitTotal]; got != 1 {
 		t.Fatalf("%s = %v, want 1", MetricTenantLimitTotal, got)
 	}
 

@@ -169,7 +169,8 @@ func closedFormSeeds(each func(pf payoff.Payoff, theta float64)) {
 		th := pf.DeterrenceThreshold()
 		return []float64{0, 1, th, math.Nextafter(th, 0), math.Nextafter(th, 1), th / 2, (1 + th) / 2}
 	}
-	for _, pf := range payoff.Table2Slice() {
+	table2 := payoff.Table2()
+	for _, pf := range table2[1:] {
 		add(pf, edges(pf)...)
 	}
 	// U_dc·U_au = U_ac·U_du = 6: the objective is flat in p0.
@@ -265,4 +266,48 @@ func FuzzClosedFormOSSP(f *testing.F) {
 		}
 		checkClosedForm(t, pf, theta)
 	})
+}
+
+// theorem2Holds checks the paper's Theorem 2 on a concrete instance: the
+// auditor's OSSP utility is never worse than the SSE utility at the same
+// marginal coverage θ. sseUtility must account for attacker participation
+// (0 when the attack is deterred at coverage θ).
+func theorem2Holds(pf payoff.Payoff, theta float64, tol float64) (bool, error) {
+	s, err := SolveLP(pf, theta)
+	if err != nil {
+		return false, err
+	}
+	var sse float64
+	if pf.AttackerExpected(theta) < 0 {
+		sse = 0 // attacker would not attack even without signaling
+	} else {
+		sse = pf.DefenderExpected(theta)
+	}
+	return s.DefenderUtility >= sse-tol, nil
+}
+
+// theorem3Holds checks that p0 = 0 in the OSSP when the payoff condition
+// holds.
+func theorem3Holds(pf payoff.Payoff, theta float64, tol float64) (bool, error) {
+	if !pf.SatisfiesTheorem3() {
+		return true, nil // theorem's hypothesis not met; vacuously true
+	}
+	s, err := SolveLP(pf, theta)
+	if err != nil {
+		return false, err
+	}
+	return math.Abs(s.P0) <= tol, nil
+}
+
+// theorem4Holds checks that the attacker's expected utility is identical
+// under the OSSP and under the plain SSE at the same θ (both clamped below
+// by 0, the stay-out option).
+func theorem4Holds(pf payoff.Payoff, theta float64, tol float64) (bool, error) {
+	s, err := SolveLP(pf, theta)
+	if err != nil {
+		return false, err
+	}
+	sse := math.Max(0, pf.AttackerExpected(theta))
+	ossp := math.Max(0, s.AttackerUtility)
+	return math.Abs(sse-ossp) <= tol, nil
 }

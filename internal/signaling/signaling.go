@@ -20,11 +20,10 @@
 // paper's conclusions name are closed forms too: SolveRobust (a margin on
 // the persuasion row) and SolveBayesian (a prior over attacker types). The
 // simplex is each one's test oracle and nothing else: SolveLP builds LP (3)
-// for internal/lp (FuzzClosedFormOSSP's oracle; it stays exported because
-// benchmark/ times it and the theorem predicates below run on it), and the
-// robust LP, the 4^m Bayesian pattern LPs and the n-signal check that two
-// signals suffice live in _test.go files. Theorems 2–4 are exposed as
-// predicates for property-based testing.
+// for internal/lp (FuzzClosedFormOSSP's oracle; it stays exported only
+// because benchmark/layers.go:193 times it), and the robust LP, the 4^m
+// Bayesian pattern LPs, the Theorem 2–4 predicates and the n-signal check
+// that two signals suffice live in _test.go files.
 package signaling
 
 import (
@@ -268,48 +267,4 @@ func solveSignalingLP(pf, persuade payoff.Payoff, theta float64) (Scheme, error)
 	s.DefenderUtility = sol.Objective
 	s.AttackerUtility = attacker
 	return s, nil
-}
-
-// Theorem2Holds checks the paper's Theorem 2 on a concrete instance: the
-// auditor's OSSP utility is never worse than the SSE utility at the same
-// marginal coverage θ. sseUtility must account for attacker participation
-// (0 when the attack is deterred at coverage θ).
-func Theorem2Holds(pf payoff.Payoff, theta float64, tol float64) (bool, error) {
-	s, err := SolveLP(pf, theta)
-	if err != nil {
-		return false, err
-	}
-	var sse float64
-	if pf.AttackerExpected(theta) < 0 {
-		sse = 0 // attacker would not attack even without signaling
-	} else {
-		sse = pf.DefenderExpected(theta)
-	}
-	return s.DefenderUtility >= sse-tol, nil
-}
-
-// Theorem3Holds checks that p0 = 0 in the OSSP when the payoff condition
-// holds.
-func Theorem3Holds(pf payoff.Payoff, theta float64, tol float64) (bool, error) {
-	if !pf.SatisfiesTheorem3() {
-		return true, nil // theorem's hypothesis not met; vacuously true
-	}
-	s, err := SolveLP(pf, theta)
-	if err != nil {
-		return false, err
-	}
-	return math.Abs(s.P0) <= tol, nil
-}
-
-// Theorem4Holds checks that the attacker's expected utility is identical
-// under the OSSP and under the plain SSE at the same θ (both clamped below
-// by 0, the stay-out option).
-func Theorem4Holds(pf payoff.Payoff, theta float64, tol float64) (bool, error) {
-	s, err := SolveLP(pf, theta)
-	if err != nil {
-		return false, err
-	}
-	sse := math.Max(0, pf.AttackerExpected(theta))
-	ossp := math.Max(0, s.AttackerUtility)
-	return math.Abs(sse-ossp) <= tol, nil
 }

@@ -156,13 +156,13 @@ func TestTheoremPredicatesOnTable2(t *testing.T) {
 	for id := 1; id <= 7; id++ {
 		pf := payoff.Table2()[id]
 		for _, theta := range []float64{0, 0.05, 0.1, pf.DeterrenceThreshold(), 0.3, 0.7, 1} {
-			if ok, err := Theorem2Holds(pf, theta, 1e-7); err != nil || !ok {
+			if ok, err := theorem2Holds(pf, theta, 1e-7); err != nil || !ok {
 				t.Errorf("type %d θ=%g: Theorem 2 violated (err=%v)", id, theta, err)
 			}
-			if ok, err := Theorem3Holds(pf, theta, 1e-7); err != nil || !ok {
+			if ok, err := theorem3Holds(pf, theta, 1e-7); err != nil || !ok {
 				t.Errorf("type %d θ=%g: Theorem 3 violated (err=%v)", id, theta, err)
 			}
-			if ok, err := Theorem4Holds(pf, theta, 1e-6); err != nil || !ok {
+			if ok, err := theorem4Holds(pf, theta, 1e-6); err != nil || !ok {
 				t.Errorf("type %d θ=%g: Theorem 4 violated (err=%v)", id, theta, err)
 			}
 		}
@@ -171,9 +171,9 @@ func TestTheoremPredicatesOnTable2(t *testing.T) {
 
 func TestTheorem3VacuousOutsideRegime(t *testing.T) {
 	weird := payoff.Payoff{DefenderCovered: 5000, DefenderUncovered: -1, AttackerCovered: -1, AttackerUncovered: 1000}
-	ok, err := Theorem3Holds(weird, 0.5, 1e-9)
+	ok, err := theorem3Holds(weird, 0.5, 1e-9)
 	if err != nil || !ok {
-		t.Fatalf("Theorem3Holds outside regime = %v, %v; want vacuous true", ok, err)
+		t.Fatalf("theorem3Holds outside regime = %v, %v; want vacuous true", ok, err)
 	}
 }
 
@@ -209,9 +209,9 @@ func TestQuickOSSPValidAndTheoremsHold(t *testing.T) {
 		if s.Validate(theta) != nil {
 			return false
 		}
-		ok2, err2 := Theorem2Holds(pf, theta, 1e-6)
-		ok3, err3 := Theorem3Holds(pf, theta, 1e-6)
-		ok4, err4 := Theorem4Holds(pf, theta, 1e-6)
+		ok2, err2 := theorem2Holds(pf, theta, 1e-6)
+		ok3, err3 := theorem3Holds(pf, theta, 1e-6)
+		ok4, err4 := theorem4Holds(pf, theta, 1e-6)
 		return err2 == nil && err3 == nil && err4 == nil && ok2 && ok3 && ok4
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {

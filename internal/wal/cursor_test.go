@@ -407,7 +407,7 @@ func TestSeedEmptyJournal(t *testing.T) {
 	if durable := j.DurableCursor(); start != durable || applyFrom != durable {
 		t.Fatalf("seed of an empty journal = %v / %v, want the durable cursor %v twice", start, applyFrom, durable)
 	}
-	if floor, ok := j.LeaseFloor(); !ok || floor != start.Seg {
-		t.Fatalf("lease floor %d (held=%v), want %d", floor, ok, start.Seg)
+	if floor := j.RetainStats().LeaseFloorSeg; floor != start.Seg {
+		t.Fatalf("lease floor %d, want %d", floor, start.Seg)
 	}
 }

@@ -123,14 +123,6 @@ func (m *Mirror) roll(seg int) error {
 	return syncDir(m.dir)
 }
 
-// Cursor returns the mirrored tail position (zero before the first frame).
-func (m *Mirror) Cursor() Cursor {
-	if !m.open {
-		return Cursor{}
-	}
-	return Cursor{Seg: m.seg, Off: m.off}
-}
-
 // Sync forces mirrored bytes to stable storage.
 func (m *Mirror) Sync() error {
 	if !m.open || !m.dirty {

@@ -101,14 +101,6 @@ func (j *Journal) leaseFloorLocked() (int, bool) {
 	return floor, ok
 }
 
-// LeaseFloor returns the lowest segment any live lease pins; ok is false
-// when no lease is held.
-func (j *Journal) LeaseFloor() (seg int, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.leaseFloorLocked()
-}
-
 // RetainStats returns the journal's current disk accounting. Safe on a
 // closed journal (the numbers describe whatever is still on disk).
 func (j *Journal) RetainStats() RetainStats {

@@ -185,16 +185,16 @@ func TestLeaseNeverMovesBackward(t *testing.T) {
 	defer j.Close()
 	l := j.AcquireLease(Cursor{Seg: 3})
 	l.Advance(Cursor{Seg: 1})
-	if floor, ok := j.LeaseFloor(); !ok || floor != 3 {
-		t.Fatalf("backward Advance moved the floor: %d (ok=%v), want 3", floor, ok)
+	if floor := j.RetainStats().LeaseFloorSeg; floor != 3 {
+		t.Fatalf("backward Advance moved the floor: %d, want 3", floor)
 	}
 	l.Advance(Cursor{Seg: 5})
-	if floor, ok := j.LeaseFloor(); !ok || floor != 5 {
-		t.Fatalf("forward Advance: floor %d (ok=%v), want 5", floor, ok)
+	if floor := j.RetainStats().LeaseFloorSeg; floor != 5 {
+		t.Fatalf("forward Advance: floor %d, want 5", floor)
 	}
 	l.Release()
-	if _, ok := j.LeaseFloor(); ok {
-		t.Fatal("floor still present after Release")
+	if floor := j.RetainStats().LeaseFloorSeg; floor != -1 {
+		t.Fatalf("floor %d still present after Release", floor)
 	}
 }
 

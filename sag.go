@@ -222,9 +222,6 @@ type (
 	// attacker, with each type's induced behavior.
 	BayesianScheme = signaling.BayesianScheme
 
-	// MultiResult is the equilibrium of the multi-attacker audit game.
-	MultiResult = game.MultiResult
-
 	// ResourceClass is one kind of audit capacity in the multi-resource
 	// game (own budget, capability mask, cost multiplier).
 	ResourceClass = game.ResourceClass
@@ -253,14 +250,6 @@ func SolveRobustOSSP(pf Payoff, theta, epsilon float64) (Scheme, error) {
 // relative to the exact OSSP at the same θ (always ≥ 0).
 func RobustnessPremium(pf Payoff, theta, epsilon float64) (float64, error) {
 	return signaling.RobustnessPremium(pf, theta, epsilon)
-}
-
-// SolveMultiAttackerSSE computes the multi-attacker online SSE:
-// capabilities[i] lists the alert types attacker i can trigger (nil =
-// all). Each attacker best-responds independently; the auditor's utility
-// adds up across victim alerts.
-func SolveMultiAttackerSSE(inst *Instance, budget float64, futures []Poisson, capabilities [][]int) (*MultiResult, error) {
-	return game.SolveMultiAttackerSSE(inst, budget, futures, capabilities)
 }
 
 // SolveResourceSSE computes the online SSE with multiple defender resource

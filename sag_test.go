@@ -114,21 +114,6 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatalf("premium = %g, %v", prem, err)
 	}
 
-	// Multi-attacker wrapper.
-	inst, err := sag.NewInstance(
-		[]sag.Payoff{sag.Table2Payoffs()[1], sag.Table2Payoffs()[3]},
-		sag.UniformCost(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sag.SolveMultiAttackerSSE(inst, 20, []sag.Poisson{{Lambda: 100}, {Lambda: 50}}, [][]int{nil, {1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.BestTypes) != 2 || m.BestTypes[1] != 1 {
-		t.Fatalf("multi result %+v", m)
-	}
-
 	// Rate rollback wrapper.
 	var recs []sag.HistoryRecord
 	for d := 0; d < 3; d++ {
