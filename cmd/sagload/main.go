@@ -13,7 +13,7 @@
 // unpaced clients flood a single greedy tenant while -polite-tenants paced
 // clients each drive their own tenant, and the report shows whether
 // admission control kept the polite tenants' goodput intact while shedding
-// the greedy one with computed Retry-After hints:
+// the greedy one with Retry-After hints read off the queue:
 //
 //	sagload -self -overload -workers 32 -polite-tenants 3 -polite-rate 50 \
 //	        -max-inflight 4 -queue-depth 8 -duration 5s
@@ -81,8 +81,6 @@ func run() error {
 		politeTenants = flag.Int("polite-tenants", 3, "paced polite tenants in the -overload arm")
 		politeRate    = flag.Float64("polite-rate", 50, "per-polite-tenant request rate in req/s in the -overload arm")
 
-		admitRate   = flag.Float64("rate", 0, "with -self: per-tenant admission rate in req/s (0 disables rate limiting)")
-		admitBurst  = flag.Float64("burst", 0, "with -self: per-tenant token-bucket depth (0 = max(1, rate))")
 		maxInflight = flag.Int("max-inflight", 0, "with -self: box-wide cap on concurrently admitted mutations (0 = uncapped)")
 		queueDepth  = flag.Int("queue-depth", 0, "with -self: box-wide admission queue bound (0 = no queue)")
 	)
@@ -94,7 +92,7 @@ func run() error {
 	}
 	base := *url
 	if *self {
-		adm := admit.Config{Rate: *admitRate, Burst: *admitBurst, MaxInflight: *maxInflight, QueueDepth: *queueDepth}
+		adm := admit.Config{MaxInflight: *maxInflight, QueueDepth: *queueDepth}
 		if *overload {
 			if err := overloadCanShed(*workers, *politeTenants, adm); err != nil {
 				return err
@@ -109,7 +107,7 @@ func run() error {
 		*employee, *patient, *stride = bgE, bgP, 3
 		log.Printf("in-process server at %s (planted pairs from %d/%d, stride 3)", base, bgE, bgP)
 		if adm.Enabled() {
-			log.Printf("admission control on: rate=%g burst=%g max-inflight=%d queue-depth=%d", adm.Rate, adm.Burst, adm.MaxInflight, adm.QueueDepth)
+			log.Printf("admission control on: max-inflight=%d queue-depth=%d", adm.MaxInflight, adm.QueueDepth)
 		}
 	}
 
@@ -325,15 +323,12 @@ func overloadShot(client *http.Client, base string, body []byte, st *tenantResul
 
 // overloadCanShed refuses an -overload shape against the in-process server
 // that cannot shed by arithmetic. Every client is closed-loop (one request
-// outstanding), so without a rate limit at most workers+politeN requests
-// exist at once; if they all fit in the slots plus the queue nothing is ever
-// turned away and the rehearsal proves nothing.
+// outstanding), so at most workers+politeN requests exist at once; if they
+// all fit in the slots plus the queue nothing is ever turned away and the
+// rehearsal proves nothing.
 func overloadCanShed(workers, politeN int, adm admit.Config) error {
-	if adm.Rate > 0 {
-		return nil
-	}
 	if adm.MaxInflight <= 0 {
-		return errors.New("-self -overload has nothing to shed with: set -max-inflight (and -queue-depth) or -rate")
+		return errors.New("-self -overload has nothing to shed with: set -max-inflight (and -queue-depth)")
 	}
 	if clients, places := workers+politeN, adm.MaxInflight+adm.QueueDepth; clients <= places {
 		return fmt.Errorf("-overload cannot shed: %d closed-loop clients (-workers %d + -polite-tenants %d) fit in %d places (-max-inflight %d + -queue-depth %d); raise -workers above %d",

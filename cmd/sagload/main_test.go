@@ -88,7 +88,6 @@ func TestOverloadRefusesShapeThatCannotShed(t *testing.T) {
 		{"one client more than places", 10, 3, admit.Config{MaxInflight: 4, QueueDepth: 8}, false},
 		{"the documented shape", 32, 3, admit.Config{MaxInflight: 4, QueueDepth: 8}, false},
 		{"no admission control at all", 32, 3, admit.Config{}, true},
-		{"a rate limit sheds whatever the client count", 2, 1, admit.Config{Rate: 50, MaxInflight: 4, QueueDepth: 8}, false},
 	} {
 		if err := overloadCanShed(tc.workers, tc.polite, tc.adm); (err != nil) != tc.refused {
 			t.Errorf("%s: err = %v, want refused = %v", tc.name, err, tc.refused)

@@ -78,9 +78,7 @@ func run() error {
 		tenants    = flag.Int("tenants", 0, "pre-create tenant-1..tenant-N at startup (others are created on first use)")
 		maxTenants = flag.Int("max-tenants", 0, "resident tenant cap; requests for new tenants beyond it answer 429 (0 = default)")
 
-		rate        = flag.Float64("rate", 0, "per-tenant admission rate in req/s; over-rate requests answer 503 with a computed Retry-After (0 disables rate limiting)")
-		burst       = flag.Float64("burst", 0, "per-tenant token-bucket depth with -rate (0 = max(1, rate))")
-		maxInflight = flag.Int("max-inflight", 0, "box-wide cap on concurrently admitted mutations; excess requests queue or shed (0 disables the cap and the queue)")
+		maxInflight = flag.Int("max-inflight", 0, "box-wide cap on concurrently admitted mutations; excess requests queue or shed (0 disables admission control)")
 		queueDepth  = flag.Int("queue-depth", 0, "box-wide admission queue bound with -max-inflight; a full queue sheds with 503 (0 = no queue: shed immediately when saturated)")
 	)
 	flag.Parse()
@@ -96,12 +94,7 @@ func run() error {
 	}
 	cfg.RequestTimeout = *requestTimeout
 	cfg.MaxTenants = *maxTenants
-	cfg.Admission = admit.Config{
-		Rate:        *rate,
-		Burst:       *burst,
-		MaxInflight: *maxInflight,
-		QueueDepth:  *queueDepth,
-	}
+	cfg.Admission = admit.Config{MaxInflight: *maxInflight, QueueDepth: *queueDepth}
 	cfg.DataDir = *dataDir
 	cfg.Fsync = fsync
 	cfg.SnapshotEvery = *snapshotEvery
@@ -125,8 +118,8 @@ func run() error {
 		log.Printf("retention on: disk budget %d bytes, compaction every %v (0 = default); over-budget tenants with nothing to reclaim answer 507", *diskBudget, *compactInterval)
 	}
 	if cfg.Admission.Enabled() {
-		log.Printf("admission control on: rate=%g burst=%g max-inflight=%d queue-depth=%d (shed answers 503 with computed Retry-After)",
-			*rate, *burst, *maxInflight, *queueDepth)
+		log.Printf("admission control on: max-inflight=%d queue-depth=%d (shed answers 503 with Retry-After)",
+			*maxInflight, *queueDepth)
 	}
 	for i := 1; i <= *tenants; i++ {
 		id := fmt.Sprintf("tenant-%d", i)

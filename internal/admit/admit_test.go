@@ -66,8 +66,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero config should not construct a controller")
 	}
-	if _, err := New(Config{Rate: -1}); err == nil {
-		t.Fatal("negative rate should be rejected")
+	if _, err := New(Config{MaxInflight: 1, QueueDepth: -1}); err == nil {
+		t.Fatal("negative queue depth should be rejected")
 	}
 	if (Config{}).Enabled() {
 		t.Fatal("zero config must report disabled")
@@ -75,39 +75,6 @@ func TestConfigValidation(t *testing.T) {
 	if !(Config{MaxInflight: 4}).Enabled() {
 		t.Fatal("inflight-only config must report enabled")
 	}
-}
-
-func TestTokenBucketRateShed(t *testing.T) {
-	clk := newFakeClock()
-	c := mustNew(t, Config{Rate: 10, Burst: 2, Now: clk.Now})
-
-	// Burst of 2 admits; the third is over rate.
-	r1 := admitNow(t, c, "a")
-	r2 := admitNow(t, c, "a")
-	r1()
-	r2()
-	_, err := c.Admit(context.Background(), "a")
-	se := shedReason(t, err)
-	if se.Reason != ReasonRate {
-		t.Fatalf("reason = %q, want %q", se.Reason, ReasonRate)
-	}
-	// Empty bucket at 10/s: one token is 100ms away.
-	if se.RetryAfter != 100*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want 100ms", se.RetryAfter)
-	}
-
-	// Half a token later the hint shrinks: the header is not a constant.
-	clk.Advance(50 * time.Millisecond)
-	_, err = c.Admit(context.Background(), "a")
-	se2 := shedReason(t, err)
-	if se2.RetryAfter != 50*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want 50ms", se2.RetryAfter)
-	}
-
-	// A full refill admits again, and tenant b was never throttled.
-	clk.Advance(100 * time.Millisecond)
-	admitNow(t, c, "a")()
-	admitNow(t, c, "b")()
 }
 
 func TestQueueGrantOnRelease(t *testing.T) {
@@ -285,37 +252,76 @@ func runAdmit(c *Controller, tenant string, outcome chan string, tag string) cha
 	return outcome
 }
 
-// TestDrainRateFeedsRetryAfter: the completion-rate estimator sheds nothing;
-// it is the source of a queue shed's Retry-After.
-func TestDrainRateFeedsRetryAfter(t *testing.T) {
+// TestRetryAfterIsHeadOfLineSojourn: a shed's hint is how long the oldest
+// queued request has waited, clamped to [10ms, 30s]; RetryHint is the same
+// value floored at one second.
+func TestRetryAfterIsHeadOfLineSojourn(t *testing.T) {
 	clk := newFakeClock()
-	c := mustNew(t, Config{MaxInflight: 1, Now: clk.Now})
-
-	// Two completions landed in a still-filling first window with no time
-	// elapsed: the estimator divides by the minimum observation span rather
-	// than the full window and reads a high rate.
-	admitNow(t, c, "a")()
-	admitNow(t, c, "b")()
-	if rate := c.Snapshot().DrainRate; rate != 200 {
-		t.Fatalf("cold-window drain rate = %v, want the 2 completions spread over the minimum span (200/s)", rate)
+	shedHint := func(c *Controller, tenant string) time.Duration {
+		t.Helper()
+		_, err := c.Admit(context.Background(), tenant)
+		se := shedReason(t, err)
+		if se.Reason != ReasonQueueFull {
+			t.Fatalf("reason = %q, want %q", se.Reason, ReasonQueueFull)
+		}
+		return se.RetryAfter
 	}
 
-	// A full window later the estimator is warm: 2 per half-second window =
-	// 4/s, so an arrival shed at position 1 is told to come back in 250ms.
-	clk.Advance(drainWindow)
-	if rate := c.Snapshot().DrainRate; rate != 4 {
-		t.Fatalf("warm-window drain rate = %v, want 4/s", rate)
+	// Nothing queued (QueueDepth 0): the floor.
+	c0 := mustNew(t, Config{MaxInflight: 1, Now: clk.Now})
+	hold0 := admitNow(t, c0, "a")
+	if got := shedHint(c0, "b"); got != minRetryAfter {
+		t.Fatalf("empty-queue hint = %v, want the %v floor", got, minRetryAfter)
 	}
+	if got := c0.RetryHint(); got != time.Second {
+		t.Fatalf("empty-queue RetryHint = %v, want 1s", got)
+	}
+	hold0()
+
+	// A head enqueued 250ms ago: a queue_full shed is told 250ms.
+	c := mustNew(t, Config{MaxInflight: 1, QueueDepth: 1, Now: clk.Now})
 	hold := admitNow(t, c, "a")
-	_, err := c.Admit(context.Background(), "b")
-	se := shedReason(t, err)
-	if se.Reason != ReasonQueueFull {
-		t.Fatalf("reason = %q, want %q", se.Reason, ReasonQueueFull)
+	pushed := make(chan error, 1)
+	go func() {
+		_, err := c.Admit(context.Background(), "a")
+		pushed <- err
+	}()
+	waitQueued(t, c, 1)
+	clk.Advance(250 * time.Millisecond)
+	if got := shedHint(c, "a"); got != 250*time.Millisecond {
+		t.Fatalf("hint = %v, want the head's 250ms sojourn", got)
 	}
-	if se.RetryAfter != 250*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want 250ms (1 / 4 per second)", se.RetryAfter)
+	if got := c.RetryHint(); got != time.Second {
+		t.Fatalf("RetryHint = %v, want 1s (the sojourn floored at a second)", got)
+	}
+
+	// A pushed-out waiter is told the same: the head it was, 400ms old.
+	clk.Advance(150 * time.Millisecond)
+	granted := make(chan error, 1)
+	go func() {
+		r, err := c.Admit(context.Background(), "b")
+		if err == nil {
+			r()
+		}
+		granted <- err
+	}()
+	if se := shedReason(t, <-pushed); se.Reason != ReasonQueueFull || se.RetryAfter != 400*time.Millisecond {
+		t.Fatalf("pushed-out waiter: %v, want queue_full after 400ms", se)
+	}
+
+	// A head stuck for 40s: the hint stops at the 30s cap.
+	waitQueued(t, c, 1)
+	clk.Advance(40 * time.Second)
+	if got := shedHint(c, "b"); got != maxRetryAfter {
+		t.Fatalf("stalled-head hint = %v, want the %v cap", got, maxRetryAfter)
+	}
+	if got := c.RetryHint(); got != maxRetryAfter {
+		t.Fatalf("stalled-head RetryHint = %v, want %v", got, maxRetryAfter)
 	}
 	hold()
+	if err := <-granted; err != nil {
+		t.Fatalf("b's waiter: %v, want granted", err)
+	}
 }
 
 func TestCancelWhileQueued(t *testing.T) {
@@ -347,21 +353,6 @@ func TestReleaseIdempotent(t *testing.T) {
 	if s := c.Snapshot(); s.Inflight != 0 {
 		t.Fatalf("inflight = %d after double release", s.Inflight)
 	}
-}
-
-func TestGateTableCapAndForget(t *testing.T) {
-	clk := newFakeClock()
-	c := mustNew(t, Config{Rate: 100, MaxTenants: 2, Now: clk.Now})
-	for i := 0; i < 5; i++ {
-		clk.Advance(time.Millisecond)
-		admitNow(t, c, fmt.Sprintf("t%d", i))()
-	}
-	if s := c.Snapshot(); s.Tenants > 2 {
-		t.Fatalf("gate table grew past cap: %d", s.Tenants)
-	}
-	admitNow(t, c, "keep")()
-	c.Forget("keep")
-	c.Forget("keep") // idempotent
 }
 
 func TestFormatRetryAfter(t *testing.T) {
@@ -411,36 +402,49 @@ func TestFormatRetryAfterMs(t *testing.T) {
 	}
 }
 
+// TestMetricsExported: the series exist from New, carry no tenant label, and
+// a shed through a held slot counts under its reason.
 func TestMetricsExported(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := mustNew(t, Config{Rate: 1, Burst: 1, MaxInflight: 1, Metrics: reg})
-	admitNow(t, c, "a")()
-	if _, err := c.Admit(context.Background(), "a"); err == nil {
-		t.Fatal("second over-rate admit should shed")
+	c := mustNew(t, Config{MaxInflight: 1, Metrics: reg})
+	hold := admitNow(t, c, "a")
+	if _, err := c.Admit(context.Background(), "b"); err == nil {
+		t.Fatal("an admit with the only slot held and no queue should shed")
 	}
+	hold()
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
 	out := sb.String()
-	for _, want := range []string{MetricAdmittedTotal, MetricShedTotal, MetricInflight} {
+	for _, want := range []string{
+		MetricAdmittedTotal + `{reason="direct"} 1`,
+		MetricShedTotal + `{reason="queue_full"} 1`,
+		MetricQueuedTotal + " 0",
+		MetricInflight + " 0",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics export missing %s:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "tenant=") {
+		t.Errorf("admission series carry a client-chosen tenant label:\n%s", out)
 	}
 }
 
 // TestAdmitStress hammers the controller from many goroutines with mixed
 // cancellation, timeouts, and releases; the race detector, the invariant
 // checked after every operation (a free slot and a non-empty queue never
-// coexist) and the final occupancy check are the assertions.
+// coexist; the tenant table never outgrows the queue) and the final
+// occupancy check are the assertions. Ten tenants share six queue places.
 func TestAdmitStress(t *testing.T) {
-	const maxInflight = 8
-	c := mustNew(t, Config{
-		Rate: 50000, Burst: 1000,
-		MaxInflight: maxInflight, QueueDepth: 32,
-	})
+	const maxInflight, queueDepth = 8, 6
+	c := mustNew(t, Config{MaxInflight: maxInflight, QueueDepth: queueDepth})
 	checkInvariant := func() {
-		if s := c.Snapshot(); s.Inflight < maxInflight && s.Queued != 0 {
+		s := c.Snapshot()
+		if s.Inflight < maxInflight && s.Queued != 0 {
 			t.Errorf("free slot beside a non-empty queue: %+v", s)
+		}
+		if s.Tenants > queueDepth || s.Tenants > s.Queued {
+			t.Errorf("tenant table holds %d gates for %d waiters (queue depth %d)", s.Tenants, s.Queued, queueDepth)
 		}
 	}
 	var wg sync.WaitGroup
@@ -449,7 +453,7 @@ func TestAdmitStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			tenant := fmt.Sprintf("t%d", w%5)
+			tenant := fmt.Sprintf("t%d", w%10)
 			for i := 0; i < 200; i++ {
 				ctx := context.Background()
 				var cancel context.CancelFunc = func() {}
@@ -470,7 +474,7 @@ func TestAdmitStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s := c.Snapshot(); s.Inflight != 0 || s.Queued != 0 {
+	if s := c.Snapshot(); s.Inflight != 0 || s.Queued != 0 || s.Tenants != 0 {
 		t.Fatalf("leaked occupancy after stress: %+v", s)
 	}
 }

@@ -47,9 +47,16 @@ type Instance struct {
 // it with the next change to benchmark/.
 func (in *Instance) SetWorkers(int) {}
 
+// maxCostScale bounds audit costs to [1/maxCostScale, maxCostScale]. Beside
+// the ±1e100 payoff.Validate allows utilities, it keeps the budget's shadow
+// price — up to a utility gap over an audit cost — finite: a cost of 1e-300
+// next to Table 2's payoffs made it +Inf (FuzzInstanceScales).
+const maxCostScale = 1e100
+
 // NewInstance validates and builds an Instance. Payoffs and costs must have
-// equal nonzero length, every payoff must satisfy the paper's sign
-// conventions, and every audit cost must be positive and finite.
+// equal nonzero length, every payoff must pass payoff.Validate (the paper's
+// sign conventions, magnitudes at most 1e100), and every audit cost must lie
+// in [1e-100, 1e100].
 func NewInstance(payoffs []payoff.Payoff, auditCosts []float64) (*Instance, error) {
 	if len(payoffs) == 0 {
 		return nil, fmt.Errorf("game: instance needs at least one alert type")
@@ -63,8 +70,8 @@ func NewInstance(payoffs []payoff.Payoff, auditCosts []float64) (*Instance, erro
 		}
 	}
 	for i, v := range auditCosts {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("game: type %d: audit cost must be positive and finite, got %g", i, v)
+		if !(v >= 1/maxCostScale && v <= maxCostScale) {
+			return nil, fmt.Errorf("game: type %d: audit cost must be in [%g, %g], got %g", i, 1/maxCostScale, maxCostScale, v)
 		}
 	}
 	return &Instance{

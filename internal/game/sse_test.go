@@ -15,6 +15,7 @@ import (
 
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/payoff"
+	"github.com/auditgames/sag/internal/signaling"
 )
 
 // sseCase is one input to solveSSE. degenerate marks a case drawn from a
@@ -553,6 +554,81 @@ func FuzzOnlineSSEScales(f *testing.F) {
 		}
 		if attackable == 0 && res.BestType != -1 {
 			fail("nothing is attackable, best response %d", res.BestType)
+		}
+	})
+}
+
+// FuzzInstanceScales holds the Instance boundary to the same contract for
+// payoffs and audit costs: each of the four utilities (with its slot's sign)
+// and one type's audit cost range over 5e-324…MaxFloat64, beside six Table 2
+// types. Either NewInstance refuses the input — a utility beyond ±1e100, a
+// cost outside [1e-100, 1e100] — or SolveOnlineSSE and signaling.Solve on
+// every type return finite outputs, coverage in [0,1] and a scheme of
+// probabilities in [0,1].
+func FuzzInstanceScales(f *testing.F) {
+	f.Add(int64(0), 100.0, 400.0, 2000.0, 400.0, 1.0) // Table 2, type 1
+	// Accepted before the bounds: an infinite budget shadow price.
+	f.Add(int64(100), math.MaxFloat64, math.MaxFloat64, 1.0, math.MaxFloat64, 1.0)
+	f.Add(int64(1), 1e10, 1e10, 6000.0, 6000.0, 1e-300)
+	// The corners the bounds admit.
+	f.Add(int64(2), 1e100, 1e100, 1e100, 1e100, 1e-100)
+	f.Add(int64(3), 5e-324, 5e-324, 5e-324, 5e-324, 1e100)
+	f.Add(int64(4), 0.0, 1e100, 5e-324, 1e100, 1.0)
+	f.Add(int64(5), math.NaN(), 400.0, 2000.0, 400.0, 5e-324)
+	f.Fuzz(func(t *testing.T, seed int64, dc, du, ac, au, cost float64) {
+		rng := rand.New(rand.NewSource(seed))
+		pays := payoff.Table2()
+		costs := UniformCost(7, 1)
+		typ := rng.Intn(7)
+		pays[1+typ] = payoff.Payoff{
+			DefenderCovered:   math.Abs(dc),
+			DefenderUncovered: -math.Abs(du),
+			AttackerCovered:   -math.Abs(ac),
+			AttackerUncovered: math.Abs(au),
+		}
+		costs[typ] = math.Abs(cost)
+		inst, err := NewInstance(pays[1:], costs)
+		if err != nil {
+			return // refused at the door
+		}
+		futures := make([]dist.Poisson, 7)
+		for i := range futures {
+			futures[i].Lambda = 1 + 250*rng.Float64()
+		}
+		budget := [...]float64{0, 1e-3, 50, 1e6}[rng.Intn(4)]
+		res, err := SolveOnlineSSE(inst, budget, futures)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s\nbudget=%v futures=%v\npayoffs=%+v costs=%v\nresult=%+v",
+				fmt.Sprintf(format, args...), budget, futures, inst.Payoffs, inst.AuditCosts, res)
+		}
+		if err != nil {
+			fail("accepted instance not solved: %v", err)
+		}
+		finite := func(what string, vs ...float64) {
+			t.Helper()
+			for _, v := range vs {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					fail("non-finite %s: %v", what, vs)
+				}
+			}
+		}
+		finite("utility or shadow price", res.DefenderUtility, res.AttackerUtility, res.BudgetShadowPrice)
+		finite("allocation", res.Allocation...)
+		for i, theta := range res.Coverage {
+			if !(theta >= 0 && theta <= 1) {
+				fail("coverage[%d] = %v", i, theta)
+			}
+			s, err := signaling.Solve(inst.Payoffs[i], theta)
+			if err != nil {
+				fail("type %d at θ=%v: signaling refused an accepted payoff: %v", i, theta, err)
+			}
+			for _, v := range []float64{s.P1, s.Q1, s.P0, s.Q0} {
+				if !(v >= 0 && v <= 1) {
+					fail("type %d at θ=%v: scheme %+v outside [0,1]", i, theta, s)
+				}
+			}
+			finite("signaling utility", s.DefenderUtility, s.AttackerUtility)
 		}
 	})
 }

@@ -31,12 +31,22 @@ type Payoff struct {
 	AttackerUncovered float64 // U_{a,u} > 0
 }
 
-// Validate checks the paper's sign conventions. It returns a descriptive
-// error naming the violated inequality.
+// maxUtility bounds the magnitude of every utility Validate accepts: far above
+// Table 2's largest (6 000), far enough below MaxFloat64 that the products the
+// solvers form stay finite. Utilities near 1e300 made the online SSE report an
+// infinite budget shadow price (game.FuzzInstanceScales).
+const maxUtility = 1e100
+
+// Validate checks the paper's sign conventions and that every utility is
+// finite with magnitude at most 1e100. It returns a descriptive error naming
+// the violated inequality.
 func (p Payoff) Validate() error {
 	for _, v := range []float64{p.DefenderCovered, p.DefenderUncovered, p.AttackerCovered, p.AttackerUncovered} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("payoff: non-finite utility in %+v", p)
+		}
+		if math.Abs(v) > maxUtility {
+			return fmt.Errorf("payoff: utility %g beyond ±%g in %+v", v, maxUtility, p)
 		}
 	}
 	if !(p.AttackerCovered < 0) {

@@ -55,6 +55,11 @@ func TestValidateRejectsEachViolation(t *testing.T) {
 		{DefenderCovered: -1, DefenderUncovered: -10, AttackerCovered: -10, AttackerUncovered: 10}, // U_dc < 0
 		{DefenderCovered: 10, DefenderUncovered: 1, AttackerCovered: -10, AttackerUncovered: 10},   // U_du >= 0
 		{DefenderCovered: math.NaN(), DefenderUncovered: -10, AttackerCovered: -10, AttackerUncovered: 10},
+		{DefenderCovered: 10, DefenderUncovered: -10, AttackerCovered: -10, AttackerUncovered: 1.01e100}, // |U| > 1e100
+	}
+	edge := Payoff{DefenderCovered: 0, DefenderUncovered: -1e100, AttackerCovered: -1e100, AttackerUncovered: 1e100}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("payoff at the magnitude bound rejected: %v", err)
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

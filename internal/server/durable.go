@@ -470,12 +470,6 @@ func (s *Server) RemoveTenant(id string) bool {
 // instead of writing into it.
 func (s *Server) evictTenant(tn *shard.Tenant) {
 	t := tn.Data.(*tenantState)
-	// Drop the tenant's admission gate (if idle) so the gate table tracks
-	// the resident set; this must run even for non-durable tenants, which
-	// return before the journal work below.
-	if s.admit != nil {
-		s.admit.Forget(t.id)
-	}
 	if s.retain != nil {
 		// The evicted tenant no longer counts against the resident budget
 		// (its journal directory persists, but restore-on-first-use re-adds

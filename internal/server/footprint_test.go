@@ -7,11 +7,9 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -83,14 +81,14 @@ func TestWorkingTenantHeapFootprint(t *testing.T) {
 }
 
 // TestTenantSeriesBudget: a tenant that has served an alert, a benign access
-// and a quit — journaled, admitted, under a disk budget — adds ≤ 30 sample
+// and a quit — journaled, admitted, under a disk budget — adds ≤ 20 sample
 // lines to a scrape. Histograms are 18 lines each, so a single
 // tenant-labelled one breaks the budget; latency belongs to the solver and
-// the disk and is exported once.
+// the disk and is exported once, and admission series carry no tenant.
 func TestTenantSeriesBudget(t *testing.T) {
-	const ceiling = 30
+	const ceiling = 20
 	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) {
-		cfg.Admission = admit.Config{Rate: 1000, MaxInflight: 4, QueueDepth: 4}
+		cfg.Admission = admit.Config{MaxInflight: 4, QueueDepth: 4}
 		cfg.DiskBudgetBytes = 1 << 30
 		cfg.CompactInterval = time.Hour
 	})
@@ -110,24 +108,10 @@ func TestTenantSeriesBudget(t *testing.T) {
 			}
 		}
 	}
-	samples := func() int {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := srv.Metrics().WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if line != "" && !strings.HasPrefix(line, "#") {
-				n++
-			}
-		}
-		return n
-	}
 	drive("") // the default tenant has paid for every tenant-independent series
-	before := samples()
+	before := scrapeLines(t, srv)
 	drive("s1")
-	per := samples() - before
+	per := scrapeLines(t, srv) - before
 	t.Logf("per-tenant series: %d series/tenant (ceiling %d)", per, ceiling)
 	if per > ceiling {
 		t.Fatalf("a tenant adds %d series to a scrape, ceiling %d: is a tenant-labelled histogram back?", per, ceiling)

@@ -81,7 +81,7 @@ func (s *Server) mutate(rt route) http.HandlerFunc {
 		}
 		id := s.tenantID(r, req.tenantField())
 		// The gates run before any tenant state is touched: a doomed request
-		// costs no token or queue slot, a shed one a bucket check, not a solve.
+		// costs no admission slot, a shed one a counter, not a solve.
 		if rt.hot && s.retain != nil {
 			if ra, blocked := s.retain.Blocked(id); blocked {
 				setRetryHeaders(w.Header(), ra)
@@ -90,8 +90,8 @@ func (s *Server) mutate(rt route) http.HandlerFunc {
 				return
 			}
 		}
-		// A malformed ID dies in resolveTenant (400); it must not occupy
-		// admission state.
+		// A malformed ID dies in resolveTenant (400); it must not take an
+		// admission slot or queue place.
 		if rt.hot && s.admit != nil && shard.ValidID(id) {
 			release, err := s.admit.Admit(r.Context(), id)
 			if err != nil {
@@ -116,7 +116,7 @@ func (s *Server) mutate(rt route) http.HandlerFunc {
 	}
 }
 
-// writeShed answers an admission refusal: 503 with the computed backoff.
+// writeShed answers an admission refusal: 503 with the queue's backoff hint.
 func writeShed(w http.ResponseWriter, err error) {
 	msg := err.Error()
 	var shed *admit.ShedError

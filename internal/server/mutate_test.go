@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -126,15 +127,17 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 		},
 		{
 			name: "admission shed",
-			mod:  func(cfg *Config) { cfg.Admission = admit.Config{Rate: 0.001, Burst: 1} },
-			prep: func(t *testing.T, srv *Server) { // burn the tenant's one token
-				if rec := serve(srv, "/v1/access", `{"employee_id":0,"patient_id":0}`); rec.Code != http.StatusOK {
-					t.Fatalf("token-burning access answered %d", rec.Code)
+			mod:  func(cfg *Config) { cfg.Admission = admit.Config{MaxInflight: 1} },
+			prep: func(t *testing.T, srv *Server) { // hold the only slot; there is no queue
+				release, err := srv.admit.Admit(context.Background(), DefaultTenantID)
+				if err != nil {
+					t.Fatal(err)
 				}
+				t.Cleanup(release)
 			},
 			cells: map[string]cell{
-				"/v1/access":      {http.StatusServiceUnavailable, "overloaded (rate): request shed; retry after ", true},
-				"/v1/quit":        {http.StatusServiceUnavailable, "overloaded (rate): request shed; retry after ", true},
+				"/v1/access":      {http.StatusServiceUnavailable, "overloaded (queue_full): request shed; retry after ", true},
+				"/v1/quit":        {http.StatusServiceUnavailable, "overloaded (queue_full): request shed; retry after ", true},
 				"/v1/cycle/close": ok,
 				"/v1/cycle/new":   ok,
 			},

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -119,26 +120,24 @@ func TestReadPathsDoNotCreateTenants(t *testing.T) {
 	}
 }
 
-// TestShedRetryAfterIsSpecValid drives the admission shedder into a 503 and
-// checks both retry headers on the way out.
+// TestShedRetryAfterIsSpecValid drives the admission shedder into a 503 —
+// the only slot held, no queue — and checks both retry headers on the way out.
 func TestShedRetryAfterIsSpecValid(t *testing.T) {
 	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) {
-		cfg.Admission = admit.Config{Rate: 0.01, Burst: 1}
+		cfg.Admission = admit.Config{MaxInflight: 1}
 	})
 	defer srv.Close()
+	release, err := srv.admit.Admit(context.Background(), DefaultTenantID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 
-	shed := false
-	for i := 0; i < 5; i++ {
-		code, _, hdr := postRaw(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP})
-		if code == http.StatusServiceUnavailable {
-			checkRetryHeaders(t, hdr)
-			shed = true
-			break
-		}
+	code, _, hdr := postRaw(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("access with the only slot held answered %d, want 503", code)
 	}
-	if !shed {
-		t.Fatal("rate limiter never shed; cannot check headers")
-	}
+	checkRetryHeaders(t, hdr)
 }
 
 // TestDiskPressureAnswers507 pins the backpressure contract: with the box

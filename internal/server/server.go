@@ -150,11 +150,10 @@ type Config struct {
 	// is answered normally. Zero installs no deadline.
 	RequestTimeout time.Duration
 	// Admission configures overload protection for the mutation hot path
-	// (/v1/access and /v1/quit): per-tenant token-bucket rate limits, a
-	// box-wide inflight cap with a bounded round-robin-fair admission
-	// queue; a shed is 503 + computed Retry-After. The zero value admits
-	// everything. A queued request waits no longer than its own context
-	// (RequestTimeout). See internal/admit.
+	// (/v1/access and /v1/quit): a box-wide inflight cap with a bounded
+	// round-robin-fair admission queue; a shed is 503 + Retry-After. The
+	// zero value admits everything. A queued request waits no longer than
+	// its own context (RequestTimeout). See internal/admit.
 	Admission admit.Config
 	// SSESolve overrides the engines' online SSE solver (nil means the real
 	// game.SolveOnlineSSECtx). Injection seam for fault-injection and for
@@ -350,15 +349,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Admission.Enabled() {
 		adm := cfg.Admission
-		if adm.MaxTenants == 0 {
-			// Gate bookkeeping is tiny; 4× the resident-tenant cap leaves
-			// room for evicted tenants whose clients are still arriving.
-			residents := cfg.MaxTenants
-			if residents <= 0 {
-				residents = shard.DefaultMaxTenants
-			}
-			adm.MaxTenants = 4 * residents
-		}
 		if adm.Metrics == nil {
 			adm.Metrics = s.met.reg
 		}
@@ -658,8 +648,8 @@ func setRetryHeaders(h http.Header, d time.Duration) {
 // draining / request timeout / standby, 507 disk pressure) with Retry-After
 // and X-SAG-Retry-After-Ms so clients back off. Responses that already carry
 // a per-request hint — admission sheds, the disk-pressure gate — keep it; the
-// rest get the one the admission controller derives from the observed queue
-// drain rate (1s when admission control is off).
+// rest get the admission controller's RetryHint (1s when admission control is
+// off).
 type responseWriter struct {
 	http.ResponseWriter
 	s    *Server
