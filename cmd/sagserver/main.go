@@ -67,10 +67,10 @@ func run() error {
 
 		dataDir         = flag.String("data-dir", "", "enable durability: per-tenant write-ahead journals and snapshots live under this directory, and restarts recover the exact engine state")
 		fsyncMode       = flag.String("fsync", "always", "journal durability policy with -data-dir: always (fsync before every ack), interval (group fsync on a timer), none (OS page cache only)")
-		snapshotEvery   = flag.Int("snapshot-every", 0, "journal records between automatic per-tenant snapshots with -data-dir (0 = default)")
+		snapshotEvery   = flag.Int("snapshot-every", 0, "with -data-dir, the retention scan snapshots a tenant once this many journal records follow its newest snapshot (0 = default)")
 		walSegmentBytes = flag.Int64("wal-segment-bytes", 0, "journal segment roll size in bytes with -data-dir (0 = default; drills shrink it to force rolls)")
-		diskBudget      = flag.Int64("disk-budget", 0, "box-wide journal disk budget in bytes with -data-dir: a background compactor snapshots-then-prunes tenants to stay under it, and tenants with nothing to reclaim answer 507 while over budget (0 disables retention)")
-		compactInterval = flag.Duration("compact-interval", 0, "retention compactor scan cadence with -disk-budget (0 = default)")
+		diskBudget      = flag.Int64("disk-budget", 0, "box-wide journal disk budget in bytes with -data-dir: the retention scan also snapshots-then-prunes tenants to stay under it, and tenants with nothing to reclaim answer 507 while over budget (0 = no budget)")
+		compactInterval = flag.Duration("compact-interval", 0, "retention scan cadence with -data-dir; also the 507 Retry-After (0 = 1s)")
 		fixedClock      = flag.Duration("fixed-clock", -1, "pin the cycle clock to a fixed offset, e.g. 9h (deterministic runs and crash drills; negative = wall clock)")
 
 		follow = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, mutations answer 503 and /v1/readyz reports ready only at zero replication lag until POST /v1/admin/promote")
@@ -115,7 +115,7 @@ func run() error {
 		log.Printf("durability on: journals under %s (fsync=%s), recovered tenants restore on first use", *dataDir, fsync)
 	}
 	if *dataDir != "" && *diskBudget > 0 {
-		log.Printf("retention on: disk budget %d bytes, compaction every %v (0 = default); over-budget tenants with nothing to reclaim answer 507", *diskBudget, *compactInterval)
+		log.Printf("retention on: disk budget %d bytes, compacted by the retention scan (-compact-interval %v, 0 = 1s); over-budget tenants with nothing to reclaim answer 507", *diskBudget, *compactInterval)
 	}
 	if cfg.Admission.Enabled() {
 		log.Printf("admission control on: max-inflight=%d queue-depth=%d (shed answers 503 with Retry-After)",

@@ -1,24 +1,27 @@
 package retain
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/wal"
 )
 
 // fakeTenant is a scriptable Tenant: Prune frees PrunableBytes, Compact
-// frees ReclaimableBytes and drops a segment, and either can be forced to
-// fail.
+// frees ReclaimableBytes, drops a segment and empties the tail, and either
+// can be forced to fail.
 type fakeTenant struct {
 	id string
 
 	mu         sync.Mutex
 	st         wal.RetainStats
 	ok         bool
-	last       time.Time
 	compactErr error
+	onStats    func()    // runs on every RetainStats, outside mu
+	order      *[]string // appends id on every Compact when set
 
 	prunes   int
 	compacts int
@@ -27,6 +30,9 @@ type fakeTenant struct {
 func (f *fakeTenant) RetainID() string { return f.id }
 
 func (f *fakeTenant) RetainStats() (wal.RetainStats, bool) {
+	if f.onStats != nil {
+		f.onStats()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.st, f.ok
@@ -51,32 +57,31 @@ func (f *fakeTenant) Compact() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.compacts++
+	if f.order != nil {
+		*f.order = append(*f.order, f.id)
+	}
 	if f.compactErr != nil {
 		return f.compactErr
 	}
 	f.st.TotalBytes -= f.st.ReclaimableBytes
 	f.st.ReclaimableBytes = 0
 	f.st.PrunableBytes = 0
+	f.st.TailRecords = 0
 	f.st.Segments--
 	return nil
 }
 
-func (f *fakeTenant) LastAppend() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last
-}
-
-func newCompactor(t *testing.T, budget int64, tenants ...*fakeTenant) *Compactor {
+func newCompactor(t *testing.T, cfg Config, tenants ...*fakeTenant) *Compactor {
 	t.Helper()
-	list := func() []Tenant {
+	cfg.Interval = time.Minute
+	cfg.List = func() []Tenant {
 		out := make([]Tenant, len(tenants))
 		for i, ft := range tenants {
 			out[i] = ft
 		}
 		return out
 	}
-	c, err := New(Config{BudgetBytes: budget, Interval: time.Minute, List: list})
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +89,11 @@ func newCompactor(t *testing.T, budget int64, tenants ...*fakeTenant) *Compactor
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{List: func() []Tenant { return nil }}); err == nil {
-		t.Fatal("New accepted a zero budget")
-	}
 	if _, err := New(Config{BudgetBytes: 1}); err == nil {
 		t.Fatal("New accepted a nil List")
 	}
-	c, err := New(Config{BudgetBytes: 1, List: func() []Tenant { return nil }})
+	// No budget is a cadence-only scan, not an error.
+	c, err := New(Config{List: func() []Tenant { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +102,44 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestRunOnceSnapshotsPastTheCadence: with or without a budget, a scan
+// snapshots exactly the tenants whose tail reached SnapshotEvery, and a
+// budget-less scan registers no sag_retain_* series and blocks no one.
+func TestRunOnceSnapshotsPastTheCadence(t *testing.T) {
+	for _, budget := range []int64{0, 1 << 20} {
+		due := &fakeTenant{id: "due", ok: true, st: wal.RetainStats{Segments: 2, TotalBytes: 200, ReclaimableBytes: 100, TailRecords: 5}}
+		early := &fakeTenant{id: "early", ok: true, st: wal.RetainStats{Segments: 2, TotalBytes: 200, ReclaimableBytes: 100, TailRecords: 4}}
+		reg := obs.NewRegistry()
+		c := newCompactor(t, Config{BudgetBytes: budget, SnapshotEvery: 5, Metrics: reg}, due, early)
+		c.RunOnce()
+		if due.compacts != 1 || early.compacts != 0 {
+			t.Fatalf("budget %d: compacts = due:%d early:%d, want 1 and 0", budget, due.compacts, early.compacts)
+		}
+		c.RunOnce() // due's tail is empty now
+		if due.compacts != 1 {
+			t.Fatalf("budget %d: a tenant with an empty tail was snapshotted again", budget)
+		}
+		var series []string
+		for name := range reg.Snapshot().Gauges {
+			series = append(series, name)
+		}
+		for name := range reg.Snapshot().Counters {
+			series = append(series, name)
+		}
+		hasRetain := strings.Contains(strings.Join(series, " "), "sag_retain_")
+		if hasRetain != (budget > 0) {
+			t.Fatalf("budget %d: sag_retain_* series registered = %v (%v)", budget, hasRetain, series)
+		}
+		if _, blocked := c.Blocked("early"); blocked {
+			t.Fatalf("budget %d: a tenant under budget is blocked", budget)
+		}
+	}
+}
+
 func TestRunOnceOpportunisticPrune(t *testing.T) {
-	ft := &fakeTenant{id: "a", ok: true, last: time.Now(),
+	ft := &fakeTenant{id: "a", ok: true,
 		st: wal.RetainStats{Segments: 3, TotalBytes: 300, PrunableBytes: 100, ReclaimableBytes: 100}}
-	c := newCompactor(t, 1000, ft)
+	c := newCompactor(t, Config{BudgetBytes: 1000}, ft)
 	c.RunOnce()
 	if ft.prunes != 1 {
 		t.Fatalf("prunes = %d, want 1", ft.prunes)
@@ -119,11 +156,11 @@ func TestRunOnceOpportunisticPrune(t *testing.T) {
 }
 
 func TestRunOnceCompactsUntilUnderBudget(t *testing.T) {
-	a := &fakeTenant{id: "a", ok: true, last: time.Now(),
+	a := &fakeTenant{id: "a", ok: true,
 		st: wal.RetainStats{Segments: 4, TotalBytes: 400, ReclaimableBytes: 300}}
-	b := &fakeTenant{id: "b", ok: true, last: time.Now(),
+	b := &fakeTenant{id: "b", ok: true,
 		st: wal.RetainStats{Segments: 4, TotalBytes: 400, ReclaimableBytes: 100}}
-	c := newCompactor(t, 500, a, b)
+	c := newCompactor(t, Config{BudgetBytes: 500}, a, b)
 	c.RunOnce()
 	// a alone brings 800 down to 500: b must be left alone.
 	if a.compacts != 1 {
@@ -142,11 +179,11 @@ func TestRunOnceCompactsUntilUnderBudget(t *testing.T) {
 
 func TestRunOncePressureAndBlocked(t *testing.T) {
 	// All live tail: nothing reclaimable anywhere, box hopelessly over.
-	a := &fakeTenant{id: "a", ok: true, last: time.Now(),
+	a := &fakeTenant{id: "a", ok: true,
 		st: wal.RetainStats{Segments: 1, TotalBytes: 900}}
-	b := &fakeTenant{id: "b", ok: true, last: time.Now(),
+	b := &fakeTenant{id: "b", ok: true,
 		st: wal.RetainStats{Segments: 2, TotalBytes: 300, ReclaimableBytes: 200}}
-	c := newCompactor(t, 500, a, b)
+	c := newCompactor(t, Config{BudgetBytes: 500}, a, b)
 	c.RunOnce()
 	if !pressure(c) {
 		t.Fatal("pressure not set with box over budget and nothing left to reclaim")
@@ -186,23 +223,10 @@ func TestRunOncePressureAndBlocked(t *testing.T) {
 	}
 }
 
-func TestRunOnceSkipsBusyTenant(t *testing.T) {
-	a := &fakeTenant{id: "a", ok: true, last: time.Now(), compactErr: ErrBusy,
-		st: wal.RetainStats{Segments: 4, TotalBytes: 600, ReclaimableBytes: 500}}
-	b := &fakeTenant{id: "b", ok: true, last: time.Now(),
-		st: wal.RetainStats{Segments: 4, TotalBytes: 400, ReclaimableBytes: 300}}
-	c := newCompactor(t, 500, a, b)
-	c.RunOnce()
-	// a (more reclaimable) is tried first but busy; b is compacted instead.
-	if a.compacts != 1 || b.compacts != 1 {
-		t.Fatalf("compacts = a:%d b:%d, want 1 and 1 (busy skip falls through)", a.compacts, b.compacts)
-	}
-}
-
 func TestRunOnceSkipsJournallessTenant(t *testing.T) {
 	a := &fakeTenant{id: "a", ok: false,
-		st: wal.RetainStats{Segments: 9, TotalBytes: 9999, ReclaimableBytes: 9999}}
-	c := newCompactor(t, 1, a)
+		st: wal.RetainStats{Segments: 9, TotalBytes: 9999, ReclaimableBytes: 9999, TailRecords: 9999}}
+	c := newCompactor(t, Config{BudgetBytes: 1, SnapshotEvery: 1}, a)
 	c.RunOnce()
 	if a.compacts != 0 || a.prunes != 0 {
 		t.Fatal("tenant without a journal was touched")
@@ -212,100 +236,64 @@ func TestRunOnceSkipsJournallessTenant(t *testing.T) {
 	}
 }
 
+// TestCompactionOrder: over budget, tenants are compacted most reclaimable
+// bytes first.
 func TestCompactionOrder(t *testing.T) {
-	cands := []candidate{
-		{id: "busy-big", idle: false, st: wal.RetainStats{ReclaimableBytes: 900}},
-		{id: "idle-small", idle: true, st: wal.RetainStats{ReclaimableBytes: 10}},
-		{id: "idle-big", idle: true, st: wal.RetainStats{ReclaimableBytes: 500}},
-		{id: "busy-small", idle: false, st: wal.RetainStats{ReclaimableBytes: 20}},
+	var order []string
+	var tenants []*fakeTenant
+	for _, x := range []struct {
+		id          string
+		reclaimable int64
+	}{{"small", 10}, {"big", 900}, {"mid", 500}} {
+		tenants = append(tenants, &fakeTenant{id: x.id, ok: true, order: &order,
+			st: wal.RetainStats{Segments: 2, TotalBytes: 1000, ReclaimableBytes: x.reclaimable}})
 	}
-	got := compactionOrder(cands, 0)
-	want := []string{"idle-big", "idle-small", "busy-big", "busy-small"}
-	for i, idx := range got {
-		if cands[idx].id != want[i] {
-			t.Fatalf("order[%d] = %s, want %s (full order %v)", i, cands[idx].id, want[i], got)
-		}
-	}
-	// Rotation shifts the start position without reordering the cycle.
-	rot := compactionOrder(cands, 1)
-	if cands[rot[0]].id != "idle-small" || cands[rot[3]].id != "idle-big" {
-		t.Fatalf("rr=1 rotation wrong: got %s..%s", cands[rot[0]].id, cands[rot[3]].id)
-	}
-	if len(compactionOrder(nil, 3)) != 0 {
-		t.Fatal("empty candidate set must yield an empty order")
+	c := newCompactor(t, Config{BudgetBytes: 1}, tenants...)
+	c.RunOnce()
+	if got := strings.Join(order, ","); got != "big,mid,small" {
+		t.Fatalf("compaction order %s, want big,mid,small", got)
 	}
 }
 
-func TestStartStopKickLifecycle(t *testing.T) {
-	ft := &fakeTenant{id: "a", ok: true, last: time.Now(),
-		st: wal.RetainStats{Segments: 1, TotalBytes: 10}}
-	c := newCompactor(t, 100, ft)
-	c.Start()
-	c.Start() // idempotent
-	c.Kick()
-	c.Kick() // coalesced, never blocks
-	c.Stop()
-	c.Stop() // idempotent
-	c.Kick() // after Stop: still safe
-	// Start after Stop must not relaunch the loop.
-	c.Start()
-	ft.mu.Lock()
-	ft.last = time.Now()
-	ft.mu.Unlock()
-}
-
-func TestKickDebounce(t *testing.T) {
-	var clock struct {
-		sync.Mutex
-		t time.Time
-	}
-	clock.t = time.Unix(1000, 0)
-	now := func() time.Time {
-		clock.Lock()
-		defer clock.Unlock()
-		return clock.t
-	}
-	ft := &fakeTenant{id: "a", ok: true, st: wal.RetainStats{TotalBytes: 1}}
-	var scans int
-	var smu sync.Mutex
-	list := func() []Tenant {
-		smu.Lock()
-		scans++
-		smu.Unlock()
-		return []Tenant{ft}
-	}
-	c, err := New(Config{BudgetBytes: 100, Interval: time.Hour, List: list, Now: now})
+// TestEvictionRacingAScanLeavesNoStaleGauge: a scan lists a tenant, the
+// tenant is evicted (unlinked, then Forget) before the scan publishes, and
+// the scan publishes its size anyway. The next scan must zero it: a gauge
+// left at the evicted tenant's last size overstates the box's disk use.
+func TestEvictionRacingAScanLeavesNoStaleGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	a := &fakeTenant{id: "a", ok: true, st: wal.RetainStats{Segments: 1, TotalBytes: 100, LeaseFloorSeg: 2}}
+	resident := []Tenant{a}
+	c, err := New(Config{BudgetBytes: 1 << 20, Interval: time.Minute, Metrics: reg,
+		List: func() []Tenant { return resident }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RunOnce() // stamps the scan time at the fake clock
-	base := scans
+	a.onStats = func() {
+		resident = nil
+		c.Forget("a")
+	}
+	c.RunOnce() // listed a; the eviction lands mid-scan
+	c.RunOnce() // a is gone
+	g := reg.Snapshot().Gauges
+	if b := g[MetricBytes+`{tenant="a"}`]; b != 0 {
+		t.Fatalf("%s for the evicted tenant = %g, want 0", MetricBytes, b)
+	}
+	if f := g[MetricLeaseFloor+`{tenant="a"}`]; f != -1 {
+		t.Fatalf("%s for the evicted tenant = %g, want -1", MetricLeaseFloor, f)
+	}
+}
 
-	// Inside the debounce window a kick is dropped on the caller's side: it
-	// must not reach the channel, where it would wake the loop goroutine only
-	// to be discarded.
-	for i := 0; i < 3; i++ {
-		c.Kick()
-	}
-	if n := len(c.kickCh); n != 0 {
-		t.Fatalf("kicks inside the window: %d queued, want them dropped by Kick", n)
-	}
-
-	clock.Lock()
-	clock.t = clock.t.Add(time.Second)
-	clock.Unlock()
-	c.Kick()
-	c.Kick() // coalesced
-	if n := len(c.kickCh); n != 1 {
-		t.Fatalf("kicks after the window: %d queued, want exactly one", n)
-	}
-	c.RunOnce()
-	smu.Lock()
-	grew := scans > base
-	smu.Unlock()
-	if !grew {
-		t.Fatal("RunOnce did not rescan")
-	}
+func TestStartStopLifecycle(t *testing.T) {
+	ft := &fakeTenant{id: "a", ok: true,
+		st: wal.RetainStats{Segments: 1, TotalBytes: 10, TailRecords: 1}}
+	c := newCompactor(t, Config{BudgetBytes: 100, SnapshotEvery: 1}, ft)
+	c.Start()
+	c.Start()   // idempotent
+	c.RunOnce() // beside the loop's startup scan: the race detector checks the two
+	c.Stop()
+	c.Stop() // idempotent
+	// Start after Stop must not relaunch the loop.
+	c.Start()
 }
 
 // pressure reports whether the box was over budget at the last scan even

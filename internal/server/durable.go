@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
@@ -214,42 +213,13 @@ func (t *tenantState) countAccess(alerted, warned bool) {
 	}
 }
 
-// noteAppend accounts one journaled record toward the automatic snapshot
-// cadence, kicking a background snapshot when the cadence is reached. Safe
-// to call from the engine's journal hook (it only touches atomics and at
-// most spawns one goroutine).
-func (s *Server) noteAppend(t *tenantState) {
-	if s.retain != nil {
-		// Only the compactor's idle ordering reads the stamp.
-		t.lastAppend.Store(time.Now().UnixNano())
-		// Snapshot-now under pressure: a write burst meets compaction at the
-		// kick (coalesced; inside the debounce window it is one clock read).
-		s.retain.Kick()
-	}
-	every := s.cfg.SnapshotEvery
-	if every <= 0 {
-		every = DefaultSnapshotEvery
-	}
-	if t.walRecords.Add(1) < int64(every) {
-		return
-	}
-	if !t.snapshotting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer t.snapshotting.Store(false)
-		if err := s.snapshotTenant(t); err != nil {
-			s.logf("server: tenant %s: background snapshot: %v", t.id, err)
-		}
-	}()
-}
-
 // appendRecord enqueues one record on t's journal and returns the wait that
 // makes it as durable as the fsync policy promises. It is the only way a
 // record enters a live journal: commit (which waits at once) and the engine's
 // decision hook (under its budget lock, so journal order is commit order; the
 // engine waits after unlocking). A follower's journal stays nil until Promote
-// opens it; the standby gate keeps mutations out until then.
+// opens it; the standby gate keeps mutations out until then. The journal
+// counts its own tail; the retention scan reads it to schedule snapshots.
 func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, err error) {
 	j := t.journal
 	if j == nil {
@@ -260,11 +230,7 @@ func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, 
 			return nil, err
 		}
 	}
-	if wait, err = j.Append(r); err != nil {
-		return nil, err
-	}
-	s.noteAppend(t)
-	return wait, nil
+	return j.Append(r)
 }
 
 // retainTarget adapts one tenant to the retention compactor's Tenant view.
@@ -302,26 +268,9 @@ func (rt retainTarget) Prune() (int, int64, error) {
 	return j.Prune()
 }
 
-// Compact snapshots-then-prunes the tenant. TryLock is the "never while a
-// cycle rollover holds the lifecycle write lock" rule: a rollover (or an
-// in-flight snapshot, or eviction) owns the write side, and queueing behind
-// it would stall the whole compaction round on one busy tenant — the
-// compactor skips it and returns next round.
-func (rt retainTarget) Compact() error {
-	t := rt.t
-	if !t.lifecycle.TryLock() {
-		return retain.ErrBusy
-	}
-	defer t.lifecycle.Unlock()
-	if t.sealed || t.journal == nil {
-		return nil
-	}
-	return rt.s.snapshotTenantLocked(t)
-}
-
-func (rt retainTarget) LastAppend() time.Time {
-	return time.Unix(0, rt.t.lastAppend.Load())
-}
+// Compact snapshots-then-prunes the tenant, waiting for the lifecycle write
+// lock like every other snapshot.
+func (rt retainTarget) Compact() error { return rt.s.snapshotTenant(rt.t) }
 
 // listRetainTenants is the compactor's Config.List: the resident tenants as
 // retention targets.
@@ -388,11 +337,7 @@ func (s *Server) snapshotTenantLocked(t *tenantState) error {
 	if err != nil {
 		return err
 	}
-	if err := t.journal.Snapshot(blob); err != nil {
-		return err
-	}
-	t.walRecords.Store(0)
-	return nil
+	return t.journal.Snapshot(blob)
 }
 
 // SnapshotAll snapshots every resident tenant's state to its journal. The
@@ -433,14 +378,12 @@ func (s *Server) Close() error {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
 	s.closed = true
-	if s.retain != nil {
-		// Stop the compactor before sealing journals so no compaction round
-		// races the close-time snapshots.
-		s.retain.Stop()
-	}
 	if !s.durable() {
 		return nil
 	}
+	// Stop the retention scan before sealing journals so no scan races the
+	// close-time snapshots.
+	s.retain.Stop()
 	err := s.SnapshotAll()
 	s.router.Range(func(tn *shard.Tenant) bool {
 		if j := tn.Data.(*tenantState).lockedJournal(); j != nil {
@@ -470,15 +413,13 @@ func (s *Server) RemoveTenant(id string) bool {
 // instead of writing into it.
 func (s *Server) evictTenant(tn *shard.Tenant) {
 	t := tn.Data.(*tenantState)
-	if s.retain != nil {
-		// The evicted tenant no longer counts against the resident budget
-		// (its journal directory persists, but restore-on-first-use re-adds
-		// it); zero its gauges and lift any disk-pressure block.
-		s.retain.Forget(t.id)
-	}
 	if t.lockedJournal() == nil {
 		return
 	}
+	// The evicted tenant no longer counts against the resident budget (its
+	// journal directory persists, but restore-on-first-use re-adds it): lift
+	// any disk-pressure block. The next scan zeroes its gauges.
+	s.retain.Forget(t.id)
 	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
 	if err := s.snapshotTenantLocked(t); err != nil {

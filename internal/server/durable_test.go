@@ -400,15 +400,13 @@ func TestDurableAutoSnapshotCadence(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
-	// Background snapshots are asynchronous; wait for at least one snapshot
-	// record to land.
-	tdir := filepath.Join(dir, "tenants", "t-"+DefaultTenantID)
+	// Background snapshots are asynchronous; wait until the scan has nothing
+	// left to snapshot. Ask the journal, not the directory: Recover on a live
+	// journal trims its preallocated tail and can cut a frame mid-write.
+	tn, _ := srv.router.Get(DefaultTenantID)
+	j := tn.Data.(*tenantState).lockedJournal()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec, err := wal.Recover(tdir)
-		if err == nil && rec.Snapshot != nil {
-			break
-		}
+	for st := j.RetainStats(); st.SnapshotSeg < 0 || st.TailRecords >= 5; st = j.RetainStats() {
 		if time.Now().After(deadline) {
 			t.Fatal("no automatic snapshot within 5s despite SnapshotEvery=5")
 		}
@@ -418,5 +416,34 @@ func TestDurableAutoSnapshotCadence(t *testing.T) {
 	_, ts2, _, _ := durableFixture(t, dir, nil)
 	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
 		t.Fatalf("auto-snapshot recovery diverged:\n got %s\nwant %s", got, wantStatus)
+	}
+}
+
+// TestBootKeepsTheRecoveredTailTowardTheCadence: the snapshot cadence counts
+// the tail a boot replayed. A box killed 4 records into a cadence of 5 must
+// snapshot after one more record; a count that restarts at 0 on every boot
+// never snapshots a box that restarts more often than the cadence.
+func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
+	cadence := func(cfg *Config) {
+		cfg.SnapshotEvery = 5
+		cfg.CompactInterval = 20 * time.Millisecond
+	}
+	dir := t.TempDir()
+	_, ts, bgE, bgP := replicaFixture(t, dir, nil, cadence)
+	for i := 0; i < 4; i++ {
+		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+	}
+	// No Close (a kill -9 writes no shutdown snapshot): reboot on a copy.
+	crashed := t.TempDir()
+	copyTree(t, dir, crashed)
+	srv2, ts2, _, _ := replicaFixture(t, crashed, nil, cadence)
+	defer srv2.Close()
+	post(t, ts2, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+	tn, _ := srv2.router.Get(DefaultTenantID)
+	j := tn.Data.(*tenantState).lockedJournal()
+	for deadline := time.Now().Add(5 * time.Second); j.RetainStats().SnapshotSeg < 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot with a tail of %d records against a cadence of 5", j.RetainStats().TailRecords)
+		}
 	}
 }

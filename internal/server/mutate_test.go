@@ -91,9 +91,8 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 		},
 		{
 			name:  "oversized body",
-			mod:   func(cfg *Config) { cfg.MaxBodyBytes = 64 },
-			body:  `{"tenant":"` + strings.Repeat("a", 128) + `"}`,
-			cells: all(cell{code: http.StatusRequestEntityTooLarge, body: "request body exceeds 64 bytes"}),
+			body:  `{"tenant":"` + strings.Repeat("a", defaultMaxBodyBytes+1) + `"}`,
+			cells: all(cell{code: http.StatusRequestEntityTooLarge, body: fmt.Sprintf("request body exceeds %d bytes", defaultMaxBodyBytes)}),
 		},
 		{
 			name: "junk body",

@@ -37,7 +37,7 @@
 // The full locking hierarchy is documented in DESIGN.md.
 //
 // The serving path is hardened for production shapes: request bodies are
-// capped (Config.MaxBodyBytes), a failed solve degrades gracefully (the
+// capped (1 MiB), a failed solve degrades gracefully (the
 // fallback ladder in internal/fallback) instead of erroring, and
 // Run provides the full listener lifecycle — server timeouts, health-gated
 // draining, and coordinated shutdown of the main and debug listeners.
@@ -58,6 +58,10 @@
 // durable, so live state equals replay of the journal by construction, a
 // refused or failed request leaves nothing to undo, and a request invalid on
 // its face is refused before it can create a tenant.
+//
+// With Config.DataDir each tenant journals to its own write-ahead log
+// (internal/wal). The append path only appends: the retention scan
+// (internal/retain) is the one place the server snapshots a tenant unasked.
 package server
 
 import (
@@ -87,18 +91,18 @@ import (
 
 // TenantHeader is the request header naming the tenant an API call is for.
 // It wins over the "tenant" body field; absent both, the request routes to
-// Config.DefaultTenant.
+// DefaultTenantID.
 const TenantHeader = "X-SAG-Tenant"
 
 // tenantHeaderKey is TenantHeader as http.Header stores it. Header.Get
 // would canonicalise the constant again, allocating, on every request.
 var tenantHeaderKey = http.CanonicalHeaderKey(TenantHeader)
 
-// DefaultTenantID is the tenant used when Config.DefaultTenant is empty and
-// a request names no tenant.
+// DefaultTenantID is the tenant a request that names none routes to. New
+// creates it eagerly.
 const DefaultTenantID = "default"
 
-// defaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is zero.
+// defaultMaxBodyBytes caps request bodies; oversized ones answer 413.
 const defaultMaxBodyBytes = 1 << 20
 
 // Config assembles a Server.
@@ -130,12 +134,6 @@ type Config struct {
 	// MaxTenants caps resident tenants; creation beyond it answers 429.
 	// Zero selects shard.DefaultMaxTenants.
 	MaxTenants int
-	// DefaultTenant names the tenant used by requests that carry none;
-	// empty selects DefaultTenantID. It is created eagerly by New.
-	DefaultTenant string
-	// MaxBodyBytes caps request bodies; oversized ones answer 413. Zero
-	// selects 1 MiB.
-	MaxBodyBytes int64
 	// Clock returns the current offset within the audit cycle; defaults to
 	// wall-clock time-of-day. Tests inject a fake.
 	Clock func() time.Duration
@@ -171,25 +169,25 @@ type Config struct {
 	// none); the zero value is wal.FsyncAlways. Only meaningful with
 	// DataDir.
 	Fsync wal.FsyncPolicy
-	// SnapshotEvery is the automatic snapshot cadence in journal records
-	// per tenant; zero selects DefaultSnapshotEvery. Only meaningful with
-	// DataDir.
+	// SnapshotEvery is the automatic snapshot cadence: the retention scan
+	// (see internal/retain) snapshots a tenant once this many journal
+	// records follow its newest snapshot; zero selects DefaultSnapshotEvery.
+	// Only meaningful with DataDir.
 	SnapshotEvery int
 	// SegmentBytes overrides the journal segment roll size; zero keeps
 	// wal.DefaultSegmentBytes. Only meaningful with DataDir. Drills shrink
 	// it to force segment rolls (and snapshot pruning) quickly.
 	SegmentBytes int64
 	// DiskBudgetBytes, when positive, bounds the box-wide journal footprint:
-	// a background compactor (see internal/retain) accounts every resident
-	// tenant's journal bytes against this budget and schedules
-	// snapshot-then-prune on the tenants holding the most reclaimable bytes.
-	// When the box stays over budget and a tenant has nothing left to
-	// reclaim, its hot-path mutations answer 507 + Retry-After. Zero
-	// disables retention (journals grow until their own snapshot cadence
-	// prunes them). Only meaningful with DataDir.
+	// the retention scan also accounts every resident tenant's journal bytes
+	// against this budget and snapshots-then-prunes the tenants holding the
+	// most reclaimable bytes. When the box stays over budget and a tenant has
+	// nothing left to reclaim, its hot-path mutations answer 507 +
+	// Retry-After. Zero leaves journals to their snapshot cadence. Only
+	// meaningful with DataDir.
 	DiskBudgetBytes int64
-	// CompactInterval is the retention compactor's scan cadence; zero
-	// selects retain.DefaultInterval. Only meaningful with DiskBudgetBytes.
+	// CompactInterval is the retention scan's cadence; zero selects
+	// retain.DefaultInterval. Only meaningful with DataDir.
 	CompactInterval time.Duration
 	// FollowPrimary, when non-empty, starts the server as a hot standby of
 	// the primary at this base URL: every durable tenant is replicated via
@@ -246,10 +244,6 @@ type tenantState struct {
 	warned   atomic.Int64
 	quits    atomic.Int64
 
-	walRecords   atomic.Int64 // journal records since the last snapshot
-	snapshotting atomic.Bool  // one background snapshot at a time
-	lastAppend   atomic.Int64 // unix nanos of the last journal append (retention idleness)
-
 	// repl is the follower-side replication position recovered from the
 	// tenant's mirrored journal at build time, and written back by the
 	// replication client when it stops (synchronized by the follow
@@ -259,21 +253,19 @@ type tenantState struct {
 
 // Server is the HTTP facade. Create with New and mount via Handler.
 type Server struct {
-	detector  *alerts.Engine
-	cfg       Config
-	met       serverMetrics
-	typeIdx   map[int]int // taxonomy ID → engine index
-	router    *shard.Router
-	defaultID string
-	maxBody   int64
-	ready     atomic.Bool
+	detector *alerts.Engine
+	cfg      Config
+	met      serverMetrics
+	typeIdx  map[int]int // taxonomy ID → engine index
+	router   *shard.Router
+	ready    atomic.Bool
 
 	// admit is the admission controller gating the mutation hot path; nil
 	// when Config.Admission is the zero value (admit everything).
 	admit *admit.Controller
 
-	// retain is the background retention compactor bounding journal disk
-	// use; nil unless DataDir and DiskBudgetBytes are both set.
+	// retain is the retention scan: the automatic snapshot cadence and, with
+	// DiskBudgetBytes, the disk budget. Nil unless DataDir is set.
 	retain *retain.Compactor
 
 	// following is true while the server is a replicating standby; flipped
@@ -305,15 +297,6 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.TypeIDs) != cfg.Instance.NumTypes() {
 		return nil, fmt.Errorf("server: %d type IDs for %d engine types", len(cfg.TypeIDs), cfg.Instance.NumTypes())
 	}
-	if cfg.DefaultTenant == "" {
-		cfg.DefaultTenant = DefaultTenantID
-	}
-	if !shard.ValidID(cfg.DefaultTenant) {
-		return nil, fmt.Errorf("server: invalid default tenant %q", cfg.DefaultTenant)
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
-	}
 	if cfg.FollowPrimary != "" && cfg.DataDir == "" {
 		return nil, errors.New("server: following a primary requires a data dir")
 	}
@@ -340,12 +323,10 @@ func New(cfg Config) (*Server, error) {
 		idx[id] = i
 	}
 	s := &Server{
-		detector:  detector,
-		cfg:       cfg,
-		met:       newServerMetrics(cfg.Metrics),
-		typeIdx:   idx,
-		defaultID: cfg.DefaultTenant,
-		maxBody:   cfg.MaxBodyBytes,
+		detector: detector,
+		cfg:      cfg,
+		met:      newServerMetrics(cfg.Metrics),
+		typeIdx:  idx,
 	}
 	if cfg.Admission.Enabled() {
 		adm := cfg.Admission
@@ -371,16 +352,21 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := s.router.GetOrCreate(s.defaultID); err != nil {
+	if _, _, err := s.router.GetOrCreate(DefaultTenantID); err != nil {
 		return nil, err
 	}
-	if s.durable() && cfg.DiskBudgetBytes > 0 {
+	if s.durable() {
+		every := cfg.SnapshotEvery
+		if every <= 0 {
+			every = DefaultSnapshotEvery
+		}
 		comp, err := retain.New(retain.Config{
-			BudgetBytes: cfg.DiskBudgetBytes,
-			Interval:    cfg.CompactInterval,
-			List:        s.listRetainTenants,
-			Metrics:     s.met.reg,
-			Logf:        cfg.Logf,
+			BudgetBytes:   cfg.DiskBudgetBytes,
+			SnapshotEvery: every,
+			Interval:      cfg.CompactInterval,
+			List:          s.listRetainTenants,
+			Metrics:       s.met.reg,
+			Logf:          cfg.Logf,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: retention: %w", err)
@@ -398,7 +384,7 @@ func New(cfg Config) (*Server, error) {
 // plans) to the pre-sharding server; other tenants fold in shard.Seed(id).
 func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	var seedOffset int64
-	if id != s.defaultID {
+	if id != DefaultTenantID {
 		seedOffset = int64(shard.Seed(id))
 	}
 	est := s.cfg.Estimator
@@ -738,7 +724,7 @@ type apiError struct {
 // zero value, but an over-limit body is still a hard 413, not an empty
 // request.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, lenient bool) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, defaultMaxBodyBytes)
 	err := json.NewDecoder(r.Body).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
@@ -769,7 +755,7 @@ func (s *Server) tenantID(r *http.Request, bodyTenant string) string {
 	if bodyTenant != "" {
 		return bodyTenant
 	}
-	return s.defaultID
+	return DefaultTenantID
 }
 
 // lockSide says which side of a tenant's lifecycle lock a caller takes;

@@ -40,6 +40,9 @@ type RetainStats struct {
 	// LeaseFloorSeg is the lowest segment any live lease pins; -1 when no
 	// lease is held.
 	LeaseFloorSeg int
+	// TailRecords counts the records after the newest snapshot: what a
+	// recovery would replay now.
+	TailRecords int64
 }
 
 // Lease pins a journal suffix against pruning: no segment at or above the
@@ -111,6 +114,7 @@ func (j *Journal) RetainStats() RetainStats {
 		TotalBytes:    max(j.written, j.alloc), // the active file's size on disk
 		SnapshotSeg:   -1,
 		LeaseFloorSeg: -1,
+		TailRecords:   j.records - j.snapRecords,
 	}
 	if !j.snapAt.IsZero() {
 		st.SnapshotSeg = j.snapAt.Seg

@@ -329,7 +329,14 @@ func TestRetainStatsAfterReopen(t *testing.T) {
 	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	if tail := j.RetainStats().TailRecords; tail != 0 {
+		t.Fatalf("TailRecords = %d right after a snapshot, want 0", tail)
+	}
+	appendAll(t, j, []Record{{Kind: KindQuit, Employee: 1}, {Kind: KindQuit, Employee: 2}, {Kind: KindQuit, Employee: 3}})
 	stBefore := j.RetainStats()
+	if stBefore.TailRecords != 3 {
+		t.Fatalf("TailRecords = %d after 3 appends past the snapshot, want 3", stBefore.TailRecords)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -354,5 +361,8 @@ func TestRetainStatsAfterReopen(t *testing.T) {
 	}
 	if st.SnapshotSeg != stBefore.SnapshotSeg {
 		t.Fatalf("reopen lost the snapshot segment: %d, want %d", st.SnapshotSeg, stBefore.SnapshotSeg)
+	}
+	if st.TailRecords != stBefore.TailRecords {
+		t.Fatalf("reopen recovered TailRecords = %d, want %d", st.TailRecords, stBefore.TailRecords)
 	}
 }

@@ -247,10 +247,12 @@ type Journal struct {
 	// The in-memory index every reader and the pruner ask instead of the
 	// directory (see retain.go): bytes per sealed segment — its keys are the
 	// retained segments below the active one — the newest durable snapshot
-	// frame's position (zero when none), and the live leases (id → pinned
-	// segment) that clamp the prune frontier.
+	// frame's position (zero when none) and the record count up to and
+	// including it, and the live leases (id → pinned segment) that clamp the
+	// prune frontier.
 	sealedBytes map[int]int64
 	snapAt      Cursor
+	snapRecords int64
 	leases      map[int]int
 	nextLeaseID int
 	pruneMu     sync.Mutex // serializes Prune (deletion + accounting)
@@ -297,6 +299,7 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 		// disk is sealed, the fresh active segment comes next.
 		sealedBytes: rec.segBytes,
 		snapAt:      rec.SnapshotAt,
+		snapRecords: int64(rec.Records - len(rec.Tail)),
 	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, err
@@ -662,7 +665,7 @@ func (j *Journal) Snapshot(blob []byte) error {
 	}
 	j.mu.Lock()
 	if j.snapAt.Less(at) {
-		j.snapAt = at
+		j.snapAt, j.snapRecords = at, n
 	}
 	j.mu.Unlock()
 	j.snapBytes.Set(float64(len(blob)))
