@@ -1,7 +1,8 @@
-// Command sagdrill is the crash, failover and retention drill for
-// sagserver's durability layer: it proves that kill -9 at an arbitrary point
-// loses nothing the server ever acknowledged, and that the surviving state is
-// bit-identical to a run that was never interrupted.
+// Command sagdrill is the crash, failover, retention and overload drill for
+// sagserver: it proves that kill -9 at an arbitrary point loses nothing the
+// server ever acknowledged, that a request admission control refused changed
+// nothing, and that the surviving state is bit-identical to a run that was
+// never interrupted.
 //
 // A drill is a list of steps that one interpreter (scenario.run) executes
 // against real sagserver processes, named by role, and a deterministic
@@ -15,6 +16,10 @@
 //	             way to the kill point, the kill point, or the end
 //	compaction   traffic, watching the role's compactor: ≥ 3 prune rounds,
 //	             journal ≤ 4× the disk budget throughout, ≤ 2× once settled
+//	flood        traffic, while unpaced closed-loop clients flood tenant
+//	             greedy: greedy was shed, made progress and holds exactly
+//	             its 200s, and every 503 carried both retry headers
+//	warm         one access to tenant greedy (the tenant count a flood leaves)
 //	caughtUp     /v1/readyz reports replication lag 0; the first time since
 //	             its start, remember the role's oldest WAL segment
 //	gapCursor    snapshot the role until it has pruned every segment its
@@ -27,26 +32,33 @@
 //	             was in flight at the kill); finish the script from `applied`
 //	fingerprint  capture /v1/status, /v1/cycle/summary and /v1/cycle/close
 //
-// Every mode runs the golden list (start, traffic to the end, fingerprint)
-// and then its own over the same script; the two fingerprints must match byte
-// for byte. -artifacts writes a diverging pair to files for CI upload.
+// Every mode runs its golden list (start, traffic to the end, fingerprint;
+// overload warms greedy first) and then its own over the same script; the two
+// fingerprints must match byte for byte. A shed script op (a 503 with
+// X-SAG-Retry-After-Ms) was not acknowledged: it is resent after the hint.
+// -artifacts writes a diverging pair to files for CI upload.
 //
 //	crash      kill the server in flight, restart it on its data dir, resume
 //	failover   kill the standby, gapCursor, restart it: reseeded; then kill
 //	           the primary in flight, promote the standby, resume
 //	retention  compaction under a caughtUp standby: notReseeded; then kill
 //	           the primary, promote the standby, resume
+//	overload   a primary with admission on (-max-inflight 2 -queue-depth 4)
+//	           runs the script as the polite tenant under a flood
 //
 // Usage:
 //
 //	go build -o sagserver ./cmd/sagserver
 //	go run ./cmd/sagdrill -server ./sagserver -seed "$RANDOM"
 //	go run ./cmd/sagdrill -server ./sagserver -mode failover -seed "$RANDOM"
+//	go run ./cmd/sagdrill -server ./sagserver -mode overload -seed "$RANDOM"
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,7 +70,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -91,7 +106,7 @@ type config struct {
 func run() error {
 	var cfg config
 	flag.StringVar(&cfg.serverBin, "server", "./sagserver", "path to the sagserver binary under test")
-	flag.StringVar(&cfg.mode, "mode", "crash", "drill mode: crash (kill + restart on the same data dir), failover (kill the primary, promote a WAL-shipping standby), or retention (compaction under a live follower, then promote)")
+	flag.StringVar(&cfg.mode, "mode", "crash", "drill mode: crash (kill + restart on the same data dir), failover (kill the primary, promote a WAL-shipping standby), retention (compaction under a live follower, then promote), or overload (the script beside a tenant flooding admission control)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "drill seed: request script, kill point, and kill timing all derive from it")
 	flag.IntVar(&cfg.requests, "requests", 40, "access requests in the script (plus one quit)")
 	flag.IntVar(&cfg.employees, "employees", 120, "world size passed to the server (first planted pair = employees/patients)")
@@ -110,7 +125,7 @@ type step struct {
 	role     string
 	peer     string   // start: boot as a standby following peer; gapCursor: the killed follower
 	flags    []string // start: sagserver flags after the common set (first boot only)
-	upTo     pos      // traffic, compaction
+	upTo     pos      // traffic, compaction, flood
 	inFlight bool     // kill
 }
 
@@ -133,6 +148,15 @@ const (
 	retentionFillerOps  = 5000
 )
 
+// Overload drill parameters. Every client is closed-loop, so the flood can
+// only be shed if it and the polite script outnumber the admission slots plus
+// the queue places.
+const (
+	overloadMaxInflight = 2
+	overloadQueueDepth  = 4
+	floodClients        = 8
+)
+
 // smallSegments: a handful of snapshots prunes past a follower's cursor.
 var smallSegments = []string{"-wal-segment-bytes", "512"}
 
@@ -148,6 +172,7 @@ type mode struct {
 	banner      string // log format; args: kill index, script length, disk budget
 	maxRequests int    // cap on -requests, 0 for none
 	filler      int    // benign accesses appended to the script
+	golden      []step // the uninterrupted run; nil for goldenSteps
 	steps       []step
 }
 
@@ -211,6 +236,25 @@ var modes = map[string]mode{
 			{do: fingerprint, role: standby},
 		},
 	},
+	// A shed request must change nothing, and a greedy tenant must not stop a
+	// polite one: the script, resent after each shed, ends where an unloaded
+	// run does. /v1/status counts the box's tenants, so golden warms greedy.
+	"overload": {
+		what:   "polite traffic beside a shed flood",
+		banner: "overload run: %[2]d ops on the default tenant while tenant greedy floods admission control",
+		golden: []step{
+			{do: start, role: primary},
+			{do: warm, role: primary},
+			{do: traffic, role: primary, upTo: toEnd},
+			{do: fingerprint, role: primary},
+		},
+		steps: []step{
+			{do: start, role: primary, flags: []string{
+				"-max-inflight", fmt.Sprint(overloadMaxInflight), "-queue-depth", fmt.Sprint(overloadQueueDepth)}},
+			{do: flood, role: primary, upTo: toEnd},
+			{do: fingerprint, role: primary},
+		},
+	},
 }
 
 func drillRun(cfg config) error {
@@ -219,7 +263,7 @@ func drillRun(cfg config) error {
 	}
 	m, ok := modes[cfg.mode]
 	if !ok {
-		return fmt.Errorf("unknown -mode %q (want crash, failover, or retention)", cfg.mode)
+		return fmt.Errorf("unknown -mode %q (want crash, failover, retention, or overload)", cfg.mode)
 	}
 	log.Printf("drill seed %d (mode %s)", cfg.seed, cfg.mode)
 
@@ -236,7 +280,10 @@ func drillRun(cfg config) error {
 	jitter := time.Duration(rng.Intn(8)) * time.Millisecond
 
 	log.Printf("golden run: %d ops, uninterrupted", len(script))
-	golden, err := newScenario(cfg, script, killAt, jitter).run(goldenSteps)
+	if m.golden == nil {
+		m.golden = goldenSteps
+	}
+	golden, err := newScenario(cfg, script, killAt, jitter).run(m.golden)
 	if err != nil {
 		return fmt.Errorf("golden run: %w", err)
 	}
@@ -330,6 +377,7 @@ type scenario struct {
 	// in-flight kill inFlight is 1: op next may have landed; resume finds out.
 	next     int
 	inFlight int
+	sheds    int // script ops refused by admission control and resent
 	got      capture
 }
 
@@ -523,6 +571,79 @@ func compaction(s *scenario, p *server, st step) error {
 	return nil
 }
 
+// greedyAccess is the flood's request: the first planted pair, so every one
+// is an alert that runs the solver, on a tenant of its own.
+func (s *scenario) greedyAccess() string {
+	return fmt.Sprintf(`{"tenant":"greedy","employee_id":%d,"patient_id":%d}`, s.cfg.employees, s.cfg.patients)
+}
+
+// warm creates tenant greedy with one access.
+func warm(s *scenario, p *server, st step) error {
+	_, err := s.post(p.base, "/v1/access", s.greedyAccess())
+	return err
+}
+
+// flood drives traffic while floodClients unpaced closed-loop clients post to
+// tenant greedy. Greedy must have been shed (else admission is not on, or
+// the box kept up) and have made progress (else it was walled off), each of
+// its 503s must carry both retry headers (any other answer is an error), and
+// it must hold exactly the accesses answered 200. That last check is the one
+// that sees greedy's sheds: the fair queue never sheds the polite script.
+func flood(s *scenario, p *server, st step) error {
+	if clients, places := floodClients+1, overloadMaxInflight+overloadQueueDepth; clients <= places {
+		return fmt.Errorf("%d closed-loop clients fit in %d admission places: nothing can be shed", clients, places)
+	}
+	var (
+		stop     atomic.Bool
+		ok, shed atomic.Int64
+		wg       sync.WaitGroup
+		errs     = make([]error, floodClients)
+		body     = s.greedyAccess()
+	)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() && errs[i] == nil {
+				resp, err := s.client.Post(p.base+"/v1/access", "application/json", strings.NewReader(body))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				h := resp.Header
+				switch {
+				case resp.StatusCode == http.StatusOK:
+					ok.Add(1)
+				case resp.StatusCode == http.StatusServiceUnavailable && h.Get("Retry-After") != "" && h.Get(retryAfterMsHeader) != "":
+					shed.Add(1)
+				default:
+					errs[i] = fmt.Errorf("greedy access: status %d (Retry-After %q, %s %q)",
+						resp.StatusCode, h.Get("Retry-After"), retryAfterMsHeader, h.Get(retryAfterMsHeader))
+				}
+			}
+		}()
+	}
+	err := s.drive(p, s.stops[st.upTo], nil)
+	stop.Store(true)
+	wg.Wait()
+	if err = cmp.Or(err, errors.Join(errs...)); err != nil {
+		return err
+	}
+	if shed.Load() == 0 {
+		return fmt.Errorf("greedy tenant was never shed (%d accesses answered): admission control is off, or the box kept up", ok.Load())
+	}
+	if ok.Load() == 0 {
+		return fmt.Errorf("greedy tenant made no progress: all %d accesses shed", shed.Load())
+	}
+	if held, err := s.applied(p.base, "/v1/status?tenant=greedy"); err != nil || held != int(ok.Load()) {
+		return cmp.Or(err, fmt.Errorf("greedy tenant holds %d accesses but %d were answered 200: a shed request changed state", held, ok.Load()))
+	}
+	log.Printf("flood: greedy %d answered, %d shed; the script was shed %d times and resent", ok.Load(), shed.Load(), s.sheds)
+	return nil
+}
+
 // caughtUp waits until p's /v1/readyz reports ready, which on a standby
 // means replication lag is exactly zero records.
 func caughtUp(s *scenario, p *server, st step) (err error) {
@@ -599,15 +720,10 @@ func promote(s *scenario, p *server, st step) error {
 // standby, lag 0 before the kill): fewer applied ops is data loss, more than
 // the one in-flight op on top is corruption. That op may go either way.
 func resume(s *scenario, p *server, st step) error {
-	raw, err := s.get(p.base, "/v1/status")
+	applied, err := s.applied(p.base, "/v1/status")
 	if err != nil {
 		return err
 	}
-	var status struct{ Accesses, Quits int }
-	if err := json.Unmarshal([]byte(raw), &status); err != nil {
-		return err
-	}
-	applied := status.Accesses + status.Quits
 	if applied < s.next || applied > s.next+s.inFlight {
 		return fmt.Errorf("%s holds %d applied ops; %d were acknowledged before the kill and %d in flight (durability violated)", st.role, applied, s.next, s.inFlight)
 	}
@@ -623,6 +739,17 @@ func resume(s *scenario, p *server, st step) error {
 	return s.drive(p, len(s.script), nil)
 }
 
+// applied reads the ops a tenant's /v1/status counts: accesses plus quits.
+func (s *scenario) applied(base, path string) (int, error) {
+	raw, err := s.get(base, path)
+	if err != nil {
+		return 0, err
+	}
+	var status struct{ Accesses, Quits int }
+	err = json.Unmarshal([]byte(raw), &status)
+	return status.Accesses + status.Quits, err
+}
+
 // fingerprint captures status, summary, and the cycle-close plan.
 func fingerprint(s *scenario, p *server, st step) (err error) {
 	if s.got.status, err = s.get(p.base, "/v1/status"); err != nil {
@@ -635,14 +762,32 @@ func fingerprint(s *scenario, p *server, st step) (err error) {
 	return err
 }
 
-// apply sends one op and requires acknowledgement.
+// retryAfterMsHeader is the server's precise backoff hint; admission control
+// sends it, with Retry-After, on every shed.
+const retryAfterMsHeader = "X-SAG-Retry-After-Ms"
+
+// apply sends one op and requires acknowledgement. A shed (a 503 carrying
+// retryAfterMsHeader) changed nothing, so the op is resent after the hint; a
+// bare 503, a 507 and every other status are errors.
 func (s *scenario) apply(base string, o op) error {
 	path, body := "/v1/access", fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, o.employee, o.patient)
 	if o.quit {
 		path, body = "/v1/quit", fmt.Sprintf(`{"employee_id":%d}`, o.employee)
 	}
-	_, err := s.post(base, path, body)
-	return err
+	for {
+		resp, err := s.client.Post(base+path, "application/json", strings.NewReader(body))
+		if err == nil && resp.StatusCode == http.StatusServiceUnavailable {
+			if ms, perr := strconv.Atoi(resp.Header.Get(retryAfterMsHeader)); perr == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				s.sheds++
+				time.Sleep(time.Duration(ms) * time.Millisecond)
+				continue
+			}
+		}
+		_, err = readOK(path, resp, err)
+		return err
+	}
 }
 
 func (s *scenario) post(base, path, body string) (string, error) {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,6 +53,42 @@ func TestBuildScriptDeterministic(t *testing.T) {
 		if same {
 			t.Fatal("different seeds produced identical scripts")
 		}
+	}
+}
+
+// TestApplyResendsShedOps: a 503 carrying the millisecond hint is a shed,
+// which changed nothing, so apply resends the op after the hint; a bare 503
+// and a 507 (even with the hint) are refusals apply must report.
+func TestApplyResendsShedOps(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		answers []int // status per attempt; the last repeats
+		hint    bool  // answers carry X-SAG-Retry-After-Ms
+		ok      bool
+		sheds   int
+	}{
+		{"two sheds then 200", []int{503, 503, 200}, true, true, 2},
+		{"bare 503", []int{503}, false, false, 0},
+		{"507", []int{507}, true, false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			calls := 0
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				code := c.answers[min(calls, len(c.answers)-1)]
+				calls++
+				if c.hint && code != http.StatusOK {
+					w.Header().Set("Retry-After", "1")
+					w.Header().Set(retryAfterMsHeader, "10")
+				}
+				w.WriteHeader(code)
+			}))
+			defer ts.Close()
+			s := newScenario(config{}, nil, 0, 0)
+			err := s.apply(ts.URL, op{employee: 1, patient: 2})
+			if (err == nil) != c.ok || s.sheds != c.sheds {
+				t.Fatalf("apply: err = %v, sheds = %d; want ok = %v, sheds = %d", err, s.sheds, c.ok, c.sheds)
+			}
+		})
 	}
 }
 
@@ -169,5 +207,25 @@ func TestRetentionDrillEndToEnd(t *testing.T) {
 		startWait: 2 * time.Minute,
 	}); err != nil {
 		t.Fatalf("retention drill: %v", err)
+	}
+}
+
+// TestOverloadDrillEndToEnd runs the overload drill — a primary with
+// admission on, tenant greedy flooding it while the script runs as the polite
+// tenant, sheds resent — and requires the fingerprint to match an unloaded
+// golden run. Same assertion as the CI crash-drill job's overload step,
+// shrunk to test size.
+func TestOverloadDrillEndToEnd(t *testing.T) {
+	if err := drillRun(config{
+		serverBin: buildServer(t),
+		mode:      "overload",
+		seed:      9,
+		requests:  14,
+		employees: 60,
+		patients:  300,
+		history:   6,
+		startWait: 2 * time.Minute,
+	}); err != nil {
+		t.Fatalf("overload drill: %v", err)
 	}
 }

@@ -619,7 +619,7 @@ func (s *Server) wrap(met *routeMetrics, timeout time.Duration, h http.HandlerFu
 // RetryAfterMsHeader carries the backoff hint in integral milliseconds.
 // Retry-After itself is constrained by RFC 9110 to whole delta-seconds, so
 // sub-second hints round up to "1" there; clients wanting the precise hint
-// (cmd/sagload does) read this header and fall back to Retry-After.
+// read this header (cmd/sagdrill does), the rest Retry-After.
 const RetryAfterMsHeader = "X-SAG-Retry-After-Ms"
 
 // setRetryHeaders stamps both backoff headers for one hint: Retry-After as
