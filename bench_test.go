@@ -102,7 +102,10 @@ func newBenchEngine(b *testing.B) *sag.Engine {
 
 // BenchmarkOSSPDecision measures one full per-alert decision (closed-form
 // online SSE + closed-form OSSP) — the paper's runtime claim (≈20 ms on
-// their laptop).
+// their laptop). The rates never move, so the engine's kept futures serve
+// every κ and no Poisson series is summed: ~0.75 µs and 9 allocs/op on a
+// 2-vCPU Xeon, where BenchmarkOnlineSSESolve alone, summing from literals,
+// takes ~3 µs.
 func BenchmarkOSSPDecision(b *testing.B) {
 	eng := newBenchEngine(b)
 	b.ResetTimer()

@@ -94,6 +94,37 @@ func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
 	}
 }
 
+// literalFutures is the test oracles' view of rates: Poisson literals, whose
+// κ is summed afresh on every call rather than read from what NewPoisson
+// stored.
+func literalFutures(rates []float64) []dist.Poisson {
+	futures := make([]dist.Poisson, len(rates))
+	for i, r := range rates {
+		futures[i] = dist.Poisson{Lambda: r}
+	}
+	return futures
+}
+
+// checkDecisionsExact requires every committed θ to equal, bit for bit, the
+// SSE coverage solved from literals at the decision's own BudgetBefore and
+// the rates ratesAt(i) its estimate answered.
+func checkDecisionsExact(t *testing.T, inst *game.Instance, ds []DecisionRecord, ratesAt func(i int) []float64) {
+	t.Helper()
+	for i, d := range ds {
+		if d.Fallback.Degraded() {
+			t.Fatalf("decision %d degraded to %v with a healthy solver", i, d.Fallback)
+		}
+		want, err := game.SolveOnlineSSE(inst, d.BudgetBefore, literalFutures(ratesAt(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Theta != want.Coverage[d.Type] {
+			t.Fatalf("decision %d: θ %g was solved at another state than its BudgetBefore %g and rates %v (want %g)",
+				i, d.Theta, d.BudgetBefore, ratesAt(i), want.Coverage[d.Type])
+		}
+	}
+}
+
 // TestConcurrentDecisionsAreExact: every decision is solved at the state it
 // commits against. Under 8-way contention each committed θ must equal, bit
 // for bit, the SSE coverage at that decision's own BudgetBefore.
@@ -114,29 +145,68 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 	const workers, perWorker = 8, 200
 	processConcurrently(t, e, workers, perWorker)
 
-	futures := make([]dist.Poisson, len(rates))
-	for i, r := range rates {
-		if futures[i], err = dist.NewPoisson(r); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ds := e.Decisions()
 	if len(ds) != workers*perWorker {
 		t.Fatalf("committed %d decisions, want %d", len(ds), workers*perWorker)
 	}
-	for i, d := range ds {
-		if d.Fallback.Degraded() {
-			t.Fatalf("decision %d degraded to %v with a healthy solver", i, d.Fallback)
-		}
-		want, err := game.SolveOnlineSSE(inst, d.BudgetBefore, futures)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Theta != want.Coverage[d.Type] {
-			t.Fatalf("decision %d: θ %g was solved at another budget than its BudgetBefore %g (want %g)",
-				i, d.Theta, d.BudgetBefore, want.Coverage[d.Type])
+	checkDecisionsExact(t, inst, ds, func(int) []float64 { return rates })
+}
+
+// TestConcurrentDecisionsAreExactAsRatesMove is its twin under an estimate
+// that moves: the rollback estimator answers new rates whenever the query
+// offset moves until its total drops below the threshold, then repeats its
+// frozen answer. Each θ must match the literals at that decision's own
+// rates, so an engine that solved with the κ of a rate that has since moved
+// fails here.
+func TestConcurrentDecisionsAreExactAsRatesMove(t *testing.T) {
+	inst := multiInstance(t)
+	const workers, perWorker = 8, 200
+	newEstimator := func() *rollbackEstimator {
+		return &rollbackEstimator{
+			base:      []float64{196, 29, 140, 10, 25, 15, 43},
+			day:       perWorker * time.Minute, // processConcurrently's last alert is at 199 min
+			threshold: 150,                     // frozen from about minute 135
 		}
 	}
+	est := newEstimator()
+	e, err := NewEngine(Config{
+		Instance:  inst,
+		Budget:    200,
+		Estimator: est,
+		Policy:    PolicyOSSP,
+		Rand:      rand.New(rand.NewSource(42)),
+		Fallback:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	processConcurrently(t, e, workers, perWorker)
+
+	ds := e.Decisions()
+	if len(ds) != workers*perWorker || len(est.queries) != len(ds) {
+		t.Fatalf("committed %d decisions on %d estimates, want %d of each", len(ds), len(est.queries), workers*perWorker)
+	}
+	// Decision i was solved on the estimator's i-th answer; a fresh
+	// estimator asked the same queries in the same order gives it again.
+	oracle := newEstimator()
+	answers := make([][]float64, len(ds))
+	moved, kept := 0, 0
+	for i, at := range est.queries {
+		if answers[i], err = oracle.FutureRates(at); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i == 0:
+		case slices.Equal(answers[i], answers[i-1]):
+			kept++
+		default:
+			moved++
+		}
+	}
+	if moved == 0 || kept == 0 {
+		t.Fatalf("the estimate moved %d times and held %d times; the test needs both", moved, kept)
+	}
+	checkDecisionsExact(t, inst, ds, func(i int) []float64 { return answers[i] })
 }
 
 // rollbackEstimator is a stateful estimator in the style of

@@ -69,6 +69,8 @@ func (f EstimatorFunc) FutureRates(at time.Duration) ([]float64, error) { return
 // wraps it to inject solver errors, latency, and panics, and tests can
 // substitute canned results. The default is game.SolveOnlineSSECtx. It runs
 // under the engine's budget lock and must not call back into the Engine.
+// futures is the engine's own kept estimate: read it, never write it, and do
+// not retain it past the call.
 type SSESolveFunc func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error)
 
 // Policy selects the engine's auditing policy.
@@ -230,15 +232,16 @@ type Engine struct {
 	pendingDraw float64
 	hasPending  bool
 	decisions   []DecisionRecord // the cycle log; applyLocked is its one writer
-	// lastSSE / lastRates feed the degraded rungs: the most recent
-	// successfully solved equilibrium (for the last-good-θ rung) and the
-	// most recent successful future-rate estimate (for the static rung's
-	// expected-remaining-cost). Both reset on NewCycle — a new cycle's
-	// budget makes the old θ stale, and degrading from genuinely no
-	// information is exactly what the static rung is for.
-	lastSSE   *game.Result
-	lastRates []float64
-	met       engineMetrics
+	// lastSSE feeds the last-good-θ rung: the most recent successfully
+	// solved equilibrium. futures is the most recent successful future-rate
+	// estimate, κ included: every solve reads it, keepFutures re-sums only a
+	// rate that moved, and the static rung reads its rates for the
+	// expected-remaining-cost. Both reset on NewCycle — a new cycle's budget
+	// makes the old θ stale, and degrading from genuinely no information is
+	// exactly what the static rung is for.
+	lastSSE *game.Result
+	futures []dist.Poisson
+	met     engineMetrics
 }
 
 // ErrAbandoned reports that the caller's context ended before the decision
@@ -319,7 +322,7 @@ func (e *Engine) NewCycle(budget float64) error {
 	e.initial = budget
 	e.decisions = e.decisions[:0]
 	e.lastSSE = nil
-	e.lastRates = nil
+	e.futures = nil
 	e.met.budget.Set(budget)
 	if r, ok := e.est.(interface{ Reset() }); ok {
 		r.Reset()
@@ -472,7 +475,8 @@ func (e *Engine) Preview(a Alert) (*Decision, error) {
 }
 
 // estimate queries the estimator for the expected future alert volumes at
-// the given cycle offset and validates them into Poisson futures. The
+// the given cycle offset and keeps them as the engine's Poisson futures,
+// which it returns: e.futures itself, valid until the next estimate. The
 // caller holds e.mu, which is what serializes a stateful estimator (the
 // paper's knowledge rollback) in commit order.
 func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
@@ -484,22 +488,40 @@ func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: estimating future alerts: %w", err)
 	}
-	if len(rates) != e.inst.NumTypes() {
-		return nil, fmt.Errorf("core: estimator returned %d rates for %d types", len(rates), e.inst.NumTypes())
+	if err := e.keepFutures(rates); err != nil {
+		return nil, fmt.Errorf("core: estimator: %w", err)
 	}
-	futures := make([]dist.Poisson, len(rates))
-	for i, r := range rates {
-		p, err := dist.NewPoisson(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: type %d: %w", i, err)
-		}
-		futures[i] = p
-	}
-	e.lastRates = append(e.lastRates[:0], rates...)
 	if e.met.enabled {
 		e.met.stageEstimate.ObserveSince(t0)
 	}
-	return futures, nil
+	return e.futures, nil
+}
+
+// keepFutures makes rates the engine's futures — live, on replay and on
+// restore. A type is rebuilt only when its rate differs bitwise from the
+// kept one: κ is a pure function of the rate, so a frozen estimate sums no
+// series at all. Every rate is checked before any is kept, so a rejected
+// estimate leaves the previous one for the static rung. The caller holds
+// e.mu.
+func (e *Engine) keepFutures(rates []float64) error {
+	if len(rates) != e.inst.NumTypes() {
+		return fmt.Errorf("%d rates for %d types", len(rates), e.inst.NumTypes())
+	}
+	for i, r := range rates {
+		if err := dist.ValidateRate(r); err != nil {
+			return fmt.Errorf("type %d: %w", i, err)
+		}
+	}
+	fresh := len(e.futures) != len(rates)
+	if fresh {
+		e.futures = make([]dist.Poisson, len(rates))
+	}
+	for i, r := range rates {
+		if fresh || math.Float64bits(r) != math.Float64bits(e.futures[i].Lambda) {
+			e.futures[i], _ = dist.NewPoisson(r) // r was validated above
+		}
+	}
+	return nil
 }
 
 // decide runs the primary pipeline for a at the current budget — estimate,
@@ -606,9 +628,9 @@ func (e *Engine) lastGoodDecision(a Alert) (*Decision, error) {
 // overcommit while degraded.
 func (e *Engine) staticDecision(a Alert) *Decision {
 	expCost := 0.0
-	if len(e.lastRates) == e.inst.NumTypes() {
-		for i, r := range e.lastRates {
-			expCost += r * e.inst.AuditCosts[i]
+	if e.futures != nil {
+		for i, f := range e.futures {
+			expCost += f.Lambda * e.inst.AuditCosts[i]
 		}
 	} else {
 		// No successful estimate yet this cycle: budget for this alert alone.

@@ -113,8 +113,11 @@ func (e *Engine) ExportState() EngineState {
 		// Never nil: an empty log is "decisions":[] in the snapshot JSON.
 		Decisions: append([]DecisionRecord{}, e.decisions...),
 	}
-	if e.lastRates != nil {
-		st.LastRates = append([]float64(nil), e.lastRates...)
+	if e.futures != nil {
+		st.LastRates = make([]float64, len(e.futures))
+		for i, f := range e.futures {
+			st.LastRates[i] = f.Lambda
+		}
 	}
 	if e.lastSSE != nil {
 		st.LastSSE = &SSEState{
@@ -149,6 +152,11 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending {
 		return errors.New("core: RestoreState requires a fresh engine")
 	}
+	if st.LastRates != nil {
+		if err := e.keepFutures(st.LastRates); err != nil {
+			return fmt.Errorf("core: restoring last rates: %w", err)
+		}
+	}
 	e.decisions = make([]DecisionRecord, 0, len(st.Decisions))
 	for _, r := range st.Decisions {
 		e.applyLocked(r)
@@ -162,9 +170,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 	}
 	e.budget, e.initial = st.Budget, st.Initial
 	e.met.budget.Set(e.budget)
-	if st.LastRates != nil {
-		e.lastRates = append([]float64(nil), st.LastRates...)
-	}
 	if st.LastSSE != nil {
 		e.lastSSE = &game.Result{
 			Coverage:        append([]float64(nil), st.LastSSE.Coverage...),
@@ -199,10 +204,12 @@ func (e *Engine) ApplyDecision(r DecisionRecord) error {
 	// degraded rungs never reached the estimator, so skip it for them.
 	if r.Fallback == fallback.None {
 		rates, err := e.est.FutureRates(r.Time)
+		if err == nil {
+			err = e.keepFutures(rates)
+		}
 		if err != nil {
 			return fmt.Errorf("core: replaying decision %d: estimator: %w", r.Seq, err)
 		}
-		e.lastRates = append(e.lastRates[:0], rates...)
 	}
 	e.applyLocked(r)
 	return nil

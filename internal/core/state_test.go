@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/auditgames/sag/internal/fallback"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/payoff"
 )
@@ -210,14 +212,23 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 // TestRestoredEngineDecidesLikeUninterruptedTwin: an engine carries nothing
 // from one decision to the next but its cycle state, so a twin restored from
 // a mid-cycle snapshot decides the next alerts exactly as the engine that
-// kept running. The alerts share one offset, so the rates never move and the
-// budget moves slowly — the near-repeat states where remembered decisions
-// would have answered for the engine that stayed up.
+// kept running — and so does one restored from an earlier snapshot with the
+// journal between replayed by ApplyDecision. The alerts share one offset, so
+// the rates never move and the budget moves slowly: every decision after
+// the rebuild solves on the futures restore or replay kept, κ included.
 func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
-	const seed, before, after = 99, 30, 50
-	live, numTypes := stateTestEngine(t, seed, nil)
+	const seed, mid, before, after = 99, 12, 30, 50
+	var journal []DecisionRecord
+	live, numTypes := stateTestEngine(t, seed, func(rec DecisionRecord) (func() error, error) {
+		journal = append(journal, rec)
+		return nil, nil
+	})
 	alert := func(i int) Alert { return Alert{Type: i % numTypes, Time: 9 * time.Hour} }
+	var midSnap EngineState
 	for i := 0; i < before; i++ {
+		if i == mid {
+			midSnap = live.ExportState()
+		}
 		if _, err := live.Process(alert(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -226,16 +237,96 @@ func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
 	if err := restored.RestoreState(live.ExportState()); err != nil {
 		t.Fatal(err)
 	}
-	for i := before; i < before+after; i++ {
-		if _, err := live.Process(alert(i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := restored.Process(alert(i)); err != nil {
+	replayed, _ := stateTestEngine(t, seed, nil)
+	if err := replayed.RestoreState(midSnap); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range journal[mid:] {
+		if err := replayed.ApplyDecision(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l, r := live.Decisions(), restored.Decisions(); !slices.Equal(l, r) {
-		t.Fatalf("cycle logs differ:\n%+v\n%+v", l[before:], r[before:])
+	for i := before; i < before+after; i++ {
+		for _, e := range []*Engine{live, restored, replayed} {
+			if _, err := e.Process(alert(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l := live.Decisions()
+	for name, e := range map[string]*Engine{"restored": restored, "replayed": replayed} {
+		if r := e.Decisions(); !slices.Equal(l, r) {
+			t.Fatalf("%s cycle log differs from the live one:\n%+v\n%+v", name, l[before:], r[before:])
+		}
+	}
+}
+
+// TestRejectedEstimateKeepsTheLastFutures: an estimate with one NaN rate is
+// refused whole. The kept futures stay the previous good estimate's, so the
+// static rung's expected remaining cost is that estimate's, and the next
+// good estimate is taken in full.
+func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
+	inst := multiInstance(t) // audit cost 1 for every type
+	good := func(at time.Duration) []float64 {
+		left := 1 - float64(at)/float64(24*time.Hour)
+		return []float64{196 * left, 29 * left, 140 * left, 10 * left, 25 * left, 15 * left, 43 * left}
+	}
+	poisoned := false
+	e, err := NewEngine(Config{
+		Instance: inst,
+		Budget:   50,
+		Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+			rates := good(at)
+			if poisoned {
+				rates[3] = math.NaN()
+			}
+			return rates, nil
+		}),
+		Policy: PolicyOSSP,
+		Rand:   rand.New(rand.NewSource(5)),
+		// The solver never succeeds, so there is no last-good θ and every
+		// decision lands on the static rung, which reads the kept futures.
+		SSESolve: failingSolver(errors.New("solver down")),
+		Fallback: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expCost := func(rates []float64) (c float64) {
+		for _, r := range rates {
+			c += r
+		}
+		return c
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Process(Alert{Type: i, Time: time.Duration(i+8) * time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := good(10 * time.Hour)
+	poisoned = true
+	budget := e.RemainingBudget()
+	d, err := e.Process(Alert{Type: 0, Time: 11 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.ExportState().LastRates; !slices.Equal(got, last) {
+		t.Fatalf("a refused estimate moved the kept rates: %v, want %v", got, last)
+	}
+	if want := fallback.StaticAuditProbability(budget, expCost(last)); d.Fallback != fallback.Static || d.Theta != want {
+		t.Fatalf("decision on a refused estimate: %v rung, θ %v; want the static rung at θ %v", d.Fallback, d.Theta, want)
+	}
+	poisoned = false
+	budget = e.RemainingBudget()
+	if d, err = e.Process(Alert{Type: 1, Time: 12 * time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	next := good(12 * time.Hour)
+	if got := e.ExportState().LastRates; !slices.Equal(got, next) {
+		t.Fatalf("kept rates %v after a good estimate, want %v", got, next)
+	}
+	if want := fallback.StaticAuditProbability(budget, expCost(next)); d.Theta != want {
+		t.Fatalf("θ %v after a good estimate, want %v", d.Theta, want)
 	}
 }
 

@@ -19,15 +19,30 @@ import (
 // uses for alert types with no expected future arrivals.
 type Poisson struct {
 	Lambda float64
+	// kappa is InverseMeanCoefficient's value, summed once by NewPoisson;
+	// 0 (never a coefficient) in a literal, which sums on demand.
+	kappa float64
 }
 
-// NewPoisson returns a Poisson distribution with the given rate. It returns
-// an error if lambda is negative or not finite.
+// NewPoisson returns a Poisson distribution with the given rate and its
+// InverseMeanCoefficient already summed. It returns an error if lambda is
+// negative or not finite.
 func NewPoisson(lambda float64) (Poisson, error) {
-	if math.IsNaN(lambda) || math.IsInf(lambda, 0) || lambda < 0 {
-		return Poisson{}, fmt.Errorf("dist: invalid Poisson rate %g", lambda)
+	if err := ValidateRate(lambda); err != nil {
+		return Poisson{}, err
 	}
-	return Poisson{Lambda: lambda}, nil
+	p := Poisson{Lambda: lambda}
+	p.kappa = p.inverseMean()
+	return p, nil
+}
+
+// ValidateRate reports whether lambda is usable as a Poisson rate — the
+// check NewPoisson makes, for a caller handed a Poisson it did not build.
+func ValidateRate(lambda float64) error {
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) || lambda < 0 {
+		return fmt.Errorf("dist: invalid Poisson rate %g", lambda)
+	}
+	return nil
 }
 
 // Mean returns E[X] = Lambda.
@@ -71,7 +86,16 @@ func (p Poisson) Sample(rng *rand.Rand) int {
 // Lambda → 0. The series is summed from d = 0 until the Poisson tail is below
 // 1e-12; a rate too large for that takes the inverse-moment expansion
 // E[1/D] = (1/λ)·Σ_k k!/λ^k, whose eighth term is already below 1e-16 there.
+// A Poisson from NewPoisson returns the sum it stored; a literal sums here,
+// with the same series, so both carry the same bits.
 func (p Poisson) InverseMeanCoefficient() float64 {
+	if p.kappa != 0 {
+		return p.kappa
+	}
+	return p.inverseMean()
+}
+
+func (p Poisson) inverseMean() float64 {
 	if p.Lambda == 0 {
 		return 1
 	}

@@ -33,6 +33,52 @@ func TestNewPoissonValidation(t *testing.T) {
 	}
 }
 
+// storedCoefficientEdges are rates around each branch of the series: zero,
+// subnormal-adjacent, both sides of the from-zero limit, past the underflow
+// of e^−λ, and where d++ on a float64 is lost.
+var storedCoefficientEdges = []float64{0, 1e-300, 700, 700.5, 746, 2000, 1e5, 1 << 53}
+
+// checkStoredCoefficient: the κ NewPoisson stores is the bits a literal
+// sums on demand — the engine keeps the one and the test oracles use the
+// other.
+func checkStoredCoefficient(t *testing.T, lambda float64) {
+	t.Helper()
+	p, err := NewPoisson(lambda)
+	if err != nil {
+		t.Fatalf("NewPoisson(%g): %v", lambda, err)
+	}
+	if p.kappa == 0 {
+		t.Fatalf("NewPoisson(%g) stored no coefficient", lambda)
+	}
+	if got, want := p.InverseMeanCoefficient(), (Poisson{Lambda: lambda}).InverseMeanCoefficient(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("lambda=%g: stored coefficient %v, literal sums %v", lambda, got, want)
+	}
+}
+
+func TestNewPoissonStoresTheLiteralsCoefficient(t *testing.T) {
+	for k := 0; k <= 10000; k++ {
+		checkStoredCoefficient(t, float64(k)/41)
+	}
+	for _, lambda := range storedCoefficientEdges {
+		checkStoredCoefficient(t, lambda)
+	}
+}
+
+func FuzzNewPoissonCoefficient(f *testing.F) {
+	for _, lambda := range storedCoefficientEdges {
+		f.Add(lambda)
+	}
+	f.Fuzz(func(t *testing.T, lambda float64) {
+		if ValidateRate(lambda) != nil {
+			if _, err := NewPoisson(lambda); err == nil {
+				t.Fatalf("NewPoisson(%g) accepted a rate ValidateRate refuses", lambda)
+			}
+			return
+		}
+		checkStoredCoefficient(t, lambda)
+	})
+}
+
 func TestPoissonSampleMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, lambda := range []float64{0.5, 3, 29, 45, 196.57} {

@@ -150,7 +150,7 @@ func SolveOnlineSSECtx(ctx context.Context, inst *Instance, budget float64, futu
 	attackable := make([]bool, inst.NumTypes())
 	for t, f := range futures {
 		// A Poisson literal skips NewPoisson; hold it to the same rule here.
-		if _, err := dist.NewPoisson(f.Lambda); err != nil {
+		if err := dist.ValidateRate(f.Lambda); err != nil {
 			return nil, fmt.Errorf("game: type %d: %w", t, err)
 		}
 		coeffs[t] = f.InverseMeanCoefficient()

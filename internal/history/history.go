@@ -113,10 +113,8 @@ func (c *Curves) NumTypes() int { return c.numTypes }
 // strictly after the given time of day. It implements core.Estimator.
 func (c *Curves) FutureRates(at time.Duration) ([]float64, error) {
 	out := make([]float64, c.numTypes)
-	for t, ts := range c.times {
-		// First index with time > at.
-		idx := sort.Search(len(ts), func(i int) bool { return ts[i] > at })
-		out[t] = float64(len(ts)-idx) / float64(c.numDays)
+	for t := range out {
+		out[t] = c.futureRate(t, at)
 	}
 	return out, nil
 }
@@ -126,11 +124,18 @@ func (c *Curves) FutureRates(at time.Duration) ([]float64, error) {
 // compared against.
 func (c *Curves) TotalFutureMean(at time.Duration) float64 {
 	total := 0.0
-	rates, _ := c.FutureRates(at)
-	for _, r := range rates {
-		total += r
+	for t := range c.times {
+		total += c.futureRate(t, at)
 	}
 	return total
+}
+
+// futureRate is type t's expected number of alerts strictly after at.
+func (c *Curves) futureRate(t int, at time.Duration) float64 {
+	ts := c.times[t]
+	// First index with time > at.
+	idx := sort.Search(len(ts), func(i int) bool { return ts[i] > at })
+	return float64(len(ts)-idx) / float64(c.numDays)
 }
 
 // DefaultRollbackThreshold is the threshold the paper uses in both the
@@ -161,12 +166,19 @@ func NewRollback(curves *Curves, threshold float64) (*Rollback, error) {
 	return &Rollback{curves: curves, threshold: threshold}, nil
 }
 
-// FutureRates implements core.Estimator with rollback semantics.
+// FutureRates implements core.Estimator with rollback semantics. The curves
+// are walked once: the rates at `at` are summed in TotalFutureMean's order,
+// so the threshold sees the same total, and returned when they pass it.
 func (r *Rollback) FutureRates(at time.Duration) ([]float64, error) {
-	if r.curves.TotalFutureMean(at) >= r.threshold {
+	rates, _ := r.curves.FutureRates(at) // Curves answers every offset
+	total := 0.0
+	for _, x := range rates {
+		total += x
+	}
+	if total >= r.threshold {
 		r.lastGood = at
 		r.seenGood = true
-		return r.curves.FutureRates(at)
+		return rates, nil
 	}
 	if r.seenGood {
 		return r.curves.FutureRates(r.lastGood)
