@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -75,7 +76,6 @@ func run() error {
 
 		follow = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, mutations answer 503 and /v1/readyz reports ready only at zero replication lag until POST /v1/admin/promote")
 
-		tenants    = flag.Int("tenants", 0, "pre-create tenant-1..tenant-N at startup (others are created on first use)")
 		maxTenants = flag.Int("max-tenants", 0, "resident tenant cap; requests for new tenants beyond it answer 429 (0 = default)")
 
 		maxInflight = flag.Int("max-inflight", 0, "box-wide cap on concurrently admitted mutations; excess requests queue or shed (0 disables admission control)")
@@ -102,7 +102,6 @@ func run() error {
 	cfg.DiskBudgetBytes = *diskBudget
 	cfg.CompactInterval = *compactInterval
 	cfg.FollowPrimary = *follow
-	cfg.Logf = log.Printf
 	if *fixedClock >= 0 {
 		at := *fixedClock
 		cfg.Clock = func() time.Duration { return at }
@@ -112,23 +111,15 @@ func run() error {
 		return err
 	}
 	if *dataDir != "" {
-		log.Printf("durability on: journals under %s (fsync=%s), recovered tenants restore on first use", *dataDir, fsync)
+		slog.Info("durability on, recovered tenants restore on first use", "data_dir", *dataDir, "fsync", fsync)
 	}
 	if *dataDir != "" && *diskBudget > 0 {
-		log.Printf("retention on: disk budget %d bytes, compacted by the retention scan (-compact-interval %v, 0 = 1s); over-budget tenants with nothing to reclaim answer 507", *diskBudget, *compactInterval)
+		slog.Info("retention on, over-budget tenants with nothing to reclaim answer 507",
+			"disk_budget_bytes", *diskBudget, "compact_interval", *compactInterval)
 	}
 	if cfg.Admission.Enabled() {
-		log.Printf("admission control on: max-inflight=%d queue-depth=%d (shed answers 503 with Retry-After)",
-			*maxInflight, *queueDepth)
-	}
-	for i := 1; i <= *tenants; i++ {
-		id := fmt.Sprintf("tenant-%d", i)
-		if err := srv.EnsureTenant(id); err != nil {
-			return fmt.Errorf("pre-creating %s: %w", id, err)
-		}
-	}
-	if *tenants > 0 {
-		log.Printf("pre-created %d tenants (tenant-1..tenant-%d)", *tenants, *tenants)
+		slog.Info("admission control on, a shed answers 503 with Retry-After",
+			"max_inflight", *maxInflight, "queue_depth", *queueDepth)
 	}
 
 	// Side listener for operators: pprof profiles plus a second mount of
@@ -161,7 +152,7 @@ func run() error {
 		if err := srv.StartFollowing(ctx); err != nil {
 			return err
 		}
-		log.Printf("standby: replicating from %s; mutations answer 503 until POST /v1/admin/promote", *follow)
+		slog.Info("standby, mutations answer 503 until POST /v1/admin/promote", "primary", *follow)
 	}
 	return server.Run(ctx, server.RunConfig{
 		Addr:          *addr,
@@ -174,14 +165,14 @@ func run() error {
 			sums := srv.CycleSummaries()
 			for _, id := range srv.Tenants() {
 				s := sums[id]
-				log.Printf("final cycle summary [%s]: %d alerts, %d warnings, %d SAG-engaged, %.3f budget spent",
-					id, s.Alerts, s.Warnings, s.SAGEngaged, s.BudgetSpent)
+				slog.Info("final cycle summary", "tenant", id, "alerts", s.Alerts, "warnings", s.Warnings,
+					"sag_engaged", s.SAGEngaged, "budget_spent", s.BudgetSpent)
 			}
 			// With -data-dir this snapshots every tenant and seals the
 			// journals, making SIGTERM indistinguishable from a clean
 			// restart.
 			if err := srv.Close(); err != nil {
-				log.Printf("sealing journals: %v", err)
+				slog.Error("sealing journals failed", "err", err)
 			}
 		},
 	})
@@ -194,7 +185,7 @@ func run() error {
 // day its cycle stands, so every tenant gets its own over the shared,
 // immutable curves.
 func gameConfig(seed int64, employees, patients, histDays int, budget float64) (server.Config, error) {
-	log.Printf("building synthetic world (%d employees, %d patients)...", employees, patients)
+	slog.Info("building synthetic world", "employees", employees, "patients", patients)
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: seed, Employees: employees, Patients: patients})
 	if err != nil {
 		return server.Config{}, err
@@ -209,7 +200,7 @@ func gameConfig(seed int64, employees, patients, histDays int, budget float64) (
 		return server.Config{}, err
 	}
 
-	log.Printf("fitting arrival curves on %d days of simulated history...", histDays)
+	slog.Info("fitting arrival curves on simulated history", "days", histDays)
 	typeIDs := sim.AllTable1TypeIDs()
 	index := make(map[int]int, len(typeIDs))
 	for i, id := range typeIDs {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -70,8 +71,6 @@ type ClientConfig struct {
 	JitterSeed int64
 	// Metrics receives lag gauges and the reconnect counter; nil disables.
 	Metrics *obs.Registry
-	// Logf receives diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // Client replicates one tenant's journal from a primary: it mirrors raw
@@ -82,7 +81,6 @@ type ClientConfig struct {
 type Client struct {
 	cfg  ClientConfig
 	http *http.Client
-	logf func(string, ...any)
 	rng  *rand.Rand    // private jitter source; only Run's goroutine draws
 	br   *bufio.Reader // Reset onto each stream's body; only Run's goroutine reads
 
@@ -114,15 +112,11 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:  cfg,
 		http: cfg.HTTP,
-		logf: cfg.Logf,
 		pos:  cfg.Start,
 		br:   bufio.NewReaderSize(nil, streamBufBytes),
 	}
 	if c.http == nil {
 		c.http = &http.Client{}
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
 	}
 	if c.cfg.BackoffBase <= 0 {
 		c.cfg.BackoffBase = DefaultBackoffBase
@@ -192,14 +186,14 @@ func (c *Client) Run(ctx context.Context) error {
 			// Clean disconnect or shutdown.
 		case errors.Is(err, errReseed):
 			c.reseeds.Inc()
-			c.logf("replica[%s]: diverged, re-seeding: %v", c.cfg.Tenant, err)
+			slog.Warn("replica diverged, re-seeding", "tenant", c.cfg.Tenant, "err", err)
 			if rerr := c.reseed(); rerr != nil {
-				c.logf("replica[%s]: re-seed failed: %v", c.cfg.Tenant, rerr)
+				slog.Error("re-seed failed", "tenant", c.cfg.Tenant, "err", rerr)
 			} else {
 				attempt = 0 // fresh history, reconnect promptly
 			}
 		default:
-			c.logf("replica[%s]: stream ended: %v", c.cfg.Tenant, err)
+			slog.Warn("replica disconnected, reconnecting", "tenant", c.cfg.Tenant, "err", err)
 		}
 	}
 }

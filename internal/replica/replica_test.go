@@ -46,7 +46,7 @@ func newPrimary(t *testing.T) *primary {
 	}
 	p := &primary{t: t, dir: dir, j: j}
 	p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ServeStream(w, r, StreamConfig{Journal: p.j, Heartbeat: 5 * time.Millisecond, Logf: t.Logf})
+		ServeStream(w, r, StreamConfig{Journal: p.j, Heartbeat: 5 * time.Millisecond})
 	}))
 	t.Cleanup(func() { p.ts.Close(); p.j.Close() })
 	return p
@@ -109,7 +109,6 @@ func TestClientCatchUpAndLiveTail(t *testing.T) {
 		Primary: p.ts.URL, Tenant: "default", Dir: dir,
 		Apply: got.apply,
 		Reset: func() error { t.Error("unexpected re-seed"); return nil },
-		Logf:  t.Logf,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -171,7 +170,6 @@ func TestClientResumesFromRecoveredState(t *testing.T) {
 			Apply: got.apply,
 			Reset: func() error { t.Error("unexpected re-seed"); return nil },
 			Start: st,
-			Logf:  t.Logf,
 		})
 		return cl
 	}
@@ -220,7 +218,6 @@ func TestClientReseedsAfterPrune(t *testing.T) {
 		Primary: p.ts.URL, Tenant: "default", Dir: dir,
 		Apply: got.apply,
 		Reset: func() error { t.Error("unexpected re-seed on first run"); return nil },
-		Logf:  t.Logf,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -258,7 +255,6 @@ func TestClientReseedsAfterPrune(t *testing.T) {
 			return os.RemoveAll(dir)
 		},
 		Start: State{Cursor: rec.End, LastCRC: rec.LastCRC, Records: int64(rec.Records), Seeded: rec.Records > 0},
-		Logf:  t.Logf,
 	})
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	done2 := make(chan struct{})
@@ -312,7 +308,6 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 		Apply:       got.apply,
 		Reset:       func() error { t.Error("unexpected re-seed"); return nil },
 		BackoffBase: time.Millisecond, BackoffCap: 10 * time.Millisecond,
-		Logf: t.Logf,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -335,7 +330,7 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 	ts2 := &httptest.Server{
 		Listener: ln,
 		Config: &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ServeStream(w, r, StreamConfig{Journal: p.j, Heartbeat: 5 * time.Millisecond, Logf: t.Logf})
+			ServeStream(w, r, StreamConfig{Journal: p.j, Heartbeat: 5 * time.Millisecond})
 		})},
 	}
 	ts2.Start()
@@ -427,7 +422,6 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 		Primary: p.ts.URL, Tenant: "default", Dir: dir,
 		Apply: got.apply,
 		Reset: func() error { t.Error("re-seed under a live lease"); return nil },
-		Logf:  t.Logf,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -17,8 +18,6 @@ type StreamConfig struct {
 	Journal *wal.Journal
 	// Heartbeat is the idle heartbeat period (DefaultHeartbeat when zero).
 	Heartbeat time.Duration
-	// Logf receives diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // ServeStream handles one GET /v1/replicate?tenant=... request: it validates
@@ -29,10 +28,6 @@ type StreamConfig struct {
 // buffering or deadline-setting middleware: the response is unbounded.
 func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	src := cfg.Journal
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	hb := cfg.Heartbeat
 	if hb <= 0 {
 		hb = DefaultHeartbeat
@@ -45,7 +40,7 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	// snapshot-then-prune. The lease lives exactly as long as the stream: a
 	// disconnected follower pins nothing (its next connect renegotiates, and
 	// a prune in the gap legitimately demands a re-seed).
-	cur, applyFrom, lease, ok := negotiate(w, r, src, logf)
+	cur, applyFrom, lease, ok := negotiate(w, r, src)
 	if !ok {
 		return
 	}
@@ -73,7 +68,7 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 			// Pruned under us, torn read, or the peer went away: either
 			// way this stream is done; the client reconnects with its
 			// cursor and renegotiates (a prune then answers re-seed).
-			logf("replicate: stream ended at %v: %v", next, err)
+			slog.Warn("replication stream ended", "tenant", r.URL.Query().Get("tenant"), "cursor", next, "err", err)
 			return
 		}
 		if next != cur {
@@ -105,7 +100,7 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 // first and validated second, a fresh seed gets all three from one critical
 // section (wal.Journal.Seed), so nothing is prunable between choosing a
 // cursor and holding it.
-func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal, logf func(string, ...any)) (cur, applyFrom wal.Cursor, lease *wal.Lease, ok bool) {
+func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal) (cur, applyFrom wal.Cursor, lease *wal.Lease, ok bool) {
 	q := r.URL.Query()
 	if !q.Has("seg") {
 		cur, applyFrom, lease = src.Seed()
@@ -120,7 +115,7 @@ func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal, logf fu
 	if err := src.ValidateCursor(cur, crc); err != nil {
 		lease.Release()
 		if errors.Is(err, wal.ErrCursorGone) || errors.Is(err, wal.ErrCursorInvalid) {
-			logf("replicate: cursor rejected, demanding re-seed: %v", err)
+			slog.Warn("resume cursor rejected, demanding re-seed", "tenant", q.Get("tenant"), "cursor", cur, "err", err)
 			w.Header().Set(HeaderReseed, "1")
 			http.Error(w, err.Error(), http.StatusConflict)
 		} else {

@@ -20,6 +20,7 @@ package retain
 
 import (
 	"errors"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -76,15 +77,12 @@ type Config struct {
 	// Metrics receives the sag_retain_* instruments when BudgetBytes is
 	// set; nil disables.
 	Metrics *obs.Registry
-	// Logf receives compaction traces; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // Compactor is the background retention scheduler. Start launches the scan
 // loop; Stop terminates it. Blocked answers the server's disk-pressure gate.
 type Compactor struct {
-	cfg  Config
-	logf func(string, ...any)
+	cfg Config
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -112,12 +110,8 @@ func New(cfg Config) (*Compactor, error) {
 	}
 	c := &Compactor{
 		cfg:     cfg,
-		logf:    cfg.Logf,
 		done:    make(chan struct{}),
 		blocked: make(map[string]bool),
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
 	}
 	reg := cfg.Metrics
 	if cfg.BudgetBytes <= 0 {
@@ -248,7 +242,7 @@ func (c *Compactor) RunOnce() {
 		if cands[i].st.PrunableBytes > 0 {
 			segs, bytes, err := cands[i].t.Prune()
 			if err != nil {
-				c.logf("retain: tenant %s: prune: %v", cands[i].id, err)
+				slog.Error("prune failed", "tenant", cands[i].id, "err", err)
 				continue
 			}
 			if segs > 0 {
@@ -274,8 +268,8 @@ func (c *Compactor) RunOnce() {
 			}
 			if freed, ok := c.compact(cand); ok {
 				total -= freed
-				c.logf("retain: tenant %s: compacted, freed %d bytes (box %d/%d)",
-					cand.id, freed, total, budget)
+				slog.Info("compacted", "tenant", cand.id, "freed_bytes", freed,
+					"box_bytes", total, "budget_bytes", budget)
 			}
 		}
 	}
@@ -316,7 +310,7 @@ func (c *Compactor) RunOnce() {
 // could not be compacted or lost its journal meanwhile.
 func (c *Compactor) compact(cand *candidate) (freed int64, ok bool) {
 	if err := cand.t.Compact(); err != nil {
-		c.logf("retain: tenant %s: snapshot: %v", cand.id, err)
+		slog.Error("compaction snapshot failed", "tenant", cand.id, "err", err)
 		return 0, false
 	}
 	st, ok := cand.t.RetainStats()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -77,8 +78,8 @@ func (s *Server) openTenantJournal(t *tenantState) error {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
 	if rec.Truncated {
-		s.logf("server: tenant %s: truncated corrupt journal tail of %s at offset %d",
-			t.id, rec.TruncatedSegment, rec.TruncatedOffset)
+		slog.Warn("truncated corrupt journal tail", "tenant", t.id,
+			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
 	if err := s.replayTenant(t, rec); err != nil {
 		_ = j.Close()
@@ -90,8 +91,8 @@ func (s *Server) openTenantJournal(t *tenantState) error {
 		"Journal records replayed on top of the restored snapshot at boot.",
 		obs.L("tenant", t.id)).Set(float64(replayed))
 	if rec.Snapshot != nil || replayed > 0 {
-		s.logf("server: tenant %s: recovered snapshot=%dB + %d replayed records (%d segments scanned)",
-			t.id, len(rec.Snapshot), replayed, rec.Segments)
+		slog.Info("recovered tenant", "tenant", t.id, "snapshot_bytes", len(rec.Snapshot),
+			"replayed_records", replayed, "segments_scanned", rec.Segments)
 	}
 	return nil
 }
@@ -357,7 +358,7 @@ func (s *Server) snapshotResident() (n int, first error) {
 			return true
 		}
 		if err := s.snapshotTenant(t); err != nil {
-			s.logf("server: tenant %s: snapshot: %v", t.id, err)
+			slog.Error("snapshot failed", "tenant", t.id, "err", err)
 			if first == nil {
 				first = err
 			}
@@ -423,10 +424,10 @@ func (s *Server) evictTenant(tn *shard.Tenant) {
 	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
 	if err := s.snapshotTenantLocked(t); err != nil {
-		s.logf("server: tenant %s: eviction snapshot: %v", t.id, err)
+		slog.Error("eviction snapshot failed", "tenant", t.id, "err", err)
 	}
 	if err := t.journal.Close(); err != nil {
-		s.logf("server: tenant %s: sealing journal: %v", t.id, err)
+		slog.Error("sealing journal failed", "tenant", t.id, "err", err)
 	}
 	t.sealed = true
 }
@@ -494,11 +495,4 @@ func (s *Server) handleCycleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.lifecycle.RUnlock()
 	writeJSON(w, http.StatusOK, t.engine.Summary())
-}
-
-// logf writes a server log line via Config.Logf; silent when unset.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }

@@ -1,12 +1,15 @@
 package server
 
 import (
-	"fmt"
+	"bytes"
 	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,36 +22,61 @@ import (
 	"github.com/auditgames/sag/internal/wal"
 )
 
-// logBuf collects Logf lines from the server under test (background
-// snapshots may log concurrently with the test goroutine).
+// logBuf is the text the captured slog records were written as, one record a
+// line (background goroutines may log concurrently with the test goroutine).
 type logBuf struct {
-	mu    sync.Mutex
-	lines []string
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-func (l *logBuf) logf(format string, args ...any) {
+func (l *logBuf) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	return l.buf.Write(p)
 }
 
-func (l *logBuf) contains(sub string) bool {
+// records returns the captured lines whose attributes after the time begin
+// with prefix, such as `level=WARN msg="truncated corrupt journal tail"`.
+func (l *logBuf) records(prefix string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, ln := range l.lines {
-		if strings.Contains(ln, sub) {
-			return true
+	var out []string
+	for _, ln := range strings.Split(l.buf.String(), "\n") {
+		if _, rest, ok := strings.Cut(ln, " "); ok && (rest == prefix || strings.HasPrefix(rest, prefix+" ")) {
+			out = append(out, ln)
 		}
 	}
-	return false
+	return out
+}
+
+func (l *logBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// captureLog sends slog's default logger to a text handler over a logBuf for
+// the rest of the test. No test in this module calls t.Parallel, so swapping
+// the process-wide default is safe.
+func captureLog(t *testing.T) *logBuf {
+	logs := &logBuf{}
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(logs, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		// SetDefault with a non-default handler redirected package log too.
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	return logs
 }
 
 // durableFixture is fixture with durability on: same world, same seeds, but
 // every tenant journals to dir. Building a second fixture over the same dir
 // models a process restart.
-func durableFixture(t *testing.T, dir string, logs *logBuf) (*Server, *httptest.Server, int, int) {
+func durableFixture(t *testing.T, dir string) (*Server, *httptest.Server, int, int) {
 	t.Helper()
-	return replicaFixture(t, dir, logs, nil)
+	return replicaFixture(t, dir, nil)
 }
 
 // getRaw fetches a path and returns the raw body for byte-level comparison.
@@ -72,7 +100,7 @@ func getRaw(t *testing.T, ts *httptest.Server, path string) (int, string) {
 // to match the pre-shutdown ones byte for byte.
 func TestDurableCleanRestartRestoresState(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir, nil)
+	srv, ts, bgE, bgP := durableFixture(t, dir)
 	for i := 0; i < 15; i++ {
 		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
 			t.Fatalf("access status %d", code)
@@ -88,16 +116,17 @@ func TestDurableCleanRestartRestoresState(t *testing.T) {
 		t.Fatalf("clean shutdown: %v", err)
 	}
 
-	logs := &logBuf{}
-	_, ts2, _, _ := durableFixture(t, dir, logs)
+	logs := captureLog(t)
+	_, ts2, _, _ := durableFixture(t, dir)
 	if code, got := getRaw(t, ts2, "/v1/status"); code != http.StatusOK || got != wantStatus {
 		t.Fatalf("recovered status diverged:\n got %s\nwant %s", got, wantStatus)
 	}
 	if _, got := getRaw(t, ts2, "/v1/cycle/summary"); got != wantSummary {
 		t.Fatalf("recovered summary diverged:\n got %s\nwant %s", got, wantSummary)
 	}
-	if !logs.contains("recovered snapshot") {
-		t.Fatalf("no recovery banner logged: %v", logs.lines)
+	banner := logs.records(`level=INFO msg="recovered tenant" tenant=default`)
+	if len(banner) != 1 || !strings.Contains(banner[0], " snapshot_bytes=") || !strings.Contains(banner[0], " replayed_records=0 ") {
+		t.Fatalf("want one recovery banner for the default tenant with its snapshot size and 0 replayed records; logged:\n%s", logs)
 	}
 	// The recovered tenant keeps serving: budget keeps descending from the
 	// recovered point, and the flag set survived.
@@ -121,7 +150,7 @@ func TestDurableCleanRestartRestoresState(t *testing.T) {
 // the identical state.
 func TestDurableCrashRestartReplaysJournal(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir, nil)
+	_, ts, bgE, bgP := durableFixture(t, dir)
 	var last AccessResponse
 	for i := 0; i < 12; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &last)
@@ -132,8 +161,7 @@ func TestDurableCrashRestartReplaysJournal(t *testing.T) {
 	// No Close: every acknowledged request was fsynced (FsyncAlways), and
 	// nothing else is durable.
 
-	logs := &logBuf{}
-	_, ts2, _, _ := durableFixture(t, dir, logs)
+	_, ts2, _, _ := durableFixture(t, dir)
 	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
 		t.Fatalf("replayed status diverged:\n got %s\nwant %s", got, wantStatus)
 	}
@@ -153,7 +181,7 @@ func TestDurableCrashRestartReplaysJournal(t *testing.T) {
 // the NEW cycle — not the old one.
 func TestDurableCycleLifecycleSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir, nil)
+	_, ts, bgE, bgP := durableFixture(t, dir)
 	for i := 0; i < 8; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
@@ -168,7 +196,7 @@ func TestDurableCycleLifecycleSurvivesCrash(t *testing.T) {
 	}
 	_, wantStatus := getRaw(t, ts, "/v1/status")
 
-	_, ts2, _, _ := durableFixture(t, dir, nil)
+	_, ts2, _, _ := durableFixture(t, dir)
 	var st Status
 	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
 		t.Fatalf("recovered status diverged:\n got %s\nwant %s", got, wantStatus)
@@ -193,7 +221,7 @@ func TestDurableCycleLifecycleSurvivesCrash(t *testing.T) {
 // log the offset, and serve the surviving prefix.
 func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir, nil)
+	srv, ts, bgE, bgP := durableFixture(t, dir)
 	for i := 0; i < 6; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
@@ -216,10 +244,15 @@ func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logs := &logBuf{}
-	_, ts2, _, _ := durableFixture(t, dir, logs)
-	if !logs.contains("truncated corrupt journal tail") {
-		t.Fatalf("truncation not logged: %v", logs.lines)
+	logs := captureLog(t)
+	_, ts2, _, _ := durableFixture(t, dir)
+	cut := logs.records(`level=WARN msg="truncated corrupt journal tail" tenant=default segment=` + last)
+	if len(cut) != 1 {
+		t.Fatalf("want one WARN record naming the tenant and the torn segment; logged:\n%s", logs)
+	}
+	_, tail, _ := strings.Cut(cut[0], " offset=")
+	if off, err := strconv.ParseInt(tail, 10, 64); err != nil || off <= 0 || off >= info.Size()-3 {
+		t.Fatalf("the WARN record's offset is not inside the torn segment: %q", cut[0])
 	}
 	var st Status
 	if code := get(t, ts2, "/v1/status", &st); code != http.StatusOK {
@@ -231,13 +264,12 @@ func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 }
 
 // TestDurableEvictionIsUnloadNotLoss evicts a tenant with live state and
-// checks that (a) the eviction is counted and logged, and (b) the next
+// checks that (a) the eviction is counted, and (b) the next
 // request for the same ID rebuilds the tenant from its journal with nothing
 // lost.
 func TestDurableEvictionIsUnloadNotLoss(t *testing.T) {
 	dir := t.TempDir()
-	logs := &logBuf{}
-	srv, ts, bgE, bgP := durableFixture(t, dir, logs)
+	srv, ts, bgE, bgP := durableFixture(t, dir)
 	for i := 0; i < 9; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
@@ -246,9 +278,6 @@ func TestDurableEvictionIsUnloadNotLoss(t *testing.T) {
 
 	if !srv.RemoveTenant(DefaultTenantID) {
 		t.Fatal("default tenant not resident")
-	}
-	if !logs.contains("evicted tenant " + DefaultTenantID) {
-		t.Fatalf("eviction not logged: %v", logs.lines)
 	}
 	_, metrics := getRaw(t, ts, "/v1/metrics")
 	if !strings.Contains(metrics, "sag_shard_evictions_total 1") {
@@ -265,7 +294,7 @@ func TestDurableEvictionIsUnloadNotLoss(t *testing.T) {
 // tenant by header, unknown tenant, and the 400 when durability is off.
 func TestDurableSnapshotEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir, nil)
+	_, ts, bgE, bgP := durableFixture(t, dir)
 	post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	postTenant(t, ts, "acme", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 
@@ -286,15 +315,14 @@ func TestDurableSnapshotEndpoint(t *testing.T) {
 
 	// A forced snapshot bounds replay: a crash right after it recovers from
 	// the snapshot alone (zero replayed records).
-	logs := &logBuf{}
-	_, ts2, _, _ := durableFixture(t, dir, logs)
+	_, ts2, _, _ := durableFixture(t, dir)
 	var st Status
 	get(t, ts2, "/v1/status", &st)
 	if st.Accesses != 1 {
 		t.Fatalf("snapshot-recovered status %+v", st)
 	}
-	if !logs.contains("+ 0 replayed records") {
-		t.Fatalf("expected snapshot-only recovery, logs: %v", logs.lines)
+	if _, metrics := getRaw(t, ts2, "/v1/metrics"); !strings.Contains(metrics, MetricRecoveryReplayed+`{tenant="default"} 0`+"\n") {
+		t.Fatalf("expected snapshot-only recovery (0 replayed records):\n%s", metrics)
 	}
 
 	// Durability off: the endpoint must refuse rather than pretend.
@@ -311,7 +339,7 @@ func TestDurableSnapshotEndpoint(t *testing.T) {
 // independently — tenant A's records never leak into tenant B.
 func TestDurablePerTenantIsolation(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir, nil)
+	_, ts, bgE, bgP := durableFixture(t, dir)
 	for i := 0; i < 4; i++ {
 		postTenant(t, ts, "alpha", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
@@ -321,7 +349,7 @@ func TestDurablePerTenantIsolation(t *testing.T) {
 	_, wantAlpha := getRaw(t, ts, "/v1/status?tenant=alpha")
 	_, wantBeta := getRaw(t, ts, "/v1/status?tenant=beta")
 
-	_, ts2, _, _ := durableFixture(t, dir, nil)
+	_, ts2, _, _ := durableFixture(t, dir)
 	// Restore is lazy (first touch), so warm both tenants before comparing:
 	// active_tenants counts resident tenants, which grows as each journal is
 	// restored.
@@ -413,7 +441,7 @@ func TestDurableAutoSnapshotCadence(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	_, wantStatus := getRaw(t, ts, "/v1/status")
-	_, ts2, _, _ := durableFixture(t, dir, nil)
+	_, ts2, _, _ := durableFixture(t, dir)
 	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
 		t.Fatalf("auto-snapshot recovery diverged:\n got %s\nwant %s", got, wantStatus)
 	}
@@ -429,14 +457,14 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 		cfg.CompactInterval = 20 * time.Millisecond
 	}
 	dir := t.TempDir()
-	_, ts, bgE, bgP := replicaFixture(t, dir, nil, cadence)
+	_, ts, bgE, bgP := replicaFixture(t, dir, cadence)
 	for i := 0; i < 4; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
 	// No Close (a kill -9 writes no shutdown snapshot): reboot on a copy.
 	crashed := t.TempDir()
 	copyTree(t, dir, crashed)
-	srv2, ts2, _, _ := replicaFixture(t, crashed, nil, cadence)
+	srv2, ts2, _, _ := replicaFixture(t, crashed, cadence)
 	defer srv2.Close()
 	post(t, ts2, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	tn, _ := srv2.router.Get(DefaultTenantID)

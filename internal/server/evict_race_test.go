@@ -20,7 +20,7 @@ import (
 // last restart on top of that.
 func TestEvictionVsTrafficRace(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir, nil)
+	srv, ts, bgE, bgP := durableFixture(t, dir)
 
 	const workers = 8
 	const perWorker = 25
@@ -106,7 +106,7 @@ func TestEvictionVsTrafficRace(t *testing.T) {
 	if !srv.RemoveTenant(DefaultTenantID) {
 		t.Fatal("tenant not resident after status read")
 	}
-	_, ts2, _, _ := durableFixture(t, dir, nil)
+	_, ts2, _, _ := durableFixture(t, dir)
 	var st2 Status
 	if code := get(t, ts2, "/v1/status", &st2); code != http.StatusOK {
 		t.Fatalf("status after restart: %d", code)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -73,8 +74,8 @@ func (s *Server) StartFollowing(ctx context.Context) error {
 		defer fc.wg.Done()
 		fc.discoverLoop()
 	}()
-	s.logf("server: following primary %s (%d local tenants resumed)",
-		s.cfg.FollowPrimary, len(fc.snapshotClients()))
+	slog.Info("following primary", "primary", s.cfg.FollowPrimary,
+		"local_tenants", len(fc.snapshotClients()))
 	return nil
 }
 
@@ -155,7 +156,7 @@ func (fc *followController) runTenant(id string) {
 	s := fc.s
 	tn, _, err := s.router.GetOrCreate(id)
 	if err != nil {
-		s.logf("server: follower: tenant %s: %v", id, err)
+		slog.Warn("follower could not load tenant", "tenant", id, "err", err)
 		fc.mu.Lock()
 		delete(fc.clients, id) // discovery retries later
 		fc.mu.Unlock()
@@ -180,7 +181,6 @@ func (fc *followController) runTenant(id string) {
 		},
 		Start:   holder.Load().repl,
 		Metrics: s.met.reg,
-		Logf:    s.cfg.Logf,
 	})
 	fc.mu.Lock()
 	fc.clients[id] = cl
@@ -240,8 +240,8 @@ func (s *Server) recoverTenantLocal(t *tenantState) error {
 		return fmt.Errorf("server: recovering follower tenant %q: %w", t.id, err)
 	}
 	if rec.Truncated {
-		s.logf("server: follower tenant %s: truncated mirrored tail of %s at offset %d",
-			t.id, rec.TruncatedSegment, rec.TruncatedOffset)
+		slog.Warn("truncated mirrored journal tail", "tenant", t.id,
+			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
 	if err := s.replayTenant(t, rec); err != nil {
 		return fmt.Errorf("server: recovering follower tenant %q: %w", t.id, err)
@@ -253,8 +253,7 @@ func (s *Server) recoverTenantLocal(t *tenantState) error {
 		Seeded:  rec.Records > 0,
 	}
 	if rec.Records > 0 {
-		s.logf("server: follower tenant %s: resumed mirror at %v (%d records)",
-			t.id, rec.End, rec.Records)
+		slog.Info("resumed mirror", "tenant", t.id, "cursor", rec.End, "records", rec.Records)
 	}
 	return nil
 }
@@ -290,7 +289,7 @@ func (s *Server) reseedTenant(id string) (*tenantState, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.logf("server: follower tenant %s: local state discarded for re-seed", id)
+	slog.Warn("local state discarded for re-seed", "tenant", id)
 	return tn.Data.(*tenantState), nil
 }
 
@@ -334,7 +333,7 @@ func (s *Server) Promote() (int, error) {
 			err = fmt.Errorf("journal holds %d records, %d were applied", rec.Records, t.repl.Records)
 		}
 		if err != nil {
-			s.logf("server: promote: tenant %s unloaded: %v", t.id, err)
+			slog.Warn("tenant unloaded at promote", "tenant", t.id, "err", err)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("server: promoting tenant %q: %w", t.id, err)
 			}
@@ -349,7 +348,7 @@ func (s *Server) Promote() (int, error) {
 		n++
 	}
 	s.following.Store(false)
-	s.logf("server: promoted to primary (%d tenants)", n)
+	slog.Info("promoted to primary", "tenants", n)
 	return n, firstErr
 }
 
@@ -422,7 +421,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			apiError{Error: fmt.Sprintf("tenant %q has no open journal", id)})
 		return
 	}
-	replica.ServeStream(w, r, replica.StreamConfig{Journal: j, Logf: s.cfg.Logf})
+	replica.ServeStream(w, r, replica.StreamConfig{Journal: j})
 }
 
 // handlePromote is POST /v1/admin/promote: turn this standby into the

@@ -32,11 +32,11 @@ func liveHeap() uint64 {
 // heap each; a 64 KiB buffer per journal (77 KB a tenant, as it was) fails.
 func TestTenantHeapFootprint(t *testing.T) {
 	const tenants, ceiling = 64, 24 << 10
-	srv, _, _, _ := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) { cfg.MaxTenants = tenants + 1 })
+	srv, _, _, _ := replicaFixture(t, t.TempDir(), func(cfg *Config) { cfg.MaxTenants = tenants + 1 })
 	defer srv.Close()
 	before := liveHeap()
 	for i := 0; i < tenants; i++ {
-		if err := srv.EnsureTenant(fmt.Sprintf("h%02d", i)); err != nil {
+		if _, _, err := srv.router.GetOrCreate(fmt.Sprintf("h%02d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,12 +54,12 @@ func TestTenantHeapFootprint(t *testing.T) {
 // keeps each alert's equilibrium and scheme reads 486.
 func TestWorkingTenantHeapFootprint(t *testing.T) {
 	const tenants, alerts, ceiling = 8, 512, 160
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, nil)
+	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil)
 	defer srv.Close()
 	names := make([]string, tenants)
 	for i := range names {
 		names[i] = fmt.Sprintf("w%d", i)
-		if err := srv.EnsureTenant(names[i]); err != nil {
+		if _, _, err := srv.router.GetOrCreate(names[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,13 +81,13 @@ func TestWorkingTenantHeapFootprint(t *testing.T) {
 }
 
 // TestTenantSeriesBudget: a tenant that has served an alert, a benign access
-// and a quit — journaled, admitted, under a disk budget — adds ≤ 20 sample
+// and a quit — journaled, admitted, under a disk budget — adds ≤ 15 sample
 // lines to a scrape. Histograms are 18 lines each, so a single
 // tenant-labelled one breaks the budget; latency belongs to the solver and
 // the disk and is exported once, and admission series carry no tenant.
 func TestTenantSeriesBudget(t *testing.T) {
-	const ceiling = 20
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) {
+	const ceiling = 15
+	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
 		cfg.Admission = admit.Config{MaxInflight: 4, QueueDepth: 4}
 		cfg.DiskBudgetBytes = 1 << 30
 		cfg.CompactInterval = time.Hour

@@ -126,7 +126,7 @@ func TestJournalFaultLeavesRecoverableState(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, ts, bgE, bgP := durableFixture(t, dir, nil)
+			srv, ts, bgE, bgP := durableFixture(t, dir)
 
 			// Warm traffic across record kinds, fault disarmed.
 			for i := 0; i < 4; i++ {
@@ -155,7 +155,7 @@ func TestJournalFaultLeavesRecoverableState(t *testing.T) {
 			// (no clean shutdown: replay is all it gets).
 			dir2 := t.TempDir()
 			copyTree(t, dir, dir2)
-			_, ts2, _, _ := durableFixture(t, dir2, nil)
+			_, ts2, _, _ := durableFixture(t, dir2)
 
 			if got := mustGetRaw(t, ts2, "/v1/status"); got != liveStatus {
 				t.Fatalf("post-failure status diverges from crash replay:\nlive:      %s\nrecovered: %s", liveStatus, got)
@@ -201,7 +201,7 @@ func mustGetRaw(t *testing.T, ts *httptest.Server, path string) string {
 // TestJournalFaultRollbackMetric: a rolled-back decision is observable.
 func TestJournalFaultRollbackMetric(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir, nil)
+	srv, ts, bgE, bgP := durableFixture(t, dir)
 	srv.SetJournalFault(alwaysFail())
 	if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusInternalServerError {
 		t.Fatalf("faulted decision: status %d, want 500", code)
@@ -219,7 +219,7 @@ func TestJournalFaultRollbackMetric(t *testing.T) {
 // the journal's contents.
 func TestJournalFaultIntermittent(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir, nil)
+	srv, ts, bgE, bgP := durableFixture(t, dir)
 	srv.SetJournalFault(faultinject.New("journal", faultinject.Config{Seed: 7, ErrorRate: 0.3}))
 	oks, fails := 0, 0
 	for i := 0; i < 40; i++ {
@@ -250,7 +250,7 @@ func TestJournalFaultIntermittent(t *testing.T) {
 	liveSummary := mustGetRaw(t, ts, "/v1/cycle/summary")
 	dir2 := t.TempDir()
 	copyTree(t, dir, dir2)
-	_, ts2, _, _ := durableFixture(t, dir2, nil)
+	_, ts2, _, _ := durableFixture(t, dir2)
 	if got := mustGetRaw(t, ts2, "/v1/status"); got != liveStatus {
 		t.Fatalf("status diverges after intermittent faults:\nlive:      %s\nrecovered: %s", liveStatus, got)
 	}

@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"time"
@@ -34,8 +34,6 @@ type RunConfig struct {
 	// OnShutdown runs after both listeners have stopped — the place to log
 	// the final cycle summary.
 	OnShutdown func()
-	// Logf receives lifecycle log lines; defaults to log.Printf.
-	Logf func(format string, args ...any)
 	// OnListen, when non-nil, is called with each bound listener address
 	// (main first, then debug). Tests use it to learn ":0" ports.
 	OnListen func(addr net.Addr)
@@ -44,9 +42,6 @@ type RunConfig struct {
 func (c *RunConfig) fillDefaults() {
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
 	}
 }
 
@@ -102,7 +97,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 		}
 		servers = append(servers, newServer(cfg.DebugHandler))
 		listeners = append(listeners, dbgLn)
-		cfg.Logf("debug listener (pprof, /metrics) on %s", dbgLn.Addr())
+		slog.Info("debug listener up", "addr", dbgLn.Addr())
 	}
 
 	serveErr := make(chan error, len(servers))
@@ -118,7 +113,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 
 	select {
 	case <-ctx.Done():
-		cfg.Logf("shutdown requested; draining for up to %v", cfg.ShutdownGrace)
+		slog.Info("shutdown requested, draining", "grace", cfg.ShutdownGrace)
 	case err := <-serveErr:
 		if err != nil {
 			return err
@@ -134,7 +129,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 	defer cancel()
 	for _, srv := range servers {
 		if err := srv.Shutdown(drainCtx); err != nil {
-			cfg.Logf("shutdown: %v (in-flight requests cut off)", err)
+			slog.Warn("shutdown cut off in-flight requests", "err", err)
 		}
 	}
 	if cfg.OnShutdown != nil {

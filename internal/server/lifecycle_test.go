@@ -112,7 +112,6 @@ func TestRunGracefulShutdown(t *testing.T) {
 			DebugAddr:     "127.0.0.1:0",
 			DebugHandler:  srv.Metrics().Handler(),
 			ShutdownGrace: 5 * time.Second,
-			Logf:          t.Logf,
 			OnListen:      func(a net.Addr) { addrCh <- a },
 			OnDrainStart: func() {
 				srv.SetReady(false)
@@ -167,7 +166,6 @@ func TestRunListenError(t *testing.T) {
 	if err := Run(context.Background(), RunConfig{
 		Addr:    ln.Addr().String(),
 		Handler: srv.Handler(),
-		Logf:    t.Logf,
 	}); err == nil {
 		t.Fatal("Run on an occupied port must error")
 	}

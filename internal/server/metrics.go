@@ -35,9 +35,6 @@ const (
 	// MetricHTTPInflightRequests gauges requests currently inside an
 	// instrumented handler.
 	MetricHTTPInflightRequests = "sag_http_inflight_requests"
-	// MetricHTTPTenantRequestsTotal counts API requests by the tenant they
-	// resolved to (after validation, before the handler body).
-	MetricHTTPTenantRequestsTotal = "sag_http_tenant_requests_total"
 )
 
 // serverMetrics holds the server-wide pre-resolved instruments — the
@@ -72,7 +69,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 // carries tenant="<id>", matching the label the tenant's engine stamps on
 // its sag_engine_* series.
 type tenantMetrics struct {
-	requests *obs.Counter
 	accesses *obs.Counter
 	alerts   *obs.Counter
 	warned   *obs.Counter
@@ -83,7 +79,6 @@ type tenantMetrics struct {
 func newTenantMetrics(reg *obs.Registry, tenant string) tenantMetrics {
 	l := obs.L("tenant", tenant)
 	return tenantMetrics{
-		requests: reg.Counter(MetricHTTPTenantRequestsTotal, "API requests by resolved tenant.", l),
 		accesses: reg.Counter(MetricAccessesTotal, "Access requests evaluated.", l),
 		alerts:   reg.Counter(MetricAlertsTotal, "Accesses on which a detection rule fired.", l),
 		warned:   reg.Counter(MetricWarnedTotal, "Accesses answered with a warning.", l),

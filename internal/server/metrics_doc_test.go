@@ -54,7 +54,7 @@ func readmeMetricFamilies(t *testing.T) map[string]bool {
 // close and a new cycle; every family its scrape then declares must have a
 // row, and every row must name a family it exports or a standby-only one.
 func TestReadmeMetricTableMatchesExport(t *testing.T) {
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) {
+	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
 		cfg.Admission = admit.Config{MaxInflight: 4, QueueDepth: 4}
 		cfg.DiskBudgetBytes = 1 << 30
 		cfg.CompactInterval = time.Hour

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 
@@ -143,7 +144,7 @@ func (s *Server) commit(t *tenantState, rec wal.Record) error {
 	if err != nil {
 		// Unreachable for a validated request; if it ever fires the journal
 		// holds a record that memory does not, so say so loudly.
-		s.logf("server: tenant %s: %v record journaled but not applied: %v", t.id, rec.Kind, err)
+		slog.Error("journaled but not applied", "tenant", t.id, "kind", rec.Kind, "err", err)
 	}
 	return err
 }

@@ -164,7 +164,7 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 	for _, st := range stages {
 		for _, route := range routes {
 			t.Run(st.name+route, func(t *testing.T) {
-				srv, _, bgE, bgP := replicaFixture(t, t.TempDir(), nil, st.mod)
+				srv, _, bgE, bgP := replicaFixture(t, t.TempDir(), st.mod)
 				defer srv.Close()
 				if st.prep != nil {
 					st.prep(t, srv)
@@ -251,7 +251,7 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 // the racers may each journal a record; replay is as idempotent as the race.
 func TestConcurrentFirstQuit(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := durableFixture(t, dir, nil)
+	srv, ts, _, _ := durableFixture(t, dir)
 	defer srv.Close()
 	const racers = 8
 	var wg sync.WaitGroup
@@ -280,7 +280,7 @@ func TestConcurrentFirstQuit(t *testing.T) {
 	live := mustGetRaw(t, ts, "/v1/status")
 	dir2 := t.TempDir()
 	copyTree(t, dir, dir2)
-	srv2, ts2, _, _ := durableFixture(t, dir2, nil)
+	srv2, ts2, _, _ := durableFixture(t, dir2)
 	defer srv2.Close()
 	if got := mustGetRaw(t, ts2, "/v1/status"); got != live {
 		t.Fatalf("recovered status diverges:\nlive:      %s\nrecovered: %s", live, got)

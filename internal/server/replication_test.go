@@ -18,6 +18,7 @@ import (
 	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
+	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/sim"
 	"github.com/auditgames/sag/internal/wal"
 )
@@ -25,7 +26,7 @@ import (
 // replicaFixture is durableFixture with a config hook, so replication tests
 // can set FollowPrimary and SegmentBytes while keeping the
 // exact same world and engine seeds on both sides of the stream.
-func replicaFixture(t *testing.T, dir string, logs *logBuf, mod func(*Config)) (*Server, *httptest.Server, int, int) {
+func replicaFixture(t *testing.T, dir string, mod func(*Config)) (*Server, *httptest.Server, int, int) {
 	t.Helper()
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
 	if err != nil {
@@ -53,9 +54,6 @@ func replicaFixture(t *testing.T, dir string, logs *logBuf, mod func(*Config)) (
 		DataDir: dir,
 		Fsync:   wal.FsyncAlways,
 	}
-	if logs != nil {
-		cfg.Logf = logs.logf
-	}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -70,9 +68,9 @@ func replicaFixture(t *testing.T, dir string, logs *logBuf, mod func(*Config)) (
 
 // startFollower builds a follower over dir replicating from primaryURL and
 // starts its replication clients.
-func startFollower(t *testing.T, dir, primaryURL string, logs *logBuf) (*Server, *httptest.Server) {
+func startFollower(t *testing.T, dir, primaryURL string) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, ts, _, _ := replicaFixture(t, dir, logs, func(cfg *Config) {
+	srv, ts, _, _ := replicaFixture(t, dir, func(cfg *Config) {
 		cfg.FollowPrimary = primaryURL
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -182,7 +180,7 @@ func tenantSegRange(t *testing.T, dir string) (lo, hi int) {
 // primary's.
 func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
 	for i := 0; i < 6; i++ {
 		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
@@ -193,7 +191,7 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 		t.Fatalf("primary quit status %d", code)
 	}
 
-	folSrv, fol := startFollower(t, folDir, prim.URL, nil)
+	folSrv, fol := startFollower(t, folDir, prim.URL)
 	waitFollowerReady(t, fol)
 
 	// Reads serve the replicated state: the cycle summary is byte-identical.
@@ -281,14 +279,14 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 // pinning lag at 1 and /v1/readyz at 503 until someone touched the tenant.
 func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
 	// Traffic goes to another tenant only; "default" stays resident and empty.
 	for i := 0; i < 3; i++ {
 		if code := postTenant(t, prim, "ward-a", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	_, fol := startFollower(t, folDir, prim.URL, nil)
+	_, fol := startFollower(t, folDir, prim.URL)
 	waitFollowerReady(t, fol) // asserts {"status":"following","lag_records":0} + 200
 
 	// The first write to the untouched tenant is still replicated.
@@ -316,7 +314,7 @@ func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 // acceptance scenario).
 func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, func(cfg *Config) {
+	_, prim, bgE, bgP := replicaFixture(t, primDir, func(cfg *Config) {
 		cfg.SegmentBytes = 256 // roll fast so snapshots prune quickly
 	})
 	for i := 0; i < 3; i++ {
@@ -327,8 +325,7 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 
 	// First follower incarnation catches up, then goes offline (its
 	// replication context is canceled, modelling a crash).
-	logs1 := &logBuf{}
-	folSrv1, folTS1, _, _ := replicaFixture(t, folDir, logs1, func(cfg *Config) {
+	folSrv1, folTS1, _, _ := replicaFixture(t, folDir, func(cfg *Config) {
 		cfg.FollowPrimary = prim.URL
 	})
 	ctx1, cancel1 := context.WithCancel(context.Background())
@@ -362,11 +359,10 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 
 	// Second incarnation over the same dir: its recovered cursor is gapped,
 	// the primary demands a re-seed, and catch-up completes anyway.
-	logs2 := &logBuf{}
-	_, fol2 := startFollower(t, folDir, prim.URL, logs2)
+	folSrv2, fol2 := startFollower(t, folDir, prim.URL)
 	waitFollowerReady(t, fol2)
-	if !logs2.contains("re-seed") {
-		t.Fatalf("follower caught up without a re-seed; logs: %v", logs2.lines)
+	if n := folSrv2.Metrics().Snapshot().Counters[replica.MetricReseeds+`{tenant="default"}`]; n < 1 {
+		t.Fatalf("follower caught up without a re-seed (%s = %d)", replica.MetricReseeds, n)
 	}
 	if lo, _ := tenantSegRange(t, folDir); lo <= folMax {
 		t.Fatalf("re-seeded follower min segment %d did not advance past stale max %d", lo, folMax)
@@ -418,13 +414,13 @@ func TestFollowerRequiresDataDir(t *testing.T) {
 // the assertion.
 func TestPromoteWhileCompactorScans(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
 	for i := 0; i < 6; i++ {
 		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	folSrv, fol, _, _ := replicaFixture(t, folDir, nil, func(cfg *Config) {
+	folSrv, fol, _, _ := replicaFixture(t, folDir, func(cfg *Config) {
 		cfg.FollowPrimary = prim.URL
 		cfg.DiskBudgetBytes = 1 << 20
 		cfg.CompactInterval = time.Millisecond
@@ -453,13 +449,13 @@ func TestPromoteWhileCompactorScans(t *testing.T) {
 // winner had just promoted. Exactly one call promotes; the rest answer 409.
 func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
 	for i := 0; i < 4; i++ {
 		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	folSrv, fol := startFollower(t, folDir, prim.URL, nil)
+	folSrv, fol := startFollower(t, folDir, prim.URL)
 	waitFollowerReady(t, fol)
 	segments := func() int {
 		names, err := filepath.Glob(filepath.Join(folDir, "tenants", "t-"+DefaultTenantID, "wal-*.sagw"))
@@ -520,7 +516,7 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 // looked was never sealed. Whichever call wins, no journal may be left open.
 func TestCloseDuringPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil, nil)
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
 	const tenants = 6
 	for i := 0; i < tenants; i++ {
 		req := AccessRequest{Tenant: "t" + strconv.Itoa(i), EmployeeID: bgE, PatientID: bgP}
@@ -528,7 +524,7 @@ func TestCloseDuringPromote(t *testing.T) {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	folSrv, fol := startFollower(t, folDir, prim.URL, nil)
+	folSrv, fol := startFollower(t, folDir, prim.URL)
 	deadline := time.Now().Add(30 * time.Second)
 	for len(folSrv.Tenants()) < tenants+1 { // the six and the default tenant
 		if time.Now().After(deadline) {

@@ -123,7 +123,7 @@ func TestReadPathsDoNotCreateTenants(t *testing.T) {
 // TestShedRetryAfterIsSpecValid drives the admission shedder into a 503 —
 // the only slot held, no queue — and checks both retry headers on the way out.
 func TestShedRetryAfterIsSpecValid(t *testing.T) {
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) {
+	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
 		cfg.Admission = admit.Config{MaxInflight: 1}
 	})
 	defer srv.Close()
@@ -146,7 +146,7 @@ func TestShedRetryAfterIsSpecValid(t *testing.T) {
 // reclaimable (cycle close/new, snapshot) and all reads stay open.
 func TestDiskPressureAnswers507(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil, func(cfg *Config) {
+	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
 		cfg.Metrics = reg
 		cfg.SegmentBytes = 256
 		cfg.DiskBudgetBytes = 1 // hopelessly over: even an empty journal exceeds it
@@ -202,7 +202,7 @@ func TestCompactionBoundsJournalBytes(t *testing.T) {
 	// alert list, so its budget must be sized above one snapshot — the
 	// README runbook covers that sizing.)
 	const budget = 1 << 10
-	srv, ts, _, _ := replicaFixture(t, dir, nil, func(cfg *Config) {
+	srv, ts, _, _ := replicaFixture(t, dir, func(cfg *Config) {
 		cfg.Metrics = reg
 		cfg.SegmentBytes = 512
 		cfg.DiskBudgetBytes = budget

@@ -69,7 +69,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -195,9 +195,6 @@ type Config struct {
 	// warm engines, and every mutation answers 503 until POST
 	// /v1/admin/promote. Requires DataDir.
 	FollowPrimary string
-	// Logf receives server log lines (recovery banners, truncation notices,
-	// eviction traces). Nil disables logging.
-	Logf func(format string, args ...any)
 }
 
 // tenantState is one tenant's serving state: its engine plus the HTTP
@@ -347,7 +344,6 @@ func New(cfg Config) (*Server, error) {
 		MaxTenants: cfg.MaxTenants,
 		Metrics:    s.met.reg,
 		OnEvict:    s.evictTenant,
-		Logf:       cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
@@ -366,7 +362,6 @@ func New(cfg Config) (*Server, error) {
 			Interval:      cfg.CompactInterval,
 			List:          s.listRetainTenants,
 			Metrics:       s.met.reg,
-			Logf:          cfg.Logf,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: retention: %w", err)
@@ -452,17 +447,6 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		}
 	}
 	return engine, t, nil
-}
-
-// EnsureTenant creates the tenant if it is not yet resident — the
-// pre-provisioning hook cmd/sagserver's -tenants flag uses so benchmarked
-// tenants skip the create-on-first-use path.
-func (s *Server) EnsureTenant(id string) error {
-	if !shard.ValidID(id) {
-		return fmt.Errorf("server: invalid tenant ID %q", id)
-	}
-	_, _, err := s.router.GetOrCreate(id)
-	return err
 }
 
 // Tenants returns the IDs of the resident tenants, sorted.
@@ -604,7 +588,7 @@ func (s *Server) wrap(met *routeMetrics, timeout time.Duration, h http.HandlerFu
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.met.panics.Inc()
-				log.Printf("server: panic in %s %s: %v", r.Method, r.URL.Path, rec)
+				slog.Error("handler panic", "method", r.Method, "path", r.URL.Path, "panic", rec)
 				writeJSON(rw, http.StatusInternalServerError, apiError{Error: "internal error"})
 			}
 			if met != nil {
@@ -807,7 +791,6 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string
 			}
 		}
 		t := tn.Data.(*tenantState)
-		t.met.requests.Inc()
 		if side == noLock {
 			return t
 		}

@@ -234,7 +234,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sag_server_alerts_total{tenant="default"} 10`,
 		`sag_server_quits_total{tenant="default"} 1`,
 		`sag_server_flagged_users{tenant="default"} 1`,
-		`sag_http_tenant_requests_total{tenant="default"}`,
 		// Engine per-stage timings (shared by every tenant) and solver
 		// counters (labeled by tenant).
 		`sag_engine_stage_seconds_count{stage="estimate"} 10`,

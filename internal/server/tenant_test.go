@@ -234,7 +234,6 @@ func TestTenantMetricsLabels(t *testing.T) {
 		`sag_server_accesses_total{tenant="x"} 1`,
 		`sag_engine_decisions_total{policy="OSSP",tenant="default"} 1`,
 		`sag_engine_decisions_total{policy="OSSP",tenant="x"} 1`,
-		`sag_http_tenant_requests_total{tenant="x"} 1`,
 		"sag_shard_tenants_active 2",
 		"sag_shard_tenants_created_total 2",
 	} {
@@ -287,19 +286,13 @@ func TestCycleSummariesAndDrain(t *testing.T) {
 	}
 }
 
-// TestEnsureTenantAndSeedDistinctness: pre-provisioned tenants are resident
-// without traffic, and distinct tenants draw distinct RNG streams (their
-// seeds fold in shard.Seed).
-func TestEnsureTenantAndSeedDistinctness(t *testing.T) {
+// TestTenantsAndSeedDistinctness: Tenants lists the resident tenants sorted,
+// and distinct tenants draw distinct RNG streams (their seeds fold in
+// shard.Seed).
+func TestTenantsAndSeedDistinctness(t *testing.T) {
 	srv, _, _, _ := fixtureTenants(t, 8)
-	if err := srv.EnsureTenant("pre-1"); err != nil {
+	if _, _, err := srv.router.GetOrCreate("pre-1"); err != nil {
 		t.Fatal(err)
-	}
-	if err := srv.EnsureTenant("pre-1"); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if err := srv.EnsureTenant("no good"); err == nil {
-		t.Fatal("EnsureTenant accepted an invalid ID")
 	}
 	got := srv.Tenants()
 	if len(got) != 2 || got[0] != DefaultTenantID || got[1] != "pre-1" {

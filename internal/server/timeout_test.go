@@ -200,10 +200,17 @@ func TestWrapContainsPanics(t *testing.T) {
 	h := srv.wrap(srv.newRouteMetrics("/boom"), time.Second, func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	})
+	logs := captureLog(t)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/boom", nil))
 	if rec.Code != http.StatusInternalServerError || rec.Body.String() != `{"error":"internal error"}`+"\n" {
 		t.Fatalf("panicking handler answered %d %q, want 500 internal error", rec.Code, rec.Body)
+	}
+	// The one record of it is an ERROR through slog with the facts as
+	// attributes, not a printf line through package log.
+	if strings.Count(logs.String(), "/boom") != 1 ||
+		len(logs.records(`level=ERROR msg="handler panic" method=GET path=/boom panic="handler bug"`)) != 1 {
+		t.Fatalf("want one ERROR record with method, path and panic attributes; logged:\n%s", logs)
 	}
 	snap := srv.Metrics().Snapshot()
 	if n := snap.Counters[MetricHTTPPanicsTotal]; n != 1 {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"sort"
 	"sync"
 
@@ -111,9 +112,6 @@ type Config struct {
 	// state, and seal its journal so eviction is unload, not loss. It must
 	// not call back into the router.
 	OnEvict func(*Tenant)
-	// Logf, when non-nil, receives eviction log lines (tenant ID included),
-	// so unloads are always traceable. Nil disables logging.
-	Logf func(format string, args ...any)
 }
 
 // Router owns the tenant map. Lock hierarchy (acquire top to bottom):
@@ -201,7 +199,7 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 
 // Remove evicts a tenant. It reports whether the tenant was resident. The
 // eviction is never silent: it is counted in sag_shard_evictions_total and
-// logged with the tenant ID via Config.Logf, and Config.OnEvict runs after
+// logged with the tenant ID, and Config.OnEvict runs after
 // the tenant is unlinked (so the embedder can drain it, snapshot its state,
 // and seal its journal) but before Remove returns.
 func (r *Router) Remove(id string) bool {
@@ -220,9 +218,7 @@ func (r *Router) Remove(id string) bool {
 		r.cfg.OnEvict(t)
 	}
 	r.evicted.Inc()
-	if r.cfg.Logf != nil {
-		r.cfg.Logf("shard: evicted tenant %s (%d resident)", t.ID, n)
-	}
+	slog.Info("evicted tenant", "tenant", t.ID, "resident", n)
 	return true
 }
 
