@@ -47,9 +47,6 @@ type ClientConfig struct {
 	Tenant string
 	// Dir is the local journal directory to mirror into.
 	Dir string
-	// HTTP issues the streaming requests; it must not carry a client
-	// timeout (streams are unbounded). Nil uses a zero http.Client.
-	HTTP *http.Client
 	// Apply replays one verified, durable record into the warm engine. An
 	// error means local state has diverged and forces a re-seed.
 	Apply func(r wal.Record, pos wal.Cursor) error
@@ -80,7 +77,7 @@ type ClientConfig struct {
 // from other goroutines.
 type Client struct {
 	cfg  ClientConfig
-	http *http.Client
+	http *http.Client  // no client timeout: a stream is unbounded
 	rng  *rand.Rand    // private jitter source; only Run's goroutine draws
 	br   *bufio.Reader // Reset onto each stream's body; only Run's goroutine reads
 
@@ -111,12 +108,9 @@ type State struct {
 func NewClient(cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:  cfg,
-		http: cfg.HTTP,
+		http: &http.Client{},
 		pos:  cfg.Start,
 		br:   bufio.NewReaderSize(nil, streamBufBytes),
-	}
-	if c.http == nil {
-		c.http = &http.Client{}
 	}
 	if c.cfg.BackoffBase <= 0 {
 		c.cfg.BackoffBase = DefaultBackoffBase

@@ -52,8 +52,8 @@ type Tenant interface {
 	// RetainID is the tenant ID (metric label, log lines).
 	RetainID() string
 	// RetainStats returns the tenant journal's disk accounting; ok is
-	// false when the tenant has no open journal (follower before promote,
-	// eviction race) and the tenant is skipped.
+	// false when the tenant has no open journal (follower before promote)
+	// and the tenant is skipped.
 	RetainStats() (st wal.RetainStats, ok bool)
 	// Prune deletes already-prunable segments (snapshot-superseded, below
 	// the lease floor) without writing a new snapshot.
@@ -92,7 +92,6 @@ type Compactor struct {
 	stopped  bool
 	pressure bool
 	blocked  map[string]bool
-	listed   map[string]bool // the tenants the last scan published gauges for
 
 	bytesG    func(tenant string) *obs.Gauge
 	leaseG    func(tenant string) *obs.Gauge
@@ -174,14 +173,6 @@ func (c *Compactor) Blocked(tenant string) (retryAfter time.Duration, blocked bo
 		return 0, false
 	}
 	return c.cfg.Interval, true
-}
-
-// Forget lifts tenant's disk-pressure block on eviction. Its gauges are the
-// scan's to zero: the next scan no longer lists the tenant.
-func (c *Compactor) Forget(tenant string) {
-	c.mu.Lock()
-	delete(c.blocked, tenant)
-	c.mu.Unlock()
 }
 
 // loop is the background scheduler: scan once at startup, so boot-time debt
@@ -280,7 +271,6 @@ func (c *Compactor) RunOnce() {
 	// whose follower is still reading it).
 	pressure := total > budget
 	blocked := make(map[string]bool)
-	listed := make(map[string]bool, len(cands))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range cands {
@@ -288,20 +278,10 @@ func (c *Compactor) RunOnce() {
 		if pressure && cands[i].st.ReclaimableBytes <= 0 {
 			blocked[id] = true
 		}
-		listed[id] = true
 		c.bytesG(id).Set(float64(cands[i].st.TotalBytes))
 		c.leaseG(id).Set(float64(cands[i].st.LeaseFloorSeg))
 	}
-	// The scan is the only writer of the per-tenant gauges, so a tenant
-	// evicted since the last scan is zeroed here — an eviction that raced a
-	// scan cannot leave its last size behind.
-	for id := range c.listed {
-		if !listed[id] {
-			c.bytesG(id).Set(0)
-			c.leaseG(id).Set(-1)
-		}
-	}
-	c.pressure, c.blocked, c.listed = pressure, blocked, listed
+	c.pressure, c.blocked = pressure, blocked
 	c.pressureG.Set(float64(total) / float64(budget))
 }
 

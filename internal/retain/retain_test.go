@@ -20,7 +20,6 @@ type fakeTenant struct {
 	st         wal.RetainStats
 	ok         bool
 	compactErr error
-	onStats    func()    // runs on every RetainStats, outside mu
 	order      *[]string // appends id on every Compact when set
 
 	prunes   int
@@ -30,9 +29,6 @@ type fakeTenant struct {
 func (f *fakeTenant) RetainID() string { return f.id }
 
 func (f *fakeTenant) RetainStats() (wal.RetainStats, bool) {
-	if f.onStats != nil {
-		f.onStats()
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.st, f.ok
@@ -204,12 +200,6 @@ func TestRunOncePressureAndBlocked(t *testing.T) {
 		t.Fatal("fully-compacted tenant not blocked while box still over budget")
 	}
 
-	// Eviction lifts the block.
-	c.Forget("a")
-	if _, blocked := c.Blocked("a"); blocked {
-		t.Fatal("Blocked after Forget")
-	}
-
 	// Recovery: a snapshot elsewhere frees enough; the next round clears all.
 	a.mu.Lock()
 	a.st.TotalBytes = 100
@@ -252,34 +242,6 @@ func TestCompactionOrder(t *testing.T) {
 	c.RunOnce()
 	if got := strings.Join(order, ","); got != "big,mid,small" {
 		t.Fatalf("compaction order %s, want big,mid,small", got)
-	}
-}
-
-// TestEvictionRacingAScanLeavesNoStaleGauge: a scan lists a tenant, the
-// tenant is evicted (unlinked, then Forget) before the scan publishes, and
-// the scan publishes its size anyway. The next scan must zero it: a gauge
-// left at the evicted tenant's last size overstates the box's disk use.
-func TestEvictionRacingAScanLeavesNoStaleGauge(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := &fakeTenant{id: "a", ok: true, st: wal.RetainStats{Segments: 1, TotalBytes: 100, LeaseFloorSeg: 2}}
-	resident := []Tenant{a}
-	c, err := New(Config{BudgetBytes: 1 << 20, Interval: time.Minute, Metrics: reg,
-		List: func() []Tenant { return resident }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.onStats = func() {
-		resident = nil
-		c.Forget("a")
-	}
-	c.RunOnce() // listed a; the eviction lands mid-scan
-	c.RunOnce() // a is gone
-	g := reg.Snapshot().Gauges
-	if b := g[MetricBytes+`{tenant="a"}`]; b != 0 {
-		t.Fatalf("%s for the evicted tenant = %g, want 0", MetricBytes, b)
-	}
-	if f := g[MetricLeaseFloor+`{tenant="a"}`]; f != -1 {
-		t.Fatalf("%s for the evicted tenant = %g, want -1", MetricLeaseFloor, f)
 	}
 }
 

@@ -236,7 +236,7 @@ func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, 
 
 // retainTarget adapts one tenant to the retention compactor's Tenant view.
 // Every method tolerates the tenant's journal being nil (a follower before
-// promotion) or sealed (eviction raced the scan) by reporting nothing to do.
+// promotion) by reporting nothing to do.
 type retainTarget struct {
 	s *Server
 	t *tenantState
@@ -322,31 +322,11 @@ func (s *Server) snapshotTenant(t *tenantState) error {
 	}
 	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
-	if t.sealed {
-		// Eviction won the race: the tenant's final state is already
-		// snapshotted into the sealed journal, which is everything this
-		// call exists to guarantee.
-		return nil
-	}
-	return s.snapshotTenantLocked(t)
-}
-
-// snapshotTenantLocked is snapshotTenant for callers already holding the
-// tenant's lifecycle write lock.
-func (s *Server) snapshotTenantLocked(t *tenantState) error {
 	blob, err := s.exportTenant(t)
 	if err != nil {
 		return err
 	}
 	return t.journal.Snapshot(blob)
-}
-
-// SnapshotAll snapshots every resident tenant's state to its journal. The
-// graceful-shutdown drain calls it; a no-op (nil) when durability is
-// disabled. The first error is returned but every tenant is attempted.
-func (s *Server) SnapshotAll() error {
-	_, err := s.snapshotResident()
-	return err
 }
 
 // snapshotResident snapshots every resident tenant that has a journal and
@@ -385,7 +365,7 @@ func (s *Server) Close() error {
 	// Stop the retention scan before sealing journals so no scan races the
 	// close-time snapshots.
 	s.retain.Stop()
-	err := s.SnapshotAll()
+	_, err := s.snapshotResident()
 	s.router.Range(func(tn *shard.Tenant) bool {
 		if j := tn.Data.(*tenantState).lockedJournal(); j != nil {
 			if cerr := j.Close(); cerr != nil && err == nil {
@@ -395,41 +375,6 @@ func (s *Server) Close() error {
 		return true
 	})
 	return err
-}
-
-// RemoveTenant evicts a resident tenant. With durability on, the shard
-// router's OnEvict hook snapshots the tenant and seals its journal first,
-// so the eviction is an unload — a later request for the ID rebuilds the
-// tenant from its journal. Reports whether the tenant was resident.
-func (s *Server) RemoveTenant(id string) bool {
-	return s.router.Remove(id)
-}
-
-// evictTenant is the shard.Config.OnEvict hook: drain, snapshot, seal. It
-// runs under the router's creation lock with the tenant already unlinked,
-// so no new request can resolve it; the lifecycle write lock drains the
-// ones already holding it, and the sealed flag (set under the same lock)
-// diverts requests that resolved the holder before the unlink but have not
-// locked it yet — they re-resolve and rebuild from the sealed journal
-// instead of writing into it.
-func (s *Server) evictTenant(tn *shard.Tenant) {
-	t := tn.Data.(*tenantState)
-	if t.lockedJournal() == nil {
-		return
-	}
-	// The evicted tenant no longer counts against the resident budget (its
-	// journal directory persists, but restore-on-first-use re-adds it): lift
-	// any disk-pressure block. The next scan zeroes its gauges.
-	s.retain.Forget(t.id)
-	s.lockLifecycle(t, writeSide)
-	defer t.lifecycle.Unlock()
-	if err := s.snapshotTenantLocked(t); err != nil {
-		slog.Error("eviction snapshot failed", "tenant", t.id, "err", err)
-	}
-	if err := t.journal.Close(); err != nil {
-		slog.Error("sealing journal failed", "tenant", t.id, "err", err)
-	}
-	t.sealed = true
 }
 
 // SnapshotRequest is the body of POST /v1/admin/snapshot. An empty tenant

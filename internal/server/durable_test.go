@@ -263,33 +263,6 @@ func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 	}
 }
 
-// TestDurableEvictionIsUnloadNotLoss evicts a tenant with live state and
-// checks that (a) the eviction is counted, and (b) the next
-// request for the same ID rebuilds the tenant from its journal with nothing
-// lost.
-func TestDurableEvictionIsUnloadNotLoss(t *testing.T) {
-	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir)
-	for i := 0; i < 9; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
-	}
-	post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, nil)
-	_, wantStatus := getRaw(t, ts, "/v1/status")
-
-	if !srv.RemoveTenant(DefaultTenantID) {
-		t.Fatal("default tenant not resident")
-	}
-	_, metrics := getRaw(t, ts, "/v1/metrics")
-	if !strings.Contains(metrics, "sag_shard_evictions_total 1") {
-		t.Fatal("sag_shard_evictions_total not incremented")
-	}
-
-	// Next touch re-creates the tenant — from its journal, not from zero.
-	if code, got := getRaw(t, ts, "/v1/status"); code != http.StatusOK || got != wantStatus {
-		t.Fatalf("re-created tenant diverged:\n got %s\nwant %s", got, wantStatus)
-	}
-}
-
 // TestDurableSnapshotEndpoint covers /v1/admin/snapshot: all tenants, one
 // tenant by header, unknown tenant, and the 400 when durability is off.
 func TestDurableSnapshotEndpoint(t *testing.T) {

@@ -281,7 +281,7 @@ func (s *Server) applyReplicated(t *tenantState, rec wal.Record) error {
 // tenant. Called by the replication client when its history has diverged
 // from the primary's retained journal.
 func (s *Server) reseedTenant(id string) (*tenantState, error) {
-	s.router.Remove(id) // evict hook is a no-op: follower tenants hold no journal
+	s.router.Remove(id) // follower tenants hold no journal: nothing to close
 	if err := os.RemoveAll(s.tenantWALDir(id)); err != nil {
 		return nil, fmt.Errorf("server: wiping tenant %q for re-seed: %w", id, err)
 	}

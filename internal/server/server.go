@@ -227,11 +227,6 @@ type tenantState struct {
 
 	lifecycle sync.RWMutex
 	closed    bool // cycle closed, awaiting /v1/cycle/new; guarded by lifecycle
-	// sealed is set (under lifecycle) when eviction has snapshotted the
-	// tenant and closed its journal. A request that resolved this holder
-	// before the router unlinked it must not use it — re-resolving rebuilds
-	// the tenant from the sealed journal (see resolveTenant).
-	sealed bool
 
 	flaggedMu sync.RWMutex
 	flagged   map[int]bool
@@ -343,7 +338,6 @@ func New(cfg Config) (*Server, error) {
 		New:        s.buildTenant,
 		MaxTenants: cfg.MaxTenants,
 		Metrics:    s.met.reg,
-		OnEvict:    s.evictTenant,
 	})
 	if err != nil {
 		return nil, err
@@ -757,10 +751,7 @@ const (
 // error response itself when it cannot (nil): 400 for a malformed ID, 429
 // when create-on-first-use would exceed the tenant cap, 404 for an unknown
 // tenant on endpoints that must not create one, 500 for a constructor
-// failure. It retries when the tenant was evicted between resolution and the
-// lock: the sealed holder is already unlinked from the router, so the retry
-// rebuilds the tenant from its journal; the bound only turns a pathological
-// eviction storm into a retryable 503 instead of a spin.
+// failure.
 //
 // Admission and this lock are where a request can wait before it touches
 // tenant state, so the request deadline is checked here, lock in hand.
@@ -770,44 +761,36 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string
 			apiError{Error: fmt.Sprintf("invalid tenant ID %q: want 1-%d chars of [A-Za-z0-9._-]", id, shard.MaxIDLength)})
 		return nil
 	}
-	for attempt := 0; attempt < 16; attempt++ {
-		tn, ok := s.router.Get(id)
-		// A durable tenant that was evicted (or predates this boot) is
-		// unloaded, not unknown: restore it from its journal on first use,
-		// even on endpoints that never create fresh tenants.
-		if !ok && !create && !(s.durable() && s.tenantOnDisk(id)) {
-			writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
+	tn, ok := s.router.Get(id)
+	// A durable tenant that predates this boot is unloaded, not unknown:
+	// restore it from its journal on first use, even on endpoints that never
+	// create fresh tenants.
+	if !ok && !create && !(s.durable() && s.tenantOnDisk(id)) {
+		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
+		return nil
+	}
+	if !ok {
+		var err error
+		if tn, _, err = s.router.GetOrCreate(id); errors.Is(err, shard.ErrTenantLimit) {
+			writeJSON(w, http.StatusTooManyRequests,
+				apiError{Error: fmt.Sprintf("tenant limit reached (%d resident); tenant %q not created", s.router.Len(), id)})
 			return nil
-		}
-		if !ok {
-			var err error
-			if tn, _, err = s.router.GetOrCreate(id); errors.Is(err, shard.ErrTenantLimit) {
-				writeJSON(w, http.StatusTooManyRequests,
-					apiError{Error: fmt.Sprintf("tenant limit reached (%d resident); tenant %q not created", s.router.Len(), id)})
-				return nil
-			} else if err != nil {
-				writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-				return nil
-			}
-		}
-		t := tn.Data.(*tenantState)
-		if side == noLock {
-			return t
-		}
-		s.lockLifecycle(t, side)
-		timedOut := r.Context().Err() != nil
-		if !t.sealed && !timedOut {
-			return t
-		}
-		t.unlockLifecycle(side)
-		if timedOut {
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
+		} else if err != nil {
+			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 			return nil
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable,
-		apiError{Error: fmt.Sprintf("tenant %q is being evicted; retry", id)})
-	return nil
+	t := tn.Data.(*tenantState)
+	if side == noLock {
+		return t
+	}
+	s.lockLifecycle(t, side)
+	if r.Context().Err() != nil {
+		t.unlockLifecycle(side)
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
+		return nil
+	}
+	return t
 }
 
 // lockLifecycle acquires one side of a tenant's lifecycle lock, observing

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"log/slog"
 	"sort"
 	"sync"
 
@@ -39,11 +38,6 @@ const (
 	MetricTenantsCreatedTotal = "sag_shard_tenants_created_total"
 	// MetricTenantLimitTotal counts creations refused by the tenant cap.
 	MetricTenantLimitTotal = "sag_shard_tenant_limit_total"
-	// MetricEvictionsTotal counts tenants evicted via Remove. Before the WAL
-	// an eviction silently dropped the tenant's cycle state; now every one is
-	// counted, logged with its tenant ID, and (when durability is configured)
-	// preceded by a snapshot via Config.OnEvict.
-	MetricEvictionsTotal = "sag_shard_evictions_total"
 )
 
 // DefaultMaxTenants is Config.MaxTenants when left zero.
@@ -105,19 +99,12 @@ type Config struct {
 	// Metrics receives the sag_shard_* instruments; nil uses a private
 	// registry so the router's accounting always works.
 	Metrics *obs.Registry
-	// OnEvict, when non-nil, runs for each tenant Remove evicts — after the
-	// tenant is unlinked from the map (no new lookup can reach it) but
-	// before Remove returns, under the creation lock. The durable server
-	// uses it to drain the tenant's in-flight work, snapshot its engine
-	// state, and seal its journal so eviction is unload, not loss. It must
-	// not call back into the router.
-	OnEvict func(*Tenant)
 }
 
 // Router owns the tenant map. Lock hierarchy (acquire top to bottom):
 //
 //	createMu — serializes tenant creation and removal; held across
-//	           Config.New and Config.OnEvict.
+//	           Config.New.
 //	mu       — RWMutex over the tenant map, held only for the map operation
 //	           itself; the lookup hot path takes only this, in read mode.
 //
@@ -132,7 +119,6 @@ type Router struct {
 	active  *obs.Gauge
 	created *obs.Counter
 	limited *obs.Counter
-	evicted *obs.Counter
 }
 
 // NewRouter validates cfg and returns an empty router.
@@ -153,7 +139,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		active:  reg.Gauge(MetricTenantsActive, "Resident tenants."),
 		created: reg.Counter(MetricTenantsCreatedTotal, "Tenants ever created."),
 		limited: reg.Counter(MetricTenantLimitTotal, "Tenant creations refused by the cap."),
-		evicted: reg.Counter(MetricEvictionsTotal, "Tenants evicted (state snapshotted first when durable)."),
 	}
 	return r, nil
 }
@@ -197,29 +182,21 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 	return t, true, nil
 }
 
-// Remove evicts a tenant. It reports whether the tenant was resident. The
-// eviction is never silent: it is counted in sag_shard_evictions_total and
-// logged with the tenant ID, and Config.OnEvict runs after
-// the tenant is unlinked (so the embedder can drain it, snapshot its state,
-// and seal its journal) but before Remove returns.
+// Remove unlinks a tenant and reports whether it was resident. Only a standby
+// calls it, for a tenant that holds no journal (a re-seed, a failed promote),
+// so there is nothing to drain or close; the next GetOrCreate rebuilds it.
 func (r *Router) Remove(id string) bool {
 	r.createMu.Lock()
 	defer r.createMu.Unlock()
 	r.mu.Lock()
-	t, ok := r.tenants[id]
+	_, ok := r.tenants[id]
 	delete(r.tenants, id)
 	n := len(r.tenants)
 	r.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		r.active.Set(float64(n))
 	}
-	r.active.Set(float64(n))
-	if r.cfg.OnEvict != nil {
-		r.cfg.OnEvict(t)
-	}
-	r.evicted.Inc()
-	slog.Info("evicted tenant", "tenant", t.ID, "resident", n)
-	return true
+	return ok
 }
 
 // Len returns the number of resident tenants.
