@@ -202,23 +202,11 @@ func gameConfig(seed int64, employees, patients, histDays int, budget float64) (
 
 	slog.Info("fitting arrival curves on simulated history", "days", histDays)
 	typeIDs := sim.AllTable1TypeIDs()
-	index := make(map[int]int, len(typeIDs))
-	for i, id := range typeIDs {
-		index[id] = i
+	ds, err := sim.BuildDataset(gen, detector, histDays, typeIDs)
+	if err != nil {
+		return server.Config{}, err
 	}
-	var recs []history.Record
-	for d := 0; d < histDays; d++ {
-		scanned, err := detector.Scan(gen.Day(d))
-		if err != nil {
-			return server.Config{}, err
-		}
-		for _, a := range scanned {
-			if idx, ok := index[a.Type]; ok {
-				recs = append(recs, history.Record{Day: d, Type: idx, Time: a.Time})
-			}
-		}
-	}
-	curves, err := history.NewCurves(recs, len(typeIDs), histDays)
+	curves, err := history.NewCurves(ds.Records(0, histDays), len(typeIDs), histDays)
 	if err != nil {
 		return server.Config{}, err
 	}

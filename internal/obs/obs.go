@@ -297,8 +297,7 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveSince records the elapsed time since t0 in seconds. On a nil
-// receiver it is a no-op (and callers should skip the time.Now() that
-// produced t0; see Enabled).
+// receiver it is a no-op.
 func (h *Histogram) ObserveSince(t0 time.Time) {
 	if h != nil {
 		h.Observe(time.Since(t0).Seconds())
@@ -321,10 +320,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Enabled reports whether observations will be recorded. Hot paths use it
-// to skip the time.Now() calls that feed ObserveSince when metrics are off.
-func (h *Histogram) Enabled() bool { return h != nil }
-
 // DefTimeBuckets is the default latency bucket layout, in seconds, spanning
 // the SAG pipeline's realistic range: single-LP solves land in tens of
 // microseconds, full 7-type decisions in the low milliseconds, and the
@@ -342,15 +337,4 @@ var DefTimeBuckets = []float64{
 var DefWaitBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 	0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// ExponentialBuckets returns count ascending bounds start, start·factor, ...
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }

@@ -6,10 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -29,10 +28,11 @@ const maxWireFrame = 64<<20 + 16
 // frame larger than the buffer is read straight into its own slice.
 const streamBufBytes = 4 << 10
 
-// Default reconnect backoff bounds.
+// Reconnect backoff bounds: exponential from backoffBase, capped at
+// backoffCap, before jitter.
 const (
-	DefaultBackoffBase = 100 * time.Millisecond
-	DefaultBackoffCap  = 3 * time.Second
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 3 * time.Second
 )
 
 // errReseed signals that the local copy has diverged from the primary's
@@ -56,16 +56,6 @@ type ClientConfig struct {
 	// Start is the client's position from a prior run's recovery (the zero
 	// State means "start from scratch").
 	Start State
-	// BackoffBase/BackoffCap bound the reconnect backoff
-	// (DefaultBackoffBase/Cap when zero).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// JitterSeed seeds this client's private reconnect-jitter RNG, making
-	// backoff sequences deterministic in tests. Zero derives a per-client
-	// seed from the wall clock and the tenant ID — never the global
-	// math/rand source, whose shared unseeded stream correlates the
-	// "jitter" of every follower in one process into a thundering herd.
-	JitterSeed int64
 	// Metrics receives lag gauges and the reconnect counter; nil disables.
 	Metrics *obs.Registry
 }
@@ -78,7 +68,6 @@ type ClientConfig struct {
 type Client struct {
 	cfg  ClientConfig
 	http *http.Client  // no client timeout: a stream is unbounded
-	rng  *rand.Rand    // private jitter source; only Run's goroutine draws
 	br   *bufio.Reader // Reset onto each stream's body; only Run's goroutine reads
 
 	lagRecords *obs.Gauge
@@ -112,19 +101,6 @@ func NewClient(cfg ClientConfig) *Client {
 		pos:  cfg.Start,
 		br:   bufio.NewReaderSize(nil, streamBufBytes),
 	}
-	if c.cfg.BackoffBase <= 0 {
-		c.cfg.BackoffBase = DefaultBackoffBase
-	}
-	if c.cfg.BackoffCap <= 0 {
-		c.cfg.BackoffCap = DefaultBackoffCap
-	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(cfg.Tenant))
-		seed = time.Now().UnixNano() ^ int64(h.Sum64())
-	}
-	c.rng = rand.New(rand.NewSource(seed))
 	if cfg.Metrics != nil {
 		lbl := obs.L("tenant", cfg.Tenant)
 		c.lagRecords = cfg.Metrics.Gauge(MetricLagRecords,
@@ -170,7 +146,7 @@ func (c *Client) Run(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(c.backoff(attempt)):
+			case <-time.After(backoff(attempt)):
 			}
 		}
 		attempt++
@@ -193,14 +169,15 @@ func (c *Client) Run(ctx context.Context) error {
 }
 
 // backoff returns the delay before reconnect attempt n (n >= 1): capped
-// exponential growth from BackoffBase plus up to 50% jitter drawn from the
-// client's private RNG, so a given JitterSeed yields a reproducible sequence.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << min(attempt-1, 16)
-	if d > c.cfg.BackoffCap || d <= 0 {
-		d = c.cfg.BackoffCap
+// exponential growth from backoffBase plus up to 50% jitter. The jitter source
+// is seeded per process, so the followers of one primary do not reconnect in
+// step.
+func backoff(attempt int) time.Duration {
+	d := backoffBase << min(attempt-1, 16)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
-	return d + time.Duration(c.rng.Int63n(int64(d)/2+1))
+	return d + rand.N(d/2+1)
 }
 
 // reseed wipes local tenant state and resets the client to stream the

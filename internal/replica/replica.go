@@ -33,8 +33,8 @@
 // the primary's durable cursor and record count (~1s apart, and after every
 // batch) so the follower can measure catch-up lag even when idle.
 //
-// Without a tenant parameter the endpoint answers a JSON listing of the
-// primary's durable tenants; the follower polls it to discover tenants.
+// Without a tenant parameter the endpoint lists the tenants in the
+// primary's data dir as JSON; the follower polls it to discover tenants.
 package replica
 
 import "time"

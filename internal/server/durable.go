@@ -12,6 +12,7 @@ import (
 
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
+	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
@@ -64,16 +65,25 @@ func (s *Server) tenantOnDisk(id string) bool {
 	return err == nil && info.IsDir()
 }
 
-// openTenantJournal opens (and recovers) one tenant's journal and replays
-// the recovered state onto t. Called from buildTenant after the engine is
-// constructed but before the tenant serves its first request.
-func (s *Server) openTenantJournal(t *tenantState) error {
-	j, rec, err := wal.Open(s.tenantWALDir(t.id), wal.Options{
-		Fsync:        s.cfg.Fsync,
-		SegmentBytes: s.cfg.SegmentBytes,
-		Metrics:      s.met.reg,
-		Labels:       []obs.Label{obs.L("tenant", t.id)},
-	})
+// recoverTenant rebuilds t from its journal — the newest snapshot, then the
+// tail — so the tenant continues its interrupted cycle. buildTenant calls it
+// before the router publishes the tenant, on a boot and on Promote alike. A
+// primary opens the journal for writing; a standby only reads its mirror,
+// which the replication client owns, and resumes replicating where it ends.
+func (s *Server) recoverTenant(t *tenantState) error {
+	var j *wal.Journal
+	var rec *wal.Recovery
+	var err error
+	if s.following.Load() {
+		rec, err = wal.Recover(s.tenantWALDir(t.id))
+	} else {
+		j, rec, err = wal.Open(s.tenantWALDir(t.id), wal.Options{
+			Fsync:        s.cfg.Fsync,
+			SegmentBytes: s.cfg.SegmentBytes,
+			Metrics:      s.met.reg,
+			Labels:       []obs.Label{obs.L("tenant", t.id)},
+		})
+	}
 	if err != nil {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
@@ -82,10 +92,16 @@ func (s *Server) openTenantJournal(t *tenantState) error {
 			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
 	if err := s.replayTenant(t, rec); err != nil {
-		_ = j.Close()
+		if j != nil {
+			_ = j.Close()
+		}
 		return fmt.Errorf("server: recovering tenant %q: %w", t.id, err)
 	}
 	t.journal = j
+	if j == nil {
+		t.repl = replica.State{Cursor: rec.End, LastCRC: rec.LastCRC,
+			Records: int64(rec.Records), Seeded: rec.Records > 0}
+	}
 	replayed := len(rec.Tail)
 	s.met.reg.Gauge(MetricRecoveryReplayed,
 		"Journal records replayed on top of the restored snapshot at boot.",
@@ -218,8 +234,8 @@ func (t *tenantState) countAccess(alerted, warned bool) {
 // makes it as durable as the fsync policy promises. It is the only way a
 // record enters a live journal: commit (which waits at once) and the engine's
 // decision hook (under its budget lock, so journal order is commit order; the
-// engine waits after unlocking). A follower's journal stays nil until Promote
-// opens it; the standby gate keeps mutations out until then. The journal
+// engine waits after unlocking). A standby tenant has no journal; the standby
+// gate keeps mutations out until Promote rebuilds it with one. The journal
 // counts its own tail; the retention scan reads it to schedule snapshots.
 func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, err error) {
 	j := t.journal
@@ -235,8 +251,8 @@ func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, 
 }
 
 // retainTarget adapts one tenant to the retention compactor's Tenant view.
-// Every method tolerates the tenant's journal being nil (a follower before
-// promotion) by reporting nothing to do.
+// Every method tolerates the tenant's journal being nil (a standby tenant) by
+// reporting nothing to do.
 type retainTarget struct {
 	s *Server
 	t *tenantState
@@ -244,29 +260,18 @@ type retainTarget struct {
 
 func (rt retainTarget) RetainID() string { return rt.t.id }
 
-// lockedJournal reads the tenant's journal under the lifecycle lock: Promote
-// installs it on a resident tenant under the write side, while a compactor
-// scan, a shutdown or an admin snapshot runs with no request's lock in hand.
-func (t *tenantState) lockedJournal() *wal.Journal {
-	t.lifecycle.RLock()
-	defer t.lifecycle.RUnlock()
-	return t.journal
-}
-
 func (rt retainTarget) RetainStats() (wal.RetainStats, bool) {
-	j := rt.t.lockedJournal()
-	if j == nil {
+	if rt.t.journal == nil {
 		return wal.RetainStats{}, false
 	}
-	return j.RetainStats(), true
+	return rt.t.journal.RetainStats(), true
 }
 
 func (rt retainTarget) Prune() (int, int64, error) {
-	j := rt.t.lockedJournal()
-	if j == nil {
+	if rt.t.journal == nil {
 		return 0, 0, nil
 	}
-	return j.Prune()
+	return rt.t.journal.Prune()
 }
 
 // Compact snapshots-then-prunes the tenant, waiting for the lifecycle write
@@ -317,7 +322,7 @@ func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
 // lifecycle write lock, so it drains in-flight decisions first — the
 // snapshot can never miss a decision that was journaled before it.
 func (s *Server) snapshotTenant(t *tenantState) error {
-	if t.lockedJournal() == nil {
+	if t.journal == nil {
 		return errors.New("server: tenant has no journal")
 	}
 	s.lockLifecycle(t, writeSide)
@@ -334,7 +339,7 @@ func (s *Server) snapshotTenant(t *tenantState) error {
 func (s *Server) snapshotResident() (n int, first error) {
 	s.router.Range(func(tn *shard.Tenant) bool {
 		t := tn.Data.(*tenantState)
-		if t.lockedJournal() == nil {
+		if t.journal == nil {
 			return true
 		}
 		if err := s.snapshotTenant(t); err != nil {
@@ -353,7 +358,7 @@ func (s *Server) snapshotResident() (n int, first error) {
 // Close seals every tenant journal (snapshotting each first). Call it after
 // the HTTP listener has stopped; it is what makes SIGTERM indistinguishable
 // from a clean restart. A promotion still under way (its request outlived
-// the shutdown grace) is waited for, so the journals it opened are sealed
+// the shutdown grace) is waited for, so the tenants it rebuilt are sealed
 // too, and one that arrives later is refused.
 func (s *Server) Close() error {
 	s.promoteMu.Lock()
@@ -367,7 +372,7 @@ func (s *Server) Close() error {
 	s.retain.Stop()
 	_, err := s.snapshotResident()
 	s.router.Range(func(tn *shard.Tenant) bool {
-		if j := tn.Data.(*tenantState).lockedJournal(); j != nil {
+		if j := tn.Data.(*tenantState).journal; j != nil {
 			if cerr := j.Close(); cerr != nil && err == nil {
 				err = cerr
 			}

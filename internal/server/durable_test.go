@@ -405,7 +405,7 @@ func TestDurableAutoSnapshotCadence(t *testing.T) {
 	// left to snapshot. Ask the journal, not the directory: Recover on a live
 	// journal trims its preallocated tail and can cut a frame mid-write.
 	tn, _ := srv.router.Get(DefaultTenantID)
-	j := tn.Data.(*tenantState).lockedJournal()
+	j := tn.Data.(*tenantState).journal
 	deadline := time.Now().Add(5 * time.Second)
 	for st := j.RetainStats(); st.SnapshotSeg < 0 || st.TailRecords >= 5; st = j.RetainStats() {
 		if time.Now().After(deadline) {
@@ -441,7 +441,7 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 	defer srv2.Close()
 	post(t, ts2, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	tn, _ := srv2.router.Get(DefaultTenantID)
-	j := tn.Data.(*tenantState).lockedJournal()
+	j := tn.Data.(*tenantState).journal
 	for deadline := time.Now().Add(5 * time.Second); j.RetainStats().SnapshotSeg < 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no snapshot with a tail of %d records against a cadence of 5", j.RetainStats().TailRecords)

@@ -9,13 +9,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
@@ -186,10 +185,6 @@ func (fc *followController) runTenant(id string) {
 	fc.clients[id] = cl
 	fc.mu.Unlock()
 	_ = cl.Run(fc.ctx)
-	// Write the final position back so Promote (which runs after wg.Wait,
-	// so it observes this) can cross-check the reopened journal against
-	// what was actually applied.
-	holder.Load().repl = cl.State()
 }
 
 // snapshotClients returns the current client set.
@@ -230,34 +225,6 @@ func (fc *followController) maxLag() (lag int64, known bool) {
 	return lag, true
 }
 
-// recoverTenantLocal replays a follower tenant's mirrored journal into its
-// warm engine without opening the journal for writing — the replication
-// client owns the directory until promotion. The recovered end position
-// seeds the client's resume cursor.
-func (s *Server) recoverTenantLocal(t *tenantState) error {
-	rec, err := wal.Recover(s.tenantWALDir(t.id))
-	if err != nil {
-		return fmt.Errorf("server: recovering follower tenant %q: %w", t.id, err)
-	}
-	if rec.Truncated {
-		slog.Warn("truncated mirrored journal tail", "tenant", t.id,
-			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
-	}
-	if err := s.replayTenant(t, rec); err != nil {
-		return fmt.Errorf("server: recovering follower tenant %q: %w", t.id, err)
-	}
-	t.repl = replica.State{
-		Cursor:  rec.End,
-		LastCRC: rec.LastCRC,
-		Records: int64(rec.Records),
-		Seeded:  rec.Records > 0,
-	}
-	if rec.Records > 0 {
-		slog.Info("resumed mirror", "tenant", t.id, "cursor", rec.End, "records", rec.Records)
-	}
-	return nil
-}
-
 // applyReplicated replays one replicated record onto the live tenant under
 // the same locking the HTTP handlers use: lifecycle transitions (snapshot
 // seed, cycle open/close) take the write side, everything else the read side
@@ -293,15 +260,14 @@ func (s *Server) reseedTenant(id string) (*tenantState, error) {
 	return tn.Data.(*tenantState), nil
 }
 
-// Promote turns the standby into a primary: stop every replication client,
-// reopen each tenant's mirrored journal for writing, and lift the mutation
-// gate. A tenant whose journal cannot be reopened — or whose on-disk record
-// count does not match what was applied — is unloaded instead of served
-// with forked history; the first request after promotion rebuilds it from
-// disk through the normal recovery path. Returns the number of tenants
-// promoted with open journals. Calls are serialized: one that finds the
-// promotion done — having waited for it, if it was under way — gets
-// errNotStandby and touches nothing.
+// Promote turns the standby into a primary the way a box boots: stop every
+// replication client, unlink every standby tenant (none holds a journal),
+// lift the mutation gate, and rebuild each tenant through buildTenant, which
+// opens its mirrored journal for writing, restores the newest snapshot and
+// replays the tail. A tenant that cannot be rebuilt stays unloaded; the first
+// request for it retries. Returns the number of tenants promoted with open
+// journals. Calls are serialized: one that finds the promotion done — having
+// waited for it, if it was under way — gets errNotStandby and touches nothing.
 func (s *Server) Promote() (int, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -314,40 +280,30 @@ func (s *Server) Promote() (int, error) {
 	if fc := s.follow.Load(); fc != nil {
 		fc.stop()
 	}
-	var tenants []*tenantState
-	s.router.Range(func(tn *shard.Tenant) bool {
-		tenants = append(tenants, tn.Data.(*tenantState))
-		return true
-	})
+	ids := s.router.IDs()
+	for _, id := range ids {
+		s.router.Remove(id)
+	}
+	// From here on a tenant is built with a writable journal, by this loop or
+	// by the first request for it; a standby tenant some request still holds
+	// is only read.
+	s.following.Store(false)
+	// The unlinked tenants too: the default tenant has no mirror until the
+	// primary has been reached.
+	ids = append(ids, s.onDiskTenantIDs()...)
+	slices.Sort(ids)
 	n := 0
 	var firstErr error
-	for _, t := range tenants {
-		j, rec, err := wal.Open(s.tenantWALDir(t.id), wal.Options{
-			Fsync:        s.cfg.Fsync,
-			SegmentBytes: s.cfg.SegmentBytes,
-			Metrics:      s.met.reg,
-			Labels:       []obs.Label{obs.L("tenant", t.id)},
-		})
-		if err == nil && int64(rec.Records) != t.repl.Records {
-			_ = j.Close()
-			err = fmt.Errorf("journal holds %d records, %d were applied", rec.Records, t.repl.Records)
-		}
-		if err != nil {
-			slog.Warn("tenant unloaded at promote", "tenant", t.id, "err", err)
+	for _, id := range slices.Compact(ids) {
+		if _, _, err := s.router.GetOrCreate(id); err != nil {
+			slog.Warn("tenant unloaded at promote", "tenant", id, "err", err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("server: promoting tenant %q: %w", t.id, err)
+				firstErr = fmt.Errorf("server: promoting tenant %q: %w", id, err)
 			}
-			s.router.Remove(t.id)
 			continue
 		}
-		// The retention scan may be reading this tenant right now; it reads
-		// the field under the same lock.
-		t.lifecycle.Lock()
-		t.journal = j
-		t.lifecycle.Unlock()
 		n++
 	}
-	s.following.Store(false)
 	slog.Info("promoted to primary", "tenants", n)
 	return n, firstErr
 }
@@ -365,28 +321,7 @@ func (s *Server) onDiskTenantIDs() []string {
 			ids = append(ids, id)
 		}
 	}
-	sort.Strings(ids)
-	return ids
-}
-
-// durableTenantIDs lists every tenant a follower could replicate: resident
-// tenants with open journals plus unloaded ones with on-disk state.
-func (s *Server) durableTenantIDs() []string {
-	seen := make(map[string]bool)
-	s.router.Range(func(tn *shard.Tenant) bool {
-		if t := tn.Data.(*tenantState); t.lockedJournal() != nil {
-			seen[t.id] = true
-		}
-		return true
-	})
-	for _, id := range s.onDiskTenantIDs() {
-		seen[id] = true
-	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -408,20 +343,14 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.URL.Query().Get("tenant")
 	if id == "" {
-		writeJSON(w, http.StatusOK, tenantListing{Tenants: s.durableTenantIDs()})
+		writeJSON(w, http.StatusOK, tenantListing{Tenants: s.onDiskTenantIDs()})
 		return
 	}
 	t := s.resolveTenant(w, r, id, false, noLock)
 	if t == nil {
 		return
 	}
-	j := t.lockedJournal()
-	if j == nil {
-		writeJSON(w, http.StatusInternalServerError,
-			apiError{Error: fmt.Sprintf("tenant %q has no open journal", id)})
-		return
-	}
-	replica.ServeStream(w, r, replica.StreamConfig{Journal: j})
+	replica.ServeStream(w, r, replica.StreamConfig{Journal: t.journal})
 }
 
 // handlePromote is POST /v1/admin/promote: turn this standby into the

@@ -39,9 +39,8 @@ const (
 
 // serverMetrics holds the server-wide pre-resolved instruments — the
 // route-level middleware and the lifecycle-lock histograms, which span all
-// tenants. All fields are non-nil: the server always owns a registry (its
-// own when the caller supplied none) so that GET /v1/metrics is always
-// live. Per-tenant series live in tenantMetrics.
+// tenants. All fields are non-nil: the server owns its registry, so GET
+// /v1/metrics is always live. Per-tenant series live in tenantMetrics.
 type serverMetrics struct {
 	reg      *obs.Registry
 	lockWait [2]*obs.Histogram // indexed by lockSide
@@ -49,10 +48,8 @@ type serverMetrics struct {
 	panics   *obs.Counter
 }
 
-func newServerMetrics(reg *obs.Registry) serverMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+func newServerMetrics() serverMetrics {
+	reg := obs.NewRegistry()
 	const lockHelp = "Time waiting to acquire a tenant lifecycle lock, by side."
 	return serverMetrics{
 		reg: reg,

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -409,9 +411,8 @@ func TestFollowerRequiresDataDir(t *testing.T) {
 
 // TestPromoteWhileCompactorScans: a standby started with both a primary to
 // follow and a disk budget promotes while its retention compactor is
-// scanning. Promote installs each tenant's journal under the lifecycle write
-// lock and the compactor reads it under the same lock; the race detector is
-// the assertion.
+// scanning. A tenant's journal is set before the router publishes the tenant,
+// so the compactor reads it bare; the race detector is the assertion.
 func TestPromoteWhileCompactorScans(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
@@ -434,7 +435,7 @@ func TestPromoteWhileCompactorScans(t *testing.T) {
 	if n, err := folSrv.Promote(); err != nil || n != 1 {
 		t.Fatalf("Promote = %d, %v, want 1 tenant", n, err)
 	}
-	// Let a few scans see the installed journal before sealing it.
+	// Let a few scans see the opened journal before sealing it.
 	time.Sleep(10 * time.Millisecond)
 	if err := folSrv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -510,10 +511,9 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 }
 
 // TestCloseDuringPromote: SIGTERM can land while a promotion is opening the
-// tenants' journals (a promote request outliving the shutdown grace). Promote
-// installs each journal under the tenant's lifecycle write lock; Close used to
-// read the field bare — a data race, and a journal opened just after Close
-// looked was never sealed. Whichever call wins, no journal may be left open.
+// tenants' journals (a promote request outliving the shutdown grace). A
+// journal opened just after Close looked would never be sealed. Whichever
+// call wins, no journal may be left open.
 func TestCloseDuringPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
@@ -555,6 +555,134 @@ func TestCloseDuringPromote(t *testing.T) {
 		}
 		if _, err := j.Append(wal.Record{Kind: wal.KindQuit}); err != wal.ErrClosed {
 			t.Errorf("tenant %s: journal left open after Close (append: %v)", id, err)
+		}
+	}
+}
+
+// copyDir copies the regular files under src into dst, keeping the tree.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStandbyReadDoesNotBuildTenant: a standby answers 404 for a tenant its
+// follow controller has not built, even one whose mirror is on disk. A read
+// that restored it would race Promote: built between Promote's unlink and
+// its flip, it would come back without a journal and answer mutations 500.
+func TestStandbyReadDoesNotBuildTenant(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	prim, primTS, bgE, bgP := replicaFixture(t, primDir, nil)
+	if code := postTenant(t, primTS, "ward-a", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		t.Fatalf("primary access status %d", code)
+	}
+	if err := prim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, primDir, folDir)
+
+	folSrv, fol, _, _ := replicaFixture(t, folDir, func(cfg *Config) {
+		cfg.FollowPrimary = primTS.URL // never contacted: StartFollowing is not called
+	})
+	if code, body := getRaw(t, fol, "/v1/status?tenant=ward-a"); code != http.StatusNotFound {
+		t.Fatalf("standby status for an unbuilt tenant: %d %s, want 404", code, body)
+	}
+	if got := folSrv.Tenants(); slices.Contains(got, "ward-a") {
+		t.Fatalf("standby read built tenant ward-a: resident %v", got)
+	}
+}
+
+// TestReadsDuringPromote: readers hammer /v1/status for every tenant while
+// Promote unlinks and rebuilds them. A read may miss a tenant in between
+// (404), but afterwards every tenant is resident with an open journal and
+// accepts an access. Run it under -race.
+func TestReadsDuringPromote(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	ids := []string{DefaultTenantID, "t0", "t1", "t2", "t3"}
+	for _, id := range ids {
+		if code := postTenant(t, prim, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("primary access status %d", code)
+		}
+	}
+	folSrv, fol := startFollower(t, folDir, prim.URL)
+	deadline := time.Now().Add(30 * time.Second)
+	for len(folSrv.Tenants()) < len(ids) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower resident tenants %v, want %v", folSrv.Tenants(), ids)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFollowerReady(t, fol)
+
+	stop := make(chan struct{})
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(fol.URL + "/v1/status?tenant=" + id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+					t.Errorf("status for %s during promote: %d", id, resp.StatusCode)
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	// Promote with reads in flight, and keep reading the rebuilt tenants.
+	waitReads := func(n int64) {
+		for reads.Load() < n && !t.Failed() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitReads(int64(2 * len(ids)))
+	n, err := folSrv.Promote()
+	waitReads(reads.Load() + int64(2*len(ids)))
+	close(stop)
+	wg.Wait()
+	if err != nil || n != len(ids) {
+		t.Fatalf("Promote = %d, %v, want %d tenants", n, err, len(ids))
+	}
+	if got := folSrv.Tenants(); !slices.Equal(got, ids) {
+		t.Fatalf("promoted server tenants %v, want %v", got, ids)
+	}
+	for _, id := range ids {
+		tn, _ := folSrv.router.Get(id)
+		if tn.Data.(*tenantState).journal == nil {
+			t.Errorf("tenant %s promoted without a journal", id)
+		}
+		if code := postTenant(t, fol, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Errorf("post-promotion access for %s: status %d", id, code)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"github.com/auditgames/sag/internal/admit"
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
 )
@@ -75,10 +73,8 @@ func TestDiskBudgetRequiresDataDir(t *testing.T) {
 // tenant-creation counter untouched (reads used to be able to materialize a
 // tenant, spending engine build work on a typo).
 func TestReadPathsDoNotCreateTenants(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv, _, _ := fixtureWithRegistry(t, reg)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	srv, ts, _, _ := fixture(t)
+	reg := srv.Metrics()
 
 	createdKey := shard.MetricTenantsCreatedTotal
 	before := reg.Snapshot().Counters[createdKey]
@@ -145,14 +141,13 @@ func TestShedRetryAfterIsSpecValid(t *testing.T) {
 // answer 507 with both retry headers — but the paths that make bytes
 // reclaimable (cycle close/new, snapshot) and all reads stay open.
 func TestDiskPressureAnswers507(t *testing.T) {
-	reg := obs.NewRegistry()
 	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
-		cfg.Metrics = reg
 		cfg.SegmentBytes = 256
 		cfg.DiskBudgetBytes = 1 // hopelessly over: even an empty journal exceeds it
 		cfg.CompactInterval = time.Hour
 	})
 	defer srv.Close()
+	reg := srv.Metrics()
 
 	// Deterministic verdict: run a scan round synchronously instead of
 	// racing the background loop's startup scan.
@@ -195,7 +190,6 @@ func TestDiskPressureAnswers507(t *testing.T) {
 // checkpoint — without ever shedding the writer.
 func TestCompactionBoundsJournalBytes(t *testing.T) {
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
 	// Benign accesses journal ~7 bytes each and keep the tenant snapshot
 	// small, so a 1 KiB budget forces several genuine compaction rounds over
 	// 600 writes. (Alert-heavy traffic grows the snapshot with the cycle's
@@ -203,7 +197,6 @@ func TestCompactionBoundsJournalBytes(t *testing.T) {
 	// README runbook covers that sizing.)
 	const budget = 1 << 10
 	srv, ts, _, _ := replicaFixture(t, dir, func(cfg *Config) {
-		cfg.Metrics = reg
 		cfg.SegmentBytes = 512
 		cfg.DiskBudgetBytes = budget
 		cfg.CompactInterval = time.Hour
@@ -222,7 +215,7 @@ func TestCompactionBoundsJournalBytes(t *testing.T) {
 			}
 		}
 	}
-	pruned := reg.Snapshot().Counters[retain.MetricPrunedSegments+`{tenant="default"}`]
+	pruned := srv.Metrics().Snapshot().Counters[retain.MetricPrunedSegments+`{tenant="default"}`]
 	if pruned < 3 {
 		t.Fatalf("%s = %d, want >= 3 (sustained writes must force repeated compaction)", retain.MetricPrunedSegments, pruned)
 	}

@@ -137,11 +137,6 @@ type Config struct {
 	// Clock returns the current offset within the audit cycle; defaults to
 	// wall-clock time-of-day. Tests inject a fake.
 	Clock func() time.Duration
-	// Metrics, when non-nil, is the registry served by GET /v1/metrics and
-	// shared with the game engines. When nil the server creates a private
-	// registry, so the endpoint is always live. Engine and per-tenant
-	// server series carry a tenant="<id>" label.
-	Metrics *obs.Registry
 	// RequestTimeout is each API request's context deadline: a request still
 	// waiting (admission, lifecycle lock, solve) when it passes is answered
 	// 503 "request timed out" having changed nothing; one that has committed
@@ -220,9 +215,9 @@ type tenantState struct {
 	engine     *core.Engine
 	est        core.Estimator // this tenant's estimator (for state snapshots)
 	met        tenantMetrics
-	// journal is nil when durability is disabled and on a standby until
-	// Promote installs it (under the lifecycle write lock): a reader holding
-	// neither side of lifecycle goes through lockedJournal.
+	// journal is set once, by recoverTenant before the router publishes the
+	// tenant, so it is read bare. It is nil when durability is disabled and
+	// on a standby, whose mirror the replication client owns.
 	journal *wal.Journal
 
 	lifecycle sync.RWMutex
@@ -236,10 +231,8 @@ type tenantState struct {
 	warned   atomic.Int64
 	quits    atomic.Int64
 
-	// repl is the follower-side replication position recovered from the
-	// tenant's mirrored journal at build time, and written back by the
-	// replication client when it stops (synchronized by the follow
-	// controller's WaitGroup; promotion reads it after the clients exit).
+	// repl is where a standby tenant's mirror ended when it was built: its
+	// replication client resumes from there.
 	repl replica.State
 }
 
@@ -317,7 +310,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		detector: detector,
 		cfg:      cfg,
-		met:      newServerMetrics(cfg.Metrics),
+		met:      newServerMetrics(),
 		typeIdx:  idx,
 	}
 	if cfg.Admission.Enabled() {
@@ -393,9 +386,9 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	// The engine's durability hook: enqueue the committed decision on this
 	// tenant's journal (the engine calls it under its budget lock, in commit
 	// order, and awaits the returned group-commit wait after unlocking).
-	// t.journal is set by openTenantJournal before the router publishes the
-	// tenant — except on a follower, where it stays nil until Promote opens
-	// it; the mutation gate keeps decisions out until then.
+	// t.journal is set by recoverTenant before the router publishes the
+	// tenant; a standby tenant has none, and the mutation gate keeps its
+	// decisions out.
 	var journalFn core.JournalFunc
 	if s.durable() {
 		journalFn = func(rec core.DecisionRecord) (func() error, error) {
@@ -424,19 +417,8 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		return nil, nil, err
 	}
 	t.engine = engine
-	switch {
-	case s.durable() && s.following.Load():
-		// Follower: recover whatever the mirror already holds so the engine
-		// is warm, but leave the journal closed — the replication client owns
-		// the directory until Promote.
-		if err := s.recoverTenantLocal(t); err != nil {
-			return nil, nil, err
-		}
-	case s.durable():
-		// Open (and recover) the tenant's journal before the router publishes
-		// the tenant: a restart restores the snapshot + replays the tail, so
-		// the first request after boot continues the interrupted cycle.
-		if err := s.openTenantJournal(t); err != nil {
+	if s.durable() {
+		if err := s.recoverTenant(t); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -764,8 +746,9 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string
 	tn, ok := s.router.Get(id)
 	// A durable tenant that predates this boot is unloaded, not unknown:
 	// restore it from its journal on first use, even on endpoints that never
-	// create fresh tenants.
-	if !ok && !create && !(s.durable() && s.tenantOnDisk(id)) {
+	// create fresh tenants. A standby never builds a tenant from a request:
+	// its follow controller builds them, and Promote rebuilds them.
+	if !ok && !create && !(s.durable() && !s.following.Load() && s.tenantOnDisk(id)) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
 		return nil
 	}

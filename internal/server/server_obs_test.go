@@ -15,7 +15,6 @@ import (
 	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/sim"
 )
 
@@ -198,10 +197,8 @@ func TestFlaggedQuitterAlwaysWarn(t *testing.T) {
 // histograms, per-stage engine timings, simplex counters, and the
 // remaining-budget gauge.
 func TestMetricsEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv, bgE, bgP := fixtureWithRegistry(t, reg)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	srv, ts, bgE, bgP := fixture(t)
+	reg := srv.Metrics()
 	for i := 0; i < 10; i++ {
 		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
 	}
@@ -255,51 +252,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Logf("full exposition:\n%s", body)
 	}
 
-	// The same registry instance is reachable for embedders.
-	if srv.Metrics() != reg {
-		t.Fatal("Metrics() must return the configured registry")
-	}
 	// Warned split: server-level warned counter matches the status snapshot.
 	var st Status
 	get(t, ts, "/v1/status", &st)
 	if got := reg.Snapshot().Counters[MetricWarnedTotal+`{tenant="default"}`]; got != uint64(st.Warned) {
 		t.Fatalf("warned counter %d vs status %d", got, st.Warned)
 	}
-}
-
-// fixtureWithRegistry is fixture(t) with an injected metrics registry. It
-// returns the server plus the planted same-last-name pair's IDs.
-func fixtureWithRegistry(t *testing.T, reg *obs.Registry) (*Server, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:    1,
-		Clock:   func() time.Duration { return 9 * time.Hour },
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, bgE, bgP
 }
 
 // TestConcurrencySmoke is the canary for the middleware's lock discipline:

@@ -183,8 +183,8 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 }
 
 // Remove unlinks a tenant and reports whether it was resident. Only a standby
-// calls it, for a tenant that holds no journal (a re-seed, a failed promote),
-// so there is nothing to drain or close; the next GetOrCreate rebuilds it.
+// calls it, for a tenant that holds no journal (a re-seed, a promote), so
+// there is nothing to drain or close; the next GetOrCreate rebuilds it.
 func (r *Router) Remove(id string) bool {
 	r.createMu.Lock()
 	defer r.createMu.Unlock()

@@ -23,22 +23,7 @@ import (
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/history"
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/payoff"
-)
-
-// Simulation metric names (see Config.Metrics).
-const (
-	// MetricGroupSeconds is a histogram of wall-clock time per replication
-	// (one RunGroup call: both online engines over one test day).
-	MetricGroupSeconds = "sag_sim_group_seconds"
-	// MetricGroupAlertsPerSecond is a histogram of per-replication
-	// throughput in alerts/second.
-	MetricGroupAlertsPerSecond = "sag_sim_group_alerts_per_second"
-	// MetricAlertsTotal counts alerts replayed across all replications.
-	MetricAlertsTotal = "sag_sim_alerts_total"
-	// MetricGroupsTotal counts completed replications.
-	MetricGroupsTotal = "sag_sim_groups_total"
 )
 
 // TimedAlert is one alert of a modeled type within a day, with its type
@@ -157,10 +142,6 @@ type Config struct {
 	NewEstimator func(*history.Curves) (core.Estimator, error)
 	// Seed drives OSSP signal sampling.
 	Seed int64
-	// Metrics, when non-nil, receives per-replication throughput
-	// instrumentation (see the Metric* constants). Instruments are
-	// atomic, so concurrent RunGroup calls share them safely.
-	Metrics *obs.Registry
 }
 
 // AlertOutcome is the per-alert score triple of Figures 2–3.
@@ -187,16 +168,10 @@ type DayResult struct {
 }
 
 // Runner evaluates groups of a dataset under a fixed game configuration.
+// RunGroup is safe for concurrent use.
 type Runner struct {
 	ds  *Dataset
 	cfg Config
-
-	// Pre-resolved instruments (nil when Config.Metrics is nil; every
-	// record call is then a no-op).
-	groupSeconds *obs.Histogram
-	groupRate    *obs.Histogram
-	alertsTotal  *obs.Counter
-	groupsTotal  *obs.Counter
 }
 
 // NewRunner validates inputs and builds a Runner.
@@ -213,19 +188,7 @@ func NewRunner(ds *Dataset, cfg Config) (*Runner, error) {
 	if cfg.Budget < 0 {
 		return nil, fmt.Errorf("sim: negative budget %g", cfg.Budget)
 	}
-	reg := cfg.Metrics
-	return &Runner{
-		ds:  ds,
-		cfg: cfg,
-		groupSeconds: reg.Histogram(MetricGroupSeconds,
-			"Wall-clock seconds per replication (one group's test day).",
-			obs.ExponentialBuckets(0.01, 2, 13)),
-		groupRate: reg.Histogram(MetricGroupAlertsPerSecond,
-			"Per-replication throughput in alerts/second.",
-			obs.ExponentialBuckets(8, 2, 13)),
-		alertsTotal: reg.Counter(MetricAlertsTotal, "Alerts replayed across all replications."),
-		groupsTotal: reg.Counter(MetricGroupsTotal, "Completed replications."),
-	}, nil
+	return &Runner{ds: ds, cfg: cfg}, nil
 }
 
 // RunGroup replays one group's test day under OSSP, online SSE, and the
@@ -233,10 +196,6 @@ func NewRunner(ds *Dataset, cfg Config) (*Runner, error) {
 func (r *Runner) RunGroup(g Group) (*DayResult, error) {
 	if g.Start < 0 || g.HistoryDays <= 0 || g.TestDay() >= r.ds.NumDays() {
 		return nil, fmt.Errorf("sim: group %+v out of dataset range (%d days)", g, r.ds.NumDays())
-	}
-	var t0 time.Time
-	if r.groupSeconds.Enabled() {
-		t0 = time.Now()
 	}
 	recs := r.ds.Records(g.Start, g.HistoryDays)
 	curves, err := history.NewCurves(recs, r.ds.NumTypes, g.HistoryDays)
@@ -255,20 +214,7 @@ func (r *Runner) RunGroup(g Group) (*DayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.replayDay(g, osspEng, sseEng)
-	if err != nil {
-		return nil, err
-	}
-	if r.groupSeconds.Enabled() {
-		elapsed := time.Since(t0)
-		r.groupSeconds.Observe(elapsed.Seconds())
-		r.groupsTotal.Inc()
-		r.alertsTotal.Add(uint64(len(res.Outcomes)))
-		if s := elapsed.Seconds(); s > 0 {
-			r.groupRate.Observe(float64(len(res.Outcomes)) / s)
-		}
-	}
-	return res, nil
+	return r.replayDay(g, osspEng, sseEng)
 }
 
 // newEstimator builds one engine's estimator over a history window's curves:
