@@ -74,7 +74,7 @@ func run() error {
 		compactInterval = flag.Duration("compact-interval", 0, "retention scan cadence with -data-dir; also the 507 Retry-After (0 = 1s)")
 		fixedClock      = flag.Duration("fixed-clock", -1, "pin the cycle clock to a fixed offset, e.g. 9h (deterministic runs and crash drills; negative = wall clock)")
 
-		follow = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, mutations answer 503 and /v1/readyz reports ready only at zero replication lag until POST /v1/admin/promote")
+		follow = flag.String("follow", "", "run as a hot standby replicating from this primary base URL (e.g. http://127.0.0.1:8080); requires -data-dir, tenant routes answer 503 and /v1/readyz reports ready only at zero replication lag until POST /v1/admin/promote")
 
 		maxTenants = flag.Int("max-tenants", 0, "resident tenant cap; requests for new tenants beyond it answer 429 (0 = default)")
 
@@ -152,7 +152,7 @@ func run() error {
 		if err := srv.StartFollowing(ctx); err != nil {
 			return err
 		}
-		slog.Info("standby, mutations answer 503 until POST /v1/admin/promote", "primary", *follow)
+		slog.Info("standby, tenant routes answer 503 until POST /v1/admin/promote", "primary", *follow)
 	}
 	return server.Run(ctx, server.RunConfig{
 		Addr:          *addr,

@@ -11,6 +11,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -45,26 +46,19 @@ type ClientConfig struct {
 	Primary string
 	// Tenant is the tenant ID to replicate.
 	Tenant string
-	// Dir is the local journal directory to mirror into.
+	// Dir is the local journal directory to mirror into. The client owns
+	// it: Run resumes from what it holds and a re-seed deletes it.
 	Dir string
-	// Apply replays one verified, durable record into the warm engine. An
-	// error means local state has diverged and forces a re-seed.
-	Apply func(r wal.Record, pos wal.Cursor) error
-	// Reset wipes local tenant state — journal directory and engine — ahead
-	// of a re-seed. The client reopens its mirror from zero afterwards.
-	Reset func() error
-	// Start is the client's position from a prior run's recovery (the zero
-	// State means "start from scratch").
-	Start State
 	// Metrics receives lag gauges and the reconnect counter; nil disables.
 	Metrics *obs.Registry
 }
 
 // Client replicates one tenant's journal from a primary: it mirrors raw
-// frames to local disk, verifies CRCs and cursor continuity, replays durable
-// records into the warm engine, and re-seeds from a primary snapshot whenever
-// histories diverge. Run owns all mutation; State and Lag are safe to call
-// from other goroutines.
+// frames to local disk, verifies CRCs, record encodings and cursor
+// continuity, and re-seeds from the primary's retained journal whenever
+// histories diverge. It builds no engine: promotion recovers the mirror the
+// way a boot recovers a journal. Run owns all mutation; State and Lag are
+// safe to call from other goroutines.
 type Client struct {
 	cfg  ClientConfig
 	http *http.Client  // no client timeout: a stream is unbounded
@@ -84,13 +78,11 @@ type Client struct {
 }
 
 // State is a replication position: where the mirrored journal ends, the
-// stored checksum of the record ending there, how many records it holds, and
-// whether the warm engine has been seeded with applied state.
+// stored checksum of the record ending there, and how many records it holds.
 type State struct {
 	Cursor  wal.Cursor
 	LastCRC uint32
 	Records int64
-	Seeded  bool
 }
 
 // NewClient builds a replication client; Run starts it.
@@ -98,13 +90,12 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:  cfg,
 		http: &http.Client{},
-		pos:  cfg.Start,
 		br:   bufio.NewReaderSize(nil, streamBufBytes),
 	}
 	if cfg.Metrics != nil {
 		lbl := obs.L("tenant", cfg.Tenant)
 		c.lagRecords = cfg.Metrics.Gauge(MetricLagRecords,
-			"Durable primary records not yet applied locally (approximate while behind across pruned history; zero is exact).", lbl)
+			"Durable primary records not yet mirrored locally (approximate while behind across pruned history; zero is exact).", lbl)
 		c.lagSeconds = cfg.Metrics.Gauge(MetricLagSeconds,
 			"Seconds since the follower was last fully caught up.", lbl)
 		c.reconnects = cfg.Metrics.Counter(MetricReconnects,
@@ -122,7 +113,7 @@ func (c *Client) State() State {
 	return c.pos
 }
 
-// Lag returns how many durable primary records are not yet applied locally,
+// Lag returns how many durable primary records are not yet mirrored locally,
 // per the last heartbeat. Zero is exact (the local cursor has reached the
 // primary's durable cursor); nonzero values are approximate when the primary
 // has pruned history the follower never receives. ok is false until the
@@ -134,9 +125,12 @@ func (c *Client) Lag() (records int64, ok bool) {
 }
 
 // Run replicates until ctx is canceled, reconnecting with capped exponential
-// backoff plus jitter. It returns ctx.Err().
+// backoff plus jitter. It first recovers its resume position from the mirror
+// in Dir, retrying with the same backoff while that fails. It returns
+// ctx.Err().
 func (c *Client) Run(ctx context.Context) error {
 	attempt := 0
+	recovered := false
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -150,6 +144,13 @@ func (c *Client) Run(ctx context.Context) error {
 			}
 		}
 		attempt++
+		if !recovered {
+			if err := c.recoverMirror(); err != nil {
+				slog.Warn("replica mirror unrecoverable, retrying", "tenant", c.cfg.Tenant, "err", err)
+				continue
+			}
+			recovered = true
+		}
 		err := c.streamOnce(ctx)
 		switch {
 		case err == nil || errors.Is(err, context.Canceled):
@@ -180,10 +181,27 @@ func backoff(attempt int) time.Duration {
 	return d + rand.N(d/2+1)
 }
 
-// reseed wipes local tenant state and resets the client to stream the
-// primary's retained journal from scratch.
+// recoverMirror sets the resume position to where the mirror in Dir ends,
+// after cutting off any torn tail a crash left (the primary resends it).
+func (c *Client) recoverMirror() error {
+	rec, err := wal.Recover(c.cfg.Dir)
+	if err != nil {
+		return err
+	}
+	if rec.Truncated {
+		slog.Warn("truncated corrupt mirror tail", "tenant", c.cfg.Tenant,
+			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
+	}
+	c.mu.Lock()
+	c.pos = State{Cursor: rec.End, LastCRC: rec.LastCRC, Records: int64(rec.Records)}
+	c.mu.Unlock()
+	return nil
+}
+
+// reseed deletes the mirror and resets the client to stream the primary's
+// retained journal from scratch.
 func (c *Client) reseed() error {
-	if err := c.cfg.Reset(); err != nil {
+	if err := os.RemoveAll(c.cfg.Dir); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -203,11 +221,6 @@ func (c *Client) streamOnce(ctx context.Context) error {
 	}
 	defer resp.Body.Close()
 
-	applyFrom, err := wal.ParseCursor(resp.Header.Get(HeaderApplyFrom))
-	if err != nil {
-		return fmt.Errorf("replica: bad %s header: %w", HeaderApplyFrom, err)
-	}
-
 	mirror, err := wal.OpenMirror(c.cfg.Dir, c.State().Cursor)
 	if err != nil {
 		if errors.Is(err, wal.ErrMirrorGap) {
@@ -218,7 +231,7 @@ func (c *Client) streamOnce(ctx context.Context) error {
 	defer mirror.Close()
 
 	c.br.Reset(resp.Body)
-	return c.consume(c.br, mirror, applyFrom)
+	return c.consume(c.br, mirror)
 }
 
 // connect issues the replication request, sending the resume cursor when one
@@ -248,9 +261,9 @@ func (c *Client) connect(ctx context.Context) (resp *http.Response, reseedDemand
 	return r, false, nil
 }
 
-// consume reads wire frames until the stream ends, mirroring and applying
-// record frames and folding heartbeats into the lag gauges.
-func (c *Client) consume(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.Cursor) error {
+// consume reads wire frames until the stream ends, mirroring record frames
+// and folding heartbeats into the lag gauges.
+func (c *Client) consume(br *bufio.Reader, mirror *wal.Mirror) error {
 	for {
 		kind, err := br.ReadByte()
 		if err != nil {
@@ -261,7 +274,7 @@ func (c *Client) consume(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.Cur
 		}
 		switch kind {
 		case frameRecord:
-			if err := c.readRecord(br, mirror, applyFrom); err != nil {
+			if err := c.readRecord(br, mirror); err != nil {
 				return err
 			}
 		case frameHeartbeat:
@@ -274,11 +287,10 @@ func (c *Client) consume(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.Cur
 	}
 }
 
-// readRecord mirrors one replicated frame to disk and replays it into the
-// warm engine when it is at or past the apply-from cursor. Snapshot records
-// only apply to a pristine engine (the first applied record of a seed);
-// later snapshots are checkpoint markers the mirror persists but skips.
-func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.Cursor) error {
+// readRecord mirrors one replicated frame to disk. A frame whose payload
+// does not decode as a record would fail promotion's recovery, so it forces a
+// re-seed here instead.
+func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror) error {
 	seg, err := binary.ReadUvarint(br)
 	if err != nil {
 		return err
@@ -306,27 +318,13 @@ func (c *Client) readRecord(br *bufio.Reader, mirror *wal.Mirror, applyFrom wal.
 		}
 		return err
 	}
-	rec, err := wal.DecodeRecord(payload)
-	if err != nil {
+	if _, err := wal.DecodeRecord(payload); err != nil {
 		return fmt.Errorf("%w: undecodable replicated record: %v", errReseed, err)
-	}
-	pos := wal.Cursor{Seg: fr.Seg, Off: fr.Off}
-	apply := !pos.Less(applyFrom)
-	if apply && rec.Kind == wal.KindSnapshot && c.State().Seeded {
-		apply = false
-	}
-	if apply {
-		if err := c.cfg.Apply(rec, pos); err != nil {
-			return fmt.Errorf("%w: apply at %v: %v", errReseed, pos, err)
-		}
 	}
 	c.mu.Lock()
 	c.pos.Cursor = fr.End()
 	c.pos.LastCRC = crc
 	c.pos.Records++
-	if apply {
-		c.pos.Seeded = true
-	}
 	c.mu.Unlock()
 	return nil
 }

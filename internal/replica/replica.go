@@ -1,9 +1,10 @@
 // Package replica implements WAL log shipping between a primary sagserver
-// and a warm-standby follower, the paper's serving deployment made highly
+// and a hot-standby follower, the paper's serving deployment made highly
 // available: an auditor that stops signaling mid-cycle forfeits the
-// deterrence guarantees of Theorems 1–2, so the standby keeps every
-// tenant's engine warm and takes over in seconds with zero acknowledged
-// mutation loss.
+// deterrence guarantees of Theorems 1–2, so the standby keeps a byte-for-byte
+// mirror of every tenant's journal and, promoted, recovers each one the way a
+// boot does, with zero acknowledged mutation loss. A standby builds no
+// engine: the mirror is its only state.
 //
 // # Protocol
 //
@@ -15,12 +16,10 @@
 //
 //   - a valid cursor resumes streaming from exactly that frame;
 //   - a pruned segment, a non-boundary offset, or a checksum mismatch
-//     answers 409 with X-SAG-Reseed: 1 — the follower discards its local
-//     copy and reconnects cursorless;
+//     answers 409 with X-SAG-Reseed: 1 — the follower deletes its mirror
+//     and reconnects cursorless;
 //   - a cursorless connect streams the whole retained journal from its
-//     oldest frame, with X-SAG-Apply-From naming the newest snapshot
-//     record: the follower persists every frame but starts replaying state
-//     at the snapshot.
+//     oldest frame, newest snapshot included.
 //
 // The response is an unbounded binary stream of length-prefixed frames:
 //
@@ -42,13 +41,14 @@ import "time"
 // Replication metric names.
 const (
 	// MetricLagRecords gauges, per tenant, how many durable primary records
-	// the follower has not yet applied.
+	// the follower has not yet mirrored.
 	MetricLagRecords = "sag_replica_lag_records"
 	// MetricLagSeconds gauges, per tenant, how long ago the follower was
 	// last fully caught up (zero while caught up).
 	MetricLagSeconds = "sag_replica_lag_seconds"
 	// MetricReconnects counts replication stream (re)connect attempts after
-	// the first, per tenant.
+	// the first, per tenant; a retry of a mirror that could not be recovered
+	// counts too.
 	MetricReconnects = "sag_replica_reconnects_total"
 	// MetricReseeds counts snapshot re-seeds — the follower discarded its
 	// local copy because its cursor fell off the primary's retained journal.
@@ -57,16 +57,9 @@ const (
 	MetricReseeds = "sag_replica_reseeds_total"
 )
 
-// Wire headers of the replication handshake.
-const (
-	// HeaderReseed marks a 409 that demands a snapshot re-seed: the
-	// follower's history has diverged from (or fallen off) the primary's
-	// retained journal.
-	HeaderReseed = "X-SAG-Reseed"
-	// HeaderApplyFrom names the cursor ("seg/off") at which the follower
-	// starts replaying state; earlier frames are persisted, not applied.
-	HeaderApplyFrom = "X-SAG-Apply-From"
-)
+// HeaderReseed marks a 409 that demands a snapshot re-seed: the follower's
+// history has diverged from (or fallen off) the primary's retained journal.
+const HeaderReseed = "X-SAG-Reseed"
 
 // Frame type bytes of the binary stream.
 const (

@@ -1,16 +1,21 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/wal"
 )
 
@@ -67,25 +72,6 @@ func (p *primary) append(recs ...wal.Record) {
 	}
 }
 
-// applied is a concurrency-safe log of the records a client replayed.
-type applied struct {
-	mu   sync.Mutex
-	recs []wal.Record
-}
-
-func (a *applied) apply(r wal.Record, _ wal.Cursor) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.recs = append(a.recs, r)
-	return nil
-}
-
-func (a *applied) snapshot() []wal.Record {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]wal.Record(nil), a.recs...)
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -99,132 +85,239 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func quit(n int) wal.Record { return wal.Record{Kind: wal.KindQuit, Employee: n} }
 
+// follow runs a client mirroring p's journal into dir. stop cancels it and
+// waits for Run to return; the test's cleanup calls it too.
+func follow(t *testing.T, p *primary, dir string) (cl *Client, reg *obs.Registry, stop func()) {
+	t.Helper()
+	reg = obs.NewRegistry()
+	cl = NewClient(ClientConfig{Primary: p.ts.URL, Tenant: "default", Dir: dir, Metrics: reg})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = cl.Run(ctx) }()
+	var once sync.Once
+	stop = func() { once.Do(func() { cancel(); <-done }) }
+	t.Cleanup(stop)
+	return cl, reg, stop
+}
+
+// counter reads one of the client's per-tenant counters.
+func counter(reg *obs.Registry, name string) uint64 {
+	return reg.Snapshot().Counters[name+`{tenant="default"}`]
+}
+
+// caughtUp reports whether cl has mirrored p's journal to its durable end.
+// Lag alone can read 0 against a heartbeat from before the last frames.
+func (p *primary) caughtUp(cl *Client) bool {
+	lag, ok := cl.Lag()
+	return ok && lag == 0 && cl.State().Cursor == p.j.DurableCursor()
+}
+
+func recoverDir(t *testing.T, dir string) *wal.Recovery {
+	t.Helper()
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// quits lists the employees of a recovered tail's quit records, in order.
+func quits(t *testing.T, recs []wal.Record) []int {
+	t.Helper()
+	var out []int
+	for _, r := range recs {
+		if r.Kind != wal.KindQuit {
+			t.Fatalf("mirrored tail holds %+v, want only quits", r)
+		}
+		out = append(out, r.Employee)
+	}
+	return out
+}
+
+// sameEnd fails unless the mirror in dir ends where p's journal does, at the
+// same record checksum.
+func (p *primary) sameEnd(t *testing.T, dir string) {
+	t.Helper()
+	src, dst := recoverDir(t, p.dir), recoverDir(t, dir)
+	if dst.End != src.End || dst.LastCRC != src.LastCRC {
+		t.Fatalf("mirror ends at %v/%08x, source at %v/%08x", dst.End, dst.LastCRC, src.End, src.LastCRC)
+	}
+}
+
 func TestClientCatchUpAndLiveTail(t *testing.T) {
 	p := newPrimary(t)
 	p.append(quit(0), quit(1), quit(2))
 
 	dir := t.TempDir()
-	var got applied
-	cl := NewClient(ClientConfig{
-		Primary: p.ts.URL, Tenant: "default", Dir: dir,
-		Apply: got.apply,
-		Reset: func() error { t.Error("unexpected re-seed"); return nil },
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = cl.Run(ctx) }()
-
-	waitFor(t, "backlog catch-up", func() bool {
-		lag, ok := cl.Lag()
-		return ok && lag == 0
-	})
+	cl, reg, stop := follow(t, p, dir)
+	waitFor(t, "backlog catch-up", func() bool { return p.caughtUp(cl) })
 	// Live tail: records appended while the stream is open arrive too.
 	p.append(quit(3), quit(4))
-	waitFor(t, "live tail", func() bool { return len(got.snapshot()) == 5 })
-	waitFor(t, "zero lag after tail", func() bool {
-		lag, ok := cl.Lag()
-		return ok && lag == 0
-	})
-	cancel()
-	<-done
+	waitFor(t, "live tail", func() bool { return p.caughtUp(cl) })
+	stop()
 
-	recs := got.snapshot()
-	for i, r := range recs {
-		if r.Kind != wal.KindQuit || r.Employee != i {
-			t.Fatalf("applied[%d] = %+v, want quit %d", i, r, i)
-		}
+	rec := recoverDir(t, dir)
+	if got := quits(t, rec.Tail); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("mirrored quits %v, want 0..4", got)
 	}
 	// The mirror is byte-identical to the primary's journal.
-	srcRec, err := wal.Recover(p.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstRec, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dstRec.End != srcRec.End || dstRec.LastCRC != srcRec.LastCRC || dstRec.Records != srcRec.Records {
+	src := recoverDir(t, p.dir)
+	if rec.End != src.End || rec.LastCRC != src.LastCRC || rec.Records != src.Records {
 		t.Fatalf("mirror recovery (%v %08x n=%d) != source (%v %08x n=%d)",
-			dstRec.End, dstRec.LastCRC, dstRec.Records, srcRec.End, srcRec.LastCRC, srcRec.Records)
+			rec.End, rec.LastCRC, rec.Records, src.End, src.LastCRC, src.Records)
 	}
-	st := cl.State()
-	if st.Cursor != srcRec.End || st.LastCRC != srcRec.LastCRC || st.Records != int64(srcRec.Records) || !st.Seeded {
+	if st := cl.State(); st != (State{Cursor: src.End, LastCRC: src.LastCRC, Records: int64(src.Records)}) {
 		t.Fatalf("client state %+v does not match source recovery (%v %08x n=%d)",
-			st, srcRec.End, srcRec.LastCRC, srcRec.Records)
+			st, src.End, src.LastCRC, src.Records)
+	}
+	if n := counter(reg, MetricReseeds); n != 0 {
+		t.Fatalf("%d re-seeds, want 0", n)
 	}
 }
 
 // TestClientResumesFromRecoveredState stops a follower, appends more records
-// at the primary, and restarts the follower from its own disk the way a
-// rebooted standby does: recovery yields the cursor, and the stream resumes
-// without a re-seed.
+// at the primary, and starts a new client over the same directory the way a
+// rebooted standby does: it recovers its cursor from the mirror, and the
+// stream resumes without a re-seed.
 func TestClientResumesFromRecoveredState(t *testing.T) {
 	p := newPrimary(t)
 	p.append(quit(0), quit(1))
 
 	dir := t.TempDir()
-	var got applied
-	run := func(st State) *Client {
-		cl := NewClient(ClientConfig{
-			Primary: p.ts.URL, Tenant: "default", Dir: dir,
-			Apply: got.apply,
-			Reset: func() error { t.Error("unexpected re-seed"); return nil },
-			Start: st,
-		})
-		return cl
-	}
-
-	cl := run(State{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = cl.Run(ctx) }()
-	waitFor(t, "first catch-up", func() bool { return len(got.snapshot()) == 2 })
-	cancel()
-	<-done
+	cl, _, stop := follow(t, p, dir)
+	waitFor(t, "first catch-up", func() bool { return p.caughtUp(cl) })
+	stop()
 
 	p.append(quit(2), quit(3))
 
-	rec, err := wal.Recover(dir)
-	if err != nil {
+	cl2, reg2, stop2 := follow(t, p, dir)
+	waitFor(t, "resumed catch-up", func() bool { return p.caughtUp(cl2) })
+	stop2()
+
+	if got := quits(t, recoverDir(t, dir).Tail); !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("mirrored quits %v: the resumed stream repeated or skipped records", got)
+	}
+	if st := cl2.State(); st.Records != 4 {
+		t.Fatalf("resumed client counts %d records, want 4", st.Records)
+	}
+	if n := counter(reg2, MetricReseeds); n != 0 {
+		t.Fatalf("%d re-seeds on resume, want 0", n)
+	}
+}
+
+// TestClientResumesAfterTornMirrorTail: a standby that crashed mid-write
+// leaves a torn final frame in its mirror. The next client cuts it off when
+// it recovers its position and resumes from the last whole frame — the
+// primary resends the rest — with no re-seed, and the mirror ends
+// byte-identical to the source.
+func TestClientResumesAfterTornMirrorTail(t *testing.T) {
+	p := newPrimary(t)
+	p.append(quit(0), quit(1), quit(2))
+
+	dir := t.TempDir()
+	cl, _, stop := follow(t, p, dir)
+	waitFor(t, "first catch-up", func() bool { return p.caughtUp(cl) })
+	stop()
+
+	tail := cl.State().Cursor
+	seg := filepath.Join(dir, fmt.Sprintf("wal-%06d.sagw", tail.Seg))
+	if err := os.Truncate(seg, tail.Off-2); err != nil {
 		t.Fatal(err)
 	}
-	cl2 := run(State{Cursor: rec.End, LastCRC: rec.LastCRC, Records: int64(rec.Records), Seeded: rec.Records > 0})
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done2 := make(chan struct{})
-	go func() { defer close(done2); _ = cl2.Run(ctx2) }()
-	waitFor(t, "resumed catch-up", func() bool { return len(got.snapshot()) == 4 })
-	cancel2()
-	<-done2
+	p.append(quit(3))
 
-	for i, r := range got.snapshot() {
-		if r.Employee != i {
-			t.Fatalf("applied[%d] = %+v: resumed stream repeated or skipped records", i, r)
+	cl2, reg2, stop2 := follow(t, p, dir)
+	waitFor(t, "catch-up over the torn tail", func() bool { return p.caughtUp(cl2) })
+	stop2()
+	if n := counter(reg2, MetricReseeds); n != 0 {
+		t.Fatalf("%d re-seeds after a torn mirror tail, want 0", n)
+	}
+	if got := quits(t, recoverDir(t, dir).Tail); !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("mirrored quits %v, want 0..3", got)
+	}
+	// Close trims the primary's preallocated active segment, so the two
+	// directories can be compared file by file.
+	if err := p.j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, p.dir, dir)
+}
+
+// sameFiles fails unless dirs a and b hold the same files, byte for byte.
+func sameFiles(t *testing.T, a, b string) {
+	t.Helper()
+	list := func(dir string) []string {
+		names, err := filepath.Glob(filepath.Join(dir, "wal-*.sagw"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, n := range names {
+			names[i] = filepath.Base(n)
+		}
+		return names
+	}
+	na, nb := list(a), list(b)
+	if !slices.Equal(na, nb) {
+		t.Fatalf("segments %v, source has %v", nb, na)
+	}
+	for _, n := range na {
+		ra, err := os.ReadFile(filepath.Join(a, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := os.ReadFile(filepath.Join(b, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ra, rb) {
+			t.Fatalf("%s differs from the source (%d vs %d bytes)", n, len(rb), len(ra))
+		}
+	}
+}
+
+// TestClientRetriesUnrecoverableMirror: a client whose directory cannot be
+// read — here a regular file stands where it should be — keeps retrying with
+// its reconnect backoff instead of giving up, and catches up once the
+// directory is usable.
+func TestClientRetriesUnrecoverableMirror(t *testing.T) {
+	p := newPrimary(t)
+	p.append(quit(0), quit(1))
+
+	dir := filepath.Join(t.TempDir(), "mirror")
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cl, reg, stop := follow(t, p, dir)
+	waitFor(t, "a retry", func() bool { return counter(reg, MetricReconnects) >= 1 })
+	if _, ok := cl.Lag(); ok {
+		t.Fatal("client streamed over a directory it could not recover")
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "catch-up once the directory is usable", func() bool { return p.caughtUp(cl) })
+	stop()
+	if got := quits(t, recoverDir(t, dir).Tail); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("mirrored quits %v, want 0..1", got)
 	}
 }
 
 // TestClientReseedsAfterPrune covers the divergence path: while the follower
 // is down, the primary snapshots and prunes the segments the follower's
 // resume cursor points into. On reconnect the primary demands a re-seed; the
-// client must wipe local state, re-mirror from the snapshot, and apply the
-// snapshot record first.
+// client must delete its mirror and re-mirror the retained journal, whose
+// recovery is the snapshot plus the record after it.
 func TestClientReseedsAfterPrune(t *testing.T) {
 	p := newPrimary(t)
 	p.append(quit(0), quit(1), quit(2))
 
 	dir := t.TempDir()
-	var got applied
-	cl := NewClient(ClientConfig{
-		Primary: p.ts.URL, Tenant: "default", Dir: dir,
-		Apply: got.apply,
-		Reset: func() error { t.Error("unexpected re-seed on first run"); return nil },
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = cl.Run(ctx) }()
-	waitFor(t, "first catch-up", func() bool { return len(got.snapshot()) == 3 })
-	cancel()
-	<-done
+	cl, reg, stop := follow(t, p, dir)
+	waitFor(t, "first catch-up", func() bool { return p.caughtUp(cl) })
+	stop()
+	if n := counter(reg, MetricReseeds); n != 0 {
+		t.Fatalf("%d re-seeds on the first run, want 0", n)
+	}
 
 	// Follower is down: the primary rolls far enough that a snapshot prunes
 	// every segment the follower has (SegmentBytes=128 rolls fast).
@@ -235,62 +328,30 @@ func TestClientReseedsAfterPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.append(quit(24))
-	oldest, _, lease := p.j.Seed()
+	oldest, lease := p.j.Seed()
 	lease.Release()
-	rec, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.End.Seg >= oldest.Seg {
-		t.Fatalf("test setup: follower cursor %v not pruned (primary oldest %v)", rec.End, oldest)
+	if end := recoverDir(t, dir).End; end.Seg >= oldest.Seg {
+		t.Fatalf("test setup: follower cursor %v not pruned (primary oldest %v)", end, oldest)
 	}
 
-	var resets int
-	var reapplied applied
-	cl2 := NewClient(ClientConfig{
-		Primary: p.ts.URL, Tenant: "default", Dir: dir,
-		Apply: reapplied.apply,
-		Reset: func() error {
-			resets++
-			return os.RemoveAll(dir)
-		},
-		Start: State{Cursor: rec.End, LastCRC: rec.LastCRC, Records: int64(rec.Records), Seeded: rec.Records > 0},
-	})
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done2 := make(chan struct{})
-	go func() { defer close(done2); _ = cl2.Run(ctx2) }()
-	waitFor(t, "re-seeded catch-up", func() bool {
-		lag, ok := cl2.Lag()
-		return ok && lag == 0 && len(reapplied.snapshot()) >= 2
-	})
-	cancel2()
-	<-done2
+	cl2, reg2, stop2 := follow(t, p, dir)
+	waitFor(t, "re-seeded catch-up", func() bool { return p.caughtUp(cl2) })
+	stop2()
 
-	if resets != 1 {
-		t.Fatalf("%d re-seeds, want exactly 1", resets)
+	if n := counter(reg2, MetricReseeds); n != 1 {
+		t.Fatalf("%d re-seeds, want exactly 1", n)
 	}
-	recs := reapplied.snapshot()
-	if recs[0].Kind != wal.KindSnapshot || string(recs[0].Snapshot) != `{"seed":true}` {
-		t.Fatalf("first applied record after re-seed = %+v, want the snapshot", recs[0])
+	rec := recoverDir(t, dir)
+	if string(rec.Snapshot) != `{"seed":true}` {
+		t.Fatalf("re-seeded mirror recovers snapshot %q, want the seed snapshot", rec.Snapshot)
 	}
-	if recs[1].Kind != wal.KindQuit || recs[1].Employee != 24 {
-		t.Fatalf("post-snapshot tail = %+v, want quit 24", recs[1])
+	if got := quits(t, rec.Tail); !slices.Equal(got, []int{24}) {
+		t.Fatalf("re-seeded mirror's tail %v, want quit 24", got)
 	}
 	// The re-seeded mirror holds only retained history, byte for byte.
-	srcRec, err := wal.Recover(p.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstRec, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dstRec.End != srcRec.End || dstRec.LastCRC != srcRec.LastCRC {
-		t.Fatalf("re-seeded mirror end %v/%08x != source %v/%08x",
-			dstRec.End, dstRec.LastCRC, srcRec.End, srcRec.LastCRC)
-	}
-	if dstRec.End.Seg < oldest.Seg {
-		t.Fatalf("re-seeded mirror still holds pre-prune segment %d", dstRec.End.Seg)
+	p.sameEnd(t, dir)
+	if rec.End.Seg < oldest.Seg {
+		t.Fatalf("re-seeded mirror still holds pre-prune segment %d", rec.End.Seg)
 	}
 }
 
@@ -302,17 +363,8 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 	p.append(quit(0))
 
 	dir := t.TempDir()
-	var got applied
-	cl := NewClient(ClientConfig{
-		Primary: p.ts.URL, Tenant: "default", Dir: dir,
-		Apply: got.apply,
-		Reset: func() error { t.Error("unexpected re-seed"); return nil },
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = cl.Run(ctx) }()
-	waitFor(t, "initial catch-up", func() bool { return len(got.snapshot()) == 1 })
+	cl, reg, stop := follow(t, p, dir)
+	waitFor(t, "initial catch-up", func() bool { return cl.State().Records == 1 })
 
 	// Drop the listener. The journal stays open; the client must retry until
 	// a replacement listener appears at the same address.
@@ -335,9 +387,14 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 	ts2.Start()
 	defer ts2.Close()
 
-	waitFor(t, "catch-up after reconnect", func() bool { return len(got.snapshot()) == 2 })
-	cancel()
-	<-done
+	waitFor(t, "catch-up after reconnect", func() bool { return p.caughtUp(cl) })
+	stop()
+	if n := counter(reg, MetricReconnects); n < 1 {
+		t.Fatalf("%s = %d after a dropped listener, want at least 1", MetricReconnects, n)
+	}
+	if n := counter(reg, MetricReseeds); n != 0 {
+		t.Fatalf("%d re-seeds across a reconnect, want 0", n)
+	}
 }
 
 // TestBackoffStaysWithinJitterBounds pins the reconnect backoff: exponential
@@ -364,15 +421,7 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 	p.append(quit(0))
 
 	dir := t.TempDir()
-	var got applied
-	cl := NewClient(ClientConfig{
-		Primary: p.ts.URL, Tenant: "default", Dir: dir,
-		Apply: got.apply,
-		Reset: func() error { t.Error("re-seed under a live lease"); return nil },
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = cl.Run(ctx) }()
+	cl, reg, stop := follow(t, p, dir)
 	waitFor(t, "stream connected", func() bool {
 		_, ok := cl.Lag()
 		return ok
@@ -394,33 +443,18 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Lag alone can read 0 against a heartbeat from before the final round's
-	// frames, so also require the mirror's cursor to reach the primary's end.
-	end := p.j.DurableCursor()
-	waitFor(t, "follower caught up through all prunes", func() bool {
-		lag, ok := cl.Lag()
-		return ok && lag == 0 && cl.State().Cursor == end
-	})
-	cancel()
-	<-done
+	waitFor(t, "follower caught up through all prunes", func() bool { return p.caughtUp(cl) })
+	stop()
+	if n := counter(reg, MetricReseeds); n != 0 {
+		t.Fatalf("%d re-seeds under a live lease, want 0", n)
+	}
 
 	// The mirror's tail is byte-identical to the primary's journal. Record
 	// counts intentionally differ: the primary pruned its history while the
 	// follower's mirror accumulates the full stream (followers do not prune;
 	// see DESIGN.md).
-	srcRec, err := wal.Recover(p.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstRec, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dstRec.End != srcRec.End || dstRec.LastCRC != srcRec.LastCRC {
-		t.Fatalf("mirror recovery (%v %08x) != source (%v %08x)",
-			dstRec.End, dstRec.LastCRC, srcRec.End, srcRec.LastCRC)
-	}
-	if dstRec.Records < srcRec.Records {
+	p.sameEnd(t, dir)
+	if dstRec, srcRec := recoverDir(t, dir), recoverDir(t, p.dir); dstRec.Records < srcRec.Records {
 		t.Fatalf("mirror lost records: %d < retained %d", dstRec.Records, srcRec.Records)
 	}
 
@@ -432,7 +466,7 @@ func TestStreamLeasePinsPruneForConnectedFollower(t *testing.T) {
 	if _, _, err := p.j.Prune(); err != nil {
 		t.Fatal(err)
 	}
-	oldest, _, lease := p.j.Seed()
+	oldest, lease := p.j.Seed()
 	lease.Release()
 	if snapSeg := p.j.RetainStats().SnapshotSeg; oldest.Seg != snapSeg {
 		t.Fatalf("post-release prune left oldest=%d, want snapshot seg %d", oldest.Seg, snapSeg)

@@ -40,14 +40,13 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	// snapshot-then-prune. The lease lives exactly as long as the stream: a
 	// disconnected follower pins nothing (its next connect renegotiates, and
 	// a prune in the gap legitimately demands a re-seed).
-	cur, applyFrom, lease, ok := negotiate(w, r, src)
+	cur, lease, ok := negotiate(w, r, src)
 	if !ok {
 		return
 	}
 	defer lease.Release()
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderApplyFrom, applyFrom.String())
 	w.WriteHeader(http.StatusOK)
 
 	// The server's global WriteTimeout would kill a healthy long-lived
@@ -94,22 +93,21 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 	}
 }
 
-// negotiate answers the handshake with the cursor to stream from, the cursor
-// to apply from and the lease pinning the former; it writes the error
-// response itself when the handshake fails (ok=false). A resume is pinned
-// first and validated second, a fresh seed gets all three from one critical
-// section (wal.Journal.Seed), so nothing is prunable between choosing a
-// cursor and holding it.
-func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal) (cur, applyFrom wal.Cursor, lease *wal.Lease, ok bool) {
+// negotiate answers the handshake with the cursor to stream from and the
+// lease pinning it; it writes the error response itself when the handshake
+// fails (ok=false). A resume is pinned first and validated second, a fresh
+// seed gets both from one critical section (wal.Journal.Seed), so nothing is
+// prunable between choosing a cursor and holding it.
+func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal) (cur wal.Cursor, lease *wal.Lease, ok bool) {
 	q := r.URL.Query()
 	if !q.Has("seg") {
-		cur, applyFrom, lease = src.Seed()
-		return cur, applyFrom, lease, true
+		cur, lease = src.Seed()
+		return cur, lease, true
 	}
 	cur, crc, err := parseResume(q.Get("seg"), q.Get("off"), q.Get("crc"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return cur, cur, nil, false
+		return cur, nil, false
 	}
 	lease = src.AcquireLease(cur)
 	if err := src.ValidateCursor(cur, crc); err != nil {
@@ -121,9 +119,9 @@ func negotiate(w http.ResponseWriter, r *http.Request, src *wal.Journal) (cur, a
 		} else {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-		return cur, cur, nil, false
+		return cur, nil, false
 	}
-	return cur, cur, lease, true
+	return cur, lease, true
 }
 
 // parseResume decodes a resume cursor's query parameters. They come from

@@ -51,10 +51,8 @@ const DefaultInterval = time.Second
 type Tenant interface {
 	// RetainID is the tenant ID (metric label, log lines).
 	RetainID() string
-	// RetainStats returns the tenant journal's disk accounting; ok is
-	// false when the tenant has no open journal (follower before promote)
-	// and the tenant is skipped.
-	RetainStats() (st wal.RetainStats, ok bool)
+	// RetainStats returns the tenant journal's disk accounting.
+	RetainStats() wal.RetainStats
 	// Prune deletes already-prunable segments (snapshot-superseded, below
 	// the lease floor) without writing a new snapshot.
 	Prune() (segs int, bytes int64, err error)
@@ -211,10 +209,7 @@ func (c *Compactor) RunOnce() {
 	)
 	every := int64(c.cfg.SnapshotEvery)
 	for _, t := range c.cfg.List() {
-		st, ok := t.RetainStats()
-		if !ok {
-			continue
-		}
+		st := t.RetainStats()
 		cand := candidate{t: t, id: t.RetainID(), st: st}
 		if every > 0 && st.TailRecords >= every {
 			c.compact(&cand)
@@ -287,16 +282,13 @@ func (c *Compactor) RunOnce() {
 
 // compact snapshots-then-prunes cand, refreshes its stats and counts the
 // segments that went. It reports the bytes freed, and false when the tenant
-// could not be compacted or lost its journal meanwhile.
+// could not be compacted.
 func (c *Compactor) compact(cand *candidate) (freed int64, ok bool) {
 	if err := cand.t.Compact(); err != nil {
 		slog.Error("compaction snapshot failed", "tenant", cand.id, "err", err)
 		return 0, false
 	}
-	st, ok := cand.t.RetainStats()
-	if !ok {
-		return 0, false
-	}
+	st := cand.t.RetainStats()
 	if d := cand.st.Segments - st.Segments; d > 0 {
 		c.prunedC(cand.id).Add(uint64(d))
 	}

@@ -18,7 +18,6 @@ type fakeTenant struct {
 
 	mu         sync.Mutex
 	st         wal.RetainStats
-	ok         bool
 	compactErr error
 	order      *[]string // appends id on every Compact when set
 
@@ -28,10 +27,10 @@ type fakeTenant struct {
 
 func (f *fakeTenant) RetainID() string { return f.id }
 
-func (f *fakeTenant) RetainStats() (wal.RetainStats, bool) {
+func (f *fakeTenant) RetainStats() wal.RetainStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.st, f.ok
+	return f.st
 }
 
 func (f *fakeTenant) Prune() (int, int64, error) {
@@ -103,8 +102,8 @@ func TestNewValidation(t *testing.T) {
 // budget-less scan registers no sag_retain_* series and blocks no one.
 func TestRunOnceSnapshotsPastTheCadence(t *testing.T) {
 	for _, budget := range []int64{0, 1 << 20} {
-		due := &fakeTenant{id: "due", ok: true, st: wal.RetainStats{Segments: 2, TotalBytes: 200, ReclaimableBytes: 100, TailRecords: 5}}
-		early := &fakeTenant{id: "early", ok: true, st: wal.RetainStats{Segments: 2, TotalBytes: 200, ReclaimableBytes: 100, TailRecords: 4}}
+		due := &fakeTenant{id: "due", st: wal.RetainStats{Segments: 2, TotalBytes: 200, ReclaimableBytes: 100, TailRecords: 5}}
+		early := &fakeTenant{id: "early", st: wal.RetainStats{Segments: 2, TotalBytes: 200, ReclaimableBytes: 100, TailRecords: 4}}
 		reg := obs.NewRegistry()
 		c := newCompactor(t, Config{BudgetBytes: budget, SnapshotEvery: 5, Metrics: reg}, due, early)
 		c.RunOnce()
@@ -133,7 +132,7 @@ func TestRunOnceSnapshotsPastTheCadence(t *testing.T) {
 }
 
 func TestRunOnceOpportunisticPrune(t *testing.T) {
-	ft := &fakeTenant{id: "a", ok: true,
+	ft := &fakeTenant{id: "a",
 		st: wal.RetainStats{Segments: 3, TotalBytes: 300, PrunableBytes: 100, ReclaimableBytes: 100}}
 	c := newCompactor(t, Config{BudgetBytes: 1000}, ft)
 	c.RunOnce()
@@ -152,9 +151,9 @@ func TestRunOnceOpportunisticPrune(t *testing.T) {
 }
 
 func TestRunOnceCompactsUntilUnderBudget(t *testing.T) {
-	a := &fakeTenant{id: "a", ok: true,
+	a := &fakeTenant{id: "a",
 		st: wal.RetainStats{Segments: 4, TotalBytes: 400, ReclaimableBytes: 300}}
-	b := &fakeTenant{id: "b", ok: true,
+	b := &fakeTenant{id: "b",
 		st: wal.RetainStats{Segments: 4, TotalBytes: 400, ReclaimableBytes: 100}}
 	c := newCompactor(t, Config{BudgetBytes: 500}, a, b)
 	c.RunOnce()
@@ -175,9 +174,9 @@ func TestRunOnceCompactsUntilUnderBudget(t *testing.T) {
 
 func TestRunOncePressureAndBlocked(t *testing.T) {
 	// All live tail: nothing reclaimable anywhere, box hopelessly over.
-	a := &fakeTenant{id: "a", ok: true,
+	a := &fakeTenant{id: "a",
 		st: wal.RetainStats{Segments: 1, TotalBytes: 900}}
-	b := &fakeTenant{id: "b", ok: true,
+	b := &fakeTenant{id: "b",
 		st: wal.RetainStats{Segments: 2, TotalBytes: 300, ReclaimableBytes: 200}}
 	c := newCompactor(t, Config{BudgetBytes: 500}, a, b)
 	c.RunOnce()
@@ -213,19 +212,6 @@ func TestRunOncePressureAndBlocked(t *testing.T) {
 	}
 }
 
-func TestRunOnceSkipsJournallessTenant(t *testing.T) {
-	a := &fakeTenant{id: "a", ok: false,
-		st: wal.RetainStats{Segments: 9, TotalBytes: 9999, ReclaimableBytes: 9999, TailRecords: 9999}}
-	c := newCompactor(t, Config{BudgetBytes: 1, SnapshotEvery: 1}, a)
-	c.RunOnce()
-	if a.compacts != 0 || a.prunes != 0 {
-		t.Fatal("tenant without a journal was touched")
-	}
-	if pressure(c) {
-		t.Fatal("journalless tenant counted against the budget")
-	}
-}
-
 // TestCompactionOrder: over budget, tenants are compacted most reclaimable
 // bytes first.
 func TestCompactionOrder(t *testing.T) {
@@ -235,7 +221,7 @@ func TestCompactionOrder(t *testing.T) {
 		id          string
 		reclaimable int64
 	}{{"small", 10}, {"big", 900}, {"mid", 500}} {
-		tenants = append(tenants, &fakeTenant{id: x.id, ok: true, order: &order,
+		tenants = append(tenants, &fakeTenant{id: x.id, order: &order,
 			st: wal.RetainStats{Segments: 2, TotalBytes: 1000, ReclaimableBytes: x.reclaimable}})
 	}
 	c := newCompactor(t, Config{BudgetBytes: 1}, tenants...)
@@ -246,7 +232,7 @@ func TestCompactionOrder(t *testing.T) {
 }
 
 func TestStartStopLifecycle(t *testing.T) {
-	ft := &fakeTenant{id: "a", ok: true,
+	ft := &fakeTenant{id: "a",
 		st: wal.RetainStats{Segments: 1, TotalBytes: 10, TailRecords: 1}}
 	c := newCompactor(t, Config{BudgetBytes: 100, SnapshotEvery: 1}, ft)
 	c.Start()

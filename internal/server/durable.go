@@ -12,7 +12,6 @@ import (
 
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
-	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
@@ -65,25 +64,17 @@ func (s *Server) tenantOnDisk(id string) bool {
 	return err == nil && info.IsDir()
 }
 
-// recoverTenant rebuilds t from its journal — the newest snapshot, then the
-// tail — so the tenant continues its interrupted cycle. buildTenant calls it
-// before the router publishes the tenant, on a boot and on Promote alike. A
-// primary opens the journal for writing; a standby only reads its mirror,
-// which the replication client owns, and resumes replicating where it ends.
+// recoverTenant opens t's journal for writing and rebuilds t from it — the
+// newest snapshot, then the tail — so the tenant continues its interrupted
+// cycle. buildTenant calls it before the router publishes the tenant, on a
+// boot and on Promote alike.
 func (s *Server) recoverTenant(t *tenantState) error {
-	var j *wal.Journal
-	var rec *wal.Recovery
-	var err error
-	if s.following.Load() {
-		rec, err = wal.Recover(s.tenantWALDir(t.id))
-	} else {
-		j, rec, err = wal.Open(s.tenantWALDir(t.id), wal.Options{
-			Fsync:        s.cfg.Fsync,
-			SegmentBytes: s.cfg.SegmentBytes,
-			Metrics:      s.met.reg,
-			Labels:       []obs.Label{obs.L("tenant", t.id)},
-		})
-	}
+	j, rec, err := wal.Open(s.tenantWALDir(t.id), wal.Options{
+		Fsync:        s.cfg.Fsync,
+		SegmentBytes: s.cfg.SegmentBytes,
+		Metrics:      s.met.reg,
+		Labels:       []obs.Label{obs.L("tenant", t.id)},
+	})
 	if err != nil {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
@@ -92,16 +83,10 @@ func (s *Server) recoverTenant(t *tenantState) error {
 			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
 	if err := s.replayTenant(t, rec); err != nil {
-		if j != nil {
-			_ = j.Close()
-		}
+		_ = j.Close()
 		return fmt.Errorf("server: recovering tenant %q: %w", t.id, err)
 	}
 	t.journal = j
-	if j == nil {
-		t.repl = replica.State{Cursor: rec.End, LastCRC: rec.LastCRC,
-			Records: int64(rec.Records), Seeded: rec.Records > 0}
-	}
 	replayed := len(rec.Tail)
 	s.met.reg.Gauge(MetricRecoveryReplayed,
 		"Journal records replayed on top of the restored snapshot at boot.",
@@ -136,9 +121,8 @@ func (s *Server) replayTenant(t *tenantState, rec *wal.Recovery) error {
 }
 
 // restoreSnapshot decodes one snapshot blob onto t. The engine must be
-// pristine (core.RestoreState enforces it): boot replay calls this before
-// the tenant serves, and a follower only applies a snapshot as the very
-// first record of a seed.
+// pristine (core.RestoreState enforces it): recovery calls this before the
+// tenant serves.
 func (s *Server) restoreSnapshot(t *tenantState, blob []byte) error {
 	var snap tenantSnapshot
 	if err := json.Unmarshal(blob, &snap); err != nil {
@@ -171,9 +155,9 @@ func (s *Server) restoreSnapshot(t *tenantState, blob []byte) error {
 }
 
 // applyRecord applies one non-snapshot journal record to t. It is the tenant
-// state machine: boot recovery, live follower apply and the live pipeline
-// (commit, once the record is durable) all change per-cycle state here and
-// nowhere else, so the three cannot drift apart.
+// state machine: recovery (a boot or a promotion) and the live pipeline
+// (commit, once the record is durable) both change per-cycle state here and
+// nowhere else, so the two cannot drift apart.
 func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 	switch r.Kind {
 	case wal.KindDecision:
@@ -234,25 +218,18 @@ func (t *tenantState) countAccess(alerted, warned bool) {
 // makes it as durable as the fsync policy promises. It is the only way a
 // record enters a live journal: commit (which waits at once) and the engine's
 // decision hook (under its budget lock, so journal order is commit order; the
-// engine waits after unlocking). A standby tenant has no journal; the standby
-// gate keeps mutations out until Promote rebuilds it with one. The journal
-// counts its own tail; the retention scan reads it to schedule snapshots.
+// engine waits after unlocking). The journal counts its own tail; the
+// retention scan reads it to schedule snapshots.
 func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, err error) {
-	j := t.journal
-	if j == nil {
-		return nil, errors.New("server: tenant journal not open (standby not promoted)")
-	}
 	if p := s.journalFault.Load(); p != nil {
 		if err := p.Fire(); err != nil {
 			return nil, err
 		}
 	}
-	return j.Append(r)
+	return t.journal.Append(r)
 }
 
 // retainTarget adapts one tenant to the retention compactor's Tenant view.
-// Every method tolerates the tenant's journal being nil (a standby tenant) by
-// reporting nothing to do.
 type retainTarget struct {
 	s *Server
 	t *tenantState
@@ -260,19 +237,9 @@ type retainTarget struct {
 
 func (rt retainTarget) RetainID() string { return rt.t.id }
 
-func (rt retainTarget) RetainStats() (wal.RetainStats, bool) {
-	if rt.t.journal == nil {
-		return wal.RetainStats{}, false
-	}
-	return rt.t.journal.RetainStats(), true
-}
+func (rt retainTarget) RetainStats() wal.RetainStats { return rt.t.journal.RetainStats() }
 
-func (rt retainTarget) Prune() (int, int64, error) {
-	if rt.t.journal == nil {
-		return 0, 0, nil
-	}
-	return rt.t.journal.Prune()
-}
+func (rt retainTarget) Prune() (int, int64, error) { return rt.t.journal.Prune() }
 
 // Compact snapshots-then-prunes the tenant, waiting for the lifecycle write
 // lock like every other snapshot.
@@ -322,9 +289,6 @@ func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
 // lifecycle write lock, so it drains in-flight decisions first — the
 // snapshot can never miss a decision that was journaled before it.
 func (s *Server) snapshotTenant(t *tenantState) error {
-	if t.journal == nil {
-		return errors.New("server: tenant has no journal")
-	}
 	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
 	blob, err := s.exportTenant(t)
@@ -334,14 +298,11 @@ func (s *Server) snapshotTenant(t *tenantState) error {
 	return t.journal.Snapshot(blob)
 }
 
-// snapshotResident snapshots every resident tenant that has a journal and
-// reports how many succeeded and the first error. Every tenant is attempted.
+// snapshotResident snapshots every resident tenant and reports how many
+// succeeded and the first error. Every tenant is attempted.
 func (s *Server) snapshotResident() (n int, first error) {
 	s.router.Range(func(tn *shard.Tenant) bool {
 		t := tn.Data.(*tenantState)
-		if t.journal == nil {
-			return true
-		}
 		if err := s.snapshotTenant(t); err != nil {
 			slog.Error("snapshot failed", "tenant", t.id, "err", err)
 			if first == nil {
@@ -372,10 +333,8 @@ func (s *Server) Close() error {
 	s.retain.Stop()
 	_, err := s.snapshotResident()
 	s.router.Range(func(tn *shard.Tenant) bool {
-		if j := tn.Data.(*tenantState).journal; j != nil {
-			if cerr := j.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
+		if cerr := tn.Data.(*tenantState).journal.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 		return true
 	})

@@ -12,12 +12,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/shard"
-	"github.com/auditgames/sag/internal/wal"
 )
 
 // errNotStandby is Promote's answer on a server that is not (or no longer) a
@@ -38,7 +36,7 @@ type followController struct {
 	wg     sync.WaitGroup
 
 	mu      sync.Mutex
-	clients map[string]*replica.Client // nil while the tenant is starting
+	clients map[string]*replica.Client
 }
 
 // StartFollowing launches replication against Config.FollowPrimary:
@@ -132,59 +130,26 @@ func (fc *followController) discoverOnce() {
 	}
 }
 
-// ensureTenant starts (at most once) the replication goroutine for id.
+// ensureTenant starts (at most once) the replication client for id, which
+// mirrors the tenant's journal into its directory and builds nothing else.
 func (fc *followController) ensureTenant(id string) {
 	fc.mu.Lock()
+	defer fc.mu.Unlock()
 	if _, ok := fc.clients[id]; ok {
-		fc.mu.Unlock()
 		return
 	}
-	fc.clients[id] = nil // reserve before the goroutine builds the client
-	fc.mu.Unlock()
+	cl := replica.NewClient(replica.ClientConfig{
+		Primary: fc.s.cfg.FollowPrimary,
+		Tenant:  id,
+		Dir:     fc.s.tenantWALDir(id),
+		Metrics: fc.s.met.reg,
+	})
+	fc.clients[id] = cl
 	fc.wg.Add(1)
 	go func() {
 		defer fc.wg.Done()
-		fc.runTenant(id)
+		_ = cl.Run(fc.ctx)
 	}()
-}
-
-// runTenant replicates one tenant until the controller stops. The local
-// tenantState is swapped out on re-seed, so the apply callback always loads
-// the current one through the holder.
-func (fc *followController) runTenant(id string) {
-	s := fc.s
-	tn, _, err := s.router.GetOrCreate(id)
-	if err != nil {
-		slog.Warn("follower could not load tenant", "tenant", id, "err", err)
-		fc.mu.Lock()
-		delete(fc.clients, id) // discovery retries later
-		fc.mu.Unlock()
-		return
-	}
-	var holder atomic.Pointer[tenantState]
-	holder.Store(tn.Data.(*tenantState))
-	cl := replica.NewClient(replica.ClientConfig{
-		Primary: s.cfg.FollowPrimary,
-		Tenant:  id,
-		Dir:     s.tenantWALDir(id),
-		Apply: func(rec wal.Record, _ wal.Cursor) error {
-			return s.applyReplicated(holder.Load(), rec)
-		},
-		Reset: func() error {
-			fresh, err := s.reseedTenant(id)
-			if err != nil {
-				return err
-			}
-			holder.Store(fresh)
-			return nil
-		},
-		Start:   holder.Load().repl,
-		Metrics: s.met.reg,
-	})
-	fc.mu.Lock()
-	fc.clients[id] = cl
-	fc.mu.Unlock()
-	_ = cl.Run(fc.ctx)
 }
 
 // snapshotClients returns the current client set.
@@ -211,9 +176,6 @@ func (fc *followController) maxLag() (lag int64, known bool) {
 		return 0, false
 	}
 	for _, cl := range clients {
-		if cl == nil {
-			return 0, false // still starting
-		}
 		l, ok := cl.Lag()
 		if !ok {
 			return 0, false
@@ -225,49 +187,14 @@ func (fc *followController) maxLag() (lag int64, known bool) {
 	return lag, true
 }
 
-// applyReplicated replays one replicated record onto the live tenant under
-// the same locking the HTTP handlers use: lifecycle transitions (snapshot
-// seed, cycle open/close) take the write side, everything else the read side
-// — so status reads on the follower never observe a half-applied rollover.
-func (s *Server) applyReplicated(t *tenantState, rec wal.Record) error {
-	side := readSide
-	switch rec.Kind {
-	case wal.KindSnapshot, wal.KindCycleOpen, wal.KindCycleClose:
-		side = writeSide
-	}
-	s.lockLifecycle(t, side)
-	defer t.unlockLifecycle(side)
-	if rec.Kind == wal.KindSnapshot {
-		return s.restoreSnapshot(t, rec.Snapshot)
-	}
-	return s.applyRecord(t, rec)
-}
-
-// reseedTenant discards a follower tenant's local state — engine and
-// mirrored journal — ahead of a snapshot re-seed, and returns the fresh
-// tenant. Called by the replication client when its history has diverged
-// from the primary's retained journal.
-func (s *Server) reseedTenant(id string) (*tenantState, error) {
-	s.router.Remove(id) // follower tenants hold no journal: nothing to close
-	if err := os.RemoveAll(s.tenantWALDir(id)); err != nil {
-		return nil, fmt.Errorf("server: wiping tenant %q for re-seed: %w", id, err)
-	}
-	tn, _, err := s.router.GetOrCreate(id)
-	if err != nil {
-		return nil, err
-	}
-	slog.Warn("local state discarded for re-seed", "tenant", id)
-	return tn.Data.(*tenantState), nil
-}
-
 // Promote turns the standby into a primary the way a box boots: stop every
-// replication client, unlink every standby tenant (none holds a journal),
-// lift the mutation gate, and rebuild each tenant through buildTenant, which
-// opens its mirrored journal for writing, restores the newest snapshot and
-// replays the tail. A tenant that cannot be rebuilt stays unloaded; the first
-// request for it retries. Returns the number of tenants promoted with open
-// journals. Calls are serialized: one that finds the promotion done — having
-// waited for it, if it was under way — gets errNotStandby and touches nothing.
+// replication client, lift the standby gate, and build each mirrored tenant
+// and the default tenant through buildTenant, which opens its journal for
+// writing, restores the newest snapshot and replays the tail. A tenant that
+// cannot be built stays unloaded; the first request for it retries. Returns
+// the number of tenants promoted with open journals. Calls are serialized:
+// one that finds the promotion done — having waited for it, if it was under
+// way — gets errNotStandby and touches nothing.
 func (s *Server) Promote() (int, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -280,17 +207,11 @@ func (s *Server) Promote() (int, error) {
 	if fc := s.follow.Load(); fc != nil {
 		fc.stop()
 	}
-	ids := s.router.IDs()
-	for _, id := range ids {
-		s.router.Remove(id)
-	}
-	// From here on a tenant is built with a writable journal, by this loop or
-	// by the first request for it; a standby tenant some request still holds
-	// is only read.
+	// No client writes a mirror any more: from here on a tenant is built,
+	// by this loop or by the first request for it, over a journal opened
+	// for writing.
 	s.following.Store(false)
-	// The unlinked tenants too: the default tenant has no mirror until the
-	// primary has been reached.
-	ids = append(ids, s.onDiskTenantIDs()...)
+	ids := append(s.onDiskTenantIDs(), DefaultTenantID)
 	slices.Sort(ids)
 	n := 0
 	var firstErr error

@@ -64,9 +64,9 @@ func refuse(code int, msg string) outcome { return outcome{code: code, body: api
 // mutate is the one path by which a request changes per-cycle state: standby
 // gate → decode → validate → disk pressure → admission → resolve + lifecycle
 // lock + deadline → decide → journal and wait → applyRecord → answer. State
-// changes only in applyRecord, after the record is durable — the function boot
-// replay and followers run — so live state is replay of the journal by
-// construction and a failed append has nothing to undo.
+// changes only in applyRecord, after the record is durable — the function
+// recovery runs on a boot or a promotion — so live state is replay of the
+// journal by construction and a failed append has nothing to undo.
 func (s *Server) mutate(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.rejectIfFollowing(w) {

@@ -175,6 +175,23 @@ func tenantSegRange(t *testing.T, dir string) (lo, hi int) {
 	return lo, hi
 }
 
+// sameSummary fails unless a promoted standby's cycle summary is
+// byte-identical to the primary's.
+func sameSummary(t *testing.T, prim, fol *httptest.Server) {
+	t.Helper()
+	code, want := getRaw(t, prim, "/v1/cycle/summary")
+	if code != http.StatusOK {
+		t.Fatalf("primary summary status %d", code)
+	}
+	code, got := getRaw(t, fol, "/v1/cycle/summary")
+	if code != http.StatusOK {
+		t.Fatalf("promoted summary status %d", code)
+	}
+	if got != want {
+		t.Fatalf("promoted summary diverged:\nprimary:  %s\npromoted: %s", want, got)
+	}
+}
+
 // TestFollowerCatchUpGateAndPromote is the in-process version of the failover
 // drill's happy path: a follower discovers the primary's tenant, catches up
 // to zero lag, rejects mutations with 503 + Retry-After while standing by,
@@ -195,19 +212,6 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 
 	folSrv, fol := startFollower(t, folDir, prim.URL)
 	waitFollowerReady(t, fol)
-
-	// Reads serve the replicated state: the cycle summary is byte-identical.
-	code, wantSummary := getRaw(t, prim, "/v1/cycle/summary")
-	if code != http.StatusOK {
-		t.Fatalf("primary summary status %d", code)
-	}
-	code, gotSummary := getRaw(t, fol, "/v1/cycle/summary")
-	if code != http.StatusOK {
-		t.Fatalf("follower summary status %d", code)
-	}
-	if gotSummary != wantSummary {
-		t.Fatalf("follower summary diverged:\nprimary:  %s\nfollower: %s", wantSummary, gotSummary)
-	}
 
 	// Mutations are gated with 503 + Retry-After until promotion.
 	for _, path := range []string{"/v1/access", "/v1/quit", "/v1/cycle/close", "/v1/cycle/new"} {
@@ -240,6 +244,7 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 	if code := post(t, fol, "/v1/admin/promote", struct{}{}, nil); code != http.StatusConflict {
 		t.Fatalf("second promote status %d, want 409", code)
 	}
+	sameSummary(t, prim, fol)
 
 	// The promoted standby closes the cycle bit-identically to the primary —
 	// same engine state, same deterministic signal draws.
@@ -288,21 +293,19 @@ func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	_, fol := startFollower(t, folDir, prim.URL)
+	folSrv, fol := startFollower(t, folDir, prim.URL)
+	waitClients(t, folSrv, 2)
 	waitFollowerReady(t, fol) // asserts {"status":"following","lag_records":0} + 200
 
 	// The first write to the untouched tenant is still replicated.
 	if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
 		t.Fatalf("primary access status %d", code)
 	}
-	_, want := getRaw(t, prim, "/v1/cycle/summary")
+	cl := folSrv.follow.Load().snapshotClients()[DefaultTenantID]
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, got := getRaw(t, fol, "/v1/cycle/summary"); got == want {
-			break
-		}
+	for cl.State().Records != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never applied the first write to the untouched tenant")
+			t.Fatalf("follower never mirrored the first write to the untouched tenant")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -312,8 +315,8 @@ func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 // TestFollowerReseedAfterGappedCursor deliberately invalidates a follower's
 // resume cursor — the primary snapshots and prunes past it while the
 // follower is offline — and requires the restarted follower to re-seed from
-// the primary's snapshot rather than diverge or stall (the ISSUE's
-// acceptance scenario).
+// the primary's snapshot rather than diverge or stall, and to promote over
+// state byte-identical to the primary's.
 func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	_, prim, bgE, bgP := replicaFixture(t, primDir, func(cfg *Config) {
@@ -369,17 +372,10 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	if lo, _ := tenantSegRange(t, folDir); lo <= folMax {
 		t.Fatalf("re-seeded follower min segment %d did not advance past stale max %d", lo, folMax)
 	}
-	code, wantSummary := getRaw(t, prim, "/v1/cycle/summary")
-	if code != http.StatusOK {
-		t.Fatalf("primary summary status %d", code)
+	if n, err := folSrv2.Promote(); err != nil || n != 1 {
+		t.Fatalf("Promote = %d, %v, want 1 tenant", n, err)
 	}
-	code, gotSummary := getRaw(t, fol2, "/v1/cycle/summary")
-	if code != http.StatusOK {
-		t.Fatalf("follower summary status %d", code)
-	}
-	if gotSummary != wantSummary {
-		t.Fatalf("re-seeded follower summary diverged:\nprimary:  %s\nfollower: %s", wantSummary, gotSummary)
-	}
+	sameSummary(t, prim, fol2)
 }
 
 // TestFollowerRequiresDataDir pins the config contract: following without
@@ -525,13 +521,7 @@ func TestCloseDuringPromote(t *testing.T) {
 		}
 	}
 	folSrv, fol := startFollower(t, folDir, prim.URL)
-	deadline := time.Now().Add(30 * time.Second)
-	for len(folSrv.Tenants()) < tenants+1 { // the six and the default tenant
-		if time.Now().After(deadline) {
-			t.Fatalf("follower resident tenants %v, want %d", folSrv.Tenants(), tenants+1)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitClients(t, folSrv, tenants+1) // the six and the default tenant
 	waitFollowerReady(t, fol)
 
 	var wg sync.WaitGroup
@@ -547,73 +537,80 @@ func TestCloseDuringPromote(t *testing.T) {
 	if promoteErr == nil && promoted != tenants+1 {
 		t.Fatalf("Promote opened %d journals, want %d", promoted, tenants+1)
 	}
+	// If Close won, the promotion was refused and no tenant is resident.
 	for _, id := range folSrv.Tenants() {
 		tn, _ := folSrv.router.Get(id)
-		j := tn.Data.(*tenantState).journal
-		if j == nil {
-			continue // Close won: the promotion was refused
-		}
-		if _, err := j.Append(wal.Record{Kind: wal.KindQuit}); err != wal.ErrClosed {
+		if _, err := tn.Data.(*tenantState).journal.Append(wal.Record{Kind: wal.KindQuit}); err != wal.ErrClosed {
 			t.Errorf("tenant %s: journal left open after Close (append: %v)", id, err)
 		}
 	}
 }
 
-// copyDir copies the regular files under src into dst, keeping the tree.
-func copyDir(t *testing.T, src, dst string) {
+// waitClients waits until a standby's follow controller runs n replication
+// clients.
+func waitClients(t *testing.T, srv *Server, n int) {
 	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	deadline := time.Now().Add(30 * time.Second)
+	for len(srv.follow.Load().snapshotClients()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower runs %d replication clients, want %d", len(srv.follow.Load().snapshotClients()), n)
 		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestStandbyReadDoesNotBuildTenant: a standby answers 404 for a tenant its
-// follow controller has not built, even one whose mirror is on disk. A read
-// that restored it would race Promote: built between Promote's unlink and
-// its flip, it would come back without a journal and answer mutations 500.
-func TestStandbyReadDoesNotBuildTenant(t *testing.T) {
+// TestStandbyServesNoTenant: a caught-up standby holds no tenant and builds
+// none. Its mirror is its only state, so every tenant-addressed route —
+// reads included — answers 503 with Retry-After and the promote hint, and no
+// engine series is exported until promotion.
+func TestStandbyServesNoTenant(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	prim, primTS, bgE, bgP := replicaFixture(t, primDir, nil)
-	if code := postTenant(t, primTS, "ward-a", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
-		t.Fatalf("primary access status %d", code)
+	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	for _, id := range []string{DefaultTenantID, "ward-a"} {
+		if code := postTenant(t, prim, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("primary access status %d", code)
+		}
 	}
-	if err := prim.Close(); err != nil {
-		t.Fatal(err)
+	folSrv, fol := startFollower(t, folDir, prim.URL)
+	waitClients(t, folSrv, 2)
+	waitFollowerReady(t, fol)
+	if got := folSrv.Tenants(); len(got) != 0 {
+		t.Fatalf("standby holds tenants %v, want none", got)
 	}
-	copyDir(t, primDir, folDir)
-
-	folSrv, fol, _, _ := replicaFixture(t, folDir, func(cfg *Config) {
-		cfg.FollowPrimary = primTS.URL // never contacted: StartFollowing is not called
-	})
-	if code, body := getRaw(t, fol, "/v1/status?tenant=ward-a"); code != http.StatusNotFound {
-		t.Fatalf("standby status for an unbuilt tenant: %d %s, want 404", code, body)
+	check := func(what string, code int, body string, hdr http.Header) {
+		t.Helper()
+		if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" || !strings.Contains(body, "promote") {
+			t.Fatalf("%s on a standby: %d %s (Retry-After %q), want 503 with Retry-After and the promote hint",
+				what, code, body, hdr.Get("Retry-After"))
+		}
 	}
-	if got := folSrv.Tenants(); slices.Contains(got, "ward-a") {
-		t.Fatalf("standby read built tenant ward-a: resident %v", got)
+	for _, path := range []string{"/v1/status", "/v1/status?tenant=ward-a", "/v1/cycle/summary", "/v1/cycle/summary?tenant=ward-a"} {
+		resp, err := http.Get(fol.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		check("GET "+path, resp.StatusCode, string(raw), resp.Header)
+	}
+	for _, body := range []any{struct{}{}, SnapshotRequest{Tenant: "ward-a"}} {
+		code, raw, hdr := postRaw(t, fol, "/v1/admin/snapshot", body)
+		check("POST /v1/admin/snapshot", code, raw, hdr)
+	}
+	if got := folSrv.Tenants(); len(got) != 0 {
+		t.Fatalf("a standby read built tenants %v", got)
+	}
+	for name := range folSrv.Metrics().Snapshot().Gauges {
+		if strings.HasPrefix(name, "sag_engine_") {
+			t.Fatalf("standby exports engine series %s before promotion", name)
+		}
 	}
 }
 
 // TestReadsDuringPromote: readers hammer /v1/status for every tenant while
-// Promote unlinks and rebuilds them. A read may miss a tenant in between
-// (404), but afterwards every tenant is resident with an open journal and
-// accepts an access. Run it under -race.
+// Promote builds them. A read before the standby gate lifts answers 503;
+// afterwards every tenant is resident with an open journal and accepts an
+// access. Run it under -race.
 func TestReadsDuringPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
@@ -624,13 +621,7 @@ func TestReadsDuringPromote(t *testing.T) {
 		}
 	}
 	folSrv, fol := startFollower(t, folDir, prim.URL)
-	deadline := time.Now().Add(30 * time.Second)
-	for len(folSrv.Tenants()) < len(ids) {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower resident tenants %v, want %v", folSrv.Tenants(), ids)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitClients(t, folSrv, len(ids))
 	waitFollowerReady(t, fol)
 
 	stop := make(chan struct{})
@@ -652,7 +643,7 @@ func TestReadsDuringPromote(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 					t.Errorf("status for %s during promote: %d", id, resp.StatusCode)
 				}
 				reads.Add(1)

@@ -54,10 +54,10 @@
 // The four mutation routes are rows of one table run by one pipeline
 // (mutate.go): gates → validate → resolve and lock → decide → journal and
 // wait → applyRecord → answer. Per-cycle state changes only in applyRecord —
-// the function boot replay and followers run — and only after the record is
-// durable, so live state equals replay of the journal by construction, a
-// refused or failed request leaves nothing to undo, and a request invalid on
-// its face is refused before it can create a tenant.
+// the function recovery runs on a boot or a promotion — and only after the
+// record is durable, so live state equals replay of the journal by
+// construction, a refused or failed request leaves nothing to undo, and a
+// request invalid on its face is refused before it can create a tenant.
 //
 // With Config.DataDir each tenant journals to its own write-ahead log
 // (internal/wal). The append path only appends: the retention scan
@@ -83,7 +83,6 @@ import (
 	"github.com/auditgames/sag/internal/faultinject"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/obs"
-	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
@@ -185,9 +184,9 @@ type Config struct {
 	// retain.DefaultInterval. Only meaningful with DataDir.
 	CompactInterval time.Duration
 	// FollowPrimary, when non-empty, starts the server as a hot standby of
-	// the primary at this base URL: every durable tenant is replicated via
-	// WAL log shipping (see internal/replica), reads are served from the
-	// warm engines, and every mutation answers 503 until POST
+	// the primary at this base URL: every durable tenant's journal is
+	// mirrored via WAL log shipping (see internal/replica), no tenant is
+	// built, and every tenant-addressed request answers 503 until POST
 	// /v1/admin/promote. Requires DataDir.
 	FollowPrimary string
 }
@@ -216,8 +215,7 @@ type tenantState struct {
 	est        core.Estimator // this tenant's estimator (for state snapshots)
 	met        tenantMetrics
 	// journal is set once, by recoverTenant before the router publishes the
-	// tenant, so it is read bare. It is nil when durability is disabled and
-	// on a standby, whose mirror the replication client owns.
+	// tenant, so it is read bare. It is nil only when durability is disabled.
 	journal *wal.Journal
 
 	lifecycle sync.RWMutex
@@ -230,10 +228,6 @@ type tenantState struct {
 	alerts   atomic.Int64
 	warned   atomic.Int64
 	quits    atomic.Int64
-
-	// repl is where a standby tenant's mirror ended when it was built: its
-	// replication client resumes from there.
-	repl replica.State
 }
 
 // Server is the HTTP facade. Create with New and mount via Handler.
@@ -268,7 +262,7 @@ type Server struct {
 
 // New validates the configuration and builds the server. The default
 // tenant is created eagerly, so a single-tenant deployment never pays the
-// create-on-first-use path.
+// create-on-first-use path; a standby builds it at promotion.
 func New(cfg Config) (*Server, error) {
 	if cfg.World == nil || cfg.Taxonomy == nil {
 		return nil, errors.New("server: World and Taxonomy are required")
@@ -324,8 +318,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.admit = ctl
 	}
-	// Set before the first buildTenant call: follower tenants recover their
-	// local mirror instead of opening a writable journal.
 	s.following.Store(cfg.FollowPrimary != "")
 	s.router, err = shard.NewRouter(shard.Config{
 		New:        s.buildTenant,
@@ -335,8 +327,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := s.router.GetOrCreate(DefaultTenantID); err != nil {
-		return nil, err
+	if !s.following.Load() {
+		if _, _, err := s.router.GetOrCreate(DefaultTenantID); err != nil {
+			return nil, err
+		}
 	}
 	if s.durable() {
 		every := cfg.SnapshotEvery
@@ -387,8 +381,7 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	// tenant's journal (the engine calls it under its budget lock, in commit
 	// order, and awaits the returned group-commit wait after unlocking).
 	// t.journal is set by recoverTenant before the router publishes the
-	// tenant; a standby tenant has none, and the mutation gate keeps its
-	// decisions out.
+	// tenant.
 	var journalFn core.JournalFunc
 	if s.durable() {
 		journalFn = func(rec core.DecisionRecord) (func() error, error) {
@@ -656,8 +649,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}{Status: "ready"})
 }
 
-// rejectIfFollowing answers 503 for mutations while the server is a standby;
-// reads stay available so operators can inspect catch-up state.
+// rejectIfFollowing answers 503 for every tenant-addressed request while the
+// server is a standby, which holds no tenant; the probes and /v1/metrics
+// report catch-up.
 func (s *Server) rejectIfFollowing(w http.ResponseWriter) bool {
 	if !s.following.Load() {
 		return false
@@ -730,14 +724,17 @@ const (
 
 // resolveTenant returns the serving state for id with its lifecycle lock
 // held on side (the caller releases it with unlockLifecycle), answering the
-// error response itself when it cannot (nil): 400 for a malformed ID, 429
-// when create-on-first-use would exceed the tenant cap, 404 for an unknown
-// tenant on endpoints that must not create one, 500 for a constructor
-// failure.
+// error response itself when it cannot (nil): 503 on a standby, 400 for a
+// malformed ID, 429 when create-on-first-use would exceed the tenant cap, 404
+// for an unknown tenant on endpoints that must not create one, 500 for a
+// constructor failure.
 //
 // Admission and this lock are where a request can wait before it touches
 // tenant state, so the request deadline is checked here, lock in hand.
 func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string, create bool, side lockSide) *tenantState {
+	if s.rejectIfFollowing(w) {
+		return nil
+	}
 	if !shard.ValidID(id) {
 		writeJSON(w, http.StatusBadRequest,
 			apiError{Error: fmt.Sprintf("invalid tenant ID %q: want 1-%d chars of [A-Za-z0-9._-]", id, shard.MaxIDLength)})
@@ -746,9 +743,8 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string
 	tn, ok := s.router.Get(id)
 	// A durable tenant that predates this boot is unloaded, not unknown:
 	// restore it from its journal on first use, even on endpoints that never
-	// create fresh tenants. A standby never builds a tenant from a request:
-	// its follow controller builds them, and Promote rebuilds them.
-	if !ok && !create && !(s.durable() && !s.following.Load() && s.tenantOnDisk(id)) {
+	// create fresh tenants.
+	if !ok && !create && !(s.durable() && s.tenantOnDisk(id)) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
 		return nil
 	}

@@ -33,8 +33,7 @@ import (
 const (
 	// MetricTenantsActive gauges the number of resident tenants.
 	MetricTenantsActive = "sag_shard_tenants_active"
-	// MetricTenantsCreatedTotal counts tenants ever created, including ones
-	// since removed.
+	// MetricTenantsCreatedTotal counts tenants ever created.
 	MetricTenantsCreatedTotal = "sag_shard_tenants_created_total"
 	// MetricTenantLimitTotal counts creations refused by the tenant cap.
 	MetricTenantLimitTotal = "sag_shard_tenant_limit_total"
@@ -103,7 +102,7 @@ type Config struct {
 
 // Router owns the tenant map. Lock hierarchy (acquire top to bottom):
 //
-//	createMu — serializes tenant creation and removal; held across
+//	createMu — serializes tenant creation; held across
 //	           Config.New.
 //	mu       — RWMutex over the tenant map, held only for the map operation
 //	           itself; the lookup hot path takes only this, in read mode.
@@ -182,23 +181,6 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 	return t, true, nil
 }
 
-// Remove unlinks a tenant and reports whether it was resident. Only a standby
-// calls it, for a tenant that holds no journal (a re-seed, a promote), so
-// there is nothing to drain or close; the next GetOrCreate rebuilds it.
-func (r *Router) Remove(id string) bool {
-	r.createMu.Lock()
-	defer r.createMu.Unlock()
-	r.mu.Lock()
-	_, ok := r.tenants[id]
-	delete(r.tenants, id)
-	n := len(r.tenants)
-	r.mu.Unlock()
-	if ok {
-		r.active.Set(float64(n))
-	}
-	return ok
-}
-
 // Len returns the number of resident tenants.
 func (r *Router) Len() int {
 	r.mu.RLock()
@@ -207,9 +189,9 @@ func (r *Router) Len() int {
 }
 
 // Range calls fn for every resident tenant until fn returns false. The
-// iteration order is unspecified. Tenants created or removed concurrently
-// may or may not be visited; fn runs over a snapshot with no router lock
-// held, so it may call back into Get/GetOrCreate.
+// iteration order is unspecified. Tenants created concurrently may or may
+// not be visited; fn runs over a snapshot with no router lock held, so it
+// may call back into Get/GetOrCreate.
 func (r *Router) Range(fn func(*Tenant) bool) {
 	r.mu.RLock()
 	snapshot := make([]*Tenant, 0, len(r.tenants))

@@ -103,19 +103,6 @@ func TestGetOrCreateRoutesAndCaps(t *testing.T) {
 	if got := snap.Counters[MetricTenantLimitTotal]; got != 1 {
 		t.Fatalf("%s = %v, want 1", MetricTenantLimitTotal, got)
 	}
-
-	if !r.Remove("a") {
-		t.Fatal("Remove(a) = false")
-	}
-	if r.Remove("a") {
-		t.Fatal("second Remove(a) = true")
-	}
-	if _, ok := r.Get("a"); ok {
-		t.Fatal("removed tenant still resident")
-	}
-	if _, _, err := r.GetOrCreate("c"); err != nil {
-		t.Fatalf("create after removal: %v", err)
-	}
 }
 
 func TestGetOrCreateRace(t *testing.T) {

@@ -280,17 +280,11 @@ func (j *Journal) ValidateCursor(cur Cursor, lastCRC uint32) error {
 
 // Seed is the handshake of a reader that starts from nothing. From one
 // critical section it returns where to start reading (the oldest retained
-// frame), where to start applying (the newest snapshot; start when there is
-// none — everything in between is history to persist, not to replay) and a
-// lease already pinning start, so no prune can slip in between picking the
-// cursor and holding it. The caller must Release the lease.
-func (j *Journal) Seed() (start, applyFrom Cursor, lease *Lease) {
+// frame) and a lease already pinning it, so no prune can slip in between
+// picking the cursor and holding it. The caller must Release the lease.
+func (j *Journal) Seed() (start Cursor, lease *Lease) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	start = Cursor{Seg: j.nextSegmentLocked(-1), Off: headerSize}
-	applyFrom = start
-	if !j.snapAt.IsZero() {
-		applyFrom = j.snapAt
-	}
-	return start, applyFrom, j.acquireLeaseLocked(start)
+	return start, j.acquireLeaseLocked(start)
 }

@@ -210,7 +210,7 @@ func TestValidateCursorPrunedSegment(t *testing.T) {
 	if err := j.Snapshot([]byte("snap")); err != nil {
 		t.Fatal(err)
 	}
-	oldest, snap, lease := j.Seed()
+	oldest, lease := j.Seed()
 	lease.Release()
 	if oldest.Seg == 0 {
 		t.Fatal("snapshot should have pruned segment 0")
@@ -221,8 +221,8 @@ func TestValidateCursorPrunedSegment(t *testing.T) {
 	if _, err := j.ReadFrames(Cursor{Seg: 0, Off: headerSize}, func(Frame) error { return nil }); !errors.Is(err, ErrCursorGone) {
 		t.Fatalf("ReadFrames over pruned segment: %v, want ErrCursorGone", err)
 	}
-	if frames := shipFrames(t, j, snap); len(frames) != 1 || Kind(frames[0].Raw[1]) != KindSnapshot {
-		t.Fatalf("apply-from cursor %v (oldest retained %v) is not the snapshot frame ending the journal: %d frames from it", snap, oldest, len(frames))
+	if frames := shipFrames(t, j, j.snapAt); len(frames) != 1 || Kind(frames[0].Raw[1]) != KindSnapshot {
+		t.Fatalf("snapshot cursor %v (oldest retained %v) is not the snapshot frame ending the journal: %d frames from it", j.snapAt, oldest, len(frames))
 	}
 }
 
@@ -394,18 +394,18 @@ func TestMirrorRejectsGaps(t *testing.T) {
 	}
 }
 
-// TestSeedEmptyJournal: with nothing written yet the handshake starts, and
-// applies, at the durable cursor — the active segment's first frame.
+// TestSeedEmptyJournal: with nothing written yet the handshake starts at the
+// durable cursor — the active segment's first frame.
 func TestSeedEmptyJournal(t *testing.T) {
 	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	start, applyFrom, lease := j.Seed()
+	start, lease := j.Seed()
 	defer lease.Release()
-	if durable := j.DurableCursor(); start != durable || applyFrom != durable {
-		t.Fatalf("seed of an empty journal = %v / %v, want the durable cursor %v twice", start, applyFrom, durable)
+	if durable := j.DurableCursor(); start != durable {
+		t.Fatalf("seed of an empty journal = %v, want the durable cursor %v", start, durable)
 	}
 	if floor := j.RetainStats().LeaseFloorSeg; floor != start.Seg {
 		t.Fatalf("lease floor %d, want %d", floor, start.Seg)

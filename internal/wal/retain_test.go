@@ -280,7 +280,7 @@ func TestPruneVsReaderLeaseHeld(t *testing.T) {
 		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		start, _, lease := j.Seed()
+		start, lease := j.Seed()
 
 		var wg sync.WaitGroup
 		errs := make(chan error, 2)

@@ -363,21 +363,17 @@ func TestWalkerAgreesWithBruteForce(t *testing.T) {
 					t.Fatalf("recovered end %v / snapshot %v reach past the bad snapshot frame at %v", rec.End, rec.SnapshotAt, bad)
 				}
 			}
-			// And the seed handshake of the reopened journal applies from
-			// exactly that snapshot.
+			// And the reopened journal indexes exactly that snapshot, and
+			// a seed reads it to the end.
 			j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			start, applyFrom, lease := j.Seed()
+			start, lease := j.Seed()
 			lease.Release()
-			wantFrom := rec.SnapshotAt
-			if wantFrom.IsZero() {
-				wantFrom = start
-			}
-			if applyFrom != wantFrom {
-				t.Fatalf("seed applies from %v (start %v), recovery found the snapshot at %v", applyFrom, start, rec.SnapshotAt)
+			if j.snapAt != rec.SnapshotAt {
+				t.Fatalf("reopened journal indexes its snapshot at %v, recovery found it at %v", j.snapAt, rec.SnapshotAt)
 			}
 			if end, err := j.ReadFrames(start, func(Frame) error { return nil }); err != nil || end != j.DurableCursor() {
 				t.Fatalf("reading the recovered journal from %v stopped at %v: %v", start, end, err)
@@ -463,7 +459,7 @@ func TestSeedHandshakeHoldsLease(t *testing.T) {
 	late.Release()
 
 	fillSegments(t, j, j.DurableCursor().Seg+3)
-	start, _, lease := j.Seed()
+	start, lease := j.Seed()
 	defer lease.Release()
 	if err := j.Snapshot([]byte(`{"s":2}`)); err != nil {
 		t.Fatal(err)
