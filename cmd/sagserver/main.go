@@ -111,7 +111,7 @@ func run() error {
 		return err
 	}
 	if *dataDir != "" {
-		slog.Info("durability on, recovered tenants restore on first use", "data_dir", *dataDir, "fsync", fsync)
+		slog.Info("durability on, every tenant on disk restored", "data_dir", *dataDir, "fsync", fsync)
 	}
 	if *dataDir != "" && *diskBudget > 0 {
 		slog.Info("retention on, over-budget tenants with nothing to reclaim answer 507",

@@ -111,8 +111,8 @@ func TestTenantsOwnTheirEstimators(t *testing.T) {
 		}
 		wg.Wait()
 		// A restart snapshots both tenants with their rollback points at the
-		// morning, and each is restored on its first request: only bob works
-		// the afternoon, so only his moves on.
+		// morning, and the next boot restores both: only bob works the
+		// afternoon, so only his moves on.
 		shutdown()
 		shutdown = boot()
 		clock.Store(int64(afternoon))
@@ -120,7 +120,7 @@ func TestTenantsOwnTheirEstimators(t *testing.T) {
 		clock.Store(int64(evening))
 		bob = append(bob, access("bob"))
 		if withAlice {
-			call(http.MethodGet, "/v1/status?tenant=alice", nil) // restores her snapshot
+			call(http.MethodGet, "/v1/status?tenant=alice", nil) // reads her restored state
 		}
 		bob = append(bob, access("bob"))
 		if withAlice {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -55,13 +54,6 @@ func (s *Server) durable() bool { return s.cfg.DataDir != "" }
 // legal ID characters), so raw IDs must never become path components.
 func (s *Server) tenantWALDir(id string) string {
 	return filepath.Join(s.cfg.DataDir, "tenants", "t-"+id)
-}
-
-// tenantOnDisk reports whether id has journal state under the data dir, so
-// tenant resolution can distinguish "unloaded" from "unknown".
-func (s *Server) tenantOnDisk(id string) bool {
-	info, err := os.Stat(s.tenantWALDir(id))
-	return err == nil && info.IsDir()
 }
 
 // recoverTenant opens t's journal for writing and rebuilds t from it — the

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"log"
 	"log/slog"
@@ -9,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +22,7 @@ import (
 	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
+	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/sim"
 	"github.com/auditgames/sag/internal/wal"
 )
@@ -323,11 +328,6 @@ func TestDurablePerTenantIsolation(t *testing.T) {
 	_, wantBeta := getRaw(t, ts, "/v1/status?tenant=beta")
 
 	_, ts2, _, _ := durableFixture(t, dir)
-	// Restore is lazy (first touch), so warm both tenants before comparing:
-	// active_tenants counts resident tenants, which grows as each journal is
-	// restored.
-	getRaw(t, ts2, "/v1/status?tenant=alpha")
-	getRaw(t, ts2, "/v1/status?tenant=beta")
 	if _, got := getRaw(t, ts2, "/v1/status?tenant=alpha"); got != wantAlpha {
 		t.Fatalf("alpha diverged:\n got %s\nwant %s", got, wantAlpha)
 	}
@@ -446,5 +446,119 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no snapshot with a tail of %d records against a cadence of 5", j.RetainStats().TailRecords)
 		}
+	}
+}
+
+// TestBootRefusesMoreTenantsThanTheCap: a data dir holding more tenants than
+// MaxTenants does not boot with an arbitrary subset of them, and the journals
+// the failed boot opened are sealed again; under a cap that fits, every
+// tenant is resident and answers as before the restart.
+func TestBootRefusesMoreTenantsThanTheCap(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, bgE, bgP := durableFixture(t, dir)
+	ids := []string{"a", "b", DefaultTenantID}
+	want := make(map[string]string)
+	for _, id := range ids {
+		if code := postTenant(t, ts, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("access for %s: status %d", id, code)
+		}
+	}
+	for _, id := range ids {
+		_, want[id] = getRaw(t, ts, "/v1/status?tenant="+id)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Under FsyncInterval every open journal runs a ticker goroutine.
+	tickers := func() int {
+		var stacks strings.Builder
+		_ = pprof.Lookup("goroutine").WriteTo(&stacks, 2)
+		return strings.Count(stacks.String(), "wal.(*Journal).ticker(")
+	}
+	before := tickers()
+	cfg, _, _ := durableConfig(t, dir, func(cfg *Config) {
+		cfg.MaxTenants = 2
+		cfg.Fsync = wal.FsyncInterval
+	})
+	if _, err := New(cfg); !errors.Is(err, shard.ErrTenantLimit) {
+		t.Fatalf("New over 3 tenants with MaxTenants 2: err %v, want %v", err, shard.ErrTenantLimit)
+	}
+	if got := tickers(); got != before {
+		t.Fatalf("the refused boot left %d journal tickers running", got-before)
+	}
+
+	srv2, ts2, _, _ := replicaFixture(t, dir, func(cfg *Config) { cfg.MaxTenants = 3 })
+	defer srv2.Close()
+	if got := srv2.Tenants(); !slices.Equal(got, ids) {
+		t.Fatalf("resident after boot: %v", got)
+	}
+	for _, id := range ids {
+		if _, got := getRaw(t, ts2, "/v1/status?tenant="+id); got != want[id] {
+			t.Fatalf("%s diverged:\n got %s\nwant %s", id, got, want[id])
+		}
+	}
+}
+
+// BenchmarkBootWithTenants times New over a data dir holding N tenants besides
+// the default one, killed with a few decisions in each journal's tail, so
+// every boot opens and replays N+1 journals. Every box it opens is checked:
+// all N+1 tenants are resident, and one answers as before the kill.
+func BenchmarkBootWithTenants(b *testing.B) {
+	for _, n := range []int{32, 256} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			cfg, bgE, bgP := durableConfig(b, b.TempDir(), func(cfg *Config) { cfg.MaxTenants = n + 1 })
+			do := func(h http.Handler, method, target, body string) string {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
+				}
+				return rec.Body.String()
+			}
+			srv, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := srv.Handler()
+			for i := 0; i < n; i++ {
+				body := fmt.Sprintf(`{"employee_id":%d,"patient_id":%d,"tenant":"t%03d"}`, bgE, bgP, i)
+				for k := 0; k < 3; k++ {
+					do(h, http.MethodPost, "/v1/access", body)
+				}
+			}
+			want := do(h, http.MethodGet, "/v1/status?tenant=t000", "")
+			// No Close first (a kill -9 writes no shutdown snapshot): each
+			// boot replays the tails, over a fresh copy of the crashed dir.
+			crashed, work := b.TempDir(), filepath.Join(b.TempDir(), "work")
+			copyTree(b, cfg.DataDir, crashed)
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+			cfg.DataDir = work
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.RemoveAll(work); err != nil {
+					b.Fatal(err)
+				}
+				copyTree(b, crashed, work)
+				b.StartTimer()
+				srv, err := New(cfg)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := len(srv.Tenants()); got != n+1 {
+					b.Fatalf("%d tenants resident after boot, want %d", got, n+1)
+				}
+				if got := do(srv.Handler(), http.MethodGet, "/v1/status?tenant=t000", ""); got != want {
+					b.Fatalf("t000 diverged:\n got %s\nwant %s", got, want)
+				}
+				if err := srv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

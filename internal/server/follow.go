@@ -188,13 +188,12 @@ func (fc *followController) maxLag() (lag int64, known bool) {
 }
 
 // Promote turns the standby into a primary the way a box boots: stop every
-// replication client, lift the standby gate, and build each mirrored tenant
-// and the default tenant through buildTenant, which opens its journal for
-// writing, restores the newest snapshot and replays the tail. A tenant that
-// cannot be built stays unloaded; the first request for it retries. Returns
-// the number of tenants promoted with open journals. Calls are serialized:
-// one that finds the promotion done — having waited for it, if it was under
-// way — gets errNotStandby and touches nothing.
+// replication client, openTenants, and only then lift the standby gate, so a
+// read during promotion answers 503, never 404. A tenant that cannot be opened
+// stays out: reads of it answer 404, and its next mutation retries the build.
+// Returns the number of tenants opened. Calls are serialized: one that finds
+// the promotion done — having waited for it, if it was under way — gets
+// errNotStandby and touches nothing.
 func (s *Server) Promote() (int, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -207,30 +206,36 @@ func (s *Server) Promote() (int, error) {
 	if fc := s.follow.Load(); fc != nil {
 		fc.stop()
 	}
-	// No client writes a mirror any more: from here on a tenant is built,
-	// by this loop or by the first request for it, over a journal opened
-	// for writing.
+	n, err := s.openTenants()
 	s.following.Store(false)
+	slog.Info("promoted to primary", "tenants", n)
+	return n, err
+}
+
+// openTenants builds every tenant on disk and the default tenant through the
+// router, on a boot and on Promote alike: the one way a tenant comes off disk.
+// Every tenant is tried; it returns how many were built and the first error.
+func (s *Server) openTenants() (n int, firstErr error) {
 	ids := append(s.onDiskTenantIDs(), DefaultTenantID)
 	slices.Sort(ids)
-	n := 0
-	var firstErr error
 	for _, id := range slices.Compact(ids) {
 		if _, _, err := s.router.GetOrCreate(id); err != nil {
-			slog.Warn("tenant unloaded at promote", "tenant", id, "err", err)
+			slog.Warn("tenant not opened", "tenant", id, "err", err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("server: promoting tenant %q: %w", id, err)
+				firstErr = fmt.Errorf("server: opening tenant %q: %w", id, err)
 			}
 			continue
 		}
 		n++
 	}
-	slog.Info("promoted to primary", "tenants", n)
 	return n, firstErr
 }
 
 // onDiskTenantIDs lists tenants with journal state under the data dir.
 func (s *Server) onDiskTenantIDs() []string {
+	if !s.durable() {
+		return nil
+	}
 	entries, err := os.ReadDir(filepath.Join(s.cfg.DataDir, "tenants"))
 	if err != nil {
 		return nil
@@ -285,7 +290,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		// Promotion still happened — the gate is lifted — but some tenant
-		// was unloaded; surface that to the operator.
+		// was not opened; surface that to the operator.
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}

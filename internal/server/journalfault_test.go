@@ -21,7 +21,7 @@ import (
 
 // copyTree clones a data dir so a "crash-recovered" server can boot from the
 // exact bytes the live server had durable, without sharing file handles.
-func copyTree(t *testing.T, src, dst string) {
+func copyTree(t testing.TB, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {

@@ -30,6 +30,20 @@ import (
 // exact same world and engine seeds on both sides of the stream.
 func replicaFixture(t *testing.T, dir string, mod func(*Config)) (*Server, *httptest.Server, int, int) {
 	t.Helper()
+	cfg, bgE, bgP := durableConfig(t, dir, mod)
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts, bgE, bgP
+}
+
+// durableConfig is replicaFixture's configuration, for callers that call New
+// themselves: a boot expected to fail, or one a benchmark times.
+func durableConfig(t testing.TB, dir string, mod func(*Config)) (Config, int, int) {
+	t.Helper()
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -59,13 +73,7 @@ func replicaFixture(t *testing.T, dir string, mod func(*Config)) (*Server, *http
 	if mod != nil {
 		mod(&cfg)
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, bgE, bgP
+	return cfg, bgE, bgP
 }
 
 // startFollower builds a follower over dir replicating from primaryURL and

@@ -223,3 +223,41 @@ func TestCompactionBoundsJournalBytes(t *testing.T) {
 		t.Fatal("reclaiming tenant ended up blocked")
 	}
 }
+
+// TestDiskBudgetSeesTenantUntouchedSinceBoot: the disk budget accounts every
+// journal under the data dir after a reboot, not only the tenants asked for
+// since. Tenant A writes several segments and the box is killed; the rebooted
+// box, under a budget A alone exceeds, is asked only for B, and one scan must
+// still count A's bytes and compact them.
+func TestDiskBudgetSeesTenantUntouchedSinceBoot(t *testing.T) {
+	dir := t.TempDir()
+	small := func(cfg *Config) {
+		cfg.SegmentBytes = 512
+		cfg.CompactInterval = time.Hour
+	}
+	_, ts, _, _ := replicaFixture(t, dir, small)
+	for i := 0; i < 500; i++ {
+		if code := postTenant(t, ts, "A", "/v1/access", AccessRequest{}, nil); code != http.StatusOK {
+			t.Fatalf("access %d for A: status %d", i, code)
+		}
+	}
+	// No Close (a kill -9 writes no shutdown snapshot): reboot on a copy.
+	crashed := t.TempDir()
+	copyTree(t, dir, crashed)
+	before := dirBytes(t, crashed)
+	srv2, ts2, _, _ := replicaFixture(t, crashed, func(cfg *Config) {
+		small(cfg)
+		cfg.DiskBudgetBytes = 1 << 10
+	})
+	defer srv2.Close()
+	if code := postTenant(t, ts2, "B", "/v1/access", AccessRequest{}, nil); code != http.StatusOK {
+		t.Fatalf("access for B: status %d", code)
+	}
+	srv2.retain.RunOnce()
+	if b := srv2.Metrics().Snapshot().Gauges[retain.MetricBytes+`{tenant="A"}`]; b <= 0 {
+		t.Fatalf("%s{tenant=\"A\"} = %g: the scan did not see A's journal", retain.MetricBytes, b)
+	}
+	if after := dirBytes(t, crashed); after >= before {
+		t.Fatalf("data dir %d bytes at the crash, %d after the scan: A was not compacted", before, after)
+	}
+}

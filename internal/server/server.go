@@ -21,9 +21,9 @@
 // ?tenant= query parameter; requests that carry none use the default
 // tenant. Each tenant owns a dedicated core.Engine behind a shard.Router
 // (see internal/shard): its own budget chain, fallback
-// state, and RNG stream. Tenants are created on first use up to
-// Config.MaxTenants (429 beyond it); the world, detection rules, and game
-// instance — all immutable during serving — are shared.
+// state, and RNG stream. A box builds every tenant on disk at boot; mutations
+// create new ones up to Config.MaxTenants (429 beyond it). The world, detection
+// rules, and game instance — all immutable during serving — are shared.
 //
 // Concurrency: the serving hot path is not globally serialized. Tenants
 // share no lock across a decision; within one tenant /v1/access requests
@@ -130,8 +130,8 @@ type Config struct {
 	// When nil, every tenant engine shares Estimator; that is only sound
 	// for stateless estimators (fixed rate curves).
 	NewEstimator func(tenant string) (core.Estimator, error)
-	// MaxTenants caps resident tenants; creation beyond it answers 429.
-	// Zero selects shard.DefaultMaxTenants.
+	// MaxTenants caps resident tenants: creation beyond it answers 429, and a
+	// data dir holding more refuses to boot. Zero selects shard.DefaultMaxTenants.
 	MaxTenants int
 	// Clock returns the current offset within the audit cycle; defaults to
 	// wall-clock time-of-day. Tests inject a fake.
@@ -260,9 +260,9 @@ type Server struct {
 	journalFault atomic.Pointer[faultinject.Point]
 }
 
-// New validates the configuration and builds the server. The default
-// tenant is created eagerly, so a single-tenant deployment never pays the
-// create-on-first-use path; a standby builds it at promotion.
+// New validates the configuration and builds the server with every tenant on
+// disk and the default tenant resident (openTenants); a standby builds them
+// at promotion.
 func New(cfg Config) (*Server, error) {
 	if cfg.World == nil || cfg.Taxonomy == nil {
 		return nil, errors.New("server: World and Taxonomy are required")
@@ -328,7 +328,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if !s.following.Load() {
-		if _, _, err := s.router.GetOrCreate(DefaultTenantID); err != nil {
+		if _, err := s.openTenants(); err != nil {
+			// Seal what was opened: a journal may own a syncer goroutine.
+			s.router.Range(func(tn *shard.Tenant) bool {
+				_ = tn.Data.(*tenantState).journal.Close()
+				return true
+			})
 			return nil, err
 		}
 	}
@@ -741,10 +746,7 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string
 		return nil
 	}
 	tn, ok := s.router.Get(id)
-	// A durable tenant that predates this boot is unloaded, not unknown:
-	// restore it from its journal on first use, even on endpoints that never
-	// create fresh tenants.
-	if !ok && !create && !(s.durable() && s.tenantOnDisk(id)) {
+	if !ok && !create {
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown tenant %q", id)})
 		return nil
 	}
