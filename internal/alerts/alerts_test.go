@@ -1,6 +1,7 @@
 package alerts
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,31 @@ func TestRuleStringCombinations(t *testing.T) {
 	}
 	if RuleCoworker.String() != "Department Co-worker" {
 		t.Fatal("coworker description wrong")
+	}
+}
+
+// TestRuleStringTable: the table String reads renders every mask — the 16
+// of the four base rules and the out-of-range ones past it — exactly as the
+// per-call rendering did, and the in-range lookup allocates nothing.
+func TestRuleStringTable(t *testing.T) {
+	names := []string{"Same Last Name", "Department Co-worker", "Neighbor (<=0.5 miles)", "Same Address"}
+	for m := 0; m <= 0xff; m++ {
+		want := "none"
+		if m != 0 {
+			var parts []string
+			for bit, name := range names {
+				if m&(1<<bit) != 0 {
+					parts = append(parts, name)
+				}
+			}
+			want = strings.Join(parts, "; ")
+		}
+		if got := Rule(m).String(); got != want {
+			t.Fatalf("Rule(%#x).String() = %q, want %q", m, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = (RuleLastName | RuleNeighbor).String() }); n != 0 {
+		t.Fatalf("String allocates %.0f objects for an in-range mask, want 0", n)
 	}
 }
 

@@ -36,8 +36,24 @@ const (
 // NeighborRadiusMiles is the paper's neighborhood radius.
 const NeighborRadiusMiles = 0.5
 
+// ruleNames holds String's rendering of every mask of the four base rules,
+// built once: String runs on every alert.
+var ruleNames = func() (names [RuleSameAddress << 1]string) {
+	for r := range names {
+		names[r] = Rule(r).render()
+	}
+	return names
+}()
+
 // String renders the mask as the Table 1 style description.
 func (r Rule) String() string {
+	if int(r) < len(ruleNames) {
+		return ruleNames[r]
+	}
+	return r.render()
+}
+
+func (r Rule) render() string {
 	if r == 0 {
 		return "none"
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -80,11 +81,14 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 	}
 	ok := cell{code: http.StatusOK}
 	stages := []struct {
-		name  string
-		mod   func(*Config)
-		prep  func(t *testing.T, srv *Server) // runs before the state snapshot
-		body  string                          // posted instead of the route's valid body
-		cells map[string]cell
+		name string
+		mod  func(*Config)
+		prep func(t *testing.T, srv *Server)  // runs before the state snapshot
+		body string                           // posted instead of the route's valid body
+		edit func(route, valid string) string // or: the body posted, given the route's valid one
+		// chunked posts the body without a Content-Length.
+		chunked bool
+		cells   map[string]cell
 	}{
 		{
 			name:  "standby",
@@ -95,6 +99,41 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 			name:  "oversized body",
 			body:  `{"tenant":"` + strings.Repeat("a", defaultMaxBodyBytes+1) + `"}`,
 			cells: all(cell{code: http.StatusRequestEntityTooLarge, body: fmt.Sprintf("request body exceeds %d bytes", defaultMaxBodyBytes)}),
+		},
+		{
+			name:  "oversized body after a complete value",
+			body:  `{}` + strings.Repeat(" ", defaultMaxBodyBytes),
+			cells: all(cell{code: http.StatusRequestEntityTooLarge, body: fmt.Sprintf("request body exceeds %d bytes", defaultMaxBodyBytes)}),
+		},
+		{
+			// A body is one JSON value. The strict routes refuse what follows
+			// it before the tenant it names is created; close reads the zero
+			// request, so it closes the default tenant's cycle, not "a"'s.
+			name: "trailing data",
+			edit: func(route, valid string) string {
+				if route == "/v1/cycle/close" {
+					return `{"tenant":"a"}x`
+				}
+				return `{"tenant":"a",` + valid[1:] + `x`
+			},
+			cells: map[string]cell{
+				"/v1/access":      {code: http.StatusBadRequest, body: "invalid JSON: "},
+				"/v1/quit":        {code: http.StatusBadRequest, body: "invalid JSON: "},
+				"/v1/cycle/close": {code: http.StatusOK, body: `"audits":`},
+				"/v1/cycle/new":   {code: http.StatusBadRequest, body: "invalid JSON: "},
+			},
+		},
+		{
+			// Longer than one read, so the buffer grows past its first size.
+			name:    "chunked body",
+			edit:    func(_, valid string) string { return valid + strings.Repeat(" ", 4096) },
+			chunked: true,
+			cells: map[string]cell{
+				"/v1/access":      {code: http.StatusOK, body: `"alert":true`},
+				"/v1/quit":        {code: http.StatusOK, body: `{"flagged":true}`},
+				"/v1/cycle/close": {code: http.StatusOK, body: `"audits":`},
+				"/v1/cycle/new":   {code: http.StatusOK, body: `{"budget":40}`},
+			},
 		},
 		{
 			name: "junk body",
@@ -176,7 +215,16 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 				if body == "" {
 					body = valid(bgE, bgP)[route]
 				}
-				rec := serve(srv, route, body)
+				if st.edit != nil {
+					body = st.edit(route, body)
+				}
+				var rec *httptest.ResponseRecorder
+				if st.chunked {
+					rec = httptest.NewRecorder()
+					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, io.MultiReader(strings.NewReader(body))))
+				} else {
+					rec = serve(srv, route, body)
+				}
 				want := st.cells[route]
 				if rec.Code != want.code || !strings.Contains(rec.Body.String(), want.body) {
 					t.Fatalf("answered %d %q, want %d containing %q", rec.Code, rec.Body.String(), want.code, want.body)
@@ -190,6 +238,9 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 					t.Fatalf("unexpected Retry-After %q on a %d", ra, rec.Code)
 				}
 				after := stateOf(t, srv)
+				if after.Tenants != before.Tenants {
+					t.Fatalf("resident tenants %q, want %q: no cell creates a tenant", after.Tenants, before.Tenants)
+				}
 				if want.code != http.StatusOK && !reflect.DeepEqual(before, after) {
 					t.Fatalf("a refused request changed state:\nbefore: %+v\nafter:  %+v", before, after)
 				}

@@ -65,10 +65,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -544,7 +544,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // wrap is the only layer between the mux and a handler, on the connection's
-// own goroutine: it installs the deadline (timeout > 0), hands the handler
+// own goroutine: it installs the deadline (timeout > 0; a requestDeadline,
+// which arms no timer unless something waits on it), hands the handler
 // the one responseWriter a request ever gets, answers a panic with 500, and
 // records the outcome in met (nil: uninstrumented).
 func (s *Server) wrap(met *routeMetrics, timeout time.Duration, h http.HandlerFunc) http.Handler {
@@ -552,8 +553,8 @@ func (s *Server) wrap(met *routeMetrics, timeout time.Duration, h http.HandlerFu
 		t0 := time.Now()
 		rw := &responseWriter{ResponseWriter: w, s: s, code: http.StatusOK}
 		if timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), timeout)
-			defer cancel()
+			ctx := &requestDeadline{parent: r.Context(), deadline: t0.Add(timeout)}
+			defer ctx.release()
 			r = r.WithContext(ctx)
 		}
 		if met != nil {
@@ -666,8 +667,13 @@ func (s *Server) rejectIfFollowing(w http.ResponseWriter) bool {
 	return true
 }
 
+// jsonContentType is every response's Content-Type, one slice shared by all
+// of them: net/http clones the header map at WriteHeader, and Set replaces
+// a value rather than writing into it, so nothing writes to this slice.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -678,24 +684,57 @@ type apiError struct {
 
 // decodeJSON decodes a capped request body into v, answering the error
 // response itself: 413 for an oversized body and — unless lenient — 400 for
-// malformed JSON. Lenient is for endpoints whose body is optional and
+// malformed JSON. A body is one JSON value: anything but whitespace after it
+// is malformed. Lenient is for endpoints whose body is optional and
 // historically junk-tolerant (cycle close, admin snapshot): v keeps its
 // zero value, but an over-limit body is still a hard 413, not an empty
 // request.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, lenient bool) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, defaultMaxBodyBytes)
-	err := json.NewDecoder(r.Body).Decode(v)
+	body, err := readBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err == nil {
+		return true
+	}
+	// Declared past the good-body return: errors.As makes it escape.
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
 		writeJSON(w, http.StatusRequestEntityTooLarge,
 			apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 		return false
-	case err != nil && !lenient:
+	case !lenient:
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid JSON: " + err.Error()})
 		return false
 	}
 	return true
+}
+
+// readBody reads the body whole, capped at defaultMaxBodyBytes, into one
+// buffer sized by Content-Length: one byte past it (or past the cap, which
+// bounds what a false header can make the server allocate) finds EOF or the
+// overflow without growing. Only a chunked body grows the buffer.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, defaultMaxBodyBytes)
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, defaultMaxBodyBytes) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // SetJournalFault installs (or, with nil, removes) a fault-injection point

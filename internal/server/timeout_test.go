@@ -350,12 +350,13 @@ func TestServingAllocBudget(t *testing.T) {
 		serve(alert)
 		serve(benign)
 	})
-	const ceiling = 48 // measured 43 (46 under -race)
+	const ceiling = 32 // measured 29 (32 under -race)
 	if got := total - setup; got > ceiling {
 		t.Fatalf("one alert + one benign access allocate %.0f objects in the server, budget %d.\n"+
 			"The usual culprits: a ResponseWriter wrapper per middleware layer instead of the one in wrap, "+
 			"r.WithContext called twice, a registry lookup (label formatting) per request instead of a "+
-			"pre-resolved instrument, a goroutine or channel per request.", got, ceiling)
+			"pre-resolved instrument, a goroutine or channel per request, a timer per request (context.WithTimeout "+
+			"instead of requestDeadline), a json.Decoder per body.", got, ceiling)
 	} else {
 		t.Logf("one alert + one benign access: %.0f server allocations (budget %d)", got, ceiling)
 	}
