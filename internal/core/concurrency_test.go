@@ -240,6 +240,10 @@ func (r *rollbackEstimator) FutureRates(at time.Duration) ([]float64, error) {
 	return out, nil
 }
 
+// Reset forgets the last healthy query, as history.Rollback does at a new
+// cycle.
+func (r *rollbackEstimator) Reset() { r.lastGood = 0 }
+
 // TestConcurrentJournalReplaysSequentially is the live == replay oracle in
 // miniature: 8 goroutines drive one engine whose estimator is stateful and
 // whose solver is slow enough for calls to pile up. The journal must list

@@ -53,7 +53,9 @@ type Alert struct {
 //
 // The engine queries the estimator under its budget lock, once per decision
 // in commit order, so a stateful estimator needs no locking of its own — and
-// must not call back into the Engine, which would deadlock.
+// must not call back into the Engine, which would deadlock. Recovery asks it
+// again, once per committed decision of the cycle in the same order, so its
+// memory must be a function of the offsets asked since its Reset.
 type Estimator interface {
 	FutureRates(at time.Duration) ([]float64, error)
 }
@@ -488,22 +490,20 @@ func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: estimating future alerts: %w", err)
 	}
-	if err := e.keepFutures(rates); err != nil {
+	if err := e.checkRates(rates); err != nil {
 		return nil, fmt.Errorf("core: estimator: %w", err)
 	}
+	e.keepFutures(rates)
 	if e.met.enabled {
 		e.met.stageEstimate.ObserveSince(t0)
 	}
 	return e.futures, nil
 }
 
-// keepFutures makes rates the engine's futures — live, on replay and on
-// restore. A type is rebuilt only when its rate differs bitwise from the
-// kept one: κ is a pure function of the rate, so a frozen estimate sums no
-// series at all. Every rate is checked before any is kept, so a rejected
-// estimate leaves the previous one for the static rung. The caller holds
-// e.mu.
-func (e *Engine) keepFutures(rates []float64) error {
+// checkRates refuses an estimate the engine cannot keep: one rate per type,
+// each a valid Poisson mean. A refused estimate is refused whole, so the
+// previous one stays for the static rung.
+func (e *Engine) checkRates(rates []float64) error {
 	if len(rates) != e.inst.NumTypes() {
 		return fmt.Errorf("%d rates for %d types", len(rates), e.inst.NumTypes())
 	}
@@ -512,16 +512,23 @@ func (e *Engine) keepFutures(rates []float64) error {
 			return fmt.Errorf("type %d: %w", i, err)
 		}
 	}
+	return nil
+}
+
+// keepFutures makes rates, which checkRates has passed, the engine's
+// futures — live, on replay and on restore. A type is rebuilt only when its
+// rate differs bitwise from the kept one: κ is a pure function of the rate,
+// so a frozen estimate sums no series at all. The caller holds e.mu.
+func (e *Engine) keepFutures(rates []float64) {
 	fresh := len(e.futures) != len(rates)
 	if fresh {
 		e.futures = make([]dist.Poisson, len(rates))
 	}
 	for i, r := range rates {
 		if fresh || math.Float64bits(r) != math.Float64bits(e.futures[i].Lambda) {
-			e.futures[i], _ = dist.NewPoisson(r) // r was validated above
+			e.futures[i], _ = dist.NewPoisson(r) // checkRates passed r
 		}
 	}
-	return nil
 }
 
 // decide runs the primary pipeline for a at the current budget — estimate,

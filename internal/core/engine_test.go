@@ -30,7 +30,7 @@ func singleInstance(t *testing.T) *game.Instance {
 	return inst
 }
 
-func multiInstance(t *testing.T) *game.Instance {
+func multiInstance(t testing.TB) *game.Instance {
 	t.Helper()
 	table2 := payoff.Table2()
 	inst, err := game.NewInstance(table2[1:], game.UniformCost(7, 1))

@@ -82,9 +82,10 @@ type SSEState struct {
 	AttackerUtility float64   `json:"attacker_utility"`
 }
 
-// EngineState is a full point-in-time export of the engine's mutable cycle
-// state — everything a fresh engine (same Config, same seed) needs to
-// continue the cycle bit-identically. It is the payload of WAL snapshot
+// EngineState is a point-in-time export of the engine's mutable cycle
+// state: what a fresh engine (same Config, same seed, a fresh estimator)
+// needs to continue the cycle bit-identically, less what RestoreState
+// rebuilds by asking the estimator again. It is the payload of WAL snapshot
 // records.
 type EngineState struct {
 	Budget  float64 `json:"budget"`
@@ -94,7 +95,6 @@ type EngineState struct {
 	// next sampled signal lands on the same draw it would have uninterrupted.
 	RNGDraws  uint64           `json:"rng_draws"`
 	Decisions []DecisionRecord `json:"decisions"`
-	LastRates []float64        `json:"last_rates,omitempty"`
 	LastSSE   *SSEState        `json:"last_sse,omitempty"`
 }
 
@@ -113,12 +113,6 @@ func (e *Engine) ExportState() EngineState {
 		// Never nil: an empty log is "decisions":[] in the snapshot JSON.
 		Decisions: append([]DecisionRecord{}, e.decisions...),
 	}
-	if e.futures != nil {
-		st.LastRates = make([]float64, len(e.futures))
-		for i, f := range e.futures {
-			st.LastRates[i] = f.Lambda
-		}
-	}
 	if e.lastSSE != nil {
 		st.LastSSE = &SSEState{
 			Coverage:        append([]float64(nil), e.lastSSE.Coverage...),
@@ -134,7 +128,10 @@ func (e *Engine) ExportState() EngineState {
 // The engine must be pristine — same Config and RNG seed as the exporter,
 // no decisions processed — because restore fast-forwards the RNG stream
 // from its seed position and rebuilds the budget chain from zero. Restoring
-// onto a used engine is an error, not a merge.
+// onto a used engine is an error, not a merge. Each decision is replayed by
+// ApplyDecision's rule, so the estimator's memory and the kept rates are
+// rebuilt, not restored; the futures are built once, from the last estimate
+// the rule keeps.
 func (e *Engine) RestoreState(st EngineState) error {
 	if st.Budget < 0 || math.IsNaN(st.Budget) || math.IsInf(st.Budget, 0) {
 		return fmt.Errorf("core: restoring invalid budget %g", st.Budget)
@@ -152,14 +149,21 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending {
 		return errors.New("core: RestoreState requires a fresh engine")
 	}
-	if st.LastRates != nil {
-		if err := e.keepFutures(st.LastRates); err != nil {
-			return fmt.Errorf("core: restoring last rates: %w", err)
-		}
-	}
 	e.decisions = make([]DecisionRecord, 0, len(st.Decisions))
+	var last []float64
 	for _, r := range st.Decisions {
+		rates, err := e.requery(r)
+		if err != nil {
+			return err
+		}
+		if rates != nil {
+			// Copied: an estimator may reuse the slice it answers with.
+			last = append(last[:0], rates...)
+		}
 		e.applyLocked(r)
+	}
+	if last != nil {
+		e.keepFutures(last)
 	}
 	// Each restored decision spent its draw in applyLocked; burn the draws of
 	// earlier cycles too, so the next decision samples the draw it would have
@@ -185,10 +189,9 @@ func (e *Engine) RestoreState(st EngineState) error {
 // recovery: it re-applies the budget charge and the recorded signal without
 // re-solving or re-sampling — the record is the committed truth. One RNG
 // draw is burned (the draw the original commit consumed) so the stream
-// stays aligned, and the estimator is advanced to the alert's offset so
-// stateful estimators (knowledge rollback) observe the same query sequence
-// as the uninterrupted run — journal order is the order the live engine
-// queried it in. Records must be applied in journal order.
+// stays aligned, and the estimator is asked again, as requery describes, so
+// a stateful estimator (knowledge rollback) and the kept rates end where the
+// live engine left them. Records must be applied in journal order.
 func (e *Engine) ApplyDecision(r DecisionRecord) error {
 	if r.Type < 0 || r.Type >= e.inst.NumTypes() {
 		return fmt.Errorf("core: replaying decision: type %d out of range [0,%d)", r.Type, e.inst.NumTypes())
@@ -198,21 +201,37 @@ func (e *Engine) ApplyDecision(r DecisionRecord) error {
 	if want := uint64(len(e.decisions)); r.Seq != want {
 		return fmt.Errorf("core: replaying decision out of order: seq %d, want %d", r.Seq, want)
 	}
-	// Advance the estimator exactly as the live estimate() did. The live run
-	// succeeded (a decision committed), so an error here means the estimator
-	// itself lost state — surface it rather than silently diverging. The
-	// degraded rungs never reached the estimator, so skip it for them.
-	if r.Fallback == fallback.None {
-		rates, err := e.est.FutureRates(r.Time)
-		if err == nil {
-			err = e.keepFutures(rates)
-		}
-		if err != nil {
-			return fmt.Errorf("core: replaying decision %d: estimator: %w", r.Seq, err)
-		}
+	rates, err := e.requery(r)
+	if err != nil {
+		return err
+	}
+	if rates != nil {
+		e.keepFutures(rates)
 	}
 	e.applyLocked(r)
 	return nil
+}
+
+// requery asks the estimator for r's offset again, as the live decide did
+// before every commit — whatever rung answered — and returns the validated
+// rates. A query that errs, panics or answers invalid rates fails replay for
+// a solved record, whose live query succeeded: the estimator lost state. For
+// a degraded record it returns nil and no error: the live query may have
+// failed the same way, and then the live engine kept its previous rates.
+// The caller holds e.mu.
+func (e *Engine) requery(r DecisionRecord) ([]float64, error) {
+	rates, err := fallback.Attempt(func() ([]float64, error) { return e.est.FutureRates(r.Time) })
+	if err == nil {
+		err = e.checkRates(rates)
+	}
+	switch {
+	case err == nil:
+		return rates, nil
+	case r.Fallback != fallback.None:
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("core: replaying decision %d: estimator: %w", r.Seq, err)
+	}
 }
 
 // peekDrawLocked returns the next signal-sampling value without consuming

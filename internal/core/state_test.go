@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/fallback"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/payoff"
@@ -166,45 +168,119 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 }
 
 // TestEngineRebuiltFromJournalExportsLiveState: what the engine holds is what
-// replaying its journal rebuilds. For 20 seeds, over a cycle rollover, the
-// live engine and one fed only the journal export equal states — budget,
-// initial budget, draw count, cycle log, last rates. The one field replay
-// does not rebuild is LastSSE (DESIGN, "The degradation ladder"); it is
-// pinned nil here so that closing the gap edits this test.
+// replaying its journal rebuilds. For 20 seeds, over a cycle rollover, a live
+// engine whose estimator freezes like the paper's knowledge rollback, and
+// whose solver fails on chosen alerts — the day's last healthy query among
+// them — is rebuilt twice: by ApplyDecision as it commits, and by
+// RestoreState from its export. The three keep equal futures and, past the
+// freeze, decide alike. The one field replay does not rebuild is LastSSE
+// (DESIGN, "The degradation ladder"); it is pinned nil on the replayed engine
+// so that closing the gap edits this test.
 func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
+	inst := multiInstance(t)
+	base := []float64{196, 29, 140, 10, 25, 15, 43}
+	// An alert every 37 minutes: the second cycle's run from 06:10, and the
+	// estimate freezes after alert 17's query at 10:29, the day's last
+	// healthy one.
+	const every, first, second, after, lastHealthy = 37 * time.Minute, 10, 14, 6, 17
+	threshold := 0.0
+	for _, b := range base {
+		threshold += b * (1 - float64(10*time.Hour+45*time.Minute)/float64(24*time.Hour))
+	}
+	// The solver fails on each cycle's first alert (the static rung), on the
+	// last healthy query and past the freeze (the last-good rung), and once
+	// after the rebuild.
+	fails := map[int]bool{0: true, first: true, lastHealthy: true, lastHealthy + 3: true, first + second + 2: true}
 	root := rand.New(rand.NewSource(20261005))
 	for trial := 0; trial < 20; trial++ {
 		seed := root.Int63()
+		failing := false
+		build := func(journal JournalFunc) *Engine {
+			e, err := NewEngine(Config{
+				Instance:  inst,
+				Budget:    50,
+				Estimator: &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold},
+				Policy:    PolicyOSSP,
+				Rand:      rand.New(rand.NewSource(seed)),
+				Fallback:  true,
+				SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+					if failing {
+						return nil, errors.New("solver down")
+					}
+					return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
+				},
+				Journal: journal,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
 		var journal []DecisionRecord
-		live, numTypes := stateTestEngine(t, seed, func(rec DecisionRecord) (func() error, error) {
+		live := build(func(rec DecisionRecord) (func() error, error) {
 			journal = append(journal, rec)
 			return nil, nil
 		})
-		rebuilt, _ := stateTestEngine(t, seed, nil)
+		replayed := build(nil)
+		engines := []*Engine{live, replayed}
 		rng := rand.New(rand.NewSource(seed ^ 0x1ce))
-		const first, second = 10, 14
-		for i := 0; i < first+second; i++ {
-			if i == first {
-				for _, e := range []*Engine{live, rebuilt} {
+		for i := 0; i < first+second+after; i++ {
+			switch i {
+			case first:
+				for _, e := range engines {
 					if err := e.NewCycle(17); err != nil {
 						t.Fatal(err)
 					}
 				}
+			case first + second:
+				l, r := live.ExportState(), replayed.ExportState()
+				if l.LastSSE == nil || r.LastSSE != nil {
+					t.Fatalf("seed %d: LastSSE live %v, replayed %v; want set and nil", seed, l.LastSSE, r.LastSSE)
+				}
+				restored := build(nil)
+				if err := restored.RestoreState(l); err != nil {
+					t.Fatal(err)
+				}
+				engines = append(engines, restored)
+				l.LastSSE = nil
+				if len(l.Decisions) != second || l.RNGDraws != first+second || !reflect.DeepEqual(l, r) {
+					t.Fatalf("seed %d: exported states differ:\nlive     %+v\nreplayed %+v", seed, l, r)
+				}
 			}
-			if _, err := live.Process(Alert{Type: rng.Intn(numTypes), Time: time.Duration(i) * 37 * time.Minute}); err != nil {
-				t.Fatal(err)
+			a := Alert{Type: rng.Intn(inst.NumTypes()), Time: time.Duration(i) * every}
+			failing = fails[i]
+			if i < first+second {
+				if _, err := live.Process(a); err != nil {
+					t.Fatal(err)
+				}
+				if err := replayed.ApplyDecision(journal[i]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, e := range engines {
+					if _, err := e.Process(a); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if err := rebuilt.ApplyDecision(journal[i]); err != nil {
-				t.Fatal(err)
+			failing = false
+			for _, e := range engines[1:] {
+				if !reflect.DeepEqual(e.futures, live.futures) {
+					t.Fatalf("seed %d, alert %d: futures differ:\nlive    %v\nrebuilt %v", seed, i, live.futures, e.futures)
+				}
 			}
 		}
-		l, r := live.ExportState(), rebuilt.ExportState()
-		if l.LastSSE == nil || r.LastSSE != nil {
-			t.Fatalf("seed %d: LastSSE live %v, rebuilt %v; want set and nil", seed, l.LastSSE, r.LastSSE)
+		if got := journal[lastHealthy].Fallback; got != fallback.LastGood {
+			t.Fatalf("seed %d: the last healthy query's decision was %v, want the last-good rung", seed, got)
 		}
-		l.LastSSE = nil
-		if len(l.Decisions) != second || l.RNGDraws != first+second || !reflect.DeepEqual(l, r) {
-			t.Fatalf("seed %d: exported states differ:\nlive    %+v\nrebuilt %+v", seed, l, r)
+		if got := live.est.(*rollbackEstimator).lastGood; got != lastHealthy*every {
+			t.Fatalf("seed %d: estimate frozen at %v, want %v", seed, got, lastHealthy*every)
+		}
+		want := live.ExportState()
+		for _, e := range engines[1:] {
+			if got := e.ExportState(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: past the freeze, states differ:\nlive    %+v\nrebuilt %+v", seed, want, got)
+			}
 		}
 	}
 }
@@ -298,6 +374,13 @@ func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 		}
 		return c
 	}
+	kept := func() []float64 {
+		out := make([]float64, len(e.futures))
+		for i, f := range e.futures {
+			out[i] = f.Lambda
+		}
+		return out
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := e.Process(Alert{Type: i, Time: time.Duration(i+8) * time.Hour}); err != nil {
 			t.Fatal(err)
@@ -310,7 +393,7 @@ func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.ExportState().LastRates; !slices.Equal(got, last) {
+	if got := kept(); !slices.Equal(got, last) {
 		t.Fatalf("a refused estimate moved the kept rates: %v, want %v", got, last)
 	}
 	if want := fallback.StaticAuditProbability(budget, expCost(last)); d.Fallback != fallback.Static || d.Theta != want {
@@ -322,7 +405,7 @@ func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := good(12 * time.Hour)
-	if got := e.ExportState().LastRates; !slices.Equal(got, next) {
+	if got := kept(); !slices.Equal(got, next) {
 		t.Fatalf("kept rates %v after a good estimate, want %v", got, next)
 	}
 	if want := fallback.StaticAuditProbability(budget, expCost(next)); d.Theta != want {
@@ -493,5 +576,49 @@ func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
 	}
 	if l, a := live.RNGDraws(), applied.RNGDraws(); l != a {
 		t.Fatalf("rng draws differ: %d vs %d", l, a)
+	}
+}
+
+// BenchmarkRestoreSnapshot times RestoreState of a 4096-decision cycle whose
+// rates move at every decision: restore asks the estimator and checks its
+// answer 4096 times, and builds the futures once.
+func BenchmarkRestoreSnapshot(b *testing.B) {
+	inst := multiInstance(b)
+	build := func() *Engine {
+		e, err := NewEngine(Config{
+			Instance: inst,
+			Budget:   1e6,
+			Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+				left := 1 - float64(at)/float64(24*time.Hour)
+				return []float64{196 * left, 29 * left, 140 * left, 10 * left, 25 * left, 15 * left, 43 * left}, nil
+			}),
+			Policy: PolicyOSSP,
+			Rand:   rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	live := build()
+	for i := 0; i < 4096; i++ {
+		if _, err := live.Process(Alert{Type: i % inst.NumTypes(), Time: time.Duration(i) * 10 * time.Second}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := live.ExportState()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := build()
+		b.StartTimer()
+		if err := e.RestoreState(st); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if !reflect.DeepEqual(e.futures, live.futures) || len(e.decisions) != len(st.Decisions) {
+			b.Fatal("the restored engine does not hold the live engine's futures and cycle log")
+		}
+		b.StartTimer()
 	}
 }

@@ -5,10 +5,10 @@
 //     alerts after any time of day is estimated (the Poisson means λ^t(s)
 //     of the paper's §3.1, footnote: "the vast majority of alerts are false
 //     positives; consequently we can estimate d^t_τ from alert log data"),
-//   - the paper's "knowledge rollback" stabilizer: when the estimated total
+//   - the paper's "knowledge rollback" stabilizer: once the estimated total
 //     future volume drops below a threshold (4 in the paper), the estimate
-//     freezes at the last healthy query point, so a late-day attacker finds
-//     no free lunch after the budget model thinks the day is over.
+//     freezes at the last healthy query — a function of the offsets queried
+//     since Reset, so recovery asks again instead of storing it.
 //
 // It also reproduces the daily per-type statistics of Table 1.
 package history

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -24,26 +23,21 @@ const MetricRecoveryReplayed = "sag_recovery_replayed_records"
 // between snapshots) when Config.SnapshotEvery is zero.
 const DefaultSnapshotEvery = 4096
 
-// estimator state snapshot seams: stateful estimators (the knowledge-
-// rollback history estimator) opt in by implementing both; stateless ones
-// need neither.
-type stateMarshaler interface{ MarshalState() ([]byte, error) }
-type stateUnmarshaler interface{ UnmarshalState([]byte) error }
-
 // tenantSnapshot is the owner-encoded payload of a WAL snapshot record: the
-// engine's full cycle state plus the HTTP layer's per-tenant state. JSON is
-// used deliberately — Go's encoder round-trips float64 exactly — and the
-// blob never crosses a version boundary unvalidated (decode errors fail
-// recovery loudly rather than restoring a half-right tenant).
+// engine's cycle state plus the HTTP layer's per-tenant state. The
+// estimator's memory is not in it: restore rebuilds it by asking the
+// estimator again. JSON is used deliberately — Go's encoder round-trips
+// float64 exactly — and the blob never crosses a version boundary
+// unvalidated (decode errors fail recovery loudly rather than restoring a
+// half-right tenant).
 type tenantSnapshot struct {
-	Engine    core.EngineState `json:"engine"`
-	Estimator []byte           `json:"estimator,omitempty"`
-	Accesses  int64            `json:"accesses"`
-	Alerts    int64            `json:"alerts"`
-	Warned    int64            `json:"warned"`
-	Quits     int64            `json:"quits"`
-	Flagged   []int            `json:"flagged,omitempty"`
-	Closed    bool             `json:"closed"`
+	Engine   core.EngineState `json:"engine"`
+	Accesses int64            `json:"accesses"`
+	Alerts   int64            `json:"alerts"`
+	Warned   int64            `json:"warned"`
+	Quits    int64            `json:"quits"`
+	Flagged  []int            `json:"flagged,omitempty"`
+	Closed   bool             `json:"closed"`
 }
 
 // durable reports whether the server was configured with a data directory.
@@ -105,10 +99,6 @@ func (s *Server) replayTenant(t *tenantState, rec *wal.Recovery) error {
 			return err
 		}
 	}
-	t.flaggedMu.RLock()
-	flagged := len(t.flagged)
-	t.flaggedMu.RUnlock()
-	t.met.flagged.Set(float64(flagged))
 	return nil
 }
 
@@ -119,15 +109,6 @@ func (s *Server) restoreSnapshot(t *tenantState, blob []byte) error {
 	var snap tenantSnapshot
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		return fmt.Errorf("decoding snapshot: %w", err)
-	}
-	if snap.Estimator != nil {
-		u, ok := t.est.(stateUnmarshaler)
-		if !ok {
-			return errors.New("snapshot carries estimator state but the estimator cannot restore it")
-		}
-		if err := u.UnmarshalState(snap.Estimator); err != nil {
-			return err
-		}
 	}
 	if err := t.engine.RestoreState(snap.Engine); err != nil {
 		return err
@@ -259,13 +240,6 @@ func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
 		Warned:   t.warned.Load(),
 		Quits:    t.quits.Load(),
 		Closed:   t.closed,
-	}
-	if m, ok := t.est.(stateMarshaler); ok {
-		blob, err := m.MarshalState()
-		if err != nil {
-			return nil, fmt.Errorf("estimator state: %w", err)
-		}
-		snap.Estimator = blob
 	}
 	t.flaggedMu.RLock()
 	for emp := range t.flagged {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,12 +17,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
+	"github.com/auditgames/sag/internal/history"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/sim"
 	"github.com/auditgames/sag/internal/wal"
@@ -445,6 +448,144 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); j.RetainStats().SnapshotSeg < 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no snapshot with a tail of %d records against a cadence of 5", j.RetainStats().TailRecords)
+		}
+	}
+}
+
+// TestRollbackSurvivesSnapshotAndCrash: no snapshot holds the knowledge
+// rollback; recovery rebuilds it by asking the estimator again. A day whose
+// estimate freezes after the 14:20 query is snapshotted past the freeze,
+// served on, killed and rebooted: the next decisions, /v1/status and
+// /v1/cycle/summary equal an uninterrupted server's. They do again when the
+// snapshot carries the estimator blob and kept rates older builds wrote.
+func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
+	// Sixty alerts on one historical day, one every 5 minutes from 10:00:
+	// after 14:40 fewer than DefaultRollbackThreshold remain.
+	var recs []history.Record
+	for i := 0; i < 60; i++ {
+		recs = append(recs, history.Record{Type: i % 7, Time: 10*time.Hour + time.Duration(i)*5*time.Minute})
+	}
+	curves, err := history.NewCurves(recs, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lastHealthy = 14*time.Hour + 20*time.Minute
+	var clock atomic.Int64
+	boot := func(dir string) (*httptest.Server, int, int) {
+		_, ts, bgE, bgP := replicaFixture(t, dir, func(cfg *Config) {
+			cfg.Budget = 6 // short of the day's volume, so θ follows the rates
+			cfg.Estimator = nil
+			cfg.NewEstimator = func(string) (core.Estimator, error) {
+				return history.NewRollback(curves, history.DefaultRollbackThreshold)
+			}
+			cfg.Clock = func() time.Duration { return time.Duration(clock.Load()) }
+		})
+		return ts, bgE, bgP
+	}
+	// Each access comes 20 minutes after the one before.
+	access := func(ts *httptest.Server, bgE, bgP int) string {
+		clock.Add(int64(20 * time.Minute))
+		code, body, _ := postRaw(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+		if code != http.StatusOK {
+			t.Fatalf("access at %v: status %d: %s", time.Duration(clock.Load()), code, body)
+		}
+		return body
+	}
+	// serve runs the day up to the crash: 09:00–15:00, a snapshot, 15:20–16:00.
+	serve := func(dir string) (*httptest.Server, int, int) {
+		clock.Store(int64(8*time.Hour + 40*time.Minute))
+		ts, bgE, bgP := boot(dir)
+		for i := 0; i < 19; i++ {
+			access(ts, bgE, bgP)
+		}
+		if code := post(t, ts, "/v1/admin/snapshot", SnapshotRequest{}, nil); code != http.StatusOK {
+			t.Fatalf("snapshot status %d", code)
+		}
+		for i := 0; i < 3; i++ {
+			access(ts, bgE, bgP)
+		}
+		return ts, bgE, bgP
+	}
+	// rest serves 16:20–17:20 and returns the answers, status and summary.
+	rest := func(ts *httptest.Server, bgE, bgP int) []string {
+		var out []string
+		for i := 0; i < 4; i++ {
+			out = append(out, access(ts, bgE, bgP))
+		}
+		for _, path := range []string{"/v1/status", "/v1/cycle/summary"} {
+			_, body := getRaw(t, ts, path)
+			out = append(out, body)
+		}
+		return out
+	}
+	want := rest(serve(t.TempDir()))
+
+	dir := t.TempDir()
+	serve(dir)
+	// No Close (a kill -9 writes no shutdown snapshot): reboot on copies.
+	crashed, probe, legacy := t.TempDir(), t.TempDir(), t.TempDir()
+	copyTree(t, dir, crashed)
+	copyTree(t, dir, probe)
+	j, rec, err := wal.Open(filepath.Join(probe, "tenants", "t-"+DefaultTenantID), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var snap, eng map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(snap["engine"], &eng); err != nil {
+		t.Fatal(err)
+	}
+	if snap["estimator"] != nil || eng["last_rates"] != nil || len(rec.Tail) != 3 {
+		t.Fatalf("want a snapshot without the estimator's memory or the kept rates, then 3 records; got %d records after %s", len(rec.Tail), rec.Snapshot)
+	}
+	// The legacy dir holds the same snapshot as older builds wrote it — the
+	// rollback memory and the kept rates at the freeze — and the same tail.
+	set := func(m map[string]json.RawMessage, k string, v any) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[k] = raw
+	}
+	frozen, _ := curves.FutureRates(lastHealthy)
+	set(eng, "last_rates", frozen)
+	set(snap, "engine", eng)
+	set(snap, "estimator", fmt.Appendf(nil, `{"last_good":%d,"seen_good":true}`, lastHealthy))
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, _, err := wal.Open(filepath.Join(legacy, "tenants", "t-"+DefaultTenantID), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lj.Snapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rec.Tail {
+		wait, err := lj.Append(r)
+		if err == nil {
+			err = wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lj.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, d := range []struct{ name, dir string }{{"crashed", crashed}, {"legacy", legacy}} {
+		clock.Store(int64(16 * time.Hour))
+		ts, bgE, bgP := boot(d.dir)
+		got := rest(ts, bgE, bgP)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: answer %d after the reboot differs from the uninterrupted server's:\n got %s\nwant %s", d.name, i, got[i], want[i])
+			}
 		}
 	}
 }

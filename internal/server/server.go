@@ -212,7 +212,6 @@ type tenantState struct {
 	id         string
 	seedOffset int64 // folded into RNG seeds; 0 for the default tenant
 	engine     *core.Engine
-	est        core.Estimator // this tenant's estimator (for state snapshots)
 	met        tenantMetrics
 	// journal is set once, by recoverTenant before the router publishes the
 	// tenant, so it is read bare. It is nil only when durability is disabled.
@@ -378,7 +377,6 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	t := &tenantState{
 		id:         id,
 		seedOffset: seedOffset,
-		est:        est,
 		met:        newTenantMetrics(s.met.reg, id),
 		flagged:    make(map[int]bool),
 	}
