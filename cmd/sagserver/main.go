@@ -34,7 +34,6 @@ import (
 
 	"github.com/auditgames/sag/internal/admit"
 	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/history"
 	"github.com/auditgames/sag/internal/server"
@@ -181,9 +180,8 @@ func run() error {
 // gameConfig builds the part of the configuration that defines the served
 // game rather than how the process is operated: the synthetic world, the
 // Table 1 taxonomy and instance, and arrival curves fitted on histDays of
-// simulated history. The knowledge-rollback estimator remembers where in the
-// day its cycle stands, so every tenant gets its own over the shared,
-// immutable curves.
+// simulated history. Every tenant shares one knowledge-rollback estimator
+// over them: it holds no state, each engine keeps its own estimate.
 func gameConfig(seed int64, employees, patients, histDays int, budget float64) (server.Config, error) {
 	slog.Info("building synthetic world", "employees", employees, "patients", patients)
 	world, err := emr.NewWorld(emr.WorldConfig{Seed: seed, Employees: employees, Patients: patients})
@@ -214,15 +212,17 @@ func gameConfig(seed int64, employees, patients, histDays int, budget float64) (
 	if err != nil {
 		return server.Config{}, err
 	}
+	rollback, err := history.NewRollback(curves, history.DefaultRollbackThreshold)
+	if err != nil {
+		return server.Config{}, err
+	}
 	return server.Config{
-		World:    world,
-		Taxonomy: taxonomy,
-		TypeIDs:  typeIDs,
-		Instance: inst,
-		Budget:   budget,
-		NewEstimator: func(string) (core.Estimator, error) {
-			return history.NewRollback(curves, history.DefaultRollbackThreshold)
-		},
-		Seed: seed,
+		World:     world,
+		Taxonomy:  taxonomy,
+		TypeIDs:   typeIDs,
+		Instance:  inst,
+		Budget:    budget,
+		Estimator: rollback,
+		Seed:      seed,
 	}, nil
 }

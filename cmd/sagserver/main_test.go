@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,33 +13,30 @@ import (
 	"testing"
 	"time"
 
+	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/server"
 	"github.com/auditgames/sag/internal/wal"
 )
 
-// TestTenantsOwnTheirEstimators serves two tenants from the configuration
-// sagserver assembles and requires that nothing alice does — concurrent
-// traffic, a restore after a restart, a /v1/cycle/new — changes a byte of
-// what bob is answered. The knowledge-rollback estimator is stateful (it
-// freezes the evening's estimate at the cycle's last healthy query), so an
-// estimator shared between tenants lets alice's restore rewind bob's rollback
-// point and her new cycle reset it; run under -race, the morning phase also
-// reports the unsynchronized writes.
-func TestTenantsOwnTheirEstimators(t *testing.T) {
+// TestTenantsShareOneEstimator serves two tenants from the configuration
+// sagserver assembles, which gives both one knowledge-rollback estimator,
+// and requires that nothing alice does — concurrent traffic, a restore after
+// a restart, a /v1/cycle/new — changes a byte of what bob is answered. The
+// estimator holds no state: each engine keeps the estimate its evening
+// decisions freeze on, so alice's restore cannot rewind bob's freeze point
+// nor her new cycle reset it, and under -race the concurrent morning reports
+// no unsynchronized write.
+func TestTenantsShareOneEstimator(t *testing.T) {
 	const employees, patients = 80, 400
 	base, err := gameConfig(2017, employees, patients, 12, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const morning, afternoon, evening = 9 * time.Hour, 15 * time.Hour, 23*time.Hour + 30*time.Minute
-	est, err := base.NewEstimator("probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	am, _ := est.FutureRates(morning)
-	pm, _ := est.FutureRates(afternoon)
-	night, _ := est.FutureRates(evening)
-	if slices.Equal(am, pm) || !slices.Equal(pm, night) {
+	am, _ := base.Estimator.FutureRates(morning)
+	pm, err := base.Estimator.FutureRates(afternoon)
+	_, keep := base.Estimator.FutureRates(evening)
+	if slices.Equal(am, pm) || err != nil || !errors.Is(keep, core.ErrKeepEstimate) {
 		t.Fatal("fixture: the rollback must engage between the afternoon and the evening queries")
 	}
 	var clock atomic.Int64
@@ -110,9 +108,9 @@ func TestTenantsOwnTheirEstimators(t *testing.T) {
 			bob = append(bob, access("bob"))
 		}
 		wg.Wait()
-		// A restart snapshots both tenants with their rollback points at the
-		// morning, and the next boot restores both: only bob works the
-		// afternoon, so only his moves on.
+		// A restart snapshots both tenants in the morning, and the next boot
+		// restores both: only bob works the afternoon, so only his kept
+		// estimate moves on.
 		shutdown()
 		shutdown = boot()
 		clock.Store(int64(afternoon))

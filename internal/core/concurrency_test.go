@@ -154,21 +154,18 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 
 // TestConcurrentDecisionsAreExactAsRatesMove is its twin under an estimate
 // that moves: the rollback estimator answers new rates whenever the query
-// offset moves until its total drops below the threshold, then repeats its
-// frozen answer. Each θ must match the literals at that decision's own
-// rates, so an engine that solved with the κ of a rate that has since moved
-// fails here.
+// offset moves until its total drops below the threshold, then asks the
+// engine to keep the estimate it last solved on. Each θ must match the
+// literals at that decision's own rates, so an engine that solved with the
+// κ of a rate that has since moved fails here.
 func TestConcurrentDecisionsAreExactAsRatesMove(t *testing.T) {
 	inst := multiInstance(t)
 	const workers, perWorker = 8, 200
-	newEstimator := func() *rollbackEstimator {
-		return &rollbackEstimator{
-			base:      []float64{196, 29, 140, 10, 25, 15, 43},
-			day:       perWorker * time.Minute, // processConcurrently's last alert is at 199 min
-			threshold: 150,                     // frozen from about minute 135
-		}
+	est := &rollbackEstimator{
+		base:      []float64{196, 29, 140, 10, 25, 15, 43},
+		day:       perWorker * time.Minute, // processConcurrently's last alert is at 199 min
+		threshold: 150,                     // frozen from about minute 135
 	}
-	est := newEstimator()
 	e, err := NewEngine(Config{
 		Instance:  inst,
 		Budget:    200,
@@ -186,20 +183,20 @@ func TestConcurrentDecisionsAreExactAsRatesMove(t *testing.T) {
 	if len(ds) != workers*perWorker || len(est.queries) != len(ds) {
 		t.Fatalf("committed %d decisions on %d estimates, want %d of each", len(ds), len(est.queries), workers*perWorker)
 	}
-	// Decision i was solved on the estimator's i-th answer; a fresh
-	// estimator asked the same queries in the same order gives it again.
-	oracle := newEstimator()
+	// Decision i was solved on the estimator's i-th answer, or, when that
+	// answer kept the estimate, on decision i-1's rates.
 	answers := make([][]float64, len(ds))
 	moved, kept := 0, 0
 	for i, at := range est.queries {
-		if answers[i], err = oracle.FutureRates(at); err != nil {
-			t.Fatal(err)
-		}
+		rates, err := est.rates(at)
 		switch {
-		case i == 0:
-		case slices.Equal(answers[i], answers[i-1]):
+		case errors.Is(err, ErrKeepEstimate) && i > 0:
+			answers[i] = answers[i-1]
 			kept++
+		case err != nil && !errors.Is(err, ErrKeepEstimate):
+			t.Fatal(err)
 		default:
+			answers[i] = rates
 			moved++
 		}
 	}
@@ -209,43 +206,39 @@ func TestConcurrentDecisionsAreExactAsRatesMove(t *testing.T) {
 	checkDecisionsExact(t, inst, ds, func(i int) []float64 { return answers[i] })
 }
 
-// rollbackEstimator is a stateful estimator in the style of
-// history.Rollback: rates decay over the day, and once the total drops
-// below the threshold the answer freezes at the last healthy query time —
-// so what it returns depends on the order it was asked in. It records that
-// order. No lock: the engine promises to serialize its estimator.
+// rollbackEstimator answers in the style of history.Rollback: rates decay
+// over the day, and once their total drops below the threshold it answers
+// ErrKeepEstimate with the start-of-day rates. It records the offsets it is
+// asked. No lock: each test engine has its own, and an engine serializes
+// its queries.
 type rollbackEstimator struct {
 	base      []float64
 	day       time.Duration
 	threshold float64
-	lastGood  time.Duration
 	queries   []time.Duration
 }
 
 func (r *rollbackEstimator) FutureRates(at time.Duration) ([]float64, error) {
 	r.queries = append(r.queries, at)
-	total := 0.0
-	for _, b := range r.base {
-		total += b * (1 - float64(at)/float64(r.day))
-	}
-	if total >= r.threshold {
-		r.lastGood = at
-	} else {
-		at = r.lastGood
-	}
-	out := make([]float64, len(r.base))
-	for i, b := range r.base {
-		out[i] = b * (1 - float64(at)/float64(r.day))
-	}
-	return out, nil
+	return r.rates(at)
 }
 
-// Reset forgets the last healthy query, as history.Rollback does at a new
-// cycle.
-func (r *rollbackEstimator) Reset() { r.lastGood = 0 }
+// rates is the answer at at, which depends on nothing else.
+func (r *rollbackEstimator) rates(at time.Duration) ([]float64, error) {
+	out := make([]float64, len(r.base))
+	total := 0.0
+	for i, b := range r.base {
+		out[i] = b * (1 - float64(at)/float64(r.day))
+		total += out[i]
+	}
+	if total >= r.threshold {
+		return out, nil
+	}
+	return slices.Clone(r.base), ErrKeepEstimate
+}
 
 // TestConcurrentJournalReplaysSequentially is the live == replay oracle in
-// miniature: 8 goroutines drive one engine whose estimator is stateful and
+// miniature: 8 goroutines drive one engine whose estimate freezes and
 // whose solver is slow enough for calls to pile up. The journal must list
 // the decisions in the order the estimator was queried, and feeding the
 // journaled alerts in journal order to a fresh single-threaded engine must
@@ -400,7 +393,7 @@ func TestNewCycleWaitsForInflightDecision(t *testing.T) {
 
 // TestAbandonedInQueueSkipsEstimator: a caller whose context ends while it
 // queues behind another decision returns ErrAbandoned without a single
-// estimator call, so a stateful estimator never sees the abandoned alert.
+// estimator call.
 func TestAbandonedInQueueSkipsEstimator(t *testing.T) {
 	bs := newGatedSolver()
 	var queries atomic.Int32

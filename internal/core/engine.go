@@ -51,14 +51,22 @@ type Alert struct {
 // cycle offset. Implementations may incorporate the paper's knowledge
 // rollback; the engine treats the returned rates as Poisson means (§3.1).
 //
-// The engine queries the estimator under its budget lock, once per decision
-// in commit order, so a stateful estimator needs no locking of its own — and
-// must not call back into the Engine, which would deadlock. Recovery asks it
-// again, once per committed decision of the cycle in the same order, so its
-// memory must be a function of the offsets asked since its Reset.
+// An answer must be a function of at alone: the engine keeps what it needs
+// of past answers itself, so recovery rebuilds it from the cycle log and one
+// estimator may serve many engines at once. An estimator that holds its
+// estimate (the paper's knowledge rollback) answers ErrKeepEstimate; the
+// engine then solves on the futures of the cycle's last solved decision, or,
+// when none has committed, on the rates returned alongside the sentinel. The
+// engine queries it under its budget lock, so it must not call back into the
+// Engine, which would deadlock.
 type Estimator interface {
 	FutureRates(at time.Duration) ([]float64, error)
 }
+
+// ErrKeepEstimate is an Estimator's answer for "the estimate has not moved":
+// the engine solves on the futures its last solved decision of the cycle
+// committed. The rates returned with it are used only before any has.
+var ErrKeepEstimate = errors.New("core: keep the committed estimate")
 
 // EstimatorFunc adapts a plain function to the Estimator interface.
 type EstimatorFunc func(at time.Duration) ([]float64, error)
@@ -71,8 +79,8 @@ func (f EstimatorFunc) FutureRates(at time.Duration) ([]float64, error) { return
 // wraps it to inject solver errors, latency, and panics, and tests can
 // substitute canned results. The default is game.SolveOnlineSSECtx. It runs
 // under the engine's budget lock and must not call back into the Engine.
-// futures is the engine's own kept estimate: read it, never write it, and do
-// not retain it past the call.
+// futures is the estimate the decision solves on, in the engine's own
+// storage: read it, never write it, and do not retain it past the call.
 type SSESolveFunc func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error)
 
 // Policy selects the engine's auditing policy.
@@ -148,7 +156,8 @@ type Config struct {
 
 // Decision is everything the engine did for one alert, solver artifacts
 // included. It belongs to the caller of Process or Preview: the engine keeps
-// only its DecisionRecord.
+// only its DecisionRecord and, once a solved decision commits, reads its SSE
+// as the last-good equilibrium, so the caller must not modify SSE.
 type Decision struct {
 	Alert        Alert
 	BudgetBefore float64
@@ -214,7 +223,7 @@ type Decision struct {
 // The cycle log is the journal's records and nothing else, so a live engine
 // and one rebuilt from its snapshot and journal hold equal logs.
 type Engine struct {
-	mu       sync.Mutex // guards everything below and the estimator
+	mu       sync.Mutex // guards everything below
 	inst     *game.Instance
 	est      Estimator
 	policy   Policy
@@ -234,16 +243,22 @@ type Engine struct {
 	pendingDraw float64
 	hasPending  bool
 	decisions   []DecisionRecord // the cycle log; applyLocked is its one writer
-	// lastSSE feeds the last-good-θ rung: the most recent successfully
-	// solved equilibrium. futures is the most recent successful future-rate
-	// estimate, κ included: every solve reads it, keepFutures re-sums only a
-	// rate that moved, and the static rung reads its rates for the
-	// expected-remaining-cost. Both reset on NewCycle — a new cycle's budget
+	// lastSSE and futures are the equilibrium and the estimate, κ included,
+	// of the cycle's last solved (Fallback None) commit: the last-good rung
+	// reads θ from lastSSE, the static rung its expected cost from futures,
+	// and a decision whose estimator answers ErrKeepEstimate solves on
+	// futures. applyLocked alone moves them, so a decision that does not
+	// commit leaves no trace: each decision's estimate is built in scratch
+	// and adopted at commit. replayed reports solved records applied without
+	// their solve: rebuildLocked derives both from the log before the next
+	// decision reads them. NewCycle clears all three — a new cycle's budget
 	// makes the old θ stale, and degrading from genuinely no information is
 	// exactly what the static rung is for.
-	lastSSE *game.Result
-	futures []dist.Poisson
-	met     engineMetrics
+	lastSSE  *game.Result
+	futures  []dist.Poisson
+	scratch  []dist.Poisson
+	replayed bool
+	met      engineMetrics
 }
 
 // ErrAbandoned reports that the caller's context ended before the decision
@@ -309,9 +324,8 @@ func ValidateBudget(b float64) error {
 }
 
 // NewCycle resets the engine for the next audit cycle: the budget is
-// restored to the given value, recorded decisions are cleared, and any
-// rollback state in the estimator is reset (when the estimator exposes a
-// Reset method). The game instance, estimator, policy, and RNG stream are
+// restored to the given value, and recorded decisions and the kept estimate
+// are cleared. The game instance, estimator, policy, and RNG stream are
 // kept, so one Engine can process a whole sequence of audit days. A decision
 // in flight commits to the old cycle first; NewCycle waits its turn.
 func (e *Engine) NewCycle(budget float64) error {
@@ -323,12 +337,8 @@ func (e *Engine) NewCycle(budget float64) error {
 	e.budget = budget
 	e.initial = budget
 	e.decisions = e.decisions[:0]
-	e.lastSSE = nil
-	e.futures = nil
+	e.lastSSE, e.futures, e.replayed = nil, nil, false
 	e.met.budget.Set(budget)
-	if r, ok := e.est.(interface{ Reset() }); ok {
-		r.Reset()
-	}
 	return nil
 }
 
@@ -394,7 +404,7 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		// Gave up while queued: leave the estimator and rng untouched.
+		// Gave up while queued: leave the estimator unasked and rng untouched.
 		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, err)
 	}
 	d, err := fallback.Attempt(func() (*Decision, error) { return e.decide(ctx, a) })
@@ -438,7 +448,7 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 			return nil, nil, fmt.Errorf("core: journaling decision: %w", err)
 		}
 	}
-	e.applyLocked(rec)
+	e.applyLocked(d, rec)
 	if e.met.enabled {
 		e.met.decision.ObserveSince(t0)
 		e.met.decisions.Inc()
@@ -446,27 +456,39 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	return d, wait, nil
 }
 
-// applyLocked is the one writer of the cycle log: commit, ApplyDecision and
-// RestoreState all end here. It moves the budget to the record's end of the
-// link, appends the record and spends the draw that sampled its signal —
-// already buffered by commit's peek, pulled now on replay. The caller holds
-// e.mu and has checked rec.Seq and rec.Type.
-func (e *Engine) applyLocked(rec DecisionRecord) {
-	e.budget = math.Max(0, rec.BudgetAfter)
-	e.decisions = append(e.decisions, rec)
-	if e.policy == PolicyOSSP {
-		e.peekDrawLocked()
-		e.consumeDrawLocked()
+// applyLocked is the one writer of engine state: commit, ApplyDecision and
+// RestoreState all end here. It appends the records and, for each, moves the
+// budget to its end of the link and spends the draw that sampled its signal
+// — already buffered by commit's peek, pulled now on replay. A solved record
+// makes its solve the kept one: commit passes its decision d, whose
+// equilibrium and estimate (in e.scratch) are adopted; replay passes nil
+// and leaves them to rebuildLocked. The caller holds e.mu and has checked
+// the records' Seq and Type.
+func (e *Engine) applyLocked(d *Decision, recs ...DecisionRecord) {
+	e.decisions = append(e.decisions, recs...)
+	for i := range recs {
+		e.budget = math.Max(0, recs[i].BudgetAfter)
+		if e.policy == PolicyOSSP {
+			e.peekDrawLocked()
+			e.consumeDrawLocked()
+		}
+		switch {
+		case recs[i].Fallback != fallback.None:
+		case d == nil:
+			e.replayed = true
+		default:
+			e.lastSSE = d.SSE
+			e.futures, e.scratch = e.scratch, e.futures
+		}
 	}
 	e.met.budget.Set(e.budget)
 }
 
 // Preview computes the decision the engine would take for a hypothetical
-// alert without sampling a signal, charging the budget or recording
-// anything. It does run the primary pipeline, so a stateful estimator
-// advances and the last-good state the degraded rungs consult is refreshed,
-// exactly as for a real alert. Used by the adaptive-attacker example and by
-// tests. Preview never degrades.
+// alert without sampling a signal, charging the budget or changing any
+// state: it runs the primary pipeline, but only a commit keeps what a solve
+// produced. Used by the adaptive-attacker example and by tests. Preview
+// never degrades.
 func (e *Engine) Preview(a Alert) (*Decision, error) {
 	if a.Type < 0 || a.Type >= e.inst.NumTypes() {
 		return nil, fmt.Errorf("core: alert type %d out of range [0,%d)", a.Type, e.inst.NumTypes())
@@ -476,33 +498,37 @@ func (e *Engine) Preview(a Alert) (*Decision, error) {
 	return e.decide(context.Background(), a)
 }
 
-// estimate queries the estimator for the expected future alert volumes at
-// the given cycle offset and keeps them as the engine's Poisson futures,
-// which it returns: e.futures itself, valid until the next estimate. The
-// caller holds e.mu, which is what serializes a stateful estimator (the
-// paper's knowledge rollback) in commit order.
+// estimate asks the estimator for the futures a decision at the given cycle
+// offset solves on and builds them in e.scratch, for applyLocked to adopt:
+// a fresh estimate, or on ErrKeepEstimate a copy of the kept futures — or,
+// before any solved commit this cycle, the rates returned with it. The
+// caller holds e.mu.
 func (e *Engine) estimate(at time.Duration) ([]dist.Poisson, error) {
 	var t0 time.Time
 	if e.met.enabled {
 		t0 = time.Now()
 	}
 	rates, err := e.est.FutureRates(at)
-	if err != nil {
+	keep := errors.Is(err, ErrKeepEstimate)
+	switch {
+	case keep && e.futures != nil:
+		e.scratch = append(e.scratch[:0], e.futures...)
+	case err != nil && !keep:
 		return nil, fmt.Errorf("core: estimating future alerts: %w", err)
+	default:
+		if err := e.checkRates(rates); err != nil {
+			return nil, fmt.Errorf("core: estimator: %w", err)
+		}
+		e.scratch = e.poissons(e.scratch, rates)
 	}
-	if err := e.checkRates(rates); err != nil {
-		return nil, fmt.Errorf("core: estimator: %w", err)
-	}
-	e.keepFutures(rates)
 	if e.met.enabled {
 		e.met.stageEstimate.ObserveSince(t0)
 	}
-	return e.futures, nil
+	return e.scratch, nil
 }
 
-// checkRates refuses an estimate the engine cannot keep: one rate per type,
-// each a valid Poisson mean. A refused estimate is refused whole, so the
-// previous one stays for the static rung.
+// checkRates refuses an estimate the engine cannot solve on: one rate per
+// type, each a valid Poisson mean. A refused estimate is refused whole.
 func (e *Engine) checkRates(rates []float64) error {
 	if len(rates) != e.inst.NumTypes() {
 		return fmt.Errorf("%d rates for %d types", len(rates), e.inst.NumTypes())
@@ -515,26 +541,78 @@ func (e *Engine) checkRates(rates []float64) error {
 	return nil
 }
 
-// keepFutures makes rates, which checkRates has passed, the engine's
-// futures — live, on replay and on restore. A type is rebuilt only when its
-// rate differs bitwise from the kept one: κ is a pure function of the rate,
-// so a frozen estimate sums no series at all. The caller holds e.mu.
-func (e *Engine) keepFutures(rates []float64) {
-	fresh := len(e.futures) != len(rates)
-	if fresh {
-		e.futures = make([]dist.Poisson, len(rates))
+// poissons writes rates, which checkRates has passed, as Poisson futures
+// into dst's storage and returns it. A type is rebuilt only when its rate
+// differs bitwise from the kept one: κ is a pure function of the rate, so a
+// frozen estimate sums no series at all. The caller holds e.mu.
+func (e *Engine) poissons(dst []dist.Poisson, rates []float64) []dist.Poisson {
+	if cap(dst) < len(rates) {
+		dst = make([]dist.Poisson, len(rates))
 	}
+	dst = dst[:len(rates)]
 	for i, r := range rates {
-		if fresh || math.Float64bits(r) != math.Float64bits(e.futures[i].Lambda) {
-			e.futures[i], _ = dist.NewPoisson(r) // checkRates passed r
+		if i < len(e.futures) && math.Float64bits(r) == math.Float64bits(e.futures[i].Lambda) {
+			dst[i] = e.futures[i]
+		} else {
+			dst[i], _ = dist.NewPoisson(r) // checkRates passed r
 		}
 	}
+	return dst
+}
+
+// rebuildLocked derives the kept futures and equilibrium from the cycle log
+// after replay: those of its last solved record. It walks the solved records
+// back while the estimator answers ErrKeepEstimate — each solved on the
+// futures of the one before, the first on the rates returned with the
+// sentinel — and solves once at that last record's BudgetBefore. A failure
+// leaves replayed set, so the next decision tries again. The caller holds
+// e.mu.
+func (e *Engine) rebuildLocked(ctx context.Context) error {
+	if !e.replayed {
+		return nil
+	}
+	last := -1
+	var rates []float64
+	for i := len(e.decisions) - 1; i >= 0; i-- {
+		r := &e.decisions[i]
+		if r.Fallback != fallback.None {
+			continue
+		}
+		if last < 0 {
+			last = i
+		}
+		var err error
+		rates, err = e.est.FutureRates(r.Time)
+		if errors.Is(err, ErrKeepEstimate) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("core: rebuilding the estimate of decision %d: %w", r.Seq, err)
+		}
+		break
+	}
+	if last >= 0 {
+		if err := e.checkRates(rates); err != nil {
+			return fmt.Errorf("core: rebuilding the estimate of decision %d: %w", last, err)
+		}
+		e.futures = e.poissons(e.futures, rates)
+		sse, err := e.sseSolve(ctx, e.inst, e.decisions[last].BudgetBefore, e.futures)
+		if err != nil {
+			return fmt.Errorf("core: rebuilding the equilibrium of decision %d: %w", last, err)
+		}
+		e.lastSSE = sse
+	}
+	e.replayed = false
+	return nil
 }
 
 // decide runs the primary pipeline for a at the current budget — estimate,
 // online SSE, signaling — producing a pre-commit decision. The caller holds
 // e.mu and has validated a.Type.
 func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
+	if err := e.rebuildLocked(ctx); err != nil {
+		return nil, err
+	}
 	futures, err := e.estimate(a.Time)
 	if err != nil {
 		return nil, err
@@ -547,7 +625,6 @@ func (e *Engine) decide(ctx context.Context, a Alert) (*Decision, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: online SSE: %w", err)
 	}
-	e.lastSSE = sse
 	if e.met.enabled {
 		e.met.stageSSE.ObserveSince(t0)
 		e.met.lpSolves.Add(uint64(sse.Stats.LPSolves))

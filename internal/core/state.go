@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/auditgames/sag/internal/fallback"
-	"github.com/auditgames/sag/internal/game"
 )
 
 // DecisionRecord is the one form of a committed decision: what the journal
@@ -48,8 +46,8 @@ type DecisionRecord struct {
 // produced until the record is as durable as the journal's policy promises.
 //
 // An enqueue error is returned to the Process caller and the decision does
-// not commit: budget, decisions and the consumed-draw count are untouched,
-// so the engine still matches what the journal holds.
+// not commit: budget, decisions, the kept estimate and the consumed-draw
+// count are untouched, so the engine still matches what the journal holds.
 type JournalFunc func(rec DecisionRecord) (wait func() error, err error)
 
 // record converts a decision to its durable form at position seq of the
@@ -72,21 +70,11 @@ func (d *Decision) record(seq uint64) DecisionRecord {
 	}
 }
 
-// SSEState is the durable subset of a game.Result that the degraded
-// last-good rung consults: the committed coverage vector, the attacker's
-// best response, and both equilibrium utilities.
-type SSEState struct {
-	Coverage        []float64 `json:"coverage"`
-	BestType        int       `json:"best_type"`
-	DefenderUtility float64   `json:"defender_utility"`
-	AttackerUtility float64   `json:"attacker_utility"`
-}
-
 // EngineState is a point-in-time export of the engine's mutable cycle
-// state: what a fresh engine (same Config, same seed, a fresh estimator)
-// needs to continue the cycle bit-identically, less what RestoreState
-// rebuilds by asking the estimator again. It is the payload of WAL snapshot
-// records.
+// state: what a fresh engine (same Config, same seed) needs to continue the
+// cycle bit-identically. The kept estimate and equilibrium are not in it:
+// they are those of the log's last solved record, which the restored engine
+// rebuilds (rebuildLocked). It is the payload of WAL snapshot records.
 type EngineState struct {
 	Budget  float64 `json:"budget"`
 	Initial float64 `json:"initial"`
@@ -95,7 +83,6 @@ type EngineState struct {
 	// next sampled signal lands on the same draw it would have uninterrupted.
 	RNGDraws  uint64           `json:"rng_draws"`
 	Decisions []DecisionRecord `json:"decisions"`
-	LastSSE   *SSEState        `json:"last_sse,omitempty"`
 }
 
 // ExportState captures the engine's mutable cycle state. It is a consistent
@@ -106,35 +93,25 @@ type EngineState struct {
 func (e *Engine) ExportState() EngineState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := EngineState{
+	return EngineState{
 		Budget:   e.budget,
 		Initial:  e.initial,
 		RNGDraws: e.rngDraws,
 		// Never nil: an empty log is "decisions":[] in the snapshot JSON.
 		Decisions: append([]DecisionRecord{}, e.decisions...),
 	}
-	if e.lastSSE != nil {
-		st.LastSSE = &SSEState{
-			Coverage:        append([]float64(nil), e.lastSSE.Coverage...),
-			BestType:        e.lastSSE.BestType,
-			DefenderUtility: e.lastSSE.DefenderUtility,
-			AttackerUtility: e.lastSSE.AttackerUtility,
-		}
-	}
-	return st
 }
 
 // RestoreState loads an exported state into a freshly constructed engine.
 // The engine must be pristine — same Config and RNG seed as the exporter,
 // no decisions processed — because restore fast-forwards the RNG stream
 // from its seed position and rebuilds the budget chain from zero. Restoring
-// onto a used engine is an error, not a merge. Each decision is replayed by
-// ApplyDecision's rule, so the estimator's memory and the kept rates are
-// rebuilt, not restored; the futures are built once, from the last estimate
-// the rule keeps.
+// onto a used engine is an error, not a merge. Each decision is applied as
+// ApplyDecision applies it, so the next decision rebuilds the kept estimate
+// once.
 func (e *Engine) RestoreState(st EngineState) error {
-	if st.Budget < 0 || math.IsNaN(st.Budget) || math.IsInf(st.Budget, 0) {
-		return fmt.Errorf("core: restoring invalid budget %g", st.Budget)
+	if err := errors.Join(ValidateBudget(st.Budget), ValidateBudget(st.Initial)); err != nil {
+		return fmt.Errorf("core: restoring: %w", err)
 	}
 	for i, r := range st.Decisions {
 		if uint64(i) != r.Seq {
@@ -149,22 +126,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending {
 		return errors.New("core: RestoreState requires a fresh engine")
 	}
-	e.decisions = make([]DecisionRecord, 0, len(st.Decisions))
-	var last []float64
-	for _, r := range st.Decisions {
-		rates, err := e.requery(r)
-		if err != nil {
-			return err
-		}
-		if rates != nil {
-			// Copied: an estimator may reuse the slice it answers with.
-			last = append(last[:0], rates...)
-		}
-		e.applyLocked(r)
-	}
-	if last != nil {
-		e.keepFutures(last)
-	}
+	e.applyLocked(nil, st.Decisions...)
 	// Each restored decision spent its draw in applyLocked; burn the draws of
 	// earlier cycles too, so the next decision samples the draw it would have
 	// seen uninterrupted.
@@ -174,14 +136,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 	}
 	e.budget, e.initial = st.Budget, st.Initial
 	e.met.budget.Set(e.budget)
-	if st.LastSSE != nil {
-		e.lastSSE = &game.Result{
-			Coverage:        append([]float64(nil), st.LastSSE.Coverage...),
-			BestType:        st.LastSSE.BestType,
-			DefenderUtility: st.LastSSE.DefenderUtility,
-			AttackerUtility: st.LastSSE.AttackerUtility,
-		}
-	}
 	return nil
 }
 
@@ -189,9 +143,9 @@ func (e *Engine) RestoreState(st EngineState) error {
 // recovery: it re-applies the budget charge and the recorded signal without
 // re-solving or re-sampling — the record is the committed truth. One RNG
 // draw is burned (the draw the original commit consumed) so the stream
-// stays aligned, and the estimator is asked again, as requery describes, so
-// a stateful estimator (knowledge rollback) and the kept rates end where the
-// live engine left them. Records must be applied in journal order.
+// stays aligned. The estimator is not asked: the next decision rebuilds the
+// kept estimate and equilibrium from the log once. Records must be applied
+// in journal order.
 func (e *Engine) ApplyDecision(r DecisionRecord) error {
 	if r.Type < 0 || r.Type >= e.inst.NumTypes() {
 		return fmt.Errorf("core: replaying decision: type %d out of range [0,%d)", r.Type, e.inst.NumTypes())
@@ -201,37 +155,8 @@ func (e *Engine) ApplyDecision(r DecisionRecord) error {
 	if want := uint64(len(e.decisions)); r.Seq != want {
 		return fmt.Errorf("core: replaying decision out of order: seq %d, want %d", r.Seq, want)
 	}
-	rates, err := e.requery(r)
-	if err != nil {
-		return err
-	}
-	if rates != nil {
-		e.keepFutures(rates)
-	}
-	e.applyLocked(r)
+	e.applyLocked(nil, r)
 	return nil
-}
-
-// requery asks the estimator for r's offset again, as the live decide did
-// before every commit — whatever rung answered — and returns the validated
-// rates. A query that errs, panics or answers invalid rates fails replay for
-// a solved record, whose live query succeeded: the estimator lost state. For
-// a degraded record it returns nil and no error: the live query may have
-// failed the same way, and then the live engine kept its previous rates.
-// The caller holds e.mu.
-func (e *Engine) requery(r DecisionRecord) ([]float64, error) {
-	rates, err := fallback.Attempt(func() ([]float64, error) { return e.est.FutureRates(r.Time) })
-	if err == nil {
-		err = e.checkRates(rates)
-	}
-	switch {
-	case err == nil:
-		return rates, nil
-	case r.Fallback != fallback.None:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("core: replaying decision %d: estimator: %w", r.Seq, err)
-	}
 }
 
 // peekDrawLocked returns the next signal-sampling value without consuming

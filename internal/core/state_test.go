@@ -172,10 +172,10 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 // engine whose estimator freezes like the paper's knowledge rollback, and
 // whose solver fails on chosen alerts — the day's last healthy query among
 // them — is rebuilt twice: by ApplyDecision as it commits, and by
-// RestoreState from its export. The three keep equal futures and, past the
-// freeze, decide alike. The one field replay does not rebuild is LastSSE
-// (DESIGN, "The degradation ladder"); it is pinned nil on the replayed engine
-// so that closing the gap edits this test.
+// RestoreState from its export. The three keep equal futures and equilibria
+// and, past the freeze, decide alike. The estimate freezes at the last
+// solved commit, so the last healthy query's degraded decision leaves it at
+// the alert before.
 func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 	inst := multiInstance(t)
 	base := []float64{196, 29, 140, 10, 25, 15, 43}
@@ -186,6 +186,11 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 	threshold := 0.0
 	for _, b := range base {
 		threshold += b * (1 - float64(10*time.Hour+45*time.Minute)/float64(24*time.Hour))
+	}
+	est := &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold}
+	frozen, err := est.rates((lastHealthy - 1) * every)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The solver fails on each cycle's first alert (the static rung), on the
 	// last healthy query and past the freeze (the last-good rung), and once
@@ -234,18 +239,14 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 				}
 			case first + second:
 				l, r := live.ExportState(), replayed.ExportState()
-				if l.LastSSE == nil || r.LastSSE != nil {
-					t.Fatalf("seed %d: LastSSE live %v, replayed %v; want set and nil", seed, l.LastSSE, r.LastSSE)
+				if len(l.Decisions) != second || l.RNGDraws != first+second || !reflect.DeepEqual(l, r) {
+					t.Fatalf("seed %d: exported states differ:\nlive     %+v\nreplayed %+v", seed, l, r)
 				}
 				restored := build(nil)
 				if err := restored.RestoreState(l); err != nil {
 					t.Fatal(err)
 				}
 				engines = append(engines, restored)
-				l.LastSSE = nil
-				if len(l.Decisions) != second || l.RNGDraws != first+second || !reflect.DeepEqual(l, r) {
-					t.Fatalf("seed %d: exported states differ:\nlive     %+v\nreplayed %+v", seed, l, r)
-				}
 			}
 			a := Alert{Type: rng.Intn(inst.NumTypes()), Time: time.Duration(i) * every}
 			failing = fails[i]
@@ -264,23 +265,180 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 				}
 			}
 			failing = false
-			for _, e := range engines[1:] {
-				if !reflect.DeepEqual(e.futures, live.futures) {
-					t.Fatalf("seed %d, alert %d: futures differ:\nlive    %v\nrebuilt %v", seed, i, live.futures, e.futures)
-				}
-			}
+			assertKeptAlike(t, engines, fmt.Sprintf("seed %d, alert %d", seed, i))
 		}
 		if got := journal[lastHealthy].Fallback; got != fallback.LastGood {
 			t.Fatalf("seed %d: the last healthy query's decision was %v, want the last-good rung", seed, got)
 		}
-		if got := live.est.(*rollbackEstimator).lastGood; got != lastHealthy*every {
-			t.Fatalf("seed %d: estimate frozen at %v, want %v", seed, got, lastHealthy*every)
+		for i, f := range live.futures {
+			if f.Lambda != frozen[i] {
+				t.Fatalf("seed %d: estimate frozen at %v, want the rates of alert %d, %v", seed, live.futures, lastHealthy-1, frozen)
+			}
 		}
 		want := live.ExportState()
 		for _, e := range engines[1:] {
 			if got := e.ExportState(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: past the freeze, states differ:\nlive    %+v\nrebuilt %+v", seed, want, got)
 			}
+		}
+	}
+}
+
+// TestOnlyCommitsMoveTheKeptEstimate: a decision that does not commit leaves
+// no trace. Around the rollback's freeze, the live engine previews an alert,
+// abandons a decision after its estimate and solve, and has a record refused
+// by its journal, each at an earlier, healthy offset whose estimate differs
+// from the one it keeps. None of that is in the journal, so an engine
+// rebuilt by ApplyDecision and one restored by RestoreState keep the live
+// engine's futures and equilibrium, and from the restore on all three decide
+// alike.
+func TestOnlyCommitsMoveTheKeptEstimate(t *testing.T) {
+	inst := multiInstance(t)
+	base := []float64{196, 29, 140, 10, 25, 15, 43}
+	// An alert every 30 minutes from midnight; the estimate freezes from
+	// alert 25 (12:30) on.
+	const every, alerts, restoreAt = 30 * time.Minute, 40, 29
+	threshold := 0.0
+	for _, b := range base {
+		threshold += b * (1 - float64(12*time.Hour+15*time.Minute)/float64(24*time.Hour))
+	}
+	var journal []DecisionRecord
+	var onSolve func()
+	refuse := false
+	build := func(journaled bool) *Engine {
+		cfg := Config{
+			Instance:  inst,
+			Budget:    40,
+			Estimator: &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold},
+			Policy:    PolicyOSSP,
+			Rand:      rand.New(rand.NewSource(7)),
+			Fallback:  true,
+			SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+				if onSolve != nil {
+					onSolve()
+				}
+				return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
+			},
+		}
+		if journaled {
+			cfg.Journal = func(rec DecisionRecord) (func() error, error) {
+				if refuse {
+					return nil, errors.New("journal full")
+				}
+				journal = append(journal, rec)
+				return nil, nil
+			}
+		}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// ghosts are what the live engine does at an alert before deciding it;
+	// each fails to commit.
+	ghosts := map[int]func(e *Engine, a Alert) error{}
+	preview := func(e *Engine, a Alert) error {
+		_, err := e.Preview(a)
+		return err
+	}
+	abandon := func(e *Engine, a Alert) error {
+		ctx, cancel := context.WithCancel(context.Background())
+		onSolve = cancel
+		defer func() { onSolve = nil }()
+		if _, err := e.ProcessContext(ctx, a); !errors.Is(err, ErrAbandoned) {
+			return fmt.Errorf("abandoned decision answered %v", err)
+		}
+		return nil
+	}
+	refused := func(e *Engine, a Alert) error {
+		refuse = true
+		defer func() { refuse = false }()
+		if _, err := e.Process(a); err == nil {
+			return errors.New("a refused record committed")
+		}
+		return nil
+	}
+	for i, g := range []func(*Engine, Alert) error{preview, abandon, refused} {
+		ghosts[23+i] = g // the last healthy alerts and the first frozen one
+		ghosts[27+3*i] = g
+		ghosts[34+i] = g
+	}
+
+	live, replayed := build(true), build(false)
+	engines := []*Engine{live, replayed}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < alerts; i++ {
+		a := Alert{Type: rng.Intn(inst.NumTypes()), Time: time.Duration(i) * every}
+		if i == restoreAt {
+			restored := build(false)
+			if err := restored.RestoreState(live.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			engines = append(engines, restored)
+		}
+		if g := ghosts[i]; g != nil {
+			futures, sse := kept(t, live)
+			futures = slices.Clone(futures)
+			st := live.ExportState()
+			if err := g(live, Alert{Type: a.Type, Time: a.Time - 6*every}); err != nil {
+				t.Fatalf("alert %d: %v", i, err)
+			}
+			if f, s := kept(t, live); !reflect.DeepEqual(f, futures) || s != sse || !reflect.DeepEqual(live.ExportState(), st) {
+				t.Fatalf("alert %d: a decision that did not commit changed the engine", i)
+			}
+		}
+		if i < restoreAt {
+			if _, err := live.Process(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := replayed.ApplyDecision(journal[i]); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var want DecisionRecord
+			for k, e := range engines {
+				d, err := e.Process(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec := d.record(uint64(i)); k == 0 {
+					want = rec
+				} else if rec != want {
+					t.Fatalf("alert %d: engine %d decided\n%+v\nthe live engine\n%+v", i, k, rec, want)
+				}
+			}
+		}
+		assertKeptAlike(t, engines, fmt.Sprintf("alert %d", i))
+	}
+	if len(journal) != alerts || !slices.Equal(live.Decisions(), journal) {
+		t.Fatalf("the live engine's log is not its %d-record journal", len(journal))
+	}
+	if live.futures[0].Lambda != base[0]*(1-float64(24*every)/float64(24*time.Hour)) {
+		t.Fatalf("estimate frozen at %v, want alert 24's", live.futures)
+	}
+}
+
+// kept returns e's kept futures and equilibrium, rebuilding them first if
+// records were replayed since its last decision.
+func kept(t testing.TB, e *Engine) ([]dist.Poisson, *game.Result) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.rebuildLocked(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return e.futures, e.lastSSE
+}
+
+// assertKeptAlike requires every engine to keep engines[0]'s futures and
+// equilibrium.
+func assertKeptAlike(t *testing.T, engines []*Engine, where string) {
+	t.Helper()
+	futures, sse := kept(t, engines[0])
+	for i, e := range engines[1:] {
+		if f, s := kept(t, e); !reflect.DeepEqual(f, futures) || !reflect.DeepEqual(s, sse) {
+			t.Fatalf("%s: engine %d keeps other than the live engine:\nlive    %v %+v\nrebuilt %v %+v", where, i+1, futures, sse, f, s)
 		}
 	}
 }
@@ -338,16 +496,17 @@ func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
 }
 
 // TestRejectedEstimateKeepsTheLastFutures: an estimate with one NaN rate is
-// refused whole. The kept futures stay the previous good estimate's, so the
-// static rung's expected remaining cost is that estimate's, and the next
-// good estimate is taken in full.
+// refused whole. The kept futures stay those of the last solved decision,
+// so the static rung's expected remaining cost is that estimate's; a good
+// estimate under a failing solver does not move them either, and the next
+// solved decision's estimate is taken in full.
 func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 	inst := multiInstance(t) // audit cost 1 for every type
 	good := func(at time.Duration) []float64 {
 		left := 1 - float64(at)/float64(24*time.Hour)
 		return []float64{196 * left, 29 * left, 140 * left, 10 * left, 25 * left, 15 * left, 43 * left}
 	}
-	poisoned := false
+	poisoned, down := false, false
 	e, err := NewEngine(Config{
 		Instance: inst,
 		Budget:   50,
@@ -360,9 +519,12 @@ func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 		}),
 		Policy: PolicyOSSP,
 		Rand:   rand.New(rand.NewSource(5)),
-		// The solver never succeeds, so there is no last-good θ and every
-		// decision lands on the static rung, which reads the kept futures.
-		SSESolve: failingSolver(errors.New("solver down")),
+		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+			if down {
+				return nil, errors.New("solver down")
+			}
+			return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
+		},
 		Fallback: true,
 	})
 	if err != nil {
@@ -386,30 +548,31 @@ func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// With the solver down and no θ dropped, the last-good rung would answer:
+	// drop it so every degraded decision lands on the static rung.
+	e.lastSSE = nil
 	last := good(10 * time.Hour)
-	poisoned = true
-	budget := e.RemainingBudget()
-	d, err := e.Process(Alert{Type: 0, Time: 11 * time.Hour})
-	if err != nil {
+	down = true
+	for _, p := range []bool{true, false} {
+		poisoned = p
+		budget := e.RemainingBudget()
+		d, err := e.Process(Alert{Type: 0, Time: 11 * time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := kept(); !slices.Equal(got, last) {
+			t.Fatalf("a degraded decision (poisoned %v) moved the kept rates: %v, want %v", p, got, last)
+		}
+		if want := fallback.StaticAuditProbability(budget, expCost(last)); d.Fallback != fallback.Static || d.Theta != want {
+			t.Fatalf("decision with the solver down (poisoned %v): %v rung, θ %v; want the static rung at θ %v", p, d.Fallback, d.Theta, want)
+		}
+	}
+	poisoned, down = false, false
+	if _, err = e.Process(Alert{Type: 1, Time: 12 * time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if got := kept(); !slices.Equal(got, last) {
-		t.Fatalf("a refused estimate moved the kept rates: %v, want %v", got, last)
-	}
-	if want := fallback.StaticAuditProbability(budget, expCost(last)); d.Fallback != fallback.Static || d.Theta != want {
-		t.Fatalf("decision on a refused estimate: %v rung, θ %v; want the static rung at θ %v", d.Fallback, d.Theta, want)
-	}
-	poisoned = false
-	budget = e.RemainingBudget()
-	if d, err = e.Process(Alert{Type: 1, Time: 12 * time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	next := good(12 * time.Hour)
-	if got := kept(); !slices.Equal(got, next) {
-		t.Fatalf("kept rates %v after a good estimate, want %v", got, next)
-	}
-	if want := fallback.StaticAuditProbability(budget, expCost(next)); d.Theta != want {
-		t.Fatalf("θ %v after a good estimate, want %v", d.Theta, want)
+	if got, next := kept(), good(12*time.Hour); !slices.Equal(got, next) {
+		t.Fatalf("kept rates %v after a solved decision, want %v", got, next)
 	}
 }
 
@@ -431,6 +594,24 @@ func TestRestoreStateRequiresFreshEngine(t *testing.T) {
 	}
 	if fresh.RNGDraws() != 1 || len(fresh.Decisions()) != 1 {
 		t.Fatalf("restored draws=%d decisions=%d", fresh.RNGDraws(), len(fresh.Decisions()))
+	}
+}
+
+// TestRestoreStateRejectsInvalidBudgets: a snapshot comes from disk, so a
+// budget or an initial budget that NewCycle would refuse is refused here
+// too, before the engine changes — a NaN initial budget would otherwise
+// read back as a NaN BudgetSpent.
+func TestRestoreStateRejectsInvalidBudgets(t *testing.T) {
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		for _, st := range []EngineState{{Budget: bad, Initial: 5}, {Budget: 5, Initial: bad}} {
+			eng, _ := stateTestEngine(t, 42, nil)
+			if err := eng.RestoreState(st); err == nil {
+				t.Fatalf("restored budget %v, initial %v", st.Budget, st.Initial)
+			}
+			if s := eng.Summary(); math.IsNaN(s.BudgetSpent) || s.BudgetSpent != 0 {
+				t.Fatalf("a refused restore moved the engine: spent %v", s.BudgetSpent)
+			}
+		}
 	}
 }
 
@@ -579,16 +760,36 @@ func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
 	}
 }
 
-// BenchmarkRestoreSnapshot times RestoreState of a 4096-decision cycle whose
-// rates move at every decision: restore asks the estimator and checks its
-// answer 4096 times, and builds the futures once.
+// BenchmarkRestoreSnapshot times RestoreState of a 4096-decision cycle and
+// the rebuild of its kept estimate and equilibrium: restore asks the
+// estimator nothing per record, and the rebuild walks the solved records
+// back while the estimator answers ErrKeepEstimate, then solves once. In
+// the moving arm the rates move at every decision, so the walk is one
+// query; in the frozen arm the second half of the cycle is past the freeze,
+// so it is 2049.
 func BenchmarkRestoreSnapshot(b *testing.B) {
+	const decisions, every = 4096, 10 * time.Second
+	for _, arm := range []struct {
+		name   string
+		freeze time.Duration
+	}{{"moving", 24 * time.Hour}, {"frozen", decisions / 2 * every}} {
+		b.Run(arm.name, func(b *testing.B) {
+			benchmarkRestore(b, decisions, every, arm.freeze)
+		})
+	}
+}
+
+func benchmarkRestore(b *testing.B, decisions int, every, freeze time.Duration) {
 	inst := multiInstance(b)
+	start := []float64{196, 29, 140, 10, 25, 15, 43}
 	build := func() *Engine {
 		e, err := NewEngine(Config{
 			Instance: inst,
 			Budget:   1e6,
 			Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+				if at >= freeze {
+					return start, ErrKeepEstimate
+				}
 				left := 1 - float64(at)/float64(24*time.Hour)
 				return []float64{196 * left, 29 * left, 140 * left, 10 * left, 25 * left, 15 * left, 43 * left}, nil
 			}),
@@ -601,8 +802,8 @@ func BenchmarkRestoreSnapshot(b *testing.B) {
 		return e
 	}
 	live := build()
-	for i := 0; i < 4096; i++ {
-		if _, err := live.Process(Alert{Type: i % inst.NumTypes(), Time: time.Duration(i) * 10 * time.Second}); err != nil {
+	for i := 0; i < decisions; i++ {
+		if _, err := live.Process(Alert{Type: i % inst.NumTypes(), Time: time.Duration(i) * every}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -615,9 +816,10 @@ func BenchmarkRestoreSnapshot(b *testing.B) {
 		if err := e.RestoreState(st); err != nil {
 			b.Fatal(err)
 		}
+		futures, sse := kept(b, e)
 		b.StopTimer()
-		if !reflect.DeepEqual(e.futures, live.futures) || len(e.decisions) != len(st.Decisions) {
-			b.Fatal("the restored engine does not hold the live engine's futures and cycle log")
+		if !reflect.DeepEqual(futures, live.futures) || !reflect.DeepEqual(sse, live.lastSSE) || len(e.decisions) != len(st.Decisions) {
+			b.Fatal("the restored engine does not keep the live engine's futures, equilibrium and cycle log")
 		}
 		b.StartTimer()
 	}

@@ -6,9 +6,10 @@
 //     of the paper's §3.1, footnote: "the vast majority of alerts are false
 //     positives; consequently we can estimate d^t_τ from alert log data"),
 //   - the paper's "knowledge rollback" stabilizer: once the estimated total
-//     future volume drops below a threshold (4 in the paper), the estimate
-//     freezes at the last healthy query — a function of the offsets queried
-//     since Reset, so recovery asks again instead of storing it.
+//     future volume drops below a threshold (4 in the paper), the estimator
+//     answers core.ErrKeepEstimate and the engine keeps the estimate of its
+//     last solved decision. Every answer is a function of the query's offset
+//     alone, so one estimator serves any number of engines and recovery.
 //
 // It also reproduces the daily per-type statistics of Table 1.
 package history
@@ -19,6 +20,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/dist"
 )
 
@@ -144,14 +146,12 @@ const DefaultRollbackThreshold = 4.0
 
 // Rollback wraps Curves with the paper's knowledge-rollback rule: while the
 // estimated total future volume stays at or above the threshold, queries
-// pass through (and the query time is remembered); once it drops below, the
-// estimate is frozen at the last healthy query time. A Rollback is stateful
-// per audit cycle — build a fresh one (or Reset) for each day.
+// pass through; below it, the engine keeps the estimate of its last solved
+// decision (core.ErrKeepEstimate), so a Rollback holds no state and is safe
+// for concurrent use.
 type Rollback struct {
 	curves    *Curves
 	threshold float64
-	lastGood  time.Duration
-	seenGood  bool
 }
 
 // NewRollback wraps curves with the given threshold (pass
@@ -169,6 +169,8 @@ func NewRollback(curves *Curves, threshold float64) (*Rollback, error) {
 // FutureRates implements core.Estimator with rollback semantics. The curves
 // are walked once: the rates at `at` are summed in TotalFutureMean's order,
 // so the threshold sees the same total, and returned when they pass it.
+// Below it the answer is core.ErrKeepEstimate with the start-of-day rates,
+// the most conservative estimate, for a cycle that has no healthy one yet.
 func (r *Rollback) FutureRates(at time.Duration) ([]float64, error) {
 	rates, _ := r.curves.FutureRates(at) // Curves answers every offset
 	total := 0.0
@@ -176,22 +178,20 @@ func (r *Rollback) FutureRates(at time.Duration) ([]float64, error) {
 		total += x
 	}
 	if total >= r.threshold {
-		r.lastGood = at
-		r.seenGood = true
 		return rates, nil
 	}
-	if r.seenGood {
-		return r.curves.FutureRates(r.lastGood)
-	}
-	// The whole day is below threshold (tiny historical volume): fall back
-	// to the start-of-day estimate, the most conservative choice.
-	return r.curves.FutureRates(0)
+	return keepEstimate(r.curves)
 }
 
-// Reset clears the per-cycle rollback state.
-func (r *Rollback) Reset() {
-	r.lastGood = 0
-	r.seenGood = false
+// Reset does nothing: a Rollback holds no state. It stays while
+// benchmark/shadow.go, which calls it, does.
+func (r *Rollback) Reset() {}
+
+// keepEstimate is a frozen answer: core.ErrKeepEstimate, with the
+// start-of-day rates for a cycle that has no kept estimate.
+func keepEstimate(c *Curves) ([]float64, error) {
+	start, _ := c.FutureRates(0)
+	return start, core.ErrKeepEstimate
 }
 
 // RateRollback is the alternative reading of the paper's rollback trigger:
@@ -205,8 +205,6 @@ type RateRollback struct {
 	curves    *Curves
 	threshold float64
 	window    time.Duration
-	lastGood  time.Duration
-	seenGood  bool
 }
 
 // DefaultRateWindow is the default window over which the arrival rate is
@@ -233,21 +231,11 @@ func (r *RateRollback) windowRate(at time.Duration) float64 {
 	return r.curves.TotalFutureMean(at) - r.curves.TotalFutureMean(at+r.window)
 }
 
-// FutureRates implements core.Estimator with rate-triggered rollback.
+// FutureRates implements core.Estimator with rate-triggered rollback, frozen
+// as Rollback's is.
 func (r *RateRollback) FutureRates(at time.Duration) ([]float64, error) {
 	if r.windowRate(at) >= r.threshold {
-		r.lastGood = at
-		r.seenGood = true
 		return r.curves.FutureRates(at)
 	}
-	if r.seenGood {
-		return r.curves.FutureRates(r.lastGood)
-	}
-	return r.curves.FutureRates(0)
-}
-
-// Reset clears the per-cycle state.
-func (r *RateRollback) Reset() {
-	r.lastGood = 0
-	r.seenGood = false
+	return keepEstimate(r.curves)
 }

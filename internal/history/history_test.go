@@ -1,9 +1,13 @@
 package history
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/auditgames/sag/internal/core"
 )
 
 func hour(h float64) time.Duration { return time.Duration(h * float64(time.Hour)) }
@@ -148,30 +152,33 @@ func TestRollbackFreezesLateDay(t *testing.T) {
 	if countEngaged(rb, hour(9)) {
 		t.Fatal("rollback should not be engaged in the morning")
 	}
-	// Find the last healthy time by scanning like the engine would.
-	var lastGoodRate float64
+	// Scan the day: a healthy query passes through, an engaged one asks the
+	// engine to keep its estimate and offers the start of day for a cycle
+	// that has none.
+	start, _ := c.FutureRates(0)
+	engaged := 0
 	for h := 8.0; h <= 23.5; h += 0.25 {
 		rates, err := rb.FutureRates(hour(h))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !countEngaged(rb, hour(h)) {
-			lastGoodRate = rates[0]
+			want, _ := c.FutureRates(hour(h))
+			if err != nil || !slices.Equal(rates, want) {
+				t.Fatalf("healthy query at %.2fh answered %v, %v; want %v", h, rates, err, want)
+			}
 			continue
 		}
-		// Engaged: the frozen estimate equals the last healthy one.
-		if rates[0] != lastGoodRate {
-			t.Fatalf("rollback at %.2fh returned %g, want frozen %g", h, rates[0], lastGoodRate)
+		engaged++
+		if !errors.Is(err, core.ErrKeepEstimate) || !slices.Equal(rates, start) {
+			t.Fatalf("engaged query at %.2fh answered %v, %v; want %v with ErrKeepEstimate", h, rates, err, start)
 		}
-		if rates[0] < DefaultRollbackThreshold {
-			t.Fatalf("frozen estimate %g below threshold", rates[0])
-		}
+	}
+	if engaged == 0 {
+		t.Fatal("the rollback never engaged on the dense fixture")
 	}
 }
 
 func TestRollbackWholeDayBelowThreshold(t *testing.T) {
-	// History so thin the day never reaches the threshold: fall back to the
-	// start-of-day estimate.
+	// History so thin the day never reaches the threshold: every query keeps
+	// the estimate, offering the start of day.
 	recs := []Record{{Day: 0, Type: 0, Time: hour(9)}}
 	c, err := NewCurves(recs, 1, 1)
 	if err != nil {
@@ -182,8 +189,8 @@ func TestRollbackWholeDayBelowThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates, err := rb.FutureRates(hour(15))
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, core.ErrKeepEstimate) {
+		t.Fatalf("got %v, want ErrKeepEstimate", err)
 	}
 	start, _ := c.FutureRates(0)
 	if rates[0] != start[0] {
@@ -191,26 +198,16 @@ func TestRollbackWholeDayBelowThreshold(t *testing.T) {
 	}
 }
 
+// TestRollbackReset: a Rollback holds no state, so its answer is a function
+// of the offset alone — whatever was asked before, in any order, and across
+// the no-op Reset.
 func TestRollbackReset(t *testing.T) {
 	c := denseCurves(t)
 	rb, err := NewRollback(c, DefaultRollbackThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rb.FutureRates(hour(12)); err != nil {
-		t.Fatal(err)
-	}
-	rb.Reset()
-	// After reset with an immediately-below-threshold query, the start-of-
-	// day fallback applies (no remembered lastGood).
-	rates, err := rb.FutureRates(hour(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, _ := c.FutureRates(0)
-	if rates[0] != start[0] {
-		t.Fatalf("post-reset fallback = %g, want %g", rates[0], start[0])
-	}
+	assertStateless(t, rb, rb.Reset)
 }
 
 func TestRollbackValidation(t *testing.T) {
@@ -251,6 +248,9 @@ func TestRateRollbackEngagesEarlierThanCountRollback(t *testing.T) {
 	}
 }
 
+// TestRateRollbackFreezeAndReset: the rate-triggered rollback engages
+// later in the day, answering as Rollback does when engaged, and needs no
+// reset between cycles: its answer is a function of the offset alone.
 func TestRateRollbackFreezeAndReset(t *testing.T) {
 	c := denseCurves(t)
 	// The dense fixture runs at ≈3 arrivals/hour, so a threshold of 2
@@ -259,7 +259,6 @@ func TestRateRollbackFreezeAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Healthy morning query records lastGood.
 	morning, err := rr.FutureRates(hour(9))
 	if err != nil {
 		t.Fatal(err)
@@ -268,38 +267,62 @@ func TestRateRollbackFreezeAndReset(t *testing.T) {
 	if morning[0] != direct[0] {
 		t.Fatal("healthy query should pass through")
 	}
-	// Find an engaged time and verify the frozen value matches the last
-	// healthy query.
 	var frozenAt time.Duration = -1
-	for h := 9.25; h <= 23.5; h += 0.25 {
-		at := hour(h)
-		if rateEngaged(rr, at) {
-			frozenAt = at
-			break
-		}
-		if _, err := rr.FutureRates(at); err != nil {
-			t.Fatal(err)
+	for h := 9.25; h <= 23.5 && frozenAt < 0; h += 0.25 {
+		if rateEngaged(rr, hour(h)) {
+			frozenAt = hour(h)
 		}
 	}
 	if frozenAt < 0 {
 		t.Fatal("rate rollback never engaged")
 	}
-	before, _ := rr.FutureRates(frozenAt - 15*time.Minute)
 	frozen, err := rr.FutureRates(frozenAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frozen[0] != before[0] {
-		t.Fatalf("frozen rate %g, want last healthy %g", frozen[0], before[0])
-	}
-	rr.Reset()
-	rates, err := rr.FutureRates(hour(23))
-	if err != nil {
-		t.Fatal(err)
-	}
 	start, _ := c.FutureRates(0)
-	if rates[0] != start[0] {
-		t.Fatal("post-reset engaged query should fall back to start of day")
+	if !errors.Is(err, core.ErrKeepEstimate) || !slices.Equal(frozen, start) {
+		t.Fatalf("engaged query answered %v, %v; want %v with ErrKeepEstimate", frozen, err, start)
+	}
+	assertStateless(t, rr, func() {})
+}
+
+// assertStateless asks est the same offsets forwards, backwards and again
+// after reset, and requires identical answers each time.
+func assertStateless(t *testing.T, est core.Estimator, reset func()) {
+	t.Helper()
+	type answer struct {
+		rates []float64
+		keep  bool
+	}
+	var offsets []time.Duration
+	for h := 0.0; h <= 23.75; h += 0.25 {
+		offsets = append(offsets, hour(h))
+	}
+	ask := func(at time.Duration) answer {
+		rates, err := est.FutureRates(at)
+		if err != nil && !errors.Is(err, core.ErrKeepEstimate) {
+			t.Fatal(err)
+		}
+		return answer{rates, err != nil}
+	}
+	want := make(map[time.Duration]answer)
+	keeps := 0
+	for _, at := range offsets {
+		want[at] = ask(at)
+		if want[at].keep {
+			keeps++
+		}
+	}
+	if keeps == 0 || keeps == len(offsets) {
+		t.Fatalf("fixture: %d of %d offsets keep the estimate; the test needs both answers", keeps, len(offsets))
+	}
+	reset()
+	backward := slices.Clone(offsets)
+	slices.Reverse(backward)
+	for pass, order := range [][]time.Duration{backward, offsets} {
+		for _, at := range order {
+			if got := ask(at); got.keep != want[at].keep || !slices.Equal(got.rates, want[at].rates) {
+				t.Fatalf("pass %d at %v: answered %v, first answered %v", pass, at, got, want[at])
+			}
+		}
 	}
 }
 

@@ -452,12 +452,13 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 	}
 }
 
-// TestRollbackSurvivesSnapshotAndCrash: no snapshot holds the knowledge
-// rollback; recovery rebuilds it by asking the estimator again. A day whose
-// estimate freezes after the 14:20 query is snapshotted past the freeze,
-// served on, killed and rebooted: the next decisions, /v1/status and
+// TestRollbackSurvivesSnapshotAndCrash: no snapshot holds the kept estimate
+// or equilibrium; recovery rebuilds them from the last solved record. A day
+// whose estimate freezes after the 14:20 query is snapshotted past the
+// freeze, served on, killed and rebooted: the next decisions, /v1/status and
 // /v1/cycle/summary equal an uninterrupted server's. They do again when the
-// snapshot carries the estimator blob and kept rates older builds wrote.
+// snapshot carries the estimator blob, kept rates and last-good equilibrium
+// older builds wrote.
 func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	// Sixty alerts on one historical day, one every 5 minutes from 10:00:
 	// after 14:40 fewer than DefaultRollbackThreshold remain.
@@ -470,14 +471,15 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lastHealthy = 14*time.Hour + 20*time.Minute
+	rollback, err := history.NewRollback(curves, history.DefaultRollbackThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var clock atomic.Int64
 	boot := func(dir string) (*httptest.Server, int, int) {
 		_, ts, bgE, bgP := replicaFixture(t, dir, func(cfg *Config) {
 			cfg.Budget = 6 // short of the day's volume, so θ follows the rates
-			cfg.Estimator = nil
-			cfg.NewEstimator = func(string) (core.Estimator, error) {
-				return history.NewRollback(curves, history.DefaultRollbackThreshold)
-			}
+			cfg.Estimator = rollback
 			cfg.Clock = func() time.Duration { return time.Duration(clock.Load()) }
 		})
 		return ts, bgE, bgP
@@ -538,11 +540,12 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	if err := json.Unmarshal(snap["engine"], &eng); err != nil {
 		t.Fatal(err)
 	}
-	if snap["estimator"] != nil || eng["last_rates"] != nil || len(rec.Tail) != 3 {
-		t.Fatalf("want a snapshot without the estimator's memory or the kept rates, then 3 records; got %d records after %s", len(rec.Tail), rec.Snapshot)
+	if snap["estimator"] != nil || eng["last_rates"] != nil || eng["last_sse"] != nil || len(rec.Tail) != 3 {
+		t.Fatalf("want a snapshot without the estimator's memory, the kept rates or the last equilibrium, then 3 records; got %d records after %s", len(rec.Tail), rec.Snapshot)
 	}
 	// The legacy dir holds the same snapshot as older builds wrote it — the
-	// rollback memory and the kept rates at the freeze — and the same tail.
+	// rollback memory and the kept rates at the freeze, and an equilibrium
+	// the rebuild must not read — and the same tail.
 	set := func(m map[string]json.RawMessage, k string, v any) {
 		raw, err := json.Marshal(v)
 		if err != nil {
@@ -552,6 +555,7 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	}
 	frozen, _ := curves.FutureRates(lastHealthy)
 	set(eng, "last_rates", frozen)
+	set(eng, "last_sse", map[string]any{"coverage": make([]float64, 7), "best_type": 6})
 	set(snap, "engine", eng)
 	set(snap, "estimator", fmt.Appendf(nil, `{"last_good":%d,"seen_good":true}`, lastHealthy))
 	blob, err := json.Marshal(snap)

@@ -116,7 +116,9 @@ type Config struct {
 	// not gamed (treated as benign for auditing purposes).
 	TypeIDs []int
 	// Instance, Budget, Estimator, Seed configure the game engines. The
-	// instance is shared by every tenant engine: payoffs are immutable.
+	// instance and the estimator are shared by every tenant engine: payoffs
+	// are immutable, and an estimator's answer is a function of the query
+	// alone (core.Estimator), so it must be safe for concurrent use.
 	// Budget is each new tenant's initial cycle budget. Seed seeds the
 	// default tenant's RNG exactly; other tenants fold in a hash of their
 	// ID (see shard.Seed) so streams are distinct but reproducible.
@@ -124,12 +126,6 @@ type Config struct {
 	Budget    float64
 	Estimator core.Estimator
 	Seed      int64
-	// NewEstimator, when non-nil, builds a dedicated estimator per tenant —
-	// required for stateful estimators (the knowledge-rollback history
-	// estimator), which must not share observation state across tenants.
-	// When nil, every tenant engine shares Estimator; that is only sound
-	// for stateless estimators (fixed rate curves).
-	NewEstimator func(tenant string) (core.Estimator, error)
 	// MaxTenants caps resident tenants: creation beyond it answers 429, and a
 	// data dir holding more refuses to boot. Zero selects shard.DefaultMaxTenants.
 	MaxTenants int
@@ -269,8 +265,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Instance == nil {
 		return nil, errors.New("server: Instance is required")
 	}
-	if cfg.Estimator == nil && cfg.NewEstimator == nil {
-		return nil, errors.New("server: Estimator or NewEstimator is required")
+	if cfg.Estimator == nil {
+		return nil, errors.New("server: Estimator is required")
 	}
 	if len(cfg.TypeIDs) != cfg.Instance.NumTypes() {
 		return nil, fmt.Errorf("server: %d type IDs for %d engine types", len(cfg.TypeIDs), cfg.Instance.NumTypes())
@@ -367,13 +363,6 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	if id != DefaultTenantID {
 		seedOffset = int64(shard.Seed(id))
 	}
-	est := s.cfg.Estimator
-	if s.cfg.NewEstimator != nil {
-		var err error
-		if est, err = s.cfg.NewEstimator(id); err != nil {
-			return nil, nil, fmt.Errorf("server: estimator for tenant %q: %w", id, err)
-		}
-	}
 	t := &tenantState{
 		id:         id,
 		seedOffset: seedOffset,
@@ -394,7 +383,7 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	engine, err := core.NewEngine(core.Config{
 		Instance:  s.cfg.Instance,
 		Budget:    s.cfg.Budget,
-		Estimator: est,
+		Estimator: s.cfg.Estimator,
 		Policy:    core.PolicyOSSP,
 		Rand:      rand.New(rand.NewSource(s.cfg.Seed ^ seedOffset)),
 		Metrics:   s.met.reg,

@@ -89,9 +89,10 @@ type (
 	// EngineConfig assembles an Engine.
 	EngineConfig = core.Config
 
-	// Estimator supplies expected future alert volumes to the engine. It
-	// is queried under the engine's budget lock, in commit order: it needs
-	// no locking of its own and must not call back into the Engine.
+	// Estimator supplies expected future alert volumes to the engine. Its
+	// answer is a function of the query offset alone (ErrKeepEstimate
+	// holds the engine's estimate); it is queried under the engine's budget
+	// lock and must not call back into the Engine.
 	Estimator = core.Estimator
 
 	// EstimatorFunc adapts a function to the Estimator interface.
@@ -157,6 +158,10 @@ const (
 	// warn (Theorem 2 makes the missing signal safe, merely suboptimal).
 	FallbackStatic = fallback.Static
 )
+
+// ErrKeepEstimate is an Estimator's answer for "the estimate has not
+// moved": the engine solves on the estimate of its last solved decision.
+var ErrKeepEstimate = core.ErrKeepEstimate
 
 // DefaultRollbackThreshold is the knowledge-rollback threshold the paper
 // uses (4 expected future alerts).
