@@ -645,6 +645,121 @@ func TestBootRefusesMoreTenantsThanTheCap(t *testing.T) {
 	}
 }
 
+// BenchmarkSnapshotColdPath times the two places a snapshot's codec sits on a
+// tenant's critical path, for one tenant whose cycle holds 4096 decisions:
+//   - restore: decoding the snapshot of a killed box (4096 decisions and a
+//     short tail in its journal) onto a pristine tenant, core.RestoreState
+//     included — what a boot spends on the tenant before it serves;
+//   - snapshot: one snapshotTenant, the time the tenant's lifecycle write
+//     lock is held (every request to the tenant waits it out).
+//
+// Both report the snapshot's size as snapshot_B/decision.
+func BenchmarkSnapshotColdPath(b *testing.B) {
+	const decisions, tail = 4096, 8
+	cfg, bgE, bgP := durableConfig(b, b.TempDir(), func(cfg *Config) {
+		cfg.Budget = 1e4 // enough that no decision in the cycle runs dry
+		cfg.Fsync = wal.FsyncNone
+		cfg.CompactInterval = time.Hour
+		cfg.SnapshotEvery = 1 << 30
+	})
+	do := func(h http.Handler, method, target, body string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	tenantOf := func(srv *Server) *tenantState {
+		tn, ok := srv.router.Get(DefaultTenantID)
+		if !ok {
+			b.Fatal("default tenant not resident")
+		}
+		return tn.Data.(*tenantState)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	alert := fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, bgE, bgP)
+	for i := 0; i < decisions; i++ {
+		do(h, http.MethodPost, "/v1/access", alert)
+	}
+	if err := srv.snapshotTenant(tenantOf(srv)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < tail; i++ {
+		do(h, http.MethodPost, "/v1/access", alert)
+	}
+	want := do(h, http.MethodGet, "/v1/status", "")
+	// No Close first (a kill -9 writes no shutdown snapshot); the tail is
+	// flushed, as a box under -fsync always would have it.
+	if err := tenantOf(srv).journal.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	crashed := b.TempDir()
+	copyTree(b, cfg.DataDir, crashed)
+	if err := srv.Close(); err != nil {
+		b.Fatal(err)
+	}
+	cfg.DataDir = crashed
+	booted, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer booted.Close()
+	if got := do(booted.Handler(), http.MethodGet, "/v1/status", ""); got != want {
+		b.Fatalf("the killed box booted to a different status:\n got %s\nwant %s", got, want)
+	}
+	rec, err := wal.Recover(booted.tenantWALDir(DefaultTenantID))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rec.Snapshot == nil || len(rec.Tail) != tail {
+		b.Fatalf("journal holds snapshot %t and %d tail records, want a snapshot and %d", rec.Snapshot != nil, len(rec.Tail), tail)
+	}
+	perDecision := float64(len(rec.Snapshot)) / decisions
+
+	b.Run("restore", func(b *testing.B) {
+		// Pristine tenants come from a twin without a data dir: same
+		// instance, estimator and seed, no journal to recover.
+		memCfg := cfg
+		memCfg.DataDir = ""
+		mem, err := New(memCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var t *tenantState
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			_, data, err := mem.buildTenant(DefaultTenantID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			t = data.(*tenantState)
+			b.StartTimer()
+			if err := mem.restoreSnapshot(t, rec.Snapshot); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := t.engine.Summary().Alerts; got != decisions {
+			b.Fatalf("restored %d decisions, want %d", got, decisions)
+		}
+		b.ReportMetric(perDecision, "snapshot_B/decision")
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		t := tenantOf(booted)
+		for i := 0; i < b.N; i++ {
+			if err := booted.snapshotTenant(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(perDecision, "snapshot_B/decision")
+	})
+}
+
 // BenchmarkBootWithTenants times New over a data dir holding N tenants besides
 // the default one, killed with a few decisions in each journal's tail, so
 // every boot opens and replays N+1 journals. Every box it opens is checked:
