@@ -74,15 +74,15 @@ func (d *Decision) record(seq uint64) DecisionRecord {
 // state: what a fresh engine (same Config, same seed) needs to continue the
 // cycle bit-identically. The kept estimate and equilibrium are not in it:
 // they are those of the log's last solved record, which the restored engine
-// rebuilds (rebuildLocked). It is the payload of WAL snapshot records.
+// rebuilds (rebuildLocked).
 type EngineState struct {
-	Budget  float64 `json:"budget"`
-	Initial float64 `json:"initial"`
+	Budget  float64
+	Initial float64
 	// RNGDraws counts the Float64 draws consumed from the engine's RNG
 	// stream; restore fast-forwards a freshly seeded RNG past them so the
 	// next sampled signal lands on the same draw it would have uninterrupted.
-	RNGDraws  uint64           `json:"rng_draws"`
-	Decisions []DecisionRecord `json:"decisions"`
+	RNGDraws  uint64
+	Decisions []DecisionRecord
 }
 
 // ExportState captures the engine's mutable cycle state. It is a consistent
@@ -94,10 +94,9 @@ func (e *Engine) ExportState() EngineState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineState{
-		Budget:   e.budget,
-		Initial:  e.initial,
-		RNGDraws: e.rngDraws,
-		// Never nil: an empty log is "decisions":[] in the snapshot JSON.
+		Budget:    e.budget,
+		Initial:   e.initial,
+		RNGDraws:  e.rngDraws,
 		Decisions: append([]DecisionRecord{}, e.decisions...),
 	}
 }

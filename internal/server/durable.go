@@ -1,14 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"path/filepath"
 	"sort"
 
-	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
@@ -22,23 +20,6 @@ const MetricRecoveryReplayed = "sag_recovery_replayed_records"
 // DefaultSnapshotEvery is the automatic snapshot cadence (journal records
 // between snapshots) when Config.SnapshotEvery is zero.
 const DefaultSnapshotEvery = 4096
-
-// tenantSnapshot is the owner-encoded payload of a WAL snapshot record: the
-// engine's cycle state plus the HTTP layer's per-tenant state. The
-// estimator's memory is not in it: restore rebuilds it by asking the
-// estimator again. JSON is used deliberately — Go's encoder round-trips
-// float64 exactly — and the blob never crosses a version boundary
-// unvalidated (decode errors fail recovery loudly rather than restoring a
-// half-right tenant).
-type tenantSnapshot struct {
-	Engine   core.EngineState `json:"engine"`
-	Accesses int64            `json:"accesses"`
-	Alerts   int64            `json:"alerts"`
-	Warned   int64            `json:"warned"`
-	Quits    int64            `json:"quits"`
-	Flagged  []int            `json:"flagged,omitempty"`
-	Closed   bool             `json:"closed"`
-}
 
 // durable reports whether the server was configured with a data directory.
 func (s *Server) durable() bool { return s.cfg.DataDir != "" }
@@ -106,9 +87,9 @@ func (s *Server) replayTenant(t *tenantState, rec *wal.Recovery) error {
 // pristine (core.RestoreState enforces it): recovery calls this before the
 // tenant serves.
 func (s *Server) restoreSnapshot(t *tenantState, blob []byte) error {
-	var snap tenantSnapshot
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+	snap, err := wal.DecodeSnapshot(blob)
+	if err != nil {
+		return err
 	}
 	if err := t.engine.RestoreState(snap.Engine); err != nil {
 		return err
@@ -233,7 +214,7 @@ func (s *Server) listRetainTenants() []retain.Tenant {
 // exclusively, so no decision is mid-commit and the engine export, the
 // counters, and the journal position are mutually consistent.
 func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
-	snap := tenantSnapshot{
+	snap := wal.Snapshot{
 		Engine:   t.engine.ExportState(),
 		Accesses: t.accesses.Load(),
 		Alerts:   t.alerts.Load(),
@@ -247,7 +228,7 @@ func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
 	}
 	t.flaggedMu.RUnlock()
 	sort.Ints(snap.Flagged)
-	return json.Marshal(snap)
+	return wal.EncodeSnapshot(snap)
 }
 
 // snapshotTenant writes one tenant's full state as a journal snapshot

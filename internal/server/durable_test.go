@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"log/slog"
 	"net/http"
@@ -457,8 +458,9 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 // whose estimate freezes after the 14:20 query is snapshotted past the
 // freeze, served on, killed and rebooted: the next decisions, /v1/status and
 // /v1/cycle/summary equal an uninterrupted server's. They do again when the
-// snapshot carries the estimator blob, kept rates and last-good equilibrium
-// older builds wrote.
+// snapshot is the JSON older builds wrote, with the estimator blob, kept
+// rates and last-good equilibrium they put in it. A snapshot in a format this
+// build does not know refuses the boot and leaves the journal untouched.
 func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	// Sixty alerts on one historical day, one every 5 minutes from 10:00:
 	// after 14:40 fewer than DefaultRollbackThreshold remain.
@@ -533,53 +535,81 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	var snap, eng map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-		t.Fatal(err)
+	snap, err := wal.DecodeSnapshot(rec.Snapshot)
+	if err != nil || len(rec.Tail) != 3 {
+		t.Fatalf("want a snapshot this build decodes, then 3 records; got %d records after a snapshot that decodes with %v", len(rec.Tail), err)
 	}
-	if err := json.Unmarshal(snap["engine"], &eng); err != nil {
-		t.Fatal(err)
-	}
-	if snap["estimator"] != nil || eng["last_rates"] != nil || eng["last_sse"] != nil || len(rec.Tail) != 3 {
-		t.Fatalf("want a snapshot without the estimator's memory, the kept rates or the last equilibrium, then 3 records; got %d records after %s", len(rec.Tail), rec.Snapshot)
-	}
-	// The legacy dir holds the same snapshot as older builds wrote it — the
-	// rollback memory and the kept rates at the freeze, and an equilibrium
-	// the rebuild must not read — and the same tail.
-	set := func(m map[string]json.RawMessage, k string, v any) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+	// The legacy dir holds the same state as older builds wrote it — JSON,
+	// with the rollback memory and the kept rates at the freeze, and an
+	// equilibrium the rebuild must not read — and the same tail. Every key
+	// is spelled as those builds spelled it.
+	decisions := make([]map[string]any, len(snap.Engine.Decisions))
+	for i, d := range snap.Engine.Decisions {
+		decisions[i] = map[string]any{
+			"Seq": d.Seq, "Type": d.Type, "Time": d.Time, "Warned": d.Warned,
+			"Vacuous": d.Vacuous, "AppliedSAG": d.AppliedSAG, "Fallback": d.Fallback,
+			"Theta": d.Theta, "AuditCharge": d.AuditCharge, "BudgetBefore": d.BudgetBefore,
+			"BudgetAfter": d.BudgetAfter, "SSEUtility": d.SSEUtility, "OSSPUtility": d.OSSPUtility,
 		}
-		m[k] = raw
 	}
 	frozen, _ := curves.FutureRates(lastHealthy)
-	set(eng, "last_rates", frozen)
-	set(eng, "last_sse", map[string]any{"coverage": make([]float64, 7), "best_type": 6})
-	set(snap, "engine", eng)
-	set(snap, "estimator", fmt.Appendf(nil, `{"last_good":%d,"seen_good":true}`, lastHealthy))
-	blob, err := json.Marshal(snap)
+	blob, err := json.Marshal(map[string]any{
+		"engine": map[string]any{
+			"budget": snap.Engine.Budget, "initial": snap.Engine.Initial,
+			"rng_draws": snap.Engine.RNGDraws, "decisions": decisions,
+			"last_rates": frozen,
+			"last_sse":   map[string]any{"coverage": make([]float64, 7), "best_type": 6},
+		},
+		"estimator": json.RawMessage(fmt.Appendf(nil, `{"last_good":%d,"seen_good":true}`, lastHealthy)),
+		"accesses":  snap.Accesses, "alerts": snap.Alerts, "warned": snap.Warned, "quits": snap.Quits,
+		"closed": snap.Closed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lj, _, err := wal.Open(filepath.Join(legacy, "tenants", "t-"+DefaultTenantID), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lj.Snapshot(blob); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rec.Tail {
-		wait, err := lj.Append(r)
-		if err == nil {
-			err = wait()
-		}
+	// A snapshot in a format this build does not know, before the same tail.
+	unknown := t.TempDir()
+	for _, d := range []struct {
+		dir  string
+		blob []byte
+	}{{legacy, blob}, {unknown, append([]byte{0x7f}, rec.Snapshot[1:]...)}} {
+		lj, _, err := wal.Open(filepath.Join(d.dir, "tenants", "t-"+DefaultTenantID), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := lj.Snapshot(d.blob); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rec.Tail {
+			wait, err := lj.Append(r)
+			if err == nil {
+				err = wait()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lj.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := lj.Close(); err != nil {
-		t.Fatal(err)
+	// It is refused, naming the tenant, and the journal is left as it was:
+	// nothing is truncated for a blob that is intact but unreadable here.
+	// (The refused boot leaves behind the empty segment its journal opened.)
+	unknownTenant := filepath.Join(unknown, "tenants", "t-"+DefaultTenantID)
+	before := treeBytes(t, unknown)
+	cfg, _, _ := durableConfig(t, unknown, nil)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `tenant "default"`) {
+		t.Fatalf("boot over a snapshot of an unknown format: err %v, want a refusal naming the tenant", err)
+	}
+	after := treeBytes(t, unknown)
+	for name, raw := range before {
+		if after[name] != raw {
+			t.Errorf("the refused boot changed %s (%d bytes, now %d)", name, len(raw), len(after[name]))
+		}
+	}
+	if kept, err := wal.Recover(unknownTenant); err != nil || kept.Truncated || len(kept.Tail) != len(rec.Tail) || !bytes.HasPrefix(kept.Snapshot, []byte{0x7f}) {
+		t.Fatalf("after the refused boot the journal recovers %+v, %v; want the unknown snapshot and its %d-record tail", kept, err, len(rec.Tail))
 	}
 
 	for _, d := range []struct{ name, dir string }{{"crashed", crashed}, {"legacy", legacy}} {
@@ -592,6 +622,26 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 			}
 		}
 	}
+}
+
+// treeBytes maps each file under root, by its path relative to root, to its
+// contents.
+func treeBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(p)
+		rel, _ := filepath.Rel(root, p)
+		files[rel] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestBootRefusesMoreTenantsThanTheCap: a data dir holding more tenants than

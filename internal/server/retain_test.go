@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"github.com/auditgames/sag/internal/admit"
+	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
+	"github.com/auditgames/sag/internal/wal"
 )
 
 var integerRE = regexp.MustCompile(`^[0-9]+$`)
@@ -187,26 +189,56 @@ func TestDiskPressureAnswers507(t *testing.T) {
 // TestCompactionBoundsJournalBytes is the tentpole's steady-state guarantee:
 // under sustained writes with a realistic (small) budget, compaction rounds
 // keep the on-disk journal bounded — under twice the budget at every
-// checkpoint — without ever shedding the writer.
+// checkpoint — without ever shedding the writer. Benign accesses journal ~7
+// bytes each, so a 1 KiB budget forces several genuine compaction rounds over
+// 600 writes.
 func TestCompactionBoundsJournalBytes(t *testing.T) {
+	testCompactionBoundsJournal(t, 1<<10, 0)
+}
+
+// TestCompactionBoundsAlertHeavyJournalBytes is its alert-heavy twin: every
+// access is a gamed alert, so each journals a decision record and grows the
+// cycle log every later snapshot carries, and the cycle rolls every 100
+// alerts. The budget is one and a half times what one cycle's decision
+// records take in a journal, framing included: a snapshot must cost about
+// what its records cost for that to hold.
+func TestCompactionBoundsAlertHeavyJournalBytes(t *testing.T) {
+	const cycle = 100
+	testCompactionBoundsJournal(t, cycle*journalBytesPerDecision(t, cycle)*3/2, cycle)
+}
+
+// testCompactionBoundsJournal drives 600 accesses under budget, running the
+// retention scan every 10: benign ones when alertCycle is 0, otherwise alerts
+// with a new cycle after every alertCycle of them.
+func testCompactionBoundsJournal(t *testing.T, budget int64, alertCycle int) {
 	dir := t.TempDir()
-	// Benign accesses journal ~7 bytes each and keep the tenant snapshot
-	// small, so a 1 KiB budget forces several genuine compaction rounds over
-	// 600 writes. (Alert-heavy traffic grows the snapshot with the cycle's
-	// alert list, so its budget must be sized above one snapshot — the
-	// README runbook covers that sizing.)
-	const budget = 1 << 10
-	srv, ts, _, _ := replicaFixture(t, dir, func(cfg *Config) {
-		cfg.SegmentBytes = 512
+	srv, ts, bgE, bgP := replicaFixture(t, dir, func(cfg *Config) {
+		cfg.SegmentBytes = compactionSegmentBytes
 		cfg.DiskBudgetBytes = budget
 		cfg.CompactInterval = time.Hour
 	})
 	defer srv.Close()
+	alerts := alertCycle > 0
+	req := AccessRequest{EmployeeID: 0, PatientID: 0}
+	if alerts {
+		req = AccessRequest{EmployeeID: bgE, PatientID: bgP}
+	}
 
 	for i := 0; i < 600; i++ {
-		code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}, nil)
+		var resp AccessResponse
+		code := post(t, ts, "/v1/access", req, &resp)
 		if code != http.StatusOK {
 			t.Fatalf("access %d = %d: a reclaiming tenant must never be shed", i, code)
+		}
+		if resp.Alert != alerts {
+			t.Fatalf("access %d: alert %t, want %t", i, resp.Alert, alerts)
+		}
+		if alerts && i%alertCycle == alertCycle-1 {
+			for _, path := range []string{"/v1/cycle/close", "/v1/cycle/new"} {
+				if code := post(t, ts, path, NewCycleRequest{Budget: 50}, nil); code != http.StatusOK {
+					t.Fatalf("%s after access %d = %d", path, i, code)
+				}
+			}
 		}
 		if i%10 == 9 {
 			srv.retain.RunOnce()
@@ -222,6 +254,38 @@ func TestCompactionBoundsJournalBytes(t *testing.T) {
 	if _, blocked := srv.retain.Blocked(DefaultTenantID); blocked {
 		t.Fatal("reclaiming tenant ended up blocked")
 	}
+}
+
+// compactionSegmentBytes is the segment size of the compaction tests.
+const compactionSegmentBytes = 512
+
+// journalBytesPerDecision is what one decision record costs on disk, framing
+// and segment headers included: n records as the alert-heavy test's tenant
+// journals them, appended to a journal of the same segment size, over the
+// bytes the journal leaves.
+func journalBytesPerDecision(t *testing.T, n int) int64 {
+	dir := t.TempDir()
+	j, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNone, SegmentBytes: compactionSegmentBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 50.0
+	for i := 0; i < n; i++ {
+		charge := min(budget, 0.3)
+		d := core.DecisionRecord{
+			Seq: uint64(i), Type: 1, Time: 9 * time.Hour, Warned: i%2 == 0, AppliedSAG: true,
+			Theta: 0.4, AuditCharge: charge, BudgetBefore: budget, BudgetAfter: budget - charge,
+			SSEUtility: -41.5, OSSPUtility: -30.25,
+		}
+		budget -= charge
+		if _, err := j.Append(wal.Record{Kind: wal.KindDecision, Decision: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dirBytes(t, dir) / int64(n)
 }
 
 // TestDiskBudgetSeesTenantUntouchedSinceBoot: the disk budget accounts every

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,6 +47,49 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip changed record bytes:\n got %x\nwant %x", enc2, enc)
+		}
+	})
+}
+
+// FuzzDecodeSnapshot hardens the snapshot decoder: arbitrary bytes decode or
+// fail with an error, never panic, and never size a slice past what the input
+// could hold. A decoded binary snapshot re-encodes to the bytes it came from;
+// a decoded JSON one re-encodes to a binary snapshot that does.
+func FuzzDecodeSnapshot(f *testing.F) {
+	good, err := EncodeSnapshot(sampleSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(legacySample))
+	f.Add(binary.AppendUvarint(bytes.Clone(good[:1+16+6+4]), 1<<62)) // 2^62 decisions
+	f.Add(good[:9])                                                  // a truncated header
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		perEntry := minDecisionBytes
+		if data[0] == '{' {
+			perEntry = len("{},")
+		}
+		if cap(s.Engine.Decisions) > len(data)/perEntry || cap(s.Flagged) > len(data) {
+			t.Fatalf("%d input bytes sized %d decisions and %d flagged employees", len(data), cap(s.Engine.Decisions), cap(s.Flagged))
+		}
+		enc, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
+		}
+		if data[0] != '{' && !bytes.Equal(enc, data) {
+			t.Fatalf("re-encoding changed the bytes:\n got %x\nwant %x", enc, data)
+		}
+		back, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
+		}
+		if enc2, err := EncodeSnapshot(back); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed snapshot bytes (%v):\n got %x\nwant %x", err, enc2, enc)
 		}
 	})
 }
