@@ -269,15 +269,9 @@ func journalBytesPerDecision(t *testing.T, n int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := 50.0
 	for i := 0; i < n; i++ {
-		charge := min(budget, 0.3)
-		d := core.DecisionRecord{
-			Seq: uint64(i), Type: 1, Time: 9 * time.Hour, Warned: i%2 == 0, AppliedSAG: true,
-			Theta: 0.4, AuditCharge: charge, BudgetBefore: budget, BudgetAfter: budget - charge,
-			SSEUtility: -41.5, OSSPUtility: -30.25,
-		}
-		budget -= charge
+		// Only the uvarints vary in size: the fixture's alerts are type 1 at 9h.
+		d := core.DecisionRecord{Seq: uint64(i), Type: 1, Time: 9 * time.Hour}
 		if _, err := j.Append(wal.Record{Kind: wal.KindDecision, Decision: d}); err != nil {
 			t.Fatal(err)
 		}

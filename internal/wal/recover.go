@@ -16,7 +16,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // snapshot (nil if none survived) and every record appended after it, in
 // order. Tail records never include KindSnapshot.
 type Recovery struct {
-	// Snapshot is the owner-encoded blob of the newest snapshot record,
+	// Snapshot is the blob of the newest snapshot record (DecodeSnapshot),
 	// nil when the journal holds none.
 	Snapshot []byte
 	// Tail holds the records after the snapshot, oldest first.

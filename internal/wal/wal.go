@@ -645,7 +645,7 @@ func (j *Journal) settledLocked(n int64, end Cursor, fsync bool) (bool, error) {
 	return !j.durable.Less(end) && (!fsync || j.synced == j.records), nil
 }
 
-// Snapshot appends an owner-encoded full-state snapshot record, forces it
+// Snapshot appends a full-state snapshot record (EncodeSnapshot), forces it
 // to stable storage regardless of the fsync policy, and prunes segments
 // wholly superseded by it. After Snapshot returns nil, recovery will
 // restore from this snapshot (plus any records appended after it).
