@@ -42,10 +42,14 @@
 // mu dropped so appends keep flowing, advance the durable cursor. Waiters
 // arriving meanwhile queue on syncMu; the first leads the next round, which
 // covers everything appended so far, and the rest return without touching
-// the disk. Lock order is syncMu → mu. Every record of a failed round sees
-// that round's error. A roll and Close seal the active file under mu alone,
-// never behind an fsync; a round whose file is sealed under it succeeds when
-// the seal's fsync covered its records. Snapshot and Sync are rounds too.
+// the disk. Lock order is syncMu → mu. A failed round — or seal — is sticky:
+// the kernel may have dropped pages it never wrote, and a later fsync would
+// succeed over that hole and acknowledge records recovery then cuts off, so
+// every later Append, wait, Sync, Snapshot, roll and Close returns the first
+// failure, and only reopening the journal (recovery) clears it. A roll and
+// Close seal the active file under mu alone, never behind an fsync; a round
+// whose file is sealed under it succeeds when the seal's fsync covered its
+// records — that is not a failure. Snapshot and Sync are rounds too.
 // FsyncInterval runs a round on a timer; FsyncNone's timer only flushes, so
 // buffered records still become readable (and replicable) on a bounded
 // delay. That ticker is a journal's only goroutine; FsyncAlways starts none.
@@ -237,8 +241,7 @@ type Journal struct {
 
 	records        int64  // total valid records (recovered + appended)
 	synced         int64  // records covered by a completed fsync
-	failed         int64  // records covered by the latest failed round or seal...
-	failedErr      error  // ...and its error, which every one of them sees
+	failedErr      error  // the first failed round or seal; sticky (see Durability)
 	durable        Cursor // position up to which the journal is safely readable
 	durableRecords int64  // records within the durable prefix
 	subs           map[int]chan struct{}
@@ -422,10 +425,13 @@ func (j *Journal) rollLocked() error {
 
 // sealLocked flushes, cuts the preallocated tail, fsyncs, and closes the
 // active segment: the full fsync makes the exact size durable, so a sealed
-// file never carries zeros. A failure is the failed round of every record
-// not yet synced. The caller holds mu.
+// file never carries zeros. A failure is a failed round, and a seal after
+// one vouches for nothing: it only closes the file. The caller holds mu.
 func (j *Journal) sealLocked() error {
-	err := j.bw.Flush()
+	err := j.failedErr
+	if err == nil {
+		err = j.bw.Flush()
+	}
 	if err == nil && j.alloc > j.written {
 		err = j.f.Truncate(j.written)
 	}
@@ -435,8 +441,9 @@ func (j *Journal) sealLocked() error {
 		j.fsyncSec.ObserveSince(t0)
 	}
 	if err != nil {
-		j.failed, j.failedErr = j.records, err
-		return err
+		j.failLocked(err)
+		_ = j.f.Close()
+		return j.failedErr
 	}
 	j.synced = j.records
 	j.advanceDurableLocked(Cursor{Seg: j.seq, Off: j.written}, j.records)
@@ -502,6 +509,9 @@ func (j *Journal) Subscribe() (<-chan struct{}, func()) {
 func (j *Journal) appendLocked(r Record) (at Cursor, err error) {
 	if j.closed {
 		return at, ErrClosed
+	}
+	if j.failedErr != nil {
+		return at, j.failedErr
 	}
 	if j.written >= j.opts.SegmentBytes {
 		if err := j.rollLocked(); err != nil {
@@ -611,14 +621,16 @@ func (j *Journal) commit(n int64, fsync bool) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err != nil {
-		if nrecs <= j.synced {
-			// A segment roll (or Close) sealed f under this round: the late
-			// sync hit a closed file, but the seal's own fsync covered it.
-			return nil
-		}
-		j.failed, j.failedErr = nrecs, err
-		return err
+	if err != nil && nrecs <= j.synced {
+		// A segment roll (or Close) sealed f under this round: the late
+		// sync hit a closed file, but the seal's own fsync covered it.
+		return nil
+	}
+	if err != nil || j.failedErr != nil {
+		// A seal that failed under this round may have lost pages this
+		// round's fsync then found nothing left to write.
+		j.failLocked(err)
+		return j.failedErr
 	}
 	if fsync && nrecs > j.synced {
 		j.synced = nrecs
@@ -631,18 +643,24 @@ func (j *Journal) commit(n int64, fsync bool) error {
 // then returns. The caller holds mu.
 func (j *Journal) settledLocked(n int64, end Cursor, fsync bool) (bool, error) {
 	switch {
-	case n <= j.failed:
-		// Checked first: a later successful fsync cannot vouch for pages
-		// the kernel may have dropped when this record's round failed.
-		return true, j.failedErr
 	case n <= j.synced:
 		return true, nil // an earlier round or a seal (roll, Close) covered it
+	case j.failedErr != nil:
+		return true, j.failedErr
 	case j.closed:
 		// Only Sync and the ticker get here: Close's seal left every
 		// appended record either synced or failed.
 		return true, ErrClosed
 	}
 	return !j.durable.Less(end) && (!fsync || j.synced == j.records), nil
+}
+
+// failLocked records the journal's first failure; later ones change nothing.
+// The caller holds mu.
+func (j *Journal) failLocked(err error) {
+	if j.failedErr == nil && err != nil {
+		j.failedErr = err
+	}
 }
 
 // Snapshot appends a full-state snapshot record (EncodeSnapshot), forces it

@@ -747,14 +747,18 @@ func TestQueuedWaitersShareOneRound(t *testing.T) {
 	}
 }
 
-// TestFailedRoundFailsEveryWaiter: when a round's fsync fails, every record
-// it covered sees that error — including waiters that reach syncMu only
-// after the round is over, and even after a later round has succeeded.
+// TestFailedRoundFailsEveryWaiter: a failed fsync round is sticky. Every
+// record it covered sees its error — waiters that reach syncMu after the
+// round is over included — and so does every later Append, Sync, Snapshot
+// and Close, even once the file works again: a later fsync would succeed
+// over pages the kernel may have dropped. Reopening recovers what is on disk.
 func TestFailedRoundFailsEveryWaiter(t *testing.T) {
-	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways})
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
+	appendAll(t, j, []Record{{Kind: KindCycleClose}}) // durable before the failure
 	const n = 8
 	waits := make([]func() error, n)
 	for i := range waits {
@@ -772,7 +776,7 @@ func TestFailedRoundFailsEveryWaiter(t *testing.T) {
 	if first == nil {
 		t.Fatal("round over a closed file succeeded")
 	}
-	// Heal the journal and let a later round succeed.
+	// Heal the file: the journal must stay failed regardless.
 	j.mu.Lock()
 	f, err := os.OpenFile(filepath.Join(j.dir, segmentName(j.seq)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -782,14 +786,28 @@ func TestFailedRoundFailsEveryWaiter(t *testing.T) {
 	j.f = f
 	j.bw.Reset(f)
 	j.mu.Unlock()
-	appendAll(t, j, []Record{{Kind: KindCycleClose}})
 
 	for i, wait := range waits[1:] {
 		if err := wait(); err != first {
 			t.Fatalf("waiter %d of the failed round saw %v, want the round's error %v", i+1, err, first)
 		}
 	}
-	_ = j.Close()
+	if wait, err := j.Append(Record{Kind: KindCycleClose}); err != first || wait != nil {
+		t.Fatalf("append after a failed round: %v, want %v", err, first)
+	}
+	if err := j.Sync(); err != first {
+		t.Fatalf("Sync after a failed round: %v, want %v", err, first)
+	}
+	if err := j.Snapshot([]byte{snapshotFormat}); err != first {
+		t.Fatalf("Snapshot after a failed round: %v, want %v", err, first)
+	}
+	if err := j.Close(); err != first {
+		t.Fatalf("Close after a failed round: %v, want %v", err, first)
+	}
+	rec, err := Recover(dir)
+	if err != nil || rec.Records != 1 {
+		t.Fatalf("recovered %+v, %v; want the 1 record synced before the failure", rec, err)
+	}
 }
 
 func TestParseFsyncPolicy(t *testing.T) {
