@@ -35,7 +35,7 @@ type Mirror struct {
 // — anything else means the local copy has diverged and the caller should
 // wipe and re-seed.
 func OpenMirror(dir string, at Cursor) (*Mirror, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: creating mirror dir: %w", err)
 	}
 	m := &Mirror{dir: dir}

@@ -135,6 +135,10 @@ const (
 // exercise the growing-append fallback.
 var preallocate = fallocate
 
+// syncDir is fsyncDir behind a variable so tests can see which directories
+// are synced.
+var syncDir = fsyncDir
+
 // DefaultSegmentBytes is the default segment roll size.
 const DefaultSegmentBytes = 16 << 20
 
@@ -278,7 +282,7 @@ type Journal struct {
 // appending new records.
 func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	opts.fillDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating journal dir: %w", err)
 	}
 	rec, err := Recover(dir)
@@ -396,10 +400,35 @@ func (j *Journal) extendLocked(end int64) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so freshly created/removed files survive a
+// mkdirAll is os.MkdirAll that makes what it creates survive a crash: the
+// parent of every directory it creates is fsynced, top down, so no level's
+// entry can be lost while the level below it persists.
+func mkdirAll(dir string) error {
+	var created []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, os.ErrNotExist) {
+			break
+		}
+		created = append(created, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := len(created) - 1; i >= 0; i-- {
+		if err := syncDir(filepath.Dir(created[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fsyncDir fsyncs a directory so freshly created/removed files survive a
 // crash of the file system metadata. A file system that refuses directory
 // fsync (EINVAL, ENOTSUP) is tolerated; any other failure is the caller's.
-func syncDir(dir string) error {
+func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: opening journal dir to fsync it: %w", err)

@@ -909,3 +909,62 @@ func TestOpenCreatesDir(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recordDirSyncs makes syncDir record every directory it is asked to sync
+// (and still sync it) for the rest of the test.
+func recordDirSyncs(t *testing.T) *[]string {
+	t.Helper()
+	var got []string
+	prev := syncDir
+	syncDir = func(dir string) error {
+		got = append(got, dir)
+		return prev(dir)
+	}
+	t.Cleanup(func() { syncDir = prev })
+	return &got
+}
+
+// TestCreatedDirsReachTheirParents: a journal or mirror opened on a fresh
+// nested path fsyncs the parent of each directory it creates, top down, so a
+// crash cannot keep a level while losing the entry above it. Reopening
+// creates nothing and syncs no parent; the journal still syncs its own
+// directory for the fresh segment.
+func TestCreatedDirsReachTheirParents(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "wal")
+	got := recordDirSyncs(t)
+	j, _, err := Open(dir, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{root, filepath.Join(root, "a"), filepath.Join(root, "a", "b"), dir}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("fresh open synced %q, want %q", *got, want)
+	}
+	*got = nil
+	if j, _, err = Open(dir, Options{Fsync: FsyncNone}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{dir}; !reflect.DeepEqual(*got, want) {
+		t.Fatalf("reopen synced %q, want only the journal dir %q", *got, want)
+	}
+
+	*got = nil
+	mirror := filepath.Join(root, "m", "wal")
+	if _, err := OpenMirror(mirror, Cursor{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{root, filepath.Join(root, "m")}; !reflect.DeepEqual(*got, want) {
+		t.Fatalf("fresh mirror synced %q, want %q", *got, want)
+	}
+	*got = nil
+	if _, err := OpenMirror(mirror, Cursor{}); err != nil || len(*got) != 0 {
+		t.Fatalf("reopened mirror synced %q (%v), want none", *got, err)
+	}
+}
