@@ -227,7 +227,7 @@ func TestCloseCycleCalibration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	charged := eng.InitialBudget() - eng.RemainingBudget()
+	charged := eng.Status().Budget - eng.RemainingBudget()
 	rng := rand.New(rand.NewSource(5))
 	var total float64
 	const draws = 400

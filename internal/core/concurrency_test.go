@@ -244,7 +244,7 @@ func (r *rollbackEstimator) rates(at time.Duration) ([]float64, error) {
 // journaled alerts in journal order to a fresh single-threaded engine must
 // reproduce every record — θ, signal, budget chain — bit for bit (the scheme
 // is a pure function of the payoff and θ). The live cycle log is the journal,
-// and so is the log of an engine rebuilt from it by ApplyDecision.
+// and so is the log of an engine rebuilt from it by Apply.
 func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 	const workers, perWorker = 8, 200
 	const day = workers * perWorker * time.Second
@@ -319,7 +319,7 @@ func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rebuilt.ApplyDecision(rec); err != nil {
+		if err := applyDecision(rebuilt, rec); err != nil {
 			t.Fatal(err)
 		}
 		if rec != want.record(uint64(i)) {
@@ -332,7 +332,7 @@ func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 		t.Fatalf("%d of %d decisions differ from their sequential re-solve", differ, len(journal))
 	}
 	if !slices.Equal(rebuilt.Decisions(), journal) {
-		t.Fatal("the cycle log rebuilt by ApplyDecision is not the journal")
+		t.Fatal("the cycle log rebuilt by Apply is not the journal")
 	}
 }
 

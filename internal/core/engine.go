@@ -16,8 +16,11 @@
 //     budget with the signal-conditional audit probability × audit cost,
 //
 // and returns everything in a Decision for downstream evaluation. What the
-// cycle keeps of it is one DecisionRecord — the form the journal gets —
-// appended by one function, applyLocked, live and on replay. A non-signaling
+// cycle keeps of it is one DecisionRecord — the form the journal gets. The
+// engine holds the tenant's whole cycle state — budget chain, cycle log,
+// counters, flagged employees, whether the cycle is closed — and one
+// function, applyLocked, changes it for every journal record kind, live and
+// on replay. A non-signaling
 // mode (PolicySSE) reproduces the paper's "online SSE" baseline under
 // identical budget dynamics.
 package core
@@ -243,6 +246,11 @@ type Engine struct {
 	pendingDraw float64
 	hasPending  bool
 	decisions   []DecisionRecord // the cycle log; applyLocked is its one writer
+	// The rest of the tenant's cycle state (see EngineState), applyLocked
+	// its one writer too: the counters, the flagged employees, and closed.
+	accesses, alerts, warned, quits int64
+	flagged                         []int // ascending
+	closed                          bool
 	// lastSSE and futures are the equilibrium and the estimate, κ included,
 	// of the cycle's last solved (Fallback None) commit: the last-good rung
 	// reads θ from lastSSE, the static rung its expected cost from futures,
@@ -313,9 +321,7 @@ func (e *Engine) RemainingBudget() float64 {
 }
 
 // ValidateBudget reports whether b is usable as a cycle budget — the exact
-// precondition NewCycle (and NewEngine) enforce. Callers that must know a
-// later NewCycle cannot fail (the server journals the cycle-open record
-// before rolling the engine over) validate with this first.
+// precondition NewEngine and a KindCycleOpen record's Apply enforce.
 func ValidateBudget(b float64) error {
 	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
 		return fmt.Errorf("core: invalid budget %g", b)
@@ -323,30 +329,41 @@ func ValidateBudget(b float64) error {
 	return nil
 }
 
-// NewCycle resets the engine for the next audit cycle: the budget is
-// restored to the given value, and recorded decisions and the kept estimate
-// are cleared. The game instance, estimator, policy, and RNG stream are
-// kept, so one Engine can process a whole sequence of audit days. A decision
-// in flight commits to the old cycle first; NewCycle waits its turn.
+// NewCycle applies an unjournaled KindCycleOpen record: the budget is reset
+// to the given value, the cycle log, kept estimate and counters are cleared
+// and the cycle is open. The flagged employees and the RNG stream are kept,
+// so one Engine can process a whole sequence of audit days. A decision in
+// flight commits to the old cycle first; NewCycle waits its turn.
 func (e *Engine) NewCycle(budget float64) error {
-	if err := ValidateBudget(budget); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.budget = budget
-	e.initial = budget
-	e.decisions = e.decisions[:0]
-	e.lastSSE, e.futures, e.replayed = nil, nil, false
-	e.met.budget.Set(budget)
-	return nil
+	_, err := e.Apply(Record{Kind: KindCycleOpen, Budget: budget}, nil)
+	return err
 }
 
-// InitialBudget returns the budget the cycle started with.
-func (e *Engine) InitialBudget() float64 {
+// CycleStatus is one consistent view of the cycle (see EngineState).
+type CycleStatus struct {
+	Budget, Remaining               float64
+	Accesses, Alerts, Warned, Quits int64
+	FlaggedUsers                    int
+	Closed                          bool
+}
+
+// Status reads the cycle's status under one hold of the budget lock.
+func (e *Engine) Status() CycleStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.initial
+	return CycleStatus{
+		Budget: e.initial, Remaining: e.budget,
+		Accesses: e.accesses, Alerts: e.alerts, Warned: e.warned, Quits: e.quits,
+		FlaggedUsers: len(e.flagged), Closed: e.closed,
+	}
+}
+
+// Flagged reports whether emp has quit a warned access.
+func (e *Engine) Flagged(emp int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := slices.BinarySearch(e.flagged, emp)
+	return ok
 }
 
 // Decisions returns a copy of the cycle log: one record per committed
@@ -448,7 +465,7 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 			return nil, nil, fmt.Errorf("core: journaling decision: %w", err)
 		}
 	}
-	e.applyLocked(d, rec)
+	e.applyLocked(Record{Kind: KindDecision, Decision: rec}, d)
 	if e.met.enabled {
 		e.met.decision.ObserveSince(t0)
 		e.met.decisions.Inc()
@@ -456,32 +473,66 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	return d, wait, nil
 }
 
-// applyLocked is the one writer of engine state: commit, ApplyDecision and
-// RestoreState all end here. It appends the records and, for each, moves the
-// budget to its end of the link and spends the draw that sampled its signal
-// — already buffered by commit's peek, pulled now on replay. A solved record
-// makes its solve the kept one: commit passes its decision d, whose
-// equilibrium and estimate (in e.scratch) are adopted; replay passes nil
-// and leaves them to rebuildLocked. The caller holds e.mu and has checked
-// the records' Seq and Type.
-func (e *Engine) applyLocked(d *Decision, recs ...DecisionRecord) {
-	e.decisions = append(e.decisions, recs...)
-	for i := range recs {
-		e.budget = math.Max(0, recs[i].BudgetAfter)
+// applyLocked is the one writer of the cycle's state: commit, Apply and
+// RestoreState all end here. A decision record is one access and one alert:
+// it is appended to the log, moves the budget to its end of the link and
+// spends the draw that sampled its signal — already buffered by commit's
+// peek, pulled now on replay. A solved one makes its solve the kept one:
+// commit passes its decision d, whose equilibrium and estimate (in
+// e.scratch) are adopted; replay passes nil and leaves them to
+// rebuildLocked. A repeated quit changes nothing. The caller holds e.mu and
+// has checked r (checkLocked).
+func (e *Engine) applyLocked(r Record, d *Decision) {
+	switch r.Kind {
+	case KindDecision:
+		e.decisions = append(e.decisions, r.Decision)
+		e.budget = math.Max(0, r.Decision.BudgetAfter)
+		e.met.budget.Set(e.budget)
 		if e.policy == PolicyOSSP {
 			e.peekDrawLocked()
 			e.consumeDrawLocked()
 		}
 		switch {
-		case recs[i].Fallback != fallback.None:
+		case r.Decision.Fallback != fallback.None:
 		case d == nil:
 			e.replayed = true
 		default:
 			e.lastSSE = d.SSE
 			e.futures, e.scratch = e.scratch, e.futures
 		}
+		r.Meta = Meta{Alerted: true, Warned: r.Decision.Warned}
+		fallthrough
+	case KindMeta:
+		e.accesses++
+		if r.Meta.Alerted {
+			e.alerts++
+		}
+		if r.Meta.Warned {
+			e.warned++
+		}
+	case KindQuit:
+		if e.flag(r.Employee) {
+			e.quits++
+		}
+	case KindCycleOpen:
+		e.budget, e.initial = r.Budget, r.Budget
+		e.met.budget.Set(e.budget)
+		e.decisions = e.decisions[:0]
+		e.lastSSE, e.futures, e.replayed = nil, nil, false
+		e.accesses, e.alerts, e.warned, e.quits, e.closed = 0, 0, 0, 0, false
+	case KindCycleClose:
+		e.closed = true
 	}
-	e.met.budget.Set(e.budget)
+}
+
+// flag adds emp to the flagged employees and reports whether it is new. The
+// caller holds e.mu.
+func (e *Engine) flag(emp int) bool {
+	i, found := slices.BinarySearch(e.flagged, emp)
+	if !found {
+		e.flagged = slices.Insert(e.flagged, i, emp)
+	}
+	return !found
 }
 
 // Preview computes the decision the engine would take for a hypothetical

@@ -112,8 +112,8 @@ func TestProcessSingleTypeBudgetPacing(t *testing.T) {
 	if len(e.Decisions()) != 50 {
 		t.Fatalf("recorded %d decisions, want 50", len(e.Decisions()))
 	}
-	if e.InitialBudget() != 20 {
-		t.Fatalf("initial budget %g, want 20", e.InitialBudget())
+	if e.Status().Budget != 20 {
+		t.Fatalf("initial budget %g, want 20", e.Status().Budget)
 	}
 }
 
@@ -305,8 +305,8 @@ func TestNewCycleResetsState(t *testing.T) {
 	if err := e.NewCycle(35); err != nil {
 		t.Fatal(err)
 	}
-	if e.RemainingBudget() != 35 || e.InitialBudget() != 35 {
-		t.Fatalf("budget after NewCycle: %g/%g", e.RemainingBudget(), e.InitialBudget())
+	if e.RemainingBudget() != 35 || e.Status().Budget != 35 {
+		t.Fatalf("budget after NewCycle: %g/%g", e.RemainingBudget(), e.Status().Budget)
 	}
 	if len(e.Decisions()) != 0 {
 		t.Fatal("decisions should be cleared")

@@ -3,10 +3,53 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/auditgames/sag/internal/fallback"
 )
+
+// Kind discriminates the records of a tenant's journal: the kinds of change
+// to its cycle state, all applied by applyLocked.
+type Kind uint8
+
+const (
+	KindSnapshot   Kind = 1 // an encoded EngineState; recovery replays only what follows the last
+	KindDecision   Kind = 2 // one committed decision: one access, one alert
+	KindMeta       Kind = 3 // one access with no decision: benign, a flagged employee's, or of an unmodeled type
+	KindQuit       Kind = 4 // a warned employee abandoned the access
+	KindCycleOpen  Kind = 5 // a cycle rollover with its fresh budget
+	KindCycleClose Kind = 6 // the cycle's audit plan was drawn
+)
+
+var kindNames = [...]string{KindSnapshot: "snapshot", KindDecision: "decision", KindMeta: "meta",
+	KindQuit: "quit", KindCycleOpen: "cycle_open", KindCycleClose: "cycle_close"}
+
+// String returns a stable name for diagnostics.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// Meta is the counter delta of a KindMeta record: one access, plus the
+// alert and the warning when set.
+type Meta struct {
+	Alerted bool
+	Warned  bool
+}
+
+// Record is one change to a tenant's cycle state, in the form its journal
+// holds. Kind selects which payload field is live.
+type Record struct {
+	Kind     Kind
+	Decision DecisionRecord // KindDecision
+	Meta     Meta           // KindMeta
+	Employee int            // KindQuit
+	Budget   float64        // KindCycleOpen
+	Snapshot []byte         // KindSnapshot (wal.EncodeSnapshot's blob)
+}
 
 // DecisionRecord is the one form of a committed decision: what the journal
 // gets, what a snapshot carries and what the engine's cycle log holds — every
@@ -70,11 +113,11 @@ func (d *Decision) record(seq uint64) DecisionRecord {
 	}
 }
 
-// EngineState is a point-in-time export of the engine's mutable cycle
-// state: what a fresh engine (same Config, same seed) needs to continue the
-// cycle bit-identically. The kept estimate and equilibrium are not in it:
-// they are those of the log's last solved record, which the restored engine
-// rebuilds (rebuildLocked).
+// EngineState is a point-in-time export of a tenant's whole cycle state —
+// what a KindSnapshot record carries, and what a fresh engine (same Config,
+// same seed) needs to continue the cycle bit-identically. The kept estimate
+// and equilibrium are not in it: they are those of the log's last solved
+// record, which the restored engine rebuilds (rebuildLocked).
 type EngineState struct {
 	Budget  float64
 	Initial float64
@@ -83,11 +126,19 @@ type EngineState struct {
 	// next sampled signal lands on the same draw it would have uninterrupted.
 	RNGDraws  uint64
 	Decisions []DecisionRecord
+	// The cycle's counters: accesses served, the alerts and warnings among
+	// them, and first quits. KindCycleOpen zeroes them.
+	Accesses, Alerts, Warned, Quits int64
+	// Flagged lists, ascending, the employees who quit a warned access. A
+	// quit reveals the requester for good (paper §4): it outlives the cycle.
+	Flagged []int
+	// Closed reports that the cycle's audit plan was drawn.
+	Closed bool
 }
 
 // ExportState captures the engine's mutable cycle state. It is a consistent
 // snapshot: taken under the budget lock, so it never observes a half-
-// committed decision. Callers must externally ensure no decision commits
+// applied record. Callers must externally ensure no record is applied
 // between the export and whatever journal position the snapshot is written
 // at (the server drains in-flight requests first).
 func (e *Engine) ExportState() EngineState {
@@ -98,6 +149,12 @@ func (e *Engine) ExportState() EngineState {
 		Initial:   e.initial,
 		RNGDraws:  e.rngDraws,
 		Decisions: append([]DecisionRecord{}, e.decisions...),
+		Accesses:  e.accesses,
+		Alerts:    e.alerts,
+		Warned:    e.warned,
+		Quits:     e.quits,
+		Flagged:   slices.Clone(e.flagged),
+		Closed:    e.closed,
 	}
 }
 
@@ -106,26 +163,24 @@ func (e *Engine) ExportState() EngineState {
 // no decisions processed — because restore fast-forwards the RNG stream
 // from its seed position and rebuilds the budget chain from zero. Restoring
 // onto a used engine is an error, not a merge. Each decision is applied as
-// ApplyDecision applies it, so the next decision rebuilds the kept estimate
-// once.
+// Apply replays it, so the next decision rebuilds the kept estimate once.
 func (e *Engine) RestoreState(st EngineState) error {
 	if err := errors.Join(ValidateBudget(st.Budget), ValidateBudget(st.Initial)); err != nil {
 		return fmt.Errorf("core: restoring: %w", err)
 	}
-	for i, r := range st.Decisions {
-		if uint64(i) != r.Seq {
-			return fmt.Errorf("core: restoring decision out of order: seq %d at index %d", r.Seq, i)
-		}
-		if r.Type < 0 || r.Type >= e.inst.NumTypes() {
-			return fmt.Errorf("core: restoring decision %d: type %d out of range [0,%d)", i, r.Type, e.inst.NumTypes())
-		}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending {
+	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending || e.accesses != 0 || len(e.flagged) != 0 {
 		return errors.New("core: RestoreState requires a fresh engine")
 	}
-	e.applyLocked(nil, st.Decisions...)
+	e.decisions = slices.Grow(e.decisions, len(st.Decisions))
+	for _, d := range st.Decisions {
+		r := Record{Kind: KindDecision, Decision: d}
+		if err := e.checkLocked(r); err != nil {
+			return fmt.Errorf("core: restoring: %w", err)
+		}
+		e.applyLocked(r, nil)
+	}
 	// Each restored decision spent its draw in applyLocked; burn the draws of
 	// earlier cycles too, so the next decision samples the draw it would have
 	// seen uninterrupted.
@@ -134,27 +189,55 @@ func (e *Engine) RestoreState(st EngineState) error {
 		e.rngDraws++
 	}
 	e.budget, e.initial = st.Budget, st.Initial
+	e.accesses, e.alerts, e.warned, e.quits = st.Accesses, st.Alerts, st.Warned, st.Quits
+	for _, emp := range st.Flagged {
+		e.flag(emp)
+	}
+	e.closed = st.Closed
 	e.met.budget.Set(e.budget)
 	return nil
 }
 
-// ApplyDecision replays one journaled decision onto the engine during
-// recovery: it re-applies the budget charge and the recorded signal without
-// re-solving or re-sampling — the record is the committed truth. One RNG
-// draw is burned (the draw the original commit consumed) so the stream
-// stays aligned. The estimator is not asked: the next decision rebuilds the
-// kept estimate and equilibrium from the log once. Records must be applied
-// in journal order.
-func (e *Engine) ApplyDecision(r DecisionRecord) error {
-	if r.Type < 0 || r.Type >= e.inst.NumTypes() {
-		return fmt.Errorf("core: replaying decision: type %d out of range [0,%d)", r.Type, e.inst.NumTypes())
-	}
+// Apply is how every record but a live decision changes the cycle, live and
+// on replay: under the budget lock it checks r, enqueues it through journal
+// (nil on replay), applies it only if the enqueue succeeded, and returns the
+// journal's wait for the caller to run unlocked. A replayed decision keeps
+// its recorded charge and signal; the next decision rebuilds the kept
+// estimate from the log once. Like Config.Journal, journal must only enqueue.
+func (e *Engine) Apply(r Record, journal func(Record) (wait func() error, err error)) (wait func() error, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if want := uint64(len(e.decisions)); r.Seq != want {
-		return fmt.Errorf("core: replaying decision out of order: seq %d, want %d", r.Seq, want)
+	if err := e.checkLocked(r); err != nil {
+		return nil, err
 	}
-	e.applyLocked(nil, r)
+	if journal != nil {
+		if wait, err = journal(r); err != nil {
+			return nil, err
+		}
+	}
+	e.applyLocked(r, nil)
+	return wait, nil
+}
+
+// checkLocked refuses a record applyLocked cannot apply: a decision out of
+// sequence or of an unknown type, an invalid budget, a snapshot or an
+// unknown kind. The caller holds e.mu.
+func (e *Engine) checkLocked(r Record) error {
+	switch r.Kind {
+	case KindDecision:
+		d := r.Decision
+		if d.Type < 0 || d.Type >= e.inst.NumTypes() {
+			return fmt.Errorf("core: decision %d: type %d out of range [0,%d)", d.Seq, d.Type, e.inst.NumTypes())
+		}
+		if want := uint64(len(e.decisions)); d.Seq != want {
+			return fmt.Errorf("core: decision out of order: seq %d, want %d", d.Seq, want)
+		}
+	case KindCycleOpen:
+		return ValidateBudget(r.Budget)
+	case KindMeta, KindQuit, KindCycleClose:
+	default:
+		return fmt.Errorf("core: cannot apply a %v record", r.Kind)
+	}
 	return nil
 }
 
@@ -175,12 +258,4 @@ func (e *Engine) peekDrawLocked() float64 {
 func (e *Engine) consumeDrawLocked() {
 	e.hasPending = false
 	e.rngDraws++
-}
-
-// RNGDraws returns how many signal-sampling draws the engine has consumed
-// this process lifetime (restored draws included). Used by snapshot tests.
-func (e *Engine) RNGDraws() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rngDraws
 }

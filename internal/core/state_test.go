@@ -120,7 +120,7 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rec := range journal[s:k] {
-				if err := recovered.ApplyDecision(rec); err != nil {
+				if err := applyDecision(recovered, rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -137,7 +137,7 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 			if g, r := golden.RemainingBudget(), recovered.RemainingBudget(); math.Float64bits(g) != math.Float64bits(r) {
 				t.Fatalf("budgets differ: %v vs %v", g, r)
 			}
-			if g, r := golden.RNGDraws(), recovered.RNGDraws(); g != r {
+			if g, r := golden.ExportState().RNGDraws, recovered.ExportState().RNGDraws; g != r {
 				t.Fatalf("rng draws differ: %d vs %d", g, r)
 			}
 			if g, r := golden.Summary(), recovered.Summary(); g != r {
@@ -171,7 +171,7 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 // replaying its journal rebuilds. For 20 seeds, over a cycle rollover, a live
 // engine whose estimator freezes like the paper's knowledge rollback, and
 // whose solver fails on chosen alerts — the day's last healthy query among
-// them — is rebuilt twice: by ApplyDecision as it commits, and by
+// them — is rebuilt twice: by Apply as it commits, and by
 // RestoreState from its export. The three keep equal futures and equilibria
 // and, past the freeze, decide alike. The estimate freezes at the last
 // solved commit, so the last healthy query's degraded decision leaves it at
@@ -254,7 +254,7 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 				if _, err := live.Process(a); err != nil {
 					t.Fatal(err)
 				}
-				if err := replayed.ApplyDecision(journal[i]); err != nil {
+				if err := applyDecision(replayed, journal[i]); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -289,7 +289,7 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 // abandons a decision after its estimate and solve, and has a record refused
 // by its journal, each at an earlier, healthy offset whose estimate differs
 // from the one it keeps. None of that is in the journal, so an engine
-// rebuilt by ApplyDecision and one restored by RestoreState keep the live
+// rebuilt by Apply and one restored by RestoreState keep the live
 // engine's futures and equilibrium, and from the restore on all three decide
 // alike.
 func TestOnlyCommitsMoveTheKeptEstimate(t *testing.T) {
@@ -392,7 +392,7 @@ func TestOnlyCommitsMoveTheKeptEstimate(t *testing.T) {
 			if _, err := live.Process(a); err != nil {
 				t.Fatal(err)
 			}
-			if err := replayed.ApplyDecision(journal[i]); err != nil {
+			if err := applyDecision(replayed, journal[i]); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -447,7 +447,7 @@ func assertKeptAlike(t *testing.T, engines []*Engine, where string) {
 // from one decision to the next but its cycle state, so a twin restored from
 // a mid-cycle snapshot decides the next alerts exactly as the engine that
 // kept running — and so does one restored from an earlier snapshot with the
-// journal between replayed by ApplyDecision. The alerts share one offset, so
+// journal between replayed by Apply. The alerts share one offset, so
 // the rates never move and the budget moves slowly: every decision after
 // the rebuild solves on the futures restore or replay kept, κ included.
 func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
@@ -476,7 +476,7 @@ func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range journal[mid:] {
-		if err := replayed.ApplyDecision(rec); err != nil {
+		if err := applyDecision(replayed, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -592,8 +592,8 @@ func TestRestoreStateRequiresFreshEngine(t *testing.T) {
 	if err := fresh.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.RNGDraws() != 1 || len(fresh.Decisions()) != 1 {
-		t.Fatalf("restored draws=%d decisions=%d", fresh.RNGDraws(), len(fresh.Decisions()))
+	if fresh.ExportState().RNGDraws != 1 || len(fresh.Decisions()) != 1 {
+		t.Fatalf("restored draws=%d decisions=%d", fresh.ExportState().RNGDraws, len(fresh.Decisions()))
 	}
 }
 
@@ -619,13 +619,13 @@ func TestRestoreStateRejectsInvalidBudgets(t *testing.T) {
 // out-of-range records instead of corrupting the budget chain.
 func TestApplyDecisionOrderEnforced(t *testing.T) {
 	eng, numTypes := stateTestEngine(t, 7, nil)
-	if err := eng.ApplyDecision(DecisionRecord{Seq: 3, Type: 0}); err == nil {
+	if err := applyDecision(eng, DecisionRecord{Seq: 3, Type: 0}); err == nil {
 		t.Fatal("accepted out-of-order record")
 	}
-	if err := eng.ApplyDecision(DecisionRecord{Seq: 0, Type: numTypes}); err == nil {
+	if err := applyDecision(eng, DecisionRecord{Seq: 0, Type: numTypes}); err == nil {
 		t.Fatal("accepted out-of-range type")
 	}
-	if err := eng.ApplyDecision(DecisionRecord{Seq: 0, Type: 0, BudgetAfter: 3}); err != nil {
+	if err := applyDecision(eng, DecisionRecord{Seq: 0, Type: 0, BudgetAfter: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.RemainingBudget(); got != 3 {
@@ -740,7 +740,7 @@ func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
 		if _, err := redecided.Process(Alert{Type: rec.Type, Time: rec.Time}); err != nil {
 			t.Fatal(err)
 		}
-		if err := applied.ApplyDecision(rec); err != nil {
+		if err := applyDecision(applied, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -755,7 +755,7 @@ func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
 	if l, a := live.RemainingBudget(), applied.RemainingBudget(); math.Float64bits(l) != math.Float64bits(a) {
 		t.Fatalf("budgets differ: %v vs %v", l, a)
 	}
-	if l, a := live.RNGDraws(), applied.RNGDraws(); l != a {
+	if l, a := live.ExportState().RNGDraws, applied.ExportState().RNGDraws; l != a {
 		t.Fatalf("rng draws differ: %d vs %d", l, a)
 	}
 }
@@ -822,5 +822,100 @@ func benchmarkRestore(b *testing.B, decisions int, every, freeze time.Duration) 
 			b.Fatal("the restored engine does not keep the live engine's futures, equilibrium and cycle log")
 		}
 		b.StartTimer()
+	}
+}
+
+// applyDecision replays one journaled decision, as recovery does.
+func applyDecision(e *Engine, r DecisionRecord) error {
+	_, err := e.Apply(Record{Kind: KindDecision, Decision: r}, nil)
+	return err
+}
+
+// TestLiveEqualsReplayForEveryRecordKind: an engine that applies every kind
+// of record live — decisions through Process, the rest through Apply with a
+// journal — and a fresh twin replaying the journal it wrote export equal
+// state after every prefix. A repeated quit changes nothing, a new cycle
+// zeroes the counters and keeps the flagged set, and a record the journal
+// refuses is not applied.
+func TestLiveEqualsReplayForEveryRecordKind(t *testing.T) {
+	var journal []Record
+	enqueue := func(r Record) (func() error, error) {
+		journal = append(journal, r)
+		return nil, nil
+	}
+	live, _ := stateTestEngine(t, 11, func(d DecisionRecord) (func() error, error) {
+		return enqueue(Record{Kind: KindDecision, Decision: d})
+	})
+	replayed, _ := stateTestEngine(t, 11, nil)
+	decide := func() error {
+		_, err := live.Process(Alert{Type: 0, Time: 9 * time.Hour})
+		return err
+	}
+	apply := func(r Record) func() error {
+		return func() error {
+			_, err := live.Apply(r, enqueue)
+			return err
+		}
+	}
+	refused := func() error {
+		_, err := live.Apply(Record{Kind: KindQuit, Employee: 9}, func(Record) (func() error, error) {
+			return nil, errors.New("disk full")
+		})
+		if err == nil {
+			return errors.New("a refused enqueue was not an error")
+		}
+		return nil
+	}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"decision", decide},
+		{"benign meta", apply(Record{Kind: KindMeta})},
+		{"alerted meta", apply(Record{Kind: KindMeta, Meta: Meta{Alerted: true}})},
+		{"warned meta", apply(Record{Kind: KindMeta, Meta: Meta{Alerted: true, Warned: true}})},
+		{"first quit", apply(Record{Kind: KindQuit, Employee: 7})},
+		{"repeated quit", apply(Record{Kind: KindQuit, Employee: 7})},
+		{"refused quit", refused},
+		{"second employee's quit", apply(Record{Kind: KindQuit, Employee: 3})},
+		{"decision after quits", decide},
+		{"close", apply(Record{Kind: KindCycleClose})},
+		{"new cycle", apply(Record{Kind: KindCycleOpen, Budget: 12})},
+		{"decision in the new cycle", decide},
+		{"meta in the new cycle", apply(Record{Kind: KindMeta})},
+	}
+	applied := 0
+	for _, step := range steps {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		for _, r := range journal[applied:] {
+			if _, err := replayed.Apply(r, nil); err != nil {
+				t.Fatalf("%s: replaying %v: %v", step.name, r.Kind, err)
+			}
+		}
+		applied = len(journal)
+		if l, r := live.ExportState(), replayed.ExportState(); !reflect.DeepEqual(l, r) {
+			t.Fatalf("after %s: live and replay diverge:\nlive   %+v\nreplay %+v", step.name, l, r)
+		}
+		st := live.Status()
+		switch step.name {
+		case "repeated quit":
+			if st.Quits != 1 || st.FlaggedUsers != 1 {
+				t.Fatalf("a repeated quit moved quits to %d, flagged to %d", st.Quits, st.FlaggedUsers)
+			}
+		case "close":
+			want := CycleStatus{Budget: st.Budget, Remaining: st.Remaining, Accesses: 5, Alerts: 4, Warned: st.Warned, Quits: 2, FlaggedUsers: 2, Closed: true}
+			if st != want || st.Warned < 1 {
+				t.Fatalf("closed cycle: %+v, want %+v", st, want)
+			}
+		case "new cycle":
+			if want := (CycleStatus{Budget: 12, Remaining: 12, FlaggedUsers: 2}); st != want {
+				t.Fatalf("new cycle: %+v, want %+v", st, want)
+			}
+		}
+	}
+	if got := live.ExportState().Flagged; !slices.Equal(got, []int{3, 7}) {
+		t.Fatalf("flagged %v, want [3 7]", got)
 	}
 }

@@ -89,7 +89,7 @@ func (ce *chaosEngine) fallbackCount(t *testing.T, lvl fallback.Level) uint64 {
 func checkBudgetChain(t *testing.T, ce *chaosEngine) {
 	t.Helper()
 	ds := ce.eng.Decisions()
-	prev := ce.eng.InitialBudget()
+	prev := ce.eng.Status().Budget
 	for i, d := range ds {
 		if d.BudgetBefore != prev {
 			t.Fatalf("decision %d: BudgetBefore = %g, want %g (chain broken)", i, d.BudgetBefore, prev)

@@ -5,8 +5,8 @@ import (
 	"log/slog"
 	"net/http"
 	"path/filepath"
-	"sort"
 
+	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/retain"
 	"github.com/auditgames/sag/internal/shard"
@@ -49,11 +49,12 @@ func (s *Server) recoverTenant(t *tenantState) error {
 		slog.Warn("truncated corrupt journal tail", "tenant", t.id,
 			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
-	if err := s.replayTenant(t, rec); err != nil {
+	if err := replayTenant(t.engine, rec); err != nil {
 		_ = j.Close()
 		return fmt.Errorf("server: recovering tenant %q: %w", t.id, err)
 	}
 	t.journal = j
+	t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))
 	replayed := len(rec.Tail)
 	s.met.reg.Gauge(MetricRecoveryReplayed,
 		"Journal records replayed on top of the restored snapshot at boot.",
@@ -65,114 +66,32 @@ func (s *Server) recoverTenant(t *tenantState) error {
 	return nil
 }
 
-// replayTenant restores t from a journal recovery: first the snapshot (if
-// any), then the tail records in journal order. Exactly one record was
-// written per acknowledged request, so replay applies each record's full
-// counter delta and never double-applies a half-recorded request.
-func (s *Server) replayTenant(t *tenantState, rec *wal.Recovery) error {
+// replayTenant restores e from a journal recovery: the snapshot (if any),
+// then the tail in journal order through core.Engine.Apply, the function
+// that applied each record live.
+func replayTenant(e *core.Engine, rec *wal.Recovery) error {
 	if rec.Snapshot != nil {
-		if err := s.restoreSnapshot(t, rec.Snapshot); err != nil {
+		st, err := wal.DecodeSnapshot(rec.Snapshot)
+		if err == nil {
+			err = e.RestoreState(st)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	for _, r := range rec.Tail {
-		if err := s.applyRecord(t, r); err != nil {
+		if _, err := e.Apply(r, nil); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// restoreSnapshot decodes one snapshot blob onto t. The engine must be
-// pristine (core.RestoreState enforces it): recovery calls this before the
-// tenant serves.
-func (s *Server) restoreSnapshot(t *tenantState, blob []byte) error {
-	snap, err := wal.DecodeSnapshot(blob)
-	if err != nil {
-		return err
-	}
-	if err := t.engine.RestoreState(snap.Engine); err != nil {
-		return err
-	}
-	t.accesses.Store(snap.Accesses)
-	t.alerts.Store(snap.Alerts)
-	t.warned.Store(snap.Warned)
-	t.quits.Store(snap.Quits)
-	t.flaggedMu.Lock()
-	for _, emp := range snap.Flagged {
-		t.flagged[emp] = true
-	}
-	t.met.flagged.Set(float64(len(t.flagged)))
-	t.flaggedMu.Unlock()
-	t.closed = snap.Closed
-	return nil
-}
-
-// applyRecord applies one non-snapshot journal record to t. It is the tenant
-// state machine: recovery (a boot or a promotion) and the live pipeline
-// (commit, once the record is durable) both change per-cycle state here and
-// nowhere else, so the two cannot drift apart.
-func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
-	switch r.Kind {
-	case wal.KindDecision:
-		// A decision record is one full acknowledged /v1/access request
-		// of a gamed alert: one access, one alert, and the engine's
-		// committed decision (recorded signal, recorded budget chain).
-		if err := t.engine.ApplyDecision(r.Decision); err != nil {
-			return err
-		}
-		t.countAccess(true, r.Decision.Warned)
-	case wal.KindMeta:
-		// One acknowledged request that bypassed the engine.
-		t.countAccess(r.Meta.Alerted, r.Meta.Warned)
-	case wal.KindQuit:
-		t.flaggedMu.Lock()
-		first := !t.flagged[r.Employee]
-		if first {
-			t.flagged[r.Employee] = true
-			t.met.flagged.Set(float64(len(t.flagged)))
-		}
-		t.flaggedMu.Unlock()
-		if first {
-			t.quits.Add(1)
-		}
-	case wal.KindCycleOpen:
-		if err := t.engine.NewCycle(r.Budget); err != nil {
-			return err
-		}
-		// Flagged users deliberately survive the rollover: a quit reveals
-		// the requester for good (paper §4).
-		t.closed = false
-		t.accesses.Store(0)
-		t.alerts.Store(0)
-		t.warned.Store(0)
-		t.quits.Store(0)
-	case wal.KindCycleClose:
-		t.closed = true
-	default:
-		return fmt.Errorf("unknown journal record kind %v", r.Kind)
-	}
-	return nil
-}
-
-// countAccess applies one acknowledged access's per-cycle counter delta:
-// applyRecord for a decision or meta record, and the live alert path once the
-// engine has committed (and journaled) the decision.
-func (t *tenantState) countAccess(alerted, warned bool) {
-	t.accesses.Add(1)
-	if alerted {
-		t.alerts.Add(1)
-	}
-	if warned {
-		t.warned.Add(1)
-	}
 }
 
 // appendRecord enqueues one record on t's journal and returns the wait that
 // makes it as durable as the fsync policy promises. It is the only way a
-// record enters a live journal: commit (which waits at once) and the engine's
-// decision hook (under its budget lock, so journal order is commit order; the
-// engine waits after unlocking). The journal counts its own tail; the
+// record enters a live journal, always under the engine's budget lock (Apply,
+// and the engine's decision hook), so journal order is apply order; the
+// wait runs after the engine unlocks. The journal counts its own tail; the
 // retention scan reads it to schedule snapshots.
 func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, err error) {
 	if p := s.journalFault.Load(); p != nil {
@@ -210,35 +129,14 @@ func (s *Server) listRetainTenants() []retain.Tenant {
 	return out
 }
 
-// exportTenant encodes t's full state. The caller holds t.lifecycle
-// exclusively, so no decision is mid-commit and the engine export, the
-// counters, and the journal position are mutually consistent.
-func (s *Server) exportTenant(t *tenantState) ([]byte, error) {
-	snap := wal.Snapshot{
-		Engine:   t.engine.ExportState(),
-		Accesses: t.accesses.Load(),
-		Alerts:   t.alerts.Load(),
-		Warned:   t.warned.Load(),
-		Quits:    t.quits.Load(),
-		Closed:   t.closed,
-	}
-	t.flaggedMu.RLock()
-	for emp := range t.flagged {
-		snap.Flagged = append(snap.Flagged, emp)
-	}
-	t.flaggedMu.RUnlock()
-	sort.Ints(snap.Flagged)
-	return wal.EncodeSnapshot(snap)
-}
-
 // snapshotTenant writes one tenant's full state as a journal snapshot
 // record, fsyncs it, and prunes superseded segments. It takes the tenant's
-// lifecycle write lock, so it drains in-flight decisions first — the
-// snapshot can never miss a decision that was journaled before it.
+// lifecycle write lock, so it drains in-flight requests first: no record is
+// applied between the export and the snapshot's journal position.
 func (s *Server) snapshotTenant(t *tenantState) error {
 	s.lockLifecycle(t, writeSide)
 	defer t.lifecycle.Unlock()
-	blob, err := s.exportTenant(t)
+	blob, err := wal.EncodeSnapshot(t.engine.ExportState())
 	if err != nil {
 		return err
 	}
@@ -345,10 +243,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // of the current cycle — the same summary the drain path logs — so restart
 // drills can compare recovered state against a golden run byte for byte.
 func (s *Server) handleCycleSummary(w http.ResponseWriter, r *http.Request) {
-	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, readSide)
+	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, noLock)
 	if t == nil {
 		return
 	}
-	defer t.lifecycle.RUnlock()
 	writeJSON(w, http.StatusOK, t.engine.Summary())
 }

@@ -543,8 +543,8 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	// with the rollback memory and the kept rates at the freeze, and an
 	// equilibrium the rebuild must not read — and the same tail. Every key
 	// is spelled as those builds spelled it.
-	decisions := make([]map[string]any, len(snap.Engine.Decisions))
-	for i, d := range snap.Engine.Decisions {
+	decisions := make([]map[string]any, len(snap.Decisions))
+	for i, d := range snap.Decisions {
 		decisions[i] = map[string]any{
 			"Seq": d.Seq, "Type": d.Type, "Time": d.Time, "Warned": d.Warned,
 			"Vacuous": d.Vacuous, "AppliedSAG": d.AppliedSAG, "Fallback": d.Fallback,
@@ -555,8 +555,8 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	frozen, _ := curves.FutureRates(lastHealthy)
 	blob, err := json.Marshal(map[string]any{
 		"engine": map[string]any{
-			"budget": snap.Engine.Budget, "initial": snap.Engine.Initial,
-			"rng_draws": snap.Engine.RNGDraws, "decisions": decisions,
+			"budget": snap.Budget, "initial": snap.Initial,
+			"rng_draws": snap.RNGDraws, "decisions": decisions,
 			"last_rates": frozen,
 			"last_sse":   map[string]any{"coverage": make([]float64, 7), "best_type": 6},
 		},
@@ -789,7 +789,11 @@ func BenchmarkSnapshotColdPath(b *testing.B) {
 			}
 			t = data.(*tenantState)
 			b.StartTimer()
-			if err := mem.restoreSnapshot(t, rec.Snapshot); err != nil {
+			st, err := wal.DecodeSnapshot(rec.Snapshot)
+			if err == nil {
+				err = t.engine.RestoreState(st)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

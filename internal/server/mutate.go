@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"net/http"
 
@@ -12,7 +11,6 @@ import (
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/shard"
-	"github.com/auditgames/sag/internal/wal"
 )
 
 // route is one mutation route's row of the route × stage table (DESIGN.md,
@@ -44,17 +42,16 @@ type mutation interface {
 	// is resolved: an invalid request must not create one.
 	validate(s *Server) error
 	// decide runs under the tenant's lifecycle lock and returns the answer
-	// plus the one record that, once durable and applied, makes it true. It
+	// plus the one record that, once applied and durable, makes it true. It
 	// changes no per-cycle state itself — bar a gamed alert, which the engine
-	// has committed and journaled through its own hook by the time decide
-	// counts it.
+	// commits and journals in one critical section.
 	decide(ctx context.Context, s *Server, t *tenantState) outcome
 }
 
 // outcome is a decided request. rec.Kind is zero when there is nothing to
-// commit: a refusal, a repeated quit, or an alert the engine already committed.
+// apply: a refusal, or an alert the engine already committed.
 type outcome struct {
-	rec  wal.Record
+	rec  core.Record
 	code int
 	body any
 }
@@ -63,10 +60,11 @@ func refuse(code int, msg string) outcome { return outcome{code: code, body: api
 
 // mutate is the one path by which a request changes per-cycle state: standby
 // gate → decode → validate → disk pressure → admission → resolve + lifecycle
-// lock + deadline → decide → journal and wait → applyRecord → answer. State
-// changes only in applyRecord, after the record is durable — the function
-// recovery runs on a boot or a promotion — so live state is replay of the
-// journal by construction and a failed append has nothing to undo.
+// lock + deadline → decide → apply → wait → answer. State changes only in
+// core.Engine.Apply — the function recovery runs on a boot or a promotion —
+// which applies a record only once the journal has taken it, so live state is
+// replay of the journal by construction and a refused append has nothing to
+// undo.
 func (s *Server) mutate(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.rejectIfFollowing(w) {
@@ -108,7 +106,7 @@ func (s *Server) mutate(rt route) http.HandlerFunc {
 		defer t.unlockLifecycle(rt.side)
 		out := req.decide(r.Context(), s, t)
 		if out.rec.Kind != 0 {
-			if err := s.commit(t, out.rec); err != nil {
+			if err := s.apply(t, out.rec); err != nil {
 				writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 				return
 			}
@@ -129,24 +127,27 @@ func writeShed(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusServiceUnavailable, apiError{Error: msg})
 }
 
-// commit makes rec durable (with a data dir) and only then applies it.
-func (s *Server) commit(t *tenantState, rec wal.Record) error {
+// apply hands rec to t's engine, which enqueues it on t's journal (with a
+// data dir) and applies it under its budget lock, then waits until the record
+// is as durable as the fsync policy promises. A failed wait leaves the record
+// applied in memory, but the journal then refuses every later record, so the
+// tenant answers 500 until a restart recovers what is on disk.
+func (s *Server) apply(t *tenantState, rec core.Record) error {
+	var journal func(core.Record) (func() error, error)
 	if t.journal != nil {
-		wait, err := s.appendRecord(t, rec)
-		if err == nil && wait != nil {
-			err = wait()
-		}
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
+		journal = func(r core.Record) (func() error, error) { return s.appendRecord(t, r) }
 	}
-	err := s.applyRecord(t, rec)
+	wait, err := t.engine.Apply(rec, journal)
+	if rec.Kind == core.KindQuit {
+		t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))
+	}
+	if err == nil && wait != nil {
+		err = wait()
+	}
 	if err != nil {
-		// Unreachable for a validated request; if it ever fires the journal
-		// holds a record that memory does not, so say so loudly.
-		slog.Error("journaled but not applied", "tenant", t.id, "kind", rec.Kind, "err", err)
+		return fmt.Errorf("journal: %w", err)
 	}
-	return err
+	return nil
 }
 
 func (q *AccessRequest) tenantField() string    { return q.Tenant }
@@ -157,36 +158,37 @@ func (q *AccessRequest) validate(*Server) error { return nil }
 // answered 400. A gamed alert commits inside the engine, which journals it
 // through core.Config.Journal (see buildTenant) before returning.
 func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) outcome {
-	if t.closed {
+	st := t.engine.Status()
+	if st.Closed {
 		return refuse(http.StatusConflict, "audit cycle is closed; POST /v1/cycle/new to start the next one")
 	}
 	t.met.accesses.Inc()
 	now := s.cfg.Clock()
 	alert, fired, err := s.detector.Evaluate(emr.AccessEvent{Time: now, EmployeeID: q.EmployeeID, PatientID: q.PatientID})
 	if err != nil {
-		return outcome{wal.Record{Kind: wal.KindMeta}, http.StatusBadRequest, apiError{Error: err.Error()}}
+		return outcome{core.Record{Kind: core.KindMeta}, http.StatusBadRequest, apiError{Error: err.Error()}}
 	}
-	resp := AccessResponse{RemainingBudget: t.engine.RemainingBudget()}
+	resp := AccessResponse{RemainingBudget: st.Remaining}
 	if !fired {
-		return outcome{wal.Record{Kind: wal.KindMeta}, http.StatusOK, resp}
+		return outcome{core.Record{Kind: core.KindMeta}, http.StatusOK, resp}
 	}
 	t.met.alerts.Inc()
 	resp.Alert = true
 	resp.TypeID = alert.Type
 	resp.Rules = alert.Rules.String()
 
-	if t.isFlagged(q.EmployeeID) {
+	if t.engine.Flagged(q.EmployeeID) {
 		// Known quitter: always warn (and the access is investigated out
 		// of band — the paper notes this is cheap because quits are rare).
 		resp.Warn = true
 		resp.Flagged = true
 		t.met.warned.Inc()
-		return outcome{wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: true, Warned: true}}, http.StatusOK, resp}
+		return outcome{core.Record{Kind: core.KindMeta, Meta: core.Meta{Alerted: true, Warned: true}}, http.StatusOK, resp}
 	}
 	idx, gamed := s.typeIdx[alert.Type]
 	if !gamed {
 		// Unmodeled type: logged, never warned (no payoff structure).
-		return outcome{wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: true}}, http.StatusOK, resp}
+		return outcome{core.Record{Kind: core.KindMeta, Meta: core.Meta{Alerted: true}}, http.StatusOK, resp}
 	}
 	d, err := t.engine.ProcessContext(ctx, core.Alert{Type: idx, Time: now})
 	switch {
@@ -198,7 +200,6 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 		// No decision committed: the engine journals before it commits.
 		return refuse(http.StatusInternalServerError, err.Error())
 	}
-	t.countAccess(true, d.Warned)
 	resp.Warn = d.Warned
 	resp.RemainingBudget = d.BudgetAfter
 	if d.Fallback.Degraded() {
@@ -210,14 +211,6 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 	return outcome{code: http.StatusOK, body: resp}
 }
 
-// isFlagged reports whether emp has quit a warned access. The lock is
-// released before returning: it is never held across a journal wait.
-func (t *tenantState) isFlagged(emp int) bool {
-	t.flaggedMu.RLock()
-	defer t.flaggedMu.RUnlock()
-	return t.flagged[emp]
-}
-
 func (q *QuitRequest) tenantField() string { return q.Tenant }
 
 func (q *QuitRequest) validate(s *Server) error {
@@ -227,19 +220,18 @@ func (q *QuitRequest) validate(s *Server) error {
 	return nil
 }
 
-// decide is idempotent: a quit reveals the requester once, so a repeated
-// report (front ends retry) re-confirms the flag without a record. First
-// reports racing on one employee each journal a record; applyRecord flags and
-// counts only the first, live and on replay alike.
+// decide is idempotent: a quit reveals the requester once, so the engine
+// flags and counts only the first record of an employee, live and on replay
+// alike. A repeated report (front ends retry) is journaled too: a flag is
+// applied before its record is durable, so answering a retry with no record
+// of its own to wait for could acknowledge a flag that a crash then loses.
 func (q *QuitRequest) decide(_ context.Context, _ *Server, t *tenantState) outcome {
-	out := outcome{code: http.StatusOK, body: struct {
+	if !t.engine.Flagged(q.EmployeeID) {
+		t.met.quits.Inc()
+	}
+	return outcome{core.Record{Kind: core.KindQuit, Employee: q.EmployeeID}, http.StatusOK, struct {
 		Flagged bool `json:"flagged"`
 	}{Flagged: true}}
-	if !t.isFlagged(q.EmployeeID) {
-		t.met.quits.Inc()
-		out.rec = wal.Record{Kind: wal.KindQuit, Employee: q.EmployeeID}
-	}
-	return out
 }
 
 func (q *CloseRequest) tenantField() string    { return q.Tenant }
@@ -250,21 +242,22 @@ func (q *CloseRequest) validate(*Server) error { return nil }
 // lost the client never saw the plan, the cycle stays open, and a retried
 // close re-derives the identical plan (same access count → same seed).
 func (q *CloseRequest) decide(_ context.Context, s *Server, t *tenantState) outcome {
-	if t.closed {
+	st := t.engine.Status()
+	if st.Closed {
 		return refuse(http.StatusConflict, "audit cycle already closed; POST /v1/cycle/new to start the next one")
 	}
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ t.seedOffset ^ t.accesses.Load()))
+	rng := rand.New(rand.NewSource(s.cfg.Seed ^ t.seedOffset ^ st.Accesses))
 	audits, total := t.engine.CloseCycle(rng)
-	return outcome{wal.Record{Kind: wal.KindCycleClose}, http.StatusOK, CloseResponse{Audits: audits, TotalCost: total}}
+	return outcome{core.Record{Kind: core.KindCycleClose}, http.StatusOK, CloseResponse{Audits: audits, TotalCost: total}}
 }
 
 func (q *NewCycleRequest) tenantField() string    { return q.Tenant }
 func (q *NewCycleRequest) validate(*Server) error { return core.ValidateBudget(q.Budget) }
 
-// decide rolls the cycle over; with the budget validated the engine call in
-// applyRecord cannot fail once the record is on disk.
+// decide rolls the cycle over; validate has checked the budget the engine
+// checks again.
 func (q *NewCycleRequest) decide(context.Context, *Server, *tenantState) outcome {
-	return outcome{wal.Record{Kind: wal.KindCycleOpen, Budget: q.Budget}, http.StatusOK, struct {
+	return outcome{core.Record{Kind: core.KindCycleOpen, Budget: q.Budget}, http.StatusOK, struct {
 		Budget float64 `json:"budget"`
 	}{Budget: q.Budget}}
 }

@@ -40,12 +40,11 @@ func stateOf(t *testing.T, srv *Server) cycleState {
 	ts := tn.Data.(*tenantState)
 	ts.lifecycle.RLock()
 	defer ts.lifecycle.RUnlock()
-	ts.flaggedMu.RLock()
-	defer ts.flaggedMu.RUnlock()
+	st := ts.engine.Status()
 	return cycleState{
-		Accesses: ts.accesses.Load(), Alerts: ts.alerts.Load(), Warned: ts.warned.Load(), Quits: ts.quits.Load(),
-		Flagged: len(ts.flagged), Closed: ts.closed,
-		Budget: ts.engine.InitialBudget(), Remaining: ts.engine.RemainingBudget(),
+		Accesses: st.Accesses, Alerts: st.Alerts, Warned: st.Warned, Quits: st.Quits,
+		Flagged: st.FlaggedUsers, Closed: st.Closed,
+		Budget: st.Budget, Remaining: st.Remaining,
 		Decisions: ts.engine.Summary().Alerts, Appends: walAppends(srv),
 		Tenants: strings.Join(srv.Tenants(), ","),
 	}
@@ -300,8 +299,8 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 
 // TestConcurrentFirstQuit: first reports of one employee racing each other
 // flag them once and count one quit, and a server recovered from the journal
-// they wrote agrees. flaggedMu is never held across the durability wait, so
-// the racers may each journal a record; replay is as idempotent as the race.
+// they wrote agrees. Each racer journals a record; the engine flags and counts
+// only the first, live and on replay alike.
 func TestConcurrentFirstQuit(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, _, _ := durableFixture(t, dir)

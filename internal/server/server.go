@@ -32,9 +32,9 @@
 // solves, journals and commits under its budget lock (see core.Engine) —
 // the durability wait runs outside it, so one hot tenant still shares
 // fsyncs. /v1/cycle/close and /v1/cycle/new take that tenant's write side
-// and drain its in-flight decisions before the rollover. Per-cycle counters
-// are atomics and each tenant's flagged-user set has its own small mutex.
-// The full locking hierarchy is documented in DESIGN.md.
+// and drain its in-flight decisions before the rollover. The engine holds the
+// tenant's whole cycle state — counters and flagged employees included. The
+// full locking hierarchy is documented in DESIGN.md.
 //
 // The serving path is hardened for production shapes: request bodies are
 // capped (1 MiB), a failed solve degrades gracefully (the
@@ -52,12 +52,12 @@
 // Code that ignores its context is bounded only by http.Server.WriteTimeout.
 //
 // The four mutation routes are rows of one table run by one pipeline
-// (mutate.go): gates → validate → resolve and lock → decide → journal and
-// wait → applyRecord → answer. Per-cycle state changes only in applyRecord —
-// the function recovery runs on a boot or a promotion — and only after the
-// record is durable, so live state equals replay of the journal by
-// construction, a refused or failed request leaves nothing to undo, and a
-// request invalid on its face is refused before it can create a tenant.
+// (mutate.go): gates → validate → resolve and lock → decide → apply → wait →
+// answer. Per-cycle state changes only in the engine, which applies a record
+// under its lock once the journal has taken it, as recovery does on a boot
+// or a promotion, so live state equals replay of the journal by construction
+// and a request invalid on its face is refused before it can create a
+// tenant.
 //
 // With Config.DataDir each tenant journals to its own write-ahead log
 // (internal/wal). The append path only appends: the retention scan
@@ -187,23 +187,17 @@ type Config struct {
 	FollowPrimary string
 }
 
-// tenantState is one tenant's serving state: its engine plus the HTTP
-// layer's per-tenant lifecycle and counters. It rides in shard.Tenant.Data.
+// tenantState is one tenant: its engine, which holds the whole cycle state,
+// its journal and its lifecycle lock. It rides in shard.Tenant.Data.
 //
 // Locking hierarchy (acquire top to bottom, never upward):
 //
 //	lifecycle — RWMutex over this tenant's cycle transitions. /v1/access
 //	            and /v1/quit hold the read side from resolve to answer, so
 //	            any number overlap; /v1/cycle/close and /v1/cycle/new hold
-//	            the write side, so a rollover waits for in-flight decisions
-//	            and no decision ever spans a cycle boundary. Guards closed.
-//	flaggedMu — RWMutex over this tenant's flagged-quitter set only; never
-//	            held across a journal wait.
+//	            the write side, so a rollover waits for in-flight requests
+//	            and no request ever spans a cycle boundary.
 //	engine    — core.Engine's budget lock, then the journal's.
-//
-// Per-cycle counters (accesses, alerts, warned, quits) are atomics written
-// only by applyRecord, countAccess and restoreSnapshot, and read by
-// /v1/status, snapshots and the close's seed derivation.
 type tenantState struct {
 	id         string
 	seedOffset int64 // folded into RNG seeds; 0 for the default tenant
@@ -214,15 +208,6 @@ type tenantState struct {
 	journal *wal.Journal
 
 	lifecycle sync.RWMutex
-	closed    bool // cycle closed, awaiting /v1/cycle/new; guarded by lifecycle
-
-	flaggedMu sync.RWMutex
-	flagged   map[int]bool
-
-	accesses atomic.Int64
-	alerts   atomic.Int64
-	warned   atomic.Int64
-	quits    atomic.Int64
 }
 
 // Server is the HTTP facade. Create with New and mount via Handler.
@@ -367,7 +352,6 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		id:         id,
 		seedOffset: seedOffset,
 		met:        newTenantMetrics(s.met.reg, id),
-		flagged:    make(map[int]bool),
 	}
 	// The engine's durability hook: enqueue the committed decision on this
 	// tenant's journal (the engine calls it under its budget lock, in commit
@@ -823,26 +807,22 @@ func (t *tenantState) unlockLifecycle(side lockSide) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// GET carries no body; the query parameter stands in for it.
-	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, readSide)
+	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, noLock)
 	if t == nil {
 		return
 	}
-	closed := t.closed
-	t.lifecycle.RUnlock()
-	t.flaggedMu.RLock()
-	flagged := len(t.flagged)
-	t.flaggedMu.RUnlock()
+	st := t.engine.Status()
 	writeJSON(w, http.StatusOK, Status{
 		Tenant:          t.id,
 		ActiveTenants:   s.router.Len(),
-		Budget:          t.engine.InitialBudget(),
-		RemainingBudget: t.engine.RemainingBudget(),
-		Accesses:        int(t.accesses.Load()),
-		Alerts:          int(t.alerts.Load()),
-		Warned:          int(t.warned.Load()),
-		Quits:           int(t.quits.Load()),
-		FlaggedUsers:    flagged,
+		Budget:          st.Budget,
+		RemainingBudget: st.Remaining,
+		Accesses:        int(st.Accesses),
+		Alerts:          int(st.Alerts),
+		Warned:          int(st.Warned),
+		Quits:           int(st.Quits),
+		FlaggedUsers:    st.FlaggedUsers,
 		NumTypes:        s.cfg.Instance.NumTypes(),
-		Closed:          closed,
+		Closed:          st.Closed,
 	})
 }

@@ -74,8 +74,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if data[0] == '{' {
 			perEntry = len("{},")
 		}
-		if cap(s.Engine.Decisions) > len(data)/perEntry || cap(s.Flagged) > len(data) {
-			t.Fatalf("%d input bytes sized %d decisions and %d flagged employees", len(data), cap(s.Engine.Decisions), cap(s.Flagged))
+		if cap(s.Decisions) > len(data)/perEntry || cap(s.Flagged) > len(data) {
+			t.Fatalf("%d input bytes sized %d decisions and %d flagged employees", len(data), cap(s.Decisions), cap(s.Flagged))
 		}
 		enc, err := EncodeSnapshot(s)
 		if err != nil {

@@ -12,47 +12,19 @@ import (
 	"github.com/auditgames/sag/internal/fallback"
 )
 
-// Kind discriminates journal records.
-type Kind uint8
+// Kind discriminates journal records: the kinds of change to a tenant's
+// cycle state, which internal/core applies (core.Engine.Apply).
+type Kind = core.Kind
 
+// The record kinds.
 const (
-	// KindSnapshot carries a tenant's full state (EncodeSnapshot). Recovery
-	// restores from the last snapshot and replays only the records after it.
-	KindSnapshot Kind = 1
-	// KindDecision is one committed engine decision (core.DecisionRecord):
-	// the chosen signal, the audit charge, and the budget chain.
-	KindDecision Kind = 2
-	// KindMeta is one served request that produced no engine decision —
-	// a benign access, a flagged-user warning, or an unmodeled alert type —
-	// carried for the tenant's cycle counters.
-	KindMeta Kind = 3
-	// KindQuit records that a warned employee abandoned the access.
-	KindQuit Kind = 4
-	// KindCycleOpen records a cycle rollover with its fresh budget.
-	KindCycleOpen Kind = 5
-	// KindCycleClose records that the cycle's audit plan was drawn.
-	KindCycleClose Kind = 6
+	KindSnapshot   = core.KindSnapshot
+	KindDecision   = core.KindDecision
+	KindMeta       = core.KindMeta
+	KindQuit       = core.KindQuit
+	KindCycleOpen  = core.KindCycleOpen
+	KindCycleClose = core.KindCycleClose
 )
-
-// String returns a stable name for diagnostics.
-func (k Kind) String() string {
-	switch k {
-	case KindSnapshot:
-		return "snapshot"
-	case KindDecision:
-		return "decision"
-	case KindMeta:
-		return "meta"
-	case KindQuit:
-		return "quit"
-	case KindCycleOpen:
-		return "cycle_open"
-	case KindCycleClose:
-		return "cycle_close"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
 
 // Meta flag bits.
 const (
@@ -62,22 +34,11 @@ const (
 	MetaWarned = 1 << 1
 )
 
-// Meta is the counter delta of one request that bypassed the engine.
-// Every meta record implies one access; the flags add the alert/warn deltas.
-type Meta struct {
-	Alerted bool
-	Warned  bool
-}
+// Meta is a KindMeta record's counter delta.
+type Meta = core.Meta
 
 // Record is one journal entry. Kind selects which payload field is live.
-type Record struct {
-	Kind     Kind
-	Decision core.DecisionRecord // KindDecision
-	Meta     Meta                // KindMeta
-	Employee int                 // KindQuit
-	Budget   float64             // KindCycleOpen
-	Snapshot []byte              // KindSnapshot (EncodeSnapshot's blob)
-}
+type Record = core.Record
 
 // Decision record flag bits.
 const (
@@ -178,19 +139,6 @@ func DecodeRecord(p []byte) (Record, error) {
 	return r, nil
 }
 
-// Snapshot is the state a KindSnapshot record carries: the engine's cycle
-// state and the serving layer's per-tenant state — the cycle counters, the
-// flagged employees and whether the cycle's audit plan was drawn.
-type Snapshot struct {
-	Engine   core.EngineState
-	Accesses int64
-	Alerts   int64
-	Warned   int64
-	Quits    int64
-	Flagged  []int
-	Closed   bool
-}
-
 // snapshotFormat is the first byte of a snapshot blob. It is not '{', the
 // first byte of the JSON snapshots earlier builds wrote: DecodeSnapshot
 // still reads those, and a build that reads only JSON refuses this format
@@ -202,28 +150,28 @@ const snapshotFormat = 1
 // the remaining bytes cannot hold is refused before anything is allocated.
 const minDecisionBytes = 3 + 2 + 6*8
 
-// EncodeSnapshot encodes s: the format byte; the budget and initial budget
-// as floats; the RNG draws, the four counters, closed (0 or 1) and the
-// flagged employees (a count, then each) as uvarints; then the decision
-// count and each decision as the journal's decision records carry it.
-func EncodeSnapshot(s Snapshot) ([]byte, error) {
-	st := s.Engine
-	buf := make([]byte, 0, 64+3*len(s.Flagged)+64*len(st.Decisions))
+// EncodeSnapshot encodes a tenant's cycle state, the blob a KindSnapshot
+// record carries: the format byte; the budget and initial budget as floats;
+// the RNG draws, the four counters, closed (0 or 1) and the flagged employees
+// (a count, then each) as uvarints; then the decision count and each decision
+// as the journal's decision records carry it.
+func EncodeSnapshot(st core.EngineState) ([]byte, error) {
+	buf := make([]byte, 0, 64+3*len(st.Flagged)+64*len(st.Decisions))
 	buf = append(buf, snapshotFormat)
 	buf = appendFloat(buf, st.Budget)
 	buf = appendFloat(buf, st.Initial)
 	buf = binary.AppendUvarint(buf, st.RNGDraws)
 	var closed int64
-	if s.Closed {
+	if st.Closed {
 		closed = 1
 	}
-	for _, v := range []int64{s.Accesses, s.Alerts, s.Warned, s.Quits, closed, int64(len(s.Flagged))} {
+	for _, v := range []int64{st.Accesses, st.Alerts, st.Warned, st.Quits, closed, int64(len(st.Flagged))} {
 		if v < 0 {
 			return nil, fmt.Errorf("wal: negative counter %d in snapshot", v)
 		}
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	for _, emp := range s.Flagged {
+	for _, emp := range st.Flagged {
 		if emp < 0 {
 			return nil, fmt.Errorf("wal: negative flagged employee %d in snapshot", emp)
 		}
@@ -244,8 +192,8 @@ func EncodeSnapshot(s Snapshot) ([]byte, error) {
 // unknown format byte, truncation, trailing bytes, a count the remaining
 // bytes cannot hold, and any encoding EncodeSnapshot would not have written,
 // so a decoded snapshot re-encodes to the bytes it came from.
-func DecodeSnapshot(p []byte) (Snapshot, error) {
-	var s Snapshot
+func DecodeSnapshot(p []byte) (core.EngineState, error) {
+	var s core.EngineState
 	switch {
 	case len(p) == 0:
 		return s, fmt.Errorf("wal: empty snapshot")
@@ -255,12 +203,11 @@ func DecodeSnapshot(p []byte) (Snapshot, error) {
 		return s, fmt.Errorf("wal: unknown snapshot format %#x", p[0])
 	}
 	rest := p[1:]
-	st := &s.Engine
 	var err error
-	if st.Budget, rest, err = takeFloat(rest); err != nil {
+	if s.Budget, rest, err = takeFloat(rest); err != nil {
 		return s, fmt.Errorf("wal: snapshot budget: %w", err)
 	}
-	if st.Initial, rest, err = takeFloat(rest); err != nil {
+	if s.Initial, rest, err = takeFloat(rest); err != nil {
 		return s, fmt.Errorf("wal: snapshot initial budget: %w", err)
 	}
 	var hdr [6]uint64 // the RNG draws, the four counters, closed
@@ -269,7 +216,7 @@ func DecodeSnapshot(p []byte) (Snapshot, error) {
 			return s, fmt.Errorf("wal: snapshot header: %w", err)
 		}
 	}
-	st.RNGDraws = hdr[0]
+	s.RNGDraws = hdr[0]
 	s.Accesses, s.Alerts, s.Warned, s.Quits = int64(hdr[1]), int64(hdr[2]), int64(hdr[3]), int64(hdr[4])
 	s.Closed = hdr[5] != 0
 	var n uint64
@@ -287,9 +234,9 @@ func DecodeSnapshot(p []byte) (Snapshot, error) {
 	if n, rest, err = takeCount(rest, minDecisionBytes); err != nil {
 		return s, fmt.Errorf("wal: snapshot decisions: %w", err)
 	}
-	st.Decisions = make([]core.DecisionRecord, n)
-	for i := range st.Decisions {
-		if st.Decisions[i], rest, err = takeDecision(rest); err != nil {
+	s.Decisions = make([]core.DecisionRecord, n)
+	for i := range s.Decisions {
+		if s.Decisions[i], rest, err = takeDecision(rest); err != nil {
 			return s, fmt.Errorf("wal: snapshot decision %d: %w", i, err)
 		}
 	}
@@ -344,31 +291,29 @@ type legacyDecision struct {
 // decodeLegacySnapshot reads an earlier build's JSON snapshot and passes it
 // through EncodeSnapshot and DecodeSnapshot, so it is held to the same checks
 // as a snapshot this build wrote.
-func decodeLegacySnapshot(p []byte) (Snapshot, error) {
+func decodeLegacySnapshot(p []byte) (core.EngineState, error) {
 	var l legacySnapshot
 	if err := json.Unmarshal(p, &l); err != nil {
-		return Snapshot{}, fmt.Errorf("wal: decoding JSON snapshot: %w", err)
+		return core.EngineState{}, fmt.Errorf("wal: decoding JSON snapshot: %w", err)
 	}
-	s := Snapshot{
-		Engine: core.EngineState{
-			Budget:    l.Engine.Budget,
-			Initial:   l.Engine.Initial,
-			RNGDraws:  l.Engine.RNGDraws,
-			Decisions: make([]core.DecisionRecord, len(l.Engine.Decisions)),
-		},
-		Accesses: l.Accesses,
-		Alerts:   l.Alerts,
-		Warned:   l.Warned,
-		Quits:    l.Quits,
-		Flagged:  l.Flagged,
-		Closed:   l.Closed,
+	s := core.EngineState{
+		Budget:    l.Engine.Budget,
+		Initial:   l.Engine.Initial,
+		RNGDraws:  l.Engine.RNGDraws,
+		Decisions: make([]core.DecisionRecord, len(l.Engine.Decisions)),
+		Accesses:  l.Accesses,
+		Alerts:    l.Alerts,
+		Warned:    l.Warned,
+		Quits:     l.Quits,
+		Flagged:   l.Flagged,
+		Closed:    l.Closed,
 	}
 	for i, d := range l.Engine.Decisions {
-		s.Engine.Decisions[i] = core.DecisionRecord(d)
+		s.Decisions[i] = core.DecisionRecord(d)
 	}
 	enc, err := EncodeSnapshot(s)
 	if err != nil {
-		return Snapshot{}, err
+		return core.EngineState{}, err
 	}
 	return DecodeSnapshot(enc)
 }

@@ -15,16 +15,16 @@ import (
 
 // sampleSnapshot returns a snapshot with every field non-trivial; its cycle
 // log is sampleRecords' decisions.
-func sampleSnapshot() Snapshot {
-	s := Snapshot{
-		Engine:   core.EngineState{Budget: 11.875, Initial: 12.5, RNGDraws: 9},
+func sampleSnapshot() core.EngineState {
+	s := core.EngineState{
+		Budget: 11.875, Initial: 12.5, RNGDraws: 9,
 		Accesses: 7, Alerts: 4, Warned: 2, Quits: 1,
 		Flagged: []int{3, 417},
 		Closed:  true,
 	}
 	for _, r := range sampleRecords() {
 		if r.Kind == KindDecision {
-			s.Engine.Decisions = append(s.Engine.Decisions, r.Decision)
+			s.Decisions = append(s.Decisions, r.Decision)
 		}
 	}
 	return s
@@ -64,11 +64,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// An empty log and no flagged employees decode to empty, not nil.
-	blob, err := EncodeSnapshot(Snapshot{})
+	blob, err := EncodeSnapshot(core.EngineState{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeSnapshot(blob); err != nil || got.Engine.Decisions == nil || got.Flagged == nil {
+	if got, err := DecodeSnapshot(blob); err != nil || got.Decisions == nil || got.Flagged == nil {
 		t.Fatalf("empty snapshot decodes to %+v, %v", got, err)
 	}
 }
@@ -90,8 +90,8 @@ func TestSnapshotCostsWhatTheJournalCosts(t *testing.T) {
 		})
 		budget -= charge
 	}
-	st.Budget, st.Initial, st.RNGDraws = budget, 4096, n
-	blob, err := EncodeSnapshot(Snapshot{Engine: st, Accesses: n, Alerts: n})
+	st.Budget, st.Initial, st.RNGDraws, st.Accesses, st.Alerts = budget, 4096, n, n, n
+	blob, err := EncodeSnapshot(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDecodeSnapshotRefuses(t *testing.T) {
 	// uvarints (RNG draws, four counters, closed), then the flagged count and
 	// employees (3, 417), then the decision count and the decisions.
 	const counters, flagged, decisions = 1 + 16, 1 + 16 + 6, 1 + 16 + 6 + 4
-	first, err := appendDecision(nil, sample.Engine.Decisions[0])
+	first, err := appendDecision(nil, sample.Decisions[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestDecodeSnapshotRefuses(t *testing.T) {
 			t.Errorf("%s: refusing %d bytes allocated %d", name, len(blob), got)
 		}
 	}
-	for _, bad := range []Snapshot{
+	for _, bad := range []core.EngineState{
 		{Accesses: -1},
 		{Flagged: []int{-3}},
-		{Engine: core.EngineState{Decisions: []core.DecisionRecord{{Time: -time.Second}}}},
+		{Decisions: []core.DecisionRecord{{Time: -time.Second}}},
 	} {
 		if _, err := EncodeSnapshot(bad); err == nil {
 			t.Errorf("encoded %+v", bad)
