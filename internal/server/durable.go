@@ -67,8 +67,8 @@ func (s *Server) recoverTenant(t *tenantState) error {
 }
 
 // replayTenant restores e from a journal recovery: the snapshot (if any),
-// then the tail in journal order through core.Engine.Apply, the function
-// that applied each record live.
+// then the tail in journal order through core.Engine.Apply, which ends in
+// the writer that applied each record live.
 func replayTenant(e *core.Engine, rec *wal.Recovery) error {
 	if rec.Snapshot != nil {
 		st, err := wal.DecodeSnapshot(rec.Snapshot)
