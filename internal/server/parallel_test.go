@@ -109,8 +109,6 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	}
 
 	var next atomic.Int64
-	var failures atomic.Int64
-	var firstFailure atomic.Pointer[string]
 	before := srv.Metrics().Snapshot()
 	b.SetParallelism(par)
 	b.ResetTimer()
@@ -125,17 +123,16 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 			code, resp := do(http.MethodPost, "/v1/access", tenant, body)
 			count.Add(1)
 			if code != http.StatusOK {
-				failures.Add(1)
-				msg := fmt.Sprintf("tenant %s: access answered %d: %s", tenant, code, resp)
-				firstFailure.CompareAndSwap(nil, &msg)
+				b.Errorf("tenant %s: access answered %d: %s", tenant, code, resp)
+				return
 			}
 		}
 	})
 	b.StopTimer()
-	after := srv.Metrics().Snapshot()
-	if n := failures.Load(); n > 0 {
-		b.Fatalf("%d of %d accesses were not 200; first: %s", n, b.N, *firstFailure.Load())
+	if b.Failed() {
+		return
 	}
+	after := srv.Metrics().Snapshot()
 
 	appends := counterSum(after, wal.MetricAppendsTotal) - counterSum(before, wal.MetricAppendsTotal)
 	fsyncs := after.Histograms[wal.MetricFsyncSeconds].Count - before.Histograms[wal.MetricFsyncSeconds].Count
