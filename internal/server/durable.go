@@ -31,17 +31,14 @@ func (s *Server) tenantWALDir(id string) string {
 	return filepath.Join(s.cfg.DataDir, "tenants", "t-"+id)
 }
 
-// recoverTenant opens t's journal for writing and rebuilds t from it — the
-// newest snapshot, then the tail — so the tenant continues its interrupted
-// cycle. buildTenant calls it before the router publishes the tenant, on a
-// boot and on Promote alike.
+// recoverTenant rebuilds t from its journal — the newest snapshot, then the
+// tail — so the tenant continues its interrupted cycle, and only then opens
+// the journal for writing on a fresh segment: a tenant refused at replay
+// leaves its dir as the recovery scan left it. buildTenant calls it before
+// the router publishes the tenant, on a boot and on Promote alike.
 func (s *Server) recoverTenant(t *tenantState) error {
-	j, rec, err := wal.Open(s.tenantWALDir(t.id), wal.Options{
-		Fsync:        s.cfg.Fsync,
-		SegmentBytes: s.cfg.SegmentBytes,
-		Metrics:      s.met.reg,
-		Labels:       []obs.Label{obs.L("tenant", t.id)},
-	})
+	dir := s.tenantWALDir(t.id)
+	rec, err := wal.Recover(dir)
 	if err != nil {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
@@ -50,8 +47,16 @@ func (s *Server) recoverTenant(t *tenantState) error {
 			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
 	if err := replayTenant(t.engine, rec); err != nil {
-		_ = j.Close()
 		return fmt.Errorf("server: recovering tenant %q: %w", t.id, err)
+	}
+	j, err := wal.OpenRecovered(dir, rec, wal.Options{
+		Fsync:        s.cfg.Fsync,
+		SegmentBytes: s.cfg.SegmentBytes,
+		Metrics:      s.met.reg,
+		Labels:       []obs.Label{obs.L("tenant", t.id)},
+	})
+	if err != nil {
+		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
 	t.journal = j
 	t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))

@@ -594,20 +594,10 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 		}
 	}
 	// It is refused, naming the tenant, and the journal is left as it was:
-	// nothing is truncated for a blob that is intact but unreadable here.
-	// (The refused boot leaves behind the empty segment its journal opened.)
+	// nothing is truncated for a blob that is intact but unreadable here
+	// (TestRefusedBootWritesNothing).
 	unknownTenant := filepath.Join(unknown, "tenants", "t-"+DefaultTenantID)
-	before := treeBytes(t, unknown)
-	cfg, _, _ := durableConfig(t, unknown, nil)
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `tenant "default"`) {
-		t.Fatalf("boot over a snapshot of an unknown format: err %v, want a refusal naming the tenant", err)
-	}
-	after := treeBytes(t, unknown)
-	for name, raw := range before {
-		if after[name] != raw {
-			t.Errorf("the refused boot changed %s (%d bytes, now %d)", name, len(raw), len(after[name]))
-		}
-	}
+	refuseBoot(t, unknown)
 	if kept, err := wal.Recover(unknownTenant); err != nil || kept.Truncated || len(kept.Tail) != len(rec.Tail) || !bytes.HasPrefix(kept.Snapshot, []byte{0x7f}) {
 		t.Fatalf("after the refused boot the journal recovers %+v, %v; want the unknown snapshot and its %d-record tail", kept, err, len(rec.Tail))
 	}
@@ -642,6 +632,90 @@ func treeBytes(t *testing.T, root string) map[string]string {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// refuseBoot requires a boot over dir to refuse the default tenant, naming
+// it, and to leave every file under dir as it was, adding none.
+func refuseBoot(t *testing.T, dir string) {
+	t.Helper()
+	before := treeBytes(t, dir)
+	cfg, _, _ := durableConfig(t, dir, nil)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `tenant "default"`) {
+		t.Fatalf("boot: err %v, want a refusal naming the tenant", err)
+	}
+	after := treeBytes(t, dir)
+	for name, raw := range after {
+		if was, ok := before[name]; !ok {
+			t.Errorf("the refused boot added %s (%d bytes)", name, len(raw))
+		} else if was != raw {
+			t.Errorf("the refused boot changed %s (%d bytes, now %d)", name, len(was), len(raw))
+		}
+	}
+	for name := range before {
+		if _, ok := after[name]; !ok {
+			t.Errorf("the refused boot removed %s", name)
+		}
+	}
+}
+
+// TestRefusedBootWritesNothing: a boot that refuses a tenant at replay leaves
+// its cleanly closed dir exactly as it was — no fresh segment, no byte
+// changed — for each refusal replay can make: a snapshot in an unknown
+// format, a snapshot RestoreState refuses and a tail decision out of
+// sequence. The journal is opened for writing only once the tenant restored.
+func TestRefusedBootWritesNothing(t *testing.T) {
+	src := t.TempDir()
+	srv, ts, bgE, bgP := durableFixture(t, src)
+	for i := 0; i < 3; i++ {
+		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("access status %d", code)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(srv.tenantWALDir(DefaultTenantID))
+	if err != nil || rec.Snapshot == nil {
+		t.Fatalf("the shutdown snapshot: %v", err)
+	}
+	st, err := wal.DecodeSnapshot(rec.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Budget = -1
+	badBudget, err := wal.EncodeSnapshot(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		snapshot []byte
+		tail     []wal.Record
+	}{
+		{"unknown snapshot format", append([]byte{0x7f}, rec.Snapshot[1:]...), nil},
+		{"snapshot RestoreState refuses", badBudget, nil},
+		{"tail decision out of sequence", rec.Snapshot, []wal.Record{{Kind: wal.KindDecision, Decision: core.DecisionRecord{Seq: 99}}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _, err := wal.Open(filepath.Join(dir, "tenants", "t-"+DefaultTenantID), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Snapshot(c.snapshot); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range c.tail {
+				if _, err := j.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			refuseBoot(t, dir)
+		})
+	}
 }
 
 // TestBootRefusesMoreTenantsThanTheCap: a data dir holding more tenants than

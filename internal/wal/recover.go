@@ -45,7 +45,7 @@ type Recovery struct {
 
 	nextSeq int
 	// segBytes is the size of every segment left on disk, by sequence
-	// number: with SnapshotAt, all that Open's retention index needs, so the
+	// number: with SnapshotAt, all that OpenRecovered's retention index needs, so the
 	// journal is scanned once.
 	segBytes map[int]int64
 }

@@ -277,17 +277,29 @@ type Journal struct {
 }
 
 // Open recovers the journal directory (see Recover) and opens it for
-// appending on a fresh segment. The returned Recovery describes what was
-// restored — the caller replays Recovery.Snapshot + Recovery.Tail before
-// appending new records.
+// appending on a fresh segment (OpenRecovered). The returned Recovery
+// describes what was restored — the caller replays Recovery.Snapshot +
+// Recovery.Tail before appending new records.
 func Open(dir string, opts Options) (*Journal, *Recovery, error) {
-	opts.fillDefaults()
-	if err := mkdirAll(dir); err != nil {
-		return nil, nil, fmt.Errorf("wal: creating journal dir: %w", err)
-	}
 	rec, err := Recover(dir)
 	if err != nil {
 		return nil, nil, err
+	}
+	j, err := OpenRecovered(dir, rec, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return j, rec, nil
+}
+
+// OpenRecovered opens dir for appending on a fresh segment, given rec, what
+// Recover(dir) returned with nothing written to dir since. It is the first
+// write to dir after the recovery, so a caller that refuses the recovered
+// state — and never calls it — leaves dir as Recover left it.
+func OpenRecovered(dir string, rec *Recovery, opts Options) (*Journal, error) {
+	opts.fillDefaults()
+	if err := mkdirAll(dir); err != nil {
+		return nil, fmt.Errorf("wal: creating journal dir: %w", err)
 	}
 	j := &Journal{
 		dir:       dir,
@@ -309,7 +321,7 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 		snapRecords: int64(rec.Records - len(rec.Tail)),
 	}
 	if err := j.openSegmentLocked(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Everything recovered is already on disk, and the fresh segment's
 	// header was flushed by openSegmentLocked, so readers (replication
@@ -320,7 +332,7 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 		j.wg.Add(1)
 		go j.ticker()
 	}
-	return j, rec, nil
+	return j, nil
 }
 
 // segmentName renders the file name of segment n.
