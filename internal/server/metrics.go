@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/obs"
 )
 
@@ -17,10 +18,12 @@ const (
 	// MetricHTTPRequestSeconds is a latency histogram by route.
 	MetricHTTPRequestSeconds = "sag_http_request_seconds"
 	// MetricAccessesTotal / MetricAlertsTotal / MetricWarnedTotal /
-	// MetricQuitsTotal are cumulative service counters. Unlike the
-	// /v1/status snapshot they do NOT reset on cycle rollover — Prometheus
-	// counters are forever-cumulative by convention and rates are taken
-	// with range queries.
+	// MetricQuitsTotal are cumulative service counters. They move once the
+	// tenant has applied the access or report — a refused one moves none —
+	// and a quit counts when its report found the employee unflagged. Unlike
+	// the /v1/status snapshot they do NOT reset on cycle rollover —
+	// Prometheus counters are forever-cumulative by convention and rates are
+	// taken with range queries.
 	MetricAccessesTotal = "sag_server_accesses_total"
 	MetricAlertsTotal   = "sag_server_alerts_total"
 	MetricWarnedTotal   = "sag_server_warned_total"
@@ -81,6 +84,17 @@ func newTenantMetrics(reg *obs.Registry, tenant string) tenantMetrics {
 		warned:   reg.Counter(MetricWarnedTotal, "Accesses answered with a warning.", l),
 		quits:    reg.Counter(MetricQuitsTotal, "Warned accesses reported abandoned.", l),
 		flagged:  reg.Gauge(MetricFlaggedUsers, "Employees currently flagged as quitters.", l),
+	}
+}
+
+// count moves the service counters for one applied access.
+func (m tenantMetrics) count(meta core.Meta) {
+	m.accesses.Inc()
+	if meta.Alerted {
+		m.alerts.Inc()
+	}
+	if meta.Warned {
+		m.warned.Inc()
 	}
 }
 

@@ -129,14 +129,16 @@ func writeShed(w http.ResponseWriter, err error) {
 
 // apply hands rec to t's engine, which enqueues it on t's journal (with a
 // data dir) and applies it under its budget lock, then waits until the record
-// is as durable as the fsync policy promises. A failed wait leaves the record
-// applied in memory, but the journal then refuses every later record, so the
-// tenant answers 500 until a restart recovers what is on disk.
+// is as durable as the fsync policy promises, and counts it in the service
+// counters. A failed wait leaves the record applied in memory, but the
+// journal then refuses every later record, so the tenant answers 500 until a
+// restart recovers what is on disk.
 func (s *Server) apply(t *tenantState, rec core.Record) error {
 	var journal func(core.Record) (func() error, error)
 	if t.journal != nil {
 		journal = func(r core.Record) (func() error, error) { return s.appendRecord(t, r) }
 	}
+	first := rec.Kind == core.KindQuit && !t.engine.Flagged(rec.Employee)
 	wait, err := t.engine.Apply(rec, journal)
 	if rec.Kind == core.KindQuit {
 		t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))
@@ -146,6 +148,12 @@ func (s *Server) apply(t *tenantState, rec core.Record) error {
 	}
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
+	}
+	switch {
+	case rec.Kind == core.KindMeta:
+		t.met.count(rec.Meta)
+	case first:
+		t.met.quits.Inc()
 	}
 	return nil
 }
@@ -162,7 +170,6 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 	if st.Closed {
 		return refuse(http.StatusConflict, "audit cycle is closed; POST /v1/cycle/new to start the next one")
 	}
-	t.met.accesses.Inc()
 	now := s.cfg.Clock()
 	alert, fired, err := s.detector.Evaluate(emr.AccessEvent{Time: now, EmployeeID: q.EmployeeID, PatientID: q.PatientID})
 	if err != nil {
@@ -172,7 +179,6 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 	if !fired {
 		return outcome{core.Record{Kind: core.KindMeta}, http.StatusOK, resp}
 	}
-	t.met.alerts.Inc()
 	resp.Alert = true
 	resp.TypeID = alert.Type
 	resp.Rules = alert.Rules.String()
@@ -182,7 +188,6 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 		// of band — the paper notes this is cheap because quits are rare).
 		resp.Warn = true
 		resp.Flagged = true
-		t.met.warned.Inc()
 		return outcome{core.Record{Kind: core.KindMeta, Meta: core.Meta{Alerted: true, Warned: true}}, http.StatusOK, resp}
 	}
 	idx, gamed := s.typeIdx[alert.Type]
@@ -200,13 +205,11 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 		// No decision committed: the engine journals before it commits.
 		return refuse(http.StatusInternalServerError, err.Error())
 	}
+	t.met.count(core.Meta{Alerted: true, Warned: d.Warned})
 	resp.Warn = d.Warned
 	resp.RemainingBudget = d.BudgetAfter
 	if d.Fallback.Degraded() {
 		resp.Fallback = d.Fallback.String()
-	}
-	if d.Warned {
-		t.met.warned.Inc()
 	}
 	return outcome{code: http.StatusOK, body: resp}
 }
@@ -225,10 +228,7 @@ func (q *QuitRequest) validate(s *Server) error {
 // alike. A repeated report (front ends retry) is journaled too: a flag is
 // applied before its record is durable, so answering a retry with no record
 // of its own to wait for could acknowledge a flag that a crash then loses.
-func (q *QuitRequest) decide(_ context.Context, _ *Server, t *tenantState) outcome {
-	if !t.engine.Flagged(q.EmployeeID) {
-		t.met.quits.Inc()
-	}
+func (q *QuitRequest) decide(context.Context, *Server, *tenantState) outcome {
 	return outcome{core.Record{Kind: core.KindQuit, Employee: q.EmployeeID}, http.StatusOK, struct {
 		Flagged bool `json:"flagged"`
 	}{Flagged: true}}

@@ -26,7 +26,9 @@ type cycleState struct {
 	Budget, Remaining               float64
 	Decisions                       int
 	Appends                         uint64
-	Tenants                         string
+	// Counters are the tenant's sag_server_*_total service counters.
+	Counters [4]uint64
+	Tenants  string
 }
 
 func stateOf(t *testing.T, srv *Server) cycleState {
@@ -46,7 +48,7 @@ func stateOf(t *testing.T, srv *Server) cycleState {
 		Flagged: st.FlaggedUsers, Closed: st.Closed,
 		Budget: st.Budget, Remaining: st.Remaining,
 		Decisions: ts.engine.Summary().Alerts, Appends: walAppends(srv),
-		Tenants: strings.Join(srv.Tenants(), ","),
+		Counters: serviceCounters(srv), Tenants: strings.Join(srv.Tenants(), ","),
 	}
 }
 

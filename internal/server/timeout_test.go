@@ -45,6 +45,17 @@ func walAppends(srv *Server) uint64 {
 	return srv.Metrics().Snapshot().Counters[wal.MetricAppendsTotal+`{tenant="default"}`]
 }
 
+// serviceCounters reads the default tenant's four sag_server_*_total
+// counters: accesses, alerts, warned, quits.
+func serviceCounters(srv *Server) [4]uint64 {
+	c := srv.Metrics().Snapshot().Counters
+	var out [4]uint64
+	for i, name := range []string{MetricAccessesTotal, MetricAlertsTotal, MetricWarnedTotal, MetricQuitsTotal} {
+		out[i] = c[name+`{tenant="default"}`]
+	}
+	return out
+}
+
 // (a) An estimator that returns after the deadline has passed: the engine's
 // check immediately before commit abandons the decision. The 503 carries
 // the JSON body and both retry headers, and the tenant is exactly as if the
@@ -68,7 +79,7 @@ func TestRequestTimeoutChangesNothing(t *testing.T) {
 
 	_, first, _ := postRaw(t, ts, "/v1/access", alert)
 	_, statusBefore := getRaw(t, ts, "/v1/status")
-	appendsBefore := walAppends(srv)
+	appendsBefore, countersBefore := walAppends(srv), serviceCounters(srv)
 
 	slow.Store(true)
 	code, body, hdr := postRaw(t, ts, "/v1/access", alert)
@@ -86,6 +97,9 @@ func TestRequestTimeoutChangesNothing(t *testing.T) {
 	}
 	if got := walAppends(srv); got != appendsBefore {
 		t.Fatalf("a timed-out request journaled %d record(s)", got-appendsBefore)
+	}
+	if got := serviceCounters(srv); got != countersBefore {
+		t.Fatalf("a timed-out request moved the service counters (accesses, alerts, warned, quits) from %v to %v", countersBefore, got)
 	}
 	_, next, _ := postRaw(t, ts, "/v1/access", alert)
 
