@@ -212,27 +212,40 @@ func TestCloseCycleCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(core.Config{
-		Instance:  inst,
-		Budget:    5,
-		Estimator: rb,
-		Policy:    core.PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(2)),
-	})
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func() *core.Engine {
+		eng, err := core.NewEngine(core.Config{
+			Instance:  inst,
+			Budget:    5,
+			Estimator: rb,
+			Policy:    core.PolicyOSSP,
+			Rand:      rand.New(rand.NewSource(2)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
+	eng := newEngine()
 	for _, a := range day {
 		if _, err := eng.Process(a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	charged := eng.Status().Budget - eng.RemainingBudget()
-	rng := rand.New(rand.NewSource(5))
+	// A close draws one plan and ends the cycle, so each draw closes a fresh
+	// engine restored to the same cycle, under its own seed.
+	st := eng.ExportState()
 	var total float64
 	const draws = 400
 	for i := 0; i < draws; i++ {
-		outcomes, cost := eng.CloseCycle(rng)
+		fresh := newEngine()
+		if err := fresh.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		outcomes, cost, err := fresh.CloseCycle(int64(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(outcomes) != len(day) {
 			t.Fatalf("outcomes %d, want %d", len(outcomes), len(day))
 		}

@@ -217,7 +217,10 @@ type Decision struct {
 // commit order and journal order are therefore one order, and replaying a
 // journal on a fresh engine reproduces every decision bit for bit. A solve
 // is microseconds; the plug-ins it calls (Estimator, SSESolve, Journal) run
-// under mu and must not call back into the Engine.
+// under mu and must not call back into the Engine. CloseCycle and Snapshot
+// are one critical section each too, and a closed cycle refuses decisions
+// and accesses (ErrCycleClosed), so no caller needs a lock of its own to
+// keep a record off a cycle boundary.
 //
 // Decisions remain order-dependent through the remaining budget, so callers
 // that need a *specific* interleaving (the simulation harness replaying a
@@ -275,6 +278,11 @@ type Engine struct {
 // the only clock on a decision; its end never degrades, with or without
 // Fallback.
 var ErrAbandoned = errors.New("core: decision abandoned before commit")
+
+// ErrCycleClosed reports that the cycle's audit plan has been drawn: until
+// the next KindCycleOpen, decisions, accesses and a second close are refused
+// before anything is estimated, drawn or journaled for them.
+var ErrCycleClosed = errors.New("core: audit cycle is closed")
 
 // NewEngine validates cfg and returns a ready Engine.
 func NewEngine(cfg Config) (*Engine, error) {
@@ -335,8 +343,7 @@ func ValidateBudget(b float64) error {
 // so one Engine can process a whole sequence of audit days. A decision in
 // flight commits to the old cycle first; NewCycle waits its turn.
 func (e *Engine) NewCycle(budget float64) error {
-	_, err := e.Apply(Record{Kind: KindCycleOpen, Budget: budget}, nil)
-	return err
+	return e.Apply(Record{Kind: KindCycleOpen, Budget: budget}, nil)
 }
 
 // CycleStatus is one consistent view of the cycle (see EngineState).
@@ -387,8 +394,8 @@ func (e *Engine) Process(a Alert) (*Decision, error) {
 // estimator error, solver error or panic — is converted into a degraded
 // decision via the internal/fallback ladder, so the only errors
 // ProcessContext can return are structurally invalid alerts (type out of
-// range), a journal failure, and ErrAbandoned. Without Fallback, pipeline
-// errors propagate.
+// range), a journal failure, ErrAbandoned and ErrCycleClosed. Without
+// Fallback, pipeline errors propagate.
 //
 // Budget accounting is identical on every path: the budget is charged
 // exactly once, at commit, from the decision's signal-conditional audit
@@ -423,6 +430,9 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	if err := ctx.Err(); err != nil {
 		// Gave up while queued: leave the estimator unasked and rng untouched.
 		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, err)
+	}
+	if e.closed {
+		return nil, nil, ErrCycleClosed
 	}
 	d, err := fallback.Attempt(func() (*Decision, error) { return e.decide(ctx, a) })
 	if cerr := ctx.Err(); cerr != nil {
@@ -823,34 +833,37 @@ type AuditOutcome struct {
 	Cost float64
 }
 
-// CloseCycle samples the retrospective audit decisions at the end of the
-// cycle: each alert is audited with its signal-conditional audit
-// probability (the probability the budget was charged for in real time).
-// It returns one outcome per recorded decision plus the realized total
-// audit cost. The realized cost concentrates around the charged budget but
-// is not capped by it — the paper's budget dynamics are in expectation;
-// callers that need a hard cap can truncate the returned plan.
-//
-// CloseCycle does not mutate engine state and may be called repeatedly
-// with different rngs to draw independent audit plans.
-func (e *Engine) CloseCycle(rng *rand.Rand) ([]AuditOutcome, float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	outcomes := make([]AuditOutcome, len(e.decisions))
-	total := 0.0
-	for i, d := range e.decisions {
-		outcomes[i] = AuditOutcome{Index: i}
-		if d.Vacuous {
-			continue
+// CloseCycle draws the retrospective audit plan and closes the cycle: a
+// KindCycleClose record applied as Apply applies it, with the plan drawn in
+// the same hold of the budget lock, after the record's check and before its
+// enqueue, so no decision lands between the draw and the close. Each
+// decision is audited with its signal-conditional audit probability (what
+// the budget was charged for in real time), drawn from an rng seeded with
+// seed ^ accesses: a close retried after a failed journal write draws the
+// identical plan. It returns one outcome per decision and the realized total
+// audit cost, which concentrates around the charged budget but is not capped
+// by it — the paper's budget dynamics are in expectation. A closed cycle
+// answers ErrCycleClosed.
+func (e *Engine) CloseCycle(seed int64, journal func(Record) (wait func() error, err error)) (audits []AuditOutcome, total float64, err error) {
+	err = e.Apply(Record{Kind: KindCycleClose}, func(r Record) (func() error, error) {
+		rng := rand.New(rand.NewSource(seed ^ e.accesses))
+		audits = make([]AuditOutcome, len(e.decisions))
+		for i, d := range e.decisions {
+			audits[i] = AuditOutcome{Index: i}
+			if !d.Vacuous && rng.Float64() < d.AuditCharge {
+				audits[i].Audited, audits[i].Cost = true, e.inst.AuditCosts[d.Type]
+				total += audits[i].Cost
+			}
 		}
-		if rng.Float64() < d.AuditCharge {
-			cost := e.inst.AuditCosts[d.Type]
-			outcomes[i].Audited = true
-			outcomes[i].Cost = cost
-			total += cost
+		if journal == nil {
+			return nil, nil
 		}
+		return journal(r)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return outcomes, total
+	return audits, total, nil
 }
 
 // CycleSummary aggregates a finished cycle for reporting.

@@ -331,17 +331,66 @@ func TestNewCycleResetsState(t *testing.T) {
 func TestCloseCycleEmptyAndVacuous(t *testing.T) {
 	inst := singleInstance(t)
 	e := newOSSPEngine(t, inst, 20, constEstimator(0)) // vacuous estimates
-	rng := rand.New(rand.NewSource(1))
-	outcomes, cost := e.CloseCycle(rng)
-	if len(outcomes) != 0 || cost != 0 {
-		t.Fatal("empty cycle should close with no outcomes")
+	outcomes, cost, err := e.CloseCycle(1, nil)
+	if err != nil || len(outcomes) != 0 || cost != 0 {
+		t.Fatalf("empty cycle should close with no outcomes: %+v cost=%g err=%v", outcomes, cost, err)
+	}
+	if err := e.NewCycle(20); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := e.Process(Alert{Type: 0}); err != nil {
 		t.Fatal(err)
 	}
-	outcomes, cost = e.CloseCycle(rng)
-	if len(outcomes) != 1 || outcomes[0].Audited || cost != 0 {
-		t.Fatalf("vacuous decision should never be audited: %+v cost=%g", outcomes, cost)
+	outcomes, cost, err = e.CloseCycle(1, nil)
+	if err != nil || len(outcomes) != 1 || outcomes[0].Audited || cost != 0 {
+		t.Fatalf("vacuous decision should never be audited: %+v cost=%g err=%v", outcomes, cost, err)
+	}
+}
+
+// TestClosedCycleRefusesAndDrawsNothing: once closed, the engine refuses a
+// decision before it asks the estimator, an access and a second close, with
+// ErrCycleClosed and nothing journaled; a quit and the next cycle's open
+// still apply.
+func TestClosedCycleRefusesAndDrawsNothing(t *testing.T) {
+	inst := singleInstance(t)
+	asked := 0
+	e := newOSSPEngine(t, inst, 20, EstimatorFunc(func(time.Duration) ([]float64, error) {
+		asked++
+		return []float64{100}, nil
+	}))
+	var journal []Record
+	enqueue := func(r Record) (func() error, error) {
+		journal = append(journal, r)
+		return nil, nil
+	}
+	if _, err := e.Process(Alert{Type: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.CloseCycle(7, enqueue); err != nil {
+		t.Fatal(err)
+	}
+	before, draws := e.Status(), e.ExportState().RNGDraws
+	asked, journal = 0, nil
+	if _, err := e.Process(Alert{Type: 0}); !errors.Is(err, ErrCycleClosed) || asked != 0 {
+		t.Fatalf("decision on a closed cycle: err %v, estimator asked %d times", err, asked)
+	}
+	if err := e.Apply(Record{Kind: KindMeta}, enqueue); !errors.Is(err, ErrCycleClosed) {
+		t.Fatalf("access on a closed cycle: err %v", err)
+	}
+	if _, _, err := e.CloseCycle(7, enqueue); !errors.Is(err, ErrCycleClosed) {
+		t.Fatalf("second close: err %v", err)
+	}
+	if len(journal) != 0 || e.Status() != before || e.ExportState().RNGDraws != draws {
+		t.Fatalf("refusals changed the cycle: journaled %v, status %+v (was %+v)", journal, e.Status(), before)
+	}
+	if err := e.Apply(Record{Kind: KindQuit, Employee: 4}, enqueue); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Apply(Record{Kind: KindCycleOpen, Budget: 20}, enqueue); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Process(Alert{Type: 0}); err != nil {
+		t.Fatalf("decision in the next cycle: %v", err)
 	}
 }
 

@@ -136,26 +136,31 @@ type EngineState struct {
 	Closed bool
 }
 
-// ExportState captures the engine's mutable cycle state. It is a consistent
-// snapshot: taken under the budget lock, so it never observes a half-
-// applied record. Callers must externally ensure no record is applied
-// between the export and whatever journal position the snapshot is written
-// at (the server drains in-flight requests first).
-func (e *Engine) ExportState() EngineState {
+// ExportState captures the engine's mutable cycle state: a copy, taken under
+// the budget lock, so it never observes a half-applied record.
+func (e *Engine) ExportState() (st EngineState) {
+	_, _ = e.Snapshot(func(live EngineState) (func() error, error) {
+		st = live
+		st.Decisions = append([]DecisionRecord{}, live.Decisions...)
+		st.Flagged = slices.Clone(live.Flagged)
+		return nil, nil
+	})
+	return st
+}
+
+// Snapshot hands the engine's cycle state to enqueue under the budget lock,
+// so no record is applied between the export and the snapshot record enqueue
+// writes. The state aliases the engine's storage: enqueue must encode it
+// before it returns and keep no part of it. It returns enqueue's wait, for
+// the caller to run unlocked.
+func (e *Engine) Snapshot(enqueue func(EngineState) (wait func() error, err error)) (wait func() error, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return EngineState{
-		Budget:    e.budget,
-		Initial:   e.initial,
-		RNGDraws:  e.rngDraws,
-		Decisions: append([]DecisionRecord{}, e.decisions...),
-		Accesses:  e.accesses,
-		Alerts:    e.alerts,
-		Warned:    e.warned,
-		Quits:     e.quits,
-		Flagged:   slices.Clone(e.flagged),
-		Closed:    e.closed,
-	}
+	return enqueue(EngineState{
+		Budget: e.budget, Initial: e.initial, RNGDraws: e.rngDraws, Decisions: e.decisions,
+		Accesses: e.accesses, Alerts: e.alerts, Warned: e.warned, Quits: e.quits,
+		Flagged: e.flagged, Closed: e.closed,
+	})
 }
 
 // RestoreState loads an exported state into a freshly constructed engine.
@@ -200,11 +205,19 @@ func (e *Engine) RestoreState(st EngineState) error {
 
 // Apply is how every record but a live decision changes the cycle, live and
 // on replay: under the budget lock it checks r, enqueues it through journal
-// (nil on replay), applies it only if the enqueue succeeded, and returns the
-// journal's wait for the caller to run unlocked. A replayed decision keeps
-// its recorded charge and signal; the next decision rebuilds the kept
-// estimate from the log once. Like Config.Journal, journal must only enqueue.
-func (e *Engine) Apply(r Record, journal func(Record) (wait func() error, err error)) (wait func() error, err error) {
+// (nil on replay) and applies it only if the enqueue succeeded; then,
+// unlocked, it runs the journal's wait. Like Config.Journal, journal must
+// only enqueue.
+func (e *Engine) Apply(r Record, journal func(Record) (wait func() error, err error)) error {
+	wait, err := e.record(r, journal)
+	if err == nil && wait != nil {
+		err = wait()
+	}
+	return err
+}
+
+// record is Apply's critical section.
+func (e *Engine) record(r Record, journal func(Record) (wait func() error, err error)) (wait func() error, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.checkLocked(r); err != nil {
@@ -221,8 +234,12 @@ func (e *Engine) Apply(r Record, journal func(Record) (wait func() error, err er
 
 // checkLocked refuses a record applyLocked cannot apply: a decision out of
 // sequence or of an unknown type, an invalid budget, a snapshot or an
-// unknown kind. The caller holds e.mu.
+// unknown kind — and, on a closed cycle, anything but a quit or the next
+// cycle's open (ErrCycleClosed). The caller holds e.mu.
 func (e *Engine) checkLocked(r Record) error {
+	if e.closed && (r.Kind == KindDecision || r.Kind == KindMeta || r.Kind == KindCycleClose) {
+		return ErrCycleClosed
+	}
 	switch r.Kind {
 	case KindDecision:
 		d := r.Decision

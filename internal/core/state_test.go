@@ -151,10 +151,11 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 				}
 			}
 			// Same audit plan at cycle close.
-			crng := rand.New(rand.NewSource(seed ^ 0xabc))
-			gAudits, gTotal := golden.CloseCycle(crng)
-			crng = rand.New(rand.NewSource(seed ^ 0xabc))
-			rAudits, rTotal := recovered.CloseCycle(crng)
+			gAudits, gTotal, gErr := golden.CloseCycle(seed^0xabc, nil)
+			rAudits, rTotal, rErr := recovered.CloseCycle(seed^0xabc, nil)
+			if gErr != nil || rErr != nil {
+				t.Fatalf("closing: %v, %v", gErr, rErr)
+			}
 			if gTotal != rTotal || len(gAudits) != len(rAudits) {
 				t.Fatalf("audit plans differ: total %v vs %v", gTotal, rTotal)
 			}
@@ -827,7 +828,7 @@ func benchmarkRestore(b *testing.B, decisions int, every, freeze time.Duration) 
 
 // applyDecision replays one journaled decision, as recovery does.
 func applyDecision(e *Engine, r DecisionRecord) error {
-	_, err := e.Apply(Record{Kind: KindDecision, Decision: r}, nil)
+	err := e.Apply(Record{Kind: KindDecision, Decision: r}, nil)
 	return err
 }
 
@@ -853,18 +854,26 @@ func TestLiveEqualsReplayForEveryRecordKind(t *testing.T) {
 	}
 	apply := func(r Record) func() error {
 		return func() error {
-			_, err := live.Apply(r, enqueue)
+			err := live.Apply(r, enqueue)
 			return err
 		}
 	}
 	refused := func() error {
-		_, err := live.Apply(Record{Kind: KindQuit, Employee: 9}, func(Record) (func() error, error) {
+		err := live.Apply(Record{Kind: KindQuit, Employee: 9}, func(Record) (func() error, error) {
 			return nil, errors.New("disk full")
 		})
 		if err == nil {
 			return errors.New("a refused enqueue was not an error")
 		}
 		return nil
+	}
+	closed := func(do func() error) func() error {
+		return func() error {
+			if err := do(); !errors.Is(err, ErrCycleClosed) {
+				return fmt.Errorf("on a closed cycle: err %v, want ErrCycleClosed", err)
+			}
+			return nil
+		}
 	}
 	steps := []struct {
 		name string
@@ -880,6 +889,10 @@ func TestLiveEqualsReplayForEveryRecordKind(t *testing.T) {
 		{"second employee's quit", apply(Record{Kind: KindQuit, Employee: 3})},
 		{"decision after quits", decide},
 		{"close", apply(Record{Kind: KindCycleClose})},
+		{"access on the closed cycle", closed(apply(Record{Kind: KindMeta}))},
+		{"decision on the closed cycle", closed(decide)},
+		{"second close", closed(apply(Record{Kind: KindCycleClose}))},
+		{"quit on the closed cycle", apply(Record{Kind: KindQuit, Employee: 5})},
 		{"new cycle", apply(Record{Kind: KindCycleOpen, Budget: 12})},
 		{"decision in the new cycle", decide},
 		{"meta in the new cycle", apply(Record{Kind: KindMeta})},
@@ -890,7 +903,7 @@ func TestLiveEqualsReplayForEveryRecordKind(t *testing.T) {
 			t.Fatalf("%s: %v", step.name, err)
 		}
 		for _, r := range journal[applied:] {
-			if _, err := replayed.Apply(r, nil); err != nil {
+			if err := replayed.Apply(r, nil); err != nil {
 				t.Fatalf("%s: replaying %v: %v", step.name, r.Kind, err)
 			}
 		}
@@ -910,12 +923,12 @@ func TestLiveEqualsReplayForEveryRecordKind(t *testing.T) {
 				t.Fatalf("closed cycle: %+v, want %+v", st, want)
 			}
 		case "new cycle":
-			if want := (CycleStatus{Budget: 12, Remaining: 12, FlaggedUsers: 2}); st != want {
+			if want := (CycleStatus{Budget: 12, Remaining: 12, FlaggedUsers: 3}); st != want {
 				t.Fatalf("new cycle: %+v, want %+v", st, want)
 			}
 		}
 	}
-	if got := live.ExportState().Flagged; !slices.Equal(got, []int{3, 7}) {
-		t.Fatalf("flagged %v, want [3 7]", got)
+	if got := live.ExportState().Flagged; !slices.Equal(got, []int{3, 5, 7}) {
+		t.Fatalf("flagged %v, want [3 5 7]", got)
 	}
 }

@@ -85,7 +85,7 @@ func replayTenant(e *core.Engine, rec *wal.Recovery) error {
 		}
 	}
 	for _, r := range rec.Tail {
-		if _, err := e.Apply(r, nil); err != nil {
+		if err := e.Apply(r, nil); err != nil {
 			return err
 		}
 	}
@@ -119,8 +119,7 @@ func (rt retainTarget) RetainStats() wal.RetainStats { return rt.t.journal.Retai
 
 func (rt retainTarget) Prune() (int, int64, error) { return rt.t.journal.Prune() }
 
-// Compact snapshots-then-prunes the tenant, waiting for the lifecycle write
-// lock like every other snapshot.
+// Compact snapshots-then-prunes the tenant.
 func (rt retainTarget) Compact() error { return rt.s.snapshotTenant(rt.t) }
 
 // listRetainTenants is the compactor's Config.List: the resident tenants as
@@ -135,17 +134,27 @@ func (s *Server) listRetainTenants() []retain.Tenant {
 }
 
 // snapshotTenant writes one tenant's full state as a journal snapshot
-// record, fsyncs it, and prunes superseded segments. It takes the tenant's
-// lifecycle write lock, so it drains in-flight requests first: no record is
-// applied between the export and the snapshot's journal position.
+// record, fsyncs it, and prunes superseded segments. Only enqueueSnapshot
+// holds up the tenant's requests; the fsync and the prune run after it.
 func (s *Server) snapshotTenant(t *tenantState) error {
-	s.lockLifecycle(t, writeSide)
-	defer t.lifecycle.Unlock()
-	blob, err := wal.EncodeSnapshot(t.engine.ExportState())
-	if err != nil {
-		return err
+	wait, err := s.enqueueSnapshot(t)
+	if err == nil {
+		err = wait()
 	}
-	return t.journal.Snapshot(blob)
+	return err
+}
+
+// enqueueSnapshot exports, encodes and enqueues t's snapshot in one hold of
+// its engine's budget lock, so no record is applied between the export and
+// the snapshot's journal position, and returns the journal's wait.
+func (s *Server) enqueueSnapshot(t *tenantState) (wait func() error, err error) {
+	return t.engine.Snapshot(func(st core.EngineState) (func() error, error) {
+		blob, err := wal.EncodeSnapshot(st)
+		if err != nil {
+			return nil, err
+		}
+		return t.journal.AppendSnapshot(blob)
+	})
 }
 
 // snapshotResident snapshots every resident tenant and reports how many
@@ -233,7 +242,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, SnapshotResponse{Tenants: n})
 		return
 	}
-	t := s.resolveTenant(w, r, id, false, noLock)
+	t := s.resolveTenant(w, r, id, false)
 	if t == nil {
 		return
 	}
@@ -248,7 +257,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // of the current cycle — the same summary the drain path logs — so restart
 // drills can compare recovered state against a golden run byte for byte.
 func (s *Server) handleCycleSummary(w http.ResponseWriter, r *http.Request) {
-	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, noLock)
+	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false)
 	if t == nil {
 		return
 	}

@@ -272,7 +272,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, tenantListing{Tenants: s.onDiskTenantIDs()})
 		return
 	}
-	t := s.resolveTenant(w, r, id, false, noLock)
+	t := s.resolveTenant(w, r, id, false)
 	if t == nil {
 		return
 	}

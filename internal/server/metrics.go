@@ -30,36 +30,25 @@ const (
 	MetricQuitsTotal    = "sag_server_quits_total"
 	// MetricFlaggedUsers gauges the number of currently flagged employees.
 	MetricFlaggedUsers = "sag_server_flagged_users"
-	// MetricHTTPLockWaitSeconds is a histogram of time spent waiting to
-	// acquire the server's lifecycle lock, labeled side=read|write. The
-	// read side is the decision hot path: sustained waits there mean
-	// something is re-serializing the handlers.
-	MetricHTTPLockWaitSeconds = "sag_http_lock_wait_seconds"
 	// MetricHTTPInflightRequests gauges requests currently inside an
 	// instrumented handler.
 	MetricHTTPInflightRequests = "sag_http_inflight_requests"
 )
 
-// serverMetrics holds the server-wide pre-resolved instruments — the
-// route-level middleware and the lifecycle-lock histograms, which span all
-// tenants. All fields are non-nil: the server owns its registry, so GET
-// /v1/metrics is always live. Per-tenant series live in tenantMetrics.
+// serverMetrics holds the server-wide pre-resolved instruments of the
+// route-level middleware, which span all tenants. All fields are non-nil: the
+// server owns its registry, so GET /v1/metrics is always live. Per-tenant
+// series live in tenantMetrics.
 type serverMetrics struct {
 	reg      *obs.Registry
-	lockWait [2]*obs.Histogram // indexed by lockSide
 	inflight *obs.Gauge
 	panics   *obs.Counter
 }
 
 func newServerMetrics() serverMetrics {
 	reg := obs.NewRegistry()
-	const lockHelp = "Time waiting to acquire a tenant lifecycle lock, by side."
 	return serverMetrics{
-		reg: reg,
-		lockWait: [2]*obs.Histogram{
-			readSide:  reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "read")),
-			writeSide: reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "write")),
-		},
+		reg:      reg,
 		inflight: reg.Gauge(MetricHTTPInflightRequests, "Requests currently inside an instrumented handler."),
 		panics:   reg.Counter(MetricHTTPPanicsTotal, "Handler panics contained by the route wrapper."),
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 
 	"github.com/auditgames/sag/internal/admit"
@@ -19,20 +18,19 @@ import (
 type route struct {
 	path    string
 	newReq  func() mutation
-	lenient bool     // a malformed body reads as the zero request (413 stays hard)
-	hot     bool     // hot path: disk-pressure gate and admission control
-	create  bool     // create the tenant on first use
-	side    lockSide // read: requests overlap; write: in-flight decisions drain first
+	lenient bool // a malformed body reads as the zero request (413 stays hard)
+	hot     bool // hot path: disk-pressure gate and admission control
+	create  bool // create the tenant on first use
 }
 
 var mutationRoutes = []route{
-	{path: "/v1/access", newReq: func() mutation { return new(AccessRequest) }, hot: true, create: true, side: readSide},
-	{path: "/v1/quit", newReq: func() mutation { return new(QuitRequest) }, hot: true, create: true, side: readSide},
+	{path: "/v1/access", newReq: func() mutation { return new(AccessRequest) }, hot: true, create: true},
+	{path: "/v1/quit", newReq: func() mutation { return new(QuitRequest) }, hot: true, create: true},
 	// Closing must not create (an unknown tenant has no cycle to close) and
 	// is not gated: close, new and snapshot are how a disk-blocked tenant's
 	// bytes become reclaimable. Callers historically POST junk bodies here.
-	{path: "/v1/cycle/close", newReq: func() mutation { return new(CloseRequest) }, lenient: true, side: writeSide},
-	{path: "/v1/cycle/new", newReq: func() mutation { return new(NewCycleRequest) }, create: true, side: writeSide},
+	{path: "/v1/cycle/close", newReq: func() mutation { return new(CloseRequest) }, lenient: true},
+	{path: "/v1/cycle/new", newReq: func() mutation { return new(NewCycleRequest) }, create: true},
 }
 
 // mutation is a decoded mutation request.
@@ -41,15 +39,15 @@ type mutation interface {
 	// validate rejects (400) what is wrong on its face, before any tenant
 	// is resolved: an invalid request must not create one.
 	validate(s *Server) error
-	// decide runs under the tenant's lifecycle lock and returns the answer
-	// plus the one record that, once applied and durable, makes it true. It
-	// changes no per-cycle state itself — bar a gamed alert, which the engine
-	// commits and journals in one critical section.
+	// decide returns the answer plus the one record that, once applied and
+	// durable, makes it true. It changes no per-cycle state itself — bar a
+	// gamed alert and a close, which the engine commits and journals in one
+	// critical section each.
 	decide(ctx context.Context, s *Server, t *tenantState) outcome
 }
 
 // outcome is a decided request. rec.Kind is zero when there is nothing to
-// apply: a refusal, or an alert the engine already committed.
+// apply: a refusal, or an alert or close the engine already committed.
 type outcome struct {
 	rec  core.Record
 	code int
@@ -59,12 +57,11 @@ type outcome struct {
 func refuse(code int, msg string) outcome { return outcome{code: code, body: apiError{Error: msg}} }
 
 // mutate is the one path by which a request changes per-cycle state: standby
-// gate → decode → validate → disk pressure → admission → resolve + lifecycle
-// lock + deadline → decide → apply → wait → answer. State changes only in
-// core.Engine.Apply — the function recovery runs on a boot or a promotion —
-// which applies a record only once the journal has taken it, so live state is
-// replay of the journal by construction and a refused append has nothing to
-// undo.
+// gate → decode → validate → disk pressure → admission → resolve + deadline →
+// decide → apply → wait → answer. State changes only in core.Engine.Apply —
+// the function recovery runs on a boot or a promotion — which applies a
+// record only once the journal has taken it, so live state is replay of the
+// journal by construction and a refused append has nothing to undo.
 func (s *Server) mutate(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.rejectIfFollowing(w) {
@@ -99,14 +96,15 @@ func (s *Server) mutate(rt route) http.HandlerFunc {
 			}
 			defer release()
 		}
-		t := s.resolveTenant(w, r, id, rt.create, rt.side)
+		t := s.resolveTenant(w, r, id, rt.create)
 		if t == nil {
 			return
 		}
-		defer t.unlockLifecycle(rt.side)
 		out := req.decide(r.Context(), s, t)
 		if out.rec.Kind != 0 {
-			if err := s.apply(t, out.rec); err != nil {
+			if err := s.apply(t, out.rec); errors.Is(err, core.ErrCycleClosed) {
+				out = refuse(http.StatusConflict, errClosed)
+			} else if err != nil {
 				writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 				return
 			}
@@ -127,29 +125,27 @@ func writeShed(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusServiceUnavailable, apiError{Error: msg})
 }
 
+// errClosed is the 409 an access gets on a closed cycle (core.ErrCycleClosed).
+const errClosed = "audit cycle is closed; POST /v1/cycle/new to start the next one"
+
 // apply hands rec to t's engine, which enqueues it on t's journal (with a
-// data dir) and applies it under its budget lock, then waits until the record
-// is as durable as the fsync policy promises, and counts it in the service
+// data dir), applies it under its budget lock and waits until it is as
+// durable as the fsync policy promises; then apply counts it in the service
 // counters. A failed wait leaves the record applied in memory, but the
 // journal then refuses every later record, so the tenant answers 500 until a
-// restart recovers what is on disk.
+// restart recovers what is on disk. A record the engine refuses on a closed
+// cycle is core.ErrCycleClosed, unwrapped.
 func (s *Server) apply(t *tenantState, rec core.Record) error {
-	var journal func(core.Record) (func() error, error)
-	if t.journal != nil {
-		journal = func(r core.Record) (func() error, error) { return s.appendRecord(t, r) }
-	}
 	first := rec.Kind == core.KindQuit && !t.engine.Flagged(rec.Employee)
-	wait, err := t.engine.Apply(rec, journal)
+	err := t.engine.Apply(rec, t.record)
 	if rec.Kind == core.KindQuit {
 		t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))
 	}
-	if err == nil && wait != nil {
-		err = wait()
-	}
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
 	switch {
+	case errors.Is(err, core.ErrCycleClosed):
+		return err
+	case err != nil:
+		return fmt.Errorf("journal: %w", err)
 	case rec.Kind == core.KindMeta:
 		t.met.count(rec.Meta)
 	case first:
@@ -164,18 +160,15 @@ func (q *AccessRequest) validate(*Server) error { return nil }
 // decide evaluates one access. A detector-rejected access is deliberately not
 // a validate failure: it is counted and journaled as a bare access, then
 // answered 400. A gamed alert commits inside the engine, which journals it
-// through core.Config.Journal (see buildTenant) before returning.
+// through core.Config.Journal (see buildTenant) before returning. A closed
+// cycle is the engine's to refuse, here or at apply.
 func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) outcome {
-	st := t.engine.Status()
-	if st.Closed {
-		return refuse(http.StatusConflict, "audit cycle is closed; POST /v1/cycle/new to start the next one")
-	}
 	now := s.cfg.Clock()
 	alert, fired, err := s.detector.Evaluate(emr.AccessEvent{Time: now, EmployeeID: q.EmployeeID, PatientID: q.PatientID})
 	if err != nil {
 		return outcome{core.Record{Kind: core.KindMeta}, http.StatusBadRequest, apiError{Error: err.Error()}}
 	}
-	resp := AccessResponse{RemainingBudget: st.Remaining}
+	resp := AccessResponse{RemainingBudget: t.engine.RemainingBudget()}
 	if !fired {
 		return outcome{core.Record{Kind: core.KindMeta}, http.StatusOK, resp}
 	}
@@ -197,6 +190,8 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 	}
 	d, err := t.engine.ProcessContext(ctx, core.Alert{Type: idx, Time: now})
 	switch {
+	case errors.Is(err, core.ErrCycleClosed):
+		return refuse(http.StatusConflict, errClosed)
 	case errors.Is(err, core.ErrAbandoned):
 		// The request deadline passed in the engine's queue or during the
 		// solve: nothing committed.
@@ -237,18 +232,20 @@ func (q *QuitRequest) decide(context.Context, *Server, *tenantState) outcome {
 func (q *CloseRequest) tenantField() string    { return q.Tenant }
 func (q *CloseRequest) validate(*Server) error { return nil }
 
-// decide draws the audit plan. A second close is a conflict — re-sampling
-// would draw a fresh plan for a cycle that already has one. If the record is
-// lost the client never saw the plan, the cycle stays open, and a retried
-// close re-derives the identical plan (same access count → same seed).
+// decide draws the audit plan and closes the cycle, one critical section in
+// the engine. A second close is a conflict — re-sampling would draw a fresh
+// plan for a cycle that already has one. If the record is lost the client
+// never saw the plan, the cycle stays open, and a retried close re-derives
+// the identical plan (same access count → same seed).
 func (q *CloseRequest) decide(_ context.Context, s *Server, t *tenantState) outcome {
-	st := t.engine.Status()
-	if st.Closed {
+	audits, total, err := t.engine.CloseCycle(s.cfg.Seed^t.seedOffset, t.record)
+	switch {
+	case errors.Is(err, core.ErrCycleClosed):
 		return refuse(http.StatusConflict, "audit cycle already closed; POST /v1/cycle/new to start the next one")
+	case err != nil:
+		return refuse(http.StatusInternalServerError, "journal: "+err.Error())
 	}
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ t.seedOffset ^ st.Accesses))
-	audits, total := t.engine.CloseCycle(rng)
-	return outcome{core.Record{Kind: core.KindCycleClose}, http.StatusOK, CloseResponse{Audits: audits, TotalCost: total}}
+	return outcome{code: http.StatusOK, body: CloseResponse{Audits: audits, TotalCost: total}}
 }
 
 func (q *NewCycleRequest) tenantField() string    { return q.Tenant }

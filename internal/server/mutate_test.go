@@ -40,8 +40,6 @@ func stateOf(t *testing.T, srv *Server) cycleState {
 		return cycleState{Appends: walAppends(srv), Tenants: strings.Join(srv.Tenants(), ",")}
 	}
 	ts := tn.Data.(*tenantState)
-	ts.lifecycle.RLock()
-	defer ts.lifecycle.RUnlock()
 	st := ts.engine.Status()
 	return cycleState{
 		Accesses: st.Accesses, Alerts: st.Alerts, Warned: st.Warned, Quits: st.Quits,

@@ -20,8 +20,8 @@ import (
 // disjoint (each goroutine owns a tenant) or hot (every goroutine on one
 // tenant), at parallelism 1, 8 and 32, over a real socket or straight into
 // Server.Handler, so socket cost is the difference of two measurements. From
-// the server's own registry it reports the group-commit yield (appends/fsync),
-// fsyncs/op and the lifecycle lock's wait per op. It is a correctness run too:
+// the server's own registry it reports the group-commit yield (appends/fsync)
+// and fsyncs/op. It is a correctness run too:
 // every response must be 200, and each tenant's /v1/status must count exactly
 // the accesses sent to it.
 //
@@ -136,16 +136,10 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 
 	appends := counterSum(after, wal.MetricAppendsTotal) - counterSum(before, wal.MetricAppendsTotal)
 	fsyncs := after.Histograms[wal.MetricFsyncSeconds].Count - before.Histograms[wal.MetricFsyncSeconds].Count
-	var wait float64
-	for _, side := range []string{"read", "write"} {
-		id := MetricHTTPLockWaitSeconds + `{side="` + side + `"}`
-		wait += after.Histograms[id].Sum - before.Histograms[id].Sum
-	}
 	if fsyncs > 0 {
 		b.ReportMetric(float64(appends)/float64(fsyncs), "appends/fsync")
 	}
 	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
-	b.ReportMetric(wait*1e6/float64(b.N), "lockwait-µs/op")
 
 	for id, n := range sent {
 		code, body := do(http.MethodGet, "/v1/status", id, "")

@@ -26,15 +26,12 @@
 // rules, and game instance — all immutable during serving — are shared.
 //
 // Concurrency: the serving hot path is not globally serialized. Tenants
-// share no lock across a decision; within one tenant /v1/access requests
-// take only the read side of the cycle lifecycle lock and overlap
-// everywhere except the gamed decision itself, which the engine estimates,
-// solves, journals and commits under its budget lock (see core.Engine) —
-// the durability wait runs outside it, so one hot tenant still shares
-// fsyncs. /v1/cycle/close and /v1/cycle/new take that tenant's write side
-// and drain its in-flight decisions before the rollover. The engine holds the
-// tenant's whole cycle state — counters and flagged employees included. The
-// full locking hierarchy is documented in DESIGN.md.
+// share no lock across a decision, and a tenant has one lock, its engine's
+// budget lock (see core.Engine), which holds the whole cycle state and makes
+// each change — a gamed decision, a close with its audit plan, a snapshot's
+// enqueue — one critical section; a closed cycle refuses accesses itself.
+// The durability wait runs outside the lock, so one hot tenant still shares
+// fsyncs. The full locking hierarchy is documented in DESIGN.md.
 //
 // The serving path is hardened for production shapes: request bodies are
 // capped (1 MiB), a failed solve degrades gracefully (the
@@ -45,8 +42,9 @@
 // A request is served start to finish on its connection's goroutine, behind
 // one mux and one wrapper (Server.wrap): context deadline, panic containment,
 // Retry-After stamping, status/latency metrics. Config.RequestTimeout is
-// honoured where a request can wait — admission queue, lifecycle lock, solve
-// — and last by the engine immediately before it commits; after that the
+// honoured where a request can wait — admission queue, tenant creation, the
+// engine's lock, solve — and last by the engine immediately before it
+// commits; after that the
 // request is answered however late. So 503 "request timed out" means NOT
 // applied (no counter, charge, signal draw or journal record): safe to retry.
 // Code that ignores its context is bounded only by http.Server.WriteTimeout.
@@ -133,7 +131,7 @@ type Config struct {
 	// wall-clock time-of-day. Tests inject a fake.
 	Clock func() time.Duration
 	// RequestTimeout is each API request's context deadline: a request still
-	// waiting (admission, lifecycle lock, solve) when it passes is answered
+	// waiting (admission, tenant creation, solve) when it passes is answered
 	// 503 "request timed out" having changed nothing; one that has committed
 	// is answered normally. Zero installs no deadline.
 	RequestTimeout time.Duration
@@ -187,17 +185,10 @@ type Config struct {
 	FollowPrimary string
 }
 
-// tenantState is one tenant: its engine, which holds the whole cycle state,
-// its journal and its lifecycle lock. It rides in shard.Tenant.Data.
-//
-// Locking hierarchy (acquire top to bottom, never upward):
-//
-//	lifecycle — RWMutex over this tenant's cycle transitions. /v1/access
-//	            and /v1/quit hold the read side from resolve to answer, so
-//	            any number overlap; /v1/cycle/close and /v1/cycle/new hold
-//	            the write side, so a rollover waits for in-flight requests
-//	            and no request ever spans a cycle boundary.
-//	engine    — core.Engine's budget lock, then the journal's.
+// tenantState is one tenant: its engine, which holds the whole cycle state
+// and the tenant's one lock, and its journal. It rides in shard.Tenant.Data.
+// Lock order: the engine's budget lock, then the journal's; the durability
+// wait runs after the engine unlocks.
 type tenantState struct {
 	id         string
 	seedOffset int64 // folded into RNG seeds; 0 for the default tenant
@@ -206,8 +197,9 @@ type tenantState struct {
 	// journal is set once, by recoverTenant before the router publishes the
 	// tenant, so it is read bare. It is nil only when durability is disabled.
 	journal *wal.Journal
-
-	lifecycle sync.RWMutex
+	// record is the hook through which the engine enqueues a record on
+	// journal (appendRecord); nil when durability is disabled.
+	record func(core.Record) (wait func() error, err error)
 }
 
 // Server is the HTTP facade. Create with New and mount via Handler.
@@ -353,15 +345,15 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		seedOffset: seedOffset,
 		met:        newTenantMetrics(s.met.reg, id),
 	}
-	// The engine's durability hook: enqueue the committed decision on this
-	// tenant's journal (the engine calls it under its budget lock, in commit
-	// order, and awaits the returned group-commit wait after unlocking).
-	// t.journal is set by recoverTenant before the router publishes the
-	// tenant.
+	// The engine's durability hooks: enqueue a record on this tenant's
+	// journal (the engine calls them under its budget lock, in apply order,
+	// and awaits the returned group-commit wait after unlocking). t.journal
+	// is set by recoverTenant before the router publishes the tenant.
 	var journalFn core.JournalFunc
 	if s.durable() {
+		t.record = func(r core.Record) (func() error, error) { return s.appendRecord(t, r) }
 		journalFn = func(rec core.DecisionRecord) (func() error, error) {
-			return s.appendRecord(t, wal.Record{Kind: wal.KindDecision, Decision: rec})
+			return t.record(core.Record{Kind: core.KindDecision, Decision: rec})
 		}
 	}
 	engine, err := core.NewEngine(core.Config{
@@ -727,26 +719,16 @@ func (s *Server) tenantID(r *http.Request, bodyTenant string) string {
 	return DefaultTenantID
 }
 
-// lockSide says which side of a tenant's lifecycle lock a caller takes;
-// readSide and writeSide index serverMetrics.lockWait.
-type lockSide int
-
-const (
-	noLock lockSide = iota - 1
-	readSide
-	writeSide
-)
-
-// resolveTenant returns the serving state for id with its lifecycle lock
-// held on side (the caller releases it with unlockLifecycle), answering the
-// error response itself when it cannot (nil): 503 on a standby, 400 for a
-// malformed ID, 429 when create-on-first-use would exceed the tenant cap, 404
-// for an unknown tenant on endpoints that must not create one, 500 for a
-// constructor failure.
+// resolveTenant returns the serving state for id, answering the error
+// response itself when it cannot (nil): 503 on a standby, 400 for a malformed
+// ID, 429 when create-on-first-use would exceed the tenant cap, 404 for an
+// unknown tenant on endpoints that must not create one, 500 for a constructor
+// failure.
 //
-// Admission and this lock are where a request can wait before it touches
-// tenant state, so the request deadline is checked here, lock in hand.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string, create bool, side lockSide) *tenantState {
+// Admission and tenant creation are where a request can wait before it
+// touches tenant state, so the request deadline is checked here, once the
+// tenant is resolved.
+func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string, create bool) *tenantState {
 	if s.rejectIfFollowing(w) {
 		return nil
 	}
@@ -771,43 +753,16 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, id string
 			return nil
 		}
 	}
-	t := tn.Data.(*tenantState)
-	if side == noLock {
-		return t
-	}
-	s.lockLifecycle(t, side)
 	if r.Context().Err() != nil {
-		t.unlockLifecycle(side)
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "request timed out"})
 		return nil
 	}
-	return t
-}
-
-// lockLifecycle acquires one side of a tenant's lifecycle lock, observing
-// the wait in sag_http_lock_wait_seconds so re-serialization regressions
-// show up on dashboards before they show up as latency.
-func (s *Server) lockLifecycle(t *tenantState, side lockSide) {
-	t0 := time.Now()
-	if side == writeSide {
-		t.lifecycle.Lock()
-	} else {
-		t.lifecycle.RLock()
-	}
-	s.met.lockWait[side].ObserveSince(t0)
-}
-
-func (t *tenantState) unlockLifecycle(side lockSide) {
-	if side == writeSide {
-		t.lifecycle.Unlock()
-	} else {
-		t.lifecycle.RUnlock()
-	}
+	return tn.Data.(*tenantState)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// GET carries no body; the query parameter stands in for it.
-	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false, noLock)
+	t := s.resolveTenant(w, r, s.tenantID(r, r.URL.Query().Get("tenant")), false)
 	if t == nil {
 		return
 	}

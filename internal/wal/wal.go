@@ -704,11 +704,12 @@ func (j *Journal) failLocked(err error) {
 	}
 }
 
-// Snapshot appends a full-state snapshot record (EncodeSnapshot), forces it
-// to stable storage regardless of the fsync policy, and prunes segments
-// wholly superseded by it. After Snapshot returns nil, recovery will
-// restore from this snapshot (plus any records appended after it).
-func (j *Journal) Snapshot(blob []byte) error {
+// AppendSnapshot enqueues a snapshot record (EncodeSnapshot's blob) as
+// Append does; the blob is written before it returns. Its wait forces the
+// record to stable storage whatever the fsync policy, makes it the newest
+// snapshot — recovery restores from it once the wait returns nil — and
+// prunes the segments it superseded.
+func (j *Journal) AppendSnapshot(blob []byte) (wait func() error, err error) {
 	j.mu.Lock()
 	// Where the snapshot frame sits: every segment strictly older than its
 	// own is re-derivable from it and safe to delete once it is synced, and a
@@ -716,22 +717,34 @@ func (j *Journal) Snapshot(blob []byte) error {
 	at, err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob})
 	n := j.records
 	j.mu.Unlock()
-	if err == nil {
-		err = j.commit(n, true)
-	}
 	if err != nil {
+		return nil, err
+	}
+	size := len(blob)
+	return func() error {
+		if err := j.commit(n, true); err != nil {
+			return err
+		}
+		j.mu.Lock()
+		if j.snapAt.Less(at) {
+			j.snapAt, j.snapRecords = at, n
+		}
+		j.mu.Unlock()
+		j.snapBytes.Set(float64(size))
+		// Prune what the snapshot superseded — clamped at the lease floor, so
+		// a replication stream still reading old segments is never cut off
+		// (see retain.go).
+		_, _, err := j.Prune()
 		return err
+	}, nil
+}
+
+// Snapshot is AppendSnapshot and its wait, back to back.
+func (j *Journal) Snapshot(blob []byte) error {
+	wait, err := j.AppendSnapshot(blob)
+	if err == nil {
+		err = wait()
 	}
-	j.mu.Lock()
-	if j.snapAt.Less(at) {
-		j.snapAt, j.snapRecords = at, n
-	}
-	j.mu.Unlock()
-	j.snapBytes.Set(float64(len(blob)))
-	// Prune what the snapshot superseded — clamped at the lease floor, so a
-	// replication stream still reading old segments is never cut off (see
-	// retain.go).
-	_, _, err = j.Prune()
 	return err
 }
 
