@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/game"
 	"github.com/auditgames/sag/internal/sim"
+	"github.com/auditgames/sag/internal/wal"
 )
 
 // gatedSolver is an SSESolveFunc wrapper that parks every solve until
@@ -197,4 +201,140 @@ func TestQuitIsIdempotent(t *testing.T) {
 	if st.Quits != 1 || st.FlaggedUsers != 1 {
 		t.Fatalf("repeated quits inflated counters: %+v", st)
 	}
+}
+
+// TestCycleTransitionUnderLoad: the engine alone keeps a request off a cycle
+// boundary. Load goroutines send benign accesses, planted alerts and quits to
+// one durable tenant while another loops close → new → snapshot. Every answer
+// is 200, or the closed cycle's 409; each close's plan has one entry per
+// decision journaled in its cycle, and no access or decision is journaled
+// between a close and the next open, read back from a copy of the dir after
+// each close; a reboot on a copy equals the live tenant.
+func TestCycleTransitionUnderLoad(t *testing.T) {
+	const cycles = 40
+	// A solve slow enough that requests queue on the tenant's lock for over
+	// a millisecond, which puts it in starvation mode: an unlock hands the
+	// lock to the longest waiter, so a transition split across two holds lets
+	// a request in between.
+	slow := func(cfg *Config) {
+		cfg.SSESolve = func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+			time.Sleep(300 * time.Microsecond)
+			return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
+		}
+	}
+	dir := t.TempDir()
+	srv, ts, bgE, bgP := replicaFixture(t, dir, slow)
+	defer srv.Close()
+	h := srv.Handler()
+	do := func(path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	tenantDir := srv.tenantWALDir(DefaultTenantID)
+
+	var stop atomic.Bool
+	var load sync.WaitGroup
+	defer func() { // before srv.Close, on every way out
+		stop.Store(true)
+		load.Wait()
+	}()
+	bodies := []string{
+		`{"employee_id":0,"patient_id":0}`,
+		fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, bgE, bgP),
+		fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, bgE+1, bgP+1),
+	}
+	for g := 0; g < 6; g++ {
+		load.Add(1)
+		go func() {
+			defer load.Done()
+			for k := 0; !stop.Load(); k++ {
+				path, body := "/v1/access", bodies[(g+k)%len(bodies)]
+				if k%16 == 15 {
+					path, body = "/v1/quit", fmt.Sprintf(`{"employee_id":%d}`, (g*16+k)%bgE)
+				}
+				code, resp := do(path, body)
+				if code != http.StatusOK && !(path == "/v1/access" && code == http.StatusConflict && strings.Contains(resp, "audit cycle is closed")) {
+					t.Errorf("POST %s %s answered %d %s", path, body, code, resp)
+					return
+				}
+			}
+		}()
+	}
+
+	for c := 0; c < cycles && !t.Failed(); c++ {
+		time.Sleep(time.Millisecond)
+		code, resp := do("/v1/cycle/close", `{}`)
+		var plan CloseResponse
+		if code != http.StatusOK || json.Unmarshal([]byte(resp), &plan) != nil {
+			t.Fatalf("close %d answered %d %s", c, code, resp)
+		}
+		if got := journaledCycle(t, tenantDir); got != len(plan.Audits) {
+			t.Fatalf("close %d: the plan has %d entries, its cycle journaled %d decisions", c, len(plan.Audits), got)
+		}
+		for _, step := range []struct{ path, body string }{{"/v1/cycle/new", `{"budget":50}`}, {"/v1/admin/snapshot", `{}`}} {
+			if code, resp := do(step.path, step.body); code != http.StatusOK {
+				t.Fatalf("cycle %d: POST %s answered %d %s", c, step.path, code, resp)
+			}
+		}
+	}
+	stop.Store(true)
+	load.Wait()
+
+	_, status := getRaw(t, ts, "/v1/status")
+	_, summary := getRaw(t, ts, "/v1/cycle/summary")
+	crashed := t.TempDir()
+	copyTree(t, dir, crashed)
+	srv2, ts2, _, _ := replicaFixture(t, crashed, slow)
+	defer srv2.Close()
+	if _, got := getRaw(t, ts2, "/v1/status"); got != status {
+		t.Fatalf("rebooted status diverges:\n got %s\nwant %s", got, status)
+	}
+	if _, got := getRaw(t, ts2, "/v1/cycle/summary"); got != summary {
+		t.Fatalf("rebooted summary diverges:\n got %s\nwant %s", got, summary)
+	}
+}
+
+// journaledCycle reads a copy of a live tenant's journal dir and returns how
+// many decisions the cycle its last close ended holds: those of the newest
+// snapshot, when it is of that cycle, plus the decision records after it. It
+// fails the test on an access or a decision journaled while the cycle was
+// closed.
+func journaledCycle(t *testing.T, tenantDir string) int {
+	t.Helper()
+	cp := t.TempDir()
+	copyTree(t, tenantDir, cp)
+	rec, err := wal.Recover(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	var closed bool
+	if rec.Snapshot != nil {
+		st, err := wal.DecodeSnapshot(rec.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, closed = len(st.Decisions), st.Closed
+	}
+	last := -1
+	for i, r := range rec.Tail {
+		switch r.Kind {
+		case wal.KindMeta, wal.KindDecision:
+			if closed {
+				t.Fatalf("tail record %d: a %v record journaled on a closed cycle", i, r.Kind)
+			}
+			if r.Kind == wal.KindDecision {
+				n++
+			}
+		case wal.KindCycleClose:
+			closed, last = true, n
+		case wal.KindCycleOpen:
+			closed, n = false, 0
+		}
+	}
+	if last < 0 {
+		t.Fatal("no close journaled after the newest snapshot")
+	}
+	return last
 }
