@@ -218,9 +218,8 @@ type Decision struct {
 // journal on a fresh engine reproduces every decision bit for bit. A solve
 // is microseconds; the plug-ins it calls (Estimator, SSESolve, Journal) run
 // under mu and must not call back into the Engine. CloseCycle and Snapshot
-// are one critical section each too, and a closed cycle refuses decisions
-// and accesses (ErrCycleClosed), so no caller needs a lock of its own to
-// keep a record off a cycle boundary.
+// are one critical section each too and a closed cycle refuses accesses
+// (ErrCycleClosed), so no caller needs a lock to stay off a cycle boundary.
 //
 // Decisions remain order-dependent through the remaining budget, so callers
 // that need a *specific* interleaving (the simulation harness replaying a
@@ -833,26 +832,29 @@ type AuditOutcome struct {
 	Cost float64
 }
 
-// CloseCycle draws the retrospective audit plan and closes the cycle: a
-// KindCycleClose record applied as Apply applies it, with the plan drawn in
-// the same hold of the budget lock, after the record's check and before its
-// enqueue, so no decision lands between the draw and the close. Each
-// decision is audited with its signal-conditional audit probability (what
-// the budget was charged for in real time), drawn from an rng seeded with
-// seed ^ accesses: a close retried after a failed journal write draws the
-// identical plan. It returns one outcome per decision and the realized total
-// audit cost, which concentrates around the charged budget but is not capped
-// by it — the paper's budget dynamics are in expectation. A closed cycle
-// answers ErrCycleClosed.
+// CloseCycle applies a KindCycleClose record as Apply does and draws the
+// retrospective audit plan in the same hold of the budget lock, so no
+// decision lands between the draw and the close. Each alert is audited with
+// its signal-conditional audit probability (the probability the budget was
+// charged for in real time), drawn from an rng seeded with seed ^ accesses,
+// so a close retried after a failed journal write draws the same plan. It
+// returns one outcome per recorded decision plus the realized total audit
+// cost, which concentrates around the charged budget but is not capped by
+// it — the paper's budget dynamics are in expectation.
 func (e *Engine) CloseCycle(seed int64, journal func(Record) (wait func() error, err error)) (audits []AuditOutcome, total float64, err error) {
 	err = e.Apply(Record{Kind: KindCycleClose}, func(r Record) (func() error, error) {
 		rng := rand.New(rand.NewSource(seed ^ e.accesses))
 		audits = make([]AuditOutcome, len(e.decisions))
 		for i, d := range e.decisions {
 			audits[i] = AuditOutcome{Index: i}
-			if !d.Vacuous && rng.Float64() < d.AuditCharge {
-				audits[i].Audited, audits[i].Cost = true, e.inst.AuditCosts[d.Type]
-				total += audits[i].Cost
+			if d.Vacuous {
+				continue
+			}
+			if rng.Float64() < d.AuditCharge {
+				cost := e.inst.AuditCosts[d.Type]
+				audits[i].Audited = true
+				audits[i].Cost = cost
+				total += cost
 			}
 		}
 		if journal == nil {

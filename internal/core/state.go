@@ -139,7 +139,7 @@ type EngineState struct {
 // ExportState captures the engine's mutable cycle state: a copy, taken under
 // the budget lock, so it never observes a half-applied record.
 func (e *Engine) ExportState() (st EngineState) {
-	_, _ = e.Snapshot(func(live EngineState) (func() error, error) {
+	_, _ = e.Snapshot(func(live EngineState) (func() error, error) { // cannot fail: it enqueues nothing
 		st = live
 		st.Decisions = append([]DecisionRecord{}, live.Decisions...)
 		st.Flagged = slices.Clone(live.Flagged)
@@ -157,9 +157,16 @@ func (e *Engine) Snapshot(enqueue func(EngineState) (wait func() error, err erro
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return enqueue(EngineState{
-		Budget: e.budget, Initial: e.initial, RNGDraws: e.rngDraws, Decisions: e.decisions,
-		Accesses: e.accesses, Alerts: e.alerts, Warned: e.warned, Quits: e.quits,
-		Flagged: e.flagged, Closed: e.closed,
+		Budget:    e.budget,
+		Initial:   e.initial,
+		RNGDraws:  e.rngDraws,
+		Decisions: e.decisions,
+		Accesses:  e.accesses,
+		Alerts:    e.alerts,
+		Warned:    e.warned,
+		Quits:     e.quits,
+		Flagged:   e.flagged,
+		Closed:    e.closed,
 	})
 }
 

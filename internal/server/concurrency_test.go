@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,6 +235,7 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 	tenantDir := srv.tenantWALDir(DefaultTenantID)
 
 	var stop atomic.Bool
+	var answered atomic.Int64
 	var load sync.WaitGroup
 	defer func() { // before srv.Close, on every way out
 		stop.Store(true)
@@ -254,6 +256,7 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 					path, body = "/v1/quit", fmt.Sprintf(`{"employee_id":%d}`, (g*16+k)%bgE)
 				}
 				code, resp := do(path, body)
+				answered.Add(1)
 				if code != http.StatusOK && !(path == "/v1/access" && code == http.StatusConflict && strings.Contains(resp, "audit cycle is closed")) {
 					t.Errorf("POST %s %s answered %d %s", path, body, code, resp)
 					return
@@ -263,7 +266,10 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 	}
 
 	for c := 0; c < cycles && !t.Failed(); c++ {
-		time.Sleep(time.Millisecond)
+		// Each cycle serves some load before it closes.
+		for n := answered.Load() + 8; answered.Load() < n && !t.Failed(); {
+			runtime.Gosched()
+		}
 		code, resp := do("/v1/cycle/close", `{}`)
 		var plan CloseResponse
 		if code != http.StatusOK || json.Unmarshal([]byte(resp), &plan) != nil {

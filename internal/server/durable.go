@@ -92,21 +92,6 @@ func replayTenant(e *core.Engine, rec *wal.Recovery) error {
 	return nil
 }
 
-// appendRecord enqueues one record on t's journal and returns the wait that
-// makes it as durable as the fsync policy promises. It is the only way a
-// record enters a live journal, always under the engine's budget lock (Apply,
-// and the engine's decision hook), so journal order is apply order; the
-// wait runs after the engine unlocks. The journal counts its own tail; the
-// retention scan reads it to schedule snapshots.
-func (s *Server) appendRecord(t *tenantState, r wal.Record) (wait func() error, err error) {
-	if p := s.journalFault.Load(); p != nil {
-		if err := p.Fire(); err != nil {
-			return nil, err
-		}
-	}
-	return t.journal.Append(r)
-}
-
 // retainTarget adapts one tenant to the retention compactor's Tenant view.
 type retainTarget struct {
 	s *Server

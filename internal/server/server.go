@@ -197,8 +197,9 @@ type tenantState struct {
 	// journal is set once, by recoverTenant before the router publishes the
 	// tenant, so it is read bare. It is nil only when durability is disabled.
 	journal *wal.Journal
-	// record is the hook through which the engine enqueues a record on
-	// journal (appendRecord); nil when durability is disabled.
+	// record is the one way a record enters journal, always under the
+	// engine's budget lock, so journal order is apply order: it fires the
+	// journal fault point, enqueues, and returns the wait. Nil without one.
 	record func(core.Record) (wait func() error, err error)
 }
 
@@ -227,8 +228,8 @@ type Server struct {
 	closed    bool                             // Close has run: a later Promote opens nothing; guarded by promoteMu
 
 	// journalFault, when set, is fired before every WAL append (see
-	// appendRecord). Testing seam for the journal-failure consistency suite
-	// (SetJournalFault).
+	// tenantState.record). Testing seam for the journal-failure consistency
+	// suite (SetJournalFault).
 	journalFault atomic.Pointer[faultinject.Point]
 }
 
@@ -345,13 +346,19 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 		seedOffset: seedOffset,
 		met:        newTenantMetrics(s.met.reg, id),
 	}
-	// The engine's durability hooks: enqueue a record on this tenant's
-	// journal (the engine calls them under its budget lock, in apply order,
-	// and awaits the returned group-commit wait after unlocking). t.journal
-	// is set by recoverTenant before the router publishes the tenant.
+	// The engine's durability hooks (called under its budget lock; it awaits
+	// the group-commit wait after unlocking). t.journal is set by
+	// recoverTenant before the router publishes the tenant.
 	var journalFn core.JournalFunc
 	if s.durable() {
-		t.record = func(r core.Record) (func() error, error) { return s.appendRecord(t, r) }
+		t.record = func(r core.Record) (func() error, error) {
+			if p := s.journalFault.Load(); p != nil {
+				if err := p.Fire(); err != nil {
+					return nil, err
+				}
+			}
+			return t.journal.Append(r)
+		}
 		journalFn = func(rec core.DecisionRecord) (func() error, error) {
 			return t.record(core.Record{Kind: core.KindDecision, Decision: rec})
 		}
