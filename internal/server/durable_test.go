@@ -706,7 +706,11 @@ func TestRefusedBootWritesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range c.tail {
-				if _, err := j.Append(r); err != nil {
+				wait, err := j.Append(r)
+				if err == nil {
+					err = wait()
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}

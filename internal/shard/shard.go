@@ -79,7 +79,7 @@ func Seed(id string) uint64 {
 
 // Tenant is one resident tenant: its identifier, its dedicated engine, and
 // an opaque slot for the embedding layer's per-tenant state (the HTTP
-// server keeps its lifecycle lock, counters, and flagged-user set there).
+// server keeps its journal and metrics there).
 type Tenant struct {
 	ID     string
 	Engine *core.Engine
