@@ -125,8 +125,8 @@ type Config struct {
 	Rand *rand.Rand
 	// Metrics, when non-nil, receives the engine's instrumentation:
 	// per-stage solve latencies, the vacuous-game counter, solver effort,
-	// and the remaining-budget gauge (see the Metric* constants). A nil
-	// registry disables collection with near-zero overhead.
+	// the remaining-budget gauge and the service counters (see the Metric*
+	// constants). A nil registry disables collection with near-zero overhead.
 	Metrics *obs.Registry
 	// MetricLabels are extra labels stamped on every engine counter and
 	// gauge — the multi-tenant server passes tenant="<id>" so each tenant's
@@ -407,7 +407,7 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 	if a.Type < 0 || a.Type >= e.inst.NumTypes() {
 		return nil, fmt.Errorf("core: alert type %d out of range [0,%d)", a.Type, e.inst.NumTypes())
 	}
-	d, wait, err := e.commit(ctx, a, t0)
+	d, wait, c, err := e.commit(ctx, a, t0)
 	if err != nil {
 		return nil, err
 	}
@@ -416,33 +416,34 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 			return nil, fmt.Errorf("core: journal fsync: %w", err)
 		}
 	}
+	e.met.count(c)
 	return d, nil
 }
 
 // commit is the decision's critical section: decide at the current budget,
 // sample the signal, journal, then charge and record. ctx is the context the
 // request arrived with; its end abandons the decision. The returned wait is
-// the journal's.
-func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, func() error, error) {
+// the journal's, and the tally what the commit added to the cycle's counters.
+func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, func() error, tally, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		// Gave up while queued: leave the estimator unasked and rng untouched.
-		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, err)
+		return nil, nil, tally{}, fmt.Errorf("%w: %w", ErrAbandoned, err)
 	}
 	if e.closed {
-		return nil, nil, ErrCycleClosed
+		return nil, nil, tally{}, ErrCycleClosed
 	}
 	d, err := fallback.Attempt(func() (*Decision, error) { return e.decide(ctx, a) })
 	if cerr := ctx.Err(); cerr != nil {
 		// The last point a decision can be dropped without a trace: the
 		// caller has stopped waiting (request deadline, client gone), so
 		// neither a solved nor a degraded decision is committed for it.
-		return nil, nil, fmt.Errorf("%w: %w", ErrAbandoned, cerr)
+		return nil, nil, tally{}, fmt.Errorf("%w: %w", ErrAbandoned, cerr)
 	}
 	if err != nil {
 		if !e.degrade {
-			return nil, nil, err
+			return nil, nil, tally{}, err
 		}
 		d = e.degraded(a)
 		e.met.fallbackCounter(d.Fallback).Inc()
@@ -471,27 +472,36 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	if e.journal != nil {
 		if wait, err = e.journal(rec); err != nil {
 			e.met.journalRollbacks.Inc()
-			return nil, nil, fmt.Errorf("core: journaling decision: %w", err)
+			return nil, nil, tally{}, fmt.Errorf("core: journaling decision: %w", err)
 		}
 	}
-	e.applyLocked(Record{Kind: KindDecision, Decision: rec}, d)
+	c := e.applyLocked(Record{Kind: KindDecision, Decision: rec}, d)
 	if e.met.enabled {
 		e.met.decision.ObserveSince(t0)
 		e.met.decisions.Inc()
 	}
-	return d, wait, nil
+	return d, wait, c, nil
 }
 
-// applyLocked is the one writer of the cycle's state: commit, Apply and
-// RestoreState all end here. A decision record is one access and one alert:
+// tally is what one applied record added to the cycle's counters: an access,
+// with its alert and warning, or a first quit. The service counters move by
+// exactly it (engineMetrics.count), once the record is durable.
+type tally struct {
+	access bool
+	Meta
+	quit bool
+}
+
+// applyLocked is the one writer of the cycle's state: commit, Apply, Replay
+// and RestoreState all end here. A decision record is one access and one alert:
 // it is appended to the log, moves the budget to its end of the link and
 // spends the draw that sampled its signal — already buffered by commit's
 // peek, pulled now on replay. A solved one makes its solve the kept one:
 // commit passes its decision d, whose equilibrium and estimate (in
 // e.scratch) are adopted; replay passes nil and leaves them to
 // rebuildLocked. A repeated quit changes nothing. The caller holds e.mu and
-// has checked r (checkLocked).
-func (e *Engine) applyLocked(r Record, d *Decision) {
+// has checked r (checkLocked); the tally returned is what r counted.
+func (e *Engine) applyLocked(r Record, d *Decision) (c tally) {
 	switch r.Kind {
 	case KindDecision:
 		e.decisions = append(e.decisions, r.Decision)
@@ -519,8 +529,9 @@ func (e *Engine) applyLocked(r Record, d *Decision) {
 		if r.Meta.Warned {
 			e.warned++
 		}
+		c = tally{access: true, Meta: r.Meta}
 	case KindQuit:
-		if e.flag(r.Employee) {
+		if c.quit = e.flag(r.Employee); c.quit {
 			e.quits++
 		}
 	case KindCycleOpen:
@@ -532,14 +543,16 @@ func (e *Engine) applyLocked(r Record, d *Decision) {
 	case KindCycleClose:
 		e.closed = true
 	}
+	return c
 }
 
-// flag adds emp to the flagged employees and reports whether it is new. The
-// caller holds e.mu.
+// flag adds emp to the flagged employees, moving the flagged gauge with them,
+// and reports whether it is new. The caller holds e.mu.
 func (e *Engine) flag(emp int) bool {
 	i, found := slices.BinarySearch(e.flagged, emp)
 	if !found {
 		e.flagged = slices.Insert(e.flagged, i, emp)
+		e.met.flagged.Set(float64(len(e.flagged)))
 	}
 	return !found
 }

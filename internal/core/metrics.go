@@ -30,6 +30,19 @@ const (
 	// charged or recorded, and the sampled signal draw is kept buffered so
 	// the RNG stream stays aligned with what crash recovery would replay.
 	MetricJournalRollbacksTotal = "sag_engine_journal_rollbacks_total"
+	// MetricAccessesTotal / MetricAlertsTotal / MetricWarnedTotal /
+	// MetricQuitsTotal are cumulative service counters. They move by what the
+	// cycle's own counters do (a quit only when it flagged the employee), once
+	// the record is applied and its journal wait returned nil; a refused
+	// record moves none, and neither does replay. Unlike the cycle's counters
+	// they do NOT reset on cycle rollover: Prometheus counters are
+	// forever-cumulative by convention and rates are taken with range queries.
+	MetricAccessesTotal = "sag_server_accesses_total"
+	MetricAlertsTotal   = "sag_server_alerts_total"
+	MetricWarnedTotal   = "sag_server_warned_total"
+	MetricQuitsTotal    = "sag_server_quits_total"
+	// MetricFlaggedUsers gauges the number of currently flagged employees.
+	MetricFlaggedUsers = "sag_server_flagged_users"
 )
 
 // engineMetrics holds the engine's pre-resolved instruments. The zero value
@@ -50,6 +63,26 @@ type engineMetrics struct {
 	fallbackStatic   *obs.Counter
 
 	journalRollbacks *obs.Counter
+
+	accesses, alerts, warned, quits *obs.Counter
+	flagged                         *obs.Gauge
+}
+
+// count moves the service counters by what one applied record added to the
+// cycle's counters.
+func (m *engineMetrics) count(t tally) {
+	if t.access {
+		m.accesses.Inc()
+	}
+	if t.Alerted {
+		m.alerts.Inc()
+	}
+	if t.Warned {
+		m.warned.Inc()
+	}
+	if t.quit {
+		m.quits.Inc()
+	}
 }
 
 // fallbackCounter maps a degraded level to its labeled counter (nil, hence a
@@ -99,6 +132,12 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 		fallbackStatic:   reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.Static.String()))...),
 
 		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Decisions refused because their journal record could not be enqueued.", with()...),
+
+		accesses: reg.Counter(MetricAccessesTotal, "Access requests evaluated.", with()...),
+		alerts:   reg.Counter(MetricAlertsTotal, "Accesses on which a detection rule fired.", with()...),
+		warned:   reg.Counter(MetricWarnedTotal, "Accesses answered with a warning.", with()...),
+		quits:    reg.Counter(MetricQuitsTotal, "Warned accesses reported abandoned.", with()...),
+		flagged:  reg.Gauge(MetricFlaggedUsers, "Employees currently flagged as quitters.", with()...),
 	}
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,5 +112,112 @@ func TestEngineNilMetrics(t *testing.T) {
 		if dw.Theta != dn.Theta || dw.Warned != dn.Warned || dw.BudgetAfter != dn.BudgetAfter {
 			t.Fatalf("metrics changed behavior: %+v vs %+v", dw, dn)
 		}
+	}
+}
+
+// serviceReadings reads the service counters — accesses, alerts, warned,
+// quits — and the flagged gauge of an unlabeled engine.
+func serviceReadings(reg *obs.Registry) [5]float64 {
+	snap := reg.Snapshot()
+	return [5]float64{
+		float64(snap.Counters[MetricAccessesTotal]), float64(snap.Counters[MetricAlertsTotal]),
+		float64(snap.Counters[MetricWarnedTotal]), float64(snap.Counters[MetricQuitsTotal]),
+		snap.Gauges[MetricFlaggedUsers],
+	}
+}
+
+// TestRacingFirstQuitsCountOnce: goroutines applying the same employee's
+// quit at once flag them once, and the quit counter moves once — what to
+// count is decided under the budget lock, by the apply that flagged them.
+func TestRacingFirstQuitsCountOnce(t *testing.T) {
+	const racers = 16
+	for round := 0; round < 50; round++ {
+		reg := obs.NewRegistry()
+		table2 := payoff.Table2()
+		eng := metricsFixture(t, reg, table2[1:3], []float64{30, 15}, 20)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := eng.Apply(Record{Kind: KindQuit, Employee: 7}, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := serviceReadings(reg); got != [5]float64{0, 0, 0, 1, 1} {
+			t.Fatalf("round %d: %d racing first quits read (accesses, alerts, warned, quits, flagged) %v, want one quit and one flagged", round, racers, got)
+		}
+	}
+}
+
+// TestServiceCountersWaitForTheJournal: the service counters move only once
+// the record's journal wait has returned nil. A refused enqueue and a failed
+// wait are returned to the caller and move none, for a record through Apply
+// and a decision through ProcessContext alike; the flagged gauge follows the
+// flagged set, which a failed wait leaves applied in memory.
+func TestServiceCountersWaitForTheJournal(t *testing.T) {
+	errRefused, errFsync := errors.New("disk full"), errors.New("fsync failed")
+	var fail error // the journal's next failure; nil journals fine
+	journal := func(Record) (func() error, error) {
+		switch f := fail; f {
+		case errRefused:
+			return nil, f
+		case errFsync:
+			return func() error { return f }, nil
+		}
+		return func() error { return nil }, nil
+	}
+	reg := obs.NewRegistry()
+	table2 := payoff.Table2()
+	inst, err := game.NewInstance(table2[1:3], game.UniformCost(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(Config{
+		Instance:  inst,
+		Budget:    20,
+		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return []float64{30, 15}, nil }),
+		Rand:      rand.New(rand.NewSource(7)),
+		Metrics:   reg,
+		Journal:   func(d DecisionRecord) (func() error, error) { return journal(Record{Kind: KindDecision, Decision: d}) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func() error {
+		_, err := eng.ProcessContext(context.Background(), Alert{Type: 0, Time: 9 * time.Hour})
+		return err
+	}
+	meta := func() error {
+		return eng.Apply(Record{Kind: KindMeta, Meta: Meta{Alerted: true, Warned: true}}, journal)
+	}
+	quit := func(emp int) func() error {
+		return func() error { return eng.Apply(Record{Kind: KindQuit, Employee: emp}, journal) }
+	}
+	for i, f := range []error{errRefused, errFsync} {
+		fail = f
+		for _, do := range []func() error{decide, meta, quit(i)} {
+			if err := do(); !errors.Is(err, f) {
+				t.Fatalf("journal failing with %q: err %v", f, err)
+			}
+		}
+		st := eng.Status()
+		if got, want := serviceReadings(reg), [5]float64{4: float64(st.FlaggedUsers)}; got != want {
+			t.Fatalf("journal failing with %q: readings %v, want %v", f, got, want)
+		}
+	}
+	fail = nil
+	for _, do := range []func() error{decide, meta, quit(3)} {
+		if err := do(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := serviceReadings(reg); got[0] != 2 || got[1] != 2 || got[2] < 1 || got[3] != 1 || got[4] != 2 {
+		t.Fatalf("durable records read %v, want 2 accesses, 2 alerts, ≥1 warned, 1 quit and 2 flagged (one left by the failed wait)", got)
 	}
 }

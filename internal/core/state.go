@@ -175,7 +175,7 @@ func (e *Engine) Snapshot(enqueue func(EngineState) (wait func() error, err erro
 // no decisions processed — because restore fast-forwards the RNG stream
 // from its seed position and rebuilds the budget chain from zero. Restoring
 // onto a used engine is an error, not a merge. Each decision is applied as
-// Apply replays it, so the next decision rebuilds the kept estimate once.
+// Replay applies it, so the next decision rebuilds the kept estimate once.
 func (e *Engine) RestoreState(st EngineState) error {
 	if err := errors.Join(ValidateBudget(st.Budget), ValidateBudget(st.Initial)); err != nil {
 		return fmt.Errorf("core: restoring: %w", err)
@@ -210,33 +210,42 @@ func (e *Engine) RestoreState(st EngineState) error {
 	return nil
 }
 
-// Apply is how every record but a live decision changes the cycle, live and
-// on replay: under the budget lock it checks r, enqueues it through journal
-// (nil on replay) and applies it only if the enqueue succeeded; then,
-// unlocked, it runs the journal's wait. Like Config.Journal, journal must
-// only enqueue.
+// Apply is how every record but a decision changes the live cycle: under the
+// budget lock it checks r, enqueues it through journal (nil without one) and
+// applies it only if the enqueue succeeded; then, unlocked, it runs the
+// journal's wait and, if that returned nil, moves the service counters. Like
+// Config.Journal, journal must only enqueue.
 func (e *Engine) Apply(r Record, journal func(Record) (wait func() error, err error)) error {
-	wait, err := e.record(r, journal)
+	wait, c, err := e.record(r, journal)
 	if err == nil && wait != nil {
 		err = wait()
+	}
+	if err == nil {
+		e.met.count(c)
 	}
 	return err
 }
 
-// record is Apply's critical section.
-func (e *Engine) record(r Record, journal func(Record) (wait func() error, err error)) (wait func() error, err error) {
+// Replay applies r as recovery does: checked and applied, never journaled and
+// never counted — the service counters count what this process served.
+func (e *Engine) Replay(r Record) error {
+	_, _, err := e.record(r, nil)
+	return err
+}
+
+// record is Apply's and Replay's critical section.
+func (e *Engine) record(r Record, journal func(Record) (wait func() error, err error)) (wait func() error, c tally, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.checkLocked(r); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if journal != nil {
 		if wait, err = journal(r); err != nil {
-			return nil, err
+			return nil, c, err
 		}
 	}
-	e.applyLocked(r, nil)
-	return wait, nil
+	return wait, e.applyLocked(r, nil), nil
 }
 
 // checkLocked refuses a record applyLocked cannot apply: a decision out of

@@ -828,8 +828,7 @@ func benchmarkRestore(b *testing.B, decisions int, every, freeze time.Duration) 
 
 // applyDecision replays one journaled decision, as recovery does.
 func applyDecision(e *Engine, r DecisionRecord) error {
-	err := e.Apply(Record{Kind: KindDecision, Decision: r}, nil)
-	return err
+	return e.Replay(Record{Kind: KindDecision, Decision: r})
 }
 
 // TestLiveEqualsReplayForEveryRecordKind: an engine that applies every kind
@@ -903,7 +902,7 @@ func TestLiveEqualsReplayForEveryRecordKind(t *testing.T) {
 			t.Fatalf("%s: %v", step.name, err)
 		}
 		for _, r := range journal[applied:] {
-			if err := replayed.Apply(r, nil); err != nil {
+			if err := replayed.Replay(r); err != nil {
 				t.Fatalf("%s: replaying %v: %v", step.name, r.Kind, err)
 			}
 		}

@@ -59,7 +59,6 @@ func (s *Server) recoverTenant(t *tenantState) error {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
 	t.journal = j
-	t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))
 	replayed := len(rec.Tail)
 	s.met.reg.Gauge(MetricRecoveryReplayed,
 		"Journal records replayed on top of the restored snapshot at boot.",
@@ -72,8 +71,8 @@ func (s *Server) recoverTenant(t *tenantState) error {
 }
 
 // replayTenant restores e from a journal recovery: the snapshot (if any),
-// then the tail in journal order through core.Engine.Apply, which ends in
-// the writer that applied each record live.
+// then the tail in journal order through core.Engine.Replay, which ends in
+// the writer that applied each record live and counts none of them.
 func replayTenant(e *core.Engine, rec *wal.Recovery) error {
 	if rec.Snapshot != nil {
 		st, err := wal.DecodeSnapshot(rec.Snapshot)
@@ -85,7 +84,7 @@ func replayTenant(e *core.Engine, rec *wal.Recovery) error {
 		}
 	}
 	for _, r := range rec.Tail {
-		if err := e.Apply(r, nil); err != nil {
+		if err := e.Replay(r); err != nil {
 			return err
 		}
 	}

@@ -153,6 +153,46 @@ func TestDurableCleanRestartRestoresState(t *testing.T) {
 	}
 }
 
+// TestRestartCountsNothingAndKeepsTheFlaggedGauge: the service counters
+// count what this process served, so a restart moves none of them, while the
+// flagged gauge follows the recovered flagged set. A crash image recovers
+// through Replay, a clean shutdown's through the snapshot's RestoreState; both
+// answer /v1/status as the live server did.
+func TestRestartCountsNothingAndKeepsTheFlaggedGauge(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, bgE, bgP := durableFixture(t, dir)
+	for i := 0; i < 6; i++ {
+		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+	}
+	post(t, ts, "/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}, nil) // benign
+	for _, emp := range []int{bgE, bgE + 1} {
+		if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: emp}, nil); code != http.StatusOK {
+			t.Fatalf("quit status %d", code)
+		}
+	}
+	live := mustGetRaw(t, ts, "/v1/status")
+	if c, f := serviceCounters(srv), flaggedGauge(srv); c[0] != 7 || c[1] != 6 || c[3] != 2 || f != 2 {
+		t.Fatalf("live: counters %v flagged %g, want 7 accesses, 6 alerts, 2 quits and 2 flagged", c, f)
+	}
+	crash := t.TempDir()
+	copyTree(t, dir, crash)
+	if err := srv.Close(); err != nil {
+		t.Fatalf("clean shutdown: %v", err)
+	}
+	for _, boot := range []struct{ name, dir string }{{"crash", crash}, {"clean", dir}} {
+		srv2, ts2, _, _ := durableFixture(t, boot.dir)
+		if got := mustGetRaw(t, ts2, "/v1/status"); got != live {
+			t.Fatalf("%s restart: status diverges:\nlive:      %s\nrecovered: %s", boot.name, live, got)
+		}
+		if c, f := serviceCounters(srv2), flaggedGauge(srv2); c != [4]uint64{} || f != 2 {
+			t.Fatalf("%s restart: counters %v flagged %g, want all 0 and 2 flagged", boot.name, c, f)
+		}
+		if err := srv2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDurableCrashRestartReplaysJournal models kill -9: the first server is
 // abandoned without Close (no shutdown snapshot), so the second boot must
 // rebuild the tenant purely by replaying decision records — and end up in

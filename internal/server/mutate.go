@@ -58,10 +58,10 @@ func refuse(code int, msg string) outcome { return outcome{code: code, body: api
 
 // mutate is the one path by which a request changes per-cycle state: standby
 // gate → decode → validate → disk pressure → admission → resolve + deadline →
-// decide → apply → wait → answer. State changes only in core.Engine.Apply —
-// the function recovery runs on a boot or a promotion — which applies a
-// record only once the journal has taken it, so live state is replay of the
-// journal by construction and a refused append has nothing to undo.
+// decide → apply → wait → answer. State changes only in core.Engine, whose
+// Apply ends in the writer recovery's Replay ends in, and which applies a
+// record only once the journal has taken it: live state is replay of the
+// journal by construction, and a refused append has nothing to undo.
 func (s *Server) mutate(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.rejectIfFollowing(w) {
@@ -102,10 +102,13 @@ func (s *Server) mutate(rt route) http.HandlerFunc {
 		}
 		out := req.decide(r.Context(), s, t)
 		if out.rec.Kind != 0 {
-			if err := s.apply(t, out.rec); errors.Is(err, core.ErrCycleClosed) {
+			// A failed durability wait leaves the record applied in memory,
+			// but the journal then refuses every later record: the tenant
+			// answers 500 until a restart recovers what is on disk.
+			if err := t.engine.Apply(out.rec, t.record); errors.Is(err, core.ErrCycleClosed) {
 				out = refuse(http.StatusConflict, errClosed)
 			} else if err != nil {
-				writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+				writeJSON(w, http.StatusInternalServerError, apiError{Error: "journal: " + err.Error()})
 				return
 			}
 		}
@@ -127,32 +130,6 @@ func writeShed(w http.ResponseWriter, err error) {
 
 // errClosed is the 409 an access gets on a closed cycle (core.ErrCycleClosed).
 const errClosed = "audit cycle is closed; POST /v1/cycle/new to start the next one"
-
-// apply hands rec to t's engine, which enqueues it on t's journal (with a
-// data dir), applies it under its budget lock and waits until it is as
-// durable as the fsync policy promises; then apply counts it in the service
-// counters. A failed wait leaves the record applied in memory, but the
-// journal then refuses every later record, so the tenant answers 500 until a
-// restart recovers what is on disk. A record the engine refuses on a closed
-// cycle is core.ErrCycleClosed, unwrapped.
-func (s *Server) apply(t *tenantState, rec core.Record) error {
-	first := rec.Kind == core.KindQuit && !t.engine.Flagged(rec.Employee)
-	err := t.engine.Apply(rec, t.record)
-	if rec.Kind == core.KindQuit {
-		t.met.flagged.Set(float64(t.engine.Status().FlaggedUsers))
-	}
-	switch {
-	case errors.Is(err, core.ErrCycleClosed):
-		return err
-	case err != nil:
-		return fmt.Errorf("journal: %w", err)
-	case rec.Kind == core.KindMeta:
-		t.met.count(rec.Meta)
-	case first:
-		t.met.quits.Inc()
-	}
-	return nil
-}
 
 func (q *AccessRequest) tenantField() string    { return q.Tenant }
 func (q *AccessRequest) validate(*Server) error { return nil }
@@ -200,7 +177,6 @@ func (q *AccessRequest) decide(ctx context.Context, s *Server, t *tenantState) o
 		// No decision committed: the engine journals before it commits.
 		return refuse(http.StatusInternalServerError, err.Error())
 	}
-	t.met.count(core.Meta{Alerted: true, Warned: d.Warned})
 	resp.Warn = d.Warned
 	resp.RemainingBudget = d.BudgetAfter
 	if d.Fallback.Degraded() {

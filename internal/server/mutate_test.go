@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/auditgames/sag/internal/admit"
+	"github.com/auditgames/sag/internal/core"
 )
 
 // cycleState is everything a mutation can change for one tenant, read
@@ -298,9 +299,10 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 }
 
 // TestConcurrentFirstQuit: first reports of one employee racing each other
-// flag them once and count one quit, and a server recovered from the journal
-// they wrote agrees. Each racer journals a record; the engine flags and counts
-// only the first, live and on replay alike.
+// flag them once and count one quit, in /v1/status and in the service
+// counters, and a server recovered from the journal they wrote agrees. Each
+// racer journals a record; the engine flags and counts only the first, live
+// and on replay alike, and the flagged gauge follows the flagged set.
 func TestConcurrentFirstQuit(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, _, _ := durableFixture(t, dir)
@@ -329,6 +331,9 @@ func TestConcurrentFirstQuit(t *testing.T) {
 	if st.Quits != 1 || st.FlaggedUsers != 1 {
 		t.Fatalf("quits=%d flagged_users=%d after %d racing first quits, want 1 and 1", st.Quits, st.FlaggedUsers, racers)
 	}
+	if quits, flagged := serviceCounters(srv)[3], flaggedGauge(srv); quits != 1 || flagged != 1 {
+		t.Fatalf("%s=%d %s=%g after %d racing first quits, want 1 and 1", core.MetricQuitsTotal, quits, core.MetricFlaggedUsers, flagged, racers)
+	}
 	live := mustGetRaw(t, ts, "/v1/status")
 	dir2 := t.TempDir()
 	copyTree(t, dir, dir2)
@@ -336,5 +341,9 @@ func TestConcurrentFirstQuit(t *testing.T) {
 	defer srv2.Close()
 	if got := mustGetRaw(t, ts2, "/v1/status"); got != live {
 		t.Fatalf("recovered status diverges:\nlive:      %s\nrecovered: %s", live, got)
+	}
+	// Replay counts nothing: the recovered server has served no quit.
+	if quits, flagged := serviceCounters(srv2)[3], flaggedGauge(srv2); quits != 0 || flagged != 1 {
+		t.Fatalf("recovered: %s=%d %s=%g, want 0 and 1", core.MetricQuitsTotal, quits, core.MetricFlaggedUsers, flagged)
 	}
 }

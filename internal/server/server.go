@@ -185,15 +185,15 @@ type Config struct {
 	FollowPrimary string
 }
 
-// tenantState is one tenant: its engine, which holds the whole cycle state
-// and the tenant's one lock, and its journal. It rides in shard.Tenant.Data.
+// tenantState is one tenant: its engine, which holds the whole cycle state,
+// the service counters and the tenant's one lock, and its journal. It rides
+// in shard.Tenant.Data.
 // Lock order: the engine's budget lock, then the journal's; the durability
 // wait runs after the engine unlocks.
 type tenantState struct {
 	id         string
 	seedOffset int64 // folded into RNG seeds; 0 for the default tenant
 	engine     *core.Engine
-	met        tenantMetrics
 	// journal is set once, by recoverTenant before the router publishes the
 	// tenant, so it is read bare. It is nil only when durability is disabled.
 	journal *wal.Journal
@@ -302,7 +302,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !s.following.Load() {
 		if _, err := s.openTenants(); err != nil {
-			// Seal what was opened: a journal may own a syncer goroutine.
+			// Seal what was opened: an interval or none journal owns a
+			// ticker goroutine.
 			s.router.Range(func(tn *shard.Tenant) bool {
 				_ = tn.Data.(*tenantState).journal.Close()
 				return true
@@ -344,7 +345,6 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 	t := &tenantState{
 		id:         id,
 		seedOffset: seedOffset,
-		met:        newTenantMetrics(s.met.reg, id),
 	}
 	// The engine's durability hooks (called under its budget lock; it awaits
 	// the group-commit wait after unlocking). t.journal is set by

@@ -50,10 +50,15 @@ func walAppends(srv *Server) uint64 {
 func serviceCounters(srv *Server) [4]uint64 {
 	c := srv.Metrics().Snapshot().Counters
 	var out [4]uint64
-	for i, name := range []string{MetricAccessesTotal, MetricAlertsTotal, MetricWarnedTotal, MetricQuitsTotal} {
+	for i, name := range []string{core.MetricAccessesTotal, core.MetricAlertsTotal, core.MetricWarnedTotal, core.MetricQuitsTotal} {
 		out[i] = c[name+`{tenant="default"}`]
 	}
 	return out
+}
+
+// flaggedGauge reads the default tenant's sag_server_flagged_users.
+func flaggedGauge(srv *Server) float64 {
+	return srv.Metrics().Snapshot().Gauges[core.MetricFlaggedUsers+`{tenant="default"}`]
 }
 
 // (a) An estimator that returns after the deadline has passed: the engine's
