@@ -446,7 +446,6 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 			return nil, nil, tally{}, err
 		}
 		d = e.degraded(a)
-		e.met.fallbackCounter(d.Fallback).Inc()
 	}
 	// Sample the signal. The draw is peeked, not consumed — if the journal
 	// refuses the record below, nothing commits and the buffered draw is
@@ -478,18 +477,22 @@ func (e *Engine) commit(ctx context.Context, a Alert, t0 time.Time) (*Decision, 
 	c := e.applyLocked(Record{Kind: KindDecision, Decision: rec}, d)
 	if e.met.enabled {
 		e.met.decision.ObserveSince(t0)
-		e.met.decisions.Inc()
 	}
 	return d, wait, c, nil
 }
 
 // tally is what one applied record added to the cycle's counters: an access,
-// with its alert and warning, or a first quit. The service counters move by
-// exactly it (engineMetrics.count), once the record is durable.
+// with its alert and warning, or a first quit — and for a decision, whether
+// it was vacuous and which fallback rung produced it. The service and
+// decision counters move by exactly it (engineMetrics.count), once the
+// record is durable.
 type tally struct {
 	access bool
 	Meta
-	quit bool
+	quit     bool
+	decision bool
+	vacuous  bool
+	fallback fallback.Level
 }
 
 // applyLocked is the one writer of the cycle's state: commit, Apply, Replay
@@ -520,6 +523,7 @@ func (e *Engine) applyLocked(r Record, d *Decision) (c tally) {
 			e.futures, e.scratch = e.scratch, e.futures
 		}
 		r.Meta = Meta{Alerted: true, Warned: r.Decision.Warned}
+		c.decision, c.vacuous, c.fallback = true, r.Decision.Vacuous, r.Decision.Fallback
 		fallthrough
 	case KindMeta:
 		e.accesses++
@@ -529,7 +533,7 @@ func (e *Engine) applyLocked(r Record, d *Decision) (c tally) {
 		if r.Meta.Warned {
 			e.warned++
 		}
-		c = tally{access: true, Meta: r.Meta}
+		c.access, c.Meta = true, r.Meta
 	case KindQuit:
 		if c.quit = e.flag(r.Employee); c.quit {
 			e.quits++
@@ -720,7 +724,6 @@ func (e *Engine) decisionFrom(a Alert, sse *game.Result) (*Decision, error) {
 		// Degenerate game: nothing is attackable. Utilities are zero and no
 		// budget should be spent.
 		d.Vacuous = true
-		e.met.vacuous.Inc()
 		return d, nil
 	}
 	d.Theta = sse.Coverage[a.Type]

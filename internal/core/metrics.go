@@ -14,13 +14,18 @@ const (
 	// (all stages of one Process call).
 	MetricDecisionSeconds = "sag_engine_decision_seconds"
 	// MetricDecisionsTotal counts committed decisions, labeled by policy.
+	// It, MetricVacuousTotal and MetricFallbackTotal are read off the applied
+	// decision record and move with the service counters below, by their
+	// rule.
 	MetricDecisionsTotal = "sag_engine_decisions_total"
 	// MetricVacuousTotal counts decisions where no type was attackable.
 	MetricVacuousTotal = "sag_engine_vacuous_total"
 	// MetricBudgetRemaining is a gauge of the cycle's remaining budget.
 	MetricBudgetRemaining = "sag_engine_budget_remaining"
 	// MetricLPSolvesTotal counts candidate best-response problems of LP (2)
-	// solved by the SSE stage (one per attackable type per solve).
+	// solved by the SSE stage (one per attackable type per solve). It counts
+	// work, so it moves at the solve, whether or not a decision commits
+	// (Preview, an abandoned or refused decision).
 	MetricLPSolvesTotal = "sag_engine_lp_solves_total"
 	// MetricFallbackTotal counts degraded decisions, labeled by the ladder
 	// rung that produced them (level=last_good|static).
@@ -28,7 +33,8 @@ const (
 	// MetricJournalRollbacksTotal counts decisions that did not commit
 	// because their journal record could not be enqueued: nothing is
 	// charged or recorded, and the sampled signal draw is kept buffered so
-	// the RNG stream stays aligned with what crash recovery would replay.
+	// the RNG stream stays aligned with what crash recovery would replay. It
+	// counts refusals, so it moves at the refusal.
 	MetricJournalRollbacksTotal = "sag_engine_journal_rollbacks_total"
 	// MetricAccessesTotal / MetricAlertsTotal / MetricWarnedTotal /
 	// MetricQuitsTotal are cumulative service counters. They move by what the
@@ -68,9 +74,16 @@ type engineMetrics struct {
 	flagged                         *obs.Gauge
 }
 
-// count moves the service counters by what one applied record added to the
-// cycle's counters.
+// count moves the service and decision counters by what one applied record
+// added to the cycle's counters.
 func (m *engineMetrics) count(t tally) {
+	if t.decision {
+		m.decisions.Inc()
+		m.fallbackCounter(t.fallback).Inc()
+		if t.vacuous {
+			m.vacuous.Inc()
+		}
+	}
 	if t.access {
 		m.accesses.Inc()
 	}

@@ -155,11 +155,23 @@ func TestRacingFirstQuitsCountOnce(t *testing.T) {
 	}
 }
 
-// TestServiceCountersWaitForTheJournal: the service counters move only once
-// the record's journal wait has returned nil. A refused enqueue and a failed
-// wait are returned to the caller and move none, for a record through Apply
-// and a decision through ProcessContext alike; the flagged gauge follows the
-// flagged set, which a failed wait leaves applied in memory.
+// decisionReadings reads the decision counters of an unlabeled OSSP engine:
+// decisions, vacuous decisions and degraded decisions (both rungs).
+func decisionReadings(reg *obs.Registry) [3]uint64 {
+	snap := reg.Snapshot()
+	return [3]uint64{
+		snap.Counters[MetricDecisionsTotal+`{policy="OSSP"}`], snap.Counters[MetricVacuousTotal],
+		snap.Counters[MetricFallbackTotal+`{level="last_good"}`] + snap.Counters[MetricFallbackTotal+`{level="static"}`],
+	}
+}
+
+// TestServiceCountersWaitForTheJournal: the service and decision counters
+// move only once the record's journal wait has returned nil. A refused
+// enqueue and a failed wait are returned to the caller and move none, for a
+// record through Apply and a decision — solved, vacuous or degraded —
+// through ProcessContext alike, and a Preview of a vacuous game moves none
+// either; the flagged gauge follows the flagged set, which a failed wait
+// leaves applied in memory.
 func TestServiceCountersWaitForTheJournal(t *testing.T) {
 	errRefused, errFsync := errors.New("disk full"), errors.New("fsync failed")
 	var fail error // the journal's next failure; nil journals fine
@@ -178,21 +190,27 @@ func TestServiceCountersWaitForTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rates, errEstimate := []float64{30, 15}, error(nil)
 	eng, err := NewEngine(Config{
 		Instance:  inst,
 		Budget:    20,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return []float64{30, 15}, nil }),
+		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return rates, errEstimate }),
 		Rand:      rand.New(rand.NewSource(7)),
 		Metrics:   reg,
+		Fallback:  true,
 		Journal:   func(d DecisionRecord) (func() error, error) { return journal(Record{Kind: KindDecision, Decision: d}) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decide := func() error {
-		_, err := eng.ProcessContext(context.Background(), Alert{Type: 0, Time: 9 * time.Hour})
-		return err
+	decide := func(r []float64, estErr error) func() error {
+		return func() error {
+			rates, errEstimate = r, estErr
+			_, err := eng.ProcessContext(context.Background(), Alert{Type: 0, Time: 9 * time.Hour})
+			return err
+		}
 	}
+	solved, degraded, vacuous := decide([]float64{30, 15}, nil), decide(nil, errors.New("estimator down")), decide([]float64{0, 0}, nil)
 	meta := func() error {
 		return eng.Apply(Record{Kind: KindMeta, Meta: Meta{Alerted: true, Warned: true}}, journal)
 	}
@@ -201,7 +219,7 @@ func TestServiceCountersWaitForTheJournal(t *testing.T) {
 	}
 	for i, f := range []error{errRefused, errFsync} {
 		fail = f
-		for _, do := range []func() error{decide, meta, quit(i)} {
+		for _, do := range []func() error{solved, degraded, vacuous, meta, quit(i)} {
 			if err := do(); !errors.Is(err, f) {
 				t.Fatalf("journal failing with %q: err %v", f, err)
 			}
@@ -210,14 +228,26 @@ func TestServiceCountersWaitForTheJournal(t *testing.T) {
 		if got, want := serviceReadings(reg), [5]float64{4: float64(st.FlaggedUsers)}; got != want {
 			t.Fatalf("journal failing with %q: readings %v, want %v", f, got, want)
 		}
+		if got := decisionReadings(reg); got != [3]uint64{} {
+			t.Fatalf("journal failing with %q: decisions, vacuous, degraded read %v, want none", f, got)
+		}
 	}
-	fail = nil
-	for _, do := range []func() error{decide, meta, quit(3)} {
+	fail, rates, errEstimate = nil, []float64{0, 0}, nil
+	if d, err := eng.Preview(Alert{Type: 0, Time: 9 * time.Hour}); err != nil || !d.Vacuous {
+		t.Fatalf("Preview of a vacuous game: %+v, %v", d, err)
+	}
+	if got := decisionReadings(reg); got != [3]uint64{} {
+		t.Fatalf("a Preview moved decisions, vacuous, degraded to %v", got)
+	}
+	for _, do := range []func() error{solved, degraded, vacuous, meta, quit(3)} {
 		if err := do(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := serviceReadings(reg); got[0] != 2 || got[1] != 2 || got[2] < 1 || got[3] != 1 || got[4] != 2 {
-		t.Fatalf("durable records read %v, want 2 accesses, 2 alerts, ≥1 warned, 1 quit and 2 flagged (one left by the failed wait)", got)
+	if got := serviceReadings(reg); got[0] != 4 || got[1] != 4 || got[2] < 1 || got[3] != 1 || got[4] != 2 {
+		t.Fatalf("durable records read %v, want 4 accesses, 4 alerts, ≥1 warned, 1 quit and 2 flagged (one left by the failed wait)", got)
+	}
+	if got := decisionReadings(reg); got != [3]uint64{3, 1, 1} {
+		t.Fatalf("durable decisions read %v, want 3 decisions, 1 vacuous and 1 degraded", got)
 	}
 }

@@ -185,6 +185,9 @@ func backoff(attempt int) time.Duration {
 // after cutting off any torn tail a crash left (the primary resends it).
 func (c *Client) recoverMirror() error {
 	rec, err := wal.Recover(c.cfg.Dir)
+	if err == nil {
+		err = rec.Cut()
+	}
 	if err != nil {
 		return err
 	}

@@ -32,19 +32,15 @@ func (s *Server) tenantWALDir(id string) string {
 }
 
 // recoverTenant rebuilds t from its journal — the newest snapshot, then the
-// tail — so the tenant continues its interrupted cycle, and only then opens
-// the journal for writing on a fresh segment: a tenant refused at replay
-// leaves its dir as the recovery scan left it. buildTenant calls it before
-// the router publishes the tenant, on a boot and on Promote alike.
+// tail — so the tenant continues its interrupted cycle, and only then cuts
+// the journal and opens it for writing on a fresh segment: a tenant refused
+// at replay leaves its dir byte-identical. buildTenant calls it before the
+// router publishes the tenant, on a boot and on Promote alike.
 func (s *Server) recoverTenant(t *tenantState) error {
 	dir := s.tenantWALDir(t.id)
 	rec, err := wal.Recover(dir)
 	if err != nil {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
-	}
-	if rec.Truncated {
-		slog.Warn("truncated corrupt journal tail", "tenant", t.id,
-			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
 	}
 	if err := replayTenant(t.engine, rec); err != nil {
 		return fmt.Errorf("server: recovering tenant %q: %w", t.id, err)
@@ -59,6 +55,10 @@ func (s *Server) recoverTenant(t *tenantState) error {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
 	t.journal = j
+	if rec.Truncated {
+		slog.Warn("truncated corrupt journal tail", "tenant", t.id,
+			"segment", rec.TruncatedSegment, "offset", rec.TruncatedOffset)
+	}
 	replayed := len(rec.Tail)
 	s.met.reg.Gauge(MetricRecoveryReplayed,
 		"Journal records replayed on top of the restored snapshot at boot.",

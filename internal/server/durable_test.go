@@ -699,10 +699,13 @@ func refuseBoot(t *testing.T, dir string) {
 }
 
 // TestRefusedBootWritesNothing: a boot that refuses a tenant at replay leaves
-// its cleanly closed dir exactly as it was — no fresh segment, no byte
-// changed — for each refusal replay can make: a snapshot in an unknown
-// format, a snapshot RestoreState refuses and a tail decision out of
-// sequence. The journal is opened for writing only once the tenant restored.
+// its dir exactly as it was — no fresh segment, no byte changed, no tail cut
+// — for each refusal replay can make: a snapshot in an unknown format, a
+// snapshot RestoreState refuses and a tail decision out of sequence. Each
+// refusal is booted over a cleanly closed dir and over two crashed ones: one
+// abandoned without Close, its active segment ending in preallocated zeros,
+// and one whose last frame is torn. The journal is cut and opened for
+// writing only once the tenant restored.
 func TestRefusedBootWritesNothing(t *testing.T) {
 	src := t.TempDir()
 	srv, ts, bgE, bgP := durableFixture(t, src)
@@ -737,15 +740,17 @@ func TestRefusedBootWritesNothing(t *testing.T) {
 		{"tail decision out of sequence", rec.Snapshot, []wal.Record{{Kind: wal.KindDecision, Decision: core.DecisionRecord{Seq: 99}}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			j, _, err := wal.Open(filepath.Join(dir, "tenants", "t-"+DefaultTenantID), wal.Options{})
+			dir, zeroTail, torn := t.TempDir(), t.TempDir(), t.TempDir()
+			tenant := filepath.Join("tenants", "t-"+DefaultTenantID)
+			j, _, err := wal.Open(filepath.Join(dir, tenant), wal.Options{Fsync: wal.FsyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Snapshot(c.snapshot); err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range c.tail {
+			// A record behind the refused ones, for the torn copy to tear.
+			for _, r := range append(c.tail, wal.Record{Kind: wal.KindQuit, Employee: 1}) {
 				wait, err := j.Append(r)
 				if err == nil {
 					err = wait()
@@ -754,10 +759,22 @@ func TestRefusedBootWritesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			end := j.DurableCursor()
+			copyTree(t, dir, zeroTail)
+			copyTree(t, dir, torn)
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			refuseBoot(t, dir)
+			active := filepath.Join(tenant, fmt.Sprintf("wal-%06d.sagw", end.Seg))
+			if size := len(treeBytes(t, zeroTail)[active]); int64(size) <= end.Off {
+				t.Fatalf("the abandoned segment holds %d bytes, its last frame ends at %d: no zero tail", size, end.Off)
+			}
+			if err := os.Truncate(filepath.Join(torn, active), end.Off-2); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []string{dir, zeroTail, torn} {
+				refuseBoot(t, d)
+			}
 		})
 	}
 }

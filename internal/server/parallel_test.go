@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,7 +22,9 @@ import (
 // tenant), at parallelism 1, 8 and 32, over a real socket or straight into
 // Server.Handler, so socket cost is the difference of two measurements. From
 // the server's own registry it reports the group-commit yield (appends/fsync)
-// and fsyncs/op. It is a correctness run too:
+// and fsyncs/op, and from getrusage(2) the process's user + system CPU per
+// request (cpu-µs/op) — in the socket arms the HTTP client runs in this
+// process too, so its CPU is in that column. It is a correctness run too:
 // every response must be 200, and each tenant's /v1/status must count exactly
 // the accesses sent to it.
 //
@@ -109,7 +112,7 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	}
 
 	var next atomic.Int64
-	before := srv.Metrics().Snapshot()
+	before, cpuBefore := srv.Metrics().Snapshot(), cpuTime(b)
 	b.SetParallelism(par)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -132,7 +135,7 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	if b.Failed() {
 		return
 	}
-	after := srv.Metrics().Snapshot()
+	after, cpu := srv.Metrics().Snapshot(), cpuTime(b)-cpuBefore
 
 	appends := counterSum(after, wal.MetricAppendsTotal) - counterSum(before, wal.MetricAppendsTotal)
 	fsyncs := after.Histograms[wal.MetricFsyncSeconds].Count - before.Histograms[wal.MetricFsyncSeconds].Count
@@ -140,6 +143,7 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 		b.ReportMetric(float64(appends)/float64(fsyncs), "appends/fsync")
 	}
 	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
+	b.ReportMetric(float64(cpu.Microseconds())/float64(b.N), "cpu-µs/op")
 
 	for id, n := range sent {
 		code, body := do(http.MethodGet, "/v1/status", id, "")
@@ -147,6 +151,15 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 			b.Fatalf("tenant %s: status %d %s, want %s", id, code, body, want)
 		}
 	}
+}
+
+// cpuTime is the user plus system CPU time the process has used so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // counterSum adds every series of the counter family name.

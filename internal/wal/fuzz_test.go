@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -108,9 +109,11 @@ func encodeAll(t *testing.T, recs []Record) []byte {
 	return out
 }
 
-// FuzzRecoverSegment feeds arbitrary bytes as a segment file: Recover must
-// either restore a valid prefix or truncate — never panic, loop forever, or
-// fail to boot. This is the acceptance property for corrupt data dirs.
+// FuzzRecoverSegment feeds arbitrary bytes as a segment file. Recover must
+// never panic, loop forever or fail: it leaves the file byte-identical and
+// returns the same result twice; after Cut, a third scan finds the valid
+// prefix clean, and the journal opens and appends on top of it. This is the
+// acceptance property for corrupt data dirs.
 func FuzzRecoverSegment(f *testing.F) {
 	// Seed with a real segment.
 	dir := f.TempDir()
@@ -141,25 +144,41 @@ func FuzzRecoverSegment(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tmp := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tmp, segmentName(0)), data, 0o644); err != nil {
+		seg := filepath.Join(tmp, segmentName(0))
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rec, err := Recover(tmp)
 		if err != nil {
-			t.Fatalf("recovery must truncate, not fail: %v", err)
+			t.Fatalf("recovery must plan a cut, not fail: %v", err)
 		}
-		// Whatever survived, the directory must now be clean: a second scan
-		// reports no corruption and the identical logical state.
+		if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("Recover changed the segment (%v)", err)
+		}
 		rec2, err := Recover(tmp)
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}
-		if rec2.Truncated {
-			t.Fatal("second recovery still reports corruption")
-		}
 		// Compare tails via the encoding (NaN-safe; see FuzzDecodeRecord).
-		if !bytes.Equal(encodeAll(t, rec.Tail), encodeAll(t, rec2.Tail)) || string(rec.Snapshot) != string(rec2.Snapshot) {
-			t.Fatal("recovery is not idempotent after truncation")
+		a, b := *rec, *rec2
+		a.Tail, b.Tail = nil, nil
+		if !bytes.Equal(encodeAll(t, rec.Tail), encodeAll(t, rec2.Tail)) || !reflect.DeepEqual(a, b) {
+			t.Fatal("two recoveries of the same bytes differ")
+		}
+		// Once cut, the directory is clean: a third scan reports no
+		// corruption and the identical logical state.
+		if err := rec.Cut(); err != nil {
+			t.Fatal(err)
+		}
+		rec3, err := Recover(tmp)
+		if err != nil {
+			t.Fatalf("recovery after the cut failed: %v", err)
+		}
+		if rec3.Truncated {
+			t.Fatal("recovery after the cut still reports corruption")
+		}
+		if !bytes.Equal(encodeAll(t, rec.Tail), encodeAll(t, rec3.Tail)) || string(rec.Snapshot) != string(rec3.Snapshot) {
+			t.Fatal("the cut changed the recovered state")
 		}
 		// And the journal must accept appends on top of it.
 		j, _, err := Open(tmp, Options{Fsync: FsyncNone})

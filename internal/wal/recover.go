@@ -8,8 +8,8 @@ import (
 )
 
 // ErrCorrupt wraps corruption detected while scanning a journal. Recover
-// never returns it — corruption truncates — but sub-scanners use it to
-// signal where the valid prefix ends.
+// never returns it — corruption ends the valid prefix, and Cut cuts there —
+// but sub-scanners use it to signal where the valid prefix ends.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Recovery is the result of scanning a journal directory: the newest
@@ -26,10 +26,10 @@ type Recovery struct {
 	Records int
 	// Segments counts the segment files scanned.
 	Segments int
-	// Truncated reports that a torn or corrupt tail was cut off.
+	// Truncated reports that a torn or corrupt tail ends the valid prefix.
 	Truncated bool
-	// TruncatedSegment/TruncatedOffset locate the cut: the named segment
-	// was truncated to the offset, and any later segments were deleted.
+	// TruncatedSegment/TruncatedOffset locate the cut: Cut truncates the
+	// named segment to the offset and deletes any later segments.
 	TruncatedSegment string
 	TruncatedOffset  int64
 	// End is the cursor just past the last valid record — the position a
@@ -44,23 +44,25 @@ type Recovery struct {
 	SnapshotAt Cursor
 
 	nextSeq int
-	// segBytes is the size of every segment left on disk, by sequence
-	// number: with SnapshotAt, all that OpenRecovered's retention index needs, so the
-	// journal is scanned once.
+	// segBytes is the size of every segment left on disk after Cut, by
+	// sequence number: with SnapshotAt, all that OpenRecovered's retention
+	// index needs, so the journal is scanned once.
 	segBytes map[int]int64
+	// The cut plan (Cut): zero tails to trim, and segments to delete.
+	dir  string
+	trim map[string]int64
+	drop []string
 }
 
 // Recover scans dir's segments in order and reconstructs the journal's
-// logical state. Corruption — a torn final write, a CRC mismatch, a bad
-// header — does not fail recovery: the affected segment is truncated to
-// its last valid record, every later segment is deleted (records after a
-// tear are not trustworthy even if individually well-formed), and the scan
-// result reflects only the valid prefix. The zero tail of a segment that was
-// active at a crash is not corruption: it is trimmed at the frame boundary it
-// starts on, unreported, and later segments stand. Open calls this before
-// appending.
+// logical state, writing nothing: the result describes dir as Cut leaves it.
+// Corruption — a torn final write, a CRC mismatch, a bad header — does not
+// fail recovery: it ends the valid prefix, and every later segment is to be
+// deleted (records after a tear are not trustworthy even if individually
+// well-formed). The zero tail of a segment that was active at a crash is not
+// corruption: it ends the segment, unreported, and later segments stand.
 func Recover(dir string) (*Recovery, error) {
-	rec := &Recovery{segBytes: make(map[int]int64)}
+	rec := &Recovery{segBytes: make(map[int]int64), dir: dir, trim: make(map[string]int64)}
 	segs, err := segments(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -83,9 +85,7 @@ func Recover(dir string) (*Recovery, error) {
 		}
 		rec.segBytes[n] = validEnd
 		if errors.Is(scanErr, errEndOfLog) {
-			if err := os.Truncate(seg, validEnd); err != nil {
-				return nil, fmt.Errorf("wal: trimming preallocated tail: %w", err)
-			}
+			rec.trim[seg] = validEnd
 			continue
 		}
 		if scanErr == nil {
@@ -94,32 +94,59 @@ func Recover(dir string) (*Recovery, error) {
 		if !errors.Is(scanErr, ErrCorrupt) {
 			return nil, scanErr
 		}
-		// Corruption: cut this segment back to its valid prefix and drop
-		// everything after it.
-		rec.Truncated = true
-		rec.TruncatedSegment = seg
-		rec.TruncatedOffset = validEnd
+		rec.Truncated, rec.TruncatedSegment, rec.TruncatedOffset = true, seg, validEnd
+		rec.drop = segs[i+1:]
 		if validEnd <= headerSize {
-			// Nothing valid in the file (even the header may be bad);
-			// remove it entirely.
-			if err := os.Remove(seg); err != nil {
-				return nil, fmt.Errorf("wal: removing corrupt segment: %w", err)
-			}
+			rec.drop = segs[i:] // nothing valid in it, maybe not even the header
 			delete(rec.segBytes, n)
-		} else if err := os.Truncate(seg, validEnd); err != nil {
-			return nil, fmt.Errorf("wal: truncating corrupt segment: %w", err)
-		}
-		for _, later := range segs[i+1:] {
-			if err := os.Remove(later); err != nil {
-				return nil, fmt.Errorf("wal: removing post-corruption segment: %w", err)
-			}
-		}
-		if err := syncDir(dir); err != nil {
-			return nil, err
 		}
 		break
 	}
 	return rec, nil
+}
+
+// Cut, recovery's only write, makes dir what Recover reported: zero tails
+// trimmed, the corrupt segment truncated to its valid prefix and synced (or
+// removed), later segments deleted, the dir synced. A clean dir is left alone,
+// and a second call deletes nothing: the fresh segment may reuse a name.
+func (rec *Recovery) Cut() error {
+	// A trimmed zero tail is not synced: zeros that come back after a crash
+	// are trimmed again, and the segments after them stand either way.
+	for seg, end := range rec.trim {
+		if err := os.Truncate(seg, end); err != nil {
+			return fmt.Errorf("wal: trimming preallocated tail: %w", err)
+		}
+	}
+	if !rec.Truncated {
+		return nil
+	}
+	// The cut is durable before anything is deleted or the fresh segment
+	// exists: a lost truncation would show the next recovery the same tear,
+	// and it would cut there again, deleting acknowledged records.
+	if rec.TruncatedOffset > headerSize {
+		if err := truncateSynced(rec.TruncatedSegment, rec.TruncatedOffset); err != nil {
+			return fmt.Errorf("wal: truncating corrupt segment: %w", err)
+		}
+	}
+	for ; len(rec.drop) > 0; rec.drop = rec.drop[1:] {
+		if err := os.Remove(rec.drop[0]); err != nil {
+			return fmt.Errorf("wal: removing corrupt segment: %w", err)
+		}
+	}
+	return syncDir(rec.dir)
+}
+
+// truncateSynced truncates the file at path to size and fsyncs it.
+func truncateSynced(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
 }
 
 // scanSegment walks segment n at path, folding each valid record into rec,

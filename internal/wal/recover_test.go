@@ -9,6 +9,47 @@ import (
 	"time"
 )
 
+// dirBytes maps each file in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
+}
+
+// recoverReadOnly runs Recover on dir and fails t unless it left every file
+// in dir byte-identical.
+func recoverReadOnly(t *testing.T, dir string) *Recovery {
+	t.Helper()
+	before := dirBytes(t, dir)
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("Recover wrote to the journal dir")
+	}
+	return rec
+}
+
+// mustCut runs rec.Cut, failing t on an error.
+func mustCut(t *testing.T, rec *Recovery) {
+	t.Helper()
+	if err := rec.Cut(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // buildJournal writes recs into dir and seals the journal.
 func buildJournal(t *testing.T, dir string, recs []Record) {
 	t.Helper()
@@ -45,10 +86,7 @@ func TestRecoverTornTailTruncates(t *testing.T) {
 		if err := os.Truncate(segs[0], info.Size()-cut); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(dir)
-		if err != nil {
-			t.Fatalf("recovery failed on a torn tail (cut %d): %v", cut, err)
-		}
+		rec := recoverReadOnly(t, dir)
 		if !rec.Truncated {
 			t.Fatalf("cut %d: torn tail not reported", cut)
 		}
@@ -59,7 +97,8 @@ func TestRecoverTornTailTruncates(t *testing.T) {
 		if !reflect.DeepEqual(rec.Tail, recs[:2]) {
 			t.Fatalf("cut %d: recovered %+v, want first two records", cut, rec.Tail)
 		}
-		// The file was physically truncated: a second recovery is clean.
+		// Cut truncates the file physically: a second recovery is clean.
+		mustCut(t, rec)
 		rec2, err := Recover(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -131,13 +170,11 @@ func TestRecoverCorruptionDropsLaterSegments(t *testing.T) {
 	if err := os.WriteFile(segs[1], []byte("BOGUS"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverReadOnly(t, dir)
 	if !rec.Truncated {
 		t.Fatal("corrupt segment header not reported")
 	}
+	mustCut(t, rec)
 	// Everything from the corrupt segment onward is gone from disk.
 	left, _ := segments(dir)
 	if len(left) != 1 || left[0] != segs[0] {
@@ -170,13 +207,11 @@ func TestRecoverWhollyCorruptSegmentRemoved(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a segment at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverReadOnly(t, dir)
 	if !rec.Truncated || rec.Records != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
+	mustCut(t, rec)
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("wholly corrupt segment not removed")
 	}
@@ -281,10 +316,7 @@ var quits = []Record{
 func TestRecoverZeroTailIsNotCorruption(t *testing.T) {
 	dir := t.TempDir()
 	seg, end := abandonedJournal(t, dir, quits)
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverReadOnly(t, dir)
 	last, err := encode(nil, quits[len(quits)-1])
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +327,7 @@ func TestRecoverZeroTailIsNotCorruption(t *testing.T) {
 	if !reflect.DeepEqual(rec.Tail, quits) {
 		t.Fatalf("recovered %+v, want %+v", rec.Tail, quits)
 	}
+	mustCut(t, rec)
 	if size := fileSize(t, seg); size != end.Off {
 		t.Fatalf("segment holds %d bytes after recovery, want it trimmed to %d", size, end.Off)
 	}
@@ -317,16 +350,14 @@ func TestRecoverTornFrameBeforeZeroTail(t *testing.T) {
 	dir := t.TempDir()
 	seg, end := abandonedJournal(t, dir, quits)
 	writeAt(t, seg, end.Off-2, []byte{0, 0}) // the last frame's CRC never made it
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverReadOnly(t, dir)
 	if !rec.Truncated || rec.TruncatedSegment != seg || rec.TruncatedOffset != end.Off-7 {
 		t.Fatalf("recovery = %+v, want a truncation at the last frame (%d)", rec, end.Off-7)
 	}
 	if !reflect.DeepEqual(rec.Tail, quits[:2]) {
 		t.Fatalf("recovered %+v, want the first two records", rec.Tail)
 	}
+	mustCut(t, rec)
 	if size := fileSize(t, seg); size != end.Off-7 {
 		t.Fatalf("segment holds %d bytes, want %d", size, end.Off-7)
 	}
@@ -373,13 +404,11 @@ func TestRecoverCrashRightAfterRoll(t *testing.T) {
 	if size := fileSize(t, active); size != 64 {
 		t.Fatalf("fresh segment holds %d bytes, want one 64-byte step", size)
 	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverReadOnly(t, dir)
 	if rec.Truncated || rec.Records != 1 || rec.End != sealed || rec.Segments != 2 {
 		t.Fatalf("recovery = %+v, want 1 record ending at %v in 2 segments, nothing truncated", rec, sealed)
 	}
+	mustCut(t, rec)
 	if size := fileSize(t, active); size != headerSize {
 		t.Fatalf("header-only segment holds %d bytes after recovery, want %d", size, headerSize)
 	}
@@ -416,17 +445,123 @@ func TestRecoverZeroTailKeepsLaterSegments(t *testing.T) {
 	if err := os.Truncate(segs[0], size+32); err != nil { // grows: 32 zeros
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverReadOnly(t, dir)
 	if rec.Truncated || !reflect.DeepEqual(rec.Tail, recs) {
 		t.Fatalf("recovery = truncated %v with %d of %d records", rec.Truncated, len(rec.Tail), len(recs))
 	}
+	mustCut(t, rec)
 	if left, _ := segments(dir); !reflect.DeepEqual(left, segs) {
 		t.Fatalf("segments after recovery %v, want all of %v", left, segs)
 	}
 	if got := fileSize(t, segs[0]); got != size {
 		t.Fatalf("zero-tailed segment holds %d bytes after recovery, want %d", got, size)
+	}
+}
+
+// TestRecoverWritesNothing: on every crashed shape Recover is a pure read —
+// twice, with equal results, every file byte-identical and no dir synced —
+// and Cut alone makes the directory what the scan reported: each segment
+// left is the size the scan gave it, a second Cut and a fresh scan find
+// nothing more to cut, and the dir is synced exactly when a corruption was
+// cut.
+func TestRecoverWritesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		crash func(t *testing.T, dir string)
+	}{
+		{"torn tail", func(t *testing.T, dir string) {
+			buildJournal(t, dir, quits)
+			seg := filepath.Join(dir, segmentName(0))
+			if err := os.Truncate(seg, fileSize(t, seg)-3); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"crc flip", func(t *testing.T, dir string) {
+			buildJournal(t, dir, quits)
+			writeAt(t, filepath.Join(dir, segmentName(0)), headerSize+7+2, []byte{0x40})
+		}},
+		{"zero tail", func(t *testing.T, dir string) { abandonedJournal(t, dir, quits) }},
+		{"zeros then a frame", func(t *testing.T, dir string) {
+			seg, end := abandonedJournal(t, dir, quits)
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeAt(t, seg, end.Off+16, raw[headerSize:headerSize+7])
+		}},
+		{"wholly corrupt segment", func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, segmentName(0)), []byte("not a segment at all"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"corruption then later segments", func(t *testing.T, dir string) {
+			j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40; i++ {
+				appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			writeAt(t, filepath.Join(dir, segmentName(1)), 0, []byte("BOGUS"))
+		}},
+		{"crash right after a roll", func(t *testing.T, dir string) {
+			j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, j, []Record{{Kind: KindSnapshot, Snapshot: make([]byte, 64)}, {Kind: KindCycleClose}})
+			abandon(j)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.crash(t, dir)
+			before := dirBytes(t, dir)
+			syncs := recordDirSyncs(t)
+			rec, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dirBytes(t, dir), before) || len(*syncs) != 0 {
+				t.Fatalf("Recover wrote to the dir (synced %q)", *syncs)
+			}
+			if !reflect.DeepEqual(rec, again) {
+				t.Fatalf("two scans of the same dir differ:\n%+v\n%+v", rec, again)
+			}
+
+			mustCut(t, rec)
+			var want []string
+			if rec.Truncated {
+				want = []string{dir}
+			}
+			if !reflect.DeepEqual(*syncs, want) {
+				t.Fatalf("Cut synced %q, want %q", *syncs, want)
+			}
+			left, _ := segments(dir)
+			if len(left) != len(rec.segBytes) {
+				t.Fatalf("Cut left %d segments, the scan reported %d", len(left), len(rec.segBytes))
+			}
+			for _, seg := range left {
+				n, _ := segmentSeq(seg)
+				if size := fileSize(t, seg); size != rec.segBytes[n] {
+					t.Fatalf("Cut left %s at %d bytes, the scan reported %d", seg, size, rec.segBytes[n])
+				}
+			}
+			cutOnce := dirBytes(t, dir)
+			mustCut(t, rec)
+			after := recoverReadOnly(t, dir)
+			mustCut(t, after)
+			if !reflect.DeepEqual(dirBytes(t, dir), cutOnce) || after.Truncated ||
+				!reflect.DeepEqual(after.Tail, rec.Tail) || after.End != rec.End || after.Records != rec.Records {
+				t.Fatalf("after the cut: %+v, want the cut state %+v and nothing left to cut", after, rec)
+			}
+		})
 	}
 }

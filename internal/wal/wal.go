@@ -16,16 +16,16 @@
 //	uint32   CRC-32 (IEEE) of payload, little endian
 //
 // A reopened journal always starts a fresh segment, so previously sealed
-// files are immutable. Torn tails and CRC-corrupt records are handled at
-// recovery by truncating to the last valid record (see Open); segments
-// wholly superseded by a later snapshot are pruned.
+// files are immutable. Torn tails and CRC-corrupt records end the valid
+// prefix, which Recovery.Cut truncates to (see Open); segments wholly
+// superseded by a later snapshot are pruned.
 //
 // The active segment is preallocated: its file size runs ahead of its last
 // frame in steps of allocStep, and the bytes in between are zeros. No record
 // has an empty payload, so a zero length prefix is the end of the log, never
 // a record (parseFrame). Sealing a segment — a roll, Close — truncates it to
 // its last frame first, so a sealed file holds frames and nothing else;
-// only a segment that was active at a crash keeps its zero tail, and Recover
+// only a segment that was active at a crash keeps its zero tail, and Cut
 // trims zeros that run to the end of the file without calling it corruption.
 // Zeros followed by anything else are a torn write like any other.
 //
@@ -73,9 +73,9 @@
 // hands Open that index. All of them share one frame walker (walkFrames), so
 // what is a frame and what ends the log is decided in one place:
 //
-//   - Recover reads everything. The first thing that is not a frame ends the
-//     log: the file is cut there and later segments are deleted — except a
-//     zero tail, which is trimmed without a report.
+//   - Recover reads everything and writes nothing. The first thing that is
+//     not a frame ends the log; Recovery.Cut cuts the file there and deletes
+//     later segments — except a zero tail, which it trims without a report.
 //   - ReadFrames reads from a cursor to the durable cursor and no further;
 //     bytes past it may be half written. In front of it, anything but a frame
 //     is an ErrCorrupt error that ends the read. Nothing is stepped over.
@@ -292,11 +292,14 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	return j, rec, nil
 }
 
-// OpenRecovered opens dir for appending on a fresh segment, given rec, what
-// Recover(dir) returned with nothing written to dir since. It is the first
-// write to dir after the recovery, so a caller that refuses the recovered
-// state — and never calls it — leaves dir as Recover left it.
+// OpenRecovered cuts dir (rec.Cut) and opens it for appending on a fresh
+// segment, given rec, what Recover(dir) returned with nothing written to dir
+// since. It is the first write to dir after the recovery, so a caller that
+// refuses the recovered state — and never calls it — leaves dir untouched.
 func OpenRecovered(dir string, rec *Recovery, opts Options) (*Journal, error) {
+	if err := rec.Cut(); err != nil {
+		return nil, err
+	}
 	opts.fillDefaults()
 	if err := mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: creating journal dir: %w", err)

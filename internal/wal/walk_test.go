@@ -346,7 +346,7 @@ func TestWalkerAgreesWithBruteForce(t *testing.T) {
 				}
 			}
 
-			// Recovery — which repairs the directory, so it goes last.
+			// Recovery — Open cuts the directory, so it goes last.
 			rec, err := Recover(dir)
 			if err != nil {
 				t.Fatal(err)
