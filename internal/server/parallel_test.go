@@ -1,8 +1,10 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -25,8 +27,10 @@ import (
 // and fsyncs/op, and from getrusage(2) the process's user + system CPU per
 // request (cpu-µs/op) — in the socket arms the HTTP client runs in this
 // process too, so its CPU is in that column. It is a correctness run too:
-// every response must be 200, and each tenant's /v1/status must count exactly
-// the accesses sent to it.
+// every response must be 200 and alert exactly on the planted request, with
+// no fallback and a remaining budget that never rises along a goroutine's
+// requests (a subsequence of its tenant's commits), and each tenant's
+// /v1/status must count exactly the accesses and alerts sent to it.
 //
 // Parallelism stays at 32 or below: a goroutine inside fdatasync holds an OS
 // thread.
@@ -61,8 +65,9 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 		}
 	}
 	sent := make(map[string]*atomic.Int64, goroutines)
+	alerted := make(map[string]*atomic.Int64, goroutines)
 	for _, id := range tenants {
-		sent[id] = new(atomic.Int64)
+		sent[id], alerted[id] = new(atomic.Int64), new(atomic.Int64)
 	}
 
 	// do sends one request for tenant and returns its status and body.
@@ -117,11 +122,13 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		tenant := tenants[next.Add(1)-1]
-		count := sent[tenant]
+		count, alerts := sent[tenant], alerted[tenant]
+		budget := math.Inf(1)
 		for k := 1; pb.Next(); k++ {
-			body := benign
-			if k%32 == 0 {
+			body, planted := benign, k%32 == 0
+			if planted {
 				body = alert
+				alerts.Add(1)
 			}
 			code, resp := do(http.MethodPost, "/v1/access", tenant, body)
 			count.Add(1)
@@ -129,6 +136,13 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 				b.Errorf("tenant %s: access answered %d: %s", tenant, code, resp)
 				return
 			}
+			var a AccessResponse
+			if err := json.Unmarshal([]byte(resp), &a); err != nil || a.Alert != planted || a.Fallback != "" || a.RemainingBudget > budget {
+				b.Errorf("tenant %s: access %s answered %s (decode error %v; want alert %v, no fallback, remaining_budget at most %v)",
+					tenant, body, resp, err, planted, budget)
+				return
+			}
+			budget = a.RemainingBudget
 		}
 	})
 	b.StopTimer()
@@ -147,8 +161,10 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 
 	for id, n := range sent {
 		code, body := do(http.MethodGet, "/v1/status", id, "")
-		if want := fmt.Sprintf(`"accesses":%d,`, n.Load()); code != http.StatusOK || !strings.Contains(body, want) {
-			b.Fatalf("tenant %s: status %d %s, want %s", id, code, body, want)
+		var st Status
+		if err := json.Unmarshal([]byte(body), &st); err != nil || code != http.StatusOK ||
+			int64(st.Accesses) != n.Load() || int64(st.Alerts) != alerted[id].Load() {
+			b.Fatalf("tenant %s: status %d %s, want accesses %d and alerts %d", id, code, body, n.Load(), alerted[id].Load())
 		}
 	}
 }
