@@ -4,6 +4,10 @@
 // sites, and a failure names the rule's subsystem and the file:line that
 // breaks it. Comments are never parsed, so a comment can name anything.
 //
+// The document rules (docs_test.go) hold the repository's documents to byte
+// ceilings and their quoted test selectors and cited Go paths to the
+// checkout.
+//
 // To add a rule, add a table row, or a test beside these when no table fits.
 package archtest
 
@@ -38,25 +42,36 @@ var (
 	parseErr  error
 )
 
-// checkout parses every non-test .go file once: the root module,
-// examples/, and benchmark/ (its own module, read as a caller only), but
-// not benchmark/out/, testdata/ or dot-directories.
+// walkGo calls visit with the slash path, relative to the checkout, and
+// the file path of every .go file of the checkout: the root module,
+// examples/, and benchmark/ (its own module, read as a caller only), but not
+// benchmark/out/, testdata/ or dot-directories.
+func walkGo(visit func(rel, path string) error) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || rel == "benchmark/out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		return visit(rel, p)
+	})
+}
+
+// checkout parses every non-test .go file walkGo visits, once.
 func checkout(t *testing.T) []srcFile {
 	t.Helper()
 	parseOnce.Do(func() {
-		parseErr = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			rel, _ := filepath.Rel(root, p)
-			rel = filepath.ToSlash(rel)
-			if d.IsDir() {
-				if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || rel == "benchmark/out") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+		parseErr = walkGo(func(rel, p string) error {
+			if strings.HasSuffix(rel, "_test.go") {
 				return nil
 			}
 			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
