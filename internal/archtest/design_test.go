@@ -431,8 +431,8 @@ func TestSimplexIsATestOracle(t *testing.T) {
 //
 // The rule is a name-level ratchet, not a proof: benchmark/ and examples/
 // count as callers, and a seam whose name something else also carries
-// (faultinject.New/Estimator/SSESolve/Point.Counts,
-// Engine.Decisions/RNGDraws) passes unlisted.
+// (faultinject.New/Point.Counts, Engine.Decisions/RNGDraws) passes
+// unlisted.
 var testSeams = []string{"SetJournalFault", "Violation", "SatisfiesTheorem3", "RunRetry", "RetryIsDominated", "Unwrap"}
 
 // The library is what production reaches: every exported func under

@@ -22,7 +22,7 @@ var docs = []struct {
 }{
 	{"DESIGN.md", 49971},
 	{"README.md", 19345},
-	{".claude/skills/verify/SKILL.md", 7681},
+	{".claude/skills/verify/SKILL.md", 7663},
 }
 
 // changesEntryCeiling bounds the newest "- PR" entry of CHANGES.md, in bytes:
@@ -140,22 +140,29 @@ type command struct {
 	words []string
 }
 
+// split appends to out the commands of text, which starts on line: its
+// words split at &&, ||, ; and |.
+func split(out []command, line int, text string) []command {
+	c := command{line: line}
+	for _, w := range append(shellWords(text), ";") {
+		if w == "&&" || w == "||" || w == ";" || w == "|" {
+			if len(c.words) > 0 {
+				out = append(out, c)
+			}
+			c.words = nil
+			continue
+		}
+		c.words = append(c.words, w)
+	}
+	return out
+}
+
 // commands returns the shell commands a markdown document quotes — every
 // line of a fenced block, every inline code span — split at &&, ||, ; and |.
 func commands(doc string) []command {
 	var out []command
 	add := func(offset int, text string) {
-		c := command{line: 1 + strings.Count(doc[:offset], "\n")}
-		for _, w := range append(shellWords(text), ";") {
-			if w == "&&" || w == "||" || w == ";" || w == "|" {
-				if len(c.words) > 0 {
-					out = append(out, c)
-				}
-				c.words = nil
-				continue
-			}
-			c.words = append(c.words, w)
-		}
+		out = split(out, 1+strings.Count(doc[:offset], "\n"), text)
 	}
 	rest := doc
 	for _, m := range fence.FindAllStringSubmatchIndex(doc, -1) {
@@ -168,6 +175,37 @@ func commands(doc string) []command {
 	}
 	for _, m := range inlineCode.FindAllStringSubmatchIndex(rest, -1) {
 		add(m[2], rest[m[2]:m[3]])
+	}
+	return out
+}
+
+// workflow is the CI workflow, whose run: steps are checked like a
+// document's commands.
+const workflow = ".github/workflows/ci.yml"
+
+// workflowCommands returns the shell commands of a workflow's run: steps:
+// the value of a one-line `run:`, and every line of a `run: |` block (the
+// lines indented deeper than the line that opens it).
+func workflowCommands(yml string) []command {
+	var out []command
+	block := -1 // the indent of the line that opened the current block
+	for i, line := range strings.Split(yml, "\n") {
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		text := strings.TrimSpace(line)
+		if block >= 0 && (text == "" || indent > block) {
+			out = split(out, i+1, text)
+			continue
+		}
+		block = -1
+		value, ok := strings.CutPrefix(strings.TrimPrefix(text, "- "), "run:")
+		if !ok {
+			continue
+		}
+		if value = strings.TrimSpace(value); value == "|" {
+			block = indent
+			continue
+		}
+		out = split(out, i+1, value)
 	}
 	return out
 }
@@ -269,15 +307,25 @@ func inPackages(dir string, pkgs []string) bool {
 	return false
 }
 
-// Each name a go test -run, -bench or -fuzz pattern quoted in a document
-// lists selects at least one function of the packages the command names: a
-// stale pattern passes while running nothing. A test named on its own, as
+// Each name a go test -run, -bench or -fuzz pattern quoted in a document or
+// run by CI lists selects at least one function of the packages the command
+// names: a stale pattern passes while running nothing (go test -fuzz and
+// -bench exit 0 when they match no target). A test named on its own, as
 // DESIGN's invariants table does, must be declared.
 func TestDocumentedTestSelectorsSelect(t *testing.T) {
 	funcs := testFuncs(t)
-	checked := 0
+	type source struct {
+		path     string
+		commands []command
+	}
+	var sources []source
 	for _, d := range docs {
-		for _, c := range commands(readDoc(t, d.path)) {
+		sources = append(sources, source{d.path, commands(readDoc(t, d.path))})
+	}
+	sources = append(sources, source{workflow, workflowCommands(readDoc(t, workflow))})
+	checked := 0
+	for _, d := range sources {
+		for _, c := range d.commands {
 			if len(c.words) == 1 && testName.MatchString(c.words[0]) {
 				checked++
 				name, _, _ := strings.Cut(c.words[0], "/")
@@ -309,7 +357,7 @@ func TestDocumentedTestSelectorsSelect(t *testing.T) {
 		}
 	}
 	if checked == 0 {
-		t.Error("documents: no -run, -bench or -fuzz pattern found in any document; is the command parser broken?")
+		t.Error("documents: no -run, -bench or -fuzz pattern found in any document or workflow; is the command parser broken?")
 	}
 	t.Logf("%d names checked", checked)
 }

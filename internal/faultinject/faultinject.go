@@ -6,10 +6,11 @@
 // A Point is one injection site. Each call through a Point rolls against the
 // configured fault rates using a private seeded RNG, so a given (seed, call
 // sequence) reproduces the same fault schedule on every run — chaos tests
-// are replayable, not flaky. Wrap the engine's dependencies with Estimator
-// and SSESolve to inject estimator failures, solver errors, solver latency
-// (which only makes a decision slow — nothing on the decision path times
-// out except the caller's own context), and solver panics.
+// are replayable, not flaky. The package's tests wrap the engine's
+// dependencies with Estimator and SSESolve (wrap_test.go) to inject
+// estimator failures, solver errors, solver latency (which only makes a
+// decision slow — nothing on the decision path times out except the
+// caller's own context), and solver panics.
 package faultinject
 
 import (

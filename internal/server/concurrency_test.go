@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,12 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/dist"
-	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/sim"
 	"github.com/auditgames/sag/internal/wal"
 )
 
@@ -50,49 +45,6 @@ func (b *gatedSolver) solve(ctx context.Context, inst *game.Instance, budget flo
 	return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
 }
 
-// fixtureWith builds the standard test server, letting the caller mutate the
-// Config (inject a solver, cap the tenants) before construction. The
-// returned IDs are the type-1 (same last name) planted pair; the type-2
-// (coworker) pair is at (bgE+3, bgP+3) — PairsPerKind pairs are planted per
-// kind, in kind order.
-func fixtureWith(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:  1,
-		Clock: func() time.Duration { return 9 * time.Hour },
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, bgE, bgP
-}
-
 // TestConcurrentAccessSolvesOverlap is the regression test against a
 // box-wide lock: two slow /v1/access solves for different tenants must be
 // inside the SSE solver simultaneously. One tenant's decisions are
@@ -102,22 +54,21 @@ func fixtureWith(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server,
 // test would time out at the barrier.
 func TestConcurrentAccessSolvesOverlap(t *testing.T) {
 	bs := newGatedSolver()
-	_, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) { cfg.SSESolve = bs.solve })
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) { cfg.SSESolve = bs.solve })
 
 	var wg sync.WaitGroup
 	type result struct {
-		resp AccessResponse
 		code int
+		body string
 	}
 	results := make(chan result, 2)
 	for _, tenant := range []string{"icu", "oncology"} {
 		wg.Add(1)
-		go func(tenant string) {
+		go func() {
 			defer wg.Done()
-			var resp AccessResponse
-			code := post(t, ts, "/v1/access", AccessRequest{Tenant: tenant, EmployeeID: bgE, PatientID: bgP}, &resp)
-			results <- result{resp, code}
-		}(tenant)
+			code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{Tenant: tenant, EmployeeID: bgE, PatientID: bgP})
+			results <- result{code, body}
+		}()
 	}
 	for i := 0; i < 2; i++ {
 		select {
@@ -133,11 +84,12 @@ func TestConcurrentAccessSolvesOverlap(t *testing.T) {
 		if r.code != http.StatusOK {
 			t.Fatalf("access status %d", r.code)
 		}
-		if !r.resp.Alert {
-			t.Fatalf("planted pair did not alert: %+v", r.resp)
+		resp := decode[AccessResponse](t, r.body)
+		if !resp.Alert {
+			t.Fatalf("planted pair did not alert: %+v", resp)
 		}
-		if r.resp.Fallback != "" {
-			t.Fatalf("decision degraded (%s): the solver barrier timed out", r.resp.Fallback)
+		if resp.Fallback != "" {
+			t.Fatalf("decision degraded (%s): the solver barrier timed out", resp.Fallback)
 		}
 	}
 }
@@ -146,41 +98,40 @@ func TestConcurrentAccessSolvesOverlap(t *testing.T) {
 // would re-sample the audit plan and re-charge its total — answers 409, as
 // does /v1/access, until /v1/cycle/new reopens the server.
 func TestCloseCycleGuard(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
+	_, ts, bgE, bgP := testServer(t)
+	alert := AccessRequest{EmployeeID: bgE, PatientID: bgP}
 	for i := 0; i < 5; i++ {
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", alert); code != http.StatusOK {
 			t.Fatalf("access status %d", code)
 		}
 	}
-	var first CloseResponse
-	if code := post(t, ts, "/v1/cycle/close", struct{}{}, &first); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", struct{}{}); code != http.StatusOK {
 		t.Fatalf("first close status %d", code)
 	}
-	if code := post(t, ts, "/v1/cycle/close", struct{}{}, nil); code != http.StatusConflict {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", struct{}{}); code != http.StatusConflict {
 		t.Fatalf("second close status %d, want 409", code)
 	}
-	if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusConflict {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", alert); code != http.StatusConflict {
 		t.Fatalf("access after close status %d, want 409", code)
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	st := decode[Status](t, body)
 	if !st.Closed {
 		t.Fatalf("status does not report the closed cycle: %+v", st)
 	}
 	if st.Accesses != 5 {
 		t.Fatalf("rejected access inflated the counter: %+v", st)
 	}
-	if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: 40}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: 40}); code != http.StatusOK {
 		t.Fatalf("new cycle status %d", code)
 	}
-	get(t, ts, "/v1/status", &st)
-	if st.Closed {
-		t.Fatalf("new cycle did not reopen: %+v", st)
+	if _, body, _ = do(t, ts.URL, "GET", "/v1/status", "", nil); decode[Status](t, body).Closed {
+		t.Fatalf("new cycle did not reopen: %s", body)
 	}
-	if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", alert); code != http.StatusOK {
 		t.Fatalf("access after reopen status %d", code)
 	}
-	if code := post(t, ts, "/v1/cycle/close", struct{}{}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", struct{}{}); code != http.StatusOK {
 		t.Fatalf("close of the new cycle status %d", code)
 	}
 }
@@ -188,18 +139,14 @@ func TestCloseCycleGuard(t *testing.T) {
 // TestQuitIsIdempotent: repeated quit reports for one employee re-confirm
 // the flag but must not inflate the quit counter — front ends retry.
 func TestQuitIsIdempotent(t *testing.T) {
-	_, ts, bgE, _ := fixture(t)
+	_, ts, bgE, _ := testServer(t)
 	for i := 0; i < 3; i++ {
-		var out struct {
-			Flagged bool `json:"flagged"`
-		}
-		if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, &out); code != http.StatusOK || !out.Flagged {
-			t.Fatalf("quit %d: status %d flagged %v", i, code, out.Flagged)
+		if code, body, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE}); code != http.StatusOK || body != `{"flagged":true}`+"\n" {
+			t.Fatalf("quit %d: status %d %s, want flagged", i, code, body)
 		}
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Quits != 1 || st.FlaggedUsers != 1 {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Quits != 1 || st.FlaggedUsers != 1 {
 		t.Fatalf("repeated quits inflated counters: %+v", st)
 	}
 }
@@ -224,14 +171,9 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := replicaFixture(t, dir, slow)
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir), slow)
 	defer srv.Close()
 	h := srv.Handler()
-	do := func(path, body string) (int, string) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		return rec.Code, rec.Body.String()
-	}
 	tenantDir := srv.tenantWALDir(DefaultTenantID)
 
 	var stop atomic.Bool
@@ -255,7 +197,7 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 				if k%16 == 15 {
 					path, body = "/v1/quit", fmt.Sprintf(`{"employee_id":%d}`, (g*16+k)%bgE)
 				}
-				code, resp := do(path, body)
+				code, resp, _ := do(t, h, "POST", path, "", body)
 				answered.Add(1)
 				if code != http.StatusOK && !(path == "/v1/access" && code == http.StatusConflict && strings.Contains(resp, "audit cycle is closed")) {
 					t.Errorf("POST %s %s answered %d %s", path, body, code, resp)
@@ -270,7 +212,7 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 		for n := answered.Load() + 8; answered.Load() < n && !t.Failed(); {
 			runtime.Gosched()
 		}
-		code, resp := do("/v1/cycle/close", `{}`)
+		code, resp, _ := do(t, h, "POST", "/v1/cycle/close", "", `{}`)
 		var plan CloseResponse
 		if code != http.StatusOK || json.Unmarshal([]byte(resp), &plan) != nil {
 			t.Fatalf("close %d answered %d %s", c, code, resp)
@@ -279,7 +221,7 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 			t.Fatalf("close %d: the plan has %d entries, its cycle journaled %d decisions", c, len(plan.Audits), got)
 		}
 		for _, step := range []struct{ path, body string }{{"/v1/cycle/new", `{"budget":50}`}, {"/v1/admin/snapshot", `{}`}} {
-			if code, resp := do(step.path, step.body); code != http.StatusOK {
+			if code, resp, _ := do(t, h, "POST", step.path, "", step.body); code != http.StatusOK {
 				t.Fatalf("cycle %d: POST %s answered %d %s", c, step.path, code, resp)
 			}
 		}
@@ -287,16 +229,16 @@ func TestCycleTransitionUnderLoad(t *testing.T) {
 	stop.Store(true)
 	load.Wait()
 
-	_, status := getRaw(t, ts, "/v1/status")
-	_, summary := getRaw(t, ts, "/v1/cycle/summary")
+	_, status, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	_, summary, _ := do(t, ts.URL, "GET", "/v1/cycle/summary", "", nil)
 	crashed := t.TempDir()
 	copyTree(t, dir, crashed)
-	srv2, ts2, _, _ := replicaFixture(t, crashed, slow)
+	srv2, ts2, _, _ := testServer(t, durableIn(crashed), slow)
 	defer srv2.Close()
-	if _, got := getRaw(t, ts2, "/v1/status"); got != status {
-		t.Fatalf("rebooted status diverges:\n got %s\nwant %s", got, status)
+	if code, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); code != http.StatusOK || got != status {
+		t.Fatalf("rebooted status diverges:\n got %d %s\nwant %s", code, got, status)
 	}
-	if _, got := getRaw(t, ts2, "/v1/cycle/summary"); got != summary {
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/cycle/summary", "", nil); got != summary {
 		t.Fatalf("rebooted summary diverges:\n got %s\nwant %s", got, summary)
 	}
 }

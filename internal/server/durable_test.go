@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"log/slog"
@@ -22,12 +21,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
-	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/history"
 	"github.com/auditgames/sag/internal/shard"
-	"github.com/auditgames/sag/internal/sim"
 	"github.com/auditgames/sag/internal/wal"
 )
 
@@ -80,57 +76,34 @@ func captureLog(t *testing.T) *logBuf {
 	return logs
 }
 
-// durableFixture is fixture with durability on: same world, same seeds, but
-// every tenant journals to dir. Building a second fixture over the same dir
-// models a process restart.
-func durableFixture(t *testing.T, dir string) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	return replicaFixture(t, dir, nil)
-}
-
-// getRaw fetches a path and returns the raw body for byte-level comparison.
-func getRaw(t *testing.T, ts *httptest.Server, path string) (int, string) {
-	t.Helper()
-	resp, err := http.Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(raw)
-}
-
 // TestDurableCleanRestartRestoresState drives traffic through the whole API
 // surface, shuts the server down cleanly, boots a second server over the
 // same data dir, and requires the recovered /v1/status and /v1/cycle/summary
 // to match the pre-shutdown ones byte for byte.
 func TestDurableCleanRestartRestoresState(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir)
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir))
 	for i := 0; i < 15; i++ {
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("access status %d", code)
 		}
 	}
-	post(t, ts, "/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}, nil) // benign
-	if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE + 1}, nil); code != http.StatusOK {
+	do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: 0, PatientID: 0}) // benign
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE + 1}); code != http.StatusOK {
 		t.Fatalf("quit status %d", code)
 	}
-	_, wantStatus := getRaw(t, ts, "/v1/status")
-	_, wantSummary := getRaw(t, ts, "/v1/cycle/summary")
+	_, wantStatus, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	_, wantSummary, _ := do(t, ts.URL, "GET", "/v1/cycle/summary", "", nil)
 	if err := srv.Close(); err != nil {
 		t.Fatalf("clean shutdown: %v", err)
 	}
 
 	logs := captureLog(t)
-	_, ts2, _, _ := durableFixture(t, dir)
-	if code, got := getRaw(t, ts2, "/v1/status"); code != http.StatusOK || got != wantStatus {
+	_, ts2, _, _ := testServer(t, durableIn(dir))
+	if code, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); code != http.StatusOK || got != wantStatus {
 		t.Fatalf("recovered status diverged:\n got %s\nwant %s", got, wantStatus)
 	}
-	if _, got := getRaw(t, ts2, "/v1/cycle/summary"); got != wantSummary {
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/cycle/summary", "", nil); got != wantSummary {
 		t.Fatalf("recovered summary diverged:\n got %s\nwant %s", got, wantSummary)
 	}
 	banner := logs.records(`level=INFO msg="recovered tenant" tenant=default`)
@@ -139,16 +112,16 @@ func TestDurableCleanRestartRestoresState(t *testing.T) {
 	}
 	// The recovered tenant keeps serving: budget keeps descending from the
 	// recovered point, and the flag set survived.
-	var before, after Status
-	get(t, ts2, "/v1/status", &before)
+	_, body, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil)
+	before := decode[Status](t, body)
 	if before.FlaggedUsers != 1 || before.Quits != 1 {
 		t.Fatalf("flag set lost in recovery: %+v", before)
 	}
 	for i := 0; i < 5; i++ {
-		post(t, ts2, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts2.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	get(t, ts2, "/v1/status", &after)
-	if after.Accesses != before.Accesses+5 || after.RemainingBudget > before.RemainingBudget {
+	_, body, _ = do(t, ts2.URL, "GET", "/v1/status", "", nil)
+	if after := decode[Status](t, body); after.Accesses != before.Accesses+5 || after.RemainingBudget > before.RemainingBudget {
 		t.Fatalf("recovered tenant not live: before %+v after %+v", before, after)
 	}
 }
@@ -160,19 +133,19 @@ func TestDurableCleanRestartRestoresState(t *testing.T) {
 // answer /v1/status as the live server did.
 func TestRestartCountsNothingAndKeepsTheFlaggedGauge(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir)
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir))
 	for i := 0; i < 6; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	post(t, ts, "/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}, nil) // benign
+	do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: 0, PatientID: 0}) // benign
 	for _, emp := range []int{bgE, bgE + 1} {
-		if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: emp}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: emp}); code != http.StatusOK {
 			t.Fatalf("quit status %d", code)
 		}
 	}
-	live := mustGetRaw(t, ts, "/v1/status")
-	if c, f := serviceCounters(srv), flaggedGauge(srv); c[0] != 7 || c[1] != 6 || c[3] != 2 || f != 2 {
-		t.Fatalf("live: counters %v flagged %g, want 7 accesses, 6 alerts, 2 quits and 2 flagged", c, f)
+	_, live, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if m := scrape(t, srv, "sag_server_"); m[core.MetricAccessesTotal+dflt] != 7 || m[core.MetricAlertsTotal+dflt] != 6 || m[core.MetricQuitsTotal+dflt] != 2 || m[core.MetricFlaggedUsers+dflt] != 2 {
+		t.Fatalf("live: %v, want 7 accesses, 6 alerts, 2 quits and 2 flagged", m)
 	}
 	crash := t.TempDir()
 	copyTree(t, dir, crash)
@@ -180,12 +153,13 @@ func TestRestartCountsNothingAndKeepsTheFlaggedGauge(t *testing.T) {
 		t.Fatalf("clean shutdown: %v", err)
 	}
 	for _, boot := range []struct{ name, dir string }{{"crash", crash}, {"clean", dir}} {
-		srv2, ts2, _, _ := durableFixture(t, boot.dir)
-		if got := mustGetRaw(t, ts2, "/v1/status"); got != live {
-			t.Fatalf("%s restart: status diverges:\nlive:      %s\nrecovered: %s", boot.name, live, got)
+		srv2, ts2, _, _ := testServer(t, durableIn(boot.dir))
+		if code, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); code != http.StatusOK || got != live {
+			t.Fatalf("%s restart: status diverges:\nlive:      %s\nrecovered: %d %s", boot.name, live, code, got)
 		}
-		if c, f := serviceCounters(srv2), flaggedGauge(srv2); c != [4]uint64{} || f != 2 {
-			t.Fatalf("%s restart: counters %v flagged %g, want all 0 and 2 flagged", boot.name, c, f)
+		if m := scrape(t, srv2, "sag_server_"); m[core.MetricFlaggedUsers+dflt] != 2 ||
+			m[core.MetricAccessesTotal+dflt]+m[core.MetricAlertsTotal+dflt]+m[core.MetricWarnedTotal+dflt]+m[core.MetricQuitsTotal+dflt] != 0 {
+			t.Fatalf("%s restart: %v, want the four counters at 0 and 2 flagged", boot.name, m)
 		}
 		if err := srv2.Close(); err != nil {
 			t.Fatal(err)
@@ -199,28 +173,26 @@ func TestRestartCountsNothingAndKeepsTheFlaggedGauge(t *testing.T) {
 // the identical state.
 func TestDurableCrashRestartReplaysJournal(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir)
-	var last AccessResponse
+	_, ts, bgE, bgP := testServer(t, durableIn(dir))
 	for i := 0; i < 12; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &last)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, nil)
-	_, wantStatus := getRaw(t, ts, "/v1/status")
-	_, wantSummary := getRaw(t, ts, "/v1/cycle/summary")
+	do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE})
+	_, wantStatus, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	_, wantSummary, _ := do(t, ts.URL, "GET", "/v1/cycle/summary", "", nil)
 	// No Close: every acknowledged request was fsynced (FsyncAlways), and
 	// nothing else is durable.
 
-	_, ts2, _, _ := durableFixture(t, dir)
-	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
+	_, ts2, _, _ := testServer(t, durableIn(dir))
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); got != wantStatus {
 		t.Fatalf("replayed status diverged:\n got %s\nwant %s", got, wantStatus)
 	}
-	if _, got := getRaw(t, ts2, "/v1/cycle/summary"); got != wantSummary {
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/cycle/summary", "", nil); got != wantSummary {
 		t.Fatalf("replayed summary diverged:\n got %s\nwant %s", got, wantSummary)
 	}
 	// A flagged employee keeps being flagged on the recovered server.
-	var resp AccessResponse
-	post(t, ts2, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp)
-	if !resp.Flagged || !resp.Warn {
+	_, body, _ := do(t, ts2.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	if resp := decode[AccessResponse](t, body); !resp.Flagged || !resp.Warn {
 		t.Fatalf("flag lost across crash: %+v", resp)
 	}
 }
@@ -230,37 +202,36 @@ func TestDurableCrashRestartReplaysJournal(t *testing.T) {
 // the NEW cycle — not the old one.
 func TestDurableCycleLifecycleSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir)
+	_, ts, bgE, bgP := testServer(t, durableIn(dir))
 	for i := 0; i < 8; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	if code := post(t, ts, "/v1/cycle/close", struct{}{}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", struct{}{}); code != http.StatusOK {
 		t.Fatalf("close status %d", code)
 	}
-	if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: 30}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: 30}); code != http.StatusOK {
 		t.Fatalf("new cycle status %d", code)
 	}
 	for i := 0; i < 3; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	_, wantStatus := getRaw(t, ts, "/v1/status")
+	_, wantStatus, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
 
-	_, ts2, _, _ := durableFixture(t, dir)
-	var st Status
-	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
+	_, ts2, _, _ := testServer(t, durableIn(dir))
+	_, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil)
+	if got != wantStatus {
 		t.Fatalf("recovered status diverged:\n got %s\nwant %s", got, wantStatus)
 	}
-	get(t, ts2, "/v1/status", &st)
-	if st.Budget != 30 || st.Accesses != 3 {
+	if st := decode[Status](t, got); st.Budget != 30 || st.Accesses != 3 {
 		t.Fatalf("recovered into the wrong cycle: %+v", st)
 	}
 	// The closed-cycle marker must not have leaked into the new cycle: the
 	// recovered server accepts a close of the new cycle.
-	var closed CloseResponse
-	if code := post(t, ts2, "/v1/cycle/close", struct{}{}, &closed); code != http.StatusOK {
+	code, body, _ := do(t, ts2.URL, "POST", "/v1/cycle/close", "", struct{}{})
+	if code != http.StatusOK {
 		t.Fatalf("close after recovery status %d", code)
 	}
-	if len(closed.Audits) != 3 {
+	if closed := decode[CloseResponse](t, body); len(closed.Audits) != 3 {
 		t.Fatalf("close after recovery covers %d alerts, want 3", len(closed.Audits))
 	}
 }
@@ -270,9 +241,9 @@ func TestDurableCycleLifecycleSurvivesCrash(t *testing.T) {
 // log the offset, and serve the surviving prefix.
 func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir)
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir))
 	for i := 0; i < 6; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -294,7 +265,7 @@ func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 	}
 
 	logs := captureLog(t)
-	_, ts2, _, _ := durableFixture(t, dir)
+	_, ts2, _, _ := testServer(t, durableIn(dir))
 	cut := logs.records(`level=WARN msg="truncated corrupt journal tail" tenant=default segment=` + last)
 	if len(cut) != 1 {
 		t.Fatalf("want one WARN record naming the tenant and the torn segment; logged:\n%s", logs)
@@ -303,11 +274,11 @@ func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 	if off, err := strconv.ParseInt(tail, 10, 64); err != nil || off <= 0 || off >= info.Size()-3 {
 		t.Fatalf("the WARN record's offset is not inside the torn segment: %q", cut[0])
 	}
-	var st Status
-	if code := get(t, ts2, "/v1/status", &st); code != http.StatusOK {
+	code, body, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil)
+	if code != http.StatusOK {
 		t.Fatalf("status after torn-tail boot: %d", code)
 	}
-	if st.Accesses != 6 || st.Alerts != 6 {
+	if st := decode[Status](t, body); st.Accesses != 6 || st.Alerts != 6 {
 		t.Fatalf("torn-tail boot lost acknowledged records: %+v", st)
 	}
 }
@@ -316,44 +287,69 @@ func TestDurableTornTailBootsWithTruncation(t *testing.T) {
 // tenant by header, unknown tenant, and the 400 when durability is off.
 func TestDurableSnapshotEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir)
-	post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
-	postTenant(t, ts, "acme", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+	_, ts, bgE, bgP := testServer(t, durableIn(dir))
+	do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	do(t, ts.URL, "POST", "/v1/access", "acme", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 
-	var snap SnapshotResponse
-	if code := post(t, ts, "/v1/admin/snapshot", SnapshotRequest{}, &snap); code != http.StatusOK {
-		t.Fatalf("snapshot-all status %d", code)
+	if code, body, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "", SnapshotRequest{}); code != http.StatusOK || body != `{"tenants":2}`+"\n" {
+		t.Fatalf("snapshot-all: %d %s, want 2 tenants", code, body)
 	}
-	if snap.Tenants != 2 {
-		t.Fatalf("snapshotted %d tenants, want 2", snap.Tenants)
+	if code, body, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "acme", SnapshotRequest{}); code != http.StatusOK || body != `{"tenants":1}`+"\n" {
+		t.Fatalf("single-tenant snapshot: %d %s", code, body)
 	}
-	if code := postTenant(t, ts, "acme", "/v1/admin/snapshot", SnapshotRequest{}, &snap); code != http.StatusOK || snap.Tenants != 1 {
-		t.Fatalf("single-tenant snapshot: code %d, %+v", code, snap)
-	}
-	var apiErr apiError
-	if code := postTenant(t, ts, "ghost", "/v1/admin/snapshot", SnapshotRequest{}, &apiErr); code != http.StatusNotFound {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "ghost", SnapshotRequest{}); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant snapshot status %d", code)
 	}
 
 	// A forced snapshot bounds replay: a crash right after it recovers from
 	// the snapshot alone (zero replayed records).
-	_, ts2, _, _ := durableFixture(t, dir)
-	var st Status
-	get(t, ts2, "/v1/status", &st)
-	if st.Accesses != 1 {
-		t.Fatalf("snapshot-recovered status %+v", st)
+	_, ts2, _, _ := testServer(t, durableIn(dir))
+	if _, body, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); decode[Status](t, body).Accesses != 1 {
+		t.Fatalf("snapshot-recovered status %s", body)
 	}
-	if _, metrics := getRaw(t, ts2, "/v1/metrics"); !strings.Contains(metrics, MetricRecoveryReplayed+`{tenant="default"} 0`+"\n") {
+	if _, metrics, _ := do(t, ts2.URL, "GET", "/v1/metrics", "", nil); !strings.Contains(metrics, MetricRecoveryReplayed+`{tenant="default"} 0`+"\n") {
 		t.Fatalf("expected snapshot-only recovery (0 replayed records):\n%s", metrics)
 	}
 
 	// Durability off: the endpoint must refuse rather than pretend.
-	_, plain, _, _ := fixture(t)
-	if code := post(t, plain, "/v1/admin/snapshot", SnapshotRequest{}, &apiErr); code != http.StatusBadRequest {
+	_, plain, _, _ := testServer(t)
+	code, body, _ := do(t, plain.URL, "POST", "/v1/admin/snapshot", "", SnapshotRequest{})
+	if code != http.StatusBadRequest {
 		t.Fatalf("snapshot without data dir status %d", code)
 	}
-	if !strings.Contains(apiErr.Error, "durability is disabled") {
+	if apiErr := decode[apiError](t, body); !strings.Contains(apiErr.Error, "durability is disabled") {
 		t.Fatalf("unhelpful error: %+v", apiErr)
+	}
+}
+
+// TestSnapshotAllOutlivesAFailedJournal: POST /v1/admin/snapshot naming no
+// tenant snapshots every resident tenant it can and answers 500 when one
+// tenant's journal has failed (here: it is closed). The router hands the
+// tenants out in map order, in which the failed one sometimes comes last, so
+// the snapshot is taken in twenty rounds: one that stops at its first error
+// leaves some healthy tenant unsnapshotted in nearly all of them.
+func TestSnapshotAllOutlivesAFailedJournal(t *testing.T) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()), func(cfg *Config) { cfg.Fsync = wal.FsyncNone })
+	// The default tenant, resident since boot, is the failed one; the first
+	// round's accesses create the healthy ones.
+	healthy := []string{"a", "b", "c", "d"}
+	if err := resident(t, srv, DefaultTenantID).journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		for _, id := range healthy {
+			if code, _, _ := do(t, ts.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
+				t.Fatalf("round %d: access for %s: status %d", round, id, code)
+			}
+		}
+		if code, body, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "", nil); code != http.StatusInternalServerError || !strings.Contains(body, wal.ErrClosed.Error()) {
+			t.Fatalf("round %d: snapshot of every tenant with one journal closed: %d %s, want 500 naming it", round, code, body)
+		}
+		for _, id := range healthy {
+			if n := resident(t, srv, id).journal.RetainStats().TailRecords; n != 0 {
+				t.Fatalf("round %d: tenant %s holds %d records after its newest snapshot: the snapshot stopped at the failed tenant", round, id, n)
+			}
+		}
 	}
 }
 
@@ -361,21 +357,21 @@ func TestDurableSnapshotEndpoint(t *testing.T) {
 // independently — tenant A's records never leak into tenant B.
 func TestDurablePerTenantIsolation(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, bgE, bgP := durableFixture(t, dir)
+	_, ts, bgE, bgP := testServer(t, durableIn(dir))
 	for i := 0; i < 4; i++ {
-		postTenant(t, ts, "alpha", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "alpha", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
 	for i := 0; i < 7; i++ {
-		postTenant(t, ts, "beta", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "beta", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	_, wantAlpha := getRaw(t, ts, "/v1/status?tenant=alpha")
-	_, wantBeta := getRaw(t, ts, "/v1/status?tenant=beta")
+	_, wantAlpha, _ := do(t, ts.URL, "GET", "/v1/status?tenant=alpha", "", nil)
+	_, wantBeta, _ := do(t, ts.URL, "GET", "/v1/status?tenant=beta", "", nil)
 
-	_, ts2, _, _ := durableFixture(t, dir)
-	if _, got := getRaw(t, ts2, "/v1/status?tenant=alpha"); got != wantAlpha {
+	_, ts2, _, _ := testServer(t, durableIn(dir))
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/status?tenant=alpha", "", nil); got != wantAlpha {
 		t.Fatalf("alpha diverged:\n got %s\nwant %s", got, wantAlpha)
 	}
-	if _, got := getRaw(t, ts2, "/v1/status?tenant=beta"); got != wantBeta {
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/status?tenant=beta", "", nil); got != wantBeta {
 		t.Fatalf("beta diverged:\n got %s\nwant %s", got, wantBeta)
 	}
 }
@@ -383,25 +379,20 @@ func TestDurablePerTenantIsolation(t *testing.T) {
 // TestCycleSummaryEndpoint pins the read-only summary route used by the
 // crash drill: wrong method, unknown tenant, and a live summary.
 func TestCycleSummaryEndpoint(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
-	post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
-	var sum core.CycleSummary
-	if code := get(t, ts, "/v1/cycle/summary", &sum); code != http.StatusOK {
+	_, ts, bgE, bgP := testServer(t)
+	do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	code, body, _ := do(t, ts.URL, "GET", "/v1/cycle/summary", "", nil)
+	if code != http.StatusOK {
 		t.Fatalf("summary status %d", code)
 	}
-	if sum.Alerts != 1 {
+	if sum := decode[core.CycleSummary](t, body); sum.Alerts != 1 {
 		t.Fatalf("summary %+v", sum)
 	}
-	if code := get(t, ts, "/v1/cycle/summary?tenant=ghost", nil); code != http.StatusNotFound {
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/cycle/summary?tenant=ghost", "", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant summary status %d", code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/cycle/summary", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST on summary status %d", resp.StatusCode)
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/summary", "", "{}"); code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST on summary status %d", code)
 	}
 }
 
@@ -410,46 +401,14 @@ func TestCycleSummaryEndpoint(t *testing.T) {
 // boot recovers from a snapshot, not a cold replay of everything).
 func TestDurableAutoSnapshotCadence(t *testing.T) {
 	dir := t.TempDir()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:          1,
-		Clock:         func() time.Duration { return 9 * time.Hour },
-		DataDir:       dir,
-		Fsync:         wal.FsyncAlways,
-		SnapshotEvery: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir), func(cfg *Config) { cfg.SnapshotEvery = 5 })
 	for i := 0; i < 20; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
 	// Background snapshots are asynchronous; wait until the scan has nothing
 	// left to snapshot. Ask the journal, not the directory: Recover on a live
 	// journal trims its preallocated tail and can cut a frame mid-write.
-	tn, _ := srv.router.Get(DefaultTenantID)
-	j := tn.Data.(*tenantState).journal
+	j := resident(t, srv, DefaultTenantID).journal
 	deadline := time.Now().Add(5 * time.Second)
 	for st := j.RetainStats(); st.SnapshotSeg < 0 || st.TailRecords >= 5; st = j.RetainStats() {
 		if time.Now().After(deadline) {
@@ -457,9 +416,9 @@ func TestDurableAutoSnapshotCadence(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	_, wantStatus := getRaw(t, ts, "/v1/status")
-	_, ts2, _, _ := durableFixture(t, dir)
-	if _, got := getRaw(t, ts2, "/v1/status"); got != wantStatus {
+	_, wantStatus, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	_, ts2, _, _ := testServer(t, durableIn(dir))
+	if _, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); got != wantStatus {
 		t.Fatalf("auto-snapshot recovery diverged:\n got %s\nwant %s", got, wantStatus)
 	}
 }
@@ -474,18 +433,17 @@ func TestBootKeepsTheRecoveredTailTowardTheCadence(t *testing.T) {
 		cfg.CompactInterval = 20 * time.Millisecond
 	}
 	dir := t.TempDir()
-	_, ts, bgE, bgP := replicaFixture(t, dir, cadence)
+	_, ts, bgE, bgP := testServer(t, durableIn(dir), cadence)
 	for i := 0; i < 4; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
 	// No Close (a kill -9 writes no shutdown snapshot): reboot on a copy.
 	crashed := t.TempDir()
 	copyTree(t, dir, crashed)
-	srv2, ts2, _, _ := replicaFixture(t, crashed, cadence)
+	srv2, ts2, _, _ := testServer(t, durableIn(crashed), cadence)
 	defer srv2.Close()
-	post(t, ts2, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
-	tn, _ := srv2.router.Get(DefaultTenantID)
-	j := tn.Data.(*tenantState).journal
+	do(t, ts2.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	j := resident(t, srv2, DefaultTenantID).journal
 	for deadline := time.Now().Add(5 * time.Second); j.RetainStats().SnapshotSeg < 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no snapshot with a tail of %d records against a cadence of 5", j.RetainStats().TailRecords)
@@ -519,7 +477,7 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	}
 	var clock atomic.Int64
 	boot := func(dir string) (*httptest.Server, int, int) {
-		_, ts, bgE, bgP := replicaFixture(t, dir, func(cfg *Config) {
+		_, ts, bgE, bgP := testServer(t, durableIn(dir), func(cfg *Config) {
 			cfg.Budget = 6 // short of the day's volume, so θ follows the rates
 			cfg.Estimator = rollback
 			cfg.Clock = func() time.Duration { return time.Duration(clock.Load()) }
@@ -529,7 +487,7 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 	// Each access comes 20 minutes after the one before.
 	access := func(ts *httptest.Server, bgE, bgP int) string {
 		clock.Add(int64(20 * time.Minute))
-		code, body, _ := postRaw(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+		code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 		if code != http.StatusOK {
 			t.Fatalf("access at %v: status %d: %s", time.Duration(clock.Load()), code, body)
 		}
@@ -542,7 +500,7 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 		for i := 0; i < 19; i++ {
 			access(ts, bgE, bgP)
 		}
-		if code := post(t, ts, "/v1/admin/snapshot", SnapshotRequest{}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "", SnapshotRequest{}); code != http.StatusOK {
 			t.Fatalf("snapshot status %d", code)
 		}
 		for i := 0; i < 3; i++ {
@@ -557,7 +515,7 @@ func TestRollbackSurvivesSnapshotAndCrash(t *testing.T) {
 			out = append(out, access(ts, bgE, bgP))
 		}
 		for _, path := range []string{"/v1/status", "/v1/cycle/summary"} {
-			_, body := getRaw(t, ts, path)
+			_, body, _ := do(t, ts.URL, "GET", path, "", nil)
 			out = append(out, body)
 		}
 		return out
@@ -679,7 +637,7 @@ func treeBytes(t *testing.T, root string) map[string]string {
 func refuseBoot(t *testing.T, dir string) {
 	t.Helper()
 	before := treeBytes(t, dir)
-	cfg, _, _ := durableConfig(t, dir, nil)
+	cfg, _, _ := testConfig(t, durableIn(dir))
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `tenant "default"`) {
 		t.Fatalf("boot: err %v, want a refusal naming the tenant", err)
 	}
@@ -708,9 +666,9 @@ func refuseBoot(t *testing.T, dir string) {
 // writing only once the tenant restored.
 func TestRefusedBootWritesNothing(t *testing.T) {
 	src := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, src)
+	srv, ts, bgE, bgP := testServer(t, durableIn(src))
 	for i := 0; i < 3; i++ {
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("access status %d", code)
 		}
 	}
@@ -785,16 +743,16 @@ func TestRefusedBootWritesNothing(t *testing.T) {
 // tenant is resident and answers as before the restart.
 func TestBootRefusesMoreTenantsThanTheCap(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := durableFixture(t, dir)
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir))
 	ids := []string{"a", "b", DefaultTenantID}
 	want := make(map[string]string)
 	for _, id := range ids {
-		if code := postTenant(t, ts, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("access for %s: status %d", id, code)
 		}
 	}
 	for _, id := range ids {
-		_, want[id] = getRaw(t, ts, "/v1/status?tenant="+id)
+		_, want[id], _ = do(t, ts.URL, "GET", "/v1/status?tenant="+id, "", nil)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -807,7 +765,7 @@ func TestBootRefusesMoreTenantsThanTheCap(t *testing.T) {
 		return strings.Count(stacks.String(), "wal.(*Journal).ticker(")
 	}
 	before := tickers()
-	cfg, _, _ := durableConfig(t, dir, func(cfg *Config) {
+	cfg, _, _ := testConfig(t, durableIn(dir), func(cfg *Config) {
 		cfg.MaxTenants = 2
 		cfg.Fsync = wal.FsyncInterval
 	})
@@ -818,13 +776,13 @@ func TestBootRefusesMoreTenantsThanTheCap(t *testing.T) {
 		t.Fatalf("the refused boot left %d journal tickers running", got-before)
 	}
 
-	srv2, ts2, _, _ := replicaFixture(t, dir, func(cfg *Config) { cfg.MaxTenants = 3 })
+	srv2, ts2, _, _ := testServer(t, durableIn(dir), func(cfg *Config) { cfg.MaxTenants = 3 })
 	defer srv2.Close()
 	if got := srv2.Tenants(); !slices.Equal(got, ids) {
 		t.Fatalf("resident after boot: %v", got)
 	}
 	for _, id := range ids {
-		if _, got := getRaw(t, ts2, "/v1/status?tenant="+id); got != want[id] {
+		if _, got, _ := do(t, ts2.URL, "GET", "/v1/status?tenant="+id, "", nil); got != want[id] {
 			t.Fatalf("%s diverged:\n got %s\nwant %s", id, got, want[id])
 		}
 	}
@@ -843,46 +801,36 @@ func TestBootRefusesMoreTenantsThanTheCap(t *testing.T) {
 // snapshot_B/decision.
 func BenchmarkSnapshotColdPath(b *testing.B) {
 	const decisions, tail = 4096, 8
-	cfg, bgE, bgP := durableConfig(b, b.TempDir(), func(cfg *Config) {
+	cfg, bgE, bgP := testConfig(b, durableIn(b.TempDir()), func(cfg *Config) {
 		cfg.Budget = 1e4 // enough that no decision in the cycle runs dry
 		cfg.Fsync = wal.FsyncNone
 		cfg.CompactInterval = time.Hour
 		cfg.SnapshotEvery = 1 << 30
 	})
-	do := func(h http.Handler, method, target, body string) string {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
-		}
-		return rec.Body.String()
-	}
-	tenantOf := func(srv *Server) *tenantState {
-		tn, ok := srv.router.Get(DefaultTenantID)
-		if !ok {
-			b.Fatal("default tenant not resident")
-		}
-		return tn.Data.(*tenantState)
-	}
 	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	h := srv.Handler()
 	alert := fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, bgE, bgP)
-	for i := 0; i < decisions; i++ {
-		do(h, http.MethodPost, "/v1/access", alert)
+	access := func() {
+		if code, body, _ := do(b, h, "POST", "/v1/access", "", alert); code != http.StatusOK {
+			b.Fatalf("access: status %d: %s", code, body)
+		}
 	}
-	if err := srv.snapshotTenant(tenantOf(srv)); err != nil {
+	for i := 0; i < decisions; i++ {
+		access()
+	}
+	if err := srv.snapshotTenant(resident(b, srv, DefaultTenantID)); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < tail; i++ {
-		do(h, http.MethodPost, "/v1/access", alert)
+		access()
 	}
-	want := do(h, http.MethodGet, "/v1/status", "")
+	_, want, _ := do(b, h, "GET", "/v1/status", "", nil)
 	// No Close first (a kill -9 writes no shutdown snapshot); the tail is
 	// flushed, as a box under -fsync always would have it.
-	if err := tenantOf(srv).journal.Sync(); err != nil {
+	if err := resident(b, srv, DefaultTenantID).journal.Sync(); err != nil {
 		b.Fatal(err)
 	}
 	crashed := b.TempDir()
@@ -896,8 +844,8 @@ func BenchmarkSnapshotColdPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer booted.Close()
-	if got := do(booted.Handler(), http.MethodGet, "/v1/status", ""); got != want {
-		b.Fatalf("the killed box booted to a different status:\n got %s\nwant %s", got, want)
+	if code, got, _ := do(b, booted.Handler(), "GET", "/v1/status", "", nil); code != http.StatusOK || got != want {
+		b.Fatalf("the killed box booted to a different status:\n got %d %s\nwant %s", code, got, want)
 	}
 	rec, err := wal.Recover(booted.tenantWALDir(DefaultTenantID))
 	if err != nil {
@@ -945,7 +893,7 @@ func BenchmarkSnapshotColdPath(b *testing.B) {
 	// which runs untimed. total is the whole snapshot, fsync and prune
 	// included.
 	b.Run("snapshot", func(b *testing.B) {
-		t := tenantOf(booted)
+		t := resident(b, booted, DefaultTenantID)
 		b.Run("hold", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				wait, err := booted.enqueueSnapshot(t)
@@ -977,15 +925,7 @@ func BenchmarkSnapshotColdPath(b *testing.B) {
 func BenchmarkBootWithTenants(b *testing.B) {
 	for _, n := range []int{32, 256} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			cfg, bgE, bgP := durableConfig(b, b.TempDir(), func(cfg *Config) { cfg.MaxTenants = n + 1 })
-			do := func(h http.Handler, method, target, body string) string {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					b.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
-				}
-				return rec.Body.String()
-			}
+			cfg, bgE, bgP := testConfig(b, durableIn(b.TempDir()), func(cfg *Config) { cfg.MaxTenants = n + 1 })
 			srv, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -994,10 +934,12 @@ func BenchmarkBootWithTenants(b *testing.B) {
 			for i := 0; i < n; i++ {
 				body := fmt.Sprintf(`{"employee_id":%d,"patient_id":%d,"tenant":"t%03d"}`, bgE, bgP, i)
 				for k := 0; k < 3; k++ {
-					do(h, http.MethodPost, "/v1/access", body)
+					if code, out, _ := do(b, h, "POST", "/v1/access", "", body); code != http.StatusOK {
+						b.Fatalf("access for t%03d: status %d: %s", i, code, out)
+					}
 				}
 			}
-			want := do(h, http.MethodGet, "/v1/status?tenant=t000", "")
+			_, want, _ := do(b, h, "GET", "/v1/status?tenant=t000", "", nil)
 			// No Close first (a kill -9 writes no shutdown snapshot): each
 			// boot replays the tails, over a fresh copy of the crashed dir.
 			crashed, work := b.TempDir(), filepath.Join(b.TempDir(), "work")
@@ -1021,8 +963,8 @@ func BenchmarkBootWithTenants(b *testing.B) {
 				if got := len(srv.Tenants()); got != n+1 {
 					b.Fatalf("%d tenants resident after boot, want %d", got, n+1)
 				}
-				if got := do(srv.Handler(), http.MethodGet, "/v1/status?tenant=t000", ""); got != want {
-					b.Fatalf("t000 diverged:\n got %s\nwant %s", got, want)
+				if code, got, _ := do(b, srv.Handler(), "GET", "/v1/status?tenant=t000", "", nil); code != http.StatusOK || got != want {
+					b.Fatalf("t000 diverged:\n got %d %s\nwant %s", code, got, want)
 				}
 				if err := srv.Close(); err != nil {
 					b.Fatal(err)

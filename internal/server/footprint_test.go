@@ -32,7 +32,7 @@ func liveHeap() uint64 {
 // heap each; a 64 KiB buffer per journal (77 KB a tenant, as it was) fails.
 func TestTenantHeapFootprint(t *testing.T) {
 	const tenants, ceiling = 64, 24 << 10
-	srv, _, _, _ := replicaFixture(t, t.TempDir(), func(cfg *Config) { cfg.MaxTenants = tenants + 1 })
+	srv, _, _, _ := testServer(t, durableIn(t.TempDir()), func(cfg *Config) { cfg.MaxTenants = tenants + 1 })
 	defer srv.Close()
 	before := liveHeap()
 	for i := 0; i < tenants; i++ {
@@ -54,7 +54,7 @@ func TestTenantHeapFootprint(t *testing.T) {
 // keeps each alert's equilibrium and scheme reads 486.
 func TestWorkingTenantHeapFootprint(t *testing.T) {
 	const tenants, alerts, ceiling = 8, 512, 160
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), nil)
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()))
 	defer srv.Close()
 	names := make([]string, tenants)
 	for i := range names {
@@ -66,9 +66,9 @@ func TestWorkingTenantHeapFootprint(t *testing.T) {
 	before := liveHeap()
 	for _, name := range names {
 		for i := 0; i < alerts; i++ {
-			var resp AccessResponse
-			if code := postTenant(t, ts, name, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp); code != http.StatusOK || !resp.Alert {
-				t.Fatalf("tenant %s access %d: status %d, alert %v", name, i, code, resp.Alert)
+			code, body, _ := do(t, ts.URL, "POST", "/v1/access", name, AccessRequest{EmployeeID: bgE, PatientID: bgP})
+			if code != http.StatusOK || !decode[AccessResponse](t, body).Alert {
+				t.Fatalf("tenant %s access %d: status %d %s, want an alert", name, i, code, body)
 			}
 		}
 	}
@@ -87,7 +87,7 @@ func TestWorkingTenantHeapFootprint(t *testing.T) {
 // the disk and is exported once, and admission series carry no tenant.
 func TestTenantSeriesBudget(t *testing.T) {
 	const ceiling = 15
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()), func(cfg *Config) {
 		cfg.Admission = admit.Config{MaxInflight: 4, QueueDepth: 4}
 		cfg.DiskBudgetBytes = 1 << 30
 		cfg.CompactInterval = time.Hour
@@ -103,15 +103,15 @@ func TestTenantSeriesBudget(t *testing.T) {
 			{"/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}},
 			{"/v1/quit", QuitRequest{EmployeeID: bgE}},
 		} {
-			if code := postTenant(t, ts, tenant, req.path, req.body, nil); code != http.StatusOK {
+			if code, _, _ := do(t, ts.URL, "POST", req.path, tenant, req.body); code != http.StatusOK {
 				t.Fatalf("tenant %q %s: status %d", tenant, req.path, code)
 			}
 		}
 	}
 	drive("") // the default tenant has paid for every tenant-independent series
-	before := scrapeLines(t, srv)
+	before := len(scrape(t, srv))
 	drive("s1")
-	per := scrapeLines(t, srv) - before
+	per := len(scrape(t, srv)) - before
 	t.Logf("per-tenant series: %d series/tenant (ceiling %d)", per, ceiling)
 	if per > ceiling {
 		t.Fatalf("a tenant adds %d series to a scrape, ceiling %d: is a tenant-labelled histogram back?", per, ceiling)

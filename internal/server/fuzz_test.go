@@ -5,52 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/dist"
-	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/sim"
 )
 
-// fuzzServer builds one small multi-tenant server shared by every fuzz
-// iteration: a tight tenant cap so the fuzzer exercises the 429 path, and a
-// canned instant solver so iterations are microseconds, not LP solves.
-func fuzzServer(f *testing.F) http.Handler {
-	f.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		f.Fatal(err)
+// fuzzing is the server every iteration of a fuzz target shares: a tight
+// tenant cap so the fuzzer exercises the 429 path, and a canned instant
+// solver so iterations are microseconds, not LP solves.
+func fuzzing(cfg *Config) {
+	cfg.MaxTenants = 4
+	cfg.SSESolve = func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+		return &game.Result{BestType: -1, Coverage: make([]float64, inst.NumTypes())}, nil
 	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		f.Fatal(err)
-	}
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:       1,
-		MaxTenants: 4,
-		Clock:      func() time.Duration { return 9 * time.Hour },
-		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
-			return &game.Result{BestType: -1, Coverage: make([]float64, inst.NumTypes())}, nil
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return srv.Handler()
 }
 
 // fuzzRoundTrip drives one fuzzed request through the handler and asserts
@@ -60,27 +29,24 @@ func fuzzServer(f *testing.F) http.Handler {
 // body is well-formed JSON with a sane status code.
 func fuzzRoundTrip(t *testing.T, h http.Handler, method, path, tenant string, body []byte) {
 	t.Helper()
-	req := httptest.NewRequest(method, path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
 	// Header values with control bytes cannot arise from net/http's reader;
 	// setting them via the map would fuzz the httptest plumbing, not the
 	// server. Restrict the fuzzed header to printable bytes and let the
 	// tenant validation see everything else via the body field.
-	if tenant != "" && !strings.ContainsFunc(tenant, func(r rune) bool { return r < 0x20 || r == 0x7f }) {
-		req.Header.Set(TenantHeader, tenant)
+	if strings.ContainsFunc(tenant, func(r rune) bool { return r < 0x20 || r == 0x7f }) {
+		tenant = ""
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code < 200 || rec.Code > 599 {
-		t.Fatalf("status %d outside valid range", rec.Code)
+	code, resp, _ := do(t, h, method, path, tenant, bytes.NewReader(body))
+	if code < 200 || code > 599 {
+		t.Fatalf("status %d outside valid range", code)
 	}
-	if !json.Valid(rec.Body.Bytes()) {
-		t.Fatalf("status %d: response body is not JSON: %q", rec.Code, rec.Body.String())
+	if !json.Valid([]byte(resp)) {
+		t.Fatalf("status %d: response body is not JSON: %q", code, resp)
 	}
-	if rec.Code >= 400 {
+	if code >= 400 {
 		var e apiError
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
-			t.Fatalf("status %d: error response lacks an \"error\" field: %q", rec.Code, rec.Body.String())
+		if err := json.Unmarshal([]byte(resp), &e); err != nil || e.Error == "" {
+			t.Fatalf("status %d: error response lacks an \"error\" field: %q", code, resp)
 		}
 	}
 }
@@ -88,7 +54,8 @@ func fuzzRoundTrip(t *testing.T, h http.Handler, method, path, tenant string, bo
 // FuzzDecisionHandler fuzzes POST /v1/access across tenants: malformed
 // JSON, out-of-range IDs, unknown and invalid tenants, oversized bodies.
 func FuzzDecisionHandler(f *testing.F) {
-	h := fuzzServer(f)
+	srv, _, _, _ := testServer(f, fuzzing)
+	h := srv.Handler()
 	f.Add("", []byte(`{"employee_id":30,"patient_id":100}`))
 	f.Add("t1", []byte(`{"employee_id":0,"patient_id":0}`))
 	f.Add("", []byte(`{"employee_id":30,"patient_id":100,"tenant":"t2"}`))
@@ -106,7 +73,8 @@ func FuzzDecisionHandler(f *testing.F) {
 // FuzzNewCycleHandler fuzzes POST /v1/cycle/new: NaN/Inf/negative budgets,
 // junk bodies, tenant storms against the cap.
 func FuzzNewCycleHandler(f *testing.F) {
-	h := fuzzServer(f)
+	srv, _, _, _ := testServer(f, fuzzing)
+	h := srv.Handler()
 	f.Add("", []byte(`{"budget":40}`))
 	f.Add("t1", []byte(`{"budget":-1}`))
 	f.Add("", []byte(`{"budget":"lots"}`))
@@ -124,7 +92,8 @@ func FuzzNewCycleHandler(f *testing.F) {
 // FuzzQuitHandler fuzzes POST /v1/quit: out-of-range and non-integer
 // employees (refused before a tenant can be created), repeats, tenant storms.
 func FuzzQuitHandler(f *testing.F) {
-	h := fuzzServer(f)
+	srv, _, _, _ := testServer(f, fuzzing)
+	h := srv.Handler()
 	f.Add("", []byte(`{"employee_id":3}`))
 	f.Add("t1", []byte(`{"employee_id":3}`))
 	f.Add("", []byte(`{"employee_id":-1}`))
@@ -144,7 +113,8 @@ func FuzzQuitHandler(f *testing.F) {
 // bodies are tolerated, oversized ones are not, unknown tenants are 404, and
 // the shared server is mostly already closed (409).
 func FuzzCloseHandler(f *testing.F) {
-	h := fuzzServer(f)
+	srv, _, _, _ := testServer(f, fuzzing)
+	h := srv.Handler()
 	f.Add("", []byte(``))
 	f.Add("", []byte(`{}`))
 	f.Add("", []byte(`{garbage`))

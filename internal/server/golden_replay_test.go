@@ -6,17 +6,14 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/emr"
-	"github.com/auditgames/sag/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden replay snapshots under testdata/")
@@ -82,54 +79,15 @@ func runGoldenReplay(t *testing.T, tenants []string, goldenFile string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// The clock follows the replayed event stream; requests are sequential,
 	// so the plain variable is race-free.
 	clock := time.Duration(0)
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:       1,
-		MaxTenants: 8,
-		Clock:      func() time.Duration { return clock },
+	srv, _, _, _ := testServer(t, func(cfg *Config) {
+		cfg.World = world
+		cfg.MaxTenants = 8
+		cfg.Clock = func() time.Duration { return clock }
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := srv.Handler()
-
-	do := func(method, path, tenant string, body any, out any) int {
-		t.Helper()
-		var buf bytes.Buffer
-		if body != nil {
-			if err := json.NewEncoder(&buf).Encode(body); err != nil {
-				t.Fatal(err)
-			}
-		}
-		req := httptest.NewRequest(method, path, &buf)
-		req.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			req.Header.Set(TenantHeader, tenant)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if out != nil && rec.Code == http.StatusOK {
-			if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-				t.Fatalf("%s %s: bad body %q: %v", method, path, rec.Body.String(), err)
-			}
-		}
-		return rec.Code
-	}
 
 	events := gen.Day(0)
 	if len(events) == 0 {
@@ -143,11 +101,11 @@ func runGoldenReplay(t *testing.T, tenants []string, goldenFile string) {
 			tenant = tenants[i%len(tenants)]
 		}
 		re := replayEvent{Index: i, Tenant: tenant, Employee: ev.EmployeeID, Patient: ev.PatientID}
-		re.Code = do(http.MethodPost, "/v1/access",
-			tenant, AccessRequest{EmployeeID: ev.EmployeeID, PatientID: ev.PatientID}, &re.Response)
-		if re.Code != http.StatusOK {
-			t.Fatalf("event %d: access status %d", i, re.Code)
+		code, body, _ := do(t, h, "POST", "/v1/access", tenant, AccessRequest{EmployeeID: ev.EmployeeID, PatientID: ev.PatientID})
+		if code != http.StatusOK {
+			t.Fatalf("event %d: access status %d", i, code)
 		}
+		re.Code, re.Response = code, decode[AccessResponse](t, body)
 		if re.Response.Fallback != "" {
 			t.Fatalf("event %d: replay degraded to %q; the golden path must be fully solved", i, re.Response.Fallback)
 		}
@@ -155,11 +113,11 @@ func runGoldenReplay(t *testing.T, tenants []string, goldenFile string) {
 	}
 	snap.Summaries = srv.CycleSummaries()
 	for _, id := range srv.Tenants() {
-		var st Status
-		if code := do(http.MethodGet, "/v1/status?tenant="+id, "", nil, &st); code != http.StatusOK {
+		code, body, _ := do(t, h, "GET", "/v1/status?tenant="+id, "", nil)
+		if code != http.StatusOK {
 			t.Fatalf("status for %q: %d", id, code)
 		}
-		snap.Statuses[id] = st
+		snap.Statuses[id] = decode[Status](t, body)
 	}
 
 	got, err := json.MarshalIndent(snap, "", "  ")

@@ -4,88 +4,45 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
-	"github.com/auditgames/sag/internal/emr"
-	"github.com/auditgames/sag/internal/sim"
 )
 
 func TestHealthAndReadiness(t *testing.T) {
-	srv, ts, _, _ := fixture(t)
+	srv, ts, _, _ := testServer(t)
 
-	var probe struct {
-		Status string `json:"status"`
+	probe := func(path string, wantCode int, wantStatus string) {
+		t.Helper()
+		code, body, _ := do(t, ts.URL, "GET", path, "", nil)
+		if got := decode[readyzBody](t, body).Status; code != wantCode || wantStatus != "" && got != wantStatus {
+			t.Fatalf("GET %s = %d %q, want %d %q", path, code, got, wantCode, wantStatus)
+		}
 	}
-	if code := get(t, ts, "/v1/healthz", &probe); code != http.StatusOK || probe.Status != "ok" {
-		t.Fatalf("healthz = %d %q, want 200 ok", code, probe.Status)
-	}
-	if code := get(t, ts, "/v1/readyz", &probe); code != http.StatusOK || probe.Status != "ready" {
-		t.Fatalf("readyz = %d %q, want 200 ready", code, probe.Status)
-	}
+	probe("/v1/healthz", http.StatusOK, "ok")
+	probe("/v1/readyz", http.StatusOK, "ready")
 
 	srv.SetReady(false)
-	if code := get(t, ts, "/v1/readyz", &probe); code != http.StatusServiceUnavailable || probe.Status != "draining" {
-		t.Fatalf("draining readyz = %d %q, want 503 draining", code, probe.Status)
-	}
+	probe("/v1/readyz", http.StatusServiceUnavailable, "draining")
 	// Liveness is not readiness: the process is still up.
-	if code := get(t, ts, "/v1/healthz", &probe); code != http.StatusOK {
-		t.Fatalf("healthz while draining = %d, want 200", code)
-	}
+	probe("/v1/healthz", http.StatusOK, "")
 	srv.SetReady(true)
-	if code := get(t, ts, "/v1/readyz", &probe); code != http.StatusOK {
-		t.Fatalf("readyz after re-ready = %d, want 200", code)
-	}
-}
-
-// failingEstimatorFixture builds a server whose estimator always errors, so
-// every gamed alert exercises the engine's degradation ladder end to end
-// through the HTTP path.
-func failingEstimatorFixture(t *testing.T) (*httptest.Server, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return nil, context.DeadlineExceeded
-		}),
-		Seed:  1,
-		Clock: func() time.Duration { return 9 * time.Hour },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, bgE, bgP
+	probe("/v1/readyz", http.StatusOK, "")
 }
 
 func TestAccessDegradesInsteadOf500(t *testing.T) {
-	ts, bgE, bgP := failingEstimatorFixture(t)
-	var resp AccessResponse
-	code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp)
+	// The estimator always errors, so every gamed alert takes the engine's
+	// degradation ladder end to end through the HTTP path.
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) {
+		cfg.Estimator = core.EstimatorFunc(func(time.Duration) ([]float64, error) { return nil, context.DeadlineExceeded })
+	})
+	code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	if code != http.StatusOK {
 		t.Fatalf("access with broken estimator = %d, want 200 (degraded)", code)
 	}
+	resp := decode[AccessResponse](t, body)
 	if !resp.Alert {
 		t.Fatal("planted pair did not alert")
 	}
@@ -98,7 +55,7 @@ func TestAccessDegradesInsteadOf500(t *testing.T) {
 }
 
 func TestRunGracefulShutdown(t *testing.T) {
-	srv, _, _, _ := fixture(t)
+	srv, _, _, _ := testServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -123,19 +80,12 @@ func TestRunGracefulShutdown(t *testing.T) {
 	mainAddr, dbgAddr := <-addrCh, <-addrCh
 
 	// Both listeners serve while running.
-	resp, err := http.Get("http://" + mainAddr.String() + "/v1/healthz")
-	if err != nil {
-		t.Fatalf("main listener: %v", err)
+	if code, _, _ := do(t, "http://"+mainAddr.String(), "GET", "/v1/healthz", "", nil); code != http.StatusOK {
+		t.Fatalf("main listener: healthz = %d, want 200", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
+	if code, _, _ := do(t, "http://"+dbgAddr.String(), "GET", "/", "", nil); code == 0 {
+		t.Fatal("debug listener did not answer")
 	}
-	resp, err = http.Get("http://" + dbgAddr.String() + "/")
-	if err != nil {
-		t.Fatalf("debug listener: %v", err)
-	}
-	resp.Body.Close()
 
 	// Shutdown: Run must drain both listeners and return nil within grace.
 	cancel()
@@ -150,13 +100,14 @@ func TestRunGracefulShutdown(t *testing.T) {
 	if !drained.Load() || !shutdown.Load() {
 		t.Fatalf("lifecycle hooks: drain=%v shutdown=%v, want both true", drained.Load(), shutdown.Load())
 	}
-	if _, err := http.Get("http://" + mainAddr.String() + "/v1/healthz"); err == nil {
+	if conn, err := net.Dial("tcp", mainAddr.String()); err == nil {
+		conn.Close()
 		t.Fatal("main listener still serving after shutdown")
 	}
 }
 
 func TestRunListenError(t *testing.T) {
-	srv, _, _, _ := fixture(t)
+	srv, _, _, _ := testServer(t)
 	// Occupy a port, then ask Run to bind it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -54,7 +54,7 @@ func readmeMetricFamilies(t *testing.T) map[string]bool {
 // close and a new cycle; every family its scrape then declares must have a
 // row, and every row must name a family it exports or a standby-only one.
 func TestReadmeMetricTableMatchesExport(t *testing.T) {
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()), func(cfg *Config) {
 		cfg.Admission = admit.Config{MaxInflight: 4, QueueDepth: 4}
 		cfg.DiskBudgetBytes = 1 << 30
 		cfg.CompactInterval = time.Hour
@@ -70,7 +70,7 @@ func TestReadmeMetricTableMatchesExport(t *testing.T) {
 		{"/v1/cycle/close", struct{}{}},
 		{"/v1/cycle/new", NewCycleRequest{Budget: 40}},
 	} {
-		if code := post(t, ts, req.path, req.body, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", req.path, "", req.body); code != http.StatusOK {
 			t.Fatalf("POST %s: status %d", req.path, code)
 		}
 	}

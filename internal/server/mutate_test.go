@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +15,7 @@ import (
 
 	"github.com/auditgames/sag/internal/admit"
 	"github.com/auditgames/sag/internal/core"
+	"github.com/auditgames/sag/internal/wal"
 )
 
 // cycleState is everything a mutation can change for one tenant, read
@@ -26,36 +26,27 @@ type cycleState struct {
 	Closed                          bool
 	Budget, Remaining               float64
 	Decisions                       int
-	Appends                         uint64
-	// Counters are the tenant's sag_server_*_total service counters.
-	Counters [4]uint64
-	Tenants  string
+	// Series are the journal's appends and the sag_server_* service series.
+	Series  map[string]float64
+	Tenants string
 }
 
 func stateOf(t *testing.T, srv *Server) cycleState {
 	t.Helper()
+	state := cycleState{Series: scrape(t, srv, wal.MetricAppendsTotal, "sag_server_"), Tenants: strings.Join(srv.Tenants(), ",")}
 	tn, ok := srv.router.Get(DefaultTenantID)
 	if !ok {
 		// A standby holds no tenant: what a refusal could change there is
 		// the journal and the resident set.
-		return cycleState{Appends: walAppends(srv), Tenants: strings.Join(srv.Tenants(), ",")}
+		return state
 	}
 	ts := tn.Data.(*tenantState)
 	st := ts.engine.Status()
-	return cycleState{
-		Accesses: st.Accesses, Alerts: st.Alerts, Warned: st.Warned, Quits: st.Quits,
-		Flagged: st.FlaggedUsers, Closed: st.Closed,
-		Budget: st.Budget, Remaining: st.Remaining,
-		Decisions: ts.engine.Summary().Alerts, Appends: walAppends(srv),
-		Counters: serviceCounters(srv), Tenants: strings.Join(srv.Tenants(), ","),
-	}
-}
-
-// serve runs one POST through the handler in-process.
-func serve(srv *Server, path, body string) *httptest.ResponseRecorder {
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-	return rec
+	state.Accesses, state.Alerts, state.Warned, state.Quits = st.Accesses, st.Alerts, st.Warned, st.Quits
+	state.Flagged, state.Closed = st.FlaggedUsers, st.Closed
+	state.Budget, state.Remaining = st.Budget, st.Remaining
+	state.Decisions = ts.engine.Summary().Alerts
+	return state
 }
 
 // TestMutationRouteStageMatrix pins the route × stage table the pipeline owns
@@ -68,6 +59,7 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 		retry bool   // both backoff headers present and well-formed
 	}
 	routes := []string{"/v1/access", "/v1/quit", "/v1/cycle/close", "/v1/cycle/new"}
+	const appends = wal.MetricAppendsTotal + dflt
 	valid := func(bgE, bgP int) map[string]string {
 		return map[string]string{
 			"/v1/access":      fmt.Sprintf(`{"employee_id":%d,"patient_id":%d}`, bgE, bgP),
@@ -190,8 +182,8 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 		{
 			name: "closed cycle",
 			prep: func(t *testing.T, srv *Server) {
-				if rec := serve(srv, "/v1/cycle/close", ""); rec.Code != http.StatusOK {
-					t.Fatalf("closing the cycle answered %d", rec.Code)
+				if code, _, _ := do(t, srv.Handler(), "POST", "/v1/cycle/close", "", ""); code != http.StatusOK {
+					t.Fatalf("closing the cycle answered %d", code)
 				}
 			},
 			cells: map[string]cell{
@@ -205,7 +197,7 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 	for _, st := range stages {
 		for _, route := range routes {
 			t.Run(st.name+route, func(t *testing.T) {
-				srv, _, bgE, bgP := replicaFixture(t, t.TempDir(), st.mod)
+				srv, _, bgE, bgP := testServer(t, durableIn(t.TempDir()), st.mod)
 				defer srv.Close()
 				if st.prep != nil {
 					st.prep(t, srv)
@@ -218,24 +210,22 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 				if st.edit != nil {
 					body = st.edit(route, body)
 				}
-				var rec *httptest.ResponseRecorder
+				var sent any = body
 				if st.chunked {
-					rec = httptest.NewRecorder()
-					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, io.MultiReader(strings.NewReader(body))))
-				} else {
-					rec = serve(srv, route, body)
+					sent = io.MultiReader(strings.NewReader(body))
 				}
+				code, resp, hdr := do(t, srv.Handler(), "POST", route, "", sent)
 				want := st.cells[route]
-				if rec.Code != want.code || !strings.Contains(rec.Body.String(), want.body) {
-					t.Fatalf("answered %d %q, want %d containing %q", rec.Code, rec.Body.String(), want.code, want.body)
+				if code != want.code || !strings.Contains(resp, want.body) {
+					t.Fatalf("answered %d %q, want %d containing %q", code, resp, want.code, want.body)
 				}
-				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				if ct := hdr.Get("Content-Type"); ct != "application/json" {
 					t.Fatalf("Content-Type %q, want application/json", ct)
 				}
 				if want.retry {
-					checkRetryHeaders(t, rec.Header())
-				} else if ra := rec.Header().Get("Retry-After"); ra != "" {
-					t.Fatalf("unexpected Retry-After %q on a %d", ra, rec.Code)
+					checkRetryHeaders(t, hdr)
+				} else if ra := hdr.Get("Retry-After"); ra != "" {
+					t.Fatalf("unexpected Retry-After %q on a %d", ra, code)
 				}
 				after := stateOf(t, srv)
 				if after.Tenants != before.Tenants {
@@ -244,8 +234,8 @@ func TestMutationRouteStageMatrix(t *testing.T) {
 				if want.code != http.StatusOK && !reflect.DeepEqual(before, after) {
 					t.Fatalf("a refused request changed state:\nbefore: %+v\nafter:  %+v", before, after)
 				}
-				if want.code == http.StatusOK && after.Appends != before.Appends+1 {
-					t.Fatalf("an acknowledged request journaled %d records, want exactly 1", after.Appends-before.Appends)
+				if appended := after.Series[appends] - before.Series[appends]; want.code == http.StatusOK && appended != 1 {
+					t.Fatalf("an acknowledged request journaled %g records, want exactly 1", appended)
 				}
 			})
 		}
@@ -259,7 +249,7 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			dir := t.TempDir()
-			srv, ts, _, _ := fixtureWith(t, func(cfg *Config) {
+			srv, ts, _, _ := testServer(t, func(cfg *Config) {
 				if durable {
 					cfg.DataDir = dir
 				}
@@ -271,11 +261,11 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 				{"/v1/quit", `{"tenant":"ghost","employee_id":1048576}`},
 				{"/v1/quit", `{"tenant":"ghost","employee_id":-1}`},
 			} {
-				if rec := serve(srv, c.path, c.body); rec.Code != http.StatusBadRequest {
-					t.Fatalf("POST %s %s answered %d, want 400", c.path, c.body, rec.Code)
+				if code, _, _ := do(t, srv.Handler(), "POST", c.path, "", c.body); code != http.StatusBadRequest {
+					t.Fatalf("POST %s %s answered %d, want 400", c.path, c.body, code)
 				}
 			}
-			if code := get(t, ts, "/v1/status?tenant=ghost", nil); code != http.StatusNotFound {
+			if code, _, _ := do(t, ts.URL, "GET", "/v1/status?tenant=ghost", "", nil); code != http.StatusNotFound {
 				t.Fatalf("status for the ghost tenant: %d, want 404", code)
 			}
 			if got := srv.Tenants(); !reflect.DeepEqual(got, before) {
@@ -286,13 +276,13 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 			}
 			// A detector-rejected access is not such a request: it stays one
 			// counted, journaled access answered 400.
-			var st Status
-			if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: 1 << 20}, nil); code != http.StatusBadRequest {
+			if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: 1 << 20}); code != http.StatusBadRequest {
 				t.Fatalf("malformed access answered %d, want 400", code)
 			}
-			get(t, ts, "/v1/status", &st)
-			if st.Accesses != 1 || (durable && walAppends(srv) != 1) {
-				t.Fatalf("malformed access: accesses=%d journal appends=%d, want 1 and 1", st.Accesses, walAppends(srv))
+			_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+			appends := scrape(t, srv)[wal.MetricAppendsTotal+dflt]
+			if st := decode[Status](t, body); st.Accesses != 1 || (durable && appends != 1) {
+				t.Fatalf("malformed access: accesses=%d journal appends=%g, want 1 and 1", st.Accesses, appends)
 			}
 		})
 	}
@@ -305,7 +295,7 @@ func TestInvalidRequestCreatesNoTenant(t *testing.T) {
 // and on replay alike, and the flagged gauge follows the flagged set.
 func TestConcurrentFirstQuit(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := durableFixture(t, dir)
+	srv, ts, _, _ := testServer(t, durableIn(dir))
 	defer srv.Close()
 	const racers = 8
 	var wg sync.WaitGroup
@@ -316,7 +306,7 @@ func TestConcurrentFirstQuit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			codes[i] = serve(srv, "/v1/quit", `{"employee_id":7}`).Code
+			codes[i], _, _ = do(t, srv.Handler(), "POST", "/v1/quit", "", `{"employee_id":7}`)
 		}()
 	}
 	close(start)
@@ -326,24 +316,22 @@ func TestConcurrentFirstQuit(t *testing.T) {
 			t.Fatalf("racer %d answered %d", i, code)
 		}
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Quits != 1 || st.FlaggedUsers != 1 {
+	_, live, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, live); st.Quits != 1 || st.FlaggedUsers != 1 {
 		t.Fatalf("quits=%d flagged_users=%d after %d racing first quits, want 1 and 1", st.Quits, st.FlaggedUsers, racers)
 	}
-	if quits, flagged := serviceCounters(srv)[3], flaggedGauge(srv); quits != 1 || flagged != 1 {
-		t.Fatalf("%s=%d %s=%g after %d racing first quits, want 1 and 1", core.MetricQuitsTotal, quits, core.MetricFlaggedUsers, flagged, racers)
+	if m := scrape(t, srv, "sag_server_"); m[core.MetricQuitsTotal+dflt] != 1 || m[core.MetricFlaggedUsers+dflt] != 1 {
+		t.Fatalf("%v after %d racing first quits, want 1 quit and 1 flagged", m, racers)
 	}
-	live := mustGetRaw(t, ts, "/v1/status")
 	dir2 := t.TempDir()
 	copyTree(t, dir, dir2)
-	srv2, ts2, _, _ := durableFixture(t, dir2)
+	srv2, ts2, _, _ := testServer(t, durableIn(dir2))
 	defer srv2.Close()
-	if got := mustGetRaw(t, ts2, "/v1/status"); got != live {
-		t.Fatalf("recovered status diverges:\nlive:      %s\nrecovered: %s", live, got)
+	if code, got, _ := do(t, ts2.URL, "GET", "/v1/status", "", nil); code != http.StatusOK || got != live {
+		t.Fatalf("recovered status diverges:\nlive:      %s\nrecovered: %d %s", live, code, got)
 	}
 	// Replay counts nothing: the recovered server has served no quit.
-	if quits, flagged := serviceCounters(srv2)[3], flaggedGauge(srv2); quits != 0 || flagged != 1 {
-		t.Fatalf("recovered: %s=%d %s=%g, want 0 and 1", core.MetricQuitsTotal, quits, core.MetricFlaggedUsers, flagged)
+	if m := scrape(t, srv2, "sag_server_"); m[core.MetricQuitsTotal+dflt] != 0 || m[core.MetricFlaggedUsers+dflt] != 1 {
+		t.Fatalf("recovered: %v, want 0 quits and 1 flagged", m)
 	}
 }

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,81 +11,12 @@ import (
 	"time"
 
 	"github.com/auditgames/sag/internal/admit"
-	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
 	"github.com/auditgames/sag/internal/dist"
-	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/sim"
 )
 
 // The overload smoke test: a capped admission queue, one greedy tenant
 // flooding it, and paced polite tenants whose goodput must survive.
-
-// overloadFixture builds a server whose every decision costs solveDelay in
-// the solver, behind the given admission config.
-func overloadFixture(t *testing.T, adm admit.Config, solveDelay time.Duration) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   1e9,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:      1,
-		Clock:     func() time.Duration { return 9 * time.Hour },
-		Admission: adm,
-		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
-			select {
-			case <-time.After(solveDelay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return &game.Result{BestType: -1, Coverage: make([]float64, inst.NumTypes())}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, bgE, bgP
-}
-
-// tenantAccess fires one decision request for tenant and returns the status
-// plus both backoff headers (empty unless shed): the coarse RFC 9110
-// Retry-After and the precise X-SAG-Retry-After-Ms.
-func tenantAccess(t *testing.T, ts *httptest.Server, tenant string, bgE, bgP int) (int, string, string) {
-	t.Helper()
-	body := strings.NewReader(`{"employee_id":` + strconv.Itoa(bgE) + `,"patient_id":` + strconv.Itoa(bgP) + `}`)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/access", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(TenantHeader, tenant)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get(RetryAfterMsHeader)
-}
 
 // TestOverloadGreedyTenantShedPoliteSurvives runs the acceptance shape at
 // test scale: one greedy tenant floods a small queue from several unpaced
@@ -106,11 +34,24 @@ func TestOverloadGreedyTenantShedPoliteSurvives(t *testing.T) {
 	// flags can express: round-robin grants and longest-queue push-out alone
 	// keep the polite tenant whole.
 	const solveDelay = 10 * time.Millisecond
-	_, ts, bgE, bgP := overloadFixture(t, admit.Config{MaxInflight: 4, QueueDepth: 6}, solveDelay)
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) {
+		cfg.Budget = 1e9
+		cfg.Admission = admit.Config{MaxInflight: 4, QueueDepth: 6}
+		// Every decision costs solveDelay in the solver.
+		cfg.SSESolve = func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+			select {
+			case <-time.After(solveDelay):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return &game.Result{BestType: -1, Coverage: make([]float64, inst.NumTypes())}, nil
+		}
+	})
+	alert := AccessRequest{EmployeeID: bgE, PatientID: bgP}
 
 	// Warm both tenants (creates engines).
 	for _, tenant := range []string{"greedy", "polite"} {
-		if code, _, _ := tenantAccess(t, ts, tenant, bgE, bgP); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", tenant, alert); code != http.StatusOK {
 			t.Fatalf("warm access for %s: status %d", tenant, code)
 		}
 	}
@@ -134,7 +75,8 @@ func TestOverloadGreedyTenantShedPoliteSurvives(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				code, ra, ms := tenantAccess(t, ts, "greedy", bgE, bgP)
+				code, _, hdr := do(t, ts.URL, "POST", "/v1/access", "greedy", alert)
+				ra, ms := hdr.Get("Retry-After"), hdr.Get(RetryAfterMsHeader)
 				switch code {
 				case http.StatusOK:
 					greedyOK.Add(1)
@@ -156,7 +98,7 @@ func TestOverloadGreedyTenantShedPoliteSurvives(t *testing.T) {
 
 	politeOK := 0
 	for i := 0; i < politeRequests; i++ {
-		if code, _, _ := tenantAccess(t, ts, "polite", bgE, bgP); code == http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "polite", alert); code == http.StatusOK {
 			politeOK++
 		}
 		time.Sleep(politeInterval)
@@ -186,7 +128,7 @@ func TestOverloadGreedyTenantShedPoliteSurvives(t *testing.T) {
 			greedyShed.Load(), RetryAfterMsHeader, hints)
 	}
 
-	code, metrics := getRaw(t, ts, "/v1/metrics")
+	code, metrics, _ := do(t, ts.URL, "GET", "/v1/metrics", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}
@@ -204,31 +146,16 @@ func TestOverloadGreedyTenantShedPoliteSurvives(t *testing.T) {
 // TestOverloadAdmissionDisabledByDefault: the zero-value Admission config
 // must leave the serving path untouched.
 func TestOverloadAdmissionDisabledByDefault(t *testing.T) {
-	srv, ts, bgE, bgP := fixture(t)
+	srv, ts, bgE, bgP := testServer(t)
 	if srv.admit != nil {
 		t.Fatal("zero-value Admission config built a controller")
 	}
 	for i := 0; i < 20; i++ {
-		if code, ra, ms := tenantAccess(t, ts, "anyone", bgE, bgP); code != http.StatusOK || ra != "" || ms != "" {
+		code, _, hdr := do(t, ts.URL, "POST", "/v1/access", "anyone", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+		if ra, ms := hdr.Get("Retry-After"), hdr.Get(RetryAfterMsHeader); code != http.StatusOK || ra != "" || ms != "" {
 			t.Fatalf("request %d: status %d retry-after %q/%q, want 200 with no backoff headers", i, code, ra, ms)
 		}
 	}
-}
-
-// scrapeLines counts the sample lines a scrape of srv's registry exports.
-func scrapeLines(t *testing.T, srv *Server) int {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := srv.Metrics().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			n++
-		}
-	}
-	return n
 }
 
 // TestRefusedTenantsMintNoSeries: admission runs before the tenant is
@@ -240,20 +167,21 @@ func scrapeLines(t *testing.T, srv *Server) int {
 func TestRefusedTenantsMintNoSeries(t *testing.T) {
 	const refused = 500
 	growth := func(adm admit.Config) int {
-		srv, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) {
+		srv, ts, bgE, bgP := testServer(t, func(cfg *Config) {
 			cfg.MaxTenants = 2
 			cfg.Admission = adm
 		})
-		if code, _, _ := tenantAccess(t, ts, "resident", bgE, bgP); code != http.StatusOK {
+		alert := AccessRequest{EmployeeID: bgE, PatientID: bgP}
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "resident", alert); code != http.StatusOK {
 			t.Fatalf("filling the resident cap: status %d", code)
 		}
-		before := scrapeLines(t, srv)
+		before := len(scrape(t, srv))
 		for i := 0; i < refused; i++ {
-			if code, _, _ := tenantAccess(t, ts, fmt.Sprintf("fresh-%d", i), bgE, bgP); code != http.StatusTooManyRequests {
+			if code, _, _ := do(t, ts.URL, "POST", "/v1/access", fmt.Sprintf("fresh-%d", i), alert); code != http.StatusTooManyRequests {
 				t.Fatalf("fresh tenant %d beyond the cap: status %d, want 429", i, code)
 			}
 		}
-		return scrapeLines(t, srv) - before
+		return len(scrape(t, srv)) - before
 	}
 	off := growth(admit.Config{})
 	on := growth(admit.Config{MaxInflight: 8, QueueDepth: 16})

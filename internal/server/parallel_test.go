@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/wal"
 )
 
@@ -48,14 +46,10 @@ func BenchmarkServeParallel(b *testing.B) {
 
 func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	goroutines := par * runtime.GOMAXPROCS(0)
-	cfg, bgE, bgP := durableConfig(b, b.TempDir(), func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(b, durableIn(b.TempDir()), func(cfg *Config) {
 		cfg.MaxTenants = goroutines + 1
 		cfg.CompactInterval = time.Hour // no scan-driven snapshot inside the timed loop
 	})
-	srv, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	defer srv.Close()
 	tenants := make([]string, goroutines)
 	for i := range tenants {
@@ -70,14 +64,12 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 		sent[id], alerted[id] = new(atomic.Int64), new(atomic.Int64)
 	}
 
-	// do sends one request for tenant and returns its status and body.
-	var do func(method, path, tenant, body string) (int, string)
+	// send sends one request for tenant and returns its status and body.
+	var send func(method, path, tenant, body string) (int, string)
 	if socket {
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
 		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: goroutines}}
 		defer client.CloseIdleConnections()
-		do = func(method, path, tenant, body string) (int, string) {
+		send = func(method, path, tenant, body string) (int, string) {
 			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 			if err != nil {
 				return 0, err.Error()
@@ -96,12 +88,9 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 		}
 	} else {
 		h := srv.Handler()
-		do = func(method, path, tenant, body string) (int, string) {
-			rec := httptest.NewRecorder()
-			req := httptest.NewRequest(method, path, strings.NewReader(body))
-			req.Header.Set(TenantHeader, tenant)
-			h.ServeHTTP(rec, req)
-			return rec.Code, rec.Body.String()
+		send = func(method, path, tenant, body string) (int, string) {
+			code, out, _ := do(b, h, method, path, tenant, body)
+			return code, out
 		}
 	}
 
@@ -110,14 +99,14 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	// Every tenant exists before the clock starts: creating one opens its
 	// journal, which is boot's cost, not serving's.
 	for id, n := range sent {
-		if code, body := do(http.MethodPost, "/v1/access", id, benign); code != http.StatusOK {
+		if code, body := send(http.MethodPost, "/v1/access", id, benign); code != http.StatusOK {
 			b.Fatalf("tenant %s: warm-up access: %d %s", id, code, body)
 		}
 		n.Add(1)
 	}
 
 	var next atomic.Int64
-	before, cpuBefore := srv.Metrics().Snapshot(), cpuTime(b)
+	before, cpuBefore := scrape(b, srv, wal.MetricAppendsTotal, wal.MetricFsyncSeconds+"_count"), cpuTime(b)
 	b.SetParallelism(par)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -130,7 +119,7 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 				body = alert
 				alerts.Add(1)
 			}
-			code, resp := do(http.MethodPost, "/v1/access", tenant, body)
+			code, resp := send(http.MethodPost, "/v1/access", tenant, body)
 			count.Add(1)
 			if code != http.StatusOK {
 				b.Errorf("tenant %s: access answered %d: %s", tenant, code, resp)
@@ -149,18 +138,22 @@ func benchServeParallel(b *testing.B, hot bool, par int, socket bool) {
 	if b.Failed() {
 		return
 	}
-	after, cpu := srv.Metrics().Snapshot(), cpuTime(b)-cpuBefore
+	cpu := cpuTime(b) - cpuBefore
+	after := scrape(b, srv, wal.MetricAppendsTotal, wal.MetricFsyncSeconds+"_count")
 
-	appends := counterSum(after, wal.MetricAppendsTotal) - counterSum(before, wal.MetricAppendsTotal)
-	fsyncs := after.Histograms[wal.MetricFsyncSeconds].Count - before.Histograms[wal.MetricFsyncSeconds].Count
-	if fsyncs > 0 {
-		b.ReportMetric(float64(appends)/float64(fsyncs), "appends/fsync")
+	var appends float64
+	for id := range sent {
+		appends += after[wal.MetricAppendsTotal+`{tenant="`+id+`"}`] - before[wal.MetricAppendsTotal+`{tenant="`+id+`"}`]
 	}
-	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
+	fsyncs := after[wal.MetricFsyncSeconds+"_count"] - before[wal.MetricFsyncSeconds+"_count"]
+	if fsyncs > 0 {
+		b.ReportMetric(appends/fsyncs, "appends/fsync")
+	}
+	b.ReportMetric(fsyncs/float64(b.N), "fsyncs/op")
 	b.ReportMetric(float64(cpu.Microseconds())/float64(b.N), "cpu-µs/op")
 
 	for id, n := range sent {
-		code, body := do(http.MethodGet, "/v1/status", id, "")
+		code, body := send(http.MethodGet, "/v1/status", id, "")
 		var st Status
 		if err := json.Unmarshal([]byte(body), &st); err != nil || code != http.StatusOK ||
 			int64(st.Accesses) != n.Load() || int64(st.Alerts) != alerted[id].Load() {
@@ -176,15 +169,4 @@ func cpuTime(b *testing.B) time.Duration {
 		b.Fatal(err)
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-}
-
-// counterSum adds every series of the counter family name.
-func counterSum(s obs.Snapshot, name string) uint64 {
-	var sum uint64
-	for id, v := range s.Counters {
-		if id == name || strings.HasPrefix(id, name+"{") {
-			sum += v
-		}
-	}
-	return sum
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,70 +14,15 @@ import (
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
-	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/replica"
-	"github.com/auditgames/sag/internal/sim"
 	"github.com/auditgames/sag/internal/wal"
 )
-
-// replicaFixture is durableFixture with a config hook, so replication tests
-// can set FollowPrimary and SegmentBytes while keeping the
-// exact same world and engine seeds on both sides of the stream.
-func replicaFixture(t *testing.T, dir string, mod func(*Config)) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	cfg, bgE, bgP := durableConfig(t, dir, mod)
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, bgE, bgP
-}
-
-// durableConfig is replicaFixture's configuration, for callers that call New
-// themselves: a boot expected to fail, or one a benchmark times.
-func durableConfig(t testing.TB, dir string, mod func(*Config)) (Config, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}, nil
-		}),
-		Seed:    1,
-		Clock:   func() time.Duration { return 9 * time.Hour },
-		DataDir: dir,
-		Fsync:   wal.FsyncAlways,
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	return cfg, bgE, bgP
-}
 
 // startFollower builds a follower over dir replicating from primaryURL and
 // starts its replication clients.
 func startFollower(t *testing.T, dir, primaryURL string) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, ts, _, _ := replicaFixture(t, dir, func(cfg *Config) {
+	srv, ts, _, _ := testServer(t, durableIn(dir), func(cfg *Config) {
 		cfg.FollowPrimary = primaryURL
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -104,48 +46,20 @@ func waitFollowerReady(t *testing.T, ts *httptest.Server) {
 	var lastCode int
 	var lastBody string
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		lastCode, lastBody = resp.StatusCode, string(raw)
-		var body readyzBody
-		if err := json.Unmarshal(raw, &body); err != nil {
-			t.Fatalf("readyz body %q: %v", raw, err)
-		}
+		lastCode, lastBody, _ = do(t, ts.URL, "GET", "/v1/readyz", "", nil)
+		body := decode[readyzBody](t, lastBody)
 		if body.Status != "following" {
-			t.Fatalf("readyz status %q, want \"following\": %s", body.Status, raw)
+			t.Fatalf("readyz status %q, want \"following\": %s", body.Status, lastBody)
 		}
-		if resp.StatusCode == http.StatusOK {
+		if lastCode == http.StatusOK {
 			if body.LagRecords != 0 {
-				t.Fatalf("ready follower reports lag %d: %s", body.LagRecords, raw)
+				t.Fatalf("ready follower reports lag %d: %s", body.LagRecords, lastBody)
 			}
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("follower never became ready (last: %d %s)", lastCode, lastBody)
-}
-
-// postRaw posts a JSON body and returns the raw response for byte compares.
-func postRaw(t *testing.T, ts *httptest.Server, path string, body any) (int, string, http.Header) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+path, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(raw), resp.Header
 }
 
 // tenantSegRange reads the min and max WAL segment numbers of the default
@@ -187,11 +101,11 @@ func tenantSegRange(t *testing.T, dir string) (lo, hi int) {
 // byte-identical to the primary's.
 func sameSummary(t *testing.T, prim, fol *httptest.Server) {
 	t.Helper()
-	code, want := getRaw(t, prim, "/v1/cycle/summary")
+	code, want, _ := do(t, prim.URL, "GET", "/v1/cycle/summary", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("primary summary status %d", code)
 	}
-	code, got := getRaw(t, fol, "/v1/cycle/summary")
+	code, got, _ := do(t, fol.URL, "GET", "/v1/cycle/summary", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("promoted summary status %d", code)
 	}
@@ -207,14 +121,14 @@ func sameSummary(t *testing.T, prim, fol *httptest.Server) {
 // primary's.
 func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	for i := 0; i < 6; i++ {
-		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	post(t, prim, "/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}, nil)
-	if code := post(t, prim, "/v1/quit", QuitRequest{EmployeeID: bgE + 1}, nil); code != http.StatusOK {
+	do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: 0, PatientID: 0})
+	if code, _, _ := do(t, prim.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE + 1}); code != http.StatusOK {
 		t.Fatalf("primary quit status %d", code)
 	}
 
@@ -223,7 +137,7 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 
 	// Mutations are gated with 503 + Retry-After until promotion.
 	for _, path := range []string{"/v1/access", "/v1/quit", "/v1/cycle/close", "/v1/cycle/new"} {
-		code, body, hdr := postRaw(t, fol, path, AccessRequest{EmployeeID: bgE, PatientID: bgP})
+		code, body, hdr := do(t, fol.URL, "POST", path, "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 		if code != http.StatusServiceUnavailable {
 			t.Fatalf("%s on follower: status %d body %s, want 503", path, code, body)
 		}
@@ -235,32 +149,26 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 		}
 	}
 	// A follower cannot feed another follower.
-	code, body := getRaw(t, fol, "/v1/replicate?tenant="+DefaultTenantID)
+	code, body, _ := do(t, fol.URL, "GET", "/v1/replicate?tenant="+DefaultTenantID, "", nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("replicate from follower: status %d body %s, want 503", code, body)
 	}
 
-	var promoted struct {
-		Promoted int `json:"promoted"`
+	if code, body, _ := do(t, fol.URL, "POST", "/v1/admin/promote", "", struct{}{}); code != http.StatusOK || body != `{"promoted":1}`+"\n" {
+		t.Fatalf("promote: %d %s, want 1 tenant promoted", code, body)
 	}
-	if code := post(t, fol, "/v1/admin/promote", struct{}{}, &promoted); code != http.StatusOK {
-		t.Fatalf("promote status %d", code)
-	}
-	if promoted.Promoted != 1 {
-		t.Fatalf("promoted %d tenants, want 1", promoted.Promoted)
-	}
-	if code := post(t, fol, "/v1/admin/promote", struct{}{}, nil); code != http.StatusConflict {
+	if code, _, _ := do(t, fol.URL, "POST", "/v1/admin/promote", "", struct{}{}); code != http.StatusConflict {
 		t.Fatalf("second promote status %d, want 409", code)
 	}
 	sameSummary(t, prim, fol)
 
 	// The promoted standby closes the cycle bit-identically to the primary —
 	// same engine state, same deterministic signal draws.
-	code, wantClose, _ := postRaw(t, prim, "/v1/cycle/close", struct{}{})
+	code, wantClose, _ := do(t, prim.URL, "POST", "/v1/cycle/close", "", struct{}{})
 	if code != http.StatusOK {
 		t.Fatalf("primary close status %d", code)
 	}
-	code, gotClose, _ := postRaw(t, fol, "/v1/cycle/close", struct{}{})
+	code, gotClose, _ := do(t, fol.URL, "POST", "/v1/cycle/close", "", struct{}{})
 	if code != http.StatusOK {
 		t.Fatalf("promoted close status %d", code)
 	}
@@ -269,21 +177,17 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 	}
 
 	// Mutations land in the promoted standby's own journal.
-	if code := post(t, fol, "/v1/cycle/new", struct{}{}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, fol.URL, "POST", "/v1/cycle/new", "", struct{}{}); code != http.StatusOK {
 		t.Fatalf("post-promotion cycle/new status %d", code)
 	}
-	var acc AccessResponse
-	if code := post(t, fol, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &acc); code != http.StatusOK {
+	if code, _, _ := do(t, fol.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 		t.Fatalf("post-promotion access status %d", code)
 	}
 	if got := folSrv.Tenants(); len(got) != 1 {
 		t.Fatalf("promoted server tenants %v", got)
 	}
-	var ready struct {
-		Status string `json:"status"`
-	}
-	if code := get(t, fol, "/v1/readyz", &ready); code != http.StatusOK || ready.Status != "ready" {
-		t.Fatalf("promoted readyz %d %+v, want 200 ready", code, ready)
+	if code, body, _ := do(t, fol.URL, "GET", "/v1/readyz", "", nil); code != http.StatusOK || decode[readyzBody](t, body).Status != "ready" {
+		t.Fatalf("promoted readyz %d %s, want 200 ready", code, body)
 	}
 }
 
@@ -294,10 +198,10 @@ func TestFollowerCatchUpGateAndPromote(t *testing.T) {
 // pinning lag at 1 and /v1/readyz at 503 until someone touched the tenant.
 func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	// Traffic goes to another tenant only; "default" stays resident and empty.
 	for i := 0; i < 3; i++ {
-		if code := postTenant(t, prim, "ward-a", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "ward-a", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
@@ -306,7 +210,7 @@ func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 	waitFollowerReady(t, fol) // asserts {"status":"following","lag_records":0} + 200
 
 	// The first write to the untouched tenant is still replicated.
-	if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 		t.Fatalf("primary access status %d", code)
 	}
 	cl := folSrv.follow.Load().snapshotClients()[DefaultTenantID]
@@ -327,18 +231,18 @@ func TestFollowerOfUntouchedTenantBecomesReady(t *testing.T) {
 // state byte-identical to the primary's.
 func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, func(cfg *Config) {
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir), func(cfg *Config) {
 		cfg.SegmentBytes = 256 // roll fast so snapshots prune quickly
 	})
 	for i := 0; i < 3; i++ {
-		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
 
 	// First follower incarnation catches up, then goes offline (its
 	// replication context is canceled, modelling a crash).
-	folSrv1, folTS1, _, _ := replicaFixture(t, folDir, func(cfg *Config) {
+	folSrv1, folTS1, _, _ := testServer(t, durableIn(folDir), func(cfg *Config) {
 		cfg.FollowPrimary = prim.URL
 	})
 	ctx1, cancel1 := context.WithCancel(context.Background())
@@ -356,7 +260,7 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	// While the follower is down, the primary advances past snapshot
 	// pruning: every segment the follower mirrored disappears.
 	for i := 0; i < 40; i++ {
-		if code := post(t, prim, "/v1/admin/snapshot", struct{}{}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/admin/snapshot", "", struct{}{}); code != http.StatusOK {
 			t.Fatalf("snapshot %d status %d", i, code)
 		}
 		if lo, _ := tenantSegRange(t, primDir); lo > folMax {
@@ -366,7 +270,7 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 	if lo, _ := tenantSegRange(t, primDir); lo <= folMax {
 		t.Fatalf("primary min segment %d never pruned past follower max %d", lo, folMax)
 	}
-	if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 		t.Fatal("post-prune access failed")
 	}
 
@@ -389,26 +293,8 @@ func TestFollowerReseedAfterGappedCursor(t *testing.T) {
 // TestFollowerRequiresDataDir pins the config contract: following without
 // durability is a construction-time error, not a silent no-op.
 func TestFollowerRequiresDataDir(t *testing.T) {
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  sim.AllTable1TypeIDs(),
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{1, 1, 1, 1, 1, 1, 1}, nil
-		}),
-		FollowPrimary: "http://127.0.0.1:1",
-	})
-	if err == nil || !strings.Contains(err.Error(), "data dir") {
+	cfg, _, _ := testConfig(t, func(cfg *Config) { cfg.FollowPrimary = "http://127.0.0.1:1" })
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "data dir") {
 		t.Fatalf("New without DataDir but with FollowPrimary: err %v", err)
 	}
 }
@@ -419,13 +305,13 @@ func TestFollowerRequiresDataDir(t *testing.T) {
 // so the compactor reads it bare; the race detector is the assertion.
 func TestPromoteWhileCompactorScans(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	for i := 0; i < 6; i++ {
-		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
-	folSrv, fol, _, _ := replicaFixture(t, folDir, func(cfg *Config) {
+	folSrv, fol, _, _ := testServer(t, durableIn(folDir), func(cfg *Config) {
 		cfg.FollowPrimary = prim.URL
 		cfg.DiskBudgetBytes = 1 << 20
 		cfg.CompactInterval = time.Millisecond
@@ -454,9 +340,9 @@ func TestPromoteWhileCompactorScans(t *testing.T) {
 // winner had just promoted. Exactly one call promotes; the rest answer 409.
 func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	for i := 0; i < 4; i++ {
-		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
@@ -473,17 +359,13 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 
 	const callers = 8
 	codes := make([]int, callers)
-	promoted := make([]int, callers)
+	bodies := make([]string, callers)
 	var wg sync.WaitGroup
 	for i := range codes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var body struct {
-				Promoted int `json:"promoted"`
-			}
-			codes[i] = post(t, fol, "/v1/admin/promote", struct{}{}, &body)
-			promoted[i] = body.Promoted
+			codes[i], bodies[i], _ = do(t, fol.URL, "POST", "/v1/admin/promote", "", struct{}{})
 		}()
 	}
 	wg.Wait()
@@ -492,8 +374,8 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 		switch code {
 		case http.StatusOK:
 			ok++
-			if promoted[i] != 1 {
-				t.Errorf("caller %d promoted %d tenants, want 1", i, promoted[i])
+			if bodies[i] != `{"promoted":1}`+"\n" {
+				t.Errorf("caller %d answered %s, want 1 tenant promoted", i, bodies[i])
 			}
 		case http.StatusConflict:
 		default:
@@ -509,7 +391,7 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 	if got := folSrv.Tenants(); len(got) != 1 {
 		t.Fatalf("promoted server tenants %v, want the one resident tenant", got)
 	}
-	if code := post(t, fol, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, fol.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 		t.Fatalf("post-promotion access status %d", code)
 	}
 }
@@ -520,11 +402,11 @@ func TestConcurrentPromoteOpensEachJournalOnce(t *testing.T) {
 // call wins, no journal may be left open.
 func TestCloseDuringPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	const tenants = 6
 	for i := 0; i < tenants; i++ {
 		req := AccessRequest{Tenant: "t" + strconv.Itoa(i), EmployeeID: bgE, PatientID: bgP}
-		if code := post(t, prim, "/v1/access", req, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", "", req); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
@@ -547,8 +429,7 @@ func TestCloseDuringPromote(t *testing.T) {
 	}
 	// If Close won, the promotion was refused and no tenant is resident.
 	for _, id := range folSrv.Tenants() {
-		tn, _ := folSrv.router.Get(id)
-		if _, err := tn.Data.(*tenantState).journal.Append(wal.Record{Kind: wal.KindQuit}); err != wal.ErrClosed {
+		if _, err := resident(t, folSrv, id).journal.Append(wal.Record{Kind: wal.KindQuit}); err != wal.ErrClosed {
 			t.Errorf("tenant %s: journal left open after Close (append: %v)", id, err)
 		}
 	}
@@ -573,9 +454,9 @@ func waitClients(t *testing.T, srv *Server, n int) {
 // engine series is exported until promotion.
 func TestStandbyServesNoTenant(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	for _, id := range []string{DefaultTenantID, "ward-a"} {
-		if code := postTenant(t, prim, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
@@ -593,16 +474,11 @@ func TestStandbyServesNoTenant(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"/v1/status", "/v1/status?tenant=ward-a", "/v1/cycle/summary", "/v1/cycle/summary?tenant=ward-a"} {
-		resp, err := http.Get(fol.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		check("GET "+path, resp.StatusCode, string(raw), resp.Header)
+		code, raw, hdr := do(t, fol.URL, "GET", path, "", nil)
+		check("GET "+path, code, raw, hdr)
 	}
 	for _, body := range []any{struct{}{}, SnapshotRequest{Tenant: "ward-a"}} {
-		code, raw, hdr := postRaw(t, fol, "/v1/admin/snapshot", body)
+		code, raw, hdr := do(t, fol.URL, "POST", "/v1/admin/snapshot", "", body)
 		check("POST /v1/admin/snapshot", code, raw, hdr)
 	}
 	if got := folSrv.Tenants(); len(got) != 0 {
@@ -621,10 +497,10 @@ func TestStandbyServesNoTenant(t *testing.T) {
 // access. Run it under -race.
 func TestReadsDuringPromote(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
-	_, prim, bgE, bgP := replicaFixture(t, primDir, nil)
+	_, prim, bgE, bgP := testServer(t, durableIn(primDir))
 	ids := []string{DefaultTenantID, "t0", "t1", "t2", "t3"}
 	for _, id := range ids {
-		if code := postTenant(t, prim, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, prim.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("primary access status %d", code)
 		}
 	}
@@ -645,14 +521,10 @@ func TestReadsDuringPromote(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(fol.URL + "/v1/status?tenant=" + id)
-				if err != nil {
-					t.Error(err)
+				code, _, _ := do(t, fol.URL, "GET", "/v1/status?tenant="+id, "", nil)
+				if code != http.StatusOK && code != http.StatusServiceUnavailable {
+					t.Errorf("status for %s during promote: %d", id, code)
 					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-					t.Errorf("status for %s during promote: %d", id, resp.StatusCode)
 				}
 				reads.Add(1)
 			}
@@ -676,11 +548,10 @@ func TestReadsDuringPromote(t *testing.T) {
 		t.Fatalf("promoted server tenants %v, want %v", got, ids)
 	}
 	for _, id := range ids {
-		tn, _ := folSrv.router.Get(id)
-		if tn.Data.(*tenantState).journal == nil {
+		if resident(t, folSrv, id).journal == nil {
 			t.Errorf("tenant %s promoted without a journal", id)
 		}
-		if code := postTenant(t, fol, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, fol.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Errorf("post-promotion access for %s: status %d", id, code)
 		}
 	}

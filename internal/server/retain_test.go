@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,9 +65,9 @@ func dirBytes(t *testing.T, root string) int64 {
 }
 
 func TestDiskBudgetRequiresDataDir(t *testing.T) {
-	_, err := New(Config{DiskBudgetBytes: 1 << 20})
-	if err == nil {
-		t.Fatal("New accepted a disk budget without a data dir")
+	cfg, _, _ := testConfig(t, func(cfg *Config) { cfg.DiskBudgetBytes = 1 << 20 })
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "data dir") {
+		t.Fatalf("New with a disk budget and no data dir: err %v", err)
 	}
 }
 
@@ -75,11 +76,9 @@ func TestDiskBudgetRequiresDataDir(t *testing.T) {
 // tenant-creation counter untouched (reads used to be able to materialize a
 // tenant, spending engine build work on a typo).
 func TestReadPathsDoNotCreateTenants(t *testing.T) {
-	srv, ts, _, _ := fixture(t)
-	reg := srv.Metrics()
-
+	srv, ts, _, _ := testServer(t)
 	createdKey := shard.MetricTenantsCreatedTotal
-	before := reg.Snapshot().Counters[createdKey]
+	before := scrape(t, srv)[createdKey]
 	if before == 0 {
 		t.Fatal("fixture created no tenants; counter wiring broken")
 	}
@@ -88,40 +87,30 @@ func TestReadPathsDoNotCreateTenants(t *testing.T) {
 		"/v1/status?tenant=ghost",
 		"/v1/cycle/summary?tenant=ghost",
 	} {
-		if code := get(t, ts, path, nil); code != http.StatusNotFound {
+		if code, _, _ := do(t, ts.URL, "GET", path, "", nil); code != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404 for an unknown tenant", path, code)
 		}
 	}
 	// Header routing takes the same no-create path.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/status", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(TenantHeader, "ghost")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("header-routed GET /v1/status = %d, want 404", resp.StatusCode)
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/status", "ghost", nil); code != http.StatusNotFound {
+		t.Fatalf("header-routed GET /v1/status = %d, want 404", code)
 	}
 
-	if after := reg.Snapshot().Counters[createdKey]; after != before {
-		t.Fatalf("read-only requests created tenants: %s %d -> %d", createdKey, before, after)
+	if after := scrape(t, srv)[createdKey]; after != before {
+		t.Fatalf("read-only requests created tenants: %s %g -> %g", createdKey, before, after)
 	}
 	// Mutations still create: the counter moves when a write names a new
 	// tenant.
-	post(t, ts, "/v1/access", AccessRequest{Tenant: "real", EmployeeID: 0, PatientID: 0}, nil)
-	if after := reg.Snapshot().Counters[createdKey]; after != before+1 {
-		t.Fatalf("mutation did not create the tenant: %s %d -> %d", createdKey, before, after)
+	do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{Tenant: "real", EmployeeID: 0, PatientID: 0})
+	if after := scrape(t, srv)[createdKey]; after != before+1 {
+		t.Fatalf("mutation did not create the tenant: %s %g -> %g", createdKey, before, after)
 	}
 }
 
 // TestShedRetryAfterIsSpecValid drives the admission shedder into a 503 —
 // the only slot held, no queue — and checks both retry headers on the way out.
 func TestShedRetryAfterIsSpecValid(t *testing.T) {
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()), func(cfg *Config) {
 		cfg.Admission = admit.Config{MaxInflight: 1}
 	})
 	defer srv.Close()
@@ -131,7 +120,7 @@ func TestShedRetryAfterIsSpecValid(t *testing.T) {
 	}
 	defer release()
 
-	code, _, hdr := postRaw(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	code, _, hdr := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("access with the only slot held answered %d, want 503", code)
 	}
@@ -143,13 +132,12 @@ func TestShedRetryAfterIsSpecValid(t *testing.T) {
 // answer 507 with both retry headers — but the paths that make bytes
 // reclaimable (cycle close/new, snapshot) and all reads stay open.
 func TestDiskPressureAnswers507(t *testing.T) {
-	srv, ts, bgE, bgP := replicaFixture(t, t.TempDir(), func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()), func(cfg *Config) {
 		cfg.SegmentBytes = 256
 		cfg.DiskBudgetBytes = 1 // hopelessly over: even an empty journal exceeds it
 		cfg.CompactInterval = time.Hour
 	})
 	defer srv.Close()
-	reg := srv.Metrics()
 
 	// Deterministic verdict: run a scan round synchronously instead of
 	// racing the background loop's startup scan.
@@ -158,30 +146,30 @@ func TestDiskPressureAnswers507(t *testing.T) {
 		t.Fatal("tenant not blocked with a 1-byte budget and no reclaimable segments")
 	}
 
-	code, _, hdr := postRaw(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	code, _, hdr := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	if code != http.StatusInsufficientStorage {
 		t.Fatalf("mutation under disk pressure = %d, want 507", code)
 	}
 	checkRetryHeaders(t, hdr)
 
 	// Reads are never disk-gated.
-	if code := get(t, ts, "/v1/status", nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/status", "", nil); code != http.StatusOK {
 		t.Fatalf("GET /v1/status under pressure = %d, want 200", code)
 	}
 	// The reclaim paths stay open — they are how the tenant gets unstuck.
-	if code := post(t, ts, "/v1/cycle/close", struct{}{}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", struct{}{}); code != http.StatusOK {
 		t.Fatalf("POST /v1/cycle/close under pressure = %d, want 200", code)
 	}
-	if code := post(t, ts, "/v1/admin/snapshot", struct{}{}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "", struct{}{}); code != http.StatusOK {
 		t.Fatalf("POST /v1/admin/snapshot under pressure = %d, want 200", code)
 	}
 
 	// The scan published its verdict to the metrics registry.
-	snap := reg.Snapshot()
-	if p := snap.Gauges[retain.MetricPressure]; p <= 1 {
+	m := scrape(t, srv)
+	if p := m[retain.MetricPressure]; p <= 1 {
 		t.Fatalf("%s = %g, want > 1 while overcommitted", retain.MetricPressure, p)
 	}
-	if b := snap.Gauges[retain.MetricBytes+`{tenant="default"}`]; b <= 0 {
+	if b := m[retain.MetricBytes+dflt]; b <= 0 {
 		t.Fatalf("%s = %g, want > 0", retain.MetricBytes, b)
 	}
 }
@@ -212,7 +200,7 @@ func TestCompactionBoundsAlertHeavyJournalBytes(t *testing.T) {
 // with a new cycle after every alertCycle of them.
 func testCompactionBoundsJournal(t *testing.T, budget int64, alertCycle int) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := replicaFixture(t, dir, func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(dir), func(cfg *Config) {
 		cfg.SegmentBytes = compactionSegmentBytes
 		cfg.DiskBudgetBytes = budget
 		cfg.CompactInterval = time.Hour
@@ -225,17 +213,16 @@ func testCompactionBoundsJournal(t *testing.T, budget int64, alertCycle int) {
 	}
 
 	for i := 0; i < 600; i++ {
-		var resp AccessResponse
-		code := post(t, ts, "/v1/access", req, &resp)
+		code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", req)
 		if code != http.StatusOK {
 			t.Fatalf("access %d = %d: a reclaiming tenant must never be shed", i, code)
 		}
-		if resp.Alert != alerts {
+		if resp := decode[AccessResponse](t, body); resp.Alert != alerts {
 			t.Fatalf("access %d: alert %t, want %t", i, resp.Alert, alerts)
 		}
 		if alerts && i%alertCycle == alertCycle-1 {
 			for _, path := range []string{"/v1/cycle/close", "/v1/cycle/new"} {
-				if code := post(t, ts, path, NewCycleRequest{Budget: 50}, nil); code != http.StatusOK {
+				if code, _, _ := do(t, ts.URL, "POST", path, "", NewCycleRequest{Budget: 50}); code != http.StatusOK {
 					t.Fatalf("%s after access %d = %d", path, i, code)
 				}
 			}
@@ -247,9 +234,9 @@ func testCompactionBoundsJournal(t *testing.T, budget int64, alertCycle int) {
 			}
 		}
 	}
-	pruned := srv.Metrics().Snapshot().Counters[retain.MetricPrunedSegments+`{tenant="default"}`]
+	pruned := scrape(t, srv)[retain.MetricPrunedSegments+dflt]
 	if pruned < 3 {
-		t.Fatalf("%s = %d, want >= 3 (sustained writes must force repeated compaction)", retain.MetricPrunedSegments, pruned)
+		t.Fatalf("%s = %g, want >= 3 (sustained writes must force repeated compaction)", retain.MetricPrunedSegments, pruned)
 	}
 	if _, blocked := srv.retain.Blocked(DefaultTenantID); blocked {
 		t.Fatal("reclaiming tenant ended up blocked")
@@ -293,9 +280,9 @@ func TestDiskBudgetSeesTenantUntouchedSinceBoot(t *testing.T) {
 		cfg.SegmentBytes = 512
 		cfg.CompactInterval = time.Hour
 	}
-	_, ts, _, _ := replicaFixture(t, dir, small)
+	_, ts, _, _ := testServer(t, durableIn(dir), small)
 	for i := 0; i < 500; i++ {
-		if code := postTenant(t, ts, "A", "/v1/access", AccessRequest{}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "A", AccessRequest{}); code != http.StatusOK {
 			t.Fatalf("access %d for A: status %d", i, code)
 		}
 	}
@@ -303,19 +290,59 @@ func TestDiskBudgetSeesTenantUntouchedSinceBoot(t *testing.T) {
 	crashed := t.TempDir()
 	copyTree(t, dir, crashed)
 	before := dirBytes(t, crashed)
-	srv2, ts2, _, _ := replicaFixture(t, crashed, func(cfg *Config) {
+	srv2, ts2, _, _ := testServer(t, durableIn(crashed), func(cfg *Config) {
 		small(cfg)
 		cfg.DiskBudgetBytes = 1 << 10
 	})
 	defer srv2.Close()
-	if code := postTenant(t, ts2, "B", "/v1/access", AccessRequest{}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts2.URL, "POST", "/v1/access", "B", AccessRequest{}); code != http.StatusOK {
 		t.Fatalf("access for B: status %d", code)
 	}
 	srv2.retain.RunOnce()
-	if b := srv2.Metrics().Snapshot().Gauges[retain.MetricBytes+`{tenant="A"}`]; b <= 0 {
+	if b := scrape(t, srv2)[retain.MetricBytes+`{tenant="A"}`]; b <= 0 {
 		t.Fatalf("%s{tenant=\"A\"} = %g: the scan did not see A's journal", retain.MetricBytes, b)
 	}
 	if after := dirBytes(t, crashed); after >= before {
 		t.Fatalf("data dir %d bytes at the crash, %d after the scan: A was not compacted", before, after)
+	}
+}
+
+// TestReleasedLeaseIsPrunedWithoutASnapshot: the segments a lease held
+// through a snapshot are free bytes once it is released. Under a disk budget
+// the box fits, the next scan deletes them through the tenant's Prune — it
+// writes no snapshot — and counts them in sag_retain_pruned_segments_total.
+func TestReleasedLeaseIsPrunedWithoutASnapshot(t *testing.T) {
+	srv, ts, bgE, bgP := testServer(t, durableIn(t.TempDir()), func(cfg *Config) {
+		cfg.SegmentBytes = compactionSegmentBytes
+		cfg.DiskBudgetBytes = 1 << 30
+		cfg.CompactInterval = time.Hour
+	})
+	defer srv.Close()
+	j := resident(t, srv, DefaultTenantID).journal
+	_, lease := j.Seed() // a reader from the oldest segment
+	for i := 0; i < 40; i++ {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
+			t.Fatalf("access %d: status %d", i, code)
+		}
+	}
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/admin/snapshot", "", nil); code != http.StatusOK {
+		t.Fatalf("snapshot status %d", code)
+	}
+	held := j.RetainStats()
+	if held.Segments < 3 || held.PrunableBytes != 0 {
+		t.Fatalf("under the lease: %+v, want several segments and none prunable", held)
+	}
+	lease.Release()
+	end, before := j.DurableCursor(), scrape(t, srv)[retain.MetricPrunedSegments+dflt]
+	srv.retain.RunOnce()
+	st := j.RetainStats()
+	if st.Segments >= held.Segments || st.PrunableBytes != 0 {
+		t.Fatalf("after the release and a scan: %+v, want the leased segments gone (held %+v)", st, held)
+	}
+	if j.DurableCursor() != end || st.SnapshotSeg != held.SnapshotSeg {
+		t.Fatalf("the scan wrote to the journal (cursor %+v, was %+v): a prune needs no snapshot", j.DurableCursor(), end)
+	}
+	if pruned := scrape(t, srv)[retain.MetricPrunedSegments+dflt] - before; pruned != float64(held.Segments-st.Segments) {
+		t.Fatalf("%s moved by %g, want the %d segments pruned", retain.MetricPrunedSegments, pruned, held.Segments-st.Segments)
 	}
 }

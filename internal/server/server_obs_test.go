@@ -1,76 +1,35 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/auditgames/sag/internal/alerts"
 	"github.com/auditgames/sag/internal/core"
-	"github.com/auditgames/sag/internal/emr"
 	"github.com/auditgames/sag/internal/sim"
 )
-
-// fixtureSubset builds a server that only games taxonomy type 2, so the
-// planted same-last-name (type 1) pair produces unmodeled-type alerts.
-func fixtureSubset(t *testing.T) (*httptest.Server, int, int) {
-	t.Helper()
-	world, err := emr.NewWorld(emr.WorldConfig{Seed: 5, Employees: 30, Patients: 100, Departments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgE, bgP := world.NumEmployees(), world.NumPatients()
-	if _, err := emr.NewGenerator(world, emr.GeneratorConfig{Seed: 5, PairsPerKind: 3, BackgroundPerDay: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sim.Table1Instance([]int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		World:    world,
-		Taxonomy: alerts.NewTable1Taxonomy(),
-		TypeIDs:  []int{2},
-		Instance: inst,
-		Budget:   50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) {
-			return []float64{29.02}, nil
-		}),
-		Seed:  1,
-		Clock: func() time.Duration { return 9 * time.Hour },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, bgE, bgP
-}
 
 // TestCycleRolloverResetsFullStatus is the regression test for the stale
 // `quits` counter: after traffic, a quit, and a cycle rollover, the full
 // /v1/status snapshot must show every per-cycle counter reset, with the
 // flagged-user set (deliberately) surviving.
 func TestCycleRolloverResetsFullStatus(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
+	_, ts, bgE, bgP := testServer(t)
 	for i := 0; i < 10; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE}); code != http.StatusOK {
 		t.Fatalf("quit status %d", code)
 	}
-	if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: 30}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: 30}); code != http.StatusOK {
 		t.Fatalf("new cycle status %d", code)
 	}
-	var st Status
-	if code := get(t, ts, "/v1/status", &st); code != http.StatusOK {
+	code, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	want := Status{
@@ -85,7 +44,7 @@ func TestCycleRolloverResetsFullStatus(t *testing.T) {
 		FlaggedUsers:    1, // quits reveal the requester for good
 		NumTypes:        7,
 	}
-	if st != want {
+	if st := decode[Status](t, body); st != want {
 		t.Fatalf("post-rollover status = %+v, want %+v", st, want)
 	}
 }
@@ -94,7 +53,7 @@ func TestCycleRolloverResetsFullStatus(t *testing.T) {
 // the domain error branches, asserting status codes and the JSON error
 // shape.
 func TestHandlerErrorPaths(t *testing.T) {
-	_, ts, _, _ := fixture(t)
+	_, ts, _, _ := testServer(t)
 	cases := []struct {
 		name     string
 		path     string
@@ -112,46 +71,41 @@ func TestHandlerErrorPaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
-			if err != nil {
-				t.Fatal(err)
+			code, body, _ := do(t, ts.URL, "POST", c.path, "", c.body)
+			if code != c.wantCode {
+				t.Fatalf("status %d, want %d", code, c.wantCode)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != c.wantCode {
-				t.Fatalf("status %d, want %d", resp.StatusCode, c.wantCode)
-			}
-			var e struct {
-				Error string `json:"error"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-				t.Fatalf("error body is not JSON: %v", err)
-			}
-			if e.Error == "" {
+			if e := decode[apiError](t, body); e.Error == "" {
 				t.Fatal("error body must carry a non-empty \"error\" field")
 			}
 		})
 	}
 
 	// /v1/cycle/close takes no body and ignores whatever is posted.
-	resp, err := http.Post(ts.URL+"/v1/cycle/close", "application/json", strings.NewReader("{garbage"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cycle/close with garbage body: status %d, want 200 (body ignored)", resp.StatusCode)
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", "{garbage"); code != http.StatusOK {
+		t.Fatalf("cycle/close with garbage body: status %d, want 200 (body ignored)", code)
 	}
 }
 
 // TestUnmodeledTypePassthrough: alerts whose taxonomy type has no payoff
 // structure are reported but never warned and never charged.
 func TestUnmodeledTypePassthrough(t *testing.T) {
-	ts, bgE, bgP := fixtureSubset(t)
+	// The server games taxonomy type 2 only, so the planted same-last-name
+	// (type 1) pair produces unmodeled-type alerts.
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) {
+		cfg.TypeIDs = []int{2}
+		var err error
+		if cfg.Instance, err = sim.Table1Instance(cfg.TypeIDs); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Estimator = core.EstimatorFunc(func(time.Duration) ([]float64, error) { return []float64{fixtureRates[1]}, nil })
+	})
 	for i := 0; i < 5; i++ {
-		var resp AccessResponse
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp); code != http.StatusOK {
+		code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+		if code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
+		resp := decode[AccessResponse](t, body)
 		if !resp.Alert || resp.TypeID != 1 {
 			t.Fatalf("planted pair should alert with type 1: %+v", resp)
 		}
@@ -162,9 +116,8 @@ func TestUnmodeledTypePassthrough(t *testing.T) {
 			t.Fatalf("unmodeled type must not charge budget: %+v", resp)
 		}
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Accesses != 5 || st.Alerts != 5 || st.Warned != 0 {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Accesses != 5 || st.Alerts != 5 || st.Warned != 0 {
 		t.Fatalf("status %+v", st)
 	}
 }
@@ -172,22 +125,21 @@ func TestUnmodeledTypePassthrough(t *testing.T) {
 // TestFlaggedQuitterAlwaysWarn: once an employee quits, every subsequent
 // alerting access is warned and marked flagged, regardless of the game.
 func TestFlaggedQuitterAlwaysWarn(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
-	if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, nil); code != http.StatusOK {
+	_, ts, bgE, bgP := testServer(t)
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE}); code != http.StatusOK {
 		t.Fatalf("quit status %d", code)
 	}
 	for i := 0; i < 10; i++ {
-		var resp AccessResponse
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp); code != http.StatusOK {
+		code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+		if code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
-		if !resp.Warn || !resp.Flagged {
+		if resp := decode[AccessResponse](t, body); !resp.Warn || !resp.Flagged {
 			t.Fatalf("flagged quitter must always be warned: %+v", resp)
 		}
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Warned != 10 || st.FlaggedUsers != 1 {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Warned != 10 || st.FlaggedUsers != 1 {
 		t.Fatalf("status %+v", st)
 	}
 }
@@ -197,30 +149,20 @@ func TestFlaggedQuitterAlwaysWarn(t *testing.T) {
 // histograms, per-stage engine timings, simplex counters, and the
 // remaining-budget gauge.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, ts, bgE, bgP := fixture(t)
-	reg := srv.Metrics()
+	srv, ts, bgE, bgP := testServer(t)
 	for i := 0; i < 10; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, nil)
-	get(t, ts, "/v1/status", nil)
+	do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE})
+	do(t, ts.URL, "GET", "/v1/status", "", nil)
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
+	code, body, hdr := do(t, ts.URL, "GET", "/v1/metrics", "", nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content type %q", ct)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
 	for _, want := range []string{
 		// HTTP middleware.
 		`sag_http_requests_total{code="200",route="/v1/access"} 10`,
@@ -253,10 +195,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Warned split: server-level warned counter matches the status snapshot.
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if got := reg.Snapshot().Counters[core.MetricWarnedTotal+`{tenant="default"}`]; got != uint64(st.Warned) {
-		t.Fatalf("warned counter %d vs status %d", got, st.Warned)
+	_, body, _ = do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if got, st := scrape(t, srv)[core.MetricWarnedTotal+dflt], decode[Status](t, body); got != float64(st.Warned) {
+		t.Fatalf("warned counter %g vs status %d", got, st.Warned)
 	}
 }
 
@@ -266,41 +207,27 @@ func TestMetricsEndpoint(t *testing.T) {
 // observes is monotone non-increasing, and the final counters are
 // consistent with the traffic sent.
 func TestConcurrencySmoke(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
+	_, ts, bgE, bgP := testServer(t)
 	const (
 		writers = 6
 		readers = 4
 		iters   = 30
 	)
-	errs := make(chan error, writers+readers)
 	var wg sync.WaitGroup
-
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			last := 51.0 // above the initial budget
 			for i := 0; i < iters; i++ {
-				body, _ := json.Marshal(AccessRequest{EmployeeID: bgE, PatientID: bgP})
-				r, err := http.Post(ts.URL+"/v1/access", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
+				_, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 				var resp AccessResponse
-				err = json.NewDecoder(r.Body).Decode(&resp)
-				r.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.RemainingBudget > last {
-					errs <- fmt.Errorf("budget grew within a cycle: %g -> %g", last, resp.RemainingBudget)
+				if err := json.Unmarshal([]byte(body), &resp); err != nil || resp.RemainingBudget > last {
+					t.Errorf("access answered %q (%v) after a remaining budget of %g: budget grew within a cycle", body, err, last)
 					return
 				}
 				last = resp.RemainingBudget
 			}
-			errs <- nil
 		}()
 	}
 	for g := 0; g < readers; g++ {
@@ -309,68 +236,38 @@ func TestConcurrencySmoke(t *testing.T) {
 			defer wg.Done()
 			lastBudget := 51.0
 			for i := 0; i < iters; i++ {
-				r, err := http.Get(ts.URL + "/v1/status")
-				if err != nil {
-					errs <- err
-					return
-				}
+				_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
 				var st Status
-				err = json.NewDecoder(r.Body).Decode(&st)
-				r.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if st.RemainingBudget > lastBudget {
-					errs <- fmt.Errorf("status budget grew: %g -> %g", lastBudget, st.RemainingBudget)
+				if err := json.Unmarshal([]byte(body), &st); err != nil || st.RemainingBudget > lastBudget {
+					t.Errorf("status answered %q (%v) after a remaining budget of %g: status budget grew", body, err, lastBudget)
 					return
 				}
 				lastBudget = st.RemainingBudget
 				if st.Warned > st.Alerts || st.Alerts > st.Accesses {
-					errs <- fmt.Errorf("inconsistent counters: %+v", st)
+					t.Errorf("inconsistent counters: %+v", st)
 					return
 				}
-				m, err := http.Get(ts.URL + "/v1/metrics")
-				if err != nil {
-					errs <- err
-					return
-				}
-				_, err = io.ReadAll(m.Body)
-				m.Body.Close()
-				if err != nil {
-					errs <- err
+				if code, _, _ := do(t, ts.URL, "GET", "/v1/metrics", "", nil); code != http.StatusOK {
+					t.Errorf("metrics status %d", code)
 					return
 				}
 			}
-			errs <- nil
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if t.Failed() {
+		return
 	}
 
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Accesses != writers*iters || st.Alerts != writers*iters {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Accesses != writers*iters || st.Alerts != writers*iters {
 		t.Fatalf("lost updates: %+v, want %d accesses", st, writers*iters)
 	}
 
 	// Metrics agree with the status snapshot after the dust settles.
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, metrics, _ := do(t, ts.URL, "GET", "/v1/metrics", "", nil)
 	want := fmt.Sprintf(`sag_server_accesses_total{tenant="default"} %d`, writers*iters)
-	if !strings.Contains(string(raw), want) {
+	if !strings.Contains(metrics, want) {
 		t.Fatalf("metrics missing %q", want)
 	}
 }

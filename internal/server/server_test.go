@@ -1,70 +1,19 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
+	"sync"
 	"testing"
-	"time"
-
-	"github.com/auditgames/sag/internal/alerts"
-	"github.com/auditgames/sag/internal/core"
-	"github.com/auditgames/sag/internal/emr"
-	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/payoff"
 )
 
-// fixture builds a server over a small world with planted pairs, plus the
-// IDs of one planted same-last-name (type 1) pair for deterministic alert
-// traffic.
-func fixture(t *testing.T) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	return fixtureWith(t, nil)
-}
-
-func post(t *testing.T, ts *httptest.Server, path string, body any, out any) int {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+path, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s: decoding response: %v", path, err)
-		}
-	}
-	return resp.StatusCode
-}
-
-func get(t *testing.T, ts *httptest.Server, path string, out any) int {
-	t.Helper()
-	resp, err := http.Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode
-}
-
 func TestBenignAccessPassesSilently(t *testing.T) {
-	_, ts, _, _ := fixture(t)
-	var resp AccessResponse
-	code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: 0, PatientID: 0}, &resp)
+	_, ts, _, _ := testServer(t)
+	code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: 0, PatientID: 0})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
+	resp := decode[AccessResponse](t, body)
 	if resp.Alert || resp.Warn {
 		t.Fatalf("benign access should pass silently: %+v", resp)
 	}
@@ -74,14 +23,14 @@ func TestBenignAccessPassesSilently(t *testing.T) {
 }
 
 func TestSuspiciousAccessTriggersGame(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
+	_, ts, bgE, bgP := testServer(t)
 	warned := 0
 	for i := 0; i < 50; i++ {
-		var resp AccessResponse
-		code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp)
+		code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 		if code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
+		resp := decode[AccessResponse](t, body)
 		if !resp.Alert || resp.TypeID != 1 {
 			t.Fatalf("planted same-last-name access should alert type 1: %+v", resp)
 		}
@@ -95,10 +44,11 @@ func TestSuspiciousAccessTriggersGame(t *testing.T) {
 	if warned == 0 {
 		t.Fatal("no warnings over 50 suspicious accesses is implausible")
 	}
-	var st Status
-	if code := get(t, ts, "/v1/status", &st); code != http.StatusOK {
+	code, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
+	st := decode[Status](t, body)
 	if st.Accesses != 50 || st.Alerts != 50 || st.Warned != warned {
 		t.Fatalf("status counters %+v", st)
 	}
@@ -108,35 +58,34 @@ func TestSuspiciousAccessTriggersGame(t *testing.T) {
 }
 
 func TestQuitFlagsUser(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
-	if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: bgE}, nil); code != http.StatusOK {
+	_, ts, bgE, bgP := testServer(t)
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: bgE}); code != http.StatusOK {
 		t.Fatalf("quit status %d", code)
 	}
-	var resp AccessResponse
-	post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp)
-	if !resp.Flagged || !resp.Warn {
+	_, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	if resp := decode[AccessResponse](t, body); !resp.Flagged || !resp.Warn {
 		t.Fatalf("flagged user should always be warned: %+v", resp)
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.FlaggedUsers != 1 || st.Quits != 1 {
+	_, body, _ = do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.FlaggedUsers != 1 || st.Quits != 1 {
 		t.Fatalf("status %+v", st)
 	}
 	// Unknown employee is rejected.
-	if code := post(t, ts, "/v1/quit", QuitRequest{EmployeeID: 1 << 20}, nil); code != http.StatusBadRequest {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/quit", "", QuitRequest{EmployeeID: 1 << 20}); code != http.StatusBadRequest {
 		t.Fatalf("unknown employee quit status %d", code)
 	}
 }
 
 func TestCycleCloseAndNew(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
+	_, ts, bgE, bgP := testServer(t)
 	for i := 0; i < 20; i++ {
-		post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
+		do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 	}
-	var closed CloseResponse
-	if code := post(t, ts, "/v1/cycle/close", struct{}{}, &closed); code != http.StatusOK {
+	code, body, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "", struct{}{})
+	if code != http.StatusOK {
 		t.Fatalf("close status %d", code)
 	}
+	closed := decode[CloseResponse](t, body)
 	if len(closed.Audits) != 20 {
 		t.Fatalf("audit plan covers %d alerts, want 20", len(closed.Audits))
 	}
@@ -153,66 +102,46 @@ func TestCycleCloseAndNew(t *testing.T) {
 		t.Fatalf("total cost %g vs %d audited at cost 1", closed.TotalCost, audited)
 	}
 
-	if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: 30}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: 30}); code != http.StatusOK {
 		t.Fatalf("new cycle status %d", code)
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Budget != 30 || st.RemainingBudget != 30 || st.Accesses != 0 {
+	_, body, _ = do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Budget != 30 || st.RemainingBudget != 30 || st.Accesses != 0 {
 		t.Fatalf("post-reset status %+v", st)
 	}
-	if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: -5}, nil); code != http.StatusBadRequest {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: -5}); code != http.StatusBadRequest {
 		t.Fatalf("negative budget status %d", code)
 	}
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts, _, _ := fixture(t)
-	resp, err := http.Post(ts.URL+"/v1/access", "application/json", bytes.NewBufferString("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	_, ts, _, _ := testServer(t)
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", "{not json"); code != http.StatusBadRequest {
+		t.Fatalf("garbage body status %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage body status %d", resp.StatusCode)
-	}
-	var out AccessResponse
-	if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: 1 << 20, PatientID: 0}, &out); code != http.StatusBadRequest {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: 1 << 20, PatientID: 0}); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range employee status %d", code)
 	}
 	// Wrong method.
-	r, err := http.Get(ts.URL + "/v1/access")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET on POST route status %d", r.StatusCode)
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/access", "", nil); code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET on POST route status %d", code)
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	world, _ := emr.NewWorld(emr.WorldConfig{Seed: 1, Employees: 2, Patients: 2, Departments: 1})
-	inst, _ := game.NewInstance([]payoff.Payoff{payoff.Table2()[1]}, []float64{1})
-	est := core.EstimatorFunc(func(time.Duration) ([]float64, error) { return []float64{10}, nil })
 	cases := []struct {
 		name string
-		cfg  Config
+		mod  func(*Config)
 	}{
-		{"nil world", Config{Taxonomy: alerts.NewTable1Taxonomy(), Instance: inst, Estimator: est, TypeIDs: []int{1}}},
-		{"nil taxonomy", Config{World: world, Instance: inst, Estimator: est, TypeIDs: []int{1}}},
-		{"nil instance", Config{World: world, Taxonomy: alerts.NewTable1Taxonomy(), Estimator: est, TypeIDs: []int{1}}},
-		{"type count mismatch", Config{World: world, Taxonomy: alerts.NewTable1Taxonomy(), Instance: inst, Estimator: est, TypeIDs: []int{1, 2}}},
-		{"duplicate ids", Config{World: world, Taxonomy: alerts.NewTable1Taxonomy(), Instance: inst, Estimator: est, TypeIDs: []int{1, 1}}},
+		{"nil world", func(cfg *Config) { cfg.World = nil }},
+		{"nil taxonomy", func(cfg *Config) { cfg.Taxonomy = nil }},
+		{"nil instance", func(cfg *Config) { cfg.Instance = nil }},
+		{"type count mismatch", func(cfg *Config) { cfg.TypeIDs = []int{1, 2} }},
+		{"duplicate ids", func(cfg *Config) { cfg.TypeIDs = []int{1, 1, 3, 4, 5, 6, 7} }},
 	}
 	for _, c := range cases {
-		if c.name == "duplicate ids" {
-			// needs a 2-type instance for the duplicate check to be reached
-			c.cfg.Instance, _ = game.NewInstance(
-				[]payoff.Payoff{payoff.Table2()[1], payoff.Table2()[2]},
-				game.UniformCost(2, 1))
-		}
-		if _, err := New(c.cfg); err == nil {
+		cfg, _, _ := testConfig(t, c.mod)
+		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
 	}
@@ -222,40 +151,28 @@ func TestNewValidation(t *testing.T) {
 // from 8 goroutines and checks that the shared counters and the budget
 // survive: no lost updates, no negative budget.
 func TestConcurrentAccessesKeepInvariants(t *testing.T) {
-	_, ts, bgE, bgP := fixture(t)
-	done := make(chan error, 8)
+	_, ts, bgE, bgP := testServer(t)
+	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for i := 0; i < 25; i++ {
+				_, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
 				var resp AccessResponse
-				body, _ := json.Marshal(AccessRequest{EmployeeID: bgE, PatientID: bgP})
-				r, err := http.Post(ts.URL+"/v1/access", "application/json", bytes.NewReader(body))
-				if err != nil {
-					done <- err
-					return
-				}
-				err = json.NewDecoder(r.Body).Decode(&resp)
-				r.Body.Close()
-				if err != nil {
-					done <- err
-					return
-				}
-				if resp.RemainingBudget < 0 {
-					done <- fmt.Errorf("negative budget %g", resp.RemainingBudget)
+				if err := json.Unmarshal([]byte(body), &resp); err != nil || resp.RemainingBudget < 0 {
+					t.Errorf("access answered %q (%v): want a remaining budget of at least 0", body, err)
 					return
 				}
 			}
-			done <- nil
 		}()
 	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Accesses != 200 || st.Alerts != 200 {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Accesses != 200 || st.Alerts != 200 {
 		t.Fatalf("lost updates under concurrency: %+v", st)
 	}
 }

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -14,57 +10,29 @@ import (
 	"github.com/auditgames/sag/internal/shard"
 )
 
-// postTenant is post with the X-SAG-Tenant header set.
-func postTenant(t *testing.T, ts *httptest.Server, tenant, path string, body any, out any) int {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+path, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s: decoding response: %v", path, err)
-		}
-	}
-	return resp.StatusCode
-}
-
 // TestTenantRouting: the header wins over the body field, the body field
 // wins over the default, and each addressing form reaches its own engine.
 func TestTenantRouting(t *testing.T) {
-	srv, ts, bgE, bgP := fixture(t)
+	srv, ts, bgE, bgP := testServer(t)
 
 	// Body field creates and routes.
-	if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP, Tenant: "body-tenant"}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP, Tenant: "body-tenant"}); code != http.StatusOK {
 		t.Fatalf("body-routed access status %d", code)
 	}
 	// Header wins over a conflicting body field.
-	if code := postTenant(t, ts, "header-tenant", "/v1/access",
-		AccessRequest{EmployeeID: bgE, PatientID: bgP, Tenant: "body-tenant"}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "header-tenant", AccessRequest{EmployeeID: bgE, PatientID: bgP, Tenant: "body-tenant"}); code != http.StatusOK {
 		t.Fatalf("header-routed access status %d", code)
 	}
-	var st Status
-	if code := get(t, ts, "/v1/status?tenant=header-tenant", &st); code != http.StatusOK || st.Accesses != 1 {
-		t.Fatalf("header tenant status code %d, %+v (header must win over body)", code, st)
+	if code, body, _ := do(t, ts.URL, "GET", "/v1/status?tenant=header-tenant", "", nil); code != http.StatusOK || decode[Status](t, body).Accesses != 1 {
+		t.Fatalf("header tenant status %d %s (header must win over body)", code, body)
 	}
-	if get(t, ts, "/v1/status?tenant=body-tenant", &st); st.Accesses != 1 {
-		t.Fatalf("body tenant saw %d accesses, want 1", st.Accesses)
+	if _, body, _ := do(t, ts.URL, "GET", "/v1/status?tenant=body-tenant", "", nil); decode[Status](t, body).Accesses != 1 {
+		t.Fatalf("body tenant status %s, want 1 access", body)
 	}
 	// No tenant anywhere routes to the default.
-	if get(t, ts, "/v1/status", &st); st.Tenant != DefaultTenantID || st.Accesses != 0 {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	st := decode[Status](t, body)
+	if st.Tenant != DefaultTenantID || st.Accesses != 0 {
 		t.Fatalf("default tenant status %+v", st)
 	}
 	if st.ActiveTenants != 3 {
@@ -78,63 +46,52 @@ func TestTenantRouting(t *testing.T) {
 // TestTenantErrorPaths: malformed IDs answer 400, endpoints that must not
 // create answer 404 for unknown tenants, and the cap answers 429.
 func TestTenantErrorPaths(t *testing.T) {
-	world, ts, bgE, bgP := fixtureTenants(t, 3) // default + 2 more
-	_ = world
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) { cfg.MaxTenants = 3 }) // default + 2 more
 
-	if code := postTenant(t, ts, "bad tenant!", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusBadRequest {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "bad tenant!", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusBadRequest {
 		t.Fatalf("invalid tenant ID: status %d, want 400", code)
 	}
-	if code := get(t, ts, "/v1/status?tenant=ghost", nil); code != http.StatusNotFound {
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/status?tenant=ghost", "", nil); code != http.StatusNotFound {
 		t.Fatalf("status for unknown tenant: %d, want 404", code)
 	}
-	var e apiError
-	if code := postTenant(t, ts, "ghost", "/v1/cycle/close", struct{}{}, &e); code != http.StatusNotFound || e.Error == "" {
-		t.Fatalf("close for unknown tenant: %d %q, want 404 with error body", code, e.Error)
+	if code, body, _ := do(t, ts.URL, "POST", "/v1/cycle/close", "ghost", struct{}{}); code != http.StatusNotFound || decode[apiError](t, body).Error == "" {
+		t.Fatalf("close for unknown tenant: %d %s, want 404 with error body", code, body)
 	}
 	// Fill the cap: default is resident, two more fit, the third hits 429.
 	for _, id := range []string{"t1", "t2"} {
-		if code := postTenant(t, ts, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("tenant %s: status %d", id, code)
 		}
 	}
-	e = apiError{}
-	if code := postTenant(t, ts, "t3", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &e); code != http.StatusTooManyRequests || e.Error == "" {
-		t.Fatalf("over-cap tenant: %d %q, want 429 with error body", code, e.Error)
+	if code, body, _ := do(t, ts.URL, "POST", "/v1/access", "t3", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusTooManyRequests || decode[apiError](t, body).Error == "" {
+		t.Fatalf("over-cap tenant: %d %s, want 429 with error body", code, body)
 	}
 	// Existing tenants keep serving at the cap.
-	if code := postTenant(t, ts, "t1", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "t1", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 		t.Fatalf("resident tenant after cap: status %d", code)
 	}
-}
-
-// fixtureTenants is fixture(t) with a tenant cap.
-func fixtureTenants(t *testing.T, maxTenants int) (*Server, *httptest.Server, int, int) {
-	t.Helper()
-	return fixtureWith(t, func(cfg *Config) {
-		cfg.MaxTenants = maxTenants
-	})
 }
 
 // TestNoCrossTenantBudgetSharing: budget chains are independent — a new
 // cycle with a different budget on tenant b must not bleed into the default
 // tenant's budget or vice versa.
 func TestNoCrossTenantBudgetSharing(t *testing.T) {
-	_, ts, bgE, bgP := fixtureTenants(t, 8)
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) { cfg.MaxTenants = 8 })
 	for i := 0; i < 3; i++ {
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("default tenant access %d: status %d", i, code)
 		}
 	}
-	if code := postTenant(t, ts, "b", "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "b", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 		t.Fatalf("tenant b access: status %d", code)
 	}
-	if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: 10, Tenant: "b"}, nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: 10, Tenant: "b"}); code != http.StatusOK {
 		t.Fatalf("tenant b new cycle: status %d", code)
 	}
-	var ra, rb Status
-	get(t, ts, "/v1/status", &ra)
-	get(t, ts, "/v1/status?tenant=b", &rb)
-	if rb.Budget != 10 || rb.RemainingBudget != 10 {
+	_, body, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	ra := decode[Status](t, body)
+	_, body, _ = do(t, ts.URL, "GET", "/v1/status?tenant=b", "", nil)
+	if rb := decode[Status](t, body); rb.Budget != 10 || rb.RemainingBudget != 10 {
 		t.Fatalf("tenant b budget %+v, want a fresh 10", rb)
 	}
 	if ra.Budget != 50 {
@@ -147,63 +104,39 @@ func TestNoCrossTenantBudgetSharing(t *testing.T) {
 // budget chain moves independently, and no tenant ever observes another
 // tenant's budget level.
 func TestTenantIsolationUnderConcurrency(t *testing.T) {
-	_, ts, bgE, bgP := fixtureTenants(t, 8)
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) { cfg.MaxTenants = 8 })
 	tenants := []string{"h1", "h2", "h3", "h4"}
 	budgets := map[string]float64{"h1": 40, "h2": 30, "h3": 20, "h4": 12}
 	for id, b := range budgets {
-		if code := post(t, ts, "/v1/cycle/new", NewCycleRequest{Budget: b, Tenant: id}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/cycle/new", "", NewCycleRequest{Budget: b, Tenant: id}); code != http.StatusOK {
 			t.Fatalf("tenant %s new cycle: status %d", id, code)
 		}
 	}
 
 	const perTenant = 12
-	errs := make(chan error, len(tenants))
 	var wg sync.WaitGroup
 	for _, id := range tenants {
 		wg.Add(1)
-		go func(id string) {
+		go func() {
 			defer wg.Done()
-			initial := budgets[id]
 			for i := 0; i < perTenant; i++ {
-				var body bytes.Buffer
-				_ = json.NewEncoder(&body).Encode(AccessRequest{EmployeeID: bgE, PatientID: bgP})
-				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/access", &body)
-				if err != nil {
-					errs <- err
-					return
-				}
-				req.Header.Set(TenantHeader, id)
-				r, err := http.DefaultClient.Do(req)
-				if err != nil {
-					errs <- err
-					return
-				}
+				_, body, _ := do(t, ts.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP})
 				var resp AccessResponse
-				err = json.NewDecoder(r.Body).Decode(&resp)
-				r.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.RemainingBudget > initial {
-					errs <- fmt.Errorf("tenant %s observed budget %g above its own initial %g: cross-tenant state", id, resp.RemainingBudget, initial)
+				if err := json.Unmarshal([]byte(body), &resp); err != nil || resp.RemainingBudget > budgets[id] {
+					t.Errorf("tenant %s answered %q (%v): a budget above its own initial %g is cross-tenant state", id, body, err, budgets[id])
 					return
 				}
 			}
-			errs <- nil
-		}(id)
+		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if t.Failed() {
+		return
 	}
 
 	for _, id := range tenants {
-		var st Status
-		get(t, ts, "/v1/status?tenant="+id, &st)
+		_, body, _ := do(t, ts.URL, "GET", "/v1/status?tenant="+id, "", nil)
+		st := decode[Status](t, body)
 		if st.Accesses != perTenant || st.Alerts != perTenant {
 			t.Fatalf("tenant %s lost updates: %+v", id, st)
 		}
@@ -216,19 +149,13 @@ func TestTenantIsolationUnderConcurrency(t *testing.T) {
 // TestTenantMetricsLabels: the exposition carries per-tenant series for
 // both the server counters and the engine pipeline, plus the shard gauges.
 func TestTenantMetricsLabels(t *testing.T) {
-	_, ts, bgE, bgP := fixtureTenants(t, 8)
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) { cfg.MaxTenants = 8 })
 	for _, id := range []string{"", "x"} { // default + one named tenant
-		if code := postTenant(t, ts, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("tenant %q access: status %d", id, code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	body := string(raw)
+	_, body, _ := do(t, ts.URL, "GET", "/v1/metrics", "", nil)
 	for _, want := range []string{
 		`sag_server_accesses_total{tenant="default"} 1`,
 		`sag_server_accesses_total{tenant="x"} 1`,
@@ -249,10 +176,10 @@ func TestTenantMetricsLabels(t *testing.T) {
 // TestCycleSummariesAndDrain: per-tenant summaries come back keyed by ID,
 // and oversized bodies are rejected with 413 before touching any tenant.
 func TestCycleSummariesAndDrain(t *testing.T) {
-	srv, ts, bgE, bgP := fixtureTenants(t, 8)
+	srv, ts, bgE, bgP := testServer(t, func(cfg *Config) { cfg.MaxTenants = 8 })
 	for _, id := range []string{"", "y"} {
 		for i := 0; i < 2; i++ {
-			if code := postTenant(t, ts, id, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			if code, _, _ := do(t, ts.URL, "POST", "/v1/access", id, AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 				t.Fatalf("tenant %q access: status %d", id, code)
 			}
 		}
@@ -270,19 +197,13 @@ func TestCycleSummariesAndDrain(t *testing.T) {
 	// Oversized body: rejected with a JSON 413, no tenant touched. The body
 	// must be syntactically plausible past the cap, or the decoder answers
 	// 400 for the malformed prefix before the size limit trips.
-	huge := append([]byte(`{"employee_id":1,"patient_id":2,"tenant":"`),
-		bytes.Repeat([]byte("a"), defaultMaxBodyBytes+1)...)
-	resp, err := http.Post(ts.URL+"/v1/access", "application/json", bytes.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
+	huge := `{"employee_id":1,"patient_id":2,"tenant":"` + strings.Repeat("a", defaultMaxBodyBytes+1)
+	code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", huge)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
-	}
-	var e apiError
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-		t.Fatalf("oversized-body error not JSON: %v %q", err, e.Error)
+	if e := decode[apiError](t, body); e.Error == "" {
+		t.Fatalf("oversized-body error has no message: %s", body)
 	}
 }
 
@@ -290,7 +211,7 @@ func TestCycleSummariesAndDrain(t *testing.T) {
 // and distinct tenants draw distinct RNG streams (their seeds fold in
 // shard.Seed).
 func TestTenantsAndSeedDistinctness(t *testing.T) {
-	srv, _, _, _ := fixtureTenants(t, 8)
+	srv, _, _, _ := testServer(t, func(cfg *Config) { cfg.MaxTenants = 8 })
 	if _, _, err := srv.router.GetOrCreate("pre-1"); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -27,8 +28,6 @@ import (
 // applied; a request that has committed is answered however late; and code
 // that ignores its context is bounded only by http.Server's WriteTimeout.
 
-var fixtureRates = []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}
-
 // slowEstimator answers the fixture's rates, after sleeping while slow is
 // set. It returns — it does not block forever — which is the case a
 // deadline (rather than a second goroutine) can answer.
@@ -41,26 +40,6 @@ func slowEstimator(slow *atomic.Bool, d time.Duration) core.Estimator {
 	})
 }
 
-func walAppends(srv *Server) uint64 {
-	return srv.Metrics().Snapshot().Counters[wal.MetricAppendsTotal+`{tenant="default"}`]
-}
-
-// serviceCounters reads the default tenant's four sag_server_*_total
-// counters: accesses, alerts, warned, quits.
-func serviceCounters(srv *Server) [4]uint64 {
-	c := srv.Metrics().Snapshot().Counters
-	var out [4]uint64
-	for i, name := range []string{core.MetricAccessesTotal, core.MetricAlertsTotal, core.MetricWarnedTotal, core.MetricQuitsTotal} {
-		out[i] = c[name+`{tenant="default"}`]
-	}
-	return out
-}
-
-// flaggedGauge reads the default tenant's sag_server_flagged_users.
-func flaggedGauge(srv *Server) float64 {
-	return srv.Metrics().Snapshot().Gauges[core.MetricFlaggedUsers+`{tenant="default"}`]
-}
-
 // (a) An estimator that returns after the deadline has passed: the engine's
 // check immediately before commit abandons the decision. The 503 carries
 // the JSON body and both retry headers, and the tenant is exactly as if the
@@ -68,26 +47,23 @@ func flaggedGauge(srv *Server) float64 {
 func TestRequestTimeoutChangesNothing(t *testing.T) {
 	var slow atomic.Bool
 	build := func() (*Server, *httptest.Server, int, int) {
-		dir := t.TempDir()
-		return fixtureWith(t, func(cfg *Config) {
+		return testServer(t, durableIn(t.TempDir()), func(cfg *Config) {
 			// Generous, so that only the slow request can miss the deadline
 			// even on a loaded CI box with a slow fsync.
 			cfg.Estimator = slowEstimator(&slow, 450*time.Millisecond)
 			cfg.RequestTimeout = 200 * time.Millisecond
-			cfg.DataDir = dir
-			cfg.Fsync = wal.FsyncAlways
 		})
 	}
 	srv, ts, bgE, bgP := build()
 	defer srv.Close()
 	alert := AccessRequest{EmployeeID: bgE, PatientID: bgP}
 
-	_, first, _ := postRaw(t, ts, "/v1/access", alert)
-	_, statusBefore := getRaw(t, ts, "/v1/status")
-	appendsBefore, countersBefore := walAppends(srv), serviceCounters(srv)
+	_, first, _ := do(t, ts.URL, "POST", "/v1/access", "", alert)
+	_, statusBefore, _ := do(t, ts.URL, "GET", "/v1/status", "", nil)
+	seriesBefore := scrape(t, srv, wal.MetricAppendsTotal, "sag_server_")
 
 	slow.Store(true)
-	code, body, hdr := postRaw(t, ts, "/v1/access", alert)
+	code, body, hdr := do(t, ts.URL, "POST", "/v1/access", "", alert)
 	slow.Store(false)
 	if code != http.StatusServiceUnavailable || body != `{"error":"request timed out"}`+"\n" {
 		t.Fatalf("slow request answered %d %q, want 503 request timed out", code, body)
@@ -97,23 +73,20 @@ func TestRequestTimeoutChangesNothing(t *testing.T) {
 	}
 	checkRetryHeaders(t, hdr)
 
-	if _, statusAfter := getRaw(t, ts, "/v1/status"); statusAfter != statusBefore {
+	if _, statusAfter, _ := do(t, ts.URL, "GET", "/v1/status", "", nil); statusAfter != statusBefore {
 		t.Fatalf("a timed-out request changed /v1/status:\nbefore: %s\nafter:  %s", statusBefore, statusAfter)
 	}
-	if got := walAppends(srv); got != appendsBefore {
-		t.Fatalf("a timed-out request journaled %d record(s)", got-appendsBefore)
+	if got := scrape(t, srv, wal.MetricAppendsTotal, "sag_server_"); !maps.Equal(got, seriesBefore) {
+		t.Fatalf("a timed-out request moved the journal's appends or the service series:\nbefore: %v\nafter:  %v", seriesBefore, got)
 	}
-	if got := serviceCounters(srv); got != countersBefore {
-		t.Fatalf("a timed-out request moved the service counters (accesses, alerts, warned, quits) from %v to %v", countersBefore, got)
-	}
-	_, next, _ := postRaw(t, ts, "/v1/access", alert)
+	_, next, _ := do(t, ts.URL, "POST", "/v1/access", "", alert)
 
 	// A fresh server that never saw the timed-out request answers the same
 	// two alerts byte for byte: no signal draw was consumed.
 	fresh, fts, _, _ := build()
 	defer fresh.Close()
-	_, wantFirst, _ := postRaw(t, fts, "/v1/access", alert)
-	_, wantNext, _ := postRaw(t, fts, "/v1/access", alert)
+	_, wantFirst, _ := do(t, fts.URL, "POST", "/v1/access", "", alert)
+	_, wantNext, _ := do(t, fts.URL, "POST", "/v1/access", "", alert)
 	if first != wantFirst || next != wantNext {
 		t.Fatalf("answers diverged from a server that never saw the timed-out request:\n got %s %s\nwant %s %s",
 			first, next, wantFirst, wantNext)
@@ -124,7 +97,7 @@ func TestRequestTimeoutChangesNothing(t *testing.T) {
 // admission controller's own shed path, and changes nothing.
 func TestRequestTimeoutInAdmissionQueueIsShed(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
-	_, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) {
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) {
 		cfg.RequestTimeout = 50 * time.Millisecond
 		cfg.Admission = admit.Config{MaxInflight: 1, QueueDepth: 4}
 		// The slot holder's solve keeps the slot until released, and then
@@ -139,12 +112,12 @@ func TestRequestTimeoutInAdmissionQueueIsShed(t *testing.T) {
 	alert := AccessRequest{EmployeeID: bgE, PatientID: bgP}
 	holder := make(chan int, 1)
 	go func() {
-		code, _, _ := postRaw(t, ts, "/v1/access", alert)
+		code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", alert)
 		holder <- code
 	}()
 	<-entered // the only slot is taken; the next request queues
 
-	code, body, hdr := postRaw(t, ts, "/v1/access", alert)
+	code, body, hdr := do(t, ts.URL, "POST", "/v1/access", "", alert)
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "overloaded ("+admit.ReasonCanceled+")") {
 		t.Fatalf("queued request answered %d %q, want the admission shed", code, body)
 	}
@@ -156,9 +129,8 @@ func TestRequestTimeoutInAdmissionQueueIsShed(t *testing.T) {
 	if code := <-holder; code != http.StatusServiceUnavailable {
 		t.Fatalf("slot holder answered %d after its deadline, want 503", code)
 	}
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if st.Accesses != 0 || st.Alerts != 0 || st.Warned != 0 || st.RemainingBudget != st.Budget {
+	_, body, _ = do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); st.Accesses != 0 || st.Alerts != 0 || st.Warned != 0 || st.RemainingBudget != st.Budget {
 		t.Fatalf("shed and abandoned requests changed state: %+v", st)
 	}
 }
@@ -168,24 +140,24 @@ func TestRequestTimeoutInAdmissionQueueIsShed(t *testing.T) {
 // stalls) is answered with its decision, however late.
 func TestCommittedRequestIsAnsweredHoweverLate(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) {
+	srv, ts, bgE, bgP := testServer(t, func(cfg *Config) {
 		cfg.RequestTimeout = 200 * time.Millisecond
 		cfg.DataDir = dir
 	})
 	defer srv.Close()
 	srv.SetJournalFault(faultinject.New("stall", faultinject.Config{LatencyRate: 1, Latency: 450 * time.Millisecond}))
 	t0 := time.Now()
-	var resp AccessResponse
-	if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, &resp); code != http.StatusOK {
+	code, body, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP})
+	if code != http.StatusOK {
 		t.Fatalf("committed request answered %d, want 200", code)
 	}
 	if took := time.Since(t0); took < 400*time.Millisecond {
 		t.Fatalf("the stall did not outlast the deadline (%v); the test proved nothing", took)
 	}
 	srv.SetJournalFault(nil)
-	var st Status
-	get(t, ts, "/v1/status", &st)
-	if !resp.Alert || st.Accesses != 1 || st.Alerts != 1 || st.RemainingBudget != resp.RemainingBudget {
+	resp := decode[AccessResponse](t, body)
+	_, body, _ = do(t, ts.URL, "GET", "/v1/status", "", nil)
+	if st := decode[Status](t, body); !resp.Alert || st.Accesses != 1 || st.Alerts != 1 || st.RemainingBudget != resp.RemainingBudget {
 		t.Fatalf("late answer %+v does not match the committed state %+v", resp, st)
 	}
 }
@@ -195,7 +167,7 @@ func TestCommittedRequestIsAnsweredHoweverLate(t *testing.T) {
 func TestRequestTimeoutZeroInstallsNoDeadline(t *testing.T) {
 	for _, timeout := range []time.Duration{0, time.Minute} {
 		var sawDeadline atomic.Bool
-		_, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) {
+		_, ts, bgE, bgP := testServer(t, func(cfg *Config) {
 			cfg.RequestTimeout = timeout
 			cfg.SSESolve = func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
 				_, ok := ctx.Deadline()
@@ -203,7 +175,7 @@ func TestRequestTimeoutZeroInstallsNoDeadline(t *testing.T) {
 				return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
 			}
 		})
-		if code := post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", AccessRequest{EmployeeID: bgE, PatientID: bgP}); code != http.StatusOK {
 			t.Fatalf("access status %d", code)
 		}
 		if got, want := sawDeadline.Load(), timeout > 0; got != want {
@@ -215,15 +187,13 @@ func TestRequestTimeoutZeroInstallsNoDeadline(t *testing.T) {
 // (e) A panicking handler answers 500 "internal error" through the same
 // wrapper, is counted, and shows up in the route's request metrics.
 func TestWrapContainsPanics(t *testing.T) {
-	srv, _, _, _ := fixture(t)
+	srv, _, _, _ := testServer(t)
 	h := srv.wrap(srv.newRouteMetrics("/boom"), time.Second, func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	})
 	logs := captureLog(t)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/boom", nil))
-	if rec.Code != http.StatusInternalServerError || rec.Body.String() != `{"error":"internal error"}`+"\n" {
-		t.Fatalf("panicking handler answered %d %q, want 500 internal error", rec.Code, rec.Body)
+	if code, body, _ := do(t, h, "GET", "/boom", "", nil); code != http.StatusInternalServerError || body != `{"error":"internal error"}`+"\n" {
+		t.Fatalf("panicking handler answered %d %q, want 500 internal error", code, body)
 	}
 	// The one record of it is an ERROR through slog with the facts as
 	// attributes, not a printf line through package log.
@@ -231,14 +201,14 @@ func TestWrapContainsPanics(t *testing.T) {
 		len(logs.records(`level=ERROR msg="handler panic" method=GET path=/boom panic="handler bug"`)) != 1 {
 		t.Fatalf("want one ERROR record with method, path and panic attributes; logged:\n%s", logs)
 	}
-	snap := srv.Metrics().Snapshot()
-	if n := snap.Counters[MetricHTTPPanicsTotal]; n != 1 {
-		t.Fatalf("panic counter = %d, want 1", n)
+	m := scrape(t, srv)
+	if n := m[MetricHTTPPanicsTotal]; n != 1 {
+		t.Fatalf("panic counter = %g, want 1", n)
 	}
-	if n := snap.Counters[MetricHTTPRequestsTotal+`{code="500",route="/boom"}`]; n != 1 {
-		t.Fatalf("requests_total{route=/boom,code=500} = %d, want 1", n)
+	if n := m[MetricHTTPRequestsTotal+`{code="500",route="/boom"}`]; n != 1 {
+		t.Fatalf("requests_total{route=/boom,code=500} = %g, want 1", n)
 	}
-	if g := snap.Gauges[MetricHTTPInflightRequests]; g != 0 {
+	if g := m[MetricHTTPInflightRequests]; g != 0 {
 		t.Fatalf("inflight gauge = %g after the panic, want 0", g)
 	}
 }
@@ -246,7 +216,7 @@ func TestWrapContainsPanics(t *testing.T) {
 // (f) The wrapper's Unwrap keeps http.ResponseController working, which is
 // what the replication stream's per-write deadlines and flushes ride on.
 func TestWrapKeepsResponseController(t *testing.T) {
-	srv, _, _, _ := fixture(t)
+	srv, _, _, _ := testServer(t)
 	errs := make(chan error, 2)
 	ts := httptest.NewServer(srv.wrap(nil, 0, func(w http.ResponseWriter, _ *http.Request) {
 		rc := http.NewResponseController(w)
@@ -255,11 +225,7 @@ func TestWrapKeepsResponseController(t *testing.T) {
 		errs <- rc.Flush()
 	}))
 	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	do(t, ts.URL, "GET", "/", "", nil)
 	for _, what := range []string{"SetWriteDeadline", "Flush"} {
 		if err := <-errs; err != nil {
 			t.Fatalf("%s through the wrapper: %v", what, err)
@@ -271,24 +237,27 @@ func TestWrapKeepsResponseController(t *testing.T) {
 // nor a tenant: they answer while the API is saturated.
 func TestProbesAnswerWhileAPISaturated(t *testing.T) {
 	gs := newGatedSolver()
-	_, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) {
+	_, ts, bgE, bgP := testServer(t, func(cfg *Config) {
 		cfg.SSESolve = gs.solve
 		cfg.Admission = admit.Config{MaxInflight: 1}
 	})
 	alert := AccessRequest{EmployeeID: bgE, PatientID: bgP}
 	held := make(chan int, 1)
-	go func() { held <- post(t, ts, "/v1/access", alert, nil) }()
+	go func() {
+		code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", alert)
+		held <- code
+	}()
 	<-gs.entered
-	if code := post(t, ts, "/v1/access", alert, nil); code != http.StatusServiceUnavailable {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/access", "", alert); code != http.StatusServiceUnavailable {
 		t.Fatalf("second access answered %d, want 503: the API is not saturated", code)
 	}
-	if code := get(t, ts, "/v1/healthz", nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/healthz", "", nil); code != http.StatusOK {
 		t.Fatalf("healthz while saturated = %d, want 200", code)
 	}
-	if code := get(t, ts, "/v1/readyz", nil); code != http.StatusOK {
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/readyz", "", nil); code != http.StatusOK {
 		t.Fatalf("readyz while saturated = %d, want 200", code)
 	}
-	if code := post(t, ts, "/v1/admin/promote", struct{}{}, nil); code != http.StatusConflict {
+	if code, _, _ := do(t, ts.URL, "POST", "/v1/admin/promote", "", struct{}{}); code != http.StatusConflict {
 		t.Fatalf("promote while saturated = %d, want 409 (not a standby)", code)
 	}
 	close(gs.release)
@@ -301,7 +270,7 @@ func TestProbesAnswerWhileAPISaturated(t *testing.T) {
 // four routes that used to sit on the outer mux now gets 405 + Allow, like
 // every other route, instead of falling through "/" to the API mux's 404.
 func TestWrongMethodOnRootRoutesIs405(t *testing.T) {
-	_, ts, _, _ := fixture(t)
+	_, ts, _, _ := testServer(t)
 	for _, c := range []struct{ method, path string }{
 		{"POST", "/v1/healthz"},
 		{"POST", "/v1/readyz"},
@@ -309,20 +278,11 @@ func TestWrongMethodOnRootRoutesIs405(t *testing.T) {
 		{"GET", "/v1/admin/promote"},
 		{"GET", "/v1/access"}, // unchanged: already 405
 	} {
-		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
-			t.Errorf("%s %s = %d (Allow %q), want 405 with Allow", c.method, c.path, resp.StatusCode, resp.Header.Get("Allow"))
+		if code, _, hdr := do(t, ts.URL, c.method, c.path, "", nil); code != http.StatusMethodNotAllowed || hdr.Get("Allow") == "" {
+			t.Errorf("%s %s = %d (Allow %q), want 405 with Allow", c.method, c.path, code, hdr.Get("Allow"))
 		}
 	}
-	if code := get(t, ts, "/v1/nope", nil); code != http.StatusNotFound {
+	if code, _, _ := do(t, ts.URL, "GET", "/v1/nope", "", nil); code != http.StatusNotFound {
 		t.Errorf("unknown path = %d, want 404", code)
 	}
 }
@@ -343,7 +303,7 @@ func (w *countingWriter) WriteHeader(code int)        { w.code = code }
 // one benign access through Handler() on an in-memory tenant, with the
 // request deadline installed as in production.
 func TestServingAllocBudget(t *testing.T) {
-	srv, _, bgE, bgP := fixtureWith(t, func(cfg *Config) {
+	srv, _, bgE, bgP := testServer(t, func(cfg *Config) {
 		cfg.Budget = 1e9
 		cfg.RequestTimeout = 10 * time.Second
 	})
