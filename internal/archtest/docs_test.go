@@ -22,7 +22,7 @@ var docs = []struct {
 }{
 	{"DESIGN.md", 49971},
 	{"README.md", 19345},
-	{".claude/skills/verify/SKILL.md", 7663},
+	{".claude/skills/verify/SKILL.md", 7658},
 }
 
 // changesEntryCeiling bounds the newest "- PR" entry of CHANGES.md, in bytes:

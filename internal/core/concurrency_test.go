@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -73,7 +72,7 @@ func processConcurrently(t *testing.T, e *Engine, workers, perWorker int) {
 // contiguous (each decision starts where the previous one ended), and the
 // budget never negative.
 func TestProcessConcurrentKeepsBudgetChain(t *testing.T) {
-	e := newOSSPEngine(t, multiInstance(t), 1e6, constEstimator(196, 29, 140, 10, 25, 15, 43))
+	e := testEngine(t, withBudget(1e6), withSeed(42))
 	const workers, perWorker = 8, 20
 	processConcurrently(t, e, workers, perWorker)
 	ds := e.Decisions()
@@ -129,19 +128,7 @@ func checkDecisionsExact(t *testing.T, inst *game.Instance, ds []DecisionRecord,
 // commits against. Under 8-way contention each committed θ must equal, bit
 // for bit, the SSE coverage at that decision's own BudgetBefore.
 func TestConcurrentDecisionsAreExact(t *testing.T) {
-	inst := multiInstance(t)
-	rates := []float64{196, 29, 140, 10, 25, 15, 43}
-	e, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    200,
-		Estimator: constEstimator(rates...),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-		Fallback:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, withBudget(200), withSeed(42), func(c *Config) { c.Fallback = true })
 	const workers, perWorker = 8, 200
 	processConcurrently(t, e, workers, perWorker)
 
@@ -149,7 +136,7 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 	if len(ds) != workers*perWorker {
 		t.Fatalf("committed %d decisions, want %d", len(ds), workers*perWorker)
 	}
-	checkDecisionsExact(t, inst, ds, func(int) []float64 { return rates })
+	checkDecisionsExact(t, multiInstance(t), ds, func(int) []float64 { return fixtureRates })
 }
 
 // TestConcurrentDecisionsAreExactAsRatesMove is its twin under an estimate
@@ -159,24 +146,13 @@ func TestConcurrentDecisionsAreExact(t *testing.T) {
 // literals at that decision's own rates, so an engine that solved with the
 // κ of a rate that has since moved fails here.
 func TestConcurrentDecisionsAreExactAsRatesMove(t *testing.T) {
-	inst := multiInstance(t)
 	const workers, perWorker = 8, 200
 	est := &rollbackEstimator{
-		base:      []float64{196, 29, 140, 10, 25, 15, 43},
+		base:      fixtureRates,
 		day:       perWorker * time.Minute, // processConcurrently's last alert is at 199 min
 		threshold: 150,                     // frozen from about minute 135
 	}
-	e, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    200,
-		Estimator: est,
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-		Fallback:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, withBudget(200), withSeed(42), func(c *Config) { c.Estimator, c.Fallback = est, true })
 	processConcurrently(t, e, workers, perWorker)
 
 	ds := e.Decisions()
@@ -203,7 +179,7 @@ func TestConcurrentDecisionsAreExactAsRatesMove(t *testing.T) {
 	if moved == 0 || kept == 0 {
 		t.Fatalf("the estimate moved %d times and held %d times; the test needs both", moved, kept)
 	}
-	checkDecisionsExact(t, inst, ds, func(i int) []float64 { return answers[i] })
+	checkDecisionsExact(t, multiInstance(t), ds, func(i int) []float64 { return answers[i] })
 }
 
 // rollbackEstimator answers in the style of history.Rollback: rates decay
@@ -248,37 +224,19 @@ func (r *rollbackEstimator) rates(at time.Duration) ([]float64, error) {
 func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 	const workers, perWorker = 8, 200
 	const day = workers * perWorker * time.Second
-	inst := multiInstance(t)
 	var journal []DecisionRecord
 	build := func(solve SSESolveFunc, hook JournalFunc) (*Engine, *rollbackEstimator) {
-		est := &rollbackEstimator{
-			base:      []float64{196, 29, 140, 10, 25, 15, 43},
-			day:       day,
-			threshold: 150, // the last third of the day answers from frozen knowledge
-		}
-		e, err := NewEngine(Config{
-			Instance:  inst,
-			Budget:    200,
-			Estimator: est,
-			Policy:    PolicyOSSP,
-			Rand:      rand.New(rand.NewSource(42)),
-			SSESolve:  solve,
-			Journal:   hook,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, est
+		// The last third of the day answers from frozen knowledge.
+		est := &rollbackEstimator{base: fixtureRates, day: day, threshold: 150}
+		return testEngine(t, withBudget(200), withSeed(42), withJournal(hook), func(c *Config) {
+			c.Estimator, c.SSESolve = est, solve
+		}), est
 	}
 	live, est := build(
 		func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
 			time.Sleep(20 * time.Microsecond)
 			return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
-		},
-		func(rec DecisionRecord) (func() error, error) {
-			journal = append(journal, rec)
-			return nil, nil
-		})
+		}, recordInto(&journal))
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -340,17 +298,7 @@ func TestConcurrentJournalReplaysSequentially(t *testing.T) {
 // called commits to the old cycle; NewCycle then proceeds from a clean slate.
 func TestNewCycleWaitsForInflightDecision(t *testing.T) {
 	bs := newGatedSolver()
-	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    1e6,
-		Estimator: constEstimator(196, 29, 140, 10, 25, 15, 43),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-		SSESolve:  bs.solve,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, withBudget(1e6), withSeed(42), func(c *Config) { c.SSESolve = bs.solve })
 	type result struct {
 		d   *Decision
 		err error
@@ -397,20 +345,13 @@ func TestNewCycleWaitsForInflightDecision(t *testing.T) {
 func TestAbandonedInQueueSkipsEstimator(t *testing.T) {
 	bs := newGatedSolver()
 	var queries atomic.Int32
-	e, err := NewEngine(Config{
-		Instance: multiInstance(t),
-		Budget:   1e6,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) {
+	e := testEngine(t, withBudget(1e6), withSeed(42), func(c *Config) {
+		c.SSESolve = bs.solve
+		c.Estimator = EstimatorFunc(func(time.Duration) ([]float64, error) {
 			queries.Add(1)
-			return []float64{196, 29, 140, 10, 25, 15, 43}, nil
-		}),
-		Policy:   PolicyOSSP,
-		Rand:     rand.New(rand.NewSource(42)),
-		SSESolve: bs.solve,
+			return slices.Clone(fixtureRates), nil
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	first := make(chan error, 1)
 	go func() {
 		_, err := e.Process(Alert{Type: 0})

@@ -3,24 +3,14 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 
-	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/fallback"
-	"github.com/auditgames/sag/internal/game"
 )
 
-// failingSolver returns an SSESolveFunc that always errors.
-func failingSolver(err error) SSESolveFunc {
-	return func(context.Context, *game.Instance, float64, []dist.Poisson) (*game.Result, error) {
-		return nil, err
-	}
-}
-
 func TestCanceledContextPropagates(t *testing.T) {
-	e := newOSSPEngine(t, singleInstance(t), 5, constEstimator(10))
+	e := testEngine(t, single(t), withBudget(5), withRates(10))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.ProcessContext(ctx, Alert{Type: 0}); !errors.Is(err, context.Canceled) {
@@ -29,24 +19,10 @@ func TestCanceledContextPropagates(t *testing.T) {
 }
 
 func TestSolverErrorFallsBackToLastGood(t *testing.T) {
-	boom := errors.New("solver down")
 	solverErr := false
-	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    10,
-		Estimator: constEstimator(4, 3, 5, 2, 6, 1, 3),
-		Rand:      rand.New(rand.NewSource(1)),
-		Fallback:  true,
-		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
-			if solverErr {
-				return nil, boom
-			}
-			return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
-		},
+	e := testEngine(t, withBudget(10), withRates(4, 3, 5, 2, 6, 1, 3), func(c *Config) {
+		c.Fallback, c.SSESolve = true, flakySolver(&solverErr)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	good, err := e.Process(Alert{Type: 2})
 	if err != nil || good.Fallback != fallback.None {
 		t.Fatalf("clean decision failed: %v, level %v", err, good.Fallback)
@@ -70,19 +46,11 @@ func TestSolverErrorFallsBackToLastGood(t *testing.T) {
 }
 
 func TestPreviewNeverDegrades(t *testing.T) {
-	boom := errors.New("solver down")
-	e, err := NewEngine(Config{
-		Instance:  singleInstance(t),
-		Budget:    5,
-		Estimator: constEstimator(10),
-		Rand:      rand.New(rand.NewSource(1)),
-		Fallback:  true,
-		SSESolve:  failingSolver(boom),
+	down := true
+	e := testEngine(t, withInstance(singleInstance(t)), withBudget(5), withRates(10), func(c *Config) {
+		c.Fallback, c.SSESolve = true, flakySolver(&down)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Preview(Alert{Type: 0}); !errors.Is(err, boom) {
+	if _, err := e.Preview(Alert{Type: 0}); !errors.Is(err, errSolverDown) {
 		t.Fatalf("Preview must report the primary pipeline's error, got %v", err)
 	}
 }
@@ -91,15 +59,7 @@ func TestPreviewNeverDegrades(t *testing.T) {
 // contract under the race detector: Process, Preview, and every read
 // accessor from concurrent goroutines, then NewCycle once all settle.
 func TestEngineConcurrentAccess(t *testing.T) {
-	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    50,
-		Estimator: constEstimator(4, 3, 5, 2, 6, 1, 3),
-		Rand:      rand.New(rand.NewSource(7)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, withRates(4, 3, 5, 2, 6, 1, 3), withSeed(7))
 	const workers, perWorker = 6, 10
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -7,53 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"github.com/auditgames/sag/internal/game"
-	"github.com/auditgames/sag/internal/payoff"
 )
-
-// constEstimator returns fixed future rates regardless of time.
-func constEstimator(rates ...float64) Estimator {
-	return EstimatorFunc(func(time.Duration) ([]float64, error) {
-		out := make([]float64, len(rates))
-		copy(out, rates)
-		return out, nil
-	})
-}
-
-func singleInstance(t *testing.T) *game.Instance {
-	t.Helper()
-	inst, err := game.NewInstance([]payoff.Payoff{payoff.Table2()[1]}, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
-}
-
-func multiInstance(t testing.TB) *game.Instance {
-	t.Helper()
-	table2 := payoff.Table2()
-	inst, err := game.NewInstance(table2[1:], game.UniformCost(7, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
-}
-
-func newOSSPEngine(t *testing.T, inst *game.Instance, budget float64, est Estimator) *Engine {
-	t.Helper()
-	e, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    budget,
-		Estimator: est,
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 func TestNewEngineValidation(t *testing.T) {
 	inst := singleInstance(t)
@@ -90,8 +44,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestProcessSingleTypeBudgetPacing(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(196.57))
+	e := testEngine(t, single(t), withRates(196.57))
 	var prevBudget = e.RemainingBudget()
 	for i := 0; i < 50; i++ {
 		d, err := e.Process(Alert{Type: 0, Time: time.Duration(i) * time.Minute})
@@ -118,8 +71,7 @@ func TestProcessSingleTypeBudgetPacing(t *testing.T) {
 }
 
 func TestOSSPNeverWorseThanSSEPerAlert(t *testing.T) {
-	inst := multiInstance(t)
-	e := newOSSPEngine(t, inst, 50, constEstimator(196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27))
+	e := testEngine(t, withRates(196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27), withSeed(42))
 	for i := 0; i < 60; i++ {
 		d, err := e.Process(Alert{Type: i % 7, Time: time.Duration(i) * time.Minute})
 		if err != nil {
@@ -133,11 +85,7 @@ func TestOSSPNeverWorseThanSSEPerAlert(t *testing.T) {
 }
 
 func TestSSEPolicyNeverWarns(t *testing.T) {
-	inst := singleInstance(t)
-	e, err := NewEngine(Config{Instance: inst, Budget: 20, Estimator: constEstimator(100), Policy: PolicySSE})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, single(t), withRates(100), sseBaseline)
 	for i := 0; i < 30; i++ {
 		d, err := e.Process(Alert{Type: 0})
 		if err != nil {
@@ -157,8 +105,7 @@ func TestSSEPolicyNeverWarns(t *testing.T) {
 
 func TestOSSPDeterministicWithSeed(t *testing.T) {
 	run := func() []DecisionRecord {
-		inst := multiInstance(t)
-		e := newOSSPEngine(t, inst, 50, constEstimator(196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27))
+		e := testEngine(t, withRates(196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27), withSeed(42))
 		for i := 0; i < 40; i++ {
 			if _, err := e.Process(Alert{Type: (i * 3) % 7}); err != nil {
 				t.Fatal(err)
@@ -176,8 +123,7 @@ func TestOSSPDeterministicWithSeed(t *testing.T) {
 }
 
 func TestPreviewDoesNotMutate(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(100))
+	e := testEngine(t, single(t), withRates(100))
 	before := e.RemainingBudget()
 	d, err := e.Preview(Alert{Type: 0})
 	if err != nil {
@@ -195,8 +141,7 @@ func TestPreviewDoesNotMutate(t *testing.T) {
 }
 
 func TestVacuousGame(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(0))
+	e := testEngine(t, single(t), withRates(0))
 	d, err := e.Process(Alert{Type: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -213,39 +158,31 @@ func TestVacuousGame(t *testing.T) {
 }
 
 func TestEstimatorErrorsPropagate(t *testing.T) {
-	inst := singleInstance(t)
 	boom := errors.New("boom")
-	e, err := NewEngine(Config{
-		Instance: inst, Budget: 20, Policy: PolicySSE,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return nil, boom }),
+	e := testEngine(t, single(t), sseBaseline, func(c *Config) {
+		c.Estimator = EstimatorFunc(func(time.Duration) ([]float64, error) { return nil, boom })
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := e.Process(Alert{Type: 0}); !errors.Is(err, boom) {
 		t.Fatalf("want wrapped estimator error, got %v", err)
 	}
 }
 
 func TestEstimatorLengthMismatch(t *testing.T) {
-	inst := multiInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(1, 2)) // 2 rates for 7 types
+	e := testEngine(t, withBudget(20), withRates(1, 2), withSeed(42)) // 2 rates for 7 types
 	if _, err := e.Process(Alert{Type: 0}); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
 
 func TestEstimatorNegativeRate(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(-5))
+	e := testEngine(t, single(t), withRates(-5))
 	if _, err := e.Process(Alert{Type: 0}); err == nil {
 		t.Fatal("negative rate should error")
 	}
 }
 
 func TestAlertTypeOutOfRange(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(10))
+	e := testEngine(t, single(t), withRates(10))
 	if _, err := e.Process(Alert{Type: 5}); err == nil {
 		t.Fatal("out-of-range alert type should error")
 	}
@@ -255,9 +192,8 @@ func TestAlertTypeOutOfRange(t *testing.T) {
 }
 
 func TestBudgetExhaustionFloorsAtZero(t *testing.T) {
-	inst := singleInstance(t)
 	// Tiny budget, huge per-alert charge potential.
-	e := newOSSPEngine(t, inst, 0.05, constEstimator(1))
+	e := testEngine(t, single(t), withBudget(0.05), withRates(1))
 	for i := 0; i < 10; i++ {
 		d, err := e.Process(Alert{Type: 0})
 		if err != nil {
@@ -270,8 +206,7 @@ func TestBudgetExhaustionFloorsAtZero(t *testing.T) {
 }
 
 func TestWarningsHappenWithPositiveTheta(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(100))
+	e := testEngine(t, single(t), withRates(100))
 	warned := 0
 	for i := 0; i < 200; i++ {
 		d, err := e.Process(Alert{Type: 0})
@@ -292,8 +227,7 @@ func TestWarningsHappenWithPositiveTheta(t *testing.T) {
 }
 
 func TestNewCycleResetsState(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(100))
+	e := testEngine(t, single(t), withRates(100))
 	for i := 0; i < 10; i++ {
 		if _, err := e.Process(Alert{Type: 0}); err != nil {
 			t.Fatal(err)
@@ -329,8 +263,7 @@ func TestNewCycleResetsState(t *testing.T) {
 }
 
 func TestCloseCycleEmptyAndVacuous(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(0)) // vacuous estimates
+	e := testEngine(t, single(t), withRates(0)) // vacuous estimates
 	outcomes, cost, err := e.CloseCycle(1, nil)
 	if err != nil || len(outcomes) != 0 || cost != 0 {
 		t.Fatalf("empty cycle should close with no outcomes: %+v cost=%g err=%v", outcomes, cost, err)
@@ -352,12 +285,13 @@ func TestCloseCycleEmptyAndVacuous(t *testing.T) {
 // ErrCycleClosed and nothing journaled; a quit and the next cycle's open
 // still apply.
 func TestClosedCycleRefusesAndDrawsNothing(t *testing.T) {
-	inst := singleInstance(t)
 	asked := 0
-	e := newOSSPEngine(t, inst, 20, EstimatorFunc(func(time.Duration) ([]float64, error) {
-		asked++
-		return []float64{100}, nil
-	}))
+	e := testEngine(t, single(t), func(c *Config) {
+		c.Estimator = EstimatorFunc(func(time.Duration) ([]float64, error) {
+			asked++
+			return []float64{100}, nil
+		})
+	})
 	var journal []Record
 	enqueue := func(r Record) (func() error, error) {
 		journal = append(journal, r)
@@ -395,8 +329,7 @@ func TestClosedCycleRefusesAndDrawsNothing(t *testing.T) {
 }
 
 func TestSummaryAggregation(t *testing.T) {
-	inst := singleInstance(t)
-	e := newOSSPEngine(t, inst, 20, constEstimator(100))
+	e := testEngine(t, single(t), withRates(100))
 	if s := e.Summary(); s.Alerts != 0 || s.BudgetSpent != 0 {
 		t.Fatal("empty summary should be zero")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -13,24 +12,15 @@ import (
 	"github.com/auditgames/sag/internal/payoff"
 )
 
+// metricsFixture is testEngine reporting to reg on the game of pays, each
+// at audit cost 1, with constant rates, the budget and seed 7.
 func metricsFixture(t *testing.T, reg *obs.Registry, pays []payoff.Payoff, rates []float64, budget float64) *Engine {
 	t.Helper()
 	inst, err := game.NewInstance(pays, game.UniformCost(len(pays), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    budget,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return rates, nil }),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(7)),
-		Metrics:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return testEngine(t, withInstance(inst), withRates(rates...), withBudget(budget), withSeed(7), func(c *Config) { c.Metrics = reg })
 }
 
 func TestEngineMetrics(t *testing.T) {
@@ -191,18 +181,12 @@ func TestServiceCountersWaitForTheJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates, errEstimate := []float64{30, 15}, error(nil)
-	eng, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    20,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return rates, errEstimate }),
-		Rand:      rand.New(rand.NewSource(7)),
-		Metrics:   reg,
-		Fallback:  true,
-		Journal:   func(d DecisionRecord) (func() error, error) { return journal(Record{Kind: KindDecision, Decision: d}) },
+	eng := testEngine(t, withInstance(inst), withBudget(20), withSeed(7), withJournal(func(d DecisionRecord) (func() error, error) {
+		return journal(Record{Kind: KindDecision, Decision: d})
+	}), func(c *Config) {
+		c.Estimator = EstimatorFunc(func(time.Duration) ([]float64, error) { return rates, errEstimate })
+		c.Metrics, c.Fallback = reg, true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	decide := func(r []float64, estErr error) func() error {
 		return func() error {
 			rates, errEstimate = r, estErr

@@ -51,13 +51,14 @@ func TestPropertyTheorems(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, trials)
 	for _, seed := range seeds {
+		eng, rng := theoremTrial(t, seed, 0x5a6, reg)
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			if err := runTheoremTrial(seed, reg); err != nil {
+			if err := runTheoremTrial(seed, eng, rng); err != nil {
 				errs <- err
 			}
-		}(seed)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -72,7 +73,12 @@ func TestPropertyTheorems(t *testing.T) {
 	}
 }
 
-func runTheoremTrial(seed int64, reg *obs.Registry) (err error) {
+// theoremTrial draws trial seed's game — one to five random types at
+// random audit costs — its rates, some of them zero, and its budget, and
+// builds its engine, reporting to reg, with the rand seeded seed^salt. The
+// returned rng draws the trial's alerts.
+func theoremTrial(t *testing.T, seed, salt int64, reg *obs.Registry) (*Engine, *rand.Rand) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	numTypes := 1 + rng.Intn(5)
 	pays := make([]payoff.Payoff, numTypes)
@@ -83,7 +89,7 @@ func runTheoremTrial(seed int64, reg *obs.Registry) (err error) {
 	}
 	inst, err := game.NewInstance(pays, costs)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	rates := make([]float64, numTypes)
 	for i := range rates {
@@ -93,20 +99,14 @@ func runTheoremTrial(seed int64, reg *obs.Registry) (err error) {
 			rates[i] = rng.Float64() * 40
 		}
 	}
-	eng, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    rng.Float64() * 60,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return rates, nil }),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(seed ^ 0x5a6)),
-		Metrics:   reg,
-	})
-	if err != nil {
-		return err
-	}
+	return testEngine(t, withInstance(inst), withRates(rates...), withBudget(rng.Float64()*60), withSeed(seed^salt), func(c *Config) {
+		c.Metrics = reg
+	}), rng
+}
 
+func runTheoremTrial(seed int64, eng *Engine, rng *rand.Rand) error {
 	for i := 0; i < 12; i++ {
-		a := Alert{Type: rng.Intn(numTypes), Time: time.Duration(i) * 10 * time.Minute}
+		a := Alert{Type: rng.Intn(eng.inst.NumTypes()), Time: time.Duration(i) * 10 * time.Minute}
 		d, err := eng.Process(a)
 		if err != nil {
 			return err
@@ -158,16 +158,17 @@ func TestPropertyTheorems34(t *testing.T) {
 	var condMet, condUnmet atomic.Int64
 	errs := make(chan error, trials)
 	for _, seed := range seeds {
+		eng, rng := theoremTrial(t, seed, 0x34, reg)
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			met, unmet, err := runTheorem34Trial(seed, reg)
+			met, unmet, err := runTheorem34Trial(seed, eng, rng)
 			condMet.Add(met)
 			condUnmet.Add(unmet)
 			if err != nil {
 				errs <- err
 			}
-		}(seed)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -181,44 +182,13 @@ func TestPropertyTheorems34(t *testing.T) {
 	}
 }
 
-// runTheorem34Trial mirrors runTheoremTrial's instance construction and
-// returns how many non-vacuous decisions had the Theorem 3 payoff condition
-// met and unmet, so the caller can assert coverage of both signaling branches.
-func runTheorem34Trial(seed int64, reg *obs.Registry) (condMet, condUnmet int64, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	numTypes := 1 + rng.Intn(5)
-	pays := make([]payoff.Payoff, numTypes)
-	costs := make([]float64, numTypes)
-	for i := range pays {
-		pays[i] = randomPayoff(rng)
-		costs[i] = 0.5 + rng.Float64()*2.5
-	}
-	inst, err := game.NewInstance(pays, costs)
-	if err != nil {
-		return 0, 0, err
-	}
-	rates := make([]float64, numTypes)
-	for i := range rates {
-		if rng.Float64() < 0.15 {
-			rates[i] = 0
-		} else {
-			rates[i] = rng.Float64() * 40
-		}
-	}
-	eng, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    rng.Float64() * 60,
-		Estimator: EstimatorFunc(func(time.Duration) ([]float64, error) { return rates, nil }),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(seed ^ 0x34)),
-		Metrics:   reg,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-
+// runTheorem34Trial returns how many non-vacuous decisions had the Theorem 3
+// payoff condition met and unmet, so the caller can assert coverage of both
+// signaling branches.
+func runTheorem34Trial(seed int64, eng *Engine, rng *rand.Rand) (condMet, condUnmet int64, err error) {
+	inst := eng.inst
 	for i := 0; i < 12; i++ {
-		a := Alert{Type: rng.Intn(numTypes), Time: time.Duration(i) * 10 * time.Minute}
+		a := Alert{Type: rng.Intn(inst.NumTypes()), Time: time.Duration(i) * 10 * time.Minute}
 		d, err := eng.Process(a)
 		if err != nil {
 			return condMet, condUnmet, err

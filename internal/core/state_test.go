@@ -49,18 +49,9 @@ func stateTestEngine(t *testing.T, seed int64, journal JournalFunc) (*Engine, in
 		}
 		return out, nil
 	})
-	eng, err := NewEngine(Config{
-		Instance:  inst,
-		Budget:    5 + rng.Float64()*40,
-		Estimator: est,
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(seed ^ 0x77)),
-		Journal:   journal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, numTypes
+	return testEngine(t, withInstance(inst), withBudget(5+rng.Float64()*40), withSeed(seed^0x77), withJournal(journal), func(c *Config) {
+		c.Estimator = est
+	}), numTypes
 }
 
 // TestPropertySnapshotReplayEqualsPureReplay is the recovery-correctness
@@ -79,10 +70,7 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 			// Golden run: process the whole sequence uninterrupted, capturing
 			// the journal the WAL would have recorded.
 			var journal []DecisionRecord
-			golden, numTypes := stateTestEngine(t, seed, func(rec DecisionRecord) (func() error, error) {
-				journal = append(journal, rec)
-				return nil, nil
-			})
+			golden, numTypes := stateTestEngine(t, seed, recordInto(&journal))
 			const n = 24
 			alerts := make([]Alert, n)
 			for i := range alerts {
@@ -112,10 +100,7 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 			snap := shadow.ExportState()
 
 			var replayJournal []DecisionRecord
-			recovered, _ := stateTestEngine(t, seed, func(rec DecisionRecord) (func() error, error) {
-				replayJournal = append(replayJournal, rec)
-				return nil, nil
-			})
+			recovered, _ := stateTestEngine(t, seed, recordInto(&replayJournal))
 			if err := recovered.RestoreState(snap); err != nil {
 				t.Fatal(err)
 			}
@@ -178,8 +163,7 @@ func TestPropertySnapshotReplayEqualsPureReplay(t *testing.T) {
 // solved commit, so the last healthy query's degraded decision leaves it at
 // the alert before.
 func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
-	inst := multiInstance(t)
-	base := []float64{196, 29, 140, 10, 25, 15, 43}
+	inst, base := multiInstance(t), fixtureRates
 	// An alert every 37 minutes: the second cycle's run from 06:10, and the
 	// estimate freezes after alert 17's query at 10:29, the day's last
 	// healthy one.
@@ -202,31 +186,13 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 		seed := root.Int63()
 		failing := false
 		build := func(journal JournalFunc) *Engine {
-			e, err := NewEngine(Config{
-				Instance:  inst,
-				Budget:    50,
-				Estimator: &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold},
-				Policy:    PolicyOSSP,
-				Rand:      rand.New(rand.NewSource(seed)),
-				Fallback:  true,
-				SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
-					if failing {
-						return nil, errors.New("solver down")
-					}
-					return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
-				},
-				Journal: journal,
+			return testEngine(t, withSeed(seed), withJournal(journal), func(c *Config) {
+				c.Estimator = &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold}
+				c.Fallback, c.SSESolve = true, flakySolver(&failing)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
 		}
 		var journal []DecisionRecord
-		live := build(func(rec DecisionRecord) (func() error, error) {
-			journal = append(journal, rec)
-			return nil, nil
-		})
+		live := build(recordInto(&journal))
 		replayed := build(nil)
 		engines := []*Engine{live, replayed}
 		rng := rand.New(rand.NewSource(seed ^ 0x1ce))
@@ -294,8 +260,7 @@ func TestEngineRebuiltFromJournalExportsLiveState(t *testing.T) {
 // engine's futures and equilibrium, and from the restore on all three decide
 // alike.
 func TestOnlyCommitsMoveTheKeptEstimate(t *testing.T) {
-	inst := multiInstance(t)
-	base := []float64{196, 29, 140, 10, 25, 15, 43}
+	inst, base := multiInstance(t), fixtureRates
 	// An alert every 30 minutes from midnight; the estimate freezes from
 	// alert 25 (12:30) on.
 	const every, alerts, restoreAt = 30 * time.Minute, 40, 29
@@ -307,34 +272,25 @@ func TestOnlyCommitsMoveTheKeptEstimate(t *testing.T) {
 	var onSolve func()
 	refuse := false
 	build := func(journaled bool) *Engine {
-		cfg := Config{
-			Instance:  inst,
-			Budget:    40,
-			Estimator: &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold},
-			Policy:    PolicyOSSP,
-			Rand:      rand.New(rand.NewSource(7)),
-			Fallback:  true,
-			SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
+		return testEngine(t, withBudget(40), withSeed(7), func(c *Config) {
+			c.Estimator = &rollbackEstimator{base: base, day: 24 * time.Hour, threshold: threshold}
+			c.Fallback = true
+			c.SSESolve = func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
 				if onSolve != nil {
 					onSolve()
 				}
 				return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
-			},
-		}
-		if journaled {
-			cfg.Journal = func(rec DecisionRecord) (func() error, error) {
-				if refuse {
-					return nil, errors.New("journal full")
-				}
-				journal = append(journal, rec)
-				return nil, nil
 			}
-		}
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+			if journaled {
+				c.Journal = func(rec DecisionRecord) (func() error, error) {
+					if refuse {
+						return nil, errors.New("journal full")
+					}
+					journal = append(journal, rec)
+					return nil, nil
+				}
+			}
+		})
 	}
 	// ghosts are what the live engine does at an alert before deciding it;
 	// each fails to commit.
@@ -454,10 +410,7 @@ func assertKeptAlike(t *testing.T, engines []*Engine, where string) {
 func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
 	const seed, mid, before, after = 99, 12, 30, 50
 	var journal []DecisionRecord
-	live, numTypes := stateTestEngine(t, seed, func(rec DecisionRecord) (func() error, error) {
-		journal = append(journal, rec)
-		return nil, nil
-	})
+	live, numTypes := stateTestEngine(t, seed, recordInto(&journal))
 	alert := func(i int) Alert { return Alert{Type: i % numTypes, Time: 9 * time.Hour} }
 	var midSnap EngineState
 	for i := 0; i < before; i++ {
@@ -502,35 +455,22 @@ func TestRestoredEngineDecidesLikeUninterruptedTwin(t *testing.T) {
 // estimate under a failing solver does not move them either, and the next
 // solved decision's estimate is taken in full.
 func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
-	inst := multiInstance(t) // audit cost 1 for every type
+	// multiInstance: audit cost 1 for every type.
 	good := func(at time.Duration) []float64 {
 		left := 1 - float64(at)/float64(24*time.Hour)
 		return []float64{196 * left, 29 * left, 140 * left, 10 * left, 25 * left, 15 * left, 43 * left}
 	}
 	poisoned, down := false, false
-	e, err := NewEngine(Config{
-		Instance: inst,
-		Budget:   50,
-		Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+	e := testEngine(t, withSeed(5), func(c *Config) {
+		c.Estimator = EstimatorFunc(func(at time.Duration) ([]float64, error) {
 			rates := good(at)
 			if poisoned {
 				rates[3] = math.NaN()
 			}
 			return rates, nil
-		}),
-		Policy: PolicyOSSP,
-		Rand:   rand.New(rand.NewSource(5)),
-		SSESolve: func(ctx context.Context, inst *game.Instance, budget float64, futures []dist.Poisson) (*game.Result, error) {
-			if down {
-				return nil, errors.New("solver down")
-			}
-			return game.SolveOnlineSSECtx(ctx, inst, budget, futures)
-		},
-		Fallback: true,
+		})
+		c.Fallback, c.SSESolve = true, flakySolver(&down)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	expCost := func(rates []float64) (c float64) {
 		for _, r := range rates {
 			c += r
@@ -569,7 +509,7 @@ func TestRejectedEstimateKeepsTheLastFutures(t *testing.T) {
 		}
 	}
 	poisoned, down = false, false
-	if _, err = e.Process(Alert{Type: 1, Time: 12 * time.Hour}); err != nil {
+	if _, err := e.Process(Alert{Type: 1, Time: 12 * time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	if got, next := kept(), good(12*time.Hour); !slices.Equal(got, next) {
@@ -691,29 +631,16 @@ func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func(journal JournalFunc) *Engine {
-		e, err := NewEngine(Config{
-			Instance: inst, Budget: 30, Policy: PolicyOSSP,
-			Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+		return testEngine(t, withInstance(inst), withBudget(30), withSeed(11), withJournal(journal), func(c *Config) {
+			c.Estimator = EstimatorFunc(func(at time.Duration) ([]float64, error) {
 				left := 1 - float64(at)/float64(24*time.Hour)
 				return []float64{40 * left, 25 * left}, nil
-			}),
-			Rand:    rand.New(rand.NewSource(11)),
-			Journal: journal,
+			})
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	record := func(into *[]DecisionRecord) JournalFunc {
-		return func(rec DecisionRecord) (func() error, error) {
-			*into = append(*into, rec)
-			return nil, nil
-		}
 	}
 
 	var journal []DecisionRecord
-	live := fresh(record(&journal))
+	live := fresh(recordInto(&journal))
 	silentAudits, warned := 0, 0
 	for i := 0; i < 40; i++ {
 		d, err := live.Process(Alert{Type: i % 2, Time: time.Duration(i) * 20 * time.Minute})
@@ -735,7 +662,7 @@ func TestSilentAuditCycleReplaysBitIdentically(t *testing.T) {
 	}
 
 	var again []DecisionRecord
-	redecided := fresh(record(&again))
+	redecided := fresh(recordInto(&again))
 	applied := fresh(nil)
 	for _, rec := range journal {
 		if _, err := redecided.Process(Alert{Type: rec.Type, Time: rec.Time}); err != nil {
@@ -781,30 +708,20 @@ func BenchmarkRestoreSnapshot(b *testing.B) {
 }
 
 func benchmarkRestore(b *testing.B, decisions int, every, freeze time.Duration) {
-	inst := multiInstance(b)
-	start := []float64{196, 29, 140, 10, 25, 15, 43}
 	build := func() *Engine {
-		e, err := NewEngine(Config{
-			Instance: inst,
-			Budget:   1e6,
-			Estimator: EstimatorFunc(func(at time.Duration) ([]float64, error) {
+		return testEngine(b, withBudget(1e6), func(c *Config) {
+			c.Estimator = EstimatorFunc(func(at time.Duration) ([]float64, error) {
 				if at >= freeze {
-					return start, ErrKeepEstimate
+					return fixtureRates, ErrKeepEstimate
 				}
 				left := 1 - float64(at)/float64(24*time.Hour)
 				return []float64{196 * left, 29 * left, 140 * left, 10 * left, 25 * left, 15 * left, 43 * left}, nil
-			}),
-			Policy: PolicyOSSP,
-			Rand:   rand.New(rand.NewSource(1)),
+			})
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return e
 	}
 	live := build()
 	for i := 0; i < decisions; i++ {
-		if _, err := live.Process(Alert{Type: i % inst.NumTypes(), Time: time.Duration(i) * every}); err != nil {
+		if _, err := live.Process(Alert{Type: i % len(fixtureRates), Time: time.Duration(i) * every}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -372,7 +372,7 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 	p.ts.CloseClientConnections()
 	p.ts.Close()
 	p.append(quit(1))
-	time.Sleep(20 * time.Millisecond) // let a few reconnect attempts fail
+	waitFor(t, "a reconnect attempt", func() bool { return counter(reg, MetricReconnects) >= 1 })
 
 	ln, err := netListen(addr)
 	if err != nil {

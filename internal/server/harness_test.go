@@ -23,8 +23,9 @@ import (
 // testConfig or testServer, sends its requests with do and reads the metric
 // registry with scrape: a test that needs another server passes a modifier.
 
-// fixtureRates are the fixed Table-1 rates the standard estimator answers,
-// a fresh copy per call as a real estimator's would be.
+// fixtureRates are the fixed Table-1 rates the standard estimator answers.
+// The engine copies an estimate and never keeps the slice, so every call
+// answers this one.
 var fixtureRates = []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}
 
 // dflt is the label set of the default tenant's series.
@@ -56,7 +57,7 @@ func testConfig(t testing.TB, mods ...func(*Config)) (cfg Config, bgE, bgP int) 
 		TypeIDs:   sim.AllTable1TypeIDs(),
 		Instance:  inst,
 		Budget:    50,
-		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) { return slices.Clone(fixtureRates), nil }),
+		Estimator: core.EstimatorFunc(func(time.Duration) ([]float64, error) { return fixtureRates, nil }),
 		Seed:      1,
 		Clock:     func() time.Duration { return 9 * time.Hour },
 	}

@@ -61,13 +61,9 @@ func shipFrames(t *testing.T, j *Journal, cur Cursor) []Frame {
 
 func TestReadFramesWalksDurableRecords(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
 	want := sampleRecords()
-	appendAll(t, j, want)
+	appendAll(t, j, want...)
 
 	frames := shipFrames(t, j, Cursor{})
 	if len(frames) != len(want) {
@@ -101,25 +97,17 @@ func TestReadFramesWalksDurableRecords(t *testing.T) {
 // replication stream reads when one commit round wakes it.
 func tailWindow(tb testing.TB) (j *Journal, cur, limit Cursor) {
 	tb.Helper()
-	j, _, err := Open(tb.TempDir(), Options{Fsync: FsyncNone, Interval: time.Hour})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { j.Close() })
+	j = openJournal(tb, tb.TempDir(), Options{Fsync: FsyncNone, Interval: time.Hour})
 	blob := Record{Kind: KindSnapshot, Snapshot: make([]byte, 4096)}
 	for i := 0; i < 256; i++ {
-		if _, err := j.Append(blob); err != nil {
-			tb.Fatal(err)
-		}
+		appendAll(tb, j, blob)
 	}
 	if err := j.Sync(); err != nil {
 		tb.Fatal(err)
 	}
 	cur = j.DurableCursor()
 	for i := 0; i < 14; i++ { // 14 × 7 bytes
-		if _, err := j.Append(Record{Kind: KindQuit, Employee: i}); err != nil {
-			tb.Fatal(err)
-		}
+		appendAll(tb, j, Record{Kind: KindQuit, Employee: i})
 	}
 	if err := j.Sync(); err != nil {
 		tb.Fatal(err)
@@ -163,19 +151,11 @@ func BenchmarkReadFramesTail(b *testing.B) {
 
 func TestValidateCursor(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, sampleRecords())
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
+	appendAll(t, j, sampleRecords()...)
 	durable := j.DurableCursor()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
+	rec := recoverDir(t, dir)
 	if rec.End != durable {
 		t.Fatalf("recovered end %v, durable was %v", rec.End, durable)
 	}
@@ -199,13 +179,9 @@ func TestValidateCursor(t *testing.T) {
 
 func TestValidateCursorPrunedSegment(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
 	for i := 0; i < 24; i++ {
-		appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
+		appendAll(t, j, Record{Kind: KindQuit, Employee: i})
 	}
 	if err := j.Snapshot([]byte("snap")); err != nil {
 		t.Fatal(err)
@@ -233,13 +209,9 @@ func TestValidateCursorPrunedSegment(t *testing.T) {
 // a 409 and a re-seed — never the raw ENOENT that used to surface as a 500.
 func TestValidateCursorSegmentVanishes(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 96})
 	for i := 0; i < 24; i++ {
-		appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
+		appendAll(t, j, Record{Kind: KindQuit, Employee: i})
 	}
 	cur := Cursor{Seg: 0, Off: headerSize}
 	if err := j.ValidateCursor(cur, 0); err != nil {
@@ -266,12 +238,8 @@ func TestValidateCursorSegmentVanishes(t *testing.T) {
 func TestMirrorRoundTrip(t *testing.T) {
 	src := t.TempDir()
 	dst := t.TempDir()
-	j, _, err := Open(src, Options{Fsync: FsyncAlways, SegmentBytes: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	appendAll(t, j, sampleRecords())
+	j := openJournal(t, src, Options{Fsync: FsyncAlways, SegmentBytes: 96})
+	appendAll(t, j, sampleRecords()...)
 
 	m, err := OpenMirror(dst, Cursor{})
 	if err != nil {
@@ -284,16 +252,11 @@ func TestMirrorRoundTrip(t *testing.T) {
 			t.Fatalf("append %d/%d: %v", fr.Seg, fr.Off, err)
 		}
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, m)
 
 	// Restarting the mirror mid-stream must resume exactly where recovery
 	// says the tail is — the cursor a real follower derives after a crash.
-	rec, err := Recover(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverDir(t, dst)
 	if rec.Records != half {
 		t.Fatalf("mirror recovered %d records, want %d", rec.Records, half)
 	}
@@ -306,54 +269,26 @@ func TestMirrorRoundTrip(t *testing.T) {
 			t.Fatalf("append %d/%d: %v", fr.Seg, fr.Off, err)
 		}
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, m)
 
 	// Seal the source: only its live active segment carries a preallocated
 	// tail, which is never shipped.
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	srcRec, err := Recover(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstRec, err := Recover(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
+	srcRec := recoverDir(t, src)
+	dstRec := recoverDir(t, dst)
 	if dstRec.End != srcRec.End || dstRec.LastCRC != srcRec.LastCRC || dstRec.Records != srcRec.Records {
 		t.Fatalf("mirror recovery (%v crc %08x n=%d) != source (%v crc %08x n=%d)",
 			dstRec.End, dstRec.LastCRC, dstRec.Records, srcRec.End, srcRec.LastCRC, srcRec.Records)
 	}
-	segs, err := segments(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs {
-		want, err := os.ReadFile(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dst, filepath.Base(s)))
-		if err != nil {
-			t.Fatalf("mirror missing %s: %v", filepath.Base(s), err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("segment %s is not byte-identical", filepath.Base(s))
-		}
+	if !reflect.DeepEqual(readDir(t, dst), readDir(t, src)) {
+		t.Fatal("the mirror's segments are not byte-identical to the source's")
 	}
 }
 
 func TestMirrorRejectsGaps(t *testing.T) {
 	src := t.TempDir()
-	j, _, err := Open(src, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	appendAll(t, j, sampleRecords())
+	j := openJournal(t, src, Options{Fsync: FsyncAlways})
+	appendAll(t, j, sampleRecords()...)
 	frames := shipFrames(t, j, Cursor{})
 	if len(frames) < 3 {
 		t.Fatalf("need at least 3 frames, got %d", len(frames))
@@ -383,9 +318,7 @@ func TestMirrorRejectsGaps(t *testing.T) {
 	if _, _, err := m2.Append(frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, m2)
 	if _, err := OpenMirror(dst2, Cursor{Seg: frames[0].Seg, Off: frames[0].Off + int64(len(frames[0].Raw)) + 3}); !errors.Is(err, ErrMirrorGap) {
 		t.Fatalf("mismatched resume size accepted: %v", err)
 	}
@@ -397,11 +330,7 @@ func TestMirrorRejectsGaps(t *testing.T) {
 // TestSeedEmptyJournal: with nothing written yet the handshake starts at the
 // durable cursor — the active segment's first frame.
 func TestSeedEmptyJournal(t *testing.T) {
-	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, t.TempDir(), Options{Fsync: FsyncNone})
 	start, lease := j.Seed()
 	defer lease.Release()
 	if durable := j.DurableCursor(); start != durable {

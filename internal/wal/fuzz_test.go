@@ -117,23 +117,10 @@ func encodeAll(t *testing.T, recs []Record) []byte {
 func FuzzRecoverSegment(f *testing.F) {
 	// Seed with a real segment.
 	dir := f.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, r := range sampleRecords() {
-		if _, err := j.Append(r); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		f.Fatal(err)
-	}
-	segs, _ := segments(dir)
-	raw, err := os.ReadFile(segs[0])
-	if err != nil {
-		f.Fatal(err)
-	}
+	j := openJournal(f, dir, Options{Fsync: FsyncNone})
+	appendAll(f, j, sampleRecords()...)
+	mustClose(f, j)
+	raw := []byte(readDir(f, dir)[segmentName(0)])
 	f.Add(raw)
 	f.Add(raw[:len(raw)-3]) // torn tail
 	f.Add([]byte(magic + "\x01"))
@@ -144,21 +131,10 @@ func FuzzRecoverSegment(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tmp := t.TempDir()
-		seg := filepath.Join(tmp, segmentName(0))
-		if err := os.WriteFile(seg, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(tmp, segmentName(0)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(tmp)
-		if err != nil {
-			t.Fatalf("recovery must plan a cut, not fail: %v", err)
-		}
-		if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, data) {
-			t.Fatalf("Recover changed the segment (%v)", err)
-		}
-		rec2, err := Recover(tmp)
-		if err != nil {
-			t.Fatalf("second recovery failed: %v", err)
-		}
+		rec, rec2 := recoverDir(t, tmp), recoverDir(t, tmp)
 		// Compare tails via the encoding (NaN-safe; see FuzzDecodeRecord).
 		a, b := *rec, *rec2
 		a.Tail, b.Tail = nil, nil
@@ -167,13 +143,8 @@ func FuzzRecoverSegment(f *testing.F) {
 		}
 		// Once cut, the directory is clean: a third scan reports no
 		// corruption and the identical logical state.
-		if err := rec.Cut(); err != nil {
-			t.Fatal(err)
-		}
-		rec3, err := Recover(tmp)
-		if err != nil {
-			t.Fatalf("recovery after the cut failed: %v", err)
-		}
+		mustCut(t, rec)
+		rec3 := recoverDir(t, tmp)
 		if rec3.Truncated {
 			t.Fatal("recovery after the cut still reports corruption")
 		}
@@ -181,15 +152,8 @@ func FuzzRecoverSegment(f *testing.F) {
 			t.Fatal("the cut changed the recovered state")
 		}
 		// And the journal must accept appends on top of it.
-		j, _, err := Open(tmp, Options{Fsync: FsyncNone})
-		if err != nil {
-			t.Fatalf("journal failed to open after recovery: %v", err)
-		}
-		if _, err := j.Append(Record{Kind: KindCycleClose}); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
+		j := openJournal(t, tmp, Options{Fsync: FsyncNone})
+		appendAll(t, j, Record{Kind: KindCycleClose})
+		mustClose(t, j)
 	})
 }

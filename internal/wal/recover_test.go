@@ -9,60 +9,6 @@ import (
 	"time"
 )
 
-// dirBytes maps each file in dir to its contents.
-func dirBytes(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make(map[string]string, len(entries))
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = string(raw)
-	}
-	return files
-}
-
-// recoverReadOnly runs Recover on dir and fails t unless it left every file
-// in dir byte-identical.
-func recoverReadOnly(t *testing.T, dir string) *Recovery {
-	t.Helper()
-	before := dirBytes(t, dir)
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatal("Recover wrote to the journal dir")
-	}
-	return rec
-}
-
-// mustCut runs rec.Cut, failing t on an error.
-func mustCut(t *testing.T, rec *Recovery) {
-	t.Helper()
-	if err := rec.Cut(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// buildJournal writes recs into dir and seals the journal.
-func buildJournal(t *testing.T, dir string, recs []Record) {
-	t.Helper()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, recs)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecoverTornTailTruncates(t *testing.T) {
 	recs := []Record{
 		{Kind: KindCycleOpen, Budget: 5},
@@ -74,23 +20,21 @@ func TestRecoverTornTailTruncates(t *testing.T) {
 	// recovered file back up would append zeros, which are a clean tail.
 	for cut := int64(1); cut < 4; cut++ {
 		dir := t.TempDir()
-		buildJournal(t, dir, recs)
-		segs, _ := segments(dir)
-		if len(segs) != 1 {
-			t.Fatalf("want one segment, got %v", segs)
+		j := openJournal(t, dir, Options{Fsync: FsyncNone})
+		appendAll(t, j, recs...)
+		mustClose(t, j)
+		disk, seg := readDir(t, dir), filepath.Join(dir, segmentName(0))
+		if len(disk) != 1 {
+			t.Fatalf("want one segment, got %d files", len(disk))
 		}
-		info, err := os.Stat(segs[0])
-		if err != nil {
+		if err := os.Truncate(seg, disk.size(0)-cut); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Truncate(segs[0], info.Size()-cut); err != nil {
-			t.Fatal(err)
-		}
-		rec := recoverReadOnly(t, dir)
+		rec := recoverDir(t, dir)
 		if !rec.Truncated {
 			t.Fatalf("cut %d: torn tail not reported", cut)
 		}
-		if rec.TruncatedSegment != segs[0] || rec.TruncatedOffset <= int64(headerSize) {
+		if rec.TruncatedSegment != seg || rec.TruncatedOffset <= int64(headerSize) {
 			t.Fatalf("cut %d: truncation located at %s@%d", cut, rec.TruncatedSegment, rec.TruncatedOffset)
 		}
 		// The last record is gone; the valid prefix survives.
@@ -99,10 +43,7 @@ func TestRecoverTornTailTruncates(t *testing.T) {
 		}
 		// Cut truncates the file physically: a second recovery is clean.
 		mustCut(t, rec)
-		rec2, err := Recover(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec2 := recoverDir(t, dir)
 		if rec2.Truncated {
 			t.Fatalf("cut %d: second recovery still reports corruption", cut)
 		}
@@ -119,23 +60,14 @@ func TestRecoverCRCCorruptionTruncates(t *testing.T) {
 		{Kind: KindQuit, Employee: 20},
 		{Kind: KindQuit, Employee: 30},
 	}
-	buildJournal(t, dir, recs)
-	segs, _ := segments(dir)
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
+	appendAll(t, j, recs...)
+	mustClose(t, j)
 	// Flip a bit in the middle record's payload (each record here is
 	// 1-byte length + 2-byte payload + 4-byte CRC = 7 bytes).
-	mid := headerSize + 7 + 2
-	data[mid] ^= 0x40
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatalf("recovery failed on CRC corruption: %v", err)
-	}
+	const mid = headerSize + 7 + 2
+	writeAt(t, filepath.Join(dir, segmentName(0)), mid, []byte{readDir(t, dir)[segmentName(0)][mid] ^ 0x40})
+	rec := recoverDir(t, dir)
 	if !rec.Truncated {
 		t.Fatal("CRC corruption not reported")
 	}
@@ -149,19 +81,13 @@ func TestRecoverCRCCorruptionTruncates(t *testing.T) {
 
 func TestRecoverCorruptionDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
 	var recs []Record
 	for i := 0; i < 40; i++ {
-		r := Record{Kind: KindQuit, Employee: i}
-		recs = append(recs, r)
+		recs = append(recs, Record{Kind: KindQuit, Employee: i})
 	}
-	appendAll(t, j, recs)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, j, recs...)
+	mustClose(t, j)
 	segs, _ := segments(dir)
 	if len(segs) < 3 {
 		t.Fatalf("test needs ≥3 segments, got %d", len(segs))
@@ -170,7 +96,7 @@ func TestRecoverCorruptionDropsLaterSegments(t *testing.T) {
 	if err := os.WriteFile(segs[1], []byte("BOGUS"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec := recoverReadOnly(t, dir)
+	rec := recoverDir(t, dir)
 	if !rec.Truncated {
 		t.Fatal("corrupt segment header not reported")
 	}
@@ -207,7 +133,7 @@ func TestRecoverWhollyCorruptSegmentRemoved(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a segment at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec := recoverReadOnly(t, dir)
+	rec := recoverDir(t, dir)
 	if !rec.Truncated || rec.Records != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
@@ -228,10 +154,10 @@ func TestRecoverWhollyCorruptSegmentRemoved(t *testing.T) {
 
 func TestOpenAfterTornTailAppendsCleanly(t *testing.T) {
 	dir := t.TempDir()
-	buildJournal(t, dir, []Record{{Kind: KindQuit, Employee: 1}, {Kind: KindQuit, Employee: 2}})
-	segs, _ := segments(dir)
-	info, _ := os.Stat(segs[0])
-	if err := os.Truncate(segs[0], info.Size()-2); err != nil {
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
+	appendAll(t, j, quits[:2]...)
+	mustClose(t, j)
+	if err := os.Truncate(filepath.Join(dir, segmentName(0)), readDir(t, dir).size(0)-2); err != nil {
 		t.Fatal(err)
 	}
 	// Open recovers (truncating the tear) and appends on a fresh segment.
@@ -239,29 +165,17 @@ func TestOpenAfterTornTailAppendsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
 	if !rec.Truncated || len(rec.Tail) != 1 {
 		t.Fatalf("recovery = %+v", rec)
 	}
-	appendAll(t, j, []Record{{Kind: KindQuit, Employee: 3}})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Record{{Kind: KindQuit, Employee: 1}, {Kind: KindQuit, Employee: 3}}
+	appendAll(t, j, Record{Kind: KindQuit, Employee: 3})
+	mustClose(t, j)
+	final := recoverDir(t, dir)
+	want := []Record{quits[0], quits[2]}
 	if !reflect.DeepEqual(final.Tail, want) {
 		t.Fatalf("final tail %+v, want %+v", final.Tail, want)
 	}
-}
-
-// abandon drops the journal the way a kill -9 does: buffered bytes are lost,
-// the active segment is never sealed and keeps its preallocated zero tail.
-func abandon(j *Journal) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_ = j.f.Close()
 }
 
 // abandonedJournal appends recs under FsyncAlways and abandons the journal.
@@ -269,27 +183,14 @@ func abandon(j *Journal) {
 // record, behind which the file holds only zeros.
 func abandonedJournal(t *testing.T, dir string, recs []Record) (seg string, end Cursor) {
 	t.Helper()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, recs)
-	end = j.DurableCursor()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
+	end = appendAll(t, j, recs...)
 	abandon(j)
 	seg = filepath.Join(dir, segmentName(end.Seg))
-	if size := fileSize(t, seg); size <= end.Off {
+	if size := readDir(t, dir).size(end.Seg); size <= end.Off {
 		t.Fatalf("abandoned segment holds %d bytes, last frame ends at %d: no zero tail to recover from", size, end.Off)
 	}
 	return seg, end
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return info.Size()
 }
 
 // writeAt overwrites part of a segment file in place.
@@ -315,8 +216,8 @@ var quits = []Record{
 // at the frame boundary without a truncation report, once.
 func TestRecoverZeroTailIsNotCorruption(t *testing.T) {
 	dir := t.TempDir()
-	seg, end := abandonedJournal(t, dir, quits)
-	rec := recoverReadOnly(t, dir)
+	_, end := abandonedJournal(t, dir, quits)
+	rec := recoverDir(t, dir)
 	last, err := encode(nil, quits[len(quits)-1])
 	if err != nil {
 		t.Fatal(err)
@@ -328,19 +229,10 @@ func TestRecoverZeroTailIsNotCorruption(t *testing.T) {
 		t.Fatalf("recovered %+v, want %+v", rec.Tail, quits)
 	}
 	mustCut(t, rec)
-	if size := fileSize(t, seg); size != end.Off {
+	if size := readDir(t, dir).size(end.Seg); size != end.Off {
 		t.Fatalf("segment holds %d bytes after recovery, want it trimmed to %d", size, end.Off)
 	}
-	before, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.ReadFile(seg)
-	if rec2.Truncated || rec2.End != end || !reflect.DeepEqual(rec2.Tail, quits) || string(after) != string(before) {
+	if rec2 := recoverDir(t, dir); rec2.Truncated || rec2.End != end || !reflect.DeepEqual(rec2.Tail, quits) {
 		t.Fatalf("second recovery changed something: %+v", rec2)
 	}
 }
@@ -350,7 +242,7 @@ func TestRecoverTornFrameBeforeZeroTail(t *testing.T) {
 	dir := t.TempDir()
 	seg, end := abandonedJournal(t, dir, quits)
 	writeAt(t, seg, end.Off-2, []byte{0, 0}) // the last frame's CRC never made it
-	rec := recoverReadOnly(t, dir)
+	rec := recoverDir(t, dir)
 	if !rec.Truncated || rec.TruncatedSegment != seg || rec.TruncatedOffset != end.Off-7 {
 		t.Fatalf("recovery = %+v, want a truncation at the last frame (%d)", rec, end.Off-7)
 	}
@@ -358,7 +250,7 @@ func TestRecoverTornFrameBeforeZeroTail(t *testing.T) {
 		t.Fatalf("recovered %+v, want the first two records", rec.Tail)
 	}
 	mustCut(t, rec)
-	if size := fileSize(t, seg); size != end.Off-7 {
+	if size := readDir(t, dir).size(end.Seg); size != end.Off-7 {
 		t.Fatalf("segment holds %d bytes, want %d", size, end.Off-7)
 	}
 }
@@ -368,15 +260,9 @@ func TestRecoverTornFrameBeforeZeroTail(t *testing.T) {
 func TestRecoverZerosThenFrameTruncates(t *testing.T) {
 	dir := t.TempDir()
 	seg, end := abandonedJournal(t, dir, quits)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeAt(t, seg, end.Off+16, data[headerSize:headerSize+7]) // a copy of the first frame
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readDir(t, dir)[segmentName(end.Seg)]
+	writeAt(t, seg, end.Off+16, []byte(data[headerSize:headerSize+7])) // a copy of the first frame
+	rec := recoverDir(t, dir)
 	if !rec.Truncated || rec.TruncatedOffset != end.Off {
 		t.Fatalf("recovery = %+v, want a truncation at the zeros (%d)", rec, end.Off)
 	}
@@ -389,34 +275,26 @@ func TestRecoverZerosThenFrameTruncates(t *testing.T) {
 // header-only preallocated one: both recover clean.
 func TestRecoverCrashRightAfterRoll(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: 64})
 	full := Record{Kind: KindSnapshot, Snapshot: make([]byte, 64)}
-	appendAll(t, j, []Record{full, {Kind: KindCycleClose}}) // the second rolls, then sits in the buffer
+	appendAll(t, j, full, Record{Kind: KindCycleClose}) // the second rolls, then sits in the buffer
 	sealed := j.DurableCursor()
 	abandon(j)
-	if sealed.Seg != 0 || fileSize(t, filepath.Join(dir, segmentName(0))) != sealed.Off {
+	if sealed.Seg != 0 || readDir(t, dir).size(0) != sealed.Off {
 		t.Fatalf("segment 0 was not sealed at its exact size (durable %v)", sealed)
 	}
-	active := filepath.Join(dir, segmentName(1))
-	if size := fileSize(t, active); size != 64 {
+	if size := readDir(t, dir).size(1); size != 64 {
 		t.Fatalf("fresh segment holds %d bytes, want one 64-byte step", size)
 	}
-	rec := recoverReadOnly(t, dir)
+	rec := recoverDir(t, dir)
 	if rec.Truncated || rec.Records != 1 || rec.End != sealed || rec.Segments != 2 {
 		t.Fatalf("recovery = %+v, want 1 record ending at %v in 2 segments, nothing truncated", rec, sealed)
 	}
 	mustCut(t, rec)
-	if size := fileSize(t, active); size != headerSize {
+	if size := readDir(t, dir).size(1); size != headerSize {
 		t.Fatalf("header-only segment holds %d bytes after recovery, want %d", size, headerSize)
 	}
-	j2, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
+	j2 := openJournal(t, dir, Options{Fsync: FsyncNone})
 	if cur := j2.DurableCursor(); cur.Seg != 2 {
 		t.Fatalf("reopened on segment %d, want 2", cur.Seg)
 	}
@@ -425,27 +303,22 @@ func TestRecoverCrashRightAfterRoll(t *testing.T) {
 // A zero tail is not a tear, so the segments after it are kept.
 func TestRecoverZeroTailKeepsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
 	var recs []Record
 	for i := 0; i < 40; i++ {
 		recs = append(recs, Record{Kind: KindQuit, Employee: i})
 	}
-	appendAll(t, j, recs)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, j, recs...)
+	mustClose(t, j)
 	segs, _ := segments(dir)
 	if len(segs) < 3 {
 		t.Fatalf("test needs ≥3 segments, got %d", len(segs))
 	}
-	size := fileSize(t, segs[0])
+	size := readDir(t, dir).size(0)
 	if err := os.Truncate(segs[0], size+32); err != nil { // grows: 32 zeros
 		t.Fatal(err)
 	}
-	rec := recoverReadOnly(t, dir)
+	rec := recoverDir(t, dir)
 	if rec.Truncated || !reflect.DeepEqual(rec.Tail, recs) {
 		t.Fatalf("recovery = truncated %v with %d of %d records", rec.Truncated, len(rec.Tail), len(recs))
 	}
@@ -453,7 +326,7 @@ func TestRecoverZeroTailKeepsLaterSegments(t *testing.T) {
 	if left, _ := segments(dir); !reflect.DeepEqual(left, segs) {
 		t.Fatalf("segments after recovery %v, want all of %v", left, segs)
 	}
-	if got := fileSize(t, segs[0]); got != size {
+	if got := readDir(t, dir).size(0); got != size {
 		t.Fatalf("zero-tailed segment holds %d bytes after recovery, want %d", got, size)
 	}
 }
@@ -470,24 +343,23 @@ func TestRecoverWritesNothing(t *testing.T) {
 		crash func(t *testing.T, dir string)
 	}{
 		{"torn tail", func(t *testing.T, dir string) {
-			buildJournal(t, dir, quits)
-			seg := filepath.Join(dir, segmentName(0))
-			if err := os.Truncate(seg, fileSize(t, seg)-3); err != nil {
+			j := openJournal(t, dir, Options{Fsync: FsyncNone})
+			appendAll(t, j, quits...)
+			mustClose(t, j)
+			if err := os.Truncate(filepath.Join(dir, segmentName(0)), readDir(t, dir).size(0)-3); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"crc flip", func(t *testing.T, dir string) {
-			buildJournal(t, dir, quits)
+			j := openJournal(t, dir, Options{Fsync: FsyncNone})
+			appendAll(t, j, quits...)
+			mustClose(t, j)
 			writeAt(t, filepath.Join(dir, segmentName(0)), headerSize+7+2, []byte{0x40})
 		}},
 		{"zero tail", func(t *testing.T, dir string) { abandonedJournal(t, dir, quits) }},
 		{"zeros then a frame", func(t *testing.T, dir string) {
 			seg, end := abandonedJournal(t, dir, quits)
-			raw, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeAt(t, seg, end.Off+16, raw[headerSize:headerSize+7])
+			writeAt(t, seg, end.Off+16, []byte(readDir(t, dir)[segmentName(end.Seg)][headerSize:headerSize+7]))
 		}},
 		{"wholly corrupt segment", func(t *testing.T, dir string) {
 			if err := os.WriteFile(filepath.Join(dir, segmentName(0)), []byte("not a segment at all"), 0o644); err != nil {
@@ -495,42 +367,26 @@ func TestRecoverWritesNothing(t *testing.T) {
 			}
 		}},
 		{"corruption then later segments", func(t *testing.T, dir string) {
-			j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
+			j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
 			for i := 0; i < 40; i++ {
-				appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
+				appendAll(t, j, Record{Kind: KindQuit, Employee: i})
 			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
+			mustClose(t, j)
 			writeAt(t, filepath.Join(dir, segmentName(1)), 0, []byte("BOGUS"))
 		}},
 		{"crash right after a roll", func(t *testing.T, dir string) {
-			j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			appendAll(t, j, []Record{{Kind: KindSnapshot, Snapshot: make([]byte, 64)}, {Kind: KindCycleClose}})
+			j := openJournal(t, dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: 64})
+			appendAll(t, j, Record{Kind: KindSnapshot, Snapshot: make([]byte, 64)}, Record{Kind: KindCycleClose})
 			abandon(j)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			c.crash(t, dir)
-			before := dirBytes(t, dir)
 			syncs := recordDirSyncs(t)
-			rec, err := Recover(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := Recover(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dirBytes(t, dir), before) || len(*syncs) != 0 {
-				t.Fatalf("Recover wrote to the dir (synced %q)", *syncs)
+			rec, again := recoverDir(t, dir), recoverDir(t, dir)
+			if len(*syncs) != 0 {
+				t.Fatalf("Recover synced %q", *syncs)
 			}
 			if !reflect.DeepEqual(rec, again) {
 				t.Fatalf("two scans of the same dir differ:\n%+v\n%+v", rec, again)
@@ -544,21 +400,19 @@ func TestRecoverWritesNothing(t *testing.T) {
 			if !reflect.DeepEqual(*syncs, want) {
 				t.Fatalf("Cut synced %q, want %q", *syncs, want)
 			}
-			left, _ := segments(dir)
-			if len(left) != len(rec.segBytes) {
-				t.Fatalf("Cut left %d segments, the scan reported %d", len(left), len(rec.segBytes))
+			cutOnce := readDir(t, dir)
+			if len(cutOnce) != len(rec.segBytes) {
+				t.Fatalf("Cut left %d segments, the scan reported %d", len(cutOnce), len(rec.segBytes))
 			}
-			for _, seg := range left {
-				n, _ := segmentSeq(seg)
-				if size := fileSize(t, seg); size != rec.segBytes[n] {
-					t.Fatalf("Cut left %s at %d bytes, the scan reported %d", seg, size, rec.segBytes[n])
+			for n, want := range rec.segBytes {
+				if size := cutOnce.size(n); size != want {
+					t.Fatalf("Cut left segment %d at %d bytes, the scan reported %d", n, size, want)
 				}
 			}
-			cutOnce := dirBytes(t, dir)
 			mustCut(t, rec)
-			after := recoverReadOnly(t, dir)
+			after := recoverDir(t, dir)
 			mustCut(t, after)
-			if !reflect.DeepEqual(dirBytes(t, dir), cutOnce) || after.Truncated ||
+			if !reflect.DeepEqual(readDir(t, dir), cutOnce) || after.Truncated ||
 				!reflect.DeepEqual(after.Tail, rec.Tail) || after.End != rec.End || after.Records != rec.Records {
 				t.Fatalf("after the cut: %+v, want the cut state %+v and nothing left to cut", after, rec)
 			}

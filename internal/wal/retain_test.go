@@ -3,66 +3,18 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 )
 
-// diskFootprint sums the journal directory's segment files.
-func diskFootprint(t *testing.T, dir string) (files int, bytes int64) {
-	t.Helper()
-	segs, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs {
-		info, err := os.Stat(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes += info.Size()
-	}
-	return len(segs), bytes
-}
-
-// oldestOnDisk returns the lowest segment number the directory still holds.
-func oldestOnDisk(t *testing.T, dir string) int {
-	t.Helper()
-	segs, err := segments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments in %s: %v", dir, err)
-	}
-	n, err := segmentSeq(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// fillSegments appends meta records until the journal has rolled past
-// wantSeq (i.e. the active segment's sequence is at least wantSeq).
-func fillSegments(t *testing.T, j *Journal, wantSeq int) {
-	t.Helper()
-	for i := 0; i < 10_000; i++ {
-		appendAll(t, j, []Record{{Kind: KindMeta, Meta: Meta{Alerted: true}}})
-		if j.DurableCursor().Seg >= wantSeq {
-			return
-		}
-	}
-	t.Fatalf("journal never rolled to segment %d", wantSeq)
-}
-
 func TestRetainStatsMatchesDisk(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 
-	fillSegments(t, j, 3)
+	for appendAll(t, j, alerted).Seg < 3 {
+	}
 	st := j.RetainStats()
-	files, bytes := diskFootprint(t, dir)
+	files, bytes := readDir(t, dir).footprint()
 	if st.Segments != files {
 		t.Fatalf("Segments = %d, disk has %d files", st.Segments, files)
 	}
@@ -86,18 +38,15 @@ func TestRetainStatsMatchesDisk(t *testing.T) {
 
 func TestSnapshotPrunesAndAccountingFollows(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 
-	fillSegments(t, j, 4)
+	for appendAll(t, j, alerted).Seg < 4 {
+	}
 	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	st := j.RetainStats()
-	files, bytes := diskFootprint(t, dir)
+	files, bytes := readDir(t, dir).footprint()
 	if st.Segments != files || st.TotalBytes != bytes {
 		t.Fatalf("post-prune stats (%d segs, %d B) disagree with disk (%d files, %d B)",
 			st.Segments, st.TotalBytes, files, bytes)
@@ -109,22 +58,19 @@ func TestSnapshotPrunesAndAccountingFollows(t *testing.T) {
 		t.Fatal("SnapshotSeg unset after Snapshot")
 	}
 	// Only segments at or above the snapshot segment survive.
-	if oldest := oldestOnDisk(t, dir); oldest < st.SnapshotSeg {
+	if oldest := readDir(t, dir).oldest(t); oldest < st.SnapshotSeg {
 		t.Fatalf("oldest retained segment %d below snapshot segment %d", oldest, st.SnapshotSeg)
 	}
 }
 
 func TestLeaseClampsPruneFrontier(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 
 	// A "follower" still needs segment 0.
 	lease := j.AcquireLease(Cursor{Seg: 0, Off: headerSize})
-	fillSegments(t, j, 4)
+	for appendAll(t, j, alerted).Seg < 4 {
+	}
 	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +82,7 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 		t.Fatalf("lease at 0 must clamp everything: prunable=%d reclaimable=%d",
 			st.PrunableBytes, st.ReclaimableBytes)
 	}
-	if got := oldestOnDisk(t, dir); got != 0 {
+	if got := readDir(t, dir).oldest(t); got != 0 {
 		t.Fatalf("segment 0 pruned under a live lease (oldest now %d)", got)
 	}
 
@@ -158,7 +104,7 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 	if segs == 0 || bytes <= 0 {
 		t.Fatalf("Prune freed nothing after lease advance (segs=%d bytes=%d)", segs, bytes)
 	}
-	if got := oldestOnDisk(t, dir); got != 2 {
+	if got := readDir(t, dir).oldest(t); got != 2 {
 		t.Fatalf("oldest retained = %d after advancing lease to 2, want 2", got)
 	}
 
@@ -168,7 +114,7 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = j.RetainStats()
-	if got := oldestOnDisk(t, dir); got != st.SnapshotSeg {
+	if got := readDir(t, dir).oldest(t); got != st.SnapshotSeg {
 		t.Fatalf("oldest retained = %d after release, want snapshot seg %d", got, st.SnapshotSeg)
 	}
 
@@ -178,11 +124,7 @@ func TestLeaseClampsPruneFrontier(t *testing.T) {
 
 func TestLeaseNeverMovesBackward(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
 	l := j.AcquireLease(Cursor{Seg: 3})
 	l.Advance(Cursor{Seg: 1})
 	if floor := j.RetainStats().LeaseFloorSeg; floor != 3 {
@@ -205,19 +147,16 @@ func TestLeaseNeverMovesBackward(t *testing.T) {
 // filesystem error.
 func TestPruneVsReaderRace(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 128})
 
 	for round := 0; round < 40; round++ {
 		base := j.DurableCursor().Seg
-		fillSegments(t, j, base+3)
+		for appendAll(t, j, alerted).Seg < base+3 {
+		}
 		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		start := Cursor{Seg: oldestOnDisk(t, dir), Off: headerSize}
+		start := Cursor{Seg: readDir(t, dir).oldest(t), Off: headerSize}
 
 		var wg sync.WaitGroup
 		errs := make(chan error, 4)
@@ -268,15 +207,12 @@ func TestPruneVsReaderRace(t *testing.T) {
 // reader entirely untouched — every frame readable, no ErrCursorGone at all.
 func TestPruneVsReaderLeaseHeld(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 128})
 
 	for round := 0; round < 40; round++ {
 		base := j.DurableCursor().Seg
-		fillSegments(t, j, base+3)
+		for appendAll(t, j, alerted).Seg < base+3 {
+		}
 		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +244,7 @@ func TestPruneVsReaderLeaseHeld(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The pinned suffix must still be on disk.
-		if got := oldestOnDisk(t, dir); got > start.Seg {
+		if got := readDir(t, dir).oldest(t); got > start.Seg {
 			t.Fatalf("round %d: prune crossed the lease floor (oldest %d > pinned %d)",
 				round, got, start.Seg)
 		}
@@ -321,40 +257,32 @@ func TestPruneVsReaderLeaseHeld(t *testing.T) {
 
 func TestRetainStatsAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
+	for appendAll(t, j, alerted).Seg < 3 {
 	}
-	fillSegments(t, j, 3)
 	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if tail := j.RetainStats().TailRecords; tail != 0 {
 		t.Fatalf("TailRecords = %d right after a snapshot, want 0", tail)
 	}
-	appendAll(t, j, []Record{{Kind: KindQuit, Employee: 1}, {Kind: KindQuit, Employee: 2}, {Kind: KindQuit, Employee: 3}})
+	appendAll(t, j, Record{Kind: KindQuit, Employee: 1}, Record{Kind: KindQuit, Employee: 2}, Record{Kind: KindQuit, Employee: 3})
 	stBefore := j.RetainStats()
 	if stBefore.TailRecords != 3 {
 		t.Fatalf("TailRecords = %d after 3 appends past the snapshot, want 3", stBefore.TailRecords)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
 	// Closed journal: the sealed active segment is still accounted for.
 	stClosed := j.RetainStats()
-	files, bytes := diskFootprint(t, dir)
+	files, bytes := readDir(t, dir).footprint()
 	if stClosed.Segments != files || stClosed.TotalBytes != bytes {
 		t.Fatalf("closed stats (%d segs, %d B) disagree with disk (%d files, %d B)",
 			stClosed.Segments, stClosed.TotalBytes, files, bytes)
 	}
 
-	j2, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
+	j2 := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 	st := j2.RetainStats()
-	files, bytes = diskFootprint(t, dir)
+	files, bytes = readDir(t, dir).footprint()
 	if st.Segments != files || st.TotalBytes != bytes {
 		t.Fatalf("reopened stats (%d segs, %d B) disagree with disk (%d files, %d B)",
 			st.Segments, st.TotalBytes, files, bytes)

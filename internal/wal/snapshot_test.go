@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -97,30 +96,12 @@ func TestSnapshotCostsWhatTheJournalCosts(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
 	for _, d := range st.Decisions {
-		if _, err := j.Append(Record{Kind: KindDecision, Decision: d}); err != nil {
-			t.Fatal(err)
-		}
+		appendAll(t, j, Record{Kind: KindDecision, Decision: d})
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var journal int64
-	for _, seg := range segs {
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		journal += fi.Size()
-	}
+	mustClose(t, j)
+	_, journal := readDir(t, dir).footprint()
 	perSnap, perRecord := float64(len(blob))/n, float64(journal)/n
 	t.Logf("%.1f snapshot bytes per decision, %.1f journal bytes per decision record", perSnap, perRecord)
 	if perSnap > 1.5*perRecord {

@@ -108,22 +108,6 @@ func TestDecodeFloatBitExact(t *testing.T) {
 	}
 }
 
-// appendAll appends records and waits for each durability ack.
-func appendAll(t *testing.T, j *Journal, recs []Record) {
-	t.Helper()
-	for _, r := range recs {
-		wait, err := j.Append(r)
-		if err != nil {
-			t.Fatalf("append %v: %v", r.Kind, err)
-		}
-		if wait != nil {
-			if err := wait(); err != nil {
-				t.Fatalf("wait %v: %v", r.Kind, err)
-			}
-		}
-	}
-}
-
 func TestJournalAppendRecover(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -136,15 +120,10 @@ func TestJournalAppendRecover(t *testing.T) {
 				t.Fatalf("fresh dir recovered %+v", rec)
 			}
 			want := sampleRecords()
-			appendAll(t, j, want)
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
+			appendAll(t, j, want...)
+			mustClose(t, j)
 
-			rec2, err := Recover(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec2 := recoverDir(t, dir)
 			if rec2.Records != len(want) {
 				t.Fatalf("recovered %d records, want %d", rec2.Records, len(want))
 			}
@@ -162,10 +141,7 @@ func TestJournalAppendRecover(t *testing.T) {
 
 func TestRecoverTailAfterSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
 	if err := j.Snapshot([]byte("snap-1")); err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +149,9 @@ func TestRecoverTailAfterSnapshot(t *testing.T) {
 		{Kind: KindMeta, Meta: Meta{Alerted: true}},
 		{Kind: KindQuit, Employee: 7},
 	}
-	appendAll(t, j, tail)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, j, tail...)
+	mustClose(t, j)
+	rec := recoverDir(t, dir)
 	if string(rec.Snapshot) != "snap-1" {
 		t.Fatalf("snapshot = %q", rec.Snapshot)
 	}
@@ -191,45 +162,29 @@ func TestRecoverTailAfterSnapshot(t *testing.T) {
 
 func TestJournalRollsSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 256})
 	var want []Record
 	for i := 0; i < 64; i++ {
 		r := Record{Kind: KindQuit, Employee: i}
 		want = append(want, r)
 	}
-	appendAll(t, j, want)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	appendAll(t, j, want...)
+	mustClose(t, j)
+	segs := len(readDir(t, dir))
+	if segs < 2 {
+		t.Fatalf("expected multiple segments at a 256-byte roll size, got %d", segs)
 	}
-	segs, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("expected multiple segments at a 256-byte roll size, got %d", len(segs))
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverDir(t, dir)
 	if !reflect.DeepEqual(rec.Tail, want) {
-		t.Fatalf("recovered %d records across %d segments, want %d", len(rec.Tail), len(segs), len(want))
+		t.Fatalf("recovered %d records across %d segments, want %d", len(rec.Tail), segs, len(want))
 	}
 }
 
 func TestReopenStartsFreshSegment(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, []Record{{Kind: KindCycleClose}})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
+	appendAll(t, j, Record{Kind: KindCycleClose})
+	mustClose(t, j)
 	j2, rec, err := Open(dir, Options{Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
@@ -238,46 +193,29 @@ func TestReopenStartsFreshSegment(t *testing.T) {
 	if rec.Records != 1 {
 		t.Fatalf("recovered %d records, want 1", rec.Records)
 	}
-	segs, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Sealed segment + the reopened journal's fresh one.
-	if len(segs) != 2 {
-		t.Fatalf("expected sealed + fresh segment, got %v", segs)
+	if segs := len(readDir(t, dir)); segs != 2 {
+		t.Fatalf("expected sealed + fresh segment, got %d segments", segs)
 	}
 }
 
 func TestSnapshotPrunesSealedSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 128})
 	for i := 0; i < 64; i++ {
-		appendAll(t, j, []Record{{Kind: KindQuit, Employee: i}})
+		appendAll(t, j, Record{Kind: KindQuit, Employee: i})
 	}
-	before, _ := segments(dir)
-	if len(before) < 3 {
-		t.Fatalf("test needs several segments, got %d", len(before))
+	if before := len(readDir(t, dir)); before < 3 {
+		t.Fatalf("test needs several segments, got %d", before)
 	}
 	if err := j.Snapshot([]byte("snap")); err != nil {
 		t.Fatal(err)
 	}
-	after, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
+	if after := len(readDir(t, dir)); after != 1 {
+		t.Fatalf("snapshot kept %d segments, want 1", after)
 	}
-	if len(after) != 1 {
-		t.Fatalf("snapshot kept %d segments, want 1: %v", len(after), after)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
+	rec := recoverDir(t, dir)
 	if string(rec.Snapshot) != "snap" || len(rec.Tail) != 0 {
 		t.Fatalf("recovered snapshot=%q tail=%d", rec.Snapshot, len(rec.Tail))
 	}
@@ -285,13 +223,8 @@ func TestSnapshotPrunesSealedSegments(t *testing.T) {
 
 func TestAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
+	mustClose(t, j)
 	if err := j.Close(); err != nil { // idempotent
 		t.Fatalf("second close: %v", err)
 	}
@@ -305,10 +238,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 
 func TestConcurrentGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*per)
@@ -334,13 +264,8 @@ func TestConcurrentGroupCommit(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
+	rec := recoverDir(t, dir)
 	if len(rec.Tail) != workers*per {
 		t.Fatalf("recovered %d records, want %d", len(rec.Tail), workers*per)
 	}
@@ -362,10 +287,7 @@ func TestConcurrentGroupCommit(t *testing.T) {
 // round race a roll.
 func TestAppendWaitAcrossRolls(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 256})
 	// The durable cursor must never move backward, rolls or not.
 	sub, cancel := j.Subscribe()
 	defer cancel()
@@ -414,13 +336,8 @@ func TestAppendWaitAcrossRolls(t *testing.T) {
 	if got := j.DurableRecords(); got != acked.Load() {
 		t.Fatalf("durable records %d, acknowledged %d", got, acked.Load())
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
+	rec := recoverDir(t, dir)
 	if int64(rec.Records) != acked.Load() || acked.Load() != workers*per {
 		t.Fatalf("recovered %d records, acknowledged %d, want %d", rec.Records, acked.Load(), workers*per)
 	}
@@ -436,10 +353,7 @@ func TestAppendWaitAcrossRolls(t *testing.T) {
 // and the stale position it captured never moves the durable cursor back.
 func TestRollUnderARound(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 64})
 	wait, err := j.Append(Record{Kind: KindSnapshot, Snapshot: make([]byte, 64)}) // fills the segment
 	if err != nil {
 		t.Fatal(err)
@@ -464,11 +378,9 @@ func TestRollUnderARound(t *testing.T) {
 	if cur := j.DurableCursor(); !sealed.Less(cur) || cur.Seg != 1 || j.DurableRecords() != 2 {
 		t.Fatalf("after the next round: durable %v with %d records, want segment 1 with 2", cur, j.DurableRecords())
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := Recover(dir); err != nil || rec.Records != 2 {
-		t.Fatalf("recovered %+v, %v; want 2 records", rec, err)
+	mustClose(t, j)
+	if rec := recoverDir(t, dir); rec.Records != 2 {
+		t.Fatalf("recovered %+v; want 2 records", rec)
 	}
 }
 
@@ -486,21 +398,16 @@ func refusePreallocation(t *testing.T, err error) {
 func TestGrowingAppendFallback(t *testing.T) {
 	refusePreallocation(t, errors.ErrUnsupported)
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, sampleRecords())
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
+	appendAll(t, j, sampleRecords()...)
 	end := j.DurableCursor()
-	if size := fileSize(t, filepath.Join(dir, segmentName(end.Seg))); size != end.Off {
+	if size := readDir(t, dir).size(end.Seg); size != end.Off {
 		t.Fatalf("active segment holds %d bytes, want it to end at the last frame (%d)", size, end.Off)
 	}
 	if st := j.RetainStats(); st.TotalBytes != end.Off {
 		t.Fatalf("TotalBytes = %d, disk holds %d", st.TotalBytes, end.Off)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
 	t.Run("AppendWaitAcrossRolls", TestAppendWaitAcrossRolls)
 	t.Run("RollUnderARound", TestRollUnderARound)
 }
@@ -509,11 +416,8 @@ func TestGrowingAppendFallback(t *testing.T) {
 // The append that needed the space fails and nothing of it is journaled.
 func TestPreallocationFailureFailsTheAppend(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, []Record{{Kind: KindCycleClose}})
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 1 << 20})
+	appendAll(t, j, Record{Kind: KindCycleClose})
 	refusePreallocation(t, syscall.ENOSPC)
 	if _, err := j.Append(Record{Kind: KindSnapshot, Snapshot: make([]byte, allocStep)}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append past a full disk: %v, want ENOSPC", err)
@@ -521,11 +425,9 @@ func TestPreallocationFailureFailsTheAppend(t *testing.T) {
 	if _, _, err := Open(t.TempDir(), Options{}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("open on a full disk: %v, want ENOSPC", err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := Recover(dir); err != nil || rec.Records != 1 || rec.Truncated {
-		t.Fatalf("recovered %+v, %v; want the 1 record appended before the disk filled", rec, err)
+	mustClose(t, j)
+	if rec := recoverDir(t, dir); rec.Records != 1 || rec.Truncated {
+		t.Fatalf("recovered %+v; want the 1 record appended before the disk filled", rec)
 	}
 }
 
@@ -534,22 +436,17 @@ func TestPreallocationFailureFailsTheAppend(t *testing.T) {
 // preallocation step and moves by exactly one step at the boundary.
 func TestAppendsDoNotMoveTheFileSize(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	active := filepath.Join(dir, segmentName(0))
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
 	blob := Record{Kind: KindSnapshot, Snapshot: make([]byte, 1000)}
 	const frame = 2 + 1 + 1000 + 4 // length prefix, kind, blob, CRC
 	for j.DurableCursor().Off+frame <= allocStep {
-		appendAll(t, j, []Record{blob})
-		if size := fileSize(t, active); size != allocStep {
+		appendAll(t, j, blob)
+		if size := readDir(t, dir).size(0); size != allocStep {
 			t.Fatalf("file size %d after an append inside the first step, want %d", size, allocStep)
 		}
 	}
-	appendAll(t, j, []Record{blob}) // crosses the allocated end
-	if size := fileSize(t, active); size != 2*allocStep {
+	appendAll(t, j, blob) // crosses the allocated end
+	if size := readDir(t, dir).size(0); size != 2*allocStep {
 		t.Fatalf("file size %d after crossing the boundary, want %d", size, 2*allocStep)
 	}
 	if st := j.RetainStats(); st.TotalBytes != 2*allocStep {
@@ -558,12 +455,8 @@ func TestAppendsDoNotMoveTheFileSize(t *testing.T) {
 
 	// Segments smaller than a step are preallocated whole.
 	small := t.TempDir()
-	j2, _, err := Open(small, Options{Fsync: FsyncNone, SegmentBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if size := fileSize(t, filepath.Join(small, segmentName(0))); size != 4096 {
+	openJournal(t, small, Options{Fsync: FsyncNone, SegmentBytes: 4096})
+	if size := readDir(t, small).size(0); size != 4096 {
 		t.Fatalf("4 KiB segment preallocated to %d bytes", size)
 	}
 }
@@ -573,23 +466,17 @@ func TestAppendsDoNotMoveTheFileSize(t *testing.T) {
 // crash with the zero tail behind it.
 func TestRecordLargerThanAStep(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
 	blob := make([]byte, 3*allocStep+123)
 	for i := range blob {
 		blob[i] = byte(i)
 	}
-	appendAll(t, j, []Record{{Kind: KindSnapshot, Snapshot: blob}, {Kind: KindQuit, Employee: 9}})
-	if size := fileSize(t, filepath.Join(dir, segmentName(0))); size != 4*allocStep {
+	appendAll(t, j, Record{Kind: KindSnapshot, Snapshot: blob}, Record{Kind: KindQuit, Employee: 9})
+	if size := readDir(t, dir).size(0); size != 4*allocStep {
 		t.Fatalf("file size %d, want the %d covering the blob", size, 4*allocStep)
 	}
 	abandon(j)
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverDir(t, dir)
 	if rec.Truncated || string(rec.Snapshot) != string(blob) || len(rec.Tail) != 1 {
 		t.Fatalf("recovered truncated=%v snapshot=%dB tail=%d, want the whole blob + 1 record", rec.Truncated, len(rec.Snapshot), len(rec.Tail))
 	}
@@ -603,27 +490,19 @@ func TestSnapshotSizesAroundTheWriteBuffer(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
 		for _, size := range []int{1, writeBufBytes - 1, writeBufBytes, writeBufBytes + 1, 1 << 20} {
 			dir := t.TempDir()
-			j, _, err := Open(dir, Options{Fsync: policy, Interval: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
+			j := openJournal(t, dir, Options{Fsync: policy, Interval: time.Hour})
 			blob := make([]byte, size)
 			for i := range blob {
 				blob[i] = byte(i*7 + size)
 			}
-			appendAll(t, j, []Record{{Kind: KindQuit, Employee: 3}})
+			appendAll(t, j, Record{Kind: KindQuit, Employee: 3})
 			if err := j.Snapshot(blob); err != nil {
 				t.Fatalf("%v, %d bytes: %v", policy, size, err)
 			}
 			tail := []Record{{Kind: KindCycleOpen, Budget: 12.5}}
-			appendAll(t, j, tail)
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			rec, err := Recover(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			appendAll(t, j, tail...)
+			mustClose(t, j)
+			rec := recoverDir(t, dir)
 			if rec.Truncated || rec.Records != 3 || !bytes.Equal(rec.Snapshot, blob) || !reflect.DeepEqual(rec.Tail, tail) {
 				t.Fatalf("%v, %d bytes: recovered truncated=%v records=%d snapshot=%dB tail=%+v",
 					policy, size, rec.Truncated, rec.Records, len(rec.Snapshot), rec.Tail)
@@ -637,16 +516,12 @@ func TestSnapshotSizesAroundTheWriteBuffer(t *testing.T) {
 // (encBuf used to keep a copy's worth of capacity for good), not with a roll
 // (the write buffer is Reset onto the next segment, not replaced).
 func TestJournalKeepsNoBufferLargerThanAPage(t *testing.T) {
-	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, t.TempDir(), Options{Fsync: FsyncAlways, SegmentBytes: 1 << 10})
 	bw := j.bw
 	if err := j.Snapshot(make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, j, sampleRecords()) // the segment is over its roll size: this rolls
+	appendAll(t, j, sampleRecords()...) // the segment is over its roll size: this rolls
 	if j.seq == 0 {
 		t.Fatal("the journal never rolled")
 	}
@@ -663,42 +538,31 @@ func TestJournalKeepsNoBufferLargerThanAPage(t *testing.T) {
 // file the build before preallocation wrote for the same records.
 func TestSealedSegmentsAreExact(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, sampleRecords())
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, segmentName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
+	appendAll(t, j, sampleRecords()...)
+	mustClose(t, j)
+	got := readDir(t, dir)[segmentName(0)]
 	want, err := os.ReadFile(filepath.Join("testdata", "sealed-sample-records.sagw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
+	if got != string(want) {
 		t.Fatalf("sealed segment differs from the pre-preallocation build's:\n got %x\nwant %x", got, want)
 	}
 
 	rolled := t.TempDir()
-	j, _, err = Open(rolled, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
+	j = openJournal(t, rolled, Options{Fsync: FsyncAlways, SegmentBytes: 128})
+	for appendAll(t, j, alerted).Seg < 3 {
 	}
-	fillSegments(t, j, 3)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
+	disk := readDir(t, rolled)
 	for seq, n := range j.sealedBytes {
-		if size := fileSize(t, filepath.Join(rolled, segmentName(seq))); size != n {
+		if size := disk.size(seq); size != n {
 			t.Fatalf("sealed segment %d holds %d bytes, accounted %d", seq, size, n)
 		}
 	}
-	if rec, err := Recover(rolled); err != nil || rec.Truncated {
-		t.Fatalf("recovery after a clean close: %+v, %v", rec, err)
+	if rec := recoverDir(t, rolled); rec.Truncated {
+		t.Fatalf("recovery after a clean close: %+v", rec)
 	}
 }
 
@@ -714,14 +578,10 @@ func fsyncs(reg *obs.Registry) uint64 {
 // flight": everything appended meanwhile belongs to the next round.
 func TestQueuedWaitersShareOneRound(t *testing.T) {
 	reg := obs.NewRegistry()
-	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, t.TempDir(), Options{Fsync: FsyncAlways, Metrics: reg})
 	before := fsyncs(reg)
 
-	appendAll(t, j, []Record{{Kind: KindCycleClose}}) // the leader: one round of its own
+	appendAll(t, j, Record{Kind: KindCycleClose}) // the leader: one round of its own
 
 	const n = 16
 	j.syncMu.Lock()
@@ -754,14 +614,12 @@ func TestQueuedWaitersShareOneRound(t *testing.T) {
 // over pages the kernel may have dropped. Reopening recovers what is on disk.
 func TestFailedRoundFailsEveryWaiter(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, []Record{{Kind: KindCycleClose}}) // durable before the failure
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways})
+	appendAll(t, j, Record{Kind: KindCycleClose}) // durable before the failure
 	const n = 8
 	waits := make([]func() error, n)
 	for i := range waits {
+		var err error
 		if waits[i], err = j.Append(Record{Kind: KindQuit, Employee: i}); err != nil {
 			t.Fatal(err)
 		}
@@ -804,9 +662,8 @@ func TestFailedRoundFailsEveryWaiter(t *testing.T) {
 	if err := j.Close(); err != first {
 		t.Fatalf("Close after a failed round: %v, want %v", err, first)
 	}
-	rec, err := Recover(dir)
-	if err != nil || rec.Records != 1 {
-		t.Fatalf("recovered %+v, %v; want the 1 record synced before the failure", rec, err)
+	if rec := recoverDir(t, dir); rec.Records != 1 {
+		t.Fatalf("recovered %+v; want the 1 record synced before the failure", rec)
 	}
 }
 
@@ -825,17 +682,12 @@ func TestParseFsyncPolicy(t *testing.T) {
 func TestMetricsWired(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, Metrics: reg, Labels: []obs.Label{obs.L("tenant", "x")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, []Record{{Kind: KindCycleClose}})
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, Metrics: reg, Labels: []obs.Label{obs.L("tenant", "x")}})
+	appendAll(t, j, Record{Kind: KindCycleClose})
 	if err := j.Snapshot([]byte("abcde")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
 	if got := reg.Counter(MetricAppendsTotal, "", obs.L("tenant", "x")).Value(); got != 2 {
 		t.Fatalf("%s = %v, want 2", MetricAppendsTotal, got)
 	}
@@ -850,10 +702,7 @@ func TestMetricsWired(t *testing.T) {
 func TestRandomizedRoundTripThroughJournal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 512})
 	var want []Record
 	for i := 0; i < 300; i++ {
 		var r Record
@@ -885,14 +734,9 @@ func TestRandomizedRoundTripThroughJournal(t *testing.T) {
 		}
 		want = append(want, r)
 	}
-	appendAll(t, j, want)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, j, want...)
+	mustClose(t, j)
+	rec := recoverDir(t, dir)
 	if !reflect.DeepEqual(rec.Tail, want) {
 		t.Fatal("randomized records did not survive the journal byte-exact")
 	}
@@ -900,11 +744,7 @@ func TestRandomizedRoundTripThroughJournal(t *testing.T) {
 
 func TestOpenCreatesDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "wal")
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	openJournal(t, dir, Options{Fsync: FsyncNone})
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -933,24 +773,14 @@ func TestCreatedDirsReachTheirParents(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "b", "wal")
 	got := recordDirSyncs(t)
-	j, _, err := Open(dir, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone})
+	mustClose(t, j)
 	want := []string{root, filepath.Join(root, "a"), filepath.Join(root, "a", "b"), dir}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("fresh open synced %q, want %q", *got, want)
 	}
 	*got = nil
-	if j, _, err = Open(dir, Options{Fsync: FsyncNone}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, openJournal(t, dir, Options{Fsync: FsyncNone}))
 	if want := []string{dir}; !reflect.DeepEqual(*got, want) {
 		t.Fatalf("reopen synced %q, want only the journal dir %q", *got, want)
 	}

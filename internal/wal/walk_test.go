@@ -96,21 +96,14 @@ type refJournal struct {
 
 func refRead(t *testing.T, dir string) refJournal {
 	t.Helper()
-	paths, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disk := readDir(t, dir)
 	var ref refJournal
-	for _, p := range paths {
-		n, err := segmentSeq(p)
+	for _, name := range disk.names() {
+		n, err := segmentSeq(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.segs = append(ref.segs, refScan(n, b))
+		ref.segs = append(ref.segs, refScan(n, []byte(disk[name])))
 	}
 	for _, s := range ref.segs {
 		start := int64(headerSize)
@@ -178,10 +171,7 @@ func (d damage) String() string {
 // tail on the active segment) or a clean shutdown would.
 func randomJournal(t *testing.T, rng *rand.Rand, dir string) {
 	t.Helper()
-	j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: int64(48 + rng.Intn(160))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncNone, Interval: time.Hour, SegmentBytes: int64(48 + rng.Intn(160))})
 	// Pin segment 0 in most trials, so snapshots leave history in front of
 	// them for a seeding reader to persist without applying.
 	if rng.Intn(4) > 0 {
@@ -198,26 +188,22 @@ func randomJournal(t *testing.T, rng *rand.Rand, dir string) {
 			}
 			continue
 		}
-		appendAll(t, j, []Record{samples[rng.Intn(len(samples))]})
+		appendAll(t, j, samples[rng.Intn(len(samples))])
 	}
 	if snapshots > 0 {
 		if err := j.Snapshot([]byte(`{"at":"end"}`)); err != nil {
 			t.Fatal(err)
 		}
-		appendAll(t, j, []Record{samples[rng.Intn(len(samples))]})
+		appendAll(t, j, samples[rng.Intn(len(samples))])
 	}
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if rng.Intn(2) == 0 {
 		abandon(j)
-		close(j.done)
-		j.wg.Wait()
 		return
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	mustClose(t, j)
 }
 
 // hurt applies d to the last segment of dir that holds a frame and reports
@@ -231,11 +217,8 @@ func hurt(t *testing.T, rng *rand.Rand, dir string, d damage) (seg int, badFrame
 			s = c
 		}
 	}
-	path := filepath.Join(dir, segmentName(s.n))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disk := readDir(t, dir)
+	b := []byte(disk[segmentName(s.n)])
 	badFrame = -1
 	switch d {
 	case damageCut:
@@ -258,13 +241,10 @@ func hurt(t *testing.T, rng *rand.Rand, dir string, d damage) (seg int, badFrame
 				start = end
 			}
 		}
-		path = filepath.Join(dir, segmentName(s.n))
-		if b, err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		}
+		b = []byte(disk[segmentName(s.n)])
 		b[badFrame+3] ^= 0x20 // inside the blob, behind prefix and kind byte
 	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentName(s.n)), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return s.n, badFrame
@@ -347,10 +327,7 @@ func TestWalkerAgreesWithBruteForce(t *testing.T) {
 			}
 
 			// Recovery — Open cuts the directory, so it goes last.
-			rec, err := Recover(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec := recoverDir(t, dir)
 			if rec.End != ref.end || rec.SnapshotAt != ref.snapshotAt || rec.Records != ref.records || rec.Truncated != ref.truncated {
 				t.Fatalf("Recover: end %v snapshot %v records %d truncated %v; reference: end %v snapshot %v records %d truncated %v",
 					rec.End, rec.SnapshotAt, rec.Records, rec.Truncated, ref.end, ref.snapshotAt, ref.records, ref.truncated)
@@ -365,11 +342,7 @@ func TestWalkerAgreesWithBruteForce(t *testing.T) {
 			}
 			// And the reopened journal indexes exactly that snapshot, and
 			// a seed reads it to the end.
-			j, _, err := Open(dir, Options{Fsync: FsyncNone, Interval: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
+			j := openJournal(t, dir, Options{Fsync: FsyncNone, Interval: time.Hour})
 			start, lease := j.Seed()
 			lease.Release()
 			if j.snapAt != rec.SnapshotAt {
@@ -440,16 +413,13 @@ func FuzzFrameWalk(f *testing.F) {
 // lock hold, so the prune frees nothing at or above the cursor handed out.
 func TestSeedHandshakeHoldsLease(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 	skip := func(Frame) error { return nil }
 
-	fillSegments(t, j, 3)
-	start := Cursor{Seg: oldestOnDisk(t, dir), Off: headerSize} // pick: a directory listing's answer
-	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {       // snapshot-then-prune in the gap
+	for appendAll(t, j, alerted).Seg < 3 {
+	}
+	start := Cursor{Seg: readDir(t, dir).oldest(t), Off: headerSize} // pick: a directory listing's answer
+	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {            // snapshot-then-prune in the gap
 		t.Fatal(err)
 	}
 	late := j.AcquireLease(start)
@@ -458,7 +428,8 @@ func TestSeedHandshakeHoldsLease(t *testing.T) {
 	}
 	late.Release()
 
-	fillSegments(t, j, j.DurableCursor().Seg+3)
+	for seg := j.DurableCursor().Seg + 3; appendAll(t, j, alerted).Seg < seg; {
+	}
 	start, lease := j.Seed()
 	defer lease.Release()
 	if err := j.Snapshot([]byte(`{"s":2}`)); err != nil {
@@ -470,7 +441,7 @@ func TestSeedHandshakeHoldsLease(t *testing.T) {
 	if segs, bytes, err := j.Prune(); err != nil || segs != 0 || bytes != 0 {
 		t.Fatalf("prune under the handed-out lease freed %d segments (%d B): %v", segs, bytes, err)
 	}
-	if got := oldestOnDisk(t, dir); got != start.Seg {
+	if got := readDir(t, dir).oldest(t); got != start.Seg {
 		t.Fatalf("oldest segment on disk %d, seeded at %d", got, start.Seg)
 	}
 	if end, err := j.ReadFrames(start, skip); err != nil || end != j.DurableCursor() {
@@ -483,20 +454,17 @@ func TestSeedHandshakeHoldsLease(t *testing.T) {
 // incarnation held when it closed.
 func TestOpenScansOnce(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 	j.AcquireLease(Cursor{Seg: 0, Off: headerSize}) // keep what the snapshot supersedes
-	fillSegments(t, j, 3)
+	for appendAll(t, j, alerted).Seg < 3 {
+	}
 	if err := j.Snapshot([]byte(`{"s":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	fillSegments(t, j, 5)
-	before := j.RetainStats()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	for appendAll(t, j, alerted).Seg < 5 {
 	}
+	before := j.RetainStats()
+	mustClose(t, j)
 	wantIndex, wantSnap := maps.Clone(j.sealedBytes), j.snapAt
 	if len(wantIndex) != before.Segments || wantSnap.Seg != before.SnapshotSeg {
 		t.Fatalf("closed index %v / %v does not match the stats before Close: %+v", wantIndex, wantSnap, before)
@@ -521,7 +489,7 @@ func TestOpenScansOnce(t *testing.T) {
 	if !maps.Equal(j2.sealedBytes, wantIndex) || j2.snapAt != wantSnap {
 		t.Fatalf("reopened index %v / %v, the closed journal held %v / %v", j2.sealedBytes, j2.snapAt, wantIndex, wantSnap)
 	}
-	files, bytes := diskFootprint(t, dir)
+	files, bytes := readDir(t, dir).footprint()
 	if st := j2.RetainStats(); st.Segments != files || st.TotalBytes != bytes || st.SnapshotSeg != before.SnapshotSeg {
 		t.Fatalf("reopened stats %+v disagree with disk (%d files, %d B) or the snapshot segment before (%d)", st, files, bytes, before.SnapshotSeg)
 	}
